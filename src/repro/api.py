@@ -198,9 +198,9 @@ class AnalysisSession:
         ] = None
         # The memoized cache the demand path threads between query()
         # calls (when the caller does not manage one explicitly), plus
-        # the program's reusable front-end (CFGs, call graph,
-        # condensation — immutable for the session's program and the
-        # dominant warm-query cost).
+        # the program's reusable front end (CFGs, call graph,
+        # condensation, routine fingerprints — immutable for the
+        # session's program and the dominant warm-query cost).
         self._query_cache: Optional[SummaryCache] = None
         self._query_frontend = None
         # Counter scoping: metrics() reports the registry's delta since
@@ -377,8 +377,9 @@ class AnalysisSession:
 
         ``cache`` warm-starts the query from a ``SUM2``
         :class:`SummaryCache`; when omitted, the session threads its
-        own memoized cache between calls, so repeated or overlapping
-        queries amortize toward a CFG build plus fingerprinting.  The
+        own memoized cache and front end between calls, so repeated
+        or overlapping queries amortize toward a fingerprint comparison
+        (CFGs and fingerprints are built once per session).  The
         refreshed cache is returned on :attr:`QueryResult.cache` (and
         retained on the session) for persisting.
 

@@ -31,6 +31,11 @@ from repro.cfg.cfg import (
 )
 
 
+#: Bound once: the per-instruction test below is the hottest line of
+#: the front end, and an enum member lookup costs more than the test.
+_FALLTHROUGH = ControlKind.FALLTHROUGH
+
+
 def build_all_cfgs(program: Program) -> Dict[str, ControlFlowGraph]:
     """Build the CFG for every routine of ``program``."""
     return {routine.name: build_cfg(program, routine) for routine in program}
@@ -47,8 +52,8 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     term_kind: Dict[int, TerminatorKind] = {}
     term_targets: Dict[int, List[int]] = {}
     for index, instruction in enumerate(instructions):
-        control = instruction.opcode.control
-        if control == ControlKind.FALLTHROUGH:
+        control = instruction.control
+        if control is _FALLTHROUGH:
             continue
         if control == ControlKind.COND_BRANCH:
             term_kind[index] = TerminatorKind.COND_BRANCH
@@ -80,7 +85,7 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
         else:  # pragma: no cover - exhaustive
             raise AssertionError(control)
 
-    last = instructions[-1].opcode.control
+    last = instructions[-1].control
     if last in (ControlKind.FALLTHROUGH, ControlKind.COND_BRANCH):
         raise CfgError(
             f"{routine.name!r}: control falls off the end of the routine"
@@ -202,7 +207,7 @@ def _classify_call(
     instruction_index: int,
     instruction: Instruction,
 ) -> CallSite:
-    if instruction.opcode.control == ControlKind.CALL_DIRECT:
+    if instruction.control == ControlKind.CALL_DIRECT:
         target = (
             routine.address_of(instruction_index)
             + INSTRUCTION_SIZE * (1 + instruction.displacement)

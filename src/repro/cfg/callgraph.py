@@ -379,7 +379,14 @@ def find_address_taken(program: Program) -> Set[str]:
         constants: Dict[int, int] = {}
         for instruction in routine.instructions:
             opcode = instruction.opcode
-            control = opcode.control
+            if not constants and (
+                (opcode is not Opcode.LDA and opcode is not Opcode.LDAH)
+                or instruction.rb != ZERO_REGISTER
+            ):
+                # Nothing is tracked and this instruction cannot start
+                # tracking: every branch below would be a no-op.
+                continue
+            control = instruction.control
             uses = instruction.uses()
             defs = instruction.defs()
             if opcode is Opcode.LDA or opcode is Opcode.LDAH:

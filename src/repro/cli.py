@@ -73,8 +73,9 @@ from repro.interproc.persist import (
     load_cache,
     load_summaries,
 )
-from repro.program.disasm import disassemble_image, render_listing
-from repro.program.image import ExecutableImage, ImageFormatError
+from repro.program.disasm import load_program, render_listing
+from repro.program.image import ImageFormatError
+from repro.program.model import Program
 from repro.program.rewrite import program_to_image
 from repro.reporting.annotate import render_annotated_listing
 from repro.reporting.dot import psg_to_dot
@@ -89,9 +90,9 @@ EXIT_ANALYSIS = 4
 EXIT_CACHE_IO = 5
 
 
-def _load(path: str) -> ExecutableImage:
+def _load(path: str) -> Program:
     with open(path, "rb") as handle:
-        return ExecutableImage.from_bytes(handle.read())
+        return load_program(handle.read())
 
 
 def _atomic_write_bytes(path: str, blob: bytes) -> None:
@@ -347,11 +348,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_disasm(args: argparse.Namespace) -> int:
     try:
-        image = _load(args.image)
+        program = _load(args.image)
     except (OSError, ImageFormatError) as error:
         print(f"cannot load image {args.image}: {error}", file=sys.stderr)
         return EXIT_BAD_IMAGE
-    print(render_listing(disassemble_image(image)))
+    print(render_listing(program))
     return EXIT_OK
 
 
@@ -556,11 +557,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        image = _load(args.image)
+        program = _load(args.image)
     except (OSError, ImageFormatError) as error:
         print(f"cannot load image {args.image}: {error}", file=sys.stderr)
         return EXIT_BAD_IMAGE
-    result = run_program(disassemble_image(image), max_steps=args.max_steps)
+    result = run_program(program, max_steps=args.max_steps)
     for value in result.outputs:
         print(value)
     print(f"# steps={result.steps} exit={result.exit_value}")

@@ -68,12 +68,8 @@ def effective_gen_kill(
     ``site_effect`` must be supplied for call instructions; it already
     reflects the callee's summary.
     """
-    gen = 0
-    for register in instruction.uses():
-        gen |= 1 << register
-    kill = 0
-    for register in instruction.defs():
-        kill |= 1 << register
+    gen = instruction.use_mask
+    kill = instruction.def_mask
     if site_effect is not None:
         gen |= site_effect.gen
         kill |= site_effect.kill

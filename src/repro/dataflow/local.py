@@ -43,12 +43,8 @@ def local_sets_of_instructions(instructions: Iterable[Instruction]) -> LocalSets
     def_mask = 0
     ubd_mask = 0
     for instruction in instructions:
-        use_mask = 0
-        for register in instruction.uses():
-            use_mask |= 1 << register
-        ubd_mask |= use_mask & ~def_mask
-        for register in instruction.defs():
-            def_mask |= 1 << register
+        ubd_mask |= instruction.use_mask & ~def_mask
+        def_mask |= instruction.def_mask
     return LocalSets(def_mask=def_mask, ubd_mask=ubd_mask)
 
 

@@ -13,6 +13,8 @@ The two-phase analysis over the Program Summary Graph:
   optimizer consumes;
 * :mod:`repro.interproc.analysis` — the top-level driver, with the
   stage timing and memory accounting the paper's §4 reports;
+* :mod:`repro.interproc.frontend` — the front-end product every path
+  starts from (CFGs, call graph, condensation, routine fingerprints);
 * :mod:`repro.interproc.incremental` — fingerprint-scoped incremental
   re-analysis over the call-graph SCC condensation, warm-started from
   a persisted :class:`~repro.interproc.persist.SummaryCache`;
@@ -42,7 +44,8 @@ from repro.interproc.savedregs import (
 )
 from repro.interproc.baseline import analyze_program_baseline
 from repro.interproc.errors import AnalysisError
-from repro.interproc.incremental import IncrementalAnalysis, routine_fingerprint
+from repro.interproc.frontend import routine_fingerprint
+from repro.interproc.incremental import IncrementalAnalysis
 from repro.interproc.parallel import (
     ParallelAnalysis,
     analyze_incremental_parallel,

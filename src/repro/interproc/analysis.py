@@ -27,8 +27,7 @@ from repro.isa.calling_convention import CallingConvention, NT_ALPHA
 from repro.program.image import ExecutableImage
 from repro.program.model import Program
 from repro.program.disasm import disassemble_image
-from repro.cfg.build import build_all_cfgs
-from repro.cfg.callgraph import CallGraph, build_call_graph
+from repro.cfg.callgraph import CallGraph
 from repro.cfg.cfg import ControlFlowGraph
 from repro.dataflow.local import LocalSets, compute_local_sets
 from repro.dataflow.regset import mask_of
@@ -36,9 +35,11 @@ from repro.psg.arena import get_arena
 from repro.psg.build import PsgConfig, build_psg
 from repro.psg.graph import ProgramSummaryGraph
 from repro.interproc import flatcore
+from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.phase1 import Phase1Result, run_phase1
 from repro.interproc.phase2 import Phase2Result, run_phase2
 from repro.interproc.savedregs import saved_restored_registers
+from repro.interproc.store import publish_result
 from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
@@ -118,10 +119,8 @@ class InterproceduralAnalysis:
     phase solutions) and the §4 measurements (timings, memory).
     """
 
-    program: Program
     config: AnalysisConfig
-    cfgs: Dict[str, ControlFlowGraph]
-    call_graph: CallGraph
+    frontend: Frontend
     local_sets: Dict[str, List[LocalSets]]
     saved_restored: Dict[str, int]
     psg: ProgramSummaryGraph
@@ -132,6 +131,18 @@ class InterproceduralAnalysis:
     memory_bytes: int
 
     # -- convenience -----------------------------------------------------
+
+    @property
+    def program(self) -> Program:
+        return self.frontend.program
+
+    @property
+    def cfgs(self) -> Dict[str, ControlFlowGraph]:
+        return self.frontend.cfgs
+
+    @property
+    def call_graph(self) -> CallGraph:
+        return self.frontend.call_graph
 
     #: Explicit marker for CLI/report code: this result came from the
     #: serial whole-program solver (its counterpart on
@@ -199,8 +210,8 @@ def _analyze_program(
     timer = StageTimer()
 
     with timer.stage("cfg_build"):
-        cfgs = build_all_cfgs(program)
-        call_graph = build_call_graph(program, cfgs)
+        frontend = build_frontend(program)
+    cfgs, call_graph = frontend.cfgs, frontend.call_graph
     REGISTRY.inc("frontend.routines", len(cfgs))
 
     with timer.stage("initialization"):
@@ -246,13 +257,15 @@ def _analyze_program(
         )
 
     result = _assemble_summaries(program, cfgs, saved_restored, psg, phase1, phase2)
-    _publish_to_store(program, config, cfgs, call_graph, result)
+    # Publish-only: the plain serial pipeline never consults the store,
+    # so its own behavior (and every exact-work assertion built on it)
+    # is untouched.  Store-accelerated solves go through the incremental
+    # engine (:mod:`repro.interproc.incremental`).
+    publish_result(frontend, config, result)
     memory = psg_analysis_memory(psg, cfgs, config.memory_model)
     return InterproceduralAnalysis(
-        program=program,
         config=config,
-        cfgs=cfgs,
-        call_graph=call_graph,
+        frontend=frontend,
         local_sets=local_sets,
         saved_restored=saved_restored,
         psg=psg,
@@ -261,42 +274,6 @@ def _analyze_program(
         result=result,
         timings=timer.timings,
         memory_bytes=memory,
-    )
-
-
-def _publish_to_store(
-    program: Program,
-    config: AnalysisConfig,
-    cfgs: Dict[str, ControlFlowGraph],
-    call_graph: CallGraph,
-    result: SummarySet,
-) -> None:
-    """Publish a finished whole-program result to the cross-image
-    summary store, when one is configured.
-
-    The plain serial pipeline only *publishes* — it never consults the
-    store, so its own behavior (and every exact-work assertion built on
-    it) is untouched.  Store-accelerated solves go through the
-    incremental engine (:mod:`repro.interproc.incremental`).
-    """
-    from repro.interproc.store import publish_result, resolve_store
-
-    store = resolve_store(config)
-    if store is None:
-        return
-    from repro.interproc.incremental import routine_fingerprint
-
-    fingerprints = {
-        name: routine_fingerprint(program.routine(name), cfgs[name])
-        for name in cfgs
-    }
-    publish_result(
-        store,
-        call_graph.condensation(),
-        call_graph,
-        fingerprints,
-        config,
-        result,
     )
 
 

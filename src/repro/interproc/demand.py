@@ -63,16 +63,15 @@ import logging
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-from repro.cfg.build import build_all_cfgs
-from repro.cfg.callgraph import CallGraph, Condensation, build_call_graph
+from repro.cfg.callgraph import CallGraph, Condensation
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.analysis import AnalysisConfig
 from repro.interproc.errors import UnknownRoutineError
+from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.incremental import (
     _WarmEngine,
     _triple_of,
     record_fingerprint_verdicts,
-    routine_fingerprint,
 )
 from repro.interproc.persist import SummaryCache
 from repro.interproc.store import resolve_store
@@ -84,32 +83,6 @@ _log = logging.getLogger(__name__)
 
 
 @dataclass
-class QueryFrontend:
-    """The program's immutable front-end products — CFGs, call graph,
-    SCC condensation — shared across queries of the same program.
-
-    Building these dominates warm-query latency (the cone solve itself
-    amortizes to nothing), so :class:`repro.api.AnalysisSession`
-    caches the frontend of its (immutable) program and threads it into
-    every query.
-    """
-
-    cfgs: Dict[str, object]
-    call_graph: CallGraph
-    condensation: Condensation
-
-
-def build_query_frontend(program) -> QueryFrontend:
-    cfgs = build_all_cfgs(program)
-    call_graph = build_call_graph(program, cfgs)
-    return QueryFrontend(
-        cfgs=cfgs,
-        call_graph=call_graph,
-        condensation=call_graph.condensation(),
-    )
-
-
-@dataclass
 class QueryResult:
     """The product of one demand-driven query.
 
@@ -117,8 +90,10 @@ class QueryResult:
     an exhaustive solve would produce); ``cache`` is the memoized
     refresh to persist — feeding it to the next query (or incremental
     run) is what makes repeated queries amortize.  ``frontend`` is the
-    program's reusable front-end (handed back so a session can thread
-    it into the next query).
+    program's reusable front end — CFGs, call graph, condensation and
+    routine fingerprints, which dominate warm-query latency (the cone
+    solve itself amortizes to nothing) — handed back so a session can
+    thread it into the next query.
     """
 
     routine: str
@@ -126,7 +101,7 @@ class QueryResult:
     cache: SummaryCache
     metrics: QueryMetrics
     condensation: Optional[Condensation] = None
-    frontend: Optional[QueryFrontend] = None
+    frontend: Optional[Frontend] = None
     #: The queried program (carried for the result protocol's
     #: ``routines``/``instructions`` payload fields).
     program: Optional[object] = None
@@ -170,15 +145,15 @@ def query_routine(
     cache: Optional[SummaryCache] = None,
     config: Optional[AnalysisConfig] = None,
     image_fingerprint: int = 0,
-    frontend: Optional[QueryFrontend] = None,
+    frontend: Optional[Frontend] = None,
 ) -> QueryResult:
     """Answer live-at-entry/exit and call-used/defined/killed for one
     routine, solving only its dependency cones.
 
     ``cache=None`` is a cold query: the cones still restrict the work,
     and the returned cache warms every later query.  ``frontend``
-    reuses an earlier query's CFG/call-graph build for the *same*
-    program (the dominant warm-query cost).  Raises
+    reuses an earlier query's CFG/call-graph build and fingerprints for
+    the *same* program (the dominant warm-query cost).  Raises
     :class:`UnknownRoutineError` when ``routine`` is not in the
     program.
     """
@@ -190,7 +165,7 @@ def query_routine(
 
     if frontend is None:
         with metrics.stage("cfg_build"):
-            frontend = build_query_frontend(program)
+            frontend = build_frontend(program)
     cfgs = frontend.cfgs
     call_graph = frontend.call_graph
     condensation = frontend.condensation
@@ -207,10 +182,7 @@ def query_routine(
             result=SummarySet(summaries={}),
         )
     with metrics.stage("fingerprint"):
-        fingerprints = {
-            name: routine_fingerprint(program.routine(name), cfgs[name])
-            for name in cfgs
-        }
+        fingerprints = frontend.fingerprints
         dirty = record_fingerprint_verdicts(fingerprints, cache)
     metrics.dirty_routines = sorted(dirty)
 
@@ -236,18 +208,14 @@ def query_routine(
     )
 
     engine = _WarmEngine(
-        program=program,
+        frontend=frontend,
         config=config,
-        cfgs=cfgs,
-        call_graph=call_graph,
-        condensation=condensation,
         cache=cache,
         dirty=dirty,
         metrics=metrics,
         phase1_scope=phase1_cone,
         phase2_scope=phase2_cone,
         store=resolve_store(config),
-        fingerprints=fingerprints,
     )
     engine.solve()
     REGISTRY.inc("query.solved", metrics.phase2_solved)

@@ -9,9 +9,10 @@ only on its callers' return-point liveness and its callees' triples.
 This module exploits that structure:
 
 * every routine gets a **content fingerprint** (a 64-bit CRC over its
-  encoded instruction words, its call-site target lists, and its
-  exported flag — exactly the inputs its CFG and local sets are a
-  function of);
+  code bytes, its exported flag, its jump-table targets and its
+  call-site target lists — exactly the inputs its CFG and local sets
+  are a function of; see
+  :func:`repro.interproc.frontend.routine_fingerprint`);
 * the SCC **condensation** of the call graph is the dependency map:
   editing a routine dirties its component; phase-1 dirt propagates to
   transitive *callers*, phase-2 dirt to transitive *callees*;
@@ -36,15 +37,11 @@ builds CFGs, fingerprints them, and returns the cached result.
 from __future__ import annotations
 
 import logging
-import struct
-import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.isa.encoding import encode_stream
-from repro.program.model import Program, Routine
-from repro.cfg.build import build_all_cfgs
-from repro.cfg.callgraph import CallGraph, Condensation, build_call_graph
+from repro.program.model import Program
+from repro.cfg.callgraph import CallGraph, Condensation
 from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.local import LocalSets, compute_local_sets
@@ -54,7 +51,8 @@ from repro.interproc.analysis import (
     _analyze_program,
     node_seed_order,
 )
-from repro.interproc.persist import SummaryCache, crc64
+from repro.interproc.frontend import Frontend, build_frontend
+from repro.interproc.persist import SummaryCache
 from repro.interproc.phase1 import run_phase1
 from repro.interproc.phase2 import run_phase2
 from repro.interproc.savedregs import saved_restored_registers
@@ -106,28 +104,6 @@ def record_fingerprint_verdicts(
     return dirty
 
 
-def routine_fingerprint(routine: Routine, cfg: ControlFlowGraph) -> int:
-    """The 64-bit content fingerprint that scopes a cached summary.
-
-    Covers everything the routine's own analysis inputs are a function
-    of: the encoded instruction words, the resolved target list of each
-    call site (targets come from image hint tables, so they can change
-    while the code bytes do not), and the exported flag (it feeds the
-    §3.4/§3.5 externally-callable treatment).
-    """
-    parts: List[bytes] = [encode_stream(routine.instructions)]
-    parts.append(b"\x01" if routine.exported else b"\x00")
-    for site in cfg.call_sites:
-        parts.append(
-            struct.pack(
-                "<IIB", site.block, site.instruction_index, int(site.indirect)
-            )
-        )
-        for target in site.targets:
-            parts.append(target.encode("utf-8") + b"\x00")
-    return crc64(b"".join(parts))
-
-
 @dataclass
 class IncrementalAnalysis:
     """The product of one incremental run.
@@ -138,10 +114,8 @@ class IncrementalAnalysis:
     run; ``metrics`` says how much work was actually done.
     """
 
-    program: Program
     config: AnalysisConfig
-    cfgs: Dict[str, ControlFlowGraph]
-    call_graph: CallGraph
+    frontend: Frontend
     result: SummarySet
     cache: SummaryCache
     metrics: IncrementalMetrics
@@ -152,6 +126,18 @@ class IncrementalAnalysis:
 
     #: Result-protocol kind tag (see :mod:`repro.interproc.results`).
     kind = "incremental"
+
+    @property
+    def program(self) -> Program:
+        return self.frontend.program
+
+    @property
+    def cfgs(self) -> Dict[str, ControlFlowGraph]:
+        return self.frontend.cfgs
+
+    @property
+    def call_graph(self) -> CallGraph:
+        return self.frontend.call_graph
 
     @property
     def is_parallel(self) -> bool:
@@ -241,15 +227,12 @@ def _warm_run(
 ) -> IncrementalAnalysis:
 
     with metrics.stage("cfg_build"):
-        cfgs = build_all_cfgs(program)
-        call_graph = build_call_graph(program, cfgs)
-        condensation = call_graph.condensation()
+        frontend = build_frontend(program)
+        condensation = frontend.condensation
+    cfgs, call_graph = frontend.cfgs, frontend.call_graph
 
     with metrics.stage("fingerprint"):
-        fingerprints = {
-            name: routine_fingerprint(program.routine(name), cfgs[name])
-            for name in cfgs
-        }
+        fingerprints = frontend.fingerprints
         dirty = record_fingerprint_verdicts(fingerprints, cache)
     metrics.dirty_routines = sorted(dirty)
     _log.info(
@@ -258,16 +241,12 @@ def _warm_run(
     )
 
     engine = _WarmEngine(
-        program=program,
+        frontend=frontend,
         config=config,
-        cfgs=cfgs,
-        call_graph=call_graph,
-        condensation=condensation,
         cache=cache,
         dirty=dirty,
         metrics=metrics,
         store=resolve_store(config),
-        fingerprints=fingerprints,
     )
     result = engine.run()
 
@@ -278,10 +257,8 @@ def _warm_run(
         externally_callable=set(call_graph.externally_callable),
     )
     return IncrementalAnalysis(
-        program=program,
         config=config,
-        cfgs=cfgs,
-        call_graph=call_graph,
+        frontend=frontend,
         result=result,
         cache=new_cache,
         metrics=metrics,
@@ -311,10 +288,7 @@ def _cold_run(
         if name != "total":
             metrics.seconds[name] = value
     with metrics.stage("fingerprint"):
-        fingerprints = {
-            name: routine_fingerprint(program.routine(name), full.cfgs[name])
-            for name in full.cfgs
-        }
+        fingerprints = full.frontend.fingerprints
     new_cache = SummaryCache(
         image_fingerprint=image_fingerprint,
         result=full.result,
@@ -322,10 +296,8 @@ def _cold_run(
         externally_callable=set(full.call_graph.externally_callable),
     )
     return IncrementalAnalysis(
-        program=program,
         config=config,
-        cfgs=full.cfgs,
-        call_graph=full.call_graph,
+        frontend=full.frontend,
         result=full.result,
         cache=new_cache,
         metrics=metrics,
@@ -377,24 +349,19 @@ class _WarmEngine:
 
     def __init__(
         self,
-        program: Program,
+        frontend: Frontend,
         config: AnalysisConfig,
-        cfgs: Dict[str, ControlFlowGraph],
-        call_graph: CallGraph,
-        condensation: Condensation,
         cache: SummaryCache,
         dirty: Set[str],
         metrics: IncrementalMetrics,
         phase1_scope: Optional[Set[int]] = None,
         phase2_scope: Optional[Set[int]] = None,
         store: Optional[SummaryStore] = None,
-        fingerprints: Optional[Dict[str, int]] = None,
     ) -> None:
-        self.program = program
         self.config = config
-        self.cfgs = cfgs
-        self.call_graph = call_graph
-        self.condensation = condensation
+        self.cfgs = frontend.cfgs
+        self.call_graph = frontend.call_graph
+        self.condensation = frontend.condensation
         self.cache = cache
         self.cached = cache.result.summaries
         # Phase-1 triples available for reuse: derivable from every
@@ -435,11 +402,13 @@ class _WarmEngine:
         self.solved2: Set[int] = set()
         self.changed2: Set[str] = set()
         self.fresh: Dict[str, RoutineSummary] = {}
-        self.orphaned = orphaned_callees(self.cached, cfgs, call_graph, dirty)
+        self.orphaned = orphaned_callees(
+            self.cached, self.cfgs, self.call_graph, dirty
+        )
         # Cross-image store state: deep fingerprints are derived lazily
         # — only runs that actually consult or publish pay for them.
-        self.store = store if fingerprints is not None else None
-        self.fingerprints = fingerprints
+        self.store = store
+        self.fingerprints = frontend.fingerprints
         self._deep_fps: Optional[Dict[str, int]] = None
         self._context = 0
 

@@ -54,7 +54,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cfg.build import build_all_cfgs, build_cfg
+from repro.cfg.build import build_cfg
 from repro.cfg.callgraph import (
     CallGraph,
     Condensation,
@@ -72,9 +72,11 @@ from repro.interproc.analysis import (
 )
 from repro.program.model import Program
 from repro.interproc.errors import AnalysisError
+from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.phase1 import run_phase1
 from repro.interproc.phase2 import run_phase2
 from repro.interproc.savedregs import saved_restored_registers
+from repro.interproc.store import publish_result
 from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
@@ -825,14 +827,27 @@ class ParallelAnalysis:
     bit-identical to :func:`repro.interproc.analysis.analyze_program`.
     """
 
-    program: Program
     config: AnalysisConfig
-    cfgs: Dict[str, ControlFlowGraph]
-    call_graph: CallGraph
-    condensation: Condensation
+    frontend: Frontend
     plan: ShardPlan
     result: SummarySet
     metrics: ParallelMetrics
+
+    @property
+    def program(self) -> Program:
+        return self.frontend.program
+
+    @property
+    def cfgs(self) -> Dict[str, ControlFlowGraph]:
+        return self.frontend.cfgs
+
+    @property
+    def call_graph(self) -> CallGraph:
+        return self.frontend.call_graph
+
+    @property
+    def condensation(self) -> Condensation:
+        return self.frontend.condensation
 
     #: Explicit marker for CLI/report code (counterpart of
     #: ``InterproceduralAnalysis.is_parallel``); prefer this over
@@ -971,14 +986,17 @@ def analyze_parallel(
                 program, config, jobs, metrics
             )
         with metrics.stage("cfg_build"):
-            call_graph = build_call_graph(program, cfgs)
+            frontend = Frontend(
+                program, cfgs, build_call_graph(program, cfgs)
+            )
     else:
         with metrics.stage("cfg_build"):
-            cfgs = build_all_cfgs(program)
-            call_graph = build_call_graph(program, cfgs)
+            frontend = build_frontend(program)
+        cfgs = frontend.cfgs
         REGISTRY.inc("frontend.routines", len(cfgs))
+    call_graph = frontend.call_graph
     with metrics.stage("partition"):
-        condensation = call_graph.condensation()
+        condensation = frontend.condensation
         target = shards if shards is not None else jobs * SHARDS_PER_WORKER
         plan = condensation.partition_shards(
             shard_cost_heuristic(cfgs), max_shards=max(1, target)
@@ -1010,42 +1028,16 @@ def analyze_parallel(
     result = SummarySet(
         summaries={name: engine.fresh[name] for name in cfgs}
     )
-    _publish_parallel(program, config, cfgs, call_graph, condensation, result)
+    # Publish-only, from the parent after the merge: shard workers never
+    # consult the store, so parallel results stay trivially byte-identical
+    # with the store on, off, or poisoned at any worker count.
+    publish_result(frontend, config, result)
     return ParallelAnalysis(
-        program=program,
         config=config,
-        cfgs=cfgs,
-        call_graph=call_graph,
-        condensation=condensation,
+        frontend=frontend,
         plan=plan,
         result=result,
         metrics=metrics,
-    )
-
-
-def _publish_parallel(
-    program, config, cfgs, call_graph, condensation, result
-) -> None:
-    """Publish a merged parallel result to the cross-image summary
-    store, when one is configured.
-
-    Publish-only, from the parent after the merge: shard workers never
-    consult the store, so parallel results stay trivially byte-identical
-    with the store on, off, or poisoned at any worker count.
-    """
-    from repro.interproc.store import publish_result, resolve_store
-
-    store = resolve_store(config)
-    if store is None:
-        return
-    from repro.interproc.incremental import routine_fingerprint
-
-    fingerprints = {
-        name: routine_fingerprint(program.routine(name), cfgs[name])
-        for name in cfgs
-    }
-    publish_result(
-        store, condensation, call_graph, fingerprints, config, result
     )
 
 
@@ -1094,7 +1086,6 @@ def analyze_incremental_parallel(
         SummaryCache,
         orphaned_callees,
         record_fingerprint_verdicts,
-        routine_fingerprint,
     )
     from repro.reporting.metrics import IncrementalMetrics
 
@@ -1114,12 +1105,7 @@ def analyze_incremental_parallel(
             analysis.condensation.components
         )
         with metrics.stage("fingerprint"):
-            fingerprints = {
-                name: routine_fingerprint(
-                    program.routine(name), analysis.cfgs[name]
-                )
-                for name in analysis.cfgs
-            }
+            fingerprints = analysis.frontend.fingerprints
         new_cache = SummaryCache(
             image_fingerprint=image_fingerprint,
             result=analysis.result,
@@ -1131,10 +1117,8 @@ def analyze_incremental_parallel(
             metrics.phase1_iterations += record.phase1_iterations
             metrics.phase2_iterations += record.phase2_iterations
         return IncrementalAnalysis(
-            program=program,
             config=config,
-            cfgs=analysis.cfgs,
-            call_graph=analysis.call_graph,
+            frontend=analysis.frontend,
             result=analysis.result,
             cache=new_cache,
             metrics=metrics,
@@ -1147,15 +1131,12 @@ def analyze_incremental_parallel(
     )
 
     with parallel_metrics.stage("cfg_build"):
-        cfgs = build_all_cfgs(program)
-        call_graph = build_call_graph(program, cfgs)
+        frontend = build_frontend(program)
+    cfgs, call_graph = frontend.cfgs, frontend.call_graph
     REGISTRY.inc("frontend.routines", len(cfgs))
 
     with parallel_metrics.stage("fingerprint"):
-        fingerprints = {
-            name: routine_fingerprint(program.routine(name), cfgs[name])
-            for name in cfgs
-        }
+        fingerprints = frontend.fingerprints
         dirty = record_fingerprint_verdicts(fingerprints, cache)
         # The shard engine pins boundaries with full cached summaries;
         # phase-1-only triple entries (demand-engine memos) satisfy the
@@ -1170,7 +1151,7 @@ def analyze_incremental_parallel(
 
     cached = cache.result.summaries
     with parallel_metrics.stage("partition"):
-        condensation = call_graph.condensation()
+        condensation = frontend.condensation
         target = shards if shards is not None else jobs * SHARDS_PER_WORKER
         plan = condensation.partition_shards(
             shard_cost_heuristic(cfgs), max_shards=max(1, target)
@@ -1244,7 +1225,7 @@ def analyze_incremental_parallel(
         name: engine.fresh.get(name) or cached[name] for name in cfgs
     }
     result = SummarySet(summaries=summaries)
-    _publish_parallel(program, config, cfgs, call_graph, condensation, result)
+    publish_result(frontend, config, result)
 
     solved1 = {
         name for shard in phase1_shards
@@ -1275,10 +1256,8 @@ def analyze_incremental_parallel(
         externally_callable=set(call_graph.externally_callable),
     )
     return IncrementalAnalysis(
-        program=program,
         config=config,
-        cfgs=cfgs,
-        call_graph=call_graph,
+        frontend=frontend,
         result=result,
         cache=new_cache,
         metrics=metrics,

@@ -11,11 +11,14 @@ two sidecar formats:
   wholesale;
 * **SUM2** — the incremental-analysis cache
   (:class:`SummaryCache`): the same per-routine summary records, each
-  additionally carrying a 64-bit *routine* content fingerprint (code
-  bytes + call-site target list, see
-  :func:`repro.interproc.incremental.routine_fingerprint`) and an
+  additionally carrying a 64-bit *routine* content fingerprint (image
+  code bytes, exported flag, routine-relative jump-table targets and
+  call-site target lists, see
+  :func:`repro.interproc.frontend.routine_fingerprint`) and an
   externally-callable flag, so a warm run can invalidate at routine
-  granularity instead of all-or-nothing.
+  granularity instead of all-or-nothing.  A fingerprint mismatch only
+  ever means "re-solve", so a sidecar written under an older
+  fingerprint definition goes fully stale once and is then refreshed.
 
 SUM1 layout (little-endian)::
 

@@ -112,8 +112,7 @@ def _prologue_saves(
                 slots.setdefault(
                     register, (offset, entry.start + offset_in_block)
                 )
-        for register in instruction.defs():
-            defined |= 1 << register
+        defined |= instruction.def_mask
     return slots
 
 

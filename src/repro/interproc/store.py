@@ -6,7 +6,7 @@ The per-image SUM2 sidecar (``persist.py``) is keyed by
 cannot express "this library routine is byte-identical across N linked
 builds".  This module re-keys summaries by **deep routine
 fingerprint**: the routine's own CRC64 content fingerprint
-(:func:`repro.interproc.incremental.routine_fingerprint`) combined
+(:func:`repro.interproc.frontend.routine_fingerprint`) combined
 Merkle-style, bottom-up over the SCC condensation, with the deep
 fingerprints of its callees.  Two images that link the same mathlib
 against different apps produce identical deep fingerprints for every
@@ -48,6 +48,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph, Condensation
 from repro.dataflow.equations import SummaryTriple
+from repro.interproc.frontend import Frontend
 from repro.interproc.persist import (
     SummaryFormatError,
     _check_header,
@@ -536,23 +537,24 @@ def _exit_seeds(
     return seeds
 
 
-def publish_result(
-    store: SummaryStore,
-    condensation: Condensation,
-    call_graph: CallGraph,
-    fingerprints: Dict[str, int],
-    config,
-    result: SummarySet,
-) -> None:
-    """Publish every routine of a finished whole-program result.
+def publish_result(frontend: Frontend, config, result: SummarySet) -> None:
+    """Publish every routine of a finished whole-program result to the
+    configured store (a no-op when ``config`` resolves to none).
 
     Grade-1 triples go out under deep fingerprints; grade-2 full
     summaries under their component boundary digests.  Existing
     records are skipped (content-addressed), so republishing a warm
     result is nearly free.
     """
+    store = resolve_store(config)
+    if store is None:
+        return
+    condensation = frontend.condensation
+    call_graph = frontend.call_graph
     context = config_digest(config)
-    deep = deep_fingerprints(fingerprints, condensation, call_graph, context)
+    deep = deep_fingerprints(
+        frontend.fingerprints, condensation, call_graph, context
+    )
     externally_callable = call_graph.externally_callable
     for members in condensation.components:
         missing = [name for name in members if name not in result.summaries]

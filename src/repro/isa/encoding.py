@@ -23,7 +23,7 @@ is a static property of the opcode (see :data:`FIELD_FILES`).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.isa.instructions import (
     ControlKind,
@@ -41,6 +41,10 @@ _WORD = struct.Struct("<I")
 
 class EncodingError(ValueError):
     """Raised when an instruction cannot be encoded or decoded."""
+
+    #: Byte offset of the offending word within the code handed to
+    #: :func:`decode_stream` (``None`` for every other failure).
+    offset: Optional[int] = None
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +315,26 @@ def encode_stream(instructions: Iterable[Instruction]) -> bytes:
 
 
 def decode_stream(code: bytes) -> List[Instruction]:
-    """Decode contiguous code bytes back into instructions."""
+    """Decode contiguous code bytes back into instructions.
+
+    Each *distinct* word is decoded once and the (immutable)
+    :class:`Instruction` shared by all of its occurrences — compiled
+    code repeats itself, so an image has an order of magnitude fewer
+    distinct words than words.  A stream with an undecodable word fails
+    on the first such word, whose byte offset the error carries.
+    """
     if len(code) % INSTRUCTION_SIZE:
         raise EncodingError(
             f"code length {len(code)} is not a multiple of {INSTRUCTION_SIZE}"
         )
-    return [
-        decode_instruction(_WORD.unpack_from(code, offset)[0])
-        for offset in range(0, len(code), INSTRUCTION_SIZE)
-    ]
+    words = struct.unpack(f"<{len(code) // INSTRUCTION_SIZE}I", code)
+    decoded: Dict[int, Instruction] = {}
+    # dict.fromkeys keeps first-occurrence order, so the first distinct
+    # word that fails is the first bad word of the stream.
+    for word in dict.fromkeys(words):
+        try:
+            decoded[word] = decode_instruction(word)
+        except EncodingError as error:
+            error.offset = words.index(word) * INSTRUCTION_SIZE
+            raise
+    return [decoded[word] for word in words]

@@ -155,21 +155,14 @@ class Opcode(enum.Enum):
     HALT = OpcodeInfo("halt", Format.PAL, ControlKind.HALT, 0x00, 0x0000)
     OUTPUT = OpcodeInfo("output", Format.PAL, ControlKind.FALLTHROUGH, 0x00, 0x0080)
 
-    @property
-    def info(self) -> OpcodeInfo:
-        return self.value
-
-    @property
-    def mnemonic(self) -> str:
-        return self.value.mnemonic
-
-    @property
-    def format(self) -> Format:
-        return self.value.format
-
-    @property
-    def control(self) -> ControlKind:
-        return self.value.control
+    def __init__(self, info: OpcodeInfo) -> None:
+        # Plain attributes, not properties over ``self.value``: the enum
+        # value descriptor is slow enough to show in every hot loop that
+        # asks an instruction how it transfers control.
+        self.info = info
+        self.mnemonic = info.mnemonic
+        self.format = info.format
+        self.control = info.control
 
 
 #: Mnemonic -> opcode lookup for the assembler.
@@ -211,6 +204,10 @@ class Instruction:
       counted in *instructions* relative to the following instruction;
     * jump:     ``ra`` (link register), ``rb`` (target address register);
     * pal:      no register operands (OUTPUT implicitly reads ``a0``).
+
+    Derived once at construction and carried as plain attributes:
+    ``control`` (the opcode's :class:`ControlKind`) and ``use_mask`` /
+    ``def_mask`` (:meth:`uses` / :meth:`defs` as register bit masks).
     """
 
     opcode: Opcode
@@ -239,11 +236,20 @@ class Instruction:
                     f"{self.opcode.mnemonic}: literal {self.literal} out of "
                     f"range [0, 256)"
                 )
-        # The analyses query uses()/defs() in their hottest loops;
-        # precompute both (the instruction is immutable).  The caches
-        # are not dataclass fields, so equality/hash are unaffected.
-        object.__setattr__(self, "_uses", self._compute_uses())
-        object.__setattr__(self, "_defs", self._compute_defs())
+        # The front end asks every instruction the same three things in
+        # its hottest loops — how it transfers control, what it reads,
+        # what it writes — so answer them once here (the instruction is
+        # immutable, and a decoded image shares one object per distinct
+        # word).  None of these is a dataclass field, so equality and
+        # hash are unaffected.
+        uses = self._compute_uses()
+        defs = self._compute_defs()
+        set_attribute = object.__setattr__
+        set_attribute(self, "control", self.opcode.control)
+        set_attribute(self, "_uses", uses)
+        set_attribute(self, "_defs", defs)
+        set_attribute(self, "use_mask", sum(1 << r for r in uses))
+        set_attribute(self, "def_mask", sum(1 << r for r in defs))
 
     # ------------------------------------------------------------------
     # Register dataflow
@@ -326,19 +332,15 @@ class Instruction:
     # ------------------------------------------------------------------
 
     @property
-    def control(self) -> ControlKind:
-        return self.opcode.control
-
-    @property
     def is_call(self) -> bool:
-        return self.opcode.control in (
+        return self.control in (
             ControlKind.CALL_DIRECT,
             ControlKind.CALL_INDIRECT,
         )
 
     @property
     def is_return(self) -> bool:
-        return self.opcode.control == ControlKind.RETURN
+        return self.control == ControlKind.RETURN
 
     @property
     def is_block_terminator(self) -> bool:
@@ -347,12 +349,12 @@ class Instruction:
         Per the paper, basic blocks end at branches *and* at call
         instructions.
         """
-        return self.opcode.control != ControlKind.FALLTHROUGH
+        return self.control != ControlKind.FALLTHROUGH
 
     @property
     def falls_through(self) -> bool:
         """True when control may continue to the next instruction."""
-        return self.opcode.control in (
+        return self.control in (
             ControlKind.FALLTHROUGH,
             ControlKind.COND_BRANCH,
             ControlKind.CALL_DIRECT,

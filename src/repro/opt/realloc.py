@@ -191,10 +191,7 @@ def _occurring_registers(cfg: ControlFlowGraph) -> int:
     mask = 0
     for block in cfg.blocks:
         for instruction in block.instructions:
-            for register in instruction.uses():
-                mask |= 1 << register
-            for register in instruction.defs():
-                mask |= 1 << register
+            mask |= instruction.use_mask | instruction.def_mask
     return mask
 
 

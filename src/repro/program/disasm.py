@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.isa.encoding import INSTRUCTION_SIZE, decode_stream
+from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError, decode_stream
 from repro.isa.instructions import ControlKind, Instruction
 from repro.program.image import ExecutableImage, ImageFormatError
 from repro.program.model import Program, ProgramError, Routine
@@ -18,19 +18,28 @@ from repro.program.model import Program, ProgramError, Routine
 def disassemble_image(image: ExecutableImage) -> Program:
     """Decode ``image`` into a :class:`~repro.program.model.Program`."""
     image.validate()
-    instructions = decode_stream(image.text)
+    try:
+        instructions = decode_stream(image.text)
+    except EncodingError as error:
+        raise ImageFormatError(
+            f"undecodable instruction word at "
+            f"{image.text_base + error.offset:#x}: {error}"
+        ) from error
     routines: List[Routine] = []
     for symbol in sorted(image.symbols, key=lambda s: s.address):
-        start = (symbol.address - image.text_base) // INSTRUCTION_SIZE
+        offset = symbol.address - image.text_base
+        start = offset // INSTRUCTION_SIZE
         count = symbol.size // INSTRUCTION_SIZE
         body = instructions[start : start + count]
         if len(body) != count:
             raise ImageFormatError(
                 f"symbol {symbol.name!r} extends past the text section"
             )
-        routines.append(
-            Routine(symbol.name, symbol.address, body, exported=symbol.exported)
+        routine = Routine(
+            symbol.name, symbol.address, body, exported=symbol.exported
         )
+        routine.code = image.text[offset : offset + routine.size]
+        routines.append(routine)
     entry_symbol = image.symbol_at(image.entry_point)
     if entry_symbol is None:
         raise ImageFormatError(

@@ -28,15 +28,27 @@ class ProgramError(ValueError):
 class Routine:
     """A routine: a named, contiguous sequence of instructions.
 
-    ``instructions[i]`` lives at ``address + 4 * i``.
+    ``instructions[i]`` lives at ``address + 4 * i``.  The sequence is
+    stored as a tuple: editing a routine means building a new one (as
+    the rewriter and :func:`repro.workloads.mutate.perturb_routine`
+    do), which is what lets a lifted routine keep its image bytes.
     """
 
     name: str
     address: int
-    instructions: List[Instruction]
+    instructions: Tuple[Instruction, ...]
     exported: bool = False
+    #: The slice of the image's text section this routine was decoded
+    #: from, set by the disassembler only (``None`` for a routine built
+    #: any other way; never copied by ``dataclasses.replace`` and not
+    #: part of equality).  It saves re-encoding ``instructions`` to hash
+    #: them; see :func:`repro.interproc.frontend.routine_fingerprint`.
+    code: Optional[bytes] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
+        self.instructions = tuple(self.instructions)
         if not self.instructions:
             raise ProgramError(f"routine {self.name!r} has no instructions")
         if self.address % INSTRUCTION_SIZE:

@@ -8,6 +8,7 @@ without importing submodule internals.  The legacy free functions are
 deprecated shims that must keep forwarding their arguments faithfully.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -55,6 +56,18 @@ class TestConstruction:
     def test_from_image_bytes_rejects_garbage(self):
         with pytest.raises(ImageFormatError):
             AnalysisSession.from_image_bytes(b"not an image")
+
+    def test_from_image_bytes_names_an_undecodable_word(self, image):
+        # The *second* of two bad words is never reported: decoding
+        # stops at the first, as it did before words were shared.
+        bad = b"\x00\x00\x00\x04"
+        text = image.text[:8] + bad + bad + image.text[16:]
+        blob = dataclasses.replace(image, text=text).to_bytes()
+        with pytest.raises(ImageFormatError) as excinfo:
+            AnalysisSession.from_image_bytes(blob)
+        message = str(excinfo.value)
+        assert f"word at {image.text_base + 8:#x}" in message
+        assert "unknown major opcode 0x1" in message
 
     def test_from_image(self, image):
         session = AnalysisSession.from_image(image)

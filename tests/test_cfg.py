@@ -7,6 +7,7 @@ from repro.cfg.cfg import CfgError, ExitKind, TerminatorKind
 from repro.isa.instructions import Instruction, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
+from repro.program.model import Routine
 
 
 def cfg_of(source: str, routine: str = "main", entry=None):
@@ -125,8 +126,13 @@ class TestExits:
             assemble(".routine main\n addq t0, #1, t1\n halt\n")
         )
         # Manufacture a routine whose last instruction falls through.
-        bad = program.routine("main")
-        bad.instructions[-1] = Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3)
+        main = program.routine("main")
+        bad = Routine(
+            main.name,
+            main.address,
+            main.instructions[:-1]
+            + (Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3),),
+        )
         with pytest.raises(CfgError, match="falls off"):
             build_cfg(program, bad)
 
@@ -136,8 +142,9 @@ class TestExits:
                 ".routine main\n bsr ra, f\n halt\n.routine f\n ret (ra)\n"
             )
         )
-        routine = program.routine("main")
-        routine.instructions.pop()  # drop the halt; call is now last
+        main = program.routine("main")
+        # Drop the halt; the call is now last.
+        routine = Routine(main.name, main.address, main.instructions[:-1])
         with pytest.raises(CfgError, match="return point"):
             build_cfg(program, routine)
 

@@ -1,5 +1,6 @@
 """Tests for the spike-analyze command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -232,6 +233,20 @@ class TestExitCodes:
         assert main(["disasm", str(bad)]) == 3
         assert main(["run", str(bad)]) == 3
         assert main(["optimize", str(bad), "-o", str(tmp_path / "o")]) == 3
+
+    def test_undecodable_text_word_is_3(self, tmp_path, capsys):
+        # A structurally valid image whose second text word no
+        # instruction format claims: bad input, not a traceback.
+        image = assemble(SOURCE)
+        text = image.text[:4] + b"\x00\x00\x00\x04" + image.text[8:]
+        bad = tmp_path / "badword.sax"
+        bad.write_bytes(dataclasses.replace(image, text=text).to_bytes())
+        for command in (["analyze"], ["query", "main"], ["disasm"]):
+            assert main([command[0], str(bad)] + command[1:]) == 3
+            err = capsys.readouterr().err
+            assert "cannot load image" in err
+            assert f"{image.text_base + 4:#x}" in err
+            assert "unknown major opcode 0x1" in err
 
     def test_analysis_failure_is_4(self, image_path, capsys, monkeypatch):
         from repro.interproc import parallel

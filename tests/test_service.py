@@ -9,6 +9,7 @@ drains gracefully.
 """
 
 import base64
+import dataclasses
 import json
 import threading
 import time
@@ -332,6 +333,23 @@ class TestBadRequests:
         finally:
             connection.close()
         # No registry residue from any failed request.
+        assert client.metricsz()["registry"]["sessions"] == 0
+
+    def test_undecodable_text_word_is_400(self, daemon):
+        # Well-formed container, one word no instruction format claims:
+        # the client's fault (4xx), not an internal error.
+        image = assemble(SOURCE_A)
+        text = b"\x00\x00\x00\x04" + image.text[4:]
+        blob = dataclasses.replace(image, text=text).to_bytes()
+        client = _client(daemon)
+        for request in (
+            lambda: client.analyze(blob),
+            lambda: client.query(blob, "main"),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                request()
+            assert excinfo.value.status == 400
+            assert f"{image.text_base:#x}" in str(excinfo.value)
         assert client.metricsz()["registry"]["sessions"] == 0
 
     def test_oversized_body_is_413(self, image_a):
