@@ -4,7 +4,7 @@ An interactive consumer (a debugger plugin, an editor, a serving
 deployment) asks about *one* routine; the demand engine
 (:mod:`repro.interproc.demand`) answers by solving only that routine's
 caller cone plus its callee closure, memoizing validated facts back
-into the SUM2 cache so later queries amortize.  This bench measures
+into the SUM3 cache so later queries amortize.  This bench measures
 the interesting points on the gcc shape (the paper's largest SPEC
 row — the worst case for "just solve everything"):
 
@@ -70,7 +70,7 @@ def test_demand_query_vs_whole_program(benchmark, name):
         cold = session.query(routine)
         cold_seconds = time.perf_counter() - start
 
-        # Round-trip the memoized cache through the SUM2 wire format,
+        # Round-trip the memoized cache through the SUM3 wire format,
         # as a real warm start from a sidecar file would; the session
         # keeps its front-end (CFGs, call graph) across queries, as a
         # serving deployment would.
@@ -137,7 +137,7 @@ def test_demand_query_vs_whole_program(benchmark, name):
         ),
         note=(
             "Cold = no cache, cone-restricted solve; warm = repeat against "
-            "the memoized SUM2 cache (zero phase solving, asserted); "
+            "the memoized SUM3 cache (zero phase solving, asserted); "
             "post-edit = queried routine perturbed, stale cache."
         ),
     )

@@ -10,7 +10,7 @@ request.  This bench drives a live daemon over HTTP on the gcc shape
 * **warm** — repeat POST of the byte-identical image: served from the
   retained session payload, no front end, no solver;
 * **edit** — ``POST /v1/analyze`` with one routine perturbed:
-  incremental warm-start from the base image's SUM2 cache.
+  incremental warm-start from the base image's SUM3 cache.
 
 Warm responses are asserted byte-identical to the cold payload, and
 ``REPRO_BENCH_REQUIRE_SPEEDUP=1`` turns the headline into an
@@ -112,6 +112,6 @@ def test_service_warm_vs_cold(benchmark, name):
             "One daemon, HTTP over loopback. Cold = first POST "
             "/v1/analyze (full front end + solve); warm = repeat POST "
             "of the unchanged image (retained session payload); edit = "
-            "one perturbed routine (SUM2 warm start)."
+            "one perturbed routine (SUM3 warm start)."
         ),
     )

@@ -65,6 +65,7 @@ from repro.interproc.analysis import (
     _analyze_program,
 )
 from repro.interproc.demand import QueryResult, query_routine
+from repro.interproc.frontend import Frontend
 from repro.interproc.errors import (
     AnalysisError,
     JobsConfigError,
@@ -197,12 +198,14 @@ class AnalysisSession:
             None,
         ] = None
         # The memoized cache the demand path threads between query()
-        # calls (when the caller does not manage one explicitly), plus
-        # the program's reusable front end (CFGs, call graph,
-        # condensation, routine fingerprints — immutable for the
-        # session's program and the dominant warm-query cost).
+        # calls (when the caller does not manage one explicitly).
         self._query_cache: Optional[SummaryCache] = None
-        self._query_frontend = None
+        # The program's front end (call graph, condensation, routine
+        # fingerprints, the CFGs built so far): immutable for the
+        # session's program, so whichever of analyze(),
+        # analyze_incremental() and query() runs first builds it and
+        # the rest reuse it.
+        self._frontend: Optional[Frontend] = None
         # Counter scoping: metrics() reports the registry's delta since
         # session construction, so work done on behalf of this session
         # before analyze() — a CLI cache load, for instance — is
@@ -267,8 +270,8 @@ class AnalysisSession:
     @property
     def has_query_state(self) -> bool:
         """True once a query has warmed this session's memoized demand
-        front-end (the service daemon reports such requests as warm)."""
-        return self._query_frontend is not None
+        cache (the service daemon reports such requests as warm)."""
+        return self._query_cache is not None
 
     @property
     def image_fingerprint(self) -> int:
@@ -323,13 +326,16 @@ class AnalysisSession:
                         self._program, self._config, jobs=effective
                     )
                 else:
-                    self._last = _analyze_program(self._program, self._config)
+                    self._last = _analyze_program(
+                        self._program, self._config, self._frontend
+                    )
         except AnalysisError:
             raise
         except _ANALYSIS_FAILURES as error:
             raise AnalysisError(str(error)) from error
         finally:
             self._fold_regset()
+        self._frontend = self._last.frontend
         return self._last
 
     def analyze_incremental(
@@ -355,6 +361,7 @@ class AnalysisSession:
                     config=self._config,
                     image_fingerprint=self.image_fingerprint,
                     jobs=effective,
+                    frontend=self._frontend,
                 )
         except AnalysisError:
             raise
@@ -362,6 +369,7 @@ class AnalysisSession:
             raise AnalysisError(str(error)) from error
         finally:
             self._fold_regset()
+        self._frontend = self._last.frontend
         return self._last
 
     def query(
@@ -375,11 +383,12 @@ class AnalysisSession:
         can depend on — transitive callers, plus their callee closure
         — are examined, and only the stale ones among those re-solve.
 
-        ``cache`` warm-starts the query from a ``SUM2``
+        ``cache`` warm-starts the query from a ``SUM3``
         :class:`SummaryCache`; when omitted, the session threads its
         own memoized cache and front end between calls, so repeated
         or overlapping queries amortize toward a fingerprint comparison
-        (CFGs and fingerprints are built once per session).  The
+        (the call graph and fingerprints are built once per session,
+        and a CFG once per routine some solve needed it for).  The
         refreshed cache is returned on :attr:`QueryResult.cache` (and
         retained on the session) for persisting.
 
@@ -401,7 +410,7 @@ class AnalysisSession:
                     cache=cache,
                     config=self._config,
                     image_fingerprint=self.image_fingerprint,
-                    frontend=self._query_frontend,
+                    frontend=self._frontend,
                 )
         except AnalysisError:
             raise
@@ -411,7 +420,7 @@ class AnalysisSession:
             self._fold_regset()
         self._last = result
         self._query_cache = result.cache
-        self._query_frontend = result.frontend
+        self._frontend = result.frontend
         return result
 
     def optimize(

@@ -11,11 +11,21 @@ This is the paper's "CFG Build" stage.  For each routine:
 5. resolve indirect-call targets where possible by tracking the
    address materialization (``ldah``/``lda`` chains) backward through
    the block, mirroring how Spike leans on linker-visible constants.
+
+Step 5 is split in two so that a warm run can skip steps 1-4: *where*
+a call sits and which constant feeds it (:class:`RecordedSite`) depend
+only on the routine's own shape and are remembered in the sidecar's
+front-end records; *whom* it reaches (:func:`classify_call`) depends on
+the image's symbol and hint tables and is re-derived every run, by the
+same function whether the site came from a fresh CFG or from a record.
+:class:`LazyCfgs` is the mapping that then builds a CFG only when some
+consumer actually asks for that routine's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.instructions import ControlKind, Instruction, Opcode
@@ -27,8 +37,11 @@ from repro.cfg.cfg import (
     CfgError,
     ControlFlowGraph,
     ExitKind,
+    FrontendRecord,
+    RecordedSite,
     TerminatorKind,
 )
+from repro.obs.metrics import REGISTRY
 
 
 #: Bound once: the per-instruction test below is the hottest line of
@@ -41,8 +54,49 @@ def build_all_cfgs(program: Program) -> Dict[str, ControlFlowGraph]:
     return {routine.name: build_cfg(program, routine) for routine in program}
 
 
+class LazyCfgs(Mapping):
+    """Every routine's CFG, by name, each built on first access.
+
+    A full read-only mapping over the program's routines in program
+    order: ``len``, iteration and ``in`` never build anything, while
+    ``cfgs[name]`` (and therefore ``get``/``items``/``values``) builds
+    through :func:`build_cfg` once and keeps the result.  ``built`` is
+    the plain dict of what exists so far — what to hand a worker
+    process, and the count a run reports as ``cfgs_built``.
+
+    Not synchronized: fill it under whatever serializes the analysis
+    that owns it (the daemon's per-entry lock).
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        built: Optional[Dict[str, ControlFlowGraph]] = None,
+    ) -> None:
+        self._program = program
+        self._routines = {routine.name: routine for routine in program}
+        self.built: Dict[str, ControlFlowGraph] = dict(built or {})
+
+    def __getitem__(self, name: str) -> ControlFlowGraph:
+        cfg = self.built.get(name)
+        if cfg is None:
+            cfg = build_cfg(self._program, self._routines[name])
+            self.built[name] = cfg
+        return cfg
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._routines
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._routines)
+
+    def __len__(self) -> int:
+        return len(self._routines)
+
+
 def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     """Build the CFG for one routine."""
+    REGISTRY.inc("cfg.built")
     instructions = routine.instructions
     count = len(instructions)
 
@@ -155,15 +209,14 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     # ------------------------------------------------------------------
     # 5: call sites and exits
     # ------------------------------------------------------------------
+    recorded_sites: List[RecordedSite] = []
     call_sites: List[CallSite] = []
     exits: List[tuple] = []
     for block in blocks:
-        last_index = block.terminator_index
-        instruction = instructions[last_index]
         if block.terminator == TerminatorKind.CALL:
-            call_sites.append(
-                _classify_call(program, routine, block, last_index, instruction)
-            )
+            recorded = _record_site(block)
+            recorded_sites.append(recorded)
+            call_sites.append(classify_call(program, routine, recorded))
         elif block.terminator == TerminatorKind.RETURN:
             exits.append((block.index, ExitKind.RETURN))
         elif block.terminator == TerminatorKind.HALT:
@@ -172,7 +225,11 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
             exits.append((block.index, ExitKind.UNKNOWN_JUMP))
 
     cfg = ControlFlowGraph(
-        routine=routine, blocks=blocks, call_sites=call_sites, exits=exits
+        routine=routine,
+        blocks=blocks,
+        call_sites=call_sites,
+        exits=exits,
+        recorded_sites=recorded_sites,
     )
     cfg.check()
     return cfg
@@ -200,35 +257,48 @@ def _target_index(routine: Routine, jump_index: int, address: int) -> int:
     return routine.index_of(address)
 
 
-def _classify_call(
-    program: Program,
-    routine: Routine,
-    block: BasicBlock,
-    instruction_index: int,
-    instruction: Instruction,
-) -> CallSite:
+def _record_site(block: BasicBlock) -> RecordedSite:
+    """The shape-determined half of the call ending ``block``: an
+    indirect call's target register is resolved to a constant by
+    backward tracking through the block (also under a hint, which may
+    be gone from the next image while the code is not)."""
+    instruction_index = block.terminator_index
+    instruction = block.instructions[-1]
     if instruction.control == ControlKind.CALL_DIRECT:
-        target = (
-            routine.address_of(instruction_index)
-            + INSTRUCTION_SIZE * (1 + instruction.displacement)
-        )
+        return RecordedSite(block.index, instruction_index, indirect=False)
+    return RecordedSite(
+        block.index,
+        instruction_index,
+        indirect=True,
+        constant=resolve_register_constant(
+            block.instructions, len(block.instructions) - 1, instruction.rb
+        ),
+    )
+
+
+def classify_call(
+    program: Program, routine: Routine, site: RecordedSite
+) -> CallSite:
+    """Whom the call at ``site`` reaches in ``program``."""
+    call_address = routine.address_of(site.instruction_index)
+    if not site.indirect:
+        displacement = routine.instructions[site.instruction_index].displacement
+        target = call_address + INSTRUCTION_SIZE * (1 + displacement)
         callee = program.routine_at(target)
         if callee is None:
             raise CfgError(
-                f"{routine.name!r}: bsr at "
-                f"{routine.address_of(instruction_index):#x} targets "
+                f"{routine.name!r}: bsr at {call_address:#x} targets "
                 f"{target:#x}, not a routine entry"
             )
         return CallSite(
-            block=block.index,
-            instruction_index=instruction_index,
+            block=site.block,
+            instruction_index=site.instruction_index,
             targets=(callee.name,),
             indirect=False,
         )
     # Indirect call: a linker target-set hint wins (§3.5's suggested
-    # improvement); otherwise try to resolve the target register to a
-    # constant by backward tracking.
-    call_address = routine.address_of(instruction_index)
+    # improvement); otherwise the target register's constant, if it has
+    # one and that names a routine entry.
     hinted = program.call_target_hints.get(call_address)
     if hinted:
         names = []
@@ -241,26 +311,45 @@ def _classify_call(
                 )
             names.append(hinted_routine.name)
         return CallSite(
-            block=block.index,
-            instruction_index=instruction_index,
+            block=site.block,
+            instruction_index=site.instruction_index,
             targets=tuple(names),
             indirect=True,
         )
-    local_index = instruction_index - block.start
-    address = resolve_register_constant(
-        block.instructions, local_index, instruction.rb
-    )
     targets: tuple = ()
-    if address is not None:
-        callee = program.routine_at(address)
+    if site.constant is not None:
+        callee = program.routine_at(site.constant)
         if callee is not None:
             targets = (callee.name,)
     return CallSite(
-        block=block.index,
-        instruction_index=instruction_index,
+        block=site.block,
+        instruction_index=site.instruction_index,
         targets=targets,
         indirect=True,
     )
+
+
+def recorded_call_sites(
+    program: Program, routine: Routine, record: FrontendRecord
+) -> Optional[List[CallSite]]:
+    """``routine``'s call sites re-resolved from ``record`` instead of
+    from its CFG, or ``None`` when the record cannot be describing this
+    routine (a site that is not a call of the recorded kind, or has no
+    return point) — the caller then builds the CFG as if there had been
+    no record.  Raises the same :class:`CfgError` as :func:`build_cfg`
+    for a ``bsr`` or hint naming a non-entry."""
+    instructions = routine.instructions
+    last = len(instructions) - 1
+    for site in record.sites:
+        if site.instruction_index >= last:
+            return None
+        expected = (
+            ControlKind.CALL_INDIRECT if site.indirect
+            else ControlKind.CALL_DIRECT
+        )
+        if instructions[site.instruction_index].control != expected:
+            return None
+    return [classify_call(program, routine, site) for site in record.sites]
 
 
 def resolve_register_constant(

@@ -1,6 +1,6 @@
 """The interprocedural call graph.
 
-Built on top of the per-routine CFGs, the call graph records, for every
+Built from per-routine *site tables*, the call graph records, for every
 routine, who calls it and from which call sites; which call sites have
 unknown targets (and therefore use the §3.5 calling-standard
 assumptions); and which routines are *externally callable* — exported
@@ -8,18 +8,26 @@ from the image, address-taken (their entry address escapes into memory
 or past a block boundary, so an unresolved indirect call might reach
 them), or the program entry itself.  Externally callable routines get
 conservative live-at-exit seeds during phase 2.
+
+A routine's site table and escape candidates come from its CFG and a
+scan of its instructions — or, when the caller supplies a front-end
+record that still matches the routine's shape, from that record, in
+which case the routine's CFG is never asked for (``cfgs`` may be a
+:class:`repro.cfg.build.LazyCfgs`).  Nothing the graph answers
+afterwards touches a CFG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.instructions import ControlKind, Opcode
 from repro.isa.registers import ZERO_REGISTER
-from repro.program.model import Program
-from repro.cfg.cfg import CallSite, ControlFlowGraph
-from repro.cfg.build import build_all_cfgs
+from repro.program.model import Program, Routine
+from repro.cfg.cfg import CallSite, ControlFlowGraph, FrontendRecord
+from repro.cfg.build import build_all_cfgs, recorded_call_sites
 
 
 @dataclass
@@ -27,7 +35,14 @@ class CallGraph:
     """Call relationships among the routines of one program."""
 
     program: Program
-    cfgs: Dict[str, ControlFlowGraph]
+    #: Possibly lazy (see :class:`repro.cfg.build.LazyCfgs`); the graph
+    #: itself only reads :attr:`sites`.
+    cfgs: Mapping[str, ControlFlowGraph]
+    #: routine name -> its call sites, in block order.
+    sites: Dict[str, Sequence[CallSite]]
+    #: routine name -> its sorted escape candidates
+    #: (:func:`escape_candidates`; kept for the front-end records).
+    escape_candidates: Dict[str, Tuple[int, ...]]
     #: callee name -> [(caller name, call site), ...] for resolved sites.
     callers: Dict[str, List[Tuple[str, CallSite]]]
     #: call sites whose target could not be resolved.
@@ -44,12 +59,12 @@ class CallGraph:
         unknown sites contribute nothing.
         """
         names: List[str] = []
-        for site in self.cfgs[caller].call_sites:
+        for site in self.sites[caller]:
             names.extend(site.targets)
         return names
 
     def call_sites_of(self, caller: str) -> Sequence[CallSite]:
-        return self.cfgs[caller].call_sites
+        return self.sites[caller]
 
     def callers_of(self, callee: str) -> List[Tuple[str, CallSite]]:
         return self.callers.get(callee, [])
@@ -327,15 +342,38 @@ class ShardPlan:
 
 
 def build_call_graph(
-    program: Program, cfgs: Optional[Dict[str, ControlFlowGraph]] = None
+    program: Program,
+    cfgs: Optional[Mapping[str, ControlFlowGraph]] = None,
+    records: Optional[Mapping[str, FrontendRecord]] = None,
 ) -> CallGraph:
-    """Construct the call graph (building CFGs if not supplied)."""
+    """Construct the call graph (building CFGs if not supplied).
+
+    ``records`` holds, for any subset of the routines, a front-end
+    record the caller has matched to the routine's current shape; such
+    a routine's sites are re-resolved from the record and ``cfgs`` is
+    not consulted for it (a record that turns out not to fit is
+    ignored).  Errors surface in program order either way.
+    """
     if cfgs is None:
         cfgs = build_all_cfgs(program)
+    sites: Dict[str, Sequence[CallSite]] = {}
+    candidates: Dict[str, Tuple[int, ...]] = {}
+    for routine in program:
+        name = routine.name
+        record = records.get(name) if records else None
+        resolved = (
+            recorded_call_sites(program, routine, record) if record else None
+        )
+        if resolved is not None:
+            candidates[name] = record.escape_candidates
+        else:
+            candidates[name] = escape_candidates(routine)
+            resolved = cfgs[name].call_sites
+        sites[name] = resolved
     callers: Dict[str, List[Tuple[str, CallSite]]] = {}
     unknown_sites: List[Tuple[str, CallSite]] = []
-    for name, cfg in cfgs.items():
-        for site in cfg.call_sites:
+    for name, routine_sites in sites.items():
+        for site in routine_sites:
             if site.is_unknown:
                 unknown_sites.append((name, site))
                 continue
@@ -345,7 +383,7 @@ def build_call_graph(
                         f"{name!r} calls unknown routine {target!r}"
                     )
                 callers.setdefault(target, []).append((name, site))
-    address_taken = find_address_taken(program)
+    address_taken = _entries_among(program, candidates.values())
     externally_callable = (
         {routine.name for routine in program.exported_routines()}
         | address_taken
@@ -354,6 +392,8 @@ def build_call_graph(
     return CallGraph(
         program=program,
         cfgs=cfgs,
+        sites=sites,
+        escape_candidates=candidates,
         callers=callers,
         unknown_sites=unknown_sites,
         address_taken=address_taken,
@@ -362,88 +402,108 @@ def build_call_graph(
 
 
 def find_address_taken(program: Program) -> Set[str]:
-    """Routines whose entry address escapes.
+    """Routines whose entry address escapes (see
+    :func:`escape_candidates` for what "escapes" means)."""
+    return _entries_among(
+        program, (escape_candidates(routine) for routine in program)
+    )
+
+
+def _entries_among(program: Program, candidate_sets) -> Set[str]:
+    entries = {routine.address: routine.name for routine in program}
+    return {
+        entries[value]
+        for values in candidate_sets
+        for value in values
+        if value in entries
+    }
+
+
+def escape_candidates(routine: Routine) -> Tuple[int, ...]:
+    """The constants ``routine`` lets escape that could be a routine's
+    entry address, sorted — a function of its instructions alone.
 
     Runs a forward constant pass over every basic-block-shaped region
     (straight-line runs between terminators suffice: constants are
     killed at joins by construction here, which is conservative in the
-    escape direction).  A routine-entry constant escapes when it is
-    stored to memory, used by a non-address instruction, or still held
-    in a register when the straight-line run ends — unless its only use
-    is the indirect call it feeds (a resolved ``jsr`` does not take the
-    address).
+    escape direction).  A constant escapes when it is stored to memory,
+    used by a non-address instruction, or still held in a register when
+    the straight-line run ends — unless its only use is the indirect
+    call it feeds (a resolved ``jsr`` does not take the address).
+    Whether an escaped constant *is* an entry depends on the image, so
+    that test is the caller's; only values no entry can equal (negative
+    or unaligned) are dropped here.
     """
-    entries = {routine.address: routine.name for routine in program}
-    escaped: Set[str] = set()
-    for routine in program:
-        constants: Dict[int, int] = {}
-        for instruction in routine.instructions:
-            opcode = instruction.opcode
-            if not constants and (
-                (opcode is not Opcode.LDA and opcode is not Opcode.LDAH)
-                or instruction.rb != ZERO_REGISTER
-            ):
-                # Nothing is tracked and this instruction cannot start
-                # tracking: every branch below would be a no-op.
-                continue
-            control = instruction.control
-            uses = instruction.uses()
-            defs = instruction.defs()
-            if opcode is Opcode.LDA or opcode is Opcode.LDAH:
-                shift = 16 if opcode is Opcode.LDAH else 0
-                base = instruction.rb
-                if base == ZERO_REGISTER:
-                    value: Optional[int] = instruction.displacement << shift
-                elif base in constants:
-                    value = constants[base] + (instruction.displacement << shift)
-                else:
-                    value = None
-                _kill(constants, defs)
-                if value is not None:
-                    constants[instruction.ra] = value
-                continue
-            if (
-                opcode is Opcode.BIS
-                and instruction.literal is None
-                and ZERO_REGISTER in (instruction.ra, instruction.rb)
-            ):
-                source = (
-                    instruction.rb
-                    if instruction.ra == ZERO_REGISTER
-                    else instruction.ra
-                )
-                value = constants.get(source)
-                _kill(constants, defs)
-                if value is not None:
-                    constants[instruction.rc] = value
-                continue
-            if control in (ControlKind.CALL_DIRECT, ControlKind.CALL_INDIRECT):
-                # The call target register is consumed, not escaped; but a
-                # call clobbers temporaries, so drop everything (sound:
-                # dropping can only *under*-track, and untracked registers
-                # were already counted as escapes below at their creation?
-                # No: escape happens at *use* or *run end*; a constant that
-                # survives a call still sits in `constants`, so clear and
-                # treat survivors as escaping).
-                for register, value in constants.items():
-                    if register != instruction.rb and value in entries:
-                        escaped.add(entries[value])
-                constants.clear()
-                continue
-            # Any other use of a register holding a routine entry escapes it.
-            for register in uses:
-                value = constants.get(register)
-                if value is not None and value in entries:
-                    escaped.add(entries[value])
+    escaped: Set[int] = set()
+    constants: Dict[int, int] = {}
+    for instruction in routine.instructions:
+        opcode = instruction.opcode
+        if not constants and (
+            (opcode is not Opcode.LDA and opcode is not Opcode.LDAH)
+            or instruction.rb != ZERO_REGISTER
+        ):
+            # Nothing is tracked and this instruction cannot start
+            # tracking: every branch below would be a no-op.
+            continue
+        control = instruction.control
+        uses = instruction.uses()
+        defs = instruction.defs()
+        if opcode is Opcode.LDA or opcode is Opcode.LDAH:
+            shift = 16 if opcode is Opcode.LDAH else 0
+            base = instruction.rb
+            if base == ZERO_REGISTER:
+                value: Optional[int] = instruction.displacement << shift
+            elif base in constants:
+                value = constants[base] + (instruction.displacement << shift)
+            else:
+                value = None
             _kill(constants, defs)
-            if control != ControlKind.FALLTHROUGH:
-                # Block boundary: surviving entry constants could flow to a
-                # join where we stop tracking them.
-                for value in constants.values():
-                    if value in entries:
-                        escaped.add(entries[value])
-                constants.clear()
-    return escaped
+            if value is not None:
+                constants[instruction.ra] = value
+            continue
+        if (
+            opcode is Opcode.BIS
+            and instruction.literal is None
+            and ZERO_REGISTER in (instruction.ra, instruction.rb)
+        ):
+            source = (
+                instruction.rb
+                if instruction.ra == ZERO_REGISTER
+                else instruction.ra
+            )
+            value = constants.get(source)
+            _kill(constants, defs)
+            if value is not None:
+                constants[instruction.rc] = value
+            continue
+        if control in (ControlKind.CALL_DIRECT, ControlKind.CALL_INDIRECT):
+            # The call target register is consumed, not escaped; every
+            # other constant is dropped across the call (it clobbers
+            # temporaries) and a dropped constant is no longer tracked,
+            # so count it as escaping here.
+            for register, value in constants.items():
+                if register != instruction.rb:
+                    escaped.add(value)
+            constants.clear()
+            continue
+        # Any other use of a register holding a constant escapes it.
+        for register in uses:
+            value = constants.get(register)
+            if value is not None:
+                escaped.add(value)
+        _kill(constants, defs)
+        if control != ControlKind.FALLTHROUGH:
+            # Block boundary: surviving constants could flow to a join
+            # where we stop tracking them.
+            escaped.update(constants.values())
+            constants.clear()
+    return tuple(
+        sorted(
+            value
+            for value in escaped
+            if value >= 0 and not value % INSTRUCTION_SIZE
+        )
+    )
 
 
 def _kill(constants: Dict[int, int], defs) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.program.model import Routine
@@ -78,6 +78,65 @@ class CallSite:
         return not self.targets
 
 
+class RecordedSite(NamedTuple):
+    """The part of a call site that the routine's own shape decides.
+
+    Where the call sits and, for an indirect call, the constant its
+    target register provably holds at the call (``None`` when the
+    block-local backward walk finds none).  Which routines the call
+    reaches is *not* here: that depends on the image's symbol and hint
+    tables and is re-derived by :func:`repro.cfg.build.classify_call`.
+    """
+
+    block: int
+    instruction_index: int
+    indirect: bool
+    constant: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class FrontendRecord:
+    """What a warm run needs to know about a routine without its CFG.
+
+    Everything here is a pure function of the routine's code bytes and
+    its routine-relative jump-table targets, which is exactly what
+    ``shape_key`` hashes (:func:`repro.interproc.frontend.shape_keys`):
+    while the key matches, the call sites can be re-resolved against
+    the current image and the escape candidates re-tested against its
+    routine entries without building a block.  Records ride in the
+    incremental sidecar, so they are untrusted input; construction
+    rejects every shape no CFG could have produced.
+    """
+
+    shape_key: int
+    block_count: int
+    #: Call sites in block (= instruction) order.
+    sites: Tuple[RecordedSite, ...]
+    #: Sorted constants whose escape :func:`repro.cfg.callgraph.
+    #: find_address_taken` would report if they named a routine entry.
+    escape_candidates: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.block_count < 1:
+            raise ValueError("front-end record with no blocks")
+        block = index = -1
+        for site in self.sites:
+            # A call ends its block, so sites ascend in both
+            # coordinates and block b ends no earlier than index b.
+            if (
+                site.block <= block
+                or site.instruction_index <= index
+                or site.instruction_index < site.block
+            ):
+                raise ValueError("front-end record sites out of order")
+            if site.constant is not None and not site.indirect:
+                raise ValueError("front-end record: constant on a direct call")
+            block, index = site.block, site.instruction_index
+        # The block after the last call (its return point) must exist.
+        if block + 1 >= self.block_count:
+            raise ValueError("front-end record site outside its blocks")
+
+
 @dataclass
 class BasicBlock:
     """A basic block of a routine's CFG.
@@ -127,13 +186,15 @@ class ControlFlowGraph:
     Blocks are stored in instruction order; block 0 is the routine
     entry (routines have a single entry).  ``call_sites`` lists the
     blocks ended by calls; ``exits`` lists the exit blocks with their
-    kinds.
+    kinds.  ``recorded_sites`` parallels ``call_sites`` with the
+    image-independent half of each site (what a front-end record keeps).
     """
 
     routine: Routine
     blocks: List[BasicBlock]
     call_sites: List[CallSite]
     exits: List[Tuple[int, ExitKind]]
+    recorded_sites: List[RecordedSite] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._call_site_by_block: Dict[int, CallSite] = {

@@ -6,7 +6,7 @@ Subcommands:
   SAX executable image and print per-routine summaries plus the §4
   measurements (sizes, stage times, memory); ``--jobs N`` solves on a
   sharded worker pool (bit-identical results), ``--incremental``
-  warm-starts from (and refreshes) a ``SUM2`` cache sidecar, and
+  warm-starts from (and refreshes) a ``SUM3`` cache sidecar, and
   ``--json`` emits one machine-readable stats object instead of text;
 * ``disasm <image>`` — print a disassembly listing;
 * ``generate <benchmark> -o <image>`` — write a synthetic benchmark
@@ -15,7 +15,7 @@ Subcommands:
   pipeline and write the rewritten image;
 * ``query <image> <routine>`` — answer one routine's summary on
   demand, solving only its caller/callee cones; reuses and refreshes
-  the same ``SUM2`` sidecar as ``analyze --incremental``, so repeated
+  the same ``SUM3`` sidecar as ``analyze --incremental``, so repeated
   queries amortize toward zero solver work;
 * ``report <image>`` — analyze with per-routine solver attribution on
   and print a convergence / hot-routine table;
@@ -773,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--cache", metavar="FILE", default=None,
         help=(
-            "SUM2 cache sidecar to warm-start from and refresh "
+            "SUM3 cache sidecar to warm-start from and refresh "
             "(default: IMAGE.sum2; shared with analyze --incremental)"
         ),
     )
@@ -856,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help=(
-            "persist per-tenant SUM2 cache sidecars under DIR so edit "
+            "persist per-tenant SUM3 cache sidecars under DIR so edit "
             "requests warm-start across daemon restarts"
         ),
     )

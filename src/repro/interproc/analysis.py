@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.isa.calling_convention import CallingConvention, NT_ALPHA
 from repro.program.image import ExecutableImage
@@ -137,7 +137,7 @@ class InterproceduralAnalysis:
         return self.frontend.program
 
     @property
-    def cfgs(self) -> Dict[str, ControlFlowGraph]:
+    def cfgs(self) -> Mapping[str, ControlFlowGraph]:
         return self.frontend.cfgs
 
     @property
@@ -203,15 +203,22 @@ class InterproceduralAnalysis:
 
 
 def _analyze_program(
-    program: Program, config: Optional[AnalysisConfig] = None
+    program: Program,
+    config: Optional[AnalysisConfig] = None,
+    frontend: Optional[Frontend] = None,
 ) -> InterproceduralAnalysis:
-    """Run the full pipeline on an already-decoded program."""
+    """Run the full pipeline on an already-decoded program (over
+    ``frontend`` when the caller already has the program's)."""
     config = config or AnalysisConfig()
     timer = StageTimer()
 
     with timer.stage("cfg_build"):
-        frontend = build_frontend(program)
-    cfgs, call_graph = frontend.cfgs, frontend.call_graph
+        if frontend is None:
+            frontend = build_frontend(program)
+        # The whole-program PSG needs every CFG; a front end that came
+        # from records builds the remainder here.
+        cfgs = dict(frontend.cfgs)
+    call_graph = frontend.call_graph
     REGISTRY.inc("frontend.routines", len(cfgs))
 
     with timer.stage("initialization"):

@@ -22,9 +22,11 @@ The query then runs the ordinary warm engine
 those component scopes*: each in-cone component re-solves exactly when
 the full warm run would have re-solved it, on the same partial PSG
 with the same pinned entries and exit seeds — so the answer for the
-queried routine is byte-identical to an exhaustive solve.  On a clean
-warm cache nothing re-solves at all and the query costs one CFG build
-plus fingerprinting.
+queried routine is byte-identical to an exhaustive solve.  CFGs are
+built for re-solved components only (the cache's front-end records
+supply the call graph; see :mod:`repro.interproc.frontend`), so on a
+clean warm cache nothing re-solves, no CFG is built, and the query
+costs hashing the routines plus fingerprinting.
 
 **Memoization.**  The refreshed :class:`SummaryCache` a query returns
 must stay honest for routines the query never looked at.  Entries come
@@ -63,7 +65,7 @@ import logging
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-from repro.cfg.callgraph import CallGraph, Condensation
+from repro.cfg.callgraph import Condensation
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.analysis import AnalysisConfig
 from repro.interproc.errors import UnknownRoutineError
@@ -152,8 +154,9 @@ def query_routine(
 
     ``cache=None`` is a cold query: the cones still restrict the work,
     and the returned cache warms every later query.  ``frontend``
-    reuses an earlier query's CFG/call-graph build and fingerprints for
-    the *same* program (the dominant warm-query cost).  Raises
+    reuses an earlier run's call graph, fingerprints and whatever CFGs
+    it built for the *same* program (the dominant warm-query cost);
+    without one, the cache's front-end records seed it.  Raises
     :class:`UnknownRoutineError` when ``routine`` is not in the
     program.
     """
@@ -163,11 +166,13 @@ def query_routine(
     )
     REGISTRY.inc("query.requests")
 
+    built_before = frontend.cfgs_built if frontend is not None else 0
     if frontend is None:
         with metrics.stage("cfg_build"):
-            frontend = build_frontend(program)
+            frontend = build_frontend(
+                program, cache.frontend_records if cache else None
+            )
     cfgs = frontend.cfgs
-    call_graph = frontend.call_graph
     condensation = frontend.condensation
     if routine not in cfgs:
         raise UnknownRoutineError(
@@ -218,6 +223,7 @@ def query_routine(
         store=resolve_store(config),
     )
     engine.solve()
+    metrics.cfgs_built = frontend.cfgs_built - built_before
     REGISTRY.inc("query.solved", metrics.phase2_solved)
     REGISTRY.inc("query.reused", metrics.phase2_reused)
 
@@ -226,11 +232,9 @@ def query_routine(
         engine=engine,
         validated1=condensation.routines_of(phase1_cone),
         validated2=condensation.routines_of(phase2_cone),
-        cfgs=cfgs,
-        call_graph=call_graph,
+        frontend=frontend,
         cache=cache,
         dirty=dirty,
-        fingerprints=fingerprints,
         image_fingerprint=image_fingerprint,
         metrics=metrics,
     )
@@ -249,15 +253,16 @@ def _memoized_cache(
     engine: _WarmEngine,
     validated1: Set[str],
     validated2: Set[str],
-    cfgs: Dict[str, object],
-    call_graph: CallGraph,
+    frontend: Frontend,
     cache: SummaryCache,
     dirty: Set[str],
-    fingerprints: Dict[str, int],
     image_fingerprint: int,
     metrics: QueryMetrics,
 ) -> SummaryCache:
     """The refreshed cache a query persists (module docstring rules)."""
+    cfgs = frontend.cfgs
+    call_graph = frontend.call_graph
+    fingerprints = frontend.fingerprints
     old_summaries = cache.result.summaries
     is_external = call_graph.externally_callable
 
@@ -350,4 +355,7 @@ def _memoized_cache(
         routine_fingerprints=keyed_fingerprints,
         externally_callable=externally_callable,
         phase1_triples=phase1_triples,
+        # Always the current image's: a record is scoped by its own
+        # shape key, whatever became of the routine's summary.
+        frontend_records=frontend.records,
     )

@@ -28,17 +28,23 @@ This module exploits that structure:
   (``run_phase2(..., extra_exit_live=...)``).
 
 The cache itself is a :class:`repro.interproc.persist.SummaryCache`
-(the versioned ``SUM2`` sidecar): the previous run's summaries plus
-the fingerprints that scope their validity.  A warm run with zero
-dirty routines performs *no* phase-1 or phase-2 solving at all — it
-builds CFGs, fingerprints them, and returns the cached result.
+(the versioned ``SUM3`` sidecar): the previous run's summaries, the
+fingerprints that scope their validity, and the *front-end records*
+(:mod:`repro.interproc.frontend`) from which the call graph, the
+condensation and the fingerprints of this run are derived without
+building the CFG of any routine whose code did not change.  CFGs are
+built where a component is actually re-solved (and billed to the
+``cfg_build`` stage there), so a warm run with zero dirty routines
+builds none and performs *no* phase-1 or phase-2 solving at all — it
+hashes the routines, re-resolves their recorded call sites, and
+returns the cached result.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.program.model import Program
 from repro.cfg.callgraph import CallGraph, Condensation
@@ -169,6 +175,7 @@ def _analyze_incremental(
     config: Optional[AnalysisConfig] = None,
     image_fingerprint: int = 0,
     jobs: Optional[int] = None,
+    frontend: Optional[Frontend] = None,
 ) -> IncrementalAnalysis:
     """Analyze ``program``, reusing ``cache`` where fingerprints allow.
 
@@ -182,6 +189,10 @@ def _analyze_incremental(
     parallel engine — dirty shards are re-solved on a worker pool,
     clean shards keep their cached summaries — with bit-identical
     results at any worker count.
+
+    ``frontend`` is ``program``'s front end when the caller already
+    has it (a session that analyzed or queried before); otherwise one
+    is built from the cache's front-end records.
     """
     config = config or AnalysisConfig()
 
@@ -197,6 +208,7 @@ def _analyze_incremental(
             config,
             image_fingerprint=image_fingerprint,
             jobs=effective_jobs,
+            frontend=frontend,
         )
 
     metrics = IncrementalMetrics(routines_total=program.routine_count)
@@ -212,10 +224,14 @@ def _analyze_incremental(
             empty = SummaryCache(
                 image_fingerprint=0, result=SummarySet(summaries={})
             )
-            return _warm_run(program, empty, config, image_fingerprint, metrics)
-        return _cold_run(program, config, image_fingerprint, metrics)
+            return _warm_run(
+                program, empty, config, image_fingerprint, metrics, frontend
+            )
+        return _cold_run(program, config, image_fingerprint, metrics, frontend)
 
-    return _warm_run(program, cache, config, image_fingerprint, metrics)
+    return _warm_run(
+        program, cache, config, image_fingerprint, metrics, frontend
+    )
 
 
 def _warm_run(
@@ -224,10 +240,13 @@ def _warm_run(
     config: AnalysisConfig,
     image_fingerprint: int,
     metrics: IncrementalMetrics,
+    frontend: Optional[Frontend],
 ) -> IncrementalAnalysis:
 
+    built_before = frontend.cfgs_built if frontend is not None else 0
     with metrics.stage("cfg_build"):
-        frontend = build_frontend(program)
+        if frontend is None:
+            frontend = build_frontend(program, cache.frontend_records)
         condensation = frontend.condensation
     cfgs, call_graph = frontend.cfgs, frontend.call_graph
 
@@ -249,12 +268,14 @@ def _warm_run(
         store=resolve_store(config),
     )
     result = engine.run()
+    metrics.cfgs_built = frontend.cfgs_built - built_before
 
     new_cache = SummaryCache(
         image_fingerprint=image_fingerprint,
         result=result,
         routine_fingerprints=fingerprints,
         externally_callable=set(call_graph.externally_callable),
+        frontend_records=frontend.records,
     )
     return IncrementalAnalysis(
         config=config,
@@ -271,8 +292,11 @@ def _cold_run(
     config: AnalysisConfig,
     image_fingerprint: int,
     metrics: IncrementalMetrics,
+    frontend: Optional[Frontend],
 ) -> IncrementalAnalysis:
-    full = _analyze_program(program, config)
+    built_before = frontend.cfgs_built if frontend is not None else 0
+    full = _analyze_program(program, config, frontend)
+    metrics.cfgs_built = full.frontend.cfgs_built - built_before
     # No cache to consult: every routine is a miss by definition.
     REGISTRY.inc("cache.miss", len(full.cfgs))
     _log.info("cold incremental run: %d routines solved", len(full.cfgs))
@@ -294,6 +318,7 @@ def _cold_run(
         result=full.result,
         routine_fingerprints=fingerprints,
         externally_callable=set(full.call_graph.externally_callable),
+        frontend_records=full.frontend.records,
     )
     return IncrementalAnalysis(
         config=config,
@@ -316,7 +341,7 @@ def _triple_of(summary: RoutineSummary) -> SummaryTriple:
 
 def orphaned_callees(
     cached: Dict[str, RoutineSummary],
-    cfgs: Dict[str, ControlFlowGraph],
+    cfgs: Mapping[str, ControlFlowGraph],
     call_graph: CallGraph,
     dirty: Set[str],
 ) -> Set[str]:
@@ -390,7 +415,8 @@ class _WarmEngine:
         self.preserved = mask_of(
             {config.convention.stack_pointer, config.convention.global_pointer}
         )
-        # Lazily built per-routine inputs — only dirty cones pay for them.
+        # Lazily built per-routine inputs — only dirty cones pay for
+        # them, their CFGs (``self.cfgs`` builds on access) included.
         self._local_sets: Dict[str, List[LocalSets]] = {}
         self._saved: Dict[str, int] = {}
         self._partials: Dict[int, PartialPsg] = {}
@@ -402,6 +428,9 @@ class _WarmEngine:
         self.solved2: Set[int] = set()
         self.changed2: Set[str] = set()
         self.fresh: Dict[str, RoutineSummary] = {}
+        # caller -> {(block, instruction index): live-after mask} of its
+        # final summary, built on first use (see ``_live_after``).
+        self._live_after_masks: Dict[str, Dict[Tuple[int, int], int]] = {}
         self.orphaned = orphaned_callees(
             self.cached, self.cfgs, self.call_graph, dirty
         )
@@ -496,11 +525,11 @@ class _WarmEngine:
     # ------------------------------------------------------------------
 
     def _prepare_members(self, members: Sequence[str]) -> None:
+        fresh = [name for name in members if name not in self._local_sets]
+        with self.metrics.stage("cfg_build"):
+            cfgs = [self.cfgs[name] for name in fresh]
         with self.metrics.stage("initialization"):
-            for name in members:
-                if name in self._local_sets:
-                    continue
-                cfg = self.cfgs[name]
+            for name, cfg in zip(fresh, cfgs):
                 self._local_sets[name] = compute_local_sets(cfg)
                 self._saved[name] = (
                     saved_restored_registers(cfg, self.config.convention)
@@ -587,18 +616,22 @@ class _WarmEngine:
 
     def _live_after(self, caller: str, site: CallSite) -> int:
         """Current live-after mask of the call ``site`` in ``caller``
-        (fresh if re-solved this run, else cached)."""
-        summary = self.fresh.get(caller) or self.cached.get(caller)
-        if summary is None:
-            return 0
-        for cached_site in summary.call_sites:
-            if (
-                cached_site.site.block == site.block
-                and cached_site.site.instruction_index
-                == site.instruction_index
-            ):
-                return cached_site.live_after_mask
-        return 0
+        (fresh if re-solved this run, else cached).
+
+        Only ever asked about callers in components phase 2 is already
+        done with (it runs caller-first), so a caller's summary is
+        final by then and its sites are indexed once.
+        """
+        masks = self._live_after_masks.get(caller)
+        if masks is None:
+            summary = self.fresh.get(caller) or self.cached.get(caller)
+            masks = {} if summary is None else {
+                (known.site.block, known.site.instruction_index):
+                known.live_after_mask
+                for known in summary.call_sites
+            }
+            self._live_after_masks[caller] = masks
+        return masks.get((site.block, site.instruction_index), 0)
 
     def _exit_seed(self, name: str, member_set: Set[str]) -> int:
         mask = 0
@@ -694,8 +727,13 @@ class _WarmEngine:
             self.metrics.phase2_sccs_solved += 1
             self.metrics.phase2_iterations += solution.iterations
             with self.metrics.stage("assemble"):
+                cr_by_src = {
+                    edge.src: edge for edge in partial.psg.call_return_edges
+                }
                 for name in members:
-                    summary = self._assemble(partial, solution.may_use, name)
+                    summary = self._assemble(
+                        partial, cr_by_src, solution.may_use, name
+                    )
                     self.fresh[name] = summary
                     self.metrics.phase2_solved += 1
                     if (
@@ -712,11 +750,10 @@ class _WarmEngine:
                     )
 
     def _assemble(
-        self, partial: PartialPsg, may_use: List[int], name: str
+        self, partial: PartialPsg, cr_by_src, may_use: List[int], name: str
     ) -> RoutineSummary:
         psg = partial.psg
         routine_psg = psg.routines[name]
-        cr_by_src = {edge.src: edge for edge in psg.call_return_edges}
 
         exit_live: Dict[int, int] = {}
         exit_kinds: Dict[int, ExitKind] = {}

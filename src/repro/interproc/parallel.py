@@ -52,15 +52,19 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cfg.build import build_cfg
-from repro.cfg.callgraph import (
-    CallGraph,
-    Condensation,
-    ShardPlan,
-    build_call_graph,
-)
+from repro.cfg.callgraph import CallGraph, Condensation, ShardPlan
 from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.local import LocalSets, compute_local_sets
@@ -838,7 +842,7 @@ class ParallelAnalysis:
         return self.frontend.program
 
     @property
-    def cfgs(self) -> Dict[str, ControlFlowGraph]:
+    def cfgs(self) -> Mapping[str, ControlFlowGraph]:
         return self.frontend.cfgs
 
     @property
@@ -885,12 +889,6 @@ def resolve_jobs(jobs: Optional[int], config: Optional[AnalysisConfig]) -> int:
     if value <= 0:
         return multiprocessing.cpu_count()
     return value
-
-
-def shard_cost_heuristic(cfgs: Dict[str, ControlFlowGraph]) -> Dict[str, int]:
-    """Per-routine work estimate: CFG block count (PSG size, and hence
-    solve time, tracks it closely)."""
-    return {name: max(1, cfg.block_count) for name, cfg in cfgs.items()}
 
 
 def _parallel_frontend(
@@ -986,20 +984,18 @@ def analyze_parallel(
                 program, config, jobs, metrics
             )
         with metrics.stage("cfg_build"):
-            frontend = Frontend(
-                program, cfgs, build_call_graph(program, cfgs)
-            )
+            frontend = build_frontend(program, cfgs=cfgs)
     else:
         with metrics.stage("cfg_build"):
             frontend = build_frontend(program)
-        cfgs = frontend.cfgs
+            cfgs = dict(frontend.cfgs)
         REGISTRY.inc("frontend.routines", len(cfgs))
     call_graph = frontend.call_graph
     with metrics.stage("partition"):
         condensation = frontend.condensation
         target = shards if shards is not None else jobs * SHARDS_PER_WORKER
         plan = condensation.partition_shards(
-            shard_cost_heuristic(cfgs), max_shards=max(1, target)
+            frontend.block_counts, max_shards=max(1, target)
         )
     metrics.shard_count = plan.shard_count
     _log.info(
@@ -1064,6 +1060,7 @@ def analyze_incremental_parallel(
     image_fingerprint: int = 0,
     jobs: Optional[int] = None,
     shards: Optional[int] = None,
+    frontend: Optional[Frontend] = None,
 ):
     """A warm incremental run that re-solves only *dirty shards*, in
     parallel.
@@ -1111,7 +1108,9 @@ def analyze_incremental_parallel(
             result=analysis.result,
             routine_fingerprints=fingerprints,
             externally_callable=set(analysis.call_graph.externally_callable),
+            frontend_records=analysis.frontend.records,
         )
+        metrics.cfgs_built = len(analysis.cfgs)
         _fold_parallel_seconds(metrics, analysis.metrics)
         for record in analysis.metrics.shards:
             metrics.phase1_iterations += record.phase1_iterations
@@ -1130,8 +1129,10 @@ def analyze_incremental_parallel(
         jobs=jobs, routines_total=program.routine_count
     )
 
+    built_before = frontend.cfgs_built if frontend is not None else 0
     with parallel_metrics.stage("cfg_build"):
-        frontend = build_frontend(program)
+        if frontend is None:
+            frontend = build_frontend(program, cache.frontend_records)
     cfgs, call_graph = frontend.cfgs, frontend.call_graph
     REGISTRY.inc("frontend.routines", len(cfgs))
 
@@ -1154,7 +1155,7 @@ def analyze_incremental_parallel(
         condensation = frontend.condensation
         target = shards if shards is not None else jobs * SHARDS_PER_WORKER
         plan = condensation.partition_shards(
-            shard_cost_heuristic(cfgs), max_shards=max(1, target)
+            frontend.block_counts, max_shards=max(1, target)
         )
 
         # Phase-1 cone: dirty/new components and their transitive
@@ -1205,9 +1206,19 @@ def analyze_incremental_parallel(
         name: summary for name, summary in cached.items() if name in cfgs
     }
     shard_routines = [shard.routines for shard in plan.shards]
+    # Workers get a plain dict holding the CFGs of the shards they will
+    # solve and nothing else: the lazy mapping is filled here, in the
+    # parent, before the pool forks.
+    with parallel_metrics.stage("cfg_build"):
+        shard_cfgs = {
+            name: cfgs[name]
+            for shard in sorted(phase1_shards | phase2_shards)
+            for name in shard_routines[shard]
+        }
+    metrics.cfgs_built = frontend.cfgs_built - built_before
     # A fully clean warm run solves nothing — never pay for a pool.
-    pool_jobs = jobs if (phase1_shards or phase2_shards) else 1
-    scheduler = _ShardScheduler(pool_jobs, cfgs, config, shard_routines)
+    pool_jobs = jobs if shard_cfgs else 1
+    scheduler = _ShardScheduler(pool_jobs, shard_cfgs, config, shard_routines)
     try:
         engine = _ShardEngine(
             call_graph=call_graph,
@@ -1254,6 +1265,7 @@ def analyze_incremental_parallel(
         result=result,
         routine_fingerprints=fingerprints,
         externally_callable=set(call_graph.externally_callable),
+        frontend_records=frontend.records,
     )
     return IncrementalAnalysis(
         config=config,

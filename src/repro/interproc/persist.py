@@ -9,7 +9,7 @@ two sidecar formats:
   :class:`~repro.interproc.summaries.SummarySet`, keyed by a
   fingerprint of the executable image so a stale sidecar is rejected
   wholesale;
-* **SUM2** — the incremental-analysis cache
+* **SUM3** — the incremental-analysis cache
   (:class:`SummaryCache`): the same per-routine summary records, each
   additionally carrying a 64-bit *routine* content fingerprint (image
   code bytes, exported flag, routine-relative jump-table targets and
@@ -19,6 +19,11 @@ two sidecar formats:
   granularity instead of all-or-nothing.  A fingerprint mismatch only
   ever means "re-solve", so a sidecar written under an older
   fingerprint definition goes fully stale once and is then refreshed.
+  It also carries the *front-end records* that let the next run derive
+  its call graph without building CFGs
+  (:class:`repro.cfg.cfg.FrontendRecord`).  ``SUM2`` was this format
+  without the record section; a ``SUM2`` file has a bad magic now, its
+  readers start cold and rewrite it.
 
 SUM1 layout (little-endian)::
 
@@ -27,9 +32,9 @@ SUM1 layout (little-endian)::
       u16 name_len | name utf-8
       <summary body>
 
-SUM2 layout (little-endian)::
+SUM3 layout (little-endian)::
 
-    magic "SUM2" | u64 image_fingerprint | u32 routine_count
+    magic "SUM3" | u64 image_fingerprint | u32 routine_count
     per routine:
       u16 name_len | name utf-8
       u64 routine_fingerprint
@@ -39,13 +44,28 @@ SUM2 layout (little-endian)::
       u16 name_len | name utf-8
       u64 routine_fingerprint
       u64 may_use | u64 may_def | u64 must_def
+    u32 record_count | per front-end record:
+      u16 name_len | name utf-8
+      u64 shape_key | u32 block_count
+      u32 site_count | per site:
+        u32 block | u32 instruction_index
+        u8 flags          (bit 0: indirect, bit 1: constant follows)
+        [i64 constant]
+      u32 candidate_count | per escape candidate: u64 value
 
-The trailing *triple* section carries phase-1-only entries written by
+The *triple* section carries phase-1-only entries written by
 the demand-driven query engine (:mod:`repro.interproc.demand`): a
 routine whose call-used/defined/killed triple was validated by a query
 but whose phase-2 liveness never was.  The section is mandatory (an
-empty cache writes ``triple_count == 0``); pre-triple-section caches
-fail to parse and the readers treat that as a cold start.
+empty cache writes ``triple_count == 0``), and so is the *record*
+section after it.  A record is keyed by routine name like everything
+else but validated by its own ``shape_key``, not by the routine
+fingerprint: it stays good across edits that change whom the routine
+calls or whether it is exported.  Records that no CFG could have
+produced (no blocks, sites out of order or past the last block, a
+constant on a direct call) are rejected here; whether a well-formed
+record fits the routine it names is checked where it is used
+(:func:`repro.cfg.build.recorded_call_sites`).
 
 Shared summary body::
 
@@ -63,7 +83,7 @@ the register file, or trailing bytes — raises
 :class:`SummaryFormatError`; callers never see ``struct.error`` or
 ``IndexError``.
 
-Invalidation rules for SUM2 are implemented by
+Invalidation rules for SUM3 are implemented by
 :mod:`repro.interproc.incremental`: a routine whose fingerprint
 changed dirties its call-graph SCC, phase-1 results of its transitive
 *callers*, and phase-2 results of its transitive *callees* (see that
@@ -78,7 +98,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.cfg.cfg import CallSite, ExitKind
+from repro.cfg.cfg import CallSite, ExitKind, FrontendRecord, RecordedSite
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import FULL_MASK
 from repro.obs.metrics import REGISTRY
@@ -90,12 +110,23 @@ from repro.interproc.summaries import (
 )
 
 MAGIC = b"SUM1"
-MAGIC2 = b"SUM2"
+MAGIC3 = b"SUM3"
 
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+#: Five register masks in a row (a summary's, a call site's).
+_MASKS5 = struct.Struct("<5Q")
+#: Exit: block, kind code, live mask.
+_EXIT = struct.Struct("<IBQ")
+#: Call site: block, instruction index, indirect, target count.
+_SITE_HEAD = struct.Struct("<IIBH")
+#: Front-end record: shape key, block count, site count.
+_RECORD_HEADER = struct.Struct("<QII")
+#: Recorded call site: block, instruction index, flags.
+_RECORD_SITE = struct.Struct("<IIB")
 
 _EXIT_KIND_CODES = {
     ExitKind.RETURN: 0,
@@ -105,6 +136,9 @@ _EXIT_KIND_CODES = {
 _EXIT_KIND_BY_CODE = {code: kind for kind, code in _EXIT_KIND_CODES.items()}
 
 _FLAG_EXTERNALLY_CALLABLE = 1
+
+_SITE_INDIRECT = 1
+_SITE_HAS_CONSTANT = 2
 
 _log = logging.getLogger(__name__)
 
@@ -166,12 +200,15 @@ class _Reader:
         self.blob = blob
         self.offset = 0
 
-    def _unpack(self, spec: struct.Struct) -> int:
+    def fields(self, spec: struct.Struct) -> tuple:
         if self.offset + spec.size > len(self.blob):
             raise SummaryFormatError("truncated summary file")
-        (value,) = spec.unpack_from(self.blob, self.offset)
+        values = spec.unpack_from(self.blob, self.offset)
         self.offset += spec.size
-        return value
+        return values
+
+    def _unpack(self, spec: struct.Struct) -> int:
+        return self.fields(spec)[0]
 
     def u8(self) -> int:
         return self._unpack(_U8)
@@ -185,13 +222,21 @@ class _Reader:
     def u64(self) -> int:
         return self._unpack(_U64)
 
+    def i64(self) -> int:
+        return self._unpack(_I64)
+
+    def masks(self, spec: struct.Struct) -> tuple:
+        """``spec``'s fields, every one of them a register mask."""
+        values = self.fields(spec)
+        for value in values:
+            if value & ~FULL_MASK:
+                raise SummaryFormatError(
+                    f"register mask {value:#x} exceeds the register file"
+                )
+        return values
+
     def mask(self) -> int:
-        value = self.u64()
-        if value & ~FULL_MASK:
-            raise SummaryFormatError(
-                f"register mask {value:#x} exceeds the register file"
-            )
-        return value
+        return self.masks(_U64)[0]
 
     def text(self) -> str:
         length = self.u16()
@@ -216,66 +261,86 @@ class _Reader:
 
 
 def _write_summary_body(writer: _Writer, summary: RoutineSummary) -> None:
-    writer.u64(summary.call_used_mask)
-    writer.u64(summary.call_defined_mask)
-    writer.u64(summary.call_killed_mask)
-    writer.u64(summary.live_at_entry_mask)
-    writer.u64(summary.saved_restored_mask)
+    parts = writer.parts
+    parts.append(
+        _MASKS5.pack(
+            summary.call_used_mask,
+            summary.call_defined_mask,
+            summary.call_killed_mask,
+            summary.live_at_entry_mask,
+            summary.saved_restored_mask,
+        )
+    )
     exits = sorted(summary.exit_live_masks)
     writer.u32(len(exits))
     for block in exits:
-        writer.u32(block)
-        writer.u8(_EXIT_KIND_CODES[summary.exit_kinds[block]])
-        writer.u64(summary.exit_live_masks[block])
+        parts.append(
+            _EXIT.pack(
+                block,
+                _EXIT_KIND_CODES[summary.exit_kinds[block]],
+                summary.exit_live_masks[block],
+            )
+        )
     writer.u32(len(summary.call_sites))
     for site in summary.call_sites:
-        writer.u32(site.site.block)
-        writer.u32(site.site.instruction_index)
-        writer.u8(1 if site.site.indirect else 0)
-        writer.u16(len(site.site.targets))
-        for target in site.site.targets:
+        call = site.site
+        parts.append(
+            _SITE_HEAD.pack(
+                call.block,
+                call.instruction_index,
+                1 if call.indirect else 0,
+                len(call.targets),
+            )
+        )
+        for target in call.targets:
             writer.text(target)
-        writer.u64(site.used_mask)
-        writer.u64(site.defined_mask)
-        writer.u64(site.killed_mask)
-        writer.u64(site.live_before_mask)
-        writer.u64(site.live_after_mask)
+        parts.append(
+            _MASKS5.pack(
+                site.used_mask,
+                site.defined_mask,
+                site.killed_mask,
+                site.live_before_mask,
+                site.live_after_mask,
+            )
+        )
 
 
 def _read_summary_body(reader: _Reader, name: str) -> RoutineSummary:
-    call_used = reader.mask()
-    call_defined = reader.mask()
-    call_killed = reader.mask()
-    live_at_entry = reader.mask()
-    saved_restored = reader.mask()
+    (
+        call_used, call_defined, call_killed, live_at_entry, saved_restored
+    ) = reader.masks(_MASKS5)
     exit_live: Dict[int, int] = {}
     exit_kinds: Dict[int, ExitKind] = {}
     for _ in range(reader.u32()):
-        block = reader.u32()
-        code = reader.u8()
+        block, code, live = reader.fields(_EXIT)
         if code not in _EXIT_KIND_BY_CODE:
             raise SummaryFormatError(f"unknown exit kind code {code}")
+        if live & ~FULL_MASK:
+            raise SummaryFormatError(
+                f"register mask {live:#x} exceeds the register file"
+            )
         exit_kinds[block] = _EXIT_KIND_BY_CODE[code]
-        exit_live[block] = reader.mask()
+        exit_live[block] = live
     sites: List[CallSiteSummary] = []
     for _ in range(reader.u32()):
-        block = reader.u32()
-        instruction_index = reader.u32()
-        indirect = bool(reader.u8())
-        targets = tuple(reader.text() for _ in range(reader.u16()))
+        block, instruction_index, indirect, target_count = reader.fields(
+            _SITE_HEAD
+        )
+        targets = tuple(reader.text() for _ in range(target_count))
+        used, defined, killed, live_before, live_after = reader.masks(_MASKS5)
         sites.append(
             CallSiteSummary(
                 site=CallSite(
                     block=block,
                     instruction_index=instruction_index,
                     targets=targets,
-                    indirect=indirect,
+                    indirect=bool(indirect),
                 ),
-                used_mask=reader.mask(),
-                defined_mask=reader.mask(),
-                killed_mask=reader.mask(),
-                live_before_mask=reader.mask(),
-                live_after_mask=reader.mask(),
+                used_mask=used,
+                defined_mask=defined,
+                killed_mask=killed,
+                live_before_mask=live_before,
+                live_after_mask=live_after,
             )
         )
     return RoutineSummary(
@@ -357,7 +422,7 @@ def load_summaries(
 
 
 # ----------------------------------------------------------------------
-# SUM2: the incremental-analysis cache
+# SUM3: the incremental-analysis cache
 # ----------------------------------------------------------------------
 
 
@@ -380,6 +445,13 @@ class SummaryCache:
     next query skips phase 1 there; full runs consume them through
     :class:`repro.interproc.incremental._WarmEngine` like any other
     cached triple.
+
+    ``frontend_records`` are the writing run's
+    :attr:`repro.interproc.frontend.Frontend.records`: per routine,
+    what the next run needs to rebuild the call graph without that
+    routine's CFG.  Each is scoped by its own shape key, independently
+    of the summaries (a cache may hold a record for a routine whose
+    summary it dropped, and the other way round).
     """
 
     image_fingerprint: int
@@ -387,6 +459,7 @@ class SummaryCache:
     routine_fingerprints: Dict[str, int] = field(default_factory=dict)
     externally_callable: Set[str] = field(default_factory=set)
     phase1_triples: Dict[str, SummaryTriple] = field(default_factory=dict)
+    frontend_records: Dict[str, FrontendRecord] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         missing = (
@@ -398,11 +471,50 @@ class SummaryCache:
             )
 
 
+def _write_record(writer: _Writer, record: FrontendRecord) -> None:
+    parts = writer.parts
+    parts.append(
+        _RECORD_HEADER.pack(
+            record.shape_key, record.block_count, len(record.sites)
+        )
+    )
+    for block, instruction_index, indirect, constant in record.sites:
+        if constant is None:
+            flags = _SITE_INDIRECT if indirect else 0
+            parts.append(_RECORD_SITE.pack(block, instruction_index, flags))
+        else:
+            flags = _SITE_INDIRECT | _SITE_HAS_CONSTANT
+            parts.append(_RECORD_SITE.pack(block, instruction_index, flags))
+            parts.append(_I64.pack(constant))
+    count = len(record.escape_candidates)
+    parts.append(struct.pack(f"<I{count}Q", count, *record.escape_candidates))
+
+
+def _read_record(reader: _Reader) -> FrontendRecord:
+    shape_key, block_count, site_count = reader.fields(_RECORD_HEADER)
+    sites: List[RecordedSite] = []
+    for _ in range(site_count):
+        block, instruction_index, flags = reader.fields(_RECORD_SITE)
+        if flags & ~(_SITE_INDIRECT | _SITE_HAS_CONSTANT):
+            raise SummaryFormatError(f"unknown call-site flags {flags:#x}")
+        constant = reader.i64() if flags & _SITE_HAS_CONSTANT else None
+        sites.append(
+            RecordedSite(
+                block, instruction_index, bool(flags & _SITE_INDIRECT), constant
+            )
+        )
+    candidates = reader.fields(struct.Struct(f"<{reader.u32()}Q"))
+    try:
+        return FrontendRecord(shape_key, block_count, tuple(sites), candidates)
+    except ValueError as error:
+        raise SummaryFormatError(str(error)) from None
+
+
 def dump_cache(cache: SummaryCache) -> bytes:
-    """Serialize a :class:`SummaryCache` in the SUM2 format."""
+    """Serialize a :class:`SummaryCache` in the SUM3 format."""
     with span("cache.dump", routines=len(cache.result.summaries)):
         writer = _Writer()
-        writer.parts.append(MAGIC2)
+        writer.parts.append(MAGIC3)
         writer.u64(cache.image_fingerprint)
         names = sorted(cache.result.summaries)
         writer.u32(len(names))
@@ -425,15 +537,20 @@ def dump_cache(cache: SummaryCache) -> bytes:
             writer.u64(triple.may_use)
             writer.u64(triple.may_def)
             writer.u64(triple.must_def)
+        record_names = sorted(cache.frontend_records)
+        writer.u32(len(record_names))
+        for name in record_names:
+            writer.text(name)
+            _write_record(writer, cache.frontend_records[name])
         blob = writer.blob()
     REGISTRY.inc("cache.write")
     REGISTRY.inc("cache.write_bytes", len(blob))
-    _log.debug("dumped SUM2 cache: %d routines, %d bytes", len(names), len(blob))
+    _log.debug("dumped SUM3 cache: %d routines, %d bytes", len(names), len(blob))
     return blob
 
 
 def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
-    """Parse a SUM2 cache sidecar; rejects stale image fingerprints.
+    """Parse a SUM3 cache sidecar; rejects stale image fingerprints.
 
     As with :func:`load_summaries`, ``expected_fingerprint=0`` skips
     the whole-image staleness check — the incremental engine does its
@@ -441,9 +558,9 @@ def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
     for it, just a cache with some dirty entries.
     """
     with span("cache.load", bytes=len(blob)):
-        _check_header(blob, MAGIC2)
+        _check_header(blob, MAGIC3)
         reader = _Reader(blob)
-        reader.offset = len(MAGIC2)
+        reader.offset = len(MAGIC3)
         fingerprint = reader.u64()
         _check_fingerprint(fingerprint, expected_fingerprint)
         summaries: Dict[str, RoutineSummary] = {}
@@ -467,14 +584,19 @@ def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
                 may_def=reader.mask(),
                 must_def=reader.mask(),
             )
+        frontend_records: Dict[str, FrontendRecord] = {}
+        for _ in range(reader.u32()):
+            name = reader.text()
+            frontend_records[name] = _read_record(reader)
         reader.expect_end()
     REGISTRY.inc("cache.load")
     REGISTRY.inc("cache.load_bytes", len(blob))
-    _log.debug("loaded SUM2 cache: %d routines, %d bytes", len(summaries), len(blob))
+    _log.debug("loaded SUM3 cache: %d routines, %d bytes", len(summaries), len(blob))
     return SummaryCache(
         image_fingerprint=fingerprint,
         result=SummarySet(summaries=summaries),
         routine_fingerprints=routine_fingerprints,
         externally_callable=externally_callable,
         phase1_triples=phase1_triples,
+        frontend_records=frontend_records,
     )

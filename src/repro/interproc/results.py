@@ -66,8 +66,11 @@ COMMON_KEYS = (
 KIND_KEYS = {
     "serial": ("stage_seconds", "memory_bytes", "psg_nodes", "psg_edges"),
     "parallel": ("jobs", "shard_count", "routines_total", "shards"),
-    "incremental": ("mode", "phase1_solved", "phase2_solved", "dirty_routines"),
-    "query": ("routine", "summary", "mode", "phase2_solved"),
+    "incremental": (
+        "mode", "phase1_solved", "phase2_solved", "dirty_routines",
+        "cfgs_built",
+    ),
+    "query": ("routine", "summary", "mode", "phase2_solved", "cfgs_built"),
 }
 
 

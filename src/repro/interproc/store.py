@@ -1,7 +1,7 @@
 """Cross-image content-addressed summary store (separate compilation
 at fleet scale).
 
-The per-image SUM2 sidecar (``persist.py``) is keyed by
+The per-image SUM3 sidecar (``persist.py``) is keyed by
 ``image_fingerprint`` — it can warm *this* image's next solve, but it
 cannot express "this library routine is byte-identical across N linked
 builds".  This module re-keys summaries by **deep routine

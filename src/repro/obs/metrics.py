@@ -32,9 +32,13 @@ Counter inventory (see ``docs/observability.md`` for semantics):
 ``psg.builds`` / ``psg.partial_builds``  graph constructions
 ``psg.nodes`` / ``psg.flow_edges`` / ``psg.call_return_edges`` /
 ``psg.branch_nodes``             PSG sizes, summed over builds
-``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM2
+``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM3
                                  fingerprint verdicts on a run
-``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM2 cache I/O
+``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM3 cache I/O
+``frontend.record.hit`` / ``.stale`` / ``.miss``  per-routine front-end
+                                 record verdicts of a front-end build
+``cfg.built``                    CFGs constructed (``build_cfg`` calls,
+                                 worker processes included)
 ``sidecar.load`` / ``sidecar.write`` (+ ``_bytes``) SUM1 sidecar I/O
 ``store.hit`` / ``store.miss``   cross-image summary-store record
                                  lookups (a corrupt record is a miss)
@@ -93,6 +97,10 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("cache.miss", ()),
     ("cache.stale", ()),
     ("cache.write", ()),
+    ("cfg.built", ()),
+    ("frontend.record.hit", ()),
+    ("frontend.record.miss", ()),
+    ("frontend.record.stale", ()),
     ("frontend.routines", ()),
     ("query.requests", ()),
     ("query.solved", ()),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.isa.encoding import INSTRUCTION_SIZE
+from repro.isa.encoding import INSTRUCTION_SIZE, encode_stream
 from repro.isa.instructions import Instruction
 
 
@@ -38,11 +38,12 @@ class Routine:
     address: int
     instructions: Tuple[Instruction, ...]
     exported: bool = False
-    #: The slice of the image's text section this routine was decoded
-    #: from, set by the disassembler only (``None`` for a routine built
-    #: any other way; never copied by ``dataclasses.replace`` and not
-    #: part of equality).  It saves re-encoding ``instructions`` to hash
-    #: them; see :func:`repro.interproc.frontend.routine_fingerprint`.
+    #: The routine's code bytes: the slice of the image's text section
+    #: it was decoded from when the disassembler built it, else ``None``
+    #: until :meth:`code_bytes` first encodes ``instructions`` (never
+    #: copied by ``dataclasses.replace`` and not part of equality).  It
+    #: saves re-encoding ``instructions`` every time something hashes
+    #: them; see :mod:`repro.interproc.frontend`.
     code: Optional[bytes] = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -55,6 +56,13 @@ class Routine:
             raise ProgramError(
                 f"routine {self.name!r} at unaligned address {self.address:#x}"
             )
+
+    def code_bytes(self) -> bytes:
+        """The encoded instructions (the image's own bytes for a lifted
+        routine; encoded once and kept otherwise)."""
+        if self.code is None:
+            self.code = encode_stream(self.instructions)
+        return self.code
 
     @property
     def size(self) -> int:

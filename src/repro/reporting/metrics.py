@@ -129,6 +129,10 @@ class IncrementalMetrics:
     #: solved or reused from the per-image cache.
     phase1_store_hits: int = 0
     phase2_store_hits: int = 0
+    #: CFGs this run built in this process: every routine on a cold
+    #: run; on a warm one only those whose front-end record did not
+    #: apply plus those a re-solved component needed.
+    cfgs_built: int = 0
     #: stage name -> wall seconds (keys from :data:`INCREMENTAL_STAGES`).
     seconds: Dict[str, float] = field(default_factory=dict)
 
@@ -165,6 +169,7 @@ class IncrementalMetrics:
             "phase2_iterations": self.phase2_iterations,
             "phase1_store_hits": self.phase1_store_hits,
             "phase2_store_hits": self.phase2_store_hits,
+            "cfgs_built": self.cfgs_built,
             "seconds": dict(self.seconds),
             "total_seconds": self.total_seconds,
         }
@@ -190,6 +195,7 @@ class IncrementalMetrics:
             f"(reused {self.phase2_reused}, "
             f"{self.phase2_sccs_solved} SCCs, "
             f"{self.phase2_iterations} iterations)",
+            f"cfgs built:         {self.cfgs_built}",
             f"total time:         {self.total_seconds:.3f} s",
         ]
         if self.phase1_store_hits or self.phase2_store_hits:

@@ -2,7 +2,7 @@
 
 One :class:`~repro.api.AnalysisSession` is retained per
 ``(tenant, image-fingerprint)`` pair, together with its most recent
-schema-1 payload and its SUM2 warm-start cache.  A repeated request for
+schema-1 payload and its SUM3 warm-start cache.  A repeated request for
 an unchanged image is answered from the retained payload without
 touching the front end or the solver — that is the daemon's whole
 reason to exist (cold gcc-shape analysis is front-end dominated; see
@@ -17,7 +17,7 @@ to compute.
 Tenants are namespaces: the same image posted under two tenants gets
 two independent entries (and two sidecar files), so one tenant's
 traffic can neither warm nor evict-probe another's.  When a cache
-directory is configured, each entry's SUM2 cache is persisted to
+directory is configured, each entry's SUM3 cache is persisted to
 ``<cache_dir>/<tenant>/<fingerprint>.sum2`` and reloaded on the next
 daemon start, so edit requests warm-start across restarts.
 """
@@ -81,7 +81,7 @@ class SessionEntry:
     #: The schema-1 payload of the last full analyze (no edit), served
     #: verbatim to warm repeats.
     payload: Optional[Dict[str, object]] = None
-    #: SUM2 warm-start state for edit requests.
+    #: SUM3 warm-start state for edit requests.
     cache: Optional[SummaryCache] = None
     cache_nbytes: int = 0
     hits: int = 0
@@ -156,7 +156,7 @@ class SessionRegistry:
         return entry
 
     def note_cache(self, entry: SessionEntry, cache: SummaryCache) -> None:
-        """Record an entry's refreshed SUM2 cache (and persist it)."""
+        """Record an entry's refreshed SUM3 cache (and persist it)."""
         blob = dump_cache(cache)
         with self._lock:
             entry.cache = cache

@@ -248,7 +248,7 @@ def record_edit_trace(
 class EditReplayEngine(ReqGenEngine):
     """Replay a recorded edit trace over one image.
 
-    The first request is a plain analyze (the base the SUM2 cache seeds
+    The first request is a plain analyze (the base the SUM3 cache seeds
     from); each subsequent request re-analyzes with the traced routine
     perturbed — the daemon's incremental warm-start path under a
     realistic edit stream.

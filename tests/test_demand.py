@@ -12,7 +12,7 @@ The contract under test (see :mod:`repro.interproc.demand`):
   including under the structural-edit shapes (dropped and retargeted
   calls) that retract dependencies without dirtying the affected
   routine;
-* the cache round-trips through the SUM2 wire format, phase-1-only
+* the cache round-trips through the SUM3 wire format, phase-1-only
   triple entries included.
 """
 
@@ -94,7 +94,7 @@ class TestQueryMatchesExhaustive:
             result = query_routine(program, name, cache=cache)
             cache = result.cache
             assert _canon(result.summary) == _canon(full[name]), name
-        # Round-trip through the SUM2 wire format, as a sidecar would.
+        # Round-trip through the SUM3 wire format, as a sidecar would.
         cache = load_cache(dump_cache(cache))
         for name in sorted(full):
             result = query_routine(program, name, cache=cache)

@@ -360,15 +360,17 @@ def _deep(program):
 
 @pytest.fixture()
 def fingerprint_calls(monkeypatch):
-    """Names passed to ``routine_fingerprint``, in call order."""
+    """Names of the routines fingerprinted, in call order (``_fingerprint``
+    is the one hash both ``routine_fingerprint`` and
+    ``Frontend.fingerprints`` go through)."""
     calls = []
-    real = frontend_module.routine_fingerprint
+    real = frontend_module._fingerprint
 
-    def counting(routine, cfg):
+    def counting(routine, multiway, sites):
         calls.append(routine.name)
-        return real(routine, cfg)
+        return real(routine, multiway, sites)
 
-    monkeypatch.setattr(frontend_module, "routine_fingerprint", counting)
+    monkeypatch.setattr(frontend_module, "_fingerprint", counting)
     return calls
 
 

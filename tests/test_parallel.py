@@ -6,7 +6,7 @@ worker count and any shard count the parallel solver's summaries are
 callee entry triples (phase 1) and seed caller-side exit liveness
 (phase 2), so each shard reproduces exactly its slice of the global
 fixed point; the tests check the merge against the serial oracle via
-the canonical SUM2 wire encoding.
+the canonical SUM3 wire encoding.
 """
 
 import multiprocessing
@@ -15,8 +15,7 @@ import os
 import pytest
 
 import repro.interproc.parallel as parallel_mod
-from repro.cfg.build import build_all_cfgs
-from repro.cfg.callgraph import build_call_graph
+from repro.interproc.frontend import build_frontend
 from repro.interproc import (
     AnalysisError,
     analyze_incremental_parallel,
@@ -30,7 +29,6 @@ from repro.interproc.incremental import _analyze_incremental
 from repro.interproc.parallel import (
     SHARDS_PER_WORKER,
     resolve_jobs,
-    shard_cost_heuristic,
 )
 from repro.workloads.generator import GeneratorConfig, generate_benchmark
 from repro.workloads.mutate import first_editable_routine, perturb_routine
@@ -172,11 +170,10 @@ class TestPartitioner:
     @pytest.fixture(scope="class")
     def plan_and_condensation(self):
         program = _program("vortex")
-        cfgs = build_all_cfgs(program)
-        call_graph = build_call_graph(program, cfgs)
-        condensation = call_graph.condensation()
+        frontend = build_frontend(program)
+        condensation = frontend.condensation
         plan = condensation.partition_shards(
-            shard_cost_heuristic(cfgs), max_shards=4
+            frontend.block_counts, max_shards=4
         )
         return plan, condensation
 

@@ -1,6 +1,9 @@
 """Robustness and round-trip properties of the summary sidecar formats.
 
-Three layers of guarantees for ``SUM1`` and ``SUM2``:
+Three layers of guarantees for ``SUM1`` and the incremental cache
+(``SUM3``; the fixtures and tests below still say ``sum2``, the name of
+the format family and of the sidecar file), front-end record section
+included:
 
 * **truncation fuzz** — a valid blob cut at *every* byte offset raises
   :class:`SummaryFormatError`; no ``struct.error``, ``IndexError`` or
@@ -15,12 +18,14 @@ Three layers of guarantees for ``SUM1`` and ``SUM2``:
   fingerprints.
 """
 
+import dataclasses
+import struct
 import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cfg.cfg import CallSite, ExitKind
+from repro.cfg.cfg import CallSite, ExitKind, FrontendRecord, RecordedSite
 from repro.dataflow.regset import FULL_MASK, TRACKED_MASK
 from tests.facade import analyze_program
 from repro.interproc.persist import (
@@ -107,11 +112,112 @@ class TestTruncationFuzz:
                 )
         assert saw_flag_error
 
+    def test_record_section_every_prefix(self):
+        # One record of every wire shape: direct, indirect without and
+        # with a (negative, huge) constant, no sites, many candidates.
+        blob = dump_cache(_RECORDS_ONLY)
+        assert load_cache(blob) == _RECORDS_ONLY
+        empty = dump_cache(dataclasses.replace(_RECORDS_ONLY, frontend_records={}))
+        assert len(blob) > len(empty)
+        _assert_all_prefixes_rejected(blob, load_cache)
+        with pytest.raises(SummaryFormatError, match="trailing"):
+            load_cache(blob + b"\x00")
+
+    def test_record_section_survives_every_byte_flip(self):
+        blob = dump_cache(_RECORDS_ONLY)
+        section = len(blob) - len(
+            dump_cache(dataclasses.replace(_RECORDS_ONLY, frontend_records={}))
+        )
+        for index in range(len(blob) - section - 4, len(blob)):
+            for bit in (0x01, 0x80):
+                mutated = bytearray(blob)
+                mutated[index] ^= bit
+                try:
+                    load_cache(bytes(mutated))
+                except SummaryFormatError:
+                    pass
+                except Exception as error:  # pragma: no cover
+                    pytest.fail(
+                        f"byte {index} ^ {bit:#x} leaked "
+                        f"{type(error).__name__}: {error}"
+                    )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # shape key | block count | site count | sites | candidates
+            (struct.pack("<QII", 1, 0, 0) + struct.pack("<I", 0), "no blocks"),
+            (
+                struct.pack("<QII", 1, 4, 1)
+                + struct.pack("<IIB", 3, 9, 0) + struct.pack("<I", 0),
+                "outside its blocks",
+            ),
+            (
+                struct.pack("<QII", 1, 9, 2)
+                + struct.pack("<IIB", 2, 9, 0) + struct.pack("<IIB", 2, 11, 1)
+                + struct.pack("<I", 0),
+                "out of order",
+            ),
+            (
+                struct.pack("<QII", 1, 9, 1)
+                + struct.pack("<IIB", 5, 3, 1) + struct.pack("<I", 0),
+                "out of order",
+            ),
+            (
+                struct.pack("<QII", 1, 9, 1)
+                + struct.pack("<IIBq", 2, 9, 2, 64) + struct.pack("<I", 0),
+                "constant on a direct call",
+            ),
+            (
+                struct.pack("<QII", 1, 9, 1)
+                + struct.pack("<IIB", 2, 9, 4) + struct.pack("<I", 0),
+                "call-site flags",
+            ),
+            (
+                struct.pack("<QII", 1, 9, 0) + struct.pack("<I", 0xFFFFFFFF),
+                "truncated",
+            ),
+            (struct.pack("<QII", 1, 9, 0xFFFFFFFF), "truncated"),
+        ],
+    )
+    def test_malformed_records_are_format_errors(self, body, message):
+        empty = dump_cache(
+            SummaryCache(image_fingerprint=1, result=SummarySet(summaries={}))
+        )
+        assert empty.endswith(struct.pack("<I", 0))
+        blob = (
+            empty[:-4] + struct.pack("<I", 1)
+            + struct.pack("<H", 1) + b"f" + body
+        )
+        with pytest.raises(SummaryFormatError, match=message):
+            load_cache(blob)
+
     def test_wrong_magic_each_format(self, sum1_blob, sum2_blob):
         with pytest.raises(SummaryFormatError, match="magic"):
             load_cache(sum1_blob)
         with pytest.raises(SummaryFormatError, match="magic"):
             load_summaries(sum2_blob)
+
+
+_RECORDS_ONLY = SummaryCache(
+    image_fingerprint=7,
+    result=SummarySet(summaries={}),
+    frontend_records={
+        "leaf": FrontendRecord(2**64 - 1, 1, (), ()),
+        "caller": FrontendRecord(
+            shape_key=0x1234,
+            block_count=40,
+            sites=(
+                RecordedSite(0, 3, False),
+                RecordedSite(2, 9, True),
+                RecordedSite(5, 17, True, 0x12_0000_4000),
+                RecordedSite(6, 18, True, -8),
+                RecordedSite(38, 2**32 - 1, True, -(2**63)),
+            ),
+            escape_candidates=(0, 4, 0x4000, 2**64 - 4),
+        ),
+    },
+)
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +290,29 @@ def _analysis_results(draw):
 
 
 @st.composite
+def _frontend_records(draw):
+    sites = []
+    block = index = -1
+    for _ in range(draw(st.integers(0, 4))):
+        block += draw(st.integers(1, 3))
+        index = max(index + 1, block) + draw(st.integers(0, 5))
+        indirect = draw(st.booleans())
+        constant = (
+            draw(st.none() | st.integers(-(2**63), 2**63 - 1))
+            if indirect else None
+        )
+        sites.append(RecordedSite(block, index, indirect, constant))
+    return FrontendRecord(
+        shape_key=draw(st.integers(0, 2**64 - 1)),
+        block_count=block + 2 + draw(st.integers(0, 3)),
+        sites=tuple(sites),
+        escape_candidates=tuple(
+            sorted(draw(st.sets(st.integers(0, 2**64 - 1), max_size=4)))
+        ),
+    )
+
+
+@st.composite
 def _summary_caches(draw):
     result = draw(_analysis_results())
     names = sorted(result.summaries)
@@ -198,6 +327,10 @@ def _summary_caches(draw):
         },
         externally_callable=set(
             draw(st.lists(st.sampled_from(names), max_size=4)) if names else []
+        ),
+        # Keyed independently of the summaries: any routine name.
+        frontend_records=draw(
+            st.dictionaries(_NAMES, _frontend_records(), max_size=3)
         ),
     )
 
