@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, metavar="STRATEGY",
         help=(
             "flow-summary labeling strategy: batched (default; one "
-            "region pass per routine), per-target (one worklist solve "
+            "sweep per routine labels every target), per-target (one solve "
             "per PSG target), or per-edge (the paper's literal Figure-6 "
             "formulation; slowest).  All three produce identical labels"
         ),

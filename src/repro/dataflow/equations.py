@@ -29,13 +29,21 @@ After convergence the edge is labeled with the IN sets at X's start
 block(s); a source with several start blocks (a branch node fans out to
 many targets) combines them with ∪ for the MAY sets and ∩ for
 MUST-DEF.
+
+Two implementations live here.  :func:`solve_summary_subgraph` is the
+equations as written, one worklist problem over one subgraph; the
+``per-target`` and ``per-edge`` reference strategies of
+:mod:`repro.psg.build` call it once per target or per edge.
+:func:`sweep_targets`, the default, labels all T targets of a routine
+in one successors-first pass instead of walking T overlapping regions;
+its docstring says why the labels cannot differ.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.dataflow.local import LocalSets
 from repro.dataflow.regset import RegisterSet, TRACKED_MASK
@@ -159,273 +167,217 @@ def label_from_starts(
     return SummaryTriple(may_use=may_use, may_def=may_def, must_def=must_def)
 
 
-#: Interned SummaryTriple instances, keyed by raw masks.  Distinct
-#: triples per program are few (labels repeat heavily across edges), so
-#: the cache stays small; it is process-wide and never evicted.
-_TRIPLE_CACHE: Dict[Triple, SummaryTriple] = {}
-
-
-def intern_triple(may_use: int, may_def: int, must_def: int) -> SummaryTriple:
-    """The canonical :class:`SummaryTriple` for three masks."""
-    key = (may_use, may_def, must_def)
-    triple = _TRIPLE_CACHE.get(key)
-    if triple is None:
-        triple = SummaryTriple(may_use, may_def, must_def)
-        _TRIPLE_CACHE[key] = triple
-    return triple
-
-
-def _tarjan_sccs(successors: Sequence[Sequence[int]]) -> List[int]:
+def _tarjan_sccs(successors: Sequence[Sequence[int]]) -> List[List[int]]:
     """Strongly connected components of a dense digraph (iterative).
 
-    Returns ``comp_of`` mapping every node to its component id, with
-    ids assigned in Tarjan emission order — a component is numbered
-    only after every component reachable from it.  Ascending component
-    id is therefore a successors-first (reverse topological) order,
-    exactly the order a backward dataflow pass wants.
+    Components come in Tarjan emission order — a component is emitted
+    only after every component reachable from it — which is a
+    successors-first (reverse topological) order, exactly the order a
+    backward dataflow pass wants.
     """
     n = len(successors)
     index_of = [0] * n  # 0 = unvisited (indices start at 1)
     lowlink = [0] * n
     on_stack = bytearray(n)
     scc_stack: List[int] = []
-    comp_of = [-1] * n
+    components: List[List[int]] = []
     counter = 1
-    comps = 0
     for root in range(n):
         if index_of[root]:
             continue
-        work: List[Tuple[int, int]] = [(root, 0)]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        scc_stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(successors[root]))]
         while work:
-            node, child_pos = work[-1]
-            if child_pos == 0:
-                index_of[node] = lowlink[node] = counter
-                counter += 1
-                scc_stack.append(node)
-                on_stack[node] = 1
-            descended = False
-            children = successors[node]
-            while child_pos < len(children):
-                child = children[child_pos]
-                child_pos += 1
+            node, children = work[-1]
+            for child in children:
                 if not index_of[child]:
-                    work[-1] = (node, child_pos)
-                    work.append((child, 0))
-                    descended = True
+                    index_of[child] = lowlink[child] = counter
+                    counter += 1
+                    scc_stack.append(child)
+                    on_stack[child] = 1
+                    work.append((child, iter(successors[child])))
                     break
                 if on_stack[child] and index_of[child] < lowlink[node]:
                     lowlink[node] = index_of[child]
-            if descended:
-                continue
-            work.pop()
-            if lowlink[node] == index_of[node]:
-                while True:
-                    member = scc_stack.pop()
-                    on_stack[member] = 0
-                    comp_of[member] = comps
-                    if member == node:
-                        break
-                comps += 1
-            if work:
-                parent = work[-1][0]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
-    return comp_of
+            else:
+                work.pop()
+                low = lowlink[node]
+                if low == index_of[node]:
+                    members = [scc_stack.pop()]
+                    while members[-1] != node:
+                        members.append(scc_stack.pop())
+                    for member in members:
+                        on_stack[member] = 0
+                    components.append(members)
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+    return components
 
 
-class BatchedLabeler:
-    """Per-routine batched Figure-6 solver shared across all targets.
+#: One block's answer for every target it reaches: target block ->
+#: converged IN triple.  Maps are shared between blocks (a one-successor
+#: block with no defs *is* its successor's view), so never mutated.
+TargetMap = Dict[int, Triple]
 
-    The per-target strategy rebuilds the whole dataflow problem — dense
-    remapping, edge list, solver, traversal order — once per target, so
-    a routine with T targets re-applies every shared block's transfer
-    up to T times with fresh allocations each time.  This class builds
-    the boundary-cut graph structure *once* per routine:
+_NO_TARGETS: TargetMap = {}
 
-    * cut successor/predecessor lists (a blocked block's outgoing arcs
-      are removed, exactly the ``blocked`` semantics of
-      :func:`solve_summary_subgraph`);
-    * per-block UBD/DEF masks;
-    * a Tarjan SCC decomposition of the cut graph whose component ids
-      ascend in successors-first order.
 
-    Each target's region (``backward_reachable(target)`` on the cut
-    graph) is then solved in a single bottom-up sweep: components are
-    visited in ascending id order, so every in-region successor of a
-    block is final before the block's own transfer runs.  Acyclic
-    components (a lone block with no self-loop) take exactly one
-    transfer application; only components that actually contain a cycle
-    fall back to a local worklist.  A single-entry per-block memo
-    reuses the transfer result when an overlapping target produces the
-    same OUT triple, which is the common case for shared suffixes.
+def meet_target_maps(maps: Sequence[TargetMap], blocks: Sequence[int]) -> TargetMap:
+    """Per-target ∪/∪/∩ of the maps at ``blocks``.
 
-    **Equivalence.** The Figure-6 system splits into three independent
-    problems: MAY-USE and MAY-DEF are least fixed points from ∅ under
-    ∪-combine, MUST-DEF is a greatest fixed point from ⊤ under
-    ∩-combine (see the module docstring for the ⊤ initialization).
-    Each has a *unique* lfp/gfp for a given boundary, and hierarchical
-    iteration — solving downstream SCCs to completion before upstream
-    ones — computes exactly that fixed point, so the batched labels are
-    bit-identical to the per-target and per-edge strategies (the
-    labeling-equivalence tests gate this).
+    A target missing from one map is simply not reached from that
+    block, so it is skipped there — the "successors inside the region"
+    of the per-target formulation.  Used for a block's cut successors
+    and for the start blocks of an edge source alike.
     """
+    if len(blocks) == 1:
+        return maps[blocks[0]]
+    out = _NO_TARGETS
+    owned = False
+    for block in blocks:
+        other = maps[block]
+        if not other or other is out:
+            continue
+        if not out:
+            out = other
+            continue
+        if not owned:
+            out = dict(out)
+            owned = True
+        for target, triple in other.items():
+            current = out.get(target)
+            if current is None:
+                out[target] = triple
+            elif current is not triple:
+                out[target] = (
+                    current[0] | triple[0],
+                    current[1] | triple[1],
+                    current[2] & triple[2],
+                )
+    return out
 
-    def __init__(
-        self,
-        blocks: Sequence[BasicBlock],
-        local_sets: Sequence[LocalSets],
-        blocked: Set[int],
-    ) -> None:
-        n = len(blocks)
-        cut_succ: List[List[int]] = []
-        for index in range(n):
-            if index in blocked:
-                cut_succ.append([])
+
+def sweep_targets(
+    blocks: Sequence[BasicBlock],
+    local_sets: Sequence[LocalSets],
+    blocked: Set[int],
+    targets: Set[int],
+) -> Tuple[List[TargetMap], int]:
+    """Label every target of one routine in a single backward sweep.
+
+    ``targets`` are the blocks flow-summary edges end at (exit, call
+    and branch-node blocks).  Each is a *sink* of the boundary-cut graph
+    — an exit has no successors, a blocked block's outgoing arcs are
+    cut — so the Figure-6 boundary ∅ applies at the targets and nowhere
+    else.  Returns, per block ``b``, a map from every target ``t`` that
+    ``b`` reaches to the converged IN triple at ``b`` of the subgraph
+    ``backward_reachable(t)`` (a block that reaches no target — a
+    non-target sink, a boundary-free loop — gets the empty map), and
+    the number of map entries written: the sweep's unit of work,
+    ``psg.label.visits``.
+
+    The cut graph's SCCs are visited successors-first, so a block's
+    out-of-component successors are final before its own transfer
+    runs.  An acyclic component (a lone block without a self-loop)
+    takes one transfer per target it reaches; a component that carries
+    a cycle iterates on a local worklist seeded at ⊥/⊥/⊤ over the
+    targets the component reaches.
+
+    **Equivalence.** For a fixed target the Figure-6 system is three
+    independent problems (two lfps from ∅ under ∪, one gfp from ⊤ under
+    ∩), each with a *unique* solution for a given boundary.  Entry
+    ``t`` of the maps obeys exactly the equations
+    :func:`solve_summary_subgraph` solves over ``backward_reachable(t)``
+    — a successor outside that region is one whose map lacks ``t`` —
+    and solving downstream components before upstream ones reaches
+    that solution, so the labels are bit-identical to the reference
+    strategies' (docs/performance.md has the full argument).
+    """
+    n = len(blocks)
+    cut_succ: List[Sequence[int]] = [
+        () if index in blocked else blocks[index].successors
+        for index in range(n)
+    ]
+    maps: List[TargetMap] = [_NO_TARGETS] * n
+    visits = 0
+    for members in _tarjan_sccs(cut_succ):
+        block = members[0]
+        succs = cut_succ[block]
+        if len(members) > 1 or block in succs:
+            visits += _solve_cyclic(members, cut_succ, local_sets, maps)
+            continue
+        if block in targets:
+            assert not succs, "a flow-summary target must be a cut-graph sink"
+            out = {block: _BOUNDARY}
+        else:
+            out = meet_target_maps(maps, succs)
+        if out:
+            sets = local_sets[block]
+            maps[block] = _transfer(out, sets.ubd_mask, sets.def_mask)
+            visits += len(out)
+    return maps, visits
+
+
+def _transfer(out: TargetMap, ubd: int, block_def: int) -> TargetMap:
+    """OUT map -> IN map of one block (the Figure-6 transfer)."""
+    if not ubd and not block_def:
+        return out
+    keep = ~block_def
+    return {
+        target: (
+            ubd | (triple[0] & keep),
+            triple[1] | block_def,
+            triple[2] | block_def,
+        )
+        for target, triple in out.items()
+    }
+
+
+def _solve_cyclic(
+    members: List[int],
+    cut_succ: Sequence[Sequence[int]],
+    local_sets: Sequence[LocalSets],
+    maps: List[TargetMap],
+) -> int:
+    """Iterate one cyclic component to its (unique) fixed point;
+    returns the map entries written.  Every member reaches every target
+    any member reaches, so all share one key set: the targets of the
+    component's out-of-component successors, which are final already.
+    """
+    in_comp = set(members)
+    reached: TargetMap = {}
+    preds: Dict[int, List[int]] = {block: [] for block in members}
+    for block in members:
+        for successor in cut_succ[block]:
+            if successor in in_comp:
+                preds[successor].append(block)
             else:
-                cut_succ.append(list(blocks[index].successors))
-        cut_pred: List[List[int]] = [[] for _ in range(n)]
-        for index, succs in enumerate(cut_succ):
-            for successor in succs:
-                cut_pred[successor].append(index)
-        self._cut_succ = cut_succ
-        self._cut_pred = cut_pred
-        self._ubd = [local_sets[index].ubd_mask for index in range(n)]
-        self._defs = [local_sets[index].def_mask for index in range(n)]
-        self._comp_of = _tarjan_sccs(cut_succ)
-        self._self_loop = bytearray(n)
-        for index, succs in enumerate(cut_succ):
-            if index in succs:
-                self._self_loop[index] = 1
-        # Single-entry transfer memo: the last (OUT, IN) pair per block,
-        # shared across the targets whose regions overlap.
-        self._last_out: List[Optional[Triple]] = [None] * n
-        self._last_in: List[Optional[Triple]] = [None] * n
-
-    def region(self, target: int) -> Set[int]:
-        """Blocks on some path to ``target`` in the cut graph.
-
-        Identical to ``backward_reachable(blocks, target, blocked)``:
-        blocked blocks have no outgoing cut arcs, so they never appear
-        as predecessors; the target itself is always a member.
-        """
-        pred = self._cut_pred
-        reached = {target}
-        stack = [target]
-        while stack:
-            block = stack.pop()
-            for p in pred[block]:
-                if p not in reached:
-                    reached.add(p)
-                    stack.append(p)
-        return reached
-
-    def solve(self, region: Set[int]) -> Dict[int, Triple]:
-        """Converged IN triples for every block of one target's region.
-
-        The region's only successor-less member is the target (every
-        other member lies on a path to it), so the ∅ boundary emerges
-        exactly where :func:`solve_summary_subgraph` applies it.
-        """
-        comp_of = self._comp_of
-        buckets: Dict[int, List[int]] = {}
-        for block in region:
-            buckets.setdefault(comp_of[block], []).append(block)
-        states: Dict[int, Triple] = {}
-        cut_succ = self._cut_succ
-        ubd = self._ubd
-        defs = self._defs
-        last_out = self._last_out
-        last_in = self._last_in
-        for comp_id in sorted(buckets):
-            members = buckets[comp_id]
-            if len(members) == 1 and not self._self_loop[members[0]]:
-                # Acyclic within the region: one transfer application.
-                block = members[0]
-                out: Optional[Triple] = None
-                for successor in cut_succ[block]:
-                    succ_state = states.get(successor)
-                    if succ_state is None:
-                        continue
-                    if out is None:
-                        out = succ_state
-                    else:
-                        out = (
-                            out[0] | succ_state[0],
-                            out[1] | succ_state[1],
-                            out[2] & succ_state[2],
-                        )
-                if out is None:
-                    out = _BOUNDARY
-                if out == last_out[block]:
-                    states[block] = last_in[block]  # type: ignore[assignment]
-                else:
-                    block_def = defs[block]
-                    value = (
-                        ubd[block] | (out[0] & ~block_def),
-                        out[1] | block_def,
-                        out[2] | block_def,
-                    )
-                    last_out[block] = out
-                    last_in[block] = value
-                    states[block] = value
-            else:
-                # The component carries a cycle: local worklist.  The
-                # fixed point is unique, so iteration order only
-                # affects convergence speed, not the answer.
-                for block in members:
-                    states[block] = _INTERIOR
-                in_comp = set(members)
-                queue = deque(members)
-                queued = set(members)
-                while queue:
-                    block = queue.popleft()
-                    queued.discard(block)
-                    out = None
-                    for successor in cut_succ[block]:
-                        succ_state = states.get(successor)
-                        if succ_state is None:
-                            continue
-                        if out is None:
-                            out = succ_state
-                        else:
-                            out = (
-                                out[0] | succ_state[0],
-                                out[1] | succ_state[1],
-                                out[2] & succ_state[2],
-                            )
-                    if out is None:
-                        out = _BOUNDARY
-                    block_def = defs[block]
-                    value = (
-                        ubd[block] | (out[0] & ~block_def),
-                        out[1] | block_def,
-                        out[2] | block_def,
-                    )
-                    if value != states[block]:
-                        states[block] = value
-                        for p in self._cut_pred[block]:
-                            if p in in_comp and p not in queued:
-                                queued.add(p)
-                                queue.append(p)
-        return states
-
-    @staticmethod
-    def label(solution: Dict[int, Triple], starts: Sequence[int]) -> SummaryTriple:
-        """Interned label from the IN triples at the start blocks.
-
-        Same combine as :func:`label_from_starts` (∪ for MAY sets, ∩
-        for MUST-DEF over the fan-out), operating on raw triples.
-        """
-        may_use = 0
-        may_def = 0
-        must_def = -1
-        for start in starts:
-            triple = solution.get(start)
-            if triple is None:
-                continue
-            may_use |= triple[0]
-            may_def |= triple[1]
-            must_def &= triple[2]
-        if must_def == -1:
-            return intern_triple(0, 0, 0)
-        return intern_triple(may_use, may_def, must_def)
+                reached.update(maps[successor])
+    if not reached:
+        return 0  # a boundary-free loop: the caller reports it
+    seed = dict.fromkeys(reached, _INTERIOR)
+    for block in members:
+        maps[block] = seed
+    visits = 0
+    queue = deque(members)
+    queued = set(members)
+    while queue:
+        block = queue.popleft()
+        queued.discard(block)
+        sets = local_sets[block]
+        value = _transfer(
+            meet_target_maps(maps, cut_succ[block]), sets.ubd_mask, sets.def_mask
+        )
+        if value != maps[block]:
+            maps[block] = value
+            visits += len(value)
+            for predecessor in preds[block]:
+                if predecessor not in queued:
+                    queued.add(predecessor)
+                    queue.append(predecessor)
+    return visits

@@ -14,7 +14,8 @@ boundaries; it supports the full set algebra via operators.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Union
+from functools import lru_cache
+from typing import FrozenSet, Iterable, Iterator, List, Tuple, Union
 
 from repro.isa.registers import (
     ALL_REGISTERS,
@@ -58,6 +59,16 @@ def iter_mask(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=4096)
+def sorted_names(mask: int) -> Tuple[str, ...]:
+    """Sorted member names of ``mask``, as JSON shows a register set.
+    Memoized: a payload renders the same few hundred masks thousands of
+    times (callers copy the tuple into a fresh list)."""
+    if not 0 <= mask <= FULL_MASK:
+        raise ValueError(f"mask {mask:#x} exceeds the register file")
+    return tuple(sorted(ALL_REGISTERS[index].name for index in iter_mask(mask)))
 
 
 # Every RegisterSet construction (including the one behind each set

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from repro.dataflow.liveness import SiteEffect
-from repro.dataflow.regset import RegisterSet
+from repro.dataflow.regset import RegisterSet, sorted_names
 from repro.cfg.cfg import CallSite, ExitKind
 
 
@@ -151,12 +151,12 @@ class RoutineSummary:
         """
         return {
             "routine": self.name,
-            "call_used": sorted(self.call_used.names()),
-            "call_defined": sorted(self.call_defined.names()),
-            "call_killed": sorted(self.call_killed.names()),
-            "live_at_entry": sorted(self.live_at_entry.names()),
+            "call_used": list(sorted_names(self.call_used_mask)),
+            "call_defined": list(sorted_names(self.call_defined_mask)),
+            "call_killed": list(sorted_names(self.call_killed_mask)),
+            "live_at_entry": list(sorted_names(self.live_at_entry_mask)),
             "live_at_exit": {
-                str(block): sorted(RegisterSet.from_mask(mask).names())
+                str(block): list(sorted_names(mask))
                 for block, mask in sorted(self.exit_live_masks.items())
             },
         }

@@ -91,7 +91,8 @@ class Register:
     @property
     def name(self) -> str:
         """The conventional software name (falls back to hardware name)."""
-        return _SOFTWARE_NAMES.get(self.index, self.hardware_name)
+        name = _SOFTWARE_NAMES.get(self.index)
+        return self.hardware_name if name is None else name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Register({self.name})"

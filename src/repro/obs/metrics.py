@@ -32,6 +32,9 @@ Counter inventory (see ``docs/observability.md`` for semantics):
 ``psg.builds`` / ``psg.partial_builds``  graph constructions
 ``psg.nodes`` / ``psg.flow_edges`` / ``psg.call_return_edges`` /
 ``psg.branch_nodes``             PSG sizes, summed over builds
+``psg.label.visits`` / ``psg.label.pairs``  the one-sweep labeler's
+                                 work: map entries written, (source,
+                                 target) pairs read (= edges emitted)
 ``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM3
                                  fingerprint verdicts on a run
 ``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM3 cache I/O

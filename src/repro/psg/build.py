@@ -8,8 +8,8 @@ control-flow path exists between their locations that does not pass
 through another boundary, and each edge is labeled by running the
 Figure-6 equations over the CFG subgraph its paths cover.
 
-Three labeling strategies are provided (all produce bit-identical
-labels; the test suite asserts this):
+Three labeling strategies produce the same edges, with bit-identical
+labels, in the same order (the test suite asserts all three):
 
 * ``per_edge_labeling=True`` — the paper's literal procedure: carve the
   subgraph ``forward(src) ∩ backward(dst)`` and solve it, once per
@@ -18,14 +18,22 @@ labels; the test suite asserts this):
   ``backward(dst)`` and read the converged IN sets at each source's
   start blocks.  Because a backward solution at a block only depends on
   blocks it reaches, the labels are identical; it is simply cheaper.
-* ``labeling="batched"`` (default) — build the boundary-cut region
-  structure once per routine (:class:`~repro.dataflow.equations.
-  BatchedLabeler`), topologically order its SCCs, and solve each
-  target's region in one successors-first sweep, falling back to a
-  worklist only inside components that actually contain a cycle.
-  Shared blocks reuse their last transfer result across overlapping
-  targets and labels are interned, which is what makes PSG build — the
-  dominant cold-analysis stage (Figure 13) — cheap on a Python host.
+* ``labeling="batched"`` (default) — label *every* target of the
+  routine in one successors-first sweep of the boundary-cut graph
+  (:func:`~repro.dataflow.equations.sweep_targets`): every target is a
+  sink of that graph, so each block carries a map from the targets it
+  reaches to its converged triple for each.  Edges are then read off
+  the maps at each source's start blocks — work proportional to the
+  edges produced, not to sources × targets — and emitted grouped by
+  target, sources in order, as the other two emit them (the order
+  decides the solvers' visit counts).
+
+The first two are the oracles the third is tested against.
+Construction itself is kept cheap too: nodes and edges are built
+positionally, flow adjacency is filled as edges are appended, labels
+are interned in a table the build owns (:class:`PsgAssembly`), and the
+graph's ``check()`` — still run on every build — tests each distinct
+label once.
 """
 
 from __future__ import annotations
@@ -39,38 +47,29 @@ from repro.obs.tracer import span
 
 from repro.isa.calling_convention import CallingConvention, NT_ALPHA
 from repro.dataflow.equations import (
-    BatchedLabeler,
     SummaryTriple,
+    Triple,
     label_from_starts,
+    meet_target_maps,
     solve_summary_subgraph,
+    sweep_targets,
 )
 from repro.dataflow.local import LocalSets
 from repro.dataflow.regset import mask_of
 from repro.program.model import Program
-from repro.cfg.cfg import ControlFlowGraph, TerminatorKind
+from repro.cfg.cfg import (
+    BasicBlock,
+    CallSite,
+    ControlFlowGraph,
+    ExitKind,
+    TerminatorKind,
+)
 from repro.cfg.subgraph import backward_reachable, forward_reachable
 from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
 from repro.psg.nodes import CallReturnEdge, FlowEdge, NodeKind, PSGNode
 
 
 _log = logging.getLogger(__name__)
-
-
-def _count_build(psg: ProgramSummaryGraph, partial: bool) -> None:
-    """Record one PSG construction's sizes in the obs registry.
-
-    Partial builds (incremental cones, parallel shards) add into the
-    same size counters — the totals then read as "PSG construction work
-    performed this run", which is the Table-5 quantity that matters.
-    """
-    branch_nodes = sum(
-        len(routine.branch_nodes) for routine in psg.routines.values()
-    )
-    REGISTRY.inc("psg.partial_builds" if partial else "psg.builds")
-    REGISTRY.inc("psg.nodes", len(psg.nodes))
-    REGISTRY.inc("psg.flow_edges", len(psg.flow_edges))
-    REGISTRY.inc("psg.call_return_edges", len(psg.call_return_edges))
-    REGISTRY.inc("psg.branch_nodes", branch_nodes)
 
 
 class PsgBuildError(ValueError):
@@ -111,6 +110,10 @@ class PsgConfig:
             )
 
 
+#: The label of a resolved call-return edge until phase 1 writes it.
+_UNLABELED = SummaryTriple()
+
+
 def unknown_call_label(convention: CallingConvention) -> SummaryTriple:
     """The §3.5 calling-standard label for unknown-target calls."""
     return SummaryTriple(
@@ -118,6 +121,73 @@ def unknown_call_label(convention: CallingConvention) -> SummaryTriple:
         may_def=mask_of(convention.unknown_call_killed()),
         must_def=mask_of(convention.unknown_call_defined()),
     )
+
+
+class PsgAssembly:
+    """The lists one build fills and :class:`ProgramSummaryGraph` adopts.
+
+    Flow adjacency is filled as edges are appended, and labels are
+    interned in a table the build owns: equal triples share one
+    :class:`SummaryTriple` across the graph (labels repeat heavily),
+    and the table dies with the build.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: List[PSGNode] = []
+        self.flow_edges: List[FlowEdge] = []
+        self.call_return_edges: List[CallReturnEdge] = []
+        self.flow_out: List[List[int]] = []
+        self.flow_in: List[List[int]] = []
+        self.routines: Dict[str, RoutinePSG] = {}
+        self.interned: Dict[Triple, SummaryTriple] = {}
+        #: ``psg.label.visits``: map entries the labeling sweeps wrote;
+        #: ``psg.label.pairs``: (source, target) pairs read off the maps.
+        self.label_visits = self.label_pairs = 0
+
+    def _adjacency(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """Flow adjacency, grown to cover every node appended so far."""
+        for _ in range(len(self.nodes) - len(self.flow_out)):
+            self.flow_out.append([])
+            self.flow_in.append([])
+        return self.flow_out, self.flow_in
+
+    def add_flow_edges(self, labeled: Sequence[Tuple[int, int, Triple]]) -> List[int]:
+        """Append ``(src, dst, raw label)`` edges in order; returns
+        their indices in the program-level edge list."""
+        flow_edges, interned = self.flow_edges, self.interned
+        flow_out, flow_in = self._adjacency()
+        first = len(flow_edges)
+        for index, (src, dst, key) in enumerate(labeled, first):
+            label = interned.get(key)
+            if label is None:
+                label = interned[key] = SummaryTriple(*key)
+            flow_edges.append(FlowEdge(src, dst, label))
+            flow_out[src].append(index)
+            flow_in[dst].append(index)
+        return list(range(first, len(flow_edges)))
+
+    def finish(self, partial: bool) -> ProgramSummaryGraph:
+        """Check the graph and record its sizes in the obs registry.
+
+        Partial builds (incremental cones, parallel shards) add into the
+        same size counters — the totals then read as "PSG construction
+        work performed this run", which is the Table-5 quantity that
+        matters.
+        """
+        flow_out, flow_in = self._adjacency()
+        psg = ProgramSummaryGraph(
+            self.nodes, self.flow_edges, self.call_return_edges,
+            self.routines, flow_out, flow_in,
+        )
+        psg.check()
+        REGISTRY.inc("psg.partial_builds" if partial else "psg.builds")
+        REGISTRY.inc("psg.nodes", len(psg.nodes))
+        REGISTRY.inc("psg.flow_edges", len(psg.flow_edges))
+        REGISTRY.inc("psg.call_return_edges", len(psg.call_return_edges))
+        REGISTRY.inc("psg.branch_nodes", psg.branch_node_count)
+        REGISTRY.inc("psg.label.visits", self.label_visits)
+        REGISTRY.inc("psg.label.pairs", self.label_pairs)
+        return psg
 
 
 def build_psg(
@@ -128,32 +198,17 @@ def build_psg(
 ) -> ProgramSummaryGraph:
     """Build the whole-program PSG."""
     config = config or PsgConfig()
-    nodes: List[PSGNode] = []
-    flow_edges: List[FlowEdge] = []
-    call_return_edges: List[CallReturnEdge] = []
-    routines: Dict[str, RoutinePSG] = {}
+    assembly = PsgAssembly()
     with span("psg.build", routines=len(cfgs)):
         for routine in program:
-            routine_psg = build_routine_psg(
-                cfgs[routine.name],
-                local_sets[routine.name],
-                config,
-                nodes,
-                flow_edges,
-                call_return_edges,
+            build_routine_psg(
+                cfgs[routine.name], local_sets[routine.name], config, assembly
             )
-            routines[routine.name] = routine_psg
-        psg = ProgramSummaryGraph(
-            nodes=nodes,
-            flow_edges=flow_edges,
-            call_return_edges=call_return_edges,
-            routines=routines,
-        )
-        psg.check()
-    _count_build(psg, partial=False)
+        psg = assembly.finish(partial=False)
     _log.debug(
         "built PSG: %d routines, %d nodes, %d flow edges, %d call-return edges",
-        len(routines), len(nodes), len(flow_edges), len(call_return_edges),
+        len(psg.routines), len(psg.nodes), len(psg.flow_edges),
+        len(psg.call_return_edges),
     )
     return psg
 
@@ -186,49 +241,24 @@ def build_partial_psg(
     """Build a PSG containing only ``members``, with dummy pinned-entry
     nodes standing in for callees outside the subset."""
     config = config or PsgConfig()
-    nodes: List[PSGNode] = []
-    flow_edges: List[FlowEdge] = []
-    call_return_edges: List[CallReturnEdge] = []
-    routines: Dict[str, RoutinePSG] = {}
+    assembly = PsgAssembly()
     member_set = set(members)
     with span("psg.build_partial", members=len(members)):
         for name in members:
-            routines[name] = build_routine_psg(
-                cfgs[name],
-                local_sets[name],
-                config,
-                nodes,
-                flow_edges,
-                call_return_edges,
-            )
+            build_routine_psg(cfgs[name], local_sets[name], config, assembly)
         external_entries: Dict[str, int] = {}
-        for edge in call_return_edges:
+        for edge in assembly.call_return_edges:
             for callee in edge.callees:
                 if callee in member_set or callee in external_entries:
                     continue
-                node = PSGNode(
-                    id=len(nodes), kind=NodeKind.ENTRY, routine=callee, block=0
-                )
-                nodes.append(node)
-                external_entries[callee] = node.id
-                routines[callee] = RoutinePSG(
-                    routine=callee,
-                    entry_node=node.id,
-                    exit_nodes=[],
-                    call_pairs=[],
-                    branch_nodes=[],
-                )
-        psg = ProgramSummaryGraph(
-            nodes=nodes,
-            flow_edges=flow_edges,
-            call_return_edges=call_return_edges,
-            routines=routines,
-        )
-        psg.check()
-    _count_build(psg, partial=True)
+                node_id = len(assembly.nodes)
+                assembly.nodes.append(PSGNode(node_id, NodeKind.ENTRY, callee, 0))
+                external_entries[callee] = node_id
+                assembly.routines[callee] = RoutinePSG(callee, node_id, [], [], [])
+        psg = assembly.finish(partial=True)
     _log.debug(
         "built partial PSG: %d members, %d external entries, %d nodes",
-        len(members), len(external_entries), len(nodes),
+        len(members), len(external_entries), len(psg.nodes),
     )
     return PartialPsg(
         psg=psg, members=list(members), external_entries=external_entries
@@ -239,102 +269,89 @@ def build_routine_psg(
     cfg: ControlFlowGraph,
     local_sets: Sequence[LocalSets],
     config: PsgConfig,
-    nodes: List[PSGNode],
-    flow_edges: List[FlowEdge],
-    call_return_edges: List[CallReturnEdge],
+    assembly: PsgAssembly,
 ) -> RoutinePSG:
-    """Build one routine's nodes and edges into the shared lists."""
-    name = cfg.routine.name
-    blocks = cfg.blocks
-
-    def new_node(kind: NodeKind, block: int, **extra) -> int:
-        node = PSGNode(id=len(nodes), kind=kind, routine=name, block=block, **extra)
-        nodes.append(node)
-        return node.id
+    """Build one routine's nodes and edges into ``assembly``."""
+    name, blocks, nodes = cfg.routine.name, cfg.blocks, assembly.nodes
 
     # ------------------------------------------------------------------
-    # Nodes
+    # Nodes — entry, exits, a call/return pair per site, branch nodes,
+    # ids consecutive — and with them the edge sources (node, start
+    # blocks), the targets (node, block) and the boundary cut
     # ------------------------------------------------------------------
-    entry_node = new_node(NodeKind.ENTRY, cfg.entry_index)
-    exit_nodes: List[Tuple[int, object]] = []
+    entry_node = node_id = len(nodes)
+    nodes.append(PSGNode(node_id, NodeKind.ENTRY, name, cfg.entry_index))
+    sources: List[Tuple[int, Sequence[int]]] = [(node_id, (cfg.entry_index,))]
+    targets: List[Tuple[int, int]] = []
+    blocked: Set[int] = set()
+    exit_nodes: List[Tuple[int, ExitKind]] = []
     for block_index, exit_kind in cfg.exits:
-        exit_nodes.append(
-            (new_node(NodeKind.EXIT, block_index, exit_kind=exit_kind), exit_kind)
-        )
-    call_pairs = []
+        node_id += 1
+        nodes.append(PSGNode(node_id, NodeKind.EXIT, name, block_index, exit_kind))
+        exit_nodes.append((node_id, exit_kind))
+        targets.append((node_id, block_index))
+    call_pairs: List[Tuple[int, int, CallSite]] = []
     for site in cfg.call_sites:
-        call_node = new_node(NodeKind.CALL, site.block, call_site=site)
-        return_node = new_node(NodeKind.RETURN, site.block, call_site=site)
+        call_node, return_node, node_id = node_id + 1, node_id + 2, node_id + 2
+        nodes.append(PSGNode(call_node, NodeKind.CALL, name, site.block, None, site))
+        nodes.append(
+            PSGNode(return_node, NodeKind.RETURN, name, site.block, None, site)
+        )
         call_pairs.append((call_node, return_node, site))
-        label = (
-            unknown_call_label(config.convention)
-            if site.is_unknown
-            else SummaryTriple()
+        targets.append((call_node, site.block))
+        sources.append((return_node, blocks[site.block].successors))
+        blocked.add(site.block)
+        label = unknown_call_label(config.convention) if site.is_unknown else _UNLABELED
+        assembly.call_return_edges.append(
+            CallReturnEdge(call_node, return_node, site.targets, label)
         )
-        call_return_edges.append(
-            CallReturnEdge(src=call_node, dst=return_node,
-                           callees=site.targets, label=label)
-        )
-    branch_blocks: List[int] = []
+    branch_nodes: List[int] = []
     if config.branch_nodes:
         for block in blocks:
             if (
                 block.terminator == TerminatorKind.MULTIWAY
                 and len(block.successors) >= config.multiway_threshold
             ):
-                branch_blocks.append(block.index)
-    branch_nodes = [new_node(NodeKind.BRANCH, index) for index in branch_blocks]
+                node_id += 1
+                nodes.append(PSGNode(node_id, NodeKind.BRANCH, name, block.index))
+                branch_nodes.append(node_id)
+                targets.append((node_id, block.index))
+                sources.append((node_id, block.successors))
+                blocked.add(block.index)
 
     # ------------------------------------------------------------------
-    # Sources, targets, and the boundary cut
+    # Edges: grouped by target, sources in order within a target — the
+    # order decides the solvers' visit counts, so every strategy keeps it
     # ------------------------------------------------------------------
-    blocked: Set[int] = {site.block for site in cfg.call_sites}
-    blocked.update(branch_blocks)
-
-    sources: List[Tuple[int, List[int]]] = [(entry_node, [cfg.entry_index])]
-    for call_node, return_node, site in call_pairs:
-        sources.append((return_node, list(blocks[site.block].successors)))
-    for node_id, block_index in zip(branch_nodes, branch_blocks):
-        sources.append((node_id, list(blocks[block_index].successors)))
-
-    targets: List[Tuple[int, int]] = []
-    for node_id, _kind in exit_nodes:
-        targets.append((node_id, nodes[node_id].block))
-    for call_node, _return_node, site in call_pairs:
-        targets.append((call_node, site.block))
-    for node_id, block_index in zip(branch_nodes, branch_blocks):
-        targets.append((node_id, block_index))
-
-    # ------------------------------------------------------------------
-    # Edges
-    # ------------------------------------------------------------------
-    edge_indices: List[int] = []
-    use_batched = not config.per_edge_labeling and config.labeling == "batched"
-    labeler: Optional[BatchedLabeler] = None
-    backward_sets: List[Set[int]] = []
-    reaches_some_target: Set[int] = set()
-    if use_batched:
-        # The labeler's cut-predecessor DFS computes the same region as
-        # backward_reachable (blocked blocks have no outgoing cut arcs),
-        # reusing the structure built once per routine.
-        labeler = BatchedLabeler(blocks, local_sets, blocked)
-        for _node_id, target_block in targets:
-            reach = labeler.region(target_block)
-            backward_sets.append(reach)
-            reaches_some_target |= reach
+    if config.per_edge_labeling or config.labeling != "batched":
+        reaching, labeled = _label_by_region(
+            blocks, local_sets, blocked, sources, targets,
+            config.per_edge_labeling,
+        )
     else:
-        for _node_id, target_block in targets:
-            reach = backward_reachable(blocks, target_block, blocked)
-            backward_sets.append(reach)
-            reaches_some_target |= reach
+        # One sweep labels every target; the edges are then read off the
+        # maps at each source's start blocks, one (source, target) pair
+        # examined per edge produced.
+        position = {block: index for index, (_node, block) in enumerate(targets)}
+        maps, visits = sweep_targets(blocks, local_sets, blocked, set(position))
+        reaching = {index for index, reached in enumerate(maps) if reached}
+        by_target: List[List[Tuple[int, Triple]]] = [[] for _ in targets]
+        for src_node, starts in sources:
+            reached = meet_target_maps(maps, starts)
+            assembly.label_pairs += len(reached)
+            for block, triple in reached.items():
+                by_target[position[block]].append((src_node, triple))
+        labeled = [
+            (src_node, dst_node, triple)
+            for (dst_node, _block), arrivals in zip(targets, by_target)
+            for src_node, triple in arrivals
+        ]
+        assembly.label_visits += visits
 
     # Soundness check: every block reachable from a source must reach a
     # target, or its register uses would be lost (see PsgBuildError).
-    all_starts: Set[int] = set()
-    for _node_id, starts in sources:
-        all_starts.update(starts)
-    reachable = forward_reachable(blocks, all_starts, blocked)
-    divergent = reachable - reaches_some_target
+    all_starts = {start for _node, starts in sources for start in starts}
+    divergent = forward_reachable(blocks, all_starts, blocked) - reaching
     if divergent:
         raise PsgBuildError(
             f"routine {name!r}: blocks {sorted(divergent)} cannot reach any "
@@ -342,50 +359,50 @@ def build_routine_psg(
             f"represent their register usage"
         )
 
-    if config.per_edge_labeling:
-        forward_sets = [
-            forward_reachable(blocks, starts, blocked) for _n, starts in sources
-        ]
-        for (src_node, starts), fwd in zip(sources, forward_sets):
-            for (dst_node, _target_block), bwd in zip(targets, backward_sets):
-                valid_starts = [s for s in starts if s in bwd]
-                if not valid_starts:
-                    continue
-                subgraph = fwd & bwd
-                solution = solve_summary_subgraph(
-                    blocks, local_sets, subgraph, blocked
-                )
-                label = label_from_starts(solution, valid_starts)
-                edge_indices.append(len(flow_edges))
-                flow_edges.append(FlowEdge(src=src_node, dst=dst_node, label=label))
-    elif use_batched:
-        assert labeler is not None
-        for (dst_node, _target_block), bwd in zip(targets, backward_sets):
-            solution = labeler.solve(bwd)
-            for src_node, starts in sources:
-                valid_starts = [s for s in starts if s in bwd]
-                if not valid_starts:
-                    continue
-                label = labeler.label(solution, valid_starts)
-                edge_indices.append(len(flow_edges))
-                flow_edges.append(FlowEdge(src=src_node, dst=dst_node, label=label))
-    else:
-        for (dst_node, _target_block), bwd in zip(targets, backward_sets):
-            solution = solve_summary_subgraph(blocks, local_sets, bwd, blocked)
-            for src_node, starts in sources:
-                valid_starts = [s for s in starts if s in bwd]
-                if not valid_starts:
-                    continue
-                label = label_from_starts(solution, valid_starts)
-                edge_indices.append(len(flow_edges))
-                flow_edges.append(FlowEdge(src=src_node, dst=dst_node, label=label))
-
-    routine_psg = RoutinePSG(
-        routine=name,
-        entry_node=entry_node,
-        exit_nodes=exit_nodes,  # type: ignore[arg-type]
-        call_pairs=call_pairs,
-        branch_nodes=branch_nodes,
-        flow_edge_indices=edge_indices,
+    routine_psg = assembly.routines[name] = RoutinePSG(
+        name, entry_node, exit_nodes, call_pairs, branch_nodes,
+        assembly.add_flow_edges(labeled),
     )
     return routine_psg
+
+
+def _label_by_region(
+    blocks: Sequence[BasicBlock],
+    local_sets: Sequence[LocalSets],
+    blocked: Set[int],
+    sources: Sequence[Tuple[int, Sequence[int]]],
+    targets: Sequence[Tuple[int, int]],
+    per_edge: bool,
+) -> Tuple[Set[int], List[Tuple[int, int, Triple]]]:
+    """The two reference strategies: one Figure-6 solve per target over
+    ``backward(dst)``, or (``per_edge``) the paper's literal one per
+    edge over ``forward(src) ∩ backward(dst)``.  Returns the blocks that
+    reach some target and the ``(src, dst, raw label)`` edges.
+    """
+    forward_sets = [
+        forward_reachable(blocks, starts, blocked) if per_edge else None
+        for _node, starts in sources
+    ]
+    reaching: Set[int] = set()
+    labeled: List[Tuple[int, int, Triple]] = []
+    for dst_node, target_block in targets:
+        bwd = backward_reachable(blocks, target_block, blocked)
+        reaching |= bwd
+        solution = (
+            None if per_edge
+            else solve_summary_subgraph(blocks, local_sets, bwd, blocked)
+        )
+        for (src_node, starts), fwd in zip(sources, forward_sets):
+            valid_starts = [s for s in starts if s in bwd]
+            if not valid_starts:
+                continue
+            if fwd is not None:
+                solution = solve_summary_subgraph(
+                    blocks, local_sets, fwd & bwd, blocked
+                )
+            label = label_from_starts(solution, valid_starts)
+            labeled.append(
+                (src_node, dst_node,
+                 (label.may_use, label.may_def, label.must_def))
+            )
+    return reaching, labeled

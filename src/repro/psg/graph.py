@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.cfg import CallSite, ExitKind
 from repro.psg.nodes import CallReturnEdge, FlowEdge, NodeKind, PSGNode
+
+
+_SOURCE_KINDS = (NodeKind.ENTRY, NodeKind.RETURN, NodeKind.BRANCH)
+_TARGET_KINDS = (NodeKind.EXIT, NodeKind.CALL, NodeKind.BRANCH)
+_CALL_KINDS = (NodeKind.CALL, NodeKind.RETURN)
 
 
 @dataclass
@@ -44,13 +49,16 @@ class ProgramSummaryGraph:
     Adjacency is exposed as index lists so the dataflow engines can run
     over flat arrays: ``flow_out[n]`` / ``flow_in[n]`` give indices into
     ``flow_edges``; ``cr_out[n]`` / ``cr_in[n]`` give indices into
-    ``call_return_edges``.
+    ``call_return_edges``.  A builder that filled the flow adjacency as
+    it appended edges hands it in; otherwise it is derived here.
     """
 
     nodes: List[PSGNode]
     flow_edges: List[FlowEdge]
     call_return_edges: List[CallReturnEdge]
     routines: Dict[str, RoutinePSG]
+    flow_out: Optional[List[List[int]]] = None
+    flow_in: Optional[List[List[int]]] = None
 
     def __post_init__(self) -> None:
         #: Generation stamp for cached lowerings.  Anything that mutates
@@ -60,11 +68,12 @@ class ProgramSummaryGraph:
         #: the stamp and rebuild on the next use after a bump.
         self.version: int = 0
         count = len(self.nodes)
-        self.flow_out: List[List[int]] = [[] for _ in range(count)]
-        self.flow_in: List[List[int]] = [[] for _ in range(count)]
-        for index, edge in enumerate(self.flow_edges):
-            self.flow_out[edge.src].append(index)
-            self.flow_in[edge.dst].append(index)
+        if self.flow_out is None or self.flow_in is None:
+            self.flow_out = [[] for _ in range(count)]
+            self.flow_in = [[] for _ in range(count)]
+            for index, edge in enumerate(self.flow_edges):
+                self.flow_out[edge.src].append(index)
+                self.flow_in[edge.dst].append(index)
         self.cr_out: List[Optional[int]] = [None] * count
         self.cr_in: List[Optional[int]] = [None] * count
         for index, edge in enumerate(self.call_return_edges):
@@ -125,32 +134,42 @@ class ProgramSummaryGraph:
 
     def check(self) -> None:
         """Structural invariants; raises :class:`ValueError` on failure."""
-        for index, node in enumerate(self.nodes):
+        nodes = self.nodes
+        for index, node in enumerate(nodes):
             if node.id != index:
                 raise ValueError(f"node {index} has mismatched id {node.id}")
+            if node.kind == NodeKind.EXIT and node.exit_kind is None:
+                raise ValueError("EXIT node requires an exit kind")
+            if node.kind in _CALL_KINDS and node.call_site is None:
+                raise ValueError(f"{node.kind.name} node requires a call site")
+        # Labels are interned per build, so an image has a few hundred
+        # distinct ones behind its thousands of edges: test each once.
+        consistent: Set[int] = set()
         for edge in self.flow_edges:
-            src, dst = self.nodes[edge.src], self.nodes[edge.dst]
+            src, dst, label = nodes[edge.src], nodes[edge.dst], edge.label
             if src.routine != dst.routine:
                 raise ValueError(
                     f"flow edge crosses routines: {src.describe()} -> "
                     f"{dst.describe()}"
                 )
-            if src.kind not in (NodeKind.ENTRY, NodeKind.RETURN, NodeKind.BRANCH):
+            if src.kind not in _SOURCE_KINDS:
                 raise ValueError(f"flow edge from non-source {src.describe()}")
-            if dst.kind not in (NodeKind.EXIT, NodeKind.CALL, NodeKind.BRANCH):
+            if dst.kind not in _TARGET_KINDS:
                 raise ValueError(f"flow edge into non-target {dst.describe()}")
-            if not edge.label.is_consistent():
-                raise ValueError(
-                    f"edge {src.describe()} -> {dst.describe()} has "
-                    f"MUST-DEF ⊄ MAY-DEF"
-                )
+            if id(label) not in consistent:
+                if not label.is_consistent():
+                    raise ValueError(
+                        f"edge {src.describe()} -> {dst.describe()} has "
+                        f"MUST-DEF ⊄ MAY-DEF"
+                    )
+                consistent.add(id(label))
         for edge in self.call_return_edges:
-            src, dst = self.nodes[edge.src], self.nodes[edge.dst]
+            src, dst = nodes[edge.src], nodes[edge.dst]
             if src.kind != NodeKind.CALL or dst.kind != NodeKind.RETURN:
                 raise ValueError("call-return edge must link CALL -> RETURN")
             if src.call_site is not dst.call_site:
                 raise ValueError("call-return edge links different call sites")
         for name, routine_psg in self.routines.items():
-            entry = self.nodes[routine_psg.entry_node]
+            entry = nodes[routine_psg.entry_node]
             if entry.kind != NodeKind.ENTRY or entry.routine != name:
                 raise ValueError(f"routine {name!r} has a bad entry node")

@@ -2,10 +2,12 @@
 
 Nodes carry *where* they are (routine + basic block); all dataflow
 state lives in the analysis engines so a PSG can be reused across
-phases and configurations.  Flow-summary edges are immutable once
-labeled; call-return edges are labeled during phase 1 (the callee's
-entry sets are copied onto them) and those labels are retained for
-phase 2, exactly as in the paper.
+phases and configurations.  Nodes and flow-summary edges are written
+once (unfrozen only because a frozen dataclass pays an
+``object.__setattr__`` per field, tens of thousands of times a build);
+call-return edges are labeled during phase 1 (the callee's entry sets
+are copied onto them) and those labels are retained for phase 2,
+exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class NodeKind(enum.IntEnum):
     BRANCH = 4
 
 
-@dataclass(frozen=True)
+@dataclass
 class PSGNode:
     """One PSG node.
 
@@ -36,7 +38,8 @@ class PSGNode:
     belongs to: the entry block for ENTRY, the exit block for EXIT, the
     call-ending block for CALL *and* RETURN (the return node's paths
     start at that block's successors), and the multiway-branch block
-    for BRANCH.
+    for BRANCH.  ``ProgramSummaryGraph.check`` enforces that an EXIT
+    carries its ``exit_kind`` and a CALL or RETURN its ``call_site``.
     """
 
     id: int
@@ -46,18 +49,12 @@ class PSGNode:
     exit_kind: Optional[ExitKind] = None
     call_site: Optional[CallSite] = None
 
-    def __post_init__(self) -> None:
-        if self.kind == NodeKind.EXIT and self.exit_kind is None:
-            raise ValueError("EXIT node requires an exit kind")
-        if self.kind in (NodeKind.CALL, NodeKind.RETURN) and self.call_site is None:
-            raise ValueError(f"{self.kind.name} node requires a call site")
-
     def describe(self) -> str:
         """A short human-readable identity, e.g. ``call@main:3``."""
         return f"{self.kind.name.lower()}@{self.routine}:{self.block}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class FlowEdge:
     """A flow-summary edge with its Figure-6 label."""
 

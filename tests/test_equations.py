@@ -13,17 +13,18 @@ with the paper's abstract R1, R2, R3 mapped to t1, t2, t3.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cfg.build import build_cfg
+from repro.cfg.build import build_all_cfgs, build_cfg
 from repro.cfg.cfg import TerminatorKind
 from repro.cfg.subgraph import backward_reachable, forward_reachable
 from repro.dataflow.equations import (
-    BatchedLabeler,
     SummaryTriple,
-    intern_triple,
     label_from_starts,
+    meet_target_maps,
     solve_summary_subgraph,
+    sweep_targets,
 )
-from repro.dataflow.local import compute_local_sets
+from repro.dataflow.local import compute_local_sets, compute_program_local_sets
+from repro.psg.build import build_psg
 from repro.dataflow.regset import RegisterSet, TRACKED_MASK, mask_of
 
 
@@ -165,8 +166,11 @@ class _FakeLocal:
 
 @st.composite
 def cut_graphs(draw):
-    """An arbitrary digraph (cycles and self-loops included) with
-    random blocked blocks and random per-block UBD/DEF masks."""
+    """An arbitrary digraph (cycles, self-loops and unreachable blocks
+    included) with random blocked blocks, random per-block UBD/DEF
+    masks, and a random subset of the cut graph's sinks as targets —
+    so some sinks are *not* targets, like a block the PSG model has no
+    node for."""
     n = draw(st.integers(min_value=1, max_value=8))
     blocks = [_FakeBlock() for _ in range(n)]
     for src in range(n):
@@ -182,66 +186,121 @@ def cut_graphs(draw):
     local_sets = [
         _FakeLocal(draw(masks) << 2, draw(masks) << 2) for _ in range(n)
     ]
-    target = draw(st.integers(min_value=0, max_value=n - 1))
-    return blocks, local_sets, blocked, target
+    sinks = [
+        index for index in range(n)
+        if index in blocked or not blocks[index].successors
+    ]
+    targets = {sink for sink in sinks if draw(st.booleans())}
+    return blocks, local_sets, blocked, targets
+
+
+def _raw(triple):
+    return (triple.may_use, triple.may_def, triple.must_def)
 
 
 class TestBatchedEquivalence:
-    """The batched labeler must agree with the per-target solver on
-    arbitrary cut graphs — regions, converged triples, and labels."""
+    """The one-sweep labeler must agree with the per-target solver on
+    arbitrary cut graphs: for every target and every block, the map
+    entry is the converged triple of the target's own region."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(cut_graphs())
     def test_batched_matches_per_target(self, data):
-        blocks, local_sets, blocked, target = data
-        labeler = BatchedLabeler(blocks, local_sets, blocked)
-
-        region = labeler.region(target)
-        assert region == backward_reachable(blocks, target, blocked)
-
-        expected = solve_summary_subgraph(blocks, local_sets, region, blocked)
-        solution = labeler.solve(region)
-        assert set(solution) == set(expected)
-        for block, triple in expected.items():
-            assert solution[block] == (
-                triple.may_use, triple.may_def, triple.must_def
-            )
-
-        starts = sorted(region)[:2]
-        assert labeler.label(solution, starts) == label_from_starts(
-            expected, starts
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(cut_graphs(), st.randoms(use_true_random=False))
-    def test_overlapping_regions_share_memo(self, data, rng):
-        """Solving every target in random order — regions overlap, so
-        the transfer memo is exercised — never changes any answer."""
-        blocks, local_sets, blocked, _target = data
-        labeler = BatchedLabeler(blocks, local_sets, blocked)
-        targets = list(range(len(blocks)))
-        rng.shuffle(targets)
+        blocks, local_sets, blocked, targets = data
+        maps, visits = sweep_targets(blocks, local_sets, blocked, targets)
+        assert len(maps) == len(blocks)
         for target in targets:
-            region = labeler.region(target)
+            region = backward_reachable(blocks, target, blocked)
             expected = solve_summary_subgraph(
                 blocks, local_sets, region, blocked
             )
-            solution = labeler.solve(region)
-            for block, triple in expected.items():
-                assert solution[block] == (
-                    triple.may_use, triple.may_def, triple.must_def
-                )
+            for block in range(len(blocks)):
+                if block in region:
+                    assert maps[block][target] == _raw(expected[block])
+                else:
+                    assert target not in maps[block]
+        for reached in maps:
+            assert set(reached) <= targets
+        # Every entry was written at least once; cycles rewrite some.
+        assert visits >= sum(len(reached) for reached in maps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut_graphs(), st.data())
+    def test_fan_out_labels_match_label_from_starts(self, data, draw):
+        """A source with several start blocks: the per-target meet of
+        the starts' maps is ``label_from_starts`` of each region."""
+        blocks, local_sets, blocked, targets = data
+        maps, _visits = sweep_targets(blocks, local_sets, blocked, targets)
+        starts = draw.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(blocks) - 1),
+                min_size=1, max_size=3,
+            )
+        )
+        labels = meet_target_maps(maps, starts)
+        for target in targets:
+            region = backward_reachable(blocks, target, blocked)
+            valid = [start for start in starts if start in region]
+            if not valid:
+                assert target not in labels
+                continue
+            expected = solve_summary_subgraph(
+                blocks, local_sets, region, blocked
+            )
+            assert labels[target] == _raw(label_from_starts(expected, valid))
+
+    def test_non_target_sink_reaches_nothing(self):
+        """The sweep seeds only targets: a successor-free block that is
+        not one — and everything that can only reach it — gets the
+        empty map, which is what the divergence check keys on."""
+        blocks = [_FakeBlock() for _ in range(3)]
+        blocks[0].successors = [1, 2]
+        local_sets = [_FakeLocal(0, 0) for _ in range(3)]
+        maps, visits = sweep_targets(blocks, local_sets, set(), {2})
+        assert maps[1] == {}
+        assert set(maps[0]) == set(maps[2]) == {2}
+        assert visits == 2
+
+    def test_target_with_cut_successors_rejected(self):
+        blocks = [_FakeBlock() for _ in range(2)]
+        blocks[0].successors = [1]
+        local_sets = [_FakeLocal(0, 0) for _ in range(2)]
+        with pytest.raises(AssertionError, match="sink"):
+            sweep_targets(blocks, local_sets, set(), {0, 1})
 
 
 class TestInternTriple:
-    def test_returns_canonical_instance(self):
-        a = intern_triple(0b1, 0b10, 0b10)
-        b = intern_triple(0b1, 0b10, 0b10)
-        assert a is b
-        assert a == SummaryTriple(may_use=0b1, may_def=0b10, must_def=0b10)
+    """Labels are interned in a table each PSG build owns."""
 
-    def test_distinct_masks_distinct_triples(self):
-        assert intern_triple(1, 0, 0) is not intern_triple(0, 1, 0)
+    def _labels(self, program):
+        cfgs = build_all_cfgs(program)
+        psg = build_psg(program, cfgs, compute_program_local_sets(cfgs))
+        return [edge.label for edge in psg.flow_edges]
+
+    def test_returns_canonical_instance(self, small_benchmark):
+        canonical = {}
+        labels = self._labels(small_benchmark)
+        for label in labels:
+            assert canonical.setdefault(_raw(label), label) is label
+        assert len(canonical) < len(labels)  # labels do repeat
+
+    def test_distinct_masks_distinct_triples(self, small_benchmark):
+        by_identity = {id(label): label for label in self._labels(small_benchmark)}
+        assert len({_raw(label) for label in by_identity.values()}) == len(
+            by_identity
+        )
+
+    def test_table_dies_with_the_build(self, small_benchmark):
+        """Two builds share no label objects: nothing process-wide
+        holds them (the old global table grew for the daemon's life)."""
+        first = self._labels(small_benchmark)
+        second = self._labels(small_benchmark)
+        assert {id(label) for label in first}.isdisjoint(
+            id(label) for label in second
+        )
+        import repro.dataflow.equations as equations
+
+        assert not hasattr(equations, "_TRIPLE_CACHE")
 
 
 class TestSummaryTriple:

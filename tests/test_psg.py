@@ -10,6 +10,7 @@ from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.psg.build import PsgBuildError, PsgConfig, build_psg, unknown_call_label
 from repro.psg.nodes import NodeKind
+from repro.obs.metrics import REGISTRY
 from repro.isa.calling_convention import NT_ALPHA
 
 
@@ -141,17 +142,50 @@ def _flow_labels(psg):
     return {(e.src, e.dst): e.label for e in psg.flow_edges}
 
 
+def _flow_sequence(psg):
+    """The flow edges *in order*: the order decides the solvers' visit
+    counts, so the strategies must agree on it, not just on the set."""
+    return [(e.src, e.dst, e.label) for e in psg.flow_edges]
+
+
 def _assert_three_way_equal(program, config_extra=None):
     """Batched, per-target and per-edge labeling all agree, edge for
-    edge, on ``program``."""
+    edge and in the same order, on ``program``."""
     extra = config_extra or {}
     batched = build(program, PsgConfig(labeling="batched", **extra))
     per_target = build(program, PsgConfig(labeling="per-target", **extra))
     per_edge = build(program, PsgConfig(per_edge_labeling=True, **extra))
     assert batched.node_count == per_target.node_count == per_edge.node_count
-    batched_labels = _flow_labels(batched)
-    assert batched_labels == _flow_labels(per_target)
-    assert batched_labels == _flow_labels(per_edge)
+    sequence = _flow_sequence(batched)
+    assert sequence == _flow_sequence(per_target)
+    assert sequence == _flow_sequence(per_edge)
+    for one, other in ((batched, per_target), (batched, per_edge)):
+        assert one.flow_out == other.flow_out
+        assert one.flow_in == other.flow_in
+        assert [r.flow_edge_indices for r in one.routines.values()] == [
+            r.flow_edge_indices for r in other.routines.values()
+        ]
+
+
+def call_mesh(routines=24, calls=4, ring=8):
+    """A small call-mesh: tiny routines that do nothing but call, in
+    mutual-recursion rings — every block is a target, every region one
+    block (the shape of ``perf/``'s solver-heavy image)."""
+    lines = []
+    for index in range(routines):
+        base = index - index % ring
+        callees = [base + (index + 1 - base) % ring] + [
+            (index * 7 + step * 5) % routines for step in range(1, calls)
+        ]
+        lines.append(f".routine m{index}")
+        lines.append("    lda sp, -16(sp)")
+        lines.append("    stq ra, 0(sp)")
+        for callee in callees:
+            lines.append(f"    bsr ra, m{callee}")
+        lines.append("    ldq ra, 0(sp)")
+        lines.append("    lda sp, 16(sp)")
+        lines.append("    halt" if index == 0 else "    ret (ra)")
+    return disassemble_image(assemble("\n".join(lines)))
 
 
 class TestLabelingModes:
@@ -231,7 +265,98 @@ class TestLabelingModes:
         _assert_three_way_equal(program)
 
 
+class TestEdgeSequence:
+    """``batched`` (the one-sweep labeler) emits the very edge list the
+    per-target oracle does, element by element."""
+
+    @pytest.mark.parametrize("branch_nodes", [True, False])
+    @pytest.mark.parametrize(
+        "bench,scale", [("compress", 0.2), ("gcc", 0.02), ("sqlservr", 0.02)]
+    )
+    def test_table2_shapes(self, bench, scale, branch_nodes):
+        program, _shape = generate_benchmark(
+            bench, scale=scale, config=GeneratorConfig(seed=3)
+        )
+        config = {"branch_nodes": branch_nodes}
+        batched = build(program, PsgConfig(labeling="batched", **config))
+        per_target = build(program, PsgConfig(labeling="per-target", **config))
+        assert _flow_sequence(batched) == _flow_sequence(per_target)
+
+    def test_call_mesh(self):
+        _assert_three_way_equal(call_mesh())
+
+
+def _label_work(program, config=None):
+    """(blocks, flow edges, ``psg.label.*`` counter deltas) of one build."""
+    cfgs = build_all_cfgs(program)
+    local_sets = compute_program_local_sets(cfgs)
+    base = REGISTRY.snapshot()
+    psg = build_psg(program, cfgs, local_sets, config)
+    delta = REGISTRY.delta_since(base)
+    blocks = sum(cfg.block_count for cfg in cfgs.values())
+    return blocks, len(psg.flow_edges), delta
+
+
+class TestLabelWork:
+    """``psg.label.visits`` / ``psg.label.pairs``: the sweep's work is
+    counted, not timed, so a per-target solve or a source x target scan
+    cannot creep back unnoticed."""
+
+    def test_call_mesh_visits_every_block_once(self):
+        blocks, edges, delta = _label_work(call_mesh())
+        assert delta["psg.label.visits"] == blocks
+        assert delta["psg.label.pairs"] == edges
+
+    def test_gcc_shape_visits_stay_near_linear(self):
+        # perf/'s gcc-shaped image: 12 569 blocks, whose targets' regions
+        # sum to 3.41x that; the cyclic components' rewrites add ~1 %.
+        program, _shape = generate_benchmark(
+            "gcc", scale=0.1, config=GeneratorConfig(seed=0)
+        )
+        blocks, edges, delta = _label_work(program)
+        assert blocks < delta["psg.label.visits"] <= 3.5 * blocks
+        assert delta["psg.label.pairs"] == edges
+
+    def test_reference_strategies_do_not_count(self, small_benchmark):
+        _blocks, _edges, delta = _label_work(
+            small_benchmark, PsgConfig(labeling="per-target")
+        )
+        assert delta.get("psg.label.visits", 0) == 0
+        assert delta.get("psg.label.pairs", 0) == 0
+
+
 class TestDivergenceDetection:
+    #: A loop no exit or call can be reached from, behind a conditional
+    #: branch (so the routine also has an ordinary exit).
+    DIVERGENT_SOURCE = """
+        .routine main
+            beq  t0, out
+        spin:
+            addq t0, #1, t0
+            br spin
+        out:
+            ret (ra)
+    """
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PsgConfig(),
+            PsgConfig(labeling="per-target"),
+            PsgConfig(per_edge_labeling=True),
+        ],
+        ids=["batched", "per-target", "per-edge"],
+    )
+    def test_divergent_loop_error_text(self, config):
+        program = disassemble_image(assemble(self.DIVERGENT_SOURCE))
+        with pytest.raises(PsgBuildError) as raised:
+            build(program, config)
+        assert str(raised.value) == (
+            "routine 'main': blocks [1] cannot reach any exit or call "
+            "(boundary-free infinite loop); the PSG cannot represent "
+            "their register usage"
+        )
+
     def test_boundary_free_infinite_loop_rejected(self):
         program = disassemble_image(
             assemble(

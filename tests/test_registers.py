@@ -61,6 +61,22 @@ class TestRegister:
     def test_float_names_fall_back_to_hardware(self):
         assert Register.float(7).name == "f7"
 
+    def test_hardware_name_is_only_formatted_as_the_fallback(self, monkeypatch):
+        """A software-named register never pays for the f-string (it
+        was the eager ``dict.get`` default: 43k formats per payload)."""
+        formatted = []
+        original = Register.hardware_name.fget
+
+        def counting(self):
+            formatted.append(self.index)
+            return original(self)
+
+        monkeypatch.setattr(Register, "hardware_name", property(counting))
+        assert Register(STACK_POINTER).name == "sp"
+        assert formatted == []
+        assert Register.float(7).name == "f7"
+        assert formatted == [39]
+
     def test_parse_hardware_name(self):
         assert Register.parse("r17").index == 17
         assert Register.parse("f2").index == 34

@@ -9,8 +9,10 @@ from repro.dataflow.regset import (
     TRACKED_MASK,
     UNIVERSE,
     RegisterSet,
+    construction_count,
     iter_mask,
     mask_of,
+    sorted_names,
 )
 from repro.isa.registers import Register
 
@@ -118,7 +120,26 @@ class TestHelpers:
         assert list(iter_mask(0)) == []
 
 
+    def test_sorted_names_constructs_no_set(self):
+        before = construction_count()
+        assert sorted_names(mask_of(["sp", "a0", "f3", "r15"])) == (
+            "a0", "f3", "fp", "sp"
+        )
+        assert construction_count() == before
+
+    def test_sorted_names_rejects_foreign_masks(self):
+        for mask in (-1, FULL_MASK + 1):
+            with pytest.raises(ValueError, match="register file"):
+                sorted_names(mask)
+
+
 masks = st.integers(min_value=0, max_value=FULL_MASK)
+
+
+@given(masks)
+def test_property_sorted_names_is_the_rendered_set(mask):
+    """The memoized rendering is what the payload used to compute."""
+    assert list(sorted_names(mask)) == sorted(RegisterSet.from_mask(mask).names())
 
 
 @given(masks, masks)

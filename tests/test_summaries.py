@@ -98,6 +98,24 @@ class TestCallSiteSummary:
         assert site.live_after.names() == {"v0"}
 
 
+class TestToJson:
+    def test_register_sets_are_sorted_name_lists(self):
+        payload = _summary().to_json()
+        assert payload["call_killed"] == ["t0", "v0"]
+        assert payload["live_at_entry"] == ["a0", "ra"]
+        assert payload["live_at_exit"] == {"2": ["v0"]}
+
+    def test_every_call_returns_fresh_lists(self):
+        """The names are memoized per mask; the payload's lists are
+        not shared, so a caller may edit one."""
+        summary = _summary()
+        first = summary.to_json()
+        first["call_killed"].append("clobbered")
+        first["live_at_exit"]["2"].clear()
+        assert summary.to_json() == _summary().to_json()
+        assert summary.to_json()["call_killed"] == ["t0", "v0"]
+
+
 class TestSummarySet:
     def test_container_protocol(self):
         result = SummarySet({"f": _summary()})
