@@ -366,7 +366,7 @@ def resolve_register_constant(
     addend = 0
     for index in range(upto - 1, -1, -1):
         instruction = instructions[index]
-        if target not in instruction.defs():
+        if not instruction.def_mask >> target & 1:
             continue
         opcode = instruction.opcode
         if opcode is Opcode.LDA:

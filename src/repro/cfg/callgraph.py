@@ -446,8 +446,7 @@ def escape_candidates(routine: Routine) -> Tuple[int, ...]:
             # tracking: every branch below would be a no-op.
             continue
         control = instruction.control
-        uses = instruction.uses()
-        defs = instruction.defs()
+        defs = instruction.def_mask
         if opcode is Opcode.LDA or opcode is Opcode.LDAH:
             shift = 16 if opcode is Opcode.LDAH else 0
             base = instruction.rb
@@ -487,9 +486,9 @@ def escape_candidates(routine: Routine) -> Tuple[int, ...]:
             constants.clear()
             continue
         # Any other use of a register holding a constant escapes it.
-        for register in uses:
-            value = constants.get(register)
-            if value is not None:
+        uses = instruction.use_mask
+        for register, value in constants.items():
+            if uses >> register & 1:
                 escaped.add(value)
         _kill(constants, defs)
         if control != ControlKind.FALLTHROUGH:
@@ -506,6 +505,8 @@ def escape_candidates(routine: Routine) -> Tuple[int, ...]:
     )
 
 
-def _kill(constants: Dict[int, int], defs) -> None:
-    for register in defs:
-        constants.pop(register, None)
+def _kill(constants: Dict[int, int], defs: int) -> None:
+    while defs:
+        lowest = defs & -defs
+        constants.pop(lowest.bit_length() - 1, None)
+        defs ^= lowest

@@ -195,15 +195,28 @@ class _Writer:
         return b"".join(self.parts)
 
 
+def _check_masks(values: tuple) -> None:
+    """``values`` are unsigned; none may be wider than the register file."""
+    if max(values) > FULL_MASK:
+        wide = next(value for value in values if value > FULL_MASK)
+        raise SummaryFormatError(
+            f"register mask {wide:#x} exceeds the register file"
+        )
+
+
 class _Reader:
     def __init__(self, blob: bytes) -> None:
         self.blob = blob
         self.offset = 0
+        #: Encoded name -> its one ``str`` for this load: a routine's
+        #: name recurs at every call site that targets it.
+        self.names: Dict[bytes, str] = {}
 
     def fields(self, spec: struct.Struct) -> tuple:
-        if self.offset + spec.size > len(self.blob):
-            raise SummaryFormatError("truncated summary file")
-        values = spec.unpack_from(self.blob, self.offset)
+        try:
+            values = spec.unpack_from(self.blob, self.offset)
+        except struct.error:
+            raise SummaryFormatError("truncated summary file") from None
         self.offset += spec.size
         return values
 
@@ -228,11 +241,7 @@ class _Reader:
     def masks(self, spec: struct.Struct) -> tuple:
         """``spec``'s fields, every one of them a register mask."""
         values = self.fields(spec)
-        for value in values:
-            if value & ~FULL_MASK:
-                raise SummaryFormatError(
-                    f"register mask {value:#x} exceeds the register file"
-                )
+        _check_masks(values)
         return values
 
     def mask(self) -> int:
@@ -243,11 +252,15 @@ class _Reader:
         if self.offset + length > len(self.blob):
             raise SummaryFormatError("truncated summary string")
         raw = self.blob[self.offset : self.offset + length]
+        self.offset += length
+        return self.names.get(raw) or self.name(raw)
+
+    def name(self, raw: bytes) -> str:
+        """``raw`` decoded, and remembered for the rest of the load."""
         try:
-            value = raw.decode("utf-8")
+            value = self.names[raw] = raw.decode("utf-8")
         except UnicodeDecodeError as error:
             raise SummaryFormatError(f"invalid UTF-8 in summary: {error}") from None
-        self.offset += length
         return value
 
     def expect_end(self) -> None:
@@ -306,43 +319,63 @@ def _write_summary_body(writer: _Writer, summary: RoutineSummary) -> None:
 
 
 def _read_summary_body(reader: _Reader, name: str) -> RoutineSummary:
+    # The hot loop of a load (one pass per call site of the image): read
+    # through the bound ``unpack_from``s at a local offset, and let a
+    # read past the end surface as ``struct.error`` once per body.
+    blob = reader.blob
+    offset = reader.offset
+    known_name = reader.names.get
+    masks_at = _MASKS5.unpack_from
+    length_at = _U16.unpack_from
+    try:
+        summary_masks = masks_at(blob, offset)
+        _check_masks(summary_masks)
+        (exit_count,) = _U32.unpack_from(blob, offset + _MASKS5.size)
+        offset += _MASKS5.size + _U32.size
+        exit_live: Dict[int, int] = {}
+        exit_kinds: Dict[int, ExitKind] = {}
+        for _ in range(exit_count):
+            block, code, live = _EXIT.unpack_from(blob, offset)
+            offset += _EXIT.size
+            if code not in _EXIT_KIND_BY_CODE:
+                raise SummaryFormatError(f"unknown exit kind code {code}")
+            _check_masks((live,))
+            exit_kinds[block] = _EXIT_KIND_BY_CODE[code]
+            exit_live[block] = live
+        (site_count,) = _U32.unpack_from(blob, offset)
+        offset += _U32.size
+        sites: List[CallSiteSummary] = []
+        for _ in range(site_count):
+            block, instruction_index, indirect, target_count = (
+                _SITE_HEAD.unpack_from(blob, offset)
+            )
+            offset += _SITE_HEAD.size
+            targets = []
+            for _ in range(target_count):
+                (length,) = length_at(blob, offset)
+                offset += _U16.size
+                raw = blob[offset : offset + length]
+                offset += length
+                if offset > len(blob):
+                    raise SummaryFormatError("truncated summary string")
+                targets.append(known_name(raw) or reader.name(raw))
+            site_masks = masks_at(blob, offset)
+            offset += _MASKS5.size
+            _check_masks(site_masks)
+            sites.append(
+                CallSiteSummary(
+                    CallSite(
+                        block, instruction_index, tuple(targets), bool(indirect)
+                    ),
+                    *site_masks,
+                )
+            )
+    except struct.error:
+        raise SummaryFormatError("truncated summary file") from None
+    reader.offset = offset
     (
         call_used, call_defined, call_killed, live_at_entry, saved_restored
-    ) = reader.masks(_MASKS5)
-    exit_live: Dict[int, int] = {}
-    exit_kinds: Dict[int, ExitKind] = {}
-    for _ in range(reader.u32()):
-        block, code, live = reader.fields(_EXIT)
-        if code not in _EXIT_KIND_BY_CODE:
-            raise SummaryFormatError(f"unknown exit kind code {code}")
-        if live & ~FULL_MASK:
-            raise SummaryFormatError(
-                f"register mask {live:#x} exceeds the register file"
-            )
-        exit_kinds[block] = _EXIT_KIND_BY_CODE[code]
-        exit_live[block] = live
-    sites: List[CallSiteSummary] = []
-    for _ in range(reader.u32()):
-        block, instruction_index, indirect, target_count = reader.fields(
-            _SITE_HEAD
-        )
-        targets = tuple(reader.text() for _ in range(target_count))
-        used, defined, killed, live_before, live_after = reader.masks(_MASKS5)
-        sites.append(
-            CallSiteSummary(
-                site=CallSite(
-                    block=block,
-                    instruction_index=instruction_index,
-                    targets=targets,
-                    indirect=bool(indirect),
-                ),
-                used_mask=used,
-                defined_mask=defined,
-                killed_mask=killed,
-                live_before_mask=live_before,
-                live_after_mask=live_after,
-            )
-        )
+    ) = summary_masks
     return RoutineSummary(
         name=name,
         call_used_mask=call_used,

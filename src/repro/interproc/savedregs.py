@@ -125,7 +125,7 @@ def _epilogue_restore_index(
     last_def: Optional[Instruction] = None
     last_index = -1
     for offset_in_block, instruction in enumerate(block.instructions):
-        if register in instruction.defs():
+        if instruction.def_mask >> register & 1:
             last_def = instruction
             last_index = block.start + offset_in_block
     if last_def is None:

@@ -26,12 +26,13 @@ import struct
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.isa.instructions import (
-    ControlKind,
     Format,
     Instruction,
     Opcode,
+    decoded_instruction,
 )
-from repro.isa.registers import NUM_INTEGER_REGISTERS
+from repro.isa.registers import NUM_INTEGER_REGISTERS, ZERO_REGISTER
+from repro.obs.metrics import REGISTRY
 
 #: Size of one encoded instruction, in bytes.
 INSTRUCTION_SIZE = 4
@@ -51,11 +52,11 @@ class EncodingError(ValueError):
 # Which register file does each field of each opcode use?
 # ----------------------------------------------------------------------
 
-_INT = "i"
-_FP = "f"
+_INT = 0
+_FP = NUM_INTEGER_REGISTERS
 
 
-def _field_files(opcode: Opcode) -> Tuple[str, str, str]:
+def _field_files(opcode: Opcode) -> Tuple[int, int, int]:
     """Files (integer/float) for the (ra, rb, rc) fields of ``opcode``."""
     if opcode is Opcode.ITOFT:
         return (_INT, _INT, _FP)
@@ -71,13 +72,14 @@ def _field_files(opcode: Opcode) -> Tuple[str, str, str]:
     return (_INT, _INT, _INT)
 
 
-#: Per-opcode (ra, rb, rc) register-file assignment.
-FIELD_FILES: Dict[Opcode, Tuple[str, str, str]] = {
+#: Per-opcode (ra, rb, rc) register-file assignment: the offset of each
+#: field's file in the unified register numbering.
+FIELD_FILES: Dict[Opcode, Tuple[int, int, int]] = {
     op: _field_files(op) for op in Opcode
 }
 
 
-def _to_field(index: int, file: str, opcode: Opcode) -> int:
+def _to_field(index: int, file: int, opcode: Opcode) -> int:
     """Unified register index -> 5-bit field value."""
     if file == _FP:
         if index < NUM_INTEGER_REGISTERS:
@@ -92,65 +94,56 @@ def _to_field(index: int, file: str, opcode: Opcode) -> int:
     return index
 
 
-def _from_field(field: int, file: str) -> int:
-    """5-bit field value -> unified register index."""
-    return field + NUM_INTEGER_REGISTERS if file == _FP else field
-
-
 # ----------------------------------------------------------------------
 # Decode tables
 # ----------------------------------------------------------------------
 
-def _build_tables() -> Tuple[
-    Dict[int, Opcode],
-    Dict[int, Opcode],
-    Dict[Tuple[int, int], Opcode],
-    Dict[int, Opcode],
-    Dict[int, Opcode],
-]:
-    memory: Dict[int, Opcode] = {}
-    branch: Dict[int, Opcode] = {}
-    operate: Dict[Tuple[int, int], Opcode] = {}
-    jump: Dict[int, Opcode] = {}
-    pal: Dict[int, Opcode] = {}
+#: How each format cuts a word: ``(function shift, function mask, ra
+#: mask, rb mask, rc mask, literal flag, displacement mask, displacement
+#: sign bit, unknown-function message)``.  A register field sits at bit
+#: 21 / 16 / 0; a zero mask means the format has no such field (the
+#: operand is then ``ZERO_REGISTER``, as in the constructor).  Formats
+#: without a function field key their one opcode under function 0.
+_FORMAT_CUTS = {
+    Format.OPERATE: (5, 0x7F, 0x1F, 0x1F, 0x1F, 1 << 12, 0, 0,
+                     "unknown operate major={major:#x} function={function:#x}"),
+    Format.OPERATE_FP: (5, 0x7FF, 0x1F, 0x1F, 0x1F, 0, 0, 0,
+                        "unknown FP operate major={major:#x} function={function:#x}"),
+    Format.MEMORY: (0, 0, 0x1F, 0x1F, 0, 0, 0xFFFF, 1 << 15, ""),
+    Format.BRANCH: (0, 0, 0x1F, 0, 0, 0, 0x1F_FFFF, 1 << 20, ""),
+    Format.JUMP: (14, 0x3, 0x1F, 0x1F, 0, 0, 0, 0, "unknown jump type {function}"),
+    Format.PAL: (0, 0x03FF_FFFF, 0, 0, 0, 0, 0, 0, "unknown PAL function {function:#x}"),
+}
+_FORMAT_CUTS[Format.MEMORY_FP] = _FORMAT_CUTS[Format.MEMORY]
+_FORMAT_CUTS[Format.BRANCH_FP] = _FORMAT_CUTS[Format.BRANCH]
+
+
+def _build_major_table() -> List[Optional[tuple]]:
+    """Major opcode -> ``(function shift, function mask, {function:
+    row}, unknown-function message)``, ``None`` for an unassigned major.
+    A row is everything :func:`decode_instruction` needs to cut the
+    operands: the opcode, then per register field its mask and what to
+    add (the file offset, or ``ZERO_REGISTER`` under a zero mask), then
+    the literal flag and the displacement mask and sign bit."""
+    table: List[Optional[tuple]] = [None] * 64
     for op in Opcode:
-        info = op.info
-        if op.format in (Format.MEMORY, Format.MEMORY_FP):
-            if info.major in memory:
-                raise AssertionError(f"duplicate memory major {info.major:#x}")
-            memory[info.major] = op
-        elif op.format in (Format.BRANCH, Format.BRANCH_FP):
-            if info.major in branch:
-                raise AssertionError(f"duplicate branch major {info.major:#x}")
-            branch[info.major] = op
-        elif op.format in (Format.OPERATE, Format.OPERATE_FP):
-            key = (info.major, info.function)
-            if key in operate:
-                raise AssertionError(f"duplicate operate opcode {key}")
-            operate[key] = op
-        elif op.format == Format.JUMP:
-            jump[info.function] = op
-        elif op.format == Format.PAL:
-            pal[info.function] = op
-    return memory, branch, operate, jump, pal
+        shift, mask, *fields, literal, disp_mask, disp_sign, unknown = (
+            _FORMAT_CUTS[op.format]
+        )
+        entry = table[op.info.major]
+        if entry is None:
+            entry = table[op.info.major] = (shift, mask, {}, unknown)
+        function = op.info.function & mask
+        if entry[:2] != (shift, mask) or function in entry[2]:
+            raise AssertionError(f"{op.mnemonic}: major/function collides")
+        operands: List[int] = []
+        for field_mask, file in zip(fields, FIELD_FILES[op]):
+            operands += (field_mask, file if field_mask else ZERO_REGISTER)
+        entry[2][function] = (op, *operands, literal, disp_mask, disp_sign)
+    return table
 
 
-(_MEMORY_MAJORS, _BRANCH_MAJORS, _OPERATE_FUNCS, _JUMP_TYPES, _PAL_FUNCS) = (
-    _build_tables()
-)
-
-_OPERATE_MAJORS = frozenset(major for (major, _f) in _OPERATE_FUNCS)
-_FP_OPERATE_MAJORS = frozenset(
-    op.info.major for op in Opcode if op.format == Format.OPERATE_FP
-)
-_JUMP_MAJOR = Opcode.JMP.info.major
-_PAL_MAJOR = Opcode.HALT.info.major
-
-
-def _signed(value: int, bits: int) -> int:
-    if value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
+_MAJORS = _build_major_table()
 
 
 def _unsigned(value: int, bits: int, what: str) -> int:
@@ -231,78 +224,34 @@ def decode_instruction(word: int) -> Instruction:
     """Decode a 32-bit word back into an :class:`Instruction`."""
     if not 0 <= word < 1 << 32:
         raise EncodingError(f"word {word:#x} is not a 32-bit value")
-    major = (word >> 26) & 0x3F
-
-    if major == _PAL_MAJOR:
-        function = word & 0x03FF_FFFF
-        opcode = _PAL_FUNCS.get(function)
-        if opcode is None:
-            raise EncodingError(f"unknown PAL function {function:#x}")
-        return Instruction(opcode)
-
-    if major == _JUMP_MAJOR:
-        jump_type = (word >> 14) & 0x3
-        opcode = _JUMP_TYPES.get(jump_type)
-        if opcode is None:
-            raise EncodingError(f"unknown jump type {jump_type}")
-        files = FIELD_FILES[opcode]
-        return Instruction(
-            opcode,
-            ra=_from_field((word >> 21) & 0x1F, files[0]),
-            rb=_from_field((word >> 16) & 0x1F, files[1]),
+    entry = _MAJORS[word >> 26]
+    if entry is None:
+        raise EncodingError(f"unknown major opcode {word >> 26:#x}")
+    shift, mask, rows, unknown = entry
+    row = rows.get(word >> shift & mask)
+    if row is None:
+        raise EncodingError(
+            unknown.format(major=word >> 26, function=word >> shift & mask)
         )
-
-    if major in _MEMORY_MAJORS:
-        opcode = _MEMORY_MAJORS[major]
-        files = FIELD_FILES[opcode]
-        return Instruction(
-            opcode,
-            ra=_from_field((word >> 21) & 0x1F, files[0]),
-            rb=_from_field((word >> 16) & 0x1F, files[1]),
-            displacement=_signed(word & 0xFFFF, 16),
-        )
-
-    if major in _BRANCH_MAJORS:
-        opcode = _BRANCH_MAJORS[major]
-        files = FIELD_FILES[opcode]
-        return Instruction(
-            opcode,
-            ra=_from_field((word >> 21) & 0x1F, files[0]),
-            displacement=_signed(word & 0x1F_FFFF, 21),
-        )
-
-    if major in _FP_OPERATE_MAJORS:
-        function = (word >> 5) & 0x7FF
-        opcode = _OPERATE_FUNCS.get((major, function))
-        if opcode is None:
-            raise EncodingError(
-                f"unknown FP operate major={major:#x} function={function:#x}"
-            )
-        files = FIELD_FILES[opcode]
-        return Instruction(
-            opcode,
-            ra=_from_field((word >> 21) & 0x1F, files[0]),
-            rb=_from_field((word >> 16) & 0x1F, files[1]),
-            rc=_from_field(word & 0x1F, files[2]),
-        )
-
-    if major in _OPERATE_MAJORS:
-        function = (word >> 5) & 0x7F
-        opcode = _OPERATE_FUNCS.get((major, function))
-        if opcode is None:
-            raise EncodingError(
-                f"unknown operate major={major:#x} function={function:#x}"
-            )
-        files = FIELD_FILES[opcode]
-        ra = _from_field((word >> 21) & 0x1F, files[0])
-        rc = _from_field(word & 0x1F, files[2])
-        if (word >> 12) & 1:
-            literal = (word >> 13) & 0xFF
-            return Instruction(opcode, ra=ra, rc=rc, literal=literal)
-        rb = _from_field((word >> 16) & 0x1F, files[1])
-        return Instruction(opcode, ra=ra, rb=rb, rc=rc)
-
-    raise EncodingError(f"unknown major opcode {major:#x}")
+    (
+        opcode, mask_a, add_a, mask_b, add_b, mask_c, add_c,
+        literal_flag, disp_mask, disp_sign,
+    ) = row
+    displacement = word & disp_mask
+    if word & literal_flag:
+        literal: Optional[int] = word >> 13 & 0xFF
+        rb = ZERO_REGISTER
+    else:
+        literal = None
+        rb = (word >> 16 & mask_b) + add_b
+    return decoded_instruction(
+        opcode,
+        (word >> 21 & mask_a) + add_a,
+        rb,
+        (word & mask_c) + add_c,
+        literal,
+        displacement - ((displacement & disp_sign) << 1),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -328,13 +277,15 @@ def decode_stream(code: bytes) -> List[Instruction]:
             f"code length {len(code)} is not a multiple of {INSTRUCTION_SIZE}"
         )
     words = struct.unpack(f"<{len(code) // INSTRUCTION_SIZE}I", code)
-    decoded: Dict[int, Instruction] = {}
     # dict.fromkeys keeps first-occurrence order, so the first distinct
     # word that fails is the first bad word of the stream.
-    for word in dict.fromkeys(words):
-        try:
+    decoded: Dict[int, Instruction] = dict.fromkeys(words)
+    try:
+        for word in decoded:
             decoded[word] = decode_instruction(word)
-        except EncodingError as error:
-            error.offset = words.index(word) * INSTRUCTION_SIZE
-            raise
-    return [decoded[word] for word in words]
+    except EncodingError as error:
+        error.offset = words.index(word) * INSTRUCTION_SIZE
+        raise
+    REGISTRY.inc("program.decode.words", len(words))
+    REGISTRY.inc("program.decode.distinct", len(decoded))
+    return list(map(decoded.__getitem__, words))

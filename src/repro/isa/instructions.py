@@ -82,6 +82,18 @@ class OpcodeInfo:
     #: read (store).
     is_load: bool = False
     commutative: bool = False
+    #: Conditional moves also read their destination (the move may not
+    #: happen, so the old value flows through).
+    reads_rc: bool = False
+    #: Mask of registers read implicitly (PAL calls).
+    fixed_uses: int = 0
+
+
+#: Register index ``a0`` (``r16``); OUTPUT reads it.
+_A0 = 16
+
+#: Register index ``v0`` (``r0``); HALT reads it (the exit status).
+_V0 = 0
 
 
 class Opcode(enum.Enum):
@@ -109,8 +121,8 @@ class Opcode(enum.Enum):
     SRL = OpcodeInfo("srl", Format.OPERATE, ControlKind.FALLTHROUGH, 0x12, 0x34)
     SRA = OpcodeInfo("sra", Format.OPERATE, ControlKind.FALLTHROUGH, 0x12, 0x3C)
     MULQ = OpcodeInfo("mulq", Format.OPERATE, ControlKind.FALLTHROUGH, 0x13, 0x20, commutative=True)
-    CMOVEQ = OpcodeInfo("cmoveq", Format.OPERATE, ControlKind.FALLTHROUGH, 0x11, 0x24)
-    CMOVNE = OpcodeInfo("cmovne", Format.OPERATE, ControlKind.FALLTHROUGH, 0x11, 0x26)
+    CMOVEQ = OpcodeInfo("cmoveq", Format.OPERATE, ControlKind.FALLTHROUGH, 0x11, 0x24, reads_rc=True)
+    CMOVNE = OpcodeInfo("cmovne", Format.OPERATE, ControlKind.FALLTHROUGH, 0x11, 0x26, reads_rc=True)
 
     # --- floating operate (major 0x16) ----------------------------------
     ADDT = OpcodeInfo("addt", Format.OPERATE_FP, ControlKind.FALLTHROUGH, 0x16, 0x0A0, commutative=True)
@@ -152,8 +164,8 @@ class Opcode(enum.Enum):
     RET = OpcodeInfo("ret", Format.JUMP, ControlKind.RETURN, 0x1A, 2)
 
     # --- PAL calls --------------------------------------------------------
-    HALT = OpcodeInfo("halt", Format.PAL, ControlKind.HALT, 0x00, 0x0000)
-    OUTPUT = OpcodeInfo("output", Format.PAL, ControlKind.FALLTHROUGH, 0x00, 0x0080)
+    HALT = OpcodeInfo("halt", Format.PAL, ControlKind.HALT, 0x00, 0x0000, fixed_uses=1 << _V0)
+    OUTPUT = OpcodeInfo("output", Format.PAL, ControlKind.FALLTHROUGH, 0x00, 0x0080, fixed_uses=1 << _A0)
 
     def __init__(self, info: OpcodeInfo) -> None:
         # Plain attributes, not properties over ``self.value``: the enum
@@ -163,6 +175,26 @@ class Opcode(enum.Enum):
         self.mnemonic = info.mnemonic
         self.format = info.format
         self.control = info.control
+        # The dataflow rule ``(use ra, use rb, use rc, def ra, def rc,
+        # fixed uses)``: each selector is all-ones or zero, to be AND-ed
+        # with its operand's ``_REGISTER_BIT``.  BR and BSR write the
+        # return address into ra; every jump writes its link register.
+        operate = info.format in (Format.OPERATE, Format.OPERATE_FP)
+        memory = info.format in (Format.MEMORY, Format.MEMORY_FP)
+        jump = info.format == Format.JUMP
+        links = info.control in (
+            ControlKind.UNCOND_BRANCH, ControlKind.CALL_DIRECT
+        )
+        selectors = (
+            operate
+            or (memory and not info.is_load)
+            or info.control == ControlKind.COND_BRANCH,
+            operate or memory or jump,
+            info.reads_rc,
+            (memory and info.is_load) or jump or links,
+            operate,
+        )
+        self.rule = tuple(-int(s) for s in selectors) + (info.fixed_uses,)
 
 
 #: Mnemonic -> opcode lookup for the assembler.
@@ -176,17 +208,29 @@ class OperandKind(enum.Enum):
     LITERAL = "literal"
 
 
-#: Register index ``a0`` (``r16``); OUTPUT reads it.
-_A0 = 16
+#: Register index -> its bit in a use/def mask.  The hardwired zero
+#: registers map to 0: reading them is no dataflow dependence and the
+#: hardware discards writes to them, so they vanish from every mask.
+_REGISTER_BIT: Tuple[int, ...] = tuple(
+    0 if index in (ZERO_REGISTER, FLOAT_ZERO_REGISTER) else 1 << index
+    for index in range(NUM_REGISTERS)
+)
 
-#: Register index ``v0`` (``r0``); HALT reads it (the exit status).
-_V0 = 0
+#: Mask -> the register indices in it (:meth:`Instruction.uses` /
+#: :meth:`Instruction.defs`); the ISA bounds the distinct masks.
+_MASK_MEMBERS: Dict[int, FrozenSet[int]] = {}
 
 
-def _zero_for(format: Format) -> int:
-    if format in (Format.OPERATE_FP, Format.MEMORY_FP, Format.BRANCH_FP):
-        return FLOAT_ZERO_REGISTER
-    return ZERO_REGISTER
+def _members(mask: int) -> FrozenSet[int]:
+    members = _MASK_MEMBERS.get(mask)
+    if members is None:
+        members = _MASK_MEMBERS[mask] = frozenset(
+            index for index in range(NUM_REGISTERS) if mask >> index & 1
+        )
+    return members
+
+
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -236,20 +280,27 @@ class Instruction:
                     f"{self.opcode.mnemonic}: literal {self.literal} out of "
                     f"range [0, 256)"
                 )
+        self._derive()
+
+    def _derive(self) -> None:
         # The front end asks every instruction the same three things in
         # its hottest loops — how it transfers control, what it reads,
-        # what it writes — so answer them once here (the instruction is
-        # immutable, and a decoded image shares one object per distinct
-        # word).  None of these is a dataclass field, so equality and
-        # hash are unaffected.
-        uses = self._compute_uses()
-        defs = self._compute_defs()
-        set_attribute = object.__setattr__
-        set_attribute(self, "control", self.opcode.control)
-        set_attribute(self, "_uses", uses)
-        set_attribute(self, "_defs", defs)
-        set_attribute(self, "use_mask", sum(1 << r for r in uses))
-        set_attribute(self, "def_mask", sum(1 << r for r in defs))
+        # what it writes — so answer them once here, from the opcode's
+        # dataflow rule (the instruction is immutable, and a decoded
+        # image shares one object per distinct word).  None of these is
+        # a dataclass field, so equality and hash are unaffected.
+        opcode = self.opcode
+        use_a, use_b, use_c, def_a, def_c, fixed = opcode.rule
+        bit_a = _REGISTER_BIT[self.ra]
+        bit_b = _REGISTER_BIT[self.rb] if self.literal is None else 0
+        bit_c = _REGISTER_BIT[self.rc]
+        _set(self, "control", opcode.control)
+        _set(
+            self,
+            "use_mask",
+            bit_a & use_a | bit_b & use_b | bit_c & use_c | fixed,
+        )
+        _set(self, "def_mask", bit_a & def_a | bit_c & def_c)
 
     # ------------------------------------------------------------------
     # Register dataflow
@@ -261,7 +312,7 @@ class Instruction:
         Reads of the hardwired zero registers are *not* reported: they
         never constitute a dataflow dependence.
         """
-        return self._uses  # type: ignore[attr-defined]
+        return _members(self.use_mask)  # type: ignore[attr-defined]
 
     def defs(self) -> FrozenSet[int]:
         """Indices of registers written by this instruction.
@@ -269,63 +320,7 @@ class Instruction:
         Writes to the hardwired zero registers are discarded by the
         hardware and therefore not reported.
         """
-        return self._defs  # type: ignore[attr-defined]
-
-    def _compute_uses(self) -> FrozenSet[int]:
-        fmt = self.opcode.format
-        raw: Tuple[int, ...]
-        if fmt in (Format.OPERATE, Format.OPERATE_FP):
-            if self.literal is None:
-                raw = (self.ra, self.rb)
-            else:
-                raw = (self.ra,)
-        elif fmt in (Format.MEMORY, Format.MEMORY_FP):
-            if self.opcode.info.is_load:
-                raw = (self.rb,)
-            else:
-                raw = (self.ra, self.rb)
-        elif fmt in (Format.BRANCH, Format.BRANCH_FP):
-            if self.opcode.control == ControlKind.COND_BRANCH:
-                raw = (self.ra,)
-            else:
-                raw = ()
-        elif fmt == Format.JUMP:
-            raw = (self.rb,)
-        elif self.opcode is Opcode.OUTPUT:
-            raw = (_A0,)
-        else:  # HALT delivers v0 to the host as the exit status.
-            raw = (_V0,)
-        # Conditional moves additionally read their destination (the move
-        # may not happen, so the old value flows through).
-        if self.opcode in (Opcode.CMOVEQ, Opcode.CMOVNE):
-            raw = raw + (self.rc,)
-        return frozenset(
-            r for r in raw if r not in (ZERO_REGISTER, FLOAT_ZERO_REGISTER)
-        )
-
-    def _compute_defs(self) -> FrozenSet[int]:
-        fmt = self.opcode.format
-        raw: Tuple[int, ...]
-        if fmt in (Format.OPERATE, Format.OPERATE_FP):
-            raw = (self.rc,)
-        elif fmt in (Format.MEMORY, Format.MEMORY_FP):
-            raw = (self.ra,) if self.opcode.info.is_load else ()
-        elif fmt in (Format.BRANCH, Format.BRANCH_FP):
-            # BR and BSR write the return address into ra.
-            if self.opcode.control in (
-                ControlKind.UNCOND_BRANCH,
-                ControlKind.CALL_DIRECT,
-            ):
-                raw = (self.ra,)
-            else:
-                raw = ()
-        elif fmt == Format.JUMP:
-            raw = (self.ra,)
-        else:
-            raw = ()
-        return frozenset(
-            r for r in raw if r not in (ZERO_REGISTER, FLOAT_ZERO_REGISTER)
-        )
+        return _members(self.def_mask)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # Control flow
@@ -382,6 +377,33 @@ class Instruction:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def decoded_instruction(
+    opcode: Opcode,
+    ra: int,
+    rb: int,
+    rc: int,
+    literal: Optional[int],
+    displacement: int,
+) -> Instruction:
+    """An :class:`Instruction` built without the constructor's checks.
+
+    For :mod:`repro.isa.encoding` only: its operands are bit-field cuts
+    of a machine word (5 bits plus a register-file offset; an 8-bit
+    literal, and only from an integer operate word), so every check
+    holds by construction.  Attributes are set in the constructor's
+    order, which keeps CPython's shared-key instance layout.
+    """
+    instruction = object.__new__(Instruction)
+    _set(instruction, "opcode", opcode)
+    _set(instruction, "ra", ra)
+    _set(instruction, "rb", rb)
+    _set(instruction, "rc", rc)
+    _set(instruction, "literal", literal)
+    _set(instruction, "displacement", displacement)
+    instruction._derive()
+    return instruction
 
 
 # ----------------------------------------------------------------------

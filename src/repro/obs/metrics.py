@@ -29,6 +29,9 @@ Counter inventory (see ``docs/observability.md`` for semantics):
                                  per-routine visit attribution; only
                                  recorded while :attr:`per_routine`
                                  is on (the ``report`` subcommand)
+``program.decode.words`` / ``program.decode.distinct``  instruction
+                                 words handed to ``decode_stream`` and
+                                 the distinct ones it had to decode
 ``psg.builds`` / ``psg.partial_builds``  graph constructions
 ``psg.nodes`` / ``psg.flow_edges`` / ``psg.call_return_edges`` /
 ``psg.branch_nodes``             PSG sizes, summed over builds

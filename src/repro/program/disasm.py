@@ -17,7 +17,7 @@ from repro.program.model import Program, ProgramError, Routine
 
 def disassemble_image(image: ExecutableImage) -> Program:
     """Decode ``image`` into a :class:`~repro.program.model.Program`."""
-    image.validate()
+    entries = image.validate()
     try:
         instructions = decode_stream(image.text)
     except EncodingError as error:
@@ -40,7 +40,7 @@ def disassemble_image(image: ExecutableImage) -> Program:
         )
         routine.code = image.text[offset : offset + routine.size]
         routines.append(routine)
-    entry_symbol = image.symbol_at(image.entry_point)
+    entry_symbol = entries.get(image.entry_point)
     if entry_symbol is None:
         raise ImageFormatError(
             f"entry point {image.entry_point:#x} is not a routine entry"

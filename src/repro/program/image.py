@@ -143,17 +143,32 @@ class ExecutableImage:
     # Validation and lookup helpers
     # ------------------------------------------------------------------
 
-    def validate(self) -> None:
-        """Check internal consistency; raise :class:`ImageFormatError`."""
+    def validate(self) -> Dict[int, Symbol]:
+        """Check internal consistency; raise :class:`ImageFormatError`.
+
+        Returns the symbols by entry address (what :meth:`symbol_at`
+        scans for), which the checks need anyway.
+        """
         if len(self.text) % 4:
             raise ImageFormatError("text section not word aligned")
         text_end = self.text_base + len(self.text)
         seen: Dict[str, Symbol] = {}
+        entries: Dict[int, Symbol] = {}
         previous_end = self.text_base
         for symbol in sorted(self.symbols, key=lambda s: s.address):
             if symbol.name in seen:
                 raise ImageFormatError(f"duplicate symbol {symbol.name!r}")
             seen[symbol.name] = symbol
+            entries[symbol.address] = symbol
+            if not symbol.size:
+                raise ImageFormatError(
+                    f"symbol {symbol.name!r} has no instructions"
+                )
+            if symbol.address % 4:
+                raise ImageFormatError(
+                    f"symbol {symbol.name!r} at unaligned address "
+                    f"{symbol.address:#x}"
+                )
             if symbol.address < self.text_base or symbol.end > text_end:
                 raise ImageFormatError(
                     f"symbol {symbol.name!r} [{symbol.address:#x}, {symbol.end:#x}) "
@@ -193,11 +208,12 @@ class ExecutableImage:
                     f"call-target hint owner {hint.call_address:#x} outside text"
                 )
             for target in hint.targets:
-                if self.symbols and self.symbol_at(target) is None:
+                if self.symbols and target not in entries:
                     raise ImageFormatError(
                         f"call-target hint at {hint.call_address:#x} targets "
                         f"{target:#x}, not a routine entry"
                     )
+        return entries
 
     def symbol_by_name(self, name: str) -> Symbol:
         """The symbol called ``name`` (raises :class:`KeyError`)."""
@@ -327,7 +343,12 @@ class ExecutableImage:
             offset += _U16.size
             if offset + name_length > len(blob):
                 raise ImageFormatError("truncated symbol name")
-            name = blob[offset : offset + name_length].decode("utf-8")
+            try:
+                name = blob[offset : offset + name_length].decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise ImageFormatError(
+                    f"symbol name is not UTF-8: {error}"
+                ) from None
             offset += name_length
             symbols.append(Symbol(name, address, size, bool(exported)))
         jump_tables: List[JumpTableInfo] = []

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,31 @@ def _isolated_summary_store(tmp_path, monkeypatch):
     """
     if os.environ.get("REPRO_SUMMARY_STORE"):
         monkeypatch.setenv("REPRO_SUMMARY_STORE", str(tmp_path / "sumstore"))
+
+
+def _load_tool(name: str):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def hostile_symbol_tables():
+    """``image bytes -> {name: bytes}``: the three symbol-table
+    corruptions of ``tools/hostile_image_smoke.py`` (the images CI
+    feeds the CLI), for the in-process surfaces."""
+    hostile_images = _load_tool("hostile_image_smoke").hostile_images
+
+    def derive(blob: bytes):
+        return {
+            name: hostile
+            for name, hostile in hostile_images(blob).items()
+            if name.startswith("symbol-")
+        }
+
+    return derive
 
 
 #: A two-routine program exercising calls, liveness and OUTPUT.

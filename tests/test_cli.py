@@ -234,6 +234,22 @@ class TestExitCodes:
         assert main(["run", str(bad)]) == 3
         assert main(["optimize", str(bad), "-o", str(tmp_path / "o")]) == 3
 
+    def test_hostile_symbol_tables_are_3(
+        self, tmp_path, capsys, hostile_symbol_tables
+    ):
+        # A name that is not UTF-8, a zero-size routine, a routine at
+        # an address 2 (mod 4): bad input, not a traceback.
+        hostile = hostile_symbol_tables(assemble(SOURCE).to_bytes())
+        assert len(hostile) == 3
+        for name, blob in hostile.items():
+            bad = tmp_path / f"{name}.sax"
+            bad.write_bytes(blob)
+            for command in (["analyze"], ["query", "main"], ["disasm"]):
+                assert main([command[0], str(bad)] + command[1:]) == 3, name
+                err = capsys.readouterr().err
+                assert err.startswith("cannot load image")
+                assert len(err.strip().splitlines()) == 1
+
     def test_undecodable_text_word_is_3(self, tmp_path, capsys):
         # A structurally valid image whose second text word no
         # instruction format claims: bad input, not a traceback.

@@ -694,6 +694,19 @@ class TestGccStructuralGate:
         assert warm.metrics.phase1_solved == warm.metrics.phase2_solved == 0
         assert dump_cache(warm.cache) == sidecar
 
+    def test_warm_clean_decodes_each_word_of_the_image_once(self, gcc_tenth):
+        # Counts, not a stopwatch: nobody re-decodes through
+        # ``Routine.code``, and compiled code repeats itself enough for
+        # the per-call distinct-word dict to pay.
+        program, sidecar, _prime = gcc_tenth
+        image = program_to_image(program)
+        before = REGISTRY.snapshot()
+        session = AnalysisSession.from_image_bytes(image.to_bytes(), STORE_OFF)
+        session.analyze_incremental(cache=load_cache(sidecar), jobs=1)
+        delta = REGISTRY.delta_since(before)
+        assert delta["program.decode.words"] == image.instruction_count
+        assert 0 < delta["program.decode.distinct"] <= 0.1 * image.instruction_count
+
     def test_local_edit_builds_no_more_cfgs_than_it_solves(self, gcc_tenth):
         program, sidecar, _prime = gcc_tenth
         # The least-called editable routine: a local edit.

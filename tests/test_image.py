@@ -166,3 +166,43 @@ class TestSerialization:
         restored = ExecutableImage.from_bytes(_image().to_bytes())
         assert restored.symbol_by_name("main").exported
         assert not restored.symbol_by_name("f").exported
+
+
+class TestHostileSymbolTables:
+    """Symbol tables no linker writes: each must be a typed
+    :class:`ImageFormatError` at parse time, never a raw
+    ``UnicodeDecodeError`` or a ``ProgramError`` out of the lifter."""
+
+    def test_each_is_rejected_at_parse_time(self, hostile_symbol_tables):
+        hostile = hostile_symbol_tables(_image().to_bytes())
+        expected = {
+            "symbol-name-not-utf8": "symbol name is not UTF-8",
+            "symbol-zero-size": "symbol 'f' has no instructions",
+            "symbol-unaligned": "symbol 'f' at unaligned address 0x1000a",
+        }
+        assert sorted(hostile) == sorted(expected)
+        for name, message in expected.items():
+            with pytest.raises(ImageFormatError, match=message):
+                ExecutableImage.from_bytes(hostile[name])
+
+    def test_validate_rejects_the_same_symbols_in_memory(self):
+        with pytest.raises(ImageFormatError, match="has no instructions"):
+            _image(
+                symbols=[
+                    Symbol("main", DEFAULT_TEXT_BASE, 8),
+                    Symbol("f", DEFAULT_TEXT_BASE + 8, 0),
+                ]
+            ).validate()
+        with pytest.raises(ImageFormatError, match="unaligned address"):
+            _image(
+                symbols=[
+                    Symbol("main", DEFAULT_TEXT_BASE, 8),
+                    Symbol("f", DEFAULT_TEXT_BASE + 10, 4),
+                ]
+            ).validate()
+
+    def test_validate_returns_the_symbols_by_entry_address(self):
+        image = _image()
+        assert image.validate() == {
+            symbol.address: symbol for symbol in image.symbols
+        }

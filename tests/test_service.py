@@ -352,6 +352,21 @@ class TestBadRequests:
             assert f"{image.text_base:#x}" in str(excinfo.value)
         assert client.metricsz()["registry"]["sessions"] == 0
 
+    def test_hostile_symbol_tables_are_400(
+        self, daemon, image_a, hostile_symbol_tables
+    ):
+        # Symbol tables that used to end in UnicodeDecodeError /
+        # ProgramError (a 500): the client's fault, with a typed message.
+        client = _client(daemon)
+        hostile = hostile_symbol_tables(image_a)
+        assert len(hostile) == 3
+        for name, blob in hostile.items():
+            with pytest.raises(ServiceError) as excinfo:
+                client.analyze(blob)
+            assert excinfo.value.status == 400, name
+            assert "symbol" in str(excinfo.value)
+        assert client.metricsz()["registry"]["sessions"] == 0
+
     def test_oversized_body_is_413(self, image_a):
         daemon = AnalysisDaemon(ServiceConfig(port=0, max_request_bytes=64))
         thread = threading.Thread(target=daemon.serve_forever)
