@@ -32,21 +32,10 @@ unparseable images raise
 :class:`~repro.program.image.ImageFormatError` from the constructor
 instead, so callers can tell "bad input" from "analysis failed".
 
-The old free functions still work but are deprecated shims around this
-facade (they emit :class:`DeprecationWarning`); new code should not
-import them.
-
 Worker-count resolution, everywhere in the facade: an explicit
 ``jobs=`` argument wins, then :attr:`AnalysisConfig.jobs`, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).  0 or a negative
 value means "one worker per available CPU".
-
-Solver-core resolution mirrors it: :attr:`AnalysisConfig.solver_core`
-wins, then the ``REPRO_SOLVER_CORE`` environment variable, then
-``"object"``.  ``"flat"`` runs the CSR-arena fast path, ``"object"``
-the object-graph engines, ``"fifo"`` the legacy FIFO scheduling —
-summaries are bit-identical for every choice, at every worker count
-(see :mod:`repro.interproc.flatcore`).
 """
 
 from __future__ import annotations
@@ -140,10 +129,6 @@ _log = logging.getLogger(__name__)
 
 #: Environment variable consulted for the default worker count.
 JOBS_ENV_VAR = "REPRO_JOBS"
-
-#: Environment variable consulted for the default solver core
-#: (re-exported from :mod:`repro.interproc.flatcore` for discovery).
-SOLVER_CORE_ENV_VAR = "REPRO_SOLVER_CORE"
 
 #: Environment variable naming the shared summary-store directory
 #: (re-exported from :mod:`repro.interproc.store` for discovery).

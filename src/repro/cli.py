@@ -241,13 +241,11 @@ def _cmd_analyze_incremental(
 
 def _analysis_config(
     labeling: Optional[str],
-    solver_core: Optional[str] = None,
     store_dir: Optional[str] = None,
 ) -> Optional[AnalysisConfig]:
-    """Map the ``--labeling`` / ``--solver-core`` / ``--store-dir``
-    choices to an analysis config (None = all defaults, so
-    env-variable resolution applies)."""
-    if labeling is None and solver_core is None and store_dir is None:
+    """Map the ``--labeling`` / ``--store-dir`` choices to an analysis
+    config (None = all defaults, so env-variable resolution applies)."""
+    if labeling is None and store_dir is None:
         return None
     from repro.psg.build import PsgConfig
 
@@ -262,7 +260,7 @@ def _analysis_config(
         from repro.interproc.store import SummaryStore
 
         store = SummaryStore(store_dir)
-    return AnalysisConfig(psg=psg, solver_core=solver_core, store=store)
+    return AnalysisConfig(psg=psg, store=store)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -273,7 +271,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             image_bytes = handle.read()
         session = AnalysisSession.from_image_bytes(
             image_bytes,
-            _analysis_config(args.labeling, args.solver_core, args.store_dir),
+            _analysis_config(args.labeling, args.store_dir),
         )
     except (OSError, ImageFormatError) as error:
         print(f"cannot load image {args.image}: {error}", file=sys.stderr)
@@ -402,7 +400,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         session = AnalysisSession.from_path(
             args.image,
-            _analysis_config(args.labeling, args.solver_core, args.store_dir),
+            _analysis_config(args.labeling, args.store_dir),
         )
     except (OSError, ImageFormatError) as error:
         print(f"cannot load image {args.image}: {error}", file=sys.stderr)
@@ -678,16 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     analyze.add_argument(
-        "--solver-core", choices=["flat", "object", "fifo"],
-        default=None, metavar="CORE",
-        help=(
-            "two-phase solver core: flat (CSR-arena fast path), object "
-            "(object-graph engines; default), or fifo (legacy FIFO "
-            "scheduling, kept for bisects).  Summaries are bit-identical "
-            "for every choice (default: REPRO_SOLVER_CORE or object)"
-        ),
-    )
-    analyze.add_argument(
         "-r", "--routine", dest="routines", action="append", default=[],
         help="print the summary of this routine (repeatable)",
     )
@@ -785,11 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--labeling", choices=["batched", "per-target", "per-edge"],
         default=None, metavar="STRATEGY",
         help="flow-summary labeling strategy (see analyze --labeling)",
-    )
-    query.add_argument(
-        "--solver-core", choices=["flat", "object", "fifo"],
-        default=None, metavar="CORE",
-        help="two-phase solver core (see analyze --solver-core)",
     )
     query.add_argument(
         "--store-dir", metavar="DIR", default=None,

@@ -23,7 +23,6 @@ edge set.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -150,21 +149,20 @@ class SubgraphWorklist:
     phase-2 return-to-exit copies) call :meth:`enqueue` from inside
     their transfer function.
 
-    Scheduling is a **priority worklist** by default: ``seed_order``
-    doubles as the rank key, and the queue is a min-heap of ranks with
-    an in-queue bitmap, so the most-upstream pending node (callee-first
-    for phase 1, caller-first for phase 2 — i.e. reverse postorder of
-    the dependency direction) is always visited next.  That ordering
-    visits a node only after its typical suppliers have settled,
-    cutting revisits sharply versus FIFO.  ``order="fifo"`` restores
-    the pre-priority deque scheduling as a bisect/measurement baseline;
-    both reach the identical fixed point (chaotic iteration of a
-    monotone system is order-independent).
+    Scheduling is a **priority worklist**: ``seed_order`` doubles as
+    the rank key, and the queue is a min-heap of ranks with an in-queue
+    bitmap, so the most-upstream pending node (callee-first for
+    phase 1, caller-first for phase 2 — i.e. reverse postorder of the
+    dependency direction) is always visited next.  That ordering visits
+    a node only after its typical suppliers have settled, cutting
+    revisits sharply versus a first-in-first-out queue (chaotic
+    iteration of a monotone system reaches the same fixed point in any
+    order).
     """
 
     __slots__ = (
-        "_dependents", "_frozen", "_queued",
-        "_heap", "_by_rank", "_rank_of", "_queue",
+        "_dependents", "_queued",
+        "_heap", "_by_rank", "_rank_of",
         "max_depth", "pushes", "skipped", "revisits", "_seen",
     )
 
@@ -174,13 +172,11 @@ class SubgraphWorklist:
         dependents: Sequence[Sequence[int]],
         frozen: Sequence[bool],
         seed_order: Sequence[int],
-        order: str = "priority",
     ) -> None:
         self._dependents = dependents
-        self._frozen = frozen
         # Frozen boundary nodes are marked permanently in-queue: the
         # enqueue fast path then suppresses them with the bitmap test
-        # alone (they are popped by neither scheduler).
+        # alone (they are never seeded, so never popped).
         self._queued = bytearray(node_count)
         for node in range(node_count):
             if frozen[node]:
@@ -189,29 +185,20 @@ class SubgraphWorklist:
         seeds = [node for node in seed_order if not frozen[node]]
         for node in seeds:
             self._queued[node] = 1
-        if order == "priority":
-            by_rank = list(seed_order)
-            rank_of = [0] * node_count
-            listed = bytearray(node_count)
-            for rank, node in enumerate(by_rank):
-                rank_of[node] = rank
-                listed[node] = 1
-            for node in range(node_count):  # robustness: partial orders
-                if not listed[node]:
-                    rank_of[node] = len(by_rank)
-                    by_rank.append(node)
-            self._by_rank = by_rank
-            self._rank_of = rank_of
-            # Seed ranks are ascending by construction: a valid heap.
-            self._heap: Optional[List[int]] = [rank_of[n] for n in seeds]
-            self._queue: deque = deque()
-        elif order == "fifo":
-            self._heap = None
-            self._by_rank = []
-            self._rank_of = []
-            self._queue = deque(seeds)
-        else:
-            raise ValueError(f"unknown worklist order {order!r}")
+        by_rank = list(seed_order)
+        rank_of = [0] * node_count
+        listed = bytearray(node_count)
+        for rank, node in enumerate(by_rank):
+            rank_of[node] = rank
+            listed[node] = 1
+        for node in range(node_count):  # robustness: partial orders
+            if not listed[node]:
+                rank_of[node] = len(by_rank)
+                by_rank.append(node)
+        self._by_rank = by_rank
+        self._rank_of = rank_of
+        # Seed ranks are ascending by construction: a valid heap.
+        self._heap: List[int] = [rank_of[n] for n in seeds]
         #: Deepest the queue has been, including the initial seed — a
         #: convergence gauge surfaced as ``solver.max_queue_depth``.
         self.max_depth = len(seeds)
@@ -231,10 +218,7 @@ class SubgraphWorklist:
             return
         self._queued[node] = 1
         self.pushes += 1
-        if self._heap is not None:
-            heappush(self._heap, self._rank_of[node])
-        else:
-            self._queue.append(node)
+        heappush(self._heap, self._rank_of[node])
 
     def run(
         self,
@@ -252,21 +236,12 @@ class SubgraphWorklist:
         dependents = self._dependents
         heap = self._heap
         by_rank = self._by_rank
-        queue = self._queue
         visits = 0
         revisits = self.revisits
         max_depth = self.max_depth
-        while True:
-            if heap is not None:
-                depth = len(heap)
-                if not depth:
-                    break
-                node = by_rank[heappop(heap)]
-            else:
-                depth = len(queue)
-                if not depth:
-                    break
-                node = queue.popleft()
+        while heap:
+            depth = len(heap)
+            node = by_rank[heappop(heap)]
             if depth > max_depth:
                 max_depth = depth
             queued[node] = 0

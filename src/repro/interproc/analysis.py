@@ -31,10 +31,8 @@ from repro.cfg.callgraph import CallGraph
 from repro.cfg.cfg import ControlFlowGraph
 from repro.dataflow.local import LocalSets, compute_local_sets
 from repro.dataflow.regset import mask_of
-from repro.psg.arena import get_arena
 from repro.psg.build import PsgConfig, build_psg
 from repro.psg.graph import ProgramSummaryGraph
-from repro.interproc import flatcore
 from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.phase1 import Phase1Result, run_phase1
 from repro.interproc.phase2 import Phase2Result, run_phase2
@@ -93,14 +91,6 @@ class AnalysisConfig:
     #: Results are bit-identical at every setting (see
     #: :mod:`repro.interproc.parallel`).
     jobs: int = 1
-    #: Solver core for the two-phase engines: ``"flat"`` (CSR arena
-    #: fast path), ``"object"`` (object-graph engines with priority
-    #: scheduling), or ``"fifo"`` (object engines with the legacy FIFO
-    #: deque — a bisect/measurement baseline).  ``None`` defers to the
-    #: ``REPRO_SOLVER_CORE`` environment variable, then ``"object"``.
-    #: Results are bit-identical for every choice (see
-    #: :mod:`repro.interproc.flatcore`).
-    solver_core: Optional[str] = None
     #: Cross-image summary store (:mod:`repro.interproc.store`):
     #: ``None`` defers to the ``REPRO_SUMMARY_STORE`` environment
     #: variable, a :class:`~repro.interproc.store.SummaryStore` uses
@@ -108,6 +98,9 @@ class AnalysisConfig:
     #: when the environment names one.  Results are byte-identical in
     #: every case.
     store: Optional[object] = None
+    # A class constant, not a field: read only by the frozen stage
+    # replay in perf/workloads.py; ROADMAP item 3 deletes it.
+    solver_core = None
 
 
 @dataclass
@@ -235,11 +228,6 @@ def _analyze_program(
 
     with timer.stage("psg_build"):
         psg = build_psg(program, cfgs, local_sets, config.psg)
-        if flatcore.resolve_solver_core(config.solver_core) == "flat":
-            # Lowering is graph construction: charge the one-time CSR
-            # arena build to the PSG stage so the phase timings report
-            # solve time (the arena is cached on the PSG afterwards).
-            get_arena(psg)
 
     preserved = mask_of(
         {config.convention.stack_pointer, config.convention.global_pointer}
@@ -247,10 +235,7 @@ def _analyze_program(
     callee_first = call_graph.reverse_topological_order()
     phase1_order = node_seed_order(psg, callee_first)
     with timer.stage("phase1"):
-        phase1 = run_phase1(
-            psg, saved_restored, preserved, phase1_order,
-            core=config.solver_core,
-        )
+        phase1 = run_phase1(psg, saved_restored, preserved, phase1_order)
 
     caller_first = list(reversed(callee_first))
     phase2_order = node_seed_order(psg, caller_first)
@@ -260,7 +245,6 @@ def _analyze_program(
             call_graph.externally_callable,
             config.convention,
             phase2_order,
-            core=config.solver_core,
         )
 
     result = _assemble_summaries(program, cfgs, saved_restored, psg, phase1, phase2)

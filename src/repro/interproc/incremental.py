@@ -593,7 +593,6 @@ class _WarmEngine:
                         self.preserved,
                         self._node_order(partial),
                         fixed_entries=fixed,
-                        core=self.config.solver_core,
                     )
             self.metrics.phase1_sccs_solved += 1
             self.metrics.phase1_iterations += solution.iterations
@@ -721,7 +720,6 @@ class _WarmEngine:
                         self.config.convention,
                         self._node_order(partial),
                         extra_exit_live=seeds,
-                        core=self.config.solver_core,
                     )
             self.solved2.add(index)
             self.metrics.phase2_sccs_solved += 1

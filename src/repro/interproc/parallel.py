@@ -392,7 +392,6 @@ def _solve_shard_phase1(
             state.preserved,
             state.orders[shard_index],
             fixed_entries=fixed,
-            core=state.config.solver_core,
         )
         seconds["phase1"] = time.perf_counter() - start
         triples = {}
@@ -469,7 +468,6 @@ def _solve_shard_phase2(
         state.config.convention,
         state.orders[shard_index],
         extra_exit_live=seeds,
-        core=state.config.solver_core,
     )
     seconds["phase2"] = time.perf_counter() - start
 

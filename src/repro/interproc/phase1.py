@@ -44,15 +44,19 @@ the incoming ``sp``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
 from repro.dataflow.equations import SummaryTriple
-from repro.dataflow.solver import SubgraphWorklist
 from repro.dataflow.regset import TRACKED_MASK
 from repro.cfg.cfg import ExitKind
+from repro.interproc.flatcore import (
+    label_call_return_edges,
+    resolve_solver_core,
+    seed_priority,
+)
 from repro.obs.metrics import REGISTRY
 from repro.psg.graph import ProgramSummaryGraph
-from repro.psg.nodes import NodeKind
 
 
 def record_solve(
@@ -67,7 +71,7 @@ def record_solve(
 ) -> None:
     """Push one solve's convergence numbers into the obs registry.
 
-    Shared by both phase engines and the flat core.  ``counts``
+    Shared by both phases.  ``counts``
     (per-node visit counts) is attributed to routines only when
     per-routine collection is on — the mapping walk is O(nodes) and
     only ``spike-analyze report`` consumes it.  ``pushes`` / ``skipped``
@@ -112,33 +116,14 @@ class Phase1Result:
         )
 
 
-def _dependents(psg: ProgramSummaryGraph) -> List[List[int]]:
-    """dependents[m] = nodes whose transfer reads node m's state."""
-    result: List[List[int]] = [[] for _ in range(len(psg.nodes))]
-    for edge in psg.flow_edges:
-        result[edge.dst].append(edge.src)
-    for edge in psg.call_return_edges:
-        result[edge.dst].append(edge.src)
-        for callee in edge.callees:
-            entry = psg.routines[callee].entry_node
-            result[entry].append(edge.src)
-    return result
-
-
-def _exit_fixed_values(kind: ExitKind) -> SummaryTriple:
-    if kind == ExitKind.RETURN:
-        return SummaryTriple(0, 0, 0)
-    if kind == ExitKind.HALT:
-        return SummaryTriple(0, 0, TRACKED_MASK)
-    return SummaryTriple(TRACKED_MASK, TRACKED_MASK, 0)  # UNKNOWN_JUMP
-
-
 def run_phase1(
     psg: ProgramSummaryGraph,
     saved_restored: Dict[str, int],
     preserved_mask: int,
     seed_order: Sequence[int],
     fixed_entries: Optional[Dict[int, SummaryTriple]] = None,
+    # Passed only by the frozen replay in perf/workloads.py; ROADMAP
+    # item 3 deletes it.
     core: Optional[str] = None,
 ) -> Phase1Result:
     """Run phase 1 over ``psg``.
@@ -155,157 +140,247 @@ def run_phase1(
     values are never recomputed — which is how the incremental engine
     stitches cached callee summaries into a partial PSG.
 
-    ``core`` selects the solver data layout/scheduling (``flat`` /
-    ``object`` / ``fifo``, default via ``REPRO_SOLVER_CORE``); every
-    core converges to bit-identical results (see
-    :mod:`repro.interproc.flatcore`).
+    The loop runs over the arena's rows with sweep + pocket scheduling
+    (:mod:`repro.interproc.flatcore`).
     """
-    # Imported lazily to break the phase1 <-> flatcore cycle (flatcore
-    # reuses Phase1Result and record_solve).
-    from repro.interproc import flatcore
-
-    core = flatcore.resolve_solver_core(core)
-    if core == "flat":
-        return flatcore.run_phase1_flat(
-            psg, saved_restored, preserved_mask, seed_order,
-            fixed_entries=fixed_entries,
-        )
-    worklist_order = "fifo" if core == "fifo" else "priority"
+    resolve_solver_core(core)
+    arena = psg.arena
     node_count = len(psg.nodes)
-    nodes = psg.nodes
+    flow_view = arena.flow_view
+    defs_static = arena.defs_static
+    uses_static = arena.uses_static
+    cr_dst = arena.cr_dst
+    cr_single = arena.cr_single
+    cr_callees = arena.cr_callees
+    cr_unknown = arena.cr_unknown
+    dep_view = arena.dep1_view
+
     may_def = [0] * node_count
-    # MUST-DEF is a ∩-meet problem: interior nodes start at ⊤ and shrink
-    # (greatest fixed point), the standard must-analysis initialization;
-    # see the note in repro.dataflow.equations.
     must_def = [TRACKED_MASK] * node_count
     may_use = [0] * node_count
-    is_exit = [False] * node_count
-    for node in nodes:
-        if node.kind == NodeKind.EXIT:
-            assert node.exit_kind is not None
-            fixed = _exit_fixed_values(node.exit_kind)
-            may_use[node.id] = fixed.may_use
-            may_def[node.id] = fixed.may_def
-            must_def[node.id] = fixed.must_def
-            is_exit[node.id] = True
+    frozen = bytearray(node_count)
+    # §3.4 stripping as dense arrays: zero everywhere but entry nodes,
+    # and `mask &= ~0` is the identity, so "strip where nonzero" equals
+    # "strip at entries".
+    strip_use = [0] * node_count
+    strip_def = [0] * node_count
+    entry_of: Dict[str, int] = {}
+    for name, routine_psg in psg.routines.items():
+        entry = routine_psg.entry_node
+        entry_of[name] = entry
+        strip = saved_restored.get(name, 0)
+        strip_use[entry] = strip
+        strip_def[entry] = strip | preserved_mask
+        for node, kind in routine_psg.exit_nodes:
+            frozen[node] = 1
+            if kind is ExitKind.RETURN:
+                must_def[node] = 0
+            elif kind is ExitKind.UNKNOWN_JUMP:
+                may_use[node] = TRACKED_MASK
+                may_def[node] = TRACKED_MASK
+                must_def[node] = 0
+            # HALT keeps (0, 0, TRACKED_MASK): the initial values.
     if fixed_entries:
         for node_id, triple in fixed_entries.items():
             may_use[node_id] = triple.may_use
             may_def[node_id] = triple.may_def
             must_def[node_id] = triple.must_def
-            is_exit[node_id] = True
+            frozen[node_id] = 1
 
-    entry_strip: Dict[int, int] = {}
-    entry_strip_defs: Dict[int, int] = {}
-    for name, routine_psg in psg.routines.items():
-        strip = saved_restored.get(name, 0)
-        entry_strip[routine_psg.entry_node] = strip
-        entry_strip_defs[routine_psg.entry_node] = strip | preserved_mask
-    entry_of = {
-        name: routine_psg.entry_node
-        for name, routine_psg in psg.routines.items()
-    }
-
-    dependents = _dependents(psg)
-    flow_edges = psg.flow_edges
-    cr_edges = psg.call_return_edges
+    counts = [0] * node_count if REGISTRY.per_routine else None
+    skipped = 0
+    revisits = 0
 
     # ------------------------------------------------------------------
     # Pass A: MAY-DEF and MUST-DEF
     # ------------------------------------------------------------------
-    def defs_transfer(node_id: int) -> bool:
-        md_acc = 0
-        xd_acc = -1  # "top" sentinel: intersection identity
-        for edge_index in psg.flow_out[node_id]:
-            edge = flow_edges[edge_index]
-            label = edge.label
-            md_acc |= may_def[edge.dst] | label.may_def
-            xd_acc &= must_def[edge.dst] | label.must_def
-        cr_index = psg.cr_out[node_id]
-        if cr_index is not None:
-            edge = cr_edges[cr_index]
-            if edge.is_unknown:
-                label_md = edge.label.may_def
-                label_xd = edge.label.must_def
+    by_rank, rank_of, sweep, queued = seed_priority(
+        node_count, seed_order, frozen
+    )
+    # Every push is popped exactly once (the queue drains), so the pop
+    # count needs no per-visit increment: iterations == pushes.  The
+    # queue is the sweep index over the pre-sorted seeds plus the
+    # pocket heap of dynamic pushes (:mod:`repro.interproc.flatcore`);
+    # depth is gauged after each push burst — sizes only peak after
+    # pushes, so the push-side maximum equals a pop-side one.
+    n_sweep = len(sweep)
+    si = 0
+    pocket: List[int] = []
+    pushed = n_sweep
+    max_depth = n_sweep
+    while True:
+        if pocket:
+            if si < n_sweep and sweep[si] <= pocket[0]:
+                rank = sweep[si]
+                si += 1
             else:
-                # Multi-target sites (§3.5 hints) combine their callees:
-                # MAY by union, MUST by intersection.
-                label_md = 0
-                label_xd = -1
-                for callee in edge.callees:
-                    entry = entry_of[callee]
-                    label_md |= may_def[entry]
-                    label_xd &= must_def[entry]
-            md_acc |= may_def[edge.dst] | label_md
-            xd_acc &= must_def[edge.dst] | label_xd
+                rank = heappop(pocket)
+        elif si < n_sweep:
+            rank = sweep[si]
+            si += 1
+        else:
+            break
+        node = by_rank[rank]
+        queued[node] = 0
+        if counts is not None:
+            counts[node] += 1
+        # ⋁(label ∨ MAY-DEF[dst]) = (⋁ label) ∨ ⋁ MAY-DEF[dst]: the
+        # label half is the precomputed per-node static mask.  Rows of
+        # zero or one edge are the bulk of the graph (call/exit nodes
+        # have no flow out-edges; straight-line nodes have one), so
+        # both shapes skip the tuple-loop machinery.
+        row = flow_view[node]
+        if not row:
+            md_acc = defs_static[node]
+            xd_acc = -1  # "top" sentinel: intersection identity
+        elif len(row) == 1:
+            dst, label_xd, _ = row[0]
+            md_acc = defs_static[node] | may_def[dst]
+            xd_acc = must_def[dst] | label_xd
+        else:
+            md_acc = defs_static[node]
+            xd_acc = -1
+            for dst, label_xd, _ in row:
+                md_acc |= may_def[dst]
+                xd_acc &= must_def[dst] | label_xd
+        cr = cr_dst[node]
+        if cr >= 0:
+            entry = cr_single[node]
+            if entry >= 0:  # monomorphic call: skip the tuple loop
+                md_acc |= may_def[cr] | may_def[entry]
+                xd_acc &= must_def[cr] | must_def[entry]
+            else:
+                callees = cr_callees[node]
+                if callees:
+                    label_md = 0
+                    label_xd = -1
+                    for entry in callees:
+                        label_md |= may_def[entry]
+                        label_xd &= must_def[entry]
+                else:  # unknown call: fixed §3.5 label
+                    _, label_md, label_xd = cr_unknown[node]
+                md_acc |= may_def[cr] | label_md
+                xd_acc &= must_def[cr] | label_xd
         if xd_acc == -1:
             xd_acc = 0
-        strip = entry_strip_defs.get(node_id)
-        if strip is not None:
+        strip = strip_def[node]
+        if strip:
             md_acc &= ~strip
             xd_acc &= ~strip
-        changed = md_acc != may_def[node_id] or xd_acc != must_def[node_id]
-        may_def[node_id] = md_acc
-        must_def[node_id] = xd_acc
-        return changed
-
-    visit_counts = [0] * node_count if REGISTRY.per_routine else None
-    defs_worklist = SubgraphWorklist(
-        node_count, dependents, is_exit, seed_order, order=worklist_order
-    )
-    iterations = defs_worklist.run(defs_transfer, visit_counts)
+        if md_acc != may_def[node] or xd_acc != must_def[node]:
+            may_def[node] = md_acc
+            must_def[node] = xd_acc
+            for dependent in dep_view[node]:
+                if queued[dependent]:
+                    skipped += 1
+                else:
+                    queued[dependent] = 1
+                    pushed += 1
+                    heappush(pocket, rank_of[dependent])
+            depth = n_sweep - si + len(pocket)
+            if depth > max_depth:
+                max_depth = depth
+    iterations = pushed
+    # revisits = visits minus distinct nodes visited.  Every non-frozen
+    # node is seeded and every dynamic push re-targets a seed (dependent
+    # rows only name interior nodes), so the distinct count is exactly
+    # the seed count — no per-visit bookkeeping needed.
+    revisits += iterations - n_sweep
 
     # ------------------------------------------------------------------
     # Pass B: MAY-USE, with MUST-DEF now final
     # ------------------------------------------------------------------
-    def uses_transfer(node_id: int) -> bool:
-        mu_acc = 0
-        for edge_index in psg.flow_out[node_id]:
-            edge = flow_edges[edge_index]
-            label = edge.label
-            mu_acc |= label.may_use | (may_use[edge.dst] & ~label.must_def)
-        cr_index = psg.cr_out[node_id]
-        if cr_index is not None:
-            edge = cr_edges[cr_index]
-            if edge.is_unknown:
-                label_mu = edge.label.may_use
-                label_xd = edge.label.must_def
+    # Final MUST-DEF means the call-site kill labels are fixed: hoist
+    # them out of the loop (the MAY-USE half stays dynamic).
+    cr_label_mu0 = [0] * node_count
+    cr_label_notxd = [0] * node_count
+    for node in arena.cr_nodes:
+        callees = cr_callees[node]
+        if callees:
+            label_xd = -1
+            for entry in callees:
+                label_xd &= must_def[entry]
+            cr_label_notxd[node] = ~label_xd
+        else:
+            cr_label_mu0[node], _, label_xd = cr_unknown[node]
+            cr_label_notxd[node] = ~label_xd
+
+    sweep = [rank_of[node] for node in seed_order if not frozen[node]]
+    if len(seed_order) == node_count:  # full re-seed: all in-queue
+        queued = bytearray(b"\x01") * node_count
+    else:
+        for node in seed_order:
+            queued[node] = 1
+    n_sweep = len(sweep)
+    si = 0
+    pocket = []
+    pushed = n_sweep
+    if n_sweep > max_depth:
+        max_depth = n_sweep
+    while True:
+        if pocket:
+            if si < n_sweep and sweep[si] <= pocket[0]:
+                rank = sweep[si]
+                si += 1
             else:
-                label_mu = 0
-                label_xd = -1
-                for callee in edge.callees:
-                    entry = entry_of[callee]
-                    label_mu |= may_use[entry]
-                    label_xd &= must_def[entry]
-            mu_acc |= label_mu | (may_use[edge.dst] & ~label_xd)
-        strip = entry_strip.get(node_id)
-        if strip is not None:
+                rank = heappop(pocket)
+        elif si < n_sweep:
+            rank = sweep[si]
+            si += 1
+        else:
+            break
+        node = by_rank[rank]
+        queued[node] = 0
+        if counts is not None:
+            counts[node] += 1
+        row = flow_view[node]
+        if not row:
+            mu_acc = uses_static[node]
+        elif len(row) == 1:
+            dst, _, not_xd = row[0]
+            mu_acc = uses_static[node] | (may_use[dst] & not_xd)
+        else:
+            mu_acc = uses_static[node]
+            for dst, _, not_xd in row:
+                mu_acc |= may_use[dst] & not_xd
+        cr = cr_dst[node]
+        if cr >= 0:
+            entry = cr_single[node]
+            if entry >= 0:  # monomorphic call: skip the tuple loop
+                label_mu = may_use[entry]
+            else:
+                callees = cr_callees[node]
+                if callees:
+                    label_mu = 0
+                    for entry in callees:
+                        label_mu |= may_use[entry]
+                else:
+                    label_mu = cr_label_mu0[node]
+            mu_acc |= label_mu | (may_use[cr] & cr_label_notxd[node])
+        strip = strip_use[node]
+        if strip:
             mu_acc &= ~strip
-        changed = mu_acc != may_use[node_id]
-        may_use[node_id] = mu_acc
-        return changed
+        if mu_acc != may_use[node]:
+            may_use[node] = mu_acc
+            for dependent in dep_view[node]:
+                if queued[dependent]:
+                    skipped += 1
+                else:
+                    queued[dependent] = 1
+                    pushed += 1
+                    heappush(pocket, rank_of[dependent])
+            depth = n_sweep - si + len(pocket)
+            if depth > max_depth:
+                max_depth = depth
+    iterations += pushed
+    revisits += pushed - n_sweep
+    pushes = iterations
 
-    uses_worklist = SubgraphWorklist(
-        node_count, dependents, is_exit, seed_order, order=worklist_order
-    )
-    iterations += uses_worklist.run(uses_transfer, visit_counts)
     record_solve(
-        psg,
-        "phase1",
-        iterations,
-        max(defs_worklist.max_depth, uses_worklist.max_depth),
-        visit_counts,
-        pushes=defs_worklist.pushes + uses_worklist.pushes,
-        skipped=defs_worklist.skipped + uses_worklist.skipped,
-        revisits=defs_worklist.revisits + uses_worklist.revisits,
+        psg, "phase1", iterations, max_depth, counts,
+        pushes=pushes, skipped=skipped, revisits=revisits,
     )
-
-    # Persist the final labels on the resolved call-return edges; phase 2
-    # re-reads them ("retained for the second dataflow phase").
-    flatcore.label_call_return_edges(
-        psg, entry_of, may_use, may_def, must_def
-    )
-
+    label_call_return_edges(psg, entry_of, may_use, may_def, must_def)
     return Phase1Result(
         may_use=may_use,
         may_def=may_def,

@@ -30,16 +30,16 @@ Boundary conditions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.isa.calling_convention import CallingConvention
 from repro.dataflow.regset import TRACKED_MASK, mask_of
-from repro.dataflow.solver import SubgraphWorklist
 from repro.cfg.cfg import ExitKind
+from repro.interproc.flatcore import resolve_solver_core, seed_priority
 from repro.interproc.phase1 import record_solve
 from repro.obs.metrics import REGISTRY
 from repro.psg.graph import ProgramSummaryGraph
-from repro.psg.nodes import NodeKind
 
 
 @dataclass
@@ -70,6 +70,8 @@ def run_phase2(
     convention: CallingConvention,
     seed_order: Sequence[int],
     extra_exit_live: Optional[Dict[int, int]] = None,
+    # Passed only by the frozen replay in perf/workloads.py; ROADMAP
+    # item 3 deletes it.
     core: Optional[str] = None,
 ) -> Phase2Result:
     """Run phase 2 over a PSG whose call-return edges are labeled.
@@ -81,95 +83,119 @@ def run_phase2(
     return-point liveness must still reach the exits of the routines
     being re-solved, even though the callers themselves are not.
 
-    ``core`` selects the solver data layout/scheduling (``flat`` /
-    ``object`` / ``fifo``); every core converges to bit-identical
-    results (see :mod:`repro.interproc.flatcore`).
+    The loop runs over the arena's rows with sweep + pocket scheduling
+    (:mod:`repro.interproc.flatcore`).
     """
-    # Imported lazily to break the phase2 <-> flatcore cycle.
-    from repro.interproc import flatcore
-
-    core = flatcore.resolve_solver_core(core)
-    if core == "flat":
-        return flatcore.run_phase2_flat(
-            psg,
-            externally_callable,
-            conservative_exit_live_mask(convention),
-            seed_order,
-            extra_exit_live=extra_exit_live,
-        )
-    worklist_order = "fifo" if core == "fifo" else "priority"
-    node_count = len(psg.nodes)
-    nodes = psg.nodes
-    may_use = [0] * node_count
-    is_exit = [False] * node_count
-
+    resolve_solver_core(core)
     conservative = conservative_exit_live_mask(convention)
-    for node in nodes:
-        if node.kind != NodeKind.EXIT:
-            continue
-        is_exit[node.id] = True
-        if node.exit_kind == ExitKind.UNKNOWN_JUMP:
-            may_use[node.id] = TRACKED_MASK
-        elif node.exit_kind == ExitKind.RETURN and node.routine in externally_callable:
-            may_use[node.id] = conservative
-        # HALT and internal RETURN exits start at ∅.
+    arena = psg.arena
+    node_count = len(psg.nodes)
+    flow_view = arena.flow_view
+    uses_static = arena.uses_static
+    cr_dst = arena.cr_dst
+    dep_view = arena.dep2_view
+    ret_view = arena.ret_view
+
+    may_use = [0] * node_count
+    frozen = bytearray(node_count)
+    for name, routine_psg in psg.routines.items():
+        returns_live = conservative if name in externally_callable else 0
+        for node, kind in routine_psg.exit_nodes:
+            frozen[node] = 1
+            if kind is ExitKind.UNKNOWN_JUMP:
+                may_use[node] = TRACKED_MASK
+            elif kind is ExitKind.RETURN:
+                may_use[node] = returns_live
+            # HALT and internal RETURN exits start at ∅.
     if extra_exit_live:
         for node_id, mask in extra_exit_live.items():
             may_use[node_id] |= mask
 
-    # return node id -> RETURN-kind exit node ids of every possible
-    # callee (a hinted site's liveness flows to each candidate's exits).
-    return_to_exits: Dict[int, List[int]] = {}
+    # The phase-1 labels, unzipped per call node for the hot loop (they
+    # are per-solve state: warm runs relabel the same PSG's edges), the
+    # kill mask pre-complemented.
+    cr_label_mu = [0] * node_count
+    cr_label_notxd = [0] * node_count
     for edge in psg.call_return_edges:
-        exits: List[int] = []
-        for callee in edge.callees:
-            exits.extend(psg.routines[callee].return_exit_nodes())
-        if exits:
-            return_to_exits[edge.dst] = exits
+        label = edge.label
+        cr_label_mu[edge.src] = label.may_use
+        cr_label_notxd[edge.src] = ~label.must_def
 
-    dependents: List[List[int]] = [[] for _ in range(node_count)]
-    for edge in psg.flow_edges:
-        dependents[edge.dst].append(edge.src)
-    for edge in psg.call_return_edges:
-        dependents[edge.dst].append(edge.src)
-
-    flow_edges = psg.flow_edges
-    cr_edges = psg.call_return_edges
-
-    worklist = SubgraphWorklist(
-        node_count, dependents, is_exit, seed_order, order=worklist_order
+    counts = [0] * node_count if REGISTRY.per_routine else None
+    by_rank, rank_of, sweep, queued = seed_priority(
+        node_count, seed_order, frozen
     )
+    # iterations == pushes: every push is popped exactly once.  Sweep +
+    # pocket scheduling as in phase 1.
+    n_sweep = len(sweep)
+    si = 0
+    pocket: List[int] = []
+    pushes = n_sweep
+    skipped = 0
+    max_depth = n_sweep
+    while True:
+        if pocket:
+            if si < n_sweep and sweep[si] <= pocket[0]:
+                rank = sweep[si]
+                si += 1
+            else:
+                rank = heappop(pocket)
+        elif si < n_sweep:
+            rank = sweep[si]
+            si += 1
+        else:
+            break
+        node = by_rank[rank]
+        queued[node] = 0
+        if counts is not None:
+            counts[node] += 1
+        row = flow_view[node]
+        if not row:
+            mu_acc = uses_static[node]
+        elif len(row) == 1:
+            dst, _, not_xd = row[0]
+            mu_acc = uses_static[node] | (may_use[dst] & not_xd)
+        else:
+            mu_acc = uses_static[node]
+            for dst, _, not_xd in row:
+                mu_acc |= may_use[dst] & not_xd
+        cr = cr_dst[node]
+        if cr >= 0:
+            mu_acc |= cr_label_mu[node] | (
+                may_use[cr] & cr_label_notxd[node]
+            )
+        if mu_acc != may_use[node]:
+            may_use[node] = mu_acc
+            # Return node -> callee exit copies (Fig. 11 dashed arcs):
+            # exits are frozen, so their dependents are scheduled by
+            # hand when a copy lands new bits.
+            for exit_node in ret_view[node]:
+                merged = may_use[exit_node] | mu_acc
+                if merged != may_use[exit_node]:
+                    may_use[exit_node] = merged
+                    for dependent in dep_view[exit_node]:
+                        if queued[dependent]:
+                            skipped += 1
+                        else:
+                            queued[dependent] = 1
+                            pushes += 1
+                            heappush(pocket, rank_of[dependent])
+            for dependent in dep_view[node]:
+                if queued[dependent]:
+                    skipped += 1
+                else:
+                    queued[dependent] = 1
+                    pushes += 1
+                    heappush(pocket, rank_of[dependent])
+            depth = n_sweep - si + len(pocket)
+            if depth > max_depth:
+                max_depth = depth
+    iterations = pushes
+    # distinct visited == seed count (see run_phase1).
+    revisits = iterations - n_sweep
 
-    def transfer(node_id: int) -> bool:
-        mu_acc = 0
-        for edge_index in psg.flow_out[node_id]:
-            edge = flow_edges[edge_index]
-            label = edge.label
-            mu_acc |= label.may_use | (may_use[edge.dst] & ~label.must_def)
-        cr_index = psg.cr_out[node_id]
-        if cr_index is not None:
-            edge = cr_edges[cr_index]
-            label = edge.label
-            mu_acc |= label.may_use | (may_use[edge.dst] & ~label.must_def)
-        if mu_acc == may_use[node_id]:
-            return False
-        may_use[node_id] = mu_acc
-        # Return node -> callee exit copies (the dashed arcs of Fig. 11).
-        # Exit nodes are frozen, so their dependents are enqueued by
-        # hand when a copy lands new bits on them.
-        for exit_node in return_to_exits.get(node_id, ()):
-            merged = may_use[exit_node] | mu_acc
-            if merged != may_use[exit_node]:
-                may_use[exit_node] = merged
-                for dependent in dependents[exit_node]:
-                    worklist.enqueue(dependent)
-        return True
-
-    visit_counts = [0] * node_count if REGISTRY.per_routine else None
-    iterations = worklist.run(transfer, visit_counts)
     record_solve(
-        psg, "phase2", iterations, worklist.max_depth, visit_counts,
-        pushes=worklist.pushes, skipped=worklist.skipped,
-        revisits=worklist.revisits,
+        psg, "phase2", iterations, max_depth, counts,
+        pushes=pushes, skipped=skipped, revisits=revisits,
     )
     return Phase2Result(may_use=may_use, iterations=iterations)

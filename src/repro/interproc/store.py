@@ -27,8 +27,8 @@ Two record grades live side by side in one store directory:
 Both keys bind a *context digest* of every configuration knob that can
 change analysis results (calling conventions, callee-saved filtering,
 the PSG branch-node ablations).  Knobs documented bit-identical across
-settings — labeling strategy, per-edge labeling, solver core — are
-deliberately excluded so a flat-core solve can warm an object-core one.
+settings — labeling strategy, per-edge labeling, jobs — are
+deliberately excluded so a solve under one can warm a solve under another.
 
 Layout: ``<store>/<hh>/<deepfp>.sum1r`` with 256-way fan-out on the
 key's top byte.  Records use the ``persist.py`` framing idiom (magic +
@@ -112,7 +112,7 @@ def config_digest(config) -> int:
     Bound: both conventions (analysis and PSG-build), callee-saved
     filtering, and the PSG branch-node ablations (Table 4 — they move
     real dataflow facts).  Excluded: labeling strategy, per-edge
-    labeling, solver core, and jobs — all documented bit-identical.
+    labeling, and jobs — all documented bit-identical.
     """
     writer = _Writer()
     writer.u8(STORE_VERSION)

@@ -30,15 +30,17 @@ labels, in the same order (the test suite asserts all three):
 
 The first two are the oracles the third is tested against.
 Construction itself is kept cheap too: nodes and edges are built
-positionally, flow adjacency is filled as edges are appended, labels
-are interned in a table the build owns (:class:`PsgAssembly`), and the
-graph's ``check()`` — still run on every build — tests each distinct
-label once.
+positionally, each flow edge is appended once — into the edge table and
+the rows the solver iterates (:class:`PsgAssembly`,
+:mod:`repro.psg.arena`) — labels are interned in a table the build
+owns, and the graph's ``check()`` — still run on every build — tests
+each distinct label once.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -65,8 +67,9 @@ from repro.cfg.cfg import (
     TerminatorKind,
 )
 from repro.cfg.subgraph import backward_reachable, forward_reachable
+from repro.psg.arena import PsgArena
 from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
-from repro.psg.nodes import CallReturnEdge, FlowEdge, NodeKind, PSGNode
+from repro.psg.nodes import CallReturnEdge, NodeKind, PSGNode
 
 
 _log = logging.getLogger(__name__)
@@ -124,65 +127,162 @@ def unknown_call_label(convention: CallingConvention) -> SummaryTriple:
 
 
 class PsgAssembly:
-    """The lists one build fills and :class:`ProgramSummaryGraph` adopts.
+    """The one way a PSG comes into being: nodes, call-return edges and
+    routines are appended to the lists below, flow edges go through
+    :meth:`add_flow_edges`, and :meth:`finish` hands the lot to a
+    :class:`ProgramSummaryGraph`.
 
-    Flow adjacency is filled as edges are appended, and labels are
-    interned in a table the build owns: equal triples share one
-    :class:`SummaryTriple` across the graph (labels repeat heavily),
-    and the table dies with the build.
+    Each flow edge is written once, into the arena's edge table and
+    the per-node rows the solver iterates (:mod:`repro.psg.arena`).
+    Labels are interned in a table the build owns: equal triples share
+    one index — and one set of boxed masks — across the graph (labels
+    repeat heavily).
     """
 
     def __init__(self) -> None:
         self.nodes: List[PSGNode] = []
-        self.flow_edges: List[FlowEdge] = []
         self.call_return_edges: List[CallReturnEdge] = []
-        self.flow_out: List[List[int]] = []
-        self.flow_in: List[List[int]] = []
         self.routines: Dict[str, RoutinePSG] = {}
-        self.interned: Dict[Triple, SummaryTriple] = {}
+        #: raw label -> (index in ``labels``, its three masks, ~MUST-DEF).
+        self.interned: Dict[Triple, Tuple[int, int, int, int, int]] = {}
+        self.labels: List[Triple] = []
+        self.edge_src = array("i")
+        self.edge_dst = array("i")
+        self.edge_label = array("i")
+        # Per-node rows, lists until finish() freezes them.
+        self.flow_rows: List[List[Tuple[int, int, int]]] = []
+        self.defs_static: List[int] = []
+        self.uses_static: List[int] = []
+        self.dependents: List[List[int]] = []
         #: ``psg.label.visits``: map entries the labeling sweeps wrote;
         #: ``psg.label.pairs``: (source, target) pairs read off the maps.
         self.label_visits = self.label_pairs = 0
 
-    def _adjacency(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """Flow adjacency, grown to cover every node appended so far."""
-        for _ in range(len(self.nodes) - len(self.flow_out)):
-            self.flow_out.append([])
-            self.flow_in.append([])
-        return self.flow_out, self.flow_in
+    def _grow_rows(self) -> None:
+        """Extend the per-node rows to cover every node appended so far."""
+        missing = len(self.nodes) - len(self.dependents)
+        self.flow_rows.extend([[] for _ in range(missing)])
+        self.dependents.extend([[] for _ in range(missing)])
+        self.defs_static.extend([0] * missing)
+        self.uses_static.extend([0] * missing)
 
-    def add_flow_edges(self, labeled: Sequence[Tuple[int, int, Triple]]) -> List[int]:
+    def add_flow_edges(self, labeled: Sequence[Tuple[int, int, Triple]]) -> range:
         """Append ``(src, dst, raw label)`` edges in order; returns
-        their indices in the program-level edge list."""
-        flow_edges, interned = self.flow_edges, self.interned
-        flow_out, flow_in = self._adjacency()
-        first = len(flow_edges)
-        for index, (src, dst, key) in enumerate(labeled, first):
+        their indices in the program-level edge table."""
+        self._grow_rows()
+        interned, labels = self.interned, self.labels
+        edge_src, edge_dst = self.edge_src, self.edge_dst
+        edge_label = self.edge_label
+        flow_rows = self.flow_rows
+        defs_static, uses_static = self.defs_static, self.uses_static
+        dependents = self.dependents
+        first = len(edge_src)
+        for src, dst, key in labeled:
             label = interned.get(key)
             if label is None:
-                label = interned[key] = SummaryTriple(*key)
-            flow_edges.append(FlowEdge(src, dst, label))
-            flow_out[src].append(index)
-            flow_in[dst].append(index)
-        return list(range(first, len(flow_edges)))
+                may_use, may_def, must_def = key
+                label = interned[key] = (
+                    len(labels), may_use, may_def, must_def, ~must_def
+                )
+                labels.append(key)
+            index, may_use, may_def, must_def, not_must_def = label
+            edge_src.append(src)
+            edge_dst.append(dst)
+            edge_label.append(index)
+            flow_rows[src].append((dst, must_def, not_must_def))
+            defs_static[src] |= may_def
+            uses_static[src] |= may_use
+            dependents[dst].append(src)
+        return range(first, len(edge_src))
 
     def finish(self, partial: bool) -> ProgramSummaryGraph:
-        """Check the graph and record its sizes in the obs registry.
+        """Freeze the rows, fill the arena's call-return side (every
+        entry node is known by now), check the graph and record its
+        sizes in the obs registry.
 
         Partial builds (incremental cones, parallel shards) add into the
         same size counters — the totals then read as "PSG construction
         work performed this run", which is the Table-5 quantity that
         matters.
         """
-        flow_out, flow_in = self._adjacency()
+        self._grow_rows()
+        nodes, routines = self.nodes, self.routines
+        count = len(nodes)
+
+        # Call-return successor (at most one per node): a resolved call
+        # carries its callees' entry node ids (``cr_callees[n]`` empty +
+        # successor present <=> unknown call, whose fixed label is in
+        # ``cr_unknown``), its return node copies liveness to the
+        # RETURN-kind exits of every possible callee, and a callee's
+        # entry is re-read (phase 1 only) by every call site.  What a
+        # site needs of a callee is worked out once per routine, so the
+        # many monomorphic sites of a popular routine share its tuples.
+        empty: Tuple[int, ...] = ()
+        cr_dst = [-1] * count
+        #: Fast path for the overwhelmingly common monomorphic call:
+        #: the callee's entry node when a call resolves to exactly one
+        #: routine, else -1 (polymorphic or unknown).
+        cr_single = [-1] * count
+        cr_callees: List[Tuple[int, ...]] = [empty] * count
+        cr_unknown: Dict[int, Triple] = {}
+        ret_view: List[Tuple[int, ...]] = [empty] * count
+        dependents = self.dependents
+        #: routine -> (entry, (entry,), RETURN exits, its call nodes)
+        targets = {
+            name: (
+                routine_psg.entry_node, (routine_psg.entry_node,),
+                tuple(routine_psg.return_exit_nodes()), [],
+            )
+            for name, routine_psg in routines.items()
+        }
+        for edge in self.call_return_edges:
+            src, dst, callees = edge.src, edge.dst, edge.callees
+            cr_dst[src] = dst
+            dependents[dst].append(src)
+            if len(callees) == 1:
+                target = targets[callees[0]]
+                target[3].append(src)
+                cr_single[src], cr_callees[src], ret_view[dst], _ = target
+            elif callees:
+                site = [targets[callee] for callee in callees]
+                for target in site:
+                    target[3].append(src)
+                cr_callees[src] = tuple(target[0] for target in site)
+                ret_view[dst] = tuple(
+                    node for target in site for node in target[2]
+                )
+            else:
+                label = edge.label
+                cr_unknown[src] = (label.may_use, label.may_def, label.must_def)
+        dep2_view = list(map(tuple, dependents))
+        dep1_view = list(dep2_view)
+        for entry, _entries, _exits, call_nodes in targets.values():
+            if call_nodes:
+                dep1_view[entry] += tuple(call_nodes)
+        arena = PsgArena(
+            edge_src=self.edge_src,
+            edge_dst=self.edge_dst,
+            edge_label=self.edge_label,
+            labels=self.labels,
+            flow_view=list(map(tuple, self.flow_rows)),
+            defs_static=self.defs_static,
+            uses_static=self.uses_static,
+            cr_dst=cr_dst,
+            cr_single=cr_single,
+            cr_nodes=[edge.src for edge in self.call_return_edges],
+            cr_callees=cr_callees,
+            cr_unknown=cr_unknown,
+            dep1_view=dep1_view,
+            dep2_view=dep2_view,
+            ret_view=ret_view,
+        )
         psg = ProgramSummaryGraph(
-            self.nodes, self.flow_edges, self.call_return_edges,
-            self.routines, flow_out, flow_in,
+            nodes, self.call_return_edges, routines, arena
         )
         psg.check()
         REGISTRY.inc("psg.partial_builds" if partial else "psg.builds")
-        REGISTRY.inc("psg.nodes", len(psg.nodes))
-        REGISTRY.inc("psg.flow_edges", len(psg.flow_edges))
+        REGISTRY.inc("psg.nodes", count)
+        REGISTRY.inc("psg.flow_edges", psg.flow_edge_count)
         REGISTRY.inc("psg.call_return_edges", len(psg.call_return_edges))
         REGISTRY.inc("psg.branch_nodes", psg.branch_node_count)
         REGISTRY.inc("psg.label.visits", self.label_visits)
@@ -207,7 +307,7 @@ def build_psg(
         psg = assembly.finish(partial=False)
     _log.debug(
         "built PSG: %d routines, %d nodes, %d flow edges, %d call-return edges",
-        len(psg.routines), len(psg.nodes), len(psg.flow_edges),
+        len(psg.routines), len(psg.nodes), psg.flow_edge_count,
         len(psg.call_return_edges),
     )
     return psg

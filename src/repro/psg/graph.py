@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cfg.cfg import CallSite, ExitKind
+from repro.dataflow.equations import SummaryTriple
+from repro.psg.arena import PsgArena
 from repro.psg.nodes import CallReturnEdge, FlowEdge, NodeKind, PSGNode
 
 
 _SOURCE_KINDS = (NodeKind.ENTRY, NodeKind.RETURN, NodeKind.BRANCH)
 _TARGET_KINDS = (NodeKind.EXIT, NodeKind.CALL, NodeKind.BRANCH)
-_CALL_KINDS = (NodeKind.CALL, NodeKind.RETURN)
+
+
+def _require_node_ids(what: str, ids: Sequence[int], count: int) -> None:
+    if len(ids) and not 0 <= min(ids) <= max(ids) < count:
+        raise ValueError(f"{what} names a node outside 0..{count - 1}")
 
 
 @dataclass
@@ -26,8 +35,8 @@ class RoutinePSG:
     call_pairs: List[Tuple[int, int, CallSite]]
     #: branch node ids (one per multiway block), in block order.
     branch_nodes: List[int]
-    #: indices into the program-level flow edge list.
-    flow_edge_indices: List[int] = field(default_factory=list)
+    #: indices into the program-level flow edge table.
+    flow_edge_indices: Sequence[int] = range(0)
 
     @property
     def node_count(self) -> int:
@@ -46,59 +55,31 @@ class RoutinePSG:
 class ProgramSummaryGraph:
     """The whole-program PSG: nodes, flow edges, call-return edges.
 
-    Adjacency is exposed as index lists so the dataflow engines can run
-    over flat arrays: ``flow_out[n]`` / ``flow_in[n]`` give indices into
-    ``flow_edges``; ``cr_out[n]`` / ``cr_in[n]`` give indices into
-    ``call_return_edges``.  A builder that filled the flow adjacency as
-    it appended edges hands it in; otherwise it is derived here.
+    Built only by :class:`~repro.psg.build.PsgAssembly`.  Flow-summary
+    edges live once, in ``arena`` (:mod:`repro.psg.arena`): a compact
+    edge table this class counts and checks, and the per-node rows the
+    two phases iterate.  ``flow_edges`` materialises them as
+    :class:`FlowEdge` objects on first read, for the readers that want
+    objects (``reporting.dot``, tests).
     """
 
     nodes: List[PSGNode]
-    flow_edges: List[FlowEdge]
     call_return_edges: List[CallReturnEdge]
     routines: Dict[str, RoutinePSG]
-    flow_out: Optional[List[List[int]]] = None
-    flow_in: Optional[List[List[int]]] = None
+    arena: PsgArena
 
-    def __post_init__(self) -> None:
-        #: Generation stamp for cached lowerings.  Anything that mutates
-        #: what a lowering snapshots — flow-edge labels, topology —
-        #: must call :meth:`bump_version`; cached artifacts (the CSR
-        #: arena, see :func:`repro.psg.arena.get_arena`) are keyed on
-        #: the stamp and rebuild on the next use after a bump.
-        self.version: int = 0
-        count = len(self.nodes)
-        if self.flow_out is None or self.flow_in is None:
-            self.flow_out = [[] for _ in range(count)]
-            self.flow_in = [[] for _ in range(count)]
-            for index, edge in enumerate(self.flow_edges):
-                self.flow_out[edge.src].append(index)
-                self.flow_in[edge.dst].append(index)
-        self.cr_out: List[Optional[int]] = [None] * count
-        self.cr_in: List[Optional[int]] = [None] * count
-        for index, edge in enumerate(self.call_return_edges):
-            if self.cr_out[edge.src] is not None:
-                raise ValueError(f"node {edge.src} has two call-return edges")
-            self.cr_out[edge.src] = index
-            self.cr_in[edge.dst] = index
-        #: callee routine name -> indices of call-return edges that can
-        #: target it (hinted edges appear under every possible callee).
-        self.cr_edges_to: Dict[str, List[int]] = {}
-        for index, edge in enumerate(self.call_return_edges):
-            for callee in edge.callees:
-                self.cr_edges_to.setdefault(callee, []).append(index)
-
-    def bump_version(self) -> None:
-        """Record that the graph was mutated after construction.
-
-        Call this after changing anything a cached lowering captured
-        (flow-edge labels, edges, nodes) so the next
-        :func:`repro.psg.arena.get_arena` re-lowers instead of
-        returning a stale arena.  Phase-1's per-solve relabeling of
-        *resolved* call-return edges is exempt — the arena deliberately
-        never snapshots those labels.
-        """
-        self.version += 1
+    @cached_property
+    def flow_edges(self) -> List[FlowEdge]:
+        """The edge table as objects, in global edge order; equal labels
+        share one :class:`SummaryTriple`."""
+        arena = self.arena
+        labels = [SummaryTriple(*key) for key in arena.labels]
+        return [
+            FlowEdge(src, dst, labels[index])
+            for src, dst, index in zip(
+                arena.edge_src, arena.edge_dst, arena.edge_label
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Statistics (Tables 3-5)
@@ -111,11 +92,11 @@ class ProgramSummaryGraph:
     @property
     def edge_count(self) -> int:
         """Flow-summary plus call-return edges."""
-        return len(self.flow_edges) + len(self.call_return_edges)
+        return len(self.arena.edge_src) + len(self.call_return_edges)
 
     @property
     def flow_edge_count(self) -> int:
-        return len(self.flow_edges)
+        return len(self.arena.edge_src)
 
     @property
     def branch_node_count(self) -> int:
@@ -134,42 +115,84 @@ class ProgramSummaryGraph:
 
     def check(self) -> None:
         """Structural invariants; raises :class:`ValueError` on failure."""
-        nodes = self.nodes
+        nodes, arena = self.nodes, self.arena
+        count = len(nodes)
+        # Kinds are compared by identity (IntEnum's == is a method call)
+        # and through locals: this runs on every build.
+        exit_kind, call_kind, return_kind = (
+            NodeKind.EXIT, NodeKind.CALL, NodeKind.RETURN
+        )
+        exit_count = 0
         for index, node in enumerate(nodes):
+            kind = node.kind
             if node.id != index:
                 raise ValueError(f"node {index} has mismatched id {node.id}")
-            if node.kind == NodeKind.EXIT and node.exit_kind is None:
-                raise ValueError("EXIT node requires an exit kind")
-            if node.kind in _CALL_KINDS and node.call_site is None:
-                raise ValueError(f"{node.kind.name} node requires a call site")
+            if kind is exit_kind:
+                if node.exit_kind is None:
+                    raise ValueError("EXIT node requires an exit kind")
+                exit_count += 1
+            elif (kind is call_kind or kind is return_kind) and (
+                node.call_site is None
+            ):
+                raise ValueError(f"{kind.name} node requires a call site")
+        # The rows are the edge table regrouped by source: as many
+        # entries, every one (and every dependent) naming a node.
+        dsts = list(map(itemgetter(0), chain.from_iterable(arena.flow_view)))
+        if len(dsts) != len(arena.edge_src):
+            raise ValueError(
+                f"flow rows hold {len(dsts)} edges, the edge table "
+                f"{len(arena.edge_src)}"
+            )
+        _require_node_ids("flow rows", dsts, count)
+        for view in (arena.dep1_view, arena.dep2_view):
+            _require_node_ids(
+                "dependent rows", list(chain.from_iterable(view)), count
+            )
         # Labels are interned per build, so an image has a few hundred
-        # distinct ones behind its thousands of edges: test each once.
-        consistent: Set[int] = set()
-        for edge in self.flow_edges:
-            src, dst, label = nodes[edge.src], nodes[edge.dst], edge.label
-            if src.routine != dst.routine:
+        # distinct ones behind its thousands of edges: test each index
+        # once.
+        for index, (_may_use, may_def, must_def) in enumerate(arena.labels):
+            if must_def & ~may_def:
+                raise ValueError(f"label {index} has MUST-DEF ⊄ MAY-DEF")
+        kind_of = [node.kind for node in nodes]
+        routine_of = [node.routine for node in nodes]
+        sources, targets = _SOURCE_KINDS, _TARGET_KINDS
+        for src_id, dst_id in zip(arena.edge_src, arena.edge_dst):
+            if (
+                routine_of[src_id] != routine_of[dst_id]
+                or kind_of[src_id] not in sources
+                or kind_of[dst_id] not in targets
+            ):
+                src, dst = nodes[src_id].describe(), nodes[dst_id].describe()
                 raise ValueError(
-                    f"flow edge crosses routines: {src.describe()} -> "
-                    f"{dst.describe()}"
+                    f"flow edge {src} -> {dst} crosses routines, leaves a "
+                    f"non-source or enters a non-target"
                 )
-            if src.kind not in _SOURCE_KINDS:
-                raise ValueError(f"flow edge from non-source {src.describe()}")
-            if dst.kind not in _TARGET_KINDS:
-                raise ValueError(f"flow edge into non-target {dst.describe()}")
-            if id(label) not in consistent:
-                if not label.is_consistent():
-                    raise ValueError(
-                        f"edge {src.describe()} -> {dst.describe()} has "
-                        f"MUST-DEF ⊄ MAY-DEF"
-                    )
-                consistent.add(id(label))
+        calls = set()
         for edge in self.call_return_edges:
-            src, dst = nodes[edge.src], nodes[edge.dst]
-            if src.kind != NodeKind.CALL or dst.kind != NodeKind.RETURN:
+            src_id, dst_id = edge.src, edge.dst
+            if (
+                kind_of[src_id] is not call_kind
+                or kind_of[dst_id] is not return_kind
+            ):
                 raise ValueError("call-return edge must link CALL -> RETURN")
-            if src.call_site is not dst.call_site:
+            if nodes[src_id].call_site is not nodes[dst_id].call_site:
                 raise ValueError("call-return edge links different call sites")
+            if src_id in calls:
+                raise ValueError(f"node {src_id} has two call-return edges")
+            calls.add(src_id)
         for name, routine_psg in self.routines.items():
             entry = nodes[routine_psg.entry_node]
-            if entry.kind != NodeKind.ENTRY or entry.routine != name:
+            if entry.kind is not NodeKind.ENTRY or entry.routine != name:
                 raise ValueError(f"routine {name!r} has a bad entry node")
+            # The phases freeze the exits the routines list.
+            for node_id, kind in routine_psg.exit_nodes:
+                node = nodes[node_id]
+                if node.kind is not exit_kind or node.exit_kind is not kind:
+                    raise ValueError(
+                        f"routine {name!r} lists {node.describe()} as a "
+                        f"{kind.name} exit"
+                    )
+                exit_count -= 1
+        if exit_count:
+            raise ValueError(f"{exit_count} EXIT nodes are in no routine's exits")

@@ -92,6 +92,12 @@ class TestConstruction:
         session = AnalysisSession.from_program(quick_program, config)
         assert session.config is config
 
+    def test_removed_solver_core_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="solver_core"):
+            AnalysisConfig(solver_core="object")
+        # The constant the frozen perf/ replay reads is still there.
+        assert AnalysisConfig().solver_core is None
+
     def test_construction_does_not_analyze(self, quick_program):
         session = AnalysisSession.from_program(quick_program)
         assert session.metrics() == {}

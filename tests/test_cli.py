@@ -66,6 +66,20 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", image_path, "--labeling", "bogus"])
 
+    @pytest.mark.parametrize("command", ["analyze", "query"])
+    def test_removed_solver_core_flag_is_a_usage_error(
+        self, command, image_path, capsys
+    ):
+        argv = [command, image_path, "--solver-core", "flat"]
+        if command == "query":
+            argv.insert(2, "main")
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: spike-analyze" in err
+        assert "unrecognized arguments: --solver-core flat" in err
+
 
 class TestDisasm:
     def test_listing(self, image_path, capsys):

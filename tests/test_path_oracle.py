@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cfg.cfg import ExitKind
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.phase1 import run_phase1
-from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
-from repro.psg.nodes import FlowEdge, NodeKind, PSGNode
+from repro.psg.build import PsgAssembly
+from repro.psg.graph import RoutinePSG
+from repro.psg.nodes import NodeKind, PSGNode
 
 _REGS = 6  # small universe keeps enumeration readable
 _MASK = (1 << _REGS) - 1
@@ -42,7 +43,8 @@ def build_random_dag(rng: random.Random):
     path semantics exact while still exercising joins, fan-out and the
     ∩ meet.
     """
-    nodes = []
+    assembly = PsgAssembly()
+    nodes = assembly.nodes
     edges = []
 
     def node(kind, **extra):
@@ -54,11 +56,7 @@ def build_random_dag(rng: random.Random):
     def triple():
         may_def = rng.getrandbits(_REGS)
         must_def = may_def & rng.getrandbits(_REGS)
-        return SummaryTriple(
-            may_use=rng.getrandbits(_REGS),
-            may_def=may_def,
-            must_def=must_def,
-        )
+        return (rng.getrandbits(_REGS), may_def, must_def)
 
     entry = node(NodeKind.ENTRY)
     layers = [[entry]]
@@ -76,23 +74,20 @@ def build_random_dag(rng: random.Random):
         for src in above:
             targets = rng.sample(below, rng.randrange(1, len(below) + 1))
             for dst in targets:
-                edges.append(FlowEdge(src, dst, triple()))
+                edges.append((src, dst, triple()))
         for dst in below:  # ensure reachability of every node
-            if not any(e.dst == dst for e in edges):
-                edges.append(FlowEdge(rng.choice(above), dst, triple()))
+            if not any(edge[1] == dst for edge in edges):
+                edges.append((rng.choice(above), dst, triple()))
 
-    routine = RoutinePSG(
+    assembly.routines["f"] = RoutinePSG(
         routine="f",
         entry_node=entry,
         exit_nodes=[(x, ExitKind.RETURN) for x in exits],
         call_pairs=[],
         branch_nodes=[n.id for n in nodes if n.kind == NodeKind.BRANCH],
+        flow_edge_indices=assembly.add_flow_edges(edges),
     )
-    psg = ProgramSummaryGraph(
-        nodes=nodes, flow_edges=edges, call_return_edges=[],
-        routines={"f": routine},
-    )
-    return psg, entry, set(exits)
+    return assembly.finish(partial=False), entry, set(exits)
 
 
 def enumerate_paths(psg, entry, exits):

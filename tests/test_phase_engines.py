@@ -1,21 +1,22 @@
 """Unit tests for the phase-1/phase-2 engines on hand-built PSGs.
 
-These bypass the CFG and PSG builders entirely: nodes and labeled edges
-are constructed directly, so the dataflow engines are tested in
-isolation against values computed by hand.  The graphs use tiny
+These bypass the CFG analysis entirely: nodes and labeled edges are
+handed straight to :class:`~repro.psg.build.PsgAssembly` (the one
+construction path), so the dataflow engines are tested in isolation
+against values computed by hand.  The graphs use tiny
 register universes (R0=bit0, R1=bit1, ...) — the engines are agnostic.
 """
 
 import pytest
 
 from repro.cfg.cfg import CallSite, ExitKind
-from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import TRACKED_MASK
 from repro.interproc.phase1 import run_phase1
 from repro.interproc.phase2 import run_phase2
 from repro.isa.calling_convention import NT_ALPHA
-from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
-from repro.psg.nodes import CallReturnEdge, FlowEdge, NodeKind, PSGNode
+from repro.psg.build import PsgAssembly
+from repro.psg.graph import RoutinePSG
+from repro.psg.nodes import CallReturnEdge, NodeKind, PSGNode
 
 R0, R1, R2, R3 = 1, 2, 4, 8
 
@@ -24,25 +25,22 @@ class _Builder:
     """Minimal PSG assembly helper for tests."""
 
     def __init__(self):
-        self.nodes = []
-        self.flow_edges = []
-        self.cr_edges = []
-        self.routines = {}
+        self.assembly = PsgAssembly()
+        self.cr_edges = self.assembly.call_return_edges
 
     def node(self, kind, routine, block=0, **extra):
+        nodes = self.assembly.nodes
         node = PSGNode(
-            id=len(self.nodes), kind=kind, routine=routine, block=block, **extra
+            id=len(nodes), kind=kind, routine=routine, block=block, **extra
         )
-        self.nodes.append(node)
+        nodes.append(node)
         return node.id
 
     def flow(self, src, dst, may_use=0, may_def=0, must_def=0):
-        self.flow_edges.append(
-            FlowEdge(src, dst, SummaryTriple(may_use, may_def, must_def))
-        )
+        self.assembly.add_flow_edges([(src, dst, (may_use, may_def, must_def))])
 
     def routine(self, name, entry, exits, call_pairs=(), branch=()):
-        self.routines[name] = RoutinePSG(
+        self.assembly.routines[name] = RoutinePSG(
             routine=name,
             entry_node=entry,
             exit_nodes=list(exits),
@@ -51,12 +49,7 @@ class _Builder:
         )
 
     def graph(self):
-        return ProgramSummaryGraph(
-            nodes=self.nodes,
-            flow_edges=self.flow_edges,
-            call_return_edges=self.cr_edges,
-            routines=self.routines,
-        )
+        return self.assembly.finish(partial=False)
 
 
 def _order(psg):

@@ -160,8 +160,8 @@ def _assert_three_way_equal(program, config_extra=None):
     assert sequence == _flow_sequence(per_target)
     assert sequence == _flow_sequence(per_edge)
     for one, other in ((batched, per_target), (batched, per_edge)):
-        assert one.flow_out == other.flow_out
-        assert one.flow_in == other.flow_in
+        for rows in ("flow_view", "dep1_view", "dep2_view"):
+            assert getattr(one.arena, rows) == getattr(other.arena, rows)
         assert [r.flow_edge_indices for r in one.routines.values()] == [
             r.flow_edge_indices for r in other.routines.values()
         ]
@@ -419,50 +419,117 @@ class TestStatistics:
 
 
 class TestArenaCache:
-    """get_arena keys its per-PSG cache on the graph's generation
-    stamp, so mutating the graph and bumping the version re-lowers
-    instead of serving a stale arena (the old behaviour cached the
-    first lowering forever)."""
+    """Nothing is derived from a built PSG, so nothing is cached: the
+    arena the solver reads is the one the build wrote."""
 
     def test_cache_hit_on_unchanged_graph(self, small_benchmark):
         from repro.psg.arena import get_arena
 
         psg = build(small_benchmark)
+        assert get_arena(psg) is psg.arena
         assert get_arena(psg) is get_arena(psg)
 
-    def test_bump_version_invalidates(self, small_benchmark):
-        from repro.psg.arena import get_arena
 
-        psg = build(small_benchmark)
-        first = get_arena(psg)
-        psg.bump_version()
-        second = get_arena(psg)
-        assert second is not first
-        # ... and the new arena is itself cached.
-        assert get_arena(psg) is second
+class TestOneConstructionPath:
+    def test_production_never_instantiates_a_flow_edge(self, monkeypatch):
+        """The gcc shape x0.1 through the whole pipeline: no FlowEdge
+        exists until someone reads ``psg.flow_edges``."""
+        from repro.psg.nodes import FlowEdge
+        from tests.facade import analyze_program
 
-    def test_rebuilt_arena_sees_mutated_labels(self, small_benchmark):
-        from repro.dataflow.equations import SummaryTriple
-        from repro.psg.arena import get_arena
+        made = []
+        init = FlowEdge.__init__
 
-        psg = build(small_benchmark)
-        stale = get_arena(psg)
-        edge = psg.flow_edges[0]
-        mutated = SummaryTriple(
-            may_use=edge.label.may_use | 1,
-            may_def=edge.label.may_def,
-            must_def=edge.label.must_def,
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowEdge, "__init__", counting_init)
+        program, _shape = generate_benchmark(
+            "gcc", scale=0.1, config=GeneratorConfig(seed=0)
         )
-        psg.flow_edges[0] = type(edge)(
-            src=edge.src, dst=edge.dst, label=mutated
-        )
-        psg.bump_version()
-        fresh = get_arena(psg)
-        assert fresh is not stale
-        # The rebuilt arena snapshots the new label; the stale one
-        # still carries the old mask — exactly the hazard the stamp
-        # closes.
-        position = psg.flow_out[edge.src].index(0)
-        offset = fresh.flow_off[edge.src] + position
-        assert fresh.flow_mu[offset] == mutated.may_use
-        assert stale.flow_mu[offset] == edge.label.may_use
+        analysis = analyze_program(program)
+        psg = analysis.psg
+        assert psg.flow_edge_count > 1000 and not made
+        edges = psg.flow_edges
+        assert len(made) == len(edges) == psg.flow_edge_count
+        assert psg.flow_edges is edges  # materialised once
+
+    def test_rows_regroup_the_edge_table(self, small_benchmark):
+        psg = build(small_benchmark)
+        arena = psg.arena
+        rows = [[] for _ in psg.nodes]
+        for edge in psg.flow_edges:
+            must_def = edge.label.must_def
+            rows[edge.src].append((edge.dst, must_def, ~must_def))
+        assert arena.flow_view == [tuple(row) for row in rows]
+        for node, (static_def, static_use) in enumerate(
+            zip(arena.defs_static, arena.uses_static)
+        ):
+            out = [edge.label for edge in psg.flow_edges if edge.src == node]
+            assert static_def == mask_or(label.may_def for label in out)
+            assert static_use == mask_or(label.may_use for label in out)
+
+
+def mask_or(masks):
+    result = 0
+    for mask in masks:
+        result |= mask
+    return result
+
+
+def _two_node_assembly():
+    """entry -> exit of one routine, one transparent flow edge."""
+    from repro.cfg.cfg import ExitKind
+    from repro.psg.build import PsgAssembly
+    from repro.psg.graph import RoutinePSG
+    from repro.psg.nodes import PSGNode
+
+    assembly = PsgAssembly()
+    assembly.nodes.append(PSGNode(0, NodeKind.ENTRY, "f", 0))
+    assembly.nodes.append(PSGNode(1, NodeKind.EXIT, "f", 0, ExitKind.RETURN))
+    assembly.routines["f"] = RoutinePSG(
+        "f", 0, [(1, ExitKind.RETURN)], [], [],
+        assembly.add_flow_edges([(0, 1, (0, 0, 0))]),
+    )
+    return assembly
+
+
+class TestCheckOnBrokenAssemblies:
+    def test_exit_node_missing_from_its_routine(self):
+        assembly = _two_node_assembly()
+        assembly.routines["f"].exit_nodes.clear()
+        with pytest.raises(ValueError, match="1 EXIT nodes are in no routine"):
+            assembly.finish(partial=False)
+
+    def test_two_call_return_edges_on_one_node(self):
+        from repro.cfg.cfg import CallSite
+        from repro.psg.nodes import CallReturnEdge, PSGNode
+
+        assembly = _two_node_assembly()
+        site = CallSite(block=0, instruction_index=0, targets=("f",), indirect=False)
+        assembly.nodes.append(PSGNode(2, NodeKind.CALL, "f", 0, None, site))
+        assembly.nodes.append(PSGNode(3, NodeKind.RETURN, "f", 0, None, site))
+        assembly.call_return_edges.append(CallReturnEdge(2, 3, ("f",)))
+        assembly.call_return_edges.append(CallReturnEdge(2, 3, ("f",)))
+        with pytest.raises(ValueError, match="node 2 has two call-return edges"):
+            assembly.finish(partial=False)
+
+    def test_row_naming_a_node_that_does_not_exist(self):
+        # -1 indexes Python lists silently, so nothing fails before check().
+        assembly = _two_node_assembly()
+        assembly.add_flow_edges([(0, -1, (0, 0, 0))])
+        with pytest.raises(ValueError, match="names a node outside 0..1"):
+            assembly.finish(partial=False)
+
+    def test_rows_and_edge_table_out_of_step(self):
+        assembly = _two_node_assembly()
+        assembly.flow_rows[0].append((1, 0, -1))
+        with pytest.raises(ValueError, match="flow rows hold 2 edges"):
+            assembly.finish(partial=False)
+
+    def test_dependent_naming_a_node_that_does_not_exist(self):
+        assembly = _two_node_assembly()
+        assembly.dependents[1].append(7)
+        with pytest.raises(ValueError, match="dependent rows names a node"):
+            assembly.finish(partial=False)

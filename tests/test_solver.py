@@ -153,12 +153,80 @@ class TestReachability:
 # Cross-core equivalence on random monotone systems
 # ----------------------------------------------------------------------
 
+from array import array
 from collections import deque
+from heapq import heappop, heappush
+from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.solver import SubgraphWorklist
-from repro.interproc.flatcore import solve_masks_csr
+from repro.interproc.flatcore import seed_priority
+
+
+def solve_masks_csr(
+    node_count: int,
+    edges: Sequence[Tuple[int, int]],
+    gen: Sequence[int],
+    kill: Sequence[int],
+    boundary: int = 0,
+    order: Optional[Sequence[int]] = None,
+) -> List[int]:
+    """The phase loops' scheduling on a generic backward union problem:
+
+    .. code-block:: none
+
+        IN[n] = gen[n] | ((⋁ IN[s] for s in succ(n)) & ~kill[n])
+
+    with ``boundary`` as the OUT of successor-less nodes.  CSR rows and
+    the phases' own ``seed_priority`` ranks, over an arbitrary digraph —
+    pinned below against :class:`~repro.dataflow.solver.WorklistSolver`
+    and a FIFO reference on random graphs.
+    """
+
+    succ_lists: List[List[int]] = [[] for _ in range(node_count)]
+    dep_lists: List[List[int]] = [[] for _ in range(node_count)]
+    for src, dst in edges:
+        succ_lists[src].append(dst)
+        dep_lists[dst].append(src)
+
+    def csr(lists: List[List[int]]) -> Tuple[array, array]:
+        off = array("q", [0])
+        total = 0
+        for row in lists:
+            total += len(row)
+            off.append(total)
+        idx = array("i")
+        for row in lists:
+            idx.extend(row)
+        return off, idx
+
+    succ_off, succ = csr(succ_lists)
+    dep_off, dep = csr(dep_lists)
+    states = [0] * node_count
+    seed = list(order) if order is not None else list(range(node_count))
+    frozen = bytearray(node_count)
+    by_rank, rank_of, heap, queued = seed_priority(node_count, seed, frozen)
+    while heap:
+        node = by_rank[heappop(heap)]
+        queued[node] = 0
+        start = succ_off[node]
+        stop = succ_off[node + 1]
+        if start == stop:
+            out = boundary
+        else:
+            out = 0
+            for k in range(start, stop):
+                out |= states[succ[k]]
+        new = gen[node] | (out & ~kill[node])
+        if new != states[node]:
+            states[node] = new
+            for k in range(dep_off[node], dep_off[node + 1]):
+                dependent = dep[k]
+                if not queued[dependent]:
+                    queued[dependent] = 1
+                    heappush(heap, rank_of[dependent])
+    return states
 
 
 def _fifo_reference(node_count, edges, gen, kill, boundary):
@@ -209,8 +277,8 @@ def _mask_problems(draw):
 class TestCoreEquivalence:
     """Any chaotic iteration of a monotone system reaches the same
     (unique extremal) fixed point, whatever the visit order — so the
-    priority object engine, the flat CSR core, and a naive FIFO sweep
-    must agree bit for bit on arbitrary problems."""
+    generic priority solver, the phase loops' scheduling, and a naive
+    FIFO sweep must agree bit for bit on arbitrary problems."""
 
     @given(_mask_problems())
     @settings(max_examples=80, deadline=None)
@@ -251,7 +319,7 @@ class TestCoreEquivalence:
 
 
 class TestSubgraphWorklist:
-    def _solve_chain(self, order_mode, seed_order=None):
+    def _solve_chain(self, seed_order=None):
         """0 <- 1 <- 2 <- 3 supplier chain: node 0 generates a bit that
         must propagate to node 3 (dependents point downstream)."""
         node_count = 4
@@ -275,22 +343,14 @@ class TestSubgraphWorklist:
             dependents,
             [False] * node_count,
             seed_order if seed_order is not None else list(range(node_count)),
-            order=order_mode,
         )
         total = worklist.run(transfer)
         return values, visits, total, worklist
 
-    def test_priority_and_fifo_fixed_points_agree(self):
-        priority_values, _, _, _ = self._solve_chain("priority")
-        fifo_values, _, _, _ = self._solve_chain("fifo")
-        assert priority_values == fifo_values == [0b1] * 4
-
     def test_priority_follows_seed_ranks(self):
         # Seeded supplier-first, the chain settles in one sweep: four
         # visits, no revisits.
-        _, visits, total, worklist = self._solve_chain(
-            "priority", seed_order=[0, 1, 2, 3]
-        )
+        _, visits, total, worklist = self._solve_chain(seed_order=[0, 1, 2, 3])
         assert visits == [0, 1, 2, 3]
         assert total == 4
         assert worklist.revisits == 0
@@ -300,9 +360,8 @@ class TestSubgraphWorklist:
         # Seeded consumer-first, every node is visited before its
         # supplier has settled, so the change ripples as revisits —
         # the exact effect ``solver.revisits`` gauges.
-        _, _, total, worklist = self._solve_chain(
-            "priority", seed_order=[3, 2, 1, 0]
-        )
+        values, _, total, worklist = self._solve_chain(seed_order=[3, 2, 1, 0])
+        assert values == [0b1] * 4
         assert total > 4
         assert worklist.revisits == total - 4
         assert worklist.pushes == total
@@ -357,5 +416,7 @@ class TestSubgraphWorklist:
         assert all(count >= 1 for count in counts)
 
     def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            SubgraphWorklist(1, [[]], [False], [0], order="lifo")
+        # Priority order is the only schedule: ``order=`` was removed.
+        for order in ("lifo", "fifo", "priority"):
+            with pytest.raises(TypeError):
+                SubgraphWorklist(1, [[]], [False], [0], order=order)

@@ -230,16 +230,14 @@ class TestConfigDigest:
         from repro.psg.build import PsgConfig
 
         base = config_digest(AnalysisConfig())
-        # Labeling strategy, solver core and jobs are documented
-        # bit-identical, so a flat-core solve may warm an object-core
-        # one and vice versa.
+        # Labeling strategy and jobs are documented bit-identical, so a
+        # solve under one may warm a solve under another.
         assert base == config_digest(
             AnalysisConfig(psg=PsgConfig(labeling="per-target"))
         )
         assert base == config_digest(
             AnalysisConfig(psg=PsgConfig(per_edge_labeling=True))
         )
-        assert base == config_digest(AnalysisConfig(solver_core="flat"))
         assert base == config_digest(AnalysisConfig(jobs=4))
 
 

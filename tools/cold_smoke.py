@@ -8,14 +8,18 @@ Drives the CLI as real subprocesses:
    (``batched``: one successors-first sweep per routine labels every
    target at once);
 3. the same with ``--labeling per-target`` (one Figure-6 solve per
-   target — the reference the sweep must reproduce).
+   target — the reference the sweep must reproduce);
+4. ``query f0 --stats`` then ``query f0 --json`` on the same image: a
+   cold demand query, then a warm one answered from the sidecar.
 
 Fails unless the two saved summaries are byte-identical, ``psg_edges``
 and both phases' ``solver.iterations`` counters are equal (equal
 iteration counts mean the edges came out in the same *order*), and the
 default run's ``psg.label.visits`` is present and at most 3.5x the
 image's basic blocks — a per-target solve or a source x target scan
-creeping back shows there as a count, on any host.
+creeping back shows there as a count, on any host.  The warm query
+must report ``phase2_solved == 0``: the cone-scoped solves and the
+sidecar they memoize into compose end to end.
 
 Usage::
 
@@ -116,12 +120,18 @@ def main(argv: List[str] | None = None) -> int:
                  f"{blocks} basic blocks")
         if "psg.label.visits" in oracle["counters"]:
             fail("--labeling per-target ran the sweep")
+
+        cli("query", image, "f0", "--stats")
+        warm = json.loads(cli("query", image, "f0", "--json"))
+        if warm["phase2_solved"] != 0:
+            fail(f"the repeated query re-solved: phase2_solved "
+                 f"{warm['phase2_solved']}")
         print(
             f"{sweep['routines']} routines, {blocks} blocks, "
             f"{sweep['psg_edges']} PSG edges: summaries byte-identical, "
             f"iterations {[sweep['counters'][key] for key in EQUAL_KEYS]} "
             f"equal, {visits} label visits "
-            f"({visits / blocks:.2f} per block)"
+            f"({visits / blocks:.2f} per block); warm query solved nothing"
         )
     return 0
 
