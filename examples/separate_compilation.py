@@ -21,7 +21,9 @@ makes that story concrete:
    mathlib and analyze it through a shared summary store
    (:mod:`repro.interproc.store`): the library routines are never
    re-solved — their summaries are keyed by deep fingerprint, so any
-   image that links the same library bytes reuses them.
+   image that links the same library bytes reuses them — and their
+   CFGs are never rebuilt: the store also holds each routine body's
+   front-end record (where its calls sit), keyed by its bytes.
 
 Run with:  python examples/separate_compilation.py
 """
@@ -147,13 +149,17 @@ def main() -> None:
             metrics = analysis.metrics
             print(f"  variant {version}: "
                   f"solved {metrics.phase1_solved} routines, "
+                  f"built {metrics.cfgs_built} CFGs, "
                   f"store hits phase1={metrics.phase1_store_hits} "
                   f"phase2={metrics.phase2_store_hits}")
         stats = store.stats()
         print(f"  store: {stats['triples']} triples, "
-              f"{stats['summaries']} summaries, {stats['bytes']} bytes")
+              f"{stats['summaries']} summaries, "
+              f"{stats['frontend']} front-end records, "
+              f"{stats['bytes']} bytes")
         assert metrics.phase1_store_hits == 2  # scale and offset reused
         assert metrics.phase1_solved == 1      # only the edited app
+        assert metrics.cfgs_built == 1         # ... and only its CFG
     print("the shared library was analyzed once for the whole family — "
           "summaries are keyed by deep (Merkle) routine fingerprint, "
           "not by image.")

@@ -702,10 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir", metavar="DIR", default=None,
         help=(
             "cross-image content-addressed summary store: consult it "
-            "before solving (with --incremental) and publish solved "
-            "summaries into it, keyed by deep routine fingerprint so "
-            "linked variants warm each other (default: "
-            "REPRO_SUMMARY_STORE)"
+            "before solving or building a CFG (with --incremental) and "
+            "publish solved summaries and front-end records into it, "
+            "keyed by routine content so linked variants warm each "
+            "other (default: REPRO_SUMMARY_STORE)"
         ),
     )
     analyze.add_argument(
@@ -777,8 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--store-dir", metavar="DIR", default=None,
         help=(
-            "cross-image summary store to read grade-1 triples through "
-            "and publish into (see analyze --store-dir)"
+            "cross-image summary store to read summaries and front-end "
+            "records through and publish into (see analyze --store-dir)"
         ),
     )
     query.add_argument(
@@ -885,8 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action", choices=["gc", "stats"],
         help=(
             "gc: sweep stale temp files and evict least-recently-used "
-            "records down to --max-bytes; stats: print record counts "
-            "and byte totals"
+            "records down to --max-bytes; stats: print per-grade "
+            "record counts (triples, summaries, frontend) and byte totals"
         ),
     )
     store.add_argument(

@@ -72,12 +72,11 @@ from repro.interproc.errors import UnknownRoutineError
 from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.incremental import (
     _WarmEngine,
-    _triple_of,
     record_fingerprint_verdicts,
 )
 from repro.interproc.persist import SummaryCache
-from repro.interproc.store import resolve_store
-from repro.interproc.summaries import SummarySet, RoutineSummary
+from repro.interproc.store import publish_frontend_records, resolve_store
+from repro.interproc.summaries import SummarySet, RoutineSummary, _triple_of
 from repro.obs.metrics import REGISTRY
 from repro.reporting.metrics import QueryMetrics
 
@@ -166,11 +165,12 @@ def query_routine(
     )
     REGISTRY.inc("query.requests")
 
+    store = resolve_store(config)
     built_before = frontend.cfgs_built if frontend is not None else 0
     if frontend is None:
         with metrics.stage("cfg_build"):
             frontend = build_frontend(
-                program, cache.frontend_records if cache else None
+                program, cache.frontend_records if cache else None, store=store
             )
     cfgs = frontend.cfgs
     condensation = frontend.condensation
@@ -220,10 +220,12 @@ def query_routine(
         metrics=metrics,
         phase1_scope=phase1_cone,
         phase2_scope=phase2_cone,
-        store=resolve_store(config),
+        store=store,
     )
     engine.solve()
     metrics.cfgs_built = frontend.cfgs_built - built_before
+    if store is not None:
+        publish_frontend_records(frontend, store)
     REGISTRY.inc("query.solved", metrics.phase2_solved)
     REGISTRY.inc("query.reused", metrics.phase2_reused)
 

@@ -23,7 +23,11 @@ of every routine whose key matches against *this* image's symbol and
 hint tables, and builds a CFG on the spot only for the rest; ``cfgs``
 is a :class:`~repro.cfg.build.LazyCfgs`, so a matched routine gets its
 CFG if and when a solver asks for it.  A cold run is the case where no
-record matched.
+record matched.  Because a record depends on nothing but those bytes it
+is as good in any other image that links the same routine body, so the
+cross-image store (:mod:`repro.interproc.store`) files records by shape
+key and :func:`build_frontend` asks it about the routines the previous
+run's records do not cover.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional
+from typing import Sequence, Set, Tuple
 
 from repro.cfg.build import LazyCfgs
 from repro.cfg.callgraph import CallGraph, Condensation, build_call_graph
@@ -46,6 +51,9 @@ from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.instructions import ControlKind
 from repro.obs.metrics import REGISTRY
 from repro.program.model import Program, Routine
+
+if TYPE_CHECKING:  # store.py imports this module
+    from repro.interproc.store import SummaryStore
 
 _JUMP_HEADER = struct.Struct("<BII")
 _SITE_HEADER = struct.Struct("<BIIB")
@@ -161,8 +169,9 @@ class Frontend:
     call_graph: CallGraph
     #: :func:`jump_tables` of the program.
     tables: Mapping[str, JumpTables]
-    #: The previous run's records that still applied, by routine (the
-    #: routines whose call sites did not take a CFG to find).
+    #: The records — the previous run's, or the store's — that
+    #: applied, by routine (the routines whose call sites did not take
+    #: a CFG to find).
     reused: Mapping[str, FrontendRecord]
 
     @cached_property
@@ -220,25 +229,38 @@ def build_frontend(
     program: Program,
     records: Optional[Mapping[str, FrontendRecord]] = None,
     cfgs: Optional[Dict[str, ControlFlowGraph]] = None,
+    store: Optional["SummaryStore"] = None,
 ) -> Frontend:
     """The call graph of ``program`` and as few CFGs as it takes.
 
     ``records`` are a previous run's front-end records (any program's:
     each is used only if its shape key matches the same-named routine
     here); ``cfgs`` are CFGs somebody already built (the parallel cold
-    front end).  Every routine covered by neither gets its CFG built
-    now, in program order.
+    front end); ``store`` is a
+    :class:`~repro.interproc.store.SummaryStore` asked, by shape key,
+    about each routine ``records`` does not cover (another image may
+    have linked the same body).  Every routine covered by none of them
+    gets its CFG built now, in program order.
     """
     tables = jump_tables(program)
     matched: Dict[str, FrontendRecord] = {}
+    adopted: Set[str] = set()
     missing = 0
     for routine in program:
         name = routine.name
         record = records.get(name) if records else None
         if record is None:
             missing += 1
-        elif record.shape_key == shape_key(routine, tables.get(name, ())):
+            if store is None:
+                continue  # nobody to ask: nothing to hash for
+        key = shape_key(routine, tables.get(name, ()))
+        if record is not None and record.shape_key == key:
             matched[name] = record
+        elif store is not None:
+            record = store.load_frontend(key)
+            if record is not None:
+                matched[name] = record
+                adopted.add(name)
     lazy = LazyCfgs(program, cfgs)
     call_graph = build_call_graph(program, lazy, matched)
     # Whoever still has no CFG had its sites taken from its record.
@@ -247,9 +269,13 @@ def build_frontend(
         for name, record in matched.items()
         if name not in lazy.built
     }
-    REGISTRY.inc("frontend.record.hit", len(reused))
+    # hit + miss + stale partition the routines by what ``records``
+    # did for them; ``adopted`` says how many of the last two the store
+    # covered instead.
+    adopted.intersection_update(reused)
+    hits = len(reused) - len(adopted)
+    REGISTRY.inc("frontend.record.hit", hits)
     REGISTRY.inc("frontend.record.miss", missing)
-    REGISTRY.inc(
-        "frontend.record.stale", len(lazy) - len(reused) - missing
-    )
+    REGISTRY.inc("frontend.record.stale", len(lazy) - hits - missing)
+    REGISTRY.inc("frontend.record.adopted", len(adopted))
     return Frontend(program, lazy, call_graph, tables, reused)

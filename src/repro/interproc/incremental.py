@@ -67,6 +67,7 @@ from repro.interproc.store import (
     config_digest,
     deep_fingerprints,
     phase2_component_key,
+    publish_frontend_records,
     resolve_store,
     routine_record_key,
 )
@@ -74,6 +75,7 @@ from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
     RoutineSummary,
+    _triple_of,
 )
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import span
@@ -243,10 +245,13 @@ def _warm_run(
     frontend: Optional[Frontend],
 ) -> IncrementalAnalysis:
 
+    store = resolve_store(config)
     built_before = frontend.cfgs_built if frontend is not None else 0
     with metrics.stage("cfg_build"):
         if frontend is None:
-            frontend = build_frontend(program, cache.frontend_records)
+            frontend = build_frontend(
+                program, cache.frontend_records, store=store
+            )
         condensation = frontend.condensation
     cfgs, call_graph = frontend.cfgs, frontend.call_graph
 
@@ -265,10 +270,12 @@ def _warm_run(
         cache=cache,
         dirty=dirty,
         metrics=metrics,
-        store=resolve_store(config),
+        store=store,
     )
     result = engine.run()
     metrics.cfgs_built = frontend.cfgs_built - built_before
+    if store is not None:
+        publish_frontend_records(frontend, store)
 
     new_cache = SummaryCache(
         image_fingerprint=image_fingerprint,
@@ -327,15 +334,6 @@ def _cold_run(
         cache=new_cache,
         metrics=metrics,
         condensation=None,
-    )
-
-
-def _triple_of(summary: RoutineSummary) -> SummaryTriple:
-    """A cached summary's phase-1 triple, in solver orientation."""
-    return SummaryTriple(
-        may_use=summary.call_used_mask,
-        may_def=summary.call_killed_mask,
-        must_def=summary.call_defined_mask,
     )
 
 

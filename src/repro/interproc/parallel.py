@@ -51,7 +51,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -80,11 +80,12 @@ from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.phase1 import run_phase1
 from repro.interproc.phase2 import run_phase2
 from repro.interproc.savedregs import saved_restored_registers
-from repro.interproc.store import publish_result
+from repro.interproc.store import publish_result, resolve_store
 from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
     RoutineSummary,
+    _triple_of,
 )
 from repro.dataflow.regset import construction_count
 from repro.obs import tracer as obs_tracer
@@ -672,15 +673,6 @@ class _ShardScheduler:
 # The shard engine (shared by cold and warm entry points)
 # ----------------------------------------------------------------------
 
-def _triple_tuple(summary: RoutineSummary) -> Tuple[int, int, int]:
-    """A cached summary's phase-1 triple, in solver orientation."""
-    return (
-        summary.call_used_mask,
-        summary.call_killed_mask,
-        summary.call_defined_mask,
-    )
-
-
 @dataclass
 class _ShardEngine:
     """One sharded solve: waves, published facts, metrics."""
@@ -694,7 +686,7 @@ class _ShardEngine:
 
     def __post_init__(self) -> None:
         self.triples: Dict[str, Tuple[int, int, int]] = {
-            name: _triple_tuple(summary)
+            name: astuple(_triple_of(summary))
             for name, summary in self.cached_summaries.items()
         }
         self.fresh: Dict[str, RoutineSummary] = {}
@@ -1130,7 +1122,9 @@ def analyze_incremental_parallel(
     built_before = frontend.cfgs_built if frontend is not None else 0
     with parallel_metrics.stage("cfg_build"):
         if frontend is None:
-            frontend = build_frontend(program, cache.frontend_records)
+            frontend = build_frontend(
+                program, cache.frontend_records, store=resolve_store(config)
+            )
     cfgs, call_graph = frontend.cfgs, frontend.call_graph
     REGISTRY.inc("frontend.routines", len(cfgs))
 

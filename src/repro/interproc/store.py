@@ -12,7 +12,7 @@ fingerprints of its callees.  Two images that link the same mathlib
 against different apps produce identical deep fingerprints for every
 mathlib routine, so the second image's solve is a directory read.
 
-Two record grades live side by side in one store directory:
+Three record grades live side by side in one store directory:
 
 * ``.sum1r`` — the phase-1 :class:`SummaryTriple` of one routine,
   keyed directly by its deep fingerprint.  A grade-1 hit lets a solve
@@ -23,12 +23,20 @@ Two record grades live side by side in one store directory:
   liveness flowing back in from out-of-component callers).  A grade-2
   hit skips the partial-PSG build, both fixpoints, and assembly — the
   bulk of a routine's cold cost.
+* ``.sumfr`` — the :class:`~repro.cfg.cfg.FrontendRecord` of one
+  routine body, keyed by its :func:`~repro.interproc.frontend.shape_key`
+  (code bytes + routine-relative jump tables; no name, no image).  A
+  hit lets :func:`~repro.interproc.frontend.build_frontend` find the
+  routine's call sites without building its CFG, so a library adopted
+  from the store is never re-traversed either.
 
-Both keys bind a *context digest* of every configuration knob that can
-change analysis results (calling conventions, callee-saved filtering,
-the PSG branch-node ablations).  Knobs documented bit-identical across
+Both summary keys bind a *context digest* of every configuration knob
+that can change analysis results (calling conventions, callee-saved
+filtering, the PSG branch-node ablations).  Knobs documented bit-identical across
 settings — labeling strategy, per-edge labeling, jobs — are
 deliberately excluded so a solve under one can warm a solve under another.
+A front-end record is a function of the routine's bytes alone, so its
+key binds no context.
 
 Layout: ``<store>/<hh>/<deepfp>.sum1r`` with 256-way fan-out on the
 key's top byte.  Records use the ``persist.py`` framing idiom (magic +
@@ -36,7 +44,8 @@ version + CRC-checked body) and are written atomically via
 tmp+``os.replace``; concurrent readers and writers need no locking
 beyond rename atomicity.  A corrupt, truncated, or torn record is a
 *miss*, never an error — results must stay byte-identical with the
-store on, off, or poisoned.
+store on, off, or poisoned — and is unlinked on sight, so the next
+publish of that key repairs it.
 """
 
 from __future__ import annotations
@@ -47,18 +56,21 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph, Condensation
+from repro.cfg.cfg import FrontendRecord
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.frontend import Frontend
 from repro.interproc.persist import (
     SummaryFormatError,
     _check_header,
     _Reader,
+    _read_record,
     _read_summary_body,
+    _write_record,
     _write_summary_body,
     _Writer,
     crc64,
 )
-from repro.interproc.summaries import RoutineSummary, SummarySet
+from repro.interproc.summaries import RoutineSummary, SummarySet, _triple_of
 from repro.isa.calling_convention import CallingConvention
 from repro.obs.metrics import REGISTRY
 
@@ -72,9 +84,16 @@ STORE_VERSION = 1
 
 MAGIC_TRIPLE = b"SST1"
 MAGIC_SUMMARY = b"SST2"
+MAGIC_FRONTEND = b"SSTF"
 
 SUFFIX_TRIPLE = ".sum1r"
 SUFFIX_SUMMARY = ".sum2r"
+SUFFIX_FRONTEND = ".sumfr"
+
+#: Counter prefixes: the front-end grade counts under its own names so
+#: ``store.hit|miss|write`` keep meaning "summary grades".
+_SUMMARY_GRADES = "store"
+_FRONTEND_GRADE = "store.frontend"
 
 #: Orphaned temp files older than this (seconds) are swept by ``gc``:
 #: a writer that died mid-record never publishes its rename.
@@ -234,15 +253,24 @@ def _open_frame(blob: bytes, magic: bytes) -> _Reader:
     return _Reader(body)
 
 
-def _check_identity(reader: _Reader, key: int, name: str) -> None:
-    stored_key = reader.u64()
+class StoreIdentityError(SummaryFormatError):
+    """A well-formed record that answers a different question (filed
+    under another key or another routine's name): refused, but not
+    corrupt — whoever it belongs to can still read it."""
+
+
+def _check_key(stored_key: int, key: int) -> None:
     if stored_key != key:
-        raise SummaryFormatError(
+        raise StoreIdentityError(
             f"store record key {stored_key:#x} != expected {key:#x}"
         )
+
+
+def _check_identity(reader: _Reader, key: int, name: str) -> None:
+    _check_key(reader.u64(), key)
     stored_name = reader.text()
     if stored_name != name:
-        raise SummaryFormatError(
+        raise StoreIdentityError(
             f"store record names {stored_name!r}, expected {name!r}"
         )
 
@@ -283,6 +311,22 @@ def load_summary_record(blob: bytes, key: int, name: str) -> RoutineSummary:
     return summary
 
 
+def dump_frontend_record(record: FrontendRecord) -> bytes:
+    """The sidecar's record codec in a store frame; the key is the
+    record's own ``shape_key`` field."""
+    writer = _Writer()
+    _write_record(writer, record)
+    return _frame(MAGIC_FRONTEND, writer.blob())
+
+
+def load_frontend_record(blob: bytes, key: int) -> FrontendRecord:
+    reader = _open_frame(blob, MAGIC_FRONTEND)
+    record = _read_record(reader)
+    reader.expect_end()
+    _check_key(record.shape_key, key)
+    return record
+
+
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -309,22 +353,32 @@ class SummaryStore:
 
     # -- reads ---------------------------------------------------------
 
-    def _load(self, path: str, parse) -> Optional[object]:
+    def _load(
+        self, path: str, parse, grade: str = _SUMMARY_GRADES
+    ) -> Optional[object]:
         try:
             with open(path, "rb") as handle:
                 blob = handle.read()
         except OSError:
-            REGISTRY.inc("store.miss")
+            REGISTRY.inc(f"{grade}.miss")
             return None
         try:
             record = parse(blob)
-        except SummaryFormatError:
+        except SummaryFormatError as error:
             # Corrupt / truncated / foreign record: a miss, never an
             # error — the solver recomputes as if the record were
             # absent.
-            REGISTRY.inc("store.miss")
+            REGISTRY.inc(f"{grade}.miss")
+            if not isinstance(error, StoreIdentityError):
+                # ``_store`` skips paths that exist, so a record that
+                # cannot be read must go or the key never hits again.
+                REGISTRY.inc(f"{grade}.corrupt")
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
             return None
-        REGISTRY.inc("store.hit")
+        REGISTRY.inc(f"{grade}.hit")
         try:
             # Touch atime so the GC sweep evicts least-recently-used
             # records first even on relatime mounts.
@@ -345,9 +399,18 @@ class SummaryStore:
             lambda blob: load_summary_record(blob, key, name),
         )
 
+    def load_frontend(self, key: int) -> Optional[FrontendRecord]:
+        return self._load(
+            self._path(key, SUFFIX_FRONTEND),
+            lambda blob: load_frontend_record(blob, key),
+            _FRONTEND_GRADE,
+        )
+
     # -- writes --------------------------------------------------------
 
-    def _store(self, path: str, blob: bytes) -> None:
+    def _store(
+        self, path: str, blob: bytes, grade: str = _SUMMARY_GRADES
+    ) -> None:
         if os.path.exists(path):
             # Content-addressed: an existing record is byte-identical
             # by construction, so the first writer wins for free.
@@ -362,8 +425,8 @@ class SummaryStore:
             # A store that cannot be written is a cache that cannot
             # help; it must never fail the solve.
             return
-        REGISTRY.inc("store.write")
-        REGISTRY.inc("store.bytes", len(blob))
+        REGISTRY.inc(f"{grade}.write")
+        REGISTRY.inc(f"{grade}.bytes", len(blob))
 
     def store_triple(self, key: int, name: str, triple: SummaryTriple) -> None:
         self._store(
@@ -376,6 +439,13 @@ class SummaryStore:
         self._store(
             self._path(key, SUFFIX_SUMMARY),
             dump_summary_record(key, name, summary),
+        )
+
+    def store_frontend(self, record: FrontendRecord) -> None:
+        self._store(
+            self._path(record.shape_key, SUFFIX_FRONTEND),
+            dump_frontend_record(record),
+            _FRONTEND_GRADE,
         )
 
     # -- maintenance ---------------------------------------------------
@@ -446,7 +516,7 @@ class SummaryStore:
         }
 
     def stats(self) -> Dict[str, object]:
-        triples = summaries = other = 0
+        triples = summaries = frontend = other = 0
         total = 0
         for path, stat in self._walk():
             name = os.path.basename(path)
@@ -458,12 +528,15 @@ class SummaryStore:
                 triples += 1
             elif name.endswith(SUFFIX_SUMMARY):
                 summaries += 1
+            elif name.endswith(SUFFIX_FRONTEND):
+                frontend += 1
             else:
                 other += 1
         return {
             "root": self.root,
             "triples": triples,
             "summaries": summaries,
+            "frontend": frontend,
             "other": other,
             "bytes": total,
             "max_bytes": self.max_bytes,
@@ -491,16 +564,6 @@ def resolve_store(config) -> Optional[SummaryStore]:
 # ----------------------------------------------------------------------
 # Publishing a finished result
 # ----------------------------------------------------------------------
-
-
-def _triple_of(summary: RoutineSummary) -> SummaryTriple:
-    # Mirrors incremental._triple_of (kept local: incremental imports
-    # this module, not the other way around).
-    return SummaryTriple(
-        may_use=summary.call_used_mask,
-        may_def=summary.call_killed_mask,
-        must_def=summary.call_defined_mask,
-    )
 
 
 def _exit_seeds(
@@ -537,18 +600,29 @@ def _exit_seeds(
     return seeds
 
 
+def publish_frontend_records(frontend: Frontend, store: SummaryStore) -> None:
+    """Publish the records this run derived from a CFG.  A reused one
+    needs no stat: it was read from the store, or from a sidecar whose
+    writer published it when *it* built the CFG."""
+    reused = frontend.reused
+    for name, record in frontend.records.items():
+        if name not in reused:
+            store.store_frontend(record)
+
+
 def publish_result(frontend: Frontend, config, result: SummarySet) -> None:
     """Publish every routine of a finished whole-program result to the
     configured store (a no-op when ``config`` resolves to none).
 
     Grade-1 triples go out under deep fingerprints; grade-2 full
-    summaries under their component boundary digests.  Existing
-    records are skipped (content-addressed), so republishing a warm
-    result is nearly free.
+    summaries under their component boundary digests; front-end
+    records under their shape keys.  Existing records are skipped
+    (content-addressed), so republishing a warm result is nearly free.
     """
     store = resolve_store(config)
     if store is None:
         return
+    publish_frontend_records(frontend, store)
     condensation = frontend.condensation
     call_graph = frontend.call_graph
     context = config_digest(config)

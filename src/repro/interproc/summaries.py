@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
+from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.liveness import SiteEffect
 from repro.dataflow.regset import RegisterSet, sorted_names
 from repro.cfg.cfg import CallSite, ExitKind
@@ -160,6 +161,15 @@ class RoutineSummary:
                 for block, mask in sorted(self.exit_live_masks.items())
             },
         }
+
+
+def _triple_of(summary: RoutineSummary) -> SummaryTriple:
+    """A summary's phase-1 triple, in solver orientation."""
+    return SummaryTriple(
+        may_use=summary.call_used_mask,
+        may_def=summary.call_killed_mask,
+        must_def=summary.call_defined_mask,
+    )
 
 
 @dataclass

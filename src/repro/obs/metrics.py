@@ -43,12 +43,18 @@ Counter inventory (see ``docs/observability.md`` for semantics):
 ``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM3 cache I/O
 ``frontend.record.hit`` / ``.stale`` / ``.miss``  per-routine front-end
                                  record verdicts of a front-end build
+``frontend.record.adopted``      stale/missing routines whose record
+                                 came from the summary store instead
 ``cfg.built``                    CFGs constructed (``build_cfg`` calls,
                                  worker processes included)
 ``sidecar.load`` / ``sidecar.write`` (+ ``_bytes``) SUM1 sidecar I/O
-``store.hit`` / ``store.miss``   cross-image summary-store record
-                                 lookups (a corrupt record is a miss)
+``store.hit`` / ``store.miss``   cross-image summary-store lookups of
+                                 the two summary grades
+``store.corrupt``                the misses whose record failed its
+                                 frame, checksum or parse (unlinked)
 ``store.write`` / ``store.bytes`` records published and their sizes
+``store.frontend.hit`` / ``.miss`` / ``.corrupt`` / ``.write`` /
+``.bytes``                       the same, for the front-end grade
 ``store.evict``                  records removed by a store GC sweep
 ``shards.solved{phase=}`` / ``shards.reused``     parallel scheduling
 ``query.requests``               demand-driven queries answered
@@ -104,6 +110,7 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("cache.stale", ()),
     ("cache.write", ()),
     ("cfg.built", ()),
+    ("frontend.record.adopted", ()),
     ("frontend.record.hit", ()),
     ("frontend.record.miss", ()),
     ("frontend.record.stale", ()),
@@ -118,6 +125,10 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("solver.revisits", (("phase", "phase1"),)),
     ("solver.revisits", (("phase", "phase2"),)),
     ("solver.skipped_inqueue", ()),
+    ("store.corrupt", ()),
+    ("store.frontend.hit", ()),
+    ("store.frontend.miss", ()),
+    ("store.frontend.write", ()),
     ("store.hit", ()),
     ("store.miss", ()),
     ("store.write", ()),

@@ -6,13 +6,17 @@ Four layers of guarantees:
   a callee edit propagates to every transitive caller, two callees
   swapping bodies changes keys (pair binding), and the context digest
   binds exactly the result-changing configuration knobs;
-* **record robustness** — both record grades survive truncation at
-  every byte offset and mutation of every byte with a clean
-  :class:`SummaryFormatError` (a store read turns that into a miss);
+* **record robustness** — all three record grades survive truncation
+  at every byte offset and mutation of every byte with a clean
+  :class:`SummaryFormatError` (a store read turns that into a miss,
+  unlinks the record, and the next publish repairs it);
 * **byte-identity** — analysis results are identical with the store
-  enabled, disabled, or poisoned, cold and warm, serial and parallel,
-  including concurrent multiprocess readers and writers over one
-  store directory;
+  enabled, disabled, missing its front-end grade, or poisoned, cold
+  and warm, serial and parallel, including concurrent multiprocess
+  readers and writers over one store directory;
+* **the front-end grade** — a routine the store has seen never gets
+  its CFG rebuilt, and a record that does not describe the routine it
+  is filed under ends in a built CFG;
 * **operations** — hit/miss/write/evict counters, LRU GC under a byte
   budget, stale temp sweeping, and the ``spike-analyze store`` CLI.
 """
@@ -24,17 +28,23 @@ import pytest
 
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.cli import EXIT_OK, EXIT_USAGE, main
+from repro.cfg.cfg import FrontendRecord, RecordedSite
 from repro.dataflow.equations import SummaryTriple
+from repro.interproc.frontend import build_frontend, jump_tables, shape_key
 from repro.interproc.persist import SummaryFormatError, dump_summaries
 from repro.interproc.store import (
     STORE_ENV_VAR,
+    SUFFIX_FRONTEND,
     SUFFIX_SUMMARY,
     SUFFIX_TRIPLE,
+    StoreIdentityError,
     SummaryStore,
     config_digest,
     deep_fingerprints,
+    dump_frontend_record,
     dump_summary_record,
     dump_triple_record,
+    load_frontend_record,
     load_summary_record,
     load_triple_record,
     phase2_component_key,
@@ -256,10 +266,28 @@ def summary_record(quick_program):
     return key, summary, dump_summary_record(key, "helper", summary)
 
 
+@pytest.fixture(scope="module")
+def frontend_record(quick_program):
+    # ``main`` has a call site, so the record exercises every field.
+    record = build_frontend(quick_program).records["main"]
+    assert record.sites
+    return record, dump_frontend_record(record)
+
+
 class TestRecordCodecs:
     def test_triple_roundtrip(self):
         blob = dump_triple_record(42, "f", TRIPLE)
         assert load_triple_record(blob, 42, "f") == TRIPLE
+
+    def test_frontend_roundtrip(self, frontend_record):
+        record, blob = frontend_record
+        assert load_frontend_record(blob, record.shape_key) == record
+
+    def test_frontend_wrong_key_refused(self, frontend_record):
+        # A valid record, filed under (asked for by) another key.
+        record, blob = frontend_record
+        with pytest.raises(StoreIdentityError, match="key"):
+            load_frontend_record(blob, record.shape_key ^ 1)
 
     def test_summary_roundtrip(self, summary_record):
         key, summary, blob = summary_record
@@ -278,6 +306,8 @@ class TestRecordCodecs:
             load_triple_record(blob, key, "helper")
         with pytest.raises(SummaryFormatError, match="magic"):
             load_summary_record(dump_triple_record(42, "f", TRIPLE), 42, "f")
+        with pytest.raises(SummaryFormatError, match="magic"):
+            load_frontend_record(blob, key)
 
     def _assert_all_prefixes_rejected(self, blob, loader):
         for size in range(len(blob)):
@@ -304,29 +334,45 @@ class TestRecordCodecs:
             blob, lambda b: load_summary_record(b, key, "helper")
         )
 
-    def test_every_byte_mutation_rejected(self, summary_record):
+    def test_frontend_every_prefix_rejected(self, frontend_record):
+        record, blob = frontend_record
+        self._assert_all_prefixes_rejected(
+            blob, lambda b: load_frontend_record(b, record.shape_key)
+        )
+
+    def test_every_byte_mutation_rejected(
+        self, summary_record, frontend_record
+    ):
         # Any single corrupted byte must fail the magic, version, CRC
         # or identity check — never parse, never leak a non-format
         # exception.
-        key, _, blob = summary_record
-        for index in range(len(blob)):
-            mutated = bytearray(blob)
-            mutated[index] ^= 0xFF
-            try:
-                load_summary_record(bytes(mutated), key, "helper")
-            except SummaryFormatError:
-                continue
-            except Exception as error:  # pragma: no cover
-                pytest.fail(
-                    f"byte {index} mutation leaked "
-                    f"{type(error).__name__}: {error}"
-                )
-            pytest.fail(f"byte {index} mutation was accepted")
+        key, _, summary_blob = summary_record
+        record, frontend_blob = frontend_record
+        for blob, loader in (
+            (summary_blob, lambda b: load_summary_record(b, key, "helper")),
+            (frontend_blob, lambda b: load_frontend_record(b, record.shape_key)),
+        ):
+            for index in range(len(blob)):
+                mutated = bytearray(blob)
+                mutated[index] ^= 0xFF
+                try:
+                    loader(bytes(mutated))
+                except SummaryFormatError:
+                    continue
+                except Exception as error:  # pragma: no cover
+                    pytest.fail(
+                        f"byte {index} mutation leaked "
+                        f"{type(error).__name__}: {error}"
+                    )
+                pytest.fail(f"byte {index} mutation was accepted")
 
-    def test_trailing_garbage_rejected(self, summary_record):
+    def test_trailing_garbage_rejected(self, summary_record, frontend_record):
         key, _, blob = summary_record
         with pytest.raises(SummaryFormatError):
             load_summary_record(blob + b"\x00", key, "helper")
+        record, blob = frontend_record
+        with pytest.raises(SummaryFormatError):
+            load_frontend_record(blob + b"\x00", record.shape_key)
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +408,83 @@ class TestStoreIO:
             handle.truncate(7)
         base = REGISTRY.snapshot()
         assert store.load_triple(42, "f") is None
-        assert REGISTRY.delta_since(base).get("store.miss") == 1
+        delta = REGISTRY.delta_since(base)
+        assert delta.get("store.miss") == 1
+        assert delta.get("store.corrupt") == 1
+
+    @pytest.mark.parametrize("grade", ["triple", "summary", "frontend"])
+    def test_corrupt_record_is_repaired_by_the_next_publish(
+        self, tmp_path, summary_record, frontend_record, grade
+    ):
+        # ``_store`` skips paths that exist, so a record that cannot be
+        # read has to go or its key would miss forever.
+        store = SummaryStore(str(tmp_path / "s"))
+        key, summary, _ = summary_record
+        record, _ = frontend_record
+        publish, load, path, prefix = {
+            "triple": (
+                lambda: store.store_triple(42, "f", TRIPLE),
+                lambda: store.load_triple(42, "f"),
+                store._path(42, SUFFIX_TRIPLE),
+                "store",
+            ),
+            "summary": (
+                lambda: store.store_summary(key, "helper", summary),
+                lambda: store.load_summary(key, "helper"),
+                store._path(key, SUFFIX_SUMMARY),
+                "store",
+            ),
+            "frontend": (
+                lambda: store.store_frontend(record),
+                lambda: store.load_frontend(record.shape_key),
+                store._path(record.shape_key, SUFFIX_FRONTEND),
+                "store.frontend",
+            ),
+        }[grade]
+        publish()
+        expected = load()
+        assert expected is not None
+        with open(path, "r+b") as handle:
+            handle.truncate(7)
+        base = REGISTRY.snapshot()
+        assert load() is None
+        publish()
+        assert load() == expected
+        delta = REGISTRY.delta_since(base)
+        assert delta.get(f"{prefix}.miss") == 1
+        assert delta.get(f"{prefix}.corrupt") == 1
+        assert delta.get(f"{prefix}.write") == 1
+        assert delta.get(f"{prefix}.hit") == 1
+
+    def test_identity_mismatch_is_left_in_place(self, tmp_path):
+        # Same key, another routine's name: refused, but whoever the
+        # record belongs to must still find it (no unlink, no thrash).
+        store = SummaryStore(str(tmp_path / "s"))
+        store.store_triple(42, "f", TRIPLE)
+        base = REGISTRY.snapshot()
+        assert store.load_triple(42, "g") is None
+        delta = REGISTRY.delta_since(base)
+        assert delta.get("store.miss") == 1
+        assert not delta.get("store.corrupt")
+        assert store.load_triple(42, "f") == TRIPLE
+
+    def test_frontend_grade_counts_under_its_own_names(
+        self, tmp_path, frontend_record
+    ):
+        record, _ = frontend_record
+        store = SummaryStore(str(tmp_path / "s"))
+        base = REGISTRY.snapshot()
+        store.store_frontend(record)
+        store.store_frontend(record)  # duplicate: no second write
+        assert store.load_frontend(record.shape_key) == record
+        assert store.load_frontend(record.shape_key ^ 1) is None
+        delta = REGISTRY.delta_since(base)
+        assert delta.get("store.frontend.write") == 1
+        assert delta.get("store.frontend.hit") == 1
+        assert delta.get("store.frontend.miss") == 1
+        # The summary-grade names did not move.
+        for name in ("store.hit", "store.miss", "store.write", "store.bytes"):
+            assert not delta.get(name)
 
     def test_fanout_layout(self, tmp_path):
         store = SummaryStore(str(tmp_path / "s"))
@@ -382,14 +504,17 @@ class TestStoreIO:
         assert store.load_triple(42, "f") is None
         assert store.stats()["triples"] == 0
 
-    def test_stats(self, tmp_path, summary_record):
+    def test_stats(self, tmp_path, summary_record, frontend_record):
         key, summary, _ = summary_record
         store = SummaryStore(str(tmp_path / "s"))
         store.store_triple(42, "f", TRIPLE)
         store.store_summary(key, "helper", summary)
+        store.store_frontend(frontend_record[0])
         stats = store.stats()
         assert stats["triples"] == 1
         assert stats["summaries"] == 1
+        assert stats["frontend"] == 1
+        assert stats["other"] == 0
         assert stats["bytes"] > 0
 
 
@@ -478,6 +603,16 @@ def _poison(root: str) -> int:
     return poisoned
 
 
+def _drop_grade(root: str, suffix: str) -> int:
+    dropped = 0
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for filename in filenames:
+            if filename.endswith(suffix):
+                os.remove(os.path.join(dirpath, filename))
+                dropped += 1
+    return dropped
+
+
 class TestByteIdentity:
     def test_second_image_warms_from_the_first(
         self, tmp_path, variant1, variant2
@@ -497,6 +632,7 @@ class TestByteIdentity:
         assert second.metrics.phase1_store_hits == 2
         assert second.metrics.phase2_store_hits == 2
         assert second.metrics.phase1_solved == 1
+        assert second.metrics.cfgs_built == 1  # the app module's main
         assert _result_bytes(second) == _result_bytes(baseline2)
 
     def test_identical_rerun_is_fully_store_served(self, tmp_path, variant1):
@@ -513,11 +649,19 @@ class TestByteIdentity:
         config = AnalysisConfig(store=SummaryStore(root))
         baseline = analyze_incremental(variant1, config=AnalysisConfig(store="off"))
         analyze_incremental(variant1, config=config)
-        assert _poison(root) > 0
+        # Every grade of every routine: front-end records included.
+        assert _poison(root) == 3 * variant1.routine_count
+        base = REGISTRY.snapshot()
         rerun = analyze_incremental(variant1, config=config)
         assert rerun.metrics.phase1_store_hits == 0
         assert rerun.metrics.phase2_store_hits == 0
+        assert rerun.metrics.cfgs_built == variant1.routine_count
+        assert not REGISTRY.delta_since(base).get("frontend.record.adopted")
         assert _result_bytes(rerun) == _result_bytes(baseline)
+        # ... and the rerun's publish repaired all of it.
+        again = analyze_incremental(variant1, config=config)
+        assert again.metrics.phase2_store_hits == variant1.routine_count
+        assert again.metrics.cfgs_built == 0
 
     def test_warm_incremental_with_store(self, tmp_path, variant1, variant2):
         config = AnalysisConfig(store=SummaryStore(str(tmp_path / "s")))
@@ -550,6 +694,7 @@ class TestByteIdentity:
             variant2, config=AnalysisConfig(store=store)
         )
         assert follow.metrics.phase1_store_hits == 2
+        assert follow.metrics.cfgs_built == 1
 
     def test_serial_facade_publishes(self, tmp_path, variant1, variant2):
         store = SummaryStore(str(tmp_path / "s"))
@@ -572,6 +717,72 @@ class TestByteIdentity:
         query = session.query("scale")
         expected = baseline.query("scale")
         assert query.summary == expected.summary
+        assert query.metrics.cfgs_built == 1
+
+    def test_old_store_without_frontend_records_still_hits(
+        self, tmp_path, variant1, variant2
+    ):
+        # A store written before the front-end grade existed: its
+        # summary grades keep hitting, every shape key is a miss, and
+        # the records are written forward.
+        root = str(tmp_path / "s")
+        store = SummaryStore(root)
+        config = AnalysisConfig(store=store)
+        baseline = analyze_incremental(variant2, config=AnalysisConfig(store="off"))
+        analyze_incremental(variant1, config=config)
+        assert _drop_grade(root, SUFFIX_FRONTEND) == variant1.routine_count
+        base = REGISTRY.snapshot()
+        second = analyze_incremental(variant2, config=config)
+        delta = REGISTRY.delta_since(base)
+        assert second.metrics.phase1_store_hits == 2
+        assert second.metrics.phase2_store_hits == 2
+        assert second.metrics.cfgs_built == variant2.routine_count
+        assert delta.get("store.frontend.miss") == variant2.routine_count
+        assert delta.get("store.frontend.write") == variant2.routine_count
+        assert _result_bytes(second) == _result_bytes(baseline)
+        assert store.stats()["frontend"] == variant2.routine_count
+
+    @pytest.mark.parametrize("path", ["serial", "jobs2", "query"])
+    def test_record_that_does_not_describe_the_routine_builds_a_cfg(
+        self, tmp_path, variant1, variant2, path
+    ):
+        # A well-formed record filed under ``scale``'s own shape key
+        # whose one site is not a call there: the front end must fall
+        # back to the CFG, and nothing downstream may notice.
+        root = str(tmp_path / "s")
+        store = SummaryStore(root)
+        config = AnalysisConfig(store=store)
+        prime = analyze_incremental(variant1, config=config)
+        scale = variant2.routine("scale")
+        key = shape_key(scale, jump_tables(variant2).get("scale", ()))
+        os.remove(store._path(key, SUFFIX_FRONTEND))
+        store.store_frontend(
+            FrontendRecord(key, 2, (RecordedSite(0, 0, False, None),), ())
+        )
+        off = AnalysisConfig(store="off")
+        base = REGISTRY.snapshot()
+        if path == "query":
+            got = AnalysisSession.from_program(variant2, config).query("scale")
+            want = AnalysisSession.from_program(variant2, off).query("scale")
+            assert got.summary == want.summary
+        else:
+            # jobs=2 takes records only on the warm path: start both
+            # sides from variant 1's sidecar (``main`` is the edit)
+            # with the library's records gone.
+            jobs = 2 if path == "jobs2" else 1
+            cache = prime.cache if path == "jobs2" else None
+            if cache is not None:
+                del cache.frontend_records["scale"]
+                del cache.frontend_records["offset"]
+            got = analyze_incremental(variant2, cache, config, jobs=jobs)
+            want = analyze_incremental(variant2, cache, off, jobs=jobs)
+            assert _result_bytes(got) == _result_bytes(want)
+        delta = REGISTRY.delta_since(base)
+        assert "scale" in got.frontend.cfgs.built  # the fallback
+        if path != "jobs2":  # (which builds its one dirty shard whole)
+            assert got.metrics.cfgs_built == 2  # main (new) + scale
+        assert delta.get("store.frontend.hit") == 2  # scale's and offset's
+        assert delta.get("frontend.record.adopted") == 1  # only offset's
 
     def test_metrics_payload_and_render(self, tmp_path, variant1):
         config = AnalysisConfig(store=SummaryStore(str(tmp_path / "s")))
@@ -638,6 +849,7 @@ class TestConcurrentStore:
         # The store converged to one record set with no temp litter.
         stats = SummaryStore(root).stats()
         assert stats["triples"] == 4  # 3 shared + 1 per-variant app
+        assert stats["frontend"] == 4
         assert stats["other"] == 0
 
 
@@ -655,12 +867,19 @@ class TestStoreCLI:
         assert main(["store", "stats", "--store-dir", root]) == EXIT_OK
         stats = json.loads(capsys.readouterr().out)
         assert stats["triples"] == 1
+        assert stats["frontend"] == 0
+        SummaryStore(root).store_frontend(
+            FrontendRecord(7, 1, (), ())
+        )
+        assert main(["store", "stats", "--store-dir", root]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["frontend"] == 1
         assert main(
             ["store", "gc", "--store-dir", root, "--max-bytes", "0"]
         ) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["removed"] == 1
+        assert report["removed"] == 2
         assert report["remaining_bytes"] == 0
+        assert SummaryStore(root).stats()["bytes"] == 0
 
     def test_missing_store_dir_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.delenv(STORE_ENV_VAR, raising=False)
@@ -689,10 +908,14 @@ class TestStoreCLI:
             code = main(
                 ["analyze", path, "--incremental",
                  "--cache", str(tmp_path / f"v{version}.sum2"),
-                 "--store-dir", root, "--stats"]
+                 "--store-dir", root, "--stats",
+                 "--jobs", "1"]  # REPRO_JOBS must not shard the cold solve
             )
             assert code == EXIT_OK
             out = capsys.readouterr().out
-        # The second image's run reports library hits in its stats.
+        # The second image's run reports library hits in its stats,
+        # and built a CFG only for its own app module.
         assert "store.hit" in out
+        assert "store.frontend.hit" in out
+        assert "cfgs built:         1" in out
         assert SummaryStore(root).stats()["triples"] == 4
