@@ -153,13 +153,15 @@ def main() -> None:
                   f"store hits phase1={metrics.phase1_store_hits} "
                   f"phase2={metrics.phase2_store_hits}")
         stats = store.stats()
-        print(f"  store: {stats['triples']} triples, "
+        print(f"  store: {stats['packs']} packs holding "
+              f"{stats['triples']} triples, "
               f"{stats['summaries']} summaries, "
               f"{stats['frontend']} front-end records, "
               f"{stats['bytes']} bytes")
         assert metrics.phase1_store_hits == 2  # scale and offset reused
         assert metrics.phase1_solved == 1      # only the edited app
         assert metrics.cfgs_built == 1         # ... and only its CFG
+        assert stats["packs"] == 2             # one per publishing run
     print("the shared library was analyzed once for the whole family — "
           "summaries are keyed by deep (Merkle) routine fingerprint, "
           "not by image.")

@@ -75,7 +75,7 @@ from repro.interproc.incremental import (
     record_fingerprint_verdicts,
 )
 from repro.interproc.persist import SummaryCache
-from repro.interproc.store import publish_frontend_records, resolve_store
+from repro.interproc.store import open_view, publish_frontend_records
 from repro.interproc.summaries import SummarySet, RoutineSummary, _triple_of
 from repro.obs.metrics import REGISTRY
 from repro.reporting.metrics import QueryMetrics
@@ -165,7 +165,7 @@ def query_routine(
     )
     REGISTRY.inc("query.requests")
 
-    store = resolve_store(config)
+    store = open_view(config)
     built_before = frontend.cfgs_built if frontend is not None else 0
     if frontend is None:
         with metrics.stage("cfg_build"):
@@ -226,6 +226,7 @@ def query_routine(
     metrics.cfgs_built = frontend.cfgs_built - built_before
     if store is not None:
         publish_frontend_records(frontend, store)
+        store.flush()
     REGISTRY.inc("query.solved", metrics.phase2_solved)
     REGISTRY.inc("query.reused", metrics.phase2_reused)
 

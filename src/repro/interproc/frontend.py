@@ -53,7 +53,7 @@ from repro.obs.metrics import REGISTRY
 from repro.program.model import Program, Routine
 
 if TYPE_CHECKING:  # store.py imports this module
-    from repro.interproc.store import SummaryStore
+    from repro.interproc.store import StoreView
 
 _JUMP_HEADER = struct.Struct("<BII")
 _SITE_HEADER = struct.Struct("<BIIB")
@@ -229,15 +229,15 @@ def build_frontend(
     program: Program,
     records: Optional[Mapping[str, FrontendRecord]] = None,
     cfgs: Optional[Dict[str, ControlFlowGraph]] = None,
-    store: Optional["SummaryStore"] = None,
+    store: Optional["StoreView"] = None,
 ) -> Frontend:
     """The call graph of ``program`` and as few CFGs as it takes.
 
     ``records`` are a previous run's front-end records (any program's:
     each is used only if its shape key matches the same-named routine
     here); ``cfgs`` are CFGs somebody already built (the parallel cold
-    front end); ``store`` is a
-    :class:`~repro.interproc.store.SummaryStore` asked, by shape key,
+    front end); ``store`` is the run's
+    :class:`~repro.interproc.store.StoreView`, asked, by shape key,
     about each routine ``records`` does not cover (another image may
     have linked the same body).  Every routine covered by none of them
     gets its CFG built now, in program order.

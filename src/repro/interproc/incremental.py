@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.program.model import Program
 from repro.cfg.callgraph import CallGraph, Condensation
-from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind
+from repro.cfg.cfg import ControlFlowGraph, ExitKind
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.local import LocalSets, compute_local_sets
 from repro.dataflow.regset import TRACKED_MASK, mask_of
@@ -63,9 +63,10 @@ from repro.interproc.phase1 import run_phase1
 from repro.interproc.phase2 import run_phase2
 from repro.interproc.savedregs import saved_restored_registers
 from repro.interproc.store import (
-    SummaryStore,
+    StoreView,
     config_digest,
     deep_fingerprints,
+    open_view,
     phase2_component_key,
     publish_frontend_records,
     resolve_store,
@@ -74,6 +75,7 @@ from repro.interproc.store import (
 from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
+    ExitSeeds,
     RoutineSummary,
     _triple_of,
 )
@@ -245,7 +247,7 @@ def _warm_run(
     frontend: Optional[Frontend],
 ) -> IncrementalAnalysis:
 
-    store = resolve_store(config)
+    store = open_view(config)
     built_before = frontend.cfgs_built if frontend is not None else 0
     with metrics.stage("cfg_build"):
         if frontend is None:
@@ -276,6 +278,7 @@ def _warm_run(
     metrics.cfgs_built = frontend.cfgs_built - built_before
     if store is not None:
         publish_frontend_records(frontend, store)
+        store.flush()
 
     new_cache = SummaryCache(
         image_fingerprint=image_fingerprint,
@@ -379,7 +382,7 @@ class _WarmEngine:
         metrics: IncrementalMetrics,
         phase1_scope: Optional[Set[int]] = None,
         phase2_scope: Optional[Set[int]] = None,
-        store: Optional[SummaryStore] = None,
+        store: Optional[StoreView] = None,
     ) -> None:
         self.config = config
         self.cfgs = frontend.cfgs
@@ -426,9 +429,11 @@ class _WarmEngine:
         self.solved2: Set[int] = set()
         self.changed2: Set[str] = set()
         self.fresh: Dict[str, RoutineSummary] = {}
-        # caller -> {(block, instruction index): live-after mask} of its
-        # final summary, built on first use (see ``_live_after``).
-        self._live_after_masks: Dict[str, Dict[Tuple[int, int], int]] = {}
+        # Exit seeds from callers' current summaries (fresh if re-solved
+        # this run, else cached).  Only ever asked about callers in
+        # components phase 2 is already done with (it runs caller-first),
+        # so a caller's summary is final by then.
+        self._exit_seeds = ExitSeeds(self.fresh, self.cached)
         self.orphaned = orphaned_callees(
             self.cached, self.cfgs, self.call_graph, dirty
         )
@@ -611,33 +616,6 @@ class _WarmEngine:
     # Phase 2 — caller-first, seeded exits, change cutoff
     # ------------------------------------------------------------------
 
-    def _live_after(self, caller: str, site: CallSite) -> int:
-        """Current live-after mask of the call ``site`` in ``caller``
-        (fresh if re-solved this run, else cached).
-
-        Only ever asked about callers in components phase 2 is already
-        done with (it runs caller-first), so a caller's summary is
-        final by then and its sites are indexed once.
-        """
-        masks = self._live_after_masks.get(caller)
-        if masks is None:
-            summary = self.fresh.get(caller) or self.cached.get(caller)
-            masks = {} if summary is None else {
-                (known.site.block, known.site.instruction_index):
-                known.live_after_mask
-                for known in summary.call_sites
-            }
-            self._live_after_masks[caller] = masks
-        return masks.get((site.block, site.instruction_index), 0)
-
-    def _exit_seed(self, name: str, member_set: Set[str]) -> int:
-        mask = 0
-        for caller, site in self.call_graph.callers_of(name):
-            if caller in member_set:
-                continue  # in-component flow happens inside the solve
-            mask |= self._live_after(caller, site)
-        return mask
-
     def _phase2_needed(self, members: Sequence[str], member_set: Set[str]) -> bool:
         was_external = self.cache.externally_callable
         is_external = self.call_graph.externally_callable
@@ -692,7 +670,8 @@ class _WarmEngine:
             # are final) — which is what lets a store hit skip the
             # partial build entirely.
             member_seeds = {
-                name: self._exit_seed(name, member_set) for name in members
+                name: self._exit_seeds.seed(name, member_set, self.call_graph)
+                for name in members
             }
             component_key = self._component_key(members, member_seeds)
             if component_key is not None and self._store_phase2(

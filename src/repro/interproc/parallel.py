@@ -80,7 +80,7 @@ from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.phase1 import run_phase1
 from repro.interproc.phase2 import run_phase2
 from repro.interproc.savedregs import saved_restored_registers
-from repro.interproc.store import publish_result, resolve_store
+from repro.interproc.store import open_view, publish_result
 from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
@@ -1119,11 +1119,12 @@ def analyze_incremental_parallel(
         jobs=jobs, routines_total=program.routine_count
     )
 
+    store = open_view(config)
     built_before = frontend.cfgs_built if frontend is not None else 0
     with parallel_metrics.stage("cfg_build"):
         if frontend is None:
             frontend = build_frontend(
-                program, cache.frontend_records, store=resolve_store(config)
+                program, cache.frontend_records, store=store
             )
     cfgs, call_graph = frontend.cfgs, frontend.call_graph
     REGISTRY.inc("frontend.routines", len(cfgs))
@@ -1228,7 +1229,7 @@ def analyze_incremental_parallel(
         name: engine.fresh.get(name) or cached[name] for name in cfgs
     }
     result = SummarySet(summaries=summaries)
-    publish_result(frontend, config, result)
+    publish_result(frontend, config, result, store)
 
     solved1 = {
         name for shard in phase1_shards

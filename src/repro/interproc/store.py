@@ -10,25 +10,26 @@ fingerprint**: the routine's own CRC64 content fingerprint
 Merkle-style, bottom-up over the SCC condensation, with the deep
 fingerprints of its callees.  Two images that link the same mathlib
 against different apps produce identical deep fingerprints for every
-mathlib routine, so the second image's solve is a directory read.
+mathlib routine, so the second image's solve is a dictionary lookup.
 
-Three record grades live side by side in one store directory:
+Three record grades live side by side in one store:
 
-* ``.sum1r`` — the phase-1 :class:`SummaryTriple` of one routine,
-  keyed directly by its deep fingerprint.  A grade-1 hit lets a solve
-  skip the phase-1 fixpoint for that routine's SCC.
-* ``.sum2r`` — the full :class:`RoutineSummary`, keyed by the phase-2
+* grade 1 — the phase-1 :class:`SummaryTriple` of one routine, keyed
+  directly by its deep fingerprint.  A grade-1 hit lets a solve skip
+  the phase-1 fixpoint for that routine's SCC.
+* grade 2 — the full :class:`RoutineSummary`, keyed by the phase-2
   *boundary digest* of the routine's SCC: deep fingerprints of the
   members, their externally-callable bits, and their exit seeds (the
   liveness flowing back in from out-of-component callers).  A grade-2
   hit skips the partial-PSG build, both fixpoints, and assembly — the
   bulk of a routine's cold cost.
-* ``.sumfr`` — the :class:`~repro.cfg.cfg.FrontendRecord` of one
-  routine body, keyed by its :func:`~repro.interproc.frontend.shape_key`
-  (code bytes + routine-relative jump tables; no name, no image).  A
-  hit lets :func:`~repro.interproc.frontend.build_frontend` find the
-  routine's call sites without building its CFG, so a library adopted
-  from the store is never re-traversed either.
+* grade 3, the front-end grade — the
+  :class:`~repro.cfg.cfg.FrontendRecord` of one routine body, keyed by
+  its :func:`~repro.interproc.frontend.shape_key` (code bytes +
+  routine-relative jump tables; no name, no image).  A hit lets
+  :func:`~repro.interproc.frontend.build_frontend` find the routine's
+  call sites without building its CFG, so a library adopted from the
+  store is never re-traversed either.
 
 Both summary keys bind a *context digest* of every configuration knob
 that can change analysis results (calling conventions, callee-saved
@@ -38,22 +39,35 @@ deliberately excluded so a solve under one can warm a solve under another.
 A front-end record is a function of the routine's bytes alone, so its
 key binds no context.
 
-Layout: ``<store>/<hh>/<deepfp>.sum1r`` with 256-way fan-out on the
-key's top byte.  Records use the ``persist.py`` framing idiom (magic +
-version + CRC-checked body) and are written atomically via
-tmp+``os.replace``; concurrent readers and writers need no locking
-beyond rename atomicity.  A corrupt, truncated, or torn record is a
-*miss*, never an error — results must stay byte-identical with the
-store on, off, or poisoned — and is unlinked on sight, so the next
-publish of that key repairs it.
+Layout: one immutable *pack* per publishing run,
+``<store>/packs/<crc64 of body>.pack``::
+
+    magic "SSTP" | u8 STORE_VERSION | u64 crc64(body) | body
+    body = u32 n | n x (u8 grade, u64 key, u32 offset, u32 length)
+         | record bodies        (offsets from the first record body)
+
+The index is sorted by ``(grade, key)``.  A run reads the store through
+one :class:`StoreView`: opening it reads every pack once, checks each
+CRC once and indexes every record, so a lookup is a dict hit plus the
+decode of one record; the records the run publishes collect in the
+view and go out as one pack, written atomically via tmp +
+``os.replace``, when the run ends.  Concurrent writers each write their
+own pack and readers see a whole pack or none of it, so no locking is
+needed.  A pack that fails its frame, CRC or index — or holds a record
+that does not decode — is a *miss* for every record in it, never an
+error — results must stay byte-identical with the store on, off, or
+poisoned — and is unlinked on sight, so the run that misses republishes
+what it needs.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import struct
+import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph, Condensation
 from repro.cfg.cfg import FrontendRecord
@@ -70,7 +84,12 @@ from repro.interproc.persist import (
     _Writer,
     crc64,
 )
-from repro.interproc.summaries import RoutineSummary, SummarySet, _triple_of
+from repro.interproc.summaries import (
+    ExitSeeds,
+    RoutineSummary,
+    SummarySet,
+    _triple_of,
+)
 from repro.isa.calling_convention import CallingConvention
 from repro.obs.metrics import REGISTRY
 
@@ -80,26 +99,45 @@ STORE_ENV_VAR = "REPRO_SUMMARY_STORE"
 
 #: Bumped when the record format or the key derivation changes; part of
 #: the context digest, so old records simply stop matching.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
-MAGIC_TRIPLE = b"SST1"
-MAGIC_SUMMARY = b"SST2"
-MAGIC_FRONTEND = b"SSTF"
+MAGIC_PACK = b"SSTP"
+SUFFIX_PACK = ".pack"
+#: The packs live in this subdirectory of the store root.
+PACKS_DIR = "packs"
 
-SUFFIX_TRIPLE = ".sum1r"
-SUFFIX_SUMMARY = ".sum2r"
-SUFFIX_FRONTEND = ".sumfr"
+#: Record grades: the ``u8`` of a pack index entry.
+GRADE_TRIPLE = 1
+GRADE_SUMMARY = 2
+GRADE_FRONTEND = 3
 
-#: Counter prefixes: the front-end grade counts under its own names so
-#: ``store.hit|miss|write`` keep meaning "summary grades".
-_SUMMARY_GRADES = "store"
-_FRONTEND_GRADE = "store.frontend"
+#: Counter prefix per grade: the front-end grade counts under its own
+#: names so ``store.hit|miss|write`` keep meaning "summary grades".
+_COUNTERS = {
+    GRADE_TRIPLE: "store",
+    GRADE_SUMMARY: "store",
+    GRADE_FRONTEND: "store.frontend",
+}
+
+#: Record files of the per-record layout (``<store>/<hh>/<key>.sum1r``)
+#: this store used before packs: nothing reads them any more, ``stats``
+#: counts them under ``other`` and ``gc`` deletes them.
+_OLD_SUFFIXES = (".sum1r", ".sum2r", ".sumfr")
+
+#: Magic, version, crc64 of the body.
+_HEADER = struct.Struct("<4sBQ")
+_COUNT = struct.Struct("<I")
+#: Index entry: grade, key, offset, length.
+_ENTRY = struct.Struct("<BQII")
 
 #: Orphaned temp files older than this (seconds) are swept by ``gc``:
-#: a writer that died mid-record never publishes its rename.
+#: a writer that died mid-pack never publishes its rename.
 _STALE_TMP_SECONDS = 300.0
 
 _tmp_counter = itertools.count()
+
+#: A record's place in a store: ``(grade, key)``.
+Slot = Tuple[int, int]
 
 
 # ----------------------------------------------------------------------
@@ -229,28 +267,11 @@ def routine_record_key(component_key: int, name: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Record codecs
+# Record codecs: a record body is what a pack's index entry points at.
+# The key lives in the index; a summary-grade body starts with the
+# routine's name, a front-end body is the sidecar's record encoding
+# (whose first field is the shape key).
 # ----------------------------------------------------------------------
-
-
-def _frame(magic: bytes, body: bytes) -> bytes:
-    writer = _Writer()
-    writer.u8(STORE_VERSION)
-    writer.u64(crc64(body))
-    return magic + writer.blob() + body
-
-
-def _open_frame(blob: bytes, magic: bytes) -> _Reader:
-    _check_header(blob, magic)
-    reader = _Reader(blob[len(magic):])
-    version = reader.u8()
-    if version != STORE_VERSION:
-        raise SummaryFormatError(f"unsupported store record v{version}")
-    checksum = reader.u64()
-    body = blob[len(magic) + 9:]
-    if crc64(body) != checksum:
-        raise SummaryFormatError("store record checksum mismatch")
-    return _Reader(body)
 
 
 class StoreIdentityError(SummaryFormatError):
@@ -259,15 +280,7 @@ class StoreIdentityError(SummaryFormatError):
     corrupt — whoever it belongs to can still read it."""
 
 
-def _check_key(stored_key: int, key: int) -> None:
-    if stored_key != key:
-        raise StoreIdentityError(
-            f"store record key {stored_key:#x} != expected {key:#x}"
-        )
-
-
-def _check_identity(reader: _Reader, key: int, name: str) -> None:
-    _check_key(reader.u64(), key)
+def _check_name(reader: _Reader, name: str) -> None:
     stored_name = reader.text()
     if stored_name != name:
         raise StoreIdentityError(
@@ -275,56 +288,272 @@ def _check_identity(reader: _Reader, key: int, name: str) -> None:
         )
 
 
-def dump_triple_record(key: int, name: str, triple: SummaryTriple) -> bytes:
+def dump_triple_record(name: str, triple: SummaryTriple) -> bytes:
     writer = _Writer()
-    writer.u64(key)
     writer.text(name)
     writer.u64(triple.may_use)
     writer.u64(triple.may_def)
     writer.u64(triple.must_def)
-    return _frame(MAGIC_TRIPLE, writer.blob())
+    return writer.blob()
 
 
-def load_triple_record(blob: bytes, key: int, name: str) -> SummaryTriple:
-    reader = _open_frame(blob, MAGIC_TRIPLE)
-    _check_identity(reader, key, name)
-    triple = SummaryTriple(
+def load_triple_record(reader: _Reader, name: str) -> SummaryTriple:
+    _check_name(reader, name)
+    return SummaryTriple(
         may_use=reader.mask(), may_def=reader.mask(), must_def=reader.mask()
     )
-    reader.expect_end()
-    return triple
 
 
-def dump_summary_record(key: int, name: str, summary: RoutineSummary) -> bytes:
+def dump_summary_record(name: str, summary: RoutineSummary) -> bytes:
     writer = _Writer()
-    writer.u64(key)
     writer.text(name)
     _write_summary_body(writer, summary)
-    return _frame(MAGIC_SUMMARY, writer.blob())
+    return writer.blob()
 
 
-def load_summary_record(blob: bytes, key: int, name: str) -> RoutineSummary:
-    reader = _open_frame(blob, MAGIC_SUMMARY)
-    _check_identity(reader, key, name)
-    summary = _read_summary_body(reader, name)
-    reader.expect_end()
-    return summary
+def load_summary_record(reader: _Reader, name: str) -> RoutineSummary:
+    _check_name(reader, name)
+    return _read_summary_body(reader, name)
 
 
 def dump_frontend_record(record: FrontendRecord) -> bytes:
-    """The sidecar's record codec in a store frame; the key is the
-    record's own ``shape_key`` field."""
     writer = _Writer()
     _write_record(writer, record)
-    return _frame(MAGIC_FRONTEND, writer.blob())
+    return writer.blob()
 
 
-def load_frontend_record(blob: bytes, key: int) -> FrontendRecord:
-    reader = _open_frame(blob, MAGIC_FRONTEND)
+def load_frontend_record(reader: _Reader, key: int) -> FrontendRecord:
     record = _read_record(reader)
-    reader.expect_end()
-    _check_key(record.shape_key, key)
+    if record.shape_key != key:
+        raise StoreIdentityError(
+            f"store record key {record.shape_key:#x} != expected {key:#x}"
+        )
     return record
+
+
+# ----------------------------------------------------------------------
+# Packs
+# ----------------------------------------------------------------------
+
+
+def encode_pack(records: Mapping[Slot, bytes]) -> bytes:
+    """One pack holding ``records`` (record bodies by slot)."""
+    slots = sorted(records)
+    parts = [_COUNT.pack(len(slots))]
+    offset = 0
+    for grade, key in slots:
+        length = len(records[grade, key])
+        parts.append(_ENTRY.pack(grade, key, offset, length))
+        offset += length
+    parts.extend(records[slot] for slot in slots)
+    body = b"".join(parts)
+    return _HEADER.pack(MAGIC_PACK, STORE_VERSION, crc64(body)) + body
+
+
+def decode_pack(blob: bytes) -> List[Tuple[int, int, int, int]]:
+    """Check a pack's frame, checksum and index; its entries as
+    ``(grade, key, start, end)`` with ``blob[start:end]`` the record.
+
+    Raises :class:`SummaryFormatError` for anything but a pack this
+    version wrote, so nothing in it is read unchecked.
+    """
+    _check_header(blob, MAGIC_PACK)
+    index = _HEADER.size + _COUNT.size
+    if len(blob) < index:
+        raise SummaryFormatError("truncated store pack header")
+    _magic, version, checksum = _HEADER.unpack_from(blob)
+    if version != STORE_VERSION:
+        raise SummaryFormatError(f"unsupported store pack v{version}")
+    if crc64(blob[_HEADER.size:]) != checksum:
+        raise SummaryFormatError("store pack checksum mismatch")
+    (count,) = _COUNT.unpack_from(blob, _HEADER.size)
+    base = index + count * _ENTRY.size
+    if base > len(blob):
+        raise SummaryFormatError("truncated store pack index")
+    entries: List[Tuple[int, int, int, int]] = []
+    previous: Slot = (0, 0)  # below every grade
+    for grade, key, offset, length in _ENTRY.iter_unpack(blob[index:base]):
+        if grade not in _COUNTERS:
+            raise SummaryFormatError(f"unknown store record grade {grade}")
+        if (grade, key) <= previous:
+            raise SummaryFormatError("store pack index out of order")
+        previous = (grade, key)
+        start = base + offset
+        end = start + length
+        if end > len(blob):
+            raise SummaryFormatError("store pack entry points past the body")
+        entries.append((grade, key, start, end))
+    return entries
+
+
+def _read_file(path: str) -> Optional[bytes]:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError:
+        return None
+
+
+def _remove(path: str) -> bool:
+    try:
+        os.remove(path)
+    except OSError:
+        return False
+    return True
+
+
+def _write_pack(directory: str, blob: bytes) -> Optional[str]:
+    """Publish ``blob`` under its content name; its path, or ``None``
+    when the store cannot be written (a cache that cannot help must
+    never fail the solve)."""
+    checksum = _HEADER.unpack_from(blob)[2]
+    path = os.path.join(directory, f"{checksum:016x}{SUFFIX_PACK}")
+    tmp = f"{path}.tmp.{os.getpid()}.{next(_tmp_counter)}"
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp, path)
+    except OSError:
+        return None
+    return path
+
+
+class _Pack:
+    """One pack a view read: its bytes, behind one :class:`_Reader`
+    whose name-intern table every record decoded from it shares."""
+
+    __slots__ = ("path", "reader", "touched")
+
+    def __init__(self, path: str, blob: bytes) -> None:
+        self.path = path
+        self.reader = _Reader(blob)
+        self.touched = False
+
+
+class StoreView:
+    """One run's window on a :class:`SummaryStore`.
+
+    Opening it reads every pack once and indexes every record, so each
+    ``load_*`` is a dict lookup plus the decode of one record; each
+    ``store_*`` adds a record the index does not hold yet (checked
+    before it is encoded) to the run's pending set, and :meth:`flush`
+    writes that set as one pack.  Nothing is cached beyond one run: the
+    next view sees whatever the disk holds then.
+    """
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        self._index: Dict[Slot, Tuple[_Pack, int, int]] = {}
+        self._pending: Dict[Slot, bytes] = {}
+        try:
+            with os.scandir(directory) as entries:
+                paths = sorted(
+                    entry.path for entry in entries
+                    if entry.name.endswith(SUFFIX_PACK)
+                )
+        except OSError:
+            return
+        index = self._index
+        for path in paths:
+            blob = _read_file(path)
+            if blob is None:
+                continue  # gone since the scan (gc): a miss
+            try:
+                entries = decode_pack(blob)
+            except SummaryFormatError:
+                self._discard(path)
+                continue
+            pack = _Pack(path, blob)
+            for grade, key, start, end in entries:
+                # A record in two packs is byte-identical by
+                # construction: the first in name order serves it.
+                index.setdefault((grade, key), (pack, start, end))
+
+    def _discard(self, path: str) -> None:
+        """A corrupt pack misses for all of its records and goes, so
+        the runs that miss republish them."""
+        REGISTRY.inc("store.corrupt")
+        _remove(path)
+        index = self._index
+        for slot in [s for s, found in index.items() if found[0].path == path]:
+            del index[slot]
+
+    # -- reads ---------------------------------------------------------
+
+    def _load(self, grade: int, key: int, parse, argument):
+        prefix = _COUNTERS[grade]
+        found = self._index.get((grade, key))
+        if found is not None:
+            pack, start, end = found
+            reader = pack.reader
+            reader.offset = start
+            try:
+                record = parse(reader, argument)
+                if reader.offset != end:
+                    raise SummaryFormatError("store record length mismatch")
+            except StoreIdentityError:
+                pass  # left in place for whoever it belongs to
+            except SummaryFormatError:
+                self._discard(pack.path)
+            else:
+                REGISTRY.inc(f"{prefix}.hit")
+                if not pack.touched:
+                    # The GC sweep evicts least-recently-used packs
+                    # first, by this stamp (see ``SummaryStore.gc``).
+                    pack.touched = True
+                    try:
+                        os.utime(pack.path)
+                    except OSError:
+                        pass
+                return record
+        REGISTRY.inc(f"{prefix}.miss")
+        return None
+
+    def load_triple(self, key: int, name: str) -> Optional[SummaryTriple]:
+        return self._load(GRADE_TRIPLE, key, load_triple_record, name)
+
+    def load_summary(self, key: int, name: str) -> Optional[RoutineSummary]:
+        return self._load(GRADE_SUMMARY, key, load_summary_record, name)
+
+    def load_frontend(self, key: int) -> Optional[FrontendRecord]:
+        return self._load(GRADE_FRONTEND, key, load_frontend_record, key)
+
+    # -- writes --------------------------------------------------------
+
+    def _holds(self, slot: Slot) -> bool:
+        # Content-addressed: a record already held is byte-identical by
+        # construction, so it is skipped before it is encoded.
+        return slot in self._index or slot in self._pending
+
+    def store_triple(self, key: int, name: str, triple: SummaryTriple) -> None:
+        slot = (GRADE_TRIPLE, key)
+        if not self._holds(slot):
+            self._pending[slot] = dump_triple_record(name, triple)
+
+    def store_summary(
+        self, key: int, name: str, summary: RoutineSummary
+    ) -> None:
+        slot = (GRADE_SUMMARY, key)
+        if not self._holds(slot):
+            self._pending[slot] = dump_summary_record(name, summary)
+
+    def store_frontend(self, record: FrontendRecord) -> None:
+        slot = (GRADE_FRONTEND, record.shape_key)
+        if not self._holds(slot):
+            self._pending[slot] = dump_frontend_record(record)
+
+    def flush(self) -> None:
+        """Write the records this view added as one pack (nothing when
+        it added none)."""
+        pending, self._pending = self._pending, {}
+        if not pending or _write_pack(
+            self.directory, encode_pack(pending)
+        ) is None:
+            return
+        for (grade, _key), body in pending.items():
+            REGISTRY.inc(f"{_COUNTERS[grade]}.write")
+            REGISTRY.inc(f"{_COUNTERS[grade]}.bytes", len(body))
 
 
 # ----------------------------------------------------------------------
@@ -338,119 +567,27 @@ class SummaryStore:
 
     A plain picklable dataclass: :class:`AnalysisConfig` instances are
     shipped to parallel workers via pickle, so the store carries no
-    open handles — every operation opens, reads or renames, and
-    closes.
+    bytes and no open handles.  A run reads and writes it through the
+    :class:`StoreView` that :meth:`open` returns.
     """
 
     root: str
     #: Soft byte budget enforced by :meth:`gc` (never by writes).
     max_bytes: Optional[int] = None
 
-    def _path(self, key: int, suffix: str) -> str:
-        return os.path.join(
-            self.root, f"{key >> 56:02x}", f"{key:016x}{suffix}"
-        )
+    @property
+    def packs_dir(self) -> str:
+        return os.path.join(self.root, PACKS_DIR)
 
-    # -- reads ---------------------------------------------------------
-
-    def _load(
-        self, path: str, parse, grade: str = _SUMMARY_GRADES
-    ) -> Optional[object]:
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            REGISTRY.inc(f"{grade}.miss")
-            return None
-        try:
-            record = parse(blob)
-        except SummaryFormatError as error:
-            # Corrupt / truncated / foreign record: a miss, never an
-            # error — the solver recomputes as if the record were
-            # absent.
-            REGISTRY.inc(f"{grade}.miss")
-            if not isinstance(error, StoreIdentityError):
-                # ``_store`` skips paths that exist, so a record that
-                # cannot be read must go or the key never hits again.
-                REGISTRY.inc(f"{grade}.corrupt")
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            return None
-        REGISTRY.inc(f"{grade}.hit")
-        try:
-            # Touch atime so the GC sweep evicts least-recently-used
-            # records first even on relatime mounts.
-            os.utime(path)
-        except OSError:
-            pass
-        return record
-
-    def load_triple(self, key: int, name: str) -> Optional[SummaryTriple]:
-        return self._load(
-            self._path(key, SUFFIX_TRIPLE),
-            lambda blob: load_triple_record(blob, key, name),
-        )
-
-    def load_summary(self, key: int, name: str) -> Optional[RoutineSummary]:
-        return self._load(
-            self._path(key, SUFFIX_SUMMARY),
-            lambda blob: load_summary_record(blob, key, name),
-        )
-
-    def load_frontend(self, key: int) -> Optional[FrontendRecord]:
-        return self._load(
-            self._path(key, SUFFIX_FRONTEND),
-            lambda blob: load_frontend_record(blob, key),
-            _FRONTEND_GRADE,
-        )
-
-    # -- writes --------------------------------------------------------
-
-    def _store(
-        self, path: str, blob: bytes, grade: str = _SUMMARY_GRADES
-    ) -> None:
-        if os.path.exists(path):
-            # Content-addressed: an existing record is byte-identical
-            # by construction, so the first writer wins for free.
-            return
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp.{os.getpid()}.{next(_tmp_counter)}"
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except OSError:
-            # A store that cannot be written is a cache that cannot
-            # help; it must never fail the solve.
-            return
-        REGISTRY.inc(f"{grade}.write")
-        REGISTRY.inc(f"{grade}.bytes", len(blob))
-
-    def store_triple(self, key: int, name: str, triple: SummaryTriple) -> None:
-        self._store(
-            self._path(key, SUFFIX_TRIPLE), dump_triple_record(key, name, triple)
-        )
-
-    def store_summary(
-        self, key: int, name: str, summary: RoutineSummary
-    ) -> None:
-        self._store(
-            self._path(key, SUFFIX_SUMMARY),
-            dump_summary_record(key, name, summary),
-        )
-
-    def store_frontend(self, record: FrontendRecord) -> None:
-        self._store(
-            self._path(record.shape_key, SUFFIX_FRONTEND),
-            dump_frontend_record(record),
-            _FRONTEND_GRADE,
-        )
+    def open(self) -> StoreView:
+        """A view of the packs on disk now, for one run."""
+        return StoreView(self.packs_dir)
 
     # -- maintenance ---------------------------------------------------
 
     def _walk(self) -> List[Tuple[str, os.stat_result]]:
+        """Every file one directory below the root: the packs, and the
+        per-record files of an older store."""
         entries: List[Tuple[str, os.stat_result]] = []
         try:
             shards = os.listdir(self.root)
@@ -470,73 +607,125 @@ class SummaryStore:
                     continue
         return entries
 
+    def _is_pack(self, path: str) -> bool:
+        return (
+            path.endswith(SUFFIX_PACK)
+            and os.path.dirname(path) == self.packs_dir
+        )
+
     def gc(self, now: Optional[float] = None) -> Dict[str, int]:
-        """Evict least-recently-used records down to ``max_bytes``.
+        """Evict least-recently-used packs down to ``max_bytes``, then
+        merge the survivors into one pack.
 
-        Also sweeps temp files orphaned by writers that died mid-record
-        (older than :data:`_STALE_TMP_SECONDS`).  Concurrency-safe: a
-        record evicted under a concurrent reader was already fully read
-        or turns into that reader's miss.
+        Also sweeps temp files orphaned by writers that died mid-pack
+        (older than :data:`_STALE_TMP_SECONDS`) and the record files of
+        the older per-record layout.  The merge drops duplicate records
+        and corrupt packs, so the pack count stays bounded.
+        Concurrency-safe: a pack removed under a concurrent reader was
+        already fully read or turns into that reader's miss, and a pack
+        written during the sweep is left alone.
         """
-        import time
-
         now = time.time() if now is None else now
         removed = 0
         removed_bytes = 0
-        records: List[Tuple[float, int, str]] = []
-        total = 0
+        packs: List[Tuple[float, int, str]] = []
+        old_dirs: Set[str] = set()
         for path, stat in self._walk():
-            if ".tmp." in os.path.basename(path):
-                if now - stat.st_mtime > _STALE_TMP_SECONDS:
-                    try:
-                        os.remove(path)
-                        removed += 1
-                    except OSError:
-                        pass
-                continue
-            records.append((stat.st_atime, stat.st_size, path))
-            total += stat.st_size
-        if self.max_bytes is not None:
-            records.sort()
-            for _, size, path in records:
-                if total <= self.max_bytes:
-                    break
-                try:
-                    os.remove(path)
-                except OSError:
-                    continue
+            name = os.path.basename(path)
+            if ".tmp." in name:
+                if now - stat.st_mtime > _STALE_TMP_SECONDS and _remove(path):
+                    removed += 1
+            elif self._is_pack(path):
+                # Last use is the modification time: packs never change
+                # after their rename, and a view touches each pack that
+                # served a hit.  (Every view reads every pack, so the
+                # access time says "opened", not "used".)
+                packs.append((stat.st_mtime, stat.st_size, path))
+            elif name.endswith(_OLD_SUFFIXES) and _remove(path):
+                removed += 1
+                removed_bytes += stat.st_size
+                old_dirs.add(os.path.dirname(path))
+        for directory in old_dirs:
+            try:
+                os.rmdir(directory)  # only once it is empty
+            except OSError:
+                pass
+        packs.sort()
+        total = sum(size for _, size, _ in packs)
+        survivors = []
+        for _, size, path in packs:
+            if (
+                self.max_bytes is not None
+                and total > self.max_bytes
+                and _remove(path)
+            ):
                 total -= size
                 removed += 1
                 removed_bytes += size
                 REGISTRY.inc("store.evict")
+            else:
+                survivors.append((size, path))
+        if len(survivors) > 1:
+            total = self._merge(survivors)
         return {
             "removed": removed,
             "removed_bytes": removed_bytes,
             "remaining_bytes": total,
         }
 
+    def _merge(self, packs: List[Tuple[int, str]]) -> int:
+        """Rewrite ``(size, path)`` packs as one; the bytes left."""
+        records: Dict[Slot, bytes] = {}
+        kept: List[Tuple[int, str]] = []
+        for size, path in packs:
+            blob = _read_file(path)
+            if blob is None:
+                continue  # gone since the walk
+            try:
+                entries = decode_pack(blob)
+            except SummaryFormatError:
+                _remove(path)
+                continue
+            kept.append((size, path))
+            for grade, key, start, end in entries:
+                records.setdefault((grade, key), blob[start:end])
+        blob = encode_pack(records)
+        merged = _write_pack(self.packs_dir, blob)
+        if merged is None:
+            return sum(size for size, _ in kept)
+        for _, path in kept:
+            if path != merged:
+                _remove(path)
+        return len(blob)
+
     def stats(self) -> Dict[str, object]:
-        triples = summaries = frontend = other = 0
-        total = 0
+        """Distinct record counts per grade over every intact pack,
+        the pack count, and everything else (temp files, corrupt packs,
+        an older layout's record files) as ``other``."""
+        keys: Dict[int, Set[int]] = {grade: set() for grade in _COUNTERS}
+        packs = other = total = 0
         for path, stat in self._walk():
-            name = os.path.basename(path)
-            if ".tmp." in name:
+            if ".tmp." in os.path.basename(path):
                 other += 1
                 continue
             total += stat.st_size
-            if name.endswith(SUFFIX_TRIPLE):
-                triples += 1
-            elif name.endswith(SUFFIX_SUMMARY):
-                summaries += 1
-            elif name.endswith(SUFFIX_FRONTEND):
-                frontend += 1
-            else:
+            blob = _read_file(path) if self._is_pack(path) else None
+            try:
+                entries = decode_pack(blob) if blob is not None else None
+            except SummaryFormatError:
+                entries = None
+            if entries is None:
                 other += 1
+                continue
+            packs += 1
+            for grade, key, _start, _end in entries:
+                keys[grade].add(key)
         return {
             "root": self.root,
-            "triples": triples,
-            "summaries": summaries,
-            "frontend": frontend,
+            "packs": packs,
+            "triples": len(keys[GRADE_TRIPLE]),
+            "summaries": len(keys[GRADE_SUMMARY]),
+            "frontend": len(keys[GRADE_FRONTEND]),
             "other": other,
             "bytes": total,
             "max_bytes": self.max_bytes,
@@ -561,68 +750,48 @@ def resolve_store(config) -> Optional[SummaryStore]:
     return None
 
 
+def open_view(config) -> Optional[StoreView]:
+    """A view of ``config``'s effective store for one run, if any."""
+    store = resolve_store(config)
+    return None if store is None else store.open()
+
+
 # ----------------------------------------------------------------------
 # Publishing a finished result
 # ----------------------------------------------------------------------
 
 
-def _exit_seeds(
-    members: List[str],
-    call_graph: CallGraph,
-    result: SummarySet,
-) -> Dict[str, int]:
-    """Per-member exit seeds recovered from final caller summaries.
-
-    Phase 2 runs callers-first, so the live-after mask at every
-    out-of-component call site in the *final* result equals the seed
-    the solver fed the component — the same quantity
-    ``_WarmEngine._exit_seed`` computes mid-solve.
-    """
-    member_set = set(members)
-    seeds: Dict[str, int] = {}
-    for name in members:
-        mask = 0
-        for caller, site in call_graph.callers_of(name):
-            if caller in member_set:
-                continue
-            caller_summary = result.summaries.get(caller)
-            if caller_summary is None:
-                continue
-            for site_summary in caller_summary.call_sites:
-                if (
-                    site_summary.site.block == site.block
-                    and site_summary.site.instruction_index
-                    == site.instruction_index
-                ):
-                    mask |= site_summary.live_after_mask
-                    break
-        seeds[name] = mask
-    return seeds
-
-
-def publish_frontend_records(frontend: Frontend, store: SummaryStore) -> None:
-    """Publish the records this run derived from a CFG.  A reused one
-    needs no stat: it was read from the store, or from a sidecar whose
+def publish_frontend_records(frontend: Frontend, view: StoreView) -> None:
+    """Add the records this run derived from a CFG.  A reused one is
+    not offered: it was read from the store, or from a sidecar whose
     writer published it when *it* built the CFG."""
     reused = frontend.reused
     for name, record in frontend.records.items():
         if name not in reused:
-            store.store_frontend(record)
+            view.store_frontend(record)
 
 
-def publish_result(frontend: Frontend, config, result: SummarySet) -> None:
+def publish_result(
+    frontend: Frontend,
+    config,
+    result: SummarySet,
+    view: Optional[StoreView] = None,
+) -> None:
     """Publish every routine of a finished whole-program result to the
-    configured store (a no-op when ``config`` resolves to none).
+    configured store as one pack (a no-op when ``config`` resolves to
+    none); ``view`` is the run's own when it already opened one.
 
     Grade-1 triples go out under deep fingerprints; grade-2 full
     summaries under their component boundary digests; front-end
-    records under their shape keys.  Existing records are skipped
-    (content-addressed), so republishing a warm result is nearly free.
+    records under their shape keys.  Records the store holds are
+    skipped before they are encoded, so republishing a warm result
+    writes nothing.
     """
-    store = resolve_store(config)
-    if store is None:
-        return
-    publish_frontend_records(frontend, store)
+    if view is None:
+        view = open_view(config)
+        if view is None:
+            return
+    publish_frontend_records(frontend, view)
     condensation = frontend.condensation
     call_graph = frontend.call_graph
     context = config_digest(config)
@@ -630,17 +799,26 @@ def publish_result(frontend: Frontend, config, result: SummarySet) -> None:
         frontend.fingerprints, condensation, call_graph, context
     )
     externally_callable = call_graph.externally_callable
+    # Phase 2 runs callers-first, so the live-after mask at every
+    # out-of-component call site in the *final* result equals the seed
+    # the solver fed the component.
+    exit_seeds = ExitSeeds(result.summaries)
     for members in condensation.components:
         missing = [name for name in members if name not in result.summaries]
         if missing:
             continue
-        seeds = _exit_seeds(members, call_graph, result)
+        member_set = set(members)
+        seeds = {
+            name: exit_seeds.seed(name, member_set, call_graph)
+            for name in members
+        }
         component_key = phase2_component_key(
             members, deep, externally_callable, seeds, context
         )
         for name in members:
             summary = result.summaries[name]
-            store.store_triple(deep[name], name, _triple_of(summary))
-            store.store_summary(
+            view.store_triple(deep[name], name, _triple_of(summary))
+            view.store_summary(
                 routine_record_key(component_key, name), name, summary
             )
+    view.flush()

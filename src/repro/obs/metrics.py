@@ -50,12 +50,13 @@ Counter inventory (see ``docs/observability.md`` for semantics):
 ``sidecar.load`` / ``sidecar.write`` (+ ``_bytes``) SUM1 sidecar I/O
 ``store.hit`` / ``store.miss``   cross-image summary-store lookups of
                                  the two summary grades
-``store.corrupt``                the misses whose record failed its
-                                 frame, checksum or parse (unlinked)
+``store.corrupt``                packs a store view discarded (and
+                                 unlinked): frame, checksum or index
+                                 failed, or a record did not decode
 ``store.write`` / ``store.bytes`` records published and their sizes
-``store.frontend.hit`` / ``.miss`` / ``.corrupt`` / ``.write`` /
-``.bytes``                       the same, for the front-end grade
-``store.evict``                  records removed by a store GC sweep
+``store.frontend.hit`` / ``.miss`` / ``.write`` / ``.bytes``
+                                 the same, for the front-end grade
+``store.evict``                  packs removed by a store GC sweep
 ``shards.solved{phase=}`` / ``shards.reused``     parallel scheduling
 ``query.requests``               demand-driven queries answered
 ``query.cone_routines{phase=}``  routines in the query's phase-1 /
