@@ -2,7 +2,7 @@
 
 A build farm rarely analyzes one image in isolation — it analyzes a
 *family* of linked variants: N applications against one shared library,
-or successive builds where only the app changed.  The per-image SUM3
+or successive builds where only the app changed.  The per-image SUM4
 sidecar cannot help across images, but the content-addressed store
 (:mod:`repro.interproc.store`) keys every routine by its deep (Merkle)
 fingerprint, so byte-identical library routines are solved once for the
@@ -274,7 +274,7 @@ def test_store_byte_identity_poisoned_warm_and_parallel(tmp_path):
     assert poisoned.metrics.phase1_store_hits == 0
     assert dump_summaries(poisoned.result) == expected
 
-    # Warm --incremental (SUM3 round-trip) with the store on.
+    # Warm --incremental (SUM4 round-trip) with the store on.
     shutil.rmtree(root)
     cold = AnalysisSession.from_program(
         program, store_config

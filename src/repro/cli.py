@@ -6,7 +6,7 @@ Subcommands:
   SAX executable image and print per-routine summaries plus the §4
   measurements (sizes, stage times, memory); ``--jobs N`` solves on a
   sharded worker pool (bit-identical results), ``--incremental``
-  warm-starts from (and refreshes) a ``SUM3`` cache sidecar, and
+  warm-starts from (and refreshes) a ``SUM4`` cache sidecar, and
   ``--json`` emits one machine-readable stats object instead of text;
 * ``disasm <image>`` — print a disassembly listing;
 * ``generate <benchmark> -o <image>`` — write a synthetic benchmark
@@ -15,7 +15,7 @@ Subcommands:
   pipeline and write the rewritten image;
 * ``query <image> <routine>`` — answer one routine's summary on
   demand, solving only its caller/callee cones; reuses and refreshes
-  the same ``SUM3`` sidecar as ``analyze --incremental``, so repeated
+  the same ``SUM4`` sidecar as ``analyze --incremental``, so repeated
   queries amortize toward zero solver work;
 * ``report <image>`` — analyze with per-routine solver attribution on
   and print a convergence / hot-routine table;
@@ -181,6 +181,16 @@ def _cmd_analyze_incremental(
         except (SummaryFormatError, OSError) as error:
             cache_note = f"cold (unreadable cache: {error})"
     incremental = session.analyze_incremental(cache=cache, jobs=args.jobs)
+    try:
+        # Read the bodies -r prints now, while a cold run can still
+        # stand in for a sidecar one of them does not decode from.
+        for name in args.routines or ():
+            incremental.result.summaries.get(name)
+    except SummaryFormatError as error:
+        incremental = session.analyze_incremental(jobs=args.jobs)
+        incremental.refused = f"unreadable cache: {error}"
+    if incremental.refused:
+        cache_note = f"cold ({incremental.refused})"
     metrics = incremental.metrics
     program = session.program
     if args.json:
@@ -409,6 +419,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except AnalysisError as error:
         print(f"query failed: {error}", file=sys.stderr)
         return EXIT_ANALYSIS
+    if result.refused:
+        cache_note = f"cold ({result.refused})"
     summary = result.summary
     metrics = result.metrics
     if args.json:
@@ -737,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--cache", metavar="FILE", default=None,
         help=(
-            "SUM3 cache sidecar to warm-start from and refresh "
+            "SUM4 cache sidecar to warm-start from and refresh "
             "(default: IMAGE.sum2; shared with analyze --incremental)"
         ),
     )
@@ -810,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help=(
-            "persist per-tenant SUM3 cache sidecars under DIR so edit "
+            "persist per-tenant SUM4 cache sidecars under DIR so edit "
             "requests warm-start across daemon restarts"
         ),
     )

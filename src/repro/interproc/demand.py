@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.cfg.callgraph import Condensation
 from repro.dataflow.equations import SummaryTriple
@@ -72,11 +72,18 @@ from repro.interproc.errors import UnknownRoutineError
 from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.incremental import (
     _WarmEngine,
+    carried_fragments,
     record_fingerprint_verdicts,
+    solve_or_cold,
+    summary_triples,
 )
-from repro.interproc.persist import SummaryCache
-from repro.interproc.store import open_view, publish_frontend_records
-from repro.interproc.summaries import SummarySet, RoutineSummary, _triple_of
+from repro.interproc.persist import SUMMARY_BODIES, SummaryCache, packed
+from repro.interproc.store import (
+    config_digest,
+    open_view,
+    publish_frontend_records,
+)
+from repro.interproc.summaries import SummarySet, RoutineSummary
 from repro.obs.metrics import REGISTRY
 from repro.reporting.metrics import QueryMetrics
 
@@ -110,6 +117,9 @@ class QueryResult:
     #: Queries always solve serially (the cones are usually far
     #: smaller than a shard); kept for result-type uniformity.
     is_parallel: bool = False
+    #: Why the cache the query was given went unused (see
+    #: :attr:`repro.interproc.incremental.IncrementalAnalysis.refused`).
+    refused: Optional[str] = None
 
     #: Result-protocol kind tag (see :mod:`repro.interproc.results`).
     kind = "query"
@@ -157,9 +167,28 @@ def query_routine(
     it built for the *same* program (the dominant warm-query cost);
     without one, the cache's front-end records seed it.  Raises
     :class:`UnknownRoutineError` when ``routine`` is not in the
-    program.
+    program.  A cache written under another configuration, or one
+    whose bodies or fragments fail to decode when read, makes this a
+    cold query (see :attr:`QueryResult.refused`).
     """
     config = config or AnalysisConfig()
+    return solve_or_cold(
+        lambda usable: _query(
+            program, routine, usable, config, image_fingerprint, frontend
+        ),
+        cache,
+        config,
+    )
+
+
+def _query(
+    program,
+    routine: str,
+    cache: Optional[SummaryCache],
+    config: AnalysisConfig,
+    image_fingerprint: int,
+    frontend: Optional[Frontend],
+) -> QueryResult:
     metrics = QueryMetrics(
         routine=routine, routines_total=program.routine_count
     )
@@ -185,6 +214,7 @@ def query_routine(
         cache = SummaryCache(
             image_fingerprint=image_fingerprint,
             result=SummarySet(summaries={}),
+            config_digest=config_digest(config),
         )
     with metrics.stage("fingerprint"):
         fingerprints = frontend.fingerprints
@@ -240,6 +270,7 @@ def query_routine(
         dirty=dirty,
         image_fingerprint=image_fingerprint,
         metrics=metrics,
+        digest=config_digest(config),
     )
     return QueryResult(
         routine=routine,
@@ -261,8 +292,12 @@ def _memoized_cache(
     dirty: Set[str],
     image_fingerprint: int,
     metrics: QueryMetrics,
+    digest: int,
 ) -> SummaryCache:
-    """The refreshed cache a query persists (module docstring rules)."""
+    """The refreshed cache a query persists (module docstring rules).
+
+    Kept summaries are the old cache's, unread: their bodies go to the
+    next sidecar as bytes."""
     cfgs = frontend.cfgs
     call_graph = frontend.call_graph
     fingerprints = frontend.fingerprints
@@ -283,7 +318,9 @@ def _memoized_cache(
     for name in engine.changed2:
         summary_stale.update(call_graph.callees_of(name))
 
-    summaries: Dict[str, RoutineSummary] = {}
+    # Routines whose summary the memo keeps: the fresh one if the
+    # query solved it, else the old one.
+    kept: List[str] = []
     phase1_triples: Dict[str, SummaryTriple] = {}
     keyed_fingerprints: Dict[str, int] = {}
     externally_callable: Set[str] = set()
@@ -291,7 +328,7 @@ def _memoized_cache(
 
     for name in validated2:
         # Full summary validated against the new program.
-        summaries[name] = engine.fresh.get(name) or old_summaries[name]
+        kept.append(name)
         keyed_fingerprints[name] = fingerprints[name]
         if name in is_external:
             externally_callable.add(name)
@@ -301,13 +338,12 @@ def _memoized_cache(
         # old full summary survives only when it is provably untouched.
         keyed_fingerprints[name] = fingerprints[name]
         phase1_triples[name] = engine.triples[name]
-        old = old_summaries.get(name)
-        if old is None:
+        if name not in old_summaries:
             continue
         if name in dirty or name in summary_stale:
             dropped += 1
             continue
-        summaries[name] = old
+        kept.append(name)
         if name in cache.externally_callable:
             externally_callable.add(name)
 
@@ -324,7 +360,7 @@ def _memoized_cache(
             # entry before re-solving it.
             keyed_fingerprints[name] = cache.routine_fingerprints[name]
             if name in old_summaries:
-                summaries[name] = old_summaries[name]
+                kept.append(name)
             if name in cache.phase1_triples:
                 phase1_triples[name] = cache.phase1_triples[name]
             if name in cache.externally_callable:
@@ -336,7 +372,7 @@ def _memoized_cache(
         keep_summary = name in old_summaries and name not in summary_stale
         old_triple = cache.phase1_triples.get(name)
         if old_triple is None and name in old_summaries:
-            old_triple = _triple_of(old_summaries[name])
+            old_triple = cache.triples[name]
         keep_triple = old_triple is not None and name not in triple_stale
         if name in old_summaries and not keep_summary:
             dropped += 1
@@ -344,7 +380,7 @@ def _memoized_cache(
             continue
         keyed_fingerprints[name] = cache.routine_fingerprints[name]
         if keep_summary:
-            summaries[name] = old_summaries[name]
+            kept.append(name)
             if name in cache.externally_callable:
                 externally_callable.add(name)
         elif keep_triple:
@@ -354,11 +390,18 @@ def _memoized_cache(
     REGISTRY.inc("query.memo_dropped", dropped)
     return SummaryCache(
         image_fingerprint=image_fingerprint,
-        result=SummarySet(summaries=summaries),
+        result=SummarySet(
+            summaries=packed(kept, engine.fresh, old_summaries, SUMMARY_BODIES)
+        ),
         routine_fingerprints=keyed_fingerprints,
         externally_callable=externally_callable,
         phase1_triples=phase1_triples,
         # Always the current image's: a record is scoped by its own
         # shape key, whatever became of the routine's summary.
         frontend_records=frontend.records,
+        config_digest=digest,
+        triples=summary_triples(kept, engine.fresh, cache),
+        fragments=carried_fragments(
+            frontend, engine.new_fragments, cache.fragments
+        ),
     )

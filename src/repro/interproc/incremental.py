@@ -28,23 +28,39 @@ This module exploits that structure:
   (``run_phase2(..., extra_exit_live=...)``).
 
 The cache itself is a :class:`repro.interproc.persist.SummaryCache`
-(the versioned ``SUM3`` sidecar): the previous run's summaries, the
-fingerprints that scope their validity, and the *front-end records*
+(the versioned ``SUM4`` sidecar): the previous run's summaries, the
+fingerprints that scope their validity, the *front-end records*
 (:mod:`repro.interproc.frontend`) from which the call graph, the
 condensation and the fingerprints of this run are derived without
-building the CFG of any routine whose code did not change.  CFGs are
-built where a component is actually re-solved (and billed to the
-``cfg_build`` stage there), so a warm run with zero dirty routines
-builds none and performs *no* phase-1 or phase-2 solving at all — it
-hashes the routines, re-resolves their recorded call sites, and
-returns the cached result.
+building the CFG of any routine whose code did not change, and the
+labeled PSG fragment of every routine body it solved
+(:class:`repro.psg.build.PsgFragment`).  A component that is re-solved
+appends its members' fragments to its partial PSG; only a member
+without one — its code changed, or no run has solved it since — is
+walked into a CFG (billed to the ``cfg_build`` stage) and labeled.  So
+a warm run with zero dirty routines builds no CFG and performs *no*
+phase-1 or phase-2 solving at all — it hashes the routines, re-resolves
+their recorded call sites, and returns the cached result — and an edit
+whose effect climbs the caller cone walks only the edited routine.
+
+The run reads a summary body only when it needs that routine's old
+answer (a change cutoff, an exit seed), and the refreshed cache it
+returns shares the unread bodies and fragments with the one it read,
+so writing the next sidecar copies them (:class:`~repro.interproc.
+persist.PackedMap`).  A cache written under another configuration, or
+one holding a body or fragment that fails to decode when read, is set
+aside and the run solves cold (:attr:`IncrementalAnalysis.refused`
+says why).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, TypeVar,
+)
 
 from repro.program.model import Program
 from repro.cfg.callgraph import CallGraph, Condensation
@@ -58,7 +74,15 @@ from repro.interproc.analysis import (
     node_seed_order,
 )
 from repro.interproc.frontend import Frontend, build_frontend
-from repro.interproc.persist import SummaryCache
+from repro.interproc.persist import (
+    FRAGMENTS,
+    SUMMARY_BODIES,
+    PackedMap,
+    SummaryCache,
+    SummaryFormatError,
+    fragment_body,
+    packed,
+)
 from repro.interproc.phase1 import run_phase1
 from repro.interproc.phase2 import run_phase2
 from repro.interproc.store import (
@@ -80,10 +104,71 @@ from repro.interproc.summaries import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import span
-from repro.psg.build import PartialPsg, build_partial_psg
+from repro.psg.build import (
+    PartialPsg,
+    PsgFragment,
+    StoredRoutine,
+    build_partial_psg,
+    fragment_rows,
+)
 from repro.reporting.metrics import IncrementalMetrics, ParallelMetrics
 
 _log = logging.getLogger(__name__)
+
+T = TypeVar("T")
+
+#: Why a run did not use a cache written under another configuration.
+CONFIG_MISMATCH = "cache written under another configuration"
+
+
+def solve_or_cold(
+    solve: Callable[[Optional[SummaryCache]], T],
+    cache: Optional[SummaryCache],
+    config: AnalysisConfig,
+) -> T:
+    """``solve(cache)``, or ``solve(None)`` when ``cache`` was written
+    under another configuration (counted ``cache.config_mismatch``) or
+    holds a body or fragment that fails to decode when the solve reads
+    it; the result's ``refused`` says which."""
+    refused = None
+    if cache is not None and cache.config_digest != config_digest(config):
+        REGISTRY.inc("cache.config_mismatch")
+        cache, refused = None, CONFIG_MISMATCH
+    try:
+        result = solve(cache)
+    except SummaryFormatError as error:
+        _log.warning("cache unreadable mid-run, solving cold: %s", error)
+        refused = f"unreadable cache: {error}"
+        result = solve(None)
+    result.refused = refused
+    return result
+
+
+def summary_triples(
+    names: Iterable[str],
+    fresh: Mapping[str, RoutineSummary],
+    cache: SummaryCache,
+) -> Dict[str, SummaryTriple]:
+    """The phase-1 triple of each of ``names``: read off its fresh
+    summary, else the one ``cache`` holds (without its body)."""
+    return {
+        name: _triple_of(fresh[name]) if name in fresh else cache.triples[name]
+        for name in names
+    }
+
+
+def carried_fragments(
+    frontend: Frontend,
+    fresh: Mapping[int, PsgFragment],
+    old: Mapping[int, PsgFragment],
+) -> PackedMap:
+    """The fragments a refreshed cache holds: those of this run, then
+    those of the cache it read, for every routine body the program
+    still has (none of them built or decoded here)."""
+    keys = dict.fromkeys(record.shape_key for record in frontend.records.values())
+    return packed(
+        (key for key in keys if key in fresh or key in old), fresh, old, FRAGMENTS
+    )
 
 
 def record_fingerprint_verdicts(
@@ -132,6 +217,9 @@ class IncrementalAnalysis:
     #: Shard/pool metrics when the run was solved in parallel
     #: (``jobs > 1``); ``None`` for serial runs.
     parallel: Optional[ParallelMetrics] = None
+    #: Why the cache the run was given went unused and it solved cold
+    #: (:data:`CONFIG_MISMATCH`, or ``"unreadable cache: ..."``).
+    refused: Optional[str] = None
 
     #: Result-protocol kind tag (see :mod:`repro.interproc.results`).
     kind = "incremental"
@@ -196,9 +284,29 @@ def _analyze_incremental(
     ``frontend`` is ``program``'s front end when the caller already
     has it (a session that analyzed or queried before); otherwise one
     is built from the cache's front-end records.
+
+    A cache written under another configuration, or one whose summary
+    bodies or fragments fail to decode when read, makes this a cold run
+    (see :attr:`IncrementalAnalysis.refused`).
     """
     config = config or AnalysisConfig()
+    return solve_or_cold(
+        lambda usable: _solve(
+            program, usable, config, image_fingerprint, jobs, frontend
+        ),
+        cache,
+        config,
+    )
 
+
+def _solve(
+    program: Program,
+    cache: Optional[SummaryCache],
+    config: AnalysisConfig,
+    image_fingerprint: int,
+    jobs: Optional[int],
+    frontend: Optional[Frontend],
+) -> IncrementalAnalysis:
     from repro.interproc.parallel import resolve_jobs
 
     effective_jobs = resolve_jobs(jobs, config)
@@ -285,6 +393,9 @@ def _warm_run(
         routine_fingerprints=fingerprints,
         externally_callable=set(call_graph.externally_callable),
         frontend_records=frontend.records,
+        config_digest=config_digest(config),
+        triples=summary_triples(result.summaries, engine.fresh, cache),
+        fragments=carried_fragments(frontend, engine.new_fragments, cache.fragments),
     )
     return IncrementalAnalysis(
         config=config,
@@ -322,17 +433,35 @@ def _cold_run(
             metrics.seconds[name] = value
     with metrics.stage("fingerprint"):
         fingerprints = full.frontend.fingerprints
+    records = full.frontend.records
+    # One summary map for the result and the cache: each body is
+    # encoded once, for whichever of the two writers asks first.
+    result = SummarySet(
+        summaries=PackedMap.of(full.result.summaries, SUMMARY_BODIES)
+    )
     new_cache = SummaryCache(
         image_fingerprint=image_fingerprint,
-        result=full.result,
+        result=result,
         routine_fingerprints=fingerprints,
         externally_callable=set(full.call_graph.externally_callable),
-        frontend_records=full.frontend.records,
+        frontend_records=records,
+        config_digest=config_digest(config),
+        # Encoded only if the cache is written or read.
+        fragments=PackedMap.deferred(
+            {
+                records[name].shape_key: functools.partial(
+                    fragment_body,
+                    fragment_rows(full.psg, name, full.saved_restored[name]),
+                )
+                for name in full.cfgs
+            },
+            FRAGMENTS,
+        ),
     )
     return IncrementalAnalysis(
         config=config,
         frontend=full.frontend,
-        result=full.result,
+        result=result,
         cache=new_cache,
         metrics=metrics,
         condensation=None,
@@ -340,7 +469,7 @@ def _cold_run(
 
 
 def orphaned_callees(
-    cached: Dict[str, RoutineSummary],
+    cached: Mapping[str, RoutineSummary],
     cfgs: Mapping[str, ControlFlowGraph],
     call_graph: CallGraph,
     dirty: Set[str],
@@ -353,16 +482,17 @@ def orphaned_callees(
     site's live-after baked into its cached exit liveness.  The new
     call graph has no edge left to carry the retraction, so diff the
     cached target lists against it and re-solve the losers.  Clean
-    survivors can be skipped: the fingerprint covers target lists, so
-    theirs cannot have moved.  (Shared by the serial warm engine and
-    the parallel dirty-shard selection.)
+    survivors can be skipped — their summaries are not even read: the
+    fingerprint covers target lists, so theirs cannot have moved.
+    (Shared by the serial warm engine and the parallel dirty-shard
+    selection.)
     """
     orphaned: Set[str] = set()
-    for name, summary in cached.items():
+    for name in cached:
         if name in cfgs and name not in dirty:
             continue
         cached_targets: Set[str] = set()
-        for site in summary.call_sites:
+        for site in cached[name].call_sites:
             cached_targets.update(site.site.targets)
         current = set(call_graph.callees_of(name)) if name in cfgs else set()
         orphaned.update(cached_targets - current)
@@ -384,19 +514,18 @@ class _WarmEngine:
         store: Optional[StoreView] = None,
     ) -> None:
         self.config = config
+        self.frontend = frontend
         self.cfgs = frontend.cfgs
         self.call_graph = frontend.call_graph
         self.condensation = frontend.condensation
         self.cache = cache
+        # Read a body at a time, only where an old answer is needed.
         self.cached = cache.result.summaries
-        # Phase-1 triples available for reuse: derivable from every
-        # cached summary, plus the phase-1-only entries the demand
-        # engine memoizes (triples validated by a query whose phase-2
-        # liveness never was).
-        self.cached_triples: Dict[str, SummaryTriple] = {
-            name: _triple_of(summary)
-            for name, summary in self.cached.items()
-        }
+        # Phase-1 triples available for reuse: every cached summary's
+        # (from the cache's routine table, no body read), plus the
+        # phase-1-only entries the demand engine memoizes (triples
+        # validated by a query whose phase-2 liveness never was).
+        self.cached_triples: Dict[str, SummaryTriple] = dict(cache.triples)
         self.cached_triples.update(cache.phase1_triples)
         self.dirty = dirty
         self.metrics = metrics
@@ -419,6 +548,9 @@ class _WarmEngine:
         # them, their CFGs (``self.cfgs`` builds on access) included.
         self._saved: Dict[str, int] = {}
         self._partials: Dict[int, PartialPsg] = {}
+        # Shape key -> what encodes the fragment of a routine this run
+        # labeled (holding its rows, not its partial PSG).
+        self._fragment_makers: Dict[int, Callable[[], bytes]] = {}
         # Phase-1 state: current triples, and the change-cutoff set.
         self.triples: Dict[str, SummaryTriple] = {}
         self.changed1: Set[str] = set()
@@ -525,20 +657,65 @@ class _WarmEngine:
     # Lazy inputs
     # ------------------------------------------------------------------
 
+    def _fragment(self, name: str, shape_key: int) -> Optional[PsgFragment]:
+        """The cache's fragment for ``name``'s body, if it has one that
+        fits the routine's call sites (counted ``cache.fragment.hit``,
+        ``.stale`` when the routine's body changed or the fragment does
+        not fit, ``.miss`` otherwise)."""
+        fragment = self.cache.fragments.get(shape_key)
+        if fragment is None:
+            old = self.cache.frontend_records.get(name)
+            changed = old is not None and old.shape_key != shape_key
+            REGISTRY.inc("cache.fragment.stale" if changed else "cache.fragment.miss")
+            return None
+        if fragment.site_count != len(self.call_graph.sites[name]):
+            REGISTRY.inc("cache.fragment.stale")
+            return None
+        REGISTRY.inc("cache.fragment.hit")
+        return fragment
+
+    @property
+    def new_fragments(self) -> PackedMap:
+        """The fragments of the routines this run labeled, by shape key,
+        each encoded only when the refreshed cache is written or read."""
+        return PackedMap.deferred(self._fragment_makers, FRAGMENTS)
+
     def _partial(self, index: int) -> PartialPsg:
-        partial = self._partials.get(index)
-        if partial is None:
+        built = self._partials.get(index)
+        if built is None:
             members = self.condensation.members(index)
+            records = self.frontend.records
+            with self.metrics.stage("psg_build"):
+                stored = {}
+                for name in members:
+                    fragment = self._fragment(name, records[name].shape_key)
+                    if fragment is not None:
+                        stored[name] = StoredRoutine(
+                            name, fragment, self.call_graph.sites[name]
+                        )
             with self.metrics.stage("cfg_build"):
-                cfgs = [self.cfgs[name] for name in members]
+                routines = [
+                    stored.get(name) or self.cfgs[name] for name in members
+                ]
             with self.metrics.stage("initialization"):
                 keep = callee_saved_filter(self.config)
-                for cfg in cfgs:
-                    self._saved[cfg.name] = cfg.saved & keep
+                for name, routine in zip(members, routines):
+                    self._saved[name] = (
+                        routine.fragment.saved if name in stored
+                        else routine.saved & keep
+                    )
             with self.metrics.stage("psg_build"):
-                partial = build_partial_psg(cfgs, self.config.psg)
-            self._partials[index] = partial
-        return partial
+                built = build_partial_psg(routines, self.config.psg)
+            for name in members:
+                if name not in stored:
+                    self._fragment_makers[records[name].shape_key] = (
+                        functools.partial(
+                            fragment_body,
+                            fragment_rows(built.psg, name, self._saved[name]),
+                        )
+                    )
+            self._partials[index] = built
+        return built
 
     @staticmethod
     def _node_order(partial: PartialPsg) -> List[int]:
@@ -774,11 +951,11 @@ class _WarmEngine:
             self.metrics.phase1_solved, self.metrics.phase1_reused,
             self.metrics.phase2_solved, self.metrics.phase2_reused,
         )
-        summaries = {
-            name: self.fresh.get(name) or self.cached[name]
-            for name in self.cfgs
-        }
-        return SummarySet(summaries=summaries)
+        # Fresh summaries over the cached ones, none of them decoded
+        # here: the bodies nobody read go to the next sidecar as bytes.
+        return SummarySet(
+            summaries=packed(self.cfgs, self.fresh, self.cached, SUMMARY_BODIES)
+        )
 
 
 def _same_liveness(fresh: RoutineSummary, cached: RoutineSummary) -> bool:

@@ -79,7 +79,8 @@ from repro.interproc.errors import AnalysisError
 from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.phase1 import run_phase1
 from repro.interproc.phase2 import run_phase2
-from repro.interproc.store import open_view, publish_result
+from repro.interproc.persist import SUMMARY_BODIES, packed
+from repro.interproc.store import config_digest, open_view, publish_result
 from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
@@ -966,8 +967,10 @@ def analyze_incremental_parallel(
     from repro.interproc.incremental import (
         IncrementalAnalysis,
         SummaryCache,
+        carried_fragments,
         orphaned_callees,
         record_fingerprint_verdicts,
+        summary_triples,
     )
     from repro.reporting.metrics import IncrementalMetrics
 
@@ -995,6 +998,7 @@ def analyze_incremental_parallel(
             routine_fingerprints=fingerprints,
             externally_callable=set(analysis.call_graph.externally_callable),
             frontend_records=analysis.frontend.records,
+            config_digest=config_digest(config),
         )
         metrics.cfgs_built = count
         _fold_parallel_seconds(metrics, analysis.metrics)
@@ -1121,10 +1125,9 @@ def analyze_incremental_parallel(
     finally:
         scheduler.close()
 
-    summaries = {
-        name: engine.fresh.get(name) or cached[name] for name in cfgs
-    }
-    result = SummarySet(summaries=summaries)
+    result = SummarySet(
+        summaries=packed(cfgs, engine.fresh, cached, SUMMARY_BODIES)
+    )
     publish_result(frontend, config, result, store)
 
     solved1 = {
@@ -1149,12 +1152,17 @@ def analyze_incremental_parallel(
     metrics.phase2_iterations = engine.phase2_iterations
     _fold_parallel_seconds(metrics, parallel_metrics)
 
+    # The shards solve from CFGs and hand back summaries only: the
+    # fragments the cache held are carried over, none are added.
     new_cache = SummaryCache(
         image_fingerprint=image_fingerprint,
         result=result,
         routine_fingerprints=fingerprints,
         externally_callable=set(call_graph.externally_callable),
         frontend_records=frontend.records,
+        config_digest=config_digest(config),
+        triples=summary_triples(cfgs, engine.fresh, cache),
+        fragments=carried_fragments(frontend, {}, cache.fragments),
     )
     return IncrementalAnalysis(
         config=config,

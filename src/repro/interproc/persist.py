@@ -9,21 +9,25 @@ two sidecar formats:
   :class:`~repro.interproc.summaries.SummarySet`, keyed by a
   fingerprint of the executable image so a stale sidecar is rejected
   wholesale;
-* **SUM3** — the incremental-analysis cache
-  (:class:`SummaryCache`): the same per-routine summary records, each
-  additionally carrying a 64-bit *routine* content fingerprint (image
-  code bytes, exported flag, routine-relative jump-table targets and
-  call-site target lists, see
-  :func:`repro.interproc.frontend.routine_fingerprint`) and an
-  externally-callable flag, so a warm run can invalidate at routine
-  granularity instead of all-or-nothing.  A fingerprint mismatch only
-  ever means "re-solve", so a sidecar written under an older
-  fingerprint definition goes fully stale once and is then refreshed.
-  It also carries the *front-end records* that let the next run derive
-  its call graph without building CFGs
-  (:class:`repro.cfg.cfg.FrontendRecord`).  ``SUM2`` was this format
-  without the record section; a ``SUM2`` file has a bad magic now, its
-  readers start cold and rewrite it.
+* **SUM4** — the incremental-analysis cache (:class:`SummaryCache`):
+  an indexed pack (:class:`PackFormat`, the summary store's frame under
+  its own magic) holding a *routine table* — per routine its name, a
+  64-bit content fingerprint (image code bytes, exported flag,
+  routine-relative jump-table targets and call-site target lists, see
+  :func:`repro.interproc.frontend.routine_fingerprint`), an
+  externally-callable flag and its phase-1 triple — and, per routine,
+  its summary body, so a warm run can invalidate at routine granularity
+  and read only the bodies it needs.  A fingerprint mismatch only ever
+  means "re-solve", so a sidecar written under an older fingerprint
+  definition goes fully stale once and is then refreshed.  It also
+  carries the *front-end records* that let the next run derive its call
+  graph without building CFGs (:class:`repro.cfg.cfg.FrontendRecord`),
+  the configuration digest the writing run solved under, and one
+  labeled PSG fragment per routine body
+  (:class:`repro.psg.build.PsgFragment`), which lets the next run
+  re-solve an unchanged routine without walking or labeling it.
+  ``SUM2`` and ``SUM3`` were earlier layouts of this cache; such a file
+  has a bad magic now, and its readers start cold and rewrite it.
 
 SUM1 layout (little-endian)::
 
@@ -32,40 +36,52 @@ SUM1 layout (little-endian)::
       u16 name_len | name utf-8
       <summary body>
 
-SUM3 layout (little-endian)::
+SUM4 layout: a pack (see :class:`PackFormat`) with magic ``"SUM4"``,
+version 1, whose slots ``(grade, key)`` are::
 
-    magic "SUM3" | u64 image_fingerprint | u32 routine_count
-    per routine:
-      u16 name_len | name utf-8
-      u64 routine_fingerprint
-      u8 flags            (bit 0: externally callable)
-      <summary body>
-    u32 triple_count | per triple:
-      u16 name_len | name utf-8
-      u64 routine_fingerprint
-      u64 may_use | u64 may_def | u64 must_def
-    u32 record_count | per front-end record:
-      u16 name_len | name utf-8
-      u64 shape_key | u32 block_count
-      u32 site_count | per site:
-        u32 block | u32 instruction_index
-        u8 flags          (bit 0: indirect, bit 1: constant follows)
-        [i64 constant]
-      u32 candidate_count | per escape candidate: u64 value
+    (1, 0)  routine table:
+              u64 image_fingerprint | u64 config_digest | u32 routine_count
+              per routine, in name order:
+                u16 name_len | name utf-8 | u64 routine_fingerprint
+                u8 flags          (bit 0: externally callable)
+                u64 may_use | u64 may_def | u64 must_def
+    (2, i)  the summary body of the table's i-th routine (one per routine)
+    (3, 0)  phase-1-only triples: u32 count | per triple:
+              u16 name_len | name utf-8 | u64 routine_fingerprint
+              u64 may_use | u64 may_def | u64 must_def
+    (4, 0)  front-end records: u32 count | per record:
+              u16 name_len | name utf-8
+              u64 shape_key | u32 block_count
+              u32 site_count | per site:
+                u32 block | u32 instruction_index
+                u8 flags      (bit 0: indirect, bit 1: constant follows)
+                [i64 constant]
+              u32 candidate_count | per escape candidate: u64 value
+    (5, k)  the PSG fragment of the routine body whose shape key is k:
+              u32 exit_count | u32 site_count | u32 branch_count
+              u32 label_count | u32 edge_count | u64 saved
+              exit_count x u32 block | exit_count x u8 kind
+              branch_count x u32 block
+              label_count x (u64 may_use | u64 may_def | u64 must_def)
+              edge_count x u32 source | edge_count x u32 target
+              edge_count x u32 label
 
-The *triple* section carries phase-1-only entries written by
-the demand-driven query engine (:mod:`repro.interproc.demand`): a
-routine whose call-used/defined/killed triple was validated by a query
-but whose phase-2 liveness never was.  The section is mandatory (an
-empty cache writes ``triple_count == 0``), and so is the *record*
-section after it.  A record is keyed by routine name like everything
-else but validated by its own ``shape_key``, not by the routine
-fingerprint: it stays good across edits that change whom the routine
-calls or whether it is exported.  Records that no CFG could have
-produced (no blocks, sites out of order or past the last block, a
-constant on a direct call) are rejected here; whether a well-formed
-record fits the routine it names is checked where it is used
-(:func:`repro.cfg.build.recorded_call_sites`).
+The *triple* slot carries phase-1-only entries written by the
+demand-driven query engine (:mod:`repro.interproc.demand`): a routine
+whose call-used/defined/killed triple was validated by a query but
+whose phase-2 liveness never was.  The table, triple and record slots
+are mandatory; a routine without a body, or a body past the table, is
+malformed.  A record is keyed by routine name like everything else but
+validated by its own ``shape_key``, not by the routine fingerprint: it
+stays good across edits that change whom the routine calls or whether
+it is exported.  Records that no CFG could have produced (no blocks,
+sites out of order or past the last block, a constant on a direct call)
+are rejected here; whether a well-formed record fits the routine it
+names is checked where it is used
+(:func:`repro.cfg.build.recorded_call_sites`).  A fragment is filed
+under a shape key, so it applies to any routine with that body; the
+configuration digest scopes it (and everything else in the sidecar) to
+the configuration it was built under.
 
 Shared summary body::
 
@@ -77,13 +93,19 @@ Shared summary body::
       u16 target_count | per target: u16 len | utf-8
       u64 used | u64 defined | u64 killed | u64 live_before | u64 live_after
 
-Every malformed prefix — truncation at any byte offset, a bad magic,
-an invalid UTF-8 name, an unknown exit-kind code, a mask wider than
-the register file, or trailing bytes — raises
-:class:`SummaryFormatError`; callers never see ``struct.error`` or
-``IndexError``.
+**What is read when.**  :func:`load_cache` checks the frame, the
+checksum and the index, and decodes the routine table, the triples and
+the records — every malformed prefix, bad magic, invalid UTF-8 name,
+unknown flag or mask wider than the register file there raises
+:class:`SummaryFormatError`, and callers never see ``struct.error`` or
+``IndexError``.  Summary bodies and fragments stay bytes
+(:class:`PackedMap`) until first read; one that passed the checksum but
+does not decode (only a deliberately re-checksummed file can hold one)
+raises :class:`SummaryFormatError` at that read, which the incremental
+engine answers with a cold solve.  Writing the next sidecar copies the
+bytes of every body and fragment the run did not replace as they are.
 
-Invalidation rules for SUM3 are implemented by
+Invalidation rules for SUM4 are implemented by
 :mod:`repro.interproc.incremental`: a routine whose fingerprint
 changed dirties its call-graph SCC, phase-1 results of its transitive
 *callers*, and phase-2 results of its transitive *callees* (see that
@@ -96,7 +118,13 @@ import logging
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from functools import lru_cache
+from itertools import chain, count, repeat
+from operator import and_, invert, sub
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
+    Optional, Set, Tuple,
+)
 
 from repro.cfg.cfg import CallSite, ExitKind, FrontendRecord, RecordedSite
 from repro.dataflow.equations import SummaryTriple
@@ -107,10 +135,11 @@ from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
     RoutineSummary,
+    _triple_of,
 )
+from repro.psg.build import FragmentRows, PsgFragment
 
 MAGIC = b"SUM1"
-MAGIC3 = b"SUM3"
 
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
@@ -127,6 +156,14 @@ _SITE_HEAD = struct.Struct("<IIBH")
 _RECORD_HEADER = struct.Struct("<QII")
 #: Recorded call site: block, instruction index, flags.
 _RECORD_SITE = struct.Struct("<IIB")
+#: Routine table: image fingerprint, config digest, routine count.
+_TABLE_HEAD = struct.Struct("<QQI")
+#: Routine table row after the name: fingerprint, flags, triple.
+_ROUTINE_ROW = struct.Struct("<QB3Q")
+#: Phase-1-only triple after the name: fingerprint, triple.
+_TRIPLE_ROW = struct.Struct("<Q3Q")
+#: Fragment: exit, site, branch, label and edge counts, saved mask.
+_FRAGMENT_HEAD = struct.Struct("<5IQ")
 
 _EXIT_KIND_CODES = {
     ExitKind.RETURN: 0,
@@ -187,9 +224,7 @@ class _Writer:
         self.parts.append(_U64.pack(value))
 
     def text(self, value: str) -> None:
-        encoded = value.encode("utf-8")
-        self.u16(len(encoded))
-        self.parts.append(encoded)
+        self.parts.append(_text_bytes(value))
 
     def blob(self) -> bytes:
         return b"".join(self.parts)
@@ -222,9 +257,6 @@ class _Reader:
 
     def _unpack(self, spec: struct.Struct) -> int:
         return self.fields(spec)[0]
-
-    def u8(self) -> int:
-        return self._unpack(_U8)
 
     def u16(self) -> int:
         return self._unpack(_U16)
@@ -273,9 +305,17 @@ class _Reader:
 # ----------------------------------------------------------------------
 
 
-def _write_summary_body(writer: _Writer, summary: RoutineSummary) -> None:
-    parts = writer.parts
-    parts.append(
+@lru_cache(maxsize=4096)
+def _text_bytes(value: str) -> bytes:
+    """``value`` as :meth:`_Writer.text` writes it (routine names recur
+    at every call site that targets them)."""
+    encoded = value.encode("utf-8")
+    return _U16.pack(len(encoded)) + encoded
+
+
+def _write_summary_body(parts: List[bytes], summary: RoutineSummary) -> None:
+    append = parts.append
+    append(
         _MASKS5.pack(
             summary.call_used_mask,
             summary.call_defined_mask,
@@ -284,30 +324,28 @@ def _write_summary_body(writer: _Writer, summary: RoutineSummary) -> None:
             summary.saved_restored_mask,
         )
     )
-    exits = sorted(summary.exit_live_masks)
-    writer.u32(len(exits))
+    exit_live, exit_kinds = summary.exit_live_masks, summary.exit_kinds
+    exits = sorted(exit_live)
+    append(_U32.pack(len(exits)))
     for block in exits:
-        parts.append(
-            _EXIT.pack(
-                block,
-                _EXIT_KIND_CODES[summary.exit_kinds[block]],
-                summary.exit_live_masks[block],
-            )
+        append(
+            _EXIT.pack(block, _EXIT_KIND_CODES[exit_kinds[block]], exit_live[block])
         )
-    writer.u32(len(summary.call_sites))
+    append(_U32.pack(len(summary.call_sites)))
     for site in summary.call_sites:
         call = site.site
-        parts.append(
+        targets = call.targets
+        append(
             _SITE_HEAD.pack(
                 call.block,
                 call.instruction_index,
                 1 if call.indirect else 0,
-                len(call.targets),
+                len(targets),
             )
         )
-        for target in call.targets:
-            writer.text(target)
-        parts.append(
+        for target in targets:
+            append(_text_bytes(target))
+        append(
             _MASKS5.pack(
                 site.used_mask,
                 site.defined_mask,
@@ -408,21 +446,371 @@ def _check_fingerprint(fingerprint: int, expected: int) -> None:
 
 
 # ----------------------------------------------------------------------
+# Packs: the indexed, checksummed frame of the sidecar and the store
+# ----------------------------------------------------------------------
+
+
+#: A record's place in a pack: ``(grade, key)``.
+Slot = Tuple[int, int]
+
+#: Magic, version, crc64 of the body.
+_PACK_HEADER = struct.Struct("<4sBQ")
+_PACK_COUNT = struct.Struct("<I")
+#: Index entry: grade, key, offset, length.
+_PACK_ENTRY = struct.Struct("<BQII")
+
+
+def pack_checksum(blob: bytes) -> int:
+    """The body checksum a pack's header carries."""
+    return _PACK_HEADER.unpack_from(blob)[2]
+
+
+@dataclass(frozen=True)
+class PackFormat:
+    """One kind of *pack*: byte records filed under ``(grade, key)``
+    slots behind a checksum and a sorted index, so a reader checks the
+    whole file once and then finds any record without parsing the
+    others::
+
+        magic | u8 version | u64 crc64(body) | body
+        body = u32 n | n x (u8 grade, u64 key, u32 offset, u32 length)
+             | record bodies        (offsets from the first record body)
+
+    The summary store's packs and the incremental sidecar are the two
+    kinds; their magics differ, so neither is ever read as the other.
+    """
+
+    magic: bytes
+    version: int
+    grades: FrozenSet[int]
+    #: What a :class:`SummaryFormatError` calls a file of this kind.
+    what: str
+
+    def encode(self, records: Mapping[Slot, bytes]) -> bytes:
+        """One pack holding ``records`` (record bodies by slot)."""
+        slots = sorted(records)
+        parts = [_PACK_COUNT.pack(len(slots))]
+        offset = 0
+        for grade, key in slots:
+            length = len(records[grade, key])
+            parts.append(_PACK_ENTRY.pack(grade, key, offset, length))
+            offset += length
+        parts.extend(records[slot] for slot in slots)
+        body = b"".join(parts)
+        return _PACK_HEADER.pack(self.magic, self.version, crc64(body)) + body
+
+    def decode(self, blob: bytes) -> List[Tuple[int, int, int, int]]:
+        """Check a pack's frame, checksum and index; its entries as
+        ``(grade, key, start, end)`` with ``blob[start:end]`` the record.
+
+        Raises :class:`SummaryFormatError` for anything but a pack of
+        this kind and version, so nothing in it is read unchecked.
+        """
+        what = self.what
+        _check_header(blob, self.magic)
+        index = _PACK_HEADER.size + _PACK_COUNT.size
+        if len(blob) < index:
+            raise SummaryFormatError(f"truncated {what} header")
+        _magic, version, checksum = _PACK_HEADER.unpack_from(blob)
+        if version != self.version:
+            raise SummaryFormatError(f"unsupported {what} v{version}")
+        if crc64(blob[_PACK_HEADER.size:]) != checksum:
+            raise SummaryFormatError(f"{what} checksum mismatch")
+        (count,) = _PACK_COUNT.unpack_from(blob, _PACK_HEADER.size)
+        base = index + count * _PACK_ENTRY.size
+        if base > len(blob):
+            raise SummaryFormatError(f"truncated {what} index")
+        entries: List[Tuple[int, int, int, int]] = []
+        previous: Slot = (0, 0)  # below every grade
+        grades = self.grades
+        for grade, key, offset, length in _PACK_ENTRY.iter_unpack(
+            blob[index:base]
+        ):
+            if grade not in grades:
+                raise SummaryFormatError(f"unknown {what} record grade {grade}")
+            if (grade, key) <= previous:
+                raise SummaryFormatError(f"{what} index out of order")
+            previous = (grade, key)
+            start = base + offset
+            end = start + length
+            if end > len(blob):
+                raise SummaryFormatError(f"{what} entry points past the body")
+            entries.append((grade, key, start, end))
+        return entries
+
+
+# ----------------------------------------------------------------------
+# Values held as objects, as bytes, or both
+# ----------------------------------------------------------------------
+
+
+class _Packed:
+    """One value of a :class:`PackedMap`: the object, its encoded
+    bytes, or both — or, until first needed, ``make`` that builds the
+    bytes; ``spliced`` when the bytes came from a sidecar."""
+
+    __slots__ = ("value", "body", "spliced", "make")
+
+    def __init__(
+        self,
+        value: Any,
+        body: Optional[bytes] = None,
+        spliced: bool = False,
+        make: Optional[Callable[[], bytes]] = None,
+    ) -> None:
+        self.value = value
+        self.body = body
+        self.spliced = spliced
+        self.make = make
+
+
+class _Codec(NamedTuple):
+    decode: Callable[[bytes, Any], Any]
+    encode: Callable[[Any], bytes]
+
+
+class PackedMap(Mapping):
+    """A read-only mapping whose values are each held as an object, as
+    the bytes a sidecar stores for it, or both, and turned into the
+    other at most once, when first needed.
+
+    The maps :func:`load_cache` returns hold bytes only: reading a value
+    decodes it, and writing the next sidecar copies the bytes as they
+    are.  A run's own values may be *deferred* (:meth:`deferred`):
+    encoded when first read or written, so a run whose cache nobody
+    writes never pays for them.  :func:`packed` builds a run's map from
+    the values it produced over the map it read; the two share the
+    values they have in common, so a value is encoded or decoded once,
+    whichever map is asked first, and maps built over maps never form a
+    chain.
+    """
+
+    __slots__ = ("_cells", "_codec")
+
+    def __init__(self, cells: Dict[Any, _Packed], codec: _Codec) -> None:
+        self._cells = cells
+        self._codec = codec
+
+    @classmethod
+    def of(cls, values: Mapping, codec: _Codec) -> "PackedMap":
+        """``values``, each encoded when first asked for its bytes."""
+        return cls({key: _Packed(value) for key, value in values.items()}, codec)
+
+    @classmethod
+    def deferred(
+        cls, makers: Mapping[Any, Callable[[], bytes]], codec: _Codec
+    ) -> "PackedMap":
+        """The values whose bytes ``makers`` produce, each when first
+        needed."""
+        return cls(
+            {key: _Packed(None, make=make) for key, make in makers.items()},
+            codec,
+        )
+
+    def __getitem__(self, key):
+        cell = self._cells[key]
+        value = cell.value
+        if value is None:
+            value = cell.value = self._codec.decode(self._body(cell), key)
+        return value
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._cells
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def body(self, key) -> Tuple[bytes, bool]:
+        """``key``'s encoded bytes, and whether they were copied from a
+        sidecar rather than encoded in this process."""
+        cell = self._cells[key]
+        return self._body(cell), cell.spliced
+
+    def _body(self, cell: _Packed) -> bytes:
+        body = cell.body
+        if body is None:
+            if cell.make is None:
+                body = self._codec.encode(cell.value)
+            else:
+                body, cell.make = cell.make(), None
+            cell.body = body
+        return body
+
+
+def packed(
+    keys: Iterable, fresh: Mapping, base: Mapping, codec: _Codec
+) -> PackedMap:
+    """``keys`` mapped to ``fresh``'s value where it has one, else to
+    ``base``'s — sharing the cell of either when it is a
+    :class:`PackedMap`, so nothing is built or decoded here."""
+    cells: Dict[Any, _Packed] = {}
+    for key in keys:
+        source = fresh if key in fresh else base
+        cells[key] = (
+            source._cells[key] if isinstance(source, PackedMap)
+            else _Packed(source[key])
+        )
+    return PackedMap(cells, codec)
+
+
+def _packed_body(values: Mapping, key, codec: _Codec) -> Tuple[bytes, bool]:
+    if isinstance(values, PackedMap):
+        return values.body(key)
+    return codec.encode(values[key]), False
+
+
+def _decode_summary(body: bytes, name: str) -> RoutineSummary:
+    reader = _Reader(body)
+    summary = _read_summary_body(reader, name)
+    if reader.offset != len(body):
+        raise SummaryFormatError(f"trailing bytes after the summary of {name!r}")
+    REGISTRY.inc("cache.body.decoded")
+    return summary
+
+
+def _encode_summary(summary: RoutineSummary) -> bytes:
+    parts: List[bytes] = []
+    _write_summary_body(parts, summary)
+    return b"".join(parts)
+
+
+def fragment_body(rows: FragmentRows) -> bytes:
+    """The sidecar bytes of one routine's fragment: its nodes renumbered
+    from its entry node, its labels from 0 in order of first use — so
+    the same routine body gives the same bytes whichever PSG it was
+    taken from."""
+    exits = rows.exits
+    exit_count, branch_count = len(exits), len(rows.branch_blocks)
+    used = rows.label_ids
+    local = dict(zip(dict.fromkeys(used), count()))
+    entry = repeat(rows.entry)
+    return b"".join((
+        _FRAGMENT_HEAD.pack(
+            exit_count, rows.site_count, branch_count, len(local),
+            len(used), rows.saved,
+        ),
+        struct.pack(
+            f"<{exit_count}I{exit_count}B{branch_count}I",
+            *[block for block, _kind in exits],
+            *[_EXIT_KIND_CODES[kind] for _block, kind in exits],
+            *rows.branch_blocks,
+        ),
+        struct.pack(
+            f"<{3 * len(local)}Q",
+            *chain.from_iterable(map(rows.labels.__getitem__, local)),
+        ),
+        struct.pack(
+            f"<{3 * len(used)}I",
+            *map(sub, rows.sources, entry),
+            *map(sub, rows.targets, entry),
+            *map(local.__getitem__, used),
+        ),
+    ))
+
+
+def _encode_fragment(fragment: PsgFragment) -> bytes:
+    return fragment_body(
+        FragmentRows(
+            fragment.exits, fragment.site_count, fragment.branch_blocks,
+            fragment.saved, fragment.labels, 0, fragment.sources,
+            fragment.targets, fragment.label_ids,
+        )
+    )
+
+
+def _decode_fragment(body: bytes, _key: object = None) -> PsgFragment:
+    """A fragment checked to append cleanly: known exit kinds, masks
+    within the register file, MUST-DEF within MAY-DEF, and every edge
+    leaving a source node and entering a target node of the routine."""
+    if len(body) < _FRAGMENT_HEAD.size:
+        raise SummaryFormatError("truncated PSG fragment")
+    exit_count, site_count, branch_count, label_count, edge_count, saved = (
+        _FRAGMENT_HEAD.unpack_from(body)
+    )
+    labels_at = _FRAGMENT_HEAD.size + 5 * exit_count + 4 * branch_count
+    edges_at = labels_at + 24 * label_count
+    if len(body) != edges_at + 12 * edge_count:
+        raise SummaryFormatError("PSG fragment length does not match its counts")
+    rows = struct.unpack_from(
+        f"<{exit_count}I{exit_count}B{branch_count}I", body, _FRAGMENT_HEAD.size
+    )
+    masks = struct.unpack_from(f"<{3 * label_count}Q", body, labels_at)
+    edges = struct.unpack_from(f"<{3 * edge_count}I", body, edges_at)
+    try:
+        kinds = map(_EXIT_KIND_BY_CODE.__getitem__, rows[exit_count:2 * exit_count])
+        exits = tuple(zip(rows[:exit_count], kinds))
+    except KeyError as error:
+        raise SummaryFormatError(f"unknown exit kind code {error}") from None
+    _check_masks((saved, *masks))
+    may_defs, must_defs = masks[1::3], masks[2::3]
+    if any(map(and_, must_defs, map(invert, may_defs))):
+        raise SummaryFormatError("PSG fragment label has MUST-DEF outside MAY-DEF")
+    sources = edges[:edge_count]
+    targets = edges[edge_count:2 * edge_count]
+    label_ids = edges[2 * edge_count:]
+    # Relative node numbers: 0 the entry, then the exits, a call and a
+    # return node per site, the branch nodes.
+    calls = 1 + exit_count
+    branches = calls + 2 * site_count
+    branch_nodes = range(branches, branches + branch_count)
+    returns = range(calls + 1, branches, 2)
+    for node in set(sources):
+        if node and node not in returns and node not in branch_nodes:
+            raise SummaryFormatError(f"PSG fragment edge leaves node {node}")
+    exit_nodes, call_nodes = range(1, calls), range(calls, branches, 2)
+    for node in set(targets):
+        if (
+            node not in exit_nodes and node not in call_nodes
+            and node not in branch_nodes
+        ):
+            raise SummaryFormatError(f"PSG fragment edge enters node {node}")
+    if label_ids and max(label_ids) >= label_count:
+        raise SummaryFormatError("PSG fragment edge names a missing label")
+    return PsgFragment(
+        exits=exits,
+        site_count=site_count,
+        branch_blocks=rows[2 * exit_count:],
+        saved=saved,
+        labels=tuple(zip(masks[0::3], may_defs, must_defs)),
+        sources=sources,
+        targets=targets,
+        label_ids=label_ids,
+    )
+
+
+#: Summary bodies by routine name, and PSG fragments by shape key.
+SUMMARY_BODIES = _Codec(_decode_summary, _encode_summary)
+FRAGMENTS = _Codec(_decode_fragment, _encode_fragment)
+
+
+# ----------------------------------------------------------------------
 # SUM1: plain SummarySet sidecar
 # ----------------------------------------------------------------------
 
 
 def dump_summaries(result: SummarySet, fingerprint: int = 0) -> bytes:
-    """Serialize ``result`` (optionally bound to an image fingerprint)."""
+    """Serialize ``result`` (optionally bound to an image fingerprint).
+
+    A :class:`PackedMap` of summaries contributes each body's bytes as
+    it holds them (copied from a sidecar, or encoded once and kept)."""
     with span("sidecar.dump", routines=len(result.summaries)):
         writer = _Writer()
         writer.parts.append(MAGIC)
         writer.u64(fingerprint)
-        names = sorted(result.summaries)
+        summaries = result.summaries
+        names = sorted(summaries)
         writer.u32(len(names))
-        for name in names:
-            writer.text(name)
-            _write_summary_body(writer, result.summaries[name])
+        if isinstance(summaries, PackedMap):
+            for name in names:
+                writer.text(name)
+                writer.parts.append(summaries.body(name)[0])
+        else:
+            for name in names:
+                writer.text(name)
+                _write_summary_body(writer.parts, summaries[name])
         blob = writer.blob()
     REGISTRY.inc("sidecar.write")
     REGISTRY.inc("sidecar.write_bytes", len(blob))
@@ -455,8 +843,25 @@ def load_summaries(
 
 
 # ----------------------------------------------------------------------
-# SUM3: the incremental-analysis cache
+# SUM4: the incremental-analysis cache
 # ----------------------------------------------------------------------
+
+
+#: Sidecar slot grades (the ``u8`` of an index entry).
+GRADE_TABLE = 1
+GRADE_BODY = 2
+GRADE_TRIPLES = 3
+GRADE_RECORDS = 4
+GRADE_FRAGMENT = 5
+
+SIDECAR = PackFormat(
+    magic=b"SUM4",
+    version=1,
+    grades=frozenset(
+        (GRADE_TABLE, GRADE_BODY, GRADE_TRIPLES, GRADE_RECORDS, GRADE_FRAGMENT)
+    ),
+    what="sidecar",
+)
 
 
 @dataclass
@@ -469,7 +874,9 @@ class SummaryCache:
     lists); ``externally_callable`` records which routines received
     the conservative phase-2 exit seeding, so a change in export /
     address-taken status invalidates them even when their code did not
-    change.
+    change.  ``result.summaries`` may be a :class:`PackedMap` whose
+    bodies decode on first read; ``triples`` holds the phase-1 triple of
+    every summary so that reusing one never needs its body.
 
     ``phase1_triples`` holds phase-1-only entries: routines whose
     call-used/defined/killed triple is known-valid (scoped by the same
@@ -484,7 +891,13 @@ class SummaryCache:
     what the next run needs to rebuild the call graph without that
     routine's CFG.  Each is scoped by its own shape key, independently
     of the summaries (a cache may hold a record for a routine whose
-    summary it dropped, and the other way round).
+    summary it dropped, and the other way round).  ``fragments`` are
+    the labeled PSG fragments of routine bodies, by shape key.
+
+    ``config_digest`` is :func:`repro.interproc.store.config_digest` of
+    the configuration the writing run solved under; a run under another
+    configuration does not use the cache.  It is 0 for a cache no run
+    wrote.
     """
 
     image_fingerprint: int
@@ -493,6 +906,9 @@ class SummaryCache:
     externally_callable: Set[str] = field(default_factory=set)
     phase1_triples: Dict[str, SummaryTriple] = field(default_factory=dict)
     frontend_records: Dict[str, FrontendRecord] = field(default_factory=dict)
+    config_digest: int = 0
+    triples: Optional[Dict[str, SummaryTriple]] = None
+    fragments: Mapping[int, PsgFragment] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         missing = (
@@ -502,6 +918,11 @@ class SummaryCache:
             raise ValueError(
                 f"cached routines without fingerprints: {sorted(missing)}"
             )
+        if self.triples is None:
+            self.triples = {
+                name: _triple_of(summary)
+                for name, summary in self.result.summaries.items()
+            }
 
 
 def _write_record(writer: _Writer, record: FrontendRecord) -> None:
@@ -544,79 +965,130 @@ def _read_record(reader: _Reader) -> FrontendRecord:
 
 
 def dump_cache(cache: SummaryCache) -> bytes:
-    """Serialize a :class:`SummaryCache` in the SUM3 format."""
-    with span("cache.dump", routines=len(cache.result.summaries)):
-        writer = _Writer()
-        writer.parts.append(MAGIC3)
-        writer.u64(cache.image_fingerprint)
-        names = sorted(cache.result.summaries)
-        writer.u32(len(names))
-        for name in names:
-            writer.text(name)
-            writer.u64(cache.routine_fingerprints[name])
-            flags = (
-                _FLAG_EXTERNALLY_CALLABLE
-                if name in cache.externally_callable
-                else 0
+    """Serialize a :class:`SummaryCache` as a SUM4 sidecar (summary
+    bodies and fragments a :class:`PackedMap` holds as bytes are copied,
+    not re-encoded)."""
+    summaries = cache.result.summaries
+    with span("cache.dump", routines=len(summaries)):
+        names = sorted(summaries)
+        table = _Writer()
+        table.parts.append(
+            _TABLE_HEAD.pack(cache.image_fingerprint, cache.config_digest, len(names))
+        )
+        records: Dict[Slot, bytes] = {}
+        spliced = 0
+        for ordinal, name in enumerate(names):
+            table.text(name)
+            triple = cache.triples[name]
+            table.parts.append(
+                _ROUTINE_ROW.pack(
+                    cache.routine_fingerprints[name],
+                    _FLAG_EXTERNALLY_CALLABLE
+                    if name in cache.externally_callable else 0,
+                    triple.may_use, triple.may_def, triple.must_def,
+                )
             )
-            writer.u8(flags)
-            _write_summary_body(writer, cache.result.summaries[name])
+            records[GRADE_BODY, ordinal], copied = _packed_body(
+                summaries, name, SUMMARY_BODIES
+            )
+            spliced += copied
+        records[GRADE_TABLE, 0] = table.blob()
+        triples = _Writer()
         triple_names = sorted(cache.phase1_triples)
-        writer.u32(len(triple_names))
+        triples.u32(len(triple_names))
         for name in triple_names:
-            writer.text(name)
-            writer.u64(cache.routine_fingerprints[name])
+            triples.text(name)
             triple = cache.phase1_triples[name]
-            writer.u64(triple.may_use)
-            writer.u64(triple.may_def)
-            writer.u64(triple.must_def)
+            triples.parts.append(
+                _TRIPLE_ROW.pack(
+                    cache.routine_fingerprints[name],
+                    triple.may_use, triple.may_def, triple.must_def,
+                )
+            )
+        records[GRADE_TRIPLES, 0] = triples.blob()
+        frontend = _Writer()
         record_names = sorted(cache.frontend_records)
-        writer.u32(len(record_names))
+        frontend.u32(len(record_names))
         for name in record_names:
-            writer.text(name)
-            _write_record(writer, cache.frontend_records[name])
-        blob = writer.blob()
+            frontend.text(name)
+            _write_record(frontend, cache.frontend_records[name])
+        records[GRADE_RECORDS, 0] = frontend.blob()
+        fragments = cache.fragments
+        for key in fragments:
+            records[GRADE_FRAGMENT, key] = _packed_body(fragments, key, FRAGMENTS)[0]
+        blob = SIDECAR.encode(records)
     REGISTRY.inc("cache.write")
     REGISTRY.inc("cache.write_bytes", len(blob))
-    _log.debug("dumped SUM3 cache: %d routines, %d bytes", len(names), len(blob))
+    REGISTRY.inc("cache.body.spliced", spliced)
+    _log.debug("dumped SUM4 cache: %d routines, %d bytes", len(names), len(blob))
     return blob
 
 
 def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
-    """Parse a SUM3 cache sidecar; rejects stale image fingerprints.
+    """Parse a SUM4 cache sidecar; rejects stale image fingerprints.
 
+    Checks the frame, the checksum and the index, and decodes the
+    routine table, the triples and the records; summary bodies and
+    fragments are decoded when first read (see the module docstring).
     As with :func:`load_summaries`, ``expected_fingerprint=0`` skips
     the whole-image staleness check — the incremental engine does its
     own per-routine invalidation, so a stale image is *not* an error
     for it, just a cache with some dirty entries.
     """
     with span("cache.load", bytes=len(blob)):
-        _check_header(blob, MAGIC3)
-        reader = _Reader(blob)
-        reader.offset = len(MAGIC3)
-        fingerprint = reader.u64()
+        slots: Dict[Slot, Tuple[int, int]] = {}
+        bodies = 0
+        fragments: Dict[int, _Packed] = {}
+        for grade, key, start, end in SIDECAR.decode(blob):
+            if grade == GRADE_FRAGMENT:
+                fragments[key] = _Packed(None, blob[start:end], True)
+            else:
+                slots[grade, key] = (start, end)
+                bodies += grade == GRADE_BODY
+        names: Dict[bytes, str] = {}
+
+        def slot(grade: int, what: str) -> _Reader:
+            found = slots.get((grade, 0))
+            if found is None:
+                raise SummaryFormatError(f"sidecar has no {what}")
+            reader = _Reader(blob[found[0]:found[1]])
+            reader.names = names
+            return reader
+
+        reader = slot(GRADE_TABLE, "routine table")
+        fingerprint, digest, count = reader.fields(_TABLE_HEAD)
         _check_fingerprint(fingerprint, expected_fingerprint)
-        summaries: Dict[str, RoutineSummary] = {}
+        if count != bodies:
+            raise SummaryFormatError(
+                f"sidecar lists {count} routines but holds {bodies} summary bodies"
+            )
+        cells: Dict[str, _Packed] = {}
         routine_fingerprints: Dict[str, int] = {}
         externally_callable: Set[str] = set()
-        for _ in range(reader.u32()):
+        triples: Dict[str, SummaryTriple] = {}
+        for ordinal in range(count):
             name = reader.text()
-            routine_fingerprints[name] = reader.u64()
-            flags = reader.u8()
+            routine_fingerprints[name], flags, *masks = reader.fields(_ROUTINE_ROW)
             if flags & ~_FLAG_EXTERNALLY_CALLABLE:
                 raise SummaryFormatError(f"unknown routine flags {flags:#x}")
             if flags & _FLAG_EXTERNALLY_CALLABLE:
                 externally_callable.add(name)
-            summaries[name] = _read_summary_body(reader, name)
+            _check_masks(masks)
+            triples[name] = SummaryTriple(*masks)
+            found = slots.get((GRADE_BODY, ordinal))
+            if found is None:
+                raise SummaryFormatError(f"routine {name!r} has no summary body")
+            cells[name] = _Packed(None, blob[found[0]:found[1]], True)
+        reader.expect_end()
+        reader = slot(GRADE_TRIPLES, "triple section")
         phase1_triples: Dict[str, SummaryTriple] = {}
         for _ in range(reader.u32()):
             name = reader.text()
-            routine_fingerprints[name] = reader.u64()
-            phase1_triples[name] = SummaryTriple(
-                may_use=reader.mask(),
-                may_def=reader.mask(),
-                must_def=reader.mask(),
-            )
+            routine_fingerprints[name], *masks = reader.fields(_TRIPLE_ROW)
+            _check_masks(masks)
+            phase1_triples[name] = SummaryTriple(*masks)
+        reader.expect_end()
+        reader = slot(GRADE_RECORDS, "record section")
         frontend_records: Dict[str, FrontendRecord] = {}
         for _ in range(reader.u32()):
             name = reader.text()
@@ -624,12 +1096,15 @@ def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
         reader.expect_end()
     REGISTRY.inc("cache.load")
     REGISTRY.inc("cache.load_bytes", len(blob))
-    _log.debug("loaded SUM3 cache: %d routines, %d bytes", len(summaries), len(blob))
+    _log.debug("loaded SUM4 cache: %d routines, %d bytes", count, len(blob))
     return SummaryCache(
         image_fingerprint=fingerprint,
-        result=SummarySet(summaries=summaries),
+        result=SummarySet(summaries=PackedMap(cells, SUMMARY_BODIES)),
         routine_fingerprints=routine_fingerprints,
         externally_callable=externally_callable,
         phase1_triples=phase1_triples,
         frontend_records=frontend_records,
+        config_digest=digest,
+        triples=triples,
+        fragments=PackedMap(fragments, FRAGMENTS),
     )

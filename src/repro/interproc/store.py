@@ -1,7 +1,7 @@
 """Cross-image content-addressed summary store (separate compilation
 at fleet scale).
 
-The per-image SUM3 sidecar (``persist.py``) is keyed by
+The per-image SUM4 sidecar (``persist.py``) is keyed by
 ``image_fingerprint`` — it can warm *this* image's next solve, but it
 cannot express "this library routine is byte-identical across N linked
 builds".  This module re-keys summaries by **deep routine
@@ -39,8 +39,9 @@ solve under one can warm a solve under another.
 A front-end record is a function of the routine's bytes alone, so its
 key binds no context.
 
-Layout: one immutable *pack* per publishing run,
-``<store>/packs/<crc64 of body>.pack``::
+Layout: one immutable *pack* (:class:`repro.interproc.persist.PackFormat`,
+the frame the SUM4 sidecar shares under its own magic) per publishing
+run, ``<store>/packs/<crc64 of body>.pack``::
 
     magic "SSTP" | u8 STORE_VERSION | u64 crc64(body) | body
     body = u32 n | n x (u8 grade, u64 key, u32 offset, u32 length)
@@ -64,18 +65,18 @@ from __future__ import annotations
 
 import itertools
 import os
-import struct
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph, Condensation
 from repro.cfg.cfg import FrontendRecord
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.frontend import Frontend
 from repro.interproc.persist import (
+    PackFormat,
+    Slot,
     SummaryFormatError,
-    _check_header,
     _Reader,
     _read_record,
     _read_summary_body,
@@ -83,6 +84,7 @@ from repro.interproc.persist import (
     _write_summary_body,
     _Writer,
     crc64,
+    pack_checksum,
 )
 from repro.interproc.summaries import (
     ExitSeeds,
@@ -124,20 +126,11 @@ _COUNTERS = {
 #: counts them under ``other`` and ``gc`` deletes them.
 _OLD_SUFFIXES = (".sum1r", ".sum2r", ".sumfr")
 
-#: Magic, version, crc64 of the body.
-_HEADER = struct.Struct("<4sBQ")
-_COUNT = struct.Struct("<I")
-#: Index entry: grade, key, offset, length.
-_ENTRY = struct.Struct("<BQII")
-
 #: Orphaned temp files older than this (seconds) are swept by ``gc``:
 #: a writer that died mid-pack never publishes its rename.
 _STALE_TMP_SECONDS = 300.0
 
 _tmp_counter = itertools.count()
-
-#: A record's place in a store: ``(grade, key)``.
-Slot = Tuple[int, int]
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +299,7 @@ def load_triple_record(reader: _Reader, name: str) -> SummaryTriple:
 def dump_summary_record(name: str, summary: RoutineSummary) -> bytes:
     writer = _Writer()
     writer.text(name)
-    _write_summary_body(writer, summary)
+    _write_summary_body(writer.parts, summary)
     return writer.blob()
 
 
@@ -335,54 +328,15 @@ def load_frontend_record(reader: _Reader, key: int) -> FrontendRecord:
 # ----------------------------------------------------------------------
 
 
-def encode_pack(records: Mapping[Slot, bytes]) -> bytes:
-    """One pack holding ``records`` (record bodies by slot)."""
-    slots = sorted(records)
-    parts = [_COUNT.pack(len(slots))]
-    offset = 0
-    for grade, key in slots:
-        length = len(records[grade, key])
-        parts.append(_ENTRY.pack(grade, key, offset, length))
-        offset += length
-    parts.extend(records[slot] for slot in slots)
-    body = b"".join(parts)
-    return _HEADER.pack(MAGIC_PACK, STORE_VERSION, crc64(body)) + body
-
-
-def decode_pack(blob: bytes) -> List[Tuple[int, int, int, int]]:
-    """Check a pack's frame, checksum and index; its entries as
-    ``(grade, key, start, end)`` with ``blob[start:end]`` the record.
-
-    Raises :class:`SummaryFormatError` for anything but a pack this
-    version wrote, so nothing in it is read unchecked.
-    """
-    _check_header(blob, MAGIC_PACK)
-    index = _HEADER.size + _COUNT.size
-    if len(blob) < index:
-        raise SummaryFormatError("truncated store pack header")
-    _magic, version, checksum = _HEADER.unpack_from(blob)
-    if version != STORE_VERSION:
-        raise SummaryFormatError(f"unsupported store pack v{version}")
-    if crc64(blob[_HEADER.size:]) != checksum:
-        raise SummaryFormatError("store pack checksum mismatch")
-    (count,) = _COUNT.unpack_from(blob, _HEADER.size)
-    base = index + count * _ENTRY.size
-    if base > len(blob):
-        raise SummaryFormatError("truncated store pack index")
-    entries: List[Tuple[int, int, int, int]] = []
-    previous: Slot = (0, 0)  # below every grade
-    for grade, key, offset, length in _ENTRY.iter_unpack(blob[index:base]):
-        if grade not in _COUNTERS:
-            raise SummaryFormatError(f"unknown store record grade {grade}")
-        if (grade, key) <= previous:
-            raise SummaryFormatError("store pack index out of order")
-        previous = (grade, key)
-        start = base + offset
-        end = start + length
-        if end > len(blob):
-            raise SummaryFormatError("store pack entry points past the body")
-        entries.append((grade, key, start, end))
-    return entries
+#: The store's packs (the incremental sidecar is the other kind).
+STORE_PACK = PackFormat(
+    magic=MAGIC_PACK,
+    version=STORE_VERSION,
+    grades=frozenset(_COUNTERS),
+    what="store pack",
+)
+encode_pack = STORE_PACK.encode
+decode_pack = STORE_PACK.decode
 
 
 def _read_file(path: str) -> Optional[bytes]:
@@ -405,7 +359,7 @@ def _write_pack(directory: str, blob: bytes) -> Optional[str]:
     """Publish ``blob`` under its content name; its path, or ``None``
     when the store cannot be written (a cache that cannot help must
     never fail the solve)."""
-    checksum = _HEADER.unpack_from(blob)[2]
+    checksum = pack_checksum(blob)
     path = os.path.join(directory, f"{checksum:016x}{SUFFIX_PACK}")
     tmp = f"{path}.tmp.{os.getpid()}.{next(_tmp_counter)}"
     try:

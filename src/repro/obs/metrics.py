@@ -37,10 +37,22 @@ Counter inventory (see ``docs/observability.md`` for semantics):
 ``psg.branch_nodes``             PSG sizes, summed over builds
 ``psg.label.visits`` / ``psg.label.pairs``  the one-sweep labeler's
                                  work: map entries written, (source,
-                                 target) pairs read (= edges emitted)
-``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM3
+                                 target) pairs read (= edges emitted
+                                 by labeling; a routine appended from
+                                 its fragment adds to neither)
+``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM4
                                  fingerprint verdicts on a run
-``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM3 cache I/O
+``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM4 cache I/O
+``cache.body.decoded``           sidecar summary bodies decoded (on
+                                 their first read)
+``cache.body.spliced``           summary bodies a sidecar write copied
+                                 from the sidecar it was read from
+``cache.fragment.hit`` / ``.miss`` / ``.stale``  per routine a partial
+                                 PSG needed: appended from the cache's
+                                 fragment, none held, or held for an
+                                 older body (or not fitting its sites)
+``cache.config_mismatch``        caches set aside because they were
+                                 written under another configuration
 ``frontend.record.hit`` / ``.stale`` / ``.miss``  per-routine front-end
                                  record verdicts of a front-end build
 ``frontend.record.adopted``      stale/missing routines whose record
@@ -110,6 +122,12 @@ SnapshotValue = Union[float, Histogram]
 #: Keys that :meth:`MetricsRegistry.delta_since` always emits (as zero
 #: when untouched) so ``--json`` consumers can rely on their presence.
 SEEDED_KEYS: Tuple[MetricKey, ...] = (
+    ("cache.body.decoded", ()),
+    ("cache.body.spliced", ()),
+    ("cache.config_mismatch", ()),
+    ("cache.fragment.hit", ()),
+    ("cache.fragment.miss", ()),
+    ("cache.fragment.stale", ()),
     ("cache.hit", ()),
     ("cache.miss", ()),
     ("cache.stale", ()),

@@ -29,6 +29,13 @@ the rows the solver iterates (:class:`PsgAssembly`,
 :mod:`repro.psg.arena`) — labels are interned in a table the build
 owns, and the graph's ``check()`` — still run on every build — tests
 each distinct label once.
+
+A routine's labeled part of the graph — its exits, branch blocks and
+flow edges, numbered from its entry node — depends on nothing but the
+routine's shape and the configuration, so a built PSG can hand it out
+(:func:`fragment_rows`) and a later build can append it without the
+CFG (:func:`append_fragment`): the incremental sidecar carries one
+:class:`PsgFragment` per routine body for that.
 """
 
 from __future__ import annotations
@@ -36,7 +43,12 @@ from __future__ import annotations
 import logging
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from operator import add
+from typing import (
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+    Union,
+)
 
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import span
@@ -146,7 +158,7 @@ class PsgAssembly:
         self.defs_static.extend([0] * missing)
         self.uses_static.extend([0] * missing)
 
-    def add_flow_edges(self, labeled: Sequence[Tuple[int, int, Triple]]) -> range:
+    def add_flow_edges(self, labeled: Iterable[Tuple[int, int, Triple]]) -> range:
         """Append ``(src, dst, raw label)`` edges in order; returns
         their indices in the program-level edge table."""
         self._grow_rows()
@@ -314,19 +326,63 @@ class PartialPsg:
     external_entries: Dict[str, int]
 
 
+class PsgFragment(NamedTuple):
+    """One routine's labeled PSG without its call sites: what
+    :func:`build_routine_psg` derives from the routine's CFG, kept so a
+    later build can append it instead (:func:`append_fragment`).
+
+    It is a function of the routine's shape key (code bytes and jump
+    tables, :func:`repro.interproc.frontend.shape_key`) and the
+    analysis configuration alone; the call sites — whose targets depend
+    on the image around the routine — come from the call graph when it
+    is appended.  Node numbers are relative to the routine's entry node
+    (0), in build order: the exits, a call and a return node per site,
+    the branch nodes.  ``saved`` is the routine's §3.4 saved/restored
+    mask under the configuration the fragment was built with.
+    """
+
+    #: ``(block, kind)`` per exit, in block order.
+    exits: Tuple[Tuple[int, ExitKind], ...]
+    site_count: int
+    #: The blocks that earned a §3.6 branch node, in block order.
+    branch_blocks: Tuple[int, ...]
+    saved: int
+    #: The distinct raw labels, in order of first use.
+    labels: Tuple[Triple, ...]
+    #: The flow edges, in build order: relative source and target node
+    #: and index into ``labels``, one tuple per column.
+    sources: Tuple[int, ...]
+    targets: Tuple[int, ...]
+    label_ids: Tuple[int, ...]
+
+
+class StoredRoutine(NamedTuple):
+    """A routine :func:`build_partial_psg` appends from its fragment:
+    the fragment and the routine's call sites in this program."""
+
+    name: str
+    fragment: PsgFragment
+    sites: Sequence[CallSite]
+
+
 def build_partial_psg(
-    cfgs: Sequence[ControlFlowGraph], config: Optional[PsgConfig] = None
+    routines: Sequence[Union[ControlFlowGraph, StoredRoutine]],
+    config: Optional[PsgConfig] = None,
 ) -> PartialPsg:
-    """Build a PSG containing only the routines whose CFGs are given,
-    in that order, with dummy pinned-entry nodes standing in for callees
-    outside the subset."""
+    """Build a PSG containing only the given routines, in that order,
+    with dummy pinned-entry nodes standing in for callees outside the
+    subset.  A routine given by its CFG is labeled here; one given as a
+    :class:`StoredRoutine` is appended from its fragment."""
     config = config or PsgConfig()
     assembly = PsgAssembly()
-    members = [cfg.name for cfg in cfgs]
+    members = [routine.name for routine in routines]
     member_set = set(members)
     with span("psg.build_partial", members=len(members)):
-        for cfg in cfgs:
-            build_routine_psg(cfg, config, assembly)
+        for routine in routines:
+            if isinstance(routine, StoredRoutine):
+                append_fragment(*routine, config, assembly)
+            else:
+                build_routine_psg(routine, config, assembly)
         external_entries: Dict[str, int] = {}
         for edge in assembly.call_return_edges:
             for callee in edge.callees:
@@ -344,62 +400,150 @@ def build_partial_psg(
     return PartialPsg(psg=psg, members=members, external_entries=external_entries)
 
 
-def build_routine_psg(
-    cfg: ControlFlowGraph, config: PsgConfig, assembly: PsgAssembly
+def _append_nodes(
+    assembly: PsgAssembly,
+    name: str,
+    exits: Sequence[Tuple[int, ExitKind]],
+    sites: Sequence[CallSite],
+    branch_blocks: Sequence[int],
+    convention: CallingConvention,
 ) -> RoutinePSG:
-    """Build one routine's nodes and edges into ``assembly``."""
-    name, successors, nodes = cfg.name, cfg.successors, assembly.nodes
-
-    # ------------------------------------------------------------------
-    # Nodes — entry, exits, a call/return pair per site, branch nodes,
-    # ids consecutive — and with them the edge sources (node, start
-    # blocks), the targets (node, block) and the boundary cut
-    # ------------------------------------------------------------------
+    """One routine's nodes — entry, exits, a call/return pair (and its
+    call-return edge) per site, branch nodes, ids consecutive — and its
+    :class:`RoutinePSG`, whose flow edges the caller adds."""
+    nodes = assembly.nodes
     entry_node = node_id = len(nodes)
     nodes.append(PSGNode(node_id, _ENTRY, name, 0))
-    sources: List[Tuple[int, Sequence[int]]] = [(node_id, (0,))]
-    targets: List[Tuple[int, int]] = []
-    blocked: Set[int] = set()
     exit_nodes: List[Tuple[int, ExitKind]] = []
-    for block, exit_kind in cfg.exits:
+    for block, exit_kind in exits:
         node_id += 1
         nodes.append(PSGNode(node_id, _EXIT, name, block, exit_kind))
         exit_nodes.append((node_id, exit_kind))
-        targets.append((node_id, block))
     call_pairs: List[Tuple[int, int, CallSite]] = []
-    for site in cfg.call_sites:
+    call_return_edges = assembly.call_return_edges
+    for site in sites:
         call_node, return_node, node_id = node_id + 1, node_id + 2, node_id + 2
         nodes.append(PSGNode(call_node, _CALL, name, site.block, None, site))
         nodes.append(PSGNode(return_node, _RETURN, name, site.block, None, site))
         call_pairs.append((call_node, return_node, site))
-        targets.append((call_node, site.block))
-        sources.append((return_node, successors[site.block]))
-        blocked.add(site.block)
-        label = unknown_call_label(config.convention) if site.is_unknown else _UNLABELED
-        assembly.call_return_edges.append(
+        label = unknown_call_label(convention) if site.is_unknown else _UNLABELED
+        call_return_edges.append(
             CallReturnEdge(call_node, return_node, site.targets, label)
         )
     branch_nodes: List[int] = []
-    if config.branch_nodes and _MULTIWAY in cfg.terminators:
-        for block, terminator in enumerate(cfg.terminators):
-            if (
-                terminator is _MULTIWAY
-                and len(successors[block]) >= config.multiway_threshold
-            ):
-                node_id += 1
-                nodes.append(PSGNode(node_id, _BRANCH, name, block))
-                branch_nodes.append(node_id)
-                targets.append((node_id, block))
-                sources.append((node_id, successors[block]))
-                blocked.add(block)
-
+    for block in branch_blocks:
+        node_id += 1
+        nodes.append(PSGNode(node_id, _BRANCH, name, block))
+        branch_nodes.append(node_id)
     routine_psg = assembly.routines[name] = RoutinePSG(
-        name, entry_node, exit_nodes, call_pairs, branch_nodes,
-        assembly.add_flow_edges(
-            _label_edges(cfg, blocked, sources, targets, assembly)
-        ),
+        name, entry_node, exit_nodes, call_pairs, branch_nodes
     )
     return routine_psg
+
+
+def build_routine_psg(
+    cfg: ControlFlowGraph, config: PsgConfig, assembly: PsgAssembly
+) -> RoutinePSG:
+    """Build one routine's nodes and edges into ``assembly``."""
+    successors = cfg.successors
+    branch_blocks = (
+        [
+            block
+            for block, terminator in enumerate(cfg.terminators)
+            if terminator is _MULTIWAY
+            and len(successors[block]) >= config.multiway_threshold
+        ]
+        if config.branch_nodes and _MULTIWAY in cfg.terminators
+        else []
+    )
+    routine_psg = _append_nodes(
+        assembly, cfg.name, cfg.exits, cfg.call_sites, branch_blocks,
+        config.convention,
+    )
+    # The edge sources (node, start blocks), the targets (node, block)
+    # and the boundary cut, in node order.
+    sources: List[Tuple[int, Sequence[int]]] = [(routine_psg.entry_node, (0,))]
+    targets: List[Tuple[int, int]] = [
+        (node, block)
+        for (node, _kind), (block, _same) in zip(routine_psg.exit_nodes, cfg.exits)
+    ]
+    blocked: Set[int] = set(branch_blocks)
+    for call_node, return_node, site in routine_psg.call_pairs:
+        targets.append((call_node, site.block))
+        sources.append((return_node, successors[site.block]))
+        blocked.add(site.block)
+    for node, block in zip(routine_psg.branch_nodes, branch_blocks):
+        targets.append((node, block))
+        sources.append((node, successors[block]))
+    routine_psg.flow_edge_indices = assembly.add_flow_edges(
+        _label_edges(cfg, blocked, sources, targets, assembly)
+    )
+    return routine_psg
+
+
+def append_fragment(
+    name: str,
+    fragment: PsgFragment,
+    sites: Sequence[CallSite],
+    config: PsgConfig,
+    assembly: PsgAssembly,
+) -> RoutinePSG:
+    """Append one routine from its fragment: the nodes and edges
+    :func:`build_routine_psg` would build from its CFG, with ``sites``
+    (the call graph's, as many as ``fragment.site_count``) for its call
+    and return nodes."""
+    routine_psg = _append_nodes(
+        assembly, name, fragment.exits, sites, fragment.branch_blocks,
+        config.convention,
+    )
+    base = repeat(routine_psg.entry_node)
+    routine_psg.flow_edge_indices = assembly.add_flow_edges(zip(
+        map(add, fragment.sources, base),
+        map(add, fragment.targets, base),
+        map(fragment.labels.__getitem__, fragment.label_ids),
+    ))
+    return routine_psg
+
+
+class FragmentRows(NamedTuple):
+    """One routine's labeled part of a built PSG as the graph holds it:
+    what its :class:`PsgFragment` is made of, without the graph (the
+    sidecar encodes it, :mod:`repro.interproc.persist`)."""
+
+    exits: Tuple[Tuple[int, ExitKind], ...]
+    site_count: int
+    branch_blocks: Tuple[int, ...]
+    saved: int
+    #: The graph's label table, and the routine's entry node.
+    labels: Sequence[Triple]
+    entry: int
+    #: The routine's slice of the edge table: absolute source and
+    #: target nodes, indices into ``labels``.
+    sources: Sequence[int]
+    targets: Sequence[int]
+    label_ids: Sequence[int]
+
+
+def fragment_rows(
+    psg: ProgramSummaryGraph, name: str, saved: int
+) -> FragmentRows:
+    """Routine ``name``'s :class:`FragmentRows` in ``psg`` (``saved``
+    is its §3.4 mask): copies of its rows, so the graph can go."""
+    routine_psg = psg.routines[name]
+    nodes, arena = psg.nodes, psg.arena
+    edges = routine_psg.flow_edge_indices
+    first, stop = edges.start, edges.stop
+    return FragmentRows(
+        tuple([(nodes[node].block, kind) for node, kind in routine_psg.exit_nodes]),
+        len(routine_psg.call_pairs),
+        tuple([nodes[node].block for node in routine_psg.branch_nodes]),
+        saved,
+        arena.labels,
+        routine_psg.entry_node,
+        arena.edge_src[first:stop],
+        arena.edge_dst[first:stop],
+        arena.edge_label[first:stop],
+    )
 
 
 def _label_edges(

@@ -4,7 +4,7 @@ Spike's cold analysis of a gcc-shape image is front-end dominated
 (decode, CFG build, PSG construction); an optimizer driver that
 re-execs per request pays that cost every time.  The daemon keeps
 :class:`~repro.api.AnalysisSession` state warm between requests —
-retained payloads for unchanged images, SUM3 caches for edits, memoized
+retained payloads for unchanged images, SUM4 caches for edits, memoized
 query front-ends — behind one versioned result API (the same schema-1
 payloads the CLI ``--json`` flag prints; see
 :mod:`repro.interproc.results`).
@@ -37,7 +37,7 @@ string) or JSON (``{"image_b64": ..., ...options}``).  Options:
 ``jobs`` (worker count), ``include_summaries`` (embed rendered
 summaries), ``edit`` (``{"routine": name}`` — analyze the image with
 one instruction of ``routine`` perturbed, warm-starting from the base
-image's SUM3 cache; the routine defaults to the first editable one),
+image's SUM4 cache; the routine defaults to the first editable one),
 and for ``/v1/query`` the mandatory ``routine``.
 
 Multi-tenancy: the ``X-Repro-Tenant`` header namespaces all retained
@@ -77,6 +77,7 @@ from repro.api import (
     UnknownRoutineError,
 )
 from repro.cfg.cfg import CfgError
+from repro.interproc.persist import SummaryFormatError
 from repro.obs import REGISTRY, clear_run_id, new_run_id, span
 from repro.obs.prometheus import render_prometheus
 from repro.obs.tracer import pop_local_tracer, push_local_tracer
@@ -118,7 +119,7 @@ class ServiceConfig:
     port: int = 8484
     #: When set, serve HTTP over this unix domain socket instead of TCP.
     socket_path: Optional[str] = None
-    #: Directory for per-tenant SUM3 sidecars (disabled when ``None``).
+    #: Directory for per-tenant SUM4 sidecars (disabled when ``None``).
     cache_dir: Optional[str] = None
     #: Registry byte budget for retained sessions (LRU beyond it).
     max_bytes: int = DEFAULT_MAX_BYTES
@@ -132,7 +133,7 @@ class ServiceConfig:
     #: Process-wide cross-image summary store
     #: (:mod:`repro.interproc.store`): every tenant's solves read
     #: through and publish into it, so successive builds sharing
-    #: routines warm each other — while SUM3 sidecars keep carrying the
+    #: routines warm each other — while SUM4 sidecars keep carrying the
     #: image-specific phase-2 state for edit requests.
     store_dir: Optional[str] = None
 
@@ -343,7 +344,7 @@ class AnalysisDaemon:
         self, entry: SessionEntry, edit: Any, jobs: Optional[int]
     ) -> Tuple[Dict[str, object], bool]:
         """Analyze the entry's image with one routine perturbed,
-        warm-starting from the base image's SUM3 cache."""
+        warm-starting from the base image's SUM4 cache."""
         if not isinstance(edit, dict):
             raise RequestError(400, "edit must be an object")
         warm = entry.cache is not None
@@ -364,8 +365,24 @@ class AnalysisDaemon:
             session = AnalysisSession.from_program(
                 mutated, self.registry.config
             )
-            session.analyze_incremental(cache=entry.cache, jobs=jobs)
-            payload = session.to_json(include_summaries=True)
+            try:
+                analysis = session.analyze_incremental(
+                    cache=entry.cache, jobs=jobs
+                )
+                payload = session.to_json(include_summaries=True)
+            except SummaryFormatError as error:
+                # A cached body the solve never needed fails to decode
+                # for the payload: answer cold, as the solve does when
+                # it meets one.
+                analysis = session.analyze_incremental(jobs=jobs)
+                analysis.refused = f"unreadable cache: {error}"
+                payload = session.to_json(include_summaries=True)
+            if analysis.refused:
+                _log.warning(
+                    "edit of %s solved cold: %s", routine, analysis.refused
+                )
+                # The next edit seeds a cache this configuration can use.
+                self.registry.drop_cache(entry)
         REGISTRY.inc("service.result.warm" if warm else "service.result.cold")
         return payload, warm
 

@@ -99,7 +99,7 @@ class TestIncrementalRuns:
 
     def test_warm_zero_dirty_does_no_solving(self, small_benchmark):
         cold = analyze_incremental(small_benchmark)
-        # Round-trip the cache through the SUM3 wire format, as a real
+        # Round-trip the cache through the SUM4 wire format, as a real
         # warm start from a sidecar would.
         cache = load_cache(dump_cache(cold.cache))
         warm = analyze_incremental(small_benchmark, cache=cache)
@@ -363,20 +363,14 @@ class TestIncrementalCli:
         self, tmp_path, capsys
     ):
         # tests/golden/legacy.sum2 was written by the last commit whose
-        # sidecar magic was SUM2 (no front-end record section).  It sits
-        # at the default IMAGE.sum2 path: the run must say why it starts
-        # cold, succeed, and leave a sidecar the next run warms from.
+        # sidecar magic was SUM2 (no front-end record section), and
+        # legacy.sum3 by the last one whose magic was SUM3 (every body
+        # read eagerly, no fragments), for the very image below.  Each
+        # sits at the default IMAGE.sum2 path: the run must say why it
+        # starts cold, succeed, and leave a SUM4 sidecar the next run
+        # warms from.
         import json
         import os
-
-        legacy = os.path.join(
-            os.path.dirname(__file__), "golden", "legacy.sum2"
-        )
-        with open(legacy, "rb") as handle:
-            blob = handle.read()
-        assert blob[:4] == b"SUM2"
-        with pytest.raises(SummaryFormatError, match="bad magic"):
-            load_cache(blob)
 
         image = tmp_path / "bench.img"
         sidecar = tmp_path / "bench.img.sum2"
@@ -384,24 +378,43 @@ class TestIncrementalCli:
             ["generate", "compress", "--scale", "0.1", "--seed", "7",
              "-o", str(image)]
         )
-        sidecar.write_bytes(blob)
-        capsys.readouterr()
-        assert cli.main(
-            ["analyze", str(image), "--incremental", "--json"]
-        ) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert first["cache"].startswith("cold (unreadable cache: bad magic")
-        assert first["mode"] == "cold"
-        rewritten = sidecar.read_bytes()
-        assert rewritten[:4] == b"SUM3"
-        assert load_cache(rewritten).frontend_records
-        assert cli.main(
-            ["analyze", str(image), "--incremental", "--json"]
-        ) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert second["cache"].startswith("warm")
-        assert second["cfgs_built"] == 0
-        assert second["summaries_crc64"] == first["summaries_crc64"]
+        for magic in (b"SUM2", b"SUM3"):
+            legacy = os.path.join(
+                os.path.dirname(__file__), "golden",
+                f"legacy.{magic.decode().lower()}",
+            )
+            with open(legacy, "rb") as handle:
+                blob = handle.read()
+            assert blob[:4] == magic
+            with pytest.raises(SummaryFormatError, match="bad magic"):
+                load_cache(blob)
+            sidecar.write_bytes(blob)
+            capsys.readouterr()
+            assert cli.main(
+                ["analyze", str(image), "--incremental", "--json"]
+            ) == 0
+            first = json.loads(capsys.readouterr().out)
+            assert first["cache"].startswith("cold (unreadable cache: bad magic")
+            assert first["mode"] == "cold"
+            rewritten = sidecar.read_bytes()
+            assert rewritten[:4] == b"SUM4"
+            rewritten_cache = load_cache(rewritten)
+            assert rewritten_cache.frontend_records
+            # Fragments only of this image's routine bodies (a serial,
+            # store-less cold run writes one for every body; the
+            # sharded path and store adoptions build no PSG to take
+            # them from).
+            assert set(rewritten_cache.fragments) <= {
+                record.shape_key
+                for record in rewritten_cache.frontend_records.values()
+            }
+            assert cli.main(
+                ["analyze", str(image), "--incremental", "--json"]
+            ) == 0
+            second = json.loads(capsys.readouterr().out)
+            assert second["cache"].startswith("warm")
+            assert second["cfgs_built"] == 0
+            assert second["summaries_crc64"] == first["summaries_crc64"]
 
     def test_cache_path_is_directory_falls_back_to_cold(
         self, tmp_path, capsys

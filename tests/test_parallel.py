@@ -6,7 +6,7 @@ worker count and any shard count the parallel solver's summaries are
 callee entry triples (phase 1) and seed caller-side exit liveness
 (phase 2), so each shard reproduces exactly its slice of the global
 fixed point; the tests check the merge against the serial oracle via
-the canonical SUM3 wire encoding.
+the canonical SUM4 wire encoding.
 """
 
 import multiprocessing

@@ -1,17 +1,20 @@
 """Robustness and round-trip properties of the summary sidecar formats.
 
 Three layers of guarantees for ``SUM1`` and the incremental cache
-(``SUM3``; the fixtures and tests below still say ``sum2``, the name of
-the format family and of the sidecar file), front-end record section
+(``SUM4``, an indexed pack; the fixtures and tests below still say
+``sum2``, the name of the sidecar file), front-end record section
 included:
 
 * **truncation fuzz** — a valid blob cut at *every* byte offset raises
   :class:`SummaryFormatError`; no ``struct.error``, ``IndexError`` or
-  ``UnicodeDecodeError`` ever escapes the parser;
+  ``UnicodeDecodeError`` ever escapes the parser.  A sidecar's
+  checksum catches any damage to the file, so the section decoders
+  behind it are fuzzed through *forged* sidecars: a section edited and
+  the pack re-checksummed (:func:`_reframed`);
 * **Hypothesis round-trip** — ``load(dump(r)) == r`` for generated
   :class:`SummarySet`/:class:`SummaryCache` values covering every
   exit kind, indirect and hinted sites, empty target tuples, unicode
-  routine names, and all-ones masks;
+  routine names, all-ones masks and PSG fragments;
 * **fingerprint strength** — :func:`image_fingerprint` is a genuine
   64-bit hash: known CRC32-colliding inputs (which the historical
   ``crc32 | (len << 32)`` scheme could not tell apart) get distinct
@@ -29,6 +32,11 @@ from repro.cfg.cfg import CallSite, ExitKind, FrontendRecord, RecordedSite
 from repro.dataflow.regset import FULL_MASK, TRACKED_MASK
 from tests.facade import analyze_program
 from repro.interproc.persist import (
+    GRADE_BODY,
+    GRADE_RECORDS,
+    GRADE_TABLE,
+    GRADE_TRIPLES,
+    SIDECAR,
     SummaryCache,
     SummaryFormatError,
     crc64,
@@ -38,6 +46,7 @@ from repro.interproc.persist import (
     load_cache,
     load_summaries,
 )
+from repro.psg.build import PsgFragment
 from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
@@ -60,6 +69,26 @@ def sum2_blob(quick_program):
     from tests.facade import analyze_incremental
 
     return dump_cache(analyze_incremental(quick_program).cache)
+
+
+def _slot(blob, grade, key=0):
+    """The record a sidecar holds in slot ``(grade, key)``."""
+    for found_grade, found_key, start, end in SIDECAR.decode(blob):
+        if (found_grade, found_key) == (grade, key):
+            return blob[start:end]
+    raise KeyError((grade, key))
+
+
+def _reframed(blob, grade, key, edit):
+    """``blob`` with the record in slot ``(grade, key)`` replaced by
+    ``edit(record)`` and the pack re-checksummed: a forged sidecar only
+    the section decoders can refuse."""
+    records = {
+        (found_grade, found_key): blob[start:end]
+        for found_grade, found_key, start, end in SIDECAR.decode(blob)
+    }
+    records[grade, key] = edit(records[grade, key])
+    return SIDECAR.encode(records)
 
 
 def _assert_all_prefixes_rejected(blob, loader):
@@ -88,21 +117,38 @@ class TestTruncationFuzz:
             load_summaries(sum1_blob + b"\x00")
 
     def test_sum2_trailing_garbage(self, sum2_blob):
-        with pytest.raises(SummaryFormatError, match="trailing"):
+        with pytest.raises(SummaryFormatError, match="checksum"):
             load_cache(sum2_blob + b"\x00")
+        # Behind the checksum, every eagerly read section and every
+        # body must be consumed exactly.
+        for grade in (GRADE_TABLE, GRADE_TRIPLES, GRADE_RECORDS):
+            forged = _reframed(sum2_blob, grade, 0, lambda record: record + b"\x00")
+            with pytest.raises(SummaryFormatError, match="trailing"):
+                load_cache(forged)
+        forged = load_cache(
+            _reframed(sum2_blob, GRADE_BODY, 0, lambda body: body + b"\x00")
+        )
+        first = next(iter(forged.result.summaries))
+        with pytest.raises(SummaryFormatError, match="trailing"):
+            forged.result.summaries[first]
 
     def test_sum2_unknown_flag_bits_rejected(self, sum2_blob):
         blob = load_cache(sum2_blob)  # premise: valid as-is
         assert blob is not None
-        # The flags byte follows magic+fingerprint+count+name+fp; flip a
-        # reserved bit everywhere and require at least one clean reject
-        # (and never a non-format exception anywhere).
+        # Set a reserved bit in every byte of the routine table (the
+        # flags byte follows each name and fingerprint) and require at
+        # least one clean flags reject (and never a non-format
+        # exception anywhere).
+        table = _slot(sum2_blob, GRADE_TABLE)
         saw_flag_error = False
-        for index in range(len(sum2_blob)):
-            mutated = bytearray(sum2_blob)
-            mutated[index] |= 0x80
+        for index in range(len(table)):
+            forged = _reframed(
+                sum2_blob, GRADE_TABLE, 0,
+                lambda record: record[:index]
+                + bytes([record[index] | 0x80]) + record[index + 1:],
+            )
             try:
-                load_cache(bytes(mutated))
+                load_cache(forged)
             except SummaryFormatError as error:
                 saw_flag_error = saw_flag_error or "flags" in str(error)
             except Exception as error:  # pragma: no cover
@@ -120,20 +166,27 @@ class TestTruncationFuzz:
         empty = dump_cache(dataclasses.replace(_RECORDS_ONLY, frontend_records={}))
         assert len(blob) > len(empty)
         _assert_all_prefixes_rejected(blob, load_cache)
+        section = _slot(blob, GRADE_RECORDS)
+        for size in range(len(section)):
+            with pytest.raises(SummaryFormatError):
+                load_cache(
+                    _reframed(blob, GRADE_RECORDS, 0, lambda record: record[:size])
+                )
         with pytest.raises(SummaryFormatError, match="trailing"):
-            load_cache(blob + b"\x00")
+            load_cache(_reframed(blob, GRADE_RECORDS, 0, lambda record: record + b"\x00"))
 
     def test_record_section_survives_every_byte_flip(self):
         blob = dump_cache(_RECORDS_ONLY)
-        section = len(blob) - len(
-            dump_cache(dataclasses.replace(_RECORDS_ONLY, frontend_records={}))
-        )
-        for index in range(len(blob) - section - 4, len(blob)):
+        section = _slot(blob, GRADE_RECORDS)
+        for index in range(len(section)):
             for bit in (0x01, 0x80):
-                mutated = bytearray(blob)
-                mutated[index] ^= bit
+                forged = _reframed(
+                    blob, GRADE_RECORDS, 0,
+                    lambda record: record[:index]
+                    + bytes([record[index] ^ bit]) + record[index + 1:],
+                )
                 try:
-                    load_cache(bytes(mutated))
+                    load_cache(forged)
                 except SummaryFormatError:
                     pass
                 except Exception as error:  # pragma: no cover
@@ -184,10 +237,11 @@ class TestTruncationFuzz:
         empty = dump_cache(
             SummaryCache(image_fingerprint=1, result=SummarySet(summaries={}))
         )
-        assert empty.endswith(struct.pack("<I", 0))
-        blob = (
-            empty[:-4] + struct.pack("<I", 1)
-            + struct.pack("<H", 1) + b"f" + body
+        assert _slot(empty, GRADE_RECORDS) == struct.pack("<I", 0)
+        blob = _reframed(
+            empty, GRADE_RECORDS, 0,
+            lambda _record: struct.pack("<I", 1)
+            + struct.pack("<H", 1) + b"f" + body,
         )
         with pytest.raises(SummaryFormatError, match=message):
             load_cache(blob)
@@ -313,6 +367,49 @@ def _frontend_records(draw):
 
 
 @st.composite
+def _fragments(draw):
+    """A well-formed fragment: every edge leaves a source node (entry,
+    return, branch) and enters a target node (exit, call, branch), and
+    its labels are the ones its edges use, in order of first use."""
+    exits = tuple(draw(st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), _EXIT_KINDS), max_size=3
+    )))
+    site_count = draw(st.integers(0, 3))
+    branch_blocks = tuple(draw(st.lists(st.integers(0, 2**32 - 1), max_size=2)))
+    labels = tuple(
+        (may_use, may_def, must_def & may_def)
+        for may_use, may_def, must_def in draw(
+            st.lists(st.tuples(_MASKS, _MASKS, _MASKS), min_size=1, max_size=3)
+        )
+    )
+    calls = 1 + len(exits)
+    branches = calls + 2 * site_count
+    end = branches + len(branch_blocks)
+    sources = [0] + [calls + 2 * k + 1 for k in range(site_count)]
+    sources += range(branches, end)
+    targets = list(range(1, calls)) + [calls + 2 * k for k in range(site_count)]
+    targets += range(branches, end)
+    edges = draw(st.lists(
+        st.tuples(
+            st.sampled_from(sources), st.sampled_from(targets),
+            st.integers(0, len(labels) - 1),
+        ),
+        max_size=6,
+    )) if targets else []
+    first_use = list(dict.fromkeys(edge[2] for edge in edges))
+    return PsgFragment(
+        exits=exits,
+        site_count=site_count,
+        branch_blocks=branch_blocks,
+        saved=draw(_MASKS),
+        labels=tuple(labels[index] for index in first_use),
+        sources=tuple(edge[0] for edge in edges),
+        targets=tuple(edge[1] for edge in edges),
+        label_ids=tuple(first_use.index(edge[2]) for edge in edges),
+    )
+
+
+@st.composite
 def _summary_caches(draw):
     result = draw(_analysis_results())
     names = sorted(result.summaries)
@@ -331,6 +428,11 @@ def _summary_caches(draw):
         # Keyed independently of the summaries: any routine name.
         frontend_records=draw(
             st.dictionaries(_NAMES, _frontend_records(), max_size=3)
+        ),
+        config_digest=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        # ... and fragments by any shape key.
+        fragments=draw(
+            st.dictionaries(st.integers(0, 2**64 - 1), _fragments(), max_size=3)
         ),
     )
 

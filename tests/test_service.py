@@ -488,7 +488,7 @@ class TestLifecycle:
 
     def test_sidecar_persists_across_restarts(self, tmp_path, image_a):
         """An edit request after a daemon restart warm-starts from the
-        tenant's on-disk SUM3 sidecar."""
+        tenant's on-disk SUM4 sidecar."""
         config = dict(port=0, cache_dir=str(tmp_path))
         first = AnalysisDaemon(ServiceConfig(**config))
         thread = threading.Thread(target=first.serve_forever)

@@ -541,7 +541,7 @@ class TestRecordCodecs:
         lookup = lambda v: v.load_triple(42, "f")  # noqa: E731
         assert probe.load(_raw_pack(entries, body), lookup) == TRIPLE
         probe.assert_corrupt_miss(
-            _raw_pack(entries, body, magic=b"SUM3"), lookup, "a foreign magic"
+            _raw_pack(entries, body, magic=b"SUM4"), lookup, "a sidecar's magic"
         )
         probe.assert_corrupt_miss(
             _raw_pack(entries, body, version=1), lookup, "an old version"

@@ -11,10 +11,13 @@ re-optimize loop would:
    analyze the edited image warm against that sidecar with ``--json``;
 3. analyze the edited image cold, without any cache.
 
-Fails unless the warm run says its cache was warm, built no more CFGs
-than it re-solved routines (``cfgs_built`` in the payload — the point
-of the front-end records), and saved summaries byte-identical to the
-cold run's.
+Fails unless the warm run says its cache was warm, walked no routine
+but the edited ones (``cfgs_built`` in the payload: the front-end
+records give the call graph, and the sidecar's PSG fragments stand in
+for the CFG of every other routine it re-solves — at least one, counted
+``cache.fragment.hit``), decoded fewer summary bodies than the program
+has routines (``cache.body.decoded``), and saved summaries
+byte-identical to the cold run's.
 
 Usage::
 
@@ -103,20 +106,27 @@ def main(argv: List[str] | None = None) -> int:
             )
         )
         solved = max(warm["phase1_solved"], warm["phase2_solved"])
+        counters = warm["counters"]
+        dirty = warm["dirty_routines"]
         print(
-            f"warm: edited {victim}; dirty {warm['dirty_routines']}, "
+            f"warm: edited {victim}; dirty {dirty}, "
             f"{solved} routines re-solved, {warm['cfgs_built']} CFGs built, "
-            f"record hits {warm['counters'].get('frontend.record.hit')}"
+            f"record hits {counters.get('frontend.record.hit')}, "
+            f"fragment hits {counters.get('cache.fragment.hit')}, "
+            f"{counters.get('cache.body.decoded')} bodies decoded"
         )
         if not warm["cache"].startswith("warm"):
             fail(f"the second run was not warm: {warm['cache']}")
-        if victim not in warm["dirty_routines"]:
+        if victim not in dirty:
             fail(f"the edit of {victim} went unnoticed")
-        if warm["cfgs_built"] > solved:
-            fail(f"built {warm['cfgs_built']} CFGs to re-solve {solved} "
+        if warm["cfgs_built"] > len(dirty):
+            fail(f"built {warm['cfgs_built']} CFGs for {len(dirty)} edited "
                  f"routines")
-        if warm["cfgs_built"] >= routines:
-            fail("the warm run built every CFG: no front-end record applied")
+        if not counters.get("cache.fragment.hit", 0) > 0:
+            fail(f"re-solved {solved} routines without one PSG fragment")
+        if not counters.get("cache.body.decoded", 0) < routines:
+            fail(f"decoded {counters.get('cache.body.decoded')} summary "
+                 f"bodies of {routines}")
 
         cli("analyze", edited, "--save-summaries", cold_sum)
         with open(warm_sum, "rb") as one, open(cold_sum, "rb") as other:
