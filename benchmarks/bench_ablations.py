@@ -33,9 +33,9 @@ def test_ablation_labeling_mode(benchmark, name):
     program, _scaled = benchmark_program(name)
 
     def run_both():
-        fast = AnalysisSession.from_program(program).analyze(jobs=1)
+        fast = AnalysisSession.from_program(program).analyze()
         with labeling("per-edge"):
-            literal = AnalysisSession.from_program(program).analyze(jobs=1)
+            literal = AnalysisSession.from_program(program).analyze()
         return fast, literal
 
     fast, literal = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -37,7 +37,7 @@ Quickstart::
         ret  (ra)
     ''')
     session = AnalysisSession.from_image(image)
-    analysis = session.analyze()                    # or analyze(jobs=4)
+    analysis = session.analyze()
     print(session.summary("inc").call_used)         # {a0, ra}
     print(session.summary("inc").call_defined)      # {v0}
 """

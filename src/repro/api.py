@@ -1,16 +1,16 @@
 """The public analysis API: one session object, one config, one error.
 
-Everything the package can do to a program — analyze it (serial,
-sharded-parallel, or incrementally against a summary cache), optimize
-it, and report on the work — historically lived on free functions
-scattered across submodules (``repro.interproc.analysis``,
+Everything the package can do to a program — analyze it (whole
+program, incrementally against a summary cache, or on demand for one
+routine), optimize it, and report on the work — historically lived on
+free functions scattered across submodules (``repro.interproc.analysis``,
 ``repro.interproc.incremental``, ``repro.opt.pipeline``).  Each grew
 its own entry point, its own way of accepting a program, and its own
 failure modes.  This module fronts them all with a single facade:
 
 >>> from repro.api import AnalysisSession
 >>> session = AnalysisSession.from_image_bytes(blob)
->>> analysis = session.analyze(jobs=4)          # sharded parallel
+>>> analysis = session.analyze()
 >>> session.summaries().summaries["main"].call_used
 >>> session.metrics()                           # JSON-ready stats
 
@@ -24,25 +24,20 @@ build the PSG without §3.6 branch nodes (the Table-4 ablation):
 Construction never analyzes; the first ``analyze*`` call does, and its
 products are retained on the session for ``summaries()``/``metrics()``.
 Failures that prevent an analysis from completing — a PSG that cannot
-represent the program, a diverging solver, a crashed worker process —
-are normalized to :class:`~repro.interproc.errors.AnalysisError`;
-unparseable images raise
+represent the program, a diverging solver — are normalized to
+:class:`~repro.interproc.errors.AnalysisError`; unparseable images raise
 :class:`~repro.program.image.ImageFormatError` from the constructor
 instead, and code no CFG can model (a branch leaving its routine, say)
 raises :class:`~repro.cfg.cfg.CfgError` from the first ``analyze*``,
 so callers can tell "bad input" from "analysis failed".
 
-Worker-count resolution, everywhere in the facade: an explicit
-``jobs=`` argument wins, then :attr:`AnalysisConfig.jobs`, then the
-``REPRO_JOBS`` environment variable, then 1 (serial).  0 or a negative
-value means "one worker per available CPU".
+Every analysis runs in the calling process.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.dataflow.regset import construction_count
 from repro.obs.metrics import REGISTRY
@@ -55,16 +50,11 @@ from repro.interproc.analysis import (
 )
 from repro.interproc.demand import QueryResult, query_routine
 from repro.interproc.frontend import Frontend
-from repro.interproc.errors import (
-    AnalysisError,
-    JobsConfigError,
-    UnknownRoutineError,
-)
+from repro.interproc.errors import AnalysisError, UnknownRoutineError
 from repro.interproc.incremental import (
     IncrementalAnalysis,
     _analyze_incremental,
 )
-from repro.interproc.parallel import ParallelAnalysis, analyze_parallel
 from repro.interproc.persist import SummaryCache, image_fingerprint
 from repro.interproc.results import SCHEMA_VERSION, validate_payload
 from repro.interproc.summaries import SummarySet, RoutineSummary
@@ -85,7 +75,6 @@ __all__ = [
     "AnalysisError",
     "AnalysisResult",
     "AnalysisSession",
-    "JobsConfigError",
     "QueryResult",
     "RoutineSummary",
     "SCHEMA_VERSION",
@@ -101,7 +90,7 @@ class AnalysisResult(Protocol):
 
     :meth:`AnalysisSession.analyze`, :meth:`~AnalysisSession.
     analyze_incremental` and :meth:`~AnalysisSession.query` return
-    four concrete types (serial, parallel, incremental, query); all of
+    three concrete types (serial, incremental, query); all of
     them satisfy this protocol, so callers that only consume results
     never need to know which engine produced them.  ``to_json()`` is
     the versioned external shape (``"schema": 1``) — the CLI
@@ -109,10 +98,8 @@ class AnalysisResult(Protocol):
     both exactly this payload (see :mod:`repro.interproc.results`).
     """
 
-    #: ``"serial"``, ``"parallel"``, ``"incremental"`` or ``"query"``.
+    #: ``"serial"``, ``"incremental"`` or ``"query"``.
     kind: str
-    #: True when the run solved on the sharded worker pool.
-    is_parallel: bool
 
     @property
     def result(self) -> SummarySet: ...
@@ -127,9 +114,6 @@ class AnalysisResult(Protocol):
 
 _log = logging.getLogger(__name__)
 
-#: Environment variable consulted for the default worker count.
-JOBS_ENV_VAR = "REPRO_JOBS"
-
 #: Environment variable naming the shared summary-store directory
 #: (re-exported from :mod:`repro.interproc.store` for discovery).
 #: When set, cold and incremental solves consult and publish
@@ -141,17 +125,12 @@ SUMMARY_STORE_ENV_VAR = "REPRO_SUMMARY_STORE"
 _ANALYSIS_FAILURES = (PsgBuildError, SolverDivergence)
 
 
-def _jobs_from_env() -> Optional[int]:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise JobsConfigError(
-            f"{JOBS_ENV_VAR} must be an integer, got {raw!r} "
-            "(0 or negative means one worker per CPU)"
-        ) from None
+def _check_jobs(jobs: int) -> None:
+    """Compat: ``analyze``/``analyze_incremental`` still accept
+    ``jobs=1`` (the stage replay in ``perf/workloads.py`` passes it);
+    every analysis runs in this process, so no other value is valid."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1 (analyses run serially), got {jobs!r}")
 
 
 class AnalysisSession:
@@ -177,7 +156,6 @@ class AnalysisSession:
         self._image_bytes = image_bytes
         self._last: Union[
             InterproceduralAnalysis,
-            ParallelAnalysis,
             IncrementalAnalysis,
             QueryResult,
             None,
@@ -270,19 +248,12 @@ class AnalysisSession:
     # Analyses
     # ------------------------------------------------------------------
 
-    def _resolve_jobs(self, jobs: Optional[int]) -> int:
-        if jobs is None and self._config.jobs == 1:
-            jobs = _jobs_from_env()
-        from repro.interproc.parallel import resolve_jobs
-
-        return resolve_jobs(jobs, self._config)
-
-    def _begin_run(self, kind: str, jobs: int) -> None:
+    def _begin_run(self, kind: str) -> None:
         if current_run_id() is None:
             new_run_id()
         _log.info(
-            "%s analysis starting: %d routines, jobs=%d",
-            kind, self._program.routine_count, jobs,
+            "%s analysis starting: %d routines",
+            kind, self._program.routine_count,
         )
 
     def _fold_regset(self) -> None:
@@ -293,27 +264,17 @@ class AnalysisSession:
             REGISTRY.inc("regset.constructed", count - self._regset_base)
             self._regset_base = count
 
-    def analyze(
-        self, jobs: Optional[int] = None
-    ) -> Union[InterproceduralAnalysis, ParallelAnalysis]:
-        """Run the full two-phase interprocedural analysis.
-
-        With an effective worker count of 1 this is the serial driver
-        (and the result exposes the whole-program PSG); above 1 the
-        sharded parallel solver runs, with bit-identical summaries.
-        """
-        effective = self._resolve_jobs(jobs)
-        self._begin_run("parallel" if effective > 1 else "serial", effective)
+    def analyze(self, jobs: int = 1) -> InterproceduralAnalysis:
+        """Run the full two-phase interprocedural analysis over the
+        whole-program PSG (exposed on the result).  ``jobs`` is compat
+        and must be 1."""
+        _check_jobs(jobs)
+        self._begin_run("serial")
         try:
-            with span("analyze", jobs=effective):
-                if effective > 1:
-                    self._last = analyze_parallel(
-                        self._program, self._config, jobs=effective
-                    )
-                else:
-                    self._last = _analyze_program(
-                        self._program, self._config, self._frontend
-                    )
+            with span("analyze"):
+                self._last = _analyze_program(
+                    self._program, self._config, self._frontend
+                )
         except AnalysisError:
             raise
         except _ANALYSIS_FAILURES as error:
@@ -326,26 +287,23 @@ class AnalysisSession:
     def analyze_incremental(
         self,
         cache: Optional[SummaryCache] = None,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
     ) -> IncrementalAnalysis:
         """Analyze incrementally against ``cache`` (cold when ``None``).
 
         The returned :attr:`IncrementalAnalysis.cache` is the refreshed
-        cache to persist for the next warm run; with ``jobs > 1`` the
-        dirty shards are re-solved on a worker pool.
+        cache to persist for the next warm run.  ``jobs`` is compat and
+        must be 1.
         """
-        effective = self._resolve_jobs(jobs)
-        self._begin_run("incremental", effective)
+        _check_jobs(jobs)
+        self._begin_run("incremental")
         try:
-            with span(
-                "analyze_incremental", jobs=effective, warm=cache is not None
-            ):
+            with span("analyze_incremental", warm=cache is not None):
                 self._last = _analyze_incremental(
                     self._program,
                     cache=cache,
                     config=self._config,
                     image_fingerprint=self.image_fingerprint,
-                    jobs=effective,
                     frontend=self._frontend,
                 )
         except AnalysisError:
@@ -380,13 +338,9 @@ class AnalysisSession:
         Raises :class:`UnknownRoutineError` for a routine the program
         does not contain.
         """
-        # Queries solve serially, but resolve the worker config anyway
-        # so a malformed REPRO_JOBS fails here as cleanly as it does
-        # for analyze() (JobsConfigError -> CLI usage error).
-        self._resolve_jobs(None)
         if cache is None:
             cache = self._query_cache
-        self._begin_run("query", 1)
+        self._begin_run("query")
         try:
             with span("query", routine=routine, warm=cache is not None):
                 result = query_routine(
@@ -422,7 +376,7 @@ class AnalysisSession:
         """
         from repro.opt.pipeline import PASS_NAMES, _optimize_program
 
-        self._begin_run("optimize", 1)
+        self._begin_run("optimize")
         try:
             with span("optimize"):
                 return _optimize_program(
@@ -465,17 +419,14 @@ class AnalysisSession:
     def metrics(self) -> Dict[str, object]:
         """JSON-ready metrics of the most recent analysis.
 
-        Always includes ``kind`` (``"serial"``, ``"parallel"``,
-        ``"incremental"`` or ``"query"``) and ``routines``; the
-        remaining keys depend
-        on the kind (stage timings for serial runs, shard/utilization
-        records for parallel runs, solved/reused counts — plus a
-        ``parallel`` sub-object when applicable — for incremental
-        runs).  ``counters`` carries the obs-registry delta since this
-        session was constructed — cache hit/miss/stale/write, per-phase
-        worklist iterations and queue depths, PSG sizes, regset
-        constructions — with worker-process contributions merged in.
-        Empty when nothing has been analyzed yet.
+        Always includes ``kind`` (``"serial"``, ``"incremental"`` or
+        ``"query"``) and ``routines``; the remaining keys depend on the
+        kind (stage timings for serial runs, solved/reused counts for
+        incremental runs and queries).  ``counters`` carries the
+        obs-registry delta since this session was constructed — cache
+        hit/miss/stale/write, per-phase worklist iterations and queue
+        depths, PSG sizes, regset constructions.  Empty when nothing
+        has been analyzed yet.
         """
         last = self._last
         if last is None:

@@ -216,19 +216,16 @@ class LazyCfgs(Mapping):
     """Every routine's CFG, by name, in program order, each built by
     :func:`build_cfg` on first access and kept: ``len``, iteration and
     ``in`` walk nothing.  ``built`` is the plain dict of what exists so
-    far; it starts from the CFGs somebody already has (the parallel
-    front end's).
+    far.
 
     Not synchronized: fill it under whatever serializes the analysis
     that owns it (the daemon's per-entry lock).
     """
 
-    def __init__(
-        self, program: Program, built: Optional[Dict[str, ControlFlowGraph]] = None
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         self._program = program
         self._routines = {routine.name: routine for routine in program}
-        self.built: Dict[str, ControlFlowGraph] = dict(built or {})
+        self.built: Dict[str, ControlFlowGraph] = {}
 
     def __getitem__(self, name: str) -> ControlFlowGraph:
         cfg = self.built.get(name)

@@ -19,7 +19,7 @@ Nothing the graph answers afterwards touches a CFG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.isa.encoding import INSTRUCTION_SIZE
@@ -221,124 +221,6 @@ class Condensation:
         for index in indices:
             names.update(self.components[index])
         return names
-
-    def partition_shards(
-        self, costs: Dict[str, int], max_shards: int
-    ) -> "ShardPlan":
-        """Partition the condensation into at most ``max_shards`` shards.
-
-        Each shard is a *contiguous interval* of components in the
-        callee-first order.  Because every call-graph edge goes from a
-        later component (caller) to an earlier one (callee), the
-        quotient graph over intervals is automatically acyclic, so the
-        shard DAG inherits the scheduling property the parallel solver
-        needs: solving shards callee-first (phase 1) or caller-first
-        (phase 2) always finds every cross-shard input already
-        published.
-
-        ``costs[name]`` is the work estimate for one routine (the
-        parallel engine uses CFG block counts — solve time is roughly
-        linear in PSG size, which tracks block count).  The greedy cut
-        closes a shard once it holds ~1/``max_shards`` of the total
-        cost, which balances shards even when component sizes are
-        skewed; a component is never split, so one giant SCC bounds the
-        achievable balance.
-        """
-        if max_shards < 1:
-            raise ValueError("max_shards must be >= 1")
-        component_costs = [
-            max(1, sum(costs.get(name, 1) for name in component))
-            for component in self.components
-        ]
-        total = sum(component_costs)
-        target = max(1, -(-total // max_shards))  # ceil division
-        shards: List[Shard] = []
-        shard_of_component: List[int] = [0] * len(self.components)
-        start = 0
-        accumulated = 0
-        for index, cost in enumerate(component_costs):
-            accumulated += cost
-            last = index == len(self.components) - 1
-            if accumulated >= target or last:
-                shard_index = len(shards)
-                component_range = list(range(start, index + 1))
-                members: List[str] = []
-                for component_index in component_range:
-                    members.extend(self.components[component_index])
-                    shard_of_component[component_index] = shard_index
-                shards.append(
-                    Shard(
-                        index=shard_index,
-                        components=component_range,
-                        routines=members,
-                        cost=accumulated,
-                    )
-                )
-                start = index + 1
-                accumulated = 0
-        callee_shards: List[Set[int]] = [set() for _ in shards]
-        caller_shards: List[Set[int]] = [set() for _ in shards]
-        for component_index, callees in enumerate(self.callee_components):
-            src = shard_of_component[component_index]
-            for callee_component in callees:
-                dst = shard_of_component[callee_component]
-                if dst != src:
-                    callee_shards[src].add(dst)
-                    caller_shards[dst].add(src)
-        return ShardPlan(
-            shards=shards,
-            shard_of_component=shard_of_component,
-            shard_of_routine={
-                name: shard.index
-                for shard in shards
-                for name in shard.routines
-            },
-            callee_shards=callee_shards,
-            caller_shards=caller_shards,
-        )
-
-
-@dataclass
-class Shard:
-    """One unit of parallel work: a run of condensation components."""
-
-    index: int
-    #: Indices into :attr:`Condensation.components`, callee-first.
-    components: List[int]
-    #: Every routine in those components, in component order.
-    routines: List[str]
-    #: Estimated work (sum of the member routines' cost heuristic).
-    cost: int
-
-
-@dataclass
-class ShardPlan:
-    """A partition of the condensation DAG into schedulable shards.
-
-    Shards are callee-first: every cross-shard call goes from a
-    higher-index shard (caller side) to a lower-index one (callee
-    side), so the shard graph is acyclic by construction.  Phase 1
-    runs a shard once all of :attr:`callee_shards` have published
-    entry triples; phase 2 once all of :attr:`caller_shards` have
-    published return-point liveness.
-    """
-
-    shards: List[Shard]
-    #: condensation component index -> shard index.
-    shard_of_component: List[int]
-    #: routine name -> shard index.
-    shard_of_routine: Dict[str, int]
-    #: shard index -> shards it calls into (phase-1 prerequisites).
-    callee_shards: List[Set[int]]
-    #: shard index -> shards that call into it (phase-2 prerequisites).
-    caller_shards: List[Set[int]]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    def largest_cost(self) -> int:
-        return max((shard.cost for shard in self.shards), default=0)
 
 
 def build_call_graph(

@@ -4,8 +4,7 @@ Subcommands:
 
 * ``analyze <image>`` — run the interprocedural dataflow analysis on a
   SAX executable image and print per-routine summaries plus the §4
-  measurements (sizes, stage times, memory); ``--jobs N`` solves on a
-  sharded worker pool (bit-identical results), ``--incremental``
+  measurements (sizes, stage times, memory); ``--incremental``
   warm-starts from (and refreshes) a ``SUM4`` cache sidecar, and
   ``--json`` emits one machine-readable stats object instead of text;
 * ``disasm <image>`` — print a disassembly listing;
@@ -23,8 +22,8 @@ Subcommands:
 
 Observability: ``analyze --trace FILE`` exports a Chrome trace-event
 JSON of the run's spans (open it in https://ui.perfetto.dev),
-``--stats`` prints the obs counter block for any analyze mode (cold,
-parallel, or incremental), and ``--log-level`` / the ``REPRO_LOG``
+``--stats`` prints the obs counter block for any analyze mode (cold
+or incremental), and ``--log-level`` / the ``REPRO_LOG``
 environment variable turn on structured logging for the ``repro.*``
 logger tree.
 
@@ -32,8 +31,8 @@ All analysis goes through :class:`repro.api.AnalysisSession`.  Exit
 codes are distinct per failure class so scripts can tell them apart:
 
 * 0 — success;
-* 2 — usage error (bad flags or flag combinations, a malformed
-  ``REPRO_JOBS`` value, or a query for an unknown routine);
+* 2 — usage error (bad or removed flags, a bad flag combination, or a
+  query for an unknown routine);
 * 3 — the input image could not be read or parsed;
 * 4 — the analysis itself failed (:class:`AnalysisError`);
 * 5 — the analysis succeeded but a by-product (the cache sidecar or
@@ -50,11 +49,9 @@ import sys
 from typing import List, Optional
 
 from repro.api import (
-    JOBS_ENV_VAR,
     AnalysisConfig,
     AnalysisError,
     AnalysisSession,
-    JobsConfigError,
     UnknownRoutineError,
 )
 from repro.cfg.cfg import CfgError
@@ -180,14 +177,14 @@ def _cmd_analyze_incremental(
             cache_note = f"warm ({cache_path})"
         except (SummaryFormatError, OSError) as error:
             cache_note = f"cold (unreadable cache: {error})"
-    incremental = session.analyze_incremental(cache=cache, jobs=args.jobs)
+    incremental = session.analyze_incremental(cache=cache)
     try:
         # Read the bodies -r prints now, while a cold run can still
         # stand in for a sidecar one of them does not decode from.
         for name in args.routines or ():
             incremental.result.summaries.get(name)
     except SummaryFormatError as error:
-        incremental = session.analyze_incremental(jobs=args.jobs)
+        incremental = session.analyze_incremental()
         incremental.refused = f"unreadable cache: {error}"
     if incremental.refused:
         cache_note = f"cold ({incremental.refused})"
@@ -211,9 +208,6 @@ def _cmd_analyze_incremental(
         if args.stats:
             print()
             print(metrics.render())
-            if incremental.parallel is not None:
-                print()
-                print(incremental.parallel.render())
             _print_counters(session)
     if args.routines:
         _print_routine_summaries(incremental.result, args.routines)
@@ -276,33 +270,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         if args.incremental:
             return _cmd_analyze_incremental(args, session, image_bytes)
-        jobs = args.jobs
-        if args.annotate or args.dot:
-            if jobs is not None and jobs != 1:
-                print(
-                    "--annotate/--dot need the whole-program PSG; "
-                    "use --jobs 1 with them",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            jobs = 1  # force serial even when REPRO_JOBS says otherwise
-            if os.environ.get(JOBS_ENV_VAR):
-                print(
-                    f"note: --annotate/--dot force a serial solve; "
-                    f"ignoring {JOBS_ENV_VAR}="
-                    f"{os.environ[JOBS_ENV_VAR]!r}",
-                    file=sys.stderr,
-                )
-        analysis = session.analyze(jobs=jobs)
-    except JobsConfigError as error:
-        print(str(error), file=sys.stderr)
-        return EXIT_USAGE
+        analysis = session.analyze()
     except AnalysisError as error:
         print(f"analysis failed: {error}", file=sys.stderr)
         return EXIT_ANALYSIS
     program = session.program
     if args.json:
-        # One result shape for every engine: the session's schema-1
+        # One result shape for every kind of run: the session's schema-1
         # payload (the daemon serves the identical object).
         print(json.dumps(session.to_json(), indent=2, sort_keys=True))
     else:
@@ -413,7 +387,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             cache_note = f"cold (unreadable cache: {error})"
     try:
         result = session.query(args.routine, cache=cache)
-    except (JobsConfigError, UnknownRoutineError) as error:
+    except UnknownRoutineError as error:
         print(str(error), file=sys.stderr)
         return EXIT_USAGE
     except AnalysisError as error:
@@ -482,7 +456,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # registry gates it; this subcommand is the only consumer.
     REGISTRY.per_routine = True
     try:
-        session.analyze(jobs=1)
+        session.analyze()
     except AnalysisError as error:
         print(f"analysis failed: {error}", file=sys.stderr)
         return EXIT_ANALYSIS
@@ -598,7 +572,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         cache_dir=args.cache_dir,
         max_bytes=args.max_bytes,
-        jobs=args.jobs,
         trace_dir=args.trace_dir,
         trace_sample=args.trace_sample,
         store_dir=args.store_dir,
@@ -653,13 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="analyze an executable image")
     analyze.add_argument("image")
     analyze.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help=(
-            "solve on N worker processes (0 = one per CPU); results are "
-            "bit-identical at any setting (default: REPRO_JOBS or 1)"
-        ),
-    )
-    analyze.add_argument(
         "--json", action="store_true",
         help="print one machine-readable JSON stats object",
     )
@@ -706,9 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--trace", metavar="FILE",
         help=(
-            "record spans for the whole run (workers included) and "
-            "write a Chrome trace-event JSON; open in "
-            "https://ui.perfetto.dev"
+            "record spans for the whole run and write a Chrome "
+            "trace-event JSON; open in https://ui.perfetto.dev"
         ),
     )
     analyze.add_argument(
@@ -833,10 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
             "retained-session byte budget; least-recently-used "
             "sessions are evicted beyond it (default 256 MiB)"
         ),
-    )
-    serve.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help="default worker count for solves (per-request jobs wins)",
     )
     serve.add_argument(
         "--trace-dir", default=None, metavar="DIR",

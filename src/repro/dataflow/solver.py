@@ -133,10 +133,10 @@ class WorklistSolver(Generic[State]):
 class SubgraphWorklist:
     """A chaotic-iteration worklist over a *subgraph view* of a node set.
 
-    The PSG phases (and the sharded parallel solver built on them) all
-    iterate the same way: a universe of ``node_count`` nodes, a subset
-    of **frozen** boundary nodes whose values are fixed (exit nodes,
-    entries pinned at cached or shard-published triples), and a
+    The PSG phases all iterate the same way: a universe of
+    ``node_count`` nodes, a subset of **frozen** boundary nodes whose
+    values are fixed (exit nodes, entries pinned at cached triples),
+    and a
     ``dependents`` map saying which nodes must be revisited when a
     node's value changes.  This class owns the queue/dedup machinery so
     every client iterates the *interior* of its subgraph identically;

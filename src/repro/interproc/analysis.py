@@ -23,7 +23,6 @@ per-stage times, and model-based memory usage.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -52,30 +51,6 @@ from repro.reporting.metrics import StageTimer, StageTimings
 _log = logging.getLogger(__name__)
 
 
-def frontend_chunks(program: Program, chunk_count: int) -> List[List[str]]:
-    """Cost-balanced routine chunks for the parallel front end.
-
-    Walking one routine into its CFG is independent of every other
-    routine, so the front end is embarrassingly parallel; the only
-    scheduling concern is balance.  Routines are dealt greedily
-    (largest first, onto the lightest chunk) by instruction count — the
-    one size signal available before any routine is walked.  Chunk
-    *contents* affect only which worker walks what, never the assembled
-    result, which the parent reorders into program order.
-    """
-    chunk_count = max(1, chunk_count)
-    sized = sorted(
-        ((len(routine), routine.name) for routine in program), reverse=True
-    )
-    chunks: List[List[str]] = [[] for _ in range(chunk_count)]
-    loads = [0] * chunk_count
-    for size, name in sized:
-        lightest = loads.index(min(loads))
-        chunks[lightest].append(name)
-        loads[lightest] += size
-    return [chunk for chunk in chunks if chunk]
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Options for one analysis run."""
@@ -87,11 +62,6 @@ class AnalysisConfig:
     #: every save/restore pair leak into the callers' call-used /
     #: call-killed sets; results remain sound but much less useful.
     callee_saved_filtering: bool = True
-    #: Worker processes for the sharded parallel solver.  1 = solve in
-    #: this process; 0 or negative = one worker per available CPU.
-    #: Results are bit-identical at every setting (see
-    #: :mod:`repro.interproc.parallel`).
-    jobs: int = 1
     #: Cross-image summary store (:mod:`repro.interproc.store`):
     #: ``None`` defers to the ``REPRO_SUMMARY_STORE`` environment
     #: variable, a :class:`~repro.interproc.store.SummaryStore` uses
@@ -145,12 +115,6 @@ class InterproceduralAnalysis:
     @property
     def call_graph(self) -> CallGraph:
         return self.frontend.call_graph
-
-    #: Explicit marker for CLI/report code: this result came from the
-    #: serial whole-program solver (its counterpart on
-    #: ``ParallelAnalysis`` is True).  Prefer this over duck-typing on
-    #: attributes like ``psg``.
-    is_parallel: bool = False
 
     #: Result-protocol kind tag (see :mod:`repro.interproc.results`).
     kind = "serial"
@@ -299,9 +263,9 @@ def node_seed_order(
     created after the entry, so reversing processes them first, which
     suits backward propagation).
 
-    Shared by the whole-program driver, the incremental engine (over a
-    partial PSG's members) and the parallel shard workers — identical
-    seeding is part of keeping every execution mode deterministic.
+    Shared by the whole-program driver and the incremental engine (over
+    a partial PSG's members) — identical seeding is part of keeping
+    every execution mode deterministic.
     """
     order: List[int] = []
     for name in routine_order:

@@ -114,9 +114,6 @@ class QueryResult:
     #: ``routines``/``instructions`` payload fields).
     program: Optional[object] = None
 
-    #: Queries always solve serially (the cones are usually far
-    #: smaller than a shard); kept for result-type uniformity.
-    is_parallel: bool = False
     #: Why the cache the query was given went unused (see
     #: :attr:`repro.interproc.incremental.IncrementalAnalysis.refused`).
     refused: Optional[str] = None

@@ -1,6 +1,6 @@
 """The front-end product every solver path starts from.
 
-Cold, incremental, sharded-parallel and demand-driven solves all need
+Cold, incremental and demand-driven solves all need
 the same per-program facts before any dataflow runs: the call graph,
 its SCC condensation, every routine's content fingerprint — and the
 CFGs (:class:`repro.cfg.cfg.ControlFlowGraph`, flat block rows) of the
@@ -229,15 +229,13 @@ class Frontend:
 def build_frontend(
     program: Program,
     records: Optional[Mapping[str, FrontendRecord]] = None,
-    cfgs: Optional[Dict[str, ControlFlowGraph]] = None,
     store: Optional["StoreView"] = None,
 ) -> Frontend:
     """The call graph of ``program`` and as few walks as it takes.
 
     ``records`` are a previous run's front-end records (any program's:
     each is used only if its shape key matches the same-named routine
-    here); ``cfgs`` are CFGs somebody already built (the parallel cold
-    front end); ``store`` is the run's
+    here); ``store`` is the run's
     :class:`~repro.interproc.store.StoreView`, asked, by shape key,
     about each routine ``records`` does not cover (another image may
     have linked the same body).  Every routine covered by none of them
@@ -262,7 +260,7 @@ def build_frontend(
             if record is not None:
                 matched[name] = record
                 adopted.add(name)
-    walked = LazyCfgs(program, cfgs)
+    walked = LazyCfgs(program)
     call_graph = build_call_graph(program, walked, matched)
     # Whoever is still unwalked had its sites taken from its record.
     reused = {

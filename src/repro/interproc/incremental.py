@@ -111,7 +111,7 @@ from repro.psg.build import (
     build_partial_psg,
     fragment_rows,
 )
-from repro.reporting.metrics import IncrementalMetrics, ParallelMetrics
+from repro.reporting.metrics import IncrementalMetrics
 
 _log = logging.getLogger(__name__)
 
@@ -177,8 +177,7 @@ def record_fingerprint_verdicts(
     """Classify every routine's fingerprint against ``cache`` and push
     the per-run cache.hit / cache.stale / cache.miss counters.
 
-    Returns the dirty set (stale + missing).  Shared by the serial warm
-    engine and the parallel warm path so both report identically.
+    Returns the dirty set (stale + missing).
     """
     hits = stale = missing = 0
     dirty: Set[str] = set()
@@ -214,9 +213,6 @@ class IncrementalAnalysis:
     cache: SummaryCache
     metrics: IncrementalMetrics
     condensation: Optional[Condensation] = None
-    #: Shard/pool metrics when the run was solved in parallel
-    #: (``jobs > 1``); ``None`` for serial runs.
-    parallel: Optional[ParallelMetrics] = None
     #: Why the cache the run was given went unused and it solved cold
     #: (:data:`CONFIG_MISMATCH`, or ``"unreadable cache: ..."``).
     refused: Optional[str] = None
@@ -236,21 +232,12 @@ class IncrementalAnalysis:
     def call_graph(self) -> CallGraph:
         return self.frontend.call_graph
 
-    @property
-    def is_parallel(self) -> bool:
-        """True when the run was solved on the sharded worker pool."""
-        return self.parallel is not None
-
     def summary(self, routine: str) -> RoutineSummary:
         return self.result.summaries[routine]
 
     def stats(self) -> Dict[str, object]:
-        """Kind-specific stats: incremental work accounting (plus the
-        shard/pool record when the dirty cone solved in parallel)."""
-        payload: Dict[str, object] = dict(self.metrics.as_dict())
-        if self.parallel is not None:
-            payload["parallel"] = self.parallel.as_dict()
-        return payload
+        """Kind-specific stats: incremental work accounting."""
+        return self.metrics.as_dict()
 
     def to_json(self, counters=None, include_summaries: bool = False):
         """The versioned (schema 1) result payload; see
@@ -265,7 +252,6 @@ def _analyze_incremental(
     cache: Optional[SummaryCache] = None,
     config: Optional[AnalysisConfig] = None,
     image_fingerprint: int = 0,
-    jobs: Optional[int] = None,
     frontend: Optional[Frontend] = None,
 ) -> IncrementalAnalysis:
     """Analyze ``program``, reusing ``cache`` where fingerprints allow.
@@ -275,11 +261,6 @@ def _analyze_incremental(
     seeds future warm runs.  ``image_fingerprint`` is stored in the
     refreshed cache (it scopes the ``SUM1`` sidecar; the incremental
     engine itself invalidates per routine, not per image).
-
-    ``jobs`` (or ``config.jobs``) above 1 delegates to the sharded
-    parallel engine — dirty shards are re-solved on a worker pool,
-    clean shards keep their cached summaries — with bit-identical
-    results at any worker count.
 
     ``frontend`` is ``program``'s front end when the caller already
     has it (a session that analyzed or queried before); otherwise one
@@ -292,7 +273,7 @@ def _analyze_incremental(
     config = config or AnalysisConfig()
     return solve_or_cold(
         lambda usable: _solve(
-            program, usable, config, image_fingerprint, jobs, frontend
+            program, usable, config, image_fingerprint, frontend
         ),
         cache,
         config,
@@ -304,24 +285,8 @@ def _solve(
     cache: Optional[SummaryCache],
     config: AnalysisConfig,
     image_fingerprint: int,
-    jobs: Optional[int],
     frontend: Optional[Frontend],
 ) -> IncrementalAnalysis:
-    from repro.interproc.parallel import resolve_jobs
-
-    effective_jobs = resolve_jobs(jobs, config)
-    if effective_jobs > 1:
-        from repro.interproc.parallel import analyze_incremental_parallel
-
-        return analyze_incremental_parallel(
-            program,
-            cache,
-            config,
-            image_fingerprint=image_fingerprint,
-            jobs=effective_jobs,
-            frontend=frontend,
-        )
-
     metrics = IncrementalMetrics(routines_total=program.routine_count)
 
     if cache is None:
@@ -484,8 +449,6 @@ def orphaned_callees(
     cached target lists against it and re-solve the losers.  Clean
     survivors can be skipped — their summaries are not even read: the
     fingerprint covers target lists, so theirs cannot have moved.
-    (Shared by the serial warm engine and the parallel dirty-shard
-    selection.)
     """
     orphaned: Set[str] = set()
     for name in cached:

@@ -1,13 +1,10 @@
 """One result shape for every analysis outcome (result schema v1).
 
-Four kinds of object can come out of an analysis run — the serial
-:class:`~repro.interproc.analysis.InterproceduralAnalysis`, the sharded
-:class:`~repro.interproc.parallel.ParallelAnalysis`, the warm-start
-:class:`~repro.interproc.incremental.IncrementalAnalysis` and the
-demand-driven :class:`~repro.interproc.demand.QueryResult`.  They used
-to render themselves three different ways (the CLI ``--json`` path
-rebuilt its payload dict inline, branching on ``is_parallel``); every
-consumer that wanted machine-readable output had to know which type it
+Three kinds of object can come out of an analysis run — the serial
+:class:`~repro.interproc.analysis.InterproceduralAnalysis`, the
+warm-start :class:`~repro.interproc.incremental.IncrementalAnalysis`
+and the demand-driven :class:`~repro.interproc.demand.QueryResult`.
+They used to render themselves in different ways; every consumer that wanted machine-readable output had to know which type it
 was holding.
 
 This module is the one place the external shape is defined.  Each
@@ -21,7 +18,7 @@ are *the same object by construction* and can never drift.
 Schema version 1 (``"schema": 1``), common keys::
 
     schema            1 (bump on any incompatible change)
-    kind              "serial" | "parallel" | "incremental" | "query"
+    kind              "serial" | "incremental" | "query"
     routines          routine count of the analyzed program
     instructions      instruction count of the analyzed program
     summaries_crc64   16-hex CRC64 of the canonical SUM1 serialization
@@ -30,8 +27,7 @@ Schema version 1 (``"schema": 1``), common keys::
     counters          obs-registry delta for the run (may be empty)
 
 plus the kind-specific ``stats()`` keys, flattened (``stage_seconds``
-for serial runs, ``jobs``/``shard_count``/... for parallel runs,
-``mode``/``phase2_solved``/... for incremental runs,
+for serial runs, ``mode``/``phase2_solved``/... for incremental runs,
 ``routine``/``summary``/cone sizes for queries), plus an optional
 ``summaries`` mapping (``include_summaries=True``) with one
 :meth:`RoutineSummary.to_json` rendering per routine.
@@ -65,7 +61,6 @@ COMMON_KEYS = (
 #: Kind-specific keys clients may rely on (a subset of ``stats()``).
 KIND_KEYS = {
     "serial": ("stage_seconds", "memory_bytes", "psg_nodes", "psg_edges"),
-    "parallel": ("jobs", "shard_count", "routines_total", "shards"),
     "incremental": (
         "mode", "phase1_solved", "phase2_solved", "dirty_routines",
         "cfgs_built",

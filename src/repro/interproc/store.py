@@ -33,9 +33,7 @@ Three record grades live side by side in one store:
 
 Both summary keys bind a *context digest* of every configuration knob
 that can change analysis results (calling conventions, callee-saved
-filtering, the PSG branch-node ablations).  The one knob documented
-bit-identical across settings — jobs — is deliberately excluded so a
-solve under one can warm a solve under another.
+filtering, the PSG branch-node ablations).
 A front-end record is a function of the routine's bytes alone, so its
 key binds no context.
 
@@ -161,7 +159,7 @@ def config_digest(config) -> int:
 
     Bound: both conventions (analysis and PSG-build), callee-saved
     filtering, and the PSG branch-node ablations (Table 4 — they move
-    real dataflow facts).  Excluded: jobs, documented bit-identical.
+    real dataflow facts).
     """
     writer = _Writer()
     writer.u8(STORE_VERSION)
@@ -518,10 +516,9 @@ class StoreView:
 class SummaryStore:
     """A shared, content-addressed directory of summary records.
 
-    A plain picklable dataclass: :class:`AnalysisConfig` instances are
-    shipped to parallel workers via pickle, so the store carries no
-    bytes and no open handles.  A run reads and writes it through the
-    :class:`StoreView` that :meth:`open` returns.
+    A plain dataclass that carries no bytes and no open handles: a run
+    reads and writes it through the :class:`StoreView` that
+    :meth:`open` returns.
     """
 
     root: str

@@ -2,9 +2,8 @@
 
 Three cooperating pieces, all stdlib-only:
 
-- :mod:`repro.obs.tracer` — hierarchical span tracing, merged across
-  the parallel solver's worker processes, exported as Chrome
-  trace-event JSON (``spike-analyze analyze --trace out.json``).
+- :mod:`repro.obs.tracer` — hierarchical span tracing, exported as
+  Chrome trace-event JSON (``spike-analyze analyze --trace out.json``).
 - :mod:`repro.obs.metrics` — the process-wide labeled counter/maxima
   registry surfaced in ``--json`` payloads, ``--stats``, and the
   ``spike-analyze report`` subcommand.
@@ -31,7 +30,6 @@ from repro.obs.runid import (
     clear_run_id,
     current_run_id,
     new_run_id,
-    set_run_id,
 )
 from repro.obs.tracer import (
     Tracer,
@@ -60,7 +58,6 @@ __all__ = [
     "render_key",
     "render_prometheus",
     "resolve_level",
-    "set_run_id",
     "span",
     "tracing_enabled",
 ]

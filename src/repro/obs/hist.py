@@ -11,24 +11,20 @@ single wall clock.  This module supplies the third metric kind:
   latencies), a per-bucket counter array, plus running ``count`` and
   ``sum``.  Observation is O(log buckets) (one bisect) and
   allocation-free.
-* **Bucket-wise algebra** — histograms with identical boundaries
-  merge by adding bucket counts (forked shard workers ship theirs
-  through the existing result pipe; the parent adds them in) and
-  subtract the same way, which is what gives
+* **Bucket-wise subtraction** — histograms with identical boundaries
+  subtract by bucket counts, which is what gives
   :meth:`~repro.obs.metrics.MetricsRegistry.delta_since` honest
-  per-run distributions: the delta of a merged histogram equals the
-  merge of the per-worker deltas, bucket by bucket.
+  per-run distributions.
 * :meth:`Histogram.quantile` — the standard Prometheus-style
   estimate: find the bucket the rank falls in, interpolate linearly
   inside it.  The error is bounded by bucket width (see
   ``docs/observability.md`` for the caveats); the boundaries are
-  fixed so estimates are comparable across runs and mergeable across
-  processes, which adaptive schemes are not.
+  fixed so estimates are comparable across runs, which adaptive
+  schemes are not.
 
 Histograms are registered and observed through
 :meth:`repro.obs.metrics.MetricsRegistry.observe_hist`; the registry
-owns locking and cross-process plumbing.  Everything here is pure
-state + arithmetic so it stays trivially serializable.
+owns locking.  Everything here is pure state + arithmetic.
 """
 
 from __future__ import annotations
@@ -49,12 +45,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     10.0, 25.0, 50.0,
     100.0,
 )
-
-#: Serialized histogram state shipped across process boundaries:
-#: ``(boundaries, counts, sum)``.  ``count`` is recomputed from the
-#: bucket counts on load so the payload cannot self-contradict.
-HistogramPayload = Tuple[Tuple[float, ...], Tuple[int, ...], float]
-
 
 class Histogram:
     """Fixed-boundary bucketed distribution: counts, sum, quantiles.
@@ -98,14 +88,6 @@ class Histogram:
                 "histogram boundaries differ: "
                 f"{self.boundaries!r} vs {other.boundaries!r}"
             )
-
-    def merge(self, other: "Histogram") -> None:
-        """Add ``other``'s buckets into this histogram (worker drain)."""
-        self._check_compatible(other)
-        for index, value in enumerate(other.counts):
-            self.counts[index] += value
-        self.count += other.count
-        self.sum += other.sum
 
     def subtract(self, snapshot: "Histogram") -> "Histogram":
         """The bucket-wise delta since ``snapshot`` (a new histogram).
@@ -186,26 +168,6 @@ class Histogram:
             "p95": round(self.quantile(0.95), 9),
             "p99": round(self.quantile(0.99), 9),
         }
-
-    # -- cross-process plumbing ---------------------------------------
-
-    def to_payload(self) -> HistogramPayload:
-        return (self.boundaries, tuple(self.counts), self.sum)
-
-    @classmethod
-    def from_payload(cls, payload: HistogramPayload) -> "Histogram":
-        boundaries, counts, total = payload
-        hist = cls(tuple(boundaries))
-        counts = list(counts)
-        if len(counts) != len(hist.counts):
-            raise ValueError(
-                f"payload has {len(counts)} buckets for "
-                f"{len(hist.counts)} boundaries"
-            )
-        hist.counts = counts
-        hist.count = sum(counts)
-        hist.sum = float(total)
-        return hist
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

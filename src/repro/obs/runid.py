@@ -2,9 +2,8 @@
 
 Every analysis run (one ``AnalysisSession.analyze*`` call, one CLI
 invocation, or one daemon request) is stamped with a short random hex
-identifier.  The same id appears in log lines, in the exported Chrome
-trace, and is shipped to parallel shard workers so that spans recorded
-in subprocesses can be correlated with the parent run.
+identifier.  The same id appears in log lines and in the exported
+Chrome trace.
 
 The id is *thread-local*: the service daemon handles requests on worker
 threads and scopes one run id to each request, so interleaved log lines
@@ -23,13 +22,8 @@ _STATE = threading.local()
 
 def new_run_id() -> str:
     """Install and return a fresh run identifier (12 hex chars)."""
-    return set_run_id(os.urandom(6).hex())
-
-
-def set_run_id(value: str) -> str:
-    """Adopt an externally chosen run id (shard workers, the daemon)."""
-    _STATE.run_id = value
-    return value
+    _STATE.run_id = os.urandom(6).hex()
+    return _STATE.run_id
 
 
 def clear_run_id() -> None:

@@ -192,7 +192,7 @@ class PsgAssembly:
         entry node is known by now), check the graph and record its
         sizes in the obs registry.
 
-        Partial builds (incremental cones, parallel shards) add into the
+        Partial builds (incremental and query cones) add into the
         same size counters — the totals then read as "PSG construction
         work performed this run", which is the Table-5 quantity that
         matters.

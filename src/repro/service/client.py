@@ -166,7 +166,6 @@ class ServiceClient:
         self,
         image_bytes: bytes,
         edit: Optional[Dict[str, Any]] = None,
-        jobs: Optional[int] = None,
         include_summaries: bool = False,
         trace: bool = False,
     ) -> Response:
@@ -175,8 +174,6 @@ class ServiceClient:
         }
         if edit is not None:
             body["edit"] = edit
-        if jobs is not None:
-            body["jobs"] = jobs
         if include_summaries:
             body["include_summaries"] = True
         return self.request(

@@ -34,11 +34,11 @@ to disk.
 ``POST`` bodies are either raw image bytes
 (``Content-Type: application/octet-stream``, options in the query
 string) or JSON (``{"image_b64": ..., ...options}``).  Options:
-``jobs`` (worker count), ``include_summaries`` (embed rendered
-summaries), ``edit`` (``{"routine": name}`` — analyze the image with
-one instruction of ``routine`` perturbed, warm-starting from the base
-image's SUM4 cache; the routine defaults to the first editable one),
-and for ``/v1/query`` the mandatory ``routine``.
+``include_summaries`` (embed rendered summaries), ``edit``
+(``{"routine": name}`` — analyze the image with one instruction of
+``routine`` perturbed, warm-starting from the base image's SUM4 cache;
+the routine defaults to the first editable one), and for
+``/v1/query`` the mandatory ``routine``.
 
 Multi-tenancy: the ``X-Repro-Tenant`` header namespaces all retained
 state (see :mod:`repro.service.registry`).  Responses carry
@@ -124,8 +124,6 @@ class ServiceConfig:
     #: Registry byte budget for retained sessions (LRU beyond it).
     max_bytes: int = DEFAULT_MAX_BYTES
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES
-    #: Default worker count for solves (per-request ``jobs`` overrides).
-    jobs: Optional[int] = None
     #: When set, 1-in-``trace_sample`` requests export their Perfetto
     #: span JSON to ``<trace_dir>/<run_id>.json``.
     trace_dir: Optional[str] = None
@@ -166,15 +164,11 @@ class AnalysisDaemon:
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         analysis_config = None
-        if self.config.jobs is not None or self.config.store_dir is not None:
-            store = None
-            if self.config.store_dir is not None:
-                from repro.interproc.store import SummaryStore
+        if self.config.store_dir is not None:
+            from repro.interproc.store import SummaryStore
 
-                store = SummaryStore(self.config.store_dir)
             analysis_config = AnalysisConfig(
-                jobs=self.config.jobs if self.config.jobs is not None else 1,
-                store=store,
+                store=SummaryStore(self.config.store_dir)
             )
         self.registry = SessionRegistry(
             max_bytes=self.config.max_bytes,
@@ -313,14 +307,13 @@ class AnalysisDaemon:
     ) -> Tuple[Dict[str, object], bool]:
         """``POST /v1/analyze`` → (payload, served-warm)."""
         image_bytes = _image_bytes(body)
-        jobs = _jobs_option(body)
         entry = self.registry.acquire(tenant, image_bytes)
         edit = body.get("edit")
         with _entry_locked(entry, "analyze"), _dropped_on_cfg_error(
             self.registry, entry
         ):
             if edit is not None:
-                return self._analyze_edit(entry, edit, jobs)
+                return self._analyze_edit(entry, edit)
             if entry.payload is not None:
                 REGISTRY.inc("service.result.warm")
                 return entry.payload, True
@@ -330,10 +323,10 @@ class AnalysisDaemon:
                     # the incremental engine so they *consult* the
                     # store (a plain analyze only publishes); the
                     # refreshed cache also seeds future edit requests.
-                    cold = entry.session.analyze_incremental(jobs=jobs)
+                    cold = entry.session.analyze_incremental()
                     self.registry.note_cache(entry, cold.cache)
                 else:
-                    entry.session.analyze(jobs=jobs)
+                    entry.session.analyze()
                 # Retained with summaries embedded; the handler strips
                 # them unless the request asked for them.
                 entry.payload = entry.session.to_json(include_summaries=True)
@@ -341,7 +334,7 @@ class AnalysisDaemon:
             return entry.payload, False
 
     def _analyze_edit(
-        self, entry: SessionEntry, edit: Any, jobs: Optional[int]
+        self, entry: SessionEntry, edit: Any
     ) -> Tuple[Dict[str, object], bool]:
         """Analyze the entry's image with one routine perturbed,
         warm-starting from the base image's SUM4 cache."""
@@ -351,7 +344,7 @@ class AnalysisDaemon:
         if not warm:
             # One-time: build the base cache a future edit warms from.
             with _staged("edit.seed", "service.edit.seed"):
-                cold = entry.session.analyze_incremental(jobs=jobs)
+                cold = entry.session.analyze_incremental()
                 self.registry.note_cache(entry, cold.cache)
         program = entry.session.program
         routine = edit.get("routine")
@@ -366,15 +359,13 @@ class AnalysisDaemon:
                 mutated, self.registry.config
             )
             try:
-                analysis = session.analyze_incremental(
-                    cache=entry.cache, jobs=jobs
-                )
+                analysis = session.analyze_incremental(cache=entry.cache)
                 payload = session.to_json(include_summaries=True)
             except SummaryFormatError as error:
                 # A cached body the solve never needed fails to decode
                 # for the payload: answer cold, as the solve does when
                 # it meets one.
-                analysis = session.analyze_incremental(jobs=jobs)
+                analysis = session.analyze_incremental()
                 analysis.refused = f"unreadable cache: {error}"
                 payload = session.to_json(include_summaries=True)
             if analysis.refused:
@@ -490,16 +481,6 @@ def _image_bytes(body: Dict[str, Any]) -> bytes:
         raise RequestError(400, f"invalid image_b64: {error}") from error
 
 
-def _jobs_option(body: Dict[str, Any]) -> Optional[int]:
-    jobs = body.get("jobs")
-    if jobs is None:
-        return None
-    try:
-        return int(jobs)
-    except (TypeError, ValueError) as error:
-        raise RequestError(400, f"invalid jobs value: {jobs!r}") from error
-
-
 def _bool_option(body: Dict[str, Any], key: str) -> bool:
     value = body.get(key, False)
     if isinstance(value, bool):
@@ -580,8 +561,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
             if "routine" in query:
                 body["routine"] = query["routine"]
-            if "jobs" in query:
-                body["jobs"] = query["jobs"]
             if "include_summaries" in query:
                 body["include_summaries"] = query["include_summaries"]
             if "edit" in query:
@@ -649,8 +628,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         sampled = self.daemon._trace_sampled(sequence)
         # A request-local tracer (thread-local override) captures this
-        # request's spans — including merged worker spans — without
-        # interleaving concurrent requests.
+        # request's spans without interleaving concurrent requests.
         tracer = push_local_tracer() if (want_trace or sampled) else None
         status = 500
         warm_label = "error"

@@ -1,8 +1,8 @@
 """Contract tests for the :mod:`repro.api` session facade.
 
 The facade is the supported entry point: everything a caller needs —
-construction from bytes/image/path/program, serial and parallel
-analysis, incremental re-analysis, optimization, summaries and
+construction from bytes/image/path/program, whole-program analysis,
+incremental re-analysis, optimization, summaries and
 metrics — must be reachable from :class:`repro.api.AnalysisSession`
 without importing submodule internals.  The legacy free functions are
 deprecated shims that must keep forwarding their arguments faithfully.
@@ -88,9 +88,13 @@ class TestConstruction:
         assert session.image_fingerprint == 0
 
     def test_config_retained(self, quick_program):
-        config = AnalysisConfig(jobs=2)
+        config = AnalysisConfig(callee_saved_filtering=False)
         session = AnalysisSession.from_program(quick_program, config)
         assert session.config is config
+
+    def test_removed_jobs_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="jobs"):
+            AnalysisConfig(jobs=2)
 
     def test_removed_solver_core_field_is_a_type_error(self):
         with pytest.raises(TypeError, match="solver_core"):
@@ -109,21 +113,11 @@ class TestConstruction:
 
 
 class TestAnalyze:
-    def test_serial(self, quick_program, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_serial(self, quick_program):
         session = AnalysisSession.from_program(quick_program)
         analysis = session.analyze()
         assert "helper" in analysis.result.summaries
         assert session.metrics()["kind"] == "serial"
-
-    def test_parallel_matches_serial(self, quick_program):
-        serial = AnalysisSession.from_program(quick_program).analyze()
-        session = AnalysisSession.from_program(quick_program)
-        analysis = session.analyze(jobs=2)
-        assert dump_summaries(analysis.result) == dump_summaries(
-            serial.result
-        )
-        assert session.metrics()["kind"] == "parallel"
 
     def test_incremental_cold_then_warm(self, quick_program):
         session = AnalysisSession.from_program(quick_program)
@@ -151,8 +145,7 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="unknown pass"):
             session.optimize(passes=("nonsense",))
 
-    def test_summaries_lazily_analyzes(self, quick_program, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_summaries_lazily_analyzes(self, quick_program):
         session = AnalysisSession.from_program(quick_program)
         result = session.summaries()
         assert "helper" in result.summaries
@@ -161,43 +154,44 @@ class TestAnalyze:
 
     def test_metrics_are_json_ready(self, quick_program):
         session = AnalysisSession.from_program(quick_program)
-        session.analyze(jobs=2)
+        session.analyze()
         payload = json.loads(json.dumps(session.metrics(), sort_keys=True))
-        assert payload["kind"] == "parallel"
-        assert payload["jobs"] == 2
+        assert payload["kind"] == "serial"
         assert payload["routines"] == quick_program.routine_count
 
 
 # ----------------------------------------------------------------------
-# Worker-count resolution: explicit > config > environment > serial
+# The worker count is gone: jobs=1 is the one value the facade accepts
 # ----------------------------------------------------------------------
 
 
-class TestJobsResolution:
-    def test_env_var_enables_parallel(self, quick_program, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
+class TestRemovedJobs:
+    def test_jobs_one_is_accepted(self, quick_program):
+        serial = AnalysisSession.from_program(quick_program).analyze()
         session = AnalysisSession.from_program(quick_program)
-        session.analyze()
-        assert session.metrics()["kind"] == "parallel"
+        analysis = session.analyze(jobs=1)
+        assert dump_summaries(analysis.result) == dump_summaries(
+            serial.result
+        )
+        warm = session.analyze_incremental(
+            cache=session.analyze_incremental(jobs=1).cache, jobs=1
+        )
+        assert warm.metrics.phase2_solved == 0
 
-    def test_explicit_beats_env(self, quick_program, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
+    @pytest.mark.parametrize("jobs", [2, 0, -1, None])
+    def test_any_other_value_is_a_value_error(self, quick_program, jobs):
         session = AnalysisSession.from_program(quick_program)
-        session.analyze(jobs=1)
-        assert session.metrics()["kind"] == "serial"
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            session.analyze(jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            session.analyze_incremental(jobs=jobs)
+        assert session.metrics() == {}
 
-    def test_config_beats_env(self, quick_program, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        config = AnalysisConfig(jobs=2)
-        session = AnalysisSession.from_program(quick_program, config)
-        session.analyze()
-        assert session.metrics()["jobs"] == 2
-
-    def test_bad_env_value_raises(self, quick_program, monkeypatch):
+    def test_env_var_is_not_read(self, quick_program, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
         session = AnalysisSession.from_program(quick_program)
-        with pytest.raises(AnalysisError, match="REPRO_JOBS"):
-            session.analyze()
+        session.analyze()
+        assert session.metrics()["kind"] == "serial"
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +230,6 @@ class TestShimRemoval:
             "AnalysisError",
             "AnalysisResult",
             "AnalysisSession",
-            "JobsConfigError",
             "QueryResult",
             "RoutineSummary",
             "SCHEMA_VERSION",

@@ -30,8 +30,7 @@ def image_path(tmp_path):
 
 
 class TestAnalyze:
-    def test_analyze_prints_measurements(self, image_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_analyze_prints_measurements(self, image_path, capsys):
         assert main(["analyze", image_path]) == 0
         out = capsys.readouterr().out
         assert "routines:" in out
@@ -46,11 +45,10 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("labeling", ["batched", "per-target", "per-edge"])
     def test_labeling_strategies_identical_summaries(
-        self, labeling, image_path, tmp_path, capsys, monkeypatch
+        self, labeling, image_path, tmp_path, capsys
     ):
         """The CLI's saved summaries equal those of a run labeled by the
         per-target and per-edge oracles, patched in."""
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         sidecar = str(tmp_path / f"{labeling}.sum")
         with oracle_labeling(labeling):
             assert main(["analyze", image_path, "--save-summaries", sidecar]) == 0
@@ -83,11 +81,19 @@ class TestAnalyze:
             command, ["--labeling", "per-target"], image_path, capsys
         )
 
+    @pytest.mark.parametrize("command", ["analyze", "serve"])
+    def test_removed_jobs_flag_is_a_usage_error(
+        self, command, image_path, capsys
+    ):
+        self._assert_usage_error(command, ["--jobs", "2"], image_path, capsys)
+
     @staticmethod
     def _assert_usage_error(command, flag, image_path, capsys):
         argv = [command, image_path, *flag]
         if command == "query":
             argv.insert(2, "main")
+        if command == "serve":
+            argv.remove(image_path)
         with pytest.raises(SystemExit) as caught:
             main(argv)
         assert caught.value.code == 2
@@ -180,45 +186,14 @@ class TestBenchmarks:
         assert len(out.strip().splitlines()) == 16
 
 
-class TestParallelFlag:
-    def test_jobs_two_prints_pool_stats(self, image_path, capsys):
-        assert main(["analyze", image_path, "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "jobs:               2" in out
-        assert "pool utilization:" in out
-
-    def test_jobs_same_summaries_as_serial(self, image_path, capsys):
-        assert main(["analyze", image_path, "-r", "helper"]) == 0
-        serial = capsys.readouterr().out
-        assert main(
-            ["analyze", image_path, "--jobs", "2", "-r", "helper"]
-        ) == 0
-        parallel = capsys.readouterr().out
-        split = "\nhelper:\n"
-        assert serial.split(split)[1] == parallel.split(split)[1]
-
-    def test_annotate_needs_serial(self, image_path, capsys):
-        code = main(["analyze", image_path, "--annotate", "--jobs", "2"])
-        assert code == 2
-        assert "whole-program PSG" in capsys.readouterr().err
-
-
 class TestJsonFlag:
-    def test_serial_payload(self, image_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_serial_payload(self, image_path, capsys):
         assert main(["analyze", image_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "serial"
         assert payload["routines"] == 2
         assert payload["instructions"] > 0
         assert "stage_seconds" in payload
-
-    def test_parallel_payload(self, image_path, capsys):
-        assert main(["analyze", image_path, "--jobs", "2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kind"] == "parallel"
-        assert payload["jobs"] == 2
-        assert payload["shard_count"] >= 1
 
     def test_incremental_payload(self, image_path, capsys):
         args = ["analyze", image_path, "--incremental", "--json"]
@@ -239,8 +214,7 @@ class TestJsonFlag:
     ):
         out = tmp_path / "a.sum"
         args = [
-            "analyze", image_path, "--json", "--jobs", "1",
-            "--save-summaries", str(out),
+            "analyze", image_path, "--json", "--save-summaries", str(out),
         ]
         assert main(args) == 0
         captured = capsys.readouterr()
@@ -294,14 +268,15 @@ class TestExitCodes:
             assert "unknown major opcode 0x1" in err
 
     def test_analysis_failure_is_4(self, image_path, capsys, monkeypatch):
-        from repro.interproc import parallel
+        from repro.dataflow.solver import SolverDivergence
+        from repro.interproc import analysis
 
-        def explode(phase, shard_index):
-            raise RuntimeError("synthetic failure")
+        def explode(*_args, **_kwargs):
+            raise SolverDivergence("synthetic failure")
 
-        monkeypatch.setattr(parallel, "_FAULT_HOOK", explode)
-        assert main(["analyze", image_path, "--jobs", "2"]) == 4
-        assert "analysis failed" in capsys.readouterr().err
+        monkeypatch.setattr(analysis, "run_phase1", explode)
+        assert main(["analyze", image_path]) == 4
+        assert "analysis failed: synthetic failure" in capsys.readouterr().err
 
     def test_unwritable_cache_is_5(self, image_path, tmp_path, capsys):
         cache_dir = tmp_path / "cache.sum2"
@@ -332,8 +307,7 @@ class TestExitCodes:
 
 
 class TestQuerySubcommand:
-    def test_cold_then_warm(self, image_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_cold_then_warm(self, image_path, capsys):
         assert main(["query", image_path, "helper"]) == 0
         first = capsys.readouterr().out
         assert "routine:       helper" in first
@@ -348,8 +322,7 @@ class TestQuerySubcommand:
         assert "warm" in second
         assert "reanalyzed:    0 routines" in second
 
-    def test_json_payload(self, image_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_json_payload(self, image_path, capsys):
         assert main(["query", image_path, "main", "--json"]) == 0
         captured = capsys.readouterr()
         # The cache-write note must not pollute the JSON stdout.
@@ -362,8 +335,7 @@ class TestQuerySubcommand:
         assert "live_at_exit" in payload["summary"]
         assert "query.requests" in payload["counters"]
 
-    def test_stats_block(self, image_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_stats_block(self, image_path, capsys):
         assert main(["query", image_path, "helper", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "counters:" in out
@@ -390,9 +362,8 @@ class TestQuerySubcommand:
         assert "live-at-entry" in captured.out
 
     def test_shares_sidecar_with_incremental_analyze(
-        self, image_path, tmp_path, capsys, monkeypatch
+        self, image_path, tmp_path, capsys
     ):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         cache = str(tmp_path / "facts.sum2")
         assert main(
             ["analyze", image_path, "--incremental", "--cache", cache]
@@ -411,83 +382,48 @@ class TestQuerySubcommand:
         assert "reanalyzed:    0 routines" in capsys.readouterr().out
 
 
-class TestJobsEnvHardening:
-    """Malformed REPRO_JOBS is a usage error (exit 2), not a traceback;
-    0 and negative keep their documented one-worker-per-CPU meaning."""
+class TestJobsEnvIgnored:
+    """REPRO_JOBS is not read: a garbage value changes nothing."""
 
-    @pytest.mark.parametrize(
-        "args",
-        [["analyze"], ["analyze", "--incremental"], ["query", "helper"]],
-        ids=["analyze", "incremental", "query"],
-    )
-    def test_garbage_value_is_2(self, args, image_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "banana")
-        command = [args[0], image_path] + args[1:]
-        assert main(command) == 2
-        err = capsys.readouterr().err
-        assert "REPRO_JOBS must be an integer" in err
-        assert "banana" in err
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_zero_and_negative_mean_one_per_cpu(
-        self, value, image_path, capsys, monkeypatch
+    @pytest.mark.parametrize("mode", ["analyze", "incremental", "query"])
+    def test_garbage_value_gives_identical_summaries(
+        self, mode, image_path, tmp_path, capsys, monkeypatch
     ):
-        from repro.interproc import parallel
+        def run(tag):
+            cache = str(tmp_path / f"{tag}.sum2")
+            saved = tmp_path / f"{tag}.sum"
+            if mode == "query":
+                argv = ["query", image_path, "helper", "--cache", cache]
+            else:
+                argv = ["analyze", image_path, "--save-summaries", str(saved)]
+                if mode == "incremental":
+                    argv += ["--incremental", "--cache", cache]
+            assert main(argv + ["--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            summaries = saved.read_bytes() if mode != "query" else None
+            return payload["summaries_crc64"], payload.get("summary"), summaries
 
-        monkeypatch.setenv("REPRO_JOBS", value)
-        monkeypatch.setattr(
-            parallel.multiprocessing, "cpu_count", lambda: 2
-        )
-        assert main(["analyze", image_path, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kind"] == "parallel"
-        assert payload["jobs"] == 2
-        # query validates the same setting (and solves serially).
-        assert main(["query", image_path, "helper"]) == 0
-        assert "routine:       helper" in capsys.readouterr().out
-
-
-class TestAnnotateJobsWarning:
-    def test_forced_serial_warns_when_env_set(
-        self, image_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert main(["analyze", image_path, "--annotate"]) == 0
-        captured = capsys.readouterr()
-        assert "force a serial solve" in captured.err
-        assert "ignoring REPRO_JOBS" in captured.err
-        assert "call-used" in captured.out
-
-    def test_no_warning_without_env(self, image_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert main(["analyze", image_path, "--annotate"]) == 0
-        assert "force a serial solve" not in capsys.readouterr().err
+        plain = run("plain")
+        monkeypatch.setenv("REPRO_JOBS", "garbage")
+        assert run("garbage") == plain
 
 
 class TestStatsFlag:
     """--stats works for every analyze mode, not just --incremental."""
 
-    def test_cold_serial_stats(self, image_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_cold_serial_stats(self, image_path, capsys):
         assert main(["analyze", image_path, "--stats"]) == 0
         out = capsys.readouterr().out
         assert "counters:" in out
         assert "solver.iterations{phase=phase1}" in out
         assert "psg.nodes" in out
 
-    def test_cold_parallel_stats(self, image_path, capsys):
-        assert main(["analyze", image_path, "--jobs", "2", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "pool utilization:" in out
-        assert "counters:" in out
-        assert "shards.solved{phase=phase1}" in out
-
 
 class TestTraceFlag:
     def test_trace_writes_chrome_trace_json(
-        self, image_path, tmp_path, capsys, monkeypatch
+        self, image_path, tmp_path, capsys
     ):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         trace = tmp_path / "trace.json"
         assert main(["analyze", image_path, "--trace", str(trace)]) == 0
         assert "wrote trace to" in capsys.readouterr().out
@@ -510,7 +446,7 @@ class TestTraceFlag:
         ) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
-        assert payload["kind"] in ("serial", "parallel")
+        assert payload["kind"] == "serial"
         assert "wrote trace to" in captured.err
 
 
@@ -544,8 +480,7 @@ class TestReportSubcommand:
 
 
 class TestJsonCounters:
-    def test_payload_includes_counters(self, image_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_payload_includes_counters(self, image_path, capsys):
         assert main(["analyze", image_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         counters = payload["counters"]
@@ -571,18 +506,6 @@ class TestJsonCounters:
         warm = json.loads(capsys.readouterr().out.split("wrote cache")[0])
         assert warm["counters"]["cache.hit"] == 2
         assert warm["counters"]["cache.miss"] == 0
-
-
-class TestIncrementalParallel:
-    def test_warm_jobs_two_with_stats(self, image_path, tmp_path, capsys):
-        cache = str(tmp_path / "prog.sum2")
-        base = ["analyze", image_path, "--incremental", "--cache", cache]
-        assert main(base) == 0
-        capsys.readouterr()
-        assert main(base + ["--jobs", "2", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "mode:               warm" in out
-        assert "pool utilization:" in out
 
 
 class TestAtomicByproductWrites:

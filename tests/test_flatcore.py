@@ -4,8 +4,8 @@
 the arena; ``tests/phase_oracle.py`` holds the object engines that read
 ``psg.flow_edges`` and derive their own adjacency.  The two must agree
 on the summaries byte for byte *and* on the five scheduling counters
-(same visit sequence, so same row order) — cold and warm, serial and
-sharded.
+(same visit sequence, so same row order) — cold and warm, through the
+drivers and through the session facade.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from repro.api import AnalysisSession
 from repro.interproc import analysis as analysis_module
 from repro.interproc import incremental as incremental_module
-from repro.interproc import parallel as parallel_module
 from repro.interproc.analysis import (
     AnalysisConfig,
     _analyze_program,
@@ -86,14 +85,12 @@ def counted(run):
 @pytest.fixture
 def oracle_engines(monkeypatch):
     """``with oracle_engines():`` — every driver solves with the object
-    engines (forked shard workers inherit the patch)."""
+    engines."""
 
     @contextmanager
     def installed():
         with monkeypatch.context() as patch:
-            for module in (
-                analysis_module, incremental_module, parallel_module
-            ):
+            for module in (analysis_module, incremental_module):
                 patch.setattr(module, "run_phase1", phase_oracle.run_phase1)
                 patch.setattr(module, "run_phase2", phase_oracle.run_phase2)
             yield
@@ -255,13 +252,12 @@ class TestWarmEquivalence:
         assert dump_summaries(result) == reference
 
 
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("jobs", (1, 2, 4))
-    def test_flat_matches_object_at_every_job_count(self, jobs, oracle_engines):
+class TestFacadeEquivalence:
+    def test_flat_matches_object_through_the_session(self, oracle_engines):
         program = shape_program("perl")
 
-        def sharded():
+        def facade():
             session = AnalysisSession.from_program(program, config=NO_STORE)
-            return session.analyze(jobs=jobs).result
+            return session.analyze().result
 
-        assert_same_work(sharded, oracle_engines)
+        assert_same_work(facade, oracle_engines)

@@ -414,7 +414,7 @@ def _cold_run(key, program):
     """One cold incremental run per distinct program of this module."""
     if key not in _cold:
         session = AnalysisSession.from_program(program, STORE_OFF)
-        _cold[key] = session.analyze_incremental(jobs=1)
+        _cold[key] = session.analyze_incremental()
     return _cold[key]
 
 
@@ -431,7 +431,7 @@ def _assert_record_driven_equals_cold(source_run, target, target_run):
             target.routine(name), cold.cfgs[name]
         )
     session = AnalysisSession.from_program(target, STORE_OFF)
-    rerun = session.analyze_incremental(cache=cache, jobs=1)
+    rerun = session.analyze_incremental(cache=cache)
     assert dump_summaries(rerun.result) == dump_summaries(target_run.result)
     assert dump_cache(rerun.cache) == dump_cache(target_run.cache)
     assert rerun.metrics.cfgs_built <= max(
@@ -677,7 +677,7 @@ def gcc_tenth():
     )
     blob = program_to_image(program).to_bytes()
     session = AnalysisSession.from_image_bytes(blob, STORE_OFF)
-    prime = session.analyze_incremental(jobs=1)
+    prime = session.analyze_incremental()
     return session.program, dump_cache(prime.cache), prime
 
 
@@ -691,7 +691,7 @@ class TestGccStructuralGate:
         blob = program_to_image(program).to_bytes()
         before = REGISTRY.snapshot()
         session = AnalysisSession.from_image_bytes(blob, STORE_OFF)
-        warm = session.analyze_incremental(cache=load_cache(sidecar), jobs=1)
+        warm = session.analyze_incremental(cache=load_cache(sidecar))
         assert REGISTRY.delta_since(before)["cfg.built"] == 0
         assert warm.metrics.cfgs_built == 0
         assert warm.metrics.phase1_solved == warm.metrics.phase2_solved == 0
@@ -705,7 +705,7 @@ class TestGccStructuralGate:
         image = program_to_image(program)
         before = REGISTRY.snapshot()
         session = AnalysisSession.from_image_bytes(image.to_bytes(), STORE_OFF)
-        session.analyze_incremental(cache=load_cache(sidecar), jobs=1)
+        session.analyze_incremental(cache=load_cache(sidecar))
         delta = REGISTRY.delta_since(before)
         assert delta["program.decode.words"] == image.instruction_count
         assert 0 < delta["program.decode.distinct"] <= 0.1 * image.instruction_count
@@ -721,25 +721,14 @@ class TestGccStructuralGate:
         edited = program_to_image(perturb_routine(program, victim)).to_bytes()
         before = REGISTRY.snapshot()
         session = AnalysisSession.from_image_bytes(edited, STORE_OFF)
-        warm = session.analyze_incremental(cache=load_cache(sidecar), jobs=1)
+        warm = session.analyze_incremental(cache=load_cache(sidecar))
         solved = max(warm.metrics.phase1_solved, warm.metrics.phase2_solved)
         assert warm.metrics.dirty_routines == [victim]
         assert 1 <= warm.metrics.cfgs_built <= solved < program.routine_count
         delta = REGISTRY.delta_since(before)
         assert delta["frontend.rows"] == warm.metrics.cfgs_built
         assert delta["cfg.built"] == 0
-        cold = AnalysisSession.from_image_bytes(edited, STORE_OFF).analyze(jobs=1)
-        assert dump_summaries(warm.result) == dump_summaries(cold.result)
-
-    def test_warm_parallel_ships_only_the_dirty_shards_cfgs(self, gcc_tenth):
-        program, sidecar, _prime = gcc_tenth
-        victim = first_editable_routine(program)
-        edited = program_to_image(perturb_routine(program, victim)).to_bytes()
-        session = AnalysisSession.from_image_bytes(edited, STORE_OFF)
-        warm = session.analyze_incremental(cache=load_cache(sidecar), jobs=2)
-        assert warm.is_parallel
-        assert 1 <= warm.metrics.cfgs_built <= warm.metrics.phase2_solved
-        cold = AnalysisSession.from_image_bytes(edited, STORE_OFF).analyze(jobs=1)
+        cold = AnalysisSession.from_image_bytes(edited, STORE_OFF).analyze()
         assert dump_summaries(warm.result) == dump_summaries(cold.result)
 
 
@@ -755,10 +744,10 @@ class TestSessionFrontend:
         queried = session.query(name)
         assert queried.metrics.cfgs_built == small_benchmark.routine_count
         before = REGISTRY.snapshot()
-        incremental = session.analyze_incremental(jobs=1)
+        incremental = session.analyze_incremental()
         assert incremental.frontend is queried.frontend
         assert incremental.metrics.cfgs_built == 0
-        full = session.analyze(jobs=1)
+        full = session.analyze()
         assert full.frontend is queried.frontend
         again = session.query(name)
         assert again.frontend is queried.frontend
@@ -772,12 +761,12 @@ class TestSessionFrontend:
     ):
         prime = AnalysisSession.from_program(
             small_benchmark, STORE_OFF
-        ).analyze_incremental(jobs=1)
+        ).analyze_incremental()
         session = AnalysisSession.from_program(small_benchmark, STORE_OFF)
-        warm = session.analyze_incremental(cache=prime.cache, jobs=1)
+        warm = session.analyze_incremental(cache=prime.cache)
         assert warm.metrics.cfgs_built == 0
         before = REGISTRY.snapshot()
-        full = session.analyze(jobs=1)
+        full = session.analyze()
         assert full.frontend is warm.frontend
         delta = REGISTRY.delta_since(before)
         assert delta["frontend.rows"] == small_benchmark.routine_count

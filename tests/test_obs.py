@@ -78,21 +78,6 @@ class TestTracerSpans:
         assert outer[1] <= inner[1]  # outer starts first
         assert inner[1] + inner[2] <= outer[1] + outer[2] + 1e-6
 
-    def test_merge_absorbs_foreign_records(self):
-        tracer = enable_tracing()
-        foreign = ("worker-span", 123.0, 0.5, 99999, 1, {"shard": 0})
-        tracer.merge([foreign])
-        assert foreign in tracer.spans
-        assert 99999 in tracer.pids()
-
-    def test_drain_detaches_the_buffer(self):
-        tracer = enable_tracing()
-        with span("one"):
-            pass
-        drained = tracer.drain()
-        assert len(drained) == 1
-        assert tracer.spans == []
-
 
 class TestChromeTraceExport:
     def test_round_trip_through_json(self, tmp_path):
@@ -117,20 +102,6 @@ class TestChromeTraceExport:
         assert isinstance(event["args"]["label"], str)
         assert ms[0]["args"]["name"] == "main"
 
-    def test_worker_pids_labelled_distinctly(self):
-        tracer = enable_tracing()
-        with span("local"):
-            pass
-        tracer.merge([("remote", 1.0, 0.1, 4242, 1, {})])
-        document = tracer.to_chrome_trace()
-        labels = {
-            event["pid"]: event["args"]["name"]
-            for event in document["traceEvents"]
-            if event["ph"] == "M"
-        }
-        assert labels[os.getpid()] == "main"
-        assert labels[4242] == "worker-4242"
-
     def test_export_to_file_object(self):
         tracer = enable_tracing()
         with span("s"):
@@ -140,26 +111,13 @@ class TestChromeTraceExport:
         assert json.loads(buffer.getvalue())["traceEvents"]
 
 
-class TestCrossProcessMerge:
-    def test_jobs_two_trace_spans_from_worker_processes(self):
+class TestSessionTrace:
+    def test_analyze_records_into_this_process(self):
         session = AnalysisSession.from_image_bytes(
             assemble(SOURCE).to_bytes()
         )
         tracer = enable_tracing()
-        session.analyze(jobs=2)
-        pids = tracer.pids()
-        assert os.getpid() in pids
-        assert len(pids) >= 2, "expected spans merged from worker processes"
-        names = {record[0] for record in tracer.spans}
-        assert "phase1.shard" in names
-        assert "phase2.shard" in names
-
-    def test_inline_fallback_records_into_parent(self):
-        session = AnalysisSession.from_image_bytes(
-            assemble(SOURCE).to_bytes()
-        )
-        tracer = enable_tracing()
-        session.analyze(jobs=1)
+        session.analyze()
         assert tracer.pids() == {os.getpid()}
         assert "analyze" in {record[0] for record in tracer.spans}
 
@@ -195,26 +153,6 @@ class TestMetricsRegistry:
         for key in SEEDED_KEYS:
             assert render_key(key) in delta
         assert delta["cache.miss"] == 0
-
-    def test_merge_adds_counters_and_maxes_maxima(self):
-        parent = MetricsRegistry()
-        parent.inc("n", 1, kind="a")
-        parent.observe_max("m", 5)
-        worker = MetricsRegistry()
-        worker.inc("n", 2, kind="a")
-        worker.observe_max("m", 7)
-        counters, maxima, _ = worker.collect(clear=True)
-        # Tuples can come back as lists after a serialization round
-        # trip; merge() must re-tuple them into hashable keys.  A
-        # legacy 2-tuple payload (pre-histogram) must still merge.
-        degrade = lambda items: [
-            ((key[0], [list(pair) for pair in key[1]]), value)
-            for key, value in items
-        ]
-        parent.merge((degrade(counters), degrade(maxima)))
-        assert parent.value("n", kind="a") == 3
-        assert parent.value("m") == 7
-        assert worker.snapshot() == {}
 
     def test_render_key_and_counters_block(self):
         assert render_key(("x", ())) == "x"
@@ -269,7 +207,7 @@ class TestDisabledOverhead:
         session = AnalysisSession.from_image_bytes(
             assemble(SOURCE).to_bytes()
         )
-        session.analyze(jobs=1)
+        session.analyze()
         counters = session.metrics()["counters"]
         assert counters["solver.iterations{phase=phase1}"] > 0
         assert get_tracer().spans == []

@@ -9,7 +9,7 @@
   matcher's — over every Table-2 shape, three seeds, branch nodes and
   callee-saved filtering on and off.
 * Hostile code raises the same exception, with the same message,
-  through the cold, warm, query and ``jobs=2`` paths, and the CLI maps
+  through the cold, warm and query paths, and the CLI maps
   it to exit 3 (exit 4 for a boundary-free loop).
 * No analysis or report path builds a ``BasicBlock``.
 """
@@ -94,7 +94,7 @@ def test_row_psg_equals_the_oracle_labeler(shape, seed, branch_nodes, filtering)
         callee_saved_filtering=filtering,
         store="off",
     )
-    analysis = AnalysisSession.from_program(program, config).analyze(jobs=1)
+    analysis = AnalysisSession.from_program(program, config).analyze()
     cfgs = {routine.name: oracle_cfg(program, routine) for routine in program}
     with labeling("per-target"):
         oracle = build_psg(program, cfgs, config=config.psg)
@@ -137,19 +137,16 @@ def test_hostile_code_raises_the_same_error_on_every_path(case):
     edit, kind, fragment = HOSTILE[case]
     valid = base()
     hostile = edit(valid)
-    cache = AnalysisSession.from_program(valid, STORE_OFF).analyze_incremental(
-        jobs=1
-    ).cache
+    prime = AnalysisSession.from_program(valid, STORE_OFF).analyze_incremental()
+    cache = prime.cache
 
     def session():
         return AnalysisSession.from_program(hostile, STORE_OFF)
 
     paths = {
-        "cold": lambda: session().analyze(jobs=1),
-        "warm": lambda: session().analyze_incremental(cache=cache, jobs=1),
+        "cold": lambda: session().analyze(),
+        "warm": lambda: session().analyze_incremental(cache=cache),
         "query": lambda: session().query("main"),
-        "jobs2": lambda: session().analyze(jobs=2),
-        "warm-jobs2": lambda: session().analyze_incremental(cache=cache, jobs=2),
     }
     raised = {path: _raised(run) for path, run in paths.items()}
     assert raised["cold"][0] is kind and fragment in raised["cold"][1]
@@ -168,9 +165,8 @@ def test_hostile_code_raises_the_same_error_on_every_path(case):
 )
 @pytest.mark.parametrize(
     "argv",
-    [["analyze"], ["analyze", "--jobs", "2"], ["analyze", "--incremental"],
-     ["query", "main"]],
-    ids=["cold", "jobs2", "incremental", "query"],
+    [["analyze"], ["analyze", "--incremental"], ["query", "main"]],
+    ids=["cold", "incremental", "query"],
 )
 def test_cli_exit_code_on_hostile_code(case, code, argv, tmp_path, capsys):
     edit, _kind, fragment = HOSTILE[case]
@@ -190,7 +186,7 @@ def test_cli_exit_code_on_hostile_code(case, code, argv, tmp_path, capsys):
 def test_cold_analysis_and_its_reports_build_no_cfg(small_benchmark):
     before = REGISTRY.snapshot()
     session = AnalysisSession.from_program(small_benchmark, STORE_OFF)
-    analysis = session.analyze(jobs=1)
+    analysis = session.analyze()
     analysis.describe()
     assert analysis.basic_block_count > analysis.program.routine_count
     assert analysis.cfg_arc_count > analysis.basic_block_count
@@ -207,8 +203,7 @@ def test_cold_analysis_and_its_reports_build_no_cfg(small_benchmark):
     assert delta["frontend.rows"] == small_benchmark.routine_count
 
 
-def test_cli_stats_build_no_cfg(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
+def test_cli_stats_build_no_cfg(tmp_path, capsys):
     program = _program("gcc", 0)
     image = tmp_path / "prog.sax"
     image.write_bytes(program_to_image(program).to_bytes())

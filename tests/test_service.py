@@ -91,7 +91,7 @@ def _client(daemon, tenant=None):
 
 def _local_payload(image_bytes, **to_json_kwargs):
     session = AnalysisSession.from_image_bytes(image_bytes)
-    session.analyze(jobs=1)
+    session.analyze()
     return session.to_json(**to_json_kwargs)
 
 
@@ -419,15 +419,21 @@ class TestBadRequests:
             "POST", "/v2/analyze", body={}, raise_on_error=False
         ).status == 404
 
-    def test_bad_jobs_value_is_400(self, daemon, image_a):
-        body = {
-            "image_b64": base64.b64encode(image_a).decode(),
-            "jobs": "many",
-        }
-        response = _client(daemon).request(
-            "POST", "/v1/analyze", body, raise_on_error=False
+    def test_jobs_field_is_not_read(self, daemon, image_a):
+        # Two tenants, so neither answer is the other's retained payload.
+        plain, with_jobs = (
+            _client(daemon, tenant).request(
+                "POST", "/v1/analyze",
+                {"image_b64": base64.b64encode(image_a).decode(),
+                 "include_summaries": True, **extra},
+            ).payload
+            for tenant, extra in (("plain", {}), ("jobs", {"jobs": 4}))
         )
-        assert response.status == 400
+        assert set(plain) == set(with_jobs)
+        assert plain["summaries_crc64"] == with_jobs["summaries_crc64"]
+        assert json.dumps(plain["summaries"], sort_keys=True) == (
+            json.dumps(with_jobs["summaries"], sort_keys=True)
+        )
 
 
 # ----------------------------------------------------------------------

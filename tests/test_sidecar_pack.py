@@ -60,15 +60,15 @@ from repro.workloads.mutate import (
 OFF = AnalysisConfig(store="off")
 
 
-def _warm(program, cache, config=OFF, jobs=1):
+def _warm(program, cache, config=OFF):
     return AnalysisSession.from_program(program, config).analyze_incremental(
-        cache=cache, jobs=jobs
+        cache=cache
     )
 
 
 def _cold_bytes(program, config=OFF):
     return dump_summaries(
-        AnalysisSession.from_program(program, config).analyze(jobs=1).result
+        AnalysisSession.from_program(program, config).analyze().result
     )
 
 
@@ -234,30 +234,6 @@ def test_sidecar_without_fragments_gives_the_same_run(small_benchmark, primed):
     assert runs[0][0] == _cold_bytes(edited)
 
 
-def test_parallel_warm_run_carries_the_fragments(small_benchmark, primed):
-    _prime, sidecar = primed
-    program = small_benchmark
-    names = editable_routines(program)
-    first = perturb_routine(program, names[0])
-    second = perturb_routine(first, names[-1])
-    parallel = _warm(first, load_cache(sidecar), jobs=2)
-    serial = _warm(first, load_cache(sidecar))
-    assert parallel.is_parallel
-    assert dump_summaries(parallel.result) == dump_summaries(serial.result)
-    # The shards hand back no fragments: the edited body's is the one
-    # the parallel refresh lacks.
-    assert set(serial.cache.fragments) - set(parallel.cache.fragments) == {
-        serial.frontend.records[names[0]].shape_key
-    }
-    results = []
-    for cache in (parallel.cache, serial.cache):
-        before = REGISTRY.snapshot()
-        warm = _warm(second, load_cache(dump_cache(cache)))
-        assert REGISTRY.delta_since(before)["cache.fragment.hit"] > 0
-        results.append(dump_summaries(warm.result))
-    assert results[0] == results[1] == _cold_bytes(second)
-
-
 def test_query_memo_keeps_and_adds_fragments(small_benchmark, primed):
     prime, sidecar = primed
     program = small_benchmark
@@ -354,7 +330,7 @@ def test_sidecar_of_another_configuration_is_a_cold_start(other):
     assert query.refused == "cache written under another configuration"
     assert query.summary == AnalysisSession.from_program(
         program, other
-    ).analyze(jobs=1).result.summaries[program.entry]
+    ).analyze().result.summaries[program.entry]
 
 
 # ----------------------------------------------------------------------
@@ -572,7 +548,7 @@ def test_forged_body_sends_the_daemon_cold(tmp_path, forged):
         session = AnalysisSession.from_image_bytes(image)
         expected = AnalysisSession.from_program(
             perturb_routine(session.program, "inc")
-        ).analyze(jobs=1).to_json()
+        ).analyze().to_json()
         assert response.payload["summaries_crc64"] == expected["summaries_crc64"]
         # The unusable cache was dropped: the next edit reseeds one.
         again = client.analyze(image, edit={"routine": "inc"})

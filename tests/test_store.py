@@ -13,7 +13,7 @@ Four layers of guarantees:
   it), never as an exception;
 * **byte-identity** — analysis results are identical with the store
   enabled, disabled, missing its front-end grade, poisoned, or left in
-  an older layout, cold and warm, serial and parallel, including
+  an older layout, cold and warm, including
   concurrent multiprocess and daemon-thread publishers over one store
   directory;
 * **the front-end grade** — a routine the store has seen never gets
@@ -353,13 +353,6 @@ class TestConfigDigest:
         )
         assert base != config_digest(
             AnalysisConfig(psg=PsgConfig(multiway_threshold=5))
-        )
-
-    def test_bit_identical_knobs_are_excluded(self):
-        # Jobs is documented bit-identical, so a solve under one setting
-        # may warm a solve under another.
-        assert config_digest(AnalysisConfig()) == config_digest(
-            AnalysisConfig(jobs=4)
         )
 
 
@@ -887,8 +880,7 @@ class TestResolveStore:
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: store on / off / poisoned, cold / warm, serial /
-# parallel
+# Byte-identity: store on / off / poisoned, cold / warm
 # ----------------------------------------------------------------------
 
 
@@ -964,25 +956,6 @@ class TestByteIdentity:
         assert _result_bytes(warm) == _result_bytes(baseline)
         assert not warm.metrics.cold
 
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_parallel_publishes_and_stays_identical(
-        self, tmp_path, variant1, variant2, jobs
-    ):
-        store = SummaryStore(str(tmp_path / "s"))
-        baseline = analyze_program(variant1, AnalysisConfig(store="off"))
-        session = AnalysisSession.from_program(
-            variant1, AnalysisConfig(store=store)
-        )
-        parallel = session.analyze(jobs=jobs)
-        assert dump_summaries(parallel.result) == _result_bytes(baseline)
-        # The parent published after the merge: a serial consumer of a
-        # *different* linked variant now hits the shared library.
-        follow = analyze_incremental(
-            variant2, config=AnalysisConfig(store=store)
-        )
-        assert follow.metrics.phase1_store_hits == 2
-        assert follow.metrics.cfgs_built == 1
-
     def test_serial_facade_publishes(self, tmp_path, variant1, variant2):
         store = SummaryStore(str(tmp_path / "s"))
         analyze_program(variant1, AnalysisConfig(store=store))
@@ -1031,7 +1004,7 @@ class TestByteIdentity:
         assert _result_bytes(second) == _result_bytes(baseline)
         assert store.stats()["frontend"] == variant2.routine_count
 
-    @pytest.mark.parametrize("path", ["serial", "jobs2", "query"])
+    @pytest.mark.parametrize("path", ["serial", "query"])
     def test_record_that_does_not_describe_the_routine_builds_a_cfg(
         self, tmp_path, variant1, variant2, path
     ):
@@ -1041,7 +1014,7 @@ class TestByteIdentity:
         root = str(tmp_path / "s")
         store = SummaryStore(root)
         config = AnalysisConfig(store=store)
-        prime = analyze_incremental(variant1, config=config)
+        analyze_incremental(variant1, config=config)
         scale = variant2.routine("scale")
         key = shape_key(scale, jump_tables(variant2).get("scale", ()))
         assert _rewrite_packs(
@@ -1057,21 +1030,12 @@ class TestByteIdentity:
             want = AnalysisSession.from_program(variant2, off).query("scale")
             assert got.summary == want.summary
         else:
-            # jobs=2 takes records only on the warm path: start both
-            # sides from variant 1's sidecar (``main`` is the edit)
-            # with the library's records gone.
-            jobs = 2 if path == "jobs2" else 1
-            cache = prime.cache if path == "jobs2" else None
-            if cache is not None:
-                del cache.frontend_records["scale"]
-                del cache.frontend_records["offset"]
-            got = analyze_incremental(variant2, cache, config, jobs=jobs)
-            want = analyze_incremental(variant2, cache, off, jobs=jobs)
+            got = analyze_incremental(variant2, None, config)
+            want = analyze_incremental(variant2, None, off)
             assert _result_bytes(got) == _result_bytes(want)
         delta = REGISTRY.delta_since(base)
         assert "scale" in got.frontend.cfgs.built  # the fallback
-        if path != "jobs2":  # (which builds its one dirty shard whole)
-            assert got.metrics.cfgs_built == 2  # main (new) + scale
+        assert got.metrics.cfgs_built == 2  # main (new) + scale
         assert delta.get("store.frontend.hit") == 2  # scale's and offset's
         assert delta.get("frontend.record.adopted") == 1  # only offset's
 
@@ -1261,7 +1225,7 @@ class TestConcurrentStore:
             local = AnalysisSession.from_program(
                 _variant_program(version), AnalysisConfig(store="off")
             )
-            local.analyze(jobs=1)
+            local.analyze()
             assert payloads[version]["summaries"] == json.loads(json.dumps(
                 local.to_json(include_summaries=True)["summaries"]
             ))
@@ -1319,8 +1283,7 @@ class TestStoreCLI:
             code = main(
                 ["analyze", path, "--incremental",
                  "--cache", str(tmp_path / f"v{version}.sum2"),
-                 "--store-dir", root, "--stats",
-                 "--jobs", "1"]  # REPRO_JOBS must not shard the cold solve
+                 "--store-dir", root, "--stats"]
             )
             assert code == EXIT_OK
             out = capsys.readouterr().out

@@ -104,7 +104,7 @@ def main(argv: List[str] | None = None) -> int:
         with labeling("per-target"):
             oracle = AnalysisSession.from_image_bytes(
                 blob, AnalysisConfig(store="off")
-            ).analyze(jobs=1)
+            ).analyze()
         oracle_counters = REGISTRY.delta_since(before)
 
         with open(saved, "rb") as handle:
