@@ -32,9 +32,10 @@ MUST-DEF.
 
 :func:`sweep_targets` labels all T targets of a routine in one
 successors-first pass over its block rows instead of solving T
-overlapping subgraphs; its docstring says why the labels cannot
-differ.  The equations as written — one worklist problem per subgraph,
-solved once per target or per edge — are the test suite's oracle
+overlapping subgraphs, with SCC work only inside back-arc regions; its
+docstring says why the labels cannot differ.  The equations as written
+— one worklist problem per subgraph, solved once per target or per
+edge — and the whole-routine SCC sweep are the test suite's oracles
 (``tests/label_oracle.py``).
 """
 
@@ -42,14 +43,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Container, Dict, List, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.dataflow.regset import RegisterSet, TRACKED_MASK
 
 Triple = Tuple[int, int, int]  # (may_use, may_def, must_def) masks
-
-#: Boundary value: the target block's OUT sets (nothing beyond the edge).
-_BOUNDARY: Triple = (0, 0, 0)
 
 #: Interior start value: MAY sets at ⊥ (∅), MUST-DEF at ⊤ (see module doc).
 _INTERIOR: Triple = (0, 0, TRACKED_MASK)
@@ -84,58 +82,6 @@ class SummaryTriple:
             f"SummaryTriple(may_use={self.may_use_set!r}, "
             f"may_def={self.may_def_set!r}, must_def={self.must_def_set!r})"
         )
-
-
-def _tarjan_sccs(successors: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Strongly connected components of a dense digraph (iterative).
-
-    Components come in Tarjan emission order — a component is emitted
-    only after every component reachable from it — which is a
-    successors-first (reverse topological) order, exactly the order a
-    backward dataflow pass wants.
-    """
-    n = len(successors)
-    index_of = [0] * n  # 0 = unvisited (indices start at 1)
-    lowlink = [0] * n
-    on_stack = bytearray(n)
-    scc_stack: List[int] = []
-    components: List[List[int]] = []
-    counter = 1
-    for root in range(n):
-        if index_of[root]:
-            continue
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack[root] = 1
-        work = [(root, iter(successors[root]))]
-        while work:
-            node, children = work[-1]
-            for child in children:
-                if not index_of[child]:
-                    index_of[child] = lowlink[child] = counter
-                    counter += 1
-                    scc_stack.append(child)
-                    on_stack[child] = 1
-                    work.append((child, iter(successors[child])))
-                    break
-                if on_stack[child] and index_of[child] < lowlink[node]:
-                    lowlink[node] = index_of[child]
-            else:
-                work.pop()
-                low = lowlink[node]
-                if low == index_of[node]:
-                    members = [scc_stack.pop()]
-                    while members[-1] != node:
-                        members.append(scc_stack.pop())
-                    for member in members:
-                        on_stack[member] = 0
-                    components.append(members)
-                if work:
-                    parent = work[-1][0]
-                    if low < lowlink[parent]:
-                        lowlink[parent] = low
-    return components
 
 
 #: One block's answer for every target it reaches: target block ->
@@ -185,9 +131,9 @@ def sweep_targets(
     successors: Sequence[Sequence[int]],
     ubd: Sequence[int],
     defs: Sequence[int],
-    blocked: Container[int],
+    blocked: Iterable[int],
     targets: Container[int],
-) -> Tuple[List[TargetMap], int]:
+) -> Tuple[List[TargetMap], int, int]:
     """Label every target of one routine in a single backward sweep.
 
     ``successors``, ``ubd`` and ``defs`` are the routine's block rows
@@ -199,15 +145,25 @@ def sweep_targets(
     Returns, per block ``b``, a map from every target ``t`` that ``b``
     reaches to the converged IN triple at ``b`` of the subgraph of
     blocks that reach ``t`` (a block that reaches no target — a
-    boundary-free loop — gets the empty map), and the number of map
-    entries written: the sweep's unit of work, ``psg.label.visits``.
+    boundary-free loop — gets the empty map); the number of map entries
+    written, the sweep's unit of work (``psg.label.visits``); and the
+    number of blocks handed to a region walk
+    (``psg.label.region_blocks``).
 
-    The cut graph's SCCs are visited successors-first, so a block's
-    out-of-component successors are final before its own transfer
-    runs.  An acyclic component (a lone block without a self-loop)
-    takes one transfer per target it reaches; a component that carries
-    a cycle iterates on a local worklist seeded at ⊥/⊥/⊤ over the
-    targets the component reaches.
+    Blocks are swept in reverse index order.  The intervals ``[j, i]``
+    of the cut graph's *back arcs* ``i → j`` (``j ≤ i``), merged where
+    they overlap, are the *regions*.  A block in none has only final
+    successors above it: one transfer per target it reaches.  A region
+    is walked when the sweep passes below it, by a Tarjan over its
+    blocks (roots in index order) that solves each component as it is
+    emitted; one that carries a cycle iterates on a local worklist
+    seeded at ⊥/⊥/⊤ over the targets it reaches.  Every cycle lies in
+    one region: for each index level ``x`` it spans, the cycle climbs
+    from ``≤ x`` to ``> x`` and comes back over a back arc whose
+    interval holds ``x`` and ``x + 1``, so its back arcs' intervals
+    chain into one.  No arc leaves a region downward or enters it from
+    above (its interval would overlap), so a region reaches only final
+    blocks.
 
     **Equivalence.** For a fixed target the Figure-6 system is three
     independent problems (two lfps from ∅ under ∪, one gfp from ⊤ under
@@ -218,29 +174,116 @@ def sweep_targets(
     components before upstream ones reaches that solution, so the
     labels are bit-identical to the per-target and per-edge solves
     (docs/performance.md has the full argument; the test suite checks
-    it against ``tests/label_oracle.py``).
+    it against ``tests/label_oracle.py``).  Visits count this sweep's
+    own work: a whole-routine Tarjan can start a cyclic component's
+    worklist in another order when an arc from below enters the region
+    above its lowest block.
     """
-    cut_succ: List[Sequence[int]] = [
-        () if index in blocked else successors[index]
-        for index in range(len(successors))
-    ]
-    maps: List[TargetMap] = [_NO_TARGETS] * len(successors)
-    visits = 0
-    for members in _tarjan_sccs(cut_succ):
-        block = members[0]
+    count = len(successors)
+    cut_succ: List[Sequence[int]] = list(successors)
+    for block in blocked:
+        cut_succ[block] = ()
+    maps: List[TargetMap] = [_NO_TARGETS] * count
+    visits = region_blocks = 0
+    lo, hi = count, -1  # the open region; none while hi < 0
+    for block in range(count - 1, -1, -1):
+        if block < lo <= hi:  # the sweep passed below the open region
+            visits += _walk_region(lo, hi, cut_succ, ubd, defs, targets, maps)
+            region_blocks += hi - lo + 1
+            hi = -1
         succs = cut_succ[block]
-        if len(members) > 1 or block in succs:
-            visits += _solve_cyclic(members, cut_succ, ubd, defs, maps)
+        if succs:
+            low = min(succs)
+            if low <= block:  # a back arc: [low, block] joins the open region
+                if hi < 0:
+                    hi = block
+                lo = min(lo, low)  # a closed region's lo is above block
+                continue
+        if hi < 0:
+            visits += _solve_block(block, succs, ubd, defs, targets, maps)
+    if hi >= 0:
+        visits += _walk_region(lo, hi, cut_succ, ubd, defs, targets, maps)
+        region_blocks += hi - lo + 1
+    return maps, visits, region_blocks
+
+
+def _walk_region(
+    lo: int,
+    hi: int,
+    cut_succ: Sequence[Sequence[int]],
+    ubd: Sequence[int],
+    defs: Sequence[int],
+    targets: Container[int],
+    maps: List[TargetMap],
+) -> int:
+    """Tarjan over blocks ``lo..hi`` (roots in index order, arcs above
+    ``hi`` ignored: their heads are final), solving each component as
+    it is emitted; returns the map entries written."""
+    index_of: Dict[int, int] = {}
+    lowlink: Dict[int, int] = {}
+    on_stack: Set[int] = set()
+    stack: List[int] = []
+    visits = 0
+    for root in range(lo, hi + 1):
+        if root in index_of:
             continue
-        if block in targets:
-            assert not succs, "a flow-summary target must be a cut-graph sink"
-            out = {block: _BOUNDARY}
-        else:
-            out = meet_target_maps(maps, succs)
-        if out:
-            maps[block] = _transfer(out, ubd[block], defs[block])
-            visits += len(out)
-    return maps, visits
+        index_of[root] = lowlink[root] = len(index_of)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(cut_succ[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child > hi:
+                    continue
+                if child not in index_of:
+                    index_of[child] = lowlink[child] = len(index_of)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(cut_succ[child])))
+                    break
+                if child in on_stack and index_of[child] < lowlink[node]:
+                    lowlink[node] = index_of[child]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if low == index_of[node]:
+                    members = [stack.pop()]
+                    while members[-1] != node:
+                        members.append(stack.pop())
+                    on_stack.difference_update(members)
+                    succs = cut_succ[node]
+                    if len(members) > 1 or node in succs:
+                        visits += _solve_cyclic(members, cut_succ, ubd, defs, maps)
+                    else:
+                        visits += _solve_block(node, succs, ubd, defs, targets, maps)
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+    return visits
+
+
+def _solve_block(
+    block: int,
+    succs: Sequence[int],
+    ubd: Sequence[int],
+    defs: Sequence[int],
+    targets: Container[int],
+    maps: List[TargetMap],
+) -> int:
+    """One block on no cycle, its successors final; returns the map
+    entries written.  A target's map is the ∅ boundary's transfer."""
+    if block in targets:
+        assert not succs, "a flow-summary target must be a cut-graph sink"
+        block_def = defs[block]
+        maps[block] = {block: (ubd[block], block_def, block_def)}
+        return 1
+    out = meet_target_maps(maps, succs)
+    if not out:
+        return 0
+    maps[block] = _transfer(out, ubd[block], defs[block])
+    return len(out)
 
 
 def _transfer(out: TargetMap, ubd: int, block_def: int) -> TargetMap:

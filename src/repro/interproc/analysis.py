@@ -36,6 +36,7 @@ from repro.dataflow.regset import mask_of
 from repro.psg.build import PsgConfig, build_psg
 from repro.psg.graph import ProgramSummaryGraph
 from repro.interproc.frontend import Frontend, build_frontend
+from repro.interproc.persist import SUMMARY_BODIES, PackedMap
 from repro.interproc.phase1 import Phase1Result, run_phase1
 from repro.interproc.phase2 import Phase2Result, run_phase2
 from repro.interproc.store import publish_result
@@ -289,10 +290,13 @@ def _assemble_summaries(
     phase2: Phase2Result,
 ) -> SummarySet:
     """Every routine's summary, read off the PSG and the two phase
-    solutions.  ``cfgs`` is not read: it keeps the call shape of the
-    stage replay in ``perf/workloads.py``."""
+    solutions, packed so that each body is encoded once for every
+    writer (SUM1, ``summaries_crc64``, the sidecar).  ``cfgs`` is not
+    read: it keeps the call shape of the stage replay in
+    ``perf/workloads.py``."""
     summaries: Dict[str, RoutineSummary] = {}
-    cr_by_src = {edge.src: edge for edge in psg.call_return_edges}
+    label_of = {edge.src: edge.label for edge in psg.call_return_edges}
+    block_of, live = psg.node_block, phase2.may_use
     for routine in program:
         name = routine.name
         routine_psg = psg.routines[name]
@@ -301,33 +305,29 @@ def _assemble_summaries(
         exit_live: Dict[int, int] = {}
         exit_kinds: Dict[int, object] = {}
         for node_id, kind in routine_psg.exit_nodes:
-            block = psg.nodes[node_id].block
-            exit_live[block] = phase2.may_use[node_id]
+            block = block_of[node_id]
+            exit_live[block] = live[node_id]
             exit_kinds[block] = kind
 
         call_sites: List[CallSiteSummary] = []
         for call_node, return_node, site in routine_psg.call_pairs:
-            label = cr_by_src[call_node].label
-            call_sites.append(
-                CallSiteSummary(
-                    site=site,
-                    used_mask=label.may_use,
-                    defined_mask=label.must_def,
-                    killed_mask=label.may_def,
-                    live_before_mask=phase2.may_use[call_node],
-                    live_after_mask=phase2.may_use[return_node],
-                )
-            )
+            label = label_of[call_node]
+            # Positional (a keyword call costs ~0.3 µs, per call site):
+            # site, used, defined, killed, live before, live after.
+            call_sites.append(CallSiteSummary(
+                site, label.may_use, label.must_def, label.may_def,
+                live[call_node], live[return_node],
+            ))
 
         summaries[name] = RoutineSummary(
             name=name,
             call_used_mask=phase1.may_use[entry_node],
             call_defined_mask=phase1.must_def[entry_node],
             call_killed_mask=phase1.may_def[entry_node],
-            live_at_entry_mask=phase2.may_use[entry_node],
+            live_at_entry_mask=live[entry_node],
             exit_live_masks=exit_live,
             exit_kinds=exit_kinds,  # type: ignore[arg-type]
             call_sites=call_sites,
             saved_restored_mask=saved_restored.get(name, 0),
         )
-    return SummarySet(summaries=summaries)
+    return SummarySet(summaries=PackedMap.of(summaries, SUMMARY_BODIES))

@@ -399,11 +399,9 @@ def _cold_run(
     with metrics.stage("fingerprint"):
         fingerprints = full.frontend.fingerprints
     records = full.frontend.records
-    # One summary map for the result and the cache: each body is
-    # encoded once, for whichever of the two writers asks first.
-    result = SummarySet(
-        summaries=PackedMap.of(full.result.summaries, SUMMARY_BODIES)
-    )
+    # One summary map (packed by the cold solve) for the result and the
+    # cache: each body is encoded once, for whichever writer asks first.
+    result = full.result
     new_cache = SummaryCache(
         image_fingerprint=image_fingerprint,
         result=result,
@@ -861,23 +859,18 @@ class _WarmEngine:
         exit_live: Dict[int, int] = {}
         exit_kinds: Dict[int, ExitKind] = {}
         for node_id, kind in routine_psg.exit_nodes:
-            block = psg.nodes[node_id].block
+            block = psg.node_block[node_id]
             exit_live[block] = may_use[node_id]
             exit_kinds[block] = kind
 
         call_sites: List[CallSiteSummary] = []
         for call_node, return_node, site in routine_psg.call_pairs:
             label = cr_by_src[call_node].label
-            call_sites.append(
-                CallSiteSummary(
-                    site=site,
-                    used_mask=label.may_use,
-                    defined_mask=label.must_def,
-                    killed_mask=label.may_def,
-                    live_before_mask=may_use[call_node],
-                    live_after_mask=may_use[return_node],
-                )
-            )
+            # Positional, as in analysis._assemble_summaries.
+            call_sites.append(CallSiteSummary(
+                site, label.may_use, label.must_def, label.may_def,
+                may_use[call_node], may_use[return_node],
+            ))
 
         triple = self.triples[name]
         return RoutineSummary(

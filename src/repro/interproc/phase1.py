@@ -86,9 +86,9 @@ def record_solve(
     if counts is None:
         return
     per_routine: Dict[str, int] = {}
-    for node, visits in zip(psg.nodes, counts):
+    for routine, visits in zip(psg.node_routine, counts):
         if visits:
-            per_routine[node.routine] = per_routine.get(node.routine, 0) + visits
+            per_routine[routine] = per_routine.get(routine, 0) + visits
     for routine, visits in per_routine.items():
         REGISTRY.inc(
             "solver.routine_iterations", visits, phase=phase, routine=routine
@@ -145,7 +145,7 @@ def run_phase1(
     """
     resolve_solver_core(core)
     arena = psg.arena
-    node_count = len(psg.nodes)
+    node_count = psg.node_count
     flow_view = arena.flow_view
     defs_static = arena.defs_static
     uses_static = arena.uses_static

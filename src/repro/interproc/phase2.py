@@ -89,7 +89,7 @@ def run_phase2(
     resolve_solver_core(core)
     conservative = conservative_exit_live_mask(convention)
     arena = psg.arena
-    node_count = len(psg.nodes)
+    node_count = psg.node_count
     flow_view = arena.flow_view
     uses_static = arena.uses_static
     cr_dst = arena.cr_dst

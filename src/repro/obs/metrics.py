@@ -39,6 +39,11 @@ Counter inventory (see ``docs/observability.md`` for semantics):
                                  target) pairs read (= edges emitted
                                  by labeling; a routine appended from
                                  its fragment adds to neither)
+``psg.label.region_blocks``      blocks the sweep handed to a
+                                 back-arc region walk (SCC work)
+``psg.built``                    PSGs whose ``PSGNode`` objects were
+                                 built from the node rows (for
+                                 ``--dot`` and tests)
 ``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM4
                                  fingerprint verdicts on a run
 ``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM4 cache I/O
@@ -121,6 +126,7 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("frontend.record.stale", ()),
     ("frontend.routines", ()),
     ("frontend.rows", ()),
+    ("psg.built", ()),
     ("query.requests", ()),
     ("query.solved", ()),
     ("query.reused", ()),

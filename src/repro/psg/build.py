@@ -11,8 +11,9 @@ equations over the CFG subgraph its paths cover.
 The build reads a routine's CFG rows (:class:`repro.cfg.cfg.
 ControlFlowGraph`: successor tuples, DEF/UBD masks, terminators, exits
 and call sites), never a :class:`~repro.cfg.cfg.BasicBlock`.  One
-successors-first sweep of the boundary-cut graph labels *every* target
-of the routine at once (:func:`~repro.dataflow.equations.sweep_targets`):
+successors-first sweep of the boundary-cut graph — in block order, SCC
+work only inside back-arc regions — labels *every* target of the
+routine at once (:func:`~repro.dataflow.equations.sweep_targets`):
 every target is a sink of that graph, so each block carries a map from
 the targets it reaches to its converged triple for each.  Edges are
 then read off the maps at each source's start blocks — work
@@ -23,9 +24,10 @@ solve per edge over ``forward(src) ∩ backward(dst)``, and the one solve
 per target it simplifies to are the test suite's oracles
 (``tests/label_oracle.py``).
 
-Construction itself is kept cheap too: nodes and edges are built
-positionally, each flow edge is appended once — into the edge table and
-the rows the solver iterates (:class:`PsgAssembly`,
+Construction itself is kept cheap too: nodes are rows, written a run
+of nodes at a time (no :class:`~repro.psg.nodes.PSGNode` exists until
+someone reads ``psg.nodes``), each flow edge is appended once — into
+the edge table and the rows the solver iterates (:class:`PsgAssembly`,
 :mod:`repro.psg.arena`) — labels are interned in a table the build
 owns, and the graph's ``check()`` — still run on every build — tests
 each distinct label once.
@@ -65,7 +67,7 @@ from repro.program.model import Program
 from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind, TerminatorKind
 from repro.psg.arena import PsgArena
 from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
-from repro.psg.nodes import CallReturnEdge, NodeKind, PSGNode
+from repro.psg.nodes import CallReturnEdge, NodeKind
 
 
 _log = logging.getLogger(__name__)
@@ -119,10 +121,10 @@ def unknown_call_label(convention: CallingConvention) -> SummaryTriple:
 
 
 class PsgAssembly:
-    """The one way a PSG comes into being: nodes, call-return edges and
-    routines are appended to the lists below, flow edges go through
-    :meth:`add_flow_edges`, and :meth:`finish` hands the lot to a
-    :class:`ProgramSummaryGraph`.
+    """The one way a PSG comes into being: nodes (one entry in each of
+    the four node rows), call-return edges and routines are appended to
+    the lists below, flow edges go through :meth:`add_flow_edges`, and
+    :meth:`finish` hands the lot to a :class:`ProgramSummaryGraph`.
 
     Each flow edge is written once, into the arena's edge table and
     the per-node rows the solver iterates (:mod:`repro.psg.arena`).
@@ -132,7 +134,11 @@ class PsgAssembly:
     """
 
     def __init__(self) -> None:
-        self.nodes: List[PSGNode] = []
+        #: Node rows by node id (see :class:`ProgramSummaryGraph`).
+        self.node_kind: List[NodeKind] = []
+        self.node_routine: List[str] = []
+        self.node_block: List[int] = []
+        self.node_detail: List[Union[ExitKind, CallSite, None]] = []
         self.call_return_edges: List[CallReturnEdge] = []
         self.routines: Dict[str, RoutinePSG] = {}
         #: raw label -> (index in ``labels``, its three masks, ~MUST-DEF).
@@ -147,12 +153,13 @@ class PsgAssembly:
         self.uses_static: List[int] = []
         self.dependents: List[List[int]] = []
         #: ``psg.label.visits``: map entries the labeling sweeps wrote;
-        #: ``psg.label.pairs``: (source, target) pairs read off the maps.
-        self.label_visits = self.label_pairs = 0
+        #: ``psg.label.pairs``: (source, target) pairs read off the maps;
+        #: ``psg.label.region_blocks``: blocks handed to region walks.
+        self.label_visits = self.label_pairs = self.label_region_blocks = 0
 
     def _grow_rows(self) -> None:
         """Extend the per-node rows to cover every node appended so far."""
-        missing = len(self.nodes) - len(self.dependents)
+        missing = len(self.node_kind) - len(self.dependents)
         self.flow_rows.extend([[] for _ in range(missing)])
         self.dependents.extend([[] for _ in range(missing)])
         self.defs_static.extend([0] * missing)
@@ -198,8 +205,8 @@ class PsgAssembly:
         matters.
         """
         self._grow_rows()
-        nodes, routines = self.nodes, self.routines
-        count = len(nodes)
+        routines = self.routines
+        count = len(self.node_kind)
 
         # Call-return successor (at most one per node): a resolved call
         # carries its callees' entry node ids (``cr_callees[n]`` empty +
@@ -269,7 +276,8 @@ class PsgAssembly:
             ret_view=ret_view,
         )
         psg = ProgramSummaryGraph(
-            nodes, self.call_return_edges, routines, arena
+            self.node_kind, self.node_routine, self.node_block,
+            self.node_detail, self.call_return_edges, routines, arena,
         )
         psg.check()
         REGISTRY.inc("psg.partial_builds" if partial else "psg.builds")
@@ -279,6 +287,7 @@ class PsgAssembly:
         REGISTRY.inc("psg.branch_nodes", psg.branch_node_count)
         REGISTRY.inc("psg.label.visits", self.label_visits)
         REGISTRY.inc("psg.label.pairs", self.label_pairs)
+        REGISTRY.inc("psg.label.region_blocks", self.label_region_blocks)
         return psg
 
 
@@ -301,7 +310,7 @@ def build_psg(
         psg = assembly.finish(partial=False)
     _log.debug(
         "built PSG: %d routines, %d nodes, %d flow edges, %d call-return edges",
-        len(psg.routines), len(psg.nodes), psg.flow_edge_count,
+        len(psg.routines), psg.node_count, psg.flow_edge_count,
         len(psg.call_return_edges),
     )
     return psg
@@ -388,14 +397,16 @@ def build_partial_psg(
             for callee in edge.callees:
                 if callee in member_set or callee in external_entries:
                     continue
-                node_id = len(assembly.nodes)
-                assembly.nodes.append(PSGNode(node_id, NodeKind.ENTRY, callee, 0))
-                external_entries[callee] = node_id
+                node_id = external_entries[callee] = len(assembly.node_kind)
+                assembly.node_kind.append(_ENTRY)
+                assembly.node_routine.append(callee)
+                assembly.node_block.append(0)
+                assembly.node_detail.append(None)
                 assembly.routines[callee] = RoutinePSG(callee, node_id, [], [], [])
         psg = assembly.finish(partial=True)
     _log.debug(
         "built partial PSG: %d members, %d external entries, %d nodes",
-        len(members), len(external_entries), len(psg.nodes),
+        len(members), len(external_entries), psg.node_count,
     )
     return PartialPsg(psg=psg, members=members, external_entries=external_entries)
 
@@ -411,30 +422,38 @@ def _append_nodes(
     """One routine's nodes — entry, exits, a call/return pair (and its
     call-return edge) per site, branch nodes, ids consecutive — and its
     :class:`RoutinePSG`, whose flow edges the caller adds."""
-    nodes = assembly.nodes
-    entry_node = node_id = len(nodes)
-    nodes.append(PSGNode(node_id, _ENTRY, name, 0))
-    exit_nodes: List[Tuple[int, ExitKind]] = []
-    for block, exit_kind in exits:
-        node_id += 1
-        nodes.append(PSGNode(node_id, _EXIT, name, block, exit_kind))
-        exit_nodes.append((node_id, exit_kind))
+    kinds, blocks, details = (
+        assembly.node_kind, assembly.node_block, assembly.node_detail
+    )
+    entry_node = len(kinds)
+    first_call = entry_node + 1 + len(exits)
+    first_branch = first_call + 2 * len(sites)
+    exit_nodes = [
+        (node, kind) for node, (_block, kind) in enumerate(exits, entry_node + 1)
+    ]
+    # The rows, a run of nodes at a time: entry, exits, sites, branches.
+    kinds.append(_ENTRY)
+    kinds += repeat(_EXIT, len(exits))
+    kinds += (_CALL, _RETURN) * len(sites)
+    kinds += repeat(_BRANCH, len(branch_blocks))
+    assembly.node_routine += repeat(name, len(kinds) - entry_node)
+    blocks.append(0)
+    blocks += [block for block, _kind in exits]
+    details.append(None)
+    details += [kind for _node, kind in exit_nodes]
     call_pairs: List[Tuple[int, int, CallSite]] = []
     call_return_edges = assembly.call_return_edges
-    for site in sites:
-        call_node, return_node, node_id = node_id + 1, node_id + 2, node_id + 2
-        nodes.append(PSGNode(call_node, _CALL, name, site.block, None, site))
-        nodes.append(PSGNode(return_node, _RETURN, name, site.block, None, site))
-        call_pairs.append((call_node, return_node, site))
+    for call_node, site in zip(range(first_call, first_branch, 2), sites):
+        blocks += (site.block, site.block)
+        details += (site, site)
+        call_pairs.append((call_node, call_node + 1, site))
         label = unknown_call_label(convention) if site.is_unknown else _UNLABELED
         call_return_edges.append(
-            CallReturnEdge(call_node, return_node, site.targets, label)
+            CallReturnEdge(call_node, call_node + 1, site.targets, label)
         )
-    branch_nodes: List[int] = []
-    for block in branch_blocks:
-        node_id += 1
-        nodes.append(PSGNode(node_id, _BRANCH, name, block))
-        branch_nodes.append(node_id)
+    blocks += branch_blocks
+    details += repeat(None, len(branch_blocks))
+    branch_nodes = list(range(first_branch, len(kinds)))
     routine_psg = assembly.routines[name] = RoutinePSG(
         name, entry_node, exit_nodes, call_pairs, branch_nodes
     )
@@ -530,13 +549,13 @@ def fragment_rows(
     """Routine ``name``'s :class:`FragmentRows` in ``psg`` (``saved``
     is its §3.4 mask): copies of its rows, so the graph can go."""
     routine_psg = psg.routines[name]
-    nodes, arena = psg.nodes, psg.arena
+    blocks, arena = psg.node_block, psg.arena
     edges = routine_psg.flow_edge_indices
     first, stop = edges.start, edges.stop
     return FragmentRows(
-        tuple([(nodes[node].block, kind) for node, kind in routine_psg.exit_nodes]),
+        tuple([(blocks[node], kind) for node, kind in routine_psg.exit_nodes]),
         len(routine_psg.call_pairs),
-        tuple([nodes[node].block for node in routine_psg.branch_nodes]),
+        tuple([blocks[node] for node in routine_psg.branch_nodes]),
         saved,
         arena.labels,
         routine_psg.entry_node,
@@ -565,10 +584,11 @@ def _label_edges(
     function.
     """
     position = {block: index for index, (_node, block) in enumerate(targets)}
-    maps, visits = sweep_targets(
+    maps, visits, region_blocks = sweep_targets(
         cfg.successors, cfg.ubd, cfg.defs, blocked, position
     )
     assembly.label_visits += visits
+    assembly.label_region_blocks += region_blocks
     if not all(maps):
         divergent = _unlabeled_reachable(cfg.successors, blocked, sources, maps)
         if divergent:

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.cfg.cfg import CallSite, ExitKind
 from repro.dataflow.equations import SummaryTriple
+from repro.obs.metrics import REGISTRY
 from repro.psg.arena import PsgArena
 from repro.psg.nodes import CallReturnEdge, FlowEdge, NodeKind, PSGNode
 
@@ -55,18 +56,37 @@ class RoutinePSG:
 class ProgramSummaryGraph:
     """The whole-program PSG: nodes, flow edges, call-return edges.
 
-    Built only by :class:`~repro.psg.build.PsgAssembly`.  Flow-summary
-    edges live once, in ``arena`` (:mod:`repro.psg.arena`): a compact
-    edge table this class counts and checks, and the per-node rows the
-    two phases iterate.  ``flow_edges`` materialises them as
-    :class:`FlowEdge` objects on first read, for the readers that want
-    objects (``reporting.dot``, tests).
+    Built only by :class:`~repro.psg.build.PsgAssembly`.  Nodes are
+    rows by node id: ``node_kind``, ``node_routine``, ``node_block`` and
+    ``node_detail`` (an EXIT's exit kind, a CALL's or RETURN's call
+    site, else ``None``).  Flow-summary edges live once, in ``arena``
+    (:mod:`repro.psg.arena`): a compact edge table this class counts and
+    checks, and the per-node rows the two phases iterate.  ``nodes`` and
+    ``flow_edges`` materialise :class:`PSGNode` / :class:`FlowEdge`
+    objects on first read, for the readers that want objects
+    (``reporting.dot``, tests).
     """
 
-    nodes: List[PSGNode]
+    node_kind: List[NodeKind]
+    node_routine: List[str]
+    node_block: List[int]
+    node_detail: List[Union[ExitKind, CallSite, None]]
     call_return_edges: List[CallReturnEdge]
     routines: Dict[str, RoutinePSG]
     arena: PsgArena
+
+    @cached_property
+    def nodes(self) -> List[PSGNode]:
+        """The node rows as objects, in id order (``psg.built``)."""
+        REGISTRY.inc("psg.built")
+        exit_kind = NodeKind.EXIT
+        rows = zip(self.node_kind, self.node_routine, self.node_block, self.node_detail)
+        return [
+            PSGNode(index, kind, routine, block, *(
+                (detail, None) if kind is exit_kind else (None, detail)
+            ))
+            for index, (kind, routine, block, detail) in enumerate(rows)
+        ]
 
     @cached_property
     def flow_edges(self) -> List[FlowEdge]:
@@ -87,7 +107,7 @@ class ProgramSummaryGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.node_kind)
 
     @property
     def edge_count(self) -> int:
@@ -115,26 +135,27 @@ class ProgramSummaryGraph:
 
     def check(self) -> None:
         """Structural invariants; raises :class:`ValueError` on failure."""
-        nodes, arena = self.nodes, self.arena
-        count = len(nodes)
-        # Kinds are compared by identity (IntEnum's == is a method call)
-        # and through locals: this runs on every build.
+        arena = self.arena
+        kind_of, routine_of, detail_of = (
+            self.node_kind, self.node_routine, self.node_detail
+        )
+        count = len(kind_of)
+        lengths = {count, len(routine_of), len(self.node_block), len(detail_of)}
+        if len(lengths) > 1:
+            raise ValueError(f"node rows of unequal length {sorted(lengths)}")
+        # Kinds are read through locals (a member lookup costs ~100 ns):
+        # this runs on every build.
         exit_kind, call_kind, return_kind = (
             NodeKind.EXIT, NodeKind.CALL, NodeKind.RETURN
         )
-        exit_count = 0
-        for index, node in enumerate(nodes):
-            kind = node.kind
-            if node.id != index:
-                raise ValueError(f"node {index} has mismatched id {node.id}")
-            if kind is exit_kind:
-                if node.exit_kind is None:
-                    raise ValueError("EXIT node requires an exit kind")
-                exit_count += 1
-            elif (kind is call_kind or kind is return_kind) and (
-                node.call_site is None
-            ):
-                raise ValueError(f"{kind.name} node requires a call site")
+        needs_detail = (exit_kind, call_kind, return_kind)
+        for index, (kind, detail) in enumerate(zip(kind_of, detail_of)):
+            if detail is None and kind in needs_detail:
+                raise ValueError(
+                    f"{kind.name} node {index} requires "
+                    + ("an exit kind" if kind is exit_kind else "a call site")
+                )
+        exit_count = kind_of.count(exit_kind)
         # The rows are the edge table regrouped by source: as many
         # entries, every one (and every dependent) naming a node.
         dsts = list(map(itemgetter(0), chain.from_iterable(arena.flow_view)))
@@ -154,8 +175,6 @@ class ProgramSummaryGraph:
         for index, (_may_use, may_def, must_def) in enumerate(arena.labels):
             if must_def & ~may_def:
                 raise ValueError(f"label {index} has MUST-DEF ⊄ MAY-DEF")
-        kind_of = [node.kind for node in nodes]
-        routine_of = [node.routine for node in nodes]
         sources, targets = _SOURCE_KINDS, _TARGET_KINDS
         for src_id, dst_id in zip(arena.edge_src, arena.edge_dst):
             if (
@@ -163,7 +182,7 @@ class ProgramSummaryGraph:
                 or kind_of[src_id] not in sources
                 or kind_of[dst_id] not in targets
             ):
-                src, dst = nodes[src_id].describe(), nodes[dst_id].describe()
+                src, dst = self.nodes[src_id].describe(), self.nodes[dst_id].describe()
                 raise ValueError(
                     f"flow edge {src} -> {dst} crosses routines, leaves a "
                     f"non-source or enters a non-target"
@@ -176,22 +195,21 @@ class ProgramSummaryGraph:
                 or kind_of[dst_id] is not return_kind
             ):
                 raise ValueError("call-return edge must link CALL -> RETURN")
-            if nodes[src_id].call_site is not nodes[dst_id].call_site:
+            if detail_of[src_id] is not detail_of[dst_id]:
                 raise ValueError("call-return edge links different call sites")
             if src_id in calls:
                 raise ValueError(f"node {src_id} has two call-return edges")
             calls.add(src_id)
         for name, routine_psg in self.routines.items():
-            entry = nodes[routine_psg.entry_node]
-            if entry.kind is not NodeKind.ENTRY or entry.routine != name:
+            entry = routine_psg.entry_node
+            if kind_of[entry] is not NodeKind.ENTRY or routine_of[entry] != name:
                 raise ValueError(f"routine {name!r} has a bad entry node")
             # The phases freeze the exits the routines list.
             for node_id, kind in routine_psg.exit_nodes:
-                node = nodes[node_id]
-                if node.kind is not exit_kind or node.exit_kind is not kind:
+                if kind_of[node_id] is not exit_kind or detail_of[node_id] is not kind:
                     raise ValueError(
-                        f"routine {name!r} lists {node.describe()} as a "
-                        f"{kind.name} exit"
+                        f"routine {name!r} lists {self.nodes[node_id].describe()} "
+                        f"as a {kind.name} exit"
                     )
                 exit_count -= 1
         if exit_count:

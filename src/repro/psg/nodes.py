@@ -2,12 +2,12 @@
 
 Nodes carry *where* they are (routine + basic block); all dataflow
 state lives in the analysis engines so a PSG can be reused across
-phases and configurations.  Nodes and flow-summary edges are written
-once (unfrozen only because a frozen dataclass pays an
-``object.__setattr__`` per field, tens of thousands of times a build);
-call-return edges are labeled during phase 1 (the callee's entry sets
-are copied onto them) and those labels are retained for phase 2,
-exactly as in the paper.
+phases and configurations.  A built graph holds nodes as rows and
+flow-summary edges in its arena; :class:`PSGNode` and :class:`FlowEdge`
+are what it materialises on request (unfrozen: a frozen dataclass pays
+an ``object.__setattr__`` per field).  Call-return edges are labeled
+during phase 1 (the callee's entry sets are copied onto them) and
+those labels are retained for phase 2, exactly as in the paper.
 """
 
 from __future__ import annotations

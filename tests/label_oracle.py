@@ -1,7 +1,12 @@
 """The per-target and per-edge labelers: the reference the one-sweep
 labeler is tested against.
 
-These are the Figure-6 equations as written — one worklist problem
+:func:`sweep_by_sccs` is the sweep as it was before it confined SCC
+work to back-arc regions — Tarjan over every routine's whole cut graph
+— the reference for its maps and, on the generated shapes, its visit
+counts.
+
+The rest are the Figure-6 equations as written — one worklist problem
 over one CFG subgraph (:func:`solve_summary_subgraph`), labeled from a
 source's start blocks (:func:`label_from_starts`) — and the two region
 strategies :mod:`repro.psg.build` used to offer beside the sweep:
@@ -24,17 +29,27 @@ builder once did, by subtracting reaching sets from a forward walk.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 from unittest import mock
 
 from repro.cfg.cfg import BasicBlock
-from repro.dataflow.equations import SummaryTriple
+from repro.dataflow.equations import (
+    _NO_TARGETS,
+    SummaryTriple,
+    TargetMap,
+    _solve_cyclic,
+    _transfer,
+    meet_target_maps,
+)
 from repro.dataflow.local import LocalSets
 from repro.dataflow.regset import TRACKED_MASK
 from repro.dataflow.solver import WorklistSolver, postorder
 from repro.psg import build as psg_build
 
 Triple = Tuple[int, int, int]
+
+#: Boundary value: the target block's OUT sets (nothing beyond the edge).
+_BOUNDARY: Triple = (0, 0, 0)
 
 #: The strategies :func:`labeling` can install (``batched`` = production).
 STRATEGIES = ("batched", "per-target", "per-edge")
@@ -195,6 +210,93 @@ def label_by_region(
                  (label.may_use, label.may_def, label.must_def))
             )
     return reaching, labeled
+
+
+def _tarjan_sccs(successors: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Strongly connected components of a dense digraph (iterative).
+
+    Components come in Tarjan emission order — a component is emitted
+    only after every component reachable from it — which is a
+    successors-first (reverse topological) order, exactly the order a
+    backward dataflow pass wants.
+    """
+    n = len(successors)
+    index_of = [0] * n  # 0 = unvisited (indices start at 1)
+    lowlink = [0] * n
+    on_stack = bytearray(n)
+    scc_stack: List[int] = []
+    components: List[List[int]] = []
+    counter = 1
+    for root in range(n):
+        if index_of[root]:
+            continue
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        scc_stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if not index_of[child]:
+                    index_of[child] = lowlink[child] = counter
+                    counter += 1
+                    scc_stack.append(child)
+                    on_stack[child] = 1
+                    work.append((child, iter(successors[child])))
+                    break
+                if on_stack[child] and index_of[child] < lowlink[node]:
+                    lowlink[node] = index_of[child]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if low == index_of[node]:
+                    members = [scc_stack.pop()]
+                    while members[-1] != node:
+                        members.append(scc_stack.pop())
+                    for member in members:
+                        on_stack[member] = 0
+                    components.append(members)
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+    return components
+
+
+def sweep_by_sccs(
+    successors: Sequence[Sequence[int]],
+    ubd: Sequence[int],
+    defs: Sequence[int],
+    blocked: Container[int],
+    targets: Container[int],
+) -> Tuple[List[TargetMap], int]:
+    """The one-sweep labeler as it was before the region sweep: Tarjan
+    over the whole cut graph, every component in emission order.  Same
+    maps as :func:`repro.dataflow.equations.sweep_targets`, which
+    confines the SCC work to back-arc regions, and the same visit count
+    unless an arc from below enters a region above its lowest block."""
+    cut_succ: List[Sequence[int]] = [
+        () if index in blocked else successors[index]
+        for index in range(len(successors))
+    ]
+    maps: List[TargetMap] = [_NO_TARGETS] * len(successors)
+    visits = 0
+    for members in _tarjan_sccs(cut_succ):
+        block = members[0]
+        succs = cut_succ[block]
+        if len(members) > 1 or block in succs:
+            visits += _solve_cyclic(members, cut_succ, ubd, defs, maps)
+            continue
+        if block in targets:
+            assert not succs, "a flow-summary target must be a cut-graph sink"
+            out = {block: _BOUNDARY}
+        else:
+            out = meet_target_maps(maps, succs)
+        if out:
+            maps[block] = _transfer(out, ubd[block], defs[block])
+            visits += len(out)
+    return maps, visits
 
 
 def blocks_of(cfg) -> Tuple[List[BasicBlock], List[LocalSets]]:

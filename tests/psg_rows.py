@@ -1,0 +1,32 @@
+"""Hand-built PSG nodes: one node's entry in each of the node rows a
+:class:`~repro.psg.build.PsgAssembly` holds (``node_kind``,
+``node_routine``, ``node_block``, ``node_detail``).
+
+The engine and ``check()`` tests build their graphs node by node through
+:func:`add_node`; production writes the rows a routine at a time.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from repro.cfg.cfg import CallSite, ExitKind
+from repro.psg.build import PsgAssembly
+from repro.psg.nodes import NodeKind
+
+
+def add_node(
+    assembly: PsgAssembly,
+    kind: NodeKind,
+    routine: str,
+    block: int = 0,
+    exit_kind: Optional[ExitKind] = None,
+    call_site: Optional[CallSite] = None,
+) -> int:
+    """Append one node to ``assembly``'s rows; returns its id.  Its
+    detail is ``exit_kind`` or ``call_site``, whichever is given."""
+    assembly.node_kind.append(kind)
+    assembly.node_routine.append(routine)
+    assembly.node_block.append(block)
+    assembly.node_detail.append(call_site if exit_kind is None else exit_kind)
+    return len(assembly.node_kind) - 1

@@ -24,6 +24,7 @@ from tests.label_oracle import (
     forward_reachable,
     label_from_starts,
     solve_summary_subgraph,
+    sweep_by_sccs,
 )
 
 
@@ -217,7 +218,7 @@ class TestBatchedEquivalence:
     @given(cut_graphs())
     def test_batched_matches_per_target(self, data):
         blocks, local_sets, blocked, targets = data
-        maps, visits = _sweep(blocks, local_sets, blocked, targets)
+        maps, visits, _region_blocks = _sweep(blocks, local_sets, blocked, targets)
         assert len(maps) == len(blocks)
         for target in targets:
             region = backward_reachable(blocks, target, blocked)
@@ -240,7 +241,7 @@ class TestBatchedEquivalence:
         """A source with several start blocks: the per-target meet of
         the starts' maps is ``label_from_starts`` of each region."""
         blocks, local_sets, blocked, targets = data
-        maps, _visits = _sweep(blocks, local_sets, blocked, targets)
+        maps, _visits, _region_blocks = _sweep(blocks, local_sets, blocked, targets)
         starts = draw.draw(
             st.lists(
                 st.integers(min_value=0, max_value=len(blocks) - 1),
@@ -266,7 +267,7 @@ class TestBatchedEquivalence:
         blocks = [_FakeBlock() for _ in range(3)]
         blocks[0].successors = [1, 2]
         local_sets = [_FakeLocal(0, 0) for _ in range(3)]
-        maps, visits = _sweep(blocks, local_sets, set(), {2})
+        maps, visits, _region_blocks = _sweep(blocks, local_sets, set(), {2})
         assert maps[1] == {}
         assert set(maps[0]) == set(maps[2]) == {2}
         assert visits == 2
@@ -277,6 +278,169 @@ class TestBatchedEquivalence:
         local_sets = [_FakeLocal(0, 0) for _ in range(2)]
         with pytest.raises(AssertionError, match="sink"):
             _sweep(blocks, local_sets, set(), {0, 1})
+
+
+@st.composite
+def region_graphs(draw):
+    """Cut graphs built to stress the region sweep: a fall-through chain
+    with gaps, drawn back arcs (nested and overlapping intervals, arcs
+    into block 0, self-loops), forward arcs (some entering a region
+    above its lowest block), blocked blocks (some with back arcs, which
+    the cut removes), successor lists in drawn orders, and a random
+    subset of the sinks as targets."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    succ = [set() for _ in range(n)]
+    for block in range(n - 1):
+        if draw(st.integers(min_value=0, max_value=4)):
+            succ[block].add(block + 1)
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    )
+    for one, other in draw(st.lists(pair, max_size=6)):
+        succ[max(one, other)].add(min(one, other))
+    for one, other in draw(st.lists(pair, max_size=3)):
+        if one != other:
+            succ[min(one, other)].add(max(one, other))
+    successors = [tuple(draw(st.permutations(sorted(arcs)))) for arcs in succ]
+    blocked = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n // 2))
+    masks = st.integers(min_value=0, max_value=0xFF)
+    ubd = [draw(masks) << 2 for _ in range(n)]
+    defs = [draw(masks) << 2 for _ in range(n)]
+    sinks = [
+        block for block in range(n) if block in blocked or not successors[block]
+    ]
+    targets = {sink for sink in sinks if draw(st.booleans())}
+    return successors, ubd, defs, blocked, targets
+
+
+def expected_regions(successors, blocked):
+    """The intervals a region sweep walks, worked out apart from it: the
+    cut back arcs' intervals, merged where they share a block."""
+    intervals = sorted(
+        (low, block)
+        for block, arcs in enumerate(successors)
+        if block not in blocked
+        for low in arcs
+        if low <= block
+    )
+    regions = []
+    for low, high in intervals:
+        if regions and low <= regions[-1][1]:
+            regions[-1][1] = max(regions[-1][1], high)
+        else:
+            regions.append([low, high])
+    return regions
+
+
+def entered_mid_region(successors, blocked):
+    """Whether an arc from below enters a region above its lowest block:
+    only then may a whole-routine Tarjan order a cyclic component's
+    members differently from the region walk."""
+    return any(
+        block not in blocked and low < head <= high
+        for low, high in expected_regions(successors, blocked)
+        for block in range(low)
+        for head in successors[block]
+    )
+
+
+class TestRegionSweep:
+    """The block-order sweep with SCC work confined to back-arc regions
+    must write the same maps as the whole-routine Tarjan sweep it
+    replaced (``sweep_by_sccs``), and the same number of entries
+    wherever every region is entered from below only at its lowest
+    block (the generated shapes' case)."""
+
+    @staticmethod
+    def _both(successors, ubd, defs, blocked, targets):
+        maps, visits, region_blocks = sweep_targets(
+            successors, ubd, defs, blocked, targets
+        )
+        old_maps, old_visits = sweep_by_sccs(
+            successors, ubd, defs, blocked, targets
+        )
+        assert maps == old_maps
+        if entered_mid_region(successors, blocked):
+            assert visits >= sum(len(reached) for reached in maps)
+        else:
+            assert visits == old_visits
+        return maps, visits, region_blocks
+
+    @settings(max_examples=400, deadline=None)
+    @given(region_graphs())
+    def test_maps_and_visits_match_the_scc_sweep(self, graph):
+        successors, _ubd, _defs, blocked, _targets = graph
+        _maps, _visits, region_blocks = self._both(*graph)
+        assert region_blocks == sum(
+            high - low + 1 for low, high in expected_regions(successors, blocked)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut_graphs())
+    def test_arbitrary_cut_graphs_match_the_scc_sweep(self, data):
+        blocks, local_sets, blocked, targets = data
+        self._both(
+            [block.successors for block in blocks],
+            [sets.ubd_mask for sets in local_sets],
+            [sets.def_mask for sets in local_sets],
+            blocked,
+            targets,
+        )
+
+    @staticmethod
+    def _chain(n, *arcs):
+        """Blocks 0..n-1 falling through, plus ``(src, dst)`` arcs."""
+        successors = [[block + 1] if block + 1 < n else [] for block in range(n)]
+        for src, dst in arcs:
+            successors[src].append(dst)
+        masks = [(block + 1) << 2 for block in range(n)]
+        return successors, masks, masks[::-1]
+
+    @pytest.mark.parametrize(
+        "n, arcs, region_blocks",
+        [
+            # Nested (4 -> 1 holds 3 -> 2) and overlapping (6 -> 4 shares
+            # block 4): one region [1, 6].
+            (8, [(4, 1), (3, 2), (6, 4)], 6),
+            # A back arc into block 0.
+            (5, [(3, 0)], 4),
+            # A self-loop at a region's end, and one alone.
+            (6, [(3, 1), (3, 3), (5, 5)], 4),
+            # Several disjoint regions; [1, 2] and [3, 4] only touch.
+            (8, [(2, 1), (4, 3), (7, 6)], 6),
+            # An arc from below into the region's lowest block, and one
+            # above it: neither widens the region.
+            (6, [(4, 2), (0, 2)], 3),
+            (6, [(4, 2), (0, 3)], 3),
+        ],
+    )
+    def test_regions(self, n, arcs, region_blocks):
+        successors, ubd, defs = self._chain(n, *arcs)
+        targets = {n - 1}
+        _maps, _visits, walked = self._both(successors, ubd, defs, set(), targets)
+        assert walked == region_blocks
+
+    def test_back_arc_out_of_a_blocked_block_opens_no_region(self):
+        successors, ubd, defs = self._chain(5, (2, 0))
+        maps, visits, walked = self._both(successors, ubd, defs, {2}, {2, 4})
+        assert walked == 0
+        assert set(maps[0]) == {2}  # 2 -> 3 and 2 -> 0 are cut
+
+    @pytest.mark.parametrize(
+        "successors",
+        [
+            # Target 2 is in no region: the block-order path.
+            [[1], [2], [3], [4], []],
+            # Target 2 sits in region [0, 3], on no cycle: a region walk.
+            [[1], [3, 2], [4], [0, 4], []],
+        ],
+    )
+    def test_target_must_be_a_cut_graph_sink(self, successors):
+        masks = [0] * len(successors)
+        for sweep in (sweep_targets, sweep_by_sccs):
+            with pytest.raises(AssertionError, match="sink"):
+                sweep(successors, masks, masks, set(), {2, 4})
 
 
 class TestInternTriple:

@@ -22,7 +22,8 @@ from repro.dataflow.equations import SummaryTriple
 from repro.interproc.phase1 import run_phase1
 from repro.psg.build import PsgAssembly
 from repro.psg.graph import RoutinePSG
-from repro.psg.nodes import NodeKind, PSGNode
+from repro.psg.nodes import NodeKind
+from tests.psg_rows import add_node
 
 _REGS = 6  # small universe keeps enumeration readable
 _MASK = (1 << _REGS) - 1
@@ -44,14 +45,12 @@ def build_random_dag(rng: random.Random):
     ∩ meet.
     """
     assembly = PsgAssembly()
-    nodes = assembly.nodes
     edges = []
 
     def node(kind, **extra):
-        n = PSGNode(id=len(nodes), kind=kind, routine="f", block=len(nodes),
-                    **extra)
-        nodes.append(n)
-        return n.id
+        return add_node(
+            assembly, kind, "f", len(assembly.node_kind), **extra
+        )
 
     def triple():
         may_def = rng.getrandbits(_REGS)
@@ -84,7 +83,10 @@ def build_random_dag(rng: random.Random):
         entry_node=entry,
         exit_nodes=[(x, ExitKind.RETURN) for x in exits],
         call_pairs=[],
-        branch_nodes=[n.id for n in nodes if n.kind == NodeKind.BRANCH],
+        branch_nodes=[
+            n for n, kind in enumerate(assembly.node_kind)
+            if kind is NodeKind.BRANCH
+        ],
         flow_edge_indices=assembly.add_flow_edges(edges),
     )
     return assembly.finish(partial=False), entry, set(exits)
@@ -125,7 +127,7 @@ def test_phase1_equals_path_enumeration(seed):
         expected_md |= path.may_def
         expected_xd &= path.must_def
 
-    result = run_phase1(psg, {}, 0, list(range(len(psg.nodes))))
+    result = run_phase1(psg, {}, 0, list(range(psg.node_count)))
     assert result.may_use[entry] & _MASK == expected_mu
     assert result.may_def[entry] & _MASK == expected_md
     assert result.must_def[entry] & _MASK == expected_xd

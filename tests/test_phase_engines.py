@@ -1,10 +1,11 @@
 """Unit tests for the phase-1/phase-2 engines on hand-built PSGs.
 
-These bypass the CFG analysis entirely: nodes and labeled edges are
-handed straight to :class:`~repro.psg.build.PsgAssembly` (the one
-construction path), so the dataflow engines are tested in isolation
-against values computed by hand.  The graphs use tiny
-register universes (R0=bit0, R1=bit1, ...) — the engines are agnostic.
+These bypass the CFG analysis entirely: node rows (``tests/psg_rows.py``)
+and labeled edges are handed straight to
+:class:`~repro.psg.build.PsgAssembly` (the one construction path), so
+the dataflow engines are tested in isolation against values computed
+by hand.  The graphs use tiny register universes (R0=bit0, R1=bit1,
+...) — the engines are agnostic.
 """
 
 import pytest
@@ -16,7 +17,8 @@ from repro.interproc.phase2 import run_phase2
 from repro.isa.calling_convention import NT_ALPHA
 from repro.psg.build import PsgAssembly
 from repro.psg.graph import RoutinePSG
-from repro.psg.nodes import CallReturnEdge, NodeKind, PSGNode
+from repro.psg.nodes import CallReturnEdge, NodeKind
+from tests.psg_rows import add_node
 
 R0, R1, R2, R3 = 1, 2, 4, 8
 
@@ -29,12 +31,7 @@ class _Builder:
         self.cr_edges = self.assembly.call_return_edges
 
     def node(self, kind, routine, block=0, **extra):
-        nodes = self.assembly.nodes
-        node = PSGNode(
-            id=len(nodes), kind=kind, routine=routine, block=block, **extra
-        )
-        nodes.append(node)
-        return node.id
+        return add_node(self.assembly, kind, routine, block, **extra)
 
     def flow(self, src, dst, may_use=0, may_def=0, must_def=0):
         self.assembly.add_flow_edges([(src, dst, (may_use, may_def, must_def))])
@@ -53,7 +50,7 @@ class _Builder:
 
 
 def _order(psg):
-    return list(range(len(psg.nodes)))
+    return list(range(psg.node_count))
 
 
 def _site(block=0, targets=("callee",)):

@@ -481,16 +481,26 @@ def _two_node_assembly():
     from repro.cfg.cfg import ExitKind
     from repro.psg.build import PsgAssembly
     from repro.psg.graph import RoutinePSG
-    from repro.psg.nodes import PSGNode
+    from tests.psg_rows import add_node
 
     assembly = PsgAssembly()
-    assembly.nodes.append(PSGNode(0, NodeKind.ENTRY, "f", 0))
-    assembly.nodes.append(PSGNode(1, NodeKind.EXIT, "f", 0, ExitKind.RETURN))
+    add_node(assembly, NodeKind.ENTRY, "f")
+    add_node(assembly, NodeKind.EXIT, "f", exit_kind=ExitKind.RETURN)
     assembly.routines["f"] = RoutinePSG(
         "f", 0, [(1, ExitKind.RETURN)], [], [],
         assembly.add_flow_edges([(0, 1, (0, 0, 0))]),
     )
     return assembly
+
+
+def _add_call_pair(assembly):
+    """Nodes 2 and 3: a CALL and a RETURN of one site in ``f``."""
+    from repro.cfg.cfg import CallSite
+    from tests.psg_rows import add_node
+
+    site = CallSite(block=0, instruction_index=0, targets=("f",), indirect=False)
+    add_node(assembly, NodeKind.CALL, "f", call_site=site)
+    add_node(assembly, NodeKind.RETURN, "f", call_site=site)
 
 
 class TestCheckOnBrokenAssemblies:
@@ -501,13 +511,10 @@ class TestCheckOnBrokenAssemblies:
             assembly.finish(partial=False)
 
     def test_two_call_return_edges_on_one_node(self):
-        from repro.cfg.cfg import CallSite
-        from repro.psg.nodes import CallReturnEdge, PSGNode
+        from repro.psg.nodes import CallReturnEdge
 
         assembly = _two_node_assembly()
-        site = CallSite(block=0, instruction_index=0, targets=("f",), indirect=False)
-        assembly.nodes.append(PSGNode(2, NodeKind.CALL, "f", 0, None, site))
-        assembly.nodes.append(PSGNode(3, NodeKind.RETURN, "f", 0, None, site))
+        _add_call_pair(assembly)
         assembly.call_return_edges.append(CallReturnEdge(2, 3, ("f",)))
         assembly.call_return_edges.append(CallReturnEdge(2, 3, ("f",)))
         with pytest.raises(ValueError, match="node 2 has two call-return edges"):
@@ -530,4 +537,28 @@ class TestCheckOnBrokenAssemblies:
         assembly = _two_node_assembly()
         assembly.dependents[1].append(7)
         with pytest.raises(ValueError, match="dependent rows names a node"):
+            assembly.finish(partial=False)
+
+    def test_node_rows_of_unequal_length(self):
+        assembly = _two_node_assembly()
+        assembly.node_block.append(0)
+        with pytest.raises(ValueError, match=r"node rows of unequal length \[2, 3\]"):
+            assembly.finish(partial=False)
+
+    def test_exit_row_without_an_exit_kind(self):
+        from tests.psg_rows import add_node
+
+        assembly = _two_node_assembly()
+        add_node(assembly, NodeKind.EXIT, "f")
+        with pytest.raises(ValueError, match="EXIT node 2 requires an exit kind"):
+            assembly.finish(partial=False)
+
+    def test_call_row_without_a_site(self):
+        from repro.psg.nodes import CallReturnEdge
+
+        assembly = _two_node_assembly()
+        _add_call_pair(assembly)
+        assembly.node_detail[2] = None
+        assembly.call_return_edges.append(CallReturnEdge(2, 3, ("f",)))
+        with pytest.raises(ValueError, match="CALL node 2 requires a call site"):
             assembly.finish(partial=False)

@@ -114,6 +114,26 @@ class TestRoundTrip:
         payload = session.to_json()
         assert payload["summaries_crc64"] == summaries_digest(analysis.result)
 
+    def test_cold_result_encodes_each_summary_once(self, image, monkeypatch):
+        """Dumping a cold result and building its payload (whose digest
+        is the CRC of the same SUM1 bytes) splice the same bodies."""
+        from repro.interproc import persist
+
+        encoded = []
+        write = persist._write_summary_body
+
+        def counting(parts, summary):
+            encoded.append(summary.name)
+            write(parts, summary)
+
+        monkeypatch.setattr(persist, "_write_summary_body", counting)
+        session = _session(image, config=AnalysisConfig(store="off"))
+        analysis = session.analyze()
+        dumped = persist.dump_summaries(analysis.result)
+        payload = session.to_json(include_summaries=True)
+        assert sorted(encoded) == ["dbl", "inc", "main"]
+        assert payload["summaries_crc64"] == format(persist.crc64(dumped), "016x")
+
     def test_volatile_keys_do_not_leak_into_digest(self, image):
         first = _session(image)
         first.analyze()

@@ -32,6 +32,7 @@ from repro.program.model import Program
 from repro.program.rewrite import program_to_image
 from repro.psg.build import PsgConfig, build_psg
 from repro.workloads.generator import GeneratorConfig, generate_program
+from repro.workloads.mutate import first_editable_routine, perturb_routine
 from repro.workloads.shapes import ALL_SHAPES, shape_by_name
 from tests.cfg_oracle import carve, oracle_cfg, oracle_saved_mask
 from tests.hostile_code import HOSTILE, base
@@ -194,6 +195,7 @@ def test_cold_analysis_and_its_reports_build_no_cfg(small_benchmark):
     session.metrics()
     delta = REGISTRY.delta_since(before)
     assert delta.get("cfg.built", 0) == 0
+    assert delta["psg.built"] == 0
     assert delta["frontend.rows"] == small_benchmark.routine_count
     # Asking for block objects builds them from the rows.
     main_cfg = analysis.cfgs["main"]
@@ -201,6 +203,31 @@ def test_cold_analysis_and_its_reports_build_no_cfg(small_benchmark):
     delta = REGISTRY.delta_since(before)
     assert delta["cfg.built"] == 1
     assert delta["frontend.rows"] == small_benchmark.routine_count
+    # ... and PSG node objects from the node rows, once.
+    psg = analysis.psg
+    assert len(psg.nodes) == psg.node_count and psg.nodes is psg.nodes
+    assert [
+        (node.id, node.kind, node.routine, node.block) for node in psg.nodes
+    ] == list(zip(
+        range(psg.node_count), psg.node_kind, psg.node_routine, psg.node_block
+    ))
+    assert REGISTRY.delta_since(before)["psg.built"] == 1
+
+
+def test_warm_runs_and_queries_build_no_psg_node(small_benchmark):
+    """Incremental runs (cold, warm after an edit) and queries solve
+    over the node rows alone."""
+    before = REGISTRY.snapshot()
+    session = AnalysisSession.from_program(small_benchmark, STORE_OFF)
+    cold = session.analyze_incremental()
+    edited = perturb_routine(
+        small_benchmark, first_editable_routine(small_benchmark)
+    )
+    AnalysisSession.from_program(edited, STORE_OFF).analyze_incremental(
+        cache=cold.cache
+    )
+    AnalysisSession.from_program(edited, STORE_OFF).query("main", cache=cold.cache)
+    assert REGISTRY.delta_since(before)["psg.built"] == 0
 
 
 def test_cli_stats_build_no_cfg(tmp_path, capsys):
@@ -210,8 +237,10 @@ def test_cli_stats_build_no_cfg(tmp_path, capsys):
     assert main(["analyze", str(image), "--stats"]) == 0
     stats = capsys.readouterr().out
     assert re.search(r"^  cfg\.built +0$", stats, re.M)
+    assert re.search(r"^  psg\.built +0$", stats, re.M)
     assert re.search(rf"^  frontend\.rows +{program.routine_count}$", stats, re.M)
     assert main(["analyze", str(image), "--json"]) == 0
     counters = json.loads(capsys.readouterr().out)["counters"]
     assert counters.get("cfg.built", 0) == 0
+    assert counters["psg.built"] == 0
     assert counters["frontend.rows"] == program.routine_count

@@ -20,12 +20,14 @@ oracle run's, ``psg_edges`` and both phases' ``solver.iterations``
 counters are equal (equal iteration counts mean the edges came out in
 the same *order*), the CLI run's ``psg.label.visits`` is present and at
 most 3.5x the image's basic blocks — a per-target solve or a source x
-target scan creeping back shows there as a count, on any host — and
-its counters show ``cfg.built`` 0 and ``frontend.rows`` equal to the
+target scan creeping back shows there as a count, on any host — its
+``psg.label.region_blocks`` is present and below the block count (SCC
+work stays inside back-arc regions), and its counters show
+``cfg.built`` and ``psg.built`` 0 and ``frontend.rows`` equal to the
 routine count: the front end walked every routine once and built no
-``BasicBlock``.  The warm query must report ``phase2_solved ==
-0``: the cone-scoped solves and the sidecar they memoize into compose
-end to end.
+``BasicBlock`` and no ``PSGNode``.  The warm query must report
+``phase2_solved == 0``: the cone-scoped solves and the sidecar they
+memoize into compose end to end.
 
 Usage::
 
@@ -123,6 +125,9 @@ def main(argv: List[str] | None = None) -> int:
         if counters.get("cfg.built") != 0:
             fail(f"the cold run built the block objects of "
                  f"{counters.get('cfg.built')} CFGs, not 0")
+        if counters.get("psg.built") != 0:
+            fail(f"the cold run built the node objects of "
+                 f"{counters.get('psg.built')} PSGs, not 0")
         if counters.get("frontend.rows") != routines:
             fail(f"the cold run walked {counters.get('frontend.rows')} "
                  f"routines, not {routines}")
@@ -134,6 +139,10 @@ def main(argv: List[str] | None = None) -> int:
         if visits > VISITS_PER_BLOCK * blocks:
             fail(f"psg.label.visits {visits} > {VISITS_PER_BLOCK} x "
                  f"{blocks} basic blocks")
+        region_blocks = counters.get("psg.label.region_blocks")
+        if region_blocks is None or not region_blocks < blocks:
+            fail(f"psg.label.region_blocks {region_blocks}: not present "
+                 f"and below the image's {blocks} basic blocks")
 
         cli("query", image, "f0", "--stats")
         warm = json.loads(cli("query", image, "f0", "--json"))
@@ -141,12 +150,12 @@ def main(argv: List[str] | None = None) -> int:
             fail(f"the repeated query re-solved: phase2_solved "
                  f"{warm['phase2_solved']}")
         print(
-            f"{routines} routines walked, no block objects built, "
+            f"{routines} routines walked, no block or node objects built, "
             f"{blocks} blocks, {sweep['psg_edges']} PSG edges: summaries "
             f"byte-identical to the per-target oracle, iterations "
             f"{[counters[key] for key in EQUAL_KEYS]} equal, {visits} label "
-            f"visits ({visits / blocks:.2f} per block); warm query solved "
-            f"nothing"
+            f"visits ({visits / blocks:.2f} per block), {region_blocks} "
+            f"blocks in back-arc regions; warm query solved nothing"
         )
     return 0
 
