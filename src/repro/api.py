@@ -331,7 +331,8 @@ class AnalysisSession:
         own memoized cache and front end between calls, so repeated
         or overlapping queries amortize toward a fingerprint comparison
         (the call graph and fingerprints are built once per session,
-        and a CFG once per routine some solve needed it for).  The
+        a CFG once per routine, and a component's partial PSG once,
+        until phase 2 has used it).  The
         refreshed cache is returned on :attr:`QueryResult.cache` (and
         retained on the session) for persisting.
 

@@ -20,6 +20,7 @@ Nothing the graph answers afterwards touches a CFG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.isa.encoding import INSTRUCTION_SIZE
@@ -52,16 +53,20 @@ class CallGraph:
     #: routines that may be entered from outside the analysis' view.
     externally_callable: Set[str]
 
-    def callees_of(self, caller: str) -> List[str]:
+    def callees_of(self, caller: str) -> Tuple[str, ...]:
         """Every possible target of every call site in ``caller``.
 
         Multi-target (hinted) sites contribute each of their targets;
         unknown sites contribute nothing.
         """
-        names: List[str] = []
-        for site in self.sites[caller]:
-            names.extend(site.targets)
-        return names
+        return self._callees[caller]
+
+    @cached_property
+    def _callees(self) -> Dict[str, Tuple[str, ...]]:
+        return {
+            name: tuple(target for site in sites for target in site.targets)
+            for name, sites in self.sites.items()
+        }
 
     def call_sites_of(self, caller: str) -> Sequence[CallSite]:
         return self.sites[caller]

@@ -192,6 +192,7 @@ def _query(
     REGISTRY.inc("query.requests")
 
     store = open_view(config)
+    digest = config_digest(config)
     built_before = frontend.cfgs_built if frontend is not None else 0
     if frontend is None:
         with metrics.stage("cfg_build"):
@@ -211,7 +212,7 @@ def _query(
         cache = SummaryCache(
             image_fingerprint=image_fingerprint,
             result=SummarySet(summaries={}),
-            config_digest=config_digest(config),
+            config_digest=digest,
         )
     with metrics.stage("fingerprint"):
         fingerprints = frontend.fingerprints
@@ -248,6 +249,7 @@ def _query(
         phase1_scope=phase1_cone,
         phase2_scope=phase2_cone,
         store=store,
+        partials=frontend.partials.setdefault(digest, {}),
     )
     engine.solve()
     metrics.cfgs_built = frontend.cfgs_built - built_before
@@ -267,7 +269,7 @@ def _query(
         dirty=dirty,
         image_fingerprint=image_fingerprint,
         metrics=metrics,
-        digest=config_digest(config),
+        digest=digest,
     )
     return QueryResult(
         routine=routine,

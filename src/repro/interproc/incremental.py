@@ -473,6 +473,7 @@ class _WarmEngine:
         phase1_scope: Optional[Set[int]] = None,
         phase2_scope: Optional[Set[int]] = None,
         store: Optional[StoreView] = None,
+        partials: Optional[Dict[int, tuple]] = None,
     ) -> None:
         self.config = config
         self.frontend = frontend
@@ -508,7 +509,10 @@ class _WarmEngine:
         # Lazily built per-routine inputs — only dirty cones pay for
         # them, their CFGs (``self.cfgs`` builds on access) included.
         self._saved: Dict[str, int] = {}
-        self._partials: Dict[int, PartialPsg] = {}
+        # Component -> (partial PSG, its members' §3.4 masks): this run's,
+        # or a query session's (``Frontend.partials``); phase 2 drops it.
+        self._partials = {} if partials is None else partials
+        self._session = partials is not None
         # Shape key -> what encodes the fragment of a routine this run
         # labeled (holding its rows, not its partial PSG).
         self._fragment_makers: Dict[int, Callable[[], bytes]] = {}
@@ -641,42 +645,52 @@ class _WarmEngine:
         each encoded only when the refreshed cache is written or read."""
         return PackedMap.deferred(self._fragment_makers, FRAGMENTS)
 
+    def _count(self, event: str) -> None:
+        if self._session:
+            REGISTRY.inc(f"query.partial.{event}")
+
     def _partial(self, index: int) -> PartialPsg:
-        built = self._partials.get(index)
-        if built is None:
-            members = self.condensation.members(index)
-            records = self.frontend.records
-            with self.metrics.stage("psg_build"):
-                stored = {}
-                for name in members:
-                    fragment = self._fragment(name, records[name].shape_key)
-                    if fragment is not None:
-                        stored[name] = StoredRoutine(
-                            name, fragment, self.call_graph.sites[name]
-                        )
-            with self.metrics.stage("cfg_build"):
-                routines = [
-                    stored.get(name) or self.cfgs[name] for name in members
-                ]
-            with self.metrics.stage("initialization"):
-                keep = callee_saved_filter(self.config)
-                for name, routine in zip(members, routines):
-                    self._saved[name] = (
-                        routine.fragment.saved if name in stored
-                        else routine.saved & keep
-                    )
-            with self.metrics.stage("psg_build"):
-                built = build_partial_psg(routines, self.config.psg)
+        entry = self._partials.get(index)
+        if entry is not None:
+            self._count("hit")
+            self._saved.update(entry[1])
+            return entry[0]
+        members = self.condensation.members(index)
+        records = self.frontend.records
+        with self.metrics.stage("psg_build"):
+            stored = {}
             for name in members:
-                if name not in stored:
-                    self._fragment_makers[records[name].shape_key] = (
-                        functools.partial(
-                            fragment_body,
-                            fragment_rows(built.psg, name, self._saved[name]),
-                        )
+                fragment = self._fragment(name, records[name].shape_key)
+                if fragment is not None:
+                    stored[name] = StoredRoutine(
+                        name, fragment, self.call_graph.sites[name]
                     )
-            self._partials[index] = built
+        with self.metrics.stage("cfg_build"):
+            routines = [stored.get(name) or self.cfgs[name] for name in members]
+        with self.metrics.stage("initialization"):
+            keep = callee_saved_filter(self.config)
+            saved = {
+                name: routine.fragment.saved if name in stored
+                else routine.saved & keep
+                for name, routine in zip(members, routines)
+            }
+            self._saved.update(saved)
+        with self.metrics.stage("psg_build"):
+            built = build_partial_psg(routines, self.config.psg)
+        for name in members:
+            if name not in stored:
+                self._fragment_makers[records[name].shape_key] = (
+                    functools.partial(
+                        fragment_body, fragment_rows(built.psg, name, saved[name])
+                    )
+                )
+        self._partials[index] = (built, saved)
+        self._count("built")
         return built
+
+    def _drop(self, index: int) -> None:
+        if self._partials.pop(index, None) is not None:
+            self._count("evicted")
 
     @staticmethod
     def _node_order(partial: PartialPsg) -> List[int]:
@@ -803,8 +817,10 @@ class _WarmEngine:
             if component_key is not None and self._store_phase2(
                 members, component_key
             ):
+                self._drop(index)
                 continue
             partial = self._partial(index)
+            self._drop(index)
             self._label_edges(partial)
             seeds: Dict[int, int] = {}
             for name in members:

@@ -61,6 +61,7 @@ what it needs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -159,15 +160,20 @@ def config_digest(config) -> int:
 
     Bound: both conventions (analysis and PSG-build), callee-saved
     filtering, and the PSG branch-node ablations (Table 4 — they move
-    real dataflow facts).
+    real dataflow facts).  Computed once per value of those (frozen) knobs.
     """
+    return _digest(config.convention, config.psg, config.callee_saved_filtering)
+
+
+@functools.lru_cache(maxsize=None)
+def _digest(convention, psg, callee_saved_filtering: bool) -> int:
     writer = _Writer()
     writer.u8(STORE_VERSION)
-    _convention_parts(writer, config.convention)
-    _convention_parts(writer, config.psg.convention)
-    writer.u8(1 if config.callee_saved_filtering else 0)
-    writer.u8(1 if config.psg.branch_nodes else 0)
-    writer.u16(config.psg.multiway_threshold)
+    _convention_parts(writer, convention)
+    _convention_parts(writer, psg.convention)
+    writer.u8(1 if callee_saved_filtering else 0)
+    writer.u8(1 if psg.branch_nodes else 0)
+    writer.u16(psg.multiway_threshold)
     return crc64(writer.blob())
 
 

@@ -42,6 +42,7 @@ CFG (:func:`append_fragment`): the incremental sidecar carries one
 
 from __future__ import annotations
 
+import functools
 import logging
 from array import array
 from dataclasses import dataclass, field
@@ -111,6 +112,7 @@ class PsgConfig:
 _UNLABELED = SummaryTriple()
 
 
+@functools.lru_cache(maxsize=None)
 def unknown_call_label(convention: CallingConvention) -> SummaryTriple:
     """The §3.5 calling-standard label for unknown-target calls."""
     return SummaryTriple(
@@ -402,7 +404,7 @@ def build_partial_psg(
                 assembly.node_routine.append(callee)
                 assembly.node_block.append(0)
                 assembly.node_detail.append(None)
-                assembly.routines[callee] = RoutinePSG(callee, node_id, [], [], [])
+                assembly.routines[callee] = RoutinePSG(callee, node_id, (), (), ())
         psg = assembly.finish(partial=True)
     _log.debug(
         "built partial PSG: %d members, %d external entries, %d nodes",

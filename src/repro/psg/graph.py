@@ -24,18 +24,18 @@ def _require_node_ids(what: str, ids: Sequence[int], count: int) -> None:
         raise ValueError(f"{what} names a node outside 0..{count - 1}")
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutinePSG:
     """The PSG nodes belonging to one routine."""
 
     routine: str
     entry_node: int
     #: (node id, exit kind) per exit block, in block order.
-    exit_nodes: List[Tuple[int, ExitKind]]
+    exit_nodes: Sequence[Tuple[int, ExitKind]]
     #: (call node id, return node id, call site) per call site.
-    call_pairs: List[Tuple[int, int, CallSite]]
+    call_pairs: Sequence[Tuple[int, int, CallSite]]
     #: branch node ids (one per multiway block), in block order.
-    branch_nodes: List[int]
+    branch_nodes: Sequence[int]
     #: indices into the program-level flow edge table.
     flow_edge_indices: Sequence[int] = range(0)
 

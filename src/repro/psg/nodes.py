@@ -63,7 +63,7 @@ class FlowEdge:
     label: SummaryTriple
 
 
-@dataclass
+@dataclass(slots=True)
 class CallReturnEdge:
     """A call-return edge; ``label`` is written by phase 1.
 

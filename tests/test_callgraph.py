@@ -15,7 +15,8 @@ class TestCallers:
         callers = graph.callers_of("helper")
         assert len(callers) == 1
         assert callers[0][0] == "main"
-        assert graph.callees_of("main") == ["helper"]
+        assert graph.callees_of("main") == ("helper",)
+        assert graph.callees_of("main") is graph.callees_of("main")
 
     def test_unknown_sites(self):
         program = program_of(

@@ -13,17 +13,25 @@ The contract under test (see :mod:`repro.interproc.demand`):
   calls) that retract dependencies without dirtying the affected
   routine;
 * the cache round-trips through the SUM4 wire format, phase-1-only
-  triple entries included.
+  triple entries included;
+* a session builds each component's partial PSG at most once, keeps it
+  per configuration, and drops it once phase 2 has solved the
+  component.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import AnalysisSession, UnknownRoutineError
-from repro.interproc import dump_cache, dump_summaries, load_cache
+from repro.api import AnalysisConfig, AnalysisSession, UnknownRoutineError
+from repro.interproc import dump_cache, dump_summaries, incremental, load_cache
+from repro.cfg.callgraph import build_call_graph
 from tests.facade import analyze_program
+from tests.test_sidecar_pack import _forged_exit_kind
 from repro.interproc.demand import query_routine
+from repro.interproc.store import config_digest
 from repro.interproc.summaries import SummarySet
+from repro.obs.metrics import REGISTRY
+from repro.psg.build import PsgConfig
 from repro.isa.instructions import ControlKind
 from repro.isa.registers import ZERO_REGISTER
 from repro.program.asm import assemble
@@ -305,3 +313,144 @@ class TestSessionQuery:
         result = session.query(name, cache=warmed)
         assert not result.metrics.cold
         assert result.metrics.phase2_solved == 0
+
+
+# ----------------------------------------------------------------------
+# A session's partial PSGs
+# ----------------------------------------------------------------------
+
+_OFF = AnalysisConfig(store="off")
+
+#: Every routine is a transitive caller of `leaf`.
+_DIAMOND = """
+.routine main export
+    li   a0, 1
+    bsr  ra, left
+    bsr  ra, right
+    halt
+.routine left
+    addq a0, #1, a1
+    bsr  ra, leaf
+    ret  (ra)
+.routine right
+    subq a0, #1, a2
+    bsr  ra, leaf
+    ret  (ra)
+.routine leaf
+    addq a1, a2, v0
+    ret  (ra)
+"""
+
+
+def _drill_down(program):
+    """The entry, then the routines it reaches, breadth-first: each
+    query's caller cone holds routines earlier queries answered."""
+    graph = build_call_graph(program)
+    order, seen = [program.entry], {program.entry}
+    for name in order:
+        for callee in graph.callees_of(name):
+            if callee not in seen:
+                seen.add(callee)
+                order.append(callee)
+    return order
+
+
+class TestSessionPartialPsgs:
+    @pytest.mark.parametrize("bench", ["li", "perl"])
+    def test_drill_down_builds_each_component_once(self, bench, monkeypatch):
+        program = _generate(bench)
+        full = analyze_program(program, _OFF).result.summaries
+        built = []
+        build = incremental.build_partial_psg
+
+        def recording(routines, config=None):
+            built.append(tuple(routine.name for routine in routines))
+            return build(routines, config)
+
+        monkeypatch.setattr(incremental, "build_partial_psg", recording)
+        session = AnalysisSession.from_program(program, _OFF)
+        deltas = []
+        for name in _drill_down(program):
+            before = REGISTRY.snapshot()
+            result = session.query(name)
+            deltas.append(REGISTRY.delta_since(before))
+            assert _canon(result.summary) == _canon(full[name]), name
+        components = result.frontend.condensation.components
+        assert len(built) == len(set(built)) <= len(components)
+        assert sum(d.get("psg.partial_builds", 0) for d in deltas) == len(built)
+        assert sum(d["query.partial.built"] for d in deltas) == len(built)
+        # The later queries' phase 2 reads graphs the first one built.
+        assert sum(d["query.partial.hit"] for d in deltas[1:]) > 0
+
+    def test_memo_is_empty_once_phase_2_has_covered_the_program(self):
+        program = _asm(_DIAMOND)
+        session = AnalysisSession.from_program(program, _OFF)
+        first = session.query("main")
+        memo = first.frontend.partials[config_digest(_OFF)]
+        # Phase 1 built all four components, phase 2 solved main's.
+        assert len(memo) == 3
+        last = session.query("leaf")
+        assert last.metrics.phase2_cone_routines == program.routine_count
+        assert memo == {}
+        counters = session.metrics()["counters"]
+        assert counters["query.partial.built"] == 4
+        assert counters["query.partial.evicted"] == 4
+        assert counters["query.partial.hit"] == 4
+
+    @pytest.mark.parametrize(
+        "ablation",
+        [
+            AnalysisConfig(psg=PsgConfig(branch_nodes=False), store="off"),
+            AnalysisConfig(callee_saved_filtering=False, store="off"),
+        ],
+        ids=["no-branch-nodes", "no-callee-saved-filtering"],
+    )
+    def test_configurations_share_no_graph(self, ablation, switchy_benchmark):
+        program = switchy_benchmark
+        configs = (_OFF, ablation)
+        expected = [
+            analyze_program(program, config).result.summaries
+            for config in configs
+        ]
+        sessions = [
+            AnalysisSession.from_program(program, config) for config in configs
+        ]
+        names = _drill_down(program)
+        for name in names:
+            for session, full in zip(sessions, expected):
+                result = session.query(name)
+                assert _canon(result.summary) == _canon(full[name]), name
+        frontends = [session.query(program.entry).frontend for session in sessions]
+        assert frontends[0] is not frontends[1]
+        for frontend, config in zip(frontends, configs):
+            assert set(frontend.partials) == {config_digest(config)}
+        # One front end asked under both configurations keeps them apart.
+        frontend = frontends[0]
+        for name in names:
+            result = query_routine(
+                program, name, config=ablation, frontend=frontend
+            )
+            assert _canon(result.summary) == _canon(expected[1][name]), name
+        assert set(frontend.partials) == set(map(config_digest, configs))
+
+    def test_cold_retry_after_an_unreadable_body_matches(self, small_benchmark):
+        victim = first_editable_routine(small_benchmark)
+        sidecar = dump_cache(
+            AnalysisSession.from_program(small_benchmark, _OFF)
+            .analyze_incremental()
+            .cache
+        )
+        edited = perturb_routine(small_benchmark, victim)
+        full = analyze_program(edited, _OFF).result.summaries
+        session = AnalysisSession.from_program(edited, _OFF)
+        names = _drill_down(edited)
+        for name in names[:3]:
+            session.query(name)
+        # The solve reads the victim's forged body after re-solving it:
+        # the query starts over cold, on whatever graphs the session holds.
+        forged = load_cache(_forged_exit_kind(sidecar, victim))
+        result = session.query(victim, cache=forged)
+        assert result.refused.startswith("unreadable cache")
+        assert _canon(result.summary) == _canon(full[victim])
+        for name in names:
+            assert _canon(session.query(name).summary) == _canon(full[name]), name

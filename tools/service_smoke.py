@@ -9,6 +9,9 @@ Table-2 image twice, and checks the full service contract:
   ``X-Repro-Warm`` header, byte-identical payloads, and the
   ``service.session.hit`` / ``service.result.warm`` counters on
   ``GET /metricsz``;
+* two ``POST /v1/query`` with overlapping cones (the entry, then one of
+  its callees) answer what ``/v1/analyze`` does, and ``/metricsz``
+  shows ``query.partial.hit >= 1``: the session reused a partial PSG;
 * SIGTERM drains the daemon: it exits 0 and the socket is removed.
 
 Usage::
@@ -33,6 +36,9 @@ import time
 from typing import List
 
 from repro.api import SCHEMA_VERSION, validate_payload
+from repro.cfg.callgraph import build_call_graph
+from repro.program.disasm import disassemble_image
+from repro.program.image import ExecutableImage
 from repro.service import ServiceClient, ServiceError
 from repro.workloads.generator import GeneratorConfig, generate_image
 from repro.workloads.shapes import shape_by_name
@@ -54,6 +60,40 @@ def wait_for_ready(client: ServiceClient, deadline: float) -> None:
             return
         time.sleep(0.05)
     fail("daemon did not become healthy before the timeout")
+
+
+def check_queries(client: ServiceClient, image_bytes: bytes) -> None:
+    """Two queries with overlapping cones on the retained session — the
+    entry, then one of its callees — must answer what ``/v1/analyze``
+    does, the second on partial PSGs the first one built."""
+    program = disassemble_image(ExecutableImage.from_bytes(image_bytes))
+    entry = program.entry
+    callees = build_call_graph(program).callees_of(entry)
+    if not callees:
+        fail(f"entry {entry!r} calls nothing: no overlapping cone to query")
+    answers = {}
+    for routine in (entry, callees[0]):
+        response = client.query(image_bytes, routine, include_summaries=True)
+        if response.status != 200:
+            fail(f"query {routine!r} returned {response.status}: {response.payload}")
+        answers[routine] = response.payload["summaries"][routine]
+    whole = client.analyze(image_bytes, include_summaries=True)
+    if whole.status != 200:
+        fail(f"analyze with summaries returned {whole.status}: {whole.payload}")
+    for routine, answer in answers.items():
+        if answer != whole.payload["summaries"][routine]:
+            fail(f"query answer for {routine!r} differs from /v1/analyze")
+    counters = client.metricsz()["counters"]
+    if counters.get("query.partial.hit", 0) < 1:
+        fail(f"the queries reused no partial PSG: {counters}")
+    print(
+        f"queries: {entry} then {callees[0]} match /v1/analyze; "
+        + ", ".join(
+            f"{name}={counters.get(name, 0)}"
+            for name in ("query.partial.built", "query.partial.hit",
+                         "query.partial.evicted")
+        )
+    )
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -136,6 +176,7 @@ def main(argv: List[str] | None = None) -> int:
                     if name.startswith("service.")
                 )
             )
+            check_queries(client, image_bytes)
 
             process.send_signal(signal.SIGTERM)
             exit_code = process.wait(
