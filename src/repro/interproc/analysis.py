@@ -71,7 +71,7 @@ class AnalysisConfig:
     #: every case.
     store: Optional[object] = None
     # A class constant, not a field: read only by the frozen stage
-    # replay in perf/workloads.py; ROADMAP item 3 deletes it.
+    # replay in perf/workloads.py; re-pointing that replay deletes it.
     solver_core = None
 
 

@@ -38,8 +38,8 @@ from repro.psg.graph import ProgramSummaryGraph
 
 
 # Read only by the frozen stage replay in perf/workloads.py (as is the
-# ``core=`` keyword of the two phases, which lands here); ROADMAP item 3
-# (the perf/ rewrite) deletes it.
+# ``core=`` keyword of the two phases, which lands here); re-pointing
+# that replay deletes it.
 def resolve_solver_core(core: Optional[str] = None) -> str:
     """``"flat"``, the one solver core; any other name — the removed
     cores included — is an :class:`AnalysisError`."""

@@ -122,8 +122,8 @@ def run_phase1(
     preserved_mask: int,
     seed_order: Sequence[int],
     fixed_entries: Optional[Dict[int, SummaryTriple]] = None,
-    # Passed only by the frozen replay in perf/workloads.py; ROADMAP
-    # item 3 deletes it.
+    # Passed only by the frozen replay in perf/workloads.py;
+    # re-pointing that replay deletes it.
     core: Optional[str] = None,
 ) -> Phase1Result:
     """Run phase 1 over ``psg``.

@@ -70,8 +70,8 @@ def run_phase2(
     convention: CallingConvention,
     seed_order: Sequence[int],
     extra_exit_live: Optional[Dict[int, int]] = None,
-    # Passed only by the frozen replay in perf/workloads.py; ROADMAP
-    # item 3 deletes it.
+    # Passed only by the frozen replay in perf/workloads.py;
+    # re-pointing that replay deletes it.
     core: Optional[str] = None,
 ) -> Phase2Result:
     """Run phase 2 over a PSG whose call-return edges are labeled.

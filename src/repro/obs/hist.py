@@ -2,9 +2,9 @@
 
 Counters and maxima (``repro.obs.metrics``) answer "how much work" and
 "how deep did it get"; neither answers "how is latency *distributed*".
-A mean hides the tail, and the tail is the whole story for a service —
-the ROADMAP's "millions of users" framing needs p50/p95/p99, not a
-single wall clock.  This module supplies the third metric kind:
+A mean hides the tail, and a daemon request's tail is what a client
+waits on: per-request latency needs p50/p95/p99, not a single wall
+clock.  This module supplies the third metric kind:
 
 * :class:`Histogram` — fixed log-spaced bucket boundaries (a
   1-2.5-5 ladder from 100µs to 100s by default, chosen for request

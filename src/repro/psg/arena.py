@@ -81,8 +81,8 @@ class PsgArena:
     ret_view: List[Tuple[int, ...]]
 
 
-# Read only by the frozen stage replay in perf/workloads.py; ROADMAP
-# item 3 (the perf/ rewrite) deletes it.
+# Read only by the frozen stage replay in perf/workloads.py;
+# re-pointing that replay deletes it.
 def get_arena(psg) -> PsgArena:
     """The arena the build made for ``psg``."""
     return psg.arena

@@ -265,7 +265,7 @@ class AnalysisDaemon:
                 except OSError:
                     pass
             # in_flight must read 0 here: server_close joined every
-            # handler thread.  The CI load-smoke job asserts on this
+            # handler thread.  tools/service_smoke.py asserts on this
             # line after SIGTERM.
             _log.info(
                 "analysis daemon stopped (in_flight=%d)", self.inflight
@@ -290,7 +290,7 @@ class AnalysisDaemon:
 
     def health_payload(self) -> Dict[str, object]:
         """The ``/healthz`` body: liveness plus the cheap occupancy
-        numbers the load driver and CI smoke assert on."""
+        numbers the CI service smoke asserts on."""
         sessions, session_bytes = self.registry.occupancy()
         return {
             "status": "draining" if self.draining else "ok",
@@ -690,7 +690,7 @@ class _Handler(BaseHTTPRequestHandler):
             # Record *before* the response bytes leave: a client may
             # scrape /metricsz the instant it reads its response, and
             # "histogram count == requests answered" must hold exactly
-            # at that point (the CI load-smoke asserts it).
+            # at that point (tools/service_smoke.py asserts it).
             duration = time.perf_counter() - start
             REGISTRY.observe_hist(
                 "service.request.seconds",

@@ -45,7 +45,3 @@ __all__ = [
     "generate_program",
     "shape_by_name",
 ]
-
-# repro.workloads.driver (the daemon load driver) is imported on
-# demand: it pulls in the service client, which the generator-only
-# consumers (benchmarks, tests of shapes) never need.

@@ -79,8 +79,8 @@ def _routine_is_editable(routine: Routine) -> bool:
 def editable_routines(program: Program, skip_entry: bool = True) -> list:
     """Every routine :func:`perturb_routine` can edit, in program order.
 
-    The load driver's edit-replay engine records a seeded trace over
-    this list; it must be deterministic for a given program.
+    The benchmark's edit scripts draw seeded edits from this list; it
+    must be deterministic for a given program.
     """
     return [
         routine.name

@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import AnalysisSession, validate_payload
 from repro.cfg.cfg import CfgError
+from repro.obs import REGISTRY
 from repro.program.asm import assemble
 from repro.program.rewrite import program_to_image
 from repro.service import (
@@ -650,6 +651,46 @@ class TestObservabilityEndpoints:
         after = served(client.metricsz(include_histograms=True)["histograms"])
         # Every POST in between (the metricsz GETs don't count).
         assert after - base == 3
+
+    def test_concurrent_requests_all_land_in_the_histogram(
+        self, daemon, image_a, image_b
+    ):
+        """Concurrent clients mixing cold tenants, warm repeats, queries
+        and edits: the histogram still counts every POST exactly."""
+
+        def served():
+            return sum(
+                int(entry["count"])
+                for key, entry in REGISTRY.histograms_dict().items()
+                if key.startswith("service.request.seconds")
+            )
+
+        statuses, warm = [], []
+
+        def client_loop(tenant, image):
+            client = _client(daemon, tenant=tenant)
+            for response in (
+                client.analyze(image),
+                client.analyze(image),
+                client.query(image, "main"),
+                client.analyze(image, edit={}),
+            ):
+                statuses.append(response.status)
+                warm.append(response.warm)
+
+        base = served()
+        threads = [
+            threading.Thread(target=client_loop, args=(f"t{index}", image))
+            for index, image in enumerate((image_a, image_b, image_a))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == [200] * 12
+        assert 0 < sum(warm) < 12  # each tenant's first analyze is cold
+        assert served() - base == 12
 
 
 class TestRequestTracing:

@@ -22,7 +22,7 @@ tooling can diff across PRs::
     }
 
 The ``histograms`` block (present when a bench recorded latency
-distributions — the service and load benches) carries the headline
+distributions — the service bench) carries the headline
 quantiles, so trend tooling can diff tails, not just totals.
 
 Exits 1 when the results directory holds no readable result files —

@@ -12,7 +12,11 @@ Table-2 image twice, and checks the full service contract:
 * two ``POST /v1/query`` with overlapping cones (the entry, then one of
   its callees) answer what ``/v1/analyze`` does, and ``/metricsz``
   shows ``query.partial.hit >= 1``: the session reused a partial PSG;
-* SIGTERM drains the daemon: it exits 0 and the socket is removed.
+* the server's ``service.request.seconds`` histogram count equals the
+  POSTs the smoke sent, exactly; ``/metricsz?format=prometheus`` passes
+  ``tools/validate_prometheus``; ``/healthz`` reports nothing in flight;
+* SIGTERM drains the daemon: it exits 0, the socket is removed, and its
+  shutdown log line reports ``in_flight=0``.
 
 Usage::
 
@@ -43,6 +47,9 @@ from repro.service import ServiceClient, ServiceError
 from repro.workloads.generator import GeneratorConfig, generate_image
 from repro.workloads.shapes import shape_by_name
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from validate_prometheus import validate  # noqa: E402
+
 
 def fail(message: str) -> None:
     print(f"service smoke FAILED: {message}", file=sys.stderr)
@@ -62,10 +69,11 @@ def wait_for_ready(client: ServiceClient, deadline: float) -> None:
     fail("daemon did not become healthy before the timeout")
 
 
-def check_queries(client: ServiceClient, image_bytes: bytes) -> None:
+def check_queries(client: ServiceClient, image_bytes: bytes) -> int:
     """Two queries with overlapping cones on the retained session — the
     entry, then one of its callees — must answer what ``/v1/analyze``
-    does, the second on partial PSGs the first one built."""
+    does, the second on partial PSGs the first one built.  Returns the
+    number of POSTs sent."""
     program = disassemble_image(ExecutableImage.from_bytes(image_bytes))
     entry = program.entry
     callees = build_call_graph(program).callees_of(entry)
@@ -94,6 +102,37 @@ def check_queries(client: ServiceClient, image_bytes: bytes) -> None:
                          "query.partial.evicted")
         )
     )
+    return len(answers) + 1
+
+
+def request_seconds_count(text: str) -> int:
+    return sum(
+        int(line.rsplit(" ", 1)[1])
+        for line in text.splitlines()
+        if line.startswith("service_request_seconds_count")
+    )
+
+
+def check_request_accounting(client: ServiceClient, posted: int) -> None:
+    """Every POST lands in the request histogram before its response
+    leaves, the exposition is well formed, and nothing stays in flight."""
+    exposition = client.metricsz_prometheus()
+    served = request_seconds_count(exposition)
+    if served != posted:
+        fail(f"server histogram count {served} != {posted} requests sent")
+    try:
+        validate(exposition)
+    except AssertionError as error:
+        fail(f"prometheus exposition invalid: {error}")
+    # The in-flight decrement runs after the response bytes are written.
+    deadline = time.monotonic() + 5
+    while (health := client.healthz().payload)["inflight"]:
+        if time.monotonic() > deadline:
+            fail(f"in-flight not zero after every response: {health}")
+        time.sleep(0.01)
+    print(f"metricsz: histogram count {served} == sent, prometheus "
+          f"exposition valid; healthz: inflight=0, "
+          f"sessions={health['sessions']}")
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -121,12 +160,16 @@ def main(argv: List[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="service-smoke-") as tmp:
         socket_path = os.path.join(tmp, "svc.sock")
+        log_path = os.path.join(tmp, "serve.log")
+        log_handle = open(log_path, "w", encoding="utf-8")
         process = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "serve",
+                sys.executable, "-m", "repro.cli",
+                "--log-level", "info", "serve",
                 "--socket", socket_path,
                 "--cache-dir", os.path.join(tmp, "cache"),
             ],
+            stderr=log_handle,
         )
         try:
             client = ServiceClient.unix(socket_path)
@@ -176,7 +219,9 @@ def main(argv: List[str] | None = None) -> int:
                     if name.startswith("service.")
                 )
             )
-            check_queries(client, image_bytes)
+            # The cold and the warm analyze, then the queries' POSTs.
+            posted = 2 + check_queries(client, image_bytes)
+            check_request_accounting(client, posted)
 
             process.send_signal(signal.SIGTERM)
             exit_code = process.wait(
@@ -186,11 +231,15 @@ def main(argv: List[str] | None = None) -> int:
                 fail(f"daemon exited {exit_code} after SIGTERM")
             if os.path.exists(socket_path):
                 fail("daemon left its socket behind after drain")
-            print("drain: daemon exited 0, socket removed")
+            with open(log_path, encoding="utf-8") as log:
+                if "in_flight=0" not in log.read():
+                    fail("shutdown log does not report in_flight=0")
+            print("drain: daemon exited 0, socket removed, in_flight=0")
         finally:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
+            log_handle.close()
 
     print("service smoke OK")
     return 0

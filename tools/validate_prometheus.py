@@ -5,7 +5,7 @@ Checks: every line is a comment or a parseable sample; every sample
 family has a ``# TYPE``; histogram buckets are cumulative, ``le``-sorted
 and end in ``+Inf``; ``_count`` equals the ``+Inf`` bucket; ``_sum``
 and ``_count`` are present.  Exit 0 on success, 1 with a message on the
-first violation.  Used by tests and the CI ``load-smoke`` job.
+first violation.  Used by tests and ``tools/service_smoke.py``.
 """
 import re
 import sys
