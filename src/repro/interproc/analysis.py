@@ -1,6 +1,16 @@
-"""The top-level interprocedural dataflow driver.
+"""The region solve, and the top-level driver that runs it over the
+whole program.
 
-Runs the five-stage pipeline the paper times in §4:
+Every path solves the two phases the same way: one PSG over a
+*region*, a list of member routines (:func:`repro.psg.build.
+build_partial_psg`); phase 1 with the external entries pinned at their
+callees' triples (:func:`solve_phase1`); phase 2 with the liveness
+outside callers seed at the members' exits (:func:`solve_phase2`); and
+one assembler (:func:`region_summaries`).  The incremental engine
+(:mod:`repro.interproc.incremental`) solves runs of the components it
+needs as regions; the cold driver below solves the region of every
+routine, whose graph is the whole-program PSG.  It runs the five-stage
+pipeline the paper times in §4:
 
 1. **CFG Build** — decode (when starting from an image), walk every
    routine once into its CFG's block rows (:func:`repro.cfg.build.
@@ -24,26 +34,33 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.isa.calling_convention import CallingConvention, NT_ALPHA
-from repro.program.image import ExecutableImage
 from repro.program.model import Program
-from repro.program.disasm import disassemble_image
 from repro.cfg.callgraph import CallGraph
 from repro.cfg.cfg import ControlFlowGraph
+from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import mask_of
-from repro.psg.build import PsgConfig, build_psg
+from repro.psg.build import PartialPsg, PsgConfig, build_partial_psg
 from repro.psg.graph import ProgramSummaryGraph
+from repro.interproc.flatcore import label_call_return_edges
 from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.persist import SUMMARY_BODIES, PackedMap
 from repro.interproc.phase1 import Phase1Result, run_phase1
 from repro.interproc.phase2 import Phase2Result, run_phase2
-from repro.interproc.store import publish_result
+from repro.interproc.store import (
+    StoreKeys,
+    open_view,
+    publish_component,
+    publish_frontend_records,
+)
 from repro.interproc.summaries import (
-    SummarySet,
     CallSiteSummary,
+    ExitSeeds,
     RoutineSummary,
+    SummarySet,
+    _triple_of,
 )
 from repro.obs.metrics import REGISTRY
 from repro.reporting.memory import MemoryModel, psg_analysis_memory
@@ -175,7 +192,8 @@ def _analyze_program(
     frontend: Optional[Frontend] = None,
 ) -> InterproceduralAnalysis:
     """Run the full pipeline on an already-decoded program (over
-    ``frontend`` when the caller already has the program's)."""
+    ``frontend`` when the caller already has the program's): the region
+    solve over the region of every routine, in program order."""
     config = config or AnalysisConfig()
     timer = StageTimer()
 
@@ -193,34 +211,35 @@ def _analyze_program(
         saved_restored = {cfg.name: cfg.saved & keep for cfg in cfgs}
 
     with timer.stage("psg_build"):
-        psg = build_psg(program, frontend.cfgs, config=config.psg)
+        region = build_partial_psg(cfgs, config.psg, whole=True)
+    psg = region.psg
 
-    preserved = mask_of(
-        {config.convention.stack_pointer, config.convention.global_pointer}
-    )
     callee_first = call_graph.reverse_topological_order()
-    phase1_order = node_seed_order(psg, callee_first)
     with timer.stage("phase1"):
-        phase1 = run_phase1(psg, saved_restored, preserved, phase1_order)
-
-    caller_first = list(reversed(callee_first))
-    phase2_order = node_seed_order(psg, caller_first)
+        phase1 = solve_phase1(region, saved_restored, config, callee_first, {})
     with timer.stage("phase2"):
-        phase2 = run_phase2(
-            psg,
-            call_graph.externally_callable,
-            config.convention,
-            phase2_order,
+        phase2 = solve_phase2(
+            region, config, call_graph.externally_callable,
+            callee_first[::-1], {},
         )
 
     result = _assemble_summaries(
         program, frontend.cfgs, saved_restored, psg, phase1, phase2
     )
-    # Publish-only: the plain serial pipeline never consults the store,
-    # so its own behavior (and every exact-work assertion built on it)
-    # is untouched.  Store-accelerated solves go through the incremental
-    # engine (:mod:`repro.interproc.incremental`).
-    publish_result(frontend, config, result)
+    view = open_view(config)
+    if view is not None:
+        # The store is published to, never consulted: the result keeps
+        # the whole-program PSG and its phase solutions.
+        publish_frontend_records(frontend, view)
+        keys = StoreKeys(frontend, config)
+        summaries = result.summaries
+        exit_seeds = ExitSeeds(summaries)
+        for members in frontend.condensation.components:
+            triples = {name: _triple_of(summaries[name]) for name in members}
+            publish_component(
+                view, keys, members, triples, summaries, exit_seeds
+            )
+        view.flush()
     memory = psg_analysis_memory(
         psg,
         sum(cfg.block_count for cfg in cfgs),
@@ -240,20 +259,9 @@ def _analyze_program(
     )
 
 
-def _analyze_image(
-    image: ExecutableImage, config: Optional[AnalysisConfig] = None
-) -> InterproceduralAnalysis:
-    """Decode an executable image and analyze it.
-
-    Decoding time is charged to the CFG Build stage, as in the paper
-    (Spike's CFG construction starts from machine code).
-    """
-    timer = StageTimer()
-    with timer.stage("cfg_build"):
-        program = disassemble_image(image)
-    analysis = _analyze_program(program, config)
-    analysis.timings.cfg_build += timer.timings.cfg_build
-    return analysis
+# ----------------------------------------------------------------------
+# The region solve: every path runs its two phases through these
+# ----------------------------------------------------------------------
 
 
 def node_seed_order(
@@ -263,10 +271,6 @@ def node_seed_order(
     routine the nodes in reverse creation order (targets tend to be
     created after the entry, so reversing processes them first, which
     suits backward propagation).
-
-    Shared by the whole-program driver and the incremental engine (over
-    a partial PSG's members) — identical seeding is part of keeping
-    every execution mode deterministic.
     """
     order: List[int] = []
     for name in routine_order:
@@ -281,24 +285,85 @@ def node_seed_order(
     return order
 
 
-def _assemble_summaries(
-    program: Program,
-    cfgs: Mapping[str, ControlFlowGraph],
-    saved_restored: Dict[str, int],
+def solve_phase1(
+    region: PartialPsg,
+    saved: Mapping[str, int],
+    config: AnalysisConfig,
+    routine_order: Sequence[str],
+    pinned: Mapping[str, SummaryTriple],
+) -> Phase1Result:
+    """Phase 1 (Figure 8) over a region's graph, seeded in
+    ``routine_order``, each external entry pinned at its callee's triple
+    in ``pinned``.  Leaves the converged labels on the call-return
+    edges."""
+    psg = region.psg
+    fixed = {
+        node: pinned[callee] for callee, node in region.external_entries.items()
+    }
+    preserved = mask_of(
+        {config.convention.stack_pointer, config.convention.global_pointer}
+    )
+    return run_phase1(
+        psg, saved, preserved, node_seed_order(psg, routine_order),
+        fixed_entries=fixed,
+    )
+
+
+def pinned_phase1(
+    psg: ProgramSummaryGraph, triples: Mapping[str, SummaryTriple]
+) -> Phase1Result:
+    """The phase-1 answer of a graph whose routines' triples are known
+    already: ``triples`` at the entry nodes, and written onto the
+    call-return edges as :func:`run_phase1` leaves them."""
+    count = psg.node_count
+    may_use, may_def, must_def = [0] * count, [0] * count, [0] * count
+    entry_of: Dict[str, int] = {}
+    for name, routine_psg in psg.routines.items():
+        entry = entry_of[name] = routine_psg.entry_node
+        triple = triples[name]
+        may_use[entry] = triple.may_use
+        may_def[entry] = triple.may_def
+        must_def[entry] = triple.must_def
+    label_call_return_edges(psg, entry_of, may_use, may_def, must_def)
+    return Phase1Result(may_use, may_def, must_def)
+
+
+def solve_phase2(
+    region: PartialPsg,
+    config: AnalysisConfig,
+    externally_callable: Set[str],
+    routine_order: Sequence[str],
+    seeds: Mapping[str, int],
+) -> Phase2Result:
+    """Phase 2 (Figure 10) over a region's graph, whose call-return
+    edges phase 1 has labeled, seeded in ``routine_order``; ``seeds``
+    adds each member's liveness flowing back from callers outside the
+    region at its RETURN exits."""
+    psg = region.psg
+    extra = {
+        node: seed
+        for name, seed in seeds.items() if seed
+        for node in psg.routines[name].return_exit_nodes()
+    }
+    return run_phase2(
+        psg, externally_callable, config.convention,
+        node_seed_order(psg, routine_order), extra_exit_live=extra,
+    )
+
+
+def region_summaries(
     psg: ProgramSummaryGraph,
+    names: Iterable[str],
+    saved: Mapping[str, int],
     phase1: Phase1Result,
-    phase2: Phase2Result,
-) -> SummarySet:
-    """Every routine's summary, read off the PSG and the two phase
-    solutions, packed so that each body is encoded once for every
-    writer (SUM1, ``summaries_crc64``, the sidecar).  ``cfgs`` is not
-    read: it keeps the call shape of the stage replay in
-    ``perf/workloads.py``."""
+    live: Sequence[int],
+) -> Dict[str, RoutineSummary]:
+    """The summary of each of ``names``, read off a graph, its phase-1
+    answer and its phase-2 liveness ``live`` — the one assembler."""
     summaries: Dict[str, RoutineSummary] = {}
     label_of = {edge.src: edge.label for edge in psg.call_return_edges}
-    block_of, live = psg.node_block, phase2.may_use
-    for routine in program:
-        name = routine.name
+    block_of = psg.node_block
+    for name in names:
         routine_psg = psg.routines[name]
         entry_node = routine_psg.entry_node
 
@@ -328,6 +393,25 @@ def _assemble_summaries(
             exit_live_masks=exit_live,
             exit_kinds=exit_kinds,  # type: ignore[arg-type]
             call_sites=call_sites,
-            saved_restored_mask=saved_restored.get(name, 0),
+            saved_restored_mask=saved.get(name, 0),
         )
+    return summaries
+
+
+def _assemble_summaries(
+    program: Program,
+    cfgs: Mapping[str, ControlFlowGraph],
+    saved_restored: Dict[str, int],
+    psg: ProgramSummaryGraph,
+    phase1: Phase1Result,
+    phase2: Phase2Result,
+) -> SummarySet:
+    """Every routine's summary (:func:`region_summaries`), packed so
+    that each body is encoded once for every writer (SUM1,
+    ``summaries_crc64``, the sidecar).  ``cfgs`` is not read: it keeps
+    the call shape of the stage replay in ``perf/workloads.py``."""
+    summaries = region_summaries(
+        psg, [routine.name for routine in program], saved_restored, phase1,
+        phase2.may_use,
+    )
     return SummarySet(summaries=PackedMap.of(summaries, SUMMARY_BODIES))

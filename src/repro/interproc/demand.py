@@ -17,16 +17,20 @@ answer can depend on:
   and its callees' triples, so ``P1`` is callee-closed and every
   pinned frontier entry a partial solve needs is available in-cone.
 
-The query then runs the ordinary warm engine
-(:class:`repro.interproc.incremental._WarmEngine`) *restricted to
+The query then runs the ordinary incremental engine
+(:class:`repro.interproc.incremental._Engine`) *restricted to
 those component scopes*: each in-cone component re-solves exactly when
-the full warm run would have re-solved it, on the same partial PSG
-with the same pinned entries and exit seeds — so the answer for the
+the full warm run would have re-solved it, with the same pinned
+entries and exit seeds, its runs of needed components solved as
+regions (a cold query is one region per phase) — so the answer for the
 queried routine is byte-identical to an exhaustive solve.  CFGs are
-built for re-solved components only (the cache's front-end records
-supply the call graph; see :mod:`repro.interproc.frontend`), so on a
-clean warm cache nothing re-solves, no CFG is built, and the query
-costs hashing the routines plus fingerprinting.
+built for re-solved routines the cache holds no PSG fragment for (the
+cache's front-end records supply the call graph; see
+:mod:`repro.interproc.frontend`), so on a clean warm cache nothing
+re-solves, no CFG is built, and the query costs hashing the routines
+plus fingerprinting.  The memoized cache carries the fragments a query
+labeled, decoded, so a session's later queries append them instead of
+labeling again.
 
 **Memoization.**  The refreshed :class:`SummaryCache` a query returns
 must stay honest for routines the query never looked at.  Entries come
@@ -69,20 +73,15 @@ from repro.cfg.callgraph import Condensation
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.analysis import AnalysisConfig
 from repro.interproc.errors import UnknownRoutineError
-from repro.interproc.frontend import Frontend, build_frontend
+from repro.interproc.frontend import Frontend
 from repro.interproc.incremental import (
-    _WarmEngine,
+    _Engine,
     carried_fragments,
-    record_fingerprint_verdicts,
     solve_or_cold,
     summary_triples,
 )
 from repro.interproc.persist import SUMMARY_BODIES, SummaryCache, packed
-from repro.interproc.store import (
-    config_digest,
-    open_view,
-    publish_frontend_records,
-)
+from repro.interproc.store import config_digest
 from repro.interproc.summaries import SummarySet, RoutineSummary
 from repro.obs.metrics import REGISTRY
 from repro.reporting.metrics import QueryMetrics
@@ -190,34 +189,14 @@ def _query(
         routine=routine, routines_total=program.routine_count
     )
     REGISTRY.inc("query.requests")
-
-    store = open_view(config)
-    digest = config_digest(config)
-    built_before = frontend.cfgs_built if frontend is not None else 0
-    if frontend is None:
-        with metrics.stage("cfg_build"):
-            frontend = build_frontend(
-                program, cache.frontend_records if cache else None, store=store
-            )
-    cfgs = frontend.cfgs
-    condensation = frontend.condensation
-    if routine not in cfgs:
+    engine = _Engine(program, cache, config, frontend, metrics)
+    frontend, cache = engine.frontend, engine.cache
+    condensation = engine.condensation
+    if routine not in frontend.cfgs:
         raise UnknownRoutineError(
             f"no routine named {routine!r} in the program "
-            f"({len(cfgs)} routines)"
+            f"({program.routine_count} routines)"
         )
-
-    if cache is None:
-        metrics.cold = True
-        cache = SummaryCache(
-            image_fingerprint=image_fingerprint,
-            result=SummarySet(summaries={}),
-            config_digest=digest,
-        )
-    with metrics.stage("fingerprint"):
-        fingerprints = frontend.fingerprints
-        dirty = record_fingerprint_verdicts(fingerprints, cache)
-    metrics.dirty_routines = sorted(dirty)
 
     root = condensation.component_index(routine)
     phase2_cone = condensation.transitive_caller_components({root})
@@ -237,39 +216,21 @@ def _query(
         routine,
         metrics.phase1_cone_routines,
         metrics.phase2_cone_routines,
-        len(dirty),
+        len(engine.dirty),
     )
 
-    engine = _WarmEngine(
-        frontend=frontend,
-        config=config,
-        cache=cache,
-        dirty=dirty,
-        metrics=metrics,
-        phase1_scope=phase1_cone,
-        phase2_scope=phase2_cone,
-        store=store,
-        partials=frontend.partials.setdefault(digest, {}),
-    )
+    engine.phase1_scope, engine.phase2_scope = phase1_cone, phase2_cone
     engine.solve()
-    metrics.cfgs_built = frontend.cfgs_built - built_before
-    if store is not None:
-        publish_frontend_records(frontend, store)
-        store.flush()
     REGISTRY.inc("query.solved", metrics.phase2_solved)
     REGISTRY.inc("query.reused", metrics.phase2_reused)
 
     summary = engine.fresh.get(routine) or cache.result.summaries[routine]
     new_cache = _memoized_cache(
-        engine=engine,
-        validated1=condensation.routines_of(phase1_cone),
-        validated2=condensation.routines_of(phase2_cone),
-        frontend=frontend,
-        cache=cache,
-        dirty=dirty,
-        image_fingerprint=image_fingerprint,
-        metrics=metrics,
-        digest=digest,
+        engine,
+        condensation.routines_of(phase1_cone),
+        condensation.routines_of(phase2_cone),
+        image_fingerprint,
+        config_digest(config),
     )
     return QueryResult(
         routine=routine,
@@ -283,20 +244,17 @@ def _query(
 
 
 def _memoized_cache(
-    engine: _WarmEngine,
+    engine: _Engine,
     validated1: Set[str],
     validated2: Set[str],
-    frontend: Frontend,
-    cache: SummaryCache,
-    dirty: Set[str],
     image_fingerprint: int,
-    metrics: QueryMetrics,
     digest: int,
 ) -> SummaryCache:
     """The refreshed cache a query persists (module docstring rules).
 
     Kept summaries are the old cache's, unread: their bodies go to the
     next sidecar as bytes."""
+    frontend, cache, dirty = engine.frontend, engine.cache, engine.dirty
     cfgs = frontend.cfgs
     call_graph = frontend.call_graph
     fingerprints = frontend.fingerprints
@@ -385,7 +343,7 @@ def _memoized_cache(
         elif keep_triple:
             phase1_triples[name] = old_triple
 
-    metrics.memo_dropped = dropped
+    engine.metrics.memo_dropped = dropped
     REGISTRY.inc("query.memo_dropped", dropped)
     return SummaryCache(
         image_fingerprint=image_fingerprint,

@@ -34,7 +34,7 @@ run's records do not cover.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional
 from typing import Sequence, Set, Tuple
@@ -163,7 +163,7 @@ class Frontend:
     derived on first use: the SCC condensation, the routine
     fingerprints, and the front-end records that let the next run skip
     most walks.  Immutable once built (as the program is), except that
-    ``cfgs`` and ``partials`` fill in as solves ask for them."""
+    ``cfgs`` fills in as solves ask for it."""
 
     program: Program
     cfgs: LazyCfgs
@@ -174,9 +174,6 @@ class Frontend:
     #: applied, by routine (the routines whose call sites did not take
     #: a CFG to find).
     reused: Mapping[str, FrontendRecord]
-    #: Queries' memo, by configuration digest: component -> (partial
-    #: PSG, its members' §3.4 masks), until phase 2 solves the component.
-    partials: Dict[int, Dict[int, tuple]] = field(default_factory=dict)
 
     @cached_property
     def condensation(self) -> Condensation:

@@ -1,6 +1,6 @@
 """Incremental interprocedural re-analysis.
 
-A whole-program run (:func:`repro.interproc.analysis.analyze_program`)
+A whole-program run (:func:`repro.interproc.analysis._analyze_program`)
 re-solves every routine even when one instruction changed.  Spike's
 workflow — optimize, measure, edit a hot routine, re-optimize — makes
 that wasteful: the phase-1 triples of an untouched routine depend only
@@ -20,12 +20,20 @@ This module exploits that structure:
   component, its new answers are compared against the cache, and only
   components whose consumed answers actually changed are re-solved in
   turn;
-* dirty components are re-solved on a **partial PSG**
-  (:func:`repro.psg.build.build_partial_psg`): callees outside the
-  component appear as dummy entry nodes pinned at their cached triples
-  (``run_phase1(..., fixed_entries=...)``), and callers outside it
-  contribute their cached return-point liveness as exit seeds
-  (``run_phase2(..., extra_exit_live=...)``).
+* the components that need solving are solved as **regions**
+  (:func:`repro.interproc.analysis.solve_phase1` /
+  :func:`~repro.interproc.analysis.solve_phase2`): walking a phase, a
+  component whose need is already decided — dirty, uncached, orphaned,
+  flipped in or out of external visibility, or (phase 2) calling a
+  routine whose triple changed — and that no store can serve joins the
+  pending region.  A component whose need, or whose store key, hangs
+  on the answer of a pending member first makes the pending region
+  solve, then goes through the cutoff and the store as before.  A
+  region is one partial PSG (:func:`repro.psg.build.build_partial_psg`):
+  callees outside it appear as dummy entry nodes pinned at their
+  current triples, and callers outside it contribute their return-point
+  liveness as exit seeds.  A cold run — this engine against an empty
+  cache — is one region per phase.
 
 The cache itself is a :class:`repro.interproc.persist.SummaryCache`
 (the versioned ``SUM4`` sidecar): the previous run's summaries, the
@@ -34,14 +42,15 @@ fingerprints that scope their validity, the *front-end records*
 condensation and the fingerprints of this run are derived without
 building the CFG of any routine whose code did not change, and the
 labeled PSG fragment of every routine body it solved
-(:class:`repro.psg.build.PsgFragment`).  A component that is re-solved
-appends its members' fragments to its partial PSG; only a member
-without one — its code changed, or no run has solved it since — is
-walked into a CFG (billed to the ``cfg_build`` stage) and labeled.  So
-a warm run with zero dirty routines builds no CFG and performs *no*
-phase-1 or phase-2 solving at all — it hashes the routines, re-resolves
-their recorded call sites, and returns the cached result — and an edit
-whose effect climbs the caller cone walks only the edited routine.
+(:class:`repro.psg.build.PsgFragment`).  A region appends its members'
+fragments; only a member without one — its code changed, or no run has
+solved it since — is walked into a CFG (billed to the ``cfg_build``
+stage) and labeled, and the fragment it leaves is held decoded in the
+refreshed cache (a query session's memo appends it again).  So a warm
+run with zero dirty routines builds no CFG and performs *no* phase-1
+or phase-2 solving at all — it hashes the routines, re-resolves their
+recorded call sites, and returns the cached result — and an edit whose
+effect climbs the caller cone walks only the edited routine.
 
 The run reads a summary body only when it needs that routine's old
 answer (a change cutoff, an exit seed), and the refreshed cache it
@@ -55,23 +64,24 @@ says why).
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, TypeVar,
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+    TypeVar,
 )
 
 from repro.program.model import Program
 from repro.cfg.callgraph import CallGraph, Condensation
-from repro.cfg.cfg import ControlFlowGraph, ExitKind
+from repro.cfg.cfg import ControlFlowGraph
 from repro.dataflow.equations import SummaryTriple
-from repro.dataflow.regset import TRACKED_MASK, mask_of
 from repro.interproc.analysis import (
     AnalysisConfig,
-    _analyze_program,
     callee_saved_filter,
-    node_seed_order,
+    pinned_phase1,
+    region_summaries,
+    solve_phase1,
+    solve_phase2,
 )
 from repro.interproc.frontend import Frontend, build_frontend
 from repro.interproc.persist import (
@@ -80,24 +90,19 @@ from repro.interproc.persist import (
     PackedMap,
     SummaryCache,
     SummaryFormatError,
-    fragment_body,
     packed,
 )
-from repro.interproc.phase1 import run_phase1
-from repro.interproc.phase2 import run_phase2
+from repro.interproc.phase1 import Phase1Result
 from repro.interproc.store import (
-    StoreView,
+    StoreKeys,
     config_digest,
-    deep_fingerprints,
     open_view,
-    phase2_component_key,
+    publish_component,
     publish_frontend_records,
-    resolve_store,
     routine_record_key,
 )
 from repro.interproc.summaries import (
     SummarySet,
-    CallSiteSummary,
     ExitSeeds,
     RoutineSummary,
     _triple_of,
@@ -256,11 +261,12 @@ def _analyze_incremental(
 ) -> IncrementalAnalysis:
     """Analyze ``program``, reusing ``cache`` where fingerprints allow.
 
-    With ``cache=None`` this is a *cold* run: the full pipeline
-    executes once and the returned :attr:`IncrementalAnalysis.cache`
-    seeds future warm runs.  ``image_fingerprint`` is stored in the
-    refreshed cache (it scopes the ``SUM1`` sidecar; the incremental
-    engine itself invalidates per routine, not per image).
+    With ``cache=None`` this is a *cold* run — the engine against an
+    empty cache, one region per phase — and the returned
+    :attr:`IncrementalAnalysis.cache` seeds future warm runs.
+    ``image_fingerprint`` is stored in the refreshed cache (it scopes
+    the ``SUM1`` sidecar; the engine invalidates per routine, not per
+    image).
 
     ``frontend`` is ``program``'s front end when the caller already
     has it (a session that analyzed or queried before); otherwise one
@@ -288,75 +294,19 @@ def _solve(
     frontend: Optional[Frontend],
 ) -> IncrementalAnalysis:
     metrics = IncrementalMetrics(routines_total=program.routine_count)
-
-    if cache is None:
-        if resolve_store(config) is not None:
-            # A configured store can warm even a cold image (another
-            # build already published its shared routines), so route
-            # the cold solve through the warm engine with an empty
-            # cache: every component consults the store before
-            # solving, and misses behave exactly like a cold solve.
-            metrics.cold = True
-            empty = SummaryCache(
-                image_fingerprint=0, result=SummarySet(summaries={})
-            )
-            return _warm_run(
-                program, empty, config, image_fingerprint, metrics, frontend
-            )
-        return _cold_run(program, config, image_fingerprint, metrics, frontend)
-
-    return _warm_run(
-        program, cache, config, image_fingerprint, metrics, frontend
-    )
-
-
-def _warm_run(
-    program: Program,
-    cache: SummaryCache,
-    config: AnalysisConfig,
-    image_fingerprint: int,
-    metrics: IncrementalMetrics,
-    frontend: Optional[Frontend],
-) -> IncrementalAnalysis:
-
-    store = open_view(config)
-    built_before = frontend.cfgs_built if frontend is not None else 0
-    with metrics.stage("cfg_build"):
-        if frontend is None:
-            frontend = build_frontend(
-                program, cache.frontend_records, store=store
-            )
-        condensation = frontend.condensation
-    call_graph = frontend.call_graph
-
-    with metrics.stage("fingerprint"):
-        fingerprints = frontend.fingerprints
-        dirty = record_fingerprint_verdicts(fingerprints, cache)
-    metrics.dirty_routines = sorted(dirty)
+    engine = _Engine(program, cache, config, frontend, metrics)
     _log.info(
-        "warm incremental run: %d routines, %d dirty",
-        program.routine_count, len(dirty),
-    )
-
-    engine = _WarmEngine(
-        frontend=frontend,
-        config=config,
-        cache=cache,
-        dirty=dirty,
-        metrics=metrics,
-        store=store,
+        "%s incremental run: %d routines, %d dirty",
+        "cold" if metrics.cold else "warm", program.routine_count,
+        len(engine.dirty),
     )
     result = engine.run()
-    metrics.cfgs_built = frontend.cfgs_built - built_before
-    if store is not None:
-        publish_frontend_records(frontend, store)
-        store.flush()
-
+    frontend, cache = engine.frontend, engine.cache
     new_cache = SummaryCache(
         image_fingerprint=image_fingerprint,
         result=result,
-        routine_fingerprints=fingerprints,
-        externally_callable=set(call_graph.externally_callable),
+        routine_fingerprints=frontend.fingerprints,
+        externally_callable=set(frontend.call_graph.externally_callable),
         frontend_records=frontend.records,
         config_digest=config_digest(config),
         triples=summary_triples(result.summaries, engine.fresh, cache),
@@ -368,66 +318,7 @@ def _warm_run(
         result=result,
         cache=new_cache,
         metrics=metrics,
-        condensation=condensation,
-    )
-
-
-def _cold_run(
-    program: Program,
-    config: AnalysisConfig,
-    image_fingerprint: int,
-    metrics: IncrementalMetrics,
-    frontend: Optional[Frontend],
-) -> IncrementalAnalysis:
-    built_before = frontend.cfgs_built if frontend is not None else 0
-    full = _analyze_program(program, config, frontend)
-    metrics.cfgs_built = full.frontend.cfgs_built - built_before
-    count = program.routine_count
-    # No cache to consult: every routine is a miss by definition.
-    REGISTRY.inc("cache.miss", count)
-    _log.info("cold incremental run: %d routines solved", count)
-    metrics.cold = True
-    metrics.dirty_routines = sorted(full.cfgs)
-    metrics.phase1_solved = metrics.phase2_solved = count
-    metrics.phase1_iterations = full.phase1.iterations
-    metrics.phase2_iterations = full.phase2.iterations
-    sccs = len(full.call_graph.strongly_connected_components())
-    metrics.phase1_sccs_solved = metrics.phase2_sccs_solved = sccs
-    for name, value in full.timings.as_dict().items():
-        if name != "total":
-            metrics.seconds[name] = value
-    with metrics.stage("fingerprint"):
-        fingerprints = full.frontend.fingerprints
-    records = full.frontend.records
-    # One summary map (packed by the cold solve) for the result and the
-    # cache: each body is encoded once, for whichever writer asks first.
-    result = full.result
-    new_cache = SummaryCache(
-        image_fingerprint=image_fingerprint,
-        result=result,
-        routine_fingerprints=fingerprints,
-        externally_callable=set(full.call_graph.externally_callable),
-        frontend_records=records,
-        config_digest=config_digest(config),
-        # Encoded only if the cache is written or read.
-        fragments=PackedMap.deferred(
-            {
-                records[name].shape_key: functools.partial(
-                    fragment_body,
-                    fragment_rows(full.psg, name, full.saved_restored[name]),
-                )
-                for name in full.cfgs
-            },
-            FRAGMENTS,
-        ),
-    )
-    return IncrementalAnalysis(
-        config=config,
-        frontend=full.frontend,
-        result=result,
-        cache=new_cache,
-        metrics=metrics,
-        condensation=None,
+        condensation=frontend.condensation,
     )
 
 
@@ -460,21 +351,46 @@ def orphaned_callees(
     return orphaned
 
 
-class _WarmEngine:
-    """One warm incremental solve, phase by phase, SCC by SCC."""
+class _Engine:
+    """One incremental solve: phase 1 callee-first, then phase 2
+    caller-first, over the call graph's components, the runs of needed
+    components solved as regions.
+
+    Walking a phase, a component joins the *pending* region as soon as
+    it is known to need solving and no store can serve it; a component
+    whose need (or store key) hangs on what the pending region has not
+    solved yet makes the region solve first.  The change cutoff and
+    every store hit are kept, and only the grouping of the solves —
+    hence the phases' iteration counts — depends on the walk.
+    """
 
     def __init__(
         self,
-        frontend: Frontend,
+        program: Program,
+        cache: Optional[SummaryCache],
         config: AnalysisConfig,
-        cache: SummaryCache,
-        dirty: Set[str],
+        frontend: Optional[Frontend],
         metrics: IncrementalMetrics,
-        phase1_scope: Optional[Set[int]] = None,
-        phase2_scope: Optional[Set[int]] = None,
-        store: Optional[StoreView] = None,
-        partials: Optional[Dict[int, tuple]] = None,
     ) -> None:
+        metrics.cold = cache is None
+        if cache is None:
+            # A cold run is a run against an empty cache: every
+            # component is needed, so each phase is one region (less
+            # what a configured store serves).
+            cache = SummaryCache(image_fingerprint=0, result=SummarySet(summaries={}))
+        # Cross-image store state: the keys are derived lazily — only
+        # runs that actually consult or publish pay for them.
+        self.store = open_view(config)
+        self._store_keys: Optional[StoreKeys] = None
+        self._built_before = frontend.cfgs_built if frontend is not None else 0
+        if frontend is None:
+            with metrics.stage("cfg_build"):
+                frontend = build_frontend(
+                    program, cache.frontend_records, store=self.store
+                )
+        with metrics.stage("fingerprint"):
+            dirty = record_fingerprint_verdicts(frontend.fingerprints, cache)
+        metrics.dirty_routines = sorted(dirty)
         self.config = config
         self.frontend = frontend
         self.cfgs = frontend.cfgs
@@ -491,71 +407,53 @@ class _WarmEngine:
         self.cached_triples.update(cache.phase1_triples)
         self.dirty = dirty
         self.metrics = metrics
-        # Component scopes for demand-driven queries
-        # (:mod:`repro.interproc.demand`).  ``None`` means "every
-        # component" (the full warm run).  A scoped run only touches
-        # components inside the scope; skipped components contribute
-        # neither triples nor reuse counts.  Sound as long as
-        # ``phase1_scope`` is callee-closed and ``phase2_scope`` is
-        # caller-closed with its callee closure inside ``phase1_scope``
-        # — then every input a scoped solve consumes (external callee
-        # triples, caller exit seeds) comes from an in-scope component
-        # or the cache, exactly as in a full run.
-        self.phase1_scope = phase1_scope
-        self.phase2_scope = phase2_scope
-        self.preserved = mask_of(
-            {config.convention.stack_pointer, config.convention.global_pointer}
-        )
-        # Lazily built per-routine inputs — only dirty cones pay for
-        # them, their CFGs (``self.cfgs`` builds on access) included.
+        # Component scopes a demand query sets (``None``: every
+        # component).  Sound as long as ``phase1_scope`` is callee-closed
+        # and ``phase2_scope`` caller-closed with its callee closure
+        # inside ``phase1_scope``: every input a scoped solve consumes
+        # then comes from an in-scope component or the cache.
+        self.phase1_scope: Optional[Set[int]] = None
+        self.phase2_scope: Optional[Set[int]] = None
+        # Per-member inputs, built for solved members only: §3.4 masks
+        # and fragments (the cache's, or labeled here from a CFG, which
+        # ``self.cfgs`` walks on access).
         self._saved: Dict[str, int] = {}
-        # Component -> (partial PSG, its members' §3.4 masks): this run's,
-        # or a query session's (``Frontend.partials``); phase 2 drops it.
-        self._partials = {} if partials is None else partials
-        self._session = partials is not None
-        # Shape key -> what encodes the fragment of a routine this run
-        # labeled (holding its rows, not its partial PSG).
-        self._fragment_makers: Dict[int, Callable[[], bytes]] = {}
+        self._fragments: Dict[str, PsgFragment] = {}
+        #: Shape key -> the fragment of each routine this run labeled.
+        self.labeled: Dict[int, PsgFragment] = {}
+        # Phase-1 regions' graphs and answers, by member set, until a
+        # phase-2 region of the same members reads them.
+        self._graphs: Dict[frozenset, Tuple[PartialPsg, Phase1Result]] = {}
+        # The pending region: component indices, and their members.
+        self._pending: List[int] = []
+        self._pending_members: Set[str] = set()
         # Phase-1 state: current triples, and the change-cutoff set.
         self.triples: Dict[str, SummaryTriple] = {}
         self.changed1: Set[str] = set()
-        # Phase-2 state: components solved, members whose liveness
-        # outputs changed, and freshly assembled summaries.
-        self.solved2: Set[int] = set()
+        # Phase-2 state: members whose liveness outputs changed, and
+        # freshly assembled summaries.
         self.changed2: Set[str] = set()
         self.fresh: Dict[str, RoutineSummary] = {}
-        # Exit seeds from callers' current summaries (fresh if re-solved
-        # this run, else cached).  Only ever asked about callers in
-        # components phase 2 is already done with (it runs caller-first),
-        # so a caller's summary is final by then.
+        # Exit seeds from callers' summaries (fresh, else cached), only
+        # ever asked about callers phase 2 is done with: final ones.
         self._exit_seeds = ExitSeeds(self.fresh, self.cached)
         self.orphaned = orphaned_callees(
             self.cached, self.cfgs, self.call_graph, dirty
         )
-        # Cross-image store state: deep fingerprints are derived lazily
-        # — only runs that actually consult or publish pay for them.
-        self.store = store
-        self.fingerprints = frontend.fingerprints
-        self._deep_fps: Optional[Dict[str, int]] = None
-        self._context = 0
+        # Components whose grade-1 lookup missed: their grade 2 cannot hit.
+        self._grade1_missed: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Cross-image summary store (repro.interproc.store)
     # ------------------------------------------------------------------
 
-    def _deep(self) -> Dict[str, int]:
-        if self._deep_fps is None:
+    def _keys(self) -> StoreKeys:
+        if self._store_keys is None:
             with self.metrics.stage("fingerprint"):
-                self._context = config_digest(self.config)
-                self._deep_fps = deep_fingerprints(
-                    self.fingerprints,
-                    self.condensation,
-                    self.call_graph,
-                    self._context,
-                )
-        return self._deep_fps
+                self._store_keys = StoreKeys(self.frontend, self.config)
+        return self._store_keys
 
-    def _store_phase1(self, members: Sequence[str]) -> bool:
+    def _store_phase1(self, index: int, members: Sequence[str]) -> bool:
         """Adopt a whole component's phase-1 triples from the store.
 
         All-or-nothing: a partial hit is treated as a miss so the SCC
@@ -565,12 +463,13 @@ class _WarmEngine:
         """
         if self.store is None:
             return False
-        deep = self._deep()
+        deep = self._keys().deep
         loaded: Dict[str, SummaryTriple] = {}
         with span("store.lookup", grade=1, routines=len(members)):
             for name in members:
                 triple = self.store.load_triple(deep[name], name)
                 if triple is None:
+                    self._grade1_missed.add(index)
                     return False
                 loaded[name] = triple
         for name, triple in loaded.items():
@@ -580,26 +479,10 @@ class _WarmEngine:
                 self.changed1.add(name)
         return True
 
-    def _component_key(
-        self, members: Sequence[str], member_seeds: Dict[str, int]
-    ) -> Optional[int]:
-        """The phase-2 boundary digest of a component (``None`` with no
-        store configured)."""
-        if self.store is None:
-            return None
-        return phase2_component_key(
-            members,
-            self._deep(),
-            self.call_graph.externally_callable,
-            member_seeds,
-            self._context,
-        )
-
-    def _store_phase2(
-        self, members: Sequence[str], component_key: int
-    ) -> bool:
+    def _store_phase2(self, members: Sequence[str]) -> bool:
         """Adopt a whole component's full summaries from the store
-        (skipping the partial-PSG build, both fixpoints and assembly)."""
+        (skipping the region build, both fixpoints and assembly)."""
+        component_key = self._keys().component_key(members, self._exit_seeds)
         loaded: Dict[str, RoutineSummary] = {}
         with span("store.lookup", grade=2, routines=len(members)):
             for name in members:
@@ -619,144 +502,144 @@ class _WarmEngine:
         return True
 
     # ------------------------------------------------------------------
-    # Lazy inputs
+    # Regions
     # ------------------------------------------------------------------
 
-    def _fragment(self, name: str, shape_key: int) -> Optional[PsgFragment]:
-        """The cache's fragment for ``name``'s body, if it has one that
-        fits the routine's call sites (counted ``cache.fragment.hit``,
-        ``.stale`` when the routine's body changed or the fragment does
-        not fit, ``.miss`` otherwise)."""
-        fragment = self.cache.fragments.get(shape_key)
-        if fragment is None:
-            old = self.cache.frontend_records.get(name)
-            changed = old is not None and old.shape_key != shape_key
-            REGISTRY.inc("cache.fragment.stale" if changed else "cache.fragment.miss")
-            return None
-        if fragment.site_count != len(self.call_graph.sites[name]):
-            REGISTRY.inc("cache.fragment.stale")
-            return None
-        REGISTRY.inc("cache.fragment.hit")
-        return fragment
+    def _take_fragments(self, names: Iterable[str]) -> None:
+        """Take the cache's fragment of each of ``names`` whose body it
+        holds and whose call sites it fits (counted
+        ``cache.fragment.hit``; ``.stale`` when the routine's body
+        changed or the fragment does not fit, ``.miss`` otherwise)."""
+        held, old_records = self.cache.fragments, self.cache.frontend_records
+        records, sites = self.frontend.records, self.call_graph.sites
+        hit = stale = miss = 0
+        for name in names:
+            shape_key = records[name].shape_key
+            fragment = held.get(shape_key)
+            if fragment is None:
+                old = old_records.get(name)
+                if old is not None and old.shape_key != shape_key:
+                    stale += 1
+                else:
+                    miss += 1
+            elif fragment.site_count != len(sites[name]):
+                stale += 1
+            else:
+                hit += 1
+                self._fragments[name] = fragment
+        REGISTRY.inc("cache.fragment.hit", hit)
+        REGISTRY.inc("cache.fragment.stale", stale)
+        REGISTRY.inc("cache.fragment.miss", miss)
 
     @property
     def new_fragments(self) -> PackedMap:
         """The fragments of the routines this run labeled, by shape key,
-        each encoded only when the refreshed cache is written or read."""
-        return PackedMap.deferred(self._fragment_makers, FRAGMENTS)
+        each encoded only when the refreshed cache is written."""
+        return PackedMap.of(self.labeled, FRAGMENTS)
 
-    def _count(self, event: str) -> None:
-        if self._session:
-            REGISTRY.inc(f"query.partial.{event}")
-
-    def _partial(self, index: int) -> PartialPsg:
-        entry = self._partials.get(index)
-        if entry is not None:
-            self._count("hit")
-            self._saved.update(entry[1])
-            return entry[0]
-        members = self.condensation.members(index)
-        records = self.frontend.records
+    def _region(self, members: List[str]) -> PartialPsg:
+        """The graph of a region: each member appended from its
+        fragment, or labeled from its CFG (whose fragment it then
+        keeps)."""
+        records, fragments = self.frontend.records, self._fragments
         with self.metrics.stage("psg_build"):
-            stored = {}
-            for name in members:
-                fragment = self._fragment(name, records[name].shape_key)
-                if fragment is not None:
-                    stored[name] = StoredRoutine(
-                        name, fragment, self.call_graph.sites[name]
-                    )
-        with self.metrics.stage("cfg_build"):
-            routines = [stored.get(name) or self.cfgs[name] for name in members]
-        with self.metrics.stage("initialization"):
-            keep = callee_saved_filter(self.config)
-            saved = {
-                name: routine.fragment.saved if name in stored
-                else routine.saved & keep
-                for name, routine in zip(members, routines)
-            }
-            self._saved.update(saved)
-        with self.metrics.stage("psg_build"):
-            built = build_partial_psg(routines, self.config.psg)
+            self._take_fragments(name for name in members if name not in fragments)
+        walked = [name for name in members if name not in fragments]
+        if walked:
+            with self.metrics.stage("cfg_build"):
+                cfgs = {name: self.cfgs[name] for name in walked}
+            with self.metrics.stage("initialization"):
+                keep = callee_saved_filter(self.config)
+                for name, cfg in cfgs.items():
+                    self._saved[name] = cfg.saved & keep
+        sites, routines = self.call_graph.sites, []
         for name in members:
-            if name not in stored:
-                self._fragment_makers[records[name].shape_key] = (
-                    functools.partial(
-                        fragment_body, fragment_rows(built.psg, name, saved[name])
-                    )
-                )
-        self._partials[index] = (built, saved)
-        self._count("built")
-        return built
+            if name in fragments:
+                self._saved[name] = fragments[name].saved
+                routines.append(StoredRoutine(name, fragments[name], sites[name]))
+            else:
+                routines.append(cfgs[name])
+        with self.metrics.stage("psg_build"):
+            region = build_partial_psg(routines, self.config.psg)
+        for name in walked:
+            fragment = fragment_rows(region.psg, name, self._saved[name])
+            fragments[name] = self.labeled[records[name].shape_key] = fragment
+        return region
 
-    def _drop(self, index: int) -> None:
-        if self._partials.pop(index, None) is not None:
-            self._count("evicted")
+    def _join(self, index: int, members: Sequence[str]) -> None:
+        self._pending.append(index)
+        self._pending_members.update(members)
 
-    @staticmethod
-    def _node_order(partial: PartialPsg) -> List[int]:
-        return node_seed_order(partial.psg, partial.members)
+    def _take_pending(self) -> Tuple[List[int], List[str]]:
+        indices, self._pending = self._pending, []
+        self._pending_members = set()
+        members = self.condensation.members
+        return indices, [name for index in indices for name in members(index)]
 
     # ------------------------------------------------------------------
     # Phase 1 — callee-first, pinned external entries, change cutoff
     # ------------------------------------------------------------------
 
-    def _phase1_needed(self, members: Sequence[str], member_set: Set[str]) -> bool:
-        for name in members:
-            if name in self.dirty or name not in self.cached_triples:
-                return True
-            for callee in self.call_graph.callees_of(name):
-                if callee not in member_set and callee in self.changed1:
-                    return True
-        return False
-
     def _run_phase1(self) -> None:
+        callees_of = self.call_graph.callees_of
         for index, members in enumerate(self.condensation.components):
             if self.phase1_scope is not None and index not in self.phase1_scope:
                 continue
-            member_set = set(members)
-            if not self._phase1_needed(members, member_set):
-                for name in members:
-                    self.triples[name] = self.cached_triples[name]
-                    self.metrics.phase1_reused += 1
-                continue
-            if self._store_phase1(members):
-                continue
-            partial = self._partial(index)
-            fixed = {
-                node_id: self.triples[callee]
-                for callee, node_id in partial.external_entries.items()
-            }
-            with self.metrics.stage("phase1"):
-                with span(
-                    "phase1.scc", component=index, routines=len(members)
-                ):
-                    solution = run_phase1(
-                        partial.psg,
-                        self._saved,
-                        self.preserved,
-                        self._node_order(partial),
-                        fixed_entries=fixed,
-                    )
-            self.metrics.phase1_sccs_solved += 1
-            self.metrics.phase1_iterations += solution.iterations
-            for name in members:
-                triple = solution.entry_triple(partial.psg, name)
-                self.triples[name] = triple
-                self.metrics.phase1_solved += 1
-                if triple != self.cached_triples.get(name):
-                    self.changed1.add(name)
-            if self.store is not None:
-                deep = self._deep()
-                for name in members:
-                    self.store.store_triple(
-                        deep[name], name, self.triples[name]
-                    )
+            if not any(
+                name in self.dirty or name not in self.cached_triples
+                for name in members
+            ):
+                # Needed only if an outside callee's triple changed.
+                member_set = set(members)
+                callees = [
+                    callee for name in members for callee in callees_of(name)
+                    if callee not in member_set
+                ]
+                if not self._pending_members.isdisjoint(callees):
+                    self._solve_phase1()
+                if self.changed1.isdisjoint(callees):
+                    for name in members:
+                        self.triples[name] = self.cached_triples[name]
+                        self.metrics.phase1_reused += 1
+                    continue
+            if not self._store_phase1(index, members):
+                self._join(index, members)
+        self._solve_phase1()
+
+    def _solve_phase1(self) -> None:
+        """Solve the pending region's phase 1."""
+        if not self._pending:
+            return
+        indices, members = self._take_pending()
+        region = self._region(members)
+        with self.metrics.stage("phase1"):
+            with span(
+                "phase1.region", components=len(indices), routines=len(members)
+            ):
+                solution = solve_phase1(
+                    region, self._saved, self.config, members, self.triples
+                )
+        self._graphs[frozenset(members)] = (region, solution)
+        self.metrics.phase1_sccs_solved += len(indices)
+        self.metrics.phase1_iterations += solution.iterations
+        for name in members:
+            triple = solution.entry_triple(region.psg, name)
+            self.triples[name] = triple
+            self.metrics.phase1_solved += 1
+            if triple != self.cached_triples.get(name):
+                self.changed1.add(name)
+        if self.store is not None:
+            publish_component(self.store, self._keys(), members, self.triples)
 
     # ------------------------------------------------------------------
     # Phase 2 — caller-first, seeded exits, change cutoff
     # ------------------------------------------------------------------
 
-    def _phase2_needed(self, members: Sequence[str], member_set: Set[str]) -> bool:
+    def _phase2_decided(self, members: Sequence[str]) -> bool:
+        """Whether the component needs phase 2 whatever its callers'
+        new liveness: a member dirty, uncached, orphaned, flipped in or
+        out of external visibility, or calling a routine whose triple
+        changed."""
         was_external = self.cache.externally_callable
         is_external = self.call_graph.externally_callable
         for name in members:
@@ -766,146 +649,96 @@ class _WarmEngine:
                 return True
             if (name in was_external) != (name in is_external):
                 return True
-            for callee in self.call_graph.callees_of(name):
-                if callee in self.changed1:
-                    return True
-            for caller, _site in self.call_graph.callers_of(name):
-                if caller not in member_set and caller in self.changed2:
-                    return True
+            if not self.changed1.isdisjoint(self.call_graph.callees_of(name)):
+                return True
         return False
 
-    def _label_edges(self, partial: PartialPsg) -> None:
-        """Write the phase-1 triples onto the resolved call-return
-        edges (what ``run_phase1`` does at the end of a solve; needed
-        again here because a component can be phase-2-dirty without
-        having been phase-1-re-solved)."""
-        for edge in partial.psg.call_return_edges:
-            if edge.is_unknown:
-                continue
-            label_mu = 0
-            label_md = 0
-            label_xd = -1
-            for callee in edge.callees:
-                triple = self.triples[callee]
-                label_mu |= triple.may_use
-                label_md |= triple.may_def
-                label_xd &= triple.must_def
-            edge.label = SummaryTriple(
-                may_use=label_mu,
-                may_def=label_md,
-                must_def=label_xd & TRACKED_MASK,
-            )
-
     def _run_phase2(self) -> None:
+        callers_of = self.call_graph.callers_of
         for index in range(len(self.condensation.components) - 1, -1, -1):
             if self.phase2_scope is not None and index not in self.phase2_scope:
                 continue
             members = self.condensation.members(index)
-            member_set = set(members)
-            if not self._phase2_needed(members, member_set):
-                self.metrics.phase2_reused += len(members)
-                continue
-            # The exit seeds are computable before any partial PSG
-            # exists (callers solved first, so their live-after masks
-            # are final) — which is what lets a store hit skip the
-            # partial build entirely.
-            member_seeds = {
-                name: self._exit_seeds.seed(name, member_set, self.call_graph)
-                for name in members
-            }
-            component_key = self._component_key(members, member_seeds)
-            if component_key is not None and self._store_phase2(
-                members, component_key
-            ):
-                self._drop(index)
-                continue
-            partial = self._partial(index)
-            self._drop(index)
-            self._label_edges(partial)
-            seeds: Dict[int, int] = {}
-            for name in members:
-                seed = member_seeds[name]
-                if not seed:
+            decided = self._phase2_decided(members)
+            lookup = self.store is not None and index not in self._grade1_missed
+            if lookup or not decided:
+                # The need — an outside caller's liveness changed — and
+                # the grade-2 key, which binds the exit seeds, read the
+                # outside callers: they must be solved.
+                member_set = set(members)
+                callers = [
+                    caller for name in members for caller, _site in callers_of(name)
+                    if caller not in member_set
+                ]
+                if not self._pending_members.isdisjoint(callers):
+                    self._solve_phase2()
+                if not decided and self.changed2.isdisjoint(callers):
+                    self.metrics.phase2_reused += len(members)
                     continue
-                for node_id in partial.psg.routines[name].return_exit_nodes():
-                    seeds[node_id] = seed
-            with self.metrics.stage("phase2"):
-                with span(
-                    "phase2.scc", component=index, routines=len(members)
-                ):
-                    solution = run_phase2(
-                        partial.psg,
-                        self.call_graph.externally_callable,
-                        self.config.convention,
-                        self._node_order(partial),
-                        extra_exit_live=seeds,
-                    )
-            self.solved2.add(index)
-            self.metrics.phase2_sccs_solved += 1
-            self.metrics.phase2_iterations += solution.iterations
-            with self.metrics.stage("assemble"):
-                cr_by_src = {
-                    edge.src: edge for edge in partial.psg.call_return_edges
-                }
-                for name in members:
-                    summary = self._assemble(
-                        partial, cr_by_src, solution.may_use, name
-                    )
-                    self.fresh[name] = summary
-                    self.metrics.phase2_solved += 1
-                    if (
-                        name not in self.cached
-                        or not _same_liveness(summary, self.cached[name])
-                    ):
-                        self.changed2.add(name)
-            if component_key is not None:
-                for name in members:
-                    self.store.store_summary(
-                        routine_record_key(component_key, name),
-                        name,
-                        self.fresh[name],
-                    )
+                if lookup and self._store_phase2(members):
+                    continue
+            self._join(index, members)
+        self._solve_phase2()
 
-    def _assemble(
-        self, partial: PartialPsg, cr_by_src, may_use: List[int], name: str
-    ) -> RoutineSummary:
-        psg = partial.psg
-        routine_psg = psg.routines[name]
-
-        exit_live: Dict[int, int] = {}
-        exit_kinds: Dict[int, ExitKind] = {}
-        for node_id, kind in routine_psg.exit_nodes:
-            block = psg.node_block[node_id]
-            exit_live[block] = may_use[node_id]
-            exit_kinds[block] = kind
-
-        call_sites: List[CallSiteSummary] = []
-        for call_node, return_node, site in routine_psg.call_pairs:
-            label = cr_by_src[call_node].label
-            # Positional, as in analysis._assemble_summaries.
-            call_sites.append(CallSiteSummary(
-                site, label.may_use, label.must_def, label.may_def,
-                may_use[call_node], may_use[return_node],
-            ))
-
-        triple = self.triples[name]
-        return RoutineSummary(
-            name=name,
-            call_used_mask=triple.may_use,
-            call_defined_mask=triple.must_def,
-            call_killed_mask=triple.may_def,
-            live_at_entry_mask=may_use[routine_psg.entry_node],
-            exit_live_masks=exit_live,
-            exit_kinds=exit_kinds,
-            call_sites=call_sites,
-            saved_restored_mask=self._saved.get(name, 0),
-        )
+    def _solve_phase2(self) -> None:
+        """Solve the pending region's phase 2 and assemble its members'
+        summaries."""
+        if not self._pending:
+            return
+        indices, members = self._take_pending()
+        member_set = frozenset(members)
+        # Callers outside the region are final: their seeds exist
+        # before any graph does.
+        seeds = {
+            name: self._exit_seeds.seed(name, member_set, self.call_graph)
+            for name in members
+        }
+        found = self._graphs.pop(member_set, None)
+        if found is None:
+            # No later region holds these members: drop their graphs.
+            self._graphs = {
+                key: value for key, value in self._graphs.items()
+                if key.isdisjoint(member_set)
+            }
+            region = self._region(members)
+            phase1 = pinned_phase1(region.psg, self.triples)
+        else:
+            region, phase1 = found
+        with self.metrics.stage("phase2"):
+            with span(
+                "phase2.region", components=len(indices), routines=len(members)
+            ):
+                solution = solve_phase2(
+                    region, self.config, self.call_graph.externally_callable,
+                    members, seeds,
+                )
+        self.metrics.phase2_sccs_solved += len(indices)
+        self.metrics.phase2_iterations += solution.iterations
+        with self.metrics.stage("assemble"):
+            fresh = region_summaries(
+                region.psg, members, self._saved, phase1, solution.may_use
+            )
+        for name, summary in fresh.items():
+            self.fresh[name] = summary
+            self.metrics.phase2_solved += 1
+            if name not in self.cached or not _same_liveness(
+                summary, self.cached[name]
+            ):
+                self.changed2.add(name)
+        if self.store is not None:
+            keys = self._keys()
+            for index in indices:
+                publish_component(
+                    self.store, keys, self.condensation.members(index),
+                    summaries=self.fresh, exit_seeds=self._exit_seeds,
+                )
 
     # ------------------------------------------------------------------
 
     def solve(self) -> None:
         """Run both phases over the configured component scopes without
-        assembling a program-wide result.
+        assembling a program-wide result, then publish the front-end
+        records the run derived to the store.
 
         The demand engine (:mod:`repro.interproc.demand`) uses this
         with scopes set: afterwards ``self.fresh`` holds the re-solved
@@ -914,11 +747,15 @@ class _WarmEngine:
         """
         self._run_phase1()
         self._run_phase2()
+        self.metrics.cfgs_built = self.frontend.cfgs_built - self._built_before
+        if self.store is not None:
+            publish_frontend_records(self.frontend, self.store)
+            self.store.flush()
 
     def run(self) -> SummarySet:
         self.solve()
         _log.debug(
-            "warm engine: phase1 solved %d / reused %d, "
+            "incremental engine: phase1 solved %d / reused %d, "
             "phase2 solved %d / reused %d",
             self.metrics.phase1_solved, self.metrics.phase1_reused,
             self.metrics.phase2_solved, self.metrics.phase2_reused,

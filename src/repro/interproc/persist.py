@@ -137,7 +137,7 @@ from repro.interproc.summaries import (
     RoutineSummary,
     _triple_of,
 )
-from repro.psg.build import FragmentRows, PsgFragment
+from repro.psg.build import PsgFragment
 
 MAGIC = b"SUM1"
 
@@ -546,22 +546,16 @@ class PackFormat:
 
 class _Packed:
     """One value of a :class:`PackedMap`: the object, its encoded
-    bytes, or both — or, until first needed, ``make`` that builds the
-    bytes; ``spliced`` when the bytes came from a sidecar."""
+    bytes, or both; ``spliced`` when the bytes came from a sidecar."""
 
-    __slots__ = ("value", "body", "spliced", "make")
+    __slots__ = ("value", "body", "spliced")
 
     def __init__(
-        self,
-        value: Any,
-        body: Optional[bytes] = None,
-        spliced: bool = False,
-        make: Optional[Callable[[], bytes]] = None,
+        self, value: Any, body: Optional[bytes] = None, spliced: bool = False
     ) -> None:
         self.value = value
         self.body = body
         self.spliced = spliced
-        self.make = make
 
 
 class _Codec(NamedTuple):
@@ -576,13 +570,12 @@ class PackedMap(Mapping):
 
     The maps :func:`load_cache` returns hold bytes only: reading a value
     decodes it, and writing the next sidecar copies the bytes as they
-    are.  A run's own values may be *deferred* (:meth:`deferred`):
-    encoded when first read or written, so a run whose cache nobody
-    writes never pays for them.  :func:`packed` builds a run's map from
-    the values it produced over the map it read; the two share the
-    values they have in common, so a value is encoded or decoded once,
-    whichever map is asked first, and maps built over maps never form a
-    chain.
+    are; a run's own values are encoded when first written, so a run
+    whose cache nobody writes never pays for that.  :func:`packed`
+    builds a run's map from the values it produced over the map it
+    read; the two share the values they have in common, so a value is
+    encoded or decoded once, whichever map is asked first, and maps
+    built over maps never form a chain.
     """
 
     __slots__ = ("_cells", "_codec")
@@ -595,17 +588,6 @@ class PackedMap(Mapping):
     def of(cls, values: Mapping, codec: _Codec) -> "PackedMap":
         """``values``, each encoded when first asked for its bytes."""
         return cls({key: _Packed(value) for key, value in values.items()}, codec)
-
-    @classmethod
-    def deferred(
-        cls, makers: Mapping[Any, Callable[[], bytes]], codec: _Codec
-    ) -> "PackedMap":
-        """The values whose bytes ``makers`` produce, each when first
-        needed."""
-        return cls(
-            {key: _Packed(None, make=make) for key, make in makers.items()},
-            codec,
-        )
 
     def __getitem__(self, key):
         cell = self._cells[key]
@@ -632,11 +614,7 @@ class PackedMap(Mapping):
     def _body(self, cell: _Packed) -> bytes:
         body = cell.body
         if body is None:
-            if cell.make is None:
-                body = self._codec.encode(cell.value)
-            else:
-                body, cell.make = cell.make(), None
-            cell.body = body
+            body = cell.body = self._codec.encode(cell.value)
         return body
 
 
@@ -677,7 +655,7 @@ def _encode_summary(summary: RoutineSummary) -> bytes:
     return b"".join(parts)
 
 
-def fragment_body(rows: FragmentRows) -> bytes:
+def fragment_body(rows: PsgFragment) -> bytes:
     """The sidecar bytes of one routine's fragment: its nodes renumbered
     from its entry node, its labels from 0 in order of first use — so
     the same routine body gives the same bytes whichever PSG it was
@@ -709,16 +687,6 @@ def fragment_body(rows: FragmentRows) -> bytes:
             *map(local.__getitem__, used),
         ),
     ))
-
-
-def _encode_fragment(fragment: PsgFragment) -> bytes:
-    return fragment_body(
-        FragmentRows(
-            fragment.exits, fragment.site_count, fragment.branch_blocks,
-            fragment.saved, fragment.labels, 0, fragment.sources,
-            fragment.targets, fragment.label_ids,
-        )
-    )
 
 
 def _decode_fragment(body: bytes, _key: object = None) -> PsgFragment:
@@ -783,7 +751,7 @@ def _decode_fragment(body: bytes, _key: object = None) -> PsgFragment:
 
 #: Summary bodies by routine name, and PSG fragments by shape key.
 SUMMARY_BODIES = _Codec(_decode_summary, _encode_summary)
-FRAGMENTS = _Codec(_decode_fragment, _encode_fragment)
+FRAGMENTS = _Codec(_decode_fragment, fragment_body)
 
 
 # ----------------------------------------------------------------------
@@ -883,7 +851,7 @@ class SummaryCache:
     fingerprint map) but whose phase-2 liveness is not cached.  The
     demand engine writes these for the callee cone of a query so the
     next query skips phase 1 there; full runs consume them through
-    :class:`repro.interproc.incremental._WarmEngine` like any other
+    :class:`repro.interproc.incremental._Engine` like any other
     cached triple.
 
     ``frontend_records`` are the writing run's

@@ -64,33 +64,31 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import struct
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph, Condensation
 from repro.cfg.cfg import FrontendRecord
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.frontend import Frontend
 from repro.interproc.persist import (
+    _U64,
     PackFormat,
     Slot,
     SummaryFormatError,
     _Reader,
     _read_record,
     _read_summary_body,
+    _text_bytes,
     _write_record,
     _write_summary_body,
     _Writer,
     crc64,
     pack_checksum,
 )
-from repro.interproc.summaries import (
-    ExitSeeds,
-    RoutineSummary,
-    SummarySet,
-    _triple_of,
-)
+from repro.interproc.summaries import ExitSeeds, RoutineSummary
 from repro.isa.calling_convention import CallingConvention
 from repro.obs.metrics import REGISTRY
 
@@ -130,6 +128,10 @@ _OLD_SUFFIXES = (".sum1r", ".sum2r", ".sumfr")
 _STALE_TMP_SECONDS = 300.0
 
 _tmp_counter = itertools.count()
+
+#: A member's deep fingerprint, externally-callable bit and exit seed,
+#: as a phase-2 component key hashes them.
+_KEY_ENTRY = struct.Struct("<Q?Q")
 
 
 # ----------------------------------------------------------------------
@@ -199,31 +201,28 @@ def deep_fingerprints(
     them.
     """
     deep: Dict[str, int] = {}
+    # The bytes _Writer would write, joined once per digest.
+    u64, text = _U64.pack, _text_bytes
+    head = u64(context)
     for members in condensation.components:
         member_set = set(members)
-        writer = _Writer()
-        writer.u64(context)
+        parts = [head]
         for name in sorted(members):
-            writer.text(name)
-            writer.u64(fingerprints[name])
-        externals: Set[str] = set()
-        for name in members:
-            externals.update(
-                callee
-                for callee in call_graph.callees_of(name)
-                if callee not in member_set
-            )
+            parts += (text(name), u64(fingerprints[name]))
+        externals = {
+            callee
+            for name in members
+            for callee in call_graph.callees_of(name)
+            if callee not in member_set
+        }
         for callee in sorted(externals):
             if callee in deep:
-                writer.text(callee)
-                writer.u64(deep[callee])
-        scc_digest = crc64(writer.blob())
+                parts += (text(callee), u64(deep[callee]))
+        scc_digest = u64(crc64(b"".join(parts)))
         for name in members:
-            leaf = _Writer()
-            leaf.text(name)
-            leaf.u64(fingerprints[name])
-            leaf.u64(scc_digest)
-            deep[name] = crc64(leaf.blob())
+            deep[name] = crc64(
+                b"".join((text(name), u64(fingerprints[name]), scc_digest))
+            )
     return deep
 
 
@@ -244,14 +243,15 @@ def phase2_component_key(
     numbering of the partial PSG irrelevant, so this digest is the
     complete input signature of the component's full summaries.
     """
-    writer = _Writer()
-    writer.u64(context)
+    parts = [_U64.pack(context)]
     for name in sorted(members):
-        writer.text(name)
-        writer.u64(deep[name])
-        writer.u8(1 if name in externally_callable else 0)
-        writer.u64(seeds.get(name, 0))
-    return crc64(writer.blob())
+        parts += (
+            _text_bytes(name),
+            _KEY_ENTRY.pack(
+                deep[name], name in externally_callable, seeds.get(name, 0)
+            ),
+        )
+    return crc64(b"".join(parts))
 
 
 def routine_record_key(component_key: int, name: str) -> int:
@@ -508,9 +508,14 @@ class StoreView:
             self.directory, encode_pack(pending)
         ) is None:
             return
+        written: Dict[str, List[int]] = {}
         for (grade, _key), body in pending.items():
-            REGISTRY.inc(f"{_COUNTERS[grade]}.write")
-            REGISTRY.inc(f"{_COUNTERS[grade]}.bytes", len(body))
+            counts = written.setdefault(_COUNTERS[grade], [0, 0])
+            counts[0] += 1
+            counts[1] += len(body)
+        for prefix, (records, size) in written.items():
+            REGISTRY.inc(f"{prefix}.write", records)
+            REGISTRY.inc(f"{prefix}.bytes", size)
 
 
 # ----------------------------------------------------------------------
@@ -713,7 +718,7 @@ def open_view(config) -> Optional[StoreView]:
 
 
 # ----------------------------------------------------------------------
-# Publishing a finished result
+# Keys and the per-component publish step
 # ----------------------------------------------------------------------
 
 
@@ -727,54 +732,54 @@ def publish_frontend_records(frontend: Frontend, view: StoreView) -> None:
             view.store_frontend(record)
 
 
-def publish_result(
-    frontend: Frontend,
-    config,
-    result: SummarySet,
-    view: Optional[StoreView] = None,
-) -> None:
-    """Publish every routine of a finished whole-program result to the
-    configured store as one pack (a no-op when ``config`` resolves to
-    none); ``view`` is the run's own when it already opened one.
+class StoreKeys:
+    """The summary-grade keys of one program under one configuration:
+    each routine's deep fingerprint (grade 1) and each component's
+    boundary digest (grade 2)."""
 
-    Grade-1 triples go out under deep fingerprints; grade-2 full
-    summaries under their component boundary digests; front-end
-    records under their shape keys.  Records the store holds are
-    skipped before they are encoded, so republishing a warm result
-    writes nothing.
-    """
-    if view is None:
-        view = open_view(config)
-        if view is None:
-            return
-    publish_frontend_records(frontend, view)
-    condensation = frontend.condensation
-    call_graph = frontend.call_graph
-    context = config_digest(config)
-    deep = deep_fingerprints(
-        frontend.fingerprints, condensation, call_graph, context
-    )
-    externally_callable = call_graph.externally_callable
-    # Phase 2 runs callers-first, so the live-after mask at every
-    # out-of-component call site in the *final* result equals the seed
-    # the solver fed the component.
-    exit_seeds = ExitSeeds(result.summaries)
-    for members in condensation.components:
-        missing = [name for name in members if name not in result.summaries]
-        if missing:
-            continue
+    def __init__(self, frontend: Frontend, config) -> None:
+        self.frontend = frontend
+        self.context = config_digest(config)
+        self.deep = deep_fingerprints(
+            frontend.fingerprints, frontend.condensation,
+            frontend.call_graph, self.context,
+        )
+
+    def component_key(self, members: Sequence[str], exit_seeds: ExitSeeds) -> int:
+        """The boundary digest of the component ``members``, its exit
+        seeds read off the final caller summaries ``exit_seeds`` holds."""
         member_set = set(members)
+        call_graph = self.frontend.call_graph
         seeds = {
             name: exit_seeds.seed(name, member_set, call_graph)
             for name in members
         }
-        component_key = phase2_component_key(
-            members, deep, externally_callable, seeds, context
+        return phase2_component_key(
+            members, self.deep, call_graph.externally_callable, seeds,
+            self.context,
         )
+
+
+def publish_component(
+    view: StoreView,
+    keys: StoreKeys,
+    members: Sequence[str],
+    triples: Optional[Mapping[str, SummaryTriple]] = None,
+    summaries: Optional[Mapping[str, RoutineSummary]] = None,
+    exit_seeds: Optional[ExitSeeds] = None,
+) -> None:
+    """Add the records of ``members`` to ``view``: their ``triples``
+    under their deep fingerprints, and — ``members`` being one
+    component whose callers are solved — their ``summaries`` under its
+    boundary digest, the exit seeds read off ``exit_seeds``.  Records
+    the store holds are skipped before they are encoded."""
+    if triples is not None:
+        deep = keys.deep
         for name in members:
-            summary = result.summaries[name]
-            view.store_triple(deep[name], name, _triple_of(summary))
+            view.store_triple(deep[name], name, triples[name])
+    if summaries is not None:
+        component_key = keys.component_key(members, exit_seeds)
+        for name in members:
             view.store_summary(
-                routine_record_key(component_key, name), name, summary
+                routine_record_key(component_key, name), name, summaries[name]
             )
-    view.flush()

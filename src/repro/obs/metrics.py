@@ -82,8 +82,6 @@ Counter inventory (see ``docs/observability.md`` for semantics):
 ``query.solved`` / ``query.reused``  phase-2 work inside the cones
 ``query.memo_dropped``           cache entries (or grades) a query's
                                  memo write-back had to invalidate
-``query.partial.hit`` / ``.built`` / ``.evicted``  a query session's
-                                 partial PSGs: reused, built, dropped
 ``regset.constructed``           RegisterSet objects built
 =============================== =====================================
 
@@ -133,9 +131,6 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("query.solved", ()),
     ("query.reused", ()),
     ("query.memo_dropped", ()),
-    ("query.partial.built", ()),
-    ("query.partial.evicted", ()),
-    ("query.partial.hit", ()),
     ("solver.iterations", (("phase", "phase1"),)),
     ("solver.iterations", (("phase", "phase2"),)),
     ("solver.pushes", ()),

@@ -300,36 +300,29 @@ def build_psg(
     config: Optional[PsgConfig] = None,
 ) -> ProgramSummaryGraph:
     """Build the whole-program PSG from every routine's CFG, in program
-    order.  ``local_sets`` is not read — the DEF/UBD masks are the
-    CFGs' own rows — and is accepted for the stage replay in
-    ``perf/workloads.py``, which passes
+    order: the region of every routine (:func:`build_partial_psg`),
+    which has no external entries.  ``local_sets`` is not read — the
+    DEF/UBD masks are the CFGs' own rows — and is accepted for the
+    stage replay in ``perf/workloads.py``, which passes
     :func:`~repro.dataflow.local.compute_local_sets` of each CFG."""
-    config = config or PsgConfig()
-    assembly = PsgAssembly()
-    with span("psg.build", routines=len(program.routines)):
-        for routine in program:
-            build_routine_psg(cfgs[routine.name], config, assembly)
-        psg = assembly.finish(partial=False)
-    _log.debug(
-        "built PSG: %d routines, %d nodes, %d flow edges, %d call-return edges",
-        len(psg.routines), psg.node_count, psg.flow_edge_count,
-        len(psg.call_return_edges),
-    )
-    return psg
+    return build_partial_psg(
+        [cfgs[routine.name] for routine in program], config, whole=True
+    ).psg
 
 
 @dataclass
 class PartialPsg:
-    """A PSG over a subset of the program's routines.
+    """A PSG over a region: a list of the program's routines.
 
-    ``external_entries`` maps each callee *outside* the subset to a
-    dummy entry node: the incremental engine pins those nodes at the
+    ``external_entries`` maps each callee *outside* the region to a
+    dummy entry node: the region solve pins those nodes at the
     callee's already-known phase-1 triple (via ``run_phase1``'s
-    ``fixed_entries``), so calls leaving the subset read converged
+    ``fixed_entries``), so calls leaving the region read converged
     summaries instead of re-solving the callee.  Dummy routines carry
     no exit nodes, so phase 2's return-to-exit liveness copies stop at
-    the subset boundary (the boundary flow is injected as
-    ``extra_exit_live`` seeds instead).
+    the region boundary (the boundary flow is injected as
+    ``extra_exit_live`` seeds instead).  The region of every routine
+    has none: it is the whole-program PSG.
     """
 
     psg: ProgramSummaryGraph
@@ -346,10 +339,14 @@ class PsgFragment(NamedTuple):
     tables, :func:`repro.interproc.frontend.shape_key`) and the
     analysis configuration alone; the call sites — whose targets depend
     on the image around the routine — come from the call graph when it
-    is appended.  Node numbers are relative to the routine's entry node
-    (0), in build order: the exits, a call and a return node per site,
-    the branch nodes.  ``saved`` is the routine's §3.4 saved/restored
-    mask under the configuration the fragment was built with.
+    is appended.  Node numbers count from the routine's entry node
+    ``entry``, in build order: the exits, a call and a return node per
+    site, the branch nodes.  ``saved`` is the routine's §3.4
+    saved/restored mask under the configuration the fragment was built
+    with.  A fragment decoded from a sidecar has ``entry`` 0 and its
+    own label table; one taken from a built graph
+    (:func:`fragment_rows`) keeps the graph's numbering and shares its
+    label table.
     """
 
     #: ``(block, kind)`` per exit, in block order.
@@ -358,13 +355,14 @@ class PsgFragment(NamedTuple):
     #: The blocks that earned a §3.6 branch node, in block order.
     branch_blocks: Tuple[int, ...]
     saved: int
-    #: The distinct raw labels, in order of first use.
-    labels: Tuple[Triple, ...]
-    #: The flow edges, in build order: relative source and target node
-    #: and index into ``labels``, one tuple per column.
-    sources: Tuple[int, ...]
-    targets: Tuple[int, ...]
-    label_ids: Tuple[int, ...]
+    #: The raw labels ``label_ids`` index.
+    labels: Sequence[Triple]
+    #: The flow edges, in build order: source and target node and
+    #: index into ``labels``, one sequence per column.
+    sources: Sequence[int]
+    targets: Sequence[int]
+    label_ids: Sequence[int]
+    entry: int = 0
 
 
 class StoredRoutine(NamedTuple):
@@ -379,16 +377,22 @@ class StoredRoutine(NamedTuple):
 def build_partial_psg(
     routines: Sequence[Union[ControlFlowGraph, StoredRoutine]],
     config: Optional[PsgConfig] = None,
+    whole: bool = False,
 ) -> PartialPsg:
-    """Build a PSG containing only the given routines, in that order,
-    with dummy pinned-entry nodes standing in for callees outside the
-    subset.  A routine given by its CFG is labeled here; one given as a
-    :class:`StoredRoutine` is appended from its fragment."""
+    """Build the PSG of a region: the given routines, in that order,
+    with dummy pinned-entry nodes standing in for callees outside it.
+    A routine given by its CFG is labeled here; one given as a
+    :class:`StoredRoutine` is appended from its fragment.  ``whole``
+    says the region is the whole program (counted ``psg.builds``,
+    spanned ``psg.build``; any other is ``psg.partial_builds`` and
+    ``psg.build_partial``)."""
     config = config or PsgConfig()
     assembly = PsgAssembly()
     members = [routine.name for routine in routines]
     member_set = set(members)
-    with span("psg.build_partial", members=len(members)):
+    with span(
+        "psg.build" if whole else "psg.build_partial", routines=len(members)
+    ):
         for routine in routines:
             if isinstance(routine, StoredRoutine):
                 append_fragment(*routine, config, assembly)
@@ -405,10 +409,12 @@ def build_partial_psg(
                 assembly.node_block.append(0)
                 assembly.node_detail.append(None)
                 assembly.routines[callee] = RoutinePSG(callee, node_id, (), (), ())
-        psg = assembly.finish(partial=True)
+        psg = assembly.finish(partial=not whole)
     _log.debug(
-        "built partial PSG: %d members, %d external entries, %d nodes",
+        "built PSG: %d routines, %d external entries, %d nodes, "
+        "%d flow edges, %d call-return edges",
         len(members), len(external_entries), psg.node_count,
+        psg.flow_edge_count, len(psg.call_return_edges),
     )
     return PartialPsg(psg=psg, members=members, external_entries=external_entries)
 
@@ -517,7 +523,7 @@ def append_fragment(
         assembly, name, fragment.exits, sites, fragment.branch_blocks,
         config.convention,
     )
-    base = repeat(routine_psg.entry_node)
+    base = repeat(routine_psg.entry_node - fragment.entry)
     routine_psg.flow_edge_indices = assembly.add_flow_edges(zip(
         map(add, fragment.sources, base),
         map(add, fragment.targets, base),
@@ -526,44 +532,26 @@ def append_fragment(
     return routine_psg
 
 
-class FragmentRows(NamedTuple):
-    """One routine's labeled part of a built PSG as the graph holds it:
-    what its :class:`PsgFragment` is made of, without the graph (the
-    sidecar encodes it, :mod:`repro.interproc.persist`)."""
-
-    exits: Tuple[Tuple[int, ExitKind], ...]
-    site_count: int
-    branch_blocks: Tuple[int, ...]
-    saved: int
-    #: The graph's label table, and the routine's entry node.
-    labels: Sequence[Triple]
-    entry: int
-    #: The routine's slice of the edge table: absolute source and
-    #: target nodes, indices into ``labels``.
-    sources: Sequence[int]
-    targets: Sequence[int]
-    label_ids: Sequence[int]
-
-
 def fragment_rows(
     psg: ProgramSummaryGraph, name: str, saved: int
-) -> FragmentRows:
-    """Routine ``name``'s :class:`FragmentRows` in ``psg`` (``saved``
-    is its §3.4 mask): copies of its rows, so the graph can go."""
+) -> PsgFragment:
+    """Routine ``name``'s fragment as ``psg`` holds it (``saved`` is its
+    §3.4 mask): copies of its rows, numbered as in ``psg`` and sharing
+    its label table, so the rest of the graph can go."""
     routine_psg = psg.routines[name]
     blocks, arena = psg.node_block, psg.arena
     edges = routine_psg.flow_edge_indices
     first, stop = edges.start, edges.stop
-    return FragmentRows(
+    return PsgFragment(
         tuple([(blocks[node], kind) for node, kind in routine_psg.exit_nodes]),
         len(routine_psg.call_pairs),
         tuple([blocks[node] for node in routine_psg.branch_nodes]),
         saved,
         arena.labels,
-        routine_psg.entry_node,
         arena.edge_src[first:stop],
         arena.edge_dst[first:stop],
         arena.edge_label[first:stop],
+        routine_psg.entry_node,
     )
 
 

@@ -14,16 +14,18 @@ The contract under test (see :mod:`repro.interproc.demand`):
   routine;
 * the cache round-trips through the SUM4 wire format, phase-1-only
   triple entries included;
-* a session builds each component's partial PSG at most once, keeps it
-  per configuration, and drops it once phase 2 has solved the
-  component.
+* a query solves the components it needs as at most one region graph
+  per phase, and a session labels each routine's PSG at most once: a
+  later query appends the fragments its memoized cache carries, which
+  are the configuration's own.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import AnalysisConfig, AnalysisSession, UnknownRoutineError
-from repro.interproc import dump_cache, dump_summaries, incremental, load_cache
+from repro.interproc import dump_cache, dump_summaries, load_cache
+from repro.interproc.persist import fragment_body
 from repro.cfg.callgraph import build_call_graph
 from tests.facade import analyze_program
 from tests.test_sidecar_pack import _forged_exit_kind
@@ -31,6 +33,7 @@ from repro.interproc.demand import query_routine
 from repro.interproc.store import config_digest
 from repro.interproc.summaries import SummarySet
 from repro.obs.metrics import REGISTRY
+from repro.psg import build as psg_build
 from repro.psg.build import PsgConfig
 from repro.isa.instructions import ControlKind
 from repro.isa.registers import ZERO_REGISTER
@@ -316,7 +319,7 @@ class TestSessionQuery:
 
 
 # ----------------------------------------------------------------------
-# A session's partial PSGs
+# A session's labeled work
 # ----------------------------------------------------------------------
 
 _OFF = AnalysisConfig(store="off")
@@ -356,18 +359,27 @@ def _drill_down(program):
 
 
 class TestSessionPartialPsgs:
+    """A session's unit of reuse is one routine's labeled PSG fragment,
+    held decoded in the memoized cache the session threads between
+    queries; each query builds at most one region graph per phase."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        labeled = []
+        label = psg_build.build_routine_psg
+
+        def recording(cfg, config, assembly):
+            labeled.append(cfg.name)
+            return label(cfg, config, assembly)
+
+        monkeypatch.setattr(psg_build, "build_routine_psg", recording)
+        return labeled
+
     @pytest.mark.parametrize("bench", ["li", "perl"])
     def test_drill_down_builds_each_component_once(self, bench, monkeypatch):
         program = _generate(bench)
         full = analyze_program(program, _OFF).result.summaries
-        built = []
-        build = incremental.build_partial_psg
-
-        def recording(routines, config=None):
-            built.append(tuple(routine.name for routine in routines))
-            return build(routines, config)
-
-        monkeypatch.setattr(incremental, "build_partial_psg", recording)
+        labeled = self._recording(monkeypatch)
         session = AnalysisSession.from_program(program, _OFF)
         deltas = []
         for name in _drill_down(program):
@@ -375,27 +387,40 @@ class TestSessionPartialPsgs:
             result = session.query(name)
             deltas.append(REGISTRY.delta_since(before))
             assert _canon(result.summary) == _canon(full[name]), name
-        components = result.frontend.condensation.components
-        assert len(built) == len(set(built)) <= len(components)
-        assert sum(d.get("psg.partial_builds", 0) for d in deltas) == len(built)
-        assert sum(d["query.partial.built"] for d in deltas) == len(built)
-        # The later queries' phase 2 reads graphs the first one built.
-        assert sum(d["query.partial.hit"] for d in deltas[1:]) > 0
+        assert len(labeled) == len(set(labeled)) <= program.routine_count
+        for delta in deltas:
+            assert delta.get("psg.partial_builds", 0) <= 2
+            assert delta.get("psg.builds", 0) == 0
+        # The later queries' regions append what the first one labeled.
+        assert sum(d["cache.fragment.hit"] for d in deltas[1:]) > 0
 
-    def test_memo_is_empty_once_phase_2_has_covered_the_program(self):
+    def test_memo_is_empty_once_phase_2_has_covered_the_program(
+        self, monkeypatch
+    ):
         program = _asm(_DIAMOND)
+        labeled = self._recording(monkeypatch)
         session = AnalysisSession.from_program(program, _OFF)
-        first = session.query("main")
-        memo = first.frontend.partials[config_digest(_OFF)]
-        # Phase 1 built all four components, phase 2 solved main's.
-        assert len(memo) == 3
+        before = REGISTRY.snapshot()
+        session.query("main")
+        first = REGISTRY.delta_since(before)
+        # Phase 1 labeled all four routines as one region, phase 2
+        # solved main's component as another.
+        assert sorted(labeled) == sorted(program.routine_names())
+        assert first["psg.partial_builds"] == 2
+        before = REGISTRY.snapshot()
         last = session.query("leaf")
+        delta = REGISTRY.delta_since(before)
         assert last.metrics.phase2_cone_routines == program.routine_count
-        assert memo == {}
-        counters = session.metrics()["counters"]
-        assert counters["query.partial.built"] == 4
-        assert counters["query.partial.evicted"] == 4
-        assert counters["query.partial.hit"] == 4
+        # One region from the fragments the first query left: nothing
+        # labeled again.
+        assert len(labeled) == program.routine_count
+        assert delta["psg.partial_builds"] == 1
+        assert delta["cache.fragment.hit"] == 3
+        # Phase 2 has covered the program: nothing is left to build.
+        before = REGISTRY.snapshot()
+        for name in program.routine_names():
+            session.query(name)
+        assert REGISTRY.delta_since(before).get("psg.partial_builds", 0) == 0
 
     @pytest.mark.parametrize(
         "ablation",
@@ -420,18 +445,23 @@ class TestSessionPartialPsgs:
             for session, full in zip(sessions, expected):
                 result = session.query(name)
                 assert _canon(result.summary) == _canon(full[name]), name
-        frontends = [session.query(program.entry).frontend for session in sessions]
-        assert frontends[0] is not frontends[1]
-        for frontend, config in zip(frontends, configs):
-            assert set(frontend.partials) == {config_digest(config)}
+        caches = [session.query(program.entry).cache for session in sessions]
+        for cache, config in zip(caches, configs):
+            assert cache.config_digest == config_digest(config)
+        # The same bodies, labeled under each configuration apart.
+        shared = set(caches[0].fragments) & set(caches[1].fragments)
+        assert shared and any(
+            fragment_body(caches[0].fragments[key])
+            != fragment_body(caches[1].fragments[key])
+            for key in shared
+        )
         # One front end asked under both configurations keeps them apart.
-        frontend = frontends[0]
+        frontend = sessions[0].query(program.entry).frontend
         for name in names:
             result = query_routine(
                 program, name, config=ablation, frontend=frontend
             )
             assert _canon(result.summary) == _canon(expected[1][name]), name
-        assert set(frontend.partials) == set(map(config_digest, configs))
 
     def test_cold_retry_after_an_unreadable_body_matches(self, small_benchmark):
         victim = first_editable_routine(small_benchmark)

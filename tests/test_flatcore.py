@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import AnalysisSession
 from repro.interproc import analysis as analysis_module
-from repro.interproc import incremental as incremental_module
 from repro.interproc.analysis import (
     AnalysisConfig,
     _analyze_program,
@@ -85,14 +84,14 @@ def counted(run):
 @pytest.fixture
 def oracle_engines(monkeypatch):
     """``with oracle_engines():`` — every driver solves with the object
-    engines."""
+    engines (every driver's phases run through the region solve in
+    ``interproc.analysis``)."""
 
     @contextmanager
     def installed():
         with monkeypatch.context() as patch:
-            for module in (analysis_module, incremental_module):
-                patch.setattr(module, "run_phase1", phase_oracle.run_phase1)
-                patch.setattr(module, "run_phase2", phase_oracle.run_phase2)
+            patch.setattr(analysis_module, "run_phase1", phase_oracle.run_phase1)
+            patch.setattr(analysis_module, "run_phase2", phase_oracle.run_phase2)
             yield
 
     return installed

@@ -161,11 +161,13 @@ def test_fragments_are_taken_only_for_a_written_cache(
 
     taken = []
 
-    def counting(rows):
-        taken.append(rows)
-        return fragment_body(rows)
+    def counting(fragment):
+        taken.append(fragment)
+        return fragment_body(fragment)
 
-    monkeypatch.setattr(incremental, "fragment_body", counting)
+    monkeypatch.setattr(
+        incremental, "FRAGMENTS", FRAGMENTS._replace(encode=counting)
+    )
     program = small_benchmark
     cold = _warm(program, None)
     edited = perturb_routine(program, first_editable_routine(program))

@@ -25,8 +25,10 @@ target scan creeping back shows there as a count, on any host — its
 work stays inside back-arc regions), and its counters show
 ``cfg.built`` and ``psg.built`` 0 and ``frontend.rows`` equal to the
 routine count: the front end walked every routine once and built no
-``BasicBlock`` and no ``PSGNode``.  The warm query must report
-``phase2_solved == 0``: the cone-scoped solves and the sidecar they
+``BasicBlock`` and no ``PSGNode``.  The cold query must report
+``psg.builds + psg.partial_builds <= 2`` (its needed components solve
+as one region per phase, not one graph per component), and the warm
+one ``phase2_solved == 0``: the cone-scoped solves and the sidecar they
 memoize into compose end to end.
 
 Usage::
@@ -46,7 +48,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import List
+from typing import Dict, List
 
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.interproc.persist import dump_summaries, image_fingerprint
@@ -62,6 +64,22 @@ EQUAL_KEYS = (
     "solver.iterations{phase=phase1}",
     "solver.iterations{phase=phase2}",
 )
+
+
+#: PSGs a cold query may build: one region per phase.
+MAX_QUERY_GRAPHS = 2
+
+
+def stats_counters(text: str) -> Dict[str, int]:
+    """The counter block of a ``--stats`` report, by name."""
+    block = text.split("\ncounters:\n", 1)[1]
+    counters = {}
+    for line in block.splitlines():
+        if not line.startswith("  "):
+            break
+        name, value = line.split()
+        counters[name] = int(value.replace(",", ""))
+    return counters
 
 
 def fail(message: str) -> None:
@@ -144,7 +162,12 @@ def main(argv: List[str] | None = None) -> int:
             fail(f"psg.label.region_blocks {region_blocks}: not present "
                  f"and below the image's {blocks} basic blocks")
 
-        cli("query", image, "f0", "--stats")
+        cold = stats_counters(cli("query", image, "f0", "--stats"))
+        graphs = cold.get("psg.builds", 0) + cold.get("psg.partial_builds", 0)
+        if graphs > MAX_QUERY_GRAPHS:
+            fail(f"the cold query built {graphs} PSGs, not at most "
+                 f"{MAX_QUERY_GRAPHS}: its needed components were not "
+                 f"solved as one region per phase")
         warm = json.loads(cli("query", image, "f0", "--json"))
         if warm["phase2_solved"] != 0:
             fail(f"the repeated query re-solved: phase2_solved "
@@ -155,7 +178,8 @@ def main(argv: List[str] | None = None) -> int:
             f"byte-identical to the per-target oracle, iterations "
             f"{[counters[key] for key in EQUAL_KEYS]} equal, {visits} label "
             f"visits ({visits / blocks:.2f} per block), {region_blocks} "
-            f"blocks in back-arc regions; warm query solved nothing"
+            f"blocks in back-arc regions; cold query built {graphs} PSGs, "
+            f"warm query solved nothing"
         )
     return 0
 

@@ -11,7 +11,8 @@ Table-2 image twice, and checks the full service contract:
   ``GET /metricsz``;
 * two ``POST /v1/query`` with overlapping cones (the entry, then one of
   its callees) answer what ``/v1/analyze`` does, and ``/metricsz``
-  shows ``query.partial.hit >= 1``: the session reused a partial PSG;
+  shows ``cache.fragment.hit >= 1``: the second query appended PSG
+  fragments the first one labeled, held in the session's memo;
 * the server's ``service.request.seconds`` histogram count equals the
   POSTs the smoke sent, exactly; ``/metricsz?format=prometheus`` passes
   ``tools/validate_prometheus``; ``/healthz`` reports nothing in flight;
@@ -92,14 +93,14 @@ def check_queries(client: ServiceClient, image_bytes: bytes) -> int:
         if answer != whole.payload["summaries"][routine]:
             fail(f"query answer for {routine!r} differs from /v1/analyze")
     counters = client.metricsz()["counters"]
-    if counters.get("query.partial.hit", 0) < 1:
-        fail(f"the queries reused no partial PSG: {counters}")
+    if counters.get("cache.fragment.hit", 0) < 1:
+        fail(f"the queries reused no labeled PSG fragment: {counters}")
     print(
         f"queries: {entry} then {callees[0]} match /v1/analyze; "
         + ", ".join(
             f"{name}={counters.get(name, 0)}"
-            for name in ("query.partial.built", "query.partial.hit",
-                         "query.partial.evicted")
+            for name in ("psg.partial_builds", "cache.fragment.hit",
+                         "cache.fragment.miss")
         )
     )
     return len(answers) + 1
