@@ -1,8 +1,9 @@
-"""CFG Build: one walk per routine, from instructions to block rows.
+"""CFG Build: one walk per routine, from instruction rows to block rows.
 
 This is the paper's "CFG Build" stage, with its "Initialization" (the
 per-block DEF/UBD sets, and the §3.4 save/restore pattern) folded in.
-For each routine, :func:`build_cfg`:
+For each routine, :func:`build_cfg` reads its instruction rows
+(``Routine.rows``, see :data:`repro.isa.instructions.ROW_FIELDS`) and:
 
 1. classifies every instruction's control behaviour in one walk,
    recovering branch targets (PC-relative) and multiway-branch targets
@@ -38,7 +39,7 @@ from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.encoding import INSTRUCTION_SIZE
-from repro.isa.instructions import ControlKind, Instruction, Opcode
+from repro.isa.instructions import ControlKind, Opcode
 from repro.isa.registers import STACK_POINTER, ZERO_REGISTER
 from repro.program.model import Program, Routine
 from repro.cfg.cfg import (
@@ -84,20 +85,21 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     :class:`CfgError` for control flow no CFG can model, in the order
     the instructions and then the call blocks are met."""
     REGISTRY.inc("frontend.rows")
-    instructions = routine.instructions
-    count = len(instructions)
+    rows = routine.rows
+    count = len(rows)
 
-    # 1: terminator kinds and targets, in one walk
+    # 1: terminator kinds and targets, in one walk (row[0] is the
+    # control kind, row[3] the displacement)
     kinds: Dict[int, TerminatorKind] = {}
     targets: Dict[int, List[int]] = {}
     leaders = {0}
-    for index, instruction in enumerate(instructions):
-        control = instruction.control
+    for index, row in enumerate(rows):
+        control = row[0]
         if control is _FALLTHROUGH:
             continue
         if control is _COND_BRANCH or control is _UNCOND_BRANCH:
             kinds[index] = _COND if control is _COND_BRANCH else _UNCOND
-            target = _branch_target(routine, index, instruction)
+            target = _branch_target(routine, index, row[3], count)
             targets[index] = [target]
             leaders.add(target)
         elif control is _CALL_DIRECT or control is _CALL_INDIRECT:
@@ -124,7 +126,7 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
         else:  # pragma: no cover - exhaustive
             raise AssertionError(control)
         leaders.add(index + 1)
-    last = instructions[-1].control
+    last = rows[-1][0]
     if last is _FALLTHROUGH or last is _COND_BRANCH:
         raise CfgError(
             f"{routine.name!r}: control falls off the end of the routine"
@@ -143,9 +145,9 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     exits: List[Tuple[int, ExitKind]] = []
     for block, (start, stop) in enumerate(bounds):
         used = defined = 0
-        for instruction in instructions[start:stop]:
-            used |= instruction.use_mask & ~defined
-            defined |= instruction.def_mask
+        for row in rows[start:stop]:  # row[1]/row[2]: use/def masks
+            used |= row[1] & ~defined
+            defined |= row[2]
         ubd.append(used)
         defs.append(defined)
         kind = kinds.get(stop - 1, _NEXT)
@@ -178,14 +180,14 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     call_sites: List[CallSite] = []
     for block in calls:
         start, stop = bounds[block]
-        recorded = _record_site(instructions, block, start, stop)
+        recorded = _record_site(rows, block, start, stop)
         recorded_sites.append(recorded)
         call_sites.append(classify_call(program, routine, recorded))
 
     # 4: the §3.4 save/restore pattern
     saved = 0
     for register in stack_saves(
-        instructions,
+        rows,
         bounds[0][1],
         [(*bounds[block], kind) for block, kind in exits],
     ):
@@ -243,10 +245,13 @@ class LazyCfgs(Mapping):
         return len(self._routines)
 
 
-def _branch_target(routine: Routine, index: int, instruction: Instruction) -> int:
-    """Instruction index targeted by a PC-relative branch."""
-    target = index + 1 + instruction.displacement
-    if not 0 <= target < len(routine.instructions):
+def _branch_target(
+    routine: Routine, index: int, displacement: int, count: int
+) -> int:
+    """Instruction index targeted by a PC-relative branch of the
+    ``count``-instruction ``routine``."""
+    target = index + 1 + displacement
+    if not 0 <= target < count:
         raise CfgError(
             f"{routine.name!r}: branch at {routine.address_of(index):#x} "
             f"targets instruction {target}, outside the routine"
@@ -266,36 +271,36 @@ def _target_index(routine: Routine, jump_index: int, address: int) -> int:
 
 
 def _record_site(
-    instructions: Sequence[Instruction], block: int, start: int, stop: int
+    rows: Sequence[tuple], block: int, start: int, stop: int
 ) -> RecordedSite:
     """The shape-determined half of the call ending the block
     ``[start, stop)``: an indirect call's target register is resolved to
     a constant by backward tracking through the block (also under a
     hint, which may be gone from the next image while the code is
     not)."""
-    instruction = instructions[stop - 1]
-    if instruction.control is _CALL_DIRECT:
+    row = rows[stop - 1]  # row[0] is the control kind, row[6] rb
+    if row[0] is _CALL_DIRECT:
         return RecordedSite(block, stop - 1, indirect=False)
     return RecordedSite(
         block,
         stop - 1,
         indirect=True,
         constant=resolve_register_constant(
-            instructions[start:stop], stop - 1 - start, instruction.rb
+            rows[start:stop], stop - 1 - start, row[6]
         ),
     )
 
 
 def stack_saves(
-    instructions: Sequence[Instruction],
+    rows: Sequence[tuple],
     entry_stop: int,
     exits: Sequence[Tuple[int, int, ExitKind]],
 ) -> Dict[int, Tuple[int, int, Tuple[int, ...]]]:
     """Registers saved in the prologue and restored on every return.
 
     A **save** is a store of a register to a stack slot (``stq rs,
-    k(sp)`` / ``stt fs, k(sp)``) in the entry block
-    ``instructions[:entry_stop]``, before any other definition of that
+    k(sp)`` / ``stt fs, k(sp)``) in the entry block — instruction rows
+    ``rows[:entry_stop]`` — before any other definition of that
     register; a **restore** is a load of the same register from the same
     slot that is the last write to it in a RETURN exit block.  ``exits``
     lists the exit blocks as ``(start, stop, kind)``.  HALT exits need
@@ -311,12 +316,13 @@ def stack_saves(
     slots: Dict[int, Tuple[int, int]] = {}
     defined = 0
     for index in range(entry_stop):
-        instruction = instructions[index]
-        if instruction.rb == STACK_POINTER and instruction.opcode in _STACK_STORES:
-            register = instruction.ra
-            if not defined >> register & 1:
-                slots.setdefault(register, (instruction.displacement, index))
-        defined |= instruction.def_mask
+        _control, _uses, defs, displacement, opcode, ra, rb, _rc, _literal = (
+            rows[index]
+        )
+        if rb == STACK_POINTER and opcode in _STACK_STORES:
+            if not defined >> ra & 1:
+                slots.setdefault(ra, (displacement, index))
+        defined |= defs
     if not slots or any(kind is _EXIT_UNKNOWN for *_, kind in exits):
         return {}
     returns = [(start, stop) for start, stop, kind in exits if kind is _EXIT_RETURN]
@@ -324,7 +330,7 @@ def stack_saves(
     for register, (slot, save_index) in slots.items():
         restores = []
         for start, stop in returns:
-            restore = _restore_index(instructions, start, stop, register, slot)
+            restore = _restore_index(rows, start, stop, register, slot)
             if restore is None:
                 break
             restores.append(restore)
@@ -335,18 +341,20 @@ def stack_saves(
 
 
 def _restore_index(
-    instructions: Sequence[Instruction], start: int, stop: int, register: int, slot: int
+    rows: Sequence[tuple], start: int, stop: int, register: int, slot: int
 ) -> Optional[int]:
     """Index of the block's last write to ``register`` when that write
     reloads it from ``slot``."""
     for index in range(stop - 1, start - 1, -1):
-        instruction = instructions[index]
-        if instruction.def_mask >> register & 1:
+        _control, _uses, defs, displacement, opcode, ra, rb, _rc, _literal = (
+            rows[index]
+        )
+        if defs >> register & 1:
             if (
-                instruction.opcode in _STACK_LOADS
-                and instruction.rb == STACK_POINTER
-                and instruction.displacement == slot
-                and instruction.ra == register
+                opcode in _STACK_LOADS
+                and rb == STACK_POINTER
+                and displacement == slot
+                and ra == register
             ):
                 return index
             return None
@@ -359,7 +367,7 @@ def classify_call(
     """Whom the call at ``site`` reaches in ``program``."""
     call_address = routine.address_of(site.instruction_index)
     if not site.indirect:
-        displacement = routine.instructions[site.instruction_index].displacement
+        displacement = routine.rows[site.instruction_index][3]
         target = call_address + INSTRUCTION_SIZE * (1 + displacement)
         callee = program.routine_at(target)
         if callee is None:
@@ -415,24 +423,22 @@ def recorded_call_sites(
     return point) — the caller then builds the CFG as if there had been
     no record.  Raises the same :class:`CfgError` as :func:`build_cfg`
     for a ``bsr`` or hint naming a non-entry."""
-    instructions = routine.instructions
-    last = len(instructions) - 1
+    rows = routine.rows
+    last = len(rows) - 1
     for site in record.sites:
         if site.instruction_index >= last:
             return None
-        expected = (
-            ControlKind.CALL_INDIRECT if site.indirect
-            else ControlKind.CALL_DIRECT
-        )
-        if instructions[site.instruction_index].control != expected:
+        expected = _CALL_INDIRECT if site.indirect else _CALL_DIRECT
+        if rows[site.instruction_index][0] is not expected:
             return None
     return [classify_call(program, routine, site) for site in record.sites]
 
 
 def resolve_register_constant(
-    instructions: Sequence[Instruction], upto: int, register: int
+    rows: Sequence[tuple], upto: int, register: int
 ) -> Optional[int]:
-    """Resolve the value of ``register`` just before ``instructions[upto]``.
+    """Resolve the value of ``register`` just before instruction row
+    ``rows[upto]``.
 
     Walks backward through the straight-line prefix, following
     ``lda``/``ldah`` address-materialization chains and register moves
@@ -442,32 +448,25 @@ def resolve_register_constant(
     target = register
     addend = 0
     for index in range(upto - 1, -1, -1):
-        instruction = instructions[index]
-        if not instruction.def_mask >> target & 1:
+        _control, _uses, defs, displacement, opcode, ra, rb, _rc, literal = (
+            rows[index]
+        )
+        if not defs >> target & 1:
             continue
-        opcode = instruction.opcode
         if opcode is Opcode.LDA:
-            addend += instruction.displacement
-            if instruction.rb == ZERO_REGISTER:
+            addend += displacement
+            if rb == ZERO_REGISTER:
                 return addend
-            target = instruction.rb
+            target = rb
         elif opcode is Opcode.LDAH:
-            addend += instruction.displacement << 16
-            if instruction.rb == ZERO_REGISTER:
+            addend += displacement << 16
+            if rb == ZERO_REGISTER:
                 return addend
-            target = instruction.rb
-        elif (
-            opcode is Opcode.BIS
-            and instruction.literal is None
-            and instruction.ra == ZERO_REGISTER
-        ):
-            target = instruction.rb
-        elif (
-            opcode is Opcode.BIS
-            and instruction.literal is None
-            and instruction.rb == ZERO_REGISTER
-        ):
-            target = instruction.ra
+            target = rb
+        elif opcode is Opcode.BIS and literal is None and ra == ZERO_REGISTER:
+            target = rb
+        elif opcode is Opcode.BIS and literal is None and rb == ZERO_REGISTER:
+            target = ra
         else:
             return None
     return None

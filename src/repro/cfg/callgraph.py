@@ -317,7 +317,7 @@ _FALLTHROUGH = ControlKind.FALLTHROUGH
 
 def escape_candidates(routine: Routine) -> Tuple[int, ...]:
     """The constants ``routine`` lets escape that could be a routine's
-    entry address, sorted — a function of its instructions alone.
+    entry address, sorted — a function of its instruction rows alone.
 
     Runs a forward constant pass over every basic-block-shaped region
     (straight-line runs between terminators suffice: constants are
@@ -332,44 +332,34 @@ def escape_candidates(routine: Routine) -> Tuple[int, ...]:
     """
     escaped: Set[int] = set()
     constants: Dict[int, int] = {}
-    for instruction in routine.instructions:
-        opcode = instruction.opcode
+    for row in routine.rows:
+        # row[4] is the opcode and row[6] rb: most rows stop here, and
+        # two subscripts cost less than unpacking the row.
         if not constants and (
-            (opcode is not _LDA and opcode is not _LDAH)
-            or instruction.rb != ZERO_REGISTER
+            (row[4] is not _LDA and row[4] is not _LDAH)
+            or row[6] != ZERO_REGISTER
         ):
             # Nothing is tracked and this instruction cannot start
             # tracking: every branch below would be a no-op.
             continue
-        control = instruction.control
-        defs = instruction.def_mask
+        control, uses, defs, displacement, opcode, ra, rb, rc, literal = row
         if opcode is _LDA or opcode is _LDAH:
             shift = 16 if opcode is _LDAH else 0
-            base = instruction.rb
-            if base == ZERO_REGISTER:
-                value: Optional[int] = instruction.displacement << shift
-            elif base in constants:
-                value = constants[base] + (instruction.displacement << shift)
+            if rb == ZERO_REGISTER:
+                value: Optional[int] = displacement << shift
+            elif rb in constants:
+                value = constants[rb] + (displacement << shift)
             else:
                 value = None
             _kill(constants, defs)
             if value is not None:
-                constants[instruction.ra] = value
+                constants[ra] = value
             continue
-        if (
-            opcode is _BIS
-            and instruction.literal is None
-            and ZERO_REGISTER in (instruction.ra, instruction.rb)
-        ):
-            source = (
-                instruction.rb
-                if instruction.ra == ZERO_REGISTER
-                else instruction.ra
-            )
-            value = constants.get(source)
+        if opcode is _BIS and literal is None and ZERO_REGISTER in (ra, rb):
+            value = constants.get(rb if ra == ZERO_REGISTER else ra)
             _kill(constants, defs)
             if value is not None:
-                constants[instruction.rc] = value
+                constants[rc] = value
             continue
         if control is _CALL_DIRECT or control is _CALL_INDIRECT:
             # The call target register is consumed, not escaped; every
@@ -377,12 +367,11 @@ def escape_candidates(routine: Routine) -> Tuple[int, ...]:
             # temporaries) and a dropped constant is no longer tracked,
             # so count it as escaping here.
             for register, value in constants.items():
-                if register != instruction.rb:
+                if register != rb:
                     escaped.add(value)
             constants.clear()
             continue
         # Any other use of a register holding a constant escapes it.
-        uses = instruction.use_mask
         for register, value in constants.items():
             if uses >> register & 1:
                 escaped.add(value)

@@ -246,7 +246,7 @@ class ControlFlowGraph:
         starts = self.starts
         if block_index + 1 < len(starts):
             return starts[block_index], starts[block_index + 1]
-        return starts[block_index], len(self.routine.instructions)
+        return starts[block_index], len(self.routine.rows)
 
     @cached_property
     def blocks(self) -> List[BasicBlock]:
@@ -279,7 +279,7 @@ class ControlFlowGraph:
 
     def block_of_instruction(self, instruction_index: int) -> BasicBlock:
         """The block containing routine instruction ``instruction_index``."""
-        if not 0 <= instruction_index < len(self.routine.instructions):
+        if not 0 <= instruction_index < len(self.routine.rows):
             raise CfgError(
                 f"{self.routine.name!r}: instruction index {instruction_index} "
                 f"is outside every block"
@@ -321,7 +321,7 @@ class ControlFlowGraph:
             raise CfgError("blocks do not start at the routine entry")
         if not all(map(operator.lt, starts, starts[1:])):
             raise CfgError("a block is empty")
-        if starts[-1] >= len(self.routine.instructions):
+        if starts[-1] >= len(self.routine.rows):
             raise CfgError("blocks do not cover the routine")
         rows = (successors, self.terminators, self.ubd, self.defs)
         if any(len(row) != blocks for row in rows):

@@ -93,12 +93,10 @@ def _multiway_tables(
     """``(jmp instruction index, distinct target instruction indices in
     table order)`` of each table a CFG would turn into a MULTIWAY
     block."""
-    instructions = routine.instructions
+    rows = routine.rows
     for offset, targets in tables:
         index, misaligned = divmod(offset, INSTRUCTION_SIZE)
-        if misaligned or (
-            instructions[index].control != ControlKind.INDIRECT_JUMP
-        ):
+        if misaligned or rows[index][0] is not ControlKind.INDIRECT_JUMP:
             continue
         yield index, list(
             dict.fromkeys(target // INSTRUCTION_SIZE for target in targets)

@@ -65,7 +65,7 @@ def find_save_restore_sites(
     """
     keep = mask_of(convention.callee_saved)
     exits = [(*cfg.bounds(block), kind) for block, kind in cfg.exits]
-    saves = stack_saves(cfg.routine.instructions, cfg.bounds(0)[1], exits)
+    saves = stack_saves(cfg.routine.rows, cfg.bounds(0)[1], exits)
     return {
         register: SaveRestoreSites(register, slot, save_index, restores)
         for register, (slot, save_index, restores) in saves.items()

@@ -23,13 +23,16 @@ is a static property of the opcode (see :data:`FIELD_FILES`).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Optional, Tuple
+import sys
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import (
+    REGISTER_BIT,
     Format,
     Instruction,
     Opcode,
-    decoded_instruction,
+    row_instruction,
 )
 from repro.isa.registers import NUM_INTEGER_REGISTERS, ZERO_REGISTER
 from repro.obs.metrics import REGISTRY
@@ -38,13 +41,17 @@ from repro.obs.metrics import REGISTRY
 INSTRUCTION_SIZE = 4
 
 _WORD = struct.Struct("<I")
+#: The array type code of a native unsigned 32-bit integer.
+_WORD_TYPE = next(
+    code for code in "IL" if array(code).itemsize == INSTRUCTION_SIZE
+)
 
 
 class EncodingError(ValueError):
     """Raised when an instruction cannot be encoded or decoded."""
 
     #: Byte offset of the offending word within the code handed to
-    #: :func:`decode_stream` (``None`` for every other failure).
+    #: :func:`decode_rows` (``None`` for every other failure).
     offset: Optional[int] = None
 
 
@@ -120,11 +127,12 @@ _FORMAT_CUTS[Format.BRANCH_FP] = _FORMAT_CUTS[Format.BRANCH]
 
 def _build_major_table() -> List[Optional[tuple]]:
     """Major opcode -> ``(function shift, function mask, {function:
-    row}, unknown-function message)``, ``None`` for an unassigned major.
-    A row is everything :func:`decode_instruction` needs to cut the
-    operands: the opcode, then per register field its mask and what to
-    add (the file offset, or ``ZERO_REGISTER`` under a zero mask), then
-    the literal flag and the displacement mask and sign bit."""
+    cut}, unknown-function message)``, ``None`` for an unassigned major.
+    A cut is everything :func:`decode_row` needs for one opcode: the
+    opcode, its control kind and dataflow rule (``Opcode.rule``), then
+    per register field its mask and what to add (the file offset, or
+    ``ZERO_REGISTER`` under a zero mask), then the literal flag and the
+    displacement mask and sign bit."""
     table: List[Optional[tuple]] = [None] * 64
     for op in Opcode:
         shift, mask, *fields, literal, disp_mask, disp_sign, unknown = (
@@ -139,7 +147,9 @@ def _build_major_table() -> List[Optional[tuple]]:
         operands: List[int] = []
         for field_mask, file in zip(fields, FIELD_FILES[op]):
             operands += (field_mask, file if field_mask else ZERO_REGISTER)
-        entry[2][function] = (op, *operands, literal, disp_mask, disp_sign)
+        entry[2][function] = (
+            op, op.control, *op.rule, *operands, literal, disp_mask, disp_sign
+        )
     return table
 
 
@@ -220,38 +230,53 @@ def encode_instruction(instruction: Instruction) -> int:
     return word
 
 
-def decode_instruction(word: int) -> Instruction:
-    """Decode a 32-bit word back into an :class:`Instruction`."""
+def decode_row(word: int) -> tuple:
+    """Decode a 32-bit word into its row: the tuple of
+    :data:`~repro.isa.instructions.ROW_FIELDS`, the masks being the
+    opcode's rule applied to the operands (as ``Instruction`` derives
+    them).  The one decoder: :func:`decode_instruction`,
+    :func:`decode_rows` and :func:`decode_stream` all cut words here."""
     if not 0 <= word < 1 << 32:
         raise EncodingError(f"word {word:#x} is not a 32-bit value")
     entry = _MAJORS[word >> 26]
     if entry is None:
         raise EncodingError(f"unknown major opcode {word >> 26:#x}")
-    shift, mask, rows, unknown = entry
-    row = rows.get(word >> shift & mask)
-    if row is None:
+    shift, mask, cuts, unknown = entry
+    cut = cuts.get(word >> shift & mask)
+    if cut is None:
         raise EncodingError(
             unknown.format(major=word >> 26, function=word >> shift & mask)
         )
     (
-        opcode, mask_a, add_a, mask_b, add_b, mask_c, add_c,
+        opcode, control, use_a, use_b, use_c, def_a, def_c, fixed,
+        mask_a, add_a, mask_b, add_b, mask_c, add_c,
         literal_flag, disp_mask, disp_sign,
-    ) = row
-    displacement = word & disp_mask
+    ) = cut
+    ra = (word >> 21 & mask_a) + add_a
+    rc = (word & mask_c) + add_c
     if word & literal_flag:
         literal: Optional[int] = word >> 13 & 0xFF
         rb = ZERO_REGISTER
+        bit_b = 0
     else:
         literal = None
         rb = (word >> 16 & mask_b) + add_b
-    return decoded_instruction(
-        opcode,
-        (word >> 21 & mask_a) + add_a,
-        rb,
-        (word & mask_c) + add_c,
-        literal,
+        bit_b = REGISTER_BIT[rb]
+    bit_a = REGISTER_BIT[ra]
+    bit_c = REGISTER_BIT[rc]
+    displacement = word & disp_mask
+    return (
+        control,
+        bit_a & use_a | bit_b & use_b | bit_c & use_c | fixed,
+        bit_a & def_a | bit_c & def_c,
         displacement - ((displacement & disp_sign) << 1),
+        opcode, ra, rb, rc, literal,
     )
+
+
+def decode_instruction(word: int) -> Instruction:
+    """Decode a 32-bit word back into an :class:`Instruction`."""
+    return row_instruction(decode_row(word))
 
 
 # ----------------------------------------------------------------------
@@ -263,29 +288,69 @@ def encode_stream(instructions: Iterable[Instruction]) -> bytes:
     return b"".join(_WORD.pack(encode_instruction(i)) for i in instructions)
 
 
-def decode_stream(code: bytes) -> List[Instruction]:
-    """Decode contiguous code bytes back into instructions.
+class _RowTable(dict):
+    """Word -> its row, decoded on the word's first lookup."""
 
-    Each *distinct* word is decoded once and the (immutable)
-    :class:`Instruction` shared by all of its occurrences — compiled
-    code repeats itself, so an image has an order of magnitude fewer
-    distinct words than words.  A stream with an undecodable word fails
+    def __missing__(self, word: int) -> tuple:
+        row = self[word] = decode_row(word)
+        return row
+
+
+def decode_rows(code: bytes) -> Tuple[tuple, ...]:
+    """Decode contiguous code bytes into one row per word.
+
+    Each *distinct* word is decoded once, where it first occurs, and its
+    row shared by every later occurrence — compiled code repeats itself,
+    so an image has an order of magnitude fewer distinct words than
+    words (counters ``program.decode.words`` / ``.distinct``).  Words
+    are decoded in stream order, so code with an undecodable word fails
     on the first such word, whose byte offset the error carries.
     """
+    words = _words(code)
+    table = _RowTable()
+    try:
+        rows = tuple(map(table.__getitem__, words))
+    except EncodingError as error:
+        # Every word before the bad one is in the table already.
+        bad = next(index for index, word in enumerate(words) if word not in table)
+        error.offset = bad * INSTRUCTION_SIZE
+        raise
+    REGISTRY.inc("program.decode.words", len(words))
+    REGISTRY.inc("program.decode.distinct", len(table))
+    return rows
+
+
+def row_instructions(
+    code: bytes, rows: Sequence[tuple], built: Dict[int, Instruction]
+) -> Tuple[Instruction, ...]:
+    """``code`` — whose rows are ``rows`` — as :class:`Instruction`
+    objects, one per distinct word through the memo ``built`` (word ->
+    object, shared by every part of one text); each object it has to
+    build counts as ``program.decode.built``."""
+    words = _words(code)
+    rows_by_word = dict(zip(words, rows))
+    new = rows_by_word.keys() - built.keys()
+    for word in new:
+        built[word] = row_instruction(rows_by_word[word])
+    REGISTRY.inc("program.decode.built", len(new))
+    return tuple(map(built.__getitem__, words))
+
+
+def _words(code: bytes) -> array:
+    # An array, not ``struct.unpack``: it keeps the words as machine
+    # integers, where a tuple holds an int object per word (1.2 MB on
+    # the gcc shape x0.1) for as long as the decode runs.
     if len(code) % INSTRUCTION_SIZE:
         raise EncodingError(
             f"code length {len(code)} is not a multiple of {INSTRUCTION_SIZE}"
         )
-    words = struct.unpack(f"<{len(code) // INSTRUCTION_SIZE}I", code)
-    # dict.fromkeys keeps first-occurrence order, so the first distinct
-    # word that fails is the first bad word of the stream.
-    decoded: Dict[int, Instruction] = dict.fromkeys(words)
-    try:
-        for word in decoded:
-            decoded[word] = decode_instruction(word)
-    except EncodingError as error:
-        error.offset = words.index(word) * INSTRUCTION_SIZE
-        raise
-    REGISTRY.inc("program.decode.words", len(words))
-    REGISTRY.inc("program.decode.distinct", len(decoded))
-    return list(map(decoded.__getitem__, words))
+    words = array(_WORD_TYPE, code)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def decode_stream(code: bytes) -> List[Instruction]:
+    """Decode contiguous code bytes back into instructions, one shared
+    object per distinct word (see :func:`decode_rows`)."""
+    return list(row_instructions(code, decode_rows(code), {}))

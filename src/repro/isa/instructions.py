@@ -177,7 +177,7 @@ class Opcode(enum.Enum):
         self.control = info.control
         # The dataflow rule ``(use ra, use rb, use rc, def ra, def rc,
         # fixed uses)``: each selector is all-ones or zero, to be AND-ed
-        # with its operand's ``_REGISTER_BIT``.  BR and BSR write the
+        # with its operand's ``REGISTER_BIT``.  BR and BSR write the
         # return address into ra; every jump writes its link register.
         operate = info.format in (Format.OPERATE, Format.OPERATE_FP)
         memory = info.format in (Format.MEMORY, Format.MEMORY_FP)
@@ -211,7 +211,7 @@ class OperandKind(enum.Enum):
 #: Register index -> its bit in a use/def mask.  The hardwired zero
 #: registers map to 0: reading them is no dataflow dependence and the
 #: hardware discards writes to them, so they vanish from every mask.
-_REGISTER_BIT: Tuple[int, ...] = tuple(
+REGISTER_BIT: Tuple[int, ...] = tuple(
     0 if index in (ZERO_REGISTER, FLOAT_ZERO_REGISTER) else 1 << index
     for index in range(NUM_REGISTERS)
 )
@@ -291,9 +291,9 @@ class Instruction:
         # a dataclass field, so equality and hash are unaffected.
         opcode = self.opcode
         use_a, use_b, use_c, def_a, def_c, fixed = opcode.rule
-        bit_a = _REGISTER_BIT[self.ra]
-        bit_b = _REGISTER_BIT[self.rb] if self.literal is None else 0
-        bit_c = _REGISTER_BIT[self.rc]
+        bit_a = REGISTER_BIT[self.ra]
+        bit_b = REGISTER_BIT[self.rb] if self.literal is None else 0
+        bit_c = REGISTER_BIT[self.rc]
         _set(self, "control", opcode.control)
         _set(
             self,
@@ -379,22 +379,29 @@ class Instruction:
         return self.render()
 
 
-def decoded_instruction(
-    opcode: Opcode,
-    ra: int,
-    rb: int,
-    rc: int,
-    literal: Optional[int],
-    displacement: int,
-) -> Instruction:
-    """An :class:`Instruction` built without the constructor's checks.
+#: The fields of an instruction *row*, in row order: a plain tuple of
+#: everything an :class:`Instruction` carries, the three the front
+#: end's hottest loops read first.  The disassembler decodes to rows
+#: (:func:`repro.isa.encoding.decode_row`) and builds no
+#: :class:`Instruction` until a reader asks for one.
+ROW_FIELDS = (
+    "control", "use_mask", "def_mask", "displacement",
+    "opcode", "ra", "rb", "rc", "literal",
+)
 
-    For :mod:`repro.isa.encoding` only: its operands are bit-field cuts
-    of a machine word (5 bits plus a register-file offset; an 8-bit
-    literal, and only from an integer operate word), so every check
-    holds by construction.  Attributes are set in the constructor's
-    order, which keeps CPython's shared-key instance layout.
+
+def row_instruction(row: tuple) -> Instruction:
+    """The :class:`Instruction` a decoded row describes, built without
+    the constructor's checks.
+
+    For :mod:`repro.isa.encoding` only: a row's operands are bit-field
+    cuts of a machine word (5 bits plus a register-file offset; an
+    8-bit literal, and only from an integer operate word) and its masks
+    the opcode's rule applied to them, so every check holds by
+    construction.  Attributes are set in the constructor's order, which
+    keeps CPython's shared-key instance layout.
     """
+    control, use_mask, def_mask, displacement, opcode, ra, rb, rc, literal = row
     instruction = object.__new__(Instruction)
     _set(instruction, "opcode", opcode)
     _set(instruction, "ra", ra)
@@ -402,7 +409,9 @@ def decoded_instruction(
     _set(instruction, "rc", rc)
     _set(instruction, "literal", literal)
     _set(instruction, "displacement", displacement)
-    instruction._derive()
+    _set(instruction, "control", control)
+    _set(instruction, "use_mask", use_mask)
+    _set(instruction, "def_mask", def_mask)
     return instruction
 
 

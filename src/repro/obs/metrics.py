@@ -29,8 +29,12 @@ Counter inventory (see ``docs/observability.md`` for semantics):
                                  recorded while :attr:`per_routine`
                                  is on (the ``report`` subcommand)
 ``program.decode.words`` / ``program.decode.distinct``  instruction
-                                 words handed to ``decode_stream`` and
-                                 the distinct ones it had to decode
+                                 words decoded to rows
+                                 (``decode_rows``) and the distinct
+                                 ones among them
+``program.decode.built``         ``Instruction`` objects built from
+                                 rows (a lazy ``Routine.instructions``
+                                 read counts here, not in ``words``)
 ``psg.builds`` / ``psg.partial_builds``  graph constructions
 ``psg.nodes`` / ``psg.flow_edges`` / ``psg.call_return_edges`` /
 ``psg.branch_nodes``             PSG sizes, summed over builds
@@ -126,6 +130,7 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("frontend.record.stale", ()),
     ("frontend.routines", ()),
     ("frontend.rows", ()),
+    ("program.decode.built", ()),
     ("psg.built", ()),
     ("query.requests", ()),
     ("query.solved", ()),

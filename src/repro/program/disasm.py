@@ -9,37 +9,45 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError, decode_stream
+from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError, decode_rows
 from repro.isa.instructions import ControlKind, Instruction
 from repro.program.image import ExecutableImage, ImageFormatError
 from repro.program.model import Program, ProgramError, Routine
 
 
 def disassemble_image(image: ExecutableImage) -> Program:
-    """Decode ``image`` into a :class:`~repro.program.model.Program`."""
+    """Decode ``image`` into a :class:`~repro.program.model.Program`.
+
+    The text is decoded to rows (:func:`decode_rows`), each distinct
+    word's row shared by its routines.  A routine builds
+    :class:`Instruction` objects from its rows only when something
+    reads its ``instructions``, through one memo per image, so those
+    too are one object per distinct word.
+    """
     entries = image.validate()
     try:
-        instructions = decode_stream(image.text)
+        rows = decode_rows(image.text)
     except EncodingError as error:
         raise ImageFormatError(
             f"undecodable instruction word at "
             f"{image.text_base + error.offset:#x}: {error}"
         ) from error
     routines: List[Routine] = []
+    built: Dict[int, Instruction] = {}
     for symbol in sorted(image.symbols, key=lambda s: s.address):
         offset = symbol.address - image.text_base
         start = offset // INSTRUCTION_SIZE
         count = symbol.size // INSTRUCTION_SIZE
-        body = instructions[start : start + count]
+        body = rows[start : start + count]
         if len(body) != count:
             raise ImageFormatError(
                 f"symbol {symbol.name!r} extends past the text section"
             )
-        routine = Routine(
-            symbol.name, symbol.address, body, exported=symbol.exported
-        )
-        routine.code = image.text[offset : offset + routine.size]
-        routines.append(routine)
+        routines.append(Routine.lifted(
+            symbol.name, symbol.address,
+            image.text[offset : offset + count * INSTRUCTION_SIZE],
+            body, built, symbol.exported,
+        ))
     entry_symbol = entries.get(image.entry_point)
     if entry_symbol is None:
         raise ImageFormatError(

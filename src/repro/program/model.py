@@ -16,12 +16,40 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.isa.encoding import INSTRUCTION_SIZE, encode_stream
+from repro.isa.encoding import (
+    INSTRUCTION_SIZE,
+    decode_rows,
+    encode_stream,
+    row_instructions,
+)
 from repro.isa.instructions import Instruction
 
 
 class ProgramError(ValueError):
     """Raised for structurally invalid programs."""
+
+
+class _Instructions:
+    """``Routine.instructions``: held as ``_instructions`` and, for a
+    lifted routine, built from its rows on first read.
+
+    A data descriptor rather than ``__getattr__``, which would take
+    every attribute read of a routine off CPython's specialized fast
+    path.  Read on the class it raises ``AttributeError``, which keeps
+    the dataclass field it stands for required.
+    """
+
+    def __get__(self, routine, owner=None) -> Tuple[Instruction, ...]:
+        if routine is None:
+            raise AttributeError("instructions")
+        if routine._instructions is None:
+            routine._instructions = row_instructions(
+                routine.code, routine._rows, routine._built
+            )
+        return routine._instructions
+
+    def __set__(self, routine, instructions) -> None:
+        routine._instructions = tuple(instructions)
 
 
 @dataclass
@@ -32,11 +60,20 @@ class Routine:
     stored as a tuple: editing a routine means building a new one (as
     the rewriter and :func:`repro.workloads.mutate.perturb_routine`
     do), which is what lets a lifted routine keep its image bytes.
+
+    ``rows`` holds the same instructions as decoded rows
+    (:func:`repro.isa.encoding.decode_row`), which is what the analysis
+    reads.  A routine the disassembler lifted (:meth:`lifted`) starts
+    with rows only and builds its :class:`Instruction` objects on the
+    first read of ``instructions``, for the optimizer, the simulator,
+    the rewriter and the listings; a routine constructed from
+    instructions decodes its rows from :meth:`code_bytes` on their
+    first read.
     """
 
     name: str
     address: int
-    instructions: Tuple[Instruction, ...]
+    instructions: Tuple[Instruction, ...] = _Instructions()
     exported: bool = False
     #: The routine's code bytes: the slice of the image's text section
     #: it was decoded from when the disassembler built it, else ``None``
@@ -49,13 +86,51 @@ class Routine:
     )
 
     def __post_init__(self) -> None:
-        self.instructions = tuple(self.instructions)
-        if not self.instructions:
+        self._rows: Optional[Tuple[tuple, ...]] = None
+        self._set_count(len(self.instructions))
+
+    @classmethod
+    def lifted(
+        cls,
+        name: str,
+        address: int,
+        code: bytes,
+        rows: Tuple[tuple, ...],
+        built: Dict[int, Instruction],
+        exported: bool,
+    ) -> "Routine":
+        """The routine whose code bytes ``code`` decode to ``rows``;
+        ``built`` is the memo its instructions are built through (see
+        :func:`~repro.isa.encoding.row_instructions`), shared by every
+        routine of the image."""
+        routine = cls.__new__(cls)
+        routine.name = name
+        routine.address = address
+        routine._instructions = None
+        routine.exported = exported
+        routine.code = code
+        routine._rows = rows
+        routine._built = built
+        routine._set_count(len(rows))
+        return routine
+
+    def _set_count(self, count: int) -> None:
+        if not count:
             raise ProgramError(f"routine {self.name!r} has no instructions")
         if self.address % INSTRUCTION_SIZE:
             raise ProgramError(
                 f"routine {self.name!r} at unaligned address {self.address:#x}"
             )
+        self._count = count
+
+    @property
+    def rows(self) -> Tuple[tuple, ...]:
+        """One decoded row per instruction: the disassembler's for a
+        lifted routine, else decoded from :meth:`code_bytes` on first
+        read."""
+        if self._rows is None:
+            self._rows = decode_rows(self.code_bytes())
+        return self._rows
 
     def code_bytes(self) -> bytes:
         """The encoded instructions (the image's own bytes for a lifted
@@ -67,7 +142,7 @@ class Routine:
     @property
     def size(self) -> int:
         """Code size in bytes."""
-        return len(self.instructions) * INSTRUCTION_SIZE
+        return self._count * INSTRUCTION_SIZE
 
     @property
     def end(self) -> int:
@@ -76,7 +151,7 @@ class Routine:
 
     def address_of(self, index: int) -> int:
         """Address of ``instructions[index]``."""
-        if not 0 <= index < len(self.instructions):
+        if not 0 <= index < self._count:
             raise IndexError(index)
         return self.address + index * INSTRUCTION_SIZE
 
@@ -94,7 +169,7 @@ class Routine:
         return self.address <= address < self.end
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return self._count
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)

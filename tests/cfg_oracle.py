@@ -174,7 +174,7 @@ def carve(program: Program, routine: Routine) -> Carved:
     exits: List[tuple] = []
     for block in blocks:
         if block.terminator == TerminatorKind.CALL:
-            recorded = _record_site(block)
+            recorded = _record_site(routine, block)
             recorded_sites.append(recorded)
             call_sites.append(classify_call(program, routine, recorded))
         elif block.terminator == TerminatorKind.RETURN:
@@ -238,7 +238,7 @@ def _target_index(routine: Routine, jump_index: int, address: int) -> int:
     return routine.index_of(address)
 
 
-def _record_site(block: BasicBlock) -> RecordedSite:
+def _record_site(routine: Routine, block: BasicBlock) -> RecordedSite:
     instruction_index = block.terminator_index
     instruction = block.instructions[-1]
     if instruction.control == ControlKind.CALL_DIRECT:
@@ -248,7 +248,9 @@ def _record_site(block: BasicBlock) -> RecordedSite:
         instruction_index,
         indirect=True,
         constant=resolve_register_constant(
-            block.instructions, len(block.instructions) - 1, instruction.rb
+            routine.rows[block.start : block.stop],
+            len(block.instructions) - 1,
+            instruction.rb,
         ),
     )
 

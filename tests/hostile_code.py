@@ -10,6 +10,7 @@ message.
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 from repro.cfg.cfg import CfgError
 from repro.interproc.errors import AnalysisError
@@ -134,3 +135,29 @@ HOSTILE = {
     "hint-to-non-entry": (_hint_to_non_entry, CfgError, "call-target hint"),
     "boundary-free-loop": (_boundary_free_loop, AnalysisError, "infinite loop"),
 }
+
+
+# ----------------------------------------------------------------------
+# Hostile text: two undecodable words, the later one met first by a
+# hash-ordered pass
+# ----------------------------------------------------------------------
+
+#: Two distinct words no instruction format claims (majors 0x1 and
+#: 0x2).  A set of ints places each by its low bits, so a pass over
+#: the distinct words in set order meets :data:`LATER_BAD_WORD` before
+#: :data:`FIRST_BAD_WORD` — only the stream order may decide which one
+#: an error names.
+FIRST_BAD_WORD = 1 << 26 | 0x3F
+LATER_BAD_WORD = 2 << 26
+
+
+def two_bad_words(image):
+    """``image`` with text word 1 :data:`FIRST_BAD_WORD` and its last
+    word :data:`LATER_BAD_WORD`, and the address of the first."""
+    words = list(struct.unpack(f"<{len(image.text) // 4}I", image.text))
+    words[1] = FIRST_BAD_WORD
+    words[-1] = LATER_BAD_WORD
+    set_order = [word for word in set(words) if word in (FIRST_BAD_WORD, LATER_BAD_WORD)]
+    assert set_order[0] == LATER_BAD_WORD, "the set meets the first bad word first"
+    text = struct.pack(f"<{len(words)}I", *words)
+    return dataclasses.replace(image, text=text), image.text_base + 4

@@ -10,6 +10,11 @@ from repro.program.disasm import disassemble_image
 from repro.program.model import Routine
 
 
+def _rows(instructions):
+    """The instruction rows the resolver reads."""
+    return Routine("r", 0, instructions).rows
+
+
 def cfg_of(source: str, routine: str = "main", entry=None):
     program = disassemble_image(assemble(source, entry=entry))
     return build_cfg(program, program.routine(routine)), program
@@ -234,7 +239,7 @@ class TestCallSites:
             Instruction(Opcode.ADDQ, ra=1, rb=2, rc=27),
             Instruction(Opcode.JSR, ra=26, rb=27),
         ]
-        assert resolve_register_constant(instructions, 1, 27) is None
+        assert resolve_register_constant(_rows(instructions), 1, 27) is None
 
     def test_resolver_follows_lda_chain(self):
         instructions = [
@@ -242,14 +247,14 @@ class TestCallSites:
             Instruction(Opcode.LDA, ra=27, rb=27, displacement=0x24),
             Instruction(Opcode.JSR, ra=26, rb=27),
         ]
-        assert resolve_register_constant(instructions, 2, 27) == 0x10024
+        assert resolve_register_constant(_rows(instructions), 2, 27) == 0x10024
 
     def test_resolver_sees_through_clobber(self):
         instructions = [
             Instruction(Opcode.LDA, ra=27, rb=31, displacement=100),
             Instruction(Opcode.LDA, ra=27, rb=31, displacement=200),
         ]
-        assert resolve_register_constant(instructions, 2, 27) == 200
+        assert resolve_register_constant(_rows(instructions), 2, 27) == 200
 
 
 class TestWholeProgram:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.program.asm import assemble
+from tests.hostile_code import two_bad_words
 from tests.label_oracle import labeling as oracle_labeling
 
 SOURCE = """
@@ -266,6 +267,16 @@ class TestExitCodes:
             assert "cannot load image" in err
             assert f"{image.text_base + 4:#x}" in err
             assert "unknown major opcode 0x1" in err
+
+    def test_first_of_two_undecodable_words_is_named(self, tmp_path, capsys):
+        image, address = two_bad_words(assemble(SOURCE))
+        bad = tmp_path / "twobad.sax"
+        bad.write_bytes(image.to_bytes())
+        assert main(["analyze", str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            f"cannot load image {bad}: undecodable instruction word at "
+            f"{address:#x}: unknown major opcode 0x1\n"
+        )
 
     def test_analysis_failure_is_4(self, image_path, capsys, monkeypatch):
         from repro.dataflow.solver import SolverDivergence

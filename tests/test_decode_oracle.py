@@ -12,10 +12,18 @@ to the code they replaced (``tests/decode_oracle.py``).
 * the trusted constructor's instances pickle, ``replace`` and validate
   like any other;
 * the three analysis-path callers that went from register sets to mask
-  bits give the parent's answers on all 16 Table-2 shapes.
+  bits give the parent's answers on all 16 Table-2 shapes;
+* a word's row (``decode_row``) carries exactly the fields of its
+  ``Instruction`` — over the sweep, random decodable words and every
+  distinct word of the 16 shapes — and a lifted routine's lazily built
+  ``instructions`` are ``decode_stream`` of its code, one object per
+  distinct word;
+* an image with two bad words names the first of the stream, whatever
+  order its distinct words are decoded in.
 """
 
 import dataclasses
+import operator
 import pickle
 import struct
 
@@ -31,15 +39,29 @@ from repro.isa.encoding import (
     FIELD_FILES,
     EncodingError,
     decode_instruction,
+    decode_row,
+    decode_rows,
     decode_stream,
     encode_instruction,
 )
-from repro.isa.instructions import ControlKind, Format, Instruction, Opcode
-from repro.program.disasm import disassemble_image
+from repro.isa.instructions import (
+    ControlKind,
+    Format,
+    Instruction,
+    Opcode,
+    ROW_FIELDS,
+    row_instruction,
+)
+from repro.obs.metrics import REGISTRY
+from repro.program.asm import assemble
+from repro.program.disasm import disassemble_image, load_program
+from repro.program.image import ImageFormatError
+from repro.program.model import Routine
 from repro.workloads.generator import GeneratorConfig, generate_image
 from repro.workloads.shapes import ALL_SHAPES
 
 from tests import decode_oracle as oracle
+from tests.hostile_code import BASE_SOURCE, two_bad_words
 
 _FIELDS_OF = {
     Format.OPERATE: ("ra", "rb", "rc"),
@@ -57,6 +79,10 @@ _DISPLACEMENTS = {
     Format.BRANCH: (-(1 << 20), -1, 0, (1 << 20) - 1),
     Format.BRANCH_FP: (-(1 << 20), -1, 0, (1 << 20) - 1),
 }
+
+
+#: An instruction's fields in row order.
+_ROW_OF = operator.attrgetter(*ROW_FIELDS)
 
 
 def _mask(registers) -> int:
@@ -103,6 +129,8 @@ def test_every_operand_value_round_trips_and_matches_the_oracle(opcode):
         assert decoded == built == oracle.decode_instruction(word)
         assert hash(decoded) == hash(built)
         assert vars(decoded) == vars(built)
+        assert decode_row(word) == _ROW_OF(decoded)
+        assert set(vars(decoded)) == set(ROW_FIELDS)
         _assert_matches_oracle(built)
         _assert_matches_oracle(decoded)
 
@@ -168,6 +196,49 @@ def test_decode_stream_names_the_first_bad_word():
         decode_stream(code)
     assert caught.value.offset == 8
     assert str(caught.value) == _outcome(oracle.decode_instruction, bad_function)
+
+
+def test_an_image_names_its_first_bad_word_whatever_the_set_order():
+    image, address = two_bad_words(assemble(BASE_SOURCE))
+    with pytest.raises(ImageFormatError) as caught:
+        load_program(image.to_bytes())
+    assert str(caught.value) == (
+        f"undecodable instruction word at {address:#x}: "
+        f"unknown major opcode 0x1"
+    )
+    with pytest.raises(EncodingError) as caught:
+        decode_stream(image.text)
+    assert caught.value.offset == address - image.text_base
+
+
+#: Per format, the bits of a word outside its major and function
+#: fields: any value there decodes.
+_OPERAND_BITS = {
+    Format.OPERATE: 0x03FF_F01F,
+    Format.OPERATE_FP: 0x03FF_001F,
+    Format.MEMORY: 0x03FF_FFFF,
+    Format.MEMORY_FP: 0x03FF_FFFF,
+    Format.BRANCH: 0x03FF_FFFF,
+    Format.BRANCH_FP: 0x03FF_FFFF,
+    Format.JUMP: 0x03FF_3FFF,
+    Format.PAL: 0,
+}
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.sampled_from(list(Opcode)),
+    st.integers(min_value=0, max_value=(1 << 32) - 1),
+)
+def test_a_decodable_word_is_the_row_of_its_instruction(opcode, bits):
+    operand_bits = _OPERAND_BITS[opcode.format]
+    word = (
+        encode_instruction(next(_sweep(opcode))) & ~operand_bits
+        | bits & operand_bits
+    )
+    decoded = decode_instruction(word)
+    assert decoded.opcode is opcode
+    assert decode_row(word) == _ROW_OF(decoded)
 
 
 @settings(max_examples=2000, deadline=None)
@@ -258,7 +329,9 @@ def test_mask_based_callers_agree_with_their_set_based_parents(shape, monkeypatc
             if instruction.control in (
                 ControlKind.CALL_INDIRECT, ControlKind.INDIRECT_JUMP
             ):
-                value = resolve_register_constant(instructions, index, instruction.rb)
+                value = resolve_register_constant(
+                    routine.rows, index, instruction.rb
+                )
                 assert value == oracle.resolve_register_constant(
                     instructions, index, instruction.rb
                 )
@@ -269,6 +342,79 @@ def test_mask_based_callers_agree_with_their_set_based_parents(shape, monkeypatc
         for name, cfg in cfgs.items()
     }
     assert any(saved.values())
-    monkeypatch.setattr(cfg_build, "_restore_index", oracle._restore_index)
+    monkeypatch.setattr(
+        cfg_build,
+        "_restore_index",
+        lambda rows, *rest: oracle._restore_index(
+            [row_instruction(row) for row in rows], *rest
+        ),
+    )
     for name, cfg in cfgs.items():
         assert savedregs.find_save_restore_sites(cfg, NT_ALPHA) == saved[name]
+
+
+def _words(code: bytes):
+    return struct.unpack(f"<{len(code) // 4}I", code)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=lambda shape: shape.name)
+def test_rows_and_lazy_instructions_of_every_shape(shape):
+    image = generate_image(shape.scaled(0.05), GeneratorConfig(seed=1))
+    words = _words(image.text)
+    assert decode_rows(image.text) == tuple(map(decode_row, words))
+    for word in set(words):
+        assert decode_row(word) == _ROW_OF(decode_instruction(word))
+    program = disassemble_image(image)
+    before = REGISTRY.snapshot()
+    objects = {}
+    for routine in program:
+        words = _words(routine.code)
+        assert routine.rows == tuple(map(decode_row, words))
+        lazy = routine.instructions
+        assert len({id(instruction) for instruction in lazy}) == len(set(words))
+        for word, instruction in zip(words, lazy):
+            assert objects.setdefault(word, instruction) is instruction
+    built = REGISTRY.delta_since(before)["program.decode.built"]
+    assert built == len(objects)
+    for routine in program:
+        assert routine.instructions == tuple(decode_stream(routine.code))
+
+
+class TestLiftedRoutines:
+    """A lifted routine behaves like one constructed from the same
+    instructions."""
+
+    @pytest.fixture
+    def pair(self):
+        image = assemble(BASE_SOURCE)
+        first = disassemble_image(image).routine("main")
+        built = Routine(
+            first.name, first.address, first.instructions, first.exported
+        )
+        return disassemble_image(image).routine("main"), built
+
+    def test_lengths_and_addresses_read_no_instruction(self, pair):
+        lifted, built = pair
+        before = REGISTRY.snapshot()
+        assert len(lifted) == len(built) and lifted.size == built.size
+        assert lifted.end == built.end
+        assert lifted.address_of(3) == built.address_of(3)
+        assert lifted.index_of(lifted.address + 8) == 2
+        assert not lifted.contains(lifted.end)
+        with pytest.raises(IndexError):
+            lifted.address_of(len(lifted))
+        assert REGISTRY.delta_since(before)["program.decode.built"] == 0
+
+    def test_equality_replace_and_code(self, pair):
+        lifted, built = pair
+        assert lifted.rows == built.rows
+        assert lifted == built
+        assert lifted.code == built.code_bytes()
+        assert dataclasses.replace(lifted) == built
+        renamed = dataclasses.replace(lifted, name="other")
+        assert renamed.name == "other" and renamed.code is None
+        assert renamed.instructions == built.instructions
+        assert list(lifted) == list(built.instructions)
+        assert repr(lifted) == repr(built)
+        with pytest.raises(TypeError):
+            Routine("f", 0)  # ``instructions`` is still a required field

@@ -30,7 +30,7 @@ from repro.service import (
     TenantError,
     validate_tenant,
 )
-from tests.hostile_code import HOSTILE
+from tests.hostile_code import HOSTILE, two_bad_words
 from tests.hostile_code import base as hostile_base
 
 SOURCE_A = """
@@ -356,6 +356,18 @@ class TestBadRequests:
             assert excinfo.value.status == 400
             assert f"{image.text_base:#x}" in str(excinfo.value)
         assert client.metricsz()["registry"]["sessions"] == 0
+
+    def test_first_of_two_undecodable_words_is_named(self, daemon):
+        image, address = two_bad_words(assemble(SOURCE_A))
+        client = _client(daemon)
+        with pytest.raises(ServiceError) as excinfo:
+            client.analyze(image.to_bytes())
+        assert excinfo.value.status == 400
+        # The body's ``error``, as the client reports it.
+        assert str(excinfo.value) == (
+            f"HTTP 400: undecodable instruction word at {address:#x}: "
+            f"unknown major opcode 0x1"
+        )
 
     def test_hostile_symbol_tables_are_400(
         self, daemon, image_a, hostile_symbol_tables
