@@ -47,7 +47,7 @@ def test_incremental_cold_vs_warm(benchmark, name):
         cold = session.analyze_incremental()
         cold_seconds = time.perf_counter() - start
 
-        # Round-trip the cache through the SUM4 wire format, as a real
+        # Round-trip the cache through the SUM5 wire format, as a real
         # warm start from a sidecar file would.
         cache = load_cache(dump_cache(cold.cache))
 

@@ -2,11 +2,11 @@
 
 A build farm rarely analyzes one image in isolation — it analyzes a
 *family* of linked variants: N applications against one shared library,
-or successive builds where only the app changed.  The per-image SUM4
+or successive builds where only the app changed.  The per-image SUM5
 sidecar cannot help across images, but the content-addressed store
-(:mod:`repro.interproc.store`) keys every routine by its deep (Merkle)
-fingerprint, so byte-identical library routines are solved once for the
-whole family.
+(:mod:`repro.interproc.store`) keys every component by a hash of the
+inputs it was solved from, so byte-identical library routines are
+solved once for the whole family.
 
 This bench builds a gcc-shaped family with the real toolchain path
 (:mod:`repro.program.linker`): one shared ``mathlib`` object module
@@ -271,7 +271,7 @@ def test_store_byte_identity_poisoned_and_warm(tmp_path):
     assert poisoned.metrics.phase1_store_hits == 0
     assert dump_summaries(poisoned.result) == expected
 
-    # Warm --incremental (SUM4 round-trip) with the store on.
+    # Warm --incremental (SUM5 round-trip) with the store on.
     shutil.rmtree(root)
     cold = AnalysisSession.from_program(
         program, store_config

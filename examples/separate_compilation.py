@@ -20,8 +20,9 @@ makes that story concrete:
 5. Link a *second* variant of the app against the byte-identical
    mathlib and analyze it through a shared summary store
    (:mod:`repro.interproc.store`): the library routines are never
-   re-solved — their summaries are keyed by deep fingerprint, so any
-   image that links the same library bytes reuses them — and their
+   re-solved — their summaries are keyed by the inputs they were
+   solved from (own code, callees' results), so any image that links
+   the same library bytes reuses them — and their
    CFGs are never rebuilt: the store also holds each routine body's
    front-end record (where its calls sit), keyed by its bytes.
 
@@ -163,7 +164,7 @@ def main() -> None:
         assert metrics.cfgs_built == 1         # ... and only its CFG
         assert stats["packs"] == 2             # one per publishing run
     print("the shared library was analyzed once for the whole family — "
-          "summaries are keyed by deep (Merkle) routine fingerprint, "
+          "summaries are keyed by the inputs they were solved from, "
           "not by image.")
 
 

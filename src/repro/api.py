@@ -326,7 +326,7 @@ class AnalysisSession:
         can depend on — transitive callers, plus their callee closure
         — are examined, and only the stale ones among those re-solve.
 
-        ``cache`` warm-starts the query from a ``SUM4``
+        ``cache`` warm-starts the query from a ``SUM5``
         :class:`SummaryCache`; when omitted, the session threads its
         own memoized cache and front end between calls, so repeated
         or overlapping queries amortize toward a fingerprint comparison

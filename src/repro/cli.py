@@ -5,7 +5,7 @@ Subcommands:
 * ``analyze <image>`` — run the interprocedural dataflow analysis on a
   SAX executable image and print per-routine summaries plus the §4
   measurements (sizes, stage times, memory); ``--incremental``
-  warm-starts from (and refreshes) a ``SUM4`` cache sidecar, and
+  warm-starts from (and refreshes) a ``SUM5`` cache sidecar, and
   ``--json`` emits one machine-readable stats object instead of text;
 * ``disasm <image>`` — print a disassembly listing;
 * ``generate <benchmark> -o <image>`` — write a synthetic benchmark
@@ -14,7 +14,7 @@ Subcommands:
   pipeline and write the rewritten image;
 * ``query <image> <routine>`` — answer one routine's summary on
   demand, solving only its caller/callee cones; reuses and refreshes
-  the same ``SUM4`` sidecar as ``analyze --incremental``, so repeated
+  the same ``SUM5`` sidecar as ``analyze --incremental``, so repeated
   queries amortize toward zero solver work;
 * ``report <image>`` — analyze with per-routine solver attribution on
   and print a convergence / hot-routine table;
@@ -31,13 +31,15 @@ All analysis goes through :class:`repro.api.AnalysisSession`.  Exit
 codes are distinct per failure class so scripts can tell them apart:
 
 * 0 — success;
-* 2 — usage error (bad or removed flags, a bad flag combination, or a
-  query for an unknown routine);
+* 2 — usage error (bad or removed flags, a bad flag combination, an
+  empty ``--cache`` path, or a query for an unknown routine);
 * 3 — the input image could not be read or parsed;
 * 4 — the analysis itself failed (:class:`AnalysisError`);
 * 5 — the analysis succeeded but a by-product (the cache sidecar or
   the ``--trace`` file) could not be written; the run's output is
-  still printed.
+  still printed;
+* 141 — stdout was closed before the output was (a pipe into
+  ``head``); the shells' code for a process SIGPIPE ended.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.api import (
     AnalysisConfig,
@@ -64,7 +66,9 @@ from repro.obs import (
     render_counters,
 )
 from repro.interproc.persist import (
+    SummaryCache,
     SummaryFormatError,
+    atomic_write,
     dump_cache,
     dump_summaries,
     image_fingerprint,
@@ -86,6 +90,7 @@ EXIT_USAGE = 2
 EXIT_BAD_IMAGE = 3
 EXIT_ANALYSIS = 4
 EXIT_CACHE_IO = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _load(path: str) -> Program:
@@ -93,24 +98,37 @@ def _load(path: str) -> Program:
         return load_program(handle.read())
 
 
-def _atomic_write_bytes(path: str, blob: bytes) -> None:
-    """Write a by-product file atomically (tmp + ``os.replace``).
+def _file_path(value: str) -> str:
+    """An argparse type: a path, which must not be empty."""
+    if not value:
+        raise argparse.ArgumentTypeError("the path must not be empty")
+    return value
 
-    A writer killed mid-dump leaves the previous file intact instead of
-    a truncated sidecar that silently forces the next run cold (the
-    same idiom as ``service/registry.py:_write_sidecar``).
-    """
-    tmp = f"{path}.tmp.{os.getpid()}"
+
+def _read_sidecar(path: str) -> Tuple[Optional[SummaryCache], str]:
+    """The cache sidecar at ``path`` (``None`` when there is none or it
+    does not load), and the note saying how the run starts."""
+    if not os.path.exists(path):
+        return None, "cold (no cache file)"
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+        with open(path, "rb") as handle:
+            return load_cache(handle.read()), f"warm ({path})"
+    except (SummaryFormatError, OSError) as error:
+        return None, f"cold (unreadable cache: {error})"
+
+
+def _write_file(path: str, blob: bytes, what: str, quiet: bool) -> int:
+    """Write a by-product file atomically (a writer killed mid-dump
+    leaves the previous file intact): EXIT_OK, or EXIT_CACHE_IO with
+    the reason on stderr.  ``quiet`` (``--json``) keeps the note off
+    stdout."""
+    try:
+        atomic_write(path, blob)
+    except OSError as error:
+        print(f"could not write {what} to {path}: {error}", file=sys.stderr)
+        return EXIT_CACHE_IO
+    print(f"wrote {what} to {path}", file=sys.stderr if quiet else sys.stdout)
+    return EXIT_OK
 
 
 def _print_routine_summaries(result, names: List[str]) -> None:
@@ -168,15 +186,7 @@ def _cmd_analyze_incremental(
         )
         return EXIT_USAGE
     cache_path = args.cache or args.image + ".sum2"
-    cache = None
-    cache_note = "cold (no cache file)"
-    if os.path.exists(cache_path):
-        try:
-            with open(cache_path, "rb") as handle:
-                cache = load_cache(handle.read())
-            cache_note = f"warm ({cache_path})"
-        except (SummaryFormatError, OSError) as error:
-            cache_note = f"cold (unreadable cache: {error})"
+    cache, cache_note = _read_sidecar(cache_path)
     incremental = session.analyze_incremental(cache=cache)
     try:
         # Read the bodies -r prints now, while a cold run can still
@@ -211,35 +221,14 @@ def _cmd_analyze_incremental(
             _print_counters(session)
     if args.routines:
         _print_routine_summaries(incremental.result, args.routines)
-    if args.save_summaries:
-        blob = dump_summaries(
-            incremental.result, image_fingerprint(image_bytes)
-        )
-        try:
-            _atomic_write_bytes(args.save_summaries, blob)
-        except OSError as error:
-            print(
-                f"could not write summaries to {args.save_summaries}: "
-                f"{error}",
-                file=sys.stderr,
-            )
-            return EXIT_CACHE_IO
-        print(
-            f"wrote summaries to {args.save_summaries}",
-            file=sys.stderr if args.json else sys.stdout,
-        )
-    try:
-        _atomic_write_bytes(cache_path, dump_cache(incremental.cache))
-    except OSError as error:
-        print(
-            f"could not write cache to {cache_path}: {error}",
-            file=sys.stderr,
-        )
+    if args.save_summaries and _write_file(
+        args.save_summaries,
+        dump_summaries(incremental.result, image_fingerprint(image_bytes)),
+        "summaries", args.json,
+    ):
         return EXIT_CACHE_IO
-    print(
-        f"wrote cache to {cache_path}",
-        file=sys.stderr if args.json else sys.stdout,
-    )
+    if _write_file(cache_path, dump_cache(incremental.cache), "cache", args.json):
+        return EXIT_CACHE_IO
     # After the cache write so the cache.dump span lands in the trace.
     return _finish_trace(args)
 
@@ -290,24 +279,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.annotate:
         print()
         print(render_annotated_listing(analysis, args.routines or None))
-    if args.save_summaries:
-        blob = dump_summaries(
-            analysis.result, image_fingerprint(image_bytes)
-        )
-        try:
-            _atomic_write_bytes(args.save_summaries, blob)
-        except OSError as error:
-            print(
-                f"could not write summaries to {args.save_summaries}: "
-                f"{error}",
-                file=sys.stderr,
-            )
-            return EXIT_CACHE_IO
-        # Keep --json stdout parseable, as with the trace note above.
-        print(
-            f"wrote summaries to {args.save_summaries}",
-            file=sys.stderr if args.json else sys.stdout,
-        )
+    if args.save_summaries and _write_file(
+        args.save_summaries,
+        dump_summaries(analysis.result, image_fingerprint(image_bytes)),
+        "summaries", args.json,
+    ):
+        return EXIT_CACHE_IO
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(psg_to_dot(analysis.psg, routine=args.dot_routine))
@@ -376,15 +353,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"cannot load image {args.image}: {error}", file=sys.stderr)
         return EXIT_BAD_IMAGE
     cache_path = args.cache or args.image + ".sum2"
-    cache = None
-    cache_note = "cold (no cache file)"
-    if os.path.exists(cache_path):
-        try:
-            with open(cache_path, "rb") as handle:
-                cache = load_cache(handle.read())
-            cache_note = f"warm ({cache_path})"
-        except (SummaryFormatError, OSError) as error:
-            cache_note = f"cold (unreadable cache: {error})"
+    cache, cache_note = _read_sidecar(cache_path)
     try:
         result = session.query(args.routine, cache=cache)
     except UnknownRoutineError as error:
@@ -423,18 +392,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print()
             print(metrics.render())
             _print_counters(session)
-    try:
-        _atomic_write_bytes(cache_path, dump_cache(result.cache))
-    except OSError as error:
-        print(
-            f"could not write cache to {cache_path}: {error}",
-            file=sys.stderr,
-        )
+    if _write_file(cache_path, dump_cache(result.cache), "cache", args.json):
         return EXIT_CACHE_IO
-    print(
-        f"wrote cache to {cache_path}",
-        file=sys.stderr if args.json else sys.stdout,
-    )
     return _finish_trace(args)
 
 
@@ -649,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     analyze.add_argument(
-        "--cache", metavar="FILE", default=None,
+        "--cache", metavar="FILE", default=None, type=_file_path,
         help="cache sidecar path for --incremental (default: IMAGE.sum2)",
     )
     analyze.add_argument(
@@ -712,9 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("image")
     query.add_argument("routine", help="routine name to query")
     query.add_argument(
-        "--cache", metavar="FILE", default=None,
+        "--cache", metavar="FILE", default=None, type=_file_path,
         help=(
-            "SUM4 cache sidecar to warm-start from and refresh "
+            "SUM5 cache sidecar to warm-start from and refresh "
             "(default: IMAGE.sum2; shared with analyze --incremental)"
         ),
     )
@@ -787,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help=(
-            "persist per-tenant SUM4 cache sidecars under DIR so edit "
+            "persist per-tenant SUM5 cache sidecars under DIR so edit "
             "requests warm-start across daemon restarts"
         ),
     )
@@ -861,6 +820,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         # that do not parse.
         print(f"cannot analyze image {args.image}: {error}", file=sys.stderr)
         return EXIT_BAD_IMAGE
+    except BrokenPipeError:
+        # Whoever read stdout stopped (``| head``).  SIGPIPE stays
+        # ignored, so that a client hanging up cannot kill ``serve``;
+        # stdout goes to /dev/null so the interpreter's last flush
+        # does not fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

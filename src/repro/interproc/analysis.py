@@ -50,17 +50,19 @@ from repro.interproc.persist import SUMMARY_BODIES, PackedMap
 from repro.interproc.phase1 import Phase1Result, run_phase1
 from repro.interproc.phase2 import Phase2Result, run_phase2
 from repro.interproc.store import (
-    StoreKeys,
+    add_exit_seeds,
+    component_inputs,
+    config_digest,
     open_view,
     publish_component,
     publish_frontend_records,
 )
 from repro.interproc.summaries import (
     CallSiteSummary,
-    ExitSeeds,
     RoutineSummary,
     SummarySet,
     _triple_of,
+    live_after_masks,
 )
 from repro.obs.metrics import REGISTRY
 from repro.reporting.memory import MemoryModel, psg_analysis_memory
@@ -231,13 +233,22 @@ def _analyze_program(
         # The store is published to, never consulted: the result keeps
         # the whole-program PSG and its phase solutions.
         publish_frontend_records(frontend, view)
-        keys = StoreKeys(frontend, config)
-        summaries = result.summaries
-        exit_seeds = ExitSeeds(summaries)
+        context, summaries = config_digest(config), result.summaries
+        triples = {name: _triple_of(summary) for name, summary in summaries.items()}
+        seeds: Dict[str, int] = {}
+        add_exit_seeds(seeds, frontend, (
+            (name, live_after_masks(summary)) for name, summary in summaries.items()
+        ))
+        external = call_graph.externally_callable
         for members in frontend.condensation.components:
-            triples = {name: _triple_of(summaries[name]) for name in members}
+            inputs = component_inputs(frontend, members, triples)
+            publish_component(view, context, members, inputs, triples)
+            inputs = {
+                name: (*inputs[name], (name in external, seeds.get(name, 0)))
+                for name in members
+            }
             publish_component(
-                view, keys, members, triples, summaries, exit_seeds
+                view, context, members, inputs, summaries=summaries
             )
         view.flush()
     memory = psg_analysis_memory(

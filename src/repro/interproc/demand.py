@@ -33,55 +33,28 @@ labeled, decoded, so a session's later queries append them instead of
 labeling again.
 
 **Memoization.**  The refreshed :class:`SummaryCache` a query returns
-must stay honest for routines the query never looked at.  Entries come
-in two grades — a full summary (phase 1 + phase 2 facts) and a
-phase-1-only triple (:attr:`SummaryCache.phase1_triples`) — and the
-rules are:
-
-* routines in ``P2`` were phase-2 *validated* (re-solved, or proven
-  clean with unchanged dependencies) — store their full summary and
-  current fingerprint;
-* routines in ``P1 \\ P2`` were phase-1 validated only — store their
-  fresh triple under the current fingerprint (this is what lets the
-  next query skip the callee cone), and keep their old full summary
-  only when nothing this query discovered could have staled it;
-* routines outside both cones that were dirty keep their old entry
-  verbatim — the mismatched fingerprint keeps them dirty;
-* clean out-of-cone entries keep whatever grade survives the
-  **staleness sweep**: a summary is dropped when the routine is
-  orphaned, has a direct callee whose triple changed (its call-site
-  labels and liveness consumed it) or a direct caller whose liveness
-  outputs changed (its exit seed moved); a triple is dropped when a
-  direct callee's triple changed.  Deleted routines drop entirely.
-
-A dropped entry (or grade) is a cache miss — the next run that needs
-the routine re-solves it and propagation resumes from there.  Every
-invalidation chain that leaves the solved cones bottoms out in a
-still-detectable source — a kept mismatched fingerprint, a dropped
-entry, or an externally-callable flip visible against the kept old
-membership — so repeated and overlapping queries amortize toward zero
-without ever poisoning the sidecar.
+is the old one overlaid with the rows the query validated: a full row
+(summary included) for every routine of ``P2``, a phase-1 row for
+every routine of ``P1 \\ P2`` (its old row where the old one's inputs
+held, so a summary it had survives).  Every row carries the inputs it
+was solved from (:mod:`repro.interproc.incremental`), so an old row
+that a change elsewhere made stale simply no longer matches the next
+run's inputs: nothing is swept, and repeated and overlapping queries
+amortize toward zero without ever poisoning the sidecar.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from repro.cfg.callgraph import Condensation
-from repro.dataflow.equations import SummaryTriple
 from repro.interproc.analysis import AnalysisConfig
 from repro.interproc.errors import UnknownRoutineError
 from repro.interproc.frontend import Frontend
-from repro.interproc.incremental import (
-    _Engine,
-    carried_fragments,
-    solve_or_cold,
-    summary_triples,
-)
+from repro.interproc.incremental import _Engine, solve_or_cold
 from repro.interproc.persist import SUMMARY_BODIES, SummaryCache, packed
-from repro.interproc.store import config_digest
 from repro.interproc.summaries import SummarySet, RoutineSummary
 from repro.obs.metrics import REGISTRY
 from repro.reporting.metrics import QueryMetrics
@@ -216,7 +189,7 @@ def _query(
         routine,
         metrics.phase1_cone_routines,
         metrics.phase2_cone_routines,
-        len(engine.dirty),
+        len(metrics.dirty_routines),
     )
 
     engine.phase1_scope, engine.phase2_scope = phase1_cone, phase2_cone
@@ -225,13 +198,7 @@ def _query(
     REGISTRY.inc("query.reused", metrics.phase2_reused)
 
     summary = engine.fresh.get(routine) or cache.result.summaries[routine]
-    new_cache = _memoized_cache(
-        engine,
-        condensation.routines_of(phase1_cone),
-        condensation.routines_of(phase2_cone),
-        image_fingerprint,
-        config_digest(config),
-    )
+    new_cache = _memoized_cache(engine, image_fingerprint)
     return QueryResult(
         routine=routine,
         summary=summary,
@@ -243,122 +210,15 @@ def _query(
     )
 
 
-def _memoized_cache(
-    engine: _Engine,
-    validated1: Set[str],
-    validated2: Set[str],
-    image_fingerprint: int,
-    digest: int,
-) -> SummaryCache:
-    """The refreshed cache a query persists (module docstring rules).
-
-    Kept summaries are the old cache's, unread: their bodies go to the
-    next sidecar as bytes."""
-    frontend, cache, dirty = engine.frontend, engine.cache, engine.dirty
-    cfgs = frontend.cfgs
-    call_graph = frontend.call_graph
-    fingerprints = frontend.fingerprints
-    old_summaries = cache.result.summaries
-    is_external = call_graph.externally_callable
-
-    # Facts this query discovered to have changed.  A kept entry whose
-    # fingerprint would pass the next run's check must not depend on
-    # any of them: summaries consume direct callees' triples (call-site
-    # labels) and direct callers' liveness (exit seeds); triples
-    # consume direct callees' triples.
-    summary_stale: Set[str] = set(engine.orphaned) | engine.changed1
-    triple_stale: Set[str] = set()
-    for name in engine.changed1:
-        for caller, _site in call_graph.callers_of(name):
-            summary_stale.add(caller)
-            triple_stale.add(caller)
-    for name in engine.changed2:
-        summary_stale.update(call_graph.callees_of(name))
-
-    # Routines whose summary the memo keeps: the fresh one if the
-    # query solved it, else the old one.
-    kept: List[str] = []
-    phase1_triples: Dict[str, SummaryTriple] = {}
-    keyed_fingerprints: Dict[str, int] = {}
-    externally_callable: Set[str] = set()
-    dropped = 0
-
-    for name in validated2:
-        # Full summary validated against the new program.
-        kept.append(name)
-        keyed_fingerprints[name] = fingerprints[name]
-        if name in is_external:
-            externally_callable.add(name)
-
-    for name in validated1 - validated2:
-        # Phase 1 validated: the fresh triple is always storable.  The
-        # old full summary survives only when it is provably untouched.
-        keyed_fingerprints[name] = fingerprints[name]
-        phase1_triples[name] = engine.triples[name]
-        if name not in old_summaries:
-            continue
-        if name in dirty or name in summary_stale:
-            dropped += 1
-            continue
-        kept.append(name)
-        if name in cache.externally_callable:
-            externally_callable.add(name)
-
-    for name in cache.routine_fingerprints:
-        if name in validated1:
-            continue
-        if name not in cfgs:  # deleted routine: entry dropped outright
-            if name in old_summaries or name in cache.phase1_triples:
-                dropped += 1
-            continue
-        if name in dirty:
-            # Keep everything under the old, mismatched fingerprint:
-            # the routine stays dirty and nothing consumes a dirty
-            # entry before re-solving it.
-            keyed_fingerprints[name] = cache.routine_fingerprints[name]
-            if name in old_summaries:
-                kept.append(name)
-            if name in cache.phase1_triples:
-                phase1_triples[name] = cache.phase1_triples[name]
-            if name in cache.externally_callable:
-                externally_callable.add(name)
-            continue
-        # Clean, out of both cones: keep each grade unless the sweep
-        # staled it.  (Old externally-callable membership is kept with
-        # a kept summary so a visibility flip stays detectable.)
-        keep_summary = name in old_summaries and name not in summary_stale
-        old_triple = cache.phase1_triples.get(name)
-        if old_triple is None and name in old_summaries:
-            old_triple = cache.triples[name]
-        keep_triple = old_triple is not None and name not in triple_stale
-        if name in old_summaries and not keep_summary:
-            dropped += 1
-        if not keep_summary and not keep_triple:
-            continue
-        keyed_fingerprints[name] = cache.routine_fingerprints[name]
-        if keep_summary:
-            kept.append(name)
-            if name in cache.externally_callable:
-                externally_callable.add(name)
-        elif keep_triple:
-            phase1_triples[name] = old_triple
-
-    engine.metrics.memo_dropped = dropped
-    REGISTRY.inc("query.memo_dropped", dropped)
-    return SummaryCache(
-        image_fingerprint=image_fingerprint,
-        result=SummarySet(
-            summaries=packed(kept, engine.fresh, old_summaries, SUMMARY_BODIES)
-        ),
-        routine_fingerprints=keyed_fingerprints,
-        externally_callable=externally_callable,
-        phase1_triples=phase1_triples,
-        # Always the current image's: a record is scoped by its own
-        # shape key, whatever became of the routine's summary.
-        frontend_records=frontend.records,
-        config_digest=digest,
-        triples=summary_triples(kept, engine.fresh, cache),
-        fragments=carried_fragments(
-            frontend, engine.new_fragments, cache.fragments
-        ),
+def _memoized_cache(engine: _Engine, image_fingerprint: int) -> SummaryCache:
+    """The refreshed cache a query persists: the old one's rows (of
+    routines the program still has, their summaries unread) overlaid
+    with the rows the query validated."""
+    old, routines = engine.cache, engine.frontend.fingerprints
+    rows = {name: row for name, row in old.rows.items() if name in routines}
+    rows.update(engine.rows)
+    summarized = [name for name, row in rows.items() if row.phase2 is not None]
+    return engine.refreshed(
+        image_fingerprint, rows,
+        packed(summarized, engine.fresh, old.result.summaries, SUMMARY_BODIES),
     )

@@ -178,6 +178,21 @@ class Frontend:
         return self.call_graph.condensation()
 
     @cached_property
+    def outside_callees(self) -> Dict[str, Tuple[Optional[str], ...]]:
+        """Every routine's call targets, in
+        :meth:`~repro.cfg.callgraph.CallGraph.callees_of` order, each
+        ``None`` that lies in the routine's own component."""
+        component_of = self.condensation.component_of
+        callees_of = self.call_graph.callees_of
+        return {
+            name: tuple([
+                None if component_of[callee] == component_of[name] else callee
+                for callee in callees_of(name)
+            ])
+            for name in component_of
+        }
+
+    @cached_property
     def fingerprints(self) -> Dict[str, int]:
         """:func:`routine_fingerprint` of every routine, by name."""
         sites = self.call_graph.sites

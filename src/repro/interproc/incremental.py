@@ -3,63 +3,47 @@
 A whole-program run (:func:`repro.interproc.analysis._analyze_program`)
 re-solves every routine even when one instruction changed.  Spike's
 workflow — optimize, measure, edit a hot routine, re-optimize — makes
-that wasteful: the phase-1 triples of an untouched routine depend only
-on its own code and its callees' triples, and its phase-2 liveness
-only on its callers' return-point liveness and its callees' triples.
-This module exploits that structure:
+that wasteful: the phase-1 triple of a routine is a function of its own
+code and its callees' triples, and its phase-2 liveness a function of
+those inputs plus the liveness its callers leave at its return points.
+This module exploits that with **one reuse rule**: a cached answer is
+reused exactly when the inputs recorded beside it equal the current
+ones.  Per call-graph SCC component (the condensation):
 
-* every routine gets a **content fingerprint** (a 64-bit CRC over its
-  code bytes, its exported flag, its jump-table targets and its
-  call-site target lists — exactly the inputs its CFG is a function
-  of; see
-  :func:`repro.interproc.frontend.routine_fingerprint`);
-* the SCC **condensation** of the call graph is the dependency map:
-  editing a routine dirties its component; phase-1 dirt propagates to
-  transitive *callers*, phase-2 dirt to transitive *callees*;
-* a **change cutoff** stops propagation early: after re-solving a
-  component, its new answers are compared against the cache, and only
-  components whose consumed answers actually changed are re-solved in
-  turn;
-* the components that need solving are solved as **regions**
-  (:func:`repro.interproc.analysis.solve_phase1` /
-  :func:`~repro.interproc.analysis.solve_phase2`): walking a phase, a
-  component whose need is already decided — dirty, uncached, orphaned,
-  flipped in or out of external visibility, or (phase 2) calling a
-  routine whose triple changed — and that no store can serve joins the
-  pending region.  A component whose need, or whose store key, hangs
-  on the answer of a pending member first makes the pending region
-  solve, then goes through the cutoff and the store as before.  A
-  region is one partial PSG (:func:`repro.psg.build.build_partial_psg`):
-  callees outside it appear as dummy entry nodes pinned at their
-  current triples, and callers outside it contribute their return-point
-  liveness as exit seeds.  A cold run — this engine against an empty
-  cache — is one region per phase.
+* the **phase-1 inputs** are the members' names and content
+  fingerprints (a 64-bit CRC over a routine's code bytes, exported
+  flag, jump-table targets and call-site target lists — exactly the
+  inputs its CFG is a function of; see
+  :func:`repro.interproc.frontend.routine_fingerprint`) and the triples
+  of the members' callees outside the component;
+* the **phase-2 inputs** add each member's externally-callable bit and
+  exit seed (the OR of the live-after masks at the calls reaching it
+  from outside the component).
 
-The cache itself is a :class:`repro.interproc.persist.SummaryCache`
-(the versioned ``SUM4`` sidecar): the previous run's summaries, the
-fingerprints that scope their validity, the *front-end records*
-(:mod:`repro.interproc.frontend`) from which the call graph, the
-condensation and the fingerprints of this run are derived without
-building the CFG of any routine whose code did not change, and the
-labeled PSG fragment of every routine body it solved
-(:class:`repro.psg.build.PsgFragment`).  A region appends its members'
-fragments; only a member without one — its code changed, or no run has
-solved it since — is walked into a CFG (billed to the ``cfg_build``
-stage) and labeled, and the fragment it leaves is held decoded in the
-refreshed cache (a query session's memo appends it again).  So a warm
-run with zero dirty routines builds no CFG and performs *no* phase-1
-or phase-2 solving at all — it hashes the routines, re-resolves their
-recorded call sites, and returns the cached result — and an edit whose
-effect climbs the caller cone walks only the edited routine.
+Phase 1 walks the components callee-first and phase 2 caller-first,
+one step each: gather the inputs (solving the pending region first if
+they read a member of it), adopt the cache's answers if their recorded
+inputs are equal, else the cross-image store's filed under a crc64 of
+the same inputs (:mod:`repro.interproc.store`), else join the pending
+region.  Dirt therefore stops wherever an answer comes out unchanged,
+and a routine that lost a caller is re-solved only if its exit seed
+moved.  A pending region is solved as one partial PSG
+(:func:`repro.psg.build.build_partial_psg`): callees outside it appear
+as dummy entry nodes pinned at their current triples, and callers
+outside it contribute their return-point liveness as exit seeds.  A
+cold run — this engine against an empty cache — is one region per
+phase.
 
-The run reads a summary body only when it needs that routine's old
-answer (a change cutoff, an exit seed), and the refreshed cache it
-returns shares the unread bodies and fragments with the one it read,
-so writing the next sidecar copies them (:class:`~repro.interproc.
-persist.PackedMap`).  A cache written under another configuration, or
-one holding a body or fragment that fails to decode when read, is set
-aside and the run solves cold (:attr:`IncrementalAnalysis.refused`
-says why).
+The cache is a :class:`repro.interproc.persist.SummaryCache` (the
+``SUM5`` sidecar): the rows, the summaries, the *front-end records*
+that give this run its call graph without walking unchanged routines
+(:mod:`repro.interproc.frontend`), and the labeled PSG fragment of
+every routine body solved, which a region appends instead of walking
+the routine into a CFG.  So a warm run with zero dirty routines builds
+no CFG, decodes no body and solves nothing.  A cache written under
+another configuration, or one holding a body or fragment that fails to
+decode when read, is set aside and the run solves cold
+(:attr:`IncrementalAnalysis.refused` says why).
 """
 
 from __future__ import annotations
@@ -88,14 +72,18 @@ from repro.interproc.persist import (
     FRAGMENTS,
     SUMMARY_BODIES,
     PackedMap,
+    RoutineRow,
     SummaryCache,
     SummaryFormatError,
     packed,
 )
 from repro.interproc.phase1 import Phase1Result
 from repro.interproc.store import (
-    StoreKeys,
+    Inputs,
+    add_exit_seeds,
+    component_inputs,
     config_digest,
+    inputs_key,
     open_view,
     publish_component,
     publish_frontend_records,
@@ -103,9 +91,8 @@ from repro.interproc.store import (
 )
 from repro.interproc.summaries import (
     SummarySet,
-    ExitSeeds,
     RoutineSummary,
-    _triple_of,
+    live_after_masks,
 )
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import span
@@ -149,57 +136,23 @@ def solve_or_cold(
     return result
 
 
-def summary_triples(
-    names: Iterable[str],
-    fresh: Mapping[str, RoutineSummary],
-    cache: SummaryCache,
-) -> Dict[str, SummaryTriple]:
-    """The phase-1 triple of each of ``names``: read off its fresh
-    summary, else the one ``cache`` holds (without its body)."""
-    return {
-        name: _triple_of(fresh[name]) if name in fresh else cache.triples[name]
-        for name in names
-    }
-
-
-def carried_fragments(
-    frontend: Frontend,
-    fresh: Mapping[int, PsgFragment],
-    old: Mapping[int, PsgFragment],
-) -> PackedMap:
-    """The fragments a refreshed cache holds: those of this run, then
-    those of the cache it read, for every routine body the program
-    still has (none of them built or decoded here)."""
-    keys = dict.fromkeys(record.shape_key for record in frontend.records.values())
-    return packed(
-        (key for key in keys if key in fresh or key in old), fresh, old, FRAGMENTS
-    )
-
-
 def record_fingerprint_verdicts(
-    fingerprints: Dict[str, int], cache: SummaryCache
-) -> Set[str]:
-    """Classify every routine's fingerprint against ``cache`` and push
-    the per-run cache.hit / cache.stale / cache.miss counters.
-
-    Returns the dirty set (stale + missing).
-    """
-    hits = stale = missing = 0
-    dirty: Set[str] = set()
-    for name, fingerprint in fingerprints.items():
-        cached = cache.routine_fingerprints.get(name)
-        if cached is None:
-            missing += 1
-            dirty.add(name)
-        elif cached != fingerprint:
-            stale += 1
-            dirty.add(name)
-        else:
-            hits += 1
-    REGISTRY.inc("cache.hit", hits)
-    REGISTRY.inc("cache.stale", stale)
-    REGISTRY.inc("cache.miss", missing)
-    return dirty
+    fingerprints: Mapping[str, int], cache: SummaryCache
+) -> List[str]:
+    """The routines whose fingerprint moved since ``cache`` recorded
+    their row, or that have none, sorted; counted cache.stale /
+    cache.miss (cache.hit the rest).  A report only: reuse compares all
+    of a component's recorded inputs."""
+    rows = cache.rows
+    missing = [name for name in fingerprints if name not in rows]
+    stale = [
+        name for name, fingerprint in fingerprints.items()
+        if name in rows and rows[name].fingerprint != fingerprint
+    ]
+    REGISTRY.inc("cache.hit", len(fingerprints) - len(missing) - len(stale))
+    REGISTRY.inc("cache.stale", len(stale))
+    REGISTRY.inc("cache.miss", len(missing))
+    return sorted(missing + stale)
 
 
 @dataclass
@@ -259,7 +212,8 @@ def _analyze_incremental(
     image_fingerprint: int = 0,
     frontend: Optional[Frontend] = None,
 ) -> IncrementalAnalysis:
-    """Analyze ``program``, reusing ``cache`` where fingerprints allow.
+    """Analyze ``program``, reusing ``cache`` where its recorded inputs
+    still hold.
 
     With ``cache=None`` this is a *cold* run — the engine against an
     empty cache, one region per phase — and the returned
@@ -298,57 +252,17 @@ def _solve(
     _log.info(
         "%s incremental run: %d routines, %d dirty",
         "cold" if metrics.cold else "warm", program.routine_count,
-        len(engine.dirty),
+        len(metrics.dirty_routines),
     )
     result = engine.run()
-    frontend, cache = engine.frontend, engine.cache
-    new_cache = SummaryCache(
-        image_fingerprint=image_fingerprint,
-        result=result,
-        routine_fingerprints=frontend.fingerprints,
-        externally_callable=set(frontend.call_graph.externally_callable),
-        frontend_records=frontend.records,
-        config_digest=config_digest(config),
-        triples=summary_triples(result.summaries, engine.fresh, cache),
-        fragments=carried_fragments(frontend, engine.new_fragments, cache.fragments),
-    )
     return IncrementalAnalysis(
         config=config,
-        frontend=frontend,
+        frontend=engine.frontend,
         result=result,
-        cache=new_cache,
+        cache=engine.refreshed(image_fingerprint, engine.rows, result.summaries),
         metrics=metrics,
-        condensation=frontend.condensation,
+        condensation=engine.condensation,
     )
-
-
-def orphaned_callees(
-    cached: Mapping[str, RoutineSummary],
-    cfgs: Mapping[str, ControlFlowGraph],
-    call_graph: CallGraph,
-    dirty: Set[str],
-) -> Set[str]:
-    """Former callees that lost a caller and must be re-solved.
-
-    A routine whose cached call sites name a target it no longer calls
-    — deleted outright, or surviving but with the site dropped or
-    retargeted by the edit — leaves that former callee with the removed
-    site's live-after baked into its cached exit liveness.  The new
-    call graph has no edge left to carry the retraction, so diff the
-    cached target lists against it and re-solve the losers.  Clean
-    survivors can be skipped — their summaries are not even read: the
-    fingerprint covers target lists, so theirs cannot have moved.
-    """
-    orphaned: Set[str] = set()
-    for name in cached:
-        if name in cfgs and name not in dirty:
-            continue
-        cached_targets: Set[str] = set()
-        for site in cached[name].call_sites:
-            cached_targets.update(site.site.targets)
-        current = set(call_graph.callees_of(name)) if name in cfgs else set()
-        orphaned.update(cached_targets - current)
-    return orphaned
 
 
 class _Engine:
@@ -356,12 +270,12 @@ class _Engine:
     caller-first, over the call graph's components, the runs of needed
     components solved as regions.
 
-    Walking a phase, a component joins the *pending* region as soon as
-    it is known to need solving and no store can serve it; a component
-    whose need (or store key) hangs on what the pending region has not
-    solved yet makes the region solve first.  The change cutoff and
-    every store hit are kept, and only the grouping of the solves —
-    hence the phases' iteration counts — depends on the walk.
+    Each component takes one step per phase: gather its inputs (first
+    solving the pending region if they read a pending member), adopt
+    the cache's answers if the inputs recorded beside them are equal,
+    else the store's filed under those inputs, else join the pending
+    region.  Only the grouping of the solves — hence the phases'
+    iteration counts — depends on the walk.
     """
 
     def __init__(
@@ -378,10 +292,8 @@ class _Engine:
             # component is needed, so each phase is one region (less
             # what a configured store serves).
             cache = SummaryCache(image_fingerprint=0, result=SummarySet(summaries={}))
-        # Cross-image store state: the keys are derived lazily — only
-        # runs that actually consult or publish pay for them.
         self.store = open_view(config)
-        self._store_keys: Optional[StoreKeys] = None
+        self.context = config_digest(config)
         self._built_before = frontend.cfgs_built if frontend is not None else 0
         if frontend is None:
             with metrics.stage("cfg_build"):
@@ -389,29 +301,21 @@ class _Engine:
                     program, cache.frontend_records, store=self.store
                 )
         with metrics.stage("fingerprint"):
-            dirty = record_fingerprint_verdicts(frontend.fingerprints, cache)
-        metrics.dirty_routines = sorted(dirty)
+            metrics.dirty_routines = record_fingerprint_verdicts(
+                frontend.fingerprints, cache
+            )
         self.config = config
         self.frontend = frontend
         self.cfgs = frontend.cfgs
         self.call_graph = frontend.call_graph
         self.condensation = frontend.condensation
         self.cache = cache
-        # Read a body at a time, only where an old answer is needed.
-        self.cached = cache.result.summaries
-        # Phase-1 triples available for reuse: every cached summary's
-        # (from the cache's routine table, no body read), plus the
-        # phase-1-only entries the demand engine memoizes (triples
-        # validated by a query whose phase-2 liveness never was).
-        self.cached_triples: Dict[str, SummaryTriple] = dict(cache.triples)
-        self.cached_triples.update(cache.phase1_triples)
-        self.dirty = dirty
         self.metrics = metrics
         # Component scopes a demand query sets (``None``: every
         # component).  Sound as long as ``phase1_scope`` is callee-closed
         # and ``phase2_scope`` caller-closed with its callee closure
         # inside ``phase1_scope``: every input a scoped solve consumes
-        # then comes from an in-scope component or the cache.
+        # then comes from an in-scope component.
         self.phase1_scope: Optional[Set[int]] = None
         self.phase2_scope: Optional[Set[int]] = None
         # Per-member inputs, built for solved members only: §3.4 masks
@@ -427,79 +331,20 @@ class _Engine:
         # The pending region: component indices, and their members.
         self._pending: List[int] = []
         self._pending_members: Set[str] = set()
-        # Phase-1 state: current triples, and the change-cutoff set.
+        #: Every walked routine's current triple.
         self.triples: Dict[str, SummaryTriple] = {}
-        self.changed1: Set[str] = set()
-        # Phase-2 state: members whose liveness outputs changed, and
-        # freshly assembled summaries.
-        self.changed2: Set[str] = set()
+        #: The row of every routine this run validated: the cache's,
+        #: where its recorded inputs held, else the one this run solved
+        #: or adopted from the store (its inputs lead: ``row[:2]``).
+        self.rows: Dict[str, RoutineRow] = {}
+        #: Summaries solved or adopted from the store by this run.
         self.fresh: Dict[str, RoutineSummary] = {}
-        # Exit seeds from callers' summaries (fresh, else cached), only
-        # ever asked about callers phase 2 is done with: final ones.
-        self._exit_seeds = ExitSeeds(self.fresh, self.cached)
-        self.orphaned = orphaned_callees(
-            self.cached, self.cfgs, self.call_graph, dirty
-        )
-        # Components whose grade-1 lookup missed: their grade 2 cannot hit.
+        #: Exit seeds, folded in from each caller phase 2 is done with.
+        self.seeds: Dict[str, int] = {}
+        # Components whose phase-1 inputs equal the cache's, and those
+        # whose grade-1 store lookup missed (their grade 2 cannot hit).
+        self._adopted1: Set[int] = set()
         self._grade1_missed: Set[int] = set()
-
-    # ------------------------------------------------------------------
-    # Cross-image summary store (repro.interproc.store)
-    # ------------------------------------------------------------------
-
-    def _keys(self) -> StoreKeys:
-        if self._store_keys is None:
-            with self.metrics.stage("fingerprint"):
-                self._store_keys = StoreKeys(self.frontend, self.config)
-        return self._store_keys
-
-    def _store_phase1(self, index: int, members: Sequence[str]) -> bool:
-        """Adopt a whole component's phase-1 triples from the store.
-
-        All-or-nothing: a partial hit is treated as a miss so the SCC
-        solves (and republishes) as one unit.  Adopted triples run
-        through the same change cutoff as solved ones — byte-identical
-        downstream behavior is what makes the store safe.
-        """
-        if self.store is None:
-            return False
-        deep = self._keys().deep
-        loaded: Dict[str, SummaryTriple] = {}
-        with span("store.lookup", grade=1, routines=len(members)):
-            for name in members:
-                triple = self.store.load_triple(deep[name], name)
-                if triple is None:
-                    self._grade1_missed.add(index)
-                    return False
-                loaded[name] = triple
-        for name, triple in loaded.items():
-            self.triples[name] = triple
-            self.metrics.phase1_store_hits += 1
-            if triple != self.cached_triples.get(name):
-                self.changed1.add(name)
-        return True
-
-    def _store_phase2(self, members: Sequence[str]) -> bool:
-        """Adopt a whole component's full summaries from the store
-        (skipping the region build, both fixpoints and assembly)."""
-        component_key = self._keys().component_key(members, self._exit_seeds)
-        loaded: Dict[str, RoutineSummary] = {}
-        with span("store.lookup", grade=2, routines=len(members)):
-            for name in members:
-                summary = self.store.load_summary(
-                    routine_record_key(component_key, name), name
-                )
-                if summary is None:
-                    return False
-                loaded[name] = summary
-        for name, summary in loaded.items():
-            self.fresh[name] = summary
-            self.metrics.phase2_store_hits += 1
-            if name not in self.cached or not _same_liveness(
-                summary, self.cached[name]
-            ):
-                self.changed2.add(name)
-        return True
 
     # ------------------------------------------------------------------
     # Regions
@@ -531,11 +376,31 @@ class _Engine:
         REGISTRY.inc("cache.fragment.stale", stale)
         REGISTRY.inc("cache.fragment.miss", miss)
 
-    @property
-    def new_fragments(self) -> PackedMap:
-        """The fragments of the routines this run labeled, by shape key,
-        each encoded only when the refreshed cache is written."""
-        return PackedMap.of(self.labeled, FRAGMENTS)
+    def refreshed(
+        self,
+        image_fingerprint: int,
+        rows: Dict[str, RoutineRow],
+        summaries: Mapping[str, RoutineSummary],
+    ) -> SummaryCache:
+        """The cache to persist: ``rows``, their ``summaries``, the
+        front-end records, and per routine body the program still has
+        the fragment this run labeled, else the cache's."""
+        labeled, old = PackedMap.of(self.labeled, FRAGMENTS), self.cache.fragments
+        bodies = dict.fromkeys(
+            record.shape_key for record in self.frontend.records.values()
+        )
+        return SummaryCache(
+            image_fingerprint=image_fingerprint,
+            result=SummarySet(summaries=summaries),
+            rows=rows,
+            frontend_records=self.frontend.records,
+            config_digest=self.context,
+            fragments=packed(
+                (key for key in bodies if key in labeled or key in old),
+                labeled, old, FRAGMENTS,
+            ),
+            table=self.cache.table,
+        )
 
     def _region(self, members: List[str]) -> PartialPsg:
         """The graph of a region: each member appended from its
@@ -576,35 +441,88 @@ class _Engine:
         members = self.condensation.members
         return indices, [name for index in indices for name in members(index)]
 
+    def _store_has_seen(self, members: Sequence[str]) -> bool:
+        """Whether the store holds every member's front-end record (as
+        runs that publish answers do): only then is its answer worth
+        solving the pending region for."""
+        records = self.frontend.records
+        return all(
+            self.store.holds_frontend(records[name].shape_key) for name in members
+        )
+
+    def _adopt_stored(
+        self, grade: int, members: Sequence[str], inputs: Mapping[str, Inputs]
+    ) -> Optional[Dict[str, object]]:
+        """The store's answers for a whole component, filed under its
+        ``inputs`` — triples (grade 1) or summaries (grade 2) — or
+        ``None``: a partial hit is a miss, so the SCC solves (and
+        republishes) as one unit."""
+        key = inputs_key(self.context, members, inputs)
+        load = self.store.load_triple if grade == 1 else self.store.load_summary
+        loaded: Dict[str, object] = {}
+        with span("store.lookup", grade=grade, routines=len(members)):
+            for name in members:
+                loaded[name] = load(routine_record_key(key, name), name)
+                if loaded[name] is None:
+                    return None
+        return loaded
+
     # ------------------------------------------------------------------
-    # Phase 1 — callee-first, pinned external entries, change cutoff
+    # Phase 1 — callee-first, pinned external entries
     # ------------------------------------------------------------------
 
     def _run_phase1(self) -> None:
-        callees_of = self.call_graph.callees_of
+        callees_of, old = self.call_graph.callees_of, self.cache.rows
+        fingerprints = self.frontend.fingerprints
         for index, members in enumerate(self.condensation.components):
             if self.phase1_scope is not None and index not in self.phase1_scope:
                 continue
-            if not any(
-                name in self.dirty or name not in self.cached_triples
+            # The cheap half of the inputs first: a member whose
+            # fingerprint moved leaves only the store to ask.
+            recorded = all(
+                name in old and old[name].fingerprint == fingerprints[name]
                 for name in members
-            ):
-                # Needed only if an outside callee's triple changed.
-                member_set = set(members)
-                callees = [
-                    callee for name in members for callee in callees_of(name)
-                    if callee not in member_set
-                ]
-                if not self._pending_members.isdisjoint(callees):
-                    self._solve_phase1()
-                if self.changed1.isdisjoint(callees):
-                    for name in members:
-                        self.triples[name] = self.cached_triples[name]
-                        self.metrics.phase1_reused += 1
-                    continue
-            if not self._store_phase1(index, members):
+            )
+            if not recorded and self.store is None:
                 self._join(index, members)
+                continue
+            pending = self._pending_members
+            if pending and not pending.isdisjoint(
+                callee for name in members for callee in callees_of(name)
+            ):
+                if not recorded and not self._store_has_seen(members):
+                    # No store answer to wait for: solve it with them.
+                    self._grade1_missed.add(index)
+                    self._join(index, members)
+                    continue
+                self._solve_phase1()
+            inputs = component_inputs(self.frontend, members, self.triples)
+            if recorded and all(
+                old[name].callees == inputs[name][1] for name in members
+            ):
+                for name in members:
+                    row = self.rows[name] = old[name]
+                    self.triples[name] = row.triple
+                self._adopted1.add(index)
+                self.metrics.phase1_reused += len(members)
+                continue
+            stored = self.store is not None and self._adopt_stored(
+                1, members, inputs
+            )
+            if stored:
+                self._phase1_answers(inputs, stored)
+                self.metrics.phase1_store_hits += len(members)
+                continue
+            self._grade1_missed.add(index)
+            self._join(index, members)
         self._solve_phase1()
+
+    def _phase1_answers(
+        self, inputs: Mapping[str, Inputs], triples: Mapping[str, SummaryTriple]
+    ) -> None:
+        for name, triple in triples.items():
+            self.triples[name] = triple
+            self.rows[name] = RoutineRow(*inputs[name], None, triple, ())
 
     def _solve_phase1(self) -> None:
         """Solve the pending region's phase 1."""
@@ -622,63 +540,84 @@ class _Engine:
         self._graphs[frozenset(members)] = (region, solution)
         self.metrics.phase1_sccs_solved += len(indices)
         self.metrics.phase1_iterations += solution.iterations
+        self.metrics.phase1_solved += len(members)
         for name in members:
-            triple = solution.entry_triple(region.psg, name)
-            self.triples[name] = triple
-            self.metrics.phase1_solved += 1
-            if triple != self.cached_triples.get(name):
-                self.changed1.add(name)
-        if self.store is not None:
-            publish_component(self.store, self._keys(), members, self.triples)
+            self.triples[name] = solution.entry_triple(region.psg, name)
+        for index in indices:
+            component = self.condensation.members(index)
+            inputs = component_inputs(self.frontend, component, self.triples)
+            self._phase1_answers(
+                inputs, {name: self.triples[name] for name in component}
+            )
+            if self.store is not None:
+                publish_component(
+                    self.store, self.context, component, inputs, self.triples
+                )
 
     # ------------------------------------------------------------------
-    # Phase 2 — caller-first, seeded exits, change cutoff
+    # Phase 2 — caller-first, seeded exits
     # ------------------------------------------------------------------
-
-    def _phase2_decided(self, members: Sequence[str]) -> bool:
-        """Whether the component needs phase 2 whatever its callers'
-        new liveness: a member dirty, uncached, orphaned, flipped in or
-        out of external visibility, or calling a routine whose triple
-        changed."""
-        was_external = self.cache.externally_callable
-        is_external = self.call_graph.externally_callable
-        for name in members:
-            if name in self.dirty or name not in self.cached:
-                return True
-            if name in self.orphaned:
-                return True
-            if (name in was_external) != (name in is_external):
-                return True
-            if not self.changed1.isdisjoint(self.call_graph.callees_of(name)):
-                return True
-        return False
 
     def _run_phase2(self) -> None:
-        callers_of = self.call_graph.callers_of
+        callers_of, old = self.call_graph.callers_of, self.cache.rows
         for index in range(len(self.condensation.components) - 1, -1, -1):
             if self.phase2_scope is not None and index not in self.phase2_scope:
                 continue
             members = self.condensation.members(index)
-            decided = self._phase2_decided(members)
+            recorded = index in self._adopted1 and all(
+                old[name].phase2 is not None for name in members
+            )
             lookup = self.store is not None and index not in self._grade1_missed
-            if lookup or not decided:
-                # The need — an outside caller's liveness changed — and
-                # the grade-2 key, which binds the exit seeds, read the
-                # outside callers: they must be solved.
-                member_set = set(members)
-                callers = [
+            if recorded or lookup:
+                # The exit seeds read the outside callers' final
+                # liveness: they must be solved.
+                pending = self._pending_members
+                if pending and not pending.isdisjoint(
                     caller for name in members for caller, _site in callers_of(name)
-                    if caller not in member_set
-                ]
-                if not self._pending_members.isdisjoint(callers):
+                ):
                     self._solve_phase2()
-                if not decided and self.changed2.isdisjoint(callers):
+                phase2 = self._phase2_inputs(members)
+                if recorded and all(
+                    old[name].phase2 == phase2[name] for name in members
+                ):
+                    self._fold_seeds(members)
                     self.metrics.phase2_reused += len(members)
                     continue
-                if lookup and self._store_phase2(members):
-                    continue
+                if lookup:
+                    inputs = {
+                        name: (*self.rows[name][:2], phase2[name]) for name in members
+                    }
+                    stored = self._adopt_stored(2, members, inputs)
+                    if stored:
+                        self._phase2_answers(stored, phase2)
+                        self._fold_seeds(members)
+                        self.metrics.phase2_store_hits += len(members)
+                        continue
             self._join(index, members)
         self._solve_phase2()
+
+    def _phase2_inputs(self, members: Sequence[str]) -> Dict[str, Tuple[bool, int]]:
+        """Each member's externally-callable bit and folded exit seed."""
+        external, seeds = self.call_graph.externally_callable, self.seeds
+        return {name: (name in external, seeds.get(name, 0)) for name in members}
+
+    def _fold_seeds(self, names: Iterable[str]) -> None:
+        add_exit_seeds(
+            self.seeds, self.frontend,
+            ((name, self.rows[name].live_after) for name in names),
+        )
+
+    def _phase2_answers(
+        self,
+        summaries: Mapping[str, RoutineSummary],
+        phase2: Mapping[str, Tuple[bool, int]],
+    ) -> None:
+        for name, summary in summaries.items():
+            self.fresh[name] = summary
+            self.rows[name] = RoutineRow(
+                *self.rows[name][:2], phase2[name], self.triples[name],
+                live_after_masks(summary),
+            )
 
     def _solve_phase2(self) -> None:
         """Solve the pending region's phase 2 and assemble its members'
@@ -689,10 +628,7 @@ class _Engine:
         member_set = frozenset(members)
         # Callers outside the region are final: their seeds exist
         # before any graph does.
-        seeds = {
-            name: self._exit_seeds.seed(name, member_set, self.call_graph)
-            for name in members
-        }
+        region_seeds = self._phase2_inputs(members)
         found = self._graphs.pop(member_set, None)
         if found is None:
             # No later region holds these members: drop their graphs.
@@ -710,27 +646,32 @@ class _Engine:
             ):
                 solution = solve_phase2(
                     region, self.config, self.call_graph.externally_callable,
-                    members, seeds,
+                    members, {name: seed for name, (_, seed) in region_seeds.items()},
                 )
         self.metrics.phase2_sccs_solved += len(indices)
         self.metrics.phase2_iterations += solution.iterations
+        self.metrics.phase2_solved += len(members)
         with self.metrics.stage("assemble"):
             fresh = region_summaries(
                 region.psg, members, self._saved, phase1, solution.may_use
             )
-        for name, summary in fresh.items():
-            self.fresh[name] = summary
-            self.metrics.phase2_solved += 1
-            if name not in self.cached or not _same_liveness(
-                summary, self.cached[name]
-            ):
-                self.changed2.add(name)
-        if self.store is not None:
-            keys = self._keys()
-            for index in indices:
+        # Each row records its component's seeds, not the region's:
+        # fold in the callers inside the region first.
+        add_exit_seeds(
+            self.seeds, self.frontend,
+            ((name, live_after_masks(summary)) for name, summary in fresh.items()),
+        )
+        for index in indices:
+            component = self.condensation.members(index)
+            phase2 = self._phase2_inputs(component)
+            self._phase2_answers({name: fresh[name] for name in component}, phase2)
+            if self.store is not None:
+                inputs = {
+                    name: (*self.rows[name][:2], phase2[name]) for name in component
+                }
                 publish_component(
-                    self.store, keys, self.condensation.members(index),
-                    summaries=self.fresh, exit_seeds=self._exit_seeds,
+                    self.store, self.context, component, inputs,
+                    summaries=self.fresh,
                 )
 
     # ------------------------------------------------------------------
@@ -741,9 +682,9 @@ class _Engine:
         records the run derived to the store.
 
         The demand engine (:mod:`repro.interproc.demand`) uses this
-        with scopes set: afterwards ``self.fresh`` holds the re-solved
-        summaries and ``self.changed1`` / ``self.changed2`` /
-        ``self.orphaned`` say what the memoized cache may keep.
+        with scopes set: afterwards ``self.rows`` holds the rows of
+        every routine the scopes validated and ``self.fresh`` the
+        summaries the run solved or adopted from the store.
         """
         self._run_phase1()
         self._run_phase2()
@@ -763,28 +704,7 @@ class _Engine:
         # Fresh summaries over the cached ones, none of them decoded
         # here: the bodies nobody read go to the next sidecar as bytes.
         return SummarySet(
-            summaries=packed(self.cfgs, self.fresh, self.cached, SUMMARY_BODIES)
+            summaries=packed(
+                self.cfgs, self.fresh, self.cache.result.summaries, SUMMARY_BODIES
+            )
         )
-
-
-def _same_liveness(fresh: RoutineSummary, cached: RoutineSummary) -> bool:
-    """True when the phase-2 outputs (the facts callees consume through
-    exit seeds) are unchanged — the phase-2 change cutoff."""
-    if (
-        fresh.live_at_entry_mask != cached.live_at_entry_mask
-        or dict(fresh.exit_live_masks) != dict(cached.exit_live_masks)
-    ):
-        return False
-    if len(fresh.call_sites) != len(cached.call_sites):
-        return False
-    for site_a, site_b in zip(fresh.call_sites, cached.call_sites):
-        if (
-            site_a.site.block != site_b.site.block
-            # A retargeted site redirects its live-after contribution
-            # even when the masks happen to coincide.
-            or site_a.site.targets != site_b.site.targets
-            or site_a.live_before_mask != site_b.live_before_mask
-            or site_a.live_after_mask != site_b.live_after_mask
-        ):
-            return False
-    return True

@@ -9,25 +9,19 @@ two sidecar formats:
   :class:`~repro.interproc.summaries.SummarySet`, keyed by a
   fingerprint of the executable image so a stale sidecar is rejected
   wholesale;
-* **SUM4** — the incremental-analysis cache (:class:`SummaryCache`):
+* **SUM5** — the incremental-analysis cache (:class:`SummaryCache`):
   an indexed pack (:class:`PackFormat`, the summary store's frame under
-  its own magic) holding a *routine table* — per routine its name, a
-  64-bit content fingerprint (image code bytes, exported flag,
-  routine-relative jump-table targets and call-site target lists, see
-  :func:`repro.interproc.frontend.routine_fingerprint`), an
-  externally-callable flag and its phase-1 triple — and, per routine,
-  its summary body, so a warm run can invalidate at routine granularity
-  and read only the bodies it needs.  A fingerprint mismatch only ever
-  means "re-solve", so a sidecar written under an older fingerprint
-  definition goes fully stale once and is then refreshed.  It also
-  carries the *front-end records* that let the next run derive its call
-  graph without building CFGs (:class:`repro.cfg.cfg.FrontendRecord`),
-  the configuration digest the writing run solved under, and one
-  labeled PSG fragment per routine body
+  its own magic) holding a routine table — per routine a
+  :class:`RoutineRow`, its answer with the inputs it was solved from —
+  the summaries, the *front-end records* that let the next run derive
+  its call graph without building CFGs
+  (:class:`repro.cfg.cfg.FrontendRecord`), the configuration digest of
+  the writing run, and one labeled PSG fragment per routine body
   (:class:`repro.psg.build.PsgFragment`), which lets the next run
   re-solve an unchanged routine without walking or labeling it.
-  ``SUM2`` and ``SUM3`` were earlier layouts of this cache; such a file
-  has a bad magic now, and its readers start cold and rewrite it.
+  ``SUM2``, ``SUM3`` and ``SUM4`` were earlier layouts of this cache;
+  such a file has a bad magic now, and its readers start cold and
+  rewrite it.
 
 SUM1 layout (little-endian)::
 
@@ -36,19 +30,24 @@ SUM1 layout (little-endian)::
       u16 name_len | name utf-8
       <summary body>
 
-SUM4 layout: a pack (see :class:`PackFormat`) with magic ``"SUM4"``,
+SUM5 layout: a pack (see :class:`PackFormat`) with magic ``"SUM5"``,
 version 1, whose slots ``(grade, key)`` are::
 
-    (1, 0)  routine table:
-              u64 image_fingerprint | u64 config_digest | u32 routine_count
-              per routine, in name order:
-                u16 name_len | name utf-8 | u64 routine_fingerprint
-                u8 flags          (bit 0: externally callable)
-                u64 may_use | u64 may_def | u64 must_def
-    (2, i)  the summary body of the table's i-th routine (one per routine)
-    (3, 0)  phase-1-only triples: u32 count | per triple:
-              u16 name_len | name utf-8 | u64 routine_fingerprint
-              u64 may_use | u64 may_def | u64 must_def
+    (1, 0)  routine table, n routines in name order, column by column:
+              u64 image_fingerprint | u64 config_digest | u32 n
+              n x (u16 name_len | name utf-8)
+              n x (u64 routine_fingerprint
+                   u8 flags   (bit 0: externally callable, bit 1: summarized)
+                   u32 triple (its index in the triple pool)
+                   u32 target_count | u64 exit_seed)
+              u32 t | t x (u64 may_use | u64 may_def | u64 must_def)
+                                     (the triple pool: distinct triples)
+              per routine, target_count x u32
+                                     (0: inside the component, else
+                                      1 + the target's triple's index)
+              per summarized routine, target_count x u64
+                                     (each target's site's live-after mask)
+    (2, i)  the summary body of the table's i-th routine, if summarized
     (4, 0)  front-end records: u32 count | per record:
               u16 name_len | name utf-8
               u64 shape_key | u32 block_count
@@ -66,22 +65,21 @@ version 1, whose slots ``(grade, key)`` are::
               edge_count x u32 source | edge_count x u32 target
               edge_count x u32 label
 
-The *triple* slot carries phase-1-only entries written by the
-demand-driven query engine (:mod:`repro.interproc.demand`): a routine
-whose call-used/defined/killed triple was validated by a query but
-whose phase-2 liveness never was.  The table, triple and record slots
-are mandatory; a routine without a body, or a body past the table, is
-malformed.  A record is keyed by routine name like everything else but
-validated by its own ``shape_key``, not by the routine fingerprint: it
-stays good across edits that change whom the routine calls or whether
-it is exported.  Records that no CFG could have produced (no blocks,
-sites out of order or past the last block, a constant on a direct call)
-are rejected here; whether a well-formed record fits the routine it
-names is checked where it is used
-(:func:`repro.cfg.build.recorded_call_sites`).  A fragment is filed
-under a shape key, so it applies to any routine with that body; the
-configuration digest scopes it (and everything else in the sidecar) to
-the configuration it was built under.
+A row without the summarized flag is a phase-1-only answer (a demand
+query validated the routine's triple but not its liveness); its exit
+seed is 0.  The table and record slots are mandatory;
+a summarized routine without a body, or a body no summarized row
+claims, is malformed.  A record is keyed by
+routine name like everything else but validated by its own
+``shape_key``, not by the routine fingerprint: it stays good across
+edits that change whom the routine calls or whether it is exported.
+Records that no CFG could have produced (no blocks, sites out of order
+or past the last block, a constant on a direct call) are rejected here;
+whether a well-formed record fits the routine it names is checked where
+it is used (:func:`repro.cfg.build.recorded_call_sites`).  A fragment
+is filed under a shape key, so it applies to any routine with that
+body; the configuration digest scopes it (and everything else in the
+sidecar) to the configuration it was built under.
 
 Shared summary body::
 
@@ -94,27 +92,22 @@ Shared summary body::
       u64 used | u64 defined | u64 killed | u64 live_before | u64 live_after
 
 **What is read when.**  :func:`load_cache` checks the frame, the
-checksum and the index, and decodes the routine table, the triples and
-the records — every malformed prefix, bad magic, invalid UTF-8 name,
-unknown flag or mask wider than the register file there raises
-:class:`SummaryFormatError`, and callers never see ``struct.error`` or
-``IndexError``.  Summary bodies and fragments stay bytes
-(:class:`PackedMap`) until first read; one that passed the checksum but
-does not decode (only a deliberately re-checksummed file can hold one)
-raises :class:`SummaryFormatError` at that read, which the incremental
-engine answers with a cold solve.  Writing the next sidecar copies the
-bytes of every body and fragment the run did not replace as they are.
-
-Invalidation rules for SUM4 are implemented by
-:mod:`repro.interproc.incremental`: a routine whose fingerprint
-changed dirties its call-graph SCC, phase-1 results of its transitive
-*callers*, and phase-2 results of its transitive *callees* (see that
-module's docstring for the direction argument).
+checksum and the index, and decodes the routine table — everything a
+run compares or reads, so no run decodes a body — and the records:
+every malformed prefix, bad magic, invalid UTF-8 name, unknown flag or
+mask wider than the register file raises :class:`SummaryFormatError`,
+never ``struct.error`` or ``IndexError``.  Bodies and fragments stay
+bytes (:class:`PackedMap`) until first read (a consumer asks for an
+adopted summary, a region appends a routine); one that passed the
+checksum but does not decode (only a deliberately re-checksummed file
+holds one) raises :class:`SummaryFormatError` there.  Writing the next
+sidecar copies the bytes of every body and fragment the run kept.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -123,7 +116,7 @@ from itertools import chain, count, repeat
 from operator import and_, invert, sub
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
-    Optional, Set, Tuple,
+    Optional, Tuple,
 )
 
 from repro.cfg.cfg import CallSite, ExitKind, FrontendRecord, RecordedSite
@@ -131,16 +124,12 @@ from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import FULL_MASK
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import span
-from repro.interproc.summaries import (
-    SummarySet,
-    CallSiteSummary,
-    RoutineSummary,
-    _triple_of,
-)
+from repro.interproc.summaries import SummarySet, CallSiteSummary, RoutineSummary
 from repro.psg.build import PsgFragment
 
 MAGIC = b"SUM1"
 
+_SIZES = {"I": 4, "Q": 8}
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -158,10 +147,10 @@ _RECORD_HEADER = struct.Struct("<QII")
 _RECORD_SITE = struct.Struct("<IIB")
 #: Routine table: image fingerprint, config digest, routine count.
 _TABLE_HEAD = struct.Struct("<QQI")
-#: Routine table row after the name: fingerprint, flags, triple.
-_ROUTINE_ROW = struct.Struct("<QB3Q")
-#: Phase-1-only triple after the name: fingerprint, triple.
-_TRIPLE_ROW = struct.Struct("<Q3Q")
+_TABLE_KEYS = struct.Struct("<QQ")
+#: Routine table row: fingerprint, flags, triple index, call-target
+#: count, exit seed.
+_ROW = struct.Struct("<QBIIQ")
 #: Fragment: exit, site, branch, label and edge counts, saved mask.
 _FRAGMENT_HEAD = struct.Struct("<5IQ")
 
@@ -173,6 +162,8 @@ _EXIT_KIND_CODES = {
 _EXIT_KIND_BY_CODE = {code: kind for kind, code in _EXIT_KIND_CODES.items()}
 
 _FLAG_EXTERNALLY_CALLABLE = 1
+_FLAG_SUMMARY = 2
+_FLAGS_EXTERNAL_SUMMARY = _FLAG_SUMMARY | _FLAG_EXTERNALLY_CALLABLE
 
 _SITE_INDIRECT = 1
 _SITE_HAS_CONSTANT = 2
@@ -193,6 +184,27 @@ def crc64(data: bytes) -> int:
     message space), so collisions require defeating both passes.
     """
     return zlib.crc32(data) | (zlib.crc32(data[::-1]) << 32)
+
+
+_tmp_names = count()
+
+
+def atomic_write(path: str, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` through a temp file named for this
+    write alone and ``os.replace``d over it, so a reader sees the old
+    file or the new one; on failure the temp file goes and the
+    ``OSError`` is raised."""
+    tmp = f"{path}.tmp.{os.getpid()}.{next(_tmp_names)}"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def image_fingerprint(image_bytes: bytes) -> int:
@@ -278,6 +290,19 @@ class _Reader:
 
     def mask(self) -> int:
         return self.masks(_U64)[0]
+
+    def take(self, count: int) -> bytes:
+        """The next ``count`` bytes."""
+        end = self.offset + count
+        if end > len(self.blob):
+            raise SummaryFormatError("truncated summary file")
+        raw = self.blob[self.offset : end]
+        self.offset = end
+        return raw
+
+    def array(self, code: str, count: int) -> Tuple[int, ...]:
+        """The next ``count`` values of struct type ``code``."""
+        return struct.unpack(f"<{count}{code}", self.take(_SIZES[code] * count))
 
     def text(self) -> str:
         length = self.u16()
@@ -811,56 +836,55 @@ def load_summaries(
 
 
 # ----------------------------------------------------------------------
-# SUM4: the incremental-analysis cache
+# SUM5: the incremental-analysis cache
 # ----------------------------------------------------------------------
 
 
 #: Sidecar slot grades (the ``u8`` of an index entry).
 GRADE_TABLE = 1
 GRADE_BODY = 2
-GRADE_TRIPLES = 3
 GRADE_RECORDS = 4
 GRADE_FRAGMENT = 5
 
 SIDECAR = PackFormat(
-    magic=b"SUM4",
+    magic=b"SUM5",
     version=1,
-    grades=frozenset(
-        (GRADE_TABLE, GRADE_BODY, GRADE_TRIPLES, GRADE_RECORDS, GRADE_FRAGMENT)
-    ),
+    grades=frozenset((GRADE_TABLE, GRADE_BODY, GRADE_RECORDS, GRADE_FRAGMENT)),
     what="sidecar",
 )
 
 
+class RoutineRow(NamedTuple):
+    """What a sidecar records of one routine: its phase-1 triple with
+    the inputs it was solved from (:data:`repro.interproc.store.Inputs`,
+    the leading fields) and, when the sidecar holds its summary, the
+    phase-2 inputs too and the live-after masks its callees' exit seeds
+    read."""
+
+    fingerprint: int
+    callees: Tuple[Optional[SummaryTriple], ...]
+    #: ``(externally callable, exit seed)``; ``None`` without a summary.
+    phase2: Optional[Tuple[bool, int]]
+    triple: SummaryTriple
+    #: Per call target, as ``callees``, its site's live-after mask
+    #: (empty without a summary).
+    live_after: Tuple[int, ...]
+
+
 @dataclass
 class SummaryCache:
-    """A warm-start cache: summaries plus the fingerprints that scope
-    their validity.
-
-    ``routine_fingerprints[name]`` is the content fingerprint of the
-    routine whose summary is cached (code bytes + call-site target
-    lists); ``externally_callable`` records which routines received
-    the conservative phase-2 exit seeding, so a change in export /
-    address-taken status invalidates them even when their code did not
-    change.  ``result.summaries`` may be a :class:`PackedMap` whose
-    bodies decode on first read; ``triples`` holds the phase-1 triple of
-    every summary so that reusing one never needs its body.
-
-    ``phase1_triples`` holds phase-1-only entries: routines whose
-    call-used/defined/killed triple is known-valid (scoped by the same
-    fingerprint map) but whose phase-2 liveness is not cached.  The
-    demand engine writes these for the callee cone of a query so the
-    next query skips phase 1 there; full runs consume them through
-    :class:`repro.interproc.incremental._Engine` like any other
-    cached triple.
+    """A warm-start cache: one :class:`RoutineRow` per routine whose
+    triple some run solved or adopted, the summaries of exactly the
+    rows that carry phase-2 inputs (``result.summaries``, possibly a
+    :class:`PackedMap` whose bodies decode on first read), and the
+    front end's by-products.
 
     ``frontend_records`` are the writing run's
     :attr:`repro.interproc.frontend.Frontend.records`: per routine,
     what the next run needs to rebuild the call graph without that
     routine's CFG.  Each is scoped by its own shape key, independently
-    of the summaries (a cache may hold a record for a routine whose
-    summary it dropped, and the other way round).  ``fragments`` are
-    the labeled PSG fragments of routine bodies, by shape key.
+    of the rows.  ``fragments`` are the labeled PSG fragments of routine
+    bodies, by shape key.
 
     ``config_digest`` is :func:`repro.interproc.store.config_digest` of
     the configuration the writing run solved under; a run under another
@@ -870,27 +894,15 @@ class SummaryCache:
 
     image_fingerprint: int
     result: SummarySet
-    routine_fingerprints: Dict[str, int] = field(default_factory=dict)
-    externally_callable: Set[str] = field(default_factory=set)
-    phase1_triples: Dict[str, SummaryTriple] = field(default_factory=dict)
+    rows: Dict[str, RoutineRow] = field(default_factory=dict)
     frontend_records: Dict[str, FrontendRecord] = field(default_factory=dict)
     config_digest: int = 0
-    triples: Optional[Dict[str, SummaryTriple]] = None
     fragments: Mapping[int, PsgFragment] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        missing = (
-            set(self.result.summaries) | set(self.phase1_triples)
-        ) - set(self.routine_fingerprints)
-        if missing:
-            raise ValueError(
-                f"cached routines without fingerprints: {sorted(missing)}"
-            )
-        if self.triples is None:
-            self.triples = {
-                name: _triple_of(summary)
-                for name, summary in self.result.summaries.items()
-            }
+    #: A loaded table's rows and its bytes after the two keys: a dump
+    #: of a refreshed cache holding those very rows copies the bytes.
+    table: Optional[Tuple[Mapping[str, RoutineRow], bytes]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def _write_record(writer: _Writer, record: FrontendRecord) -> None:
@@ -925,55 +937,116 @@ def _read_record(reader: _Reader) -> FrontendRecord:
                 block, instruction_index, bool(flags & _SITE_INDIRECT), constant
             )
         )
-    candidates = reader.fields(struct.Struct(f"<{reader.u32()}Q"))
+    candidates = reader.array("Q", reader.u32())
     try:
         return FrontendRecord(shape_key, block_count, tuple(sites), candidates)
     except ValueError as error:
         raise SummaryFormatError(str(error)) from None
 
 
+def _encode_table(cache: SummaryCache, names: List[str]) -> bytes:
+    """The routine table of ``cache``'s rows, in ``names`` order."""
+    rows = [cache.rows[name] for name in names]
+    # The pools: distinct values in order of first use.  Most triples
+    # are shared objects, so values are compared once per object.
+    named = list(chain.from_iterable((row.triple, *row.callees) for row in rows))
+    by_id: Dict[int, int] = {}
+    pool: Dict[Tuple[int, int, int], int] = {}
+    for key, triple in dict(zip(map(id, named), named)).items():
+        by_id[key] = 0 if triple is None else 1 + pool.setdefault(
+            (triple.may_use, triple.may_def, triple.must_def), len(pool)
+        )
+    heads: List[bytes] = []
+    for row in rows:
+        phase2 = row.phase2
+        flags, seed = 0, 0
+        if phase2 is not None:
+            flags = _FLAGS_EXTERNAL_SUMMARY if phase2[0] else _FLAG_SUMMARY
+            seed = phase2[1]
+        heads.append(_ROW.pack(
+            row.fingerprint, flags, by_id[id(row.triple)] - 1, len(row.callees),
+            seed,
+        ))
+    targets = list(map(
+        by_id.__getitem__,
+        map(id, chain.from_iterable(row.callees for row in rows)),
+    ))
+    sites = list(chain.from_iterable(row.live_after for row in rows))
+    return b"".join((
+        _TABLE_HEAD.pack(cache.image_fingerprint, cache.config_digest, len(rows)),
+        *map(_text_bytes, names),
+        *heads,
+        struct.pack(
+            f"<I{3 * len(pool)}Q", len(pool), *chain.from_iterable(pool)
+        ),
+        struct.pack(f"<{len(targets)}I{len(sites)}Q", *targets, *sites),
+    ))
+
+
+def _decode_table(reader: _Reader) -> Tuple[int, int, Dict[str, RoutineRow]]:
+    """A routine table's image fingerprint, config digest and rows."""
+    fingerprint, digest, count = reader.fields(_TABLE_HEAD)
+    names = [reader.text() for _ in range(count)]
+    heads = list(_ROW.iter_unpack(reader.take(_ROW.size * count)))
+    values = reader.array("Q", 3 * reader.u32())
+    triples = iter(values)
+    callee_of = (None, *map(SummaryTriple, triples, triples, triples))
+    targets = reader.array("I", sum(head[3] for head in heads))
+    sites = reader.array("Q", sum(head[3] for head in heads if head[1]))
+    reader.expect_end()
+    _check_masks((0, *values, *sites, *(head[4] for head in heads)))
+    if max(
+        (*targets, *(head[2] + 1 for head in heads)), default=0
+    ) >= len(callee_of):
+        raise SummaryFormatError("routine table names a triple past its pool")
+    rows: Dict[str, RoutineRow] = {}
+    target_at = site_at = 0
+    for name, (own_fingerprint, flags, own, target_count, seed) in zip(
+        names, heads
+    ):
+        if flags not in (0, _FLAG_SUMMARY, _FLAGS_EXTERNAL_SUMMARY) or (
+            not flags and seed
+        ):
+            raise SummaryFormatError(f"unknown routine flags {flags:#x}")
+        target_end = target_at + target_count
+        site_end = site_at + (target_count if flags else 0)
+        rows[name] = RoutineRow(
+            own_fingerprint,
+            tuple(map(callee_of.__getitem__, targets[target_at:target_end])),
+            (flags == _FLAGS_EXTERNAL_SUMMARY, seed) if flags else None,
+            callee_of[own + 1],
+            sites[site_at:site_end],
+        )
+        target_at, site_at = target_end, site_end
+    if len(rows) != count:
+        raise SummaryFormatError("routine table names a routine twice")
+    return fingerprint, digest, rows
+
+
 def dump_cache(cache: SummaryCache) -> bytes:
-    """Serialize a :class:`SummaryCache` as a SUM4 sidecar (summary
+    """Serialize a :class:`SummaryCache` as a SUM5 sidecar (summary
     bodies and fragments a :class:`PackedMap` holds as bytes are copied,
     not re-encoded)."""
     summaries = cache.result.summaries
-    with span("cache.dump", routines=len(summaries)):
-        names = sorted(summaries)
-        table = _Writer()
-        table.parts.append(
-            _TABLE_HEAD.pack(cache.image_fingerprint, cache.config_digest, len(names))
-        )
-        records: Dict[Slot, bytes] = {}
+    rows = cache.rows
+    with span("cache.dump", routines=len(rows)):
+        names = sorted(rows)
+        loaded = cache.table
+        if loaded is not None and len(loaded[0]) == len(rows) and all(
+            rows.get(name) is row for name, row in loaded[0].items()
+        ):
+            table = _TABLE_KEYS.pack(cache.image_fingerprint, cache.config_digest)
+            table += loaded[1]
+        else:
+            table = _encode_table(cache, names)
+        records: Dict[Slot, bytes] = {(GRADE_TABLE, 0): table}
         spliced = 0
         for ordinal, name in enumerate(names):
-            table.text(name)
-            triple = cache.triples[name]
-            table.parts.append(
-                _ROUTINE_ROW.pack(
-                    cache.routine_fingerprints[name],
-                    _FLAG_EXTERNALLY_CALLABLE
-                    if name in cache.externally_callable else 0,
-                    triple.may_use, triple.may_def, triple.must_def,
+            if rows[name].phase2 is not None:
+                records[GRADE_BODY, ordinal], copied = _packed_body(
+                    summaries, name, SUMMARY_BODIES
                 )
-            )
-            records[GRADE_BODY, ordinal], copied = _packed_body(
-                summaries, name, SUMMARY_BODIES
-            )
-            spliced += copied
-        records[GRADE_TABLE, 0] = table.blob()
-        triples = _Writer()
-        triple_names = sorted(cache.phase1_triples)
-        triples.u32(len(triple_names))
-        for name in triple_names:
-            triples.text(name)
-            triple = cache.phase1_triples[name]
-            triples.parts.append(
-                _TRIPLE_ROW.pack(
-                    cache.routine_fingerprints[name],
-                    triple.may_use, triple.may_def, triple.must_def,
-                )
-            )
-        records[GRADE_TRIPLES, 0] = triples.blob()
+                spliced += copied
         frontend = _Writer()
         record_names = sorted(cache.frontend_records)
         frontend.u32(len(record_names))
@@ -988,20 +1061,20 @@ def dump_cache(cache: SummaryCache) -> bytes:
     REGISTRY.inc("cache.write")
     REGISTRY.inc("cache.write_bytes", len(blob))
     REGISTRY.inc("cache.body.spliced", spliced)
-    _log.debug("dumped SUM4 cache: %d routines, %d bytes", len(names), len(blob))
+    _log.debug("dumped SUM5 cache: %d routines, %d bytes", len(names), len(blob))
     return blob
 
 
 def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
-    """Parse a SUM4 cache sidecar; rejects stale image fingerprints.
+    """Parse a SUM5 cache sidecar; rejects stale image fingerprints.
 
     Checks the frame, the checksum and the index, and decodes the
-    routine table, the triples and the records; summary bodies and
-    fragments are decoded when first read (see the module docstring).
-    As with :func:`load_summaries`, ``expected_fingerprint=0`` skips
-    the whole-image staleness check — the incremental engine does its
-    own per-routine invalidation, so a stale image is *not* an error
-    for it, just a cache with some dirty entries.
+    routine table and the records; summary bodies and fragments are
+    decoded when first read (see the module docstring).  As with
+    :func:`load_summaries`, ``expected_fingerprint=0`` skips the
+    whole-image staleness check — the incremental engine compares each
+    component's recorded inputs, so a stale image is *not* an error for
+    it, just a cache some of whose rows no longer apply.
     """
     with span("cache.load", bytes=len(blob)):
         slots: Dict[Slot, Tuple[int, int]] = {}
@@ -1023,39 +1096,22 @@ def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
             reader.names = names
             return reader
 
-        reader = slot(GRADE_TABLE, "routine table")
-        fingerprint, digest, count = reader.fields(_TABLE_HEAD)
+        table = slot(GRADE_TABLE, "routine table")
+        fingerprint, digest, rows = _decode_table(table)
         _check_fingerprint(fingerprint, expected_fingerprint)
-        if count != bodies:
-            raise SummaryFormatError(
-                f"sidecar lists {count} routines but holds {bodies} summary bodies"
-            )
         cells: Dict[str, _Packed] = {}
-        routine_fingerprints: Dict[str, int] = {}
-        externally_callable: Set[str] = set()
-        triples: Dict[str, SummaryTriple] = {}
-        for ordinal in range(count):
-            name = reader.text()
-            routine_fingerprints[name], flags, *masks = reader.fields(_ROUTINE_ROW)
-            if flags & ~_FLAG_EXTERNALLY_CALLABLE:
-                raise SummaryFormatError(f"unknown routine flags {flags:#x}")
-            if flags & _FLAG_EXTERNALLY_CALLABLE:
-                externally_callable.add(name)
-            _check_masks(masks)
-            triples[name] = SummaryTriple(*masks)
+        for ordinal, (name, row) in enumerate(rows.items()):
+            if row.phase2 is None:
+                continue
             found = slots.get((GRADE_BODY, ordinal))
             if found is None:
                 raise SummaryFormatError(f"routine {name!r} has no summary body")
             cells[name] = _Packed(None, blob[found[0]:found[1]], True)
-        reader.expect_end()
-        reader = slot(GRADE_TRIPLES, "triple section")
-        phase1_triples: Dict[str, SummaryTriple] = {}
-        for _ in range(reader.u32()):
-            name = reader.text()
-            routine_fingerprints[name], *masks = reader.fields(_TRIPLE_ROW)
-            _check_masks(masks)
-            phase1_triples[name] = SummaryTriple(*masks)
-        reader.expect_end()
+        if len(cells) != bodies:
+            raise SummaryFormatError(
+                f"sidecar holds {bodies} summary bodies for {len(cells)} "
+                "summarized routines"
+            )
         reader = slot(GRADE_RECORDS, "record section")
         frontend_records: Dict[str, FrontendRecord] = {}
         for _ in range(reader.u32()):
@@ -1064,15 +1120,13 @@ def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
         reader.expect_end()
     REGISTRY.inc("cache.load")
     REGISTRY.inc("cache.load_bytes", len(blob))
-    _log.debug("loaded SUM4 cache: %d routines, %d bytes", count, len(blob))
+    _log.debug("loaded SUM5 cache: %d routines, %d bytes", len(rows), len(blob))
     return SummaryCache(
         image_fingerprint=fingerprint,
         result=SummarySet(summaries=PackedMap(cells, SUMMARY_BODIES)),
-        routine_fingerprints=routine_fingerprints,
-        externally_callable=externally_callable,
-        phase1_triples=phase1_triples,
+        rows=rows,
         frontend_records=frontend_records,
         config_digest=digest,
-        triples=triples,
         fragments=PackedMap(fragments, FRAGMENTS),
+        table=(dict(rows), table.blob[_TABLE_KEYS.size:]),
     )

@@ -1,28 +1,29 @@
 """Cross-image content-addressed summary store (separate compilation
 at fleet scale).
 
-The per-image SUM4 sidecar (``persist.py``) is keyed by
-``image_fingerprint`` — it can warm *this* image's next solve, but it
-cannot express "this library routine is byte-identical across N linked
-builds".  This module re-keys summaries by **deep routine
-fingerprint**: the routine's own CRC64 content fingerprint
-(:func:`repro.interproc.frontend.routine_fingerprint`) combined
-Merkle-style, bottom-up over the SCC condensation, with the deep
-fingerprints of its callees.  Two images that link the same mathlib
-against different apps produce identical deep fingerprints for every
-mathlib routine, so the second image's solve is a dictionary lookup.
+The per-image SUM5 sidecar (``persist.py``) records, beside every
+answer, the inputs it was solved from; it warms *this* image's next
+solve, but cannot say "this library routine is byte-identical across N
+linked builds".  This module files the same answers under a crc64 of
+the same inputs (:func:`inputs_key`): a component's members' names and
+own fingerprints (:func:`repro.interproc.frontend.routine_fingerprint`)
+and the triples of their outside call targets — callee *results*, not
+callee code, so a leaf edit that leaves the leaf's triple alone leaves
+its callers' keys alone.  Two images that link the same mathlib against
+different apps produce identical keys for every mathlib component, so
+the second image's solve is a dictionary lookup.
 
 Three record grades live side by side in one store:
 
-* grade 1 — the phase-1 :class:`SummaryTriple` of one routine, keyed
-  directly by its deep fingerprint.  A grade-1 hit lets a solve skip
-  the phase-1 fixpoint for that routine's SCC.
-* grade 2 — the full :class:`RoutineSummary`, keyed by the phase-2
-  *boundary digest* of the routine's SCC: deep fingerprints of the
-  members, their externally-callable bits, and their exit seeds (the
-  liveness flowing back in from out-of-component callers).  A grade-2
-  hit skips the partial-PSG build, both fixpoints, and assembly — the
-  bulk of a routine's cold cost.
+* grade 1 — the phase-1 :class:`SummaryTriple` of one routine, filed
+  under its component's phase-1 inputs key.  A grade-1 hit lets a
+  solve skip the phase-1 fixpoint for that routine's SCC.
+* grade 2 — the full :class:`RoutineSummary`, filed under its
+  component's phase-2 inputs key: the phase-1 inputs plus the members'
+  externally-callable bits and exit seeds (the liveness flowing back in
+  from out-of-component callers).  A grade-2 hit skips the partial-PSG
+  build, both fixpoints, and assembly — the bulk of a routine's cold
+  cost.
 * grade 3, the front-end grade — the
   :class:`~repro.cfg.cfg.FrontendRecord` of one routine body, keyed by
   its :func:`~repro.interproc.frontend.shape_key` (code bytes +
@@ -33,12 +34,12 @@ Three record grades live side by side in one store:
 
 Both summary keys bind a *context digest* of every configuration knob
 that can change analysis results (calling conventions, callee-saved
-filtering, the PSG branch-node ablations).
+filtering, the PSG branch-node ablations) and :data:`STORE_VERSION`.
 A front-end record is a function of the routine's bytes alone, so its
 key binds no context.
 
 Layout: one immutable *pack* (:class:`repro.interproc.persist.PackFormat`,
-the frame the SUM4 sidecar shares under its own magic) per publishing
+the frame the SUM5 sidecar shares under its own magic) per publishing
 run, ``<store>/packs/<crc64 of body>.pack``::
 
     magic "SSTP" | u8 STORE_VERSION | u64 crc64(body) | body
@@ -62,14 +63,12 @@ what it needs.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import struct
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.cfg.callgraph import CallGraph, Condensation
 from repro.cfg.cfg import FrontendRecord
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.frontend import Frontend
@@ -85,10 +84,11 @@ from repro.interproc.persist import (
     _write_record,
     _write_summary_body,
     _Writer,
+    atomic_write,
     crc64,
     pack_checksum,
 )
-from repro.interproc.summaries import ExitSeeds, RoutineSummary
+from repro.interproc.summaries import RoutineSummary
 from repro.isa.calling_convention import CallingConvention
 from repro.obs.metrics import REGISTRY
 
@@ -98,7 +98,7 @@ STORE_ENV_VAR = "REPRO_SUMMARY_STORE"
 
 #: Bumped when the record format or the key derivation changes; part of
 #: the context digest, so old records simply stop matching.
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 MAGIC_PACK = b"SSTP"
 SUFFIX_PACK = ".pack"
@@ -127,11 +127,12 @@ _OLD_SUFFIXES = (".sum1r", ".sum2r", ".sumfr")
 #: a writer that died mid-pack never publishes its rename.
 _STALE_TMP_SECONDS = 300.0
 
-_tmp_counter = itertools.count()
-
-#: A member's deep fingerprint, externally-callable bit and exit seed,
-#: as a phase-2 component key hashes them.
-_KEY_ENTRY = struct.Struct("<Q?Q")
+#: :func:`inputs_key`'s parts: a member's fingerprint and target
+#: count, a target inside or outside, a member's phase-2 inputs.
+_KEY_HEAD = struct.Struct("<QI")
+_INSIDE = b"\x00"
+_KEY_TRIPLE = struct.Struct("<B3Q")
+_KEY_PHASE2 = struct.Struct("<?Q")
 
 
 # ----------------------------------------------------------------------
@@ -179,78 +180,68 @@ def _digest(convention, psg, callee_saved_filtering: bool) -> int:
     return crc64(writer.blob())
 
 
-def deep_fingerprints(
-    fingerprints: Dict[str, int],
-    condensation: Condensation,
-    call_graph: CallGraph,
-    context: int,
-) -> Dict[str, int]:
-    """Deep (Merkle) fingerprint of every routine, bottom-up over SCCs.
-
-    A routine's phase-1 triple depends on its own code and the triples
-    of its transitive callees, so its key must too.  Per component (in
-    callee-first order) an SCC digest covers the sorted ``(name, own
-    fingerprint)`` pairs of the members plus the sorted ``(name, deep
-    fingerprint)`` pairs of the external callees; each member's deep
-    fingerprint then binds its own name and fingerprint to the SCC
-    digest.  Binding *pairs* — not bare fingerprint multisets — means
-    two callees swapping bodies changes every caller's key.
-
-    Callees outside the condensation (unresolved targets) contribute
-    nothing, matching the solver's calling-standard assumption for
-    them.
-    """
-    deep: Dict[str, int] = {}
-    # The bytes _Writer would write, joined once per digest.
-    u64, text = _U64.pack, _text_bytes
-    head = u64(context)
-    for members in condensation.components:
-        member_set = set(members)
-        parts = [head]
-        for name in sorted(members):
-            parts += (text(name), u64(fingerprints[name]))
-        externals = {
-            callee
-            for name in members
-            for callee in call_graph.callees_of(name)
-            if callee not in member_set
-        }
-        for callee in sorted(externals):
-            if callee in deep:
-                parts += (text(callee), u64(deep[callee]))
-        scc_digest = u64(crc64(b"".join(parts)))
-        for name in members:
-            deep[name] = crc64(
-                b"".join((text(name), u64(fingerprints[name]), scc_digest))
-            )
-    return deep
+#: A member's phase-1 inputs — its own fingerprint, and per call target
+#: its triple (``None`` inside the component) — then maybe its phase-2
+#: ones ``(externally callable, exit seed)``: its row's leading fields.
+Inputs = tuple
 
 
-def phase2_component_key(
-    members: Iterable[str],
-    deep: Dict[str, int],
-    externally_callable: Set[str],
+def component_inputs(
+    frontend: Frontend,
+    members: Sequence[str],
+    triples: Mapping[str, SummaryTriple],
+) -> Dict[str, Inputs]:
+    """The phase-1 inputs of each member of the component ``members``,
+    its outside call targets' triples read off ``triples``."""
+    fingerprints, outside = frontend.fingerprints, frontend.outside_callees
+    # ``get`` maps the ``None`` of a target inside the component to None.
+    return {
+        name: (fingerprints[name], tuple(map(triples.get, outside[name])))
+        for name in members
+    }
+
+
+def add_exit_seeds(
     seeds: Dict[str, int],
-    context: int,
-) -> int:
-    """The phase-2 boundary digest of one SCC.
+    frontend: Frontend,
+    callers: Iterable[Tuple[str, Sequence[int]]],
+) -> None:
+    """Fold into ``seeds`` what each of ``callers`` — a name and, per
+    call target, the live-after mask of its site — feeds the exit seeds
+    of its callees outside its component.  A member's seed is its
+    phase-2 input once every outside caller is folded in."""
+    outside, seed = frontend.outside_callees, seeds.get
+    for caller, live_after in callers:
+        for target, mask in zip(outside[caller], live_after):
+            if target is not None:
+                seeds[target] = seed(target, 0) | mask
 
-    Phase 2 of a component is a function of exactly: the members' code
-    (their own fingerprints, folded into ``deep``), their callees'
-    triples (the deep closure), which members are externally callable
-    (convention seeding), and the liveness seeded at their return exits
-    by out-of-component callers.  Fixpoint uniqueness makes the node
-    numbering of the partial PSG irrelevant, so this digest is the
-    complete input signature of the component's full summaries.
+
+def inputs_key(
+    context: int, members: Iterable[str], inputs: Mapping[str, Inputs]
+) -> int:
+    """The store key of one component's inputs: a crc64 over
+    ``context`` (:func:`config_digest`) and, per member in name order,
+    its name and its :data:`Inputs` — phase-1 ones for a triple, with
+    the phase-2 ones for a summary.
+
+    The sidecar compares the same inputs as values; hashing them lets
+    any image's run find the answer.  Binding ``(name, inputs)`` pairs
+    means two callees swapping bodies changes every caller's key, and
+    fixpoint uniqueness makes the member order irrelevant.
     """
     parts = [_U64.pack(context)]
     for name in sorted(members):
-        parts += (
-            _text_bytes(name),
-            _KEY_ENTRY.pack(
-                deep[name], name in externally_callable, seeds.get(name, 0)
-            ),
-        )
+        fingerprint, callees, *phase2 = inputs[name]
+        parts += (_text_bytes(name), _KEY_HEAD.pack(fingerprint, len(callees)))
+        for callee in callees:
+            parts.append(
+                _INSIDE if callee is None else _KEY_TRIPLE.pack(
+                    1, callee.may_use, callee.may_def, callee.must_def
+                )
+            )
+        for external, seed in phase2:
+            parts.append(_KEY_PHASE2.pack(external, seed))
     return crc64(b"".join(parts))
 
 
@@ -365,12 +356,9 @@ def _write_pack(directory: str, blob: bytes) -> Optional[str]:
     never fail the solve)."""
     checksum = pack_checksum(blob)
     path = os.path.join(directory, f"{checksum:016x}{SUFFIX_PACK}")
-    tmp = f"{path}.tmp.{os.getpid()}.{next(_tmp_counter)}"
     try:
         os.makedirs(directory, exist_ok=True)
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
+        atomic_write(path, blob)
     except OSError:
         return None
     return path
@@ -475,6 +463,12 @@ class StoreView:
 
     def load_frontend(self, key: int) -> Optional[FrontendRecord]:
         return self._load(GRADE_FRONTEND, key, load_frontend_record, key)
+
+    def holds_frontend(self, key: int) -> bool:
+        """Whether a front-end record of the body ``key`` was published:
+        whether any run has walked (and so solved) that body.  A probe,
+        not a lookup: nothing is read or counted."""
+        return (GRADE_FRONTEND, key) in self._index
 
     # -- writes --------------------------------------------------------
 
@@ -732,54 +726,23 @@ def publish_frontend_records(frontend: Frontend, view: StoreView) -> None:
             view.store_frontend(record)
 
 
-class StoreKeys:
-    """The summary-grade keys of one program under one configuration:
-    each routine's deep fingerprint (grade 1) and each component's
-    boundary digest (grade 2)."""
-
-    def __init__(self, frontend: Frontend, config) -> None:
-        self.frontend = frontend
-        self.context = config_digest(config)
-        self.deep = deep_fingerprints(
-            frontend.fingerprints, frontend.condensation,
-            frontend.call_graph, self.context,
-        )
-
-    def component_key(self, members: Sequence[str], exit_seeds: ExitSeeds) -> int:
-        """The boundary digest of the component ``members``, its exit
-        seeds read off the final caller summaries ``exit_seeds`` holds."""
-        member_set = set(members)
-        call_graph = self.frontend.call_graph
-        seeds = {
-            name: exit_seeds.seed(name, member_set, call_graph)
-            for name in members
-        }
-        return phase2_component_key(
-            members, self.deep, call_graph.externally_callable, seeds,
-            self.context,
-        )
-
-
 def publish_component(
     view: StoreView,
-    keys: StoreKeys,
+    context: int,
     members: Sequence[str],
+    inputs: Mapping[str, Inputs],
     triples: Optional[Mapping[str, SummaryTriple]] = None,
     summaries: Optional[Mapping[str, RoutineSummary]] = None,
-    exit_seeds: Optional[ExitSeeds] = None,
 ) -> None:
-    """Add the records of ``members`` to ``view``: their ``triples``
-    under their deep fingerprints, and — ``members`` being one
-    component whose callers are solved — their ``summaries`` under its
-    boundary digest, the exit seeds read off ``exit_seeds``.  Records
-    the store holds are skipped before they are encoded."""
-    if triples is not None:
-        deep = keys.deep
-        for name in members:
-            view.store_triple(deep[name], name, triples[name])
-    if summaries is not None:
-        component_key = keys.component_key(members, exit_seeds)
-        for name in members:
+    """Add the answers of the component ``members`` to ``view`` under
+    the key of their ``inputs``: their ``triples`` (``inputs`` phase-1
+    ones), or their ``summaries`` (``inputs`` with the phase-2 ones).
+    Records the store holds are skipped before they are encoded."""
+    key = inputs_key(context, members, inputs)
+    for name in members:
+        if summaries is None:
+            view.store_triple(routine_record_key(key, name), name, triples[name])
+        else:
             view.store_summary(
-                routine_record_key(component_key, name), name, summaries[name]
+                routine_record_key(key, name), name, summaries[name]
             )

@@ -15,7 +15,7 @@ optimize one routine in isolation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.liveness import SiteEffect
@@ -172,44 +172,13 @@ def _triple_of(summary: RoutineSummary) -> SummaryTriple:
     )
 
 
-class ExitSeeds:
-    """Exit seeds read off final caller summaries.
-
-    A component's exit seed for a member is the OR of the live-after
-    masks at every out-of-component call site targeting it.  Phase 2
-    runs callers-first, so once a caller's summary is final (found in
-    the first of ``sources`` that has it; a caller in none has no
-    sites) its call sites are indexed by ``(block, instruction index)``
-    on first ask, and every later site lookup is a dict hit.
-    """
-
-    def __init__(self, *sources: Mapping[str, RoutineSummary]) -> None:
-        self._sources = sources
-        self._masks: Dict[str, Dict[Tuple[int, int], int]] = {}
-
-    def live_after(self, caller: str, site: CallSite) -> int:
-        """Live-after mask of the call ``site`` in ``caller``."""
-        masks = self._masks.get(caller)
-        if masks is None:
-            summary = next(
-                (s[caller] for s in self._sources if caller in s), None
-            )
-            masks = {} if summary is None else {
-                (known.site.block, known.site.instruction_index):
-                known.live_after_mask
-                for known in summary.call_sites
-            }
-            self._masks[caller] = masks
-        return masks.get((site.block, site.instruction_index), 0)
-
-    def seed(self, name: str, member_set: Set[str], call_graph) -> int:
-        """The exit seed of ``name`` in the component ``member_set``
-        (in-component flow happens inside the solve)."""
-        mask = 0
-        for caller, site in call_graph.callers_of(name):
-            if caller not in member_set:
-                mask |= self.live_after(caller, site)
-        return mask
+def live_after_masks(summary: RoutineSummary) -> Tuple[int, ...]:
+    """Per call target of ``summary``'s sites, in site order, the
+    live-after mask of its site: what the callees' exit seeds read."""
+    return tuple([
+        site.live_after_mask
+        for site in summary.call_sites for _target in site.site.targets
+    ])
 
 
 @dataclass

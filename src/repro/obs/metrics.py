@@ -48,9 +48,10 @@ Counter inventory (see ``docs/observability.md`` for semantics):
 ``psg.built``                    PSGs whose ``PSGNode`` objects were
                                  built from the node rows (for
                                  ``--dot`` and tests)
-``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM4
-                                 fingerprint verdicts on a run
-``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM4 cache I/O
+``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM5
+                                 fingerprint verdicts on a run (a
+                                 report: reuse compares all inputs)
+``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM5 cache I/O
 ``cache.body.decoded``           sidecar summary bodies decoded (on
                                  their first read)
 ``cache.body.spliced``           summary bodies a sidecar write copied
@@ -84,8 +85,6 @@ Counter inventory (see ``docs/observability.md`` for semantics):
 ``query.cone_routines{phase=}``  routines in the query's phase-1 /
                                  phase-2 cones, summed over queries
 ``query.solved`` / ``query.reused``  phase-2 work inside the cones
-``query.memo_dropped``           cache entries (or grades) a query's
-                                 memo write-back had to invalidate
 ``regset.constructed``           RegisterSet objects built
 =============================== =====================================
 
@@ -135,7 +134,6 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("query.requests", ()),
     ("query.solved", ()),
     ("query.reused", ()),
-    ("query.memo_dropped", ()),
     ("solver.iterations", (("phase", "phase1"),)),
     ("solver.iterations", (("phase", "phase2"),)),
     ("solver.pushes", ()),

@@ -222,11 +222,8 @@ class QueryMetrics(IncrementalMetrics):
     phase2_cone_components: int = 0
     #: Routines in the phase-1 cone.
     phase1_cone_routines: int = 0
-    #: Routines in the phase-2 cone (the memo write-back scope).
+    #: Routines in the phase-2 cone.
     phase2_cone_routines: int = 0
-    #: Cache entries the memo write-back had to discard (stale facts
-    #: outside the solved cone that only a re-solve can refresh).
-    memo_dropped: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         payload = super().as_dict()
@@ -236,7 +233,6 @@ class QueryMetrics(IncrementalMetrics):
             phase2_cone_components=self.phase2_cone_components,
             phase1_cone_routines=self.phase1_cone_routines,
             phase2_cone_routines=self.phase2_cone_routines,
-            memo_dropped=self.memo_dropped,
         )
         return payload
 
@@ -247,6 +243,5 @@ class QueryMetrics(IncrementalMetrics):
             f"{self.phase1_cone_components} components",
             f"cone (phase2):      {self.phase2_cone_routines} routines in "
             f"{self.phase2_cone_components} components",
-            f"memo dropped:       {self.memo_dropped}",
         ]
         return "\n".join(lines) + "\n" + super().render()

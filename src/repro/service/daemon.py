@@ -4,7 +4,7 @@ Spike's cold analysis of a gcc-shape image is front-end dominated
 (decode, CFG build, PSG construction); an optimizer driver that
 re-execs per request pays that cost every time.  The daemon keeps
 :class:`~repro.api.AnalysisSession` state warm between requests —
-retained payloads for unchanged images, SUM4 caches for edits, memoized
+retained payloads for unchanged images, SUM5 caches for edits, memoized
 query front-ends — behind one versioned result API (the same schema-1
 payloads the CLI ``--json`` flag prints; see
 :mod:`repro.interproc.results`).
@@ -36,7 +36,7 @@ to disk.
 string) or JSON (``{"image_b64": ..., ...options}``).  Options:
 ``include_summaries`` (embed rendered summaries), ``edit``
 (``{"routine": name}`` — analyze the image with one instruction of
-``routine`` perturbed, warm-starting from the base image's SUM4 cache;
+``routine`` perturbed, warm-starting from the base image's SUM5 cache;
 the routine defaults to the first editable one), and for
 ``/v1/query`` the mandatory ``routine``.
 
@@ -119,7 +119,7 @@ class ServiceConfig:
     port: int = 8484
     #: When set, serve HTTP over this unix domain socket instead of TCP.
     socket_path: Optional[str] = None
-    #: Directory for per-tenant SUM4 sidecars (disabled when ``None``).
+    #: Directory for per-tenant SUM5 sidecars (disabled when ``None``).
     cache_dir: Optional[str] = None
     #: Registry byte budget for retained sessions (LRU beyond it).
     max_bytes: int = DEFAULT_MAX_BYTES
@@ -131,7 +131,7 @@ class ServiceConfig:
     #: Process-wide cross-image summary store
     #: (:mod:`repro.interproc.store`): every tenant's solves read
     #: through and publish into it, so successive builds sharing
-    #: routines warm each other — while SUM4 sidecars keep carrying the
+    #: routines warm each other — while SUM5 sidecars keep carrying the
     #: image-specific phase-2 state for edit requests.
     store_dir: Optional[str] = None
 
@@ -337,7 +337,7 @@ class AnalysisDaemon:
         self, entry: SessionEntry, edit: Any
     ) -> Tuple[Dict[str, object], bool]:
         """Analyze the entry's image with one routine perturbed,
-        warm-starting from the base image's SUM4 cache."""
+        warm-starting from the base image's SUM5 cache."""
         if not isinstance(edit, dict):
             raise RequestError(400, "edit must be an object")
         warm = entry.cache is not None

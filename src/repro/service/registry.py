@@ -2,7 +2,7 @@
 
 One :class:`~repro.api.AnalysisSession` is retained per
 ``(tenant, image-fingerprint)`` pair, together with its most recent
-schema-1 payload and its SUM4 warm-start cache.  A repeated request for
+schema-1 payload and its SUM5 warm-start cache.  A repeated request for
 an unchanged image is answered from the retained payload without
 touching the front end or the solver — that is the daemon's whole
 reason to exist (cold gcc-shape analysis is front-end dominated; see
@@ -17,7 +17,7 @@ to compute.
 Tenants are namespaces: the same image posted under two tenants gets
 two independent entries (and two sidecar files), so one tenant's
 traffic can neither warm nor evict-probe another's.  When a cache
-directory is configured, each entry's SUM4 cache is persisted to
+directory is configured, each entry's SUM5 cache is persisted to
 ``<cache_dir>/<tenant>/<fingerprint>.sum2`` and reloaded on the next
 daemon start, so edit requests warm-start across restarts.
 """
@@ -36,6 +36,7 @@ from repro.api import AnalysisConfig, AnalysisSession
 from repro.interproc.persist import (
     SummaryCache,
     SummaryFormatError,
+    atomic_write,
     dump_cache,
     image_fingerprint,
     load_cache,
@@ -81,7 +82,7 @@ class SessionEntry:
     #: The schema-1 payload of the last full analyze (no edit), served
     #: verbatim to warm repeats.
     payload: Optional[Dict[str, object]] = None
-    #: SUM4 warm-start state for edit requests.
+    #: SUM5 warm-start state for edit requests.
     cache: Optional[SummaryCache] = None
     cache_nbytes: int = 0
     hits: int = 0
@@ -163,7 +164,7 @@ class SessionRegistry:
                 del self._entries[entry.key]
 
     def note_cache(self, entry: SessionEntry, cache: SummaryCache) -> None:
-        """Record an entry's refreshed SUM4 cache (and persist it)."""
+        """Record an entry's refreshed SUM5 cache (and persist it)."""
         blob = dump_cache(cache)
         with self._lock:
             entry.cache = cache
@@ -257,10 +258,7 @@ class SessionRegistry:
             return
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
+            atomic_write(path, blob)
         except OSError as error:
             _log.warning("could not persist sidecar %s: %s", path, error)
             return

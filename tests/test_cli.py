@@ -312,6 +312,39 @@ class TestExitCodes:
         # The analysis itself still ran and printed its report.
         assert "routines:" in captured.out
 
+    @pytest.mark.parametrize("command", ["analyze", "query"])
+    def test_empty_cache_path_is_2(self, command, image_path, tmp_path, capsys):
+        argv = [command, image_path, "--cache", ""]
+        argv += ["--incremental"] if command == "analyze" else ["helper"]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "must not be empty" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["prog.sax"]
+
+    def test_closed_stdout_is_141_without_a_traceback(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        image = str(tmp_path / "big.img")
+        assert main(
+            ["generate", "gcc", "--scale", "0.2", "--seed", "1", "-o", image]
+        ) == 0
+        # ``disasm IMAGE | head -1``: the reader leaves after one line,
+        # with the listing (far past a pipe buffer) still being written.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "disasm", image],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH="src"),
+            cwd=os.path.dirname(os.path.dirname(__file__)),
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_bad_log_level_is_2(self, image_path, capsys):
         assert main(["--log-level", "bogus", "analyze", image_path]) == 2
         assert "bogus" in capsys.readouterr().err

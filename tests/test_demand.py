@@ -12,8 +12,8 @@ The contract under test (see :mod:`repro.interproc.demand`):
   including under the structural-edit shapes (dropped and retargeted
   calls) that retract dependencies without dirtying the affected
   routine;
-* the cache round-trips through the SUM4 wire format, phase-1-only
-  triple entries included;
+* the cache round-trips through the SUM5 wire format, phase-1-only
+  rows included;
 * a query solves the components it needs as at most one region graph
   per phase, and a session labels each routine's PSG at most once: a
   later query appends the fragments its memoized cache carries, which
@@ -27,7 +27,7 @@ from repro.api import AnalysisConfig, AnalysisSession, UnknownRoutineError
 from repro.interproc import dump_cache, dump_summaries, load_cache
 from repro.interproc.persist import fragment_body
 from repro.cfg.callgraph import build_call_graph
-from tests.facade import analyze_program
+from tests.facade import analyze_incremental, analyze_program
 from tests.test_sidecar_pack import _forged_exit_kind
 from repro.interproc.demand import query_routine
 from repro.interproc.store import config_digest
@@ -105,7 +105,7 @@ class TestQueryMatchesExhaustive:
             result = query_routine(program, name, cache=cache)
             cache = result.cache
             assert _canon(result.summary) == _canon(full[name]), name
-        # Round-trip through the SUM4 wire format, as a sidecar would.
+        # Round-trip through the SUM5 wire format, as a sidecar would.
         cache = load_cache(dump_cache(cache))
         for name in sorted(full):
             result = query_routine(program, name, cache=cache)
@@ -232,21 +232,29 @@ _PROPERTY = settings(
         st.integers(min_value=0, max_value=1_000_000), min_size=1, max_size=3
     ),
     probe=st.integers(min_value=0, max_value=1_000_000),
+    full_runs=st.lists(st.booleans(), min_size=3, max_size=3),
 )
 def test_property_queries_track_random_edit_sequences(
-    bench, seed, edits, probe
+    bench, seed, edits, probe, full_runs
 ):
     program = _generate(bench, scale=0.08, seed=seed)
     cache = None
-    for pick in edits:
+    for pick, full_run in zip(edits, full_runs):
         editable = _editable_routines(program)
         program = perturb_routine(program, editable[pick % len(editable)])
-        full = analyze_program(program).result.summaries
+        cold = analyze_program(program).result
+        full = cold.summaries
         names = sorted(full)
         routine = names[probe % len(names)]
         result = query_routine(program, routine, cache=cache)
         cache = result.cache
         assert _canon(result.summary) == _canon(full[routine]), routine
+        if full_run:
+            # A whole run on the query's memo, through the wire format,
+            # and the next query on the run's.
+            run = analyze_incremental(program, cache=load_cache(dump_cache(cache)))
+            cache = run.cache
+            assert dump_summaries(run.result) == dump_summaries(cold)
     # After the last edit, every routine must agree through the chain
     # of memoized caches the probes left behind.
     for name in names:
@@ -476,11 +484,18 @@ class TestSessionPartialPsgs:
         names = _drill_down(edited)
         for name in names[:3]:
             session.query(name)
-        # The solve reads the victim's forged body after re-solving it:
-        # the query starts over cold, on whatever graphs the session holds.
-        forged = load_cache(_forged_exit_kind(sidecar, victim))
-        result = session.query(victim, cache=forged)
+        # A query reads a cached body only to hand out the queried
+        # routine's adopted summary.  Forge the body of a routine whose
+        # cones the edit left alone: the query starts over cold, on
+        # whatever graphs the session holds.
+        bystander = next(
+            name for name in edited.routine_names()
+            if AnalysisSession.from_program(edited, _OFF)
+            .query(name, cache=load_cache(sidecar)).metrics.phase2_solved == 0
+        )
+        forged = load_cache(_forged_exit_kind(sidecar, bystander))
+        result = session.query(bystander, cache=forged)
         assert result.refused.startswith("unreadable cache")
-        assert _canon(result.summary) == _canon(full[victim])
+        assert _canon(result.summary) == _canon(full[bystander])
         for name in names:
             assert _canon(session.query(name).summary) == _canon(full[name]), name

@@ -24,9 +24,12 @@ from repro.interproc.baseline import analyze_program_baseline
 from repro.interproc.frontend import build_frontend
 from repro.interproc.store import (
     SummaryStore,
+    component_inputs,
     config_digest,
-    deep_fingerprints,
+    inputs_key,
+    routine_record_key,
 )
+from repro.interproc.summaries import _triple_of
 from repro.isa.encoding import (
     EncodingError,
     decode_instruction,
@@ -336,21 +339,29 @@ class TestJumpTableRetarget:
             assert dump_summaries(warm.result) == dump_summaries(cold.result)
             baseline = analyze_program_baseline(edited)
             assert warm.result.equal_summaries(baseline.result)
-            assert _deep(edited)[owner] != _deep(program)[owner]
+            assert _store_keys(edited)[owner] != _store_keys(program)[owner]
             checked += 1
             if checked == 3:
                 break
         assert checked == 3
 
 
-def _deep(program):
+def _store_keys(program):
+    """Every routine's grade-1 store key: its component's phase-1
+    inputs key, the triples read off a cold solve."""
     frontend = build_frontend(program)
-    return deep_fingerprints(
-        frontend.fingerprints,
-        frontend.condensation,
-        frontend.call_graph,
-        config_digest(AnalysisConfig()),
-    )
+    triples = {
+        name: _triple_of(summary)
+        for name, summary in analyze_program(program).result.summaries.items()
+    }
+    context = config_digest(AnalysisConfig())
+    keys = {}
+    for members in frontend.condensation.components:
+        key = inputs_key(
+            context, members, component_inputs(frontend, members, triples)
+        )
+        keys.update((name, routine_record_key(key, name)) for name in members)
+    return keys
 
 
 # ----------------------------------------------------------------------
@@ -399,4 +410,6 @@ class TestFingerprintOnce:
         config = AnalysisConfig(store=SummaryStore(str(tmp_path / "store")))
         run = analyze_incremental(small_benchmark, config=config)
         assert len(fingerprint_calls) == small_benchmark.routine_count
-        assert run.cache.routine_fingerprints == run.frontend.fingerprints
+        assert {
+            name: row.fingerprint for name, row in run.cache.rows.items()
+        } == run.frontend.fingerprints

@@ -93,13 +93,13 @@ class TestIncrementalRuns:
         assert cold.metrics.phase1_solved == small_benchmark.routine_count
         assert cold.metrics.phase1_iterations > 0
         assert cold.metrics.phase2_iterations > 0
-        assert set(cold.cache.routine_fingerprints) == set(
+        assert set(cold.cache.rows) == set(
             small_benchmark.routine_names()
         )
 
     def test_warm_zero_dirty_does_no_solving(self, small_benchmark):
         cold = analyze_incremental(small_benchmark)
-        # Round-trip the cache through the SUM4 wire format, as a real
+        # Round-trip the cache through the SUM5 wire format, as a real
         # warm start from a sidecar would.
         cache = load_cache(dump_cache(cold.cache))
         warm = analyze_incremental(small_benchmark, cache=cache)
@@ -221,7 +221,38 @@ def _asm(source: str) -> Program:
     return disassemble_image(assemble(source))
 
 
+# `main` calls `leaf` twice; the second call goes (same-size edit).  The
+# dropped site's live-after is empty and the kept one's holds a0, so
+# leaf's exit seed does not move.
+_TWO_SITES = """
+.routine main export
+    li   a0, 1
+    bsr  ra, leaf
+    bsr  ra, leaf
+    halt
+.routine leaf
+    addq a0, #1, v0
+    ret  (ra)
+"""
+_ONE_SITE = _TWO_SITES.replace(
+    "bsr  ra, leaf\n    halt", "addq a0, #1, a0\n    halt"
+)
+
+
 class TestStructuralEdits:
+    def test_dropped_site_with_an_unmoved_exit_seed_keeps_the_callee(self):
+        # The callee lost a site, but the inputs it was solved from did
+        # not change: it is not re-solved.
+        cold = analyze_incremental(_asm(_TWO_SITES))
+        after = _asm(_ONE_SITE)
+        warm = analyze_incremental(after, cache=load_cache(dump_cache(cold.cache)))
+        assert warm.metrics.dirty_routines == ["main"]
+        assert warm.metrics.phase2_solved == 1
+        assert warm.cache.rows["leaf"] == cold.cache.rows["leaf"]
+        assert dump_summaries(warm.result) == dump_summaries(
+            analyze_program(after).result
+        )
+
     def test_added_routine(self):
         small = _asm(_TWO_ROUTINES)
         grown = _asm(_THREE_ROUTINES)
@@ -363,12 +394,13 @@ class TestIncrementalCli:
         self, tmp_path, capsys
     ):
         # tests/golden/legacy.sum2 was written by the last commit whose
-        # sidecar magic was SUM2 (no front-end record section), and
+        # sidecar magic was SUM2 (no front-end record section),
         # legacy.sum3 by the last one whose magic was SUM3 (every body
-        # read eagerly, no fragments), for the very image below.  Each
-        # sits at the default IMAGE.sum2 path: the run must say why it
-        # starts cold, succeed, and leave a SUM4 sidecar the next run
-        # warms from.
+        # read eagerly, no fragments), and legacy.sum4 by the last one
+        # whose magic was SUM4 (no recorded inputs), for the very image
+        # below.  Each sits at the default IMAGE.sum2 path: the run must
+        # say why it starts cold, succeed, and leave a SUM5 sidecar the
+        # next run warms from.
         import json
         import os
 
@@ -378,7 +410,7 @@ class TestIncrementalCli:
             ["generate", "compress", "--scale", "0.1", "--seed", "7",
              "-o", str(image)]
         )
-        for magic in (b"SUM2", b"SUM3"):
+        for magic in (b"SUM2", b"SUM3", b"SUM4"):
             legacy = os.path.join(
                 os.path.dirname(__file__), "golden",
                 f"legacy.{magic.decode().lower()}",
@@ -397,7 +429,7 @@ class TestIncrementalCli:
             assert first["cache"].startswith("cold (unreadable cache: bad magic")
             assert first["mode"] == "cold"
             rewritten = sidecar.read_bytes()
-            assert rewritten[:4] == b"SUM4"
+            assert rewritten[:4] == b"SUM5"
             rewritten_cache = load_cache(rewritten)
             assert rewritten_cache.frontend_records
             # Fragments only of this image's routine bodies (a serial,

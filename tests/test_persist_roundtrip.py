@@ -1,7 +1,7 @@
 """Robustness and round-trip properties of the summary sidecar formats.
 
 Three layers of guarantees for ``SUM1`` and the incremental cache
-(``SUM4``, an indexed pack; the fixtures and tests below still say
+(``SUM5``, an indexed pack; the fixtures and tests below still say
 ``sum2``, the name of the sidecar file), front-end record section
 included:
 
@@ -31,12 +31,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cfg.cfg import CallSite, ExitKind, FrontendRecord, RecordedSite
 from repro.dataflow.regset import FULL_MASK, TRACKED_MASK
 from tests.facade import analyze_program
+from repro.dataflow.equations import SummaryTriple
 from repro.interproc.persist import (
     GRADE_BODY,
     GRADE_RECORDS,
     GRADE_TABLE,
-    GRADE_TRIPLES,
     SIDECAR,
+    RoutineRow,
     SummaryCache,
     SummaryFormatError,
     crc64,
@@ -121,7 +122,7 @@ class TestTruncationFuzz:
             load_cache(sum2_blob + b"\x00")
         # Behind the checksum, every eagerly read section and every
         # body must be consumed exactly.
-        for grade in (GRADE_TABLE, GRADE_TRIPLES, GRADE_RECORDS):
+        for grade in (GRADE_TABLE, GRADE_RECORDS):
             forged = _reframed(sum2_blob, grade, 0, lambda record: record + b"\x00")
             with pytest.raises(SummaryFormatError, match="trailing"):
                 load_cache(forged)
@@ -409,22 +410,43 @@ def _fragments(draw):
     )
 
 
+_TRIPLES = st.builds(SummaryTriple, _MASKS, _MASKS, _MASKS)
+
+
+@st.composite
+def _rows(draw, summarized):
+    """A table row: any call targets inside or outside the component;
+    phase-2 inputs and live-after masks (one per target) only for a
+    ``summarized`` one."""
+    callees = tuple(draw(st.lists(st.none() | _TRIPLES, max_size=4)))
+    phase2, live_after = None, ()
+    if summarized:
+        phase2 = (draw(st.booleans()), draw(_MASKS))
+        live_after = tuple(draw(
+            st.lists(_MASKS, min_size=len(callees), max_size=len(callees))
+        ))
+    return RoutineRow(
+        fingerprint=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        callees=callees,
+        phase2=phase2,
+        triple=draw(_TRIPLES),
+        live_after=live_after,
+    )
+
+
 @st.composite
 def _summary_caches(draw):
     result = draw(_analysis_results())
-    names = sorted(result.summaries)
+    # Phase-1-only rows beside the summarized ones.
+    names = set(result.summaries) | set(draw(st.lists(_NAMES, max_size=3)))
     return SummaryCache(
         image_fingerprint=draw(
             st.integers(min_value=0, max_value=2**64 - 1)
         ),
         result=result,
-        routine_fingerprints={
-            name: draw(st.integers(min_value=0, max_value=2**64 - 1))
-            for name in names
+        rows={
+            name: draw(_rows(name in result.summaries)) for name in sorted(names)
         },
-        externally_callable=set(
-            draw(st.lists(st.sampled_from(names), max_size=4)) if names else []
-        ),
         # Keyed independently of the summaries: any routine name.
         frontend_records=draw(
             st.dictionaries(_NAMES, _frontend_records(), max_size=3)

@@ -507,7 +507,7 @@ class TestLifecycle:
 
     def test_sidecar_persists_across_restarts(self, tmp_path, image_a):
         """An edit request after a daemon restart warm-starts from the
-        tenant's on-disk SUM4 sidecar."""
+        tenant's on-disk SUM5 sidecar."""
         config = dict(port=0, cache_dir=str(tmp_path))
         first = AnalysisDaemon(ServiceConfig(**config))
         thread = threading.Thread(target=first.serve_forever)
@@ -534,6 +534,30 @@ class TestLifecycle:
         finally:
             second.drain()
             thread.join(timeout=30)
+
+
+    def test_failed_sidecar_write_answers_and_leaves_no_temp(
+        self, tmp_path, image_a, monkeypatch
+    ):
+        """A sidecar the daemon cannot publish is a warning, not a
+        failed request, and its temp file does not stay behind."""
+        import os
+
+        def failing_replace(src, dst, *args, **kwargs):
+            raise OSError("simulated full disk")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        daemon = AnalysisDaemon(ServiceConfig(port=0, cache_dir=str(tmp_path)))
+        thread = threading.Thread(target=daemon.serve_forever)
+        thread.start()
+        try:
+            response = _client(daemon).analyze(image_a, edit={"routine": "inc"})
+            assert response.status == 200
+            validate_payload(response.payload)
+        finally:
+            daemon.drain()
+            thread.join(timeout=30)
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 
 class TestUnixSocket:

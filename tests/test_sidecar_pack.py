@@ -1,4 +1,4 @@
-"""The SUM4 sidecar: an indexed pack read a body at a time, written by
+"""The SUM5 sidecar: an indexed pack read a body at a time, written by
 splicing, carrying each routine body's labeled PSG fragment.
 
 * **fragments** — appending a routine's fragment builds exactly the
@@ -275,7 +275,9 @@ def test_local_edit_reads_few_bodies_and_splices_the_rest(
     dump_cache(warm.cache)
     delta = REGISTRY.delta_since(before)
     routines = program.routine_count
-    assert 0 < delta["cache.body.decoded"] < routines
+    # The routine table holds every input the run compares and every
+    # live-after mask its exit seeds read: not one body is decoded.
+    assert delta["cache.body.decoded"] == 0
     assert delta["cache.body.spliced"] == routines - warm.metrics.phase2_solved
     assert dump_summaries(warm.result) == _cold_bytes(edited)
     # A clean re-run decodes nothing and writes the sidecar it read.
@@ -391,16 +393,21 @@ def test_forged_body_sends_the_api_cold(small_benchmark, primed):
     victim = first_editable_routine(small_benchmark)
     forged = load_cache(_forged_exit_kind(sidecar, victim))  # loads: lazy
     edited = perturb_routine(small_benchmark, victim)
+    # A run reads no cached body: the one it re-solves is replaced
+    # unread, and the refreshed cache holds the fresh body.
     warm = _warm(edited, forged)
-    assert warm.refused.startswith("unreadable cache: unknown exit kind code 9")
-    assert warm.metrics.cold
+    assert warm.refused is None and not warm.metrics.cold
     assert dump_summaries(warm.result) == _cold_bytes(edited)
-    query = AnalysisSession.from_program(edited, OFF).query(
+    assert load_cache(dump_cache(warm.cache)).result.summaries[victim]
+    # A query hands out its routine's adopted summary, read inside the
+    # solve: a forged one sends it cold.
+    query = AnalysisSession.from_program(small_benchmark, OFF).query(
         victim, cache=load_cache(_forged_exit_kind(sidecar, victim))
     )
-    assert query.refused.startswith("unreadable cache")
+    assert query.refused.startswith("unreadable cache: unknown exit kind code 9")
+    assert query.metrics.cold
     assert dump_summaries(query.result) == dump_summaries(
-        AnalysisSession.from_program(edited, OFF).query(victim).result
+        AnalysisSession.from_program(small_benchmark, OFF).query(victim).result
     )
 
 
@@ -466,8 +473,8 @@ def test_malformed_fragments_are_format_errors(body, message):
         FRAGMENTS.decode(body, None)
 
 
-#: ``lone`` is nobody's caller or callee: an edit of ``inc`` never
-#: reads its body.
+#: ``lone`` is nobody's caller or callee, and ``inc`` is the routine
+#: the edits re-solve: no run reads either body.
 THREE_ROUTINES = """
 .routine main export
     li  a0, 3
@@ -484,13 +491,12 @@ THREE_ROUTINES = """
     ret (ra)
 """
 
-_FORGED = pytest.mark.parametrize(
-    "forged", ["inc", "lone"], ids=["read-by-the-solve", "read-after-it"]
-)
+_FORGED = pytest.mark.parametrize("forged", ["lone"], ids=["read-after-it"])
 
 
-@_FORGED
-def test_forged_body_sends_the_cli_cold(tmp_path, capsys, forged):
+def _forged_cli_run(tmp_path, capsys, forged):
+    """An edit of ``inc`` through the CLI, warm-started from a sidecar
+    whose body of ``forged`` is forged; its payload, and the cold one."""
     image = tmp_path / "base.img"
     sidecar = tmp_path / "base.img.sum2"
     image.write_bytes(assemble(THREE_ROUTINES).to_bytes())
@@ -508,15 +514,27 @@ def test_forged_body_sends_the_cli_cold(tmp_path, capsys, forged):
     ) == 0
     # The payload, then the -r block.
     payload, _end = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert cli.main(["analyze", str(edited), "--json"]) == 0
+    cold = json.loads(capsys.readouterr().out)
+    # The sidecar was rewritten with a body that decodes.
+    assert load_cache(sidecar.read_bytes()).result.summaries[forged]
+    return payload, cold
+
+
+@_FORGED
+def test_forged_body_sends_the_cli_cold(tmp_path, capsys, forged):
+    payload, cold = _forged_cli_run(tmp_path, capsys, forged)
     assert payload["cache"].startswith(
         "cold (unreadable cache: unknown exit kind code 9"
     )
     assert payload["mode"] == "cold"
-    assert cli.main(["analyze", str(edited), "--json"]) == 0
-    fresh = capsys.readouterr().out
-    assert json.loads(fresh)["summaries_crc64"] == payload["summaries_crc64"]
-    # The sidecar was rewritten whole.
-    assert load_cache(sidecar.read_bytes()).result.summaries[forged]
+    assert cold["summaries_crc64"] == payload["summaries_crc64"]
+
+
+def test_forged_body_the_cli_replaces_is_never_read(tmp_path, capsys):
+    payload, cold = _forged_cli_run(tmp_path, capsys, "inc")
+    assert payload["cache"].startswith("warm")
+    assert cold["summaries_crc64"] == payload["summaries_crc64"]
 
 
 def _serve(config):
@@ -526,8 +544,9 @@ def _serve(config):
     return daemon, thread
 
 
-@_FORGED
-def test_forged_body_sends_the_daemon_cold(tmp_path, forged):
+def _forged_daemon_sidecar(tmp_path, forged):
+    """A daemon's edit sidecar for ``THREE_ROUTINES``, with the body of
+    ``forged`` forged; the image and the daemon config."""
     image = assemble(THREE_ROUTINES).to_bytes()
     config = ServiceConfig(port=0, cache_dir=str(tmp_path))
     daemon, thread = _serve(config)
@@ -539,7 +558,19 @@ def test_forged_body_sends_the_daemon_cold(tmp_path, forged):
         thread.join(timeout=30)
     (path,) = tmp_path.glob("*/*.sum2")
     path.write_bytes(_forged_exit_kind(path.read_bytes(), forged))
+    return image, config
 
+
+def _edited_bytes(image):
+    session = AnalysisSession.from_image_bytes(image)
+    return AnalysisSession.from_program(
+        perturb_routine(session.program, "inc")
+    ).analyze().to_json()["summaries_crc64"]
+
+
+@_FORGED
+def test_forged_body_sends_the_daemon_cold(tmp_path, forged):
+    image, config = _forged_daemon_sidecar(tmp_path, forged)
     daemon, thread = _serve(config)
     try:
         host, port = daemon.server.server_address[:2]
@@ -547,14 +578,26 @@ def test_forged_body_sends_the_daemon_cold(tmp_path, forged):
         response = client.analyze(image, edit={"routine": "inc"})
         assert response.status == 200
         assert response.payload["mode"] == "cold"
-        session = AnalysisSession.from_image_bytes(image)
-        expected = AnalysisSession.from_program(
-            perturb_routine(session.program, "inc")
-        ).analyze().to_json()
-        assert response.payload["summaries_crc64"] == expected["summaries_crc64"]
+        assert response.payload["summaries_crc64"] == _edited_bytes(image)
         # The unusable cache was dropped: the next edit reseeds one.
         again = client.analyze(image, edit={"routine": "inc"})
         assert again.status == 200 and not again.warm
+    finally:
+        daemon.drain()
+        thread.join(timeout=30)
+
+
+def test_forged_body_the_daemon_replaces_is_never_read(tmp_path):
+    image, config = _forged_daemon_sidecar(tmp_path, "inc")
+    daemon, thread = _serve(config)
+    try:
+        host, port = daemon.server.server_address[:2]
+        response = ServiceClient.tcp(host, port).analyze(
+            image, edit={"routine": "inc"}
+        )
+        assert response.status == 200 and response.warm
+        assert response.payload["mode"] != "cold"
+        assert response.payload["summaries_crc64"] == _edited_bytes(image)
     finally:
         daemon.drain()
         thread.join(timeout=30)

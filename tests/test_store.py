@@ -2,10 +2,11 @@
 
 Four layers of guarantees:
 
-* **key derivation** — deep fingerprints are genuine Merkle hashes:
-  a callee edit propagates to every transitive caller, two callees
-  swapping bodies changes keys (pair binding), and the context digest
-  binds exactly the result-changing configuration knobs;
+* **key derivation** — keys hash a component's inputs: a callee edit
+  reaches a caller's key exactly when it moves a triple the caller
+  reads, two callees swapping bodies changes keys (pair binding), and
+  the context digest binds exactly the result-changing configuration
+  knobs;
 * **pack robustness** — a pack of any record grade survives truncation
   at every byte offset, mutation of every byte, trailing garbage, an
   index entry past its body, a foreign magic and an old version as
@@ -46,18 +47,19 @@ from repro.interproc.store import (
     STORE_ENV_VAR,
     STORE_VERSION,
     SummaryStore,
+    component_inputs,
     config_digest,
     decode_pack,
-    deep_fingerprints,
     dump_frontend_record,
     dump_summary_record,
     dump_triple_record,
     encode_pack,
-    phase2_component_key,
+    inputs_key,
     resolve_store,
     routine_record_key,
 )
 from repro.obs.metrics import REGISTRY
+from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.program.linker import ObjectModule, link_modules
 from repro.service import AnalysisDaemon, ServiceClient, ServiceConfig
@@ -249,93 +251,138 @@ class _Probe:
 # ----------------------------------------------------------------------
 
 
-class _Graph:
-    """callees_of over a plain edge dict (the only CallGraph surface
-    deep_fingerprints touches)."""
-
-    def __init__(self, edges):
-        self.edges = edges
-
-    def callees_of(self, name):
-        return self.edges.get(name, [])
-
-
-class _Cond:
-    def __init__(self, components):
-        self.components = components
-
-
-def _deep(fps, components, edges, context=7):
-    return deep_fingerprints(fps, _Cond(components), _Graph(edges), context)
+def _keys(fps, components, edges, triples=None, context=7):
+    """Every routine's grade-1 record key: its component's phase-1
+    inputs (as :func:`component_inputs` gathers them, over plain dicts)
+    under :func:`inputs_key`.  A routine's triple defaults to one that
+    moves with its code."""
+    triples = {
+        **{name: SummaryTriple(may_use=fp) for name, fp in fps.items()},
+        **(triples or {}),
+    }
+    keys = {}
+    for members in components:
+        inside = set(members)
+        inputs = {
+            name: (
+                fps[name],
+                tuple(
+                    None if callee in inside else triples[callee]
+                    for callee in edges.get(name, [])
+                ),
+            )
+            for name in members
+        }
+        key = inputs_key(context, members, inputs)
+        keys.update((name, routine_record_key(key, name)) for name in members)
+    return keys
 
 
 class TestDeepFingerprints:
+    """Grade-1 keys hash callee *results*: a change reaches a caller's
+    key exactly when it moves a triple the caller reads."""
+
     COMPONENTS = [["leaf"], ["mid"], ["top"]]
     EDGES = {"top": ["mid"], "mid": ["leaf"]}
+    FPS = {"leaf": 1, "mid": 2, "top": 3}
 
     def test_callee_edit_propagates_to_all_callers(self):
-        base = _deep({"leaf": 1, "mid": 2, "top": 3}, self.COMPONENTS, self.EDGES)
-        edited = _deep({"leaf": 9, "mid": 2, "top": 3}, self.COMPONENTS, self.EDGES)
+        # The leaf's edit moves its triple, and through it mid's.
+        base = _keys(self.FPS, self.COMPONENTS, self.EDGES)
+        edited = _keys(
+            {**self.FPS, "leaf": 9}, self.COMPONENTS, self.EDGES,
+            triples={"mid": SummaryTriple(may_use=20)},
+        )
         assert edited["leaf"] != base["leaf"]
         assert edited["mid"] != base["mid"]
         assert edited["top"] != base["top"]
 
+    def test_callee_edit_that_keeps_its_triple_keeps_callers_keys(self):
+        base = _keys(self.FPS, self.COMPONENTS, self.EDGES)
+        edited = _keys(
+            {**self.FPS, "leaf": 9}, self.COMPONENTS, self.EDGES,
+            triples={"leaf": SummaryTriple(may_use=1)},
+        )
+        assert edited["leaf"] != base["leaf"]
+        assert edited["mid"] == base["mid"]
+        assert edited["top"] == base["top"]
+
     def test_caller_edit_leaves_callees_alone(self):
-        base = _deep({"leaf": 1, "mid": 2, "top": 3}, self.COMPONENTS, self.EDGES)
-        edited = _deep({"leaf": 1, "mid": 2, "top": 9}, self.COMPONENTS, self.EDGES)
+        base = _keys(self.FPS, self.COMPONENTS, self.EDGES)
+        edited = _keys({**self.FPS, "top": 9}, self.COMPONENTS, self.EDGES)
         assert edited["leaf"] == base["leaf"]
         assert edited["mid"] == base["mid"]
         assert edited["top"] != base["top"]
 
     def test_body_swap_changes_caller_key(self):
-        # x and y swap fingerprints: the multiset {1, 2} is unchanged,
-        # so only (name, fingerprint) *pair* binding separates these.
+        # x and y swap bodies, hence triples: the multiset of callee
+        # triples is unchanged, so only (name, triple) binding separates
+        # these.
         components = [["x"], ["y"], ["top"]]
         edges = {"top": ["x", "y"]}
-        base = _deep({"x": 1, "y": 2, "top": 3}, components, edges)
-        swapped = _deep({"x": 2, "y": 1, "top": 3}, components, edges)
+        base = _keys({"x": 1, "y": 2, "top": 3}, components, edges)
+        swapped = _keys({"x": 2, "y": 1, "top": 3}, components, edges)
         assert swapped["top"] != base["top"]
 
     def test_scc_members_share_sensitivity(self):
         components = [["a", "b"]]
         edges = {"a": ["b"], "b": ["a"]}
-        base = _deep({"a": 1, "b": 2}, components, edges)
-        edited = _deep({"a": 1, "b": 9}, components, edges)
+        base = _keys({"a": 1, "b": 2}, components, edges)
+        edited = _keys({"a": 1, "b": 9}, components, edges)
         assert edited["a"] != base["a"]
         assert edited["b"] != base["b"]
 
     def test_context_binds_every_key(self):
-        fps = {"leaf": 1, "mid": 2, "top": 3}
-        base = _deep(fps, self.COMPONENTS, self.EDGES, context=7)
-        other = _deep(fps, self.COMPONENTS, self.EDGES, context=8)
-        assert all(other[name] != base[name] for name in fps)
+        base = _keys(self.FPS, self.COMPONENTS, self.EDGES, context=7)
+        other = _keys(self.FPS, self.COMPONENTS, self.EDGES, context=8)
+        assert all(other[name] != base[name] for name in self.FPS)
 
     def test_unresolved_callees_contribute_nothing(self):
-        # A callee outside the condensation (unknown target) is the
-        # calling-standard assumption either way.
-        base = _deep({"top": 3}, [["top"]], {"top": []})
-        with_ghost = _deep({"top": 3}, [["top"]], {"top": ["ghost"]})
-        assert base["top"] == with_ghost["top"]
+        # A call with no resolved target is the calling-standard
+        # assumption: it adds no input.
+        program = disassemble_image(assemble(
+            """
+            .data fp: 0
+            .routine main
+                li  t0, @fp
+                ldq pv, 0(t0)
+                jsr ra, (pv)
+                halt
+            """
+        ))
+        frontend = build_frontend(program)
+        assert frontend.call_graph.sites["main"]  # premise: one site
+        inputs = component_inputs(frontend, ["main"], {})
+        assert inputs == {"main": (frontend.fingerprints["main"], ())}
 
 
 class TestBoundaryKeys:
-    DEEP = {"a": 11, "b": 22}
+    """Grade-2 keys: the phase-1 inputs plus each member's
+    externally-callable bit and exit seed."""
+
+    INPUTS = {
+        "a": (11, (None, SummaryTriple(1, 2, 0)), (True, 0)),
+        "b": (22, (None,), (False, 0x30)),
+    }
 
     def test_member_order_is_canonical(self):
-        one = phase2_component_key(["a", "b"], self.DEEP, {"a"}, {}, 5)
-        two = phase2_component_key(["b", "a"], self.DEEP, {"a"}, {}, 5)
+        one = inputs_key(5, ["a", "b"], self.INPUTS)
+        two = inputs_key(5, ["b", "a"], self.INPUTS)
         assert one == two
 
     def test_sensitive_to_every_input(self):
-        base = phase2_component_key(["a", "b"], self.DEEP, {"a"}, {}, 5)
-        assert base != phase2_component_key(
-            ["a", "b"], {"a": 12, "b": 22}, {"a"}, {}, 5
-        )
-        assert base != phase2_component_key(["a", "b"], self.DEEP, set(), {}, 5)
-        assert base != phase2_component_key(
-            ["a", "b"], self.DEEP, {"a"}, {"b": 1}, 5
-        )
-        assert base != phase2_component_key(["a", "b"], self.DEEP, {"a"}, {}, 6)
+        base = inputs_key(5, ["a", "b"], self.INPUTS)
+        a_fp, a_callees, a_phase2 = self.INPUTS["a"]
+        for a in (
+            (12, a_callees, a_phase2),  # own fingerprint
+            (a_fp, (None, SummaryTriple(1, 2, 2)), a_phase2),  # callee triple
+            (a_fp, (SummaryTriple(), SummaryTriple(1, 2, 0)), a_phase2),  # SCC
+            (a_fp, a_callees, (False, 0)),  # externally callable
+            (a_fp, a_callees, (True, 1)),  # exit seed
+            (a_fp, a_callees),  # phase 1 only
+        ):
+            assert base != inputs_key(5, ["a", "b"], {**self.INPUTS, "a": a}), a
+        assert base != inputs_key(6, ["a", "b"], self.INPUTS)
 
     def test_routine_record_key_separates_members(self):
         assert routine_record_key(99, "a") != routine_record_key(99, "b")
@@ -534,11 +581,12 @@ class TestRecordCodecs:
         lookup = lambda v: v.load_triple(42, "f")  # noqa: E731
         assert probe.load(_raw_pack(entries, body), lookup) == TRIPLE
         probe.assert_corrupt_miss(
-            _raw_pack(entries, body, magic=b"SUM4"), lookup, "a sidecar's magic"
+            _raw_pack(entries, body, magic=b"SUM5"), lookup, "a sidecar's magic"
         )
-        probe.assert_corrupt_miss(
-            _raw_pack(entries, body, version=1), lookup, "an old version"
-        )
+        for version in (1, 2):  # 2: the deep-fingerprint keys
+            probe.assert_corrupt_miss(
+                _raw_pack(entries, body, version=version), lookup, "an old version"
+            )
 
     def test_empty_pack(self, tmp_path):
         probe = _Probe(str(tmp_path / "s"))
@@ -907,6 +955,40 @@ class TestByteIdentity:
         assert _result_bytes(second) == _result_bytes(baseline2)
         assert len(_pack_paths(store.root)) == 2  # one per publishing run
 
+    def test_leaf_edit_that_keeps_its_triple_keeps_callers_served(
+        self, tmp_path
+    ):
+        # Keys hash callee triples, not callee code: editing the leaf
+        # without moving its triple misses the leaf alone.
+        source = """
+        .routine main export
+            li   a0, 3
+            bsr  ra, mid
+            halt
+        .routine mid
+            lda  sp, -16(sp)
+            stq  ra, 0(sp)
+            bsr  ra, leaf
+            ldq  ra, 0(sp)
+            lda  sp, 16(sp)
+            ret  (ra)
+        .routine leaf
+            addq a0, #1, v0
+            ret  (ra)
+        """
+        edited = disassemble_image(
+            assemble(source.replace("addq a0, #1, v0", "addq a0, #2, v0"))
+        )
+        config = AnalysisConfig(store=SummaryStore(str(tmp_path / "s")))
+        analyze_incremental(disassemble_image(assemble(source)), config=config)
+        run = analyze_incremental(edited, config=config)
+        assert run.metrics.phase1_store_hits == 2
+        assert run.metrics.phase2_store_hits == 2
+        assert run.metrics.phase1_solved == run.metrics.phase2_solved == 1
+        assert _result_bytes(run) == _result_bytes(
+            analyze_incremental(edited, config=AnalysisConfig(store="off"))
+        )
+
     def test_identical_rerun_is_fully_store_served(self, tmp_path, variant1):
         config = AnalysisConfig(store=SummaryStore(str(tmp_path / "s")))
         analyze_incremental(variant1, config=config)
@@ -1097,9 +1179,16 @@ class TestOldLayout:
         delta = REGISTRY.delta_since(base)
         assert _result_bytes(run) == _result_bytes(baseline)
         assert run.metrics.phase1_store_hits == 0
-        # Grade 1 misses for every routine, and a component whose grade
-        # 1 missed is never looked up at grade 2.
-        assert delta.get("store.miss") == variant1.routine_count
+        # Grade 1 is asked only where every triple its key reads is
+        # known — here, of the routines that call nobody — and misses;
+        # a component whose grade 1 missed or went unasked is never
+        # looked up at grade 2.
+        graph = build_frontend(variant1).call_graph
+        leaves = [
+            name for name in variant1.routine_names()
+            if not graph.callees_of(name)
+        ]
+        assert leaves and delta.get("store.miss") == len(leaves)
         assert not delta.get("store.corrupt")
         stats = SummaryStore(root).stats()
         assert stats["packs"] == 1

@@ -9,7 +9,11 @@ re-optimize loop would:
    records included);
 2. apply one :func:`repro.workloads.mutate.perturb_routine` edit and
    analyze the edited image warm against that sidecar with ``--json``;
-3. analyze the edited image cold, without any cache.
+3. analyze the edited image cold, without any cache;
+4. query one routine of the base image against a copy of the first
+   run's sidecar (``query`` writes its memo back), edit a routine outside
+   that query's cones whose triple moves, and analyze the edited image
+   with ``--incremental`` against the query's memo.
 
 Fails unless the warm run says its cache was warm, walked no routine
 but the edited ones (``cfgs_built`` in the payload: the front-end
@@ -17,7 +21,9 @@ records give the call graph, and the sidecar's PSG fragments stand in
 for the CFG of every other routine it re-solves — at least one, counted
 ``cache.fragment.hit``), decoded fewer summary bodies than the program
 has routines (``cache.body.decoded``), and saved summaries
-byte-identical to the cold run's.
+byte-identical to the cold run's; and unless the run on the query's
+memo is warm, reuses some routine, and saves summaries byte-identical
+to a cold run of its image.
 
 Usage::
 
@@ -38,10 +44,19 @@ import sys
 import tempfile
 from typing import List
 
+import shutil
+
+from repro.api import AnalysisConfig, AnalysisSession
+from repro.interproc.frontend import build_frontend
 from repro.program.disasm import disassemble_image
 from repro.program.image import ExecutableImage
+from repro.program.model import Program
 from repro.program.rewrite import program_to_image
-from repro.workloads.mutate import first_editable_routine, perturb_routine
+from repro.workloads.mutate import (
+    editable_routines,
+    first_editable_routine,
+    perturb_routine,
+)
 
 
 def fail(message: str) -> None:
@@ -59,6 +74,71 @@ def cli(*args: str) -> str:
         fail(f"spike-analyze {' '.join(args)} exited {done.returncode}: "
              f"{done.stderr.strip()}")
     return done.stdout
+
+
+def triple(summary):
+    return (
+        summary.call_used_mask, summary.call_defined_mask,
+        summary.call_killed_mask,
+    )
+
+
+def same_bytes(one: str, other: str) -> bool:
+    with open(one, "rb") as first, open(other, "rb") as second:
+        return first.read() == second.read()
+
+
+def query_then_edit(tmp: str, base: str, program: Program, memo: str) -> None:
+    """Step 4: a full run on a query's memo, after an edit outside the
+    query's cones that moves a triple."""
+    condensation = build_frontend(program).condensation
+
+    def cones(name: str):
+        callers = condensation.transitive_caller_components(
+            {condensation.component_index(name)}
+        )
+        return condensation.routines_of(
+            callers | condensation.transitive_callee_components(callers)
+        )
+
+    routine = min(program.routine_names(), key=lambda name: len(cones(name)))
+    off = AnalysisConfig(store="off")
+    before = AnalysisSession.from_program(program, off).analyze().result
+    for victim in editable_routines(program):
+        if victim in cones(routine):
+            continue
+        edited_program = perturb_routine(program, victim)
+        after = AnalysisSession.from_program(edited_program, off).analyze().result
+        if triple(after[victim]) != triple(before[victim]):
+            break
+    else:
+        fail(f"no edit outside the cones of {routine} moves a triple")
+    cli("query", base, routine, "--cache", memo, "--json")
+    edited = os.path.join(tmp, "edited-outside.sax")
+    with open(edited, "wb") as handle:
+        handle.write(program_to_image(edited_program).to_bytes())
+    warm_sum = os.path.join(tmp, "memo-warm.sum")
+    cold_sum = os.path.join(tmp, "memo-cold.sum")
+    warm = json.loads(
+        cli(
+            "analyze", edited, "--incremental", "--cache", memo,
+            "--json", "--save-summaries", warm_sum,
+        )
+    )
+    print(
+        f"query {routine}, then edited {victim} outside its cones: "
+        f"{warm['phase2_solved']} routines re-solved"
+    )
+    if not warm["cache"].startswith("warm"):
+        fail(f"the run on the query's memo was not warm: {warm['cache']}")
+    if victim not in warm["dirty_routines"]:
+        fail(f"the edit of {victim} went unnoticed on the query's memo")
+    if warm["phase2_solved"] >= warm["routines"]:
+        fail("the run on the query's memo reused nothing")
+    cli("analyze", edited, "--save-summaries", cold_sum)
+    if not same_bytes(warm_sum, cold_sum):
+        fail("summaries on the query's memo differ from a cold run's")
+    print("summaries on the query's memo are byte-identical to a cold run's")
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -91,6 +171,8 @@ def main(argv: List[str] | None = None) -> int:
             fail(f"cold run built {cold['cfgs_built']} CFGs for "
                  f"{routines} routines")
         print(f"cold: {routines} routines, {cold['cfgs_built']} CFGs built")
+        memo = os.path.join(tmp, "memo.sum2")
+        shutil.copyfile(sidecar, memo)
 
         with open(base, "rb") as handle:
             program = disassemble_image(ExecutableImage.from_bytes(handle.read()))
@@ -129,11 +211,10 @@ def main(argv: List[str] | None = None) -> int:
                  f"bodies of {routines}")
 
         cli("analyze", edited, "--save-summaries", cold_sum)
-        with open(warm_sum, "rb") as one, open(cold_sum, "rb") as other:
-            if one.read() != other.read():
-                fail("warm summaries differ from a cold run of the edited "
-                     "image")
+        if not same_bytes(warm_sum, cold_sum):
+            fail("warm summaries differ from a cold run of the edited image")
         print("warm summaries are byte-identical to a cold run's")
+        query_then_edit(tmp, base, program, memo)
     return 0
 
 
