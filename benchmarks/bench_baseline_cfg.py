@@ -45,7 +45,7 @@ def test_psg_vs_cfg_baseline(benchmark, name):
 
     psg, cfg = benchmark.pedantic(run_both, rounds=1, iterations=1)
     equal = psg.result.equal_summaries(cfg.result)
-    phases = psg.timings.phase1 + psg.timings.phase2
+    phases = psg.metrics.seconds["phase1"] + psg.metrics.seconds["phase2"]
     record(
         "PSG vs whole-program CFG (the paper's motivating comparison)",
         HEADERS,
@@ -53,7 +53,7 @@ def test_psg_vs_cfg_baseline(benchmark, name):
             name,
             phases,
             cfg.elapsed_seconds,
-            psg.timings.total,
+            psg.metrics.total_seconds,
             psg.memory_bytes / 1e6,
             cfg.memory_bytes / 1e6,
             cfg.memory_bytes / psg.memory_bytes,

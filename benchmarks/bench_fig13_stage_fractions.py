@@ -38,7 +38,7 @@ def test_fig13_row(benchmark, name):
     analysis = benchmark.pedantic(
         analyze_serial, args=(program,), rounds=1, iterations=1
     )
-    fractions = analysis.timings.fractions()
+    fractions = analysis.metrics.fractions()
     record(
         "Figure 13: stage fractions"
         " (paper: CFG Build + Init = 50-60% on its C implementation)",
@@ -51,7 +51,7 @@ def test_fig13_row(benchmark, name):
             100 * fractions["phase1"],
             100 * fractions["phase2"],
             100 * (fractions["cfg_build"] + fractions["initialization"]),
-            analysis.timings.total,
+            analysis.metrics.total_seconds,
         ),
     )
     assert abs(sum(fractions.values()) - 1.0) < 1e-9

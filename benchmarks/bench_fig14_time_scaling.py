@@ -40,7 +40,7 @@ def test_fig14_point(benchmark, scale):
         analyze_serial, args=(program,), rounds=1, iterations=1
     )
     blocks = analysis.basic_block_count
-    elapsed = analysis.timings.total
+    elapsed = analysis.metrics.total_seconds
     _POINTS.append((blocks, elapsed))
     record(
         "Figure 14: analysis time vs program size (gcc-shaped sweep)",

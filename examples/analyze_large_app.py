@@ -55,11 +55,12 @@ def main() -> None:
     print()
 
     print("stage breakdown (Figure 13):")
-    for stage, fraction in analysis.timings.fractions().items():
-        seconds = getattr(analysis.timings, stage)
+    seconds_of = analysis.metrics.seconds
+    for stage, fraction in analysis.metrics.fractions().items():
+        seconds = seconds_of[stage]
         bar = "#" * int(40 * fraction)
         print(f"  {stage:<16} {seconds:7.3f}s  {fraction:6.1%}  {bar}")
-    print(f"  {'total':<16} {analysis.timings.total:7.3f}s")
+    print(f"  {'total':<16} {analysis.metrics.total_seconds:7.3f}s")
     print()
 
     # Branch-node ablation on this input (Table 4).
@@ -75,8 +76,8 @@ def main() -> None:
     print("whole-program-CFG baseline for comparison ...")
     baseline = analyze_program_baseline(program)
     print(f"  baseline time:   {baseline.elapsed_seconds:7.3f}s "
-          f"(PSG total {analysis.timings.total:.3f}s, "
-          f"phases only {analysis.timings.phase1 + analysis.timings.phase2:.3f}s)")
+          f"(PSG total {analysis.metrics.total_seconds:.3f}s, "
+          f"phases only {seconds_of['phase1'] + seconds_of['phase2']:.3f}s)")
     print(f"  baseline memory: {baseline.memory_bytes / 1e6:7.2f} MB "
           f"(PSG {analysis.memory_bytes / 1e6:.2f} MB)")
     agree = analysis.result.equal_summaries(baseline.result)

@@ -37,10 +37,14 @@ Every analysis runs in the calling process.
 from __future__ import annotations
 
 import logging
-from typing import Dict, Optional, Sequence, Union
+from contextlib import contextmanager, nullcontext
+from typing import (
+    Callable, Dict, Iterator, Mapping, Optional, Protocol, Sequence, TypeVar,
+    Union, runtime_checkable,
+)
 
 from repro.dataflow.regset import construction_count
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Ledger
 from repro.obs.runid import current_run_id, new_run_id
 from repro.obs.tracer import span
 from repro.interproc.analysis import (
@@ -63,7 +67,6 @@ from repro.program.image import ExecutableImage, ImageFormatError
 from repro.program.model import Program
 from repro.psg.build import PsgBuildError
 from repro.dataflow.solver import SolverDivergence
-from typing import Mapping, Protocol, runtime_checkable
 
 #: The documented stable surface of the analysis API.  Everything else
 #: under ``repro.*`` is an implementation detail that may change
@@ -108,21 +111,22 @@ class AnalysisResult(Protocol):
 
     def stats(self) -> Mapping[str, object]: ...
 
-    def to_json(
-        self, counters=None, include_summaries: bool = False
-    ) -> Mapping[str, object]: ...
+    def to_json(self, include_summaries: bool = False) -> Mapping[str, object]: ...
 
 _log = logging.getLogger(__name__)
 
-#: Environment variable naming the shared summary-store directory
-#: (re-exported from :mod:`repro.interproc.store` for discovery).
-#: When set, cold and incremental solves consult and publish
-#: content-addressed routine summaries there; results stay
-#: byte-identical with the store on, off, or corrupted.
-SUMMARY_STORE_ENV_VAR = "REPRO_SUMMARY_STORE"
+T = TypeVar("T")
 
 #: Exceptions an analysis run normalizes into AnalysisError.
 _ANALYSIS_FAILURES = (PsgBuildError, SolverDivergence)
+
+
+def _count_regsets(before: int) -> None:
+    """Count the RegisterSets built since ``before`` into the registry
+    (regset.py itself keeps only a bare module count)."""
+    built = construction_count() - before
+    if built:
+        REGISTRY.inc("regset.constructed", built)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -169,12 +173,6 @@ class AnalysisSession:
         # analyze_incremental() and query() runs first builds it and
         # the rest reuse it.
         self._frontend: Optional[Frontend] = None
-        # Counter scoping: metrics() reports the registry's delta since
-        # session construction, so work done on behalf of this session
-        # before analyze() — a CLI cache load, for instance — is
-        # attributed to it while unrelated earlier runs are not.
-        self._counter_base = REGISTRY.snapshot()
-        self._regset_base = construction_count()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -248,39 +246,49 @@ class AnalysisSession:
     # Analyses
     # ------------------------------------------------------------------
 
-    def _begin_run(self, kind: str) -> None:
+    def _run(
+        self, kind: str, name: str, solve: Callable[[], T], **span_args: object
+    ) -> T:
+        """One analysis entry point: ``solve()`` under a run id (minted
+        when none is active) and a ``name`` span, with PSG and solver
+        failures normalized to :class:`AnalysisError` and the
+        RegisterSets it built counted into its result's ledger."""
         if current_run_id() is None:
             new_run_id()
         _log.info(
             "%s analysis starting: %d routines",
             kind, self._program.routine_count,
         )
+        result, before = None, construction_count()
+        try:
+            with span(name, **span_args):
+                result = solve()
+        except _ANALYSIS_FAILURES as error:
+            raise AnalysisError(str(error)) from error
+        finally:
+            with result.metrics.ledger if result is not None else nullcontext():
+                _count_regsets(before)
+        return result
 
-    def _fold_regset(self) -> None:
-        """Fold RegisterSet constructions since the last fold into the
-        registry (regset.py itself keeps only a bare local count)."""
-        count = construction_count()
-        if count != self._regset_base:
-            REGISTRY.inc("regset.constructed", count - self._regset_base)
-            self._regset_base = count
+    @contextmanager
+    def _reentered(self) -> Iterator[Ledger]:
+        """The last run's ledger, re-entered for the lazy work done on
+        its behalf afterwards (decoding and rendering its summaries)."""
+        ledger, before = self._last.metrics.ledger, construction_count()
+        with ledger:
+            try:
+                yield ledger
+            finally:
+                _count_regsets(before)
 
     def analyze(self, jobs: int = 1) -> InterproceduralAnalysis:
         """Run the full two-phase interprocedural analysis over the
         whole-program PSG (exposed on the result).  ``jobs`` is compat
         and must be 1."""
         _check_jobs(jobs)
-        self._begin_run("serial")
-        try:
-            with span("analyze"):
-                self._last = _analyze_program(
-                    self._program, self._config, self._frontend
-                )
-        except AnalysisError:
-            raise
-        except _ANALYSIS_FAILURES as error:
-            raise AnalysisError(str(error)) from error
-        finally:
-            self._fold_regset()
+        self._last = self._run("serial", "analyze", lambda: _analyze_program(
+            self._program, self._config, self._frontend
+        ))
         self._frontend = self._last.frontend
         return self._last
 
@@ -296,22 +304,17 @@ class AnalysisSession:
         must be 1.
         """
         _check_jobs(jobs)
-        self._begin_run("incremental")
-        try:
-            with span("analyze_incremental", warm=cache is not None):
-                self._last = _analyze_incremental(
-                    self._program,
-                    cache=cache,
-                    config=self._config,
-                    image_fingerprint=self.image_fingerprint,
-                    frontend=self._frontend,
-                )
-        except AnalysisError:
-            raise
-        except _ANALYSIS_FAILURES as error:
-            raise AnalysisError(str(error)) from error
-        finally:
-            self._fold_regset()
+        self._last = self._run(
+            "incremental", "analyze_incremental",
+            lambda: _analyze_incremental(
+                self._program,
+                cache=cache,
+                config=self._config,
+                image_fingerprint=self.image_fingerprint,
+                frontend=self._frontend,
+            ),
+            warm=cache is not None,
+        )
         self._frontend = self._last.frontend
         return self._last
 
@@ -341,23 +344,18 @@ class AnalysisSession:
         """
         if cache is None:
             cache = self._query_cache
-        self._begin_run("query")
-        try:
-            with span("query", routine=routine, warm=cache is not None):
-                result = query_routine(
-                    self._program,
-                    routine,
-                    cache=cache,
-                    config=self._config,
-                    image_fingerprint=self.image_fingerprint,
-                    frontend=self._frontend,
-                )
-        except AnalysisError:
-            raise
-        except _ANALYSIS_FAILURES as error:
-            raise AnalysisError(str(error)) from error
-        finally:
-            self._fold_regset()
+        result = self._run(
+            "query", "query",
+            lambda: query_routine(
+                self._program,
+                routine,
+                cache=cache,
+                config=self._config,
+                image_fingerprint=self.image_fingerprint,
+                frontend=self._frontend,
+            ),
+            routine=routine, warm=cache is not None,
+        )
         self._last = result
         self._query_cache = result.cache
         self._frontend = result.frontend
@@ -377,22 +375,13 @@ class AnalysisSession:
         """
         from repro.opt.pipeline import PASS_NAMES, _optimize_program
 
-        self._begin_run("optimize")
-        try:
-            with span("optimize"):
-                return _optimize_program(
-                    self._program,
-                    passes=PASS_NAMES if passes is None else passes,
-                    config=self._config,
-                    verify=verify,
-                    max_steps=max_steps,
-                )
-        except AnalysisError:
-            raise
-        except _ANALYSIS_FAILURES as error:
-            raise AnalysisError(str(error)) from error
-        finally:
-            self._fold_regset()
+        return self._run("optimize", "optimize", lambda: _optimize_program(
+            self._program,
+            passes=PASS_NAMES if passes is None else passes,
+            config=self._config,
+            verify=verify,
+            max_steps=max_steps,
+        ))
 
     # ------------------------------------------------------------------
     # Results of the most recent analysis
@@ -415,7 +404,9 @@ class AnalysisSession:
         return self._last.result
 
     def summary(self, routine: str) -> RoutineSummary:
-        return self.summaries().summaries[routine]
+        summaries = self.summaries()
+        with self._reentered():
+            return summaries.summaries[routine]
 
     def metrics(self) -> Dict[str, object]:
         """JSON-ready metrics of the most recent analysis.
@@ -423,11 +414,12 @@ class AnalysisSession:
         Always includes ``kind`` (``"serial"``, ``"incremental"`` or
         ``"query"``) and ``routines``; the remaining keys depend on the
         kind (stage timings for serial runs, solved/reused counts for
-        incremental runs and queries).  ``counters`` carries the
-        obs-registry delta since this session was constructed — cache
-        hit/miss/stale/write, per-phase worklist iterations and queue
-        depths, PSG sizes, regset constructions.  Empty when nothing
-        has been analyzed yet.
+        incremental runs and queries).  ``counters`` is the run's own
+        ledger — cache hit/miss/stale/write, per-phase worklist
+        iterations and queue depths, PSG sizes, regset constructions —
+        counting the work the run did, and what this session did on
+        its behalf since, and nothing else the process ran.  Empty when
+        nothing has been analyzed yet.
         """
         last = self._last
         if last is None:
@@ -435,9 +427,11 @@ class AnalysisSession:
         payload: Dict[str, object] = {
             "kind": last.kind,
             "routines": self._program.routine_count,
-            "counters": REGISTRY.delta_since(self._counter_base),
+            "counters": {},
         }
-        payload.update(last.stats())
+        with self._reentered() as ledger:
+            payload.update(last.stats())
+        payload["counters"] = ledger.as_dict()
         return payload
 
     def to_json(self, include_summaries: bool = False) -> Dict[str, object]:
@@ -448,12 +442,13 @@ class AnalysisSession:
         output and every ``repro.service`` daemon response body are
         exactly this payload (see :mod:`repro.interproc.results` for
         the schema).  ``include_summaries=True`` embeds the rendered
-        per-routine summaries under a ``summaries`` key.
+        per-routine summaries under a ``summaries`` key.  ``counters``
+        is the run's ledger, as in :meth:`metrics`.
         """
         if self._last is None:
             self.analyze()
         assert self._last is not None
-        return self._last.to_json(
-            counters=REGISTRY.delta_since(self._counter_base),
-            include_summaries=include_summaries,
-        )
+        with self._reentered() as ledger:
+            payload = self._last.to_json(include_summaries=include_summaries)
+        payload["counters"] = ledger.as_dict()
+        return payload

@@ -31,7 +31,6 @@ from repro.interproc.summaries import (
 from repro.interproc.analysis import (
     AnalysisConfig,
     InterproceduralAnalysis,
-    StageTimings,
 )
 from repro.interproc.savedregs import (
     SaveRestoreSites,
@@ -61,7 +60,6 @@ __all__ = [
     "InterproceduralAnalysis",
     "RoutineSummary",
     "SaveRestoreSites",
-    "StageTimings",
     "SummaryCache",
     "SummaryFormatError",
     "analyze_program_baseline",

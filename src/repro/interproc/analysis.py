@@ -64,9 +64,9 @@ from repro.interproc.summaries import (
     _triple_of,
     live_after_masks,
 )
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Ledger
 from repro.reporting.memory import MemoryModel, psg_analysis_memory
-from repro.reporting.metrics import StageTimer, StageTimings
+from repro.reporting.metrics import RunMetrics
 
 _log = logging.getLogger(__name__)
 
@@ -109,7 +109,8 @@ class InterproceduralAnalysis:
 
     ``result`` holds the per-routine summaries; the remaining fields
     expose the intermediate structures (CFGs, call graph, PSG, raw
-    phase solutions) and the §4 measurements (timings, memory).
+    phase solutions) and the §4 measurements (the run's metrics with
+    its stage clock, memory).
     """
 
     config: AnalysisConfig
@@ -119,7 +120,7 @@ class InterproceduralAnalysis:
     phase1: Phase1Result
     phase2: Phase2Result
     result: SummarySet
-    timings: StageTimings
+    metrics: RunMetrics
     memory_bytes: int
 
     # -- convenience -----------------------------------------------------
@@ -145,18 +146,18 @@ class InterproceduralAnalysis:
     def stats(self) -> Dict[str, object]:
         """Kind-specific stats: stage timings and structure sizes."""
         return {
-            "stage_seconds": self.timings.as_dict(),
+            "stage_seconds": self.metrics.stage_seconds(),
             "memory_bytes": self.memory_bytes,
             "psg_nodes": self.psg.node_count,
             "psg_edges": self.psg.edge_count,
         }
 
-    def to_json(self, counters=None, include_summaries: bool = False):
+    def to_json(self, include_summaries: bool = False):
         """The versioned (schema 1) result payload; see
         :mod:`repro.interproc.results`."""
         from repro.interproc.results import build_payload
 
-        return build_payload(self, counters, include_summaries)
+        return build_payload(self, include_summaries)
 
     def describe(self) -> str:
         """The human-readable stats block (the CLI text output)."""
@@ -166,12 +167,12 @@ class InterproceduralAnalysis:
             f"psg nodes:     {self.psg.node_count}",
             f"psg edges:     {self.psg.edge_count}",
             f"memory model:  {self.memory_bytes / 1e6:.2f} MB",
-            f"total time:    {self.timings.total:.3f} s",
+            f"total time:    {self.metrics.total_seconds:.3f} s",
         ]
-        for stage, fraction in self.timings.fractions().items():
+        seconds = self.metrics.seconds
+        for stage, fraction in self.metrics.fractions().items():
             lines.append(
-                f"  {stage:<16}{getattr(self.timings, stage):.3f} s  "
-                f"({fraction:5.1%})"
+                f"  {stage:<16}{seconds[stage]:.3f} s  ({fraction:5.1%})"
             )
         return "\n".join(lines)
 
@@ -197,77 +198,77 @@ def _analyze_program(
     ``frontend`` when the caller already has the program's): the region
     solve over the region of every routine, in program order."""
     config = config or AnalysisConfig()
-    timer = StageTimer()
+    with Ledger() as ledger:
+        metrics = RunMetrics(ledger, routines_total=program.routine_count)
+        with metrics.stage("cfg_build"):
+            if frontend is None:
+                frontend = build_frontend(program)
+            # The whole-program PSG needs every routine's CFG; a front end
+            # that came from records walks the remainder here.
+            cfgs = [frontend.cfgs[routine.name] for routine in program]
+        call_graph = frontend.call_graph
+        REGISTRY.inc("frontend.routines", len(cfgs))
 
-    with timer.stage("cfg_build"):
-        if frontend is None:
-            frontend = build_frontend(program)
-        # The whole-program PSG needs every routine's CFG; a front end
-        # that came from records walks the remainder here.
-        cfgs = [frontend.cfgs[routine.name] for routine in program]
-    call_graph = frontend.call_graph
-    REGISTRY.inc("frontend.routines", len(cfgs))
+        with metrics.stage("initialization"):
+            keep = callee_saved_filter(config)
+            saved_restored = {cfg.name: cfg.saved & keep for cfg in cfgs}
 
-    with timer.stage("initialization"):
-        keep = callee_saved_filter(config)
-        saved_restored = {cfg.name: cfg.saved & keep for cfg in cfgs}
+        with metrics.stage("psg_build"):
+            region = build_partial_psg(cfgs, config.psg, whole=True)
+        psg = region.psg
 
-    with timer.stage("psg_build"):
-        region = build_partial_psg(cfgs, config.psg, whole=True)
-    psg = region.psg
-
-    callee_first = call_graph.reverse_topological_order()
-    with timer.stage("phase1"):
-        phase1 = solve_phase1(region, saved_restored, config, callee_first, {})
-    with timer.stage("phase2"):
-        phase2 = solve_phase2(
-            region, config, call_graph.externally_callable,
-            callee_first[::-1], {},
-        )
-
-    result = _assemble_summaries(
-        program, frontend.cfgs, saved_restored, psg, phase1, phase2
-    )
-    view = open_view(config)
-    if view is not None:
-        # The store is published to, never consulted: the result keeps
-        # the whole-program PSG and its phase solutions.
-        publish_frontend_records(frontend, view)
-        context, summaries = config_digest(config), result.summaries
-        triples = {name: _triple_of(summary) for name, summary in summaries.items()}
-        seeds: Dict[str, int] = {}
-        add_exit_seeds(seeds, frontend, (
-            (name, live_after_masks(summary)) for name, summary in summaries.items()
-        ))
-        external = call_graph.externally_callable
-        for members in frontend.condensation.components:
-            inputs = component_inputs(frontend, members, triples)
-            publish_component(view, context, members, inputs, triples)
-            inputs = {
-                name: (*inputs[name], (name in external, seeds.get(name, 0)))
-                for name in members
-            }
-            publish_component(
-                view, context, members, inputs, summaries=summaries
+        callee_first = call_graph.reverse_topological_order()
+        with metrics.stage("phase1"):
+            phase1 = solve_phase1(region, saved_restored, config, callee_first, {})
+        with metrics.stage("phase2"):
+            phase2 = solve_phase2(
+                region, config, call_graph.externally_callable,
+                callee_first[::-1], {},
             )
-        view.flush()
-    memory = psg_analysis_memory(
-        psg,
-        sum(cfg.block_count for cfg in cfgs),
-        sum(cfg.arc_count for cfg in cfgs),
-        config.memory_model,
-    )
-    return InterproceduralAnalysis(
-        config=config,
-        frontend=frontend,
-        saved_restored=saved_restored,
-        psg=psg,
-        phase1=phase1,
-        phase2=phase2,
-        result=result,
-        timings=timer.timings,
-        memory_bytes=memory,
-    )
+
+        result = _assemble_summaries(
+            program, frontend.cfgs, saved_restored, psg, phase1, phase2
+        )
+        view = open_view(config)
+        if view is not None:
+            # The store is published to, never consulted: the result keeps
+            # the whole-program PSG and its phase solutions.
+            publish_frontend_records(frontend, view)
+            context, summaries = config_digest(config), result.summaries
+            triples = {name: _triple_of(summary) for name, summary in summaries.items()}
+            seeds: Dict[str, int] = {}
+            add_exit_seeds(seeds, frontend, (
+                (name, live_after_masks(summary)) for name, summary in summaries.items()
+            ))
+            external = call_graph.externally_callable
+            for members in frontend.condensation.components:
+                inputs = component_inputs(frontend, members, triples)
+                publish_component(view, context, members, inputs, triples)
+                inputs = {
+                    name: (*inputs[name], (name in external, seeds.get(name, 0)))
+                    for name in members
+                }
+                publish_component(
+                    view, context, members, inputs, summaries=summaries
+                )
+            view.flush()
+        memory = psg_analysis_memory(
+            psg,
+            sum(cfg.block_count for cfg in cfgs),
+            sum(cfg.arc_count for cfg in cfgs),
+            config.memory_model,
+        )
+        return InterproceduralAnalysis(
+            config=config,
+            frontend=frontend,
+            saved_restored=saved_restored,
+            psg=psg,
+            phase1=phase1,
+            phase2=phase2,
+            result=result,
+            metrics=metrics,
+            memory_bytes=memory,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -56,8 +56,8 @@ from repro.interproc.frontend import Frontend
 from repro.interproc.incremental import _Engine, solve_or_cold
 from repro.interproc.persist import SUMMARY_BODIES, SummaryCache, packed
 from repro.interproc.summaries import SummarySet, RoutineSummary
-from repro.obs.metrics import REGISTRY
-from repro.reporting.metrics import QueryMetrics
+from repro.obs.metrics import REGISTRY, Ledger
+from repro.reporting.metrics import RunMetrics
 
 _log = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ class QueryResult:
     routine: str
     summary: RoutineSummary
     cache: SummaryCache
-    metrics: QueryMetrics
+    metrics: RunMetrics
     condensation: Optional[Condensation] = None
     frontend: Optional[Frontend] = None
     #: The queried program (carried for the result protocol's
@@ -111,12 +111,12 @@ class QueryResult:
         payload["summary"] = self.summary.to_json()
         return payload
 
-    def to_json(self, counters=None, include_summaries: bool = False):
+    def to_json(self, include_summaries: bool = False):
         """The versioned (schema 1) result payload; see
         :mod:`repro.interproc.results`."""
         from repro.interproc.results import build_payload
 
-        return build_payload(self, counters, include_summaries)
+        return build_payload(self, include_summaries)
 
 
 def query_routine(
@@ -142,8 +142,9 @@ def query_routine(
     """
     config = config or AnalysisConfig()
     return solve_or_cold(
-        lambda usable: _query(
-            program, routine, usable, config, image_fingerprint, frontend
+        lambda usable, ledger: _query(
+            program, routine, usable, config, image_fingerprint, frontend,
+            ledger,
         ),
         cache,
         config,
@@ -157,9 +158,10 @@ def _query(
     config: AnalysisConfig,
     image_fingerprint: int,
     frontend: Optional[Frontend],
+    ledger: Ledger,
 ) -> QueryResult:
-    metrics = QueryMetrics(
-        routine=routine, routines_total=program.routine_count
+    metrics = RunMetrics(
+        ledger, routines_total=program.routine_count, routine=routine
     )
     REGISTRY.inc("query.requests")
     engine = _Engine(program, cache, config, frontend, metrics)
@@ -176,13 +178,13 @@ def _query(
     phase1_cone = condensation.transitive_callee_components(phase2_cone)
     metrics.phase1_cone_components = len(phase1_cone)
     metrics.phase2_cone_components = len(phase2_cone)
-    metrics.phase1_cone_routines = len(condensation.routines_of(phase1_cone))
-    metrics.phase2_cone_routines = len(condensation.routines_of(phase2_cone))
     REGISTRY.inc(
-        "query.cone_routines", metrics.phase1_cone_routines, phase="phase1"
+        "query.cone_routines", len(condensation.routines_of(phase1_cone)),
+        phase="phase1",
     )
     REGISTRY.inc(
-        "query.cone_routines", metrics.phase2_cone_routines, phase="phase2"
+        "query.cone_routines", len(condensation.routines_of(phase2_cone)),
+        phase="phase2",
     )
     _log.info(
         "query %s: cones phase1=%d/phase2=%d routines, %d dirty",

@@ -94,7 +94,7 @@ from repro.interproc.summaries import (
     RoutineSummary,
     live_after_masks,
 )
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Ledger
 from repro.obs.tracer import span
 from repro.psg.build import (
     PartialPsg,
@@ -103,7 +103,7 @@ from repro.psg.build import (
     build_partial_psg,
     fragment_rows,
 )
-from repro.reporting.metrics import IncrementalMetrics
+from repro.reporting.metrics import RunMetrics
 
 _log = logging.getLogger(__name__)
 
@@ -114,24 +114,28 @@ CONFIG_MISMATCH = "cache written under another configuration"
 
 
 def solve_or_cold(
-    solve: Callable[[Optional[SummaryCache]], T],
+    solve: Callable[[Optional[SummaryCache], Ledger], T],
     cache: Optional[SummaryCache],
     config: AnalysisConfig,
 ) -> T:
-    """``solve(cache)``, or ``solve(None)`` when ``cache`` was written
-    under another configuration (counted ``cache.config_mismatch``) or
-    holds a body or fragment that fails to decode when the solve reads
-    it; the result's ``refused`` says which."""
+    """``solve(cache, ledger)`` inside the run's one ledger, or
+    ``solve(None, ledger)`` when ``cache`` was written under another
+    configuration (counted ``cache.config_mismatch``) or holds a body or
+    fragment that fails to decode when the solve reads it; the result's
+    ``refused`` says which.  A cold retry's ledger counts that attempt
+    alone, like its metrics (the registry keeps both)."""
     refused = None
-    if cache is not None and cache.config_digest != config_digest(config):
-        REGISTRY.inc("cache.config_mismatch")
-        cache, refused = None, CONFIG_MISMATCH
-    try:
-        result = solve(cache)
-    except SummaryFormatError as error:
-        _log.warning("cache unreadable mid-run, solving cold: %s", error)
-        refused = f"unreadable cache: {error}"
-        result = solve(None)
+    with Ledger() as ledger:
+        if cache is not None and cache.config_digest != config_digest(config):
+            REGISTRY.inc("cache.config_mismatch")
+            cache, refused = None, CONFIG_MISMATCH
+        try:
+            result = solve(cache, ledger)
+        except SummaryFormatError as error:
+            _log.warning("cache unreadable mid-run, solving cold: %s", error)
+            refused = f"unreadable cache: {error}"
+            ledger.clear()
+            result = solve(None, ledger)
     result.refused = refused
     return result
 
@@ -169,7 +173,7 @@ class IncrementalAnalysis:
     frontend: Frontend
     result: SummarySet
     cache: SummaryCache
-    metrics: IncrementalMetrics
+    metrics: RunMetrics
     condensation: Optional[Condensation] = None
     #: Why the cache the run was given went unused and it solved cold
     #: (:data:`CONFIG_MISMATCH`, or ``"unreadable cache: ..."``).
@@ -197,12 +201,12 @@ class IncrementalAnalysis:
         """Kind-specific stats: incremental work accounting."""
         return self.metrics.as_dict()
 
-    def to_json(self, counters=None, include_summaries: bool = False):
+    def to_json(self, include_summaries: bool = False):
         """The versioned (schema 1) result payload; see
         :mod:`repro.interproc.results`."""
         from repro.interproc.results import build_payload
 
-        return build_payload(self, counters, include_summaries)
+        return build_payload(self, include_summaries)
 
 
 def _analyze_incremental(
@@ -232,8 +236,8 @@ def _analyze_incremental(
     """
     config = config or AnalysisConfig()
     return solve_or_cold(
-        lambda usable: _solve(
-            program, usable, config, image_fingerprint, frontend
+        lambda usable, ledger: _solve(
+            program, usable, config, image_fingerprint, frontend, ledger
         ),
         cache,
         config,
@@ -246,8 +250,9 @@ def _solve(
     config: AnalysisConfig,
     image_fingerprint: int,
     frontend: Optional[Frontend],
+    ledger: Ledger,
 ) -> IncrementalAnalysis:
-    metrics = IncrementalMetrics(routines_total=program.routine_count)
+    metrics = RunMetrics(ledger, routines_total=program.routine_count)
     engine = _Engine(program, cache, config, frontend, metrics)
     _log.info(
         "%s incremental run: %d routines, %d dirty",
@@ -284,7 +289,7 @@ class _Engine:
         cache: Optional[SummaryCache],
         config: AnalysisConfig,
         frontend: Optional[Frontend],
-        metrics: IncrementalMetrics,
+        metrics: RunMetrics,
     ) -> None:
         metrics.cold = cache is None
         if cache is None:
@@ -294,7 +299,6 @@ class _Engine:
             cache = SummaryCache(image_fingerprint=0, result=SummarySet(summaries={}))
         self.store = open_view(config)
         self.context = config_digest(config)
-        self._built_before = frontend.cfgs_built if frontend is not None else 0
         if frontend is None:
             with metrics.stage("cfg_build"):
                 frontend = build_frontend(
@@ -474,6 +478,7 @@ class _Engine:
     def _run_phase1(self) -> None:
         callees_of, old = self.call_graph.callees_of, self.cache.rows
         fingerprints = self.frontend.fingerprints
+        reused = adopted = 0
         for index, members in enumerate(self.condensation.components):
             if self.phase1_scope is not None and index not in self.phase1_scope:
                 continue
@@ -504,18 +509,22 @@ class _Engine:
                     row = self.rows[name] = old[name]
                     self.triples[name] = row.triple
                 self._adopted1.add(index)
-                self.metrics.phase1_reused += len(members)
+                reused += len(members)
                 continue
             stored = self.store is not None and self._adopt_stored(
                 1, members, inputs
             )
             if stored:
                 self._phase1_answers(inputs, stored)
-                self.metrics.phase1_store_hits += len(members)
+                adopted += len(members)
                 continue
             self._grade1_missed.add(index)
             self._join(index, members)
         self._solve_phase1()
+        # Once per walk: a labeled inc per component costs ~6 % of a
+        # warm query.
+        REGISTRY.inc("engine.reused", reused, phase="phase1")
+        REGISTRY.inc("engine.adopted", adopted, phase="phase1")
 
     def _phase1_answers(
         self, inputs: Mapping[str, Inputs], triples: Mapping[str, SummaryTriple]
@@ -538,9 +547,8 @@ class _Engine:
                     region, self._saved, self.config, members, self.triples
                 )
         self._graphs[frozenset(members)] = (region, solution)
-        self.metrics.phase1_sccs_solved += len(indices)
-        self.metrics.phase1_iterations += solution.iterations
-        self.metrics.phase1_solved += len(members)
+        REGISTRY.inc("engine.sccs_solved", len(indices), phase="phase1")
+        REGISTRY.inc("engine.solved", len(members), phase="phase1")
         for name in members:
             self.triples[name] = solution.entry_triple(region.psg, name)
         for index in indices:
@@ -560,6 +568,7 @@ class _Engine:
 
     def _run_phase2(self) -> None:
         callers_of, old = self.call_graph.callers_of, self.cache.rows
+        reused = adopted = 0
         for index in range(len(self.condensation.components) - 1, -1, -1):
             if self.phase2_scope is not None and index not in self.phase2_scope:
                 continue
@@ -581,7 +590,7 @@ class _Engine:
                     old[name].phase2 == phase2[name] for name in members
                 ):
                     self._fold_seeds(members)
-                    self.metrics.phase2_reused += len(members)
+                    reused += len(members)
                     continue
                 if lookup:
                     inputs = {
@@ -591,10 +600,12 @@ class _Engine:
                     if stored:
                         self._phase2_answers(stored, phase2)
                         self._fold_seeds(members)
-                        self.metrics.phase2_store_hits += len(members)
+                        adopted += len(members)
                         continue
             self._join(index, members)
         self._solve_phase2()
+        REGISTRY.inc("engine.reused", reused, phase="phase2")
+        REGISTRY.inc("engine.adopted", adopted, phase="phase2")
 
     def _phase2_inputs(self, members: Sequence[str]) -> Dict[str, Tuple[bool, int]]:
         """Each member's externally-callable bit and folded exit seed."""
@@ -648,9 +659,8 @@ class _Engine:
                     region, self.config, self.call_graph.externally_callable,
                     members, {name: seed for name, (_, seed) in region_seeds.items()},
                 )
-        self.metrics.phase2_sccs_solved += len(indices)
-        self.metrics.phase2_iterations += solution.iterations
-        self.metrics.phase2_solved += len(members)
+        REGISTRY.inc("engine.sccs_solved", len(indices), phase="phase2")
+        REGISTRY.inc("engine.solved", len(members), phase="phase2")
         with self.metrics.stage("assemble"):
             fresh = region_summaries(
                 region.psg, members, self._saved, phase1, solution.may_use
@@ -688,7 +698,6 @@ class _Engine:
         """
         self._run_phase1()
         self._run_phase2()
-        self.metrics.cfgs_built = self.frontend.cfgs_built - self._built_before
         if self.store is not None:
             publish_frontend_records(self.frontend, self.store)
             self.store.flush()

@@ -24,7 +24,8 @@ Schema version 1 (``"schema": 1``), common keys::
     summaries_crc64   16-hex CRC64 of the canonical SUM1 serialization
                       of the result's summaries — two runs agree on
                       their dataflow facts iff these match
-    counters          obs-registry delta for the run (may be empty)
+    counters          the run's own obs counters, its ledger (empty
+                      when a bare result renders itself)
 
 plus the kind-specific ``stats()`` keys, flattened (``stage_seconds``
 for serial runs, ``mode``/``phase2_solved``/... for incremental runs,
@@ -40,7 +41,7 @@ tests assert byte-identity between a served response and an in-process
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from repro.interproc.persist import crc64, dump_summaries
 from repro.interproc.summaries import SummarySet
@@ -81,16 +82,13 @@ def summaries_digest(result: SummarySet) -> str:
 
 
 def build_payload(
-    analysis: Any,
-    counters: Optional[Mapping[str, float]] = None,
-    include_summaries: bool = False,
+    analysis: Any, include_summaries: bool = False
 ) -> Dict[str, object]:
     """The schema-1 JSON payload for any analysis result object.
 
     ``analysis`` is anything implementing the result protocol (``kind``,
-    ``program``, ``result``, ``stats()``).  ``counters`` is the caller's
-    obs-registry delta (the session supplies it; a bare result renders
-    with an empty mapping).
+    ``program``, ``result``, ``stats()``).  ``counters`` is left empty:
+    the session fills in the run's ledger.
     """
     payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
@@ -98,7 +96,7 @@ def build_payload(
         "routines": analysis.program.routine_count,
         "instructions": analysis.program.instruction_count,
         "summaries_crc64": summaries_digest(analysis.result),
-        "counters": dict(counters) if counters else {},
+        "counters": {},
     }
     payload.update(analysis.stats())
     if include_summaries:

@@ -5,8 +5,8 @@ Three cooperating pieces, all stdlib-only:
 - :mod:`repro.obs.tracer` — hierarchical span tracing, exported as
   Chrome trace-event JSON (``spike-analyze analyze --trace out.json``).
 - :mod:`repro.obs.metrics` — the process-wide labeled counter/maxima
-  registry surfaced in ``--json`` payloads, ``--stats``, and the
-  ``spike-analyze report`` subcommand.
+  registry, and the per-run ledgers surfaced in ``--json`` payloads,
+  ``--stats``, and the ``spike-analyze report`` subcommand.
 - :mod:`repro.obs.log` — structured stdlib logging for the ``repro.*``
   tree, run-id-stamped, controlled by ``--log-level`` / ``REPRO_LOG``.
 

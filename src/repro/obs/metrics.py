@@ -1,98 +1,25 @@
-"""Labeled counter/gauge/histogram registry for the analysis pipeline.
+"""Labeled counter/gauge/histogram registry, and per-run ledgers.
 
 A single process-wide :data:`REGISTRY` accumulates named, labeled
 counters (monotonic sums), maxima (high-water gauges) and histograms
 (log-bucketed distributions, see :mod:`repro.obs.hist`), in the
 Prometheus style: values are **cumulative for the life of the process**
-and are never implicitly reset.  Consumers that want per-run numbers —
-``AnalysisSession.metrics()``, the CLI ``--stats`` block — take a
-:meth:`MetricsRegistry.snapshot` before the run and read
-:meth:`MetricsRegistry.delta_since` after it; histogram deltas are
-computed bucket-wise.
+and are never implicitly reset.
 
-Counter inventory (see ``docs/observability.md`` for semantics):
+A run counts its own work into a :class:`Ledger`: every
+:meth:`MetricsRegistry.inc` and :meth:`~MetricsRegistry.observe_max`
+also records into each ledger open on the calling thread.  Each run
+entry point opens one and its result carries it, so
+``AnalysisSession.metrics()``, the schema-1 payload's ``counters`` and
+the CLI ``--stats`` block describe that run alone, whatever else the
+process (or another thread) ran meanwhile.  :meth:`MetricsRegistry.
+snapshot` / :meth:`~MetricsRegistry.delta_since` measure a stretch of
+the whole process instead (tests, the benchmark's ledger).
 
-=============================== =====================================
-``solver.iterations{phase=}``    worklist node visits per solve phase
-``solver.max_queue_depth{phase=}`` deepest worklist (max-merged)
-``solver.pushes``                nodes scheduled onto a worklist
-                                 (initial seeds included)
-``solver.skipped_inqueue``       enqueues suppressed by the in-queue
-                                 bitmap (duplicate-push savings;
-                                 frozen boundary nodes are marked
-                                 permanently in-queue, so their
-                                 suppressions count here too)
-``solver.revisits{phase=}``      visits of a node already visited in
-                                 the same solve (ordering quality)
-``solver.routine_iterations{phase=,routine=}``
-                                 per-routine visit attribution; only
-                                 recorded while :attr:`per_routine`
-                                 is on (the ``report`` subcommand)
-``program.decode.words`` / ``program.decode.distinct``  instruction
-                                 words decoded to rows
-                                 (``decode_rows``) and the distinct
-                                 ones among them
-``program.decode.built``         ``Instruction`` objects built from
-                                 rows (a lazy ``Routine.instructions``
-                                 read counts here, not in ``words``)
-``psg.builds`` / ``psg.partial_builds``  graph constructions
-``psg.nodes`` / ``psg.flow_edges`` / ``psg.call_return_edges`` /
-``psg.branch_nodes``             PSG sizes, summed over builds
-``psg.label.visits`` / ``psg.label.pairs``  the one-sweep labeler's
-                                 work: map entries written, (source,
-                                 target) pairs read (= edges emitted
-                                 by labeling; a routine appended from
-                                 its fragment adds to neither)
-``psg.label.region_blocks``      blocks the sweep handed to a
-                                 back-arc region walk (SCC work)
-``psg.built``                    PSGs whose ``PSGNode`` objects were
-                                 built from the node rows (for
-                                 ``--dot`` and tests)
-``cache.hit`` / ``cache.stale`` / ``cache.miss``  per-routine SUM5
-                                 fingerprint verdicts on a run (a
-                                 report: reuse compares all inputs)
-``cache.load`` / ``cache.write`` (+ ``_bytes``)   SUM5 cache I/O
-``cache.body.decoded``           sidecar summary bodies decoded (on
-                                 their first read)
-``cache.body.spliced``           summary bodies a sidecar write copied
-                                 from the sidecar it was read from
-``cache.fragment.hit`` / ``.miss`` / ``.stale``  per routine a partial
-                                 PSG needed: appended from the cache's
-                                 fragment, none held, or held for an
-                                 older body (or not fitting its sites)
-``cache.config_mismatch``        caches set aside because they were
-                                 written under another configuration
-``frontend.record.hit`` / ``.stale`` / ``.miss``  per-routine front-end
-                                 record verdicts of a front-end build
-``frontend.record.adopted``      stale/missing routines whose record
-                                 came from the summary store instead
-``frontend.rows``                routines walked into CFG rows
-                                 (``build_cfg`` calls)
-``cfg.built``                    CFGs whose ``BasicBlock`` objects were
-                                 built from the rows (for the
-                                 optimizer, reports, the baseline)
-``sidecar.load`` / ``sidecar.write`` (+ ``_bytes``) SUM1 sidecar I/O
-``store.hit`` / ``store.miss``   cross-image summary-store lookups of
-                                 the two summary grades
-``store.corrupt``                packs a store view discarded (and
-                                 unlinked): frame, checksum or index
-                                 failed, or a record did not decode
-``store.write`` / ``store.bytes`` records published and their sizes
-``store.frontend.hit`` / ``.miss`` / ``.write`` / ``.bytes``
-                                 the same, for the front-end grade
-``store.evict``                  packs removed by a store GC sweep
-``query.requests``               demand-driven queries answered
-``query.cone_routines{phase=}``  routines in the query's phase-1 /
-                                 phase-2 cones, summed over queries
-``query.solved`` / ``query.reused``  phase-2 work inside the cones
-``regset.constructed``           RegisterSet objects built
-=============================== =====================================
-
-Histogram series (``service.request.seconds{endpoint=,warm=}``,
-``service.queue_wait.seconds{endpoint=}``,
-``service.stage.seconds{stage=}``) are inventoried in
-``docs/observability.md``; a name must not be reused across kinds
-(counter vs maximum vs histogram).
+Every counter, maximum and histogram name is inventoried, with its
+meaning, in ``docs/observability.md`` (a tier-1 test checks that every
+name recorded here is spelled there); a name must not be reused across
+kinds (counter vs maximum vs histogram).
 """
 
 from __future__ import annotations
@@ -109,8 +36,9 @@ MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 #: One snapshot entry: a counter value, or a frozen histogram state.
 SnapshotValue = Union[float, Histogram]
 
-#: Keys that :meth:`MetricsRegistry.delta_since` always emits (as zero
-#: when untouched) so ``--json`` consumers can rely on their presence.
+#: Keys every per-run view (:meth:`Ledger.as_dict`,
+#: :meth:`MetricsRegistry.delta_since`) emits, as zero when untouched,
+#: so ``--json`` consumers can rely on their presence.
 SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("cache.body.decoded", ()),
     ("cache.body.spliced", ()),
@@ -174,6 +102,75 @@ def _numeric(value: float) -> float:
     return as_int if as_int == value else value
 
 
+def _per_run(
+    counters: Mapping[MetricKey, float],
+    maxima: Mapping[MetricKey, float],
+    histograms: Mapping[MetricKey, Histogram],
+) -> Dict[str, object]:
+    """The rendered per-run view: nonzero counters, :data:`SEEDED_KEYS`,
+    maxima, and each touched histogram's compact summary, sorted."""
+    out: Dict[str, object] = {
+        render_key(key): _numeric(value)
+        for key, value in counters.items() if value
+    }
+    for key in SEEDED_KEYS:
+        out.setdefault(render_key(key), 0)
+    for key, value in maxima.items():
+        out[render_key(key)] = _numeric(value)
+    for key, hist in histograms.items():
+        if hist.count:
+            out[render_key(key)] = hist.to_json()
+    return dict(sorted(out.items()))
+
+
+class _OpenLedgers(threading.local):
+    def __init__(self) -> None:
+        self.ledgers: List["Ledger"] = []
+
+
+_OPEN = _OpenLedgers()
+
+
+class Ledger:
+    """The counters and maxima of one run.
+
+    While a ledger is open on a thread (``with ledger:``), every
+    :meth:`MetricsRegistry.inc` and :meth:`~MetricsRegistry.observe_max`
+    made on that thread is recorded into it as well as into the
+    registry — into each open ledger, when runs nest (the optimizer's
+    ledger sees its analyses').  A run entry point opens one and its
+    result carries it; re-entering it later counts work done on the
+    run's behalf afterwards (a payload decoding the run's summaries).
+    Histograms are not recorded.  A ledger is never open on two threads
+    at once: whoever re-enters one serializes on the result.
+    """
+
+    def __init__(self) -> None:
+        self.counters: Dict[MetricKey, float] = {}
+        self.maxima: Dict[MetricKey, float] = {}
+
+    def __enter__(self) -> "Ledger":
+        _OPEN.ledgers.append(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        _OPEN.ledgers.remove(self)
+
+    def value(self, name: str, **labels: Any) -> float:
+        key = _key(name, labels)
+        if key in self.counters:
+            return self.counters[key]
+        return self.maxima.get(key, 0)
+
+    def clear(self) -> None:
+        self.counters, self.maxima = {}, {}
+
+    def as_dict(self) -> Dict[str, object]:
+        """Rendered keys, sorted, with :data:`SEEDED_KEYS` always
+        present and maxima at the run's own high-water mark."""
+        return _per_run(self.counters, self.maxima, {})
+
+
 class MetricsRegistry:
     """Cumulative labeled counters, maxima, and histograms."""
 
@@ -200,12 +197,17 @@ class MetricsRegistry:
         key = _key(name, labels)
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + amount
+        for ledger in _OPEN.ledgers:
+            ledger.counters[key] = ledger.counters.get(key, 0) + amount
 
     def observe_max(self, name: str, value: float, **labels: Any) -> None:
         key = _key(name, labels)
         with self._lock:
             if value > self._maxima.get(key, float("-inf")):
                 self._maxima[key] = value
+        for ledger in _OPEN.ledgers:
+            if value > ledger.maxima.get(key, float("-inf")):
+                ledger.maxima[key] = value
 
     def observe_hist(
         self,
@@ -268,7 +270,8 @@ class MetricsRegistry:
     def delta_since(
         self, snapshot: Mapping[MetricKey, SnapshotValue]
     ) -> Dict[str, object]:
-        """Per-run view: counter deltas, histogram deltas, maxima.
+        """The process's work since ``snapshot``: counter deltas,
+        histogram deltas, maxima.
 
         Keys are rendered strings (``name{label=value}``), sorted, with
         :data:`SEEDED_KEYS` always present (zero when untouched) and
@@ -276,32 +279,19 @@ class MetricsRegistry:
         values are numbers; a histogram series touched since the
         snapshot appears as its bucket-wise delta's compact summary
         (``{"count", "sum", "p50", "p95", "p99"}`` — see
-        :meth:`~repro.obs.hist.Histogram.to_json`).
+        :meth:`~repro.obs.hist.Histogram.to_json`).  One run's own
+        counters are its :class:`Ledger`'s.
         """
-        with self._lock:
-            counters = dict(self._counters)
-            maxima = dict(self._maxima)
-            histograms = {
-                key: hist.copy() for key, hist in self._histograms.items()
-            }
-        out: Dict[str, object] = {}
+        counters, maxima, histograms = self.dump()
+        deltas = {}
         for key, value in counters.items():
             base = snapshot.get(key, 0)
-            delta = value - (base if isinstance(base, (int, float)) else 0)
-            if delta:
-                out[render_key(key)] = _numeric(delta)
-        for key in SEEDED_KEYS:
-            out.setdefault(render_key(key), 0)
-        for key, value in maxima.items():
-            out[render_key(key)] = _numeric(value)
+            deltas[key] = value - (base if isinstance(base, (int, float)) else 0)
         for key, hist in histograms.items():
             base = snapshot.get(key)
-            delta_hist = (
-                hist.subtract(base) if isinstance(base, Histogram) else hist
-            )
-            if delta_hist.count:
-                out[render_key(key)] = delta_hist.to_json()
-        return dict(sorted(out.items()))
+            if isinstance(base, Histogram):
+                histograms[key] = hist.subtract(base)
+        return _per_run(deltas, maxima, histograms)
 
     def as_dict(self) -> Dict[str, float]:
         """Every scalar series, cumulative, keyed by rendered name.

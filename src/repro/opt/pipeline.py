@@ -24,6 +24,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import Ledger
+from repro.reporting.metrics import RunMetrics
 from repro.program.model import Program
 from repro.program.rewrite import Edits, apply_edits
 from repro.interproc.analysis import (
@@ -56,11 +58,13 @@ class OptimizationReport:
 
 @dataclass
 class OptimizationResult:
-    """Original and optimized programs plus per-pass accounting."""
+    """Original and optimized programs plus per-pass accounting;
+    ``metrics.ledger`` counts the run's work, its analyses' included."""
 
     original: Program
     optimized: Program
     reports: List[OptimizationReport] = field(default_factory=list)
+    metrics: RunMetrics = field(default_factory=RunMetrics)
     baseline_run: Optional[ExecutionResult] = None
     optimized_run: Optional[ExecutionResult] = None
 
@@ -157,33 +161,34 @@ def _optimize_program(
 
     current = program
     reports: List[OptimizationReport] = []
-    for name in passes:
-        analysis = _analyze_program(current, config)
-        edits = _PASSES[name](analysis)
-        routines, deleted, rewritten = _edit_counts(edits)
-        reports.append(
-            OptimizationReport(
-                name=name,
-                routines_changed=routines,
-                instructions_deleted=deleted,
-                instructions_rewritten=rewritten,
+    with Ledger() as ledger:
+        for name in passes:
+            analysis = _analyze_program(current, config)
+            edits = _PASSES[name](analysis)
+            routines, deleted, rewritten = _edit_counts(edits)
+            reports.append(
+                OptimizationReport(
+                    name=name,
+                    routines_changed=routines,
+                    instructions_deleted=deleted,
+                    instructions_rewritten=rewritten,
+                )
             )
+            if edits:
+                current = apply_edits(current, edits)
+        result = OptimizationResult(
+            original=program, optimized=current, reports=reports,
+            metrics=RunMetrics(ledger, routines_total=program.routine_count),
         )
-        if edits:
-            current = apply_edits(current, edits)
-
-    result = OptimizationResult(
-        original=program, optimized=current, reports=reports
-    )
-    if verify:
-        result.baseline_run = run_program(program, max_steps=max_steps)
-        result.optimized_run = run_program(current, max_steps=max_steps)
-        if not result.behaviour_preserved():
-            raise AssertionError(
-                "optimization changed observable behaviour: "
-                f"{result.baseline_run.observable} != "
-                f"{result.optimized_run.observable}"
-            )
+        if verify:
+            result.baseline_run = run_program(program, max_steps=max_steps)
+            result.optimized_run = run_program(current, max_steps=max_steps)
+            if not result.behaviour_preserved():
+                raise AssertionError(
+                    "optimization changed observable behaviour: "
+                    f"{result.baseline_run.observable} != "
+                    f"{result.optimized_run.observable}"
+                )
     return result
 
 

@@ -1,8 +1,8 @@
 """Measurement and presentation helpers for the §4 experiments.
 
-* :mod:`repro.reporting.metrics` — stage timers matching Figure 13's
-  breakdown (CFG Build / Initialization / PSG Build / Phase 1 /
-  Phase 2);
+* :mod:`repro.reporting.metrics` — a run's metrics: the stage clock
+  matching Figure 13's breakdown (CFG Build / Initialization / PSG
+  Build / Phase 1 / Phase 2) and the work counts of its ledger;
 * :mod:`repro.reporting.memory` — the explicit memory model used to
   report "Memory Usage" in Table 2 and Figure 15 (set/node/edge byte
   costs, mirroring the paper's own accounting discussion);
@@ -10,7 +10,7 @@
   the shape of the paper's tables.
 """
 
-from repro.reporting.metrics import StageTimings, StageTimer
+from repro.reporting.metrics import RunMetrics
 from repro.reporting.memory import (
     MemoryModel,
     cfg_analysis_memory,
@@ -23,8 +23,7 @@ from repro.reporting.annotate import render_annotated_listing
 __all__ = [
     "MemoryModel",
     "render_annotated_listing",
-    "StageTimer",
-    "StageTimings",
+    "RunMetrics",
     "cfg_analysis_memory",
     "cfg_to_dot",
     "format_markdown_table",

@@ -40,12 +40,12 @@ class TestDriver:
 
     def test_timings_cover_all_stages(self, small_benchmark):
         analysis = analyze_program(small_benchmark)
-        timings = analysis.timings
-        assert timings.cfg_build > 0
-        assert timings.initialization > 0
-        assert timings.psg_build > 0
-        assert timings.phase1 > 0
-        assert timings.phase2 > 0
+        seconds = analysis.metrics.seconds
+        assert seconds["cfg_build"] > 0
+        assert seconds["initialization"] > 0
+        assert seconds["psg_build"] > 0
+        assert seconds["phase1"] > 0
+        assert seconds["phase2"] > 0
 
 
 class TestFilteringAblationConfig:

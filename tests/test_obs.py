@@ -1,13 +1,17 @@
 """Tests for ``repro.obs`` — span tracing, counters, and logging."""
 
+import ast
 import io
 import json
 import logging
 import os
+import re
+import threading
+from pathlib import Path
 
 import pytest
 
-from repro.api import AnalysisSession
+from repro.api import AnalysisConfig, AnalysisSession
 from repro.obs import (
     REGISTRY,
     MetricsRegistry,
@@ -23,7 +27,7 @@ from repro.obs import (
     span,
     tracing_enabled,
 )
-from repro.obs.metrics import SEEDED_KEYS
+from repro.obs.metrics import SEEDED_KEYS, Ledger
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.program.asm import assemble
 
@@ -164,6 +168,116 @@ class TestMetricsRegistry:
         base = REGISTRY.snapshot()
         REGISTRY.inc("test.obs.counter", 1)
         assert REGISTRY.delta_since(base)["test.obs.counter"] == 1
+
+
+#: Counters a session's payload reports must not depend on what else
+#: the process ran: the store would make a later run adopt answers an
+#: earlier one published.
+_OFF = AnalysisConfig(store="off")
+
+
+class TestRunLedger:
+    def test_open_ledgers_record_their_thread_only(self):
+        registry, outer, inner = MetricsRegistry(), Ledger(), Ledger()
+        registry.inc("x")
+        with outer:
+            registry.inc("x", 2)
+            with inner:
+                registry.inc("x", 3, phase="phase1")
+                registry.observe_max("depth", 4)
+                other = threading.Thread(target=registry.inc, args=("x", 100))
+                other.start()
+                other.join()
+        registry.inc("x", 5)
+        assert outer.value("x") == 2 and inner.value("x") == 0
+        assert outer.value("x", phase="phase1") == inner.value(
+            "x", phase="phase1"
+        ) == 3
+        assert outer.value("depth") == inner.value("depth") == 4
+        assert registry.value("x") == 108
+        assert inner.as_dict()["x{phase=phase1}"] == 3
+        for key in SEEDED_KEYS:
+            assert render_key(key) in inner.as_dict()
+
+    def test_interleaved_sessions_count_their_own_runs(self, small_benchmark):
+        solo = AnalysisSession.from_program(small_benchmark, _OFF)
+        solo.analyze()
+        expected = solo.to_json()["counters"]
+        first = AnalysisSession.from_program(small_benchmark, _OFF)
+        AnalysisSession.from_program(small_benchmark, _OFF).analyze()
+        first.analyze()
+        assert first.to_json()["counters"] == expected
+        assert expected["psg.builds"] == 1
+
+    def test_each_query_payload_counts_that_query(self, small_benchmark):
+        session = AnalysisSession.from_program(small_benchmark, _OFF)
+        for routine in small_benchmark.routine_names()[:3]:
+            result = session.query(routine)
+            payload = session.to_json()
+            assert payload["counters"]["query.requests"] == 1
+            assert (
+                payload["counters"]["query.solved"]
+                == payload["phase2_solved"] == result.metrics.phase2_solved
+            )
+            assert session.metrics()["counters"] == payload["counters"]
+
+    def test_max_queue_depth_is_the_runs_own(self, small_benchmark, quick_program):
+        big = AnalysisSession.from_program(small_benchmark, _OFF)
+        big.analyze()
+        small = AnalysisSession.from_program(quick_program, _OFF)
+        small.analyze()
+        for phase in ("phase1", "phase2"):
+            key = f"solver.max_queue_depth{{phase={phase}}}"
+            assert 0 < small.to_json()["counters"][key] < (
+                big.to_json()["counters"][key]
+            )
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _recorded_names():
+    """Every literal name ``src/`` passes to ``REGISTRY.inc`` /
+    ``observe_max`` / ``observe_hist``, with one place it is recorded."""
+    names = {}
+    for path in sorted((_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("inc", "observe_max", "observe_hist")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "REGISTRY"
+                and node.args
+            ):
+                continue
+            for name in _literals(node.args[0]):
+                names.setdefault(name, f"{path.name}:{node.lineno}")
+    return names
+
+
+def _literals(expr):
+    """The literal strings an expression evaluates to (a constant, or
+    either branch of a conditional); an f-string names no one series."""
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+        return [expr.value]
+    if isinstance(expr, ast.IfExp):
+        return _literals(expr.body) + _literals(expr.orelse)
+    return []
+
+
+def test_every_recorded_name_is_documented():
+    names = _recorded_names()
+    assert "solver.routine_iterations" in names  # a multi-line call
+    assert "service.result.cold" in names  # a conditional name
+    docs = (_ROOT / "docs" / "observability.md").read_text()
+    missing = {
+        name: where for name, where in names.items()
+        if not re.search(rf"(?<![\w.]){re.escape(name)}(?![\w.])", docs)
+    }
+    assert not missing, (
+        f"recorded but not spelled out in docs/observability.md: {missing}"
+    )
 
 
 class TestLogging:

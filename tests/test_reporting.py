@@ -12,48 +12,54 @@ from repro.reporting.memory import (
     memory_breakdown,
     psg_analysis_memory,
 )
-from repro.reporting.metrics import STAGE_NAMES, StageTimer, StageTimings
+from repro.reporting.metrics import STAGE_NAMES, RunMetrics
 from repro.reporting.tables import format_markdown_table, format_table
+
+
+#: The paper's five stages, which a whole-program run times.
+PAPER_STAGES = ("cfg_build", "initialization", "psg_build", "phase1", "phase2")
 
 
 class TestStageTimer:
     def test_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("phase1"):
+        metrics = RunMetrics()
+        with metrics.stage("phase1"):
             time.sleep(0.002)
-        with timer.stage("phase1"):
+        with metrics.stage("phase1"):
             time.sleep(0.002)
-        assert timer.timings.phase1 >= 0.004
+        assert metrics.seconds["phase1"] >= 0.004
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
-            with StageTimer().stage("nonsense"):
+            with RunMetrics().stage("nonsense"):
                 pass
 
     def test_total_and_fractions(self):
-        timings = StageTimings(
+        metrics = RunMetrics(seconds=dict(
             cfg_build=1.0, initialization=1.0, psg_build=1.0, phase1=0.5,
             phase2=0.5,
-        )
-        assert timings.total == 4.0
-        fractions = timings.fractions()
+        ))
+        assert metrics.total_seconds == 4.0
+        fractions = metrics.fractions()
         assert fractions["cfg_build"] == 0.25
         assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_zero_total_fractions(self):
-        assert all(v == 0.0 for v in StageTimings().fractions().values())
+        metrics = RunMetrics(seconds=dict.fromkeys(PAPER_STAGES, 0.0))
+        assert metrics.fractions() == dict.fromkeys(PAPER_STAGES, 0.0)
 
     def test_as_dict(self):
-        d = StageTimings(phase1=2.0).as_dict()
-        assert d["phase1"] == 2.0
-        assert d["total"] == 2.0
-        assert set(d) == set(STAGE_NAMES) | {"total"}
+        d = RunMetrics(seconds={"phase2": 1.0, "phase1": 2.0}).stage_seconds()
+        assert d == {"phase1": 2.0, "phase2": 1.0, "total": 3.0}
+        assert list(d) == ["phase1", "phase2", "total"]  # pipeline order
+        assert set(STAGE_NAMES) >= set(PAPER_STAGES)
 
     def test_analysis_populates_all_stages(self, small_benchmark):
         analysis = analyze_program(small_benchmark)
-        for stage in STAGE_NAMES:
-            assert getattr(analysis.timings, stage) >= 0
-        assert analysis.timings.total > 0
+        stage_seconds = analysis.metrics.stage_seconds()
+        assert set(stage_seconds) == set(PAPER_STAGES) | {"total"}
+        assert all(seconds >= 0 for seconds in stage_seconds.values())
+        assert analysis.metrics.total_seconds > 0
 
 
 def _counts(analysis):

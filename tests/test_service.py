@@ -251,6 +251,20 @@ class TestTenantIsolation:
         tenants = {entry["tenant"] for entry in registry["entries"]}
         assert tenants == {"team-a", "team-b"}
 
+    def test_payload_counts_its_own_request(self, daemon, image_a):
+        """A retained session's second query reports that query alone,
+        whatever another tenant solved in between."""
+        team_a = _client(daemon, tenant="team-a")
+        team_a.query(image_a, "inc")
+        _client(daemon, tenant="team-b").analyze(image_a)
+        served = team_a.query(image_a, "main", include_summaries=True)
+        session = AnalysisSession.from_image_bytes(image_a)
+        session.query("inc")
+        session.query("main")
+        local = session.to_json(include_summaries=True)
+        assert served.payload["counters"] == local["counters"]
+        assert served.payload["counters"]["query.requests"] == 1
+
     def test_invalid_tenant_header_is_400(self, daemon, image_a):
         client = _client(daemon, tenant="../escape")
         with pytest.raises(ServiceError) as excinfo:

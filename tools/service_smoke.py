@@ -12,7 +12,9 @@ Table-2 image twice, and checks the full service contract:
 * two ``POST /v1/query`` with overlapping cones (the entry, then one of
   its callees) answer what ``/v1/analyze`` does, and ``/metricsz``
   shows ``cache.fragment.hit >= 1``: the second query appended PSG
-  fragments the first one labeled, held in the session's memo;
+  fragments the first one labeled, held in the session's memo; the
+  second query's payload counts that query alone (``query.requests``
+  1, and ``query.solved`` equal to its ``phase2_solved``);
 * the server's ``service.request.seconds`` histogram count equals the
   POSTs the smoke sent, exactly; ``/metricsz?format=prometheus`` passes
   ``tools/validate_prometheus``; ``/healthz`` reports nothing in flight;
@@ -73,8 +75,9 @@ def wait_for_ready(client: ServiceClient, deadline: float) -> None:
 def check_queries(client: ServiceClient, image_bytes: bytes) -> int:
     """Two queries with overlapping cones on the retained session — the
     entry, then one of its callees — must answer what ``/v1/analyze``
-    does, the second on partial PSGs the first one built.  Returns the
-    number of POSTs sent."""
+    does, the second on partial PSGs the first one built, and each
+    payload's counters must describe its own query.  Returns the number
+    of POSTs sent."""
     program = disassemble_image(ExecutableImage.from_bytes(image_bytes))
     entry = program.entry
     callees = build_call_graph(program).callees_of(entry)
@@ -86,6 +89,14 @@ def check_queries(client: ServiceClient, image_bytes: bytes) -> int:
         if response.status != 200:
             fail(f"query {routine!r} returned {response.status}: {response.payload}")
         answers[routine] = response.payload["summaries"][routine]
+        counters = response.payload["counters"]
+        if counters["query.requests"] != 1:
+            fail(f"query {routine!r} payload counts "
+                 f"{counters['query.requests']} query requests, not 1")
+        if counters["query.solved"] != response.payload["phase2_solved"]:
+            fail(f"query {routine!r} payload: query.solved "
+                 f"{counters['query.solved']} != phase2_solved "
+                 f"{response.payload['phase2_solved']}")
     whole = client.analyze(image_bytes, include_summaries=True)
     if whole.status != 200:
         fail(f"analyze with summaries returned {whole.status}: {whole.payload}")
