@@ -24,7 +24,7 @@ build the PSG without §3.6 branch nodes (the Table-4 ablation):
 Construction never analyzes; the first ``analyze*`` call does, and its
 products are retained on the session for ``summaries()``/``metrics()``.
 Failures that prevent an analysis from completing — a PSG that cannot
-represent the program, a diverging solver — are normalized to
+represent the program — are normalized to
 :class:`~repro.interproc.errors.AnalysisError`; unparseable images raise
 :class:`~repro.program.image.ImageFormatError` from the constructor
 instead, and code no CFG can model (a branch leaving its routine, say)
@@ -66,7 +66,6 @@ from repro.program.disasm import disassemble_image
 from repro.program.image import ExecutableImage, ImageFormatError
 from repro.program.model import Program
 from repro.psg.build import PsgBuildError
-from repro.dataflow.solver import SolverDivergence
 
 #: The documented stable surface of the analysis API.  Everything else
 #: under ``repro.*`` is an implementation detail that may change
@@ -118,7 +117,7 @@ _log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 #: Exceptions an analysis run normalizes into AnalysisError.
-_ANALYSIS_FAILURES = (PsgBuildError, SolverDivergence)
+_ANALYSIS_FAILURES = (PsgBuildError,)
 
 
 def _count_regsets(before: int) -> None:
@@ -250,7 +249,7 @@ class AnalysisSession:
         self, kind: str, name: str, solve: Callable[[], T], **span_args: object
     ) -> T:
         """One analysis entry point: ``solve()`` under a run id (minted
-        when none is active) and a ``name`` span, with PSG and solver
+        when none is active) and a ``name`` span, with PSG build
         failures normalized to :class:`AnalysisError` and the
         RegisterSets it built counted into its result's ledger."""
         if current_run_id() is None:

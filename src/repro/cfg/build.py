@@ -21,8 +21,10 @@ For each routine, :func:`build_cfg` reads its instruction rows
 The result is a :class:`~repro.cfg.cfg.ControlFlowGraph` held as those
 rows — what the PSG build, the call graph and the §3.4 filter read.
 Its :class:`~repro.cfg.cfg.BasicBlock` objects are built from the rows
-only when a consumer reads ``cfg.blocks``: the optimizer passes, the
-reports and the whole-CFG baseline.
+only when a consumer reads ``cfg.blocks``: the reports and the
+whole-CFG baseline.  The frame-slot format the optimizer's passes share
+(:func:`frame_slot`) is read here too, beside the save/restore matcher
+that uses it.
 
 Call-site resolution is split in two so that a warm run can skip the
 walk: *where* a call sits and which constant feeds it
@@ -76,8 +78,10 @@ _RETURN = TerminatorKind.RETURN
 _EXIT_RETURN = ExitKind.RETURN
 _EXIT_HALT = ExitKind.HALT
 _EXIT_UNKNOWN = ExitKind.UNKNOWN_JUMP
-_STACK_STORES = (Opcode.STQ, Opcode.STT)
-_STACK_LOADS = (Opcode.LDQ, Opcode.LDT)
+#: The frame-slot format: a slot is an ``sp`` displacement, read and
+#: written only by these opcodes through ``sp`` (:func:`frame_slot`).
+STACK_STORES = (Opcode.STQ, Opcode.STT)
+STACK_LOADS = (Opcode.LDQ, Opcode.LDT)
 
 
 def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
@@ -319,7 +323,7 @@ def stack_saves(
         _control, _uses, defs, displacement, opcode, ra, rb, _rc, _literal = (
             rows[index]
         )
-        if rb == STACK_POINTER and opcode in _STACK_STORES:
+        if rb == STACK_POINTER and opcode in STACK_STORES:
             if not defined >> ra & 1:
                 slots.setdefault(ra, (displacement, index))
         defined |= defs
@@ -346,19 +350,30 @@ def _restore_index(
     """Index of the block's last write to ``register`` when that write
     reloads it from ``slot``."""
     for index in range(stop - 1, start - 1, -1):
-        _control, _uses, defs, displacement, opcode, ra, rb, _rc, _literal = (
-            rows[index]
-        )
-        if defs >> register & 1:
-            if (
-                opcode in _STACK_LOADS
-                and rb == STACK_POINTER
-                and displacement == slot
-                and ra == register
-            ):
+        row = rows[index]  # row[2] is the def mask, row[4] the opcode, row[5] ra
+        if row[2] >> register & 1:
+            if frame_slot(row) == slot and row[4] in STACK_LOADS and row[5] == register:
                 return index
             return None
     return None
+
+
+def frame_slot(row: tuple) -> Optional[int]:
+    """The slot an instruction row loads or stores through ``sp``, or
+    ``None``."""
+    if row[6] == STACK_POINTER and (row[4] in STACK_LOADS or row[4] in STACK_STORES):
+        return row[3]
+    return None
+
+
+def frame_accesses(rows: Sequence[tuple]) -> Dict[int, List[int]]:
+    """Frame slot -> indices of the instruction rows that access it."""
+    accesses: Dict[int, List[int]] = {}
+    for index, row in enumerate(rows):
+        slot = frame_slot(row)
+        if slot is not None:
+            accesses.setdefault(slot, []).append(index)
+    return accesses
 
 
 def classify_call(

@@ -203,13 +203,13 @@ class ControlFlowGraph:
     that slot on every RETURN exit — the §3.4 candidates before the
     calling convention narrows them to its callee-saved registers.
 
-    The rows are everything the PSG build, the call graph and the §3.4
-    filter read, and what :func:`repro.cfg.build.build_cfg` writes in
-    its one walk over the routine.  :class:`BasicBlock` objects
-    (instruction slices, predecessor lists) are built from the rows on
-    the first read of :attr:`blocks`, for the consumers that want them —
-    the optimizer passes, the reports, the whole-CFG baseline; no solve
-    reads them.
+    The rows are everything the PSG build, the call graph, the §3.4
+    filter and the optimizer's passes read, and what
+    :func:`repro.cfg.build.build_cfg` writes in its one walk over the
+    routine.  :class:`BasicBlock` objects (instruction slices,
+    predecessor lists) are built from the rows on the first read of
+    :attr:`blocks`, for the consumers that want them — the reports and
+    the whole-CFG baseline; no solve reads them.
     """
 
     routine: Routine

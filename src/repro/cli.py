@@ -33,8 +33,11 @@ codes are distinct per failure class so scripts can tell them apart:
 * 0 — success;
 * 2 — usage error (bad or removed flags, a bad flag combination, an
   empty ``--cache`` path, or a query for an unknown routine);
-* 3 — the input image could not be read or parsed;
-* 4 — the analysis itself failed (:class:`AnalysisError`);
+* 3 — the input image (or the ``summaries`` sidecar) could not be read
+  or parsed;
+* 4 — the analysis itself failed (:class:`AnalysisError`), or
+  executing the program did (``run``, ``optimize --verify``: a fault,
+  the step limit, or changed behaviour);
 * 5 — the analysis succeeded but a by-product (the cache sidecar or
   the ``--trace`` file) could not be written; the run's output is
   still printed;
@@ -81,7 +84,7 @@ from repro.program.model import Program
 from repro.program.rewrite import program_to_image
 from repro.reporting.annotate import render_annotated_listing
 from repro.reporting.dot import psg_to_dot
-from repro.sim.interpreter import run_program
+from repro.sim.interpreter import ExecutionError, run_program
 from repro.workloads.generator import GeneratorConfig, generate_image
 from repro.workloads.shapes import ALL_SHAPES, shape_by_name
 
@@ -327,6 +330,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     except AnalysisError as error:
         print(f"optimization failed: {error}", file=sys.stderr)
         return EXIT_ANALYSIS
+    except ExecutionError as error:
+        print(f"verification failed: {error}", file=sys.stderr)
+        return EXIT_ANALYSIS
     for report in result.reports:
         print(
             f"{report.name}: {report.routines_changed} routines, "
@@ -490,7 +496,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ImageFormatError) as error:
         print(f"cannot load image {args.image}: {error}", file=sys.stderr)
         return EXIT_BAD_IMAGE
-    result = run_program(program, max_steps=args.max_steps)
+    try:
+        result = run_program(program, max_steps=args.max_steps)
+    except ExecutionError as error:
+        print(f"execution failed: {error}", file=sys.stderr)
+        return EXIT_ANALYSIS
     for value in result.outputs:
         print(value)
     print(f"# steps={result.steps} exit={result.exit_value}")
@@ -498,8 +508,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_summaries(args: argparse.Namespace) -> int:
-    with open(args.sidecar, "rb") as handle:
-        result = load_summaries(handle.read())
+    try:
+        with open(args.sidecar, "rb") as handle:
+            result = load_summaries(handle.read())
+    except (OSError, SummaryFormatError) as error:
+        print(f"cannot load summaries {args.sidecar}: {error}", file=sys.stderr)
+        return EXIT_BAD_IMAGE
     for name in sorted(result.summaries):
         summary = result.summaries[name]
         print(f"{name}:")

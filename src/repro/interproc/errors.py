@@ -1,10 +1,9 @@
 """Analysis-level failure type.
 
-The solvers raise precise internal errors (``PsgBuildError``,
-``SolverDivergence``).  The session facade normalizes anything that
-prevents an analysis from completing into :class:`AnalysisError`, so
-callers — the CLI in particular — have one exception to map to one
-exit code.
+The PSG build raises a precise internal error (``PsgBuildError``).
+The session facade normalizes anything that prevents an analysis from
+completing into :class:`AnalysisError`, so callers — the CLI in
+particular — have one exception to map to one exit code.
 """
 
 from __future__ import annotations

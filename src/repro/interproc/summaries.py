@@ -18,9 +18,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from repro.dataflow.equations import SummaryTriple
-from repro.dataflow.liveness import SiteEffect
 from repro.dataflow.regset import RegisterSet, sorted_names
 from repro.cfg.cfg import CallSite, ExitKind
+
+
+@dataclass(frozen=True)
+class SiteEffect:
+    """Gen/kill masks summarizing a call site for liveness."""
+
+    gen: int
+    kill: int
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ the would-be consumer is in a separately compiled module, which is the
 case a traditional compiler cannot see.
 
 Deletions expose more deletions (a dead instruction's operands may die
-with it), so the pass iterates per routine until no instruction is
-removable.
+with it), so the pass re-solves with the deleted instructions skipped
+until a walk finds no new one.
 
 Instructions eligible for deletion: register-writing, fall-through
 instructions without side effects — operate format, ``lda``/``ldah``
@@ -19,31 +19,25 @@ and loads.  Stores, OUTPUT and all control transfers are kept.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Set
 
 from repro.isa.instructions import ControlKind, Format, Instruction, Opcode
-from repro.dataflow.liveness import SiteEffect, effective_gen_kill
-from repro.dataflow.regset import TRACKED_MASK
-from repro.cfg.cfg import ControlFlowGraph, ExitKind, TerminatorKind
+from repro.dataflow.liveness import exit_seeds, live_after, solve, summary_masks
+from repro.cfg.cfg import ControlFlowGraph
 from repro.interproc.summaries import RoutineSummary
 
-_DELETABLE_FORMATS = (
-    Format.OPERATE,
-    Format.OPERATE_FP,
+#: Loads and address computations write a register and touch nothing
+#: else the program can observe.
+_DELETABLE = frozenset(
+    opcode
+    for opcode in Opcode
+    if opcode.control is ControlKind.FALLTHROUGH
+    and opcode is not Opcode.OUTPUT
+    and (
+        opcode.format in (Format.OPERATE, Format.OPERATE_FP)
+        or opcode in (Opcode.LDA, Opcode.LDAH, Opcode.LDQ, Opcode.LDT)
+    )
 )
-
-
-def _is_deletable(instruction: Instruction) -> bool:
-    opcode = instruction.opcode
-    if opcode.control != ControlKind.FALLTHROUGH:
-        return False
-    if opcode is Opcode.OUTPUT:
-        return False
-    if opcode.format in _DELETABLE_FORMATS:
-        return True
-    # Loads and address computations write a register and touch nothing
-    # else the program can observe.
-    return opcode in (Opcode.LDA, Opcode.LDAH, Opcode.LDQ, Opcode.LDT)
 
 
 def eliminate_dead_code(
@@ -53,103 +47,20 @@ def eliminate_dead_code(
     """Dead instructions of one routine, as rewrite edits.
 
     Returns ``{instruction index: None}`` for every deletable
-    instruction that defines no live register; iterates to a fixed
-    point internally.
+    instruction that defines no live register once the other dead
+    instructions are gone.
     """
-    blocks = cfg.blocks
-    site_effects: Dict[int, SiteEffect] = summary.site_effects()
-    exit_live = summary.return_exit_live()
-    deleted: set = set()
-
-    while True:
-        live_in = _solve_block_liveness(cfg, site_effects, exit_live, deleted)
-        newly_dead: List[int] = []
-        for block in blocks:
-            # Walk the block backward from its live-out.
-            if block.successors:
-                mask = 0
-                for successor in block.successors:
-                    mask |= live_in[successor]
-            else:
-                mask = _exit_mask(cfg, block.index, exit_live)
-            for offset in range(len(block.instructions) - 1, -1, -1):
-                index = block.start + offset
-                if index in deleted:
-                    continue
-                instruction = block.instructions[offset]
-                is_call = (
-                    block.terminator == TerminatorKind.CALL
-                    and offset == len(block.instructions) - 1
-                )
-                gen, kill = effective_gen_kill(
-                    instruction,
-                    site_effects.get(block.index) if is_call else None,
-                )
-                if _is_deletable(instruction) and kill and not (kill & mask):
-                    newly_dead.append(index)
-                    continue  # a dead instruction contributes nothing
-                mask = gen | (mask & ~kill)
-        if not newly_dead:
-            break
-        deleted.update(newly_dead)
-
-    return {index: None for index in sorted(deleted)}
-
-
-def _exit_mask(
-    cfg: ControlFlowGraph, block_index: int, exit_live: Dict[int, int]
-) -> int:
-    kind = cfg.exit_kind_of(block_index)
-    if kind == ExitKind.RETURN:
-        return exit_live.get(block_index, 0)
-    if kind == ExitKind.UNKNOWN_JUMP:
-        return TRACKED_MASK
-    return 0
-
-
-def _solve_block_liveness(
-    cfg: ControlFlowGraph,
-    site_effects: Dict[int, SiteEffect],
-    exit_live: Dict[int, int],
-    deleted: set,
-) -> List[int]:
-    """Block-level live-in masks, with ``deleted`` instructions skipped."""
-    blocks = cfg.blocks
-    gen = [0] * len(blocks)
-    kill = [0] * len(blocks)
-    for block in blocks:
-        block_gen = 0
-        block_kill = 0
-        for offset, instruction in enumerate(block.instructions):
-            index = block.start + offset
-            if index in deleted:
-                continue
-            is_call = (
-                block.terminator == TerminatorKind.CALL
-                and offset == len(block.instructions) - 1
-            )
-            instruction_gen, instruction_kill = effective_gen_kill(
-                instruction,
-                site_effects.get(block.index) if is_call else None,
-            )
-            block_gen |= instruction_gen & ~block_kill
-            block_kill |= instruction_kill
-        gen[block.index] = block_gen
-        kill[block.index] = block_kill
-
-    live_in = [0] * len(blocks)
-    changed = True
-    while changed:
-        changed = False
-        for block in reversed(blocks):
-            if block.successors:
-                out_mask = 0
-                for successor in block.successors:
-                    out_mask |= live_in[successor]
-            else:
-                out_mask = _exit_mask(cfg, block.index, exit_live)
-            new_in = gen[block.index] | (out_mask & ~kill[block.index])
-            if new_in != live_in[block.index]:
-                live_in[block.index] = new_in
-                changed = True
-    return live_in
+    rows = cfg.routine.rows  # row[4] is the opcode
+    uses, defs = summary_masks(cfg, summary)
+    seeds = exit_seeds(cfg, summary)
+    deleted: Set[int] = set()
+    found = True
+    while found:
+        _live_in, live_out = solve(cfg, uses, defs, seeds, deleted)
+        found = False
+        for block, out in enumerate(live_out):
+            for index, live in live_after(cfg, block, out, uses, defs, deleted):
+                if rows[index][4] in _DELETABLE and defs[index] and not defs[index] & live:
+                    deleted.add(index)  # contributes nothing from here on
+                    found = True
+    return dict.fromkeys(sorted(deleted))

@@ -17,22 +17,22 @@ optimizer already assumes (and the generator and examples obey):
 We verify the second point per routine (bail out entirely on any other
 ``sp`` definition or any non-``sp`` memory access whose base register
 could alias the frame — conservatively, any load/store not based on
-``sp``, since our IR has no alias information) and then run a
-slot-level backward liveness over the CFG: a store is dead when its
-slot is not live immediately after it.
+``sp``, since our IR has no alias information) and then run the
+optimizer's one liveness (:func:`repro.dataflow.liveness.solve`) over
+frame-slot bits: a store is dead when its slot is not live immediately
+after it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional
 
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.registers import STACK_POINTER
+from repro.dataflow.liveness import live_after, solve
+from repro.cfg.build import STACK_LOADS, STACK_STORES, frame_slot
 from repro.cfg.cfg import ControlFlowGraph, ExitKind
 from repro.interproc.summaries import RoutineSummary
-
-_LOADS = (Opcode.LDQ, Opcode.LDT)
-_STORES = (Opcode.STQ, Opcode.STT)
 
 
 def eliminate_dead_stores(
@@ -47,70 +47,28 @@ def eliminate_dead_stores(
     unknown-jump exits).
     """
     slots = _frame_slots(cfg)
-    if slots is None or not slots:
+    if not slots:
         return {}
-
-    slot_list = sorted(slots)
-    slot_bit = {slot: 1 << i for i, slot in enumerate(slot_list)}
-
-    # Per-block gen (slot loaded before overwritten) / kill (slot
-    # definitely overwritten) for backward slot liveness.
-    blocks = cfg.blocks
-    gen = [0] * len(blocks)
-    kill = [0] * len(blocks)
-    for block in blocks:
-        block_gen = 0
-        block_kill = 0
-        for instruction in block.instructions:
-            slot = _sp_slot(instruction)
-            if slot is None:
-                continue
-            bit = slot_bit[slot]
-            if instruction.opcode in _LOADS:
-                if not (block_kill & bit):
-                    block_gen |= bit
-            else:
-                block_kill |= bit
-        gen[block.index] = block_gen
-        kill[block.index] = block_kill
-
-    live_in = [0] * len(blocks)
-    changed = True
-    while changed:
-        changed = False
-        for block in reversed(blocks):
-            out_mask = 0
-            for successor in block.successors:
-                out_mask |= live_in[successor]
-            # At RETURN/HALT exits the frame dies; slots are dead.
-            new_in = gen[block.index] | (out_mask & ~kill[block.index])
-            if new_in != live_in[block.index]:
-                live_in[block.index] = new_in
-                changed = True
-
-    edits: Dict[int, Optional[Instruction]] = {}
-    for block in blocks:
-        out_mask = 0
-        for successor in block.successors:
-            out_mask |= live_in[successor]
-        live = out_mask
-        for offset in range(len(block.instructions) - 1, -1, -1):
-            instruction = block.instructions[offset]
-            slot = _sp_slot(instruction)
-            if slot is None:
-                continue
-            bit = slot_bit[slot]
-            if instruction.opcode in _LOADS:
-                live |= bit
-            else:
-                if not (live & bit):
-                    edits[block.start + offset] = None
-                live &= ~bit
-    return edits
+    # One bit per slot: a load uses it, a store defines it; at RETURN
+    # and HALT exits the frame dies, so no slot is live there.
+    rows = cfg.routine.rows
+    bits = {slot: 1 << i for i, slot in enumerate(sorted(set(slots.values())))}
+    loads = [0] * len(rows)
+    stores = [0] * len(rows)
+    for index, slot in slots.items():
+        (loads if rows[index][4] in STACK_LOADS else stores)[index] = bits[slot]
+    _live_in, live_out = solve(cfg, loads, stores, {})
+    return {
+        index: None
+        for block, out in enumerate(live_out)
+        for index, live in live_after(cfg, block, out, loads, stores)
+        if stores[index] and not stores[index] & live
+    }
 
 
-def _frame_slots(cfg: ControlFlowGraph) -> Optional[Set[int]]:
-    """The sp-relative slots the routine touches, or None to bail out.
+def _frame_slots(cfg: ControlFlowGraph) -> Optional[Dict[int, int]]:
+    """Instruction index -> the frame slot it loads or stores, or None
+    to bail out.
 
     A slot is identified by its ``sp``-relative displacement, which is
     only meaningful while ``sp`` is constant.  We therefore require the
@@ -125,41 +83,32 @@ def _frame_slots(cfg: ControlFlowGraph) -> Optional[Set[int]]:
     """
     if any(kind == ExitKind.UNKNOWN_JUMP for _b, kind in cfg.exits):
         return None
+    rows = cfg.routine.rows  # row[2] def mask, row[4] opcode, row[5] ra, row[6] rb
     exit_blocks = {block for block, _kind in cfg.exits}
-    slots: Set[int] = set()
-    for block in cfg.blocks:
+    slots: Dict[int, int] = {}
+    for block in range(cfg.block_count):
         seen_sp_restore = False
-        for offset, instruction in enumerate(block.instructions):
-            opcode = instruction.opcode
-            if opcode in _LOADS or opcode in _STORES:
-                if instruction.rb != STACK_POINTER:
+        start, stop = cfg.bounds(block)
+        for index in range(start, stop):
+            row = rows[index]
+            if row[4] in STACK_LOADS or row[4] in STACK_STORES:
+                slot = frame_slot(row)
+                if slot is None:
                     return None  # possible alias into the frame
                 if seen_sp_restore:
                     return None  # slot access under a different sp
-                slots.add(instruction.displacement)
-            if STACK_POINTER in instruction.defs():
-                is_adjust = (
-                    opcode is Opcode.LDA
-                    and instruction.ra == STACK_POINTER
-                    and instruction.rb == STACK_POINTER
-                )
-                if not is_adjust:
+                slots[index] = slot
+            if row[2] >> STACK_POINTER & 1:
+                if not (
+                    row[4] is Opcode.LDA
+                    and row[5] == STACK_POINTER
+                    and row[6] == STACK_POINTER
+                ):
                     return None  # sp computed some other way
-                is_prologue = block.index == cfg.entry_index and offset == 0
-                is_epilogue = block.index in exit_blocks
-                if is_prologue:
-                    continue
-                if is_epilogue:
-                    seen_sp_restore = True
+                if index == 0:
+                    continue  # the prologue
+                if block in exit_blocks:
+                    seen_sp_restore = True  # the epilogue
                     continue
                 return None  # mid-routine sp adjustment
     return slots
-
-
-def _sp_slot(instruction: Instruction) -> Optional[int]:
-    if (
-        instruction.opcode in _LOADS + _STORES
-        and instruction.rb == STACK_POINTER
-    ):
-        return instruction.displacement
-    return None

@@ -37,7 +37,7 @@ from repro.opt.dce import eliminate_dead_code
 from repro.opt.deadstore import eliminate_dead_stores
 from repro.opt.realloc import reallocate_callee_saved
 from repro.opt.spill import remove_call_spills
-from repro.sim.interpreter import ExecutionResult, run_program
+from repro.sim.interpreter import ExecutionError, ExecutionResult, run_program
 
 PASS_NAMES = ("realloc", "spill", "dce", "deadstore")
 
@@ -154,7 +154,11 @@ def _optimize_program(
     verify: bool = False,
     max_steps: int = 5_000_000,
 ) -> OptimizationResult:
-    """Run the pipeline; optionally verify behaviour by execution."""
+    """Run the pipeline; optionally verify behaviour by execution.
+
+    Under ``verify`` a run that faults, or an optimized run whose
+    observable behaviour differs, raises :class:`ExecutionError`.
+    """
     for name in passes:
         if name not in _PASSES:
             raise ValueError(f"unknown pass {name!r}; known: {sorted(_PASSES)}")
@@ -184,7 +188,7 @@ def _optimize_program(
             result.baseline_run = run_program(program, max_steps=max_steps)
             result.optimized_run = run_program(current, max_steps=max_steps)
             if not result.behaviour_preserved():
-                raise AssertionError(
+                raise ExecutionError(
                     "optimization changed observable behaviour: "
                     f"{result.baseline_run.observable} != "
                     f"{result.optimized_run.observable}"

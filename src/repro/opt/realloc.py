@@ -43,14 +43,16 @@ Per-candidate safety conditions:
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.isa.calling_convention import CallingConvention
 from repro.isa.instructions import Instruction
 from repro.isa.registers import NUM_INTEGER_REGISTERS
+from repro.dataflow.liveness import solve
+from repro.cfg.build import frame_accesses
 from repro.cfg.callgraph import CallGraph
 from repro.cfg.cfg import ControlFlowGraph, ExitKind
-from repro.interproc.savedregs import SaveRestoreSites, find_save_restore_sites
+from repro.interproc.savedregs import find_save_restore_sites
 from repro.interproc.summaries import SummarySet, RoutineSummary
 from repro.program.rewrite import Edits
 
@@ -132,7 +134,10 @@ def _reallocate_routine(
         for target in site_summary.site.targets:
             killed_by_calls |= extra_killed[target]
 
-    occurs = _occurring_registers(cfg)
+    rows = cfg.routine.rows  # row[1]/row[2]: use/def masks
+    occurs = 0
+    for row in rows:
+        occurs |= row[1] | row[2]
     exit_live = 0
     for block, kind in summary.exit_kinds.items():
         if kind == ExitKind.UNKNOWN_JUMP:
@@ -140,7 +145,7 @@ def _reallocate_routine(
             break
         exit_live |= summary.exit_live_masks[block]
 
-    slot_accesses = _slot_access_indices(cfg)
+    slot_accesses = frame_accesses(rows)
     candidates = sorted(convention.temporaries, key=lambda r: r.index)
 
     edits: Dict[int, Optional[Instruction]] = {}
@@ -149,9 +154,15 @@ def _reallocate_routine(
         protected = {site_info.save_index, *site_info.restore_indices}
         if any(index in edits for index in protected):
             continue
-        if not _slot_private(slot_accesses, site_info, protected):
+        # The save slot is accessed only by the save and the restores.
+        if set(slot_accesses[site_info.slot]) != protected:
             continue
-        if _reads_incoming_value(cfg, register, protected):
+        # With them gone, is the register live at entry: would the
+        # routine read its caller's value?
+        bit = 1 << register
+        uses = [row[1] & bit for row in rows]
+        defs = [row[2] & bit for row in rows]
+        if solve(cfg, uses, defs, {}, protected)[0][cfg.entry_index]:
             continue
         target = _pick_target(
             register,
@@ -187,79 +198,6 @@ def _pick_target(
     return None
 
 
-def _occurring_registers(cfg: ControlFlowGraph) -> int:
-    mask = 0
-    for block in cfg.blocks:
-        for instruction in block.instructions:
-            mask |= instruction.use_mask | instruction.def_mask
-    return mask
-
-
-def _slot_access_indices(cfg: ControlFlowGraph) -> Dict[int, List[int]]:
-    """sp-relative slot -> routine indices of instructions touching it."""
-    from repro.isa.instructions import Opcode
-    from repro.isa.registers import STACK_POINTER
-
-    accesses: Dict[int, List[int]] = {}
-    for block in cfg.blocks:
-        for offset, instruction in enumerate(block.instructions):
-            if (
-                instruction.opcode
-                in (Opcode.STQ, Opcode.LDQ, Opcode.STT, Opcode.LDT)
-                and instruction.rb == STACK_POINTER
-            ):
-                accesses.setdefault(instruction.displacement, []).append(
-                    block.start + offset
-                )
-    return accesses
-
-
-def _slot_private(
-    slot_accesses: Dict[int, List[int]],
-    site_info: SaveRestoreSites,
-    protected: Set[int],
-) -> bool:
-    """The save slot is accessed only by the save and the restores."""
-    return set(slot_accesses.get(site_info.slot, [])) == protected
-
-
-def _reads_incoming_value(
-    cfg: ControlFlowGraph, register: int, skipped: Set[int]
-) -> bool:
-    """Would the routine (sans save/restore) read the caller's value?
-
-    Single-register liveness: ``register`` live at entry means some
-    path reads it before any interior definition.
-    """
-    blocks = cfg.blocks
-    gen = [False] * len(blocks)
-    kill = [False] * len(blocks)
-    for block in blocks:
-        block_kill = False
-        block_gen = False
-        for offset, instruction in enumerate(block.instructions):
-            if block.start + offset in skipped:
-                continue
-            if not block_kill and register in instruction.uses():
-                block_gen = True
-            if register in instruction.defs():
-                block_kill = True
-        gen[block.index] = block_gen
-        kill[block.index] = block_kill
-
-    live_in = [False] * len(blocks)
-    changed = True
-    while changed:
-        changed = False
-        for block in reversed(blocks):
-            out = any(live_in[s] for s in block.successors)
-            new_in = gen[block.index] or (out and not kill[block.index])
-            if new_in != live_in[block.index]:
-                live_in[block.index] = new_in
-                changed = True
-    return live_in[cfg.entry_index]
-
-
 def _apply_rename(
     cfg: ControlFlowGraph,
     old: int,
@@ -269,23 +207,19 @@ def _apply_rename(
 ) -> None:
     for index in deleted:
         edits[index] = None
-    for block in cfg.blocks:
-        for offset, original in enumerate(block.instructions):
-            index = block.start + offset
-            if index in deleted:
-                continue
-            # Later renames must compose with earlier ones (an
-            # instruction may mention two saved registers), and skip
-            # instructions an earlier rename already deleted.
-            instruction = edits.get(index, original)
-            if instruction is None:
-                continue
-            fields = {}
-            if instruction.ra == old:
-                fields["ra"] = new
-            if instruction.rb == old:
-                fields["rb"] = new
-            if instruction.rc == old:
-                fields["rc"] = new
-            if fields:
-                edits[index] = dataclass_replace(instruction, **fields)
+    for index, original in enumerate(cfg.routine.instructions):
+        # Later renames must compose with earlier ones (an instruction
+        # may mention two saved registers), and skip instructions this
+        # or an earlier rename deleted.
+        instruction = edits.get(index, original)
+        if instruction is None:
+            continue
+        fields = {}
+        if instruction.ra == old:
+            fields["ra"] = new
+        if instruction.rb == old:
+            fields["rb"] = new
+        if instruction.rc == old:
+            fields["rc"] = new
+        if fields:
+            edits[index] = dataclass_replace(instruction, **fields)

@@ -27,10 +27,13 @@ Safety conditions checked per candidate pair:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from itertools import chain
+from typing import Dict, Iterable, Optional, Sequence
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction
 from repro.isa.registers import STACK_POINTER
+from repro.cfg.build import STACK_LOADS, STACK_STORES, frame_accesses, frame_slot
 from repro.cfg.cfg import ControlFlowGraph
 from repro.interproc.summaries import RoutineSummary
 
@@ -41,102 +44,55 @@ def remove_call_spills(
 ) -> Dict[int, Optional[Instruction]]:
     """Deletable spill pairs of one routine, as rewrite edits."""
     edits: Dict[int, Optional[Instruction]] = {}
-    slot_access_counts = _slot_access_counts(cfg)
+    rows = cfg.routine.rows  # row[2] def mask, row[4] opcode, row[5] ra
+    accesses = frame_accesses(rows)
+    arcs_into = Counter(chain.from_iterable(cfg.successors))
     for site_summary in summary.call_sites:
-        site = site_summary.site
-        call_block = cfg.blocks[site.block]
-        if len(call_block.successors) != 1:
+        block = site_summary.site.block
+        # The return point must have the call block as its only
+        # predecessor.
+        if cfg.successors[block] != (block + 1,) or arcs_into[block + 1] != 1:
             continue
-        return_block = cfg.blocks[call_block.successors[0]]
-        if return_block.predecessors != [call_block.index]:
-            continue
-        for store_offset, register, slot in _candidate_stores(call_block):
-            store_index = call_block.start + store_offset
-            if store_index in edits:
+        start, call = cfg.bounds(block)
+        call -= 1
+        for store in range(start, call):
+            row = rows[store]
+            slot = frame_slot(row)
+            if slot is None or row[4] not in STACK_STORES or store in edits:
                 continue
-            if not site_summary.survives_call(register):
-                continue
-            # The call instruction itself writes its link register.
-            if register in call_block.instructions[-1].defs():
-                continue
-            if not _clear_between_store_and_call(
-                call_block, store_offset, register, slot
+            register = row[5]
+            # The slot's only job is this spill, and the call
+            # instruction itself writes its link register.
+            if (
+                len(accesses[slot]) != 2
+                or not site_summary.survives_call(register)
+                or rows[call][2] >> register & 1
+                or _first_conflict(rows, range(store + 1, call), register, slot)
+                is not None
             ):
                 continue
-            load_offset = _matching_load(return_block, register, slot)
-            if load_offset is None:
+            # The reload: the return point's first conflicting row.
+            load = _first_conflict(rows, range(*cfg.bounds(block + 1)), register, slot)
+            if (
+                load is None
+                or load in edits
+                or frame_slot(rows[load]) != slot
+                or rows[load][4] not in STACK_LOADS
+                or rows[load][5] != register
+            ):
                 continue
-            load_index = return_block.start + load_offset
-            if load_index in edits:
-                continue
-            if slot_access_counts.get(slot, 0) != 2:
-                continue
-            edits[store_index] = None
-            edits[load_index] = None
+            edits[store] = None
+            edits[load] = None
     return edits
 
 
-def _slot_access_counts(cfg: ControlFlowGraph) -> Dict[int, int]:
-    """How many instructions access each sp-relative slot."""
-    counts: Dict[int, int] = {}
-    for block in cfg.blocks:
-        for instruction in block.instructions:
-            if (
-                instruction.opcode
-                in (Opcode.STQ, Opcode.LDQ, Opcode.STT, Opcode.LDT)
-                and instruction.rb == STACK_POINTER
-            ):
-                counts[instruction.displacement] = (
-                    counts.get(instruction.displacement, 0) + 1
-                )
-    return counts
-
-
-def _candidate_stores(call_block) -> List[Tuple[int, int, int]]:
-    """(offset, register, slot) for stack stores in the call block."""
-    stores: List[Tuple[int, int, int]] = []
-    for offset, instruction in enumerate(call_block.instructions[:-1]):
-        if (
-            instruction.opcode in (Opcode.STQ, Opcode.STT)
-            and instruction.rb == STACK_POINTER
-        ):
-            stores.append((offset, instruction.ra, instruction.displacement))
-    return stores
-
-
-def _clear_between_store_and_call(
-    call_block, store_offset: int, register: int, slot: int
-) -> bool:
-    """No redefinition of the register/sp and no slot access between the
-    store and the call instruction (exclusive of both)."""
-    for instruction in call_block.instructions[store_offset + 1 : -1]:
-        if register in instruction.defs() or STACK_POINTER in instruction.defs():
-            return False
-        if _accesses_slot(instruction, slot):
-            return False
-    return True
-
-
-def _matching_load(return_block, register: int, slot: int) -> Optional[int]:
-    """Offset of the reload in the return block, if the prefix is clean."""
-    for offset, instruction in enumerate(return_block.instructions):
-        if (
-            instruction.opcode in (Opcode.LDQ, Opcode.LDT)
-            and instruction.rb == STACK_POINTER
-            and instruction.displacement == slot
-            and instruction.ra == register
-        ):
-            return offset
-        if register in instruction.defs() or STACK_POINTER in instruction.defs():
-            return None
-        if _accesses_slot(instruction, slot):
-            return None
+def _first_conflict(
+    rows: Sequence[tuple], indices: Iterable[int], register: int, slot: int
+) -> Optional[int]:
+    """The first of ``indices`` whose row writes ``register`` or ``sp``
+    or accesses ``slot``."""
+    for index in indices:
+        row = rows[index]
+        if row[2] >> register & 1 or row[2] >> STACK_POINTER & 1 or frame_slot(row) == slot:
+            return index
     return None
-
-
-def _accesses_slot(instruction: Instruction, slot: int) -> bool:
-    return (
-        instruction.opcode in (Opcode.STQ, Opcode.LDQ, Opcode.STT, Opcode.LDT)
-        and instruction.rb == STACK_POINTER
-        and instruction.displacement == slot
-    )

@@ -41,7 +41,9 @@ _A0 = 16
 
 
 class ExecutionError(RuntimeError):
-    """Raised for invalid execution: bad PC, misalignment, runaway."""
+    """Raised for invalid execution: bad PC, misalignment, runaway —
+    and by ``optimize(verify=True)`` when the optimized program's
+    observable behaviour differs from the original's."""
 
 
 @dataclass

@@ -7,7 +7,8 @@ work to back-arc regions — Tarjan over every routine's whole cut graph
 counts.
 
 The rest are the Figure-6 equations as written — one worklist problem
-over one CFG subgraph (:func:`solve_summary_subgraph`), labeled from a
+over one CFG subgraph (:func:`solve_summary_subgraph`, on the generic
+:class:`WorklistSolver` kept at the end of this module), labeled from a
 source's start blocks (:func:`label_from_starts`) — and the two region
 strategies :mod:`repro.psg.build` used to offer beside the sweep:
 
@@ -29,7 +30,11 @@ builder once did, by subtracting reaching sets from a forward walk.
 from __future__ import annotations
 
 import contextlib
-from typing import Container, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import (
+    Callable, Container, Dict, Generic, Iterable, Iterator, List, Optional,
+    Sequence, Set, Tuple, TypeVar,
+)
 from unittest import mock
 
 from repro.cfg.cfg import BasicBlock
@@ -43,10 +48,11 @@ from repro.dataflow.equations import (
 )
 from repro.dataflow.local import LocalSets
 from repro.dataflow.regset import TRACKED_MASK
-from repro.dataflow.solver import WorklistSolver, postorder
 from repro.psg import build as psg_build
 
 Triple = Tuple[int, int, int]
+
+State = TypeVar("State")
 
 #: Boundary value: the target block's OUT sets (nothing beyond the edge).
 _BOUNDARY: Triple = (0, 0, 0)
@@ -354,3 +360,134 @@ def labeling(strategy: str) -> Iterator[None]:
         psg_build, "_label_edges", region_labeler(strategy == "per-edge")
     ):
         yield
+
+
+# ----------------------------------------------------------------------
+# The generic worklist solver the equations above are solved with
+# ----------------------------------------------------------------------
+
+
+class SolverDivergence(RuntimeError):
+    """Raised when the iteration count exceeds the safety bound.
+
+    A correct monotone problem over a finite lattice cannot diverge;
+    hitting this bound indicates a non-monotone transfer function.
+    """
+
+
+class WorklistSolver(Generic[State]):
+    """Worklist fixed-point engine over an explicit digraph.
+
+    Parameters
+    ----------
+    node_count:
+        Number of nodes; nodes are the ints ``0 .. node_count-1``.
+    edges:
+        Directed edges ``(src, dst)``.  Information flows from ``dst``
+        (successor) to ``src`` (predecessor), i.e. backward.
+    """
+
+    def __init__(self, node_count: int, edges: Iterable[Tuple[int, int]]) -> None:
+        self._node_count = node_count
+        self._successors: List[List[int]] = [[] for _ in range(node_count)]
+        self._predecessors: List[List[int]] = [[] for _ in range(node_count)]
+        for src, dst in edges:
+            if not (0 <= src < node_count and 0 <= dst < node_count):
+                raise ValueError(f"edge ({src}, {dst}) out of range")
+            self._successors[src].append(dst)
+            self._predecessors[dst].append(src)
+
+    @property
+    def node_count(self) -> int:
+        return self._node_count
+
+    def successors(self, node: int) -> Sequence[int]:
+        return self._successors[node]
+
+    def predecessors(self, node: int) -> Sequence[int]:
+        return self._predecessors[node]
+
+    def solve(
+        self,
+        transfer: Callable[[int, State], State],
+        combine: Callable[[State, State], State],
+        boundary: State,
+        initial: State,
+        order: Optional[Sequence[int]] = None,
+        max_passes: int = 10_000_000,
+    ) -> List[State]:
+        """Iterate to a fixed point; returns the ``IN`` state per node.
+
+        ``boundary`` is the OUT value for nodes with no successors;
+        ``initial`` seeds every node's IN.  ``order`` optionally gives
+        the *priority* order: the worklist is a rank-keyed min-heap, so
+        a node earlier in ``order`` is always revisited before a later
+        one (e.g. postorder for fast backward convergence); all nodes
+        are seeded regardless.
+        """
+        node_count = self._node_count
+        states: List[State] = [initial] * node_count
+        by_rank = list(order) if order is not None else list(range(node_count))
+        if len(set(by_rank)) != node_count:
+            raise ValueError("order must enumerate every node exactly once")
+        rank_of = [0] * node_count
+        for rank, node in enumerate(by_rank):
+            rank_of[node] = rank
+        heap = list(range(node_count))  # ascending ranks: a valid heap
+        queued = [True] * node_count
+        passes = 0
+        while heap:
+            passes += 1
+            if passes > max_passes:
+                raise SolverDivergence(
+                    f"no fixed point after {max_passes} node visits"
+                )
+            node = by_rank[heappop(heap)]
+            queued[node] = False
+            succs = self._successors[node]
+            if succs:
+                out_state = states[succs[0]]
+                for i in range(1, len(succs)):
+                    out_state = combine(out_state, states[succs[i]])
+            else:
+                out_state = boundary
+            new_state = transfer(node, out_state)
+            if new_state != states[node]:
+                states[node] = new_state
+                for predecessor in self._predecessors[node]:
+                    if not queued[predecessor]:
+                        queued[predecessor] = True
+                        heappush(heap, rank_of[predecessor])
+        return states
+
+
+def postorder(
+    node_count: int, successors: Sequence[Sequence[int]], roots: Iterable[int]
+) -> List[int]:
+    """Iterative DFS postorder from ``roots`` (unreached nodes appended).
+
+    Backward analyses converge fastest when seeded in postorder of the
+    forward graph (so successors are processed before predecessors).
+    """
+    visited = [False] * node_count
+    order: List[int] = []
+    for root in roots:
+        if visited[root]:
+            continue
+        stack: List[Tuple[int, int]] = [(root, 0)]
+        visited[root] = True
+        while stack:
+            node, child = stack[-1]
+            if child < len(successors[node]):
+                stack[-1] = (node, child + 1)
+                next_node = successors[node][child]
+                if not visited[next_node]:
+                    visited[next_node] = True
+                    stack.append((next_node, 0))
+            else:
+                stack.pop()
+                order.append(node)
+    for node in range(node_count):
+        if not visited[node]:
+            order.append(node)
+    return order

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,27 @@ SOURCE = """
     addq a0, #1, v0
     ret (ra)
 """
+
+
+#: Faults at its load (an unaligned address).
+FAULT_SOURCE = """
+.routine main
+    li  a0, 3
+    ldq t0, 0(a0)
+    halt
+"""
+
+#: Never halts.
+LOOP_SOURCE = """
+.routine main
+loop:
+    bsr ra, helper
+    br  loop
+.routine helper
+    ret (ra)
+"""
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -279,15 +301,66 @@ class TestExitCodes:
         )
 
     def test_analysis_failure_is_4(self, image_path, capsys, monkeypatch):
-        from repro.dataflow.solver import SolverDivergence
         from repro.interproc import analysis
+        from repro.psg.build import PsgBuildError
 
         def explode(*_args, **_kwargs):
-            raise SolverDivergence("synthetic failure")
+            raise PsgBuildError("synthetic failure")
 
         monkeypatch.setattr(analysis, "run_phase1", explode)
         assert main(["analyze", image_path]) == 4
         assert "analysis failed: synthetic failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, command, reason",
+        [
+            (FAULT_SOURCE, ["run"], "execution failed: unaligned load at 0x3"),
+            (LOOP_SOURCE, ["run", "--max-steps", "100"],
+             "execution failed: exceeded 100 steps"),
+            (FAULT_SOURCE, ["optimize", "--verify"],
+             "verification failed: unaligned load at 0x3"),
+        ],
+    )
+    def test_execution_failure_is_4(
+        self, source, command, reason, tmp_path, capsys
+    ):
+        path = tmp_path / "faulting.sax"
+        path.write_bytes(assemble(source).to_bytes())
+        argv = [command[0], str(path), *command[1:]]
+        if command[0] == "optimize":
+            argv += ["-o", str(tmp_path / "out.sax")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == reason + "\n"
+        assert not (tmp_path / "out.sax").exists()
+
+    def test_verify_mismatch_is_4(self, image_path, tmp_path, capsys, monkeypatch):
+        from repro.opt.pipeline import OptimizationResult
+
+        monkeypatch.setattr(
+            OptimizationResult, "behaviour_preserved", lambda self: False
+        )
+        output = str(tmp_path / "out.sax")
+        assert main(["optimize", image_path, "-o", output, "--verify"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "verification failed: optimization changed observable behaviour"
+        )
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unreadable_summaries_are_3(self, image_path, tmp_path, capsys):
+        golden = (GOLDEN_DIR / "figure1.sum").read_bytes()
+        truncated = tmp_path / "truncated.sum"
+        truncated.write_bytes(golden[: len(golden) // 2])
+        for path, reason in (
+            (tmp_path / "absent.sum", "No such file or directory"),
+            (image_path, "bad magic b'SAX1'"),
+            (truncated, ""),
+        ):
+            assert main(["summaries", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot load summaries {path}: ")
+            assert reason in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_unwritable_cache_is_5(self, image_path, tmp_path, capsys):
         cache_dir = tmp_path / "cache.sum2"

@@ -64,6 +64,13 @@ def test_optimized_bytes_and_counts_match(shape):
     assert _record(optimize_program(_program(shape))) == _golden()[shape]
 
 
+def test_passes_read_cfg_rows_not_blocks():
+    """The passes read the CFG rows through the one row-level liveness:
+    an optimize run builds no ``BasicBlock``."""
+    result = optimize_program(_program("gcc"))
+    assert result.metrics.ledger.value("cfg.built") == 0
+
+
 @pytest.mark.parametrize("shape", ["compress", "li", "vortex"])
 def test_behaviour_preserved(shape):
     result = optimize_program(_program(shape), verify=True)

@@ -1,13 +1,19 @@
-"""Tests for the generic worklist solver and the reachability
-utilities of the labeling oracle (``tests/label_oracle.py``)."""
+"""Tests for the worklists: the labeling oracle's generic solver and
+reachability utilities (``tests/label_oracle.py``) and the PSG phases'
+:class:`~repro.dataflow.solver.SubgraphWorklist`."""
 
 import pytest
 
 from repro.cfg.build import build_cfg
-from repro.dataflow.solver import SolverDivergence, WorklistSolver, postorder
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
-from tests.label_oracle import backward_reachable, forward_reachable
+from tests.label_oracle import (
+    SolverDivergence,
+    WorklistSolver,
+    backward_reachable,
+    forward_reachable,
+    postorder,
+)
 
 
 def union(left, right):
@@ -181,7 +187,7 @@ def solve_masks_csr(
 
     with ``boundary`` as the OUT of successor-less nodes.  CSR rows and
     the phases' own ``seed_priority`` ranks, over an arbitrary digraph —
-    pinned below against :class:`~repro.dataflow.solver.WorklistSolver`
+    pinned below against :class:`tests.label_oracle.WorklistSolver`
     and a FIFO reference on random graphs.
     """
 

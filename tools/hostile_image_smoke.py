@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""End-to-end smoke test: hostile images end in exit 3, not a traceback.
+"""End-to-end smoke test: hostile inputs end in exit 3 or 4, not a traceback.
 
 Generates a Table-2 image, derives from its bytes the malformed
 variants of :func:`hostile_images`, and runs ``spike-analyze analyze``
-on each as a real subprocess.  Fails unless every run exits 3
-(``EXIT_BAD_IMAGE``) with exactly one line on stderr and no
-``Traceback``.
+on each as a real subprocess; each must exit 3 (``EXIT_BAD_IMAGE``).
+So must ``summaries`` on the image itself and on a truncated summary
+sidecar.  ``run`` and ``optimize --verify`` on an image whose program
+faults (:data:`FAULTING`) must exit 4.  Every run must print exactly
+one line on stderr and no ``Traceback``.
 
 Usage::
 
@@ -28,7 +30,16 @@ from typing import Dict, List
 
 # The SAX container layout: header, then text, data and the symbol
 # table (fixed part, u16 name length, name).
+from repro.program.asm import assemble
 from repro.program.image import _HEADER, _SYMBOL_FIXED, _U16, ExecutableImage
+
+#: A program whose load faults (unaligned address).
+FAULTING = """
+.routine main
+    li  a0, 3
+    ldq t0, 0(a0)
+    halt
+"""
 
 
 def hostile_images(blob: bytes) -> Dict[str, bytes]:
@@ -77,6 +88,23 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
+def check(name: str, argv: List[str], expected: int) -> None:
+    """Run the CLI on ``argv``; fail unless it exits ``expected`` with a
+    one-line message on stderr."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True,
+    )
+    lines = done.stderr.strip().splitlines()
+    if done.returncode != expected:
+        fail(f"{name}: exit {done.returncode}, not {expected}: "
+             f"{lines[-1] if lines else '(no stderr)'}")
+    if "Traceback" in done.stderr or len(lines) != 1:
+        fail(f"{name}: stderr is not a one-line message: "
+             f"{done.stderr.strip()!r}")
+    print(f"{name}: exit {expected}: {lines[0].split(': ', 1)[-1]}")
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -92,9 +120,14 @@ def main(argv: List[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="hostile-image-smoke-") as tmp:
         base = os.path.join(tmp, "base.sax")
+        sidecar = os.path.join(tmp, "base.sum")
         subprocess.run(
             cli + ["generate", args.benchmark, "--scale", str(args.scale),
                    "-o", base],
+            check=True, capture_output=True,
+        )
+        subprocess.run(
+            cli + ["analyze", base, "--save-summaries", sidecar],
             check=True, capture_output=True,
         )
         with open(base, "rb") as handle:
@@ -103,17 +136,26 @@ def main(argv: List[str] | None = None) -> int:
             path = os.path.join(tmp, f"{name}.sax")
             with open(path, "wb") as handle:
                 handle.write(hostile)
-            done = subprocess.run(
-                cli + ["analyze", path], capture_output=True, text=True
-            )
-            lines = done.stderr.strip().splitlines()
-            if done.returncode != 3:
-                fail(f"{name}: exit {done.returncode}, not 3: "
-                     f"{lines[-1] if lines else '(no stderr)'}")
-            if "Traceback" in done.stderr or len(lines) != 1:
-                fail(f"{name}: stderr is not a one-line message: "
-                     f"{done.stderr.strip()!r}")
-            print(f"{name}: exit 3: {lines[0].split(': ', 1)[-1]}")
+            check(name, ["analyze", path], 3)
+
+        check("summaries-of-an-image", ["summaries", base], 3)
+        with open(sidecar, "rb") as handle:
+            summaries = handle.read()
+        truncated = os.path.join(tmp, "truncated.sum")
+        with open(truncated, "wb") as handle:
+            handle.write(summaries[: len(summaries) // 2])
+        check("summaries-truncated", ["summaries", truncated], 3)
+
+        faulting = os.path.join(tmp, "faulting.sax")
+        with open(faulting, "wb") as handle:
+            handle.write(assemble(FAULTING).to_bytes())
+        check("run-faulting", ["run", faulting], 4)
+        optimized = os.path.join(tmp, "faulting.opt.sax")
+        check(
+            "optimize-verify-faulting",
+            ["optimize", faulting, "-o", optimized, "--verify"],
+            4,
+        )
     return 0
 
 
