@@ -3,10 +3,10 @@
 A build farm rarely analyzes one image in isolation — it analyzes a
 *family* of linked variants: N applications against one shared library,
 or successive builds where only the app changed.  The per-image SUM5
-sidecar cannot help across images, but the content-addressed store
-(:mod:`repro.interproc.store`) keys every component by a hash of the
-inputs it was solved from, so byte-identical library routines are
-solved once for the whole family.
+sidecar cannot help across images, but the store
+(:mod:`repro.interproc.store`), a directory of the same packs, serves
+any image's component whose recorded inputs equal its own, so
+byte-identical library routines are solved once for the whole family.
 
 This bench builds a gcc-shaped family with the real toolchain path
 (:mod:`repro.program.linker`): one shared ``mathlib`` object module

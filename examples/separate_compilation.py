@@ -20,7 +20,7 @@ makes that story concrete:
 5. Link a *second* variant of the app against the byte-identical
    mathlib and analyze it through a shared summary store
    (:mod:`repro.interproc.store`): the library routines are never
-   re-solved — their summaries are keyed by the inputs they were
+   re-solved — their summaries are stored with the inputs they were
    solved from (own code, callees' results), so any image that links
    the same library bytes reuses them — and their
    CFGs are never rebuilt: the store also holds each routine body's
@@ -164,8 +164,8 @@ def main() -> None:
         assert metrics.cfgs_built == 1         # ... and only its CFG
         assert stats["packs"] == 2             # one per publishing run
     print("the shared library was analyzed once for the whole family — "
-          "summaries are keyed by the inputs they were solved from, "
-          "not by image.")
+          "summaries are reused wherever the inputs they were solved "
+          "from recur, whatever the image.")
 
 
 if __name__ == "__main__":

@@ -101,6 +101,17 @@ def _load(path: str) -> Program:
         return load_program(handle.read())
 
 
+def _byte_budget(value: str) -> int:
+    """An argparse type: a byte count, which must not be negative."""
+    try:
+        budget = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError("a byte budget must not be negative")
+    return budget
+
+
 def _file_path(value: str) -> str:
     """An argparse type: a path, which must not be empty."""
     if not value:
@@ -628,11 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--store-dir", metavar="DIR", default=None,
         help=(
-            "cross-image content-addressed summary store: consult it "
-            "before solving or building a CFG (with --incremental) and "
-            "publish solved summaries and front-end records into it, "
-            "keyed by routine content so linked variants warm each "
-            "other (default: REPRO_SUMMARY_STORE)"
+            "cross-image summary store, a directory of cache-format "
+            "packs: consult it before solving or building a CFG (with "
+            "--incremental) and publish solved summaries and front-end "
+            "records into it, so linked variants warm each other "
+            "(default: REPRO_SUMMARY_STORE)"
         ),
     )
     analyze.add_argument(
@@ -765,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--max-bytes", type=int, default=256 * 1024 * 1024,
+        "--max-bytes", type=_byte_budget, default=256 * 1024 * 1024,
         metavar="N",
         help=(
             "retained-session byte budget; least-recently-used "
@@ -801,9 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument(
         "action", choices=["gc", "stats"],
         help=(
-            "gc: sweep stale temp files and evict least-recently-used "
-            "records down to --max-bytes; stats: print per-grade "
-            "record counts (triples, summaries, frontend) and byte totals"
+            "gc: sweep stale temp files, evict least-recently-used "
+            "packs down to --max-bytes and merge the rest; stats: print "
+            "distinct row counts (triples, summaries), front-end records "
+            "and byte totals"
         ),
     )
     store.add_argument(
@@ -811,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory (default: REPRO_SUMMARY_STORE)",
     )
     store.add_argument(
-        "--max-bytes", type=int, default=None, metavar="N",
+        "--max-bytes", type=_byte_budget, default=None, metavar="N",
         help="byte budget for gc eviction (default: sweep temps only)",
     )
     store.set_defaults(func=_cmd_store)

@@ -46,16 +46,20 @@ from repro.psg.build import PartialPsg, PsgConfig, build_partial_psg
 from repro.psg.graph import ProgramSummaryGraph
 from repro.interproc.flatcore import label_call_return_edges
 from repro.interproc.frontend import Frontend, build_frontend
-from repro.interproc.persist import SUMMARY_BODIES, PackedMap
+from repro.interproc.persist import (
+    SUMMARY_BODIES,
+    PackedMap,
+    RoutineRow,
+    SummaryCache,
+)
 from repro.interproc.phase1 import Phase1Result, run_phase1
 from repro.interproc.phase2 import Phase2Result, run_phase2
 from repro.interproc.store import (
+    StoreView,
     add_exit_seeds,
     component_inputs,
     config_digest,
     open_view,
-    publish_component,
-    publish_frontend_records,
 )
 from repro.interproc.summaries import (
     CallSiteSummary,
@@ -233,25 +237,7 @@ def _analyze_program(
         if view is not None:
             # The store is published to, never consulted: the result keeps
             # the whole-program PSG and its phase solutions.
-            publish_frontend_records(frontend, view)
-            context, summaries = config_digest(config), result.summaries
-            triples = {name: _triple_of(summary) for name, summary in summaries.items()}
-            seeds: Dict[str, int] = {}
-            add_exit_seeds(seeds, frontend, (
-                (name, live_after_masks(summary)) for name, summary in summaries.items()
-            ))
-            external = call_graph.externally_callable
-            for members in frontend.condensation.components:
-                inputs = component_inputs(frontend, members, triples)
-                publish_component(view, context, members, inputs, triples)
-                inputs = {
-                    name: (*inputs[name], (name in external, seeds.get(name, 0)))
-                    for name in members
-                }
-                publish_component(
-                    view, context, members, inputs, summaries=summaries
-                )
-            view.flush()
+            view.publish(_solved_table(frontend, config_digest(config), result, view))
         memory = psg_analysis_memory(
             psg,
             sum(cfg.block_count for cfg in cfgs),
@@ -269,6 +255,40 @@ def _analyze_program(
             metrics=metrics,
             memory_bytes=memory,
         )
+
+
+def _solved_table(
+    frontend: Frontend, context: int, result: SummarySet, view: StoreView
+) -> SummaryCache:
+    """A whole-program solve as the store files it: every routine's row
+    but those of the components ``view`` holds already, and every
+    front-end record."""
+    summaries = result.summaries
+    triples = {name: _triple_of(summary) for name, summary in summaries.items()}
+    live_after = {
+        name: live_after_masks(summary) for name, summary in summaries.items()
+    }
+    seeds: Dict[str, int] = {}
+    add_exit_seeds(seeds, frontend, live_after.items())
+    external = frontend.call_graph.externally_callable
+    rows: Dict[str, RoutineRow] = {}
+    for members in frontend.condensation.components:
+        inputs = {
+            name: (*phase1, (name in external, seeds.get(name, 0)))
+            for name, phase1 in component_inputs(frontend, members, triples).items()
+        }
+        if view.find(context, members, inputs) is None:
+            for name in members:
+                rows[name] = RoutineRow(*inputs[name], triples[name], live_after[name])
+    return SummaryCache(
+        image_fingerprint=0,
+        result=result,
+        rows=rows,
+        frontend_records={
+            record.shape_key: record for record in frontend.records.values()
+        },
+        config_digest=context,
+    )
 
 
 # ----------------------------------------------------------------------

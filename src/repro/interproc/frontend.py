@@ -17,18 +17,19 @@ indirect one, how many blocks it has, which constants it lets escape
 (:class:`repro.cfg.cfg.FrontendRecord`).  All of that is a function of
 the routine's code bytes and its jump tables' routine-relative targets,
 so a 64-bit hash of exactly those bytes (:func:`shape_key`) says
-whether a record still applies.  :func:`build_frontend` takes the
-records of the previous run (they ride in the
-:class:`~repro.interproc.persist.SummaryCache`), re-resolves the sites
-of every routine whose key matches against *this* image's symbol and
-hint tables, and walks only the rest on the spot; ``cfgs`` is a
-:class:`~repro.cfg.build.LazyCfgs`, so a matched routine is walked if
-and when a solver asks for its CFG.  A cold run is the case where no
-record matched.  Because a record depends on nothing but those bytes it is as good in
-any other image that links the same routine body, so the
-cross-image store (:mod:`repro.interproc.store`) files records by shape
-key and :func:`build_frontend` asks it about the routines the previous
-run's records do not cover.
+whether a record still applies.  Every pack
+(:mod:`repro.interproc.persist`) files records by shape key.
+:func:`build_frontend` takes the records of the previous run (they ride
+in the :class:`~repro.interproc.persist.SummaryCache`), re-resolves the
+sites of every routine whose key they hold against *this* image's
+symbol and hint tables, and walks only the rest on the spot; ``cfgs``
+is a :class:`~repro.cfg.build.LazyCfgs`, so a matched routine is walked
+if and when a solver asks for its CFG.  A cold run is the case where no
+record matched.  Because a record depends on nothing but those bytes it
+is as good in any other image that links the same routine body, so
+:func:`build_frontend` asks the cross-image store
+(:mod:`repro.interproc.store`) about the routines the previous run's
+records do not cover.
 """
 
 from __future__ import annotations
@@ -241,16 +242,16 @@ class Frontend:
 
 def build_frontend(
     program: Program,
-    records: Optional[Mapping[str, FrontendRecord]] = None,
+    records: Optional[Mapping[int, FrontendRecord]] = None,
     store: Optional["StoreView"] = None,
 ) -> Frontend:
     """The call graph of ``program`` and as few walks as it takes.
 
-    ``records`` are a previous run's front-end records (any program's:
-    each is used only if its shape key matches the same-named routine
-    here); ``store`` is the run's
+    ``records`` are front-end records by shape key (a previous run's,
+    of any program: each applies to every routine whose body has its
+    key); ``store`` is the run's
     :class:`~repro.interproc.store.StoreView`, asked, by shape key,
-    about each routine ``records`` does not cover (another image may
+    about each routine ``records`` do not cover (another image may
     have linked the same body).  Every routine covered by none of them
     is walked now, in program order.
     """
@@ -258,21 +259,21 @@ def build_frontend(
     matched: Dict[str, FrontendRecord] = {}
     adopted: Set[str] = set()
     missing = 0
-    for routine in program:
-        name = routine.name
-        record = records.get(name) if records else None
-        if record is None:
-            missing += 1
-            if store is None:
-                continue  # nobody to ask: nothing to hash for
-        key = shape_key(routine, tables.get(name, ()))
-        if record is not None and record.shape_key == key:
-            matched[name] = record
-        elif store is not None:
-            record = store.load_frontend(key)
+    if records or store is not None:
+        for routine in program:
+            name = routine.name
+            key = shape_key(routine, tables.get(name, ()))
+            record = records.get(key) if records else None
+            if record is None:
+                missing += 1
+                if store is not None:
+                    record = store.frontend_record(key)
+                    if record is not None:
+                        adopted.add(name)
             if record is not None:
                 matched[name] = record
-                adopted.add(name)
+    else:
+        missing = program.routine_count  # nothing to ask: nothing to hash
     walked = LazyCfgs(program)
     call_graph = build_call_graph(program, walked, matched)
     # Whoever is still unwalked had its sites taken from its record.

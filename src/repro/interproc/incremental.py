@@ -11,36 +11,29 @@ reused exactly when the inputs recorded beside it equal the current
 ones.  Per call-graph SCC component (the condensation):
 
 * the **phase-1 inputs** are the members' names and content
-  fingerprints (a 64-bit CRC over a routine's code bytes, exported
-  flag, jump-table targets and call-site target lists — exactly the
-  inputs its CFG is a function of; see
-  :func:`repro.interproc.frontend.routine_fingerprint`) and the triples
-  of the members' callees outside the component;
+  fingerprints (:func:`repro.interproc.frontend.routine_fingerprint`)
+  and the triples of the members' callees outside the component;
 * the **phase-2 inputs** add each member's externally-callable bit and
   exit seed (the OR of the live-after masks at the calls reaching it
   from outside the component).
 
 Phase 1 walks the components callee-first and phase 2 caller-first,
-one step each: gather the inputs (solving the pending region first if
-they read a member of it), adopt the cache's answers if their recorded
-inputs are equal, else the cross-image store's filed under a crc64 of
-the same inputs (:mod:`repro.interproc.store`), else join the pending
-region.  Dirt therefore stops wherever an answer comes out unchanged,
-and a routine that lost a caller is re-solved only if its exit seed
-moved.  A pending region is solved as one partial PSG
-(:func:`repro.psg.build.build_partial_psg`): callees outside it appear
-as dummy entry nodes pinned at their current triples, and callers
-outside it contribute their return-point liveness as exit seeds.  A
-cold run — this engine against an empty cache — is one region per
-phase.
+one step each (:class:`_Engine`): gather the inputs, adopt the first
+routine table whose rows record them — the sidecar's, then the
+cross-image store's (:mod:`repro.interproc.store`) — else join the
+pending region, solved as one partial PSG
+(:func:`repro.psg.build.build_partial_psg`) with outside callees pinned
+at their triples and outside callers' liveness as exit seeds.  Dirt
+stops wherever an answer comes out unchanged, and a routine that lost
+a caller is re-solved only if its exit seed moved.  A cold run — this
+engine against an empty cache — is one region per phase.
 
 The cache is a :class:`repro.interproc.persist.SummaryCache` (the
-``SUM5`` sidecar): the rows, the summaries, the *front-end records*
-that give this run its call graph without walking unchanged routines
-(:mod:`repro.interproc.frontend`), and the labeled PSG fragment of
-every routine body solved, which a region appends instead of walking
-the routine into a CFG.  So a warm run with zero dirty routines builds
-no CFG, decodes no body and solves nothing.  A cache written under
+``SUM5`` sidecar): rows, summaries, front-end records
+(:mod:`repro.interproc.frontend`) and the labeled PSG fragment of every
+routine body solved, which a region appends instead of walking the
+routine.  So a warm run with zero dirty routines builds no CFG, decodes
+no body and solves nothing.  A cache written under
 another configuration, or one holding a body or fragment that fails to
 decode when read, is set aside and the run solves cold
 (:attr:`IncrementalAnalysis.refused` says why).
@@ -83,11 +76,7 @@ from repro.interproc.store import (
     add_exit_seeds,
     component_inputs,
     config_digest,
-    inputs_key,
     open_view,
-    publish_component,
-    publish_frontend_records,
-    routine_record_key,
 )
 from repro.interproc.summaries import (
     SummarySet,
@@ -277,10 +266,10 @@ class _Engine:
 
     Each component takes one step per phase: gather its inputs (first
     solving the pending region if they read a pending member), adopt
-    the cache's answers if the inputs recorded beside them are equal,
-    else the store's filed under those inputs, else join the pending
-    region.  Only the grouping of the solves — hence the phases'
-    iteration counts — depends on the walk.
+    the first routine table whose rows record those inputs — the
+    cache's, then the store's — else join the pending region.  Only the
+    grouping of the solves — hence the phases' iteration counts —
+    depends on the walk.
     """
 
     def __init__(
@@ -342,13 +331,14 @@ class _Engine:
         #: or adopted from the store (its inputs lead: ``row[:2]``).
         self.rows: Dict[str, RoutineRow] = {}
         #: Summaries solved or adopted from the store by this run.
-        self.fresh: Dict[str, RoutineSummary] = {}
+        self.fresh = PackedMap({}, SUMMARY_BODIES)
+        #: The routines whose row this run solved: what it publishes.
+        self.solved: Set[str] = set()
         #: Exit seeds, folded in from each caller phase 2 is done with.
         self.seeds: Dict[str, int] = {}
-        # Components whose phase-1 inputs equal the cache's, and those
-        # whose grade-1 store lookup missed (their grade 2 cannot hit).
+        # Components whose phase-1 answer was reused or adopted: only
+        # a table that served phase 1 can serve phase 2.
         self._adopted1: Set[int] = set()
-        self._grade1_missed: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Regions
@@ -357,17 +347,16 @@ class _Engine:
     def _take_fragments(self, names: Iterable[str]) -> None:
         """Take the cache's fragment of each of ``names`` whose body it
         holds and whose call sites it fits (counted
-        ``cache.fragment.hit``; ``.stale`` when the routine's body
-        changed or the fragment does not fit, ``.miss`` otherwise)."""
-        held, old_records = self.cache.fragments, self.cache.frontend_records
+        ``cache.fragment.hit``; ``.stale`` when the cache has a row of
+        the routine but no fragment of its body, or the fragment does
+        not fit, ``.miss`` otherwise)."""
+        held, known = self.cache.fragments, self.cache.rows
         records, sites = self.frontend.records, self.call_graph.sites
         hit = stale = miss = 0
         for name in names:
-            shape_key = records[name].shape_key
-            fragment = held.get(shape_key)
+            fragment = held.get(records[name].shape_key)
             if fragment is None:
-                old = old_records.get(name)
-                if old is not None and old.shape_key != shape_key:
+                if name in known:
                     stale += 1
                 else:
                     miss += 1
@@ -390,17 +379,17 @@ class _Engine:
         front-end records, and per routine body the program still has
         the fragment this run labeled, else the cache's."""
         labeled, old = PackedMap.of(self.labeled, FRAGMENTS), self.cache.fragments
-        bodies = dict.fromkeys(
-            record.shape_key for record in self.frontend.records.values()
-        )
+        records = {
+            record.shape_key: record for record in self.frontend.records.values()
+        }
         return SummaryCache(
             image_fingerprint=image_fingerprint,
             result=SummarySet(summaries=summaries),
             rows=rows,
-            frontend_records=self.frontend.records,
+            frontend_records=records,
             config_digest=self.context,
             fragments=packed(
-                (key for key in bodies if key in labeled or key in old),
+                (key for key in records if key in labeled or key in old),
                 labeled, old, FRAGMENTS,
             ),
             table=self.cache.table,
@@ -445,86 +434,81 @@ class _Engine:
         members = self.condensation.members
         return indices, [name for index in indices for name in members(index)]
 
-    def _store_has_seen(self, members: Sequence[str]) -> bool:
-        """Whether the store holds every member's front-end record (as
-        runs that publish answers do): only then is its answer worth
-        solving the pending region for."""
-        records = self.frontend.records
-        return all(
-            self.store.holds_frontend(records[name].shape_key) for name in members
-        )
+    def _flush_if_read(self, members: Sequence[str], neighbours, solve) -> None:
+        """``solve`` the pending region first if ``members``' inputs read
+        one of its members (``neighbours`` of a member)."""
+        pending = self._pending_members
+        if pending and not pending.isdisjoint(
+            other for name in members for other in neighbours(name)
+        ):
+            solve()
 
-    def _adopt_stored(
-        self, grade: int, members: Sequence[str], inputs: Mapping[str, Inputs]
-    ) -> Optional[Dict[str, object]]:
-        """The store's answers for a whole component, filed under its
-        ``inputs`` — triples (grade 1) or summaries (grade 2) — or
-        ``None``: a partial hit is a miss, so the SCC solves (and
-        republishes) as one unit."""
-        key = inputs_key(self.context, members, inputs)
-        load = self.store.load_triple if grade == 1 else self.store.load_summary
-        loaded: Dict[str, object] = {}
-        with span("store.lookup", grade=grade, routines=len(members)):
-            for name in members:
-                loaded[name] = load(routine_record_key(key, name), name)
-                if loaded[name] is None:
-                    return None
-        return loaded
+    def _find(
+        self, members: Sequence[str], inputs: Mapping[str, Inputs]
+    ) -> Optional[SummaryCache]:
+        """The store's table whose rows of ``members`` record ``inputs``
+        (with phase-2 ones, its summaries decoded), or ``None``."""
+        with span("store.lookup", routines=len(members)):
+            found = self.store.find(self.context, members, inputs)
+            summarized = members if len(inputs[members[0]]) > 2 else ()
+            if found is not None and self.store.use(found, summarized):
+                return found[1]
+        return None
 
     # ------------------------------------------------------------------
     # Phase 1 — callee-first, pinned external entries
     # ------------------------------------------------------------------
 
     def _run_phase1(self) -> None:
-        callees_of, old = self.call_graph.callees_of, self.cache.rows
+        old, store = self.cache.rows, self.store
         fingerprints = self.frontend.fingerprints
-        reused = adopted = 0
+        reused = adopted = missed = 0
         for index, members in enumerate(self.condensation.components):
             if self.phase1_scope is not None and index not in self.phase1_scope:
                 continue
-            # The cheap half of the inputs first: a member whose
-            # fingerprint moved leaves only the store to ask.
+            # The cheap half of the inputs first: only a table with a
+            # row of every member under its fingerprint can serve it.
             recorded = all(
                 name in old and old[name].fingerprint == fingerprints[name]
                 for name in members
             )
-            if not recorded and self.store is None:
-                self._join(index, members)
-                continue
-            pending = self._pending_members
-            if pending and not pending.isdisjoint(
-                callee for name in members for callee in callees_of(name)
-            ):
-                if not recorded and not self._store_has_seen(members):
-                    # No store answer to wait for: solve it with them.
-                    self._grade1_missed.add(index)
-                    self._join(index, members)
+            stored = store is not None and store.holds(members, fingerprints)
+            if recorded or stored:
+                self._flush_if_read(
+                    members, self.call_graph.callees_of, self._solve_phase1
+                )
+                inputs = component_inputs(self.frontend, members, self.triples)
+                if recorded and all(
+                    old[name].callees == inputs[name][1] for name in members
+                ):
+                    for name in members:
+                        row = self.rows[name] = old[name]
+                        self.triples[name] = row.triple
+                    self._adopted1.add(index)
+                    reused += len(members)
                     continue
-                self._solve_phase1()
-            inputs = component_inputs(self.frontend, members, self.triples)
-            if recorded and all(
-                old[name].callees == inputs[name][1] for name in members
-            ):
-                for name in members:
-                    row = self.rows[name] = old[name]
-                    self.triples[name] = row.triple
-                self._adopted1.add(index)
-                reused += len(members)
-                continue
-            stored = self.store is not None and self._adopt_stored(
-                1, members, inputs
-            )
-            if stored:
-                self._phase1_answers(inputs, stored)
-                adopted += len(members)
-                continue
-            self._grade1_missed.add(index)
+                table = stored and self._find(members, inputs)
+                if table:
+                    self._phase1_answers(
+                        inputs, {name: table.rows[name].triple for name in members}
+                    )
+                    self._adopted1.add(index)
+                    adopted += len(members)
+                    continue
+                if stored:
+                    missed += len(members)
             self._join(index, members)
         self._solve_phase1()
         # Once per walk: a labeled inc per component costs ~6 % of a
         # warm query.
         REGISTRY.inc("engine.reused", reused, phase="phase1")
-        REGISTRY.inc("engine.adopted", adopted, phase="phase1")
+        self._count_adopted("phase1", adopted, missed)
+
+    def _count_adopted(self, phase: str, adopted: int, missed: int) -> None:
+        REGISTRY.inc("engine.adopted", adopted, phase=phase)
+        if self.store is not None:
+            REGISTRY.inc("store.hit", adopted)
+            REGISTRY.inc("store.miss", missed)
 
     def _phase1_answers(
         self, inputs: Mapping[str, Inputs], triples: Mapping[str, SummaryTriple]
@@ -553,59 +537,64 @@ class _Engine:
             self.triples[name] = solution.entry_triple(region.psg, name)
         for index in indices:
             component = self.condensation.members(index)
-            inputs = component_inputs(self.frontend, component, self.triples)
             self._phase1_answers(
-                inputs, {name: self.triples[name] for name in component}
+                component_inputs(self.frontend, component, self.triples),
+                {name: self.triples[name] for name in component},
             )
-            if self.store is not None:
-                publish_component(
-                    self.store, self.context, component, inputs, self.triples
-                )
+        self.solved.update(members)
 
     # ------------------------------------------------------------------
     # Phase 2 — caller-first, seeded exits
     # ------------------------------------------------------------------
 
     def _run_phase2(self) -> None:
-        callers_of, old = self.call_graph.callers_of, self.cache.rows
-        reused = adopted = 0
+        old, store = self.cache.rows, self.store
+        fingerprints = self.frontend.fingerprints
+        reused = adopted = missed = 0
         for index in range(len(self.condensation.components) - 1, -1, -1):
             if self.phase2_scope is not None and index not in self.phase2_scope:
                 continue
             members = self.condensation.members(index)
-            recorded = index in self._adopted1 and all(
-                old[name].phase2 is not None for name in members
-            )
-            lookup = self.store is not None and index not in self._grade1_missed
-            if recorded or lookup:
-                # The exit seeds read the outside callers' final
-                # liveness: they must be solved.
-                pending = self._pending_members
-                if pending and not pending.isdisjoint(
-                    caller for name in members for caller, _site in callers_of(name)
-                ):
-                    self._solve_phase2()
-                phase2 = self._phase2_inputs(members)
-                if recorded and all(
-                    old[name].phase2 == phase2[name] for name in members
-                ):
-                    self._fold_seeds(members)
-                    reused += len(members)
-                    continue
-                if lookup:
+            if index in self._adopted1:
+                # Phase 1 took the cache's very rows, or none can match.
+                recorded = all(
+                    self.rows[name] is old.get(name)
+                    and old[name].phase2 is not None
+                    for name in members
+                )
+                stored = store is not None and store.holds(members, fingerprints)
+                if recorded or stored:
+                    # The exit seeds read the outside callers' final
+                    # liveness: they must be solved.
+                    self._flush_if_read(members, self._callers, self._solve_phase2)
+                    phase2 = self._phase2_inputs(members)
+                    if recorded and all(
+                        old[name].phase2 == phase2[name] for name in members
+                    ):
+                        self._fold_seeds(members)
+                        reused += len(members)
+                        continue
                     inputs = {
-                        name: (*self.rows[name][:2], phase2[name]) for name in members
+                        name: (*self.rows[name][:2], phase2[name])
+                        for name in members
                     }
-                    stored = self._adopt_stored(2, members, inputs)
-                    if stored:
-                        self._phase2_answers(stored, phase2)
+                    table = stored and self._find(members, inputs)
+                    if table:
+                        for name in members:
+                            self.rows[name] = table.rows[name]
+                            self.fresh.share(name, table.result.summaries)
                         self._fold_seeds(members)
                         adopted += len(members)
                         continue
+                    if stored:
+                        missed += len(members)
             self._join(index, members)
         self._solve_phase2()
         REGISTRY.inc("engine.reused", reused, phase="phase2")
-        REGISTRY.inc("engine.adopted", adopted, phase="phase2")
+        self._count_adopted("phase2", adopted, missed)
+
+    def _callers(self, name: str) -> Iterable[str]:
+        return (caller for caller, _site in self.call_graph.callers_of(name))
 
     def _phase2_inputs(self, members: Sequence[str]) -> Dict[str, Tuple[bool, int]]:
         """Each member's externally-callable bit and folded exit seed."""
@@ -617,18 +606,6 @@ class _Engine:
             self.seeds, self.frontend,
             ((name, self.rows[name].live_after) for name in names),
         )
-
-    def _phase2_answers(
-        self,
-        summaries: Mapping[str, RoutineSummary],
-        phase2: Mapping[str, Tuple[bool, int]],
-    ) -> None:
-        for name, summary in summaries.items():
-            self.fresh[name] = summary
-            self.rows[name] = RoutineRow(
-                *self.rows[name][:2], phase2[name], self.triples[name],
-                live_after_masks(summary),
-            )
 
     def _solve_phase2(self) -> None:
         """Solve the pending region's phase 2 and assemble its members'
@@ -665,31 +642,28 @@ class _Engine:
             fresh = region_summaries(
                 region.psg, members, self._saved, phase1, solution.may_use
             )
+        live_after = {
+            name: live_after_masks(summary) for name, summary in fresh.items()
+        }
         # Each row records its component's seeds, not the region's:
         # fold in the callers inside the region first.
-        add_exit_seeds(
-            self.seeds, self.frontend,
-            ((name, live_after_masks(summary)) for name, summary in fresh.items()),
-        )
+        add_exit_seeds(self.seeds, self.frontend, live_after.items())
         for index in indices:
             component = self.condensation.members(index)
-            phase2 = self._phase2_inputs(component)
-            self._phase2_answers({name: fresh[name] for name in component}, phase2)
-            if self.store is not None:
-                inputs = {
-                    name: (*self.rows[name][:2], phase2[name]) for name in component
-                }
-                publish_component(
-                    self.store, self.context, component, inputs,
-                    summaries=self.fresh,
+            for name, phase2 in self._phase2_inputs(component).items():
+                self.fresh.share(name, fresh)
+                self.rows[name] = RoutineRow(
+                    *self.rows[name][:2], phase2, self.triples[name],
+                    live_after[name],
                 )
+        self.solved.update(members)
 
     # ------------------------------------------------------------------
 
     def solve(self) -> None:
         """Run both phases over the configured component scopes without
-        assembling a program-wide result, then publish the front-end
-        records the run derived to the store.
+        assembling a program-wide result, then publish what the run
+        solved to the store.
 
         The demand engine (:mod:`repro.interproc.demand`) uses this
         with scopes set: afterwards ``self.rows`` holds the rows of
@@ -699,8 +673,20 @@ class _Engine:
         self._run_phase1()
         self._run_phase2()
         if self.store is not None:
-            publish_frontend_records(self.frontend, self.store)
-            self.store.flush()
+            # A reused front-end record is not offered: it was read from
+            # a pack, whose writer published it when it built the CFG.
+            reused = self.frontend.reused
+            self.store.publish(SummaryCache(
+                image_fingerprint=0,
+                result=SummarySet(summaries=self.fresh),
+                rows={name: self.rows[name] for name in self.solved},
+                frontend_records={
+                    record.shape_key: record
+                    for name, record in self.frontend.records.items()
+                    if name not in reused
+                },
+                config_digest=self.context,
+            ))
 
     def run(self) -> SummarySet:
         self.solve()

@@ -1,27 +1,22 @@
-"""Persist routine summaries to a sidecar file.
+"""Persist routine summaries next to the binary, in two formats.
 
-A production post-link optimizer does not reanalyze the world on every
-invocation: it writes the interprocedural summaries next to the binary
-and reloads them while the binary is unchanged.  This module provides
-two sidecar formats:
-
-* **SUM1** — a compact, versioned binary serialization of an
+* **SUM1** — a compact, versioned serialization of an
   :class:`~repro.interproc.summaries.SummarySet`, keyed by a
-  fingerprint of the executable image so a stale sidecar is rejected
+  fingerprint of the executable image so a stale file is rejected
   wholesale;
-* **SUM5** — the incremental-analysis cache (:class:`SummaryCache`):
-  an indexed pack (:class:`PackFormat`, the summary store's frame under
-  its own magic) holding a routine table — per routine a
-  :class:`RoutineRow`, its answer with the inputs it was solved from —
-  the summaries, the *front-end records* that let the next run derive
-  its call graph without building CFGs
-  (:class:`repro.cfg.cfg.FrontendRecord`), the configuration digest of
-  the writing run, and one labeled PSG fragment per routine body
-  (:class:`repro.psg.build.PsgFragment`), which lets the next run
-  re-solve an unchanged routine without walking or labeling it.
-  ``SUM2``, ``SUM3`` and ``SUM4`` were earlier layouts of this cache;
-  such a file has a bad magic now, and its readers start cold and
-  rewrite it.
+* **SUM5** — the one *pack* format every cached answer lives in: the
+  incremental sidecar (:func:`dump_cache` / :func:`load_cache`, one
+  :class:`SummaryCache`) and each pack of the cross-image store
+  (:mod:`repro.interproc.store`).  A pack holds routine tables — per
+  routine a :class:`RoutineRow`, its answer with the inputs it was
+  solved from — the summaries, the front-end records that give the
+  next run its call graph without CFGs
+  (:class:`repro.cfg.cfg.FrontendRecord`), and optionally the labeled
+  PSG fragment of each routine body
+  (:class:`repro.psg.build.PsgFragment`).  Earlier sidecar layouts
+  (``SUM2`` to ``SUM4``, SUM5 version 1) and the store's former packs
+  fail the magic or version check: a sidecar starts cold, a store pack
+  misses and is unlinked.
 
 SUM1 layout (little-endian)::
 
@@ -30,10 +25,11 @@ SUM1 layout (little-endian)::
       u16 name_len | name utf-8
       <summary body>
 
-SUM5 layout: a pack (see :class:`PackFormat`) with magic ``"SUM5"``,
-version 1, whose slots ``(grade, key)`` are::
+SUM5 layout: a pack (:func:`encode_pack`), magic ``"SUM5"``, version 2,
+whose slots ``(grade, key)`` are::
 
-    (1, 0)  routine table, n routines in name order, column by column:
+    (1, t)  the t-th routine table, n routines in name order, column by
+            column:
               u64 image_fingerprint | u64 config_digest | u32 n
               n x (u16 name_len | name utf-8)
               n x (u64 routine_fingerprint
@@ -47,9 +43,9 @@ version 1, whose slots ``(grade, key)`` are::
                                       1 + the target's triple's index)
               per summarized routine, target_count x u64
                                      (each target's site's live-after mask)
-    (2, i)  the summary body of the table's i-th routine, if summarized
-    (4, 0)  front-end records: u32 count | per record:
-              u16 name_len | name utf-8
+    (2, t << 32 | i)  the summary body of table t's i-th routine, if
+            summarized
+    (4, 0)  front-end records in shape-key order: u32 count | per record:
               u64 shape_key | u32 block_count
               u32 site_count | per site:
                 u32 block | u32 instruction_index
@@ -65,21 +61,20 @@ version 1, whose slots ``(grade, key)`` are::
               edge_count x u32 source | edge_count x u32 target
               edge_count x u32 label
 
+A sidecar, and every pack a run publishes, holds one table; the store's
+``gc`` merges packs into one with a table per run it merged, because a
+component's answer is only adopted from rows one run solved together.
 A row without the summarized flag is a phase-1-only answer (a demand
 query validated the routine's triple but not its liveness); its exit
-seed is 0.  The table and record slots are mandatory;
-a summarized routine without a body, or a body no summarized row
-claims, is malformed.  A record is keyed by
-routine name like everything else but validated by its own
-``shape_key``, not by the routine fingerprint: it stays good across
-edits that change whom the routine calls or whether it is exported.
-Records that no CFG could have produced (no blocks, sites out of order
-or past the last block, a constant on a direct call) are rejected here;
-whether a well-formed record fits the routine it names is checked where
-it is used (:func:`repro.cfg.build.recorded_call_sites`).  A fragment
-is filed under a shape key, so it applies to any routine with that
-body; the configuration digest scopes it (and everything else in the
-sidecar) to the configuration it was built under.
+seed is 0.  Table 0 and the record section are mandatory; a summarized
+routine without a body, or a body no summarized row claims, is
+malformed.  Records and fragments are filed by shape key, so they stay
+good across edits that change whom a routine calls and in any image
+that links the same body.  Records no CFG could have produced are
+rejected here; whether a well-formed one fits a routine is checked
+where it is used (:func:`repro.cfg.build.recorded_call_sites`).  A
+table's configuration digest scopes its rows, and a sidecar's scopes
+everything in it, to the configuration they were solved under.
 
 Shared summary body::
 
@@ -91,8 +86,8 @@ Shared summary body::
       u16 target_count | per target: u16 len | utf-8
       u64 used | u64 defined | u64 killed | u64 live_before | u64 live_after
 
-**What is read when.**  :func:`load_cache` checks the frame, the
-checksum and the index, and decodes the routine table — everything a
+**What is read when.**  :func:`read_pack` checks the frame, the
+checksum and the index, and decodes the routine tables — everything a
 run compares or reads, so no run decodes a body — and the records:
 every malformed prefix, bad magic, invalid UTF-8 name, unknown flag or
 mask wider than the register file raises :class:`SummaryFormatError`,
@@ -115,8 +110,8 @@ from functools import lru_cache
 from itertools import chain, count, repeat
 from operator import and_, invert, sub
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
-    Optional, Tuple,
+    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from repro.cfg.cfg import CallSite, ExitKind, FrontendRecord, RecordedSite
@@ -148,6 +143,8 @@ _RECORD_SITE = struct.Struct("<IIB")
 #: Routine table: image fingerprint, config digest, routine count.
 _TABLE_HEAD = struct.Struct("<QQI")
 _TABLE_KEYS = struct.Struct("<QQ")
+#: A summary body's slot key: its table's index above its row's ordinal.
+_TABLE_SHIFT = 32
 #: Routine table row: fingerprint, flags, triple index, call-target
 #: count, exit seed.
 _ROW = struct.Struct("<QBIIQ")
@@ -281,15 +278,6 @@ class _Reader:
 
     def i64(self) -> int:
         return self._unpack(_I64)
-
-    def masks(self, spec: struct.Struct) -> tuple:
-        """``spec``'s fields, every one of them a register mask."""
-        values = self.fields(spec)
-        _check_masks(values)
-        return values
-
-    def mask(self) -> int:
-        return self.masks(_U64)[0]
 
     def take(self, count: int) -> bytes:
         """The next ``count`` bytes."""
@@ -478,6 +466,16 @@ def _check_fingerprint(fingerprint: int, expected: int) -> None:
 #: A record's place in a pack: ``(grade, key)``.
 Slot = Tuple[int, int]
 
+#: Pack slot grades (the ``u8`` of an index entry).
+GRADE_TABLE = 1
+GRADE_BODY = 2
+GRADE_RECORDS = 4
+GRADE_FRAGMENT = 5
+_GRADES = frozenset((GRADE_TABLE, GRADE_BODY, GRADE_RECORDS, GRADE_FRAGMENT))
+
+PACK_MAGIC = b"SUM5"
+PACK_VERSION = 2
+
 #: Magic, version, crc64 of the body.
 _PACK_HEADER = struct.Struct("<4sBQ")
 _PACK_COUNT = struct.Struct("<I")
@@ -490,78 +488,59 @@ def pack_checksum(blob: bytes) -> int:
     return _PACK_HEADER.unpack_from(blob)[2]
 
 
-@dataclass(frozen=True)
-class PackFormat:
-    """One kind of *pack*: byte records filed under ``(grade, key)``
-    slots behind a checksum and a sorted index, so a reader checks the
-    whole file once and then finds any record without parsing the
-    others::
+def encode_pack(records: Mapping[Slot, bytes]) -> bytes:
+    """One pack holding ``records`` (record bodies by slot)::
 
         magic | u8 version | u64 crc64(body) | body
         body = u32 n | n x (u8 grade, u64 key, u32 offset, u32 length)
              | record bodies        (offsets from the first record body)
-
-    The summary store's packs and the incremental sidecar are the two
-    kinds; their magics differ, so neither is ever read as the other.
     """
+    slots = sorted(records)
+    parts = [_PACK_COUNT.pack(len(slots))]
+    offset = 0
+    for grade, key in slots:
+        length = len(records[grade, key])
+        parts.append(_PACK_ENTRY.pack(grade, key, offset, length))
+        offset += length
+    parts.extend(records[slot] for slot in slots)
+    body = b"".join(parts)
+    return _PACK_HEADER.pack(PACK_MAGIC, PACK_VERSION, crc64(body)) + body
 
-    magic: bytes
-    version: int
-    grades: FrozenSet[int]
-    #: What a :class:`SummaryFormatError` calls a file of this kind.
-    what: str
 
-    def encode(self, records: Mapping[Slot, bytes]) -> bytes:
-        """One pack holding ``records`` (record bodies by slot)."""
-        slots = sorted(records)
-        parts = [_PACK_COUNT.pack(len(slots))]
-        offset = 0
-        for grade, key in slots:
-            length = len(records[grade, key])
-            parts.append(_PACK_ENTRY.pack(grade, key, offset, length))
-            offset += length
-        parts.extend(records[slot] for slot in slots)
-        body = b"".join(parts)
-        return _PACK_HEADER.pack(self.magic, self.version, crc64(body)) + body
+def decode_pack(blob: bytes) -> List[Tuple[int, int, int, int]]:
+    """Check a pack's frame, checksum and index; its entries as
+    ``(grade, key, start, end)`` with ``blob[start:end]`` the record.
 
-    def decode(self, blob: bytes) -> List[Tuple[int, int, int, int]]:
-        """Check a pack's frame, checksum and index; its entries as
-        ``(grade, key, start, end)`` with ``blob[start:end]`` the record.
-
-        Raises :class:`SummaryFormatError` for anything but a pack of
-        this kind and version, so nothing in it is read unchecked.
-        """
-        what = self.what
-        _check_header(blob, self.magic)
-        index = _PACK_HEADER.size + _PACK_COUNT.size
-        if len(blob) < index:
-            raise SummaryFormatError(f"truncated {what} header")
-        _magic, version, checksum = _PACK_HEADER.unpack_from(blob)
-        if version != self.version:
-            raise SummaryFormatError(f"unsupported {what} v{version}")
-        if crc64(blob[_PACK_HEADER.size:]) != checksum:
-            raise SummaryFormatError(f"{what} checksum mismatch")
-        (count,) = _PACK_COUNT.unpack_from(blob, _PACK_HEADER.size)
-        base = index + count * _PACK_ENTRY.size
-        if base > len(blob):
-            raise SummaryFormatError(f"truncated {what} index")
-        entries: List[Tuple[int, int, int, int]] = []
-        previous: Slot = (0, 0)  # below every grade
-        grades = self.grades
-        for grade, key, offset, length in _PACK_ENTRY.iter_unpack(
-            blob[index:base]
-        ):
-            if grade not in grades:
-                raise SummaryFormatError(f"unknown {what} record grade {grade}")
-            if (grade, key) <= previous:
-                raise SummaryFormatError(f"{what} index out of order")
-            previous = (grade, key)
-            start = base + offset
-            end = start + length
-            if end > len(blob):
-                raise SummaryFormatError(f"{what} entry points past the body")
-            entries.append((grade, key, start, end))
-        return entries
+    Raises :class:`SummaryFormatError` for anything but a pack of this
+    version, so nothing in it is read unchecked.
+    """
+    _check_header(blob, PACK_MAGIC)
+    index = _PACK_HEADER.size + _PACK_COUNT.size
+    if len(blob) < index:
+        raise SummaryFormatError("truncated pack header")
+    _magic, version, checksum = _PACK_HEADER.unpack_from(blob)
+    if version != PACK_VERSION:
+        raise SummaryFormatError(f"unsupported pack v{version}")
+    if crc64(blob[_PACK_HEADER.size:]) != checksum:
+        raise SummaryFormatError("pack checksum mismatch")
+    (count,) = _PACK_COUNT.unpack_from(blob, _PACK_HEADER.size)
+    base = index + count * _PACK_ENTRY.size
+    if base > len(blob):
+        raise SummaryFormatError("truncated pack index")
+    entries: List[Tuple[int, int, int, int]] = []
+    previous: Slot = (0, 0)  # below every grade
+    for grade, key, offset, length in _PACK_ENTRY.iter_unpack(blob[index:base]):
+        if grade not in _GRADES:
+            raise SummaryFormatError(f"unknown pack record grade {grade}")
+        if (grade, key) <= previous:
+            raise SummaryFormatError("pack index out of order")
+        previous = (grade, key)
+        start = base + offset
+        end = start + length
+        if end > len(blob):
+            raise SummaryFormatError("pack entry points past the body")
+        entries.append((grade, key, start, end))
+    return entries
 
 
 # ----------------------------------------------------------------------
@@ -642,21 +621,25 @@ class PackedMap(Mapping):
             body = cell.body = self._codec.encode(cell.value)
         return body
 
+    def share(self, key, source: Mapping) -> None:
+        """Hold ``source``'s value for ``key``: its very cell when
+        ``source`` is a :class:`PackedMap`, so nothing is built or
+        decoded here."""
+        self._cells[key] = (
+            source._cells[key] if isinstance(source, PackedMap)
+            else _Packed(source[key])
+        )
+
 
 def packed(
     keys: Iterable, fresh: Mapping, base: Mapping, codec: _Codec
 ) -> PackedMap:
     """``keys`` mapped to ``fresh``'s value where it has one, else to
-    ``base``'s — sharing the cell of either when it is a
-    :class:`PackedMap`, so nothing is built or decoded here."""
-    cells: Dict[Any, _Packed] = {}
+    ``base``'s (see :meth:`PackedMap.share`)."""
+    result = PackedMap({}, codec)
     for key in keys:
-        source = fresh if key in fresh else base
-        cells[key] = (
-            source._cells[key] if isinstance(source, PackedMap)
-            else _Packed(source[key])
-        )
-    return PackedMap(cells, codec)
+        result.share(key, fresh if key in fresh else base)
+    return result
 
 
 def _packed_body(values: Mapping, key, codec: _Codec) -> Tuple[bytes, bool]:
@@ -796,14 +779,9 @@ def dump_summaries(result: SummarySet, fingerprint: int = 0) -> bytes:
         summaries = result.summaries
         names = sorted(summaries)
         writer.u32(len(names))
-        if isinstance(summaries, PackedMap):
-            for name in names:
-                writer.text(name)
-                writer.parts.append(summaries.body(name)[0])
-        else:
-            for name in names:
-                writer.text(name)
-                _write_summary_body(writer.parts, summaries[name])
+        for name in names:
+            writer.text(name)
+            writer.parts.append(_packed_body(summaries, name, SUMMARY_BODIES)[0])
         blob = writer.blob()
     REGISTRY.inc("sidecar.write")
     REGISTRY.inc("sidecar.write_bytes", len(blob))
@@ -836,22 +814,8 @@ def load_summaries(
 
 
 # ----------------------------------------------------------------------
-# SUM5: the incremental-analysis cache
+# SUM5: the one pack format — the incremental sidecar and the store
 # ----------------------------------------------------------------------
-
-
-#: Sidecar slot grades (the ``u8`` of an index entry).
-GRADE_TABLE = 1
-GRADE_BODY = 2
-GRADE_RECORDS = 4
-GRADE_FRAGMENT = 5
-
-SIDECAR = PackFormat(
-    magic=b"SUM5",
-    version=1,
-    grades=frozenset((GRADE_TABLE, GRADE_BODY, GRADE_RECORDS, GRADE_FRAGMENT)),
-    what="sidecar",
-)
 
 
 class RoutineRow(NamedTuple):
@@ -873,29 +837,24 @@ class RoutineRow(NamedTuple):
 
 @dataclass
 class SummaryCache:
-    """A warm-start cache: one :class:`RoutineRow` per routine whose
-    triple some run solved or adopted, the summaries of exactly the
-    rows that carry phase-2 inputs (``result.summaries``, possibly a
-    :class:`PackedMap` whose bodies decode on first read), and the
-    front end's by-products.
+    """One routine table: a :class:`RoutineRow` per routine whose triple
+    some run solved or adopted, the summaries of exactly the rows that
+    carry phase-2 inputs (``result.summaries``, possibly a
+    :class:`PackedMap` whose bodies decode on first read), and the front
+    end's by-products.
 
-    ``frontend_records`` are the writing run's
-    :attr:`repro.interproc.frontend.Frontend.records`: per routine,
-    what the next run needs to rebuild the call graph without that
-    routine's CFG.  Each is scoped by its own shape key, independently
-    of the rows.  ``fragments`` are the labeled PSG fragments of routine
-    bodies, by shape key.
-
+    ``frontend_records`` and ``fragments`` are by shape key: what a run
+    needs to find a routine body's call sites, and to re-solve it,
+    without walking it; each is scoped by its own key, not by the rows.
     ``config_digest`` is :func:`repro.interproc.store.config_digest` of
-    the configuration the writing run solved under; a run under another
-    configuration does not use the cache.  It is 0 for a cache no run
-    wrote.
+    the configuration the writing run solved under (0 for a cache no
+    run wrote); a run under another one does not use the table.
     """
 
     image_fingerprint: int
     result: SummarySet
     rows: Dict[str, RoutineRow] = field(default_factory=dict)
-    frontend_records: Dict[str, FrontendRecord] = field(default_factory=dict)
+    frontend_records: Mapping[int, FrontendRecord] = field(default_factory=dict)
     config_digest: int = 0
     fragments: Mapping[int, PsgFragment] = field(default_factory=dict)
     #: A loaded table's rows and its bytes after the two keys: a dump
@@ -987,6 +946,9 @@ def _decode_table(reader: _Reader) -> Tuple[int, int, Dict[str, RoutineRow]]:
     """A routine table's image fingerprint, config digest and rows."""
     fingerprint, digest, count = reader.fields(_TABLE_HEAD)
     names = [reader.text() for _ in range(count)]
+    if any(map(str.__ge__, names, names[1:])):
+        # A body's slot is its row's place in name order.
+        raise SummaryFormatError("routine table names out of name order")
     heads = list(_ROW.iter_unpack(reader.take(_ROW.size * count)))
     values = reader.array("Q", 3 * reader.u32())
     triples = iter(values)
@@ -1018,115 +980,164 @@ def _decode_table(reader: _Reader) -> Tuple[int, int, Dict[str, RoutineRow]]:
             sites[site_at:site_end],
         )
         target_at, site_at = target_end, site_end
-    if len(rows) != count:
-        raise SummaryFormatError("routine table names a routine twice")
     return fingerprint, digest, rows
 
 
-def dump_cache(cache: SummaryCache) -> bytes:
-    """Serialize a :class:`SummaryCache` as a SUM5 sidecar (summary
-    bodies and fragments a :class:`PackedMap` holds as bytes are copied,
-    not re-encoded)."""
-    summaries = cache.result.summaries
-    rows = cache.rows
-    with span("cache.dump", routines=len(rows)):
-        names = sorted(rows)
-        loaded = cache.table
-        if loaded is not None and len(loaded[0]) == len(rows) and all(
-            rows.get(name) is row for name, row in loaded[0].items()
-        ):
-            table = _TABLE_KEYS.pack(cache.image_fingerprint, cache.config_digest)
-            table += loaded[1]
-        else:
-            table = _encode_table(cache, names)
-        records: Dict[Slot, bytes] = {(GRADE_TABLE, 0): table}
-        spliced = 0
-        for ordinal, name in enumerate(names):
-            if rows[name].phase2 is not None:
-                records[GRADE_BODY, ordinal], copied = _packed_body(
-                    summaries, name, SUMMARY_BODIES
-                )
-                spliced += copied
-        frontend = _Writer()
-        record_names = sorted(cache.frontend_records)
-        frontend.u32(len(record_names))
-        for name in record_names:
-            frontend.text(name)
-            _write_record(frontend, cache.frontend_records[name])
-        records[GRADE_RECORDS, 0] = frontend.blob()
-        fragments = cache.fragments
-        for key in fragments:
-            records[GRADE_FRAGMENT, key] = _packed_body(fragments, key, FRAGMENTS)[0]
-        blob = SIDECAR.encode(records)
-    REGISTRY.inc("cache.write")
-    REGISTRY.inc("cache.write_bytes", len(blob))
-    REGISTRY.inc("cache.body.spliced", spliced)
-    _log.debug("dumped SUM5 cache: %d routines, %d bytes", len(names), len(blob))
-    return blob
+def _records_section(records: Mapping[int, FrontendRecord]) -> bytes:
+    writer = _Writer()
+    writer.u32(len(records))
+    for key in sorted(records):
+        _write_record(writer, records[key])
+    return writer.blob()
 
 
-def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
-    """Parse a SUM5 cache sidecar; rejects stale image fingerprints.
+def _read_records(reader: _Reader) -> Dict[int, FrontendRecord]:
+    records: Dict[int, FrontendRecord] = {}
+    previous = -1
+    for _ in range(reader.u32()):
+        record = _read_record(reader)
+        if record.shape_key <= previous:
+            raise SummaryFormatError("front-end records out of order")
+        previous = record.shape_key
+        records[previous] = record
+    reader.expect_end()
+    return records
+
+
+def _table_slots(slots: Dict[Slot, bytes], index: int, cache: SummaryCache) -> int:
+    """File ``cache``'s routine table and summary bodies in ``slots`` as
+    a pack's ``index``-th table; how many bodies were copied as bytes."""
+    rows, summaries = cache.rows, cache.result.summaries
+    names = sorted(rows)
+    loaded = cache.table
+    if loaded is not None and len(loaded[0]) == len(rows) and all(
+        rows.get(name) is row for name, row in loaded[0].items()
+    ):
+        table = _TABLE_KEYS.pack(cache.image_fingerprint, cache.config_digest)
+        table += loaded[1]
+    else:
+        table = _encode_table(cache, names)
+    slots[GRADE_TABLE, index] = table
+    base = index << _TABLE_SHIFT
+    spliced = 0
+    for ordinal, name in enumerate(names):
+        if rows[name].phase2 is not None:
+            slots[GRADE_BODY, base | ordinal], copied = _packed_body(
+                summaries, name, SUMMARY_BODIES
+            )
+            spliced += copied
+    return spliced
+
+
+def pack_slots(
+    tables: Sequence[SummaryCache],
+    records: Mapping[int, FrontendRecord],
+    fragments: Mapping[int, PsgFragment],
+) -> Tuple[Dict[Slot, bytes], int]:
+    """The slots of one pack of ``tables`` (in order), ``records`` and
+    ``fragments``, and how many summary bodies they copy as bytes (see
+    :class:`PackedMap`) rather than encode."""
+    slots: Dict[Slot, bytes] = {(GRADE_RECORDS, 0): _records_section(records)}
+    spliced = sum(
+        _table_slots(slots, index, table) for index, table in enumerate(tables)
+    )
+    for key in fragments:
+        slots[GRADE_FRAGMENT, key] = _packed_body(fragments, key, FRAGMENTS)[0]
+    return slots, spliced
+
+
+def read_pack(blob: bytes) -> List[SummaryCache]:
+    """Every routine table of a pack, in order, each holding the pack's
+    front-end records and fragments.
 
     Checks the frame, the checksum and the index, and decodes the
-    routine table and the records; summary bodies and fragments are
-    decoded when first read (see the module docstring).  As with
-    :func:`load_summaries`, ``expected_fingerprint=0`` skips the
-    whole-image staleness check — the incremental engine compares each
-    component's recorded inputs, so a stale image is *not* an error for
-    it, just a cache some of whose rows no longer apply.
+    tables and the records; summary bodies and fragments are decoded
+    when first read (see the module docstring).
     """
-    with span("cache.load", bytes=len(blob)):
-        slots: Dict[Slot, Tuple[int, int]] = {}
-        bodies = 0
-        fragments: Dict[int, _Packed] = {}
-        for grade, key, start, end in SIDECAR.decode(blob):
-            if grade == GRADE_FRAGMENT:
-                fragments[key] = _Packed(None, blob[start:end], True)
-            else:
-                slots[grade, key] = (start, end)
-                bodies += grade == GRADE_BODY
-        names: Dict[bytes, str] = {}
+    slots: Dict[Slot, Tuple[int, int]] = {}
+    fragments: Dict[int, _Packed] = {}
+    bodies = 0
+    for grade, key, start, end in decode_pack(blob):
+        if grade == GRADE_FRAGMENT:
+            fragments[key] = _Packed(None, blob[start:end], True)
+        else:
+            slots[grade, key] = (start, end)
+            bodies += grade == GRADE_BODY
+    names: Dict[bytes, str] = {}
 
-        def slot(grade: int, what: str) -> _Reader:
-            found = slots.get((grade, 0))
-            if found is None:
-                raise SummaryFormatError(f"sidecar has no {what}")
-            reader = _Reader(blob[found[0]:found[1]])
-            reader.names = names
-            return reader
+    def reader(slot: Slot, what: str) -> _Reader:
+        found = slots.get(slot)
+        if found is None:
+            raise SummaryFormatError(f"pack has no {what}")
+        section = _Reader(blob[found[0]:found[1]])
+        section.names = names
+        return section
 
-        table = slot(GRADE_TABLE, "routine table")
+    records = _read_records(reader((GRADE_RECORDS, 0), "record section"))
+    fragment_map = PackedMap(fragments, FRAGMENTS)
+    tables: List[SummaryCache] = []
+    claimed = 0
+    for index in range(max(1, sum(grade == GRADE_TABLE for grade, _ in slots))):
+        table = reader((GRADE_TABLE, index), "routine table")
         fingerprint, digest, rows = _decode_table(table)
-        _check_fingerprint(fingerprint, expected_fingerprint)
+        base = index << _TABLE_SHIFT
         cells: Dict[str, _Packed] = {}
         for ordinal, (name, row) in enumerate(rows.items()):
             if row.phase2 is None:
                 continue
-            found = slots.get((GRADE_BODY, ordinal))
+            found = slots.get((GRADE_BODY, base | ordinal))
             if found is None:
                 raise SummaryFormatError(f"routine {name!r} has no summary body")
             cells[name] = _Packed(None, blob[found[0]:found[1]], True)
-        if len(cells) != bodies:
-            raise SummaryFormatError(
-                f"sidecar holds {bodies} summary bodies for {len(cells)} "
-                "summarized routines"
-            )
-        reader = slot(GRADE_RECORDS, "record section")
-        frontend_records: Dict[str, FrontendRecord] = {}
-        for _ in range(reader.u32()):
-            name = reader.text()
-            frontend_records[name] = _read_record(reader)
-        reader.expect_end()
+        claimed += len(cells)
+        tables.append(SummaryCache(
+            image_fingerprint=fingerprint,
+            result=SummarySet(summaries=PackedMap(cells, SUMMARY_BODIES)),
+            rows=rows,
+            frontend_records=records,
+            config_digest=digest,
+            fragments=fragment_map,
+            table=(dict(rows), table.blob[_TABLE_KEYS.size:]),
+        ))
+    if len(slots) != 1 + len(tables) + claimed:
+        raise SummaryFormatError(
+            f"pack holds {bodies} summary bodies for {claimed} summarized "
+            f"routines in {len(tables)} tables"
+        )
+    return tables
+
+
+def dump_cache(cache: SummaryCache) -> bytes:
+    """Serialize a :class:`SummaryCache` as a one-table SUM5 pack
+    (summary bodies and fragments a :class:`PackedMap` holds as bytes
+    are copied, not re-encoded)."""
+    with span("cache.dump", routines=len(cache.rows)):
+        slots, spliced = pack_slots(
+            [cache], cache.frontend_records, cache.fragments
+        )
+        blob = encode_pack(slots)
+    REGISTRY.inc("cache.write")
+    REGISTRY.inc("cache.write_bytes", len(blob))
+    REGISTRY.inc("cache.body.spliced", spliced)
+    _log.debug("dumped SUM5 cache: %d routines, %d bytes", len(cache.rows), len(blob))
+    return blob
+
+
+def load_cache(blob: bytes, expected_fingerprint: int = 0) -> SummaryCache:
+    """Parse a SUM5 pack — a sidecar, or a store pack, of which the
+    first table is read — and reject a stale image fingerprint.
+
+    As with :func:`load_summaries`, ``expected_fingerprint=0`` skips the
+    whole-image staleness check: the incremental engine compares each
+    component's recorded inputs, so a stale image is *not* an error for
+    it, just a cache some of whose rows no longer apply.
+    """
+    with span("cache.load", bytes=len(blob)):
+        cache = read_pack(blob)[0]
+        _check_fingerprint(cache.image_fingerprint, expected_fingerprint)
     REGISTRY.inc("cache.load")
     REGISTRY.inc("cache.load_bytes", len(blob))
-    _log.debug("loaded SUM5 cache: %d routines, %d bytes", len(rows), len(blob))
-    return SummaryCache(
-        image_fingerprint=fingerprint,
-        result=SummarySet(summaries=PackedMap(cells, SUMMARY_BODIES)),
-        rows=rows,
-        frontend_records=frontend_records,
-        config_digest=digest,
-        fragments=PackedMap(fragments, FRAGMENTS),
-        table=(dict(rows), table.blob[_TABLE_KEYS.size:]),
+    _log.debug(
+        "loaded SUM5 cache: %d routines, %d bytes", len(cache.rows), len(blob)
     )
+    return cache

@@ -110,6 +110,25 @@ class TestAnalyze:
     ):
         self._assert_usage_error(command, ["--jobs", "2"], image_path, capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["store", "gc", "--store-dir", "{dir}"], ["serve", "--port", "0"]],
+        ids=["store-gc", "serve"],
+    )
+    def test_negative_max_bytes_is_a_usage_error(self, argv, tmp_path, capsys):
+        store = tmp_path / "store"
+        (store / "packs").mkdir(parents=True)
+        pack = store / "packs" / "kept.pack"
+        pack.write_bytes(b"not read")
+        argv = [arg.format(dir=store) for arg in argv]
+        with pytest.raises(SystemExit) as caught:
+            main([*argv, "--max-bytes", "-5"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: spike-analyze" in err
+        assert "must not be negative" in err
+        assert pack.exists()
+
     @staticmethod
     def _assert_usage_error(command, flag, image_path, capsys):
         argv = [command, image_path, *flag]

@@ -22,13 +22,7 @@ from repro.interproc import dump_summaries, routine_fingerprint
 from repro.interproc import frontend as frontend_module
 from repro.interproc.baseline import analyze_program_baseline
 from repro.interproc.frontend import build_frontend
-from repro.interproc.store import (
-    SummaryStore,
-    component_inputs,
-    config_digest,
-    inputs_key,
-    routine_record_key,
-)
+from repro.interproc.store import SummaryStore, component_inputs
 from repro.interproc.summaries import _triple_of
 from repro.isa.encoding import (
     EncodingError,
@@ -339,29 +333,27 @@ class TestJumpTableRetarget:
             assert dump_summaries(warm.result) == dump_summaries(cold.result)
             baseline = analyze_program_baseline(edited)
             assert warm.result.equal_summaries(baseline.result)
-            assert _store_keys(edited)[owner] != _store_keys(program)[owner]
+            assert _store_inputs(edited)[owner] != _store_inputs(program)[owner]
             checked += 1
             if checked == 3:
                 break
         assert checked == 3
 
 
-def _store_keys(program):
-    """Every routine's grade-1 store key: its component's phase-1
-    inputs key, the triples read off a cold solve."""
+def _store_inputs(program):
+    """Every routine's component's phase-1 inputs, member by member, as
+    a store compares them before adopting the component's rows; the
+    triples read off a cold solve."""
     frontend = build_frontend(program)
     triples = {
         name: _triple_of(summary)
         for name, summary in analyze_program(program).result.summaries.items()
     }
-    context = config_digest(AnalysisConfig())
-    keys = {}
+    inputs = {}
     for members in frontend.condensation.components:
-        key = inputs_key(
-            context, members, component_inputs(frontend, members, triples)
-        )
-        keys.update((name, routine_record_key(key, name)) for name in members)
-    return keys
+        component = sorted(component_inputs(frontend, members, triples).items())
+        inputs.update((name, component) for name in members)
+    return inputs
 
 
 # ----------------------------------------------------------------------

@@ -36,13 +36,14 @@ from repro.interproc.persist import (
     GRADE_BODY,
     GRADE_RECORDS,
     GRADE_TABLE,
-    SIDECAR,
     RoutineRow,
     SummaryCache,
     SummaryFormatError,
     crc64,
+    decode_pack,
     dump_cache,
     dump_summaries,
+    encode_pack,
     image_fingerprint,
     load_cache,
     load_summaries,
@@ -74,7 +75,7 @@ def sum2_blob(quick_program):
 
 def _slot(blob, grade, key=0):
     """The record a sidecar holds in slot ``(grade, key)``."""
-    for found_grade, found_key, start, end in SIDECAR.decode(blob):
+    for found_grade, found_key, start, end in decode_pack(blob):
         if (found_grade, found_key) == (grade, key):
             return blob[start:end]
     raise KeyError((grade, key))
@@ -86,10 +87,10 @@ def _reframed(blob, grade, key, edit):
     the section decoders can refuse."""
     records = {
         (found_grade, found_key): blob[start:end]
-        for found_grade, found_key, start, end in SIDECAR.decode(blob)
+        for found_grade, found_key, start, end in decode_pack(blob)
     }
     records[grade, key] = edit(records[grade, key])
-    return SIDECAR.encode(records)
+    return encode_pack(records)
 
 
 def _assert_all_prefixes_rejected(blob, loader):
@@ -241,11 +242,31 @@ class TestTruncationFuzz:
         assert _slot(empty, GRADE_RECORDS) == struct.pack("<I", 0)
         blob = _reframed(
             empty, GRADE_RECORDS, 0,
-            lambda _record: struct.pack("<I", 1)
-            + struct.pack("<H", 1) + b"f" + body,
+            lambda _record: struct.pack("<I", 1) + body,
         )
         with pytest.raises(SummaryFormatError, match=message):
             load_cache(blob)
+
+    def test_table_out_of_name_order_rejected(self):
+        # A body's slot is its row's place in name order, so a table
+        # whose names are not in that order (or repeat one) is refused.
+        cache = SummaryCache(
+            image_fingerprint=1,
+            result=SummarySet(summaries={}),
+            rows={name: RoutineRow(7, (), None, SummaryTriple(), ()) for name in "ab"},
+        )
+        blob = dump_cache(cache)
+        assert load_cache(blob) == cache
+        for names in (b"ba", b"aa"):
+            forged = _reframed(
+                blob, GRADE_TABLE, 0,
+                lambda table: table.replace(
+                    b"\x01\x00a\x01\x00b",
+                    b"\x01\x00" + names[:1] + b"\x01\x00" + names[1:],
+                ),
+            )
+            with pytest.raises(SummaryFormatError, match="name order"):
+                load_cache(forged)
 
     def test_wrong_magic_each_format(self, sum1_blob, sum2_blob):
         with pytest.raises(SummaryFormatError, match="magic"):
@@ -258,8 +279,8 @@ _RECORDS_ONLY = SummaryCache(
     image_fingerprint=7,
     result=SummarySet(summaries={}),
     frontend_records={
-        "leaf": FrontendRecord(2**64 - 1, 1, (), ()),
-        "caller": FrontendRecord(
+        2**64 - 1: FrontendRecord(2**64 - 1, 1, (), ()),
+        0x1234: FrontendRecord(
             shape_key=0x1234,
             block_count=40,
             sites=(
@@ -447,10 +468,11 @@ def _summary_caches(draw):
         rows={
             name: draw(_rows(name in result.summaries)) for name in sorted(names)
         },
-        # Keyed independently of the summaries: any routine name.
-        frontend_records=draw(
-            st.dictionaries(_NAMES, _frontend_records(), max_size=3)
-        ),
+        # Keyed independently of the rows: by shape key.
+        frontend_records={
+            record.shape_key: record
+            for record in draw(st.lists(_frontend_records(), max_size=3))
+        },
         config_digest=draw(st.integers(min_value=0, max_value=2**64 - 1)),
         # ... and fragments by any shape key.
         fragments=draw(

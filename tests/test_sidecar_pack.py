@@ -28,14 +28,15 @@ from repro.interproc.persist import (
     FRAGMENTS,
     GRADE_BODY,
     GRADE_FRAGMENT,
-    SIDECAR,
     SummaryFormatError,
+    decode_pack,
     dump_cache,
     dump_summaries,
+    encode_pack,
     fragment_body,
     load_cache,
 )
-from repro.interproc.store import decode_pack, encode_pack
+from repro.interproc.store import SummaryStore
 from repro.obs.metrics import REGISTRY
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
@@ -75,7 +76,7 @@ def _cold_bytes(program, config=OFF):
 def _records(blob):
     return {
         (grade, key): blob[start:end]
-        for grade, key, start, end in SIDECAR.decode(blob)
+        for grade, key, start, end in decode_pack(blob)
     }
 
 
@@ -84,7 +85,7 @@ def _reframed(blob, edit):
     pack re-checksummed."""
     records = _records(blob)
     edit(records)
-    return SIDECAR.encode(records)
+    return encode_pack(records)
 
 
 def _forged_exit_kind(blob, name):
@@ -358,12 +359,23 @@ TINY = """
 """
 
 
-def test_sidecar_and_store_packs_are_never_mistaken(primed):
+def test_a_store_pack_is_a_sidecar(small_benchmark, primed, tmp_path):
     _prime, sidecar = primed
-    with pytest.raises(SummaryFormatError, match="bad magic"):
-        decode_pack(sidecar)
-    with pytest.raises(SummaryFormatError, match="bad magic"):
-        load_cache(encode_pack({}))
+    store = SummaryStore(str(tmp_path / "store"))
+    config = AnalysisConfig(store=store)
+    _warm(small_benchmark, None, config)
+    (pack,) = (tmp_path / "store" / "packs").iterdir()
+    published = load_cache(pack.read_bytes())
+    assert set(published.rows) == set(load_cache(sidecar).rows)
+    assert dump_summaries(published.result) == _cold_bytes(small_benchmark)
+    # As a sidecar, the pack warms the next run completely.
+    warm = _warm(small_benchmark, published)
+    assert warm.metrics.phase2_solved == 0 and warm.metrics.cfgs_built == 0
+    # A pack that is not SUM5 v2 is no sidecar: the previous layout,
+    # or the store's own former packs.
+    for blob in (b"SUM5\x01" + sidecar[5:], b"SSTP\x03" + sidecar[5:]):
+        with pytest.raises(SummaryFormatError, match="magic|unsupported"):
+            load_cache(blob)
 
 
 def test_every_truncation_and_byte_flip_is_refused_or_harmless():

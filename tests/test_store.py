@@ -1,25 +1,27 @@
 """The cross-image summary store (:mod:`repro.interproc.store`).
 
-Four layers of guarantees:
+Five layers of guarantees:
 
-* **key derivation** — keys hash a component's inputs: a callee edit
-  reaches a caller's key exactly when it moves a triple the caller
-  reads, two callees swapping bodies changes keys (pair binding), and
-  the context digest binds exactly the result-changing configuration
-  knobs;
-* **pack robustness** — a pack of any record grade survives truncation
-  at every byte offset, mutation of every byte, trailing garbage, an
-  index entry past its body, a foreign magic and an old version as
-  misses (the reader unlinks the pack and the run's flush republishes
-  it), never as an exception;
+* **recorded inputs** — a table's row records a component's inputs: a
+  callee edit reaches a caller's inputs exactly when it moves a triple
+  the caller reads, two callees swapping bodies changes them (pairs
+  bind names), and a row is adopted only when every input it recorded —
+  fingerprint, callee triples, externally-callable bit, exit seed and
+  the context digest of the result-changing configuration knobs —
+  equals the current one;
+* **pack robustness** — a pack survives truncation at every byte
+  offset, mutation of every byte, trailing garbage, an index entry past
+  its body, an unknown grade, a foreign magic and an old version as a
+  miss (the reader unlinks the pack and the run's publish writes it
+  again), never as an exception;
 * **byte-identity** — analysis results are identical with the store
-  enabled, disabled, missing its front-end grade, poisoned, or left in
-  an older layout, cold and warm, including
-  concurrent multiprocess and daemon-thread publishers over one store
-  directory;
-* **the front-end grade** — a routine the store has seen never gets
-  its CFG rebuilt, and a record that does not describe the routine it
-  is filed under ends in a built CFG;
+  enabled, disabled, missing its front-end records, poisoned, or left
+  in an older layout, cold and warm, including concurrent multiprocess
+  and daemon-thread publishers over one store directory, and a
+  ``--cache`` sidecar dropped into ``packs/`` serves another image;
+* **front-end records** — a routine the store has seen never gets its
+  CFG rebuilt, and a record that does not describe the routine it is
+  used for ends in a built CFG;
 * **operations** — hit/miss/write/evict counters, per-pack LRU GC
   under a byte budget with merging, stale temp sweeping, and the
   ``spike-analyze store`` CLI.
@@ -28,6 +30,7 @@ Four layers of guarantees:
 import json
 import multiprocessing
 import os
+import shutil
 import struct
 import threading
 
@@ -38,26 +41,29 @@ from repro.cli import EXIT_OK, EXIT_USAGE, main
 from repro.cfg.cfg import FrontendRecord, RecordedSite
 from repro.dataflow.equations import SummaryTriple
 from repro.interproc.frontend import build_frontend, jump_tables, shape_key
-from repro.interproc.persist import crc64, dump_summaries
+from repro.interproc.persist import (
+    GRADE_BODY,
+    GRADE_RECORDS,
+    GRADE_TABLE,
+    RoutineRow,
+    SummaryCache,
+    crc64,
+    decode_pack,
+    dump_cache,
+    dump_summaries,
+    encode_pack,
+    load_cache,
+    pack_slots,
+    read_pack,
+)
 from repro.interproc.store import (
-    GRADE_FRONTEND,
-    GRADE_SUMMARY,
-    GRADE_TRIPLE,
-    MAGIC_PACK,
     STORE_ENV_VAR,
-    STORE_VERSION,
     SummaryStore,
     component_inputs,
     config_digest,
-    decode_pack,
-    dump_frontend_record,
-    dump_summary_record,
-    dump_triple_record,
-    encode_pack,
-    inputs_key,
     resolve_store,
-    routine_record_key,
 )
+from repro.interproc.summaries import SummarySet, _triple_of
 from repro.obs.metrics import REGISTRY
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
@@ -142,12 +148,54 @@ def _result_bytes(analysis) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def _publish(store: SummaryStore, *adds) -> None:
-    """One run's publish: a view, ``adds`` applied to it, one flush."""
-    view = store.open()
-    for add in adds:
-        add(view)
-    view.flush()
+CONTEXT = config_digest(AnalysisConfig())
+TRIPLE = SummaryTriple(may_use=0x1F, may_def=0x3, must_def=0x1)
+CALLEE = SummaryTriple(1, 2, 0)
+
+
+def _row(fingerprint, callees=(), phase2=None, triple=TRIPLE):
+    """A table row; a summarized one gets a live-after mask per target."""
+    live_after = () if phase2 is None else tuple(range(len(callees)))
+    return RoutineRow(fingerprint, tuple(callees), phase2, triple, live_after)
+
+
+def _table(rows, summaries=None, records=(), context=CONTEXT):
+    return SummaryCache(
+        image_fingerprint=0,
+        result=SummarySet(summaries=summaries or {}),
+        rows=rows,
+        frontend_records={record.shape_key: record for record in records},
+        config_digest=context,
+    )
+
+
+def _pack(*tables, records=()):
+    """A pack of ``tables`` (one empty table when none) and ``records``."""
+    return encode_pack(pack_slots(
+        list(tables) or [_table({})],
+        {record.shape_key: record for record in records}, {},
+    )[0])
+
+
+def _publish(store, rows=None, summaries=None, records=()):
+    """One run's publish, through a view of its own."""
+    store.open().publish(_table(rows or {}, summaries, records))
+
+
+def _triple(view, name="f", fingerprint=42, callees=()):
+    """The triple of the row of ``name`` that records these phase-1
+    inputs, if a table holds one."""
+    found = view.find(CONTEXT, [name], {name: (fingerprint, tuple(callees))})
+    return found[1].rows[name].triple if found and view.use(found) else None
+
+
+def _summary(view, name, inputs):
+    """The summary of the row of ``name`` that records these phase-2
+    ``inputs``, if a table holds one."""
+    found = view.find(CONTEXT, [name], {name: inputs})
+    if found and view.use(found, [name]):
+        return found[1].result.summaries[name]
+    return None
 
 
 def _pack_paths(root: str):
@@ -166,41 +214,42 @@ def _read(path: str) -> bytes:
         return handle.read()
 
 
-def _slots(root: str):
-    """Every ``(grade, key)`` held by an intact pack."""
-    slots = set()
+def _rows(root: str):
+    """Every ``(name, recorded inputs)`` a table of an intact pack holds,
+    and every front-end record's shape key."""
+    held = set()
     for path in _pack_paths(root):
-        slots.update(
-            (grade, key) for grade, key, _s, _e in decode_pack(_read(path))
-        )
-    return slots
+        tables = read_pack(_read(path))
+        for table in tables:
+            held.update((name, *row[:3]) for name, row in table.rows.items())
+        held.update(tables[0].frontend_records)
+    return held
 
 
-def _pack_holding(root: str, grade: int, key: int) -> str:
+def _pack_holding(root: str, name: str, fingerprint: int) -> str:
     for path in _pack_paths(root):
         if any(
-            (g, k) == (grade, key) for g, k, _s, _e in decode_pack(_read(path))
+            table.rows.get(name, _row(-1)).fingerprint == fingerprint
+            for table in read_pack(_read(path))
         ):
             return path
-    raise AssertionError(f"no pack holds {(grade, key)}")
+    raise AssertionError(f"no pack holds {name} at {fingerprint}")
 
 
-def _rewrite_packs(root: str, keep) -> int:
-    """Rewrite every pack without the records ``keep(grade, key)``
-    refuses; how many were dropped."""
+def _rewrite_records(root: str, keep) -> int:
+    """Rewrite every pack without the front-end records whose shape key
+    ``keep`` refuses; how many were dropped."""
     dropped = 0
-    for index, path in enumerate(_pack_paths(root)):
-        blob = _read(path)
-        records = {}
-        for grade, key, start, end in decode_pack(blob):
-            if keep(grade, key):
-                records[grade, key] = blob[start:end]
-            else:
-                dropped += 1
+    for path in _pack_paths(root):
+        tables = read_pack(_read(path))
+        records = {
+            key: record for key, record in tables[0].frontend_records.items()
+            if keep(key)
+        }
+        dropped += len(tables[0].frontend_records) - len(records)
         os.remove(path)
-        if records:
-            with open(os.path.join(root, "packs", f"re{index}.pack"), "wb") as out:
-                out.write(encode_pack(records))
+        with open(path, "wb") as out:
+            out.write(encode_pack(pack_slots(tables, records, {})[0]))
     return dropped
 
 
@@ -213,12 +262,30 @@ def _poison(root: str) -> int:
     return poisoned
 
 
-def _raw_pack(entries, records: bytes, magic=MAGIC_PACK, version=STORE_VERSION):
+def _entries(blob):
+    """A pack's index entries with their record bodies."""
+    return [
+        (grade, key, blob[start:end]) for grade, key, start, end in decode_pack(blob)
+    ]
+
+
+def _raw_pack(entries, records: bytes, magic=b"SUM5", version=2):
     """A pack with a valid checksum over whatever index it is given."""
     body = struct.pack("<I", len(entries)) + b"".join(
         struct.pack("<BQII", *entry) for entry in entries
     ) + records
     return struct.pack("<4sBQ", magic, version, crc64(body)) + body
+
+
+def _reindexed(blob, edit=lambda entries: entries, **frame):
+    """``blob``'s records behind a fresh index (``edit`` may change the
+    entries, ``frame`` the magic or version), re-checksummed."""
+    entries, offset = [], 0
+    for grade, key, body in _entries(blob):
+        entries.append((grade, key, offset, len(body)))
+        offset += len(body)
+    records = b"".join(body for _g, _k, body in _entries(blob))
+    return _raw_pack(edit(entries), records, **frame)
 
 
 class _Probe:
@@ -247,15 +314,16 @@ class _Probe:
 
 
 # ----------------------------------------------------------------------
-# Key derivation
+# Recorded inputs
 # ----------------------------------------------------------------------
 
 
 def _keys(fps, components, edges, triples=None, context=7):
-    """Every routine's grade-1 record key: its component's phase-1
-    inputs (as :func:`component_inputs` gathers them, over plain dicts)
-    under :func:`inputs_key`.  A routine's triple defaults to one that
-    moves with its code."""
+    """Every routine's component's recorded inputs, as a table must hold
+    them to serve it: the context, then per member its name and phase-1
+    inputs (as :func:`component_inputs` gathers them, over plain
+    dicts).  A routine's triple defaults to one that moves with its
+    code."""
     triples = {
         **{name: SummaryTriple(may_use=fp) for name, fp in fps.items()},
         **(triples or {}),
@@ -273,14 +341,14 @@ def _keys(fps, components, edges, triples=None, context=7):
             )
             for name in members
         }
-        key = inputs_key(context, members, inputs)
-        keys.update((name, routine_record_key(key, name)) for name in members)
+        component = (context, *sorted(inputs.items()))
+        keys.update((name, component) for name in members)
     return keys
 
 
 class TestDeepFingerprints:
-    """Grade-1 keys hash callee *results*: a change reaches a caller's
-    key exactly when it moves a triple the caller reads."""
+    """Recorded inputs read callee *results*: a change reaches a
+    caller's inputs exactly when it moves a triple the caller reads."""
 
     COMPONENTS = [["leaf"], ["mid"], ["top"]]
     EDGES = {"top": ["mid"], "mid": ["leaf"]}
@@ -356,37 +424,86 @@ class TestDeepFingerprints:
         assert inputs == {"main": (frontend.fingerprints["main"], ())}
 
 
+@pytest.fixture(scope="module")
+def helper_summary(quick_program):
+    return analyze_program(quick_program).result.summaries["helper"]
+
+
 class TestBoundaryKeys:
-    """Grade-2 keys: the phase-1 inputs plus each member's
-    externally-callable bit and exit seed."""
+    """Phase-2 inputs: the phase-1 inputs plus each member's
+    externally-callable bit and exit seed, each member's compared with
+    its row in one table."""
 
     INPUTS = {
-        "a": (11, (None, SummaryTriple(1, 2, 0)), (True, 0)),
+        "a": (11, (None, CALLEE), (True, 0)),
         "b": (22, (None,), (False, 0x30)),
     }
 
-    def test_member_order_is_canonical(self):
-        one = inputs_key(5, ["a", "b"], self.INPUTS)
-        two = inputs_key(5, ["b", "a"], self.INPUTS)
-        assert one == two
+    def _view(self, tmp_path, summary, phase2=True):
+        store = SummaryStore(str(tmp_path / "s"))
+        _publish(
+            store,
+            {
+                name: _row(fp, callees, seed if phase2 else None)
+                for name, (fp, callees, seed) in self.INPUTS.items()
+            },
+            {name: summary for name in self.INPUTS},
+        )
+        return store.open()
 
-    def test_sensitive_to_every_input(self):
-        base = inputs_key(5, ["a", "b"], self.INPUTS)
+    def test_member_order_is_canonical(self, tmp_path, helper_summary):
+        view = self._view(tmp_path, helper_summary)
+        one = view.find(CONTEXT, ["a", "b"], self.INPUTS)
+        two = view.find(CONTEXT, ["b", "a"], self.INPUTS)
+        assert one is not None and one[1] is two[1]
+
+    def test_sensitive_to_every_input(self, tmp_path, helper_summary):
+        view = self._view(tmp_path, helper_summary)
+        assert view.find(CONTEXT, ["a", "b"], self.INPUTS) is not None
         a_fp, a_callees, a_phase2 = self.INPUTS["a"]
         for a in (
             (12, a_callees, a_phase2),  # own fingerprint
             (a_fp, (None, SummaryTriple(1, 2, 2)), a_phase2),  # callee triple
-            (a_fp, (SummaryTriple(), SummaryTriple(1, 2, 0)), a_phase2),  # SCC
+            (a_fp, (SummaryTriple(), CALLEE), a_phase2),  # SCC
             (a_fp, a_callees, (False, 0)),  # externally callable
             (a_fp, a_callees, (True, 1)),  # exit seed
-            (a_fp, a_callees),  # phase 1 only
         ):
-            assert base != inputs_key(5, ["a", "b"], {**self.INPUTS, "a": a}), a
-        assert base != inputs_key(6, ["a", "b"], self.INPUTS)
+            inputs = {**self.INPUTS, "a": a}
+            assert view.find(CONTEXT, ["a", "b"], inputs) is None, a
+            assert view.find(CONTEXT, ["b", "a"], inputs) is None, a
+        assert view.find(CONTEXT + 1, ["a", "b"], self.INPUTS) is None
+        # A phase-1-only row answers phase-1 inputs, never phase-2 ones.
+        bare = self._view(tmp_path / "bare", helper_summary, phase2=False)
+        phase1 = {name: inputs[:2] for name, inputs in self.INPUTS.items()}
+        assert bare.find(CONTEXT, ["a", "b"], phase1) is not None
+        assert bare.find(CONTEXT, ["a", "b"], self.INPUTS) is None
 
-    def test_routine_record_key_separates_members(self):
-        assert routine_record_key(99, "a") != routine_record_key(99, "b")
-        assert routine_record_key(98, "a") != routine_record_key(99, "a")
+    def test_one_table_serves_a_component(self, tmp_path, helper_summary):
+        # Each member's matching row sits in another run's table: those
+        # runs solved components whose other members differed, so
+        # nothing is adopted.
+        store = SummaryStore(str(tmp_path / "s"))
+        rows = {
+            name: _row(fp, callees, seed)
+            for name, (fp, callees, seed) in self.INPUTS.items()
+        }
+        summaries = {name: helper_summary for name in self.INPUTS}
+        for stale in ("a", "b"):
+            fp, callees, seed = self.INPUTS[stale]
+            other = {**rows, stale: _row(fp, callees, (seed[0], seed[1] ^ 1))}
+            _publish(store, other, summaries)
+        view = store.open()
+        assert view.holds(["a", "b"], {"a": 11, "b": 22})
+        assert view.find(CONTEXT, ["a", "b"], self.INPUTS) is None
+        phase1 = {name: inputs[:2] for name, inputs in self.INPUTS.items()}
+        assert view.find(CONTEXT, ["a", "b"], phase1) is not None
+
+    def test_rows_are_filed_by_name(self, tmp_path, helper_summary):
+        view = self._view(tmp_path, helper_summary)
+        # b's row is no answer for a routine named a with b's inputs.
+        assert view.find(CONTEXT, ["a"], {"a": self.INPUTS["b"]}) is None
+        assert view.find(CONTEXT, ["c"], {"c": self.INPUTS["b"]}) is None
+        assert view.find(CONTEXT, ["b"], {"b": self.INPUTS["b"]}) is not None
 
 
 class TestConfigDigest:
@@ -408,15 +525,15 @@ class TestConfigDigest:
 # ----------------------------------------------------------------------
 
 
-TRIPLE = SummaryTriple(may_use=0x1F, may_def=0x3, must_def=0x1)
+#: ``helper``'s recorded inputs in the summary pack below.
+HELPER = (0xABCD, (CALLEE,), (False, 0x30))
 
 
 @pytest.fixture(scope="module")
-def summary_record(quick_program):
-    summary = analyze_program(quick_program).result.summaries["helper"]
-    key = routine_record_key(0xABCD, "helper")
-    return key, summary, encode_pack(
-        {(GRADE_SUMMARY, key): dump_summary_record("helper", summary)}
+def summary_record(helper_summary):
+    row = _row(HELPER[0], HELPER[1], HELPER[2], _triple_of(helper_summary))
+    return HELPER, helper_summary, _pack(
+        _table({"helper": row}, {"helper": helper_summary})
     )
 
 
@@ -425,65 +542,82 @@ def frontend_record(quick_program):
     # ``main`` has a call site, so the record exercises every field.
     record = build_frontend(quick_program).records["main"]
     assert record.sites
-    return record, encode_pack(
-        {(GRADE_FRONTEND, record.shape_key): dump_frontend_record(record)}
-    )
+    return record, _pack(records=[record])
 
 
-TRIPLE_PACK = encode_pack({(GRADE_TRIPLE, 42): dump_triple_record("f", TRIPLE)})
+TRIPLE_PACK = _pack(_table({"f": _row(42)}))
+
+
+def _summary_lookup(inputs):
+    return lambda view: _summary(view, "helper", inputs)
 
 
 class TestRecordCodecs:
     def test_triple_roundtrip(self, tmp_path):
         probe = _Probe(str(tmp_path / "s"))
-        assert probe.load(TRIPLE_PACK, lambda v: v.load_triple(42, "f")) == TRIPLE
+        assert probe.load(TRIPLE_PACK, _triple) == TRIPLE
 
     def test_frontend_roundtrip(self, tmp_path, frontend_record):
         record, blob = frontend_record
         probe = _Probe(str(tmp_path / "s"))
         assert probe.load(
-            blob, lambda v: v.load_frontend(record.shape_key)
+            blob, lambda v: v.frontend_record(record.shape_key)
         ) == record
 
     def test_frontend_wrong_key_refused(self, tmp_path, frontend_record):
-        # A valid record, filed under (asked for by) another key: a
+        # A record answers for its own shape key only: any other is a
         # miss that leaves the pack alone.
-        record, _ = frontend_record
-        key = record.shape_key ^ 1
-        blob = encode_pack({(GRADE_FRONTEND, key): dump_frontend_record(record)})
+        record, blob = frontend_record
         probe = _Probe(str(tmp_path / "s"))
         base = REGISTRY.snapshot()
-        assert probe.load(blob, lambda v: v.load_frontend(key)) is None
-        assert not REGISTRY.delta_since(base).get("store.corrupt")
+        assert probe.load(
+            blob, lambda v: v.frontend_record(record.shape_key ^ 1)
+        ) is None
+        delta = REGISTRY.delta_since(base)
+        assert delta.get("store.frontend.miss") == 1
+        assert not delta.get("store.corrupt")
         assert os.path.exists(probe.path)
 
     def test_summary_roundtrip(self, tmp_path, summary_record):
-        key, summary, blob = summary_record
+        inputs, summary, blob = summary_record
         probe = _Probe(str(tmp_path / "s"))
-        assert probe.load(
-            blob, lambda v: v.load_summary(key, "helper")
-        ) == summary
+        assert probe.load(blob, _summary_lookup(inputs)) == summary
 
     def test_identity_mismatch_rejected(self, tmp_path, summary_record):
-        key, _, blob = summary_record
+        # The right name and fingerprint, but another recorded callee
+        # triple, exit seed or externally-callable bit: not adopted,
+        # and not corrupt either.
+        (fingerprint, callees, phase2), _, blob = summary_record
         probe = _Probe(str(tmp_path / "s"))
-        assert probe.load(blob, lambda v: v.load_summary(key + 1, "helper")) is None
-        assert probe.load(blob, lambda v: v.load_summary(key, "other")) is None
+        for inputs in (
+            (fingerprint, (SummaryTriple(1, 2, 2),), phase2),
+            (fingerprint, (None,), phase2),
+            (fingerprint, callees, (False, 0x31)),
+            (fingerprint, callees, (True, 0x30)),
+            (fingerprint + 1, callees, phase2),
+        ):
+            assert probe.load(blob, _summary_lookup(inputs)) is None, inputs
+        assert probe.load(
+            blob, lambda v: _summary(v, "other", (fingerprint, callees, phase2))
+        ) is None
         assert os.path.exists(probe.path)  # refused, not corrupt
 
     def test_grade_confusion_rejected(self, tmp_path, summary_record):
-        # The index's grade keeps the grades apart; a body filed under
-        # the wrong grade fails its exact-length decode and the pack
-        # goes as corrupt.
-        key, summary, blob = summary_record
+        # A phase-1-only row answers no phase-2 lookup, a routine's
+        # fingerprint is no shape key, and a slot of a grade the format
+        # does not have makes the pack corrupt.
+        inputs, _, blob = summary_record
         probe = _Probe(str(tmp_path / "s"))
-        assert probe.load(blob, lambda v: v.load_triple(key, "helper")) is None
-        assert probe.load(blob, lambda v: v.load_frontend(key)) is None
-        misfiled = encode_pack(
-            {(GRADE_TRIPLE, key): dump_summary_record("helper", summary)}
-        )
+        assert probe.load(
+            TRIPLE_PACK, lambda v: _summary(v, "f", (42, (), (False, 0)))
+        ) is None
+        assert probe.load(blob, lambda v: v.frontend_record(inputs[0])) is None
         probe.assert_corrupt_miss(
-            misfiled, lambda v: v.load_triple(key, "helper"), "a misfiled body"
+            _reindexed(blob, lambda entries: [
+                (3 if grade == GRADE_BODY else grade, *rest)
+                for grade, *rest in entries
+            ]),
+            _summary_lookup(inputs), "an unknown grade",
         )
 
     def _assert_all_prefixes_rejected(self, tmp_path, blob, lookup):
@@ -494,20 +628,18 @@ class TestRecordCodecs:
             )
 
     def test_triple_every_prefix_rejected(self, tmp_path):
-        self._assert_all_prefixes_rejected(
-            tmp_path, TRIPLE_PACK, lambda v: v.load_triple(42, "f")
-        )
+        self._assert_all_prefixes_rejected(tmp_path, TRIPLE_PACK, _triple)
 
     def test_summary_every_prefix_rejected(self, tmp_path, summary_record):
-        key, _, blob = summary_record
+        inputs, _, blob = summary_record
         self._assert_all_prefixes_rejected(
-            tmp_path, blob, lambda v: v.load_summary(key, "helper")
+            tmp_path, blob, _summary_lookup(inputs)
         )
 
     def test_frontend_every_prefix_rejected(self, tmp_path, frontend_record):
         record, blob = frontend_record
         self._assert_all_prefixes_rejected(
-            tmp_path, blob, lambda v: v.load_frontend(record.shape_key)
+            tmp_path, blob, lambda v: v.frontend_record(record.shape_key)
         )
 
     def test_every_byte_mutation_rejected(
@@ -515,13 +647,13 @@ class TestRecordCodecs:
     ):
         # Any single corrupted byte must fail the magic, version, CRC
         # or index check — never parse, never leak an exception.
-        key, _, summary_blob = summary_record
+        inputs, _, summary_blob = summary_record
         record, frontend_blob = frontend_record
         probe = _Probe(str(tmp_path / "s"))
         for blob, lookup in (
-            (summary_blob, lambda v: v.load_summary(key, "helper")),
-            (frontend_blob, lambda v: v.load_frontend(record.shape_key)),
-            (TRIPLE_PACK, lambda v: v.load_triple(42, "f")),
+            (summary_blob, _summary_lookup(inputs)),
+            (frontend_blob, lambda v: v.frontend_record(record.shape_key)),
+            (TRIPLE_PACK, _triple),
         ):
             for index in range(len(blob)):
                 mutated = bytearray(blob)
@@ -533,86 +665,96 @@ class TestRecordCodecs:
     def test_trailing_garbage_rejected(
         self, tmp_path, summary_record, frontend_record
     ):
-        key, _, blob = summary_record
+        inputs, _, blob = summary_record
         probe = _Probe(str(tmp_path / "s"))
         probe.assert_corrupt_miss(
-            blob + b"\x00", lambda v: v.load_summary(key, "helper"), "garbage"
+            blob + b"\x00", _summary_lookup(inputs), "garbage"
         )
         record, blob = frontend_record
         probe.assert_corrupt_miss(
-            blob + b"\x00", lambda v: v.load_frontend(record.shape_key), "garbage"
+            blob + b"\x00", lambda v: v.frontend_record(record.shape_key), "garbage"
+        )
+        # Behind a valid checksum, every section is read exactly.
+        probe.assert_corrupt_miss(
+            _reindexed(blob, lambda entries: [
+                (grade, key, offset, length + (grade == GRADE_TABLE))
+                for grade, key, offset, length in entries
+            ]),
+            lambda v: v.frontend_record(record.shape_key), "a long table",
         )
 
     def test_entry_past_the_body_rejected(self, tmp_path):
-        body = dump_triple_record("f", TRIPLE)
         probe = _Probe(str(tmp_path / "s"))
-        lookup = lambda v: v.load_triple(42, "f")  # noqa: E731
-        for entry in (
-            (GRADE_TRIPLE, 42, 0, len(body) + 1),
-            (GRADE_TRIPLE, 42, len(body), 1),
-            (GRADE_TRIPLE, 42, 2**32 - 1, 2**32 - 1),
+        size = len(TRIPLE_PACK)
+        for edit in (
+            lambda offset, length: (offset, length + 1),
+            lambda offset, length: (offset + length, 1),
+            lambda offset, length: (2**32 - 1, 2**32 - 1),
         ):
-            probe.assert_corrupt_miss(_raw_pack([entry], body), lookup, str(entry))
+            forged = _reindexed(TRIPLE_PACK, lambda entries: [
+                (grade, key, *edit(offset, length))
+                if grade == GRADE_TABLE else (grade, key, offset, length)
+                for grade, key, offset, length in entries
+            ])
+            probe.assert_corrupt_miss(forged, _triple, f"an entry past {size}")
         # ... and an index longer than the pack.
-        blob = _raw_pack([(GRADE_TRIPLE, 42, 0, len(body))], body)
         count_at = struct.calcsize("<4sBQ")
-        forged = bytearray(blob)
+        forged = bytearray(TRIPLE_PACK)
         forged[count_at:count_at + 4] = struct.pack("<I", 1000)
-        payload = bytes(forged[count_at:])
-        forged[5:13] = struct.pack("<Q", crc64(payload))
-        probe.assert_corrupt_miss(bytes(forged), lookup, "a long index")
+        forged[5:13] = struct.pack("<Q", crc64(bytes(forged[count_at:])))
+        probe.assert_corrupt_miss(bytes(forged), _triple, "a long index")
 
     def test_malformed_index_rejected(self, tmp_path):
-        body = dump_triple_record("f", TRIPLE)
         probe = _Probe(str(tmp_path / "s"))
-        lookup = lambda v: v.load_triple(42, "f")  # noqa: E731
-        entry = (GRADE_TRIPLE, 42, 0, len(body))
         probe.assert_corrupt_miss(
-            _raw_pack([(9, 42, 0, len(body))], body), lookup, "unknown grade"
+            _reindexed(TRIPLE_PACK, lambda entries: [
+                (9, *rest) for _grade, *rest in entries
+            ]),
+            _triple, "unknown grade",
         )
         probe.assert_corrupt_miss(
-            _raw_pack([entry, entry], body), lookup, "a duplicate entry"
+            _reindexed(TRIPLE_PACK, lambda entries: entries + entries[-1:]),
+            _triple, "a duplicate entry",
+        )
+        probe.assert_corrupt_miss(
+            _reindexed(TRIPLE_PACK, lambda entries: [
+                entry for entry in entries if entry[0] != GRADE_RECORDS
+            ]),
+            _triple, "no record section",
         )
 
     def test_foreign_magic_and_old_version_rejected(self, tmp_path):
-        body = dump_triple_record("f", TRIPLE)
-        entries = [(GRADE_TRIPLE, 42, 0, len(body))]
         probe = _Probe(str(tmp_path / "s"))
-        lookup = lambda v: v.load_triple(42, "f")  # noqa: E731
-        assert probe.load(_raw_pack(entries, body), lookup) == TRIPLE
+        assert probe.load(_reindexed(TRIPLE_PACK), _triple) == TRIPLE
+        # The store's own packs before it adopted the sidecar's format.
         probe.assert_corrupt_miss(
-            _raw_pack(entries, body, magic=b"SUM5"), lookup, "a sidecar's magic"
+            _reindexed(TRIPLE_PACK, magic=b"SSTP", version=3), _triple,
+            "a store pack of the old format",
         )
-        for version in (1, 2):  # 2: the deep-fingerprint keys
-            probe.assert_corrupt_miss(
-                _raw_pack(entries, body, version=version), lookup, "an old version"
-            )
+        probe.assert_corrupt_miss(
+            _reindexed(TRIPLE_PACK, version=1), _triple, "an old version"
+        )
 
     def test_empty_pack(self, tmp_path):
         probe = _Probe(str(tmp_path / "s"))
-        lookup = lambda v: v.load_triple(42, "f")  # noqa: E731
-        probe.assert_corrupt_miss(b"", lookup, "an empty file")
-        # A well-formed pack of no records is no one's record: a plain
-        # miss.
+        probe.assert_corrupt_miss(b"", _triple, "an empty file")
+        # A well-formed pack of one empty table is no one's answer: a
+        # plain miss.
         base = REGISTRY.snapshot()
-        assert probe.load(encode_pack({}), lookup) is None
-        delta = REGISTRY.delta_since(base)
-        assert delta.get("store.miss") == 1
-        assert not delta.get("store.corrupt")
+        assert probe.load(_pack(), _triple) is None
+        assert not REGISTRY.delta_since(base).get("store.corrupt")
+        assert os.path.exists(probe.path)
 
     def test_same_key_in_two_packs(self, tmp_path):
         root = str(tmp_path / "s")
         store = SummaryStore(root)
-        _publish(store, lambda v: v.store_triple(42, "f", TRIPLE))
-        other = encode_pack({
-            (GRADE_TRIPLE, 42): dump_triple_record("f", TRIPLE),
-            (GRADE_TRIPLE, 43): dump_triple_record("g", TRIPLE),
-        })
+        _publish(store, {"f": _row(42)})
+        other = _pack(_table({"f": _row(42), "g": _row(43)}))
         with open(os.path.join(store.packs_dir, "other.pack"), "wb") as out:
             out.write(other)
         view = store.open()
-        assert view.load_triple(42, "f") == TRIPLE
-        assert view.load_triple(43, "g") == TRIPLE
+        assert _triple(view) == TRIPLE
+        assert _triple(view, "g", 43) == TRIPLE
         stats = store.stats()
         assert (stats["packs"], stats["triples"]) == (2, 2)
 
@@ -625,65 +767,70 @@ class TestRecordCodecs:
 class TestStoreIO:
     def test_store_and_load(self, tmp_path):
         store = SummaryStore(str(tmp_path / "s"))
-        _publish(store, lambda v: v.store_triple(42, "f", TRIPLE))
+        _publish(store, {"f": _row(42)})
         view = store.open()
-        assert view.load_triple(42, "f") == TRIPLE
-        assert view.load_triple(43, "f") is None  # absent: a miss
+        assert _triple(view) == TRIPLE
+        assert _triple(view, "f", 43) is None  # absent: a miss
 
-    def test_counters(self, tmp_path):
+    def test_counters(self, tmp_path, quick_program):
         store = SummaryStore(str(tmp_path / "s"))
+        record = FrontendRecord(7, 1, (), ())
         base = REGISTRY.snapshot()
-        _publish(
-            store,
-            lambda v: v.store_triple(42, "f", TRIPLE),
-            lambda v: v.store_triple(42, "f", TRIPLE),  # no second write
-        )
-        _publish(store, lambda v: v.store_triple(42, "f", TRIPLE))  # held
-        view = store.open()
-        view.load_triple(42, "f")
-        view.load_triple(43, "f")
+        _publish(store, {"f": _row(42)}, records=[record])
+        _publish(store, records=[record])  # held: nothing to write
         delta = REGISTRY.delta_since(base)
         assert delta.get("store.write") == 1
         assert delta.get("store.bytes", 0) > 0
-        assert delta.get("store.hit") == 1
-        assert delta.get("store.miss") == 1
-        assert len(_pack_paths(store.root)) == 1  # a flush of nothing writes nothing
+        assert delta.get("store.frontend.write") == 1
+        assert len(_pack_paths(store.root)) == 1
+        # A run counts, per routine and phase, what the store served;
+        # it asks only about components it holds rows of.
+        config = AnalysisConfig(store=store)
+        routines = quick_program.routine_count
+        base = REGISTRY.snapshot()
+        analyze_incremental(quick_program, config=config)
+        delta = REGISTRY.delta_since(base)
+        assert not delta.get("store.hit")
+        assert not delta.get("store.miss")
+        assert delta.get("store.write") == 2 * routines
+        base = REGISTRY.snapshot()
+        analyze_incremental(quick_program, config=config)
+        delta = REGISTRY.delta_since(base)
+        assert delta.get("store.hit") == 2 * routines
+        assert not delta.get("store.miss")
+        assert not delta.get("store.write")
 
     def test_corrupt_record_is_a_miss(self, tmp_path):
         store = SummaryStore(str(tmp_path / "s"))
-        _publish(store, lambda v: v.store_triple(42, "f", TRIPLE))
+        _publish(store, {"f": _row(42)})
         assert _poison(store.root) == 1
         base = REGISTRY.snapshot()
-        assert store.open().load_triple(42, "f") is None
-        delta = REGISTRY.delta_since(base)
-        assert delta.get("store.miss") == 1
-        assert delta.get("store.corrupt") == 1
+        assert _triple(store.open()) is None
+        assert REGISTRY.delta_since(base).get("store.corrupt") == 1
         assert _pack_paths(store.root) == []  # unlinked
 
     def test_corrupt_packs_leave_the_others_served(self, tmp_path, summary_record):
         # Packs are read in name order: a corrupt one between good ones
-        # (at open), and one whose record fails to decode (at lookup),
-        # cost only their own records.
-        key, summary, _ = summary_record
+        # (at open), and one whose summary fails to decode (at
+        # adoption), cost only their own rows.
+        inputs, _, blob = summary_record
         store = SummaryStore(str(tmp_path / "s"))
         os.makedirs(store.packs_dir)
         packs = {
             "a": TRIPLE_PACK,
             "b": TRIPLE_PACK[:-1],
-            "c": encode_pack({(GRADE_TRIPLE, 3): dump_triple_record("h", TRIPLE)}),
-            "d": encode_pack(
-                {(GRADE_TRIPLE, key): dump_summary_record("helper", summary)}
-            ),
-            "e": encode_pack({(GRADE_TRIPLE, 5): dump_triple_record("j", TRIPLE)}),
+            "c": _pack(_table({"h": _row(3)})),
+            "d": _forged_body(blob),
+            "e": _pack(_table({"j": _row(5)})),
         }
-        for name, blob in packs.items():
+        for name, pack in packs.items():
             with open(os.path.join(store.packs_dir, f"{name}.pack"), "wb") as out:
-                out.write(blob)
+                out.write(pack)
         base = REGISTRY.snapshot()
         view = store.open()
-        assert view.load_triple(key, "helper") is None
-        for key_, name in ((42, "f"), (3, "h"), (5, "j")):
-            assert view.load_triple(key_, name) == TRIPLE
+        assert _summary(view, "helper", inputs) is None
+        for name, fingerprint in (("f", 42), ("h", 3), ("j", 5)):
+            assert _triple(view, name, fingerprint) == TRIPLE
         assert REGISTRY.delta_since(base).get("store.corrupt") == 2
         assert sorted(os.listdir(store.packs_dir)) == ["a.pack", "c.pack", "e.pack"]
 
@@ -691,57 +838,53 @@ class TestStoreIO:
     def test_corrupt_record_is_repaired_by_the_next_publish(
         self, tmp_path, summary_record, frontend_record, grade
     ):
-        # A view skips records its index holds, so a pack that cannot
-        # be read has to go or its keys would miss forever.
+        # A pack that cannot be read has to go, or its rows would miss
+        # forever; the run that missed publishes them again.
         store = SummaryStore(str(tmp_path / "s"))
-        key, summary, _ = summary_record
+        inputs, summary, blob = summary_record
         record, _ = frontend_record
-        publish, load, prefix = {
+        solved, load, forged, prefix = {
             "triple": (
-                lambda v: v.store_triple(42, "f", TRIPLE),
-                lambda v: v.load_triple(42, "f"),
-                "store",
+                _table({"f": _row(42)}), _triple, TRIPLE_PACK[:-1], "store",
             ),
             "summary": (
-                lambda v: v.store_summary(key, "helper", summary),
-                lambda v: v.load_summary(key, "helper"),
+                load_cache(blob), _summary_lookup(inputs), _forged_body(blob),
                 "store",
             ),
             "frontend": (
-                lambda v: v.store_frontend(record),
-                lambda v: v.load_frontend(record.shape_key),
-                "store.frontend",
+                _table({}, records=[record]),
+                lambda v: v.frontend_record(record.shape_key),
+                _pack(records=[record])[:-1], "store.frontend",
             ),
         }[grade]
-        _publish(store, publish)
+        store.open().publish(solved)
         expected = load(store.open())
         assert expected is not None
-        _poison(store.root)
+        (path,) = _pack_paths(store.root)
+        with open(path, "wb") as out:
+            out.write(forged)
         base = REGISTRY.snapshot()
         view = store.open()
         assert load(view) is None
-        publish(view)
-        view.flush()
+        view.publish(solved)
         assert load(store.open()) == expected
         delta = REGISTRY.delta_since(base)
-        assert delta.get(f"{prefix}.miss") == 1
         assert delta.get("store.corrupt") == 1
-        assert delta.get(f"{prefix}.write") == 1
-        assert delta.get(f"{prefix}.hit") == 1
+        assert delta.get(f"{prefix}.write") >= 1
 
     def test_identity_mismatch_is_left_in_place(self, tmp_path):
-        # Same key, another routine's name: refused, but whoever the
-        # record belongs to must still find it (no unlink, no thrash).
+        # A row under another fingerprint or another name: refused, but
+        # whoever it belongs to must still find it (no unlink, no
+        # thrash).
         store = SummaryStore(str(tmp_path / "s"))
-        _publish(store, lambda v: v.store_triple(42, "f", TRIPLE))
+        _publish(store, {"f": _row(42)})
         base = REGISTRY.snapshot()
         view = store.open()
-        assert view.load_triple(42, "g") is None
-        delta = REGISTRY.delta_since(base)
-        assert delta.get("store.miss") == 1
-        assert not delta.get("store.corrupt")
-        assert view.load_triple(42, "f") == TRIPLE
-        assert store.open().load_triple(42, "f") == TRIPLE
+        assert _triple(view, "g") is None
+        assert _triple(view, "f", 43) is None
+        assert not REGISTRY.delta_since(base).get("store.corrupt")
+        assert _triple(view) == TRIPLE
+        assert _triple(store.open()) == TRIPLE
 
     def test_frontend_grade_counts_under_its_own_names(
         self, tmp_path, frontend_record
@@ -749,62 +892,63 @@ class TestStoreIO:
         record, _ = frontend_record
         store = SummaryStore(str(tmp_path / "s"))
         base = REGISTRY.snapshot()
-        _publish(
-            store,
-            lambda v: v.store_frontend(record),
-            lambda v: v.store_frontend(record),  # duplicate: no second write
-        )
+        _publish(store, records=[record])
+        _publish(store, records=[record])  # held: no second write
         view = store.open()
-        assert view.load_frontend(record.shape_key) == record
-        assert view.load_frontend(record.shape_key ^ 1) is None
+        assert view.frontend_record(record.shape_key) == record
+        assert view.frontend_record(record.shape_key ^ 1) is None
         delta = REGISTRY.delta_since(base)
         assert delta.get("store.frontend.write") == 1
         assert delta.get("store.frontend.hit") == 1
         assert delta.get("store.frontend.miss") == 1
-        # The summary-grade names did not move.
+        # The summary names did not move.
         for name in ("store.hit", "store.miss", "store.write", "store.bytes"):
             assert not delta.get(name)
 
     def test_pack_layout(self, tmp_path, summary_record, frontend_record):
         # One publishing run, one file: <store>/packs/<crc64 of body>.pack,
-        # its index sorted by (grade, key).
+        # exactly what dump_cache writes, its index sorted by slot.
         root = str(tmp_path / "s")
-        key, summary, _ = summary_record
+        inputs, summary, blob = summary_record
+        rows = {
+            **load_cache(blob).rows,
+            "f": _row(0xAB00000000000001),
+            "g": _row(7),
+        }
         _publish(
-            SummaryStore(root),
-            lambda v: v.store_frontend(frontend_record[0]),
-            lambda v: v.store_summary(key, "helper", summary),
-            lambda v: v.store_triple(0xAB00000000000001, "f", TRIPLE),
-            lambda v: v.store_triple(7, "g", TRIPLE),
+            SummaryStore(root), rows, {"helper": summary},
+            records=[frontend_record[0]],
         )
         assert os.listdir(root) == ["packs"]
         (path,) = _pack_paths(root)
         blob = _read(path)
-        assert blob[:5] == MAGIC_PACK + bytes([STORE_VERSION])
+        assert blob[:5] == b"SUM5\x02"
         checksum = struct.unpack_from("<Q", blob, 5)[0]
         assert checksum == crc64(blob[13:])
         assert os.path.basename(path) == f"{checksum:016x}.pack"
         slots = [(grade, key) for grade, key, _s, _e in decode_pack(blob)]
         assert slots == sorted(slots)
-        assert [grade for grade, _ in slots] == [
-            GRADE_TRIPLE, GRADE_TRIPLE, GRADE_SUMMARY, GRADE_FRONTEND
-        ]
+        # The body of helper, the table's third row in name order.
+        assert slots == [(GRADE_TABLE, 0), (GRADE_BODY, 2), (GRADE_RECORDS, 0)]
+        published = load_cache(blob)
+        assert published.rows == rows
+        assert published.result.summaries["helper"] == summary
+        assert published.frontend_records == {
+            frontend_record[0].shape_key: frontend_record[0]
+        }
+        assert dump_cache(published) == blob
 
     def test_one_touch_per_pack_that_served_a_hit(self, tmp_path, monkeypatch):
         store = SummaryStore(str(tmp_path / "s"))
-        _publish(
-            store,
-            lambda v: v.store_triple(1, "f", TRIPLE),
-            lambda v: v.store_triple(2, "g", TRIPLE),
-        )
-        _publish(store, lambda v: v.store_triple(3, "h", TRIPLE))
+        _publish(store, {"f": _row(1), "g": _row(2)})
+        _publish(store, {"h": _row(3)})
         view = store.open()
         touched = []
         monkeypatch.setattr(os, "utime", lambda path, *a, **k: touched.append(path))
-        assert view.load_triple(1, "f") == TRIPLE
-        assert view.load_triple(2, "g") == TRIPLE
-        assert view.load_triple(4, "i") is None
-        assert touched == [_pack_holding(store.root, GRADE_TRIPLE, 1)]
+        assert _triple(view, "f", 1) == TRIPLE
+        assert _triple(view, "g", 2) == TRIPLE
+        assert _triple(view, "i", 4) is None
+        assert touched == [_pack_holding(store.root, "f", 1)]
 
     def test_unwritable_store_never_fails(self, tmp_path):
         # The root is occupied by a plain file: every mkdir, write and
@@ -812,37 +956,44 @@ class TestStoreIO:
         root = tmp_path / "not-a-dir"
         root.write_bytes(b"occupied")
         store = SummaryStore(str(root))
-        _publish(store, lambda v: v.store_triple(42, "f", TRIPLE))  # dropped
-        assert store.open().load_triple(42, "f") is None
+        _publish(store, {"f": _row(42)})  # dropped
+        assert _triple(store.open()) is None
         assert store.stats()["triples"] == 0
 
     def test_stats(self, tmp_path, summary_record, frontend_record):
-        key, summary, _ = summary_record
+        inputs, summary, blob = summary_record
         store = SummaryStore(str(tmp_path / "s"))
         _publish(
-            store,
-            lambda v: v.store_triple(42, "f", TRIPLE),
-            lambda v: v.store_summary(key, "helper", summary),
-            lambda v: v.store_frontend(frontend_record[0]),
+            store, {**load_cache(blob).rows, "f": _row(42)},
+            {"helper": summary}, records=[frontend_record[0]],
         )
         stats = store.stats()
         assert stats["packs"] == 1
-        assert stats["triples"] == 1
+        assert stats["triples"] == 2
         assert stats["summaries"] == 1
         assert stats["frontend"] == 1
         assert stats["other"] == 0
         assert stats["bytes"] == os.path.getsize(_pack_paths(store.root)[0])
-        # Counts are of distinct records, whichever packs hold them.
+        # Counts are of distinct rows, whichever packs hold them.
         with open(os.path.join(store.packs_dir, "dup.pack"), "wb") as out:
             out.write(TRIPLE_PACK)
         stats = store.stats()
-        assert (stats["packs"], stats["triples"]) == (2, 1)
+        assert (stats["packs"], stats["triples"]) == (2, 2)
+
+
+def _forged_body(blob):
+    """``blob`` with its first summary body cut short, re-checksummed:
+    the pack opens, and the summary fails to decode when adopted."""
+    return encode_pack({
+        (grade, key): body[:-1] if grade == GRADE_BODY else body
+        for grade, key, body in _entries(blob)
+    })
 
 
 class TestGC:
     def test_sweeps_stale_tmp_files(self, tmp_path):
         store = SummaryStore(str(tmp_path / "s"))
-        _publish(store, lambda v: v.store_triple(42, "f", TRIPLE))
+        _publish(store, {"f": _row(42)})
         stale = os.path.join(store.packs_dir, "dead.pack.tmp.999.0")
         with open(stale, "wb") as handle:
             handle.write(b"partial")
@@ -855,19 +1006,19 @@ class TestGC:
         assert report["removed"] == 1
         assert not os.path.exists(stale)
         assert os.path.exists(fresh)  # a live writer's temp survives
-        assert store.open().load_triple(42, "f") == TRIPLE
+        assert _triple(store.open()) == TRIPLE
 
     def test_lru_eviction_under_budget(self, tmp_path):
         root = str(tmp_path / "s")
         store = SummaryStore(root)
         for key in range(1, 9):
-            _publish(store, lambda v, key=key: v.store_triple(key, "f", TRIPLE))
+            _publish(store, {"f": _row(key)})
         assert len(_pack_paths(root)) == 8
         size = os.path.getsize(_pack_paths(root)[0])
         # Age the packs of keys 1..4; the recently used packs of 5..8
         # must survive a 4-pack budget.
         for key in range(1, 5):
-            path = _pack_holding(root, GRADE_TRIPLE, key)
+            path = _pack_holding(root, "f", key)
             os.utime(path, (1_000_000 + key, 1_000_000 + key))
         base = REGISTRY.snapshot()
         report = SummaryStore(root, max_bytes=4 * size).gc()
@@ -879,14 +1030,14 @@ class TestGC:
         assert report["remaining_bytes"] == os.path.getsize(merged) < 4 * size
         view = store.open()
         for key in range(1, 5):
-            assert view.load_triple(key, "f") is None
+            assert _triple(view, "f", key) is None
         for key in range(5, 9):
-            assert view.load_triple(key, "f") == TRIPLE
+            assert _triple(view, "f", key) == TRIPLE
 
     def test_no_budget_keeps_everything(self, tmp_path):
         store = SummaryStore(str(tmp_path / "s"))
         for key in range(1, 4):
-            _publish(store, lambda v, key=key: v.store_triple(key, "f", TRIPLE))
+            _publish(store, {"f": _row(key)})
         assert store.gc()["removed"] == 0
         stats = store.stats()
         assert (stats["packs"], stats["triples"]) == (1, 3)
@@ -894,15 +1045,20 @@ class TestGC:
     def test_merge_drops_duplicate_and_corrupt_packs(self, tmp_path):
         root = str(tmp_path / "s")
         store = SummaryStore(root)
-        _publish(store, lambda v: v.store_triple(42, "f", TRIPLE))
-        _publish(store, lambda v: v.store_triple(43, "g", TRIPLE))
+        _publish(store, {"f": _row(42)})
+        _publish(store, {"g": _row(43)})
         with open(os.path.join(store.packs_dir, "dup.pack"), "wb") as out:
-            out.write(TRIPLE_PACK)
+            out.write(_pack(_table({"f": _row(42)}), records=[
+                FrontendRecord(7, 1, (), ())
+            ]))
         with open(os.path.join(store.packs_dir, "bad.pack"), "wb") as out:
             out.write(TRIPLE_PACK[:-1])
         store.gc()
         (merged,) = _pack_paths(root)
-        assert [key for _, key, _s, _e in decode_pack(_read(merged))] == [42, 43]
+        tables = read_pack(_read(merged))
+        # A table per distinct run's table: adoption never mixes them.
+        assert sorted(sorted(table.rows) for table in tables) == [["f"], ["g"]]
+        assert list(tables[0].frontend_records) == [7]
         assert store.stats()["other"] == 0
 
 
@@ -955,10 +1111,90 @@ class TestByteIdentity:
         assert _result_bytes(second) == _result_bytes(baseline2)
         assert len(_pack_paths(store.root)) == 2  # one per publishing run
 
+    def test_sidecar_dropped_into_packs_serves_another_image(
+        self, tmp_path, variant1, variant2
+    ):
+        # A --cache sidecar is a store pack: copied into an empty
+        # store's packs/, it serves an identical copy completely and a
+        # linked variant its library.
+        off = AnalysisConfig(store="off")
+        sidecar = dump_cache(analyze_incremental(variant1, config=off).cache)
+        store = SummaryStore(str(tmp_path / "s"))
+        os.makedirs(store.packs_dir)
+        with open(os.path.join(store.packs_dir, "sidecar.pack"), "wb") as out:
+            out.write(sidecar)
+        config = AnalysisConfig(store=store)
+        for program, hits, built in (
+            (_variant_program(1), variant1.routine_count, 0),
+            (variant2, 2, 1),
+        ):
+            base = REGISTRY.snapshot()
+            run = analyze_incremental(program, config=config)
+            delta = REGISTRY.delta_since(base)
+            assert run.metrics.phase1_store_hits == hits
+            assert run.metrics.phase2_store_hits == hits
+            assert delta.get("store.hit") == 2 * hits
+            assert run.metrics.cfgs_built == built
+            assert _result_bytes(run) == _result_bytes(
+                analyze_incremental(program, config=off)
+            )
+
+    @pytest.mark.parametrize("forged", ["callee-triple", "exit-seed"])
+    def test_row_with_other_recorded_inputs_is_not_adopted(
+        self, tmp_path, variant1, forged
+    ):
+        # ``scale``'s row keeps its name and fingerprint but records
+        # another triple for its callee, or another exit seed: the
+        # component re-solves (all of it, or its phase 2) instead.
+        root = str(tmp_path / "s")
+        config = AnalysisConfig(store=SummaryStore(root))
+        analyze_incremental(variant1, config=config)
+        (path,) = _pack_paths(root)
+        tables = read_pack(_read(path))
+        (table,) = tables
+        row = table.rows["scale"]
+        if forged == "callee-triple":
+            row = row._replace(callees=(SummaryTriple(1, 1, 1),))
+        else:
+            row = row._replace(phase2=(row.phase2[0], row.phase2[1] ^ 1))
+        table.rows = {**table.rows, "scale": row}
+        table.table = None
+        with open(path, "wb") as out:
+            out.write(encode_pack(pack_slots(tables, table.frontend_records, {})[0]))
+        base = REGISTRY.snapshot()
+        run = analyze_incremental(variant1, config=config)
+        assert REGISTRY.delta_since(base).get("store.miss") == 1
+        routines = variant1.routine_count
+        assert run.metrics.phase2_store_hits == routines - 1
+        assert run.metrics.phase1_store_hits == (
+            routines - 1 if forged == "callee-triple" else routines
+        )
+        assert run.metrics.phase2_solved == 1
+        assert _result_bytes(run) == _result_bytes(
+            analyze_incremental(variant1, config=AnalysisConfig(store="off"))
+        )
+
+    def test_store_of_another_configuration_serves_no_summary(
+        self, tmp_path, variant1
+    ):
+        # Rows are scoped by the configuration their run solved under;
+        # front-end records depend on the bytes alone and still serve.
+        store = SummaryStore(str(tmp_path / "s"))
+        analyze_incremental(variant1, config=AnalysisConfig(store=store))
+        other = AnalysisConfig(store=store, callee_saved_filtering=False)
+        run = analyze_incremental(_variant_program(1), config=other)
+        assert run.metrics.phase1_store_hits == 0
+        assert run.metrics.phase2_store_hits == 0
+        assert run.metrics.phase2_solved == variant1.routine_count
+        assert _result_bytes(run) == _result_bytes(analyze_incremental(
+            variant1,
+            config=AnalysisConfig(store="off", callee_saved_filtering=False),
+        ))
+
     def test_leaf_edit_that_keeps_its_triple_keeps_callers_served(
         self, tmp_path
     ):
-        # Keys hash callee triples, not callee code: editing the leaf
+        # Rows record callee triples, not callee code: editing the leaf
         # without moving its triple misses the leaf alone.
         source = """
         .routine main export
@@ -1007,8 +1243,8 @@ class TestByteIdentity:
         config = AnalysisConfig(store=SummaryStore(root))
         baseline = analyze_incremental(variant1, config=AnalysisConfig(store="off"))
         analyze_incremental(variant1, config=config)
-        # Every grade of every routine sits in the run's one pack.
-        assert len(_slots(root)) == 3 * variant1.routine_count
+        # Every routine's row and record sits in the run's one pack.
+        assert len(_rows(root)) == 2 * variant1.routine_count
         assert _poison(root) == 1
         base = REGISTRY.snapshot()
         rerun = analyze_incremental(variant1, config=config)
@@ -1019,7 +1255,7 @@ class TestByteIdentity:
         assert not delta.get("frontend.record.adopted")
         assert delta.get("store.corrupt") == 1
         assert _result_bytes(rerun) == _result_bytes(baseline)
-        # ... and the rerun's flush republished all of it.
+        # ... and the rerun's publish wrote all of it again.
         again = analyze_incremental(variant1, config=config)
         assert again.metrics.phase2_store_hits == variant1.routine_count
         assert again.metrics.cfgs_built == 0
@@ -1046,6 +1282,10 @@ class TestByteIdentity:
             variant2, config=AnalysisConfig(store=store)
         )
         assert follow.metrics.phase1_store_hits == 2
+        # An identical re-analysis finds every component held.
+        base = REGISTRY.snapshot()
+        analyze_program(variant1, AnalysisConfig(store=store))
+        assert not REGISTRY.delta_since(base).get("store.write")
 
     def test_demand_query_reads_through(self, tmp_path, variant1, variant2):
         store = SummaryStore(str(tmp_path / "s"))
@@ -1064,17 +1304,15 @@ class TestByteIdentity:
     def test_old_store_without_frontend_records_still_hits(
         self, tmp_path, variant1, variant2
     ):
-        # A store without the front-end grade: its summary grades keep
-        # hitting, every shape key is a miss, and the records are
-        # written forward.
+        # A store without front-end records: its rows keep serving,
+        # every shape key is a miss, and the records are written
+        # forward.
         root = str(tmp_path / "s")
         store = SummaryStore(root)
         config = AnalysisConfig(store=store)
         baseline = analyze_incremental(variant2, config=AnalysisConfig(store="off"))
         analyze_incremental(variant1, config=config)
-        assert _rewrite_packs(
-            root, lambda grade, _key: grade != GRADE_FRONTEND
-        ) == variant1.routine_count
+        assert _rewrite_records(root, lambda _key: False) == variant1.routine_count
         base = REGISTRY.snapshot()
         second = analyze_incremental(variant2, config=config)
         delta = REGISTRY.delta_since(base)
@@ -1099,12 +1337,10 @@ class TestByteIdentity:
         analyze_incremental(variant1, config=config)
         scale = variant2.routine("scale")
         key = shape_key(scale, jump_tables(variant2).get("scale", ()))
-        assert _rewrite_packs(
-            root, lambda grade, k: (grade, k) != (GRADE_FRONTEND, key)
-        ) == 1
-        _publish(store, lambda v: v.store_frontend(
+        assert _rewrite_records(root, lambda k: k != key) == 1
+        _publish(store, records=[
             FrontendRecord(key, 2, (RecordedSite(0, 0, False, None),), ())
-        ))
+        ])
         off = AnalysisConfig(store="off")
         base = REGISTRY.snapshot()
         if path == "query":
@@ -1132,36 +1368,18 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# A store in the per-record layout packs replaced
+# A store holding packs of an older format
 # ----------------------------------------------------------------------
 
 
-_OLD_MAGICS = {".sum1r": b"SST1", ".sum2r": b"SST2", ".sumfr": b"SSTF"}
-
-
-def _old_layout_store(root: str, program) -> int:
-    """Fill ``root`` the way the per-record layout did: one framed file
-    per record and grade, ``<hh>/<key as 16 hex>.sum1r|.sum2r|.sumfr``
-    (``magic | u8 1 | u64 crc64(body) | body``, the key leading the
-    summary grades' bodies).  Returns the file count."""
-    result = analyze_program(program, AnalysisConfig(store="off")).result
-    records = build_frontend(program).records
-    files = {}
-    for name, summary in result.summaries.items():
-        key = crc64(name.encode())
-        tagged = struct.pack("<Q", key)
-        files[key, ".sum1r"] = tagged + dump_triple_record(name, TRIPLE)
-        files[key ^ 1, ".sum2r"] = tagged + dump_summary_record(name, summary)
-        files[records[name].shape_key, ".sumfr"] = dump_frontend_record(
-            records[name]
-        )
-    for (key, suffix), body in files.items():
-        shard = os.path.join(root, f"{key >> 56:02x}")
-        os.makedirs(shard, exist_ok=True)
-        frame = _OLD_MAGICS[suffix] + struct.pack("<BQ", 1, crc64(body))
-        with open(os.path.join(shard, f"{key:016x}{suffix}"), "wb") as out:
-            out.write(frame + body)
-    return len(files)
+def _old_packs(root: str) -> None:
+    """Leave in ``root``'s packs/ one pack of the store's former format
+    (``SSTP``, checksummed) and one of the previous SUM5 layout."""
+    os.makedirs(os.path.join(root, "packs"), exist_ok=True)
+    for name, frame in (("sstp", dict(magic=b"SSTP", version=3)),
+                        ("sum5v1", dict(version=1))):
+        with open(os.path.join(root, "packs", f"{name}.pack"), "wb") as out:
+            out.write(_reindexed(TRIPLE_PACK, **frame))
 
 
 class TestOldLayout:
@@ -1169,8 +1387,7 @@ class TestOldLayout:
         self, tmp_path, variant1
     ):
         root = str(tmp_path / "s")
-        old_files = _old_layout_store(root, variant1)
-        assert old_files == 3 * variant1.routine_count
+        _old_packs(root)
         baseline = analyze_incremental(variant1, config=AnalysisConfig(store="off"))
         base = REGISTRY.snapshot()
         run = analyze_incremental(
@@ -1179,37 +1396,30 @@ class TestOldLayout:
         delta = REGISTRY.delta_since(base)
         assert _result_bytes(run) == _result_bytes(baseline)
         assert run.metrics.phase1_store_hits == 0
-        # Grade 1 is asked only where every triple its key reads is
-        # known — here, of the routines that call nobody — and misses;
-        # a component whose grade 1 missed or went unasked is never
-        # looked up at grade 2.
-        graph = build_frontend(variant1).call_graph
-        leaves = [
-            name for name in variant1.routine_names()
-            if not graph.callees_of(name)
-        ]
-        assert leaves and delta.get("store.miss") == len(leaves)
-        assert not delta.get("store.corrupt")
+        # Each old pack misses for everything in it and is unlinked.
+        assert delta.get("store.corrupt") == 2
         stats = SummaryStore(root).stats()
-        assert stats["packs"] == 1
+        assert (stats["packs"], stats["other"]) == (1, 0)
         assert stats["triples"] == variant1.routine_count
-        assert stats["other"] == old_files
         again = analyze_incremental(
             variant1, config=AnalysisConfig(store=SummaryStore(root))
         )
         assert again.metrics.phase2_store_hits == variant1.routine_count
 
-    def test_stats_and_gc_through_the_cli(self, tmp_path, variant1, capsys):
+    def test_stats_and_gc_through_the_cli(self, tmp_path, capsys):
         root = str(tmp_path / "s")
-        old_files = _old_layout_store(root, variant1)
+        _old_packs(root)
+        stray = os.path.join(root, "packs", "notes.txt")
+        with open(stray, "w") as out:
+            out.write("not a pack")
         assert main(["store", "stats", "--store-dir", root]) == EXIT_OK
         stats = json.loads(capsys.readouterr().out)
-        assert (stats["other"], stats["packs"]) == (old_files, 0)
+        assert (stats["other"], stats["packs"]) == (3, 0)
         assert main(["store", "gc", "--store-dir", root]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["removed"] == old_files
         assert report["remaining_bytes"] == 0
-        assert os.listdir(root) == []  # fan-out directories gone too
+        # The old packs are gone; a file that is no pack is left alone.
+        assert os.listdir(os.path.join(root, "packs")) == ["notes.txt"]
 
 
 # ----------------------------------------------------------------------
@@ -1227,15 +1437,16 @@ def _concurrent_worker(version: int, root: str, out_path: str) -> None:
         handle.write(blob)
 
 
-def _family_slots(tmp_path) -> set:
-    """The records one publisher per variant leaves in a fresh store."""
+def _family_rows(tmp_path) -> set:
+    """The rows and records one publisher per variant leaves in a fresh
+    store."""
     root = str(tmp_path / "sequential")
     for version in (1, 2):
         analyze_incremental(
             _variant_program(version),
             config=AnalysisConfig(store=SummaryStore(root)),
         )
-    return _slots(root)
+    return _rows(root)
 
 
 class TestConcurrentStore:
@@ -1276,13 +1487,13 @@ class TestConcurrentStore:
             with open(out_path, "rb") as handle:
                 assert handle.read() == expected[version]
         # At most a pack per publisher, no temp litter, and the
-        # distinct records are one sequential family's.
+        # distinct rows are one sequential family's.
         stats = SummaryStore(root).stats()
         assert 1 <= stats["packs"] <= 6
         assert stats["triples"] == 4  # 3 shared + 1 per-variant app
         assert stats["frontend"] == 4
         assert stats["other"] == 0
-        assert _slots(root) == _family_slots(tmp_path)
+        assert _rows(root) == _family_rows(tmp_path)
 
     def test_daemon_threads_publish_into_one_store(self, tmp_path):
         # Two handler threads of one daemon publish different images
@@ -1321,7 +1532,7 @@ class TestConcurrentStore:
                 local.to_json(include_summaries=True)["summaries"]
             ))
         assert 1 <= SummaryStore(root).stats()["packs"] <= 2
-        assert _slots(root) == _family_slots(tmp_path)
+        assert _rows(root) == _family_rows(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -1332,16 +1543,13 @@ class TestConcurrentStore:
 class TestStoreCLI:
     def test_stats_and_gc(self, tmp_path, capsys):
         root = str(tmp_path / "s")
-        _publish(SummaryStore(root), lambda v: v.store_triple(42, "f", TRIPLE))
+        _publish(SummaryStore(root), {"f": _row(42)})
         assert main(["store", "stats", "--store-dir", root]) == EXIT_OK
         stats = json.loads(capsys.readouterr().out)
         assert stats["triples"] == 1
         assert stats["frontend"] == 0
         assert stats["packs"] == 1
-        _publish(
-            SummaryStore(root),
-            lambda v: v.store_frontend(FrontendRecord(7, 1, (), ())),
-        )
+        _publish(SummaryStore(root), records=[FrontendRecord(7, 1, (), ())])
         assert main(["store", "stats", "--store-dir", root]) == EXIT_OK
         stats = json.loads(capsys.readouterr().out)
         assert (stats["frontend"], stats["packs"]) == (1, 2)
@@ -1360,7 +1568,7 @@ class TestStoreCLI:
 
     def test_env_var_names_the_store(self, tmp_path, monkeypatch, capsys):
         root = str(tmp_path / "s")
-        _publish(SummaryStore(root), lambda v: v.store_triple(42, "f", TRIPLE))
+        _publish(SummaryStore(root), {"f": _row(42)})
         monkeypatch.setenv(STORE_ENV_VAR, root)
         assert main(["store", "stats"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["triples"] == 1
@@ -1386,3 +1594,9 @@ class TestStoreCLI:
         stats = SummaryStore(root).stats()
         assert stats["triples"] == 4
         assert (stats["packs"], stats["other"]) == (2, 0)
+        # ... and its sidecar, dropped into the store, is one more pack.
+        shutil.copy(
+            str(tmp_path / "v2.sum2"), os.path.join(root, "packs", "v2.pack")
+        )
+        stats = SummaryStore(root).stats()
+        assert (stats["packs"], stats["other"], stats["triples"]) == (3, 0, 4)
