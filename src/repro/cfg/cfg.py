@@ -177,14 +177,6 @@ class BasicBlock:
     def is_exit(self) -> bool:
         return self.terminator in _EXIT_TERMINATORS
 
-    @property
-    def ends_with_call(self) -> bool:
-        return self.terminator == TerminatorKind.CALL
-
-    @property
-    def is_multiway(self) -> bool:
-        return self.terminator == TerminatorKind.MULTIWAY
-
 
 @dataclass
 class ControlFlowGraph:

@@ -218,7 +218,9 @@ def _analyze_program(
             saved_restored = {cfg.name: cfg.saved & keep for cfg in cfgs}
 
         with metrics.stage("psg_build"):
-            region = build_partial_psg(cfgs, config.psg, whole=True)
+            region = build_partial_psg(
+                cfgs, config.psg, whole=True, convention=config.convention
+            )
         psg = region.psg
 
         callee_first = call_graph.reverse_topological_order()

@@ -82,7 +82,7 @@ def jump_tables(program: Program) -> Dict[str, List[Tuple[int, Tuple[int, ...]]]
 def shape_key(routine: Routine, tables: JumpTables = ()) -> int:
     """The 64-bit hash a :class:`FrontendRecord` is valid under: the
     routine's code bytes and its jump tables, nothing else."""
-    parts = [routine.code_bytes()]
+    parts = [routine.code]
     for offset, targets in tables:
         parts.append(struct.pack(f"<qI{len(targets)}q", offset, len(targets), *targets))
     return crc64(b"".join(parts))
@@ -106,7 +106,7 @@ def _multiway_tables(
 
 def _fingerprint(routine: Routine, multiway, sites: Sequence[CallSite]) -> int:
     parts: List[bytes] = [
-        routine.code_bytes(), b"\x01" if routine.exported else b"\x00"
+        routine.code, b"\x01" if routine.exported else b"\x00"
     ]
     for index, starts in multiway:
         parts.append(_JUMP_HEADER.pack(1, index, len(starts)))

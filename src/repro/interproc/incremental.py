@@ -418,7 +418,9 @@ class _Engine:
             else:
                 routines.append(cfgs[name])
         with self.metrics.stage("psg_build"):
-            region = build_partial_psg(routines, self.config.psg)
+            region = build_partial_psg(
+                routines, self.config.psg, convention=self.config.convention
+            )
         for name in walked:
             fragment = fragment_rows(region.psg, name, self._saved[name])
             fragments[name] = self.labeled[records[name].shape_key] = fragment

@@ -100,9 +100,9 @@ def config_digest(config) -> int:
     """CRC64 over every :class:`AnalysisConfig` knob that can change
     analysis *results*.
 
-    Bound: both conventions (analysis and PSG-build), callee-saved
-    filtering, and the PSG branch-node ablations (Table 4 — they move
-    real dataflow facts).  Computed once per value of those (frozen) knobs.
+    Bound: the calling convention, callee-saved filtering, and the PSG
+    branch-node ablations (Table 4 — they move real dataflow facts).
+    Computed once per value of those (frozen) knobs.
     """
     return _digest(config.convention, config.psg, config.callee_saved_filtering)
 
@@ -112,7 +112,6 @@ def _digest(convention, psg, callee_saved_filtering: bool) -> int:
     writer = _Writer()
     writer.u8(STORE_VERSION)
     _convention_parts(writer, convention)
-    _convention_parts(writer, psg.convention)
     writer.u8(1 if callee_saved_filtering else 0)
     writer.u8(1 if psg.branch_nodes else 0)
     writer.u16(psg.multiway_threshold)

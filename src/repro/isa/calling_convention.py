@@ -34,7 +34,6 @@ from typing import FrozenSet, Tuple
 
 from repro.isa.registers import (
     GLOBAL_POINTER,
-    NUM_INTEGER_REGISTERS,
     RETURN_ADDRESS,
     STACK_POINTER,
     Register,
@@ -156,13 +155,3 @@ def _nt_alpha() -> CallingConvention:
 #: The Windows NT Alpha calling standard used throughout the paper.
 NT_ALPHA: CallingConvention = _nt_alpha()
 
-
-def integer_registers_of(convention: CallingConvention) -> FrozenSet[Register]:
-    """The integer subset of every role in ``convention`` (helper for tests)."""
-    members = (
-        convention.argument_registers
-        | convention.return_registers
-        | convention.callee_saved
-        | convention.temporaries
-    )
-    return frozenset(r for r in members if r.index < NUM_INTEGER_REGISTERS)

@@ -22,7 +22,6 @@ is a static property of the opcode (see :data:`FIELD_FILES`).
 
 from __future__ import annotations
 
-import struct
 import sys
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -40,7 +39,6 @@ from repro.obs.metrics import REGISTRY
 #: Size of one encoded instruction, in bytes.
 INSTRUCTION_SIZE = 4
 
-_WORD = struct.Struct("<I")
 #: The array type code of a native unsigned 32-bit integer.
 _WORD_TYPE = next(
     code for code in "IL" if array(code).itemsize == INSTRUCTION_SIZE
@@ -88,17 +86,12 @@ FIELD_FILES: Dict[Opcode, Tuple[int, int, int]] = {
 
 def _to_field(index: int, file: int, opcode: Opcode) -> int:
     """Unified register index -> 5-bit field value."""
-    if file == _FP:
-        if index < NUM_INTEGER_REGISTERS:
-            raise EncodingError(
-                f"{opcode.mnemonic}: expected a floating register, got index {index}"
-            )
-        return index - NUM_INTEGER_REGISTERS
-    if index >= NUM_INTEGER_REGISTERS:
+    if not file <= index <= file + 0x1F:
+        kind = "a floating" if file == _FP else "an integer"
         raise EncodingError(
-            f"{opcode.mnemonic}: expected an integer register, got index {index}"
+            f"{opcode.mnemonic}: expected {kind} register, got index {index}"
         )
-    return index
+    return index - file
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +267,41 @@ def decode_row(word: int) -> tuple:
     )
 
 
+def replace_fields(
+    word: int,
+    *,
+    ra: Optional[int] = None,
+    rb: Optional[int] = None,
+    rc: Optional[int] = None,
+    displacement: Optional[int] = None,
+) -> int:
+    """``word`` with the given operand fields replaced — the word
+    ``encode_instruction(dataclasses.replace(decode_instruction(word),
+    ...))`` gives, under the same register-file and range checks, with
+    no object built.  The one way code words are edited (the rewriter's
+    relinking, the optimizer's renames, the benchmark's mutations).  A
+    field the word's format does not encode — or ``rb`` of a literal
+    operate — is ignored, as the encoder ignores it."""
+    opcode = decode_row(word)[4]
+    files = FIELD_FILES[opcode]
+    _shift, _mask, mask_a, mask_b, mask_c, literal, disp_mask, _sign, _msg = (
+        _FORMAT_CUTS[opcode.format]
+    )
+    for value, shift, mask, file in (
+        (ra, 21, mask_a, files[0]),
+        (rb, 16, 0 if word & literal else mask_b, files[1]),
+        (rc, 0, mask_c, files[2]),
+    ):
+        if value is not None and mask:
+            word = word & ~(mask << shift) | _to_field(value, file, opcode) << shift
+    if displacement is not None and disp_mask:
+        what = "memory" if disp_mask == 0xFFFF else "branch"
+        word = word & ~disp_mask | _unsigned(
+            displacement, disp_mask.bit_length(), f"{what} displacement"
+        )
+    return word
+
+
 def decode_instruction(word: int) -> Instruction:
     """Decode a 32-bit word back into an :class:`Instruction`."""
     return row_instruction(decode_row(word))
@@ -285,7 +313,7 @@ def decode_instruction(word: int) -> Instruction:
 
 def encode_stream(instructions: Iterable[Instruction]) -> bytes:
     """Encode a sequence of instructions into contiguous code bytes."""
-    return b"".join(_WORD.pack(encode_instruction(i)) for i in instructions)
+    return words_code(map(encode_instruction, instructions))
 
 
 class _RowTable(dict):
@@ -306,7 +334,7 @@ def decode_rows(code: bytes) -> Tuple[tuple, ...]:
     are decoded in stream order, so code with an undecodable word fails
     on the first such word, whose byte offset the error carries.
     """
-    words = _words(code)
+    words = code_words(code)
     table = _RowTable()
     try:
         rows = tuple(map(table.__getitem__, words))
@@ -327,7 +355,7 @@ def row_instructions(
     objects, one per distinct word through the memo ``built`` (word ->
     object, shared by every part of one text); each object it has to
     build counts as ``program.decode.built``."""
-    words = _words(code)
+    words = code_words(code)
     rows_by_word = dict(zip(words, rows))
     new = rows_by_word.keys() - built.keys()
     for word in new:
@@ -336,10 +364,12 @@ def row_instructions(
     return tuple(map(built.__getitem__, words))
 
 
-def _words(code: bytes) -> array:
-    # An array, not ``struct.unpack``: it keeps the words as machine
-    # integers, where a tuple holds an int object per word (1.2 MB on
-    # the gcc shape x0.1) for as long as the decode runs.
+def code_words(code: bytes) -> array:
+    """``code``'s words, in order.
+
+    An array, not ``struct.unpack``: it keeps the words as machine
+    integers, where a tuple holds an int object per word (1.2 MB on the
+    gcc shape x0.1) for as long as a decode runs."""
     if len(code) % INSTRUCTION_SIZE:
         raise EncodingError(
             f"code length {len(code)} is not a multiple of {INSTRUCTION_SIZE}"
@@ -348,6 +378,14 @@ def _words(code: bytes) -> array:
     if sys.byteorder == "big":
         words.byteswap()
     return words
+
+
+def words_code(words: Iterable[int]) -> bytes:
+    """The code bytes of ``words``: the inverse of :func:`code_words`."""
+    code = array(_WORD_TYPE, words)
+    if sys.byteorder == "big":
+        code.byteswap()
+    return code.tobytes()
 
 
 def decode_stream(code: bytes) -> List[Instruction]:

@@ -19,12 +19,13 @@ and loads.  Stores, OUTPUT and all control transfers are kept.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Set
 
-from repro.isa.instructions import ControlKind, Format, Instruction, Opcode
+from repro.isa.instructions import ControlKind, Format, Opcode
 from repro.dataflow.liveness import exit_seeds, live_after, solve, summary_masks
 from repro.cfg.cfg import ControlFlowGraph
 from repro.interproc.summaries import RoutineSummary
+from repro.program.rewrite import RoutineEdits
 
 #: Loads and address computations write a register and touch nothing
 #: else the program can observe.
@@ -43,7 +44,7 @@ _DELETABLE = frozenset(
 def eliminate_dead_code(
     cfg: ControlFlowGraph,
     summary: RoutineSummary,
-) -> Dict[int, Optional[Instruction]]:
+) -> RoutineEdits:
     """Dead instructions of one routine, as rewrite edits.
 
     Returns ``{instruction index: None}`` for every deletable

@@ -27,18 +27,19 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Opcode
 from repro.isa.registers import STACK_POINTER
 from repro.dataflow.liveness import live_after, solve
 from repro.cfg.build import STACK_LOADS, STACK_STORES, frame_slot
 from repro.cfg.cfg import ControlFlowGraph, ExitKind
 from repro.interproc.summaries import RoutineSummary
+from repro.program.rewrite import RoutineEdits
 
 
 def eliminate_dead_stores(
     cfg: ControlFlowGraph,
     summary: RoutineSummary,
-) -> Dict[int, Optional[Instruction]]:
+) -> RoutineEdits:
     """Dead frame stores of one routine, as rewrite edits.
 
     Returns ``{instruction index: None}``.  Conservatively returns no

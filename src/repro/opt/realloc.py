@@ -42,11 +42,10 @@ Per-candidate safety conditions:
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
 from typing import Dict, Optional, Set, Tuple
 
 from repro.isa.calling_convention import CallingConvention
-from repro.isa.instructions import Instruction
+from repro.isa.encoding import code_words, decode_row, replace_fields
 from repro.isa.registers import NUM_INTEGER_REGISTERS
 from repro.dataflow.liveness import solve
 from repro.cfg.build import frame_accesses
@@ -54,7 +53,7 @@ from repro.cfg.callgraph import CallGraph
 from repro.cfg.cfg import ControlFlowGraph, ExitKind
 from repro.interproc.savedregs import find_save_restore_sites
 from repro.interproc.summaries import SummarySet, RoutineSummary
-from repro.program.rewrite import Edits
+from repro.program.rewrite import Edits, RoutineEdits
 
 
 def reallocate_callee_saved(
@@ -110,7 +109,7 @@ def _reallocate_routine(
     extra_killed: Dict[str, int],
     component: Set[str],
     blocked_targets: int,
-) -> Tuple[Dict[int, Optional[Instruction]], int]:
+) -> Tuple[RoutineEdits, int]:
     """Rename what we can in one routine.
 
     Returns (edits, mask of caller-saved registers newly clobbered).
@@ -148,7 +147,7 @@ def _reallocate_routine(
     slot_accesses = frame_accesses(rows)
     candidates = sorted(convention.temporaries, key=lambda r: r.index)
 
-    edits: Dict[int, Optional[Instruction]] = {}
+    edits: RoutineEdits = {}
     new_clobbers = 0
     for register, site_info in sorted(sites.items()):
         protected = {site_info.save_index, *site_info.restore_indices}
@@ -203,23 +202,24 @@ def _apply_rename(
     old: int,
     new: int,
     deleted: Set[int],
-    edits: Dict[int, Optional[Instruction]],
+    edits: RoutineEdits,
 ) -> None:
     for index in deleted:
         edits[index] = None
-    for index, original in enumerate(cfg.routine.instructions):
+    words = code_words(cfg.routine.code)
+    for index, row in enumerate(cfg.routine.rows):
         # Later renames must compose with earlier ones (an instruction
         # may mention two saved registers), and skip instructions this
         # or an earlier rename deleted.
-        instruction = edits.get(index, original)
-        if instruction is None:
+        word = edits.get(index, words[index])
+        if word is None:
             continue
-        fields = {}
-        if instruction.ra == old:
-            fields["ra"] = new
-        if instruction.rb == old:
-            fields["rb"] = new
-        if instruction.rc == old:
-            fields["rc"] = new
+        if index in edits:
+            row = decode_row(word)
+        fields = {
+            field: new
+            for field, register in zip(("ra", "rb", "rc"), row[5:8])
+            if register == old
+        }
         if fields:
-            edits[index] = dataclass_replace(instruction, **fields)
+            edits[index] = replace_fields(word, **fields)

@@ -29,21 +29,21 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.isa.instructions import Instruction
 from repro.isa.registers import STACK_POINTER
 from repro.cfg.build import STACK_LOADS, STACK_STORES, frame_accesses, frame_slot
 from repro.cfg.cfg import ControlFlowGraph
 from repro.interproc.summaries import RoutineSummary
+from repro.program.rewrite import RoutineEdits
 
 
 def remove_call_spills(
     cfg: ControlFlowGraph,
     summary: RoutineSummary,
-) -> Dict[int, Optional[Instruction]]:
+) -> RoutineEdits:
     """Deletable spill pairs of one routine, as rewrite edits."""
-    edits: Dict[int, Optional[Instruction]] = {}
+    edits: RoutineEdits = {}
     rows = cfg.routine.rows  # row[2] def mask, row[4] opcode, row[5] ra
     accesses = frame_accesses(rows)
     arcs_into = Counter(chain.from_iterable(cfg.successors))

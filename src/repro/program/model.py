@@ -7,6 +7,13 @@ with a single entry and one or more exits), plus the interprocedural
 facts recovered from the image — jump-table target sets and the export
 list.
 
+A routine *is* its code: its slice of 32-bit words is the one thing
+anything edits (the rewriter, the optimizer's renames and the
+benchmark's mutations all go through
+:func:`repro.isa.encoding.replace_fields`), and decoded rows and
+:class:`~repro.isa.instructions.Instruction` objects are read-only
+views of it.
+
 Addresses are byte addresses in the image's address space; every
 instruction occupies 4 bytes.
 """
@@ -14,80 +21,49 @@ instruction occupies 4 bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.isa.encoding import (
-    INSTRUCTION_SIZE,
-    decode_rows,
-    encode_stream,
-    row_instructions,
+from repro.isa.encoding import INSTRUCTION_SIZE, decode_rows, row_instructions
+from repro.isa.instructions import ControlKind, Instruction
+
+#: Control kinds whose displacement is PC-relative.
+RELATIVE_CONTROL = (
+    ControlKind.COND_BRANCH, ControlKind.UNCOND_BRANCH, ControlKind.CALL_DIRECT
 )
-from repro.isa.instructions import Instruction
 
 
 class ProgramError(ValueError):
     """Raised for structurally invalid programs."""
 
 
-class _Instructions:
-    """``Routine.instructions``: held as ``_instructions`` and, for a
-    lifted routine, built from its rows on first read.
-
-    A data descriptor rather than ``__getattr__``, which would take
-    every attribute read of a routine off CPython's specialized fast
-    path.  Read on the class it raises ``AttributeError``, which keeps
-    the dataclass field it stands for required.
-    """
-
-    def __get__(self, routine, owner=None) -> Tuple[Instruction, ...]:
-        if routine is None:
-            raise AttributeError("instructions")
-        if routine._instructions is None:
-            routine._instructions = row_instructions(
-                routine.code, routine._rows, routine._built
-            )
-        return routine._instructions
-
-    def __set__(self, routine, instructions) -> None:
-        routine._instructions = tuple(instructions)
-
-
 @dataclass
 class Routine:
-    """A routine: a named, contiguous sequence of instructions.
+    """A routine: a named, contiguous run of code words.
 
-    ``instructions[i]`` lives at ``address + 4 * i``.  The sequence is
-    stored as a tuple: editing a routine means building a new one (as
-    the rewriter and :func:`repro.workloads.mutate.perturb_routine`
-    do), which is what lets a lifted routine keep its image bytes.
-
-    ``rows`` holds the same instructions as decoded rows
-    (:func:`repro.isa.encoding.decode_row`), which is what the analysis
-    reads.  A routine the disassembler lifted (:meth:`lifted`) starts
-    with rows only and builds its :class:`Instruction` objects on the
-    first read of ``instructions``, for the optimizer, the simulator,
-    the rewriter and the listings; a routine constructed from
-    instructions decodes its rows from :meth:`code_bytes` on their
-    first read.
+    Word ``i`` of ``code`` lives at ``address + 4 * i``.  A routine is
+    never changed in place: editing one builds a new one from new words,
+    and two routines are equal when their names, addresses, code and
+    export flags are.  ``rows`` holds one decoded row per word
+    (:func:`repro.isa.encoding.decode_row`), what the analysis and the
+    optimizer read: handed over by the disassembler and the rewriter
+    (:meth:`lifted`, :meth:`relinked`), decoded on first read
+    otherwise.  ``instructions`` holds the words as :class:`Instruction`
+    objects, built on first read for the simulator, the listings and
+    the tests.
     """
 
     name: str
     address: int
-    instructions: Tuple[Instruction, ...] = _Instructions()
+    code: bytes
     exported: bool = False
-    #: The routine's code bytes: the slice of the image's text section
-    #: it was decoded from when the disassembler built it, else ``None``
-    #: until :meth:`code_bytes` first encodes ``instructions`` (never
-    #: copied by ``dataclasses.replace`` and not part of equality).  It
-    #: saves re-encoding ``instructions`` every time something hashes
-    #: them; see :mod:`repro.interproc.frontend`.
-    code: Optional[bytes] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
-        self._rows: Optional[Tuple[tuple, ...]] = None
-        self._set_count(len(self.instructions))
+        count, partial = divmod(len(self.code), INSTRUCTION_SIZE)
+        if partial:
+            raise ProgramError(
+                f"routine {self.name!r} ends in a partial instruction"
+            )
+        self._set_views(count, None, {})
 
     @classmethod
     def lifted(
@@ -106,15 +82,17 @@ class Routine:
         routine = cls.__new__(cls)
         routine.name = name
         routine.address = address
-        routine._instructions = None
-        routine.exported = exported
         routine.code = code
-        routine._rows = rows
-        routine._built = built
-        routine._set_count(len(rows))
+        routine.exported = exported
+        routine._set_views(len(rows), rows, built)
         return routine
 
-    def _set_count(self, count: int) -> None:
+    def _set_views(
+        self,
+        count: int,
+        rows: Optional[Tuple[tuple, ...]],
+        built: Dict[int, Instruction],
+    ) -> None:
         if not count:
             raise ProgramError(f"routine {self.name!r} has no instructions")
         if self.address % INSTRUCTION_SIZE:
@@ -122,22 +100,40 @@ class Routine:
                 f"routine {self.name!r} at unaligned address {self.address:#x}"
             )
         self._count = count
+        self._rows = rows
+        self._instructions: Optional[Tuple[Instruction, ...]] = None
+        self._built = built
+
+    def relinked(
+        self, address: int, code: bytes, rows: Tuple[tuple, ...]
+    ) -> "Routine":
+        """This routine at ``address`` with code ``code``, whose rows
+        are ``rows``, building its instructions through this routine's
+        memo.  Code equal to its own keeps its own code bytes and rows,
+        and the routine itself when the address is its own too."""
+        if code == self.code:
+            if address == self.address:
+                return self
+            code, rows = self.code, self.rows
+        return Routine.lifted(
+            self.name, address, code, rows, self._built, self.exported
+        )
 
     @property
     def rows(self) -> Tuple[tuple, ...]:
-        """One decoded row per instruction: the disassembler's for a
-        lifted routine, else decoded from :meth:`code_bytes` on first
-        read."""
+        """One decoded row per word."""
         if self._rows is None:
-            self._rows = decode_rows(self.code_bytes())
+            self._rows = decode_rows(self.code)
         return self._rows
 
-    def code_bytes(self) -> bytes:
-        """The encoded instructions (the image's own bytes for a lifted
-        routine; encoded once and kept otherwise)."""
-        if self.code is None:
-            self.code = encode_stream(self.instructions)
-        return self.code
+    @property
+    def instructions(self) -> Tuple[Instruction, ...]:
+        """One :class:`Instruction` per word, built on first read."""
+        if self._instructions is None:
+            self._instructions = row_instructions(
+                self.code, self.rows, self._built
+            )
+        return self._instructions
 
     @property
     def size(self) -> int:
@@ -293,30 +289,23 @@ def check_single_entry(program: Program) -> None:
     """
     entries = {routine.address for routine in program.routines}
     for routine in program:
-        for index, instruction in enumerate(routine.instructions):
-            control = instruction.opcode.control
-            if control.name in ("COND_BRANCH", "UNCOND_BRANCH"):
-                target = (
-                    routine.address_of(index)
-                    + INSTRUCTION_SIZE
-                    + instruction.displacement * INSTRUCTION_SIZE
-                )
-                if not routine.contains(target):
-                    raise ProgramError(
-                        f"{routine.name!r}: branch at {routine.address_of(index):#x} "
-                        f"targets {target:#x} outside the routine"
-                    )
-            elif control.name == "CALL_DIRECT":
-                target = (
-                    routine.address_of(index)
-                    + INSTRUCTION_SIZE
-                    + instruction.displacement * INSTRUCTION_SIZE
-                )
+        for index, row in enumerate(routine.rows):
+            control = row[0]
+            if control not in RELATIVE_CONTROL:
+                continue
+            address = routine.address_of(index)
+            target = address + INSTRUCTION_SIZE * (1 + row[3])
+            if control is ControlKind.CALL_DIRECT:
                 if target not in entries:
                     raise ProgramError(
-                        f"{routine.name!r}: call at {routine.address_of(index):#x} "
+                        f"{routine.name!r}: call at {address:#x} "
                         f"targets {target:#x}, not a routine entry"
                     )
+            elif not routine.contains(target):
+                raise ProgramError(
+                    f"{routine.name!r}: branch at {address:#x} "
+                    f"targets {target:#x} outside the routine"
+                )
     for jump_address, targets in program.jump_targets.items():
         owner = program.routine_containing(jump_address)
         if owner is None:
@@ -338,13 +327,10 @@ def program_statistics(program: Program) -> Dict[str, float]:
     calls = 0
     branches = 0
     for routine in program:
-        for instruction in routine:
-            if instruction.is_call:
-                calls += 1
-            elif instruction.opcode.control.name == "COND_BRANCH":
-                branches += 1
-            elif instruction.opcode.control.name == "INDIRECT_JUMP":
-                branches += 1
+        for row in routine.rows:
+            control = row[0]
+            calls += control in (ControlKind.CALL_DIRECT, ControlKind.CALL_INDIRECT)
+            branches += control in (ControlKind.COND_BRANCH, ControlKind.INDIRECT_JUMP)
     count = max(program.routine_count, 1)
     return {
         "routines": float(program.routine_count),

@@ -3,10 +3,13 @@
 Spike is an executable *rewriter*: deleting an instruction shifts every
 later instruction, so branch displacements, call displacements,
 address-materialization sequences and jump tables must all be fixed up.
-This module implements that relinking for the decoded program model:
+This module does that relinking on code words, the one representation
+anything edits (see :class:`~repro.program.model.Routine`):
 
-* ``apply_edits(program, edits)`` deletes / replaces instructions and
-  produces a new, fully consistent :class:`Program`:
+* ``apply_edits(program, edits)`` deletes / replaces words and produces
+  a new, fully consistent :class:`Program`.  It reads each word's
+  control kind and operands from the routine's rows and changes words
+  only through :func:`~repro.isa.encoding.replace_fields`:
 
   - PC-relative branches and direct calls are re-displaced through an
     old-address → new-address map (targets that were deleted resolve to
@@ -16,23 +19,35 @@ This module implements that relinking for the decoded program model:
   - jump tables are patched in place in the data section, so data
     addresses never move.
 
-* ``program_to_image(program)`` re-serializes a program into an
+  Each routine of the result is lifted from its new words and rows; one
+  whose words did not change keeps its code bytes and rows (and, when
+  it did not move either, is the same object).  Only replacement words
+  are decoded, and no :class:`~repro.isa.instructions.Instruction` is
+  built.
+
+* ``program_to_image(program)`` joins the routines' code into an
   executable image (the inverse of
   :func:`repro.program.disasm.disassemble_image`).
 
 Restrictions (checked): only fall-through instructions may be deleted,
-and a replacement must keep the original's control behaviour — the
+and a replacement word must keep the original's control behaviour — the
 optimizer passes in :mod:`repro.opt` only ever need register renames
 and straight-line deletions.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Optional, Tuple
 
-from repro.isa.encoding import INSTRUCTION_SIZE, encode_stream
-from repro.isa.instructions import ControlKind, Instruction, Opcode
+from repro.isa.encoding import (
+    INSTRUCTION_SIZE,
+    code_words,
+    decode_row,
+    replace_fields,
+    words_code,
+)
+from repro.isa.instructions import ControlKind, Opcode
 from repro.isa.registers import ZERO_REGISTER
 from repro.program.image import (
     CallTargetHint,
@@ -40,10 +55,18 @@ from repro.program.image import (
     JumpTableInfo,
     Symbol,
 )
-from repro.program.model import Program, ProgramError, Routine
+from repro.program.model import (
+    RELATIVE_CONTROL,
+    Program,
+    ProgramError,
+    Routine,
+)
 
-#: routine name -> {instruction index: replacement or None (= delete)}.
-Edits = Dict[str, Dict[int, Optional[Instruction]]]
+#: One routine's edits: instruction index -> replacement word, or
+#: ``None`` to delete the instruction.
+RoutineEdits = Dict[int, Optional[int]]
+#: routine name -> its edits.
+Edits = Dict[str, RoutineEdits]
 
 
 class RewriteError(ValueError):
@@ -52,123 +75,78 @@ class RewriteError(ValueError):
 
 def apply_edits(program: Program, edits: Edits) -> Program:
     """Apply ``edits`` and relink; returns a new program."""
+    known = set(program.routine_names())
     for name in edits:
-        if name not in program.routine_names():
+        if name not in known:
             raise RewriteError(f"edits name unknown routine {name!r}")
-
     ordered = sorted(program.routines, key=lambda r: r.address)
-    text_base = ordered[0].address
 
     # ------------------------------------------------------------------
-    # 1. Layout: which instructions survive, and where they land.
+    # 1. Layout: which words survive, and where they land.  A deleted
+    #    instruction's address maps to the next survivor's (branch
+    #    targets slide down), a deleted tail to the last survivor's.
     # ------------------------------------------------------------------
-    kept: Dict[str, List[Tuple[int, Instruction]]] = {}
+    kept: Dict[str, Tuple[List[int], List[int], List[tuple]]] = {}
     new_address: Dict[str, int] = {}
-    cursor = text_base
-    for routine in ordered:
-        routine_edits = edits.get(routine.name, {})
-        survivors: List[Tuple[int, Instruction]] = []
-        for index, instruction in enumerate(routine.instructions):
-            if index in routine_edits:
-                replacement = routine_edits[index]
-                if replacement is None:
-                    if instruction.opcode.control != ControlKind.FALLTHROUGH:
-                        raise RewriteError(
-                            f"{routine.name!r}: cannot delete control "
-                            f"instruction at index {index}"
-                        )
-                    continue
-                if replacement.opcode.control != instruction.opcode.control:
-                    raise RewriteError(
-                        f"{routine.name!r}: replacement at index {index} "
-                        f"changes control behaviour"
-                    )
-                survivors.append((index, replacement))
-            else:
-                survivors.append((index, instruction))
-        if not survivors:
-            raise RewriteError(f"{routine.name!r}: all instructions deleted")
-        kept[routine.name] = survivors
-        new_address[routine.name] = cursor
-        cursor += len(survivors) * INSTRUCTION_SIZE
-
-    # Old instruction address -> new instruction address.  Deleted
-    # instructions map to the next survivor (branch targets slide down).
     address_map: Dict[int, int] = {}
+    cursor = ordered[0].address
     for routine in ordered:
-        survivors = kept[routine.name]
-        base = new_address[routine.name]
-        survivor_positions = {
-            old_index: base + slot * INSTRUCTION_SIZE
-            for slot, (old_index, _instruction) in enumerate(survivors)
-        }
-        survivor_indices = [old_index for old_index, _ in survivors]
-        cursor_slot = 0
-        for old_index in range(len(routine.instructions)):
-            while (
-                cursor_slot < len(survivor_indices)
-                and survivor_indices[cursor_slot] < old_index
-            ):
-                cursor_slot += 1
-            if cursor_slot < len(survivor_indices):
-                mapped = base + cursor_slot * INSTRUCTION_SIZE
-            else:
-                # Deleted trailing instruction: impossible, the last
-                # instruction is a control instruction and cannot be
-                # deleted; defend anyway.
-                mapped = base + (len(survivors) - 1) * INSTRUCTION_SIZE
-            if old_index in survivor_positions:
-                mapped = survivor_positions[old_index]
-            address_map[routine.address_of(old_index)] = mapped
+        indices, words, rows = kept[routine.name] = _survivors(
+            routine, edits.get(routine.name, {})
+        )
+        new_address[routine.name] = cursor
+        slots = range(len(routine))
+        if len(indices) < len(routine):
+            last = len(indices) - 1
+            slots = [min(bisect_left(indices, i), last) for i in slots]
+        address_map.update(zip(
+            range(routine.address, routine.end, INSTRUCTION_SIZE),
+            [cursor + INSTRUCTION_SIZE * slot for slot in slots],
+        ))
+        cursor += INSTRUCTION_SIZE * len(indices)
 
+    def moved(address: int, what: str) -> int:
+        try:
+            return address_map[address]
+        except KeyError:
+            raise RewriteError(
+                f"{what} {address:#x} is not a known instruction"
+            ) from None
+
+    # ------------------------------------------------------------------
+    # 2. Re-displace PC-relative words and address chains.
+    # ------------------------------------------------------------------
     old_entries = {routine.address: routine.name for routine in ordered}
-
-    # ------------------------------------------------------------------
-    # 2. Re-emit instructions with fixed-up displacements.
-    # ------------------------------------------------------------------
     new_routines: List[Routine] = []
     for routine in ordered:
-        survivors = kept[routine.name]
+        indices, words, rows = kept[routine.name]
         base = new_address[routine.name]
-        body: List[Instruction] = []
-        for slot, (old_index, instruction) in enumerate(survivors):
-            control = instruction.opcode.control
-            if control in (
-                ControlKind.COND_BRANCH,
-                ControlKind.UNCOND_BRANCH,
-                ControlKind.CALL_DIRECT,
-            ):
-                old_target = routine.address_of(old_index) + INSTRUCTION_SIZE * (
-                    1 + instruction.displacement
+        for slot, (old_index, row) in enumerate(zip(indices, rows)):
+            if row[0] in RELATIVE_CONTROL:
+                target = moved(
+                    routine.address_of(old_index) + INSTRUCTION_SIZE * (1 + row[3]),
+                    f"{routine.name!r}: branch target",
                 )
-                new_target = address_map.get(old_target)
-                if new_target is None:
-                    raise RewriteError(
-                        f"{routine.name!r}: branch target {old_target:#x} "
-                        f"is not a known instruction"
-                    )
-                new_pc = base + slot * INSTRUCTION_SIZE
-                displacement = (new_target - new_pc - INSTRUCTION_SIZE) // (
-                    INSTRUCTION_SIZE
+                new_pc = base + INSTRUCTION_SIZE * slot
+                _set_displacement(
+                    words, rows, slot,
+                    (target - new_pc - INSTRUCTION_SIZE) // INSTRUCTION_SIZE,
                 )
-                instruction = dataclass_replace(
-                    instruction, displacement=displacement
-                )
-            body.append(instruction)
-        _repair_address_chains(routine.name, body, old_entries, new_address)
+        _repair_address_chains(routine.name, words, rows, old_entries, new_address)
         new_routines.append(
-            Routine(
-                name=routine.name,
-                address=base,
-                instructions=body,
-                exported=routine.exported,
-            )
+            routine.relinked(base, words_code(words), tuple(rows))
         )
 
     # ------------------------------------------------------------------
-    # 3. Patch jump tables (data addresses do not move).
+    # 3. Patch jump tables (data addresses do not move) and relocate
+    #    function-pointer words in the data section.
     # ------------------------------------------------------------------
     data = bytearray(program.data)
+
+    def patch(location: int, address: int) -> None:
+        offset = location - program.data_base
+        data[offset : offset + 8] = address.to_bytes(8, "little")
+
     new_jump_targets: Dict[int, Tuple[int, ...]] = {}
     new_locations: Dict[int, int] = {}
     for old_jump_address, targets in program.jump_targets.items():
@@ -178,26 +156,14 @@ def apply_edits(program: Program, edits: Edits) -> Program:
                 f"cannot rewrite: jump table for {old_jump_address:#x} has "
                 f"no recorded data location"
             )
-        new_targets = []
-        for target in targets:
-            mapped = address_map.get(target)
-            if mapped is None:
-                raise RewriteError(
-                    f"jump-table target {target:#x} is not a known instruction"
-                )
-            new_targets.append(mapped)
-        offset = location - program.data_base
+        new_targets = tuple(
+            moved(target, "jump-table target") for target in targets
+        )
         for i, target in enumerate(new_targets):
-            data[offset + 8 * i : offset + 8 * (i + 1)] = target.to_bytes(
-                8, "little"
-            )
-        new_jump = address_map[old_jump_address]
-        new_jump_targets[new_jump] = tuple(new_targets)
+            patch(location + 8 * i, target)
+        new_jump = moved(old_jump_address, "jump-table owner")
+        new_jump_targets[new_jump] = new_targets
         new_locations[new_jump] = location
-
-    # ------------------------------------------------------------------
-    # 4. Relocate function-pointer words in the data section.
-    # ------------------------------------------------------------------
     for relocation in program.data_relocations:
         offset = relocation - program.data_base
         if offset < 0 or offset + 8 > len(data):
@@ -205,28 +171,8 @@ def apply_edits(program: Program, edits: Edits) -> Program:
                 f"data relocation {relocation:#x} outside data section"
             )
         pointer = int.from_bytes(data[offset : offset + 8], "little")
-        mapped = address_map.get(pointer)
-        if mapped is None:
-            raise RewriteError(
-                f"data relocation at {relocation:#x} holds {pointer:#x}, "
-                f"not a known instruction address"
-            )
-        data[offset : offset + 8] = mapped.to_bytes(8, "little")
-
-    # ------------------------------------------------------------------
-    # 5. Re-address the linker call-target hints.
-    # ------------------------------------------------------------------
-    new_hints: Dict[int, Tuple[int, ...]] = {}
-    for call_address, hint_targets in program.call_target_hints.items():
-        mapped_call = address_map.get(call_address)
-        if mapped_call is None:
-            raise RewriteError(
-                f"call-target hint owner {call_address:#x} is not a known "
-                f"instruction"
-            )
-        new_hints[mapped_call] = tuple(
-            address_map[target] for target in hint_targets
-        )
+        what = f"data relocation at {relocation:#x} holds"
+        patch(relocation, moved(pointer, what))
 
     return Program(
         routines=new_routines,
@@ -236,13 +182,62 @@ def apply_edits(program: Program, edits: Edits) -> Program:
         data_base=program.data_base,
         jump_table_locations=new_locations,
         data_relocations=list(program.data_relocations),
-        call_target_hints=new_hints,
+        # The linker's call-target hints, re-addressed.
+        call_target_hints={
+            moved(call, "call-target hint owner"): tuple(
+                moved(target, "call-target hint") for target in targets
+            )
+            for call, targets in program.call_target_hints.items()
+        },
     )
+
+
+def _survivors(
+    routine: Routine, routine_edits: RoutineEdits
+) -> Tuple[List[int], List[int], List[tuple]]:
+    """The old indices, words and rows of ``routine``'s instructions
+    that survive ``routine_edits``, replacements applied."""
+    words = list(code_words(routine.code))
+    rows = list(routine.rows)
+    for index, replacement in sorted(routine_edits.items()):
+        if not 0 <= index < len(rows):
+            raise RewriteError(f"{routine.name!r}: no instruction at index {index}")
+        control = rows[index][0]
+        if replacement is None:
+            if control is not ControlKind.FALLTHROUGH:
+                raise RewriteError(
+                    f"{routine.name!r}: cannot delete control "
+                    f"instruction at index {index}"
+                )
+            continue
+        words[index], rows[index] = replacement, decode_row(replacement)
+        if rows[index][0] is not control:
+            raise RewriteError(
+                f"{routine.name!r}: replacement at index {index} "
+                f"changes control behaviour"
+            )
+    deleted = {index for index, word in routine_edits.items() if word is None}
+    indices = [index for index in range(len(rows)) if index not in deleted]
+    if not indices:
+        raise RewriteError(f"{routine.name!r}: all instructions deleted")
+    return indices, [words[i] for i in indices], [rows[i] for i in indices]
+
+
+def _set_displacement(
+    words: List[int], rows: List[tuple], slot: int, displacement: int
+) -> None:
+    """Give word ``slot`` the displacement ``displacement`` (which no
+    mask depends on, so the row keeps every other column)."""
+    row = rows[slot]
+    if row[3] != displacement:
+        words[slot] = replace_fields(words[slot], displacement=displacement)
+        rows[slot] = (*row[:3], displacement, *row[4:])
 
 
 def _repair_address_chains(
     name: str,
-    body: List[Instruction],
+    words: List[int],
+    rows: List[tuple],
     old_entries: Dict[int, str],
     new_address: Dict[str, int],
 ) -> None:
@@ -262,19 +257,15 @@ def _repair_address_chains(
     address.  Matching the precise shape avoids false positives on
     intermediate ``ldah`` values that coincidentally equal some entry.
     """
-    for index in range(len(body) - 1):
-        high = body[index]
-        low = body[index + 1]
-        if high.opcode is not Opcode.LDAH or high.rb != ZERO_REGISTER:
+    # row[3] displacement, row[4] opcode, row[5] ra, row[6] rb
+    for index in range(len(rows) - 1):
+        high = rows[index]
+        if high[4] is not Opcode.LDAH or high[6] != ZERO_REGISTER:
             continue
-        if (
-            low.opcode is not Opcode.LDA
-            or low.rb != high.ra
-            or low.ra != high.ra
-        ):
+        low = rows[index + 1]
+        if low[4] is not Opcode.LDA or low[6] != high[5] or low[5] != high[5]:
             continue
-        value = (high.displacement << 16) + low.displacement
-        routine_name = old_entries.get(value)
+        routine_name = old_entries.get((high[3] << 16) + low[3])
         if routine_name is None:
             continue
         target = new_address[routine_name]
@@ -284,8 +275,8 @@ def _repair_address_chains(
         new_high = (target - new_low) >> 16
         if not -0x8000 <= new_high <= 0x7FFF:
             raise RewriteError(f"{name!r}: address {target:#x} out of range")
-        body[index] = dataclass_replace(high, displacement=new_high)
-        body[index + 1] = dataclass_replace(low, displacement=new_low)
+        _set_displacement(words, rows, index, new_high)
+        _set_displacement(words, rows, index + 1, new_low)
 
 
 def program_to_image(program: Program) -> ExecutableImage:
@@ -297,7 +288,6 @@ def program_to_image(program: Program) -> ExecutableImage:
     ordered = sorted(program.routines, key=lambda r: r.address)
     text_base = ordered[0].address
     cursor = text_base
-    instructions: List[Instruction] = []
     symbols: List[Symbol] = []
     for routine in ordered:
         if routine.address != cursor:
@@ -305,7 +295,6 @@ def program_to_image(program: Program) -> ExecutableImage:
                 f"routine {routine.name!r} is not contiguous with the "
                 f"previous routine"
             )
-        instructions.extend(routine.instructions)
         symbols.append(
             Symbol(routine.name, routine.address, routine.size, routine.exported)
         )
@@ -325,7 +314,7 @@ def program_to_image(program: Program) -> ExecutableImage:
             )
         )
     image = ExecutableImage(
-        text=encode_stream(instructions),
+        text=b"".join(routine.code for routine in ordered),
         data=program.data,
         text_base=text_base,
         data_base=program.data_base,

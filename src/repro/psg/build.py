@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import logging
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add
 from typing import (
@@ -105,7 +105,6 @@ class PsgConfig:
 
     branch_nodes: bool = True
     multiway_threshold: int = 2
-    convention: CallingConvention = field(default_factory=lambda: NT_ALPHA)
 
 
 #: The label of a resolved call-return edge until phase 1 writes it.
@@ -135,7 +134,9 @@ class PsgAssembly:
     repeat heavily).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, convention: CallingConvention = NT_ALPHA) -> None:
+        #: The label of an unknown-target call's call-return edge.
+        self.unknown_label = unknown_call_label(convention)
         #: Node rows by node id (see :class:`ProgramSummaryGraph`).
         self.node_kind: List[NodeKind] = []
         self.node_routine: List[str] = []
@@ -298,6 +299,7 @@ def build_psg(
     cfgs: Mapping[str, ControlFlowGraph],
     local_sets: object = None,
     config: Optional[PsgConfig] = None,
+    convention: CallingConvention = NT_ALPHA,
 ) -> ProgramSummaryGraph:
     """Build the whole-program PSG from every routine's CFG, in program
     order: the region of every routine (:func:`build_partial_psg`),
@@ -306,7 +308,7 @@ def build_psg(
     stage replay in ``perf/workloads.py``, which passes
     :func:`~repro.dataflow.local.compute_local_sets` of each CFG."""
     return build_partial_psg(
-        [cfgs[routine.name] for routine in program], config, whole=True
+        [cfgs[routine.name] for routine in program], config, True, convention
     ).psg
 
 
@@ -378,6 +380,7 @@ def build_partial_psg(
     routines: Sequence[Union[ControlFlowGraph, StoredRoutine]],
     config: Optional[PsgConfig] = None,
     whole: bool = False,
+    convention: CallingConvention = NT_ALPHA,
 ) -> PartialPsg:
     """Build the PSG of a region: the given routines, in that order,
     with dummy pinned-entry nodes standing in for callees outside it.
@@ -385,9 +388,10 @@ def build_partial_psg(
     :class:`StoredRoutine` is appended from its fragment.  ``whole``
     says the region is the whole program (counted ``psg.builds``,
     spanned ``psg.build``; any other is ``psg.partial_builds`` and
-    ``psg.build_partial``)."""
+    ``psg.build_partial``).  Unknown-target calls are labeled from the
+    analysis's ``convention`` (§3.5)."""
     config = config or PsgConfig()
-    assembly = PsgAssembly()
+    assembly = PsgAssembly(convention)
     members = [routine.name for routine in routines]
     member_set = set(members)
     with span(
@@ -425,7 +429,6 @@ def _append_nodes(
     exits: Sequence[Tuple[int, ExitKind]],
     sites: Sequence[CallSite],
     branch_blocks: Sequence[int],
-    convention: CallingConvention,
 ) -> RoutinePSG:
     """One routine's nodes — entry, exits, a call/return pair (and its
     call-return edge) per site, branch nodes, ids consecutive — and its
@@ -455,7 +458,7 @@ def _append_nodes(
         blocks += (site.block, site.block)
         details += (site, site)
         call_pairs.append((call_node, call_node + 1, site))
-        label = unknown_call_label(convention) if site.is_unknown else _UNLABELED
+        label = assembly.unknown_label if site.is_unknown else _UNLABELED
         call_return_edges.append(
             CallReturnEdge(call_node, call_node + 1, site.targets, label)
         )
@@ -484,8 +487,7 @@ def build_routine_psg(
         else []
     )
     routine_psg = _append_nodes(
-        assembly, cfg.name, cfg.exits, cfg.call_sites, branch_blocks,
-        config.convention,
+        assembly, cfg.name, cfg.exits, cfg.call_sites, branch_blocks
     )
     # The edge sources (node, start blocks), the targets (node, block)
     # and the boundary cut, in node order.
@@ -520,8 +522,7 @@ def append_fragment(
     (the call graph's, as many as ``fragment.site_count``) for its call
     and return nodes."""
     routine_psg = _append_nodes(
-        assembly, name, fragment.exits, sites, fragment.branch_blocks,
-        config.convention,
+        assembly, name, fragment.exits, sites, fragment.branch_blocks
     )
     base = repeat(routine_psg.entry_node - fragment.entry)
     routine_psg.flow_edge_indices = assembly.add_flow_edges(zip(

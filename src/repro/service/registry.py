@@ -181,10 +181,6 @@ class SessionRegistry:
 
     # -- eviction ------------------------------------------------------
 
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(e.nbytes for e in self._entries.values())
-
     def _evict_to_budget_locked(self) -> None:
         total = sum(e.nbytes for e in self._entries.values())
         REGISTRY.observe_max("service.registry.max_bytes", total)

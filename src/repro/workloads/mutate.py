@@ -9,14 +9,28 @@ summaries.  Retargeting one ALU source register does exactly that.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import Optional
 
-from repro.isa.instructions import ControlKind, Opcode
+from repro.isa.encoding import code_words, decode_row, replace_fields, words_code
+from repro.isa.instructions import Opcode
 from repro.isa.registers import ZERO_REGISTER
 from repro.program.model import Program, Routine
 
 #: Register-form ALU opcodes whose ``ra`` source is safe to retarget.
 _MUTABLE_OPCODES = (Opcode.ADDQ, Opcode.SUBQ, Opcode.AND, Opcode.XOR)
+
+
+def _victim_index(routine: Routine) -> Optional[int]:
+    """The index of the routine's first register-form ALU instruction
+    with a non-zero ``ra`` (row[4] opcode, row[5] ra, row[8] literal)."""
+    for index, row in enumerate(routine.rows):
+        if (
+            row[4] in _MUTABLE_OPCODES
+            and row[8] is None
+            and row[5] != ZERO_REGISTER
+        ):
+            return index
+    return None
 
 
 def perturb_routine(program: Program, name: str) -> Program:
@@ -26,36 +40,25 @@ def perturb_routine(program: Program, name: str) -> Program:
     ``ra`` source register retargeted (never to/from the zero
     register), changing the code bytes — and usually the dataflow
     facts — while leaving every address, branch and call untouched.
-    Raises :class:`ValueError` when the routine has no such
-    instruction.
+    Every other routine is reused as it is.  Raises
+    :class:`ValueError` when the routine has no such instruction.
     """
     victim = program.routine(name)
-    instructions = list(victim.instructions)
-    for index, instruction in enumerate(instructions):
-        if (
-            instruction.opcode not in _MUTABLE_OPCODES
-            or instruction.opcode.control != ControlKind.FALLTHROUGH
-            or instruction.literal is not None
-            or instruction.ra == ZERO_REGISTER
-        ):
-            continue
-        replacement = (instruction.ra + 3) % (ZERO_REGISTER - 1)
-        instructions[index] = dataclasses.replace(instruction, ra=replacement)
-        break
-    else:
+    index = _victim_index(victim)
+    if index is None:
         raise ValueError(f"routine {name!r} has no register-form ALU instruction")
-    routines = [
-        Routine(
-            name=routine.name,
-            address=routine.address,
-            instructions=instructions if routine.name == name
-            else routine.instructions,
-            exported=routine.exported,
-        )
-        for routine in program.routines
-    ]
+    words = code_words(victim.code)
+    rows = list(victim.rows)
+    words[index] = replace_fields(
+        words[index], ra=(rows[index][5] + 3) % (ZERO_REGISTER - 1)
+    )
+    rows[index] = decode_row(words[index])
+    edited = victim.relinked(victim.address, words_code(words), tuple(rows))
     return Program(
-        routines=routines,
+        routines=[
+            edited if routine is victim else routine
+            for routine in program.routines
+        ],
         entry=program.entry,
         jump_targets=program.jump_targets,
         data=program.data,
@@ -63,16 +66,6 @@ def perturb_routine(program: Program, name: str) -> Program:
         jump_table_locations=program.jump_table_locations,
         data_relocations=program.data_relocations,
         call_target_hints=program.call_target_hints,
-    )
-
-
-def _routine_is_editable(routine: Routine) -> bool:
-    return any(
-        instruction.opcode in _MUTABLE_OPCODES
-        and instruction.opcode.control == ControlKind.FALLTHROUGH
-        and instruction.literal is None
-        and instruction.ra != ZERO_REGISTER
-        for instruction in routine.instructions
     )
 
 
@@ -86,7 +79,7 @@ def editable_routines(program: Program, skip_entry: bool = True) -> list:
         routine.name
         for routine in program.routines
         if not (skip_entry and routine.name == program.entry)
-        and _routine_is_editable(routine)
+        and _victim_index(routine) is not None
     ]
 
 
@@ -95,6 +88,6 @@ def first_editable_routine(program: Program, skip_entry: bool = True) -> str:
     for routine in program.routines:
         if skip_entry and routine.name == program.entry:
             continue
-        if _routine_is_editable(routine):
+        if _victim_index(routine) is not None:
             return routine.name
     raise ValueError("no editable routine in program")

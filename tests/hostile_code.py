@@ -14,6 +14,7 @@ import struct
 
 from repro.cfg.cfg import CfgError
 from repro.interproc.errors import AnalysisError
+from repro.isa.encoding import encode_stream
 from repro.isa.instructions import ControlKind, Instruction, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
@@ -52,7 +53,10 @@ def base() -> Program:
 
 def _with_helper(program: Program, instructions) -> Program:
     routines = [
-        Routine(routine.name, routine.address, instructions, routine.exported)
+        Routine(
+            routine.name, routine.address, encode_stream(instructions),
+            routine.exported,
+        )
         if routine.name == "helper" else routine
         for routine in program.routines
     ]
@@ -102,7 +106,10 @@ def _bsr_to_non_entry(program):
         for instruction in main_routine.instructions
     )
     routines = [
-        Routine("main", main_routine.address, instructions, main_routine.exported)
+        Routine(
+            "main", main_routine.address, encode_stream(instructions),
+            main_routine.exported,
+        )
         if routine.name == "main" else routine
         for routine in program.routines
     ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cfg.build import build_all_cfgs, build_cfg, resolve_register_constant
 from repro.cfg.cfg import CfgError, ExitKind, TerminatorKind
+from repro.isa.encoding import encode_stream
 from repro.isa.instructions import Instruction, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
@@ -12,7 +13,7 @@ from repro.program.model import Routine
 
 def _rows(instructions):
     """The instruction rows the resolver reads."""
-    return Routine("r", 0, instructions).rows
+    return Routine("r", 0, encode_stream(instructions)).rows
 
 
 def cfg_of(source: str, routine: str = "main", entry=None):
@@ -135,8 +136,10 @@ class TestExits:
         bad = Routine(
             main.name,
             main.address,
-            main.instructions[:-1]
-            + (Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3),),
+            encode_stream(
+                main.instructions[:-1]
+                + (Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3),)
+            ),
         )
         with pytest.raises(CfgError, match="falls off"):
             build_cfg(program, bad)
@@ -149,7 +152,7 @@ class TestExits:
         )
         main = program.routine("main")
         # Drop the halt; the call is now last.
-        routine = Routine(main.name, main.address, main.instructions[:-1])
+        routine = Routine(main.name, main.address, main.code[:-4])
         with pytest.raises(CfgError, match="return point"):
             build_cfg(program, routine)
 

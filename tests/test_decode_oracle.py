@@ -4,7 +4,9 @@ to the code they replaced (``tests/decode_oracle.py``).
 * every opcode, every register value of every field, both operate
   forms and the extreme displacements: round trip, hash, masks, sets
   and control equal the oracle's — for the decoded instance and for the
-  constructor-built one;
+  constructor-built one — and ``replace_fields`` of every field to every
+  value gives the word ``encode_instruction(dataclasses.replace(...))``
+  gives;
 * every word class outside the tables: the oracle's exact
   ``EncodingError`` text, and ``decode_stream`` still names the first
   bad word;
@@ -43,6 +45,8 @@ from repro.isa.encoding import (
     decode_rows,
     decode_stream,
     encode_instruction,
+    encode_stream,
+    replace_fields,
 )
 from repro.isa.instructions import (
     ControlKind,
@@ -121,9 +125,45 @@ def _assert_matches_oracle(instruction: Instruction) -> None:
     assert instruction.control is instruction.opcode.control
 
 
+def _encoded(make):
+    """The word ``make()`` encodes to, or ``ValueError`` if it refused."""
+    try:
+        return make()
+    except ValueError:
+        return ValueError
+
+
+def _assert_replace_fields_is_the_encoder(built: Instruction, word: int) -> None:
+    """Every field of every value through :func:`replace_fields` gives
+    the word ``encode_instruction`` gives after ``dataclasses.replace``
+    — or both refuse it."""
+    fields = _FIELDS_OF[built.opcode.format]
+    for name in ("ra", "rb", "rc"):
+        # Every register of both files; a field the format does not
+        # encode is ignored by both.
+        values = range(64) if name in fields else (0, 63)
+        for value in values:
+            expected = _encoded(lambda: encode_instruction(
+                dataclasses.replace(built, **{name: value})
+            ))
+            assert _encoded(lambda: replace_fields(word, **{name: value})) == (
+                expected
+            ), (built, name, value)
+    for displacement in (
+        *_DISPLACEMENTS.get(built.opcode.format, (-(1 << 15), 7)), 1 << 21
+    ):
+        expected = _encoded(lambda: encode_instruction(
+            dataclasses.replace(built, displacement=displacement)
+        ))
+        assert _encoded(
+            lambda: replace_fields(word, displacement=displacement)
+        ) == expected, (built, displacement)
+    assert replace_fields(word) == word
+
+
 @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.mnemonic)
 def test_every_operand_value_round_trips_and_matches_the_oracle(opcode):
-    for built in _sweep(opcode):
+    for position, built in enumerate(_sweep(opcode)):
         word = encode_instruction(built)
         decoded = decode_instruction(word)
         assert decoded == built == oracle.decode_instruction(word)
@@ -133,6 +173,8 @@ def test_every_operand_value_round_trips_and_matches_the_oracle(opcode):
         assert set(vars(decoded)) == set(ROW_FIELDS)
         _assert_matches_oracle(built)
         _assert_matches_oracle(decoded)
+        if position % 8 == 0:  # the base, and words from every sweep
+            _assert_replace_fields_is_the_encoder(built, word)
 
 
 def test_a_literal_hides_the_rb_operand_from_the_constructor_too():
@@ -389,7 +431,8 @@ class TestLiftedRoutines:
         image = assemble(BASE_SOURCE)
         first = disassemble_image(image).routine("main")
         built = Routine(
-            first.name, first.address, first.instructions, first.exported
+            first.name, first.address, encode_stream(first.instructions),
+            first.exported,
         )
         return disassemble_image(image).routine("main"), built
 
@@ -409,12 +452,12 @@ class TestLiftedRoutines:
         lifted, built = pair
         assert lifted.rows == built.rows
         assert lifted == built
-        assert lifted.code == built.code_bytes()
+        assert lifted.code == built.code
         assert dataclasses.replace(lifted) == built
         renamed = dataclasses.replace(lifted, name="other")
-        assert renamed.name == "other" and renamed.code is None
+        assert renamed.name == "other" and renamed.code == lifted.code
         assert renamed.instructions == built.instructions
         assert list(lifted) == list(built.instructions)
         assert repr(lifted) == repr(built)
         with pytest.raises(TypeError):
-            Routine("f", 0)  # ``instructions`` is still a required field
+            Routine("f", 0)  # ``code`` is a required field

@@ -178,14 +178,14 @@ def _code_word_edited(program):
     body = list(main.instructions)
     body[0] = dataclasses.replace(body[0], literal=3)
     return _with_routine(
-        program, Routine("main", main.address, body, main.exported)
+        program, Routine("main", main.address, encode_stream(body), main.exported)
     )
 
 
 def _export_flag_flipped(program):
     main = program.routine("main")
     return _with_routine(
-        program, Routine("main", main.address, main.instructions, False)
+        program, Routine("main", main.address, main.code, False)
     )
 
 
@@ -193,7 +193,7 @@ def _direct_callee_renamed(program):
     alpha = program.routine("alpha")
     return _with_routine(
         program,
-        Routine("alpha2", alpha.address, alpha.instructions),
+        Routine("alpha2", alpha.address, alpha.code),
         old_name="alpha",
     )
 
@@ -222,7 +222,7 @@ def _relocated(program, delta=0x4000):
     return dataclasses.replace(
         program,
         routines=[
-            Routine(r.name, r.address + delta, r.instructions, r.exported)
+            Routine(r.name, r.address + delta, r.code, r.exported)
             for r in program.routines
         ],
         jump_targets=moved(program.jump_targets),
@@ -274,11 +274,11 @@ class TestCarriedBytes:
         cfgs = build_all_cfgs(program)
         for routine in program:
             rebuilt = Routine(
-                routine.name, routine.address, routine.instructions,
-                routine.exported,
+                routine.name, routine.address,
+                encode_stream(routine.instructions), routine.exported,
             )
-            assert rebuilt.code is None
-            assert rebuilt == routine  # equality ignores the bytes
+            assert rebuilt.code == routine.code
+            assert rebuilt == routine  # equality compares the code
             assert routine_fingerprint(
                 rebuilt, cfgs[routine.name]
             ) == routine_fingerprint(routine, cfgs[routine.name])
@@ -286,10 +286,14 @@ class TestCarriedBytes:
     def test_an_edited_routine_never_inherits_them(self, small_benchmark):
         lifted = disassemble_image(program_to_image(small_benchmark))
         victim = first_editable_routine(lifted)
-        assert lifted.routine(victim).code is not None
         edited = perturb_routine(lifted, victim)
-        assert edited.routine(victim).code is None
-        assert dataclasses.replace(lifted.routine(victim)).code is None
+        code = edited.routine(victim).code
+        assert code != lifted.routine(victim).code
+        assert code == encode_stream(edited.routine(victim).instructions)
+        assert dataclasses.replace(lifted.routine(victim)) == lifted.routine(victim)
+        for name in lifted.routine_names():
+            if name != victim:
+                assert edited.routine(name) is lifted.routine(name)
         # The edit shows, and the value is the encode-based one.
         before = _fingerprints(lifted)
         after = _fingerprints(edited)

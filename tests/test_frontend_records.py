@@ -37,7 +37,7 @@ from repro.interproc.frontend import (
 )
 from repro.interproc.persist import dump_cache, dump_summaries, load_cache
 from repro.interproc.store import SummaryStore
-from repro.isa.encoding import INSTRUCTION_SIZE
+from repro.isa.encoding import INSTRUCTION_SIZE, encode_stream
 from repro.isa.instructions import ControlKind, Instruction, Opcode
 from repro.obs.metrics import REGISTRY
 from repro.program.asm import assemble
@@ -240,7 +240,7 @@ def edit_export_flipped(program, rng):
     return _with_routines(
         program,
         (
-            Routine(r.name, r.address, r.instructions, not r.exported)
+            Routine(r.name, r.address, r.code, not r.exported)
             if r.name == victim else r
             for r in program.routines
         ),
@@ -252,10 +252,10 @@ def edit_routine_inserted(program, rng):
     fresh = Routine(
         "zz_inserted",
         end + 4 * INSTRUCTION_SIZE,
-        [
+        encode_stream([
             Instruction(Opcode.ADDQ, ra=16, rb=17, rc=0),
             Instruction(Opcode.RET, ra=31, rb=26),
-        ],
+        ]),
         exported=rng.random() < 0.5,
     )
     return _with_routines(program, [*program.routines, fresh])
@@ -268,7 +268,7 @@ def edit_routine_renamed(program, rng):
     return _with_routines(
         program,
         (
-            Routine(r.name + "_renamed", r.address, r.instructions, r.exported)
+            Routine(r.name + "_renamed", r.address, r.code, r.exported)
             if r.name == victim else r
             for r in program.routines
         ),
@@ -320,7 +320,7 @@ def _moved_away(program: Program, name: str) -> Program:
                     )
             body.append(instruction)
         address = new if routine is victim else routine.address
-        return Routine(routine.name, address, body, routine.exported)
+        return Routine(routine.name, address, encode_stream(body), routine.exported)
 
     def rehome(address):
         return address + new - old if victim.contains(address) else address
@@ -552,7 +552,7 @@ class TestSameErrors:
         broken = _with_routines(
             program,
             (
-                Routine(r.name, r.address + 0x400, r.instructions, r.exported)
+                Routine(r.name, r.address + 0x400, r.code, r.exported)
                 if r.name == "g" else r
                 for r in program.routines
             ),
@@ -583,7 +583,7 @@ class TestSameErrors:
         broken = _with_routines(
             program,
             (
-                Routine(r.name, r.address + 0x400, r.instructions, r.exported)
+                Routine(r.name, r.address + 0x400, r.code, r.exported)
                 if r.name in ("g", "h") else r
                 for r in program.routines
             ),
@@ -719,8 +719,8 @@ class TestGccStructuralGate:
     def test_no_analysis_path_builds_an_instruction_object(
         self, gcc_tenth, tmp_path
     ):
-        # The analysis reads instruction rows; only the optimizer, the
-        # simulator, the rewriter and the listings build objects.
+        # The analysis reads instruction rows; only the simulator and
+        # the listings build objects.
         program, sidecar, _prime = gcc_tenth
         blob = program_to_image(program).to_bytes()
         store = AnalysisConfig(store=SummaryStore(str(tmp_path / "store")))
@@ -741,16 +741,14 @@ class TestGccStructuralGate:
             AnalysisSession.from_image_bytes(blob, store).analyze_incremental()
             assert REGISTRY.delta_since(before)["program.decode.built"] == 0
 
-    def test_listings_and_the_optimizer_build_instruction_objects(
-        self, small_benchmark
-    ):
+    def test_only_listings_build_instruction_objects(self, small_benchmark):
         blob = program_to_image(small_benchmark).to_bytes()
         before = REGISTRY.snapshot()
         render_listing(load_program(blob))
         assert REGISTRY.delta_since(before)["program.decode.built"] > 0
         before = REGISTRY.snapshot()
         AnalysisSession.from_image_bytes(blob, STORE_OFF).optimize()
-        assert REGISTRY.delta_since(before)["program.decode.built"] > 0
+        assert REGISTRY.delta_since(before)["program.decode.built"] == 0
 
     def test_local_edit_builds_no_more_cfgs_than_it_solves(self, gcc_tenth):
         program, sidecar, _prime = gcc_tenth

@@ -70,7 +70,7 @@ class TestRoutineFingerprint:
         flipped = Routine(
             name=original.name,
             address=original.address,
-            instructions=original.instructions,
+            code=original.code,
             exported=True,
         )
         cfgs = build_all_cfgs(small_benchmark)

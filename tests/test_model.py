@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa.encoding import encode_stream
 from repro.isa.instructions import Instruction, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
@@ -17,7 +18,7 @@ from repro.program.model import (
 def _routine(name: str, address: int, count: int = 2) -> Routine:
     body = [Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3)] * (count - 1)
     body.append(Instruction(Opcode.RET, rb=26))
-    return Routine(name, address, body)
+    return Routine(name, address, encode_stream(body))
 
 
 class TestRoutine:
@@ -39,7 +40,7 @@ class TestRoutine:
 
     def test_empty_routine_rejected(self):
         with pytest.raises(ProgramError):
-            Routine("f", 0x1000, [])
+            Routine("f", 0x1000, b"")
 
     def test_unaligned_address_rejected(self):
         with pytest.raises(ProgramError):
@@ -116,8 +117,8 @@ class TestCheckSingleEntry:
         routine = Routine(
             "f",
             0x1000,
-            [Instruction(Opcode.BR, displacement=5),
-             Instruction(Opcode.RET, rb=26)],
+            encode_stream([Instruction(Opcode.BR, displacement=5),
+                           Instruction(Opcode.RET, rb=26)]),
         )
         program = Program(routines=[routine], entry="f")
         with pytest.raises(ProgramError, match="outside the routine"):
@@ -127,8 +128,8 @@ class TestCheckSingleEntry:
         caller = Routine(
             "caller",
             0x1000,
-            [Instruction(Opcode.BSR, ra=26, displacement=2),
-             Instruction(Opcode.RET, rb=26)],
+            encode_stream([Instruction(Opcode.BSR, ra=26, displacement=2),
+                           Instruction(Opcode.RET, rb=26)]),
         )
         callee = _routine("callee", 0x1008, 3)
         program = Program(routines=[caller, callee], entry="caller")

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.encoding import encode_instruction, encode_stream
+from repro.isa.instructions import ControlKind, Instruction, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
+from repro.program.model import Program, Routine
 from repro.program.rewrite import (
     RewriteError,
     apply_edits,
@@ -72,8 +74,10 @@ class TestReplacement:
             program,
             {
                 "main": {
-                    0: Instruction(Opcode.LDA, ra=8, rb=31, displacement=7),
-                    1: Instruction(Opcode.BIS, ra=31, rb=8, rc=16),
+                    0: encode_instruction(
+                        Instruction(Opcode.LDA, ra=8, rb=31, displacement=7)
+                    ),
+                    1: encode_instruction(Instruction(Opcode.BIS, ra=31, rb=8, rc=16)),
                 }
             },
         )
@@ -84,7 +88,7 @@ class TestReplacement:
         with pytest.raises(RewriteError, match="control"):
             apply_edits(
                 program,
-                {"main": {0: Instruction(Opcode.RET, rb=26)}},
+                {"main": {0: encode_instruction(Instruction(Opcode.RET, rb=26))}},
             )
 
 
@@ -129,6 +133,32 @@ class TestCrossRoutineFixups:
         program = program_of(source)
         edited = apply_edits(program, {"main": {0: None}})
         assert run_program(edited).outputs == [7]
+
+    def test_ldah_lda_chain_pushed_out_of_range_rejected(self):
+        # The lowest address an ldah/lda pair reaches is -0x80008000;
+        # deleting one word moves ``callee`` (and the pair's value)
+        # below it.
+        callee_address = -0x8000_8000
+        main = [
+            Instruction(Opcode.LDA, ra=1, rb=31, displacement=1),  # deleted
+            Instruction(Opcode.LDAH, ra=27, rb=31, displacement=-0x8000),
+            Instruction(Opcode.LDA, ra=27, rb=27, displacement=-0x8000),
+            Instruction(Opcode.JSR, ra=26, rb=27),
+            Instruction(Opcode.HALT),
+        ]
+        program = Program(
+            routines=[
+                Routine("main", callee_address - 4 * len(main), encode_stream(main)),
+                Routine(
+                    "callee", callee_address,
+                    encode_stream([Instruction(Opcode.RET, rb=26)]),
+                ),
+            ],
+            entry="main",
+        )
+        with pytest.raises(RewriteError, match="out of range"):
+            apply_edits(program, {"main": {0: None}})
+        apply_edits(program, {})  # the chain itself relinks in place
 
     def test_jump_table_patched(self):
         source = """
@@ -213,3 +243,39 @@ class TestNoOpEdit:
             run_program(edited).observable
             == run_program(quick_program).observable
         )
+
+    def test_empty_edits_keep_code_bytes_and_rows(self, small_benchmark):
+        edited = apply_edits(small_benchmark, {})
+        for routine in small_benchmark:
+            kept = edited.routine(routine.name)
+            assert kept.code is routine.code
+            assert kept.rows is routine.rows
+
+
+class TestWordsAndRows:
+    """The rewriter edits words and hands each routine rows that are
+    its words' decode, building no ``Instruction``."""
+
+    def test_relinked_rows_are_the_decode_of_the_new_code(self, small_benchmark):
+        from repro.isa.encoding import decode_rows
+        from repro.obs.metrics import REGISTRY
+
+        # Each routine's first fall-through word: every later branch,
+        # call and address chain in the program moves.
+        victims = {
+            routine.name: {
+                next(
+                    index for index, row in enumerate(routine.rows)
+                    if row[0] is ControlKind.FALLTHROUGH
+                ): None
+            }
+            for routine in small_benchmark
+        }
+        before = REGISTRY.snapshot()
+        edited = apply_edits(small_benchmark, victims)
+        assert REGISTRY.delta_since(before)["program.decode.built"] == 0
+        assert edited.instruction_count < small_benchmark.instruction_count
+        for routine in edited:
+            assert routine.rows == decode_rows(routine.code)
+        image = program_to_image(edited)
+        assert image.text == b"".join(routine.code for routine in edited)

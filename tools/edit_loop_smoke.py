@@ -13,7 +13,9 @@ re-optimize loop would:
 4. query one routine of the base image against a copy of the first
    run's sidecar (``query`` writes its memo back), edit a routine outside
    that query's cones whose triple moves, and analyze the edited image
-   with ``--incremental`` against the query's memo.
+   with ``--incremental`` against the query's memo;
+5. ``optimize`` the base image and analyze the optimized image with
+   ``--incremental`` against another copy of the first run's sidecar.
 
 Fails unless the warm run says its cache was warm, walked no routine
 but the edited ones (``cfgs_built`` in the payload: the front-end
@@ -23,7 +25,8 @@ for the CFG of every other routine it re-solves — at least one, counted
 has routines (``cache.body.decoded``), and saved summaries
 byte-identical to the cold run's; and unless the run on the query's
 memo is warm, reuses some routine, and saves summaries byte-identical
-to a cold run of its image.
+to a cold run of its image; and unless the run on the optimized image
+is warm and saves summaries byte-identical to a cold run of it.
 
 Usage::
 
@@ -141,6 +144,31 @@ def query_then_edit(tmp: str, base: str, program: Program, memo: str) -> None:
     print("summaries on the query's memo are byte-identical to a cold run's")
 
 
+def optimize_then_reanalyze(tmp: str, base: str, sidecar: str) -> None:
+    """Step 5: re-analyze the optimized base image against the base
+    run's sidecar."""
+    optimized = os.path.join(tmp, "optimized.sax")
+    warm_sum = os.path.join(tmp, "optimized-warm.sum")
+    cold_sum = os.path.join(tmp, "optimized-cold.sum")
+    cli("optimize", base, "-o", optimized)
+    warm = json.loads(
+        cli(
+            "analyze", optimized, "--incremental", "--cache", sidecar,
+            "--json", "--save-summaries", warm_sum,
+        )
+    )
+    print(
+        f"optimized: {len(warm['dirty_routines'])} routines dirty, "
+        f"{warm['phase2_solved']} of {warm['routines']} re-solved"
+    )
+    if not warm["cache"].startswith("warm"):
+        fail(f"the run on the optimized image was not warm: {warm['cache']}")
+    cli("analyze", optimized, "--save-summaries", cold_sum)
+    if not same_bytes(warm_sum, cold_sum):
+        fail("summaries of the optimized image differ from a cold run's")
+    print("summaries of the optimized image are byte-identical to a cold run's")
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -173,6 +201,8 @@ def main(argv: List[str] | None = None) -> int:
         print(f"cold: {routines} routines, {cold['cfgs_built']} CFGs built")
         memo = os.path.join(tmp, "memo.sum2")
         shutil.copyfile(sidecar, memo)
+        base_sidecar = os.path.join(tmp, "base.sum2")
+        shutil.copyfile(sidecar, base_sidecar)
 
         with open(base, "rb") as handle:
             program = disassemble_image(ExecutableImage.from_bytes(handle.read()))
@@ -215,6 +245,7 @@ def main(argv: List[str] | None = None) -> int:
             fail("warm summaries differ from a cold run of the edited image")
         print("warm summaries are byte-identical to a cold run's")
         query_then_edit(tmp, base, program, memo)
+        optimize_then_reanalyze(tmp, base, base_sidecar)
     return 0
 
 
