@@ -449,7 +449,7 @@ class _Engine:
         self, members: Sequence[str], inputs: Mapping[str, Inputs]
     ) -> Optional[SummaryCache]:
         """The store's table whose rows of ``members`` record ``inputs``
-        (with phase-2 ones, its summaries decoded), or ``None``."""
+        (with phase-2 ones, its summary bodies checked), or ``None``."""
         with span("store.lookup", routines=len(members)):
             found = self.store.find(self.context, members, inputs)
             summarized = members if len(inputs[members[0]]) > 2 else ()

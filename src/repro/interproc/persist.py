@@ -95,8 +95,11 @@ never ``struct.error`` or ``IndexError``.  Bodies and fragments stay
 bytes (:class:`PackedMap`) until first read (a consumer asks for an
 adopted summary, a region appends a routine); one that passed the
 checksum but does not decode (only a deliberately re-checksummed file
-holds one) raises :class:`SummaryFormatError` there.  Writing the next
-sidecar copies the bytes of every body and fragment the run kept.
+holds one) raises :class:`SummaryFormatError` there.  Adopting a
+summary from the store reads nothing: :meth:`PackedMap.check` walks
+the body and refuses exactly what decoding would, building no objects,
+and the body stays bytes.  Writing the next sidecar copies the bytes of
+every body and fragment the run kept.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, count, repeat
 from operator import and_, invert, sub
 from typing import (
@@ -440,6 +443,60 @@ def _read_summary_body(reader: _Reader, name: str) -> RoutineSummary:
     )
 
 
+def _check_summary(
+    body: bytes, _name: object = None, names: Optional[Dict[bytes, str]] = None
+) -> None:
+    """Raise :class:`SummaryFormatError` exactly when :func:`_decode_summary`
+    would, building nothing: the walk of :func:`_read_summary_body` —
+    truncation, an unknown exit kind, a mask wider than the register
+    file, a call-target name that is not UTF-8 (``names``, the name
+    cache the decoder shares, holds the ones known good), trailing
+    bytes — without its objects."""
+    if names is None:
+        names = {}
+    masks_at = _MASKS5.unpack_from
+    length_at = _U16.unpack_from
+    try:
+        high = max(masks_at(body))
+        (exit_count,) = _U32.unpack_from(body, _MASKS5.size)
+        offset = _MASKS5.size + _U32.size
+        # A count past the end fails at the next read, as every field
+        # does: its slice is short, or the read after it is out of range.
+        end = offset + _EXIT.size * exit_count
+        for _block, code, live in _EXIT.iter_unpack(body[offset:end]):
+            if code not in _EXIT_KIND_BY_CODE:
+                raise SummaryFormatError(f"unknown exit kind code {code}")
+            if live > high:
+                high = live
+        (site_count,) = _U32.unpack_from(body, end)
+        offset = end + _U32.size
+        for _ in range(site_count):
+            target_count = _SITE_HEAD.unpack_from(body, offset)[3]
+            offset += _SITE_HEAD.size
+            for _ in range(target_count):
+                (length,) = length_at(body, offset)
+                start = offset + _U16.size
+                offset = start + length
+                raw = body[start:offset]
+                if raw not in names:
+                    try:
+                        names[raw] = raw.decode("utf-8")
+                    except UnicodeDecodeError as error:
+                        raise SummaryFormatError(
+                            f"invalid UTF-8 in summary: {error}"
+                        ) from None
+            site_high = max(masks_at(body, offset))
+            offset += _MASKS5.size
+            if site_high > high:
+                high = site_high
+    except struct.error:
+        raise SummaryFormatError("truncated summary file") from None
+    if high > FULL_MASK:
+        raise SummaryFormatError(f"register mask {high:#x} exceeds the register file")
+    if offset != len(body):
+        raise SummaryFormatError("trailing bytes after the summary")
+
+
 def _check_header(blob: bytes, magic: bytes) -> None:
     if len(blob) < len(magic):
         raise SummaryFormatError(
@@ -565,6 +622,10 @@ class _Packed:
 class _Codec(NamedTuple):
     decode: Callable[[bytes, Any], Any]
     encode: Callable[[Any], bytes]
+    #: Raises :class:`SummaryFormatError` exactly when ``decode`` would,
+    #: building nothing (``None`` for fragments: no reader checks one
+    #: without appending it).
+    check: Optional[Callable[[bytes, Any], None]] = None
 
 
 class PackedMap(Mapping):
@@ -609,6 +670,13 @@ class PackedMap(Mapping):
     def __len__(self) -> int:
         return len(self._cells)
 
+    def check(self, key) -> None:
+        """Raise :class:`SummaryFormatError` if ``key``'s bytes would not
+        decode; the cell stays bytes.  A value already held passes."""
+        cell = self._cells[key]
+        if cell.value is None:
+            self._codec.check(cell.body, key)
+
     def body(self, key) -> Tuple[bytes, bool]:
         """``key``'s encoded bytes, and whether they were copied from a
         sidecar rather than encoded in this process."""
@@ -648,8 +716,12 @@ def _packed_body(values: Mapping, key, codec: _Codec) -> Tuple[bytes, bool]:
     return codec.encode(values[key]), False
 
 
-def _decode_summary(body: bytes, name: str) -> RoutineSummary:
+def _decode_summary(
+    body: bytes, name: str, names: Optional[Dict[bytes, str]] = None
+) -> RoutineSummary:
     reader = _Reader(body)
+    if names is not None:
+        reader.names = names
     summary = _read_summary_body(reader, name)
     if reader.offset != len(body):
         raise SummaryFormatError(f"trailing bytes after the summary of {name!r}")
@@ -757,8 +829,9 @@ def _decode_fragment(body: bytes, _key: object = None) -> PsgFragment:
     )
 
 
-#: Summary bodies by routine name, and PSG fragments by shape key.
-SUMMARY_BODIES = _Codec(_decode_summary, _encode_summary)
+#: Summary bodies by routine name — decoded, or only checked (what
+#: adopting a store's summary does) — and PSG fragments by shape key.
+SUMMARY_BODIES = _Codec(_decode_summary, _encode_summary, _check_summary)
 FRAGMENTS = _Codec(_decode_fragment, fragment_body)
 
 
@@ -1075,6 +1148,12 @@ def read_pack(blob: bytes) -> List[SummaryCache]:
 
     records = _read_records(reader((GRADE_RECORDS, 0), "record section"))
     fragment_map = PackedMap(fragments, FRAGMENTS)
+    # The pack's bodies resolve call-target names through the cache its
+    # routine tables fill.
+    bodies_codec = SUMMARY_BODIES._replace(
+        decode=partial(_decode_summary, names=names),
+        check=partial(_check_summary, names=names),
+    )
     tables: List[SummaryCache] = []
     claimed = 0
     for index in range(max(1, sum(grade == GRADE_TABLE for grade, _ in slots))):
@@ -1092,7 +1171,7 @@ def read_pack(blob: bytes) -> List[SummaryCache]:
         claimed += len(cells)
         tables.append(SummaryCache(
             image_fingerprint=fingerprint,
-            result=SummarySet(summaries=PackedMap(cells, SUMMARY_BODIES)),
+            result=SummarySet(summaries=PackedMap(cells, bodies_codec)),
             rows=rows,
             frontend_records=records,
             config_digest=digest,

@@ -25,10 +25,13 @@ A run reads the store through one :class:`StoreView`: opening it reads
 and checks every pack once and indexes its rows and records; the rows
 the run solved go out as one pack, written atomically, when it ends.
 Concurrent writers each write their own pack, so no locking is needed.
-A pack that fails any check — or holds a summary that does not decode —
-is a *miss* for everything in it, never an error (results stay
-byte-identical with the store on, off, or poisoned), and is unlinked on
-sight, so the run that misses publishes it again.
+A pack that fails any check — or holds a summary body that fails its
+check when a component adopts it — is a *miss* for everything in it,
+never an error (results stay byte-identical with the store on, off, or
+poisoned), and is unlinked on sight, so the run that misses publishes
+it again.  Adoption checks a body without decoding it: an adopted
+summary stays the pack's bytes, copied into the next SUM1 file or
+sidecar, and is decoded only if a consumer reads it.
 """
 
 from __future__ import annotations
@@ -278,14 +281,18 @@ class StoreView:
         return None
 
     def use(self, found: Found, summarized: Iterable[str] = ()) -> bool:
-        """Take an answer from ``found``: decode the summaries of
-        ``summarized`` and touch the pack.  ``False`` when a summary does
-        not decode; the pack then misses for everything in it and is
-        unlinked (``store.corrupt``)."""
+        """Take an answer from ``found``: check the summary bodies of
+        ``summarized`` (``store.body.checked``) and touch the pack.  A
+        checked body stays bytes: it is spliced into the next SUM1 file
+        or sidecar, and decoded only if a consumer reads it.  ``False``
+        when a body would not decode; the pack then misses for
+        everything in it and is unlinked (``store.corrupt``)."""
         path, table = found
+        summaries = table.result.summaries
         try:
             for name in summarized:
-                table.result.summaries[name]
+                REGISTRY.inc("store.body.checked")
+                summaries.check(name)
         except SummaryFormatError:
             REGISTRY.inc("store.corrupt")
             self._dead.add(path)

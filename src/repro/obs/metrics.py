@@ -68,6 +68,7 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("solver.revisits", (("phase", "phase1"),)),
     ("solver.revisits", (("phase", "phase2"),)),
     ("solver.skipped_inqueue", ()),
+    ("store.body.checked", ()),
     ("store.corrupt", ()),
     ("store.frontend.hit", ()),
     ("store.frontend.miss", ()),

@@ -30,6 +30,7 @@ Five layers of guarantees:
 import json
 import multiprocessing
 import os
+import random
 import shutil
 import struct
 import threading
@@ -40,6 +41,8 @@ from repro.api import AnalysisConfig, AnalysisSession
 from repro.cli import EXIT_OK, EXIT_USAGE, main
 from repro.cfg.cfg import FrontendRecord, RecordedSite
 from repro.dataflow.equations import SummaryTriple
+from repro.dataflow.regset import FULL_MASK
+from repro.interproc import persist
 from repro.interproc.frontend import build_frontend, jump_tables, shape_key
 from repro.interproc.persist import (
     GRADE_BODY,
@@ -552,6 +555,51 @@ def _summary_lookup(inputs):
     return lambda view: _summary(view, "helper", inputs)
 
 
+def _site_added(body, target=b"helper", live_after=0):
+    """``body`` with one more call site, to one target spelled
+    ``target``, whose live-after mask is ``live_after`` (the sites
+    end a body; its five masks and exit count come first, 13 bytes an
+    exit)."""
+    (exits,) = struct.unpack_from("<I", body, 40)
+    at = 44 + 13 * exits
+    (sites,) = struct.unpack_from("<I", body, at)
+    site = struct.pack("<IIBHH", 0, 0, 0, 1, len(target)) + target
+    site += struct.pack("<5Q", 0, 0, 0, 0, live_after)
+    return body[:at] + struct.pack("<I", sites + 1) + body[at + 4:] + site
+
+
+#: Ways to forge a summary body past the pack's checksum, each one the
+#: body check rejects: cut one byte short, an unknown exit-kind code
+#: (the first exit's, after the five masks, the exit count and its
+#: block), a site mask above the register file, a call target that is
+#: not UTF-8, one trailing byte.
+_FORGERIES = {
+    "truncated": lambda body: body[:-1],
+    "exit-kind": lambda body: body[:48] + b"\x09" + body[49:],
+    "site-mask": lambda body: _site_added(body, live_after=1 << 63),
+    "utf8": lambda body: _site_added(body, target=b"\xffhelper"),
+    "trailing": lambda body: body + b"\x00",
+}
+
+
+def _narrow_register_file(monkeypatch):
+    """A u64 mask cannot exceed a 64-register file: checks made after
+    this see a file one register narrower, which the site-mask forgery
+    exceeds (every mask the tests publish fits it)."""
+    monkeypatch.setattr(persist, "FULL_MASK", FULL_MASK >> 1)
+
+
+def _forged_body(blob, forgery="truncated"):
+    """``blob`` with its summary body forged (see :data:`_FORGERIES`),
+    re-checksummed: the pack opens, and the body fails its check when a
+    component adopts it."""
+    edit = _FORGERIES[forgery]
+    return encode_pack({
+        (grade, key): edit(body) if grade == GRADE_BODY else body
+        for grade, key, body in _entries(blob)
+    })
+
+
 class TestRecordCodecs:
     def test_triple_roundtrip(self, tmp_path):
         probe = _Probe(str(tmp_path / "s"))
@@ -759,6 +807,84 @@ class TestRecordCodecs:
         assert (stats["packs"], stats["triples"]) == (2, 2)
 
 
+def _verdict(walk, body, name):
+    """``None`` when ``walk`` accepts ``body``, else the message of the
+    :class:`SummaryFormatError` it raised; any other exception fails."""
+    try:
+        walk(body, name)
+    except persist.SummaryFormatError as error:
+        return str(error)
+    return None
+
+
+class TestBodyCheck:
+    """Adoption checks a summary body (``PackedMap.check``) instead of
+    decoding it, so the check must refuse exactly what decoding
+    refuses."""
+
+    #: Seeded single-byte substitutions per body.
+    SUBSTITUTIONS = 12000
+
+    @pytest.fixture(scope="class")
+    def bodies(self, variant1, variant2):
+        """Every summary body of the two variants' packs, by name."""
+        found = {}
+        for program in (variant1, variant2):
+            off = AnalysisConfig(store="off")
+            cache = analyze_incremental(program, config=off).cache
+            summaries = read_pack(dump_cache(cache))[0].result.summaries
+            for name in summaries:
+                found[summaries.body(name)[0]] = name
+        assert any(b"scale" in body for body in found)  # a call target
+        return found
+
+    def _mutants(self, body, rng):
+        yield from (body[:size] for size in range(len(body)))
+        yield body + b"\x00"
+        for _ in range(self.SUBSTITUTIONS):
+            at = rng.randrange(len(body))
+            yield body[:at] + bytes([rng.randrange(256)]) + body[at + 1:]
+
+    #: What decoding refuses, by the words of its messages.
+    RULES = ("truncated", "exit kind", "UTF-8", "trailing", "register mask")
+
+    @pytest.mark.parametrize("width", ["registers", "one-narrower"])
+    def test_check_refuses_exactly_what_decoding_refuses(
+        self, bodies, width, monkeypatch
+    ):
+        if width == "one-narrower":
+            _narrow_register_file(monkeypatch)
+        rng = random.Random(39)
+        # One name cache per walk, shared by every body as a pack's is.
+        names = {}
+        check = lambda body, name: persist._check_summary(body, name, names)
+        refused = set()
+        mutants = 0
+        for body, name in bodies.items():
+            assert _verdict(check, body, name) is None
+            for mutant in self._mutants(body, rng):
+                mutants += 1
+                decoded = _verdict(persist._decode_summary, mutant, name)
+                checked = _verdict(check, mutant, name)
+                assert (checked is None) == (decoded is None), (
+                    name, mutant.hex(), decoded, checked
+                )
+                if decoded is not None:
+                    refused.update(rule for rule in self.RULES if rule in decoded)
+        assert mutants > len(bodies) * self.SUBSTITUTIONS
+        # Every rule refused some mutant; a mask can only be too wide
+        # for the narrower file.
+        assert refused == set(self.RULES[:4 if width == "registers" else 5])
+
+    def test_forged_sites_are_well_formed(self, helper_summary):
+        # The site the forgeries add is refused only for what they put
+        # in it.
+        body = persist._encode_summary(helper_summary)
+        for forged in (body, _site_added(body)):
+            assert _verdict(persist._check_summary, forged, "helper") is None
+            assert _verdict(persist._decode_summary, forged, "helper") is None
+
+
 # ----------------------------------------------------------------------
 # Store I/O, counters, GC
 # ----------------------------------------------------------------------
@@ -809,54 +935,72 @@ class TestStoreIO:
         assert REGISTRY.delta_since(base).get("store.corrupt") == 1
         assert _pack_paths(store.root) == []  # unlinked
 
-    def test_corrupt_packs_leave_the_others_served(self, tmp_path, summary_record):
+    def test_corrupt_packs_leave_the_others_served(
+        self, tmp_path, summary_record, monkeypatch
+    ):
         # Packs are read in name order: a corrupt one between good ones
-        # (at open), and one whose summary fails to decode (at
-        # adoption), cost only their own rows.
+        # (at open), and one whose summary body fails its check (at
+        # adoption), cost only their own rows — whatever the forgery.
         inputs, _, blob = summary_record
-        store = SummaryStore(str(tmp_path / "s"))
-        os.makedirs(store.packs_dir)
-        packs = {
-            "a": TRIPLE_PACK,
-            "b": TRIPLE_PACK[:-1],
-            "c": _pack(_table({"h": _row(3)})),
-            "d": _forged_body(blob),
-            "e": _pack(_table({"j": _row(5)})),
-        }
-        for name, pack in packs.items():
-            with open(os.path.join(store.packs_dir, f"{name}.pack"), "wb") as out:
-                out.write(pack)
-        base = REGISTRY.snapshot()
-        view = store.open()
-        assert _summary(view, "helper", inputs) is None
-        for name, fingerprint in (("f", 42), ("h", 3), ("j", 5)):
-            assert _triple(view, name, fingerprint) == TRIPLE
-        assert REGISTRY.delta_since(base).get("store.corrupt") == 2
-        assert sorted(os.listdir(store.packs_dir)) == ["a.pack", "c.pack", "e.pack"]
+        for forgery in _FORGERIES:
+            store = SummaryStore(str(tmp_path / forgery))
+            os.makedirs(store.packs_dir)
+            packs = {
+                "a": TRIPLE_PACK,
+                "b": TRIPLE_PACK[:-1],
+                "c": _pack(_table({"h": _row(3)})),
+                "d": _forged_body(blob, forgery),
+                "e": _pack(_table({"j": _row(5)})),
+            }
+            for name, pack in packs.items():
+                with open(os.path.join(store.packs_dir, f"{name}.pack"), "wb") as out:
+                    out.write(pack)
+            with monkeypatch.context() as patch:
+                if forgery == "site-mask":
+                    _narrow_register_file(patch)
+                base = REGISTRY.snapshot()
+                view = store.open()
+                assert _summary(view, "helper", inputs) is None, forgery
+                for name, fingerprint in (("f", 42), ("h", 3), ("j", 5)):
+                    assert _triple(view, name, fingerprint) == TRIPLE
+                assert REGISTRY.delta_since(base).get("store.corrupt") == 2
+            assert sorted(os.listdir(store.packs_dir)) == [
+                "a.pack", "c.pack", "e.pack"
+            ], forgery
 
-    @pytest.mark.parametrize("grade", ["triple", "summary", "frontend"])
+    @pytest.mark.parametrize("grade", [
+        "triple", "summary", *(f"summary-{forgery}" for forgery in _FORGERIES
+                               if forgery != "truncated"),
+        "frontend",
+    ])
     def test_corrupt_record_is_repaired_by_the_next_publish(
-        self, tmp_path, summary_record, frontend_record, grade
+        self, tmp_path, summary_record, frontend_record, grade, monkeypatch
     ):
         # A pack that cannot be read has to go, or its rows would miss
-        # forever; the run that missed publishes them again.
+        # forever; the run that missed publishes them again.  A summary
+        # body forged any way is refused at adoption ("summary" cuts it
+        # short), and the republished answer is the store-less solve's
+        # to the byte.
         store = SummaryStore(str(tmp_path / "s"))
         inputs, summary, blob = summary_record
         record, _ = frontend_record
+        kind, _, forgery = grade.partition("-")
+        if forgery == "site-mask":
+            _narrow_register_file(monkeypatch)
         solved, load, forged, prefix = {
             "triple": (
                 _table({"f": _row(42)}), _triple, TRIPLE_PACK[:-1], "store",
             ),
             "summary": (
-                load_cache(blob), _summary_lookup(inputs), _forged_body(blob),
-                "store",
+                load_cache(blob), _summary_lookup(inputs),
+                _forged_body(blob, forgery or "truncated"), "store",
             ),
             "frontend": (
                 _table({}, records=[record]),
                 lambda v: v.frontend_record(record.shape_key),
                 _pack(records=[record])[:-1], "store.frontend",
             ),
-        }[grade]
+        }[kind]
         store.open().publish(solved)
         expected = load(store.open())
         assert expected is not None
@@ -866,11 +1010,16 @@ class TestStoreIO:
         base = REGISTRY.snapshot()
         view = store.open()
         assert load(view) is None
+        assert _pack_paths(store.root) == []  # unlinked
         view.publish(solved)
         assert load(store.open()) == expected
         delta = REGISTRY.delta_since(base)
         assert delta.get("store.corrupt") == 1
         assert delta.get(f"{prefix}.write") >= 1
+        if kind == "summary":
+            assert dump_summaries(
+                SummarySet(summaries={"helper": load(store.open())})
+            ) == dump_summaries(SummarySet(summaries={"helper": summary}))
 
     def test_identity_mismatch_is_left_in_place(self, tmp_path):
         # A row under another fingerprint or another name: refused, but
@@ -979,15 +1128,6 @@ class TestStoreIO:
             out.write(TRIPLE_PACK)
         stats = store.stats()
         assert (stats["packs"], stats["triples"]) == (2, 2)
-
-
-def _forged_body(blob):
-    """``blob`` with its first summary body cut short, re-checksummed:
-    the pack opens, and the summary fails to decode when adopted."""
-    return encode_pack({
-        (grade, key): body[:-1] if grade == GRADE_BODY else body
-        for grade, key, body in _entries(blob)
-    })
 
 
 class TestGC:
@@ -1101,11 +1241,16 @@ class TestByteIdentity:
         assert first.metrics.phase1_store_hits == 0
         assert _result_bytes(first) == _result_bytes(baseline1)
 
+        base = REGISTRY.snapshot()
         second = analyze_incremental(variant2, config=config)
         # mathlib (scale) and util (offset) are byte-identical across
         # the variants; only the edited app must re-solve.
         assert second.metrics.phase1_store_hits == 2
         assert second.metrics.phase2_store_hits == 2
+        # Adoption checks each adopted summary body and decodes none.
+        delta = REGISTRY.delta_since(base)
+        assert delta["store.body.checked"] == second.metrics.phase2_store_hits
+        assert delta["cache.body.decoded"] == 0
         assert second.metrics.phase1_solved == 1
         assert second.metrics.cfgs_built == 1  # the app module's main
         assert _result_bytes(second) == _result_bytes(baseline2)
