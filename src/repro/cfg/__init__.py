@@ -2,8 +2,7 @@
 
 * :mod:`repro.cfg.cfg` — the per-routine CFG: flat block rows (blocks
   ended by branches *and* by call instructions, as the paper assumes),
-  arcs, per-block DEF/UBD masks, call sites and typed exits, with
-  basic-block objects built from the rows on request;
+  arcs, per-block DEF/UBD masks, call sites and typed exits;
 * :mod:`repro.cfg.build` — one walk per routine from instructions to
   rows: leader analysis, jump-table-driven multiway branches, per-block
   DEF/UBD masks, resolution of indirect-call targets by backward
@@ -14,7 +13,6 @@
 """
 
 from repro.cfg.cfg import (
-    BasicBlock,
     CallSite,
     CfgError,
     ControlFlowGraph,
@@ -29,7 +27,6 @@ from repro.cfg.build import (
 from repro.cfg.callgraph import CallGraph, build_call_graph
 
 __all__ = [
-    "BasicBlock",
     "CallGraph",
     "CallSite",
     "CfgError",

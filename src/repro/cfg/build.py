@@ -19,10 +19,8 @@ For each routine, :func:`build_cfg` reads its instruction rows
    RETURN exit.
 
 The result is a :class:`~repro.cfg.cfg.ControlFlowGraph` held as those
-rows — what the PSG build, the call graph and the §3.4 filter read.
-Its :class:`~repro.cfg.cfg.BasicBlock` objects are built from the rows
-only when a consumer reads ``cfg.blocks``: the reports and the
-whole-CFG baseline.  The frame-slot format the optimizer's passes share
+rows — what the PSG build, the call graph, the §3.4 filter, the
+reports and the whole-CFG baseline read.  The frame-slot format the optimizer's passes share
 (:func:`frame_slot`) is read here too, beside the save/restore matcher
 that uses it.
 

@@ -18,14 +18,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from repro.isa.instructions import Instruction
-from repro.obs.metrics import REGISTRY
 from repro.program.model import Routine
 
 
@@ -149,36 +145,6 @@ _EXIT_TERMINATORS = (
 
 
 @dataclass
-class BasicBlock:
-    """A basic block of a routine's CFG.
-
-    ``start``/``stop`` index into the routine's instruction list;
-    ``instructions`` is the corresponding slice.  ``successors`` and
-    ``predecessors`` hold block indices within the same CFG.
-    """
-
-    index: int
-    start: int
-    stop: int
-    instructions: List[Instruction]
-    terminator: TerminatorKind
-    successors: List[int] = field(default_factory=list)
-    predecessors: List[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def terminator_index(self) -> int:
-        """Routine-relative index of the block's last instruction."""
-        return self.stop - 1
-
-    @property
-    def is_exit(self) -> bool:
-        return self.terminator in _EXIT_TERMINATORS
-
-
-@dataclass
 class ControlFlowGraph:
     """The CFG of one routine, held as flat per-block rows.
 
@@ -196,12 +162,9 @@ class ControlFlowGraph:
     calling convention narrows them to its callee-saved registers.
 
     The rows are everything the PSG build, the call graph, the §3.4
-    filter and the optimizer's passes read, and what
-    :func:`repro.cfg.build.build_cfg` writes in its one walk over the
-    routine.  :class:`BasicBlock` objects (instruction slices,
-    predecessor lists) are built from the rows on the first read of
-    :attr:`blocks`, for the consumers that want them — the reports and
-    the whole-CFG baseline; no solve reads them.
+    filter, the optimizer's passes, the reports and the whole-CFG
+    baseline read, and what :func:`repro.cfg.build.build_cfg` writes in
+    its one walk over the routine.
     """
 
     routine: Routine
@@ -240,66 +203,9 @@ class ControlFlowGraph:
             return starts[block_index], starts[block_index + 1]
         return starts[block_index], len(self.routine.rows)
 
-    @cached_property
-    def blocks(self) -> List[BasicBlock]:
-        """The rows as :class:`BasicBlock` objects, in instruction
-        order; built on first read (counted as ``cfg.built``)."""
-        REGISTRY.inc("cfg.built")
-        instructions = self.routine.instructions
-        stops = self.starts[1:] + [len(instructions)]
-        blocks = [
-            BasicBlock(
-                index=index,
-                start=start,
-                stop=stop,
-                instructions=instructions[start:stop],
-                terminator=terminator,
-                successors=list(successors),
-            )
-            for index, (start, stop, terminator, successors) in enumerate(
-                zip(self.starts, stops, self.terminators, self.successors)
-            )
-        ]
-        for block in blocks:
-            for successor in block.successors:
-                blocks[successor].predecessors.append(block.index)
-        return blocks
-
-    @property
-    def entry_block(self) -> BasicBlock:
-        return self.blocks[0]
-
-    def block_of_instruction(self, instruction_index: int) -> BasicBlock:
-        """The block containing routine instruction ``instruction_index``."""
-        if not 0 <= instruction_index < len(self.routine.rows):
-            raise CfgError(
-                f"{self.routine.name!r}: instruction index {instruction_index} "
-                f"is outside every block"
-            )
-        return self.blocks[bisect_right(self.starts, instruction_index) - 1]
-
-    @cached_property
-    def _call_site_by_block(self) -> Dict[int, CallSite]:
-        return {site.block: site for site in self.call_sites}
-
-    @cached_property
-    def _exit_kind_by_block(self) -> Dict[int, ExitKind]:
-        return dict(self.exits)
-
-    def call_site_of(self, block_index: int) -> Optional[CallSite]:
-        """The call site ending block ``block_index``, if any."""
-        return self._call_site_by_block.get(block_index)
-
-    def exit_kind_of(self, block_index: int) -> Optional[ExitKind]:
-        """The exit kind of block ``block_index``, if it is an exit."""
-        return self._exit_kind_by_block.get(block_index)
-
     def return_exits(self) -> List[int]:
         """Indices of blocks that exit via RET."""
         return [index for index, kind in self.exits if kind == ExitKind.RETURN]
-
-    def __iter__(self) -> Iterator[BasicBlock]:
-        return iter(self.blocks)
 
     def check(self) -> None:
         """Verify the structural invariants on the rows; raise

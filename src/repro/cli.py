@@ -32,14 +32,16 @@ codes are distinct per failure class so scripts can tell them apart:
 
 * 0 — success;
 * 2 — usage error (bad or removed flags, a bad flag combination, an
-  empty ``--cache`` path, or a query for an unknown routine);
+  empty ``--cache`` path, an unknown routine for ``query``, ``-r`` or
+  ``--dot-routine``, or an unknown benchmark for ``generate``);
 * 3 — the input image (or the ``summaries`` sidecar) could not be read
   or parsed;
 * 4 — the analysis itself failed (:class:`AnalysisError`), or
   executing the program did (``run``, ``optimize --verify``: a fault,
   the step limit, or changed behaviour);
-* 5 — the analysis succeeded but a by-product (the cache sidecar or
-  the ``--trace`` file) could not be written; the run's output is
+* 5 — an output file (the cache sidecar, ``--save-summaries``,
+  ``--dot``, ``--trace``, or the image ``generate -o`` and
+  ``optimize -o`` write) could not be written; the run's output is
   still printed;
 * 141 — stdout was closed before the output was (a pipe into
   ``head``); the shells' code for a process SIGPIPE ended.
@@ -132,7 +134,7 @@ def _read_sidecar(path: str) -> Tuple[Optional[SummaryCache], str]:
 
 
 def _write_file(path: str, blob: bytes, what: str, quiet: bool) -> int:
-    """Write a by-product file atomically (a writer killed mid-dump
+    """Write an output file atomically (a writer killed mid-dump
     leaves the previous file intact): EXIT_OK, or EXIT_CACHE_IO with
     the reason on stderr.  ``quiet`` (``--json``) keeps the note off
     stdout."""
@@ -142,6 +144,21 @@ def _write_file(path: str, blob: bytes, what: str, quiet: bool) -> int:
         print(f"could not write {what} to {path}: {error}", file=sys.stderr)
         return EXIT_CACHE_IO
     print(f"wrote {what} to {path}", file=sys.stderr if quiet else sys.stdout)
+    return EXIT_OK
+
+
+def _unknown_routine(program: Program, names: List[str]) -> int:
+    """EXIT_USAGE, with the first name ``program`` has no routine for on
+    stderr (worded as ``query`` words it); EXIT_OK when it has all."""
+    known = set(program.routine_names())
+    for name in names:
+        if name not in known:
+            print(
+                f"no routine named {name!r} in the program "
+                f"({program.routine_count} routines)",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     return EXIT_OK
 
 
@@ -270,6 +287,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except (OSError, ImageFormatError) as error:
         print(f"cannot load image {args.image}: {error}", file=sys.stderr)
         return EXIT_BAD_IMAGE
+    named = list(args.routines or ())
+    if args.dot_routine is not None:
+        named.append(args.dot_routine)
+    if _unknown_routine(session.program, named):
+        return EXIT_USAGE
     try:
         if args.incremental:
             return _cmd_analyze_incremental(args, session, image_bytes)
@@ -299,10 +321,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "summaries", args.json,
     ):
         return EXIT_CACHE_IO
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(psg_to_dot(analysis.psg, routine=args.dot_routine))
-        print(f"wrote PSG dot to {args.dot}")
+    if args.dot and _write_file(
+        args.dot,
+        psg_to_dot(analysis.psg, routine=args.dot_routine).encode("utf-8"),
+        "PSG dot", args.json,
+    ):
+        return EXIT_CACHE_IO
     return _finish_trace(args)
 
 
@@ -317,16 +341,20 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    shape = shape_by_name(args.benchmark)
+    try:
+        shape = shape_by_name(args.benchmark)
+    except KeyError as error:
+        print(error.args[0], file=sys.stderr)
+        return EXIT_USAGE
     if args.scale != 1.0:
         shape = shape.scaled(args.scale)
     image = generate_image(shape, GeneratorConfig(seed=args.seed))
-    with open(args.output, "wb") as handle:
-        handle.write(image.to_bytes())
-    print(
-        f"wrote {args.output}: {len(image.symbols)} routines, "
-        f"{image.instruction_count} instructions"
+    what = (
+        f"image ({len(image.symbols)} routines, "
+        f"{image.instruction_count} instructions)"
     )
+    if _write_file(args.output, image.to_bytes(), what, False):
+        return EXIT_CACHE_IO
     return EXIT_OK
 
 
@@ -353,9 +381,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     print(f"instructions removed: {result.instructions_removed}")
     if args.verify:
         print(f"dynamic improvement: {result.dynamic_improvement:.1%}")
-    with open(args.output, "wb") as handle:
-        handle.write(program_to_image(result.optimized).to_bytes())
-    print(f"wrote {args.output}")
+    blob = program_to_image(result.optimized).to_bytes()
+    if _write_file(args.output, blob, "optimized image", False):
+        return EXIT_CACHE_IO
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ hands those rows out as per-block :class:`LocalSets`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List
 
 from repro.isa.instructions import Instruction
 from repro.dataflow.regset import RegisterSet
@@ -58,9 +58,3 @@ def compute_local_sets(cfg: ControlFlowGraph) -> List[LocalSets]:
         LocalSets(def_mask=defs, ubd_mask=ubd) for defs, ubd in zip(cfg.defs, cfg.ubd)
     ]
 
-
-def compute_program_local_sets(
-    cfgs: Dict[str, ControlFlowGraph]
-) -> Dict[str, List[LocalSets]]:
-    """DEF/UBD for every block of every routine."""
-    return {name: compute_local_sets(cfg) for name, cfg in cfgs.items()}

@@ -36,7 +36,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
-from repro.isa.calling_convention import CallingConvention, NT_ALPHA
+from repro.isa.calling_convention import NT_ALPHA
 from repro.program.model import Program
 from repro.cfg.callgraph import CallGraph
 from repro.cfg.cfg import ControlFlowGraph
@@ -69,7 +69,7 @@ from repro.interproc.summaries import (
     live_after_masks,
 )
 from repro.obs.metrics import REGISTRY, Ledger
-from repro.reporting.memory import MemoryModel, psg_analysis_memory
+from repro.reporting.memory import psg_analysis_memory
 from repro.reporting.metrics import RunMetrics
 
 _log = logging.getLogger(__name__)
@@ -80,8 +80,6 @@ class AnalysisConfig:
     """Options for one analysis run."""
 
     psg: PsgConfig = field(default_factory=PsgConfig)
-    convention: CallingConvention = field(default_factory=lambda: NT_ALPHA)
-    memory_model: MemoryModel = field(default_factory=MemoryModel)
     #: §3.4 callee-saved filtering.  Disabling it (ablation only) makes
     #: every save/restore pair leak into the callers' call-used /
     #: call-killed sets; results remain sound but much less useful.
@@ -93,8 +91,11 @@ class AnalysisConfig:
     #: when the environment names one.  Results are byte-identical in
     #: every case.
     store: Optional[object] = None
-    # A class constant, not a field: read only by the frozen stage
-    # replay in perf/workloads.py; re-pointing that replay deletes it.
+    # Class constants, not fields.  Every run analyzes under the paper's
+    # NT Alpha calling standard (perf/workloads.py reads it here).
+    # ``solver_core`` is read only by the frozen stage replay in
+    # perf/workloads.py; re-pointing that replay deletes it.
+    convention = NT_ALPHA
     solver_core = None
 
 
@@ -244,7 +245,6 @@ def _analyze_program(
             psg,
             sum(cfg.block_count for cfg in cfgs),
             sum(cfg.arc_count for cfg in cfgs),
-            config.memory_model,
         )
         return InterproceduralAnalysis(
             config=config,

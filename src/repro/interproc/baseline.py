@@ -30,11 +30,10 @@ from repro.isa.calling_convention import CallingConvention
 from repro.program.model import Program
 from repro.cfg.build import build_all_cfgs
 from repro.cfg.callgraph import build_call_graph
-from repro.cfg.cfg import ControlFlowGraph, ExitKind, TerminatorKind
-from repro.dataflow.local import compute_local_sets
+from repro.cfg.cfg import ControlFlowGraph, ExitKind
 from repro.dataflow.regset import TRACKED_MASK, mask_of
 from repro.dataflow.solver import SubgraphWorklist
-from repro.psg.build import PsgConfig, unknown_call_label
+from repro.psg.build import unknown_call_label
 from repro.interproc.analysis import AnalysisConfig
 from repro.interproc.phase2 import conservative_exit_live_mask
 from repro.interproc.savedregs import saved_restored_registers
@@ -90,19 +89,18 @@ class _Flat:
             cfg = cfgs[name]
             base = self.offset[name]
             self.entry_of[name] = base + cfg.entry_index
-            locals_ = compute_local_sets(cfg)
-            for block in cfg.blocks:
-                gid = base + block.index
-                self.routine_of[gid] = name
-                self.ubd[gid] = locals_[block.index].ubd_mask
-                self.defs[gid] = locals_[block.index].def_mask
-                self.succ[gid] = [base + s for s in block.successors]
-                self.exit_kind[gid] = cfg.exit_kind_of(block.index)
-                if block.terminator == TerminatorKind.CALL:
-                    site = cfg.call_site_of(block.index)
-                    assert site is not None
-                    return_point = base + block.successors[0]
-                    self.call_info[gid] = (site.targets, return_point)
+            stop = base + cfg.block_count
+            self.routine_of[base:stop] = [name] * cfg.block_count
+            self.ubd[base:stop] = cfg.ubd
+            self.defs[base:stop] = cfg.defs
+            self.succ[base:stop] = [
+                [base + s for s in successors] for successors in cfg.successors
+            ]
+            for index, kind in cfg.exits:
+                self.exit_kind[base + index] = kind
+            for site in cfg.call_sites:
+                return_point = base + cfg.successors[site.block][0]
+                self.call_info[base + site.block] = (site.targets, return_point)
 
 
 def analyze_program_baseline(
@@ -350,7 +348,7 @@ def analyze_program_baseline(
 
     elapsed = time.perf_counter() - start
     call_count = sum(len(cfg.call_sites) for cfg in cfgs.values())
-    memory = cfg_analysis_memory(cfgs, 2 * call_count, config.memory_model)
+    memory = cfg_analysis_memory(cfgs, 2 * call_count)
     return BaselineAnalysis(
         program=program,
         result=SummarySet(summaries=summaries),

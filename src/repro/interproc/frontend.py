@@ -145,13 +145,15 @@ def routine_fingerprint(routine: Routine, cfg: ControlFlowGraph) -> int:
     program's jump tables and the call graph's site tables, without
     walking the routine.
     """
-    blocks = cfg.blocks
+    starts = cfg.starts
     # A successor block starts exactly at a table target, and the CFG
     # keeps the distinct targets in table order.
     multiway = [
-        (block.terminator_index, [blocks[index].start for index in block.successors])
-        for block in blocks
-        if block.terminator == TerminatorKind.MULTIWAY
+        (cfg.bounds(block)[1] - 1, [starts[index] for index in successors])
+        for block, (terminator, successors) in enumerate(
+            zip(cfg.terminators, cfg.successors)
+        )
+        if terminator == TerminatorKind.MULTIWAY
     ]
     return _fingerprint(routine, multiway, cfg.call_sites)
 

@@ -57,7 +57,6 @@ from repro.interproc.persist import (
     pack_slots,
     read_pack,
 )
-from repro.isa.calling_convention import CallingConvention
 from repro.obs.metrics import REGISTRY
 
 #: Environment variable naming a store directory every facade-driven
@@ -65,7 +64,9 @@ from repro.obs.metrics import REGISTRY
 STORE_ENV_VAR = "REPRO_SUMMARY_STORE"
 
 #: Bumped when what a row records changes; part of the context digest,
-#: so old rows simply stop matching.
+#: so old rows simply stop matching.  The calling convention
+#: (``NT_ALPHA``) and the multiway threshold are constants, not hashed:
+#: any change to either needs a bump.
 STORE_VERSION = 3
 
 SUFFIX_PACK = ".pack"
@@ -82,42 +83,21 @@ _STALE_TMP_SECONDS = 300.0
 # ----------------------------------------------------------------------
 
 
-def _convention_parts(writer: _Writer, convention: CallingConvention) -> None:
-    writer.text(convention.name)
-    for registers in (
-        convention.argument_registers,
-        convention.return_registers,
-        convention.callee_saved,
-        convention.temporaries,
-    ):
-        indices = sorted(register.index for register in registers)
-        writer.u16(len(indices))
-        for index in indices:
-            writer.u16(index)
-    writer.u16(convention.stack_pointer.index)
-    writer.u16(convention.return_address.index)
-    writer.u16(convention.global_pointer.index)
-
-
 def config_digest(config) -> int:
     """CRC64 over every :class:`AnalysisConfig` knob that can change
-    analysis *results*.
-
-    Bound: the calling convention, callee-saved filtering, and the PSG
-    branch-node ablations (Table 4 — they move real dataflow facts).
-    Computed once per value of those (frozen) knobs.
+    analysis *results*: the two paper ablations, callee-saved filtering
+    (§3.4) and branch nodes (§3.6, Table 4 — they move real dataflow
+    facts).  Computed once per value of those (frozen) knobs.
     """
-    return _digest(config.convention, config.psg, config.callee_saved_filtering)
+    return _digest(config.callee_saved_filtering, config.psg.branch_nodes)
 
 
 @functools.lru_cache(maxsize=None)
-def _digest(convention, psg, callee_saved_filtering: bool) -> int:
+def _digest(callee_saved_filtering: bool, branch_nodes: bool) -> int:
     writer = _Writer()
     writer.u8(STORE_VERSION)
-    _convention_parts(writer, convention)
     writer.u8(1 if callee_saved_filtering else 0)
-    writer.u8(1 if psg.branch_nodes else 0)
-    writer.u16(psg.multiway_threshold)
+    writer.u8(1 if branch_nodes else 0)
     return crc64(writer.blob())
 
 

@@ -100,13 +100,6 @@ class CallingConvention:
             | frozenset({self.return_address})
         )
 
-    @property
-    def preserved_across_calls(self) -> FrozenSet[Register]:
-        """Registers guaranteed to survive a conforming call."""
-        return self.callee_saved | frozenset(
-            {self.stack_pointer, self.global_pointer}
-        )
-
     def unknown_call_used(self) -> FrozenSet[Register]:
         """Registers assumed used by a call to an unknown target (§3.5).
 
@@ -125,19 +118,6 @@ class CallingConvention:
     def unknown_call_killed(self) -> FrozenSet[Register]:
         """Registers assumed killed by a call to an unknown target (§3.5)."""
         return self.caller_saved
-
-    def unknown_jump_live(self) -> FrozenSet[Register]:
-        """Registers assumed live at an unknown indirect-jump target (§3.5).
-
-        The paper conservatively assumes *all* registers are live.
-        """
-        from repro.isa.registers import ALL_REGISTERS
-
-        return frozenset(ALL_REGISTERS)
-
-    def is_callee_saved(self, register: Register) -> bool:
-        """True when ``register`` must be preserved by callees."""
-        return register in self.callee_saved
 
 
 def _nt_alpha() -> CallingConvention:

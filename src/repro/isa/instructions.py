@@ -337,25 +337,6 @@ class Instruction:
     def is_return(self) -> bool:
         return self.control == ControlKind.RETURN
 
-    @property
-    def is_block_terminator(self) -> bool:
-        """True when a basic block must end after this instruction.
-
-        Per the paper, basic blocks end at branches *and* at call
-        instructions.
-        """
-        return self.control != ControlKind.FALLTHROUGH
-
-    @property
-    def falls_through(self) -> bool:
-        """True when control may continue to the next instruction."""
-        return self.control in (
-            ControlKind.FALLTHROUGH,
-            ControlKind.COND_BRANCH,
-            ControlKind.CALL_DIRECT,
-            ControlKind.CALL_INDIRECT,
-        )
-
     # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------

@@ -50,7 +50,6 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("cache.miss", ()),
     ("cache.stale", ()),
     ("cache.write", ()),
-    ("cfg.built", ()),
     ("frontend.record.adopted", ()),
     ("frontend.record.hit", ()),
     ("frontend.record.miss", ()),
@@ -58,7 +57,6 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("frontend.routines", ()),
     ("frontend.rows", ()),
     ("program.decode.built", ()),
-    ("psg.built", ()),
     ("query.requests", ()),
     ("query.solved", ()),
     ("query.reused", ()),

@@ -241,13 +241,6 @@ class ExecutableImage:
             for i in range(info.count)
         )
 
-    def jump_table_for(self, jump_address: int) -> Optional[JumpTableInfo]:
-        """Jump-table metadata for the ``jmp`` at ``jump_address``, if any."""
-        for table in self.jump_tables:
-            if table.jump_address == jump_address:
-                return table
-        return None
-
     @property
     def instruction_count(self) -> int:
         """Number of instruction words in the text section."""

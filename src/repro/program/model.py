@@ -253,13 +253,6 @@ class Program:
                 return routine
         return None
 
-    def instruction_at(self, address: int) -> Tuple[Routine, int]:
-        """The (routine, index) of the instruction at ``address``."""
-        routine = self.routine_containing(address)
-        if routine is None:
-            raise ProgramError(f"address {address:#x} is not in any routine")
-        return routine, routine.index_of(address)
-
     # ------------------------------------------------------------------
     # Statistics (the units the paper's tables report)
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ parallel ``array('i')`` in global edge order (grouped by routine, by
 target within a routine, sources in order within a target), the last
 indexing ``labels``, the build's interned ``(MAY-USE, MAY-DEF,
 MUST-DEF)`` mask triples.  Twelve bytes an edge; the counting surface,
-``check()`` and the lazily materialised ``psg.flow_edges`` read it.
+``check()`` and the DOT export read it.
 
 **The iteration rows** — the same edges regrouped per source node for
 the CPython interpreter.  The union half of each transfer factors

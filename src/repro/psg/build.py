@@ -10,12 +10,12 @@ equations over the CFG subgraph its paths cover.
 
 The build reads a routine's CFG rows (:class:`repro.cfg.cfg.
 ControlFlowGraph`: successor tuples, DEF/UBD masks, terminators, exits
-and call sites), never a :class:`~repro.cfg.cfg.BasicBlock`.  One
-successors-first sweep of the boundary-cut graph — in block order, SCC
-work only inside back-arc regions — labels *every* target of the
-routine at once (:func:`~repro.dataflow.equations.sweep_targets`):
-every target is a sink of that graph, so each block carries a map from
-the targets it reaches to its converged triple for each.  Edges are
+and call sites).  One successors-first sweep of the boundary-cut graph
+— in block order, SCC work only inside back-arc regions — labels
+*every* target of the routine at once
+(:func:`~repro.dataflow.equations.sweep_targets`): every target is a
+sink of that graph, so each block carries a map from the targets it
+reaches to its converged triple for each.  Edges are
 then read off the maps at each source's start blocks — work
 proportional to the edges produced, not to sources × targets — and
 emitted grouped by target, sources in order within a target (the order
@@ -25,9 +25,8 @@ per target it simplifies to are the test suite's oracles
 (``tests/label_oracle.py``).
 
 Construction itself is kept cheap too: nodes are rows, written a run
-of nodes at a time (no :class:`~repro.psg.nodes.PSGNode` exists until
-someone reads ``psg.nodes``), each flow edge is appended once — into
-the edge table and the rows the solver iterates (:class:`PsgAssembly`,
+of nodes at a time, each flow edge is appended once — into the edge
+table and the rows the solver iterates (:class:`PsgAssembly`,
 :mod:`repro.psg.arena`) — labels are interned in a table the build
 owns, and the graph's ``check()`` — still run on every build — tests
 each distinct label once.
@@ -98,13 +97,15 @@ class PsgConfig:
     """Construction options.
 
     ``branch_nodes`` toggles §3.6 (the Table-4 ablation builds with it
-    off); ``multiway_threshold`` is the minimum number of distinct
-    successor blocks a multiway branch needs before it earns a branch
-    node.
+    off).
     """
 
     branch_nodes: bool = True
-    multiway_threshold: int = 2
+
+
+#: The distinct successor blocks a multiway branch needs before it
+#: earns a §3.6 branch node.
+MULTIWAY_THRESHOLD = 2
 
 
 #: The label of a resolved call-return edge until phase 1 writes it.
@@ -481,7 +482,7 @@ def build_routine_psg(
             block
             for block, terminator in enumerate(cfg.terminators)
             if terminator is _MULTIWAY
-            and len(successors[block]) >= config.multiway_threshold
+            and len(successors[block]) >= MULTIWAY_THRESHOLD
         ]
         if config.branch_nodes and _MULTIWAY in cfg.terminators
         else []

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.cfg.cfg import CallSite, ExitKind
-from repro.dataflow.equations import SummaryTriple
-from repro.obs.metrics import REGISTRY
 from repro.psg.arena import PsgArena
-from repro.psg.nodes import CallReturnEdge, FlowEdge, NodeKind, PSGNode
+from repro.psg.nodes import CallReturnEdge, NodeKind
 
 
 _SOURCE_KINDS = (NodeKind.ENTRY, NodeKind.RETURN, NodeKind.BRANCH)
@@ -59,12 +56,13 @@ class ProgramSummaryGraph:
     Built only by :class:`~repro.psg.build.PsgAssembly`.  Nodes are
     rows by node id: ``node_kind``, ``node_routine``, ``node_block`` and
     ``node_detail`` (an EXIT's exit kind, a CALL's or RETURN's call
-    site, else ``None``).  Flow-summary edges live once, in ``arena``
-    (:mod:`repro.psg.arena`): a compact edge table this class counts and
-    checks, and the per-node rows the two phases iterate.  ``nodes`` and
-    ``flow_edges`` materialise :class:`PSGNode` / :class:`FlowEdge`
-    objects on first read, for the readers that want objects
-    (``reporting.dot``, tests).
+    site, else ``None``).  A node's block is the one its program
+    location belongs to: the entry block for ENTRY, the exit block for
+    EXIT, the call-ending block for CALL *and* RETURN (the return
+    node's paths start at that block's successors), and the
+    multiway-branch block for BRANCH.  Flow-summary edges live once, in
+    ``arena`` (:mod:`repro.psg.arena`): a compact edge table this class
+    counts and checks, and the per-node rows the two phases iterate.
     """
 
     node_kind: List[NodeKind]
@@ -75,31 +73,11 @@ class ProgramSummaryGraph:
     routines: Dict[str, RoutinePSG]
     arena: PsgArena
 
-    @cached_property
-    def nodes(self) -> List[PSGNode]:
-        """The node rows as objects, in id order (``psg.built``)."""
-        REGISTRY.inc("psg.built")
-        exit_kind = NodeKind.EXIT
-        rows = zip(self.node_kind, self.node_routine, self.node_block, self.node_detail)
-        return [
-            PSGNode(index, kind, routine, block, *(
-                (detail, None) if kind is exit_kind else (None, detail)
-            ))
-            for index, (kind, routine, block, detail) in enumerate(rows)
-        ]
-
-    @cached_property
-    def flow_edges(self) -> List[FlowEdge]:
-        """The edge table as objects, in global edge order; equal labels
-        share one :class:`SummaryTriple`."""
-        arena = self.arena
-        labels = [SummaryTriple(*key) for key in arena.labels]
-        return [
-            FlowEdge(src, dst, labels[index])
-            for src, dst, index in zip(
-                arena.edge_src, arena.edge_dst, arena.edge_label
-            )
-        ]
+    def describe(self, node: int) -> str:
+        """A short human-readable identity of ``node``, e.g.
+        ``call@main:3``."""
+        kind = self.node_kind[node].name.lower()
+        return f"{kind}@{self.node_routine[node]}:{self.node_block[node]}"
 
     # ------------------------------------------------------------------
     # Statistics (Tables 3-5)
@@ -121,9 +99,6 @@ class ProgramSummaryGraph:
     @property
     def branch_node_count(self) -> int:
         return sum(len(r.branch_nodes) for r in self.routines.values())
-
-    def nodes_of_kind(self, kind: NodeKind) -> List[PSGNode]:
-        return [node for node in self.nodes if node.kind == kind]
 
     def per_routine_averages(self) -> Dict[str, float]:
         """Average PSG nodes and edges per routine (Table 3 units)."""
@@ -182,7 +157,7 @@ class ProgramSummaryGraph:
                 or kind_of[src_id] not in sources
                 or kind_of[dst_id] not in targets
             ):
-                src, dst = self.nodes[src_id].describe(), self.nodes[dst_id].describe()
+                src, dst = self.describe(src_id), self.describe(dst_id)
                 raise ValueError(
                     f"flow edge {src} -> {dst} crosses routines, leaves a "
                     f"non-source or enters a non-target"
@@ -208,7 +183,7 @@ class ProgramSummaryGraph:
             for node_id, kind in routine_psg.exit_nodes:
                 if kind_of[node_id] is not exit_kind or detail_of[node_id] is not kind:
                     raise ValueError(
-                        f"routine {name!r} lists {self.nodes[node_id].describe()} "
+                        f"routine {name!r} lists {self.describe(node_id)} "
                         f"as a {kind.name} exit"
                     )
                 exit_count -= 1

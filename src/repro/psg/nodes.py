@@ -3,9 +3,7 @@
 Nodes carry *where* they are (routine + basic block); all dataflow
 state lives in the analysis engines so a PSG can be reused across
 phases and configurations.  A built graph holds nodes as rows and
-flow-summary edges in its arena; :class:`PSGNode` and :class:`FlowEdge`
-are what it materialises on request (unfrozen: a frozen dataclass pays
-an ``object.__setattr__`` per field).  Call-return edges are labeled
+flow-summary edges in its arena.  Call-return edges are labeled
 during phase 1 (the callee's entry sets are copied onto them) and
 those labels are retained for phase 2, exactly as in the paper.
 """
@@ -16,7 +14,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.cfg.cfg import CallSite, ExitKind
 from repro.dataflow.equations import SummaryTriple
 
 
@@ -28,39 +25,6 @@ class NodeKind(enum.IntEnum):
     CALL = 2
     RETURN = 3
     BRANCH = 4
-
-
-@dataclass
-class PSGNode:
-    """One PSG node.
-
-    ``block`` is the basic-block index the node's program location
-    belongs to: the entry block for ENTRY, the exit block for EXIT, the
-    call-ending block for CALL *and* RETURN (the return node's paths
-    start at that block's successors), and the multiway-branch block
-    for BRANCH.  ``ProgramSummaryGraph.check`` enforces that an EXIT
-    carries its ``exit_kind`` and a CALL or RETURN its ``call_site``.
-    """
-
-    id: int
-    kind: NodeKind
-    routine: str
-    block: int
-    exit_kind: Optional[ExitKind] = None
-    call_site: Optional[CallSite] = None
-
-    def describe(self) -> str:
-        """A short human-readable identity, e.g. ``call@main:3``."""
-        return f"{self.kind.name.lower()}@{self.routine}:{self.block}"
-
-
-@dataclass
-class FlowEdge:
-    """A flow-summary edge with its Figure-6 label."""
-
-    src: int
-    dst: int
-    label: SummaryTriple
 
 
 @dataclass(slots=True)

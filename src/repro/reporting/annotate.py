@@ -18,6 +18,7 @@ face of :class:`~repro.interproc.summaries.RoutineSummary`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.dataflow.regset import RegisterSet
@@ -82,7 +83,7 @@ def render_annotated_listing(
                         f"killed = {_set(site.killed_mask)} ]"
                     )
             elif control == ControlKind.RETURN:
-                block = cfg.block_of_instruction(index).index
+                block = bisect_right(cfg.starts, index) - 1
                 if exit_by_block.get(block) == ExitKind.RETURN:
                     mask = summary.exit_live_masks[block]
                     text += f"    [ used on return = {_set(mask)} ]"

@@ -32,22 +32,25 @@ def cfg_to_dot(cfg: ControlFlowGraph, max_instructions: int = 4) -> str:
         f'digraph "{_escape(cfg.routine.name)}_cfg" {{',
         "  node [shape=box, fontname=monospace, fontsize=9];",
     ]
-    for block in cfg.blocks:
-        body = [str(i) for i in block.instructions[:max_instructions]]
-        if len(block.instructions) > max_instructions:
-            body.append(f"... +{len(block.instructions) - max_instructions}")
-        label = f"B{block.index}\\n" + "\\l".join(_escape(t) for t in body) + "\\l"
+    instructions = cfg.routine.instructions
+    exits = {index for index, _kind in cfg.exits}
+    for index, terminator in enumerate(cfg.terminators):
+        start, stop = cfg.bounds(index)
+        body = [str(i) for i in instructions[start:stop][:max_instructions]]
+        if stop - start > max_instructions:
+            body.append(f"... +{stop - start - max_instructions}")
+        label = f"B{index}\\n" + "\\l".join(_escape(t) for t in body) + "\\l"
         attributes = [f'label="{label}"']
-        if block.terminator == TerminatorKind.CALL:
+        if terminator == TerminatorKind.CALL:
             attributes.append('style=filled fillcolor="#cfe8ff"')
-        elif block.is_exit:
+        elif index in exits:
             attributes.append('style=filled fillcolor="#ffd9cf"')
-        elif block.index == cfg.entry_index:
+        elif index == cfg.entry_index:
             attributes.append('style=filled fillcolor="#d8f5d3"')
-        lines.append(f"  b{block.index} [{' '.join(attributes)}];")
-    for block in cfg.blocks:
-        for successor in block.successors:
-            lines.append(f"  b{block.index} -> b{successor};")
+        lines.append(f"  b{index} [{' '.join(attributes)}];")
+    for index, successors in enumerate(cfg.successors):
+        for successor in successors:
+            lines.append(f"  b{index} -> b{successor};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -76,31 +79,35 @@ def psg_to_dot(
         NodeKind.BRANCH: "diamond",
     }
     wanted = set()
-    for node in psg.nodes:
-        if selected is not None and node.routine not in selected:
+    for node, (kind, owner) in enumerate(zip(psg.node_kind, psg.node_routine)):
+        if selected is not None and owner not in selected:
             continue
-        wanted.add(node.id)
+        wanted.add(node)
         extra = ""
-        if node.kind == NodeKind.ENTRY:
+        if kind == NodeKind.ENTRY:
             extra = ' style=filled fillcolor="#d8f5d3"'
-        elif node.kind == NodeKind.EXIT:
+        elif kind == NodeKind.EXIT:
             extra = ' style=filled fillcolor="#ffd9cf"'
         lines.append(
-            f'  n{node.id} [shape={shapes[node.kind]} '
-            f'label="{_escape(node.describe())}"{extra}];'
+            f'  n{node} [shape={shapes[kind]} '
+            f'label="{_escape(psg.describe(node))}"{extra}];'
         )
-    for edge in psg.flow_edges:
-        if edge.src not in wanted or edge.dst not in wanted:
+    arena = psg.arena
+    for src, dst, label_index in zip(
+        arena.edge_src, arena.edge_dst, arena.edge_label
+    ):
+        if src not in wanted or dst not in wanted:
             continue
         if show_labels:
+            may_use, may_def, must_def = arena.labels[label_index]
             label = (
-                f"U:{_set_label(edge.label.may_use)}\\n"
-                f"D:{_set_label(edge.label.may_def)}\\n"
-                f"M:{_set_label(edge.label.must_def)}"
+                f"U:{_set_label(may_use)}\\n"
+                f"D:{_set_label(may_def)}\\n"
+                f"M:{_set_label(must_def)}"
             )
-            lines.append(f'  n{edge.src} -> n{edge.dst} [label="{label}"];')
+            lines.append(f'  n{src} -> n{dst} [label="{label}"];')
         else:
-            lines.append(f"  n{edge.src} -> n{edge.dst};")
+            lines.append(f"  n{src} -> n{dst};")
     for edge in psg.call_return_edges:
         if edge.src not in wanted or edge.dst not in wanted:
             continue

@@ -4,8 +4,8 @@ is tested against.
 These are ``build_cfg``'s carving loop, its block-object invariant
 check and the §3.4 prologue/epilogue matcher as they stood in ``src/``
 before one walk per routine wrote a CFG's block rows: leaders from a
-terminator table, one :class:`BasicBlock` per leader with its own
-instruction slice, arcs wired block by block, predecessors, call sites
+terminator table, one block record (:class:`tests.records.Block`) per
+leader over its own instruction slice, arcs wired block by block, predecessors, call sites
 and exits from a second pass over the blocks — and save/restore
 detection walking the entry and exit blocks' instruction slices.
 :func:`oracle_cfg` turns the carved blocks into the rows a
@@ -22,7 +22,6 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cfg.build import classify_call, resolve_register_constant
 from repro.cfg.cfg import (
-    BasicBlock,
     CallSite,
     CfgError,
     ControlFlowGraph,
@@ -34,16 +33,21 @@ from repro.dataflow.local import local_sets_of_instructions
 from repro.isa.instructions import ControlKind, Instruction, Opcode
 from repro.isa.registers import STACK_POINTER
 from repro.program.model import Program, Routine
+from tests.records import Block
 
 #: Every register of the unified 64-register file.
 ALL_REGISTERS = (1 << 64) - 1
+
+_EXIT_TERMINATORS = (
+    TerminatorKind.RETURN, TerminatorKind.HALT, TerminatorKind.UNKNOWN_JUMP
+)
 
 
 class Carved(NamedTuple):
     """One routine carved into block objects."""
 
     routine: Routine
-    blocks: List[BasicBlock]
+    blocks: List[Block]
     call_sites: List[CallSite]
     exits: List[Tuple[int, ExitKind]]
     recorded_sites: List[RecordedSite]
@@ -53,7 +57,9 @@ def oracle_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     """The routine's CFG rows, taken from :func:`carve`'s blocks."""
     carved = carve(program, routine)
     blocks = carved.blocks
-    local_sets = [local_sets_of_instructions(block.instructions) for block in blocks]
+    local_sets = [
+        local_sets_of_instructions(_instructions(routine, block)) for block in blocks
+    ]
     return ControlFlowGraph(
         routine=routine,
         starts=[block.start for block in blocks],
@@ -122,7 +128,7 @@ def carve(program: Program, routine: Routine) -> Carved:
         for target in term_targets.get(index, ()):
             leaders.add(target)
     ordered_leaders = sorted(leaders)
-    blocks: List[BasicBlock] = []
+    blocks: List[Block] = []
     leader_to_block: Dict[int, int] = {}
     for block_index, start in enumerate(ordered_leaders):
         stop = (
@@ -132,19 +138,13 @@ def carve(program: Program, routine: Routine) -> Carved:
         )
         terminator = term_kind.get(stop - 1, TerminatorKind.FALLTHROUGH)
         blocks.append(
-            BasicBlock(
-                index=block_index,
-                start=start,
-                stop=stop,
-                instructions=instructions[start:stop],
-                terminator=terminator,
-            )
+            Block(block_index, start, stop, terminator, successors=[])
         )
         leader_to_block[start] = block_index
 
     for block in blocks:
         successors: List[int] = []
-        last_index = block.terminator_index
+        last_index = block.stop - 1
         kind = block.terminator
         if kind == TerminatorKind.FALLTHROUGH:
             successors.append(leader_to_block[block.stop])
@@ -209,12 +209,12 @@ def check(carved: Carved) -> None:
                 raise CfgError(
                     f"arc {index}->{successor} missing reverse predecessor"
                 )
-        if block.is_exit and block.successors:
+        if block.terminator in _EXIT_TERMINATORS and block.successors:
             raise CfgError(f"exit block {index} has successors")
     if expected_start != len(carved.routine.instructions):
         raise CfgError("blocks do not cover the routine")
     for block_index, _kind in carved.exits:
-        if not blocks[block_index].is_exit:
+        if blocks[block_index].terminator not in _EXIT_TERMINATORS:
             raise CfgError(f"exit list names non-exit block {block_index}")
 
 
@@ -238,9 +238,13 @@ def _target_index(routine: Routine, jump_index: int, address: int) -> int:
     return routine.index_of(address)
 
 
-def _record_site(routine: Routine, block: BasicBlock) -> RecordedSite:
-    instruction_index = block.terminator_index
-    instruction = block.instructions[-1]
+def _instructions(routine: Routine, block: Block) -> List[Instruction]:
+    return routine.instructions[block.start : block.stop]
+
+
+def _record_site(routine: Routine, block: Block) -> RecordedSite:
+    instruction_index = block.stop - 1
+    instruction = routine.instructions[instruction_index]
     if instruction.control == ControlKind.CALL_DIRECT:
         return RecordedSite(block.index, instruction_index, indirect=False)
     return RecordedSite(
@@ -249,7 +253,7 @@ def _record_site(routine: Routine, block: BasicBlock) -> RecordedSite:
         indirect=True,
         constant=resolve_register_constant(
             routine.rows[block.start : block.stop],
-            len(block.instructions) - 1,
+            instruction_index - block.start,
             instruction.rb,
         ),
     )
@@ -290,7 +294,9 @@ def _prologue_saves(
     slots: Dict[int, Tuple[int, int]] = {}
     defined = 0
     entry = carved.blocks[0]
-    for offset_in_block, instruction in enumerate(entry.instructions):
+    for offset_in_block, instruction in enumerate(
+        _instructions(carved.routine, entry)
+    ):
         if (
             instruction.opcode in (Opcode.STQ, Opcode.STT)
             and instruction.rb == STACK_POINTER
@@ -312,7 +318,9 @@ def _epilogue_restore_index(
     block = carved.blocks[exit_block]
     last_def: Optional[Instruction] = None
     last_index = -1
-    for offset_in_block, instruction in enumerate(block.instructions):
+    for offset_in_block, instruction in enumerate(
+        _instructions(carved.routine, block)
+    ):
         if instruction.def_mask >> register & 1:
             last_def = instruction
             last_index = block.start + offset_in_block

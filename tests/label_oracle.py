@@ -19,7 +19,7 @@ strategies :mod:`repro.psg.build` used to offer beside the sweep:
   solution at a block depends only on blocks it reaches, so the labels
   are the same).
 
-They work over :class:`~repro.cfg.cfg.BasicBlock` objects and
+They work over block records (:class:`tests.records.Block`) and
 :class:`~repro.dataflow.local.LocalSets`.  :func:`region_labeler`
 turns either into a drop-in for ``repro.psg.build._label_edges``, so a
 whole analysis — a CLI run included — can be made to label through it
@@ -37,7 +37,6 @@ from typing import (
 )
 from unittest import mock
 
-from repro.cfg.cfg import BasicBlock
 from repro.dataflow.equations import (
     _NO_TARGETS,
     SummaryTriple,
@@ -49,6 +48,8 @@ from repro.dataflow.equations import (
 from repro.dataflow.local import LocalSets
 from repro.dataflow.regset import TRACKED_MASK
 from repro.psg import build as psg_build
+from tests import records
+from tests.records import Block
 
 Triple = Tuple[int, int, int]
 
@@ -62,7 +63,7 @@ STRATEGIES = ("batched", "per-target", "per-edge")
 
 
 def forward_reachable(
-    blocks: Sequence[BasicBlock], starts: Iterable[int], blocked: Set[int]
+    blocks: Sequence[Block], starts: Iterable[int], blocked: Set[int]
 ) -> Set[int]:
     """Blocks reachable from ``starts`` without leaving a blocked block.
 
@@ -87,7 +88,7 @@ def forward_reachable(
 
 
 def backward_reachable(
-    blocks: Sequence[BasicBlock], target: int, blocked: Set[int]
+    blocks: Sequence[Block], target: int, blocked: Set[int]
 ) -> Set[int]:
     """Blocks from which ``target`` is reachable in the cut graph.
 
@@ -112,7 +113,7 @@ def _combine(left: Triple, right: Triple) -> Triple:
 
 
 def solve_summary_subgraph(
-    blocks: Sequence[BasicBlock],
+    blocks: Sequence[Block],
     local_sets: Sequence[LocalSets],
     subgraph: Set[int],
     blocked: Set[int],
@@ -178,7 +179,7 @@ def label_from_starts(
 
 
 def label_by_region(
-    blocks: Sequence[BasicBlock],
+    blocks: Sequence[Block],
     local_sets: Sequence[LocalSets],
     blocked: Set[int],
     sources: Sequence[Tuple[int, Sequence[int]]],
@@ -305,24 +306,14 @@ def sweep_by_sccs(
     return maps, visits
 
 
-def blocks_of(cfg) -> Tuple[List[BasicBlock], List[LocalSets]]:
-    """Block objects (successors and predecessors wired) and local sets
-    for the CFG rows the PSG build hands its labeler (built here, so
-    they count as no ``cfg.built``)."""
-    blocks = [
-        BasicBlock(index, 0, 0, [], terminator, list(successors))
-        for index, (terminator, successors) in enumerate(
-            zip(cfg.terminators, cfg.successors)
-        )
-    ]
-    for block in blocks:
-        for successor in block.successors:
-            blocks[successor].predecessors.append(block.index)
+def blocks_of(cfg) -> Tuple[List[Block], List[LocalSets]]:
+    """Block records (successors and predecessors wired) and local sets
+    for the CFG rows the PSG build hands its labeler."""
     local_sets = [
         LocalSets(def_mask=defs, ubd_mask=ubd)
         for ubd, defs in zip(cfg.ubd, cfg.defs)
     ]
-    return blocks, local_sets
+    return records.blocks_of(cfg), local_sets
 
 
 def region_labeler(per_edge: bool):

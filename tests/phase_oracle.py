@@ -4,8 +4,9 @@ tested against.
 These are the ``object``-core bodies of ``run_phase1``/``run_phase2``
 as they stood in ``src/`` before the arena loops became the only
 implementation, verbatim but for two things: they schedule in priority
-order only, and they read ``psg.flow_edges`` (the edge table
-materialised as objects) and derive their own adjacency from it — so a
+order only, and they read the edge table as records
+(:func:`tests.records.flow_edges_of`) and derive their own adjacency
+from it — so a
 production-vs-oracle comparison also cross-checks the solver rows the
 build wrote against the edge table.  Transfer functions are closures
 over edge objects and ``SummaryTriple`` labels, and scheduling is the
@@ -29,15 +30,16 @@ from repro.isa.calling_convention import CallingConvention
 from repro.obs.metrics import REGISTRY
 from repro.psg.graph import ProgramSummaryGraph
 from repro.psg.nodes import NodeKind
+from tests.records import flow_edges_of
 
 
 def _adjacency(psg: ProgramSummaryGraph):
-    """``flow_out[n]`` = indices into ``psg.flow_edges`` leaving node
-    ``n`` (global edge order); ``cr_out[n]`` = index of its call-return
-    edge, or None."""
-    count = len(psg.nodes)
+    """``flow_out[n]`` = indices into the edge table leaving node ``n``
+    (global edge order); ``cr_out[n]`` = index of its call-return edge,
+    or None."""
+    count = psg.node_count
     flow_out: List[List[int]] = [[] for _ in range(count)]
-    for index, edge in enumerate(psg.flow_edges):
+    for index, edge in enumerate(flow_edges_of(psg)):
         flow_out[edge.src].append(index)
     cr_out: List[Optional[int]] = [None] * count
     for index, edge in enumerate(psg.call_return_edges):
@@ -47,8 +49,8 @@ def _adjacency(psg: ProgramSummaryGraph):
 
 def _dependents(psg: ProgramSummaryGraph) -> List[List[int]]:
     """dependents[m] = nodes whose transfer reads node m's state."""
-    result: List[List[int]] = [[] for _ in range(len(psg.nodes))]
-    for edge in psg.flow_edges:
+    result: List[List[int]] = [[] for _ in range(psg.node_count)]
+    for edge in flow_edges_of(psg):
         result[edge.dst].append(edge.src)
     for edge in psg.call_return_edges:
         result[edge.dst].append(edge.src)
@@ -87,8 +89,7 @@ def run_phase1(
     values are never recomputed — which is how the incremental engine
     stitches cached callee summaries into a partial PSG.
     """
-    node_count = len(psg.nodes)
-    nodes = psg.nodes
+    node_count = psg.node_count
     may_def = [0] * node_count
     # MUST-DEF is a ∩-meet problem: interior nodes start at ⊤ and shrink
     # (greatest fixed point), the standard must-analysis initialization;
@@ -96,14 +97,14 @@ def run_phase1(
     must_def = [TRACKED_MASK] * node_count
     may_use = [0] * node_count
     is_exit = [False] * node_count
-    for node in nodes:
-        if node.kind == NodeKind.EXIT:
-            assert node.exit_kind is not None
-            fixed = _exit_fixed_values(node.exit_kind)
-            may_use[node.id] = fixed.may_use
-            may_def[node.id] = fixed.may_def
-            must_def[node.id] = fixed.must_def
-            is_exit[node.id] = True
+    for node, (kind, exit_kind) in enumerate(zip(psg.node_kind, psg.node_detail)):
+        if kind == NodeKind.EXIT:
+            assert exit_kind is not None
+            fixed = _exit_fixed_values(exit_kind)
+            may_use[node] = fixed.may_use
+            may_def[node] = fixed.may_def
+            must_def[node] = fixed.must_def
+            is_exit[node] = True
     if fixed_entries:
         for node_id, triple in fixed_entries.items():
             may_use[node_id] = triple.may_use
@@ -124,7 +125,7 @@ def run_phase1(
 
     dependents = _dependents(psg)
     flow_out, cr_out = _adjacency(psg)
-    flow_edges = psg.flow_edges
+    flow_edges = flow_edges_of(psg)
     cr_edges = psg.call_return_edges
 
     # ------------------------------------------------------------------
@@ -243,20 +244,20 @@ def run_phase2(
     return-point liveness must still reach the exits of the routines
     being re-solved, even though the callers themselves are not.
     """
-    node_count = len(psg.nodes)
-    nodes = psg.nodes
+    node_count = psg.node_count
     may_use = [0] * node_count
     is_exit = [False] * node_count
 
     conservative = conservative_exit_live_mask(convention)
-    for node in nodes:
-        if node.kind != NodeKind.EXIT:
+    rows = zip(psg.node_kind, psg.node_detail, psg.node_routine)
+    for node, (kind, exit_kind, routine) in enumerate(rows):
+        if kind != NodeKind.EXIT:
             continue
-        is_exit[node.id] = True
-        if node.exit_kind == ExitKind.UNKNOWN_JUMP:
-            may_use[node.id] = TRACKED_MASK
-        elif node.exit_kind == ExitKind.RETURN and node.routine in externally_callable:
-            may_use[node.id] = conservative
+        is_exit[node] = True
+        if exit_kind == ExitKind.UNKNOWN_JUMP:
+            may_use[node] = TRACKED_MASK
+        elif exit_kind == ExitKind.RETURN and routine in externally_callable:
+            may_use[node] = conservative
         # HALT and internal RETURN exits start at ∅.
     if extra_exit_live:
         for node_id, mask in extra_exit_live.items():
@@ -272,13 +273,13 @@ def run_phase2(
         if exits:
             return_to_exits[edge.dst] = exits
 
+    flow_edges = flow_edges_of(psg)
     dependents: List[List[int]] = [[] for _ in range(node_count)]
-    for edge in psg.flow_edges:
+    for edge in flow_edges:
         dependents[edge.dst].append(edge.src)
     for edge in psg.call_return_edges:
         dependents[edge.dst].append(edge.src)
 
-    flow_edges = psg.flow_edges
     cr_edges = psg.call_return_edges
     flow_out, cr_out = _adjacency(psg)
 

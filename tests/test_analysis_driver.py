@@ -86,7 +86,7 @@ class TestPsgConfigPlumbing:
     def test_branch_threshold_respected(self, switchy_benchmark):
         few = analyze_program(
             switchy_benchmark,
-            AnalysisConfig(psg=PsgConfig(multiway_threshold=100)),
+            AnalysisConfig(psg=PsgConfig(branch_nodes=False)),
         )
         assert few.psg.branch_node_count == 0
         default = analyze_program(switchy_benchmark)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.isa.calling_convention import NT_ALPHA, CallingConvention, _ints
-from repro.isa.registers import Register
 
 
 class TestNtAlpha:
@@ -43,12 +42,6 @@ class TestNtAlpha:
         assert NT_ALPHA.return_registers <= caller
         assert NT_ALPHA.return_address in caller
 
-    def test_preserved_across_calls(self):
-        preserved = NT_ALPHA.preserved_across_calls
-        assert NT_ALPHA.callee_saved <= preserved
-        assert NT_ALPHA.stack_pointer in preserved
-        assert not (preserved & NT_ALPHA.temporaries)
-
     def test_unknown_call_used_has_args_ra_sp(self):
         used = NT_ALPHA.unknown_call_used()
         assert NT_ALPHA.argument_registers <= used
@@ -63,10 +56,6 @@ class TestNtAlpha:
         assert not (killed & NT_ALPHA.callee_saved)
         assert NT_ALPHA.temporaries <= killed
 
-    def test_is_callee_saved(self):
-        assert NT_ALPHA.is_callee_saved(Register.parse("s0"))
-        assert not NT_ALPHA.is_callee_saved(Register.parse("t0"))
-
 
 class TestValidation:
     def test_overlapping_roles_rejected(self):
@@ -78,6 +67,3 @@ class TestValidation:
                 callee_saved=_ints(16),  # overlaps arguments
                 temporaries=_ints(1),
             )
-
-    def test_unknown_jump_live_is_everything(self):
-        assert len(NT_ALPHA.unknown_jump_live()) == 64

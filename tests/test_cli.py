@@ -319,6 +319,37 @@ class TestExitCodes:
             f"{address:#x}: unknown major opcode 0x1\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["analyze", "{image}", "--dot", "{missing}/psg.dot"], 5,
+             "could not write PSG dot"),
+            (["generate", "compress", "--scale", "0.02", "-o", "{missing}/a.sax"],
+             5, "could not write image"),
+            (["optimize", "{image}", "-o", "{missing}/o.sax"], 5,
+             "could not write optimized image"),
+            (["analyze", "{image}", "-r", "nosuch"], 2, "no routine named 'nosuch'"),
+            (["analyze", "{image}", "--incremental", "-r", "nosuch"], 2,
+             "no routine named 'nosuch'"),
+            (["analyze", "{image}", "--dot", "{tmp}/psg.dot", "--dot-routine",
+              "nosuch"], 2, "no routine named 'nosuch'"),
+            (["generate", "nosuch", "-o", "{tmp}/a.sax"], 2,
+             "unknown benchmark 'nosuch'"),
+        ],
+        ids=["dot-path", "generate-path", "optimize-path", "routine",
+             "incremental-routine", "dot-routine", "benchmark"],
+    )
+    def test_bad_output_path_or_name(
+        self, image_path, tmp_path, capsys, argv, code, message
+    ):
+        """An unwritable output file exits 5 and an unknown name 2, each
+        with one stderr line; a bad name writes nothing."""
+        paths = {"image": image_path, "tmp": tmp_path, "missing": tmp_path / "no"}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not any(tmp_path.glob("*.dot")) and not any(tmp_path.glob("a.sax"))
+
     def test_analysis_failure_is_4(self, image_path, capsys, monkeypatch):
         from repro.interproc import analysis
         from repro.psg.build import PsgBuildError

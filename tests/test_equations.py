@@ -19,6 +19,7 @@ from repro.dataflow.equations import SummaryTriple, meet_target_maps, sweep_targ
 from repro.dataflow.local import compute_local_sets
 from repro.psg.build import build_psg
 from repro.dataflow.regset import RegisterSet, TRACKED_MASK, mask_of
+from tests.records import blocks_of
 from tests.label_oracle import (
     backward_reachable,
     forward_reachable,
@@ -46,7 +47,7 @@ class TestFigure4Structure:
         cfg, _sets, _blocked = figure4
         assert cfg.block_count == 4
         assert len(cfg.call_sites) == 1
-        assert cfg.blocks[2].terminator == TerminatorKind.CALL
+        assert cfg.terminators[2] == TerminatorKind.CALL
 
     def test_block_local_sets_as_designed(self, figure4):
         _cfg, sets, _blocked = figure4
@@ -62,8 +63,9 @@ class TestFigure4Structure:
 class TestFlowSummaryLabels:
     def _solve_edge(self, figure4, starts, target):
         cfg, sets, blocked = figure4
-        subgraph = backward_reachable(cfg.blocks, target, blocked)
-        solution = solve_summary_subgraph(cfg.blocks, sets, subgraph, blocked)
+        blocks = blocks_of(cfg)
+        subgraph = backward_reachable(blocks, target, blocked)
+        solution = solve_summary_subgraph(blocks, sets, subgraph, blocked)
         return label_from_starts(solution, [s for s in starts if s in subgraph])
 
     def test_edge_ea_matches_figure7(self, figure4):
@@ -91,7 +93,7 @@ class TestFlowSummaryLabels:
     def test_edge_ec_return_to_exit(self, figure4):
         cfg, _sets, _blocked = figure4
         call_block = cfg.call_sites[0].block
-        return_point = cfg.blocks[call_block].successors[0]
+        return_point = cfg.successors[call_block][0]
         exit_block = cfg.return_exits()[0]
         label = self._solve_edge(figure4, [return_point], exit_block)
         paper = mask_of(["t0", "t1", "t2", "t3"])
@@ -102,14 +104,15 @@ class TestFlowSummaryLabels:
         """E_B covers blocks {1,3}; E_C covers {4} (paper's Figure 5)."""
         cfg, _sets, blocked = figure4
         call_block = cfg.call_sites[0].block
-        eb = forward_reachable(cfg.blocks, [cfg.entry_index], blocked) & (
-            backward_reachable(cfg.blocks, call_block, blocked)
+        blocks = blocks_of(cfg)
+        eb = forward_reachable(blocks, [cfg.entry_index], blocked) & (
+            backward_reachable(blocks, call_block, blocked)
         )
         assert eb == {0, 2}  # blocks "1" and "3" in the paper's numbering
-        return_point = cfg.blocks[call_block].successors[0]
+        return_point = cfg.successors[call_block][0]
         exit_block = cfg.return_exits()[0]
-        ec = forward_reachable(cfg.blocks, [return_point], blocked) & (
-            backward_reachable(cfg.blocks, exit_block, blocked)
+        ec = forward_reachable(blocks, [return_point], blocked) & (
+            backward_reachable(blocks, exit_block, blocked)
         )
         assert ec == {3}  # block "4"
 
@@ -140,14 +143,15 @@ class TestMustDefOverLoops:
         cfg = build_cfg(program, program.routine("main"))
         sets = compute_local_sets(cfg)
         exit_block = cfg.return_exits()[0]
-        subgraph = backward_reachable(cfg.blocks, exit_block, set())
-        solution = solve_summary_subgraph(cfg.blocks, sets, subgraph, set())
+        blocks = blocks_of(cfg)
+        subgraph = backward_reachable(blocks, exit_block, set())
+        solution = solve_summary_subgraph(blocks, sets, subgraph, set())
         label = solution[cfg.entry_index]
         assert "t2" in names(label.must_def)
 
 
 class _FakeBlock:
-    """Just enough of a BasicBlock for the subgraph/equations layer."""
+    """Just enough of a block record for the subgraph/equations layer."""
 
     __slots__ = ("successors", "predecessors")
 
@@ -448,19 +452,19 @@ class TestInternTriple:
 
     def _labels(self, program):
         cfgs = build_all_cfgs(program)
-        psg = build_psg(program, cfgs)
-        return [edge.label for edge in psg.flow_edges]
+        arena = build_psg(program, cfgs).arena
+        return [arena.labels[index] for index in arena.edge_label]
 
     def test_returns_canonical_instance(self, small_benchmark):
         canonical = {}
         labels = self._labels(small_benchmark)
         for label in labels:
-            assert canonical.setdefault(_raw(label), label) is label
+            assert canonical.setdefault(tuple(label), label) is label
         assert len(canonical) < len(labels)  # labels do repeat
 
     def test_distinct_masks_distinct_triples(self, small_benchmark):
         by_identity = {id(label): label for label in self._labels(small_benchmark)}
-        assert len({_raw(label) for label in by_identity.values()}) == len(
+        assert len({tuple(label) for label in by_identity.values()}) == len(
             by_identity
         )
 

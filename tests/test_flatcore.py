@@ -2,7 +2,7 @@
 
 ``run_phase1``/``run_phase2`` iterate the rows the PSG build wrote into
 the arena; ``tests/phase_oracle.py`` holds the object engines that read
-``psg.flow_edges`` and derive their own adjacency.  The two must agree
+the edge table as records and derive their own adjacency.  The two must agree
 on the summaries byte for byte *and* on the five scheduling counters
 (same visit sequence, so same row order) — cold and warm, through the
 drivers and through the session facade.

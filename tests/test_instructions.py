@@ -97,13 +97,11 @@ class TestControlFlow:
         assert ins.uses() == {reg("t0")}
         assert ins.defs() == set()
         assert is_conditional_branch(ins)
-        assert ins.falls_through
 
     def test_unconditional_branch_defines_link(self):
         ins = Instruction(Opcode.BR, ra=reg("t0"), displacement=3)
         assert ins.defs() == {reg("t0")}
         assert is_unconditional_branch(ins)
-        assert not ins.falls_through
 
     def test_br_through_zero_defines_nothing(self):
         ins = Instruction(Opcode.BR, ra=ZERO_REGISTER, displacement=1)
@@ -114,7 +112,6 @@ class TestControlFlow:
         assert is_call(ins)
         assert ins.defs() == {reg("ra")}
         assert ins.control == ControlKind.CALL_DIRECT
-        assert ins.falls_through  # returns to the next instruction
 
     def test_jsr_is_indirect_call(self):
         ins = Instruction(Opcode.JSR, ra=reg("ra"), rb=reg("pv"))
@@ -126,7 +123,6 @@ class TestControlFlow:
         ins = Instruction(Opcode.RET, ra=ZERO_REGISTER, rb=reg("ra"))
         assert is_return(ins)
         assert ins.uses() == {reg("ra")}
-        assert not ins.falls_through
 
     def test_jmp_is_indirect_jump(self):
         ins = Instruction(Opcode.JMP, ra=ZERO_REGISTER, rb=reg("t0"))
@@ -143,12 +139,6 @@ class TestControlFlow:
         ins = Instruction(Opcode.OUTPUT)
         assert ins.uses() == {reg("a0")}
         assert ins.defs() == set()
-
-    def test_block_terminators(self):
-        assert Instruction(Opcode.BSR, ra=26, displacement=0).is_block_terminator
-        assert Instruction(Opcode.BEQ, ra=1, displacement=0).is_block_terminator
-        assert Instruction(Opcode.RET, rb=26).is_block_terminator
-        assert not Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3).is_block_terminator
 
     def test_branch_ops_are_all_conditional(self):
         ops = branch_ops()

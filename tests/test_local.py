@@ -3,7 +3,6 @@
 from repro.cfg.build import build_cfg
 from repro.dataflow.local import (
     compute_local_sets,
-    compute_program_local_sets,
     local_sets_of_instructions,
 )
 from repro.isa.instructions import Instruction, Opcode
@@ -72,8 +71,7 @@ class TestPerCfg:
         from repro.cfg.build import build_all_cfgs
 
         cfgs = build_all_cfgs(quick_program)
-        all_sets = compute_program_local_sets(cfgs)
-        assert set(all_sets) == {"main", "helper"}
-        helper = all_sets["helper"]
+        assert set(cfgs) == {"main", "helper"}
+        helper = compute_local_sets(cfgs["helper"])
         assert helper[0].used_before_defined.names() == {"a0", "ra"}
         assert helper[0].defs.names() == {"v0"}

@@ -78,13 +78,6 @@ class TestProgram:
         assert program.routine_containing(0x1014).name == "b"
         assert program.routine_containing(0x2000) is None
 
-    def test_instruction_at(self):
-        program = self._program()
-        routine, index = program.instruction_at(0x1004)
-        assert routine.name == "a" and index == 1
-        with pytest.raises(ProgramError):
-            program.instruction_at(0x9999 * 4)
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ProgramError, match="duplicate"):
             Program(

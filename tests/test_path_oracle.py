@@ -23,6 +23,7 @@ from repro.interproc.phase1 import run_phase1
 from repro.psg.build import PsgAssembly
 from repro.psg.graph import RoutinePSG
 from repro.psg.nodes import NodeKind
+from tests.records import flow_edges_of
 from tests.psg_rows import add_node
 
 _REGS = 6  # small universe keeps enumeration readable
@@ -95,7 +96,7 @@ def build_random_dag(rng: random.Random):
 def enumerate_paths(psg, entry, exits):
     """Every entry→exit label composition, by DFS (the graph is a DAG)."""
     out_edges = {}
-    for edge in psg.flow_edges:
+    for edge in flow_edges_of(psg):
         out_edges.setdefault(edge.src, []).append(edge)
     results = []
 

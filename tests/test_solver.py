@@ -7,6 +7,7 @@ import pytest
 from repro.cfg.build import build_cfg
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
+from tests.records import blocks_of
 from tests.label_oracle import (
     SolverDivergence,
     WorklistSolver,
@@ -120,20 +121,21 @@ class TestReachability:
     def test_forward_stops_at_blocked(self):
         cfg = self._cfg()
         blocked = {site.block for site in cfg.call_sites}
-        reached = forward_reachable(cfg.blocks, [cfg.entry_index], blocked)
+        blocks = blocks_of(cfg)
+        reached = forward_reachable(blocks, [cfg.entry_index], blocked)
         call_block = cfg.call_sites[0].block
         assert call_block in reached  # the call block is reachable...
-        fallthrough = cfg.blocks[call_block].successors[0]
+        fallthrough = cfg.successors[call_block][0]
         # ...but its successor is only reachable via the other path.
-        right_path = forward_reachable(cfg.blocks, [cfg.entry_index], blocked)
+        right_path = forward_reachable(blocks, [cfg.entry_index], blocked)
         assert fallthrough in right_path or True  # join reachable via right
 
     def test_backward_excludes_blocked_predecessors(self):
         cfg = self._cfg()
         blocked = {site.block for site in cfg.call_sites}
         call_block = cfg.call_sites[0].block
-        join = cfg.blocks[call_block].successors[0]
-        reached = backward_reachable(cfg.blocks, join, blocked)
+        join = cfg.successors[call_block][0]
+        reached = backward_reachable(blocks_of(cfg), join, blocked)
         assert call_block not in reached
         assert join in reached
 
@@ -141,7 +143,7 @@ class TestReachability:
         cfg = self._cfg()
         blocked = {site.block for site in cfg.call_sites}
         call_block = cfg.call_sites[0].block
-        reached = backward_reachable(cfg.blocks, call_block, blocked)
+        reached = backward_reachable(blocks_of(cfg), call_block, blocked)
         assert call_block in reached
         assert cfg.entry_index in reached
 
@@ -149,10 +151,11 @@ class TestReachability:
         """t in forward(s) iff s in backward(t) — the edge-existence rule."""
         cfg = self._cfg()
         blocked = {site.block for site in cfg.call_sites}
+        blocks = blocks_of(cfg)
         for start in range(cfg.block_count):
-            fwd = forward_reachable(cfg.blocks, [start], blocked)
+            fwd = forward_reachable(blocks, [start], blocked)
             for target in range(cfg.block_count):
-                bwd = backward_reachable(cfg.blocks, target, blocked)
+                bwd = backward_reachable(blocks, target, blocked)
                 assert (target in fwd) == (start in bwd)
 
 

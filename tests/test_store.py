@@ -518,9 +518,6 @@ class TestConfigDigest:
         assert base != config_digest(
             AnalysisConfig(psg=PsgConfig(branch_nodes=False))
         )
-        assert base != config_digest(
-            AnalysisConfig(psg=PsgConfig(multiway_threshold=5))
-        )
 
 
 # ----------------------------------------------------------------------

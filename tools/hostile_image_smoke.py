@@ -1,13 +1,17 @@
 #!/usr/bin/env python
-"""End-to-end smoke test: hostile inputs end in exit 3 or 4, not a traceback.
+"""End-to-end smoke test: hostile inputs end in a documented exit, not a traceback.
 
 Generates a Table-2 image, derives from its bytes the malformed
 variants of :func:`hostile_images`, and runs ``spike-analyze analyze``
 on each as a real subprocess; each must exit 3 (``EXIT_BAD_IMAGE``).
 So must ``summaries`` on the image itself and on a truncated summary
 sidecar.  ``run`` and ``optimize --verify`` on an image whose program
-faults (:data:`FAULTING`) must exit 4.  Every run must print exactly
-one line on stderr and no ``Traceback``.
+faults (:data:`FAULTING`) must exit 4.  An output file in a missing
+directory (``analyze --dot``, ``generate -o``, ``optimize -o``) must
+exit 5, and an unknown routine (``analyze -r``, with and without
+``--incremental``, and ``--dot-routine``) or benchmark (``generate``)
+must exit 2.  Every run must print exactly one line on stderr and no
+``Traceback``.
 
 Usage::
 
@@ -156,6 +160,23 @@ def main(argv: List[str] | None = None) -> int:
             ["optimize", faulting, "-o", optimized, "--verify"],
             4,
         )
+
+        missing = os.path.join(tmp, "missing")
+        check("dot-unwritable",
+              ["analyze", base, "--dot", os.path.join(missing, "psg.dot")], 5)
+        check("generate-unwritable",
+              ["generate", args.benchmark, "--scale", str(args.scale),
+               "-o", os.path.join(missing, "a.sax")], 5)
+        check("optimize-unwritable",
+              ["optimize", base, "-o", os.path.join(missing, "o.sax")], 5)
+        check("unknown-routine", ["analyze", base, "-r", "nosuch"], 2)
+        check("unknown-routine-incremental",
+              ["analyze", base, "--incremental", "-r", "nosuch"], 2)
+        check("unknown-dot-routine",
+              ["analyze", base, "--dot", os.path.join(tmp, "psg.dot"),
+               "--dot-routine", "nosuch"], 2)
+        check("unknown-benchmark",
+              ["generate", "nosuch", "-o", os.path.join(tmp, "a.sax")], 2)
     return 0
 
 
