@@ -114,6 +114,30 @@ def _byte_budget(value: str) -> int:
     return budget
 
 
+def _int_from(low: int, high: Optional[int] = None):
+    """An argparse type: an integer no less than ``low`` and, when
+    ``high`` is given, no greater than it."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+        if number < low or (high is not None and number > high):
+            span = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, not {number}")
+        return number
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line, like every other CLI error."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (usage: {self.prog} -h)\n")
+
+
 def _file_path(value: str) -> str:
     """An argparse type: a path, which must not be empty."""
     if not value:
@@ -616,7 +640,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spike-analyze",
         description=(
             "Interprocedural register dataflow analysis for SAX executables "
@@ -757,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("image")
     report.add_argument(
-        "--top", type=int, default=10, metavar="N",
+        "--top", type=_int_from(0), default=10, metavar="N",
         help="number of routines to list (default: 10)",
     )
     report.add_argument(
@@ -789,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP bind address (default 127.0.0.1)",
     )
     serve.add_argument(
-        "--port", type=int, default=8484, metavar="N",
+        "--port", type=_int_from(0, 65535), default=8484, metavar="N",
         help="TCP port (default 8484; 0 picks an ephemeral port)",
     )
     serve.add_argument(

@@ -5,8 +5,8 @@ One :class:`~repro.api.AnalysisSession` is retained per
 schema-1 payload and its SUM5 warm-start cache.  A repeated request for
 an unchanged image is answered from the retained payload without
 touching the front end or the solver — that is the daemon's whole
-reason to exist (cold gcc-shape analysis is front-end dominated; see
-``benchmarks/bench_service.py``).
+reason to exist (cold gcc-shape analysis is front-end dominated; the
+``paper-tables`` check in ``tests/paper_tables.py`` times it).
 
 Entries are LRU-ordered and evicted when the registry's byte budget is
 exceeded.  An entry's cost is the image size plus the serialized size

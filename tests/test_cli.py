@@ -350,6 +350,27 @@ class TestExitCodes:
         assert len(err) == 1 and message in err[0]
         assert not any(tmp_path.glob("*.dot")) and not any(tmp_path.glob("a.sax"))
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--port", "99999"],
+             "argument --port: must be from 0 to 65535, not 99999"),
+            (["serve", "--port", "-1"],
+             "argument --port: must be from 0 to 65535, not -1"),
+            (["report", "{image}", "--top", "-1"],
+             "argument --top: must be at least 0, not -1"),
+        ],
+        ids=["port-too-large", "port-negative", "top-negative"],
+    )
+    def test_out_of_range_option_is_2(self, image_path, capsys, argv, message):
+        """A port outside 0..65535 or a negative --top is a usage error
+        on one stderr line, not a traceback or a silently short list."""
+        with pytest.raises(SystemExit) as caught:
+            main([arg.format(image=image_path) for arg in argv])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
     def test_analysis_failure_is_4(self, image_path, capsys, monkeypatch):
         from repro.interproc import analysis
         from repro.psg.build import PsgBuildError

@@ -132,6 +132,18 @@ class TestQueryMatchesExhaustive:
             cache = result.cache
             assert result.metrics.phase2_solved == 0, name
 
+    def test_query_after_an_edit_resolves_part_of_the_program(self):
+        """The edited routine's own query, against the memo of its query
+        before the edit, is exact and does not re-solve the program."""
+        program = _generate("perl")
+        routine = first_editable_routine(program)
+        memo = dump_cache(query_routine(program, routine).cache)
+        edited = perturb_routine(program, routine)
+        result = query_routine(edited, routine, cache=load_cache(memo))
+        expected = analyze_program(edited).result.summaries[routine]
+        assert _canon(result.summary) == _canon(expected)
+        assert result.metrics.phase2_solved < program.routine_count
+
 
 # ----------------------------------------------------------------------
 # Structural edits: dropped and retargeted calls

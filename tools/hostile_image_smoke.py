@@ -9,7 +9,8 @@ sidecar.  ``run`` and ``optimize --verify`` on an image whose program
 faults (:data:`FAULTING`) must exit 4.  An output file in a missing
 directory (``analyze --dot``, ``generate -o``, ``optimize -o``) must
 exit 5, and an unknown routine (``analyze -r``, with and without
-``--incremental``, and ``--dot-routine``) or benchmark (``generate``)
+``--incremental``, and ``--dot-routine``) or benchmark (``generate``),
+a ``serve --port`` outside 0..65535 and a negative ``report --top``
 must exit 2.  Every run must print exactly one line on stderr and no
 ``Traceback``.
 
@@ -177,6 +178,9 @@ def main(argv: List[str] | None = None) -> int:
                "--dot-routine", "nosuch"], 2)
         check("unknown-benchmark",
               ["generate", "nosuch", "-o", os.path.join(tmp, "a.sax")], 2)
+        check("port-too-large", ["serve", "--port", "99999"], 2)
+        check("port-negative", ["serve", "--port", "-1"], 2)
+        check("top-negative", ["report", base, "--top", "-1"], 2)
     return 0
 
 
