@@ -28,9 +28,9 @@ Call-site resolution is split in two so that a warm run can skip the
 walk: *where* a call sits and which constant feeds it
 (:class:`RecordedSite`) depend only on the routine's own shape and are
 remembered in the front-end records; *whom* it reaches
-(:func:`classify_call`) depends on the image's symbol and hint tables
-and is re-derived every run, by the same function whether the site came
-from a fresh walk or from a record.
+(:func:`resolve_call_sites`) depends on the image's symbol and hint
+tables and is re-derived every run, by the one resolver whether the
+sites came from a fresh walk or from a record.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.cfg.cfg import (
     CfgError,
     ControlFlowGraph,
     ExitKind,
-    FrontendRecord,
     RecordedSite,
     TerminatorKind,
 )
@@ -76,6 +75,9 @@ _RETURN = TerminatorKind.RETURN
 _EXIT_RETURN = ExitKind.RETURN
 _EXIT_HALT = ExitKind.HALT
 _EXIT_UNKNOWN = ExitKind.UNKNOWN_JUMP
+#: Builds a named-tuple row without the Python frame of its generated
+#: ``__new__`` (about half the cost, once per call site).
+_new_row = tuple.__new__
 #: The frame-slot format: a slot is an ``sp`` displacement, read and
 #: written only by these opcodes through ``sp`` (:func:`frame_slot`).
 STACK_STORES = (Opcode.STQ, Opcode.STT)
@@ -178,13 +180,9 @@ def build_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
             ))
 
     # 3: call sites, in block order
-    recorded_sites: List[RecordedSite] = []
-    call_sites: List[CallSite] = []
-    for block in calls:
-        start, stop = bounds[block]
-        recorded = _record_site(rows, block, start, stop)
-        recorded_sites.append(recorded)
-        call_sites.append(classify_call(program, routine, recorded))
+    recorded_sites = [_record_site(rows, block, *bounds[block]) for block in calls]
+    call_sites = resolve_call_sites(program, routine, recorded_sites)
+    assert call_sites is not None  # a walk's sites are calls of their kind
 
     # 4: the §3.4 save/restore pattern
     saved = 0
@@ -374,77 +372,65 @@ def frame_accesses(rows: Sequence[tuple]) -> Dict[int, List[int]]:
     return accesses
 
 
-def classify_call(
-    program: Program, routine: Routine, site: RecordedSite
-) -> CallSite:
-    """Whom the call at ``site`` reaches in ``program``."""
-    call_address = routine.address_of(site.instruction_index)
-    if not site.indirect:
-        displacement = routine.rows[site.instruction_index][3]
-        target = call_address + INSTRUCTION_SIZE * (1 + displacement)
-        callee = program.routine_at(target)
-        if callee is None:
-            raise CfgError(
-                f"{routine.name!r}: bsr at {call_address:#x} targets "
-                f"{target:#x}, not a routine entry"
-            )
-        return CallSite(
-            block=site.block,
-            instruction_index=site.instruction_index,
-            targets=(callee.name,),
-            indirect=False,
-        )
-    # Indirect call: a linker target-set hint wins (§3.5's suggested
-    # improvement); otherwise the target register's constant, if it has
-    # one and that names a routine entry.
-    hinted = program.call_target_hints.get(call_address)
-    if hinted:
-        names = []
-        for target in hinted:
-            hinted_routine = program.routine_at(target)
-            if hinted_routine is None:
-                raise CfgError(
-                    f"{routine.name!r}: call-target hint at "
-                    f"{call_address:#x} names {target:#x}, not a routine entry"
-                )
-            names.append(hinted_routine.name)
-        return CallSite(
-            block=site.block,
-            instruction_index=site.instruction_index,
-            targets=tuple(names),
-            indirect=True,
-        )
-    targets: tuple = ()
-    if site.constant is not None:
-        callee = program.routine_at(site.constant)
-        if callee is not None:
-            targets = (callee.name,)
-    return CallSite(
-        block=site.block,
-        instruction_index=site.instruction_index,
-        targets=targets,
-        indirect=True,
-    )
-
-
-def recorded_call_sites(
-    program: Program, routine: Routine, record: FrontendRecord
+def resolve_call_sites(
+    program: Program, routine: Routine, sites: Sequence[RecordedSite]
 ) -> Optional[List[CallSite]]:
-    """``routine``'s call sites re-resolved from ``record`` instead of
-    from its CFG, or ``None`` when the record cannot be describing this
-    routine (a site that is not a call of the recorded kind, or has no
-    return point) — the caller then builds the CFG as if there had been
-    no record.  Raises the same :class:`CfgError` as :func:`build_cfg`
-    for a ``bsr`` or hint naming a non-entry."""
+    """Whom each of ``routine``'s recorded ``sites`` reaches in
+    ``program``: the call sites of :func:`build_cfg` (which passes the
+    sites of its walk) and of a warm front end (which passes a
+    front-end record's).
+
+    ``None`` when the sites cannot be describing this routine — one is
+    not a call of the recorded kind, or has no return point — and the
+    caller then walks the routine as if there had been no record.
+    Otherwise raises :class:`CfgError`, site by site, for a ``bsr`` or a
+    hint naming a non-entry.  An indirect call's linker target-set hint
+    wins (§3.5's suggested improvement); otherwise its recorded
+    constant, if that names a routine entry.
+    """
     rows = routine.rows
     last = len(rows) - 1
-    for site in record.sites:
-        if site.instruction_index >= last:
+    for _block, index, indirect, _constant in sites:
+        if index >= last or rows[index][0] is not (
+            _CALL_INDIRECT if indirect else _CALL_DIRECT
+        ):
             return None
-        expected = _CALL_INDIRECT if site.indirect else _CALL_DIRECT
-        if rows[site.instruction_index][0] is not expected:
-            return None
-    return [classify_call(program, routine, site) for site in record.sites]
+    routine_at = program.routine_at
+    hints = program.call_target_hints
+    name = routine.name
+    base = routine.address
+    resolved: List[CallSite] = []
+    append = resolved.append
+    for block, index, indirect, constant in sites:
+        call_address = base + INSTRUCTION_SIZE * index
+        if not indirect:
+            # row[3] is the displacement
+            target = call_address + INSTRUCTION_SIZE * (1 + rows[index][3])
+            callee = routine_at(target)
+            if callee is None:
+                raise CfgError(
+                    f"{name!r}: bsr at {call_address:#x} targets "
+                    f"{target:#x}, not a routine entry"
+                )
+            append(_new_row(CallSite, (block, index, (callee.name,), False)))
+            continue
+        hinted = hints.get(call_address)
+        if hinted:
+            names = []
+            for target in hinted:
+                callee = routine_at(target)
+                if callee is None:
+                    raise CfgError(
+                        f"{name!r}: call-target hint at {call_address:#x} "
+                        f"names {target:#x}, not a routine entry"
+                    )
+                names.append(callee.name)
+            append(_new_row(CallSite, (block, index, tuple(names), True)))
+            continue
+        callee = None if constant is None else routine_at(constant)
+        targets = () if callee is None else (callee.name,)
+        append(_new_row(CallSite, (block, index, targets, True)))
+    return resolved
 
 
 def resolve_register_constant(

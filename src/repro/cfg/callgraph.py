@@ -28,7 +28,7 @@ from repro.isa.instructions import ControlKind, Opcode
 from repro.isa.registers import ZERO_REGISTER
 from repro.program.model import Program, Routine
 from repro.cfg.cfg import CallSite, ControlFlowGraph, FrontendRecord
-from repro.cfg.build import LazyCfgs, recorded_call_sites
+from repro.cfg.build import LazyCfgs, resolve_call_sites
 
 
 @dataclass
@@ -251,7 +251,7 @@ def build_call_graph(
         name = routine.name
         record = records.get(name) if records else None
         resolved = (
-            recorded_call_sites(program, routine, record) if record else None
+            resolve_call_sites(program, routine, record.sites) if record else None
         )
         if resolved is not None:
             candidates[name] = record.escape_candidates
@@ -263,10 +263,11 @@ def build_call_graph(
     unknown_sites: List[Tuple[str, CallSite]] = []
     for name, routine_sites in sites.items():
         for site in routine_sites:
-            if site.is_unknown:
+            targets = site.targets
+            if not targets:
                 unknown_sites.append((name, site))
                 continue
-            for target in site.targets:
+            for target in targets:
                 if target not in cfgs:
                     raise KeyError(
                         f"{name!r} calls unknown routine {target!r}"

@@ -50,9 +50,8 @@ class ExitKind(enum.Enum):
     UNKNOWN_JUMP = "unknown_jump"
 
 
-@dataclass(frozen=True)
-class CallSite:
-    """A call instruction ending a basic block.
+class CallSite(NamedTuple):
+    """A call instruction ending a basic block: one plain row.
 
     ``targets`` lists every routine the call can reach:
 
@@ -86,7 +85,7 @@ class RecordedSite(NamedTuple):
     target register provably holds at the call (``None`` when the
     block-local backward walk finds none).  Which routines the call
     reaches is *not* here: that depends on the image's symbol and hint
-    tables and is re-derived by :func:`repro.cfg.build.classify_call`.
+    tables and is re-derived by :func:`repro.cfg.build.resolve_call_sites`.
     """
 
     block: int
@@ -95,8 +94,17 @@ class RecordedSite(NamedTuple):
     constant: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class FrontendRecord:
+class _RecordFields(NamedTuple):
+    shape_key: int
+    block_count: int
+    #: Call sites in block (= instruction) order.
+    sites: Tuple[RecordedSite, ...]
+    #: Sorted constants whose escape :func:`repro.cfg.callgraph.
+    #: find_address_taken` would report if they named a routine entry.
+    escape_candidates: Tuple[int, ...]
+
+
+class FrontendRecord(_RecordFields):
     """What a warm run needs to know about a routine without its CFG.
 
     Everything here is a pure function of the routine's code bytes and
@@ -106,36 +114,39 @@ class FrontendRecord:
     the current image and the escape candidates re-tested against its
     routine entries without building a block.  Records ride in the
     incremental sidecar, so they are untrusted input; construction
-    rejects every shape no CFG could have produced.
+    rejects every shape no CFG could have produced (``ValueError``).
     """
 
-    shape_key: int
-    block_count: int
-    #: Call sites in block (= instruction) order.
-    sites: Tuple[RecordedSite, ...]
-    #: Sorted constants whose escape :func:`repro.cfg.callgraph.
-    #: find_address_taken` would report if they named a routine entry.
-    escape_candidates: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.block_count < 1:
+    def __new__(
+        cls,
+        shape_key: int,
+        block_count: int,
+        sites: Tuple[RecordedSite, ...],
+        escape_candidates: Tuple[int, ...],
+    ) -> "FrontendRecord":
+        if block_count < 1:
             raise ValueError("front-end record with no blocks")
         block = index = -1
-        for site in self.sites:
+        for site_block, site_index, indirect, constant in sites:
             # A call ends its block, so sites ascend in both
             # coordinates and block b ends no earlier than index b.
             if (
-                site.block <= block
-                or site.instruction_index <= index
-                or site.instruction_index < site.block
+                site_block <= block
+                or site_index <= index
+                or site_index < site_block
             ):
                 raise ValueError("front-end record sites out of order")
-            if site.constant is not None and not site.indirect:
+            if constant is not None and not indirect:
                 raise ValueError("front-end record: constant on a direct call")
-            block, index = site.block, site.instruction_index
+            block, index = site_block, site_index
         # The block after the last call (its return point) must exist.
-        if block + 1 >= self.block_count:
+        if block + 1 >= block_count:
             raise ValueError("front-end record site outside its blocks")
+        return tuple.__new__(
+            cls, (shape_key, block_count, sites, escape_candidates)
+        )
 
 
 #: A tuple, not a set: an enum's hash is a Python call.

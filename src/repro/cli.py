@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Tuple
@@ -103,15 +104,17 @@ def _load(path: str) -> Program:
         return load_program(handle.read())
 
 
-def _byte_budget(value: str) -> int:
-    """An argparse type: a byte count, which must not be negative."""
+def _positive_float(value: str) -> float:
+    """An argparse type: a positive finite number."""
     try:
-        budget = int(value)
+        number = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError("a byte budget must not be negative")
-    return budget
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+    if not 0 < number < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, not {value}"
+        )
+    return number
 
 
 def _int_from(low: int, high: Optional[int] = None):
@@ -728,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="generate a benchmark image")
     generate.add_argument("benchmark", help="benchmark name (see 'benchmarks')")
     generate.add_argument("-o", "--output", required=True)
-    generate.add_argument("--scale", type=float, default=1.0)
+    generate.add_argument("--scale", type=_positive_float, default=1.0)
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(func=_cmd_generate)
 
@@ -792,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute an image in the interpreter")
     run.add_argument("image")
-    run.add_argument("--max-steps", type=int, default=5_000_000)
+    run.add_argument("--max-steps", type=_int_from(1), default=5_000_000)
     run.set_defaults(func=_cmd_run)
 
     summaries = sub.add_parser(
@@ -828,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--max-bytes", type=_byte_budget, default=256 * 1024 * 1024,
+        "--max-bytes", type=_int_from(0), default=256 * 1024 * 1024,
         metavar="N",
         help=(
             "retained-session byte budget; least-recently-used "
@@ -875,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory (default: REPRO_SUMMARY_STORE)",
     )
     store.add_argument(
-        "--max-bytes", type=_byte_budget, default=None, metavar="N",
+        "--max-bytes", type=_int_from(0), default=None, metavar="N",
         help="byte budget for gc eviction (default: sweep temps only)",
     )
     store.set_defaults(func=_cmd_store)

@@ -395,7 +395,7 @@ def region_summaries(
     """The summary of each of ``names``, read off a graph, its phase-1
     answer and its phase-2 liveness ``live`` — the one assembler."""
     summaries: Dict[str, RoutineSummary] = {}
-    label_of = {edge.src: edge.label for edge in psg.call_return_edges}
+    label_of = dict(zip(psg.cr_call, psg.cr_label))
     block_of = psg.node_block
     for name in names:
         routine_psg = psg.routines[name]

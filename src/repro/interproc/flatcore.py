@@ -58,19 +58,21 @@ def label_call_return_edges(
     may_def: Sequence[int],
     must_def: Sequence[int],
 ) -> None:
-    """Write the converged phase-1 labels onto resolved call-return
-    edges, interning equal triples so the many call sites of a popular
-    routine share one label object (phase 2 and the summary assembly
-    re-read these; "retained for the second dataflow phase").
+    """Write the converged phase-1 labels into the ``cr_label`` column
+    at every resolved call-return edge, interning equal triples so the
+    many call sites of a popular routine share one label object (phase 2
+    and the summary assembly re-read these; "retained for the second
+    dataflow phase").
     """
     interned: Dict[Tuple[int, int, int], SummaryTriple] = {}
-    for edge in psg.call_return_edges:
-        if edge.is_unknown:
+    labels = psg.cr_label
+    for edge, callees in enumerate(psg.cr_targets):
+        if not callees:
             continue
         label_mu = 0
         label_md = 0
         label_xd = -1
-        for callee in edge.callees:
+        for callee in callees:
             entry = entry_of[callee]
             label_mu |= may_use[entry]
             label_md |= may_def[entry]
@@ -82,7 +84,7 @@ def label_call_return_edges(
                 may_use=key[0], may_def=key[1], must_def=key[2]
             )
             interned[key] = label
-        edge.label = label
+        labels[edge] = label
 
 
 def seed_priority(

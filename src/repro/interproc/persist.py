@@ -72,7 +72,7 @@ malformed.  Records and fragments are filed by shape key, so they stay
 good across edits that change whom a routine calls and in any image
 that links the same body.  Records no CFG could have produced are
 rejected here; whether a well-formed one fits a routine is checked
-where it is used (:func:`repro.cfg.build.recorded_call_sites`).  A
+where it is used (:func:`repro.cfg.build.resolve_call_sites`).  A
 table's configuration digest scopes its rows, and a sidecar's scopes
 everything in it, to the configuration they were solved under.
 
@@ -128,7 +128,6 @@ from repro.psg.build import PsgFragment
 MAGIC = b"SUM1"
 
 _SIZES = {"I": 4, "Q": 8}
-_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -223,12 +222,6 @@ class _Writer:
     def __init__(self) -> None:
         self.parts: List[bytes] = []
 
-    def u8(self, value: int) -> None:
-        self.parts.append(_U8.pack(value))
-
-    def u16(self, value: int) -> None:
-        self.parts.append(_U16.pack(value))
-
     def u32(self, value: int) -> None:
         self.parts.append(_U32.pack(value))
 
@@ -278,9 +271,6 @@ class _Reader:
 
     def u64(self) -> int:
         return self._unpack(_U64)
-
-    def i64(self) -> int:
-        return self._unpack(_I64)
 
     def take(self, count: int) -> bytes:
         """The next ``count`` bytes."""
@@ -937,45 +927,6 @@ class SummaryCache:
     )
 
 
-def _write_record(writer: _Writer, record: FrontendRecord) -> None:
-    parts = writer.parts
-    parts.append(
-        _RECORD_HEADER.pack(
-            record.shape_key, record.block_count, len(record.sites)
-        )
-    )
-    for block, instruction_index, indirect, constant in record.sites:
-        if constant is None:
-            flags = _SITE_INDIRECT if indirect else 0
-            parts.append(_RECORD_SITE.pack(block, instruction_index, flags))
-        else:
-            flags = _SITE_INDIRECT | _SITE_HAS_CONSTANT
-            parts.append(_RECORD_SITE.pack(block, instruction_index, flags))
-            parts.append(_I64.pack(constant))
-    count = len(record.escape_candidates)
-    parts.append(struct.pack(f"<I{count}Q", count, *record.escape_candidates))
-
-
-def _read_record(reader: _Reader) -> FrontendRecord:
-    shape_key, block_count, site_count = reader.fields(_RECORD_HEADER)
-    sites: List[RecordedSite] = []
-    for _ in range(site_count):
-        block, instruction_index, flags = reader.fields(_RECORD_SITE)
-        if flags & ~(_SITE_INDIRECT | _SITE_HAS_CONSTANT):
-            raise SummaryFormatError(f"unknown call-site flags {flags:#x}")
-        constant = reader.i64() if flags & _SITE_HAS_CONSTANT else None
-        sites.append(
-            RecordedSite(
-                block, instruction_index, bool(flags & _SITE_INDIRECT), constant
-            )
-        )
-    candidates = reader.array("Q", reader.u32())
-    try:
-        return FrontendRecord(shape_key, block_count, tuple(sites), candidates)
-    except ValueError as error:
-        raise SummaryFormatError(str(error)) from None
-
-
 def _encode_table(cache: SummaryCache, names: List[str]) -> bytes:
     """The routine table of ``cache``'s rows, in ``names`` order."""
     rows = [cache.rows[name] for name in names]
@@ -1057,22 +1008,79 @@ def _decode_table(reader: _Reader) -> Tuple[int, int, Dict[str, RoutineRow]]:
 
 
 def _records_section(records: Mapping[int, FrontendRecord]) -> bytes:
-    writer = _Writer()
-    writer.u32(len(records))
+    """The record section: ``records`` in shape-key order, one loop."""
+    header, site, signed = _RECORD_HEADER.pack, _RECORD_SITE.pack, _I64.pack
+    parts = [_U32.pack(len(records))]
+    append = parts.append
     for key in sorted(records):
-        _write_record(writer, records[key])
-    return writer.blob()
+        shape_key, block_count, sites, candidates = records[key]
+        append(header(shape_key, block_count, len(sites)))
+        for block, index, indirect, constant in sites:
+            if constant is None:
+                append(site(block, index, _SITE_INDIRECT if indirect else 0))
+            else:
+                append(site(block, index, _SITE_INDIRECT | _SITE_HAS_CONSTANT))
+                append(signed(constant))
+        count = len(candidates)
+        append(struct.pack(f"<I{count}Q", count, *candidates))
+    return b"".join(parts)
 
 
 def _read_records(reader: _Reader) -> Dict[int, FrontendRecord]:
+    """The record section, in one loop through the bound
+    ``unpack_from``s at a local offset (a read past the end surfaces as
+    ``struct.error`` once): every record one :class:`FrontendRecord`
+    accepts, in ascending shape-key order, and nothing after the last."""
+    blob = reader.blob
+    header_at, site_at = _RECORD_HEADER.unpack_from, _RECORD_SITE.unpack_from
+    count_at, signed_at = _U32.unpack_from, _I64.unpack_from
+    new_row = tuple.__new__
     records: Dict[int, FrontendRecord] = {}
     previous = -1
-    for _ in range(reader.u32()):
-        record = _read_record(reader)
-        if record.shape_key <= previous:
-            raise SummaryFormatError("front-end records out of order")
-        previous = record.shape_key
-        records[previous] = record
+    try:
+        (count,) = count_at(blob, reader.offset)
+        offset = reader.offset + _U32.size
+        for _ in range(count):
+            shape_key, block_count, site_count = header_at(blob, offset)
+            offset += _RECORD_HEADER.size
+            sites: List[RecordedSite] = []
+            for _ in range(site_count):
+                block, index, flags = site_at(blob, offset)
+                offset += _RECORD_SITE.size
+                if flags & ~(_SITE_INDIRECT | _SITE_HAS_CONSTANT):
+                    raise SummaryFormatError(
+                        f"unknown call-site flags {flags:#x}"
+                    )
+                constant = None
+                if flags & _SITE_HAS_CONSTANT:
+                    (constant,) = signed_at(blob, offset)
+                    offset += _I64.size
+                # ``tuple.__new__``: the row without the Python frame
+                # of the named tuple's own ``__new__``.
+                indirect = (flags & _SITE_INDIRECT) != 0
+                sites.append(
+                    new_row(RecordedSite, (block, index, indirect, constant))
+                )
+            (candidate_count,) = count_at(blob, offset)
+            offset += _U32.size
+            end = offset + _U64.size * candidate_count
+            if end > len(blob):
+                raise SummaryFormatError("truncated summary file")
+            candidates = struct.unpack_from(f"<{candidate_count}Q", blob, offset)
+            offset = end
+            try:
+                record = FrontendRecord(
+                    shape_key, block_count, tuple(sites), candidates
+                )
+            except ValueError as error:
+                raise SummaryFormatError(str(error)) from None
+            if shape_key <= previous:
+                raise SummaryFormatError("front-end records out of order")
+            records[shape_key] = record
+            previous = shape_key
+    except struct.error:
+        raise SummaryFormatError("truncated summary file") from None
+    reader.offset = offset
     reader.expect_end()
     return records
 

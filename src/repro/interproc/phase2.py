@@ -116,10 +116,9 @@ def run_phase2(
     # kill mask pre-complemented.
     cr_label_mu = [0] * node_count
     cr_label_notxd = [0] * node_count
-    for edge in psg.call_return_edges:
-        label = edge.label
-        cr_label_mu[edge.src] = label.may_use
-        cr_label_notxd[edge.src] = ~label.must_def
+    for call_node, label in zip(psg.cr_call, psg.cr_label):
+        cr_label_mu[call_node] = label.may_use
+        cr_label_notxd[call_node] = ~label.must_def
 
     counts = [0] * node_count if REGISTRY.per_routine else None
     by_rank, rank_of, sweep, queued = seed_priority(

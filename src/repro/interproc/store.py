@@ -49,7 +49,6 @@ from repro.interproc.persist import (
     GRADE_RECORDS,
     SummaryCache,
     SummaryFormatError,
-    _Writer,
     atomic_write,
     crc64,
     encode_pack,
@@ -94,11 +93,7 @@ def config_digest(config) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _digest(callee_saved_filtering: bool, branch_nodes: bool) -> int:
-    writer = _Writer()
-    writer.u8(STORE_VERSION)
-    writer.u8(1 if callee_saved_filtering else 0)
-    writer.u8(1 if branch_nodes else 0)
-    return crc64(writer.blob())
+    return crc64(bytes((STORE_VERSION, callee_saved_filtering, branch_nodes)))
 
 
 #: A member's phase-1 inputs — its own fingerprint, and per call target

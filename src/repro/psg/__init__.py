@@ -14,12 +14,11 @@ interprocedural control flow:
   whose labels are filled in by phase 1 with the callee's summary.
 """
 
-from repro.psg.nodes import CallReturnEdge, NodeKind
+from repro.psg.nodes import NodeKind
 from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
 from repro.psg.build import PsgConfig, build_psg, build_routine_psg
 
 __all__ = [
-    "CallReturnEdge",
     "NodeKind",
     "ProgramSummaryGraph",
     "PsgConfig",

@@ -67,7 +67,7 @@ from repro.program.model import Program
 from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind, TerminatorKind
 from repro.psg.arena import PsgArena
 from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
-from repro.psg.nodes import CallReturnEdge, NodeKind
+from repro.psg.nodes import NodeKind
 
 
 _log = logging.getLogger(__name__)
@@ -124,9 +124,10 @@ def unknown_call_label(convention: CallingConvention) -> SummaryTriple:
 
 class PsgAssembly:
     """The one way a PSG comes into being: nodes (one entry in each of
-    the four node rows), call-return edges and routines are appended to
-    the lists below, flow edges go through :meth:`add_flow_edges`, and
-    :meth:`finish` hands the lot to a :class:`ProgramSummaryGraph`.
+    the four node rows), call-return edges (one in each ``cr_*``
+    column) and routines are appended to the lists below, flow edges
+    go through :meth:`add_flow_edges`, and :meth:`finish` hands the lot
+    to a :class:`ProgramSummaryGraph`.
 
     Each flow edge is written once, into the arena's edge table and
     the per-node rows the solver iterates (:mod:`repro.psg.arena`).
@@ -143,7 +144,11 @@ class PsgAssembly:
         self.node_routine: List[str] = []
         self.node_block: List[int] = []
         self.node_detail: List[Union[ExitKind, CallSite, None]] = []
-        self.call_return_edges: List[CallReturnEdge] = []
+        #: Call-return columns (see :class:`ProgramSummaryGraph`).
+        self.cr_call: List[int] = []
+        self.cr_return: List[int] = []
+        self.cr_targets: List[Tuple[str, ...]] = []
+        self.cr_label: List[SummaryTriple] = []
         self.routines: Dict[str, RoutinePSG] = {}
         #: raw label -> (index in ``labels``, its three masks, ~MUST-DEF).
         self.interned: Dict[Triple, Tuple[int, int, int, int, int]] = {}
@@ -238,8 +243,9 @@ class PsgAssembly:
             )
             for name, routine_psg in routines.items()
         }
-        for edge in self.call_return_edges:
-            src, dst, callees = edge.src, edge.dst, edge.callees
+        for src, dst, callees, label in zip(
+            self.cr_call, self.cr_return, self.cr_targets, self.cr_label
+        ):
             cr_dst[src] = dst
             dependents[dst].append(src)
             if len(callees) == 1:
@@ -255,7 +261,6 @@ class PsgAssembly:
                     node for target in site for node in target[2]
                 )
             else:
-                label = edge.label
                 cr_unknown[src] = (label.may_use, label.may_def, label.must_def)
         dep2_view = list(map(tuple, dependents))
         dep1_view = list(dep2_view)
@@ -272,7 +277,7 @@ class PsgAssembly:
             uses_static=self.uses_static,
             cr_dst=cr_dst,
             cr_single=cr_single,
-            cr_nodes=[edge.src for edge in self.call_return_edges],
+            cr_nodes=self.cr_call,
             cr_callees=cr_callees,
             cr_unknown=cr_unknown,
             dep1_view=dep1_view,
@@ -281,13 +286,14 @@ class PsgAssembly:
         )
         psg = ProgramSummaryGraph(
             self.node_kind, self.node_routine, self.node_block,
-            self.node_detail, self.call_return_edges, routines, arena,
+            self.node_detail, self.cr_call, self.cr_return, self.cr_targets,
+            self.cr_label, routines, arena,
         )
         psg.check()
         REGISTRY.inc("psg.partial_builds" if partial else "psg.builds")
         REGISTRY.inc("psg.nodes", count)
         REGISTRY.inc("psg.flow_edges", psg.flow_edge_count)
-        REGISTRY.inc("psg.call_return_edges", len(psg.call_return_edges))
+        REGISTRY.inc("psg.call_return_edges", len(psg.cr_call))
         REGISTRY.inc("psg.branch_nodes", psg.branch_node_count)
         REGISTRY.inc("psg.label.visits", self.label_visits)
         REGISTRY.inc("psg.label.pairs", self.label_pairs)
@@ -404,8 +410,8 @@ def build_partial_psg(
             else:
                 build_routine_psg(routine, config, assembly)
         external_entries: Dict[str, int] = {}
-        for edge in assembly.call_return_edges:
-            for callee in edge.callees:
+        for callees in assembly.cr_targets:
+            for callee in callees:
                 if callee in member_set or callee in external_entries:
                     continue
                 node_id = external_entries[callee] = len(assembly.node_kind)
@@ -419,7 +425,7 @@ def build_partial_psg(
         "built PSG: %d routines, %d external entries, %d nodes, "
         "%d flow edges, %d call-return edges",
         len(members), len(external_entries), psg.node_count,
-        psg.flow_edge_count, len(psg.call_return_edges),
+        psg.flow_edge_count, len(psg.cr_call),
     )
     return PartialPsg(psg=psg, members=members, external_entries=external_entries)
 
@@ -454,15 +460,18 @@ def _append_nodes(
     details.append(None)
     details += [kind for _node, kind in exit_nodes]
     call_pairs: List[Tuple[int, int, CallSite]] = []
-    call_return_edges = assembly.call_return_edges
+    unknown, cr_targets, cr_label = (
+        assembly.unknown_label, assembly.cr_targets, assembly.cr_label
+    )
     for call_node, site in zip(range(first_call, first_branch, 2), sites):
-        blocks += (site.block, site.block)
+        block, _index, targets, _indirect = site
+        blocks += (block, block)
         details += (site, site)
         call_pairs.append((call_node, call_node + 1, site))
-        label = assembly.unknown_label if site.is_unknown else _UNLABELED
-        call_return_edges.append(
-            CallReturnEdge(call_node, call_node + 1, site.targets, label)
-        )
+        cr_targets.append(targets)
+        cr_label.append(_UNLABELED if targets else unknown)
+    assembly.cr_call += range(first_call, first_branch, 2)
+    assembly.cr_return += range(first_call + 1, first_branch, 2)
     blocks += branch_blocks
     details += repeat(None, len(branch_blocks))
     branch_nodes = list(range(first_branch, len(kinds)))

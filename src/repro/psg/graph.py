@@ -8,8 +8,9 @@ from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.cfg.cfg import CallSite, ExitKind
+from repro.dataflow.equations import SummaryTriple
 from repro.psg.arena import PsgArena
-from repro.psg.nodes import CallReturnEdge, NodeKind
+from repro.psg.nodes import NodeKind
 
 
 _SOURCE_KINDS = (NodeKind.ENTRY, NodeKind.RETURN, NodeKind.BRANCH)
@@ -63,13 +64,23 @@ class ProgramSummaryGraph:
     multiway-branch block for BRANCH.  Flow-summary edges live once, in
     ``arena`` (:mod:`repro.psg.arena`): a compact edge table this class
     counts and checks, and the per-node rows the two phases iterate.
+
+    Call-return edges are the ``cr_*`` columns, one entry per edge in
+    node order: the call node, its return node, the routines the call
+    can reach (one name resolved, several hinted, none for an unknown
+    target) and the edge's label — the §3.5 calling-standard triple of
+    an unknown target, fixed at construction, else written by phase 1
+    (:func:`repro.interproc.flatcore.label_call_return_edges`).
     """
 
     node_kind: List[NodeKind]
     node_routine: List[str]
     node_block: List[int]
     node_detail: List[Union[ExitKind, CallSite, None]]
-    call_return_edges: List[CallReturnEdge]
+    cr_call: List[int]
+    cr_return: List[int]
+    cr_targets: List[Tuple[str, ...]]
+    cr_label: List[SummaryTriple]
     routines: Dict[str, RoutinePSG]
     arena: PsgArena
 
@@ -90,7 +101,7 @@ class ProgramSummaryGraph:
     @property
     def edge_count(self) -> int:
         """Flow-summary plus call-return edges."""
-        return len(self.arena.edge_src) + len(self.call_return_edges)
+        return len(self.arena.edge_src) + len(self.cr_call)
 
     @property
     def flow_edge_count(self) -> int:
@@ -162,9 +173,11 @@ class ProgramSummaryGraph:
                     f"flow edge {src} -> {dst} crosses routines, leaves a "
                     f"non-source or enters a non-target"
                 )
+        columns = (self.cr_call, self.cr_return, self.cr_targets, self.cr_label)
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("call-return columns of unequal length")
         calls = set()
-        for edge in self.call_return_edges:
-            src_id, dst_id = edge.src, edge.dst
+        for src_id, dst_id in zip(self.cr_call, self.cr_return):
             if (
                 kind_of[src_id] is not call_kind
                 or kind_of[dst_id] is not return_kind

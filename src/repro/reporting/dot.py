@@ -108,13 +108,12 @@ def psg_to_dot(
             lines.append(f'  n{src} -> n{dst} [label="{label}"];')
         else:
             lines.append(f"  n{src} -> n{dst};")
-    for edge in psg.call_return_edges:
-        if edge.src not in wanted or edge.dst not in wanted:
+    for src, dst, targets in zip(psg.cr_call, psg.cr_return, psg.cr_targets):
+        if src not in wanted or dst not in wanted:
             continue
-        callees = ",".join(edge.callees) if edge.callees else "?"
+        callees = ",".join(targets) if targets else "?"
         lines.append(
-            f'  n{edge.src} -> n{edge.dst} '
-            f'[style=dashed label="{_escape(callees)}"];'
+            f'  n{src} -> n{dst} [style=dashed label="{_escape(callees)}"];'
         )
     lines.append("}")
     return "\n".join(lines)

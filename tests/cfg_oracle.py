@@ -10,17 +10,18 @@ and exits from a second pass over the blocks — and save/restore
 detection walking the entry and exit blocks' instruction slices.
 :func:`oracle_cfg` turns the carved blocks into the rows a
 :class:`ControlFlowGraph` holds (DEF/UBD per block slice), so the two
-compare with ``==``.  Call classification (``classify_call``) and
-constant tracking (``resolve_register_constant``) are shared with the
-production builder: they decide *whom* a site reaches, not how the
-routine is carved.
+compare with ``==``.  Constant tracking (``resolve_register_constant``)
+is shared with the production builder; call classification is the
+per-site :func:`classify_call` that production's one resolver
+(:func:`repro.cfg.build.resolve_call_sites`) replaced, kept here as its
+reference.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.cfg.build import classify_call, resolve_register_constant
+from repro.cfg.build import resolve_register_constant
 from repro.cfg.cfg import (
     CallSite,
     CfgError,
@@ -30,6 +31,7 @@ from repro.cfg.cfg import (
     TerminatorKind,
 )
 from repro.dataflow.local import local_sets_of_instructions
+from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.instructions import ControlKind, Instruction, Opcode
 from repro.isa.registers import STACK_POINTER
 from repro.program.model import Program, Routine
@@ -334,3 +336,39 @@ def _epilogue_restore_index(
     ):
         return last_index
     return None
+
+
+def classify_call(program: Program, routine: Routine, site: RecordedSite) -> CallSite:
+    """Whom the call at ``site`` reaches in ``program``: a direct call's
+    entry, else a linker target-set hint, else the recorded constant if
+    it names an entry.  Raises :class:`CfgError` for a ``bsr`` or a
+    hint naming a non-entry."""
+    call_address = routine.address_of(site.instruction_index)
+    if not site.indirect:
+        displacement = routine.instructions[site.instruction_index].displacement
+        target = call_address + INSTRUCTION_SIZE * (1 + displacement)
+        callee = program.routine_at(target)
+        if callee is None:
+            raise CfgError(
+                f"{routine.name!r}: bsr at {call_address:#x} targets "
+                f"{target:#x}, not a routine entry"
+            )
+        return CallSite(site.block, site.instruction_index, (callee.name,), False)
+    hinted = program.call_target_hints.get(call_address)
+    if hinted:
+        names = []
+        for target in hinted:
+            hinted_routine = program.routine_at(target)
+            if hinted_routine is None:
+                raise CfgError(
+                    f"{routine.name!r}: call-target hint at "
+                    f"{call_address:#x} names {target:#x}, not a routine entry"
+                )
+            names.append(hinted_routine.name)
+        return CallSite(site.block, site.instruction_index, tuple(names), True)
+    targets: tuple = ()
+    if site.constant is not None:
+        callee = program.routine_at(site.constant)
+        if callee is not None:
+            targets = (callee.name,)
+    return CallSite(site.block, site.instruction_index, targets, True)

@@ -30,7 +30,7 @@ from repro.isa.calling_convention import CallingConvention
 from repro.obs.metrics import REGISTRY
 from repro.psg.graph import ProgramSummaryGraph
 from repro.psg.nodes import NodeKind
-from tests.records import flow_edges_of
+from tests.records import call_return_edges_of, flow_edges_of
 
 
 def _adjacency(psg: ProgramSummaryGraph):
@@ -42,7 +42,7 @@ def _adjacency(psg: ProgramSummaryGraph):
     for index, edge in enumerate(flow_edges_of(psg)):
         flow_out[edge.src].append(index)
     cr_out: List[Optional[int]] = [None] * count
-    for index, edge in enumerate(psg.call_return_edges):
+    for index, edge in enumerate(call_return_edges_of(psg)):
         cr_out[edge.src] = index
     return flow_out, cr_out
 
@@ -52,7 +52,7 @@ def _dependents(psg: ProgramSummaryGraph) -> List[List[int]]:
     result: List[List[int]] = [[] for _ in range(psg.node_count)]
     for edge in flow_edges_of(psg):
         result[edge.dst].append(edge.src)
-    for edge in psg.call_return_edges:
+    for edge in call_return_edges_of(psg):
         result[edge.dst].append(edge.src)
         for callee in edge.callees:
             entry = psg.routines[callee].entry_node
@@ -126,7 +126,7 @@ def run_phase1(
     dependents = _dependents(psg)
     flow_out, cr_out = _adjacency(psg)
     flow_edges = flow_edges_of(psg)
-    cr_edges = psg.call_return_edges
+    cr_edges = call_return_edges_of(psg)
 
     # ------------------------------------------------------------------
     # Pass A: MAY-DEF and MUST-DEF
@@ -266,7 +266,7 @@ def run_phase2(
     # return node id -> RETURN-kind exit node ids of every possible
     # callee (a hinted site's liveness flows to each candidate's exits).
     return_to_exits: Dict[int, List[int]] = {}
-    for edge in psg.call_return_edges:
+    for edge in call_return_edges_of(psg):
         exits: List[int] = []
         for callee in edge.callees:
             exits.extend(psg.routines[callee].return_exit_nodes())
@@ -277,10 +277,10 @@ def run_phase2(
     dependents: List[List[int]] = [[] for _ in range(node_count)]
     for edge in flow_edges:
         dependents[edge.dst].append(edge.src)
-    for edge in psg.call_return_edges:
+    for edge in call_return_edges_of(psg):
         dependents[edge.dst].append(edge.src)
 
-    cr_edges = psg.call_return_edges
+    cr_edges = call_return_edges_of(psg)
     flow_out, cr_out = _adjacency(psg)
 
     worklist = SubgraphWorklist(node_count, dependents, is_exit, seed_order)

@@ -2,7 +2,7 @@
 the oracles and tests that read a graph one record at a time."""
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.cfg.cfg import TerminatorKind
 from repro.dataflow.equations import SummaryTriple
@@ -38,3 +38,26 @@ def flow_edges_of(psg) -> List[Edge]:
     arena, labels = psg.arena, [SummaryTriple(*key) for key in psg.arena.labels]
     rows = zip(arena.edge_src, arena.edge_dst, arena.edge_label)
     return [Edge(src, dst, labels[label]) for src, dst, label in rows]
+
+
+class CallReturn(NamedTuple):
+    """One call-return edge: an entry of the PSG's ``cr_*`` columns."""
+    src: int
+    dst: int
+    callees: Tuple[str, ...]
+    label: SummaryTriple
+
+    @property
+    def callee(self) -> Optional[str]:
+        return self.callees[0] if len(self.callees) == 1 else None
+
+    @property
+    def is_unknown(self) -> bool:
+        return not self.callees
+
+
+def call_return_edges_of(psg) -> List[CallReturn]:
+    """The PSG's call-return columns as :class:`CallReturn` records, in
+    edge order, with the labels they hold now."""
+    columns = (psg.cr_call, psg.cr_return, psg.cr_targets, psg.cr_label)
+    return list(map(CallReturn, *columns))

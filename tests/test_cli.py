@@ -126,7 +126,7 @@ class TestAnalyze:
         assert caught.value.code == 2
         err = capsys.readouterr().err
         assert "usage: spike-analyze" in err
-        assert "must not be negative" in err
+        assert "argument --max-bytes: must be at least 0, not -5" in err
         assert pack.exists()
 
     @staticmethod
@@ -359,12 +359,28 @@ class TestExitCodes:
              "argument --port: must be from 0 to 65535, not -1"),
             (["report", "{image}", "--top", "-1"],
              "argument --top: must be at least 0, not -1"),
+            *(
+                (["generate", "compress", "-o", "{image}.out", "--scale", scale],
+                 f"argument --scale: must be a positive finite number, not {scale}")
+                for scale in ("0", "-1", "nan", "inf")
+            ),
+            *(
+                (["run", "{image}", "--max-steps", steps],
+                 f"argument --max-steps: must be at least 1, not {steps}")
+                for steps in ("-1", "0")
+            ),
         ],
-        ids=["port-too-large", "port-negative", "top-negative"],
+        ids=[
+            "port-too-large", "port-negative", "top-negative",
+            "scale-zero", "scale-negative", "scale-nan", "scale-inf",
+            "max-steps-negative", "max-steps-zero",
+        ],
     )
     def test_out_of_range_option_is_2(self, image_path, capsys, argv, message):
-        """A port outside 0..65535 or a negative --top is a usage error
-        on one stderr line, not a traceback or a silently short list."""
+        """A port outside 0..65535, a negative --top, a --scale that is
+        not a positive finite number or a --max-steps below 1 is a usage
+        error on one stderr line, not a traceback, a silently short list
+        or an execution failure."""
         with pytest.raises(SystemExit) as caught:
             main([arg.format(image=image_path) for arg in argv])
         assert caught.value.code == 2

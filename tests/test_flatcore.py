@@ -38,6 +38,7 @@ from repro.workloads.shapes import ALL_SHAPES
 from tests import phase_oracle
 from tests.test_psg import call_mesh
 from tests.test_hints import _dispatch_program
+from tests.records import call_return_edges_of
 
 #: ``solver.iterations{phase}``, ``solver.pushes``,
 #: ``solver.skipped_inqueue``, ``solver.revisits{phase}`` and
@@ -194,7 +195,7 @@ class TestColdEquivalence:
     def test_hinted_multi_callee_site(self):
         analysis = assert_phases_match_oracle(_dispatch_program())
         assert any(
-            len(edge.callees) == 2 for edge in analysis.psg.call_return_edges
+            len(edge.callees) == 2 for edge in call_return_edges_of(analysis.psg)
         )
 
     #: A call through a pointer loaded from memory, inside a caller
@@ -224,7 +225,7 @@ class TestColdEquivalence:
     def test_unknown_call_site(self):
         program = disassemble_image(assemble(self.UNKNOWN_CALL_SOURCE))
         analysis = assert_phases_match_oracle(program)
-        assert any(edge.is_unknown for edge in analysis.psg.call_return_edges)
+        assert any(edge.is_unknown for edge in call_return_edges_of(analysis.psg))
 
 
 class TestWarmEquivalence:

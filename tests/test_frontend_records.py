@@ -600,7 +600,7 @@ class TestMalformedRecords:
 
     def _tampered(self, program, name, **changes):
         records = dict(build_frontend(program).records)
-        records[name] = dataclasses.replace(records[name], **changes)
+        records[name] = FrontendRecord(**{**records[name]._asdict(), **changes})
         return _by_key(records)
 
     def _assert_plain_miss(self, program, records, name):

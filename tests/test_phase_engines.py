@@ -17,8 +17,8 @@ from repro.interproc.phase2 import run_phase2
 from repro.isa.calling_convention import NT_ALPHA
 from repro.psg.build import PsgAssembly
 from repro.psg.graph import RoutinePSG
-from repro.psg.nodes import CallReturnEdge, NodeKind
-from tests.psg_rows import add_node
+from repro.psg.nodes import NodeKind
+from tests.psg_rows import add_call_return, add_node
 
 R0, R1, R2, R3 = 1, 2, 4, 8
 
@@ -28,7 +28,9 @@ class _Builder:
 
     def __init__(self):
         self.assembly = PsgAssembly()
-        self.cr_edges = self.assembly.call_return_edges
+
+    def call_return(self, src, dst, callees):
+        add_call_return(self.assembly, src, dst, tuple(callees))
 
     def node(self, kind, routine, block=0, **extra):
         return add_node(self.assembly, kind, routine, block, **extra)
@@ -76,7 +78,7 @@ def build_caller_callee(callee_use=R1, callee_must=R2, callee_may=R2 | R3):
 
     b.flow(caller_entry, call, may_use=0, may_def=R0, must_def=R0)
     b.flow(ret, caller_exit, may_use=R0)  # caller uses R0 after the return
-    b.cr_edges.append(CallReturnEdge(src=call, dst=ret, callees=("callee",)))
+    b.call_return(call, ret, ("callee",))
     b.flow(
         callee_entry, callee_exit,
         may_use=callee_use, may_def=callee_may, must_def=callee_must,
@@ -116,7 +118,7 @@ class TestPhase1HandBuilt:
     def test_cr_label_written_after_convergence(self):
         psg, ids = build_caller_callee()
         run_phase1(psg, {}, 0, _order(psg))
-        label = psg.call_return_edges[0].label
+        label = psg.cr_label[0]
         assert label.may_use == R1
         assert label.must_def == R2
         assert label.may_def == R2 | R3
@@ -180,7 +182,7 @@ class TestPhase1HandBuilt:
         b.flow(entry, exit_node, may_def=R2, must_def=R2)
         b.flow(entry, call, may_def=R1, must_def=R1)
         b.flow(ret, exit_node, may_def=R2, must_def=R2)
-        b.cr_edges.append(CallReturnEdge(src=call, dst=ret, callees=("f",)))
+        b.call_return(call, ret, ("f",))
         b.routine("f", entry, [(exit_node, ExitKind.RETURN)],
                   [(call, ret, site)])
         psg = b.graph()
@@ -202,7 +204,7 @@ class TestPhase1HandBuilt:
         b_exit = b.node(NodeKind.EXIT, "b", exit_kind=ExitKind.RETURN)
         b.flow(entry, call)
         b.flow(ret, exit_node)
-        b.cr_edges.append(CallReturnEdge(src=call, dst=ret, callees=("a", "b")))
+        b.call_return(call, ret, ("a", "b"))
         b.flow(a_entry, a_exit, may_use=R0, may_def=R1 | R2, must_def=R1 | R2)
         b.flow(b_entry, b_exit, may_use=R3, may_def=R1, must_def=R1)
         b.routine("main", entry, [(exit_node, ExitKind.RETURN)],
@@ -277,10 +279,8 @@ class TestPhase2HandBuilt:
         b.flow(c1_ret, c1_exit, may_use=R3)   # caller1 uses R3 after return
         b.flow(c2_entry, c2_call)
         b.flow(c2_ret, c2_exit)               # caller2 does not
-        b.cr_edges.append(CallReturnEdge(src=c1_call, dst=c1_ret,
-                                         callees=("shared",)))
-        b.cr_edges.append(CallReturnEdge(src=c2_call, dst=c2_ret,
-                                         callees=("shared",)))
+        b.call_return(c1_call, c1_ret, ("shared",))
+        b.call_return(c2_call, c2_ret, ("shared",))
         b.flow(s_entry, s_exit)               # transparent callee
         b.routine("c1", c1_entry, [(c1_exit, ExitKind.RETURN)],
                   [(c1_call, c1_ret, site1)])

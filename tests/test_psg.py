@@ -14,7 +14,7 @@ from repro.psg.nodes import NodeKind
 from repro.obs.metrics import REGISTRY
 from repro.isa.calling_convention import NT_ALPHA
 from tests.label_oracle import labeling
-from tests.records import flow_edges_of
+from tests.records import call_return_edges_of, flow_edges_of
 
 
 def build(program, config=None, strategy="batched"):
@@ -64,7 +64,7 @@ class TestFigure4Psg:
         psg = build(figure4_program)
         routine = psg.routines["f"]
         call_node, return_node, site = routine.call_pairs[0]
-        cr = [e for e in psg.call_return_edges if e.src == call_node]
+        cr = [e for e in call_return_edges_of(psg) if e.src == call_node]
         assert len(cr) == 1
         assert cr[0].dst == return_node
         assert cr[0].callee == "g"
@@ -482,12 +482,12 @@ class TestCheckOnBrokenAssemblies:
             assembly.finish(partial=False)
 
     def test_two_call_return_edges_on_one_node(self):
-        from repro.psg.nodes import CallReturnEdge
+        from tests.psg_rows import add_call_return
 
         assembly = _two_node_assembly()
         _add_call_pair(assembly)
-        assembly.call_return_edges.append(CallReturnEdge(2, 3, ("f",)))
-        assembly.call_return_edges.append(CallReturnEdge(2, 3, ("f",)))
+        add_call_return(assembly, 2, 3, ("f",))
+        add_call_return(assembly, 2, 3, ("f",))
         with pytest.raises(ValueError, match="node 2 has two call-return edges"):
             assembly.finish(partial=False)
 
@@ -525,11 +525,11 @@ class TestCheckOnBrokenAssemblies:
             assembly.finish(partial=False)
 
     def test_call_row_without_a_site(self):
-        from repro.psg.nodes import CallReturnEdge
+        from tests.psg_rows import add_call_return
 
         assembly = _two_node_assembly()
         _add_call_pair(assembly)
         assembly.node_detail[2] = None
-        assembly.call_return_edges.append(CallReturnEdge(2, 3, ("f",)))
+        add_call_return(assembly, 2, 3, ("f",))
         with pytest.raises(ValueError, match="CALL node 2 requires a call site"):
             assembly.finish(partial=False)
