@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional
 from typing import Sequence, Set, Tuple
 
@@ -111,15 +111,16 @@ def _fingerprint(routine: Routine, multiway, sites: Sequence[CallSite]) -> int:
     for index, starts in multiway:
         parts.append(_JUMP_HEADER.pack(1, index, len(starts)))
         parts.append(struct.pack(f"<{len(starts)}I", *starts))
-    for site in sites:
-        parts.append(
-            _SITE_HEADER.pack(
-                2, site.block, site.instruction_index, int(site.indirect)
-            )
-        )
-        for target in site.targets:
-            parts.append(target.encode("utf-8") + b"\x00")
+    for block, index, targets, indirect in sites:
+        parts.append(_SITE_HEADER.pack(2, block, index, indirect))
+        parts += map(_target_bytes, targets)
     return crc64(b"".join(parts))
+
+
+@lru_cache(maxsize=4096)
+def _target_bytes(name: str) -> bytes:
+    """A call target as a fingerprint hashes it (names recur per site)."""
+    return name.encode("utf-8") + b"\x00"
 
 
 def routine_fingerprint(routine: Routine, cfg: ControlFlowGraph) -> int:

@@ -20,6 +20,7 @@ import pytest
 from repro.cfg.build import build_cfg, resolve_call_sites
 from repro.cfg.cfg import CallSite, CfgError, RecordedSite
 from repro.interproc.frontend import build_frontend
+from repro.program.asm import Assembler
 from repro.program.disasm import disassemble_image
 from repro.program.model import Routine
 from repro.workloads.generator import GeneratorConfig, generate_image
@@ -75,6 +76,22 @@ def test_hinted_indirect_call():
     assert [site.targets for site in hinted] == [("alpha", "beta")]
     assert hinted[0].indirect and hinted[0].callee is None
     assert not hinted[0].is_unknown
+
+
+def test_a_hint_wins_over_the_registers_constant():
+    asm = Assembler()
+    asm.routine("main", exported=True)
+    asm.li("pv", "&alpha")
+    asm.jsr("pv", hint_targets=["beta", "alpha"])
+    asm.halt()
+    for name in ("alpha", "beta"):
+        asm.routine(name)
+        asm.ret()
+    program = disassemble_image(asm.build())
+    record = build_frontend(program).records["main"]
+    assert record.sites[0].constant == program.routine("alpha").address
+    sites = _assert_resolver_matches_walk(program)
+    assert [site.targets for site in sites] == [("beta", "alpha")]
 
 
 def test_unknown_and_constant_fed_calls():
