@@ -18,7 +18,7 @@ import dataclasses
 import pytest
 
 from repro.cfg.build import build_cfg, resolve_call_sites
-from repro.cfg.cfg import CallSite, CfgError, RecordedSite
+from repro.cfg.cfg import CallSite, RecordedSite
 from repro.interproc.frontend import build_frontend
 from repro.program.asm import Assembler
 from repro.program.disasm import disassemble_image
@@ -26,7 +26,7 @@ from repro.program.model import Routine
 from repro.workloads.generator import GeneratorConfig, generate_image
 from repro.workloads.shapes import ALL_SHAPES
 from tests.cfg_oracle import classify_call
-from tests.test_frontend_records import _program, _with_routines
+from tests.test_frontend_records import _error_of, _program, _with_routines
 from tests.test_hints import _dispatch_program
 
 
@@ -102,12 +102,6 @@ def test_unknown_and_constant_fed_calls():
     ]
     assert sites[1].is_unknown and sites[1].callee is None
     assert sites[2].callee == "beta"
-
-
-def _error_of(build):
-    with pytest.raises(CfgError) as excinfo:
-        build()
-    return str(excinfo.value)
 
 
 def _moved(program, names):
