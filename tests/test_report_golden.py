@@ -1,15 +1,15 @@
-"""Report goldens: the DOT exports and the annotated listing, byte for
-byte.
+"""Report goldens: the DOT exports and the listings, byte for byte.
 
 ``tests/golden/reports.json`` pins, for compress and for the
 multiway-heavy perl shape generated at scale 0.05 with seed 7, the
 SHA-256 of every routine's :func:`~repro.reporting.dot.cfg_to_dot`
 (default and ``max_instructions=1``), of
 :func:`~repro.reporting.dot.psg_to_dot` (whole program, the routine
-with the most PSG nodes, labels off) and of
-:func:`~repro.reporting.annotate.render_annotated_listing`.  The
-reports read the CFG and PSG rows; a change to how they read them must
-leave these bytes unchanged.
+with the most PSG nodes, labels off), of
+:func:`~repro.reporting.annotate.render_annotated_listing` and of the
+disassembly listing :func:`~repro.program.disasm.render_listing`.  The
+reports read the instruction, CFG and PSG rows; a change to how they
+read them must leave these bytes unchanged.
 
 To regenerate after an *intended* change to what a report prints::
 
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.program.disasm import render_listing
 from repro.reporting.annotate import render_annotated_listing
 from repro.reporting.dot import cfg_to_dot, psg_to_dot
 from repro.workloads.generator import GeneratorConfig, generate_benchmark
@@ -55,6 +56,7 @@ def _record(shape: str) -> dict:
         "psg_dot_routine": [largest, _digest(psg_to_dot(psg, routine=largest))],
         "psg_dot_unlabeled": _digest(psg_to_dot(psg, show_labels=False)),
         "annotated": _digest(render_annotated_listing(analysis)),
+        "listing": _digest(render_listing(program)),
     }
 
 
