@@ -119,13 +119,14 @@ def main() -> None:
     assert result.behaviour_preserved()
     # The t5 spill is gone — and so is main's ra save/restore (main
     # ends in halt, so ra is dead after its only call).
-    main_ops = [i.opcode.mnemonic for i in result.optimized.routine("main").instructions]
+    # A row is (control, use mask, def mask, displacement, opcode, ...).
+    main_ops = [row[4].mnemonic for row in result.optimized.routine("main").rows]
     assert main_ops.count("stq") + main_ops.count("ldq") == 0
     from repro.isa.registers import Register
 
-    s0 = Register.parse("s0").index
-    for instruction in result.optimized.routine("scale").instructions:
-        assert s0 not in instruction.uses() | instruction.defs()
+    s0 = 1 << Register.parse("s0").index
+    for row in result.optimized.routine("scale").rows:
+        assert not (row[1] | row[2]) & s0
     print()
     print("cross-module spill and save/restore eliminated — the paper's "
           "Figure 1, via a real link step.")

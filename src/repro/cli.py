@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import List, Optional, Tuple
@@ -104,16 +103,14 @@ def _load(path: str) -> Program:
         return load_program(handle.read())
 
 
-def _positive_float(value: str) -> float:
-    """An argparse type: a positive finite number."""
+def _fraction(value: str) -> float:
+    """An argparse type: a number in (0, 1]."""
     try:
         number = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
-    if not 0 < number < math.inf:  # NaN fails both comparisons
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, not {value}"
-        )
+    if not 0 < number <= 1:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], not {value}")
     return number
 
 
@@ -731,7 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="generate a benchmark image")
     generate.add_argument("benchmark", help="benchmark name (see 'benchmarks')")
     generate.add_argument("-o", "--output", required=True)
-    generate.add_argument("--scale", type=_positive_float, default=1.0)
+    generate.add_argument(
+        "--scale", type=_fraction, default=1.0,
+        help="fraction of the shape's routines to generate, in (0, 1]",
+    )
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(func=_cmd_generate)
 
@@ -847,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--trace-sample", type=int, default=10, metavar="N",
+        "--trace-sample", type=_int_from(1), default=10, metavar="N",
         help="with --trace-dir, capture 1 in N requests (default 10)",
     )
     serve.add_argument(

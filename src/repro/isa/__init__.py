@@ -23,17 +23,7 @@ from repro.isa.registers import (
     Register,
     RegisterFile,
 )
-from repro.isa.instructions import (
-    Instruction,
-    Opcode,
-    OperandKind,
-    branch_ops,
-    is_call,
-    is_conditional_branch,
-    is_indirect_jump,
-    is_return,
-    is_unconditional_branch,
-)
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa.encoding import decode_instruction, encode_instruction
 
 __all__ = [
@@ -44,15 +34,8 @@ __all__ = [
     "NT_ALPHA",
     "NUM_REGISTERS",
     "Opcode",
-    "OperandKind",
     "Register",
     "RegisterFile",
-    "branch_ops",
     "decode_instruction",
     "encode_instruction",
-    "is_call",
-    "is_conditional_branch",
-    "is_indirect_jump",
-    "is_return",
-    "is_unconditional_branch",
 ]

@@ -18,13 +18,20 @@ AXP instruction formats:
 Register fields store the 5-bit number within the integer or floating
 register file; whether a field refers to the integer or the floating file
 is a static property of the opcode (see :data:`FIELD_FILES`).
+
+Decoding cuts a word into its *row* (:func:`decode_row`, the tuple of
+:data:`~repro.isa.instructions.ROW_FIELDS`): code decodes to rows
+(:func:`decode_rows`), the one decoded form of a program that the
+analysis, the optimizer, the simulator and the listings read.
+:func:`decode_instruction` turns one word back into the
+:class:`Instruction` value the encoder reads.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.isa.instructions import (
     REGISTER_BIT,
@@ -227,8 +234,8 @@ def decode_row(word: int) -> tuple:
     """Decode a 32-bit word into its row: the tuple of
     :data:`~repro.isa.instructions.ROW_FIELDS`, the masks being the
     opcode's rule applied to the operands (as ``Instruction`` derives
-    them).  The one decoder: :func:`decode_instruction`,
-    :func:`decode_rows` and :func:`decode_stream` all cut words here."""
+    them).  The one decoder: :func:`decode_rows` and
+    :func:`decode_instruction` both cut words here."""
     if not 0 <= word < 1 << 32:
         raise EncodingError(f"word {word:#x} is not a 32-bit value")
     entry = _MAJORS[word >> 26]
@@ -348,22 +355,6 @@ def decode_rows(code: bytes) -> Tuple[tuple, ...]:
     return rows
 
 
-def row_instructions(
-    code: bytes, rows: Sequence[tuple], built: Dict[int, Instruction]
-) -> Tuple[Instruction, ...]:
-    """``code`` — whose rows are ``rows`` — as :class:`Instruction`
-    objects, one per distinct word through the memo ``built`` (word ->
-    object, shared by every part of one text); each object it has to
-    build counts as ``program.decode.built``."""
-    words = code_words(code)
-    rows_by_word = dict(zip(words, rows))
-    new = rows_by_word.keys() - built.keys()
-    for word in new:
-        built[word] = row_instruction(rows_by_word[word])
-    REGISTRY.inc("program.decode.built", len(new))
-    return tuple(map(built.__getitem__, words))
-
-
 def code_words(code: bytes) -> array:
     """``code``'s words, in order.
 
@@ -386,9 +377,3 @@ def words_code(words: Iterable[int]) -> bytes:
     if sys.byteorder == "big":
         code.byteswap()
     return code.tobytes()
-
-
-def decode_stream(code: bytes) -> List[Instruction]:
-    """Decode contiguous code bytes back into instructions, one shared
-    object per distinct word (see :func:`decode_rows`)."""
-    return list(row_instructions(code, decode_rows(code), {}))

@@ -9,9 +9,11 @@ needs exactly three things from each instruction:
 * how it transfers control (fall-through, conditional branch,
   unconditional branch, indirect jump, call, return, or halt).
 
-This module defines an :class:`Instruction` value type carrying that
-information, plus the opcode table shared with the binary encoder
-(:mod:`repro.isa.encoding`), the assembler and the disassembler.
+This module defines the opcode table shared with the binary encoder
+(:mod:`repro.isa.encoding`), the assembler and the disassembler; the
+*row* (:data:`ROW_FIELDS`), the one decoded form every reader of a
+program reads; and :class:`Instruction`, the value type the assembler
+builds and the encoder reads.
 
 The instruction formats mirror the Alpha AXP formats:
 
@@ -34,7 +36,6 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.isa.registers import (
     FLOAT_ZERO_REGISTER,
-    NUM_INTEGER_REGISTERS,
     NUM_REGISTERS,
     Register,
     ZERO_REGISTER,
@@ -201,13 +202,6 @@ class Opcode(enum.Enum):
 MNEMONIC_TO_OPCODE: Dict[str, Opcode] = {op.mnemonic: op for op in Opcode}
 
 
-class OperandKind(enum.Enum):
-    """Whether the second operate operand is a register or a literal."""
-
-    REGISTER = "register"
-    LITERAL = "literal"
-
-
 #: Register index -> its bit in a use/def mask.  The hardwired zero
 #: registers map to 0: reading them is no dataflow dependence and the
 #: hardware discards writes to them, so they vanish from every mask.
@@ -283,12 +277,10 @@ class Instruction:
         self._derive()
 
     def _derive(self) -> None:
-        # The front end asks every instruction the same three things in
-        # its hottest loops — how it transfers control, what it reads,
-        # what it writes — so answer them once here, from the opcode's
-        # dataflow rule (the instruction is immutable, and a decoded
-        # image shares one object per distinct word).  None of these is
-        # a dataclass field, so equality and hash are unaffected.
+        # What a row carries first — the control kind and the use and
+        # def masks — derived once here from the opcode's dataflow rule,
+        # as ``encoding.decode_row`` derives them.  None of these is a
+        # dataclass field, so equality and hash are unaffected.
         opcode = self.opcode
         use_a, use_b, use_c, def_a, def_c, fixed = opcode.rule
         bit_a = REGISTER_BIT[self.ra]
@@ -323,38 +315,12 @@ class Instruction:
         return _members(self.def_mask)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
-    # Control flow
-    # ------------------------------------------------------------------
-
-    @property
-    def is_call(self) -> bool:
-        return self.control in (
-            ControlKind.CALL_DIRECT,
-            ControlKind.CALL_INDIRECT,
-        )
-
-    @property
-    def is_return(self) -> bool:
-        return self.control == ControlKind.RETURN
-
-    # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------
 
     def render(self) -> str:
         """Format the instruction in assembly syntax."""
-        op = self.opcode
-        fmt = op.format
-        if fmt in (Format.OPERATE, Format.OPERATE_FP):
-            second = f"#{self.literal}" if self.literal is not None else str(Register(self.rb))
-            return f"{op.mnemonic} {Register(self.ra)}, {second}, {Register(self.rc)}"
-        if fmt in (Format.MEMORY, Format.MEMORY_FP):
-            return f"{op.mnemonic} {Register(self.ra)}, {self.displacement}({Register(self.rb)})"
-        if fmt in (Format.BRANCH, Format.BRANCH_FP):
-            return f"{op.mnemonic} {Register(self.ra)}, {self.displacement:+d}"
-        if fmt == Format.JUMP:
-            return f"{op.mnemonic} {Register(self.ra)}, ({Register(self.rb)})"
-        return op.mnemonic
+        return render_row(tuple(getattr(self, name) for name in ROW_FIELDS))
 
     def __str__(self) -> str:
         return self.render()
@@ -363,8 +329,9 @@ class Instruction:
 #: The fields of an instruction *row*, in row order: a plain tuple of
 #: everything an :class:`Instruction` carries, the three the front
 #: end's hottest loops read first.  The disassembler decodes to rows
-#: (:func:`repro.isa.encoding.decode_row`) and builds no
-#: :class:`Instruction` until a reader asks for one.
+#: (:func:`repro.isa.encoding.decode_row`), and rows are the one
+#: decoded form every reader of a program reads — the analysis, the
+#: optimizer, the simulator and the listings (:func:`render_row`).
 ROW_FIELDS = (
     "control", "use_mask", "def_mask", "displacement",
     "opcode", "ra", "rb", "rc", "literal",
@@ -396,38 +363,17 @@ def row_instruction(row: tuple) -> Instruction:
     return instruction
 
 
-# ----------------------------------------------------------------------
-# Convenience predicates used throughout the CFG builder
-# ----------------------------------------------------------------------
-
-
-def is_call(instruction: Instruction) -> bool:
-    """True for BSR and JSR."""
-    return instruction.is_call
-
-
-def is_return(instruction: Instruction) -> bool:
-    """True for RET."""
-    return instruction.is_return
-
-
-def is_conditional_branch(instruction: Instruction) -> bool:
-    """True for the B<cond> and FB<cond> families."""
-    return instruction.control == ControlKind.COND_BRANCH
-
-
-def is_unconditional_branch(instruction: Instruction) -> bool:
-    """True for BR."""
-    return instruction.control == ControlKind.UNCOND_BRANCH
-
-
-def is_indirect_jump(instruction: Instruction) -> bool:
-    """True for JMP (the multiway-branch implementation)."""
-    return instruction.control == ControlKind.INDIRECT_JUMP
-
-
-def branch_ops() -> Tuple[Opcode, ...]:
-    """All conditional-branch opcodes (helper for generators and tests)."""
-    return tuple(
-        op for op in Opcode if op.control == ControlKind.COND_BRANCH
-    )
+def render_row(row: tuple) -> str:
+    """Format a decoded row in assembly syntax."""
+    _control, _uses, _defs, displacement, op, ra, rb, rc, literal = row
+    fmt = op.format
+    if fmt in (Format.OPERATE, Format.OPERATE_FP):
+        second = f"#{literal}" if literal is not None else str(Register(rb))
+        return f"{op.mnemonic} {Register(ra)}, {second}, {Register(rc)}"
+    if fmt in (Format.MEMORY, Format.MEMORY_FP):
+        return f"{op.mnemonic} {Register(ra)}, {displacement}({Register(rb)})"
+    if fmt in (Format.BRANCH, Format.BRANCH_FP):
+        return f"{op.mnemonic} {Register(ra)}, {displacement:+d}"
+    if fmt == Format.JUMP:
+        return f"{op.mnemonic} {Register(ra)}, ({Register(rb)})"
+    return op.mnemonic

@@ -56,7 +56,6 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
     ("frontend.record.stale", ()),
     ("frontend.routines", ()),
     ("frontend.rows", ()),
-    ("program.decode.built", ()),
     ("query.requests", ()),
     ("query.solved", ()),
     ("query.reused", ()),

@@ -1,8 +1,9 @@
 """Disassembler / loader: lift an executable image to the program model.
 
 This is the front half of the "CFG Build" stage the paper times: decode
-the text section, carve it into routines along the symbol table, and
-recover jump-table target sets from the data section.
+the text section to rows, carve it into routines along the symbol
+table, and recover jump-table target sets from the data section.  The
+listing (:func:`render_listing`) formats the same rows.
 """
 
 from __future__ import annotations
@@ -10,19 +11,16 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError, decode_rows
-from repro.isa.instructions import ControlKind, Instruction
+from repro.isa.instructions import ControlKind, render_row
 from repro.program.image import ExecutableImage, ImageFormatError
-from repro.program.model import Program, ProgramError, Routine
+from repro.program.model import Program, Routine
 
 
 def disassemble_image(image: ExecutableImage) -> Program:
     """Decode ``image`` into a :class:`~repro.program.model.Program`.
 
     The text is decoded to rows (:func:`decode_rows`), each distinct
-    word's row shared by its routines.  A routine builds
-    :class:`Instruction` objects from its rows only when something
-    reads its ``instructions``, through one memo per image, so those
-    too are one object per distinct word.
+    word's row shared by its routines.
     """
     entries = image.validate()
     try:
@@ -33,7 +31,6 @@ def disassemble_image(image: ExecutableImage) -> Program:
             f"{image.text_base + error.offset:#x}: {error}"
         ) from error
     routines: List[Routine] = []
-    built: Dict[int, Instruction] = {}
     for symbol in sorted(image.symbols, key=lambda s: s.address):
         offset = symbol.address - image.text_base
         start = offset // INSTRUCTION_SIZE
@@ -46,7 +43,7 @@ def disassemble_image(image: ExecutableImage) -> Program:
         routines.append(Routine.lifted(
             symbol.name, symbol.address,
             image.text[offset : offset + count * INSTRUCTION_SIZE],
-            body, built, symbol.exported,
+            body, symbol.exported,
         ))
     entry_symbol = entries.get(image.entry_point)
     if entry_symbol is None:
@@ -91,13 +88,10 @@ def render_listing(program: Program) -> str:
     for routine in program:
         # Collect local branch targets so we can print labels.
         targets: Dict[int, str] = {}
-        for index, instruction in enumerate(routine.instructions):
-            if instruction.opcode.control in (
-                ControlKind.COND_BRANCH,
-                ControlKind.UNCOND_BRANCH,
-            ):
+        for index, row in enumerate(routine.rows):
+            if row[0] in (ControlKind.COND_BRANCH, ControlKind.UNCOND_BRANCH):
                 target = routine.address_of(index) + INSTRUCTION_SIZE * (
-                    1 + instruction.displacement
+                    1 + row[3]
                 )
                 if routine.contains(target) and target not in targets:
                     targets[target] = f"L{len(targets)}"
@@ -108,38 +102,32 @@ def render_listing(program: Program) -> str:
                         targets[target] = f"L{len(targets)}"
         flags = " export" if routine.exported else ""
         lines.append(f"{routine.name}:{flags}    ; {routine.address:#x}")
-        for index, instruction in enumerate(routine.instructions):
+        for index, row in enumerate(routine.rows):
             address = routine.address_of(index)
             if address in targets:
                 lines.append(f"{targets[address]}:")
-            text = _render_instruction(program, routine, index, instruction, targets)
+            text = _render_row(program, address, row, targets)
             lines.append(f"    {address:#010x}  {text}")
         lines.append("")
     return "\n".join(lines)
 
 
-def _render_instruction(
-    program: Program,
-    routine: Routine,
-    index: int,
-    instruction: Instruction,
-    targets: Dict[int, str],
+def _render_row(
+    program: Program, address: int, row: tuple, targets: Dict[int, str]
 ) -> str:
-    control = instruction.opcode.control
-    address = routine.address_of(index)
+    control = row[0]
+    text = render_row(row)
     if control in (ControlKind.COND_BRANCH, ControlKind.UNCOND_BRANCH):
-        target = address + INSTRUCTION_SIZE * (1 + instruction.displacement)
-        label = targets.get(target, f"{target:#x}")
-        base = instruction.render()
-        return f"{base}    ; -> {label}"
+        target = address + INSTRUCTION_SIZE * (1 + row[3])
+        return f"{text}    ; -> {targets.get(target, f'{target:#x}')}"
     if control == ControlKind.CALL_DIRECT:
-        target = address + INSTRUCTION_SIZE * (1 + instruction.displacement)
+        target = address + INSTRUCTION_SIZE * (1 + row[3])
         callee = program.routine_at(target)
         name = callee.name if callee else f"{target:#x}"
-        return f"{instruction.render()}    ; calls {name}"
+        return f"{text}    ; calls {name}"
     if control == ControlKind.INDIRECT_JUMP and address in program.jump_targets:
         labels = ", ".join(
             targets.get(t, f"{t:#x}") for t in program.jump_targets[address]
         )
-        return f"{instruction.render()}    ; table: {labels}"
-    return instruction.render()
+        return f"{text}    ; table: {labels}"
+    return text

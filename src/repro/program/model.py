@@ -10,9 +10,10 @@ list.
 A routine *is* its code: its slice of 32-bit words is the one thing
 anything edits (the rewriter, the optimizer's renames and the
 benchmark's mutations all go through
-:func:`repro.isa.encoding.replace_fields`), and decoded rows and
-:class:`~repro.isa.instructions.Instruction` objects are read-only
-views of it.
+:func:`repro.isa.encoding.replace_fields`), and its decoded rows
+(:func:`repro.isa.encoding.decode_row`) are the one read-only view of
+it, which the analysis, the optimizer, the simulator and the listings
+all read.
 
 Addresses are byte addresses in the image's address space; every
 instruction occupies 4 bytes.
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.isa.encoding import INSTRUCTION_SIZE, decode_rows, row_instructions
-from repro.isa.instructions import ControlKind, Instruction
+from repro.isa.encoding import INSTRUCTION_SIZE, decode_rows
+from repro.isa.instructions import ControlKind
 
 #: Control kinds whose displacement is PC-relative.
 RELATIVE_CONTROL = (
@@ -44,12 +45,9 @@ class Routine:
     never changed in place: editing one builds a new one from new words,
     and two routines are equal when their names, addresses, code and
     export flags are.  ``rows`` holds one decoded row per word
-    (:func:`repro.isa.encoding.decode_row`), what the analysis and the
-    optimizer read: handed over by the disassembler and the rewriter
-    (:meth:`lifted`, :meth:`relinked`), decoded on first read
-    otherwise.  ``instructions`` holds the words as :class:`Instruction`
-    objects, built on first read for the simulator, the listings and
-    the tests.
+    (:func:`repro.isa.encoding.decode_row`), what every reader reads:
+    handed over by the disassembler and the rewriter (:meth:`lifted`,
+    :meth:`relinked`), decoded on first read otherwise.
     """
 
     name: str
@@ -63,7 +61,7 @@ class Routine:
             raise ProgramError(
                 f"routine {self.name!r} ends in a partial instruction"
             )
-        self._set_views(count, None, {})
+        self._set_rows(count, None)
 
     @classmethod
     def lifted(
@@ -72,27 +70,18 @@ class Routine:
         address: int,
         code: bytes,
         rows: Tuple[tuple, ...],
-        built: Dict[int, Instruction],
         exported: bool,
     ) -> "Routine":
-        """The routine whose code bytes ``code`` decode to ``rows``;
-        ``built`` is the memo its instructions are built through (see
-        :func:`~repro.isa.encoding.row_instructions`), shared by every
-        routine of the image."""
+        """The routine whose code bytes ``code`` decode to ``rows``."""
         routine = cls.__new__(cls)
         routine.name = name
         routine.address = address
         routine.code = code
         routine.exported = exported
-        routine._set_views(len(rows), rows, built)
+        routine._set_rows(len(rows), rows)
         return routine
 
-    def _set_views(
-        self,
-        count: int,
-        rows: Optional[Tuple[tuple, ...]],
-        built: Dict[int, Instruction],
-    ) -> None:
+    def _set_rows(self, count: int, rows: Optional[Tuple[tuple, ...]]) -> None:
         if not count:
             raise ProgramError(f"routine {self.name!r} has no instructions")
         if self.address % INSTRUCTION_SIZE:
@@ -101,23 +90,18 @@ class Routine:
             )
         self._count = count
         self._rows = rows
-        self._instructions: Optional[Tuple[Instruction, ...]] = None
-        self._built = built
 
     def relinked(
         self, address: int, code: bytes, rows: Tuple[tuple, ...]
     ) -> "Routine":
         """This routine at ``address`` with code ``code``, whose rows
-        are ``rows``, building its instructions through this routine's
-        memo.  Code equal to its own keeps its own code bytes and rows,
-        and the routine itself when the address is its own too."""
+        are ``rows``.  Code equal to its own keeps its own code bytes and
+        rows, and the routine itself when the address is its own too."""
         if code == self.code:
             if address == self.address:
                 return self
             code, rows = self.code, self.rows
-        return Routine.lifted(
-            self.name, address, code, rows, self._built, self.exported
-        )
+        return Routine.lifted(self.name, address, code, rows, self.exported)
 
     @property
     def rows(self) -> Tuple[tuple, ...]:
@@ -125,15 +109,6 @@ class Routine:
         if self._rows is None:
             self._rows = decode_rows(self.code)
         return self._rows
-
-    @property
-    def instructions(self) -> Tuple[Instruction, ...]:
-        """One :class:`Instruction` per word, built on first read."""
-        if self._instructions is None:
-            self._instructions = row_instructions(
-                self.code, self.rows, self._built
-            )
-        return self._instructions
 
     @property
     def size(self) -> int:
@@ -146,7 +121,7 @@ class Routine:
         return self.address + self.size
 
     def address_of(self, index: int) -> int:
-        """Address of ``instructions[index]``."""
+        """Address of ``rows[index]``."""
         if not 0 <= index < self._count:
             raise IndexError(index)
         return self.address + index * INSTRUCTION_SIZE
@@ -166,9 +141,6 @@ class Routine:
 
     def __len__(self) -> int:
         return self._count
-
-    def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.dataflow.regset import RegisterSet
-from repro.isa.instructions import ControlKind
+from repro.isa.instructions import ControlKind, render_row
 from repro.cfg.cfg import ExitKind
 
 if TYPE_CHECKING:  # avoid a package-init cycle with repro.interproc
@@ -65,10 +65,10 @@ def render_annotated_listing(
             s.site.instruction_index: s for s in summary.call_sites
         }
         exit_by_block = dict(summary.exit_kinds)
-        for index, instruction in enumerate(routine.instructions):
+        for index, row in enumerate(routine.rows):
             address = routine.address_of(index)
-            text = f"    {address:#010x}  {instruction.render()}"
-            control = instruction.opcode.control
+            text = f"    {address:#010x}  {render_row(row)}"
+            control = row[0]
             if control in (ControlKind.CALL_DIRECT, ControlKind.CALL_INDIRECT):
                 site = site_by_index.get(index)
                 if site is not None:

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 from repro.dataflow.regset import RegisterSet
 from repro.cfg.cfg import ControlFlowGraph, TerminatorKind
+from repro.isa.instructions import render_row
 from repro.psg.graph import ProgramSummaryGraph
 from repro.psg.nodes import NodeKind
 
@@ -32,11 +33,11 @@ def cfg_to_dot(cfg: ControlFlowGraph, max_instructions: int = 4) -> str:
         f'digraph "{_escape(cfg.routine.name)}_cfg" {{',
         "  node [shape=box, fontname=monospace, fontsize=9];",
     ]
-    instructions = cfg.routine.instructions
+    rows = cfg.routine.rows
     exits = {index for index, _kind in cfg.exits}
     for index, terminator in enumerate(cfg.terminators):
         start, stop = cfg.bounds(index)
-        body = [str(i) for i in instructions[start:stop][:max_instructions]]
+        body = [render_row(row) for row in rows[start:stop][:max_instructions]]
         if stop - start > max_instructions:
             body.append(f"... +{stop - start - max_instructions}")
         label = f"B{index}\\n" + "\\l".join(_escape(t) for t in body) + "\\l"

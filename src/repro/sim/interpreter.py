@@ -15,8 +15,10 @@ Simplifications (documented substitutions, see DESIGN.md):
 * memory accesses must be 8-byte aligned (the generator and the
   examples only emit aligned frames).
 
-Trace mode additionally records, for every dynamic call, the registers
-read-before-written and written during the call's extent and the
+The interpreter executes the program's decoded rows, the same rows the
+analysis reads.  Trace mode additionally records, for every dynamic
+call, the registers read-before-written and written during the call's
+extent — straight from each row's use and def masks — and the
 registers whose values differ across it; the property-based test suite
 checks those against the interprocedural summaries.
 """
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.encoding import INSTRUCTION_SIZE
-from repro.isa.instructions import ControlKind, Instruction, Opcode
-from repro.isa.registers import RETURN_ADDRESS, STACK_POINTER, RegisterFile
+from repro.isa.instructions import ControlKind, Opcode
+from repro.isa.registers import STACK_POINTER, RegisterFile
 from repro.program.model import Program
 
 _MASK64 = (1 << 64) - 1
@@ -107,11 +109,13 @@ class Interpreter:
         self.opcode_counts: Dict[str, int] = {}
         self.call_records: List[CallRecord] = []
         self._frames: List[_Frame] = []
-        # Pre-index instructions by absolute address.
-        self._by_address: Dict[int, Instruction] = {}
+        # Pre-index rows by absolute address.
+        self._by_address: Dict[int, tuple] = {}
         for routine in program:
-            for index, instruction in enumerate(routine.instructions):
-                self._by_address[routine.address_of(index)] = instruction
+            self._by_address.update(zip(
+                range(routine.address, routine.end, INSTRUCTION_SIZE),
+                routine.rows,
+            ))
 
     def _load_data(self, program: Program) -> None:
         data = program.data
@@ -138,15 +142,6 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Tracing helpers
     # ------------------------------------------------------------------
-
-    def _trace_read(self, mask: int) -> None:
-        if self._frames:
-            frame = self._frames[-1]
-            frame.read_before_write |= mask & ~frame.written
-
-    def _trace_write(self, mask: int) -> None:
-        if self._frames:
-            self._frames[-1].written |= mask
 
     def _trace_call(self, callee: str, return_pc: int) -> None:
         if self.trace_calls:
@@ -196,93 +191,73 @@ class Interpreter:
         """Execute from ``entry`` (default: the program's entry routine)."""
         program = self.program
         registers = self.registers
+        frames = self._frames
+        trace_calls = self.trace_calls
         pc = program.routine(entry or program.entry).address
         steps = 0
-        halted = False
         counts = self.opcode_counts
         while True:
-            instruction = self._by_address.get(pc)
-            if instruction is None:
+            row = self._by_address.get(pc)
+            if row is None:
                 raise ExecutionError(f"PC {pc:#x} is not executable code")
             steps += 1
             if steps > self.max_steps:
                 raise ExecutionError(f"exceeded {self.max_steps} steps")
-            opcode = instruction.opcode
+            (control, use_mask, def_mask, displacement,
+             opcode, ra, rb, _rc, _literal) = row
             mnemonic = opcode.mnemonic
             counts[mnemonic] = counts.get(mnemonic, 0) + 1
-            if self.trace_calls:
-                use_mask = 0
-                for r in instruction.uses():
-                    use_mask |= 1 << r
-                self._trace_read(use_mask)
+            if trace_calls and frames:
+                # The caller's frame sees a call's own reads and link
+                # write; the callee's frame sees its return's.
+                frame = frames[-1]
+                frame.read_before_write |= use_mask & ~frame.written
+                frame.written |= def_mask
             next_pc = pc + INSTRUCTION_SIZE
-            control = opcode.control
 
-            if control == ControlKind.FALLTHROUGH:
+            if control is ControlKind.FALLTHROUGH:
                 if opcode is Opcode.OUTPUT:
                     self.outputs.append(registers.read(_A0))
                 else:
-                    self._execute_straightline(instruction)
-            elif control == ControlKind.COND_BRANCH:
-                if self._branch_taken(instruction):
-                    next_pc += instruction.displacement * INSTRUCTION_SIZE
-            elif control == ControlKind.UNCOND_BRANCH:
-                registers.write(instruction.ra, next_pc)
-                next_pc += instruction.displacement * INSTRUCTION_SIZE
-            elif control == ControlKind.CALL_DIRECT:
-                registers.write(instruction.ra, next_pc)
-                target = next_pc + instruction.displacement * INSTRUCTION_SIZE
-                self._note_write(instruction)
-                callee = program.routine_at(target)
-                self._trace_call(callee.name if callee else f"{target:#x}", next_pc)
-                next_pc = target
-            elif control == ControlKind.CALL_INDIRECT:
-                target = registers.read(instruction.rb)
-                registers.write(instruction.ra, next_pc)
-                self._note_write(instruction)
-                callee = program.routine_at(target)
-                self._trace_call(callee.name if callee else f"{target:#x}", next_pc)
-                next_pc = target
-            elif control == ControlKind.RETURN:
-                target = registers.read(instruction.rb)
-                registers.write(instruction.ra, next_pc)
-                self._note_write(instruction)
-                self._trace_return(target)
-                next_pc = target
-            elif control == ControlKind.INDIRECT_JUMP:
-                target = registers.read(instruction.rb)
-                registers.write(instruction.ra, next_pc)
-                self._note_write(instruction)
-                next_pc = target
-            elif control == ControlKind.HALT:
-                halted = True
-            else:  # pragma: no cover - exhaustive
-                raise AssertionError(control)
-
-            if halted:
+                    self._execute_straightline(row)
+            elif control is ControlKind.COND_BRANCH:
+                if self._branch_taken(opcode, ra):
+                    next_pc += displacement * INSTRUCTION_SIZE
+            elif control is ControlKind.UNCOND_BRANCH:
+                registers.write(ra, next_pc)
+                next_pc += displacement * INSTRUCTION_SIZE
+            elif control is ControlKind.HALT:
                 break
+            else:
+                # Calls, returns and indirect jumps: write the link
+                # register, then go to the (PC-relative or register) target.
+                if control is ControlKind.CALL_DIRECT:
+                    target = next_pc + displacement * INSTRUCTION_SIZE
+                else:
+                    target = registers.read(rb)
+                registers.write(ra, next_pc)
+                if control is ControlKind.RETURN:
+                    self._trace_return(target)
+                elif control is not ControlKind.INDIRECT_JUMP:
+                    callee = program.routine_at(target)
+                    self._trace_call(
+                        callee.name if callee else f"{target:#x}", next_pc
+                    )
+                next_pc = target
             pc = next_pc
 
         return ExecutionResult(
             outputs=self.outputs,
             steps=steps,
-            halted=halted,
+            halted=True,
             exit_value=registers.read(0),
             final_registers=registers.snapshot(),
             opcode_counts=counts,
             call_records=self.call_records,
         )
 
-    def _note_write(self, instruction: Instruction) -> None:
-        if self.trace_calls:
-            mask = 0
-            for r in instruction.defs():
-                mask |= 1 << r
-            self._trace_write(mask)
-
-    def _branch_taken(self, instruction: Instruction) -> bool:
-        value = self.registers.read_signed(instruction.ra)
-        opcode = instruction.opcode
+    def _branch_taken(self, opcode: Opcode, ra: int) -> bool:
+        value = self.registers.read_signed(ra)
         if opcode is Opcode.BEQ or opcode is Opcode.FBEQ:
             return value == 0
         if opcode is Opcode.BNE or opcode is Opcode.FBNE:
@@ -301,40 +276,30 @@ class Interpreter:
             return (value & 1) == 1
         raise AssertionError(opcode)  # pragma: no cover
 
-    def _execute_straightline(self, instruction: Instruction) -> None:
+    def _execute_straightline(self, row: tuple) -> None:
         registers = self.registers
-        opcode = instruction.opcode
+        _control, _uses, _defs, displacement, opcode, ra, rb, rc, literal = row
 
         if opcode is Opcode.LDA:
-            value = registers.read(instruction.rb) + instruction.displacement
-            registers.write(instruction.ra, value)
+            registers.write(ra, registers.read(rb) + displacement)
         elif opcode is Opcode.LDAH:
-            value = registers.read(instruction.rb) + (
-                instruction.displacement << 16
-            )
-            registers.write(instruction.ra, value)
+            registers.write(ra, registers.read(rb) + (displacement << 16))
         elif opcode in (Opcode.LDQ, Opcode.LDT):
-            address = (
-                registers.read(instruction.rb) + instruction.displacement
-            ) & _MASK64
-            registers.write(instruction.ra, self.load_quad(address))
+            address = (registers.read(rb) + displacement) & _MASK64
+            registers.write(ra, self.load_quad(address))
         elif opcode in (Opcode.STQ, Opcode.STT):
-            address = (
-                registers.read(instruction.rb) + instruction.displacement
-            ) & _MASK64
-            self.store_quad(address, registers.read(instruction.ra))
+            address = (registers.read(rb) + displacement) & _MASK64
+            self.store_quad(address, registers.read(ra))
         else:
-            self._execute_operate(instruction)
-        self._note_write(instruction)
+            registers.write(rc, self._operate(opcode, ra, rb, rc, literal))
 
-    def _execute_operate(self, instruction: Instruction) -> None:
+    def _operate(
+        self, opcode: Opcode, ra: int, rb: int, rc: int, literal: Optional[int]
+    ) -> int:
+        """The value an operate instruction writes to ``rc``."""
         registers = self.registers
-        opcode = instruction.opcode
-        a = registers.read(instruction.ra)
-        if instruction.literal is not None:
-            b = instruction.literal
-        else:
-            b = registers.read(instruction.rb)
+        a = registers.read(ra)
+        b = literal if literal is not None else registers.read(rb)
         a_signed = a - (1 << 64) if a >= 1 << 63 else a
         b_signed = b - (1 << 64) if b >= 1 << 63 else b
 
@@ -373,16 +338,16 @@ class Interpreter:
         elif opcode is Opcode.CMPULE:
             value = 1 if a <= b else 0
         elif opcode is Opcode.CMOVEQ:
-            value = b if a == 0 else registers.read(instruction.rc)
+            value = b if a == 0 else registers.read(rc)
         elif opcode is Opcode.CMOVNE:
-            value = b if a != 0 else registers.read(instruction.rc)
+            value = b if a != 0 else registers.read(rc)
         elif opcode in (Opcode.CPYS, Opcode.ITOFT, Opcode.FTOIT):
             # Register-file transfers: value moves unchanged (CPYS with
             # identical operands is the canonical FP move).
             value = b if opcode is Opcode.CPYS else a
         else:  # pragma: no cover - exhaustive over operate opcodes
             raise AssertionError(opcode)
-        registers.write(instruction.rc, value)
+        return value
 
 
 def run_program(

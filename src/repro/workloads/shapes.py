@@ -58,14 +58,15 @@ class BenchmarkShape:
         return self.instructions / self.basic_blocks
 
     def scaled(self, fraction: float) -> "BenchmarkShape":
-        """A proportionally smaller shape (at least 4 routines).
+        """A proportionally smaller shape (at least 4 routines):
+        ``fraction`` is in (0, 1].
 
         Scales the routine count while keeping every per-routine
         statistic, so per-routine tables are unaffected and whole-program
         tables scale linearly — exactly the regime Figures 14/15 probe.
         """
-        if fraction <= 0:
-            raise ValueError("fraction must be positive")
+        if not 0 < fraction <= 1:
+            raise ValueError(f"fraction must be in (0, 1], not {fraction}")
         routines = max(4, round(self.routines * fraction))
         actual = routines / self.routines
         return replace(

@@ -35,6 +35,7 @@ from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.instructions import ControlKind, Instruction, Opcode
 from repro.isa.registers import STACK_POINTER
 from repro.program.model import Program, Routine
+from tests.decoded import instructions_of
 from tests.records import Block
 
 #: Every register of the unified 64-register file.
@@ -78,7 +79,7 @@ def oracle_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
 
 def carve(program: Program, routine: Routine) -> Carved:
     """Carve one routine, block object by block object."""
-    instructions = routine.instructions
+    instructions = instructions_of(routine.code)
     count = len(instructions)
 
     term_kind: Dict[int, TerminatorKind] = {}
@@ -213,7 +214,7 @@ def check(carved: Carved) -> None:
                 )
         if block.terminator in _EXIT_TERMINATORS and block.successors:
             raise CfgError(f"exit block {index} has successors")
-    if expected_start != len(carved.routine.instructions):
+    if expected_start != len(carved.routine):
         raise CfgError("blocks do not cover the routine")
     for block_index, _kind in carved.exits:
         if blocks[block_index].terminator not in _EXIT_TERMINATORS:
@@ -222,7 +223,7 @@ def check(carved: Carved) -> None:
 
 def _branch_target(routine: Routine, index: int, instruction: Instruction) -> int:
     target = index + 1 + instruction.displacement
-    if not 0 <= target < len(routine.instructions):
+    if not 0 <= target < len(routine):
         raise CfgError(
             f"{routine.name!r}: branch at {routine.address_of(index):#x} "
             f"targets instruction {target}, outside the routine"
@@ -241,12 +242,12 @@ def _target_index(routine: Routine, jump_index: int, address: int) -> int:
 
 
 def _instructions(routine: Routine, block: Block) -> List[Instruction]:
-    return routine.instructions[block.start : block.stop]
+    return instructions_of(routine.code)[block.start : block.stop]
 
 
 def _record_site(routine: Routine, block: Block) -> RecordedSite:
     instruction_index = block.stop - 1
-    instruction = routine.instructions[instruction_index]
+    instruction = instructions_of(routine.code)[instruction_index]
     if instruction.control == ControlKind.CALL_DIRECT:
         return RecordedSite(block.index, instruction_index, indirect=False)
     return RecordedSite(
@@ -345,8 +346,8 @@ def classify_call(program: Program, routine: Routine, site: RecordedSite) -> Cal
     hint naming a non-entry."""
     call_address = routine.address_of(site.instruction_index)
     if not site.indirect:
-        displacement = routine.instructions[site.instruction_index].displacement
-        target = call_address + INSTRUCTION_SIZE * (1 + displacement)
+        call = instructions_of(routine.code)[site.instruction_index]
+        target = call_address + INSTRUCTION_SIZE * (1 + call.displacement)
         callee = program.routine_at(target)
         if callee is None:
             raise CfgError(

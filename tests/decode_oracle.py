@@ -29,6 +29,7 @@ from repro.isa.registers import (
     ZERO_REGISTER,
 )
 from repro.program.model import Routine
+from tests.decoded import instructions_of
 
 #: Register index ``a0`` (``r16``); OUTPUT reads it.
 _A0 = 16
@@ -284,7 +285,7 @@ def escape_candidates(routine: Routine) -> Tuple[int, ...]:
     """
     escaped: Set[int] = set()
     constants: Dict[int, int] = {}
-    for instruction in routine.instructions:
+    for instruction in instructions_of(routine.code):
         opcode = instruction.opcode
         if not constants and (
             (opcode is not Opcode.LDA and opcode is not Opcode.LDAH)

@@ -19,6 +19,7 @@ from repro.isa.instructions import ControlKind, Instruction, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.program.model import Program, Routine
+from tests.decoded import instructions_of
 
 BASE_SOURCE = """
 .routine main export
@@ -67,7 +68,7 @@ def _site(program: Program, control: ControlKind) -> int:
     main_routine = program.routine("main")
     return next(
         main_routine.address_of(index)
-        for index, instruction in enumerate(main_routine.instructions)
+        for index, instruction in enumerate(instructions_of(main_routine.code))
         if instruction.control == control
     )
 
@@ -103,7 +104,7 @@ def _bsr_to_non_entry(program):
     instructions = tuple(
         dataclasses.replace(instruction, displacement=instruction.displacement + 1)
         if instruction.control == ControlKind.CALL_DIRECT else instruction
-        for instruction in main_routine.instructions
+        for instruction in instructions_of(main_routine.code)
     )
     routines = [
         Routine(

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.isa.encoding import decode_stream
 from repro.isa.instructions import Instruction, Opcode
 from repro.program.asm import Assembler, AssemblyError, assemble
 from repro.program.disasm import disassemble_image
 from repro.program.image import DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE
+from tests.decoded import instructions_of
 
 
 def decode(image):
-    return decode_stream(image.text)
+    return list(instructions_of(image.text))
 
 
 class TestProgrammaticApi:

@@ -11,6 +11,7 @@ from repro.isa.instructions import Instruction, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.program.model import Routine
+from tests.decoded import instructions_of
 
 
 def _rows(instructions):
@@ -139,7 +140,7 @@ class TestExits:
             main.name,
             main.address,
             encode_stream(
-                main.instructions[:-1]
+                instructions_of(main.code)[:-1]
                 + (Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3),)
             ),
         )

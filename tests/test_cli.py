@@ -361,26 +361,34 @@ class TestExitCodes:
              "argument --top: must be at least 0, not -1"),
             *(
                 (["generate", "compress", "-o", "{image}.out", "--scale", scale],
-                 f"argument --scale: must be a positive finite number, not {scale}")
-                for scale in ("0", "-1", "nan", "inf")
+                 f"argument --scale: must be in (0, 1], not {scale}")
+                for scale in ("0", "-1", "nan", "inf", "2", "1e300")
             ),
             *(
                 (["run", "{image}", "--max-steps", steps],
                  f"argument --max-steps: must be at least 1, not {steps}")
                 for steps in ("-1", "0")
             ),
+            *(
+                (["serve", "--trace-sample", sample],
+                 f"argument --trace-sample: must be at least 1, not {sample}")
+                for sample in ("0", "-3")
+            ),
         ],
         ids=[
             "port-too-large", "port-negative", "top-negative",
             "scale-zero", "scale-negative", "scale-nan", "scale-inf",
+            "scale-two", "scale-huge",
             "max-steps-negative", "max-steps-zero",
+            "trace-sample-zero", "trace-sample-negative",
         ],
     )
     def test_out_of_range_option_is_2(self, image_path, capsys, argv, message):
-        """A port outside 0..65535, a negative --top, a --scale that is
-        not a positive finite number or a --max-steps below 1 is a usage
-        error on one stderr line, not a traceback, a silently short list
-        or an execution failure."""
+        """A port outside 0..65535, a negative --top, a --scale outside
+        (0, 1], a --max-steps below 1 or a --trace-sample below 1 is a
+        usage error on one stderr line, not a traceback, a silently short
+        list, a run that never ends, an execution failure or sampling
+        silently turned off."""
         with pytest.raises(SystemExit) as caught:
             main([arg.format(image=image_path) for arg in argv])
         assert caught.value.code == 2

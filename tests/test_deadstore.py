@@ -11,6 +11,7 @@ from repro.program.disasm import disassemble_image
 from repro.program.rewrite import apply_edits
 from repro.sim.cost_model import ALPHA_21164, CostModel, cycle_improvement
 from repro.sim.interpreter import run_program
+from tests.decoded import instructions_of
 
 
 def edits_of(source, routine="main"):
@@ -166,9 +167,8 @@ class TestDeadStores:
             program, passes=("dce", "deadstore"), verify=True
         )
         assert result.behaviour_preserved()
-        names = [
-            i.opcode.mnemonic for i in result.optimized.routine("f").instructions
-        ]
+        code = result.optimized.routine("f").code
+        names = [i.opcode.mnemonic for i in instructions_of(code)]
         assert "stq" not in names
         assert "ldq" not in names
 

@@ -8,7 +8,7 @@ to the code they replaced (``tests/decode_oracle.py``).
   value gives the word ``encode_instruction(dataclasses.replace(...))``
   gives;
 * every word class outside the tables: the oracle's exact
-  ``EncodingError`` text, and ``decode_stream`` still names the first
+  ``EncodingError`` text, and ``decode_rows`` still names the first
   bad word;
 * random 32-bit words (Hypothesis): same text or equal instructions;
 * the trusted constructor's instances pickle, ``replace`` and validate
@@ -17,9 +17,9 @@ to the code they replaced (``tests/decode_oracle.py``).
   bits give the parent's answers on all 16 Table-2 shapes;
 * a word's row (``decode_row``) carries exactly the fields of its
   ``Instruction`` — over the sweep, random decodable words and every
-  distinct word of the 16 shapes — and a lifted routine's lazily built
-  ``instructions`` are ``decode_stream`` of its code, one object per
-  distinct word;
+  distinct word of the 16 shapes — and a lifted routine's rows are the
+  rows of its instructions, one row object per distinct word of the
+  image;
 * an image with two bad words names the first of the stream, whatever
   order its distinct words are decoded in.
 """
@@ -43,7 +43,6 @@ from repro.isa.encoding import (
     decode_instruction,
     decode_row,
     decode_rows,
-    decode_stream,
     encode_instruction,
     encode_stream,
     replace_fields,
@@ -56,7 +55,6 @@ from repro.isa.instructions import (
     ROW_FIELDS,
     row_instruction,
 )
-from repro.obs.metrics import REGISTRY
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image, load_program
 from repro.program.image import ImageFormatError
@@ -65,6 +63,7 @@ from repro.workloads.generator import GeneratorConfig, generate_image
 from repro.workloads.shapes import ALL_SHAPES
 
 from tests import decode_oracle as oracle
+from tests.decoded import instructions_of
 from tests.hostile_code import BASE_SOURCE, two_bad_words
 
 _FIELDS_OF = {
@@ -229,13 +228,13 @@ def test_a_value_that_is_no_word_is_rejected_with_the_same_text(word):
     assert _outcome(decode_instruction, word) == expected
 
 
-def test_decode_stream_names_the_first_bad_word():
+def test_decode_rows_names_the_first_bad_word():
     good = encode_instruction(Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3))
     bad_function = 0x10 << 26 | 0x7F << 5
     bad_major = 0x3 << 26
     code = struct.pack("<6I", good, good, bad_function, good, bad_major, bad_function)
     with pytest.raises(EncodingError) as caught:
-        decode_stream(code)
+        decode_rows(code)
     assert caught.value.offset == 8
     assert str(caught.value) == _outcome(oracle.decode_instruction, bad_function)
 
@@ -249,7 +248,7 @@ def test_an_image_names_its_first_bad_word_whatever_the_set_order():
         f"unknown major opcode 0x1"
     )
     with pytest.raises(EncodingError) as caught:
-        decode_stream(image.text)
+        decode_rows(image.text)
     assert caught.value.offset == address - image.text_base
 
 
@@ -366,7 +365,7 @@ def test_mask_based_callers_agree_with_their_set_based_parents(shape, monkeypatc
     resolved = 0
     for routine in program:
         assert escape_candidates(routine) == oracle.escape_candidates(routine)
-        instructions = routine.instructions
+        instructions = instructions_of(routine.code)
         for index, instruction in enumerate(instructions):
             if instruction.control in (
                 ControlKind.CALL_INDIRECT, ControlKind.INDIRECT_JUMP
@@ -407,19 +406,13 @@ def test_rows_and_lazy_instructions_of_every_shape(shape):
     for word in set(words):
         assert decode_row(word) == _ROW_OF(decode_instruction(word))
     program = disassemble_image(image)
-    before = REGISTRY.snapshot()
     objects = {}
     for routine in program:
         words = _words(routine.code)
         assert routine.rows == tuple(map(decode_row, words))
-        lazy = routine.instructions
-        assert len({id(instruction) for instruction in lazy}) == len(set(words))
-        for word, instruction in zip(words, lazy):
-            assert objects.setdefault(word, instruction) is instruction
-    built = REGISTRY.delta_since(before)["program.decode.built"]
-    assert built == len(objects)
-    for routine in program:
-        assert routine.instructions == tuple(decode_stream(routine.code))
+        assert routine.rows == tuple(map(_ROW_OF, instructions_of(routine.code)))
+        for word, row in zip(words, routine.rows):
+            assert objects.setdefault(word, row) is row
 
 
 class TestLiftedRoutines:
@@ -431,14 +424,13 @@ class TestLiftedRoutines:
         image = assemble(BASE_SOURCE)
         first = disassemble_image(image).routine("main")
         built = Routine(
-            first.name, first.address, encode_stream(first.instructions),
+            first.name, first.address, encode_stream(instructions_of(first.code)),
             first.exported,
         )
         return disassemble_image(image).routine("main"), built
 
     def test_lengths_and_addresses_read_no_instruction(self, pair):
         lifted, built = pair
-        before = REGISTRY.snapshot()
         assert len(lifted) == len(built) and lifted.size == built.size
         assert lifted.end == built.end
         assert lifted.address_of(3) == built.address_of(3)
@@ -446,7 +438,6 @@ class TestLiftedRoutines:
         assert not lifted.contains(lifted.end)
         with pytest.raises(IndexError):
             lifted.address_of(len(lifted))
-        assert REGISTRY.delta_since(before)["program.decode.built"] == 0
 
     def test_equality_replace_and_code(self, pair):
         lifted, built = pair
@@ -456,8 +447,9 @@ class TestLiftedRoutines:
         assert dataclasses.replace(lifted) == built
         renamed = dataclasses.replace(lifted, name="other")
         assert renamed.name == "other" and renamed.code == lifted.code
-        assert renamed.instructions == built.instructions
-        assert list(lifted) == list(built.instructions)
+        assert renamed.rows == built.rows
+        with pytest.raises(TypeError):
+            iter(lifted)  # a routine is its code, not a sequence of objects
         assert repr(lifted) == repr(built)
         with pytest.raises(TypeError):
             Routine("f", 0)  # ``code`` is a required field

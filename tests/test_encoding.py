@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 from repro.isa.encoding import (
     EncodingError,
     decode_instruction,
-    decode_stream,
+    decode_rows,
     encode_instruction,
     encode_stream,
 )
 from repro.isa.instructions import ControlKind, Format, Instruction, Opcode
 from repro.isa.registers import Register, ZERO_REGISTER
+from tests.decoded import instructions_of
 
 
 def roundtrip(instruction: Instruction) -> Instruction:
@@ -128,7 +129,7 @@ class TestErrors:
 
     def test_stream_length_checked(self):
         with pytest.raises(EncodingError):
-            decode_stream(b"\x00\x01\x02")
+            decode_rows(b"\x00\x01\x02")
 
 
 class TestStreams:
@@ -138,10 +139,10 @@ class TestStreams:
             Instruction(Opcode.ADDQ, ra=1, rb=1, rc=2),
             Instruction(Opcode.RET, rb=26),
         ]
-        assert decode_stream(encode_stream(instructions)) == instructions
+        assert list(instructions_of(encode_stream(instructions))) == instructions
 
     def test_empty_stream(self):
-        assert decode_stream(b"") == []
+        assert decode_rows(b"") == ()
         assert encode_stream([]) == b""
 
 

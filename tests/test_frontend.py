@@ -1,8 +1,8 @@
 """Tests for what the front end shares instead of re-deriving.
 
-* ``decode_stream`` decodes each distinct word once and shares the
-  (immutable) instruction — and must be indistinguishable from decoding
-  every word;
+* ``decode_rows`` decodes each distinct word once and shares the
+  (immutable) row — and must be indistinguishable from decoding every
+  word;
 * ``routine_fingerprint`` hashes a lifted routine's image bytes and
   covers every per-routine analysis input: code, exported flag,
   jump-table targets, call-site targets;
@@ -11,6 +11,7 @@
 """
 
 import dataclasses
+import operator
 import struct
 
 import pytest
@@ -27,15 +28,16 @@ from repro.interproc.summaries import _triple_of
 from repro.isa.encoding import (
     EncodingError,
     decode_instruction,
-    decode_stream,
+    decode_rows,
     encode_stream,
 )
-from repro.isa.instructions import ControlKind, Instruction, Opcode
+from repro.isa.instructions import ROW_FIELDS, ControlKind, Instruction, Opcode
 from repro.program.asm import Assembler
 from repro.program.disasm import disassemble_image
 from repro.program.model import Program, Routine
 from repro.program.rewrite import program_to_image
 from repro.workloads.mutate import first_editable_routine, perturb_routine
+from tests.decoded import instructions_of
 from tests.facade import analyze_incremental, analyze_program
 
 #: A word no format claims (major opcode 0x01).
@@ -73,6 +75,10 @@ def _decode_each(words):
     return [decode_instruction(word) for word in words]
 
 
+#: An instruction's fields in row order.
+_ROW_OF = operator.attrgetter(*ROW_FIELDS)
+
+
 class TestDecodedWordTable:
     @given(_words)
     def test_equals_decoding_every_word(self, words):
@@ -81,7 +87,7 @@ class TestDecodedWordTable:
             expected = _decode_each(words)
         except EncodingError as error:
             with pytest.raises(EncodingError) as excinfo:
-                decode_stream(code)
+                decode_rows(code)
             # Same first bad word, same message.
             assert str(excinfo.value) == str(error)
             first_bad = next(
@@ -90,11 +96,11 @@ class TestDecodedWordTable:
             )
             assert excinfo.value.offset == 4 * first_bad
         else:
-            assert decode_stream(code) == expected
+            assert decode_rows(code) == tuple(map(_ROW_OF, expected))
 
     def test_repeated_words_share_one_object(self):
         word = _VALID_WORDS[0]
-        first, other, again = decode_stream(
+        first, other, again = decode_rows(
             struct.pack("<3I", word, _VALID_WORDS[1], word)
         )
         assert first is again
@@ -175,7 +181,7 @@ def _with_routine(program: Program, replacement: Routine, old_name=None):
 
 def _code_word_edited(program):
     main = program.routine("main")
-    body = list(main.instructions)
+    body = list(instructions_of(main.code))
     body[0] = dataclasses.replace(body[0], literal=3)
     return _with_routine(
         program, Routine("main", main.address, encode_stream(body), main.exported)
@@ -267,7 +273,7 @@ class TestCarriedBytes:
     def test_lifted_routines_carry_their_text_slice(self):
         program = _dispatch_program()
         for routine in program:
-            assert routine.code == encode_stream(routine.instructions)
+            assert routine.code == encode_stream(instructions_of(routine.code))
 
     def test_bytes_and_encoding_hash_alike(self):
         program = _dispatch_program()
@@ -275,7 +281,7 @@ class TestCarriedBytes:
         for routine in program:
             rebuilt = Routine(
                 routine.name, routine.address,
-                encode_stream(routine.instructions), routine.exported,
+                encode_stream(instructions_of(routine.code)), routine.exported,
             )
             assert rebuilt.code == routine.code
             assert rebuilt == routine  # equality compares the code
@@ -289,7 +295,7 @@ class TestCarriedBytes:
         edited = perturb_routine(lifted, victim)
         code = edited.routine(victim).code
         assert code != lifted.routine(victim).code
-        assert code == encode_stream(edited.routine(victim).instructions)
+        assert code == encode_stream(instructions_of(edited.routine(victim).code))
         assert dataclasses.replace(lifted.routine(victim)) == lifted.routine(victim)
         for name in lifted.routine_names():
             if name != victim:
@@ -304,7 +310,7 @@ class TestCarriedBytes:
     def test_routine_instructions_are_immutable(self):
         routine = _dispatch_program().routine("alpha")
         with pytest.raises(TypeError):
-            routine.instructions[0] = Instruction(Opcode.HALT)
+            routine.rows[0] = routine.rows[1]
 
 
 # ----------------------------------------------------------------------

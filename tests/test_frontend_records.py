@@ -36,12 +36,11 @@ from repro.interproc.frontend import (
     shape_key,
 )
 from repro.interproc.persist import dump_cache, dump_summaries, load_cache
-from repro.interproc.store import SummaryStore
 from repro.isa.encoding import INSTRUCTION_SIZE, encode_stream
 from repro.isa.instructions import ControlKind, Instruction, Opcode
 from repro.obs.metrics import REGISTRY
 from repro.program.asm import assemble
-from repro.program.disasm import disassemble_image, load_program, render_listing
+from repro.program.disasm import disassemble_image
 from repro.program.model import Program, Routine
 from repro.program.rewrite import apply_edits, program_to_image
 from repro.workloads.generator import GeneratorConfig, generate_program
@@ -51,6 +50,7 @@ from repro.workloads.mutate import (
     perturb_routine,
 )
 from repro.workloads.shapes import ALL_SHAPES, shape_by_name
+from tests.decoded import instructions_of
 
 STORE_OFF = AnalysisConfig(store="off")
 
@@ -144,7 +144,7 @@ def _indirect_sites(program: Program):
     return [
         routine.address_of(index)
         for routine in program
-        for index, instruction in enumerate(routine.instructions)
+        for index, instruction in enumerate(instructions_of(routine.code))
         if instruction.control == ControlKind.CALL_INDIRECT
     ]
 
@@ -286,7 +286,7 @@ def edit_routines_shifted(program, rng):
         return None
     victim = program.routine(rng.choice(names))
     index = next(
-        index for index, instruction in enumerate(victim.instructions)
+        index for index, instruction in enumerate(instructions_of(victim.code))
         if instruction.opcode in (Opcode.ADDQ, Opcode.SUBQ, Opcode.AND, Opcode.XOR)
         and instruction.control == ControlKind.FALLTHROUGH
     )
@@ -305,7 +305,7 @@ def _moved_away(program: Program, name: str) -> Program:
 
     def fix(routine):
         body = []
-        for index, instruction in enumerate(routine.instructions):
+        for index, instruction in enumerate(instructions_of(routine.code)):
             if instruction.control == ControlKind.CALL_DIRECT:
                 target = routine.address_of(index) + INSTRUCTION_SIZE * (
                     1 + instruction.displacement
@@ -642,7 +642,7 @@ class TestMalformedRecords:
 
     def test_site_on_the_last_instruction(self):
         program = _program("escapes")
-        last = len(program.routine("h").instructions) - 1
+        last = len(program.routine("h")) - 1
         records = self._tampered(
             program, "h", sites=(RecordedSite(0, last, False),),
         )
@@ -714,41 +714,6 @@ class TestGccStructuralGate:
         delta = REGISTRY.delta_since(before)
         assert delta["program.decode.words"] == image.instruction_count
         assert 0 < delta["program.decode.distinct"] <= 0.1 * image.instruction_count
-        assert delta["program.decode.built"] == 0
-
-    def test_no_analysis_path_builds_an_instruction_object(
-        self, gcc_tenth, tmp_path
-    ):
-        # The analysis reads instruction rows; only the simulator and
-        # the listings build objects.
-        program, sidecar, _prime = gcc_tenth
-        blob = program_to_image(program).to_bytes()
-        store = AnalysisConfig(store=SummaryStore(str(tmp_path / "store")))
-        runs = {
-            "analyze": lambda session: session.analyze(),
-            "cold incremental": lambda session: session.analyze_incremental(),
-            "warm incremental": lambda session: session.analyze_incremental(
-                cache=load_cache(sidecar)
-            ),
-            "query": lambda session: session.query(program.routine_names()[-1]),
-        }
-        for name, run in runs.items():
-            before = REGISTRY.snapshot()
-            run(AnalysisSession.from_image_bytes(blob, STORE_OFF))
-            assert REGISTRY.delta_since(before)["program.decode.built"] == 0, name
-        for _publish_then_adopt in range(2):
-            before = REGISTRY.snapshot()
-            AnalysisSession.from_image_bytes(blob, store).analyze_incremental()
-            assert REGISTRY.delta_since(before)["program.decode.built"] == 0
-
-    def test_only_listings_build_instruction_objects(self, small_benchmark):
-        blob = program_to_image(small_benchmark).to_bytes()
-        before = REGISTRY.snapshot()
-        render_listing(load_program(blob))
-        assert REGISTRY.delta_since(before)["program.decode.built"] > 0
-        before = REGISTRY.snapshot()
-        AnalysisSession.from_image_bytes(blob, STORE_OFF).optimize()
-        assert REGISTRY.delta_since(before)["program.decode.built"] == 0
 
     def test_local_edit_builds_no_more_cfgs_than_it_solves(self, gcc_tenth):
         program, sidecar, _prime = gcc_tenth

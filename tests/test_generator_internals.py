@@ -13,6 +13,7 @@ from repro.workloads.generator import (
     generate_program,
 )
 from repro.workloads.shapes import shape_by_name
+from tests.decoded import instructions_of
 
 
 def plan(shape_name="li", scale=0.1, seed=0, **config_overrides):
@@ -106,7 +107,7 @@ class TestEmissionInvariants:
             shape_by_name("li").scaled(0.1), GeneratorConfig(seed=2)
         )
         for routine in program:
-            for instruction in routine:
+            for instruction in instructions_of(routine.code):
                 touched = instruction.uses() | instruction.defs()
                 assert t3 not in touched
                 assert t8 not in touched

@@ -8,12 +8,6 @@ from repro.isa.instructions import (
     Instruction,
     MNEMONIC_TO_OPCODE,
     Opcode,
-    branch_ops,
-    is_call,
-    is_conditional_branch,
-    is_indirect_jump,
-    is_return,
-    is_unconditional_branch,
 )
 from repro.isa.registers import FLOAT_ZERO_REGISTER, Register, ZERO_REGISTER
 
@@ -96,12 +90,12 @@ class TestControlFlow:
         ins = Instruction(Opcode.BEQ, ra=reg("t0"), displacement=3)
         assert ins.uses() == {reg("t0")}
         assert ins.defs() == set()
-        assert is_conditional_branch(ins)
+        assert ins.control == ControlKind.COND_BRANCH
 
     def test_unconditional_branch_defines_link(self):
         ins = Instruction(Opcode.BR, ra=reg("t0"), displacement=3)
         assert ins.defs() == {reg("t0")}
-        assert is_unconditional_branch(ins)
+        assert ins.control == ControlKind.UNCOND_BRANCH
 
     def test_br_through_zero_defines_nothing(self):
         ins = Instruction(Opcode.BR, ra=ZERO_REGISTER, displacement=1)
@@ -109,24 +103,23 @@ class TestControlFlow:
 
     def test_bsr_is_direct_call(self):
         ins = Instruction(Opcode.BSR, ra=reg("ra"), displacement=10)
-        assert is_call(ins)
         assert ins.defs() == {reg("ra")}
         assert ins.control == ControlKind.CALL_DIRECT
 
     def test_jsr_is_indirect_call(self):
         ins = Instruction(Opcode.JSR, ra=reg("ra"), rb=reg("pv"))
-        assert is_call(ins)
+        assert ins.control == ControlKind.CALL_INDIRECT
         assert ins.uses() == {reg("pv")}
         assert ins.defs() == {reg("ra")}
 
     def test_ret(self):
         ins = Instruction(Opcode.RET, ra=ZERO_REGISTER, rb=reg("ra"))
-        assert is_return(ins)
+        assert ins.control == ControlKind.RETURN
         assert ins.uses() == {reg("ra")}
 
     def test_jmp_is_indirect_jump(self):
         ins = Instruction(Opcode.JMP, ra=ZERO_REGISTER, rb=reg("t0"))
-        assert is_indirect_jump(ins)
+        assert ins.control == ControlKind.INDIRECT_JUMP
         assert ins.uses() == {reg("t0")}
 
     def test_halt_reads_exit_status(self):
@@ -141,8 +134,10 @@ class TestControlFlow:
         assert ins.defs() == set()
 
     def test_branch_ops_are_all_conditional(self):
-        ops = branch_ops()
-        assert Opcode.BEQ in ops and Opcode.BNE in ops
+        ops = {
+            op for op in Opcode if op.format in (Format.BRANCH, Format.BRANCH_FP)
+        } - {Opcode.BR, Opcode.BSR}
+        assert Opcode.BEQ in ops and Opcode.BNE in ops and Opcode.FBEQ in ops
         assert all(op.control == ControlKind.COND_BRANCH for op in ops)
 
 

@@ -281,6 +281,32 @@ class TestCallTracing:
 
         assert "v0" in RegisterSet.from_mask(by_name["outer"].written).names()
 
+    def test_every_write_is_traced_from_the_row_masks(self):
+        """A call's record holds exactly the union of the def masks of
+        the rows it executed — a ``br``'s link write included — and
+        its reads before writes."""
+        from repro.dataflow.regset import RegisterSet
+
+        program = disassemble_image(
+            assemble(
+                """
+                .routine main
+                    bsr ra, helper
+                    halt
+                .routine helper
+                    br t0, next
+                next:
+                    addq t1, #1, t2
+                    ret (ra)
+                """
+            )
+        )
+        (record,) = run_program(program, trace_calls=True).call_records
+        assert RegisterSet.from_mask(record.written).names() == {"t0", "t2"}
+        assert RegisterSet.from_mask(record.read_before_write).names() == {
+            "t1", "ra"
+        }
+
 
 class TestDeterminism:
     def test_same_program_same_result(self, small_benchmark):

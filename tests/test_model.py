@@ -49,7 +49,7 @@ class TestRoutine:
     def test_len_and_iter(self):
         routine = _routine("f", 0x1000, 3)
         assert len(routine) == 3
-        assert len(list(routine)) == 3
+        assert len(routine.rows) == 3
 
 
 class TestProgram:

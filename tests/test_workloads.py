@@ -64,6 +64,12 @@ class TestShapes:
         with pytest.raises(ValueError):
             shape_by_name("gcc").scaled(0)
 
+    @pytest.mark.parametrize("fraction", [1.5, 1e300, float("nan")])
+    def test_scaled_rejects_more_than_the_whole(self, fraction):
+        with pytest.raises(ValueError):
+            shape_by_name("gcc").scaled(fraction)
+        assert shape_by_name("gcc").scaled(1) == shape_by_name("gcc")
+
 
 class TestGenerator:
     def test_deterministic(self):

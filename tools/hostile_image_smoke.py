@@ -11,9 +11,9 @@ directory (``analyze --dot``, ``generate -o``, ``optimize -o``) must
 exit 5, and an unknown routine (``analyze -r``, with and without
 ``--incremental``, and ``--dot-routine``) or benchmark (``generate``),
 a ``serve --port`` outside 0..65535, a negative ``report --top``, a
-``generate --scale`` of 0, -1, nan or inf and a ``run --max-steps`` of
--1 or 0 must exit 2.  Every run must print exactly one line on stderr and no
-``Traceback``.
+``generate --scale`` of 0, -1, nan, inf, 2 or 1e300 and a
+``run --max-steps`` of -1 or 0 must exit 2.  Every run must print
+exactly one line on stderr and no ``Traceback``.
 
 Usage::
 
@@ -182,7 +182,7 @@ def main(argv: List[str] | None = None) -> int:
         check("port-too-large", ["serve", "--port", "99999"], 2)
         check("port-negative", ["serve", "--port", "-1"], 2)
         check("top-negative", ["report", base, "--top", "-1"], 2)
-        for scale in ("0", "-1", "nan", "inf"):
+        for scale in ("0", "-1", "nan", "inf", "2", "1e300"):
             check(f"scale-{scale}",
                   ["generate", args.benchmark, "--scale", scale,
                    "-o", os.path.join(tmp, "a.sax")], 2)
