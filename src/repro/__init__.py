@@ -4,8 +4,10 @@ A from-scratch reproduction of David W. Goodwin's PLDI 1997 paper
 describing Spike, Digital's post-link-time optimizer for Alpha/NT
 executables.  The package implements:
 
-* an Alpha-like ISA and executable image format (:mod:`repro.isa`,
-  :mod:`repro.program`);
+* an Alpha-like ISA whose instructions are 32-bit words — one field
+  table encodes, decodes and edits them, and code decodes to rows —
+  and an executable image format with an assembler and a linker that
+  emit words (:mod:`repro.isa`, :mod:`repro.program`);
 * per-routine CFG construction with jump-table extraction and a call
   graph (:mod:`repro.cfg`);
 * the **Program Summary Graph** and its flow-summary-edge labeling
@@ -52,7 +54,7 @@ from repro.interproc.summaries import (
     RoutineSummary,
 )
 from repro.isa.calling_convention import NT_ALPHA, CallingConvention
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Opcode
 from repro.isa.registers import Register
 from repro.opt.pipeline import OptimizationResult
 from repro.program.asm import Assembler, assemble
@@ -81,7 +83,6 @@ __all__ = [
     "EMPTY_SET",
     "ExecutableImage",
     "ExecutionResult",
-    "Instruction",
     "InterproceduralAnalysis",
     "NT_ALPHA",
     "Opcode",

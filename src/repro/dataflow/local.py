@@ -7,19 +7,17 @@ generating the DEF and UBD sets for each basic block" (§4):
 * ``UBD[B]`` — registers used before being defined in ``B`` (the
   registers whose incoming values the block reads).
 
-Both are single masks computed in one forward pass over the block
-(:func:`local_sets_of_instructions`).  The front end's one walk per
-routine computes them for every block (:func:`repro.cfg.build.
-build_cfg`, the CFG's ``ubd``/``defs`` rows); :func:`compute_local_sets`
-hands those rows out as per-block :class:`LocalSets`.
+Both are single masks, computed for every block by the front end's one
+walk per routine (:func:`repro.cfg.build.build_cfg`, the CFG's
+``ubd``/``defs`` rows); :func:`compute_local_sets` hands those rows out
+as per-block :class:`LocalSets`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import List
 
-from repro.isa.instructions import Instruction
 from repro.dataflow.regset import RegisterSet
 from repro.cfg.cfg import ControlFlowGraph
 
@@ -40,16 +38,6 @@ class LocalSets:
     def used_before_defined(self) -> RegisterSet:
         """Registers read before any write in the block."""
         return RegisterSet.from_mask(self.ubd_mask)
-
-
-def local_sets_of_instructions(instructions: Iterable[Instruction]) -> LocalSets:
-    """Compute DEF/UBD over an instruction sequence."""
-    def_mask = 0
-    ubd_mask = 0
-    for instruction in instructions:
-        ubd_mask |= instruction.use_mask & ~def_mask
-        def_mask |= instruction.def_mask
-    return LocalSets(def_mask=def_mask, ubd_mask=ubd_mask)
 
 
 def compute_local_sets(cfg: ControlFlowGraph) -> List[LocalSets]:

@@ -10,8 +10,9 @@ Spike's interprocedural dataflow analysis depends on:
 * instruction semantics at the level the analysis needs — for every
   instruction, the registers it reads and writes, and how it transfers
   control (:mod:`repro.isa.instructions`);
-* a 32-bit binary encoding with Alpha-style instruction formats so that
-  programs can round-trip through an executable image
+* a 32-bit binary encoding with Alpha-style instruction formats: one
+  field table encodes a word (``encode``), edits one
+  (``replace_fields``) and decodes one into a row (``decode_row``)
   (:mod:`repro.isa.encoding`).
 """
 
@@ -23,19 +24,19 @@ from repro.isa.registers import (
     Register,
     RegisterFile,
 )
-from repro.isa.instructions import Instruction, Opcode
-from repro.isa.encoding import decode_instruction, encode_instruction
+from repro.isa.instructions import Opcode
+from repro.isa.encoding import decode_row, encode, replace_fields
 
 __all__ = [
     "CallingConvention",
     "FLOAT_REGISTERS",
     "INTEGER_REGISTERS",
-    "Instruction",
     "NT_ALPHA",
     "NUM_REGISTERS",
     "Opcode",
     "Register",
     "RegisterFile",
-    "decode_instruction",
-    "encode_instruction",
+    "decode_row",
+    "encode",
+    "replace_fields",
 ]

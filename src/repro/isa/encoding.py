@@ -19,12 +19,14 @@ Register fields store the 5-bit number within the integer or floating
 register file; whether a field refers to the integer or the floating file
 is a static property of the opcode (see :data:`FIELD_FILES`).
 
-Decoding cuts a word into its *row* (:func:`decode_row`, the tuple of
-:data:`~repro.isa.instructions.ROW_FIELDS`): code decodes to rows
+Words are the one encoded form of an instruction, and one table
+(``_FORMAT_CUTS``) says where each format keeps each field: :func:`encode`
+writes a word from an opcode and its operands (the assembler's only way
+to make one), :func:`replace_fields` edits a word's operand fields, and
+:func:`decode_row` cuts a word into its *row* (the tuple of
+:data:`~repro.isa.instructions.ROW_FIELDS`).  Code decodes to rows
 (:func:`decode_rows`), the one decoded form of a program that the
 analysis, the optimizer, the simulator and the listings read.
-:func:`decode_instruction` turns one word back into the
-:class:`Instruction` value the encoder reads.
 """
 
 from __future__ import annotations
@@ -33,14 +35,8 @@ import sys
 from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.isa.instructions import (
-    REGISTER_BIT,
-    Format,
-    Instruction,
-    Opcode,
-    row_instruction,
-)
-from repro.isa.registers import NUM_INTEGER_REGISTERS, ZERO_REGISTER
+from repro.isa.instructions import REGISTER_BIT, Format, Opcode
+from repro.isa.registers import NUM_INTEGER_REGISTERS, NUM_REGISTERS, ZERO_REGISTER
 from repro.obs.metrics import REGISTRY
 
 #: Size of one encoded instruction, in bytes.
@@ -102,24 +98,35 @@ def _to_field(index: int, file: int, opcode: Opcode) -> int:
 
 
 # ----------------------------------------------------------------------
-# Decode tables
+# The field table
 # ----------------------------------------------------------------------
 
-#: How each format cuts a word: ``(function shift, function mask, ra
-#: mask, rb mask, rc mask, literal flag, displacement mask, displacement
-#: sign bit, unknown-function message)``.  A register field sits at bit
-#: 21 / 16 / 0; a zero mask means the format has no such field (the
-#: operand is then ``ZERO_REGISTER``, as in the constructor).  Formats
-#: without a function field key their one opcode under function 0.
+#: Every format keeps its major opcode in bits 31:26.
+_MAJOR_SHIFT = 26
+
+_NONE = (0, 0)
+_RA, _RB, _RC = (21, 0x1F), (16, 0x1F), (0, 0x1F)
+
+#: Where each format keeps each field of a word — the one statement of
+#: the layout, read by :func:`encode`, :func:`decode_row` and
+#: :func:`replace_fields`: a ``(shift, mask)`` pair for each of the
+#: function, ``ra``, ``rb``, ``rc``, literal and displacement fields
+#: (a zero mask: the format has no such field, and a register operand
+#: it lacks decodes as ``ZERO_REGISTER``), then the bit that selects
+#: the literal form (zero: the format has none) and the message for a
+#: function no opcode has.  Formats without a function field key their
+#: one opcode under function 0.
 _FORMAT_CUTS = {
-    Format.OPERATE: (5, 0x7F, 0x1F, 0x1F, 0x1F, 1 << 12, 0, 0,
+    Format.OPERATE: ((5, 0x7F), _RA, _RB, _RC, (13, 0xFF), _NONE, 1 << 12,
                      "unknown operate major={major:#x} function={function:#x}"),
-    Format.OPERATE_FP: (5, 0x7FF, 0x1F, 0x1F, 0x1F, 0, 0, 0,
+    Format.OPERATE_FP: ((5, 0x7FF), _RA, _RB, _RC, _NONE, _NONE, 0,
                         "unknown FP operate major={major:#x} function={function:#x}"),
-    Format.MEMORY: (0, 0, 0x1F, 0x1F, 0, 0, 0xFFFF, 1 << 15, ""),
-    Format.BRANCH: (0, 0, 0x1F, 0, 0, 0, 0x1F_FFFF, 1 << 20, ""),
-    Format.JUMP: (14, 0x3, 0x1F, 0x1F, 0, 0, 0, 0, "unknown jump type {function}"),
-    Format.PAL: (0, 0x03FF_FFFF, 0, 0, 0, 0, 0, 0, "unknown PAL function {function:#x}"),
+    Format.MEMORY: (_NONE, _RA, _RB, _NONE, _NONE, (0, 0xFFFF), 0, ""),
+    Format.BRANCH: (_NONE, _RA, _NONE, _NONE, _NONE, (0, 0x1F_FFFF), 0, ""),
+    Format.JUMP: ((14, 0x3), _RA, _RB, _NONE, _NONE, _NONE, 0,
+                  "unknown jump type {function}"),
+    Format.PAL: ((0, 0x03FF_FFFF), _NONE, _NONE, _NONE, _NONE, _NONE, 0,
+                 "unknown PAL function {function:#x}"),
 }
 _FORMAT_CUTS[Format.MEMORY_FP] = _FORMAT_CUTS[Format.MEMORY]
 _FORMAT_CUTS[Format.BRANCH_FP] = _FORMAT_CUTS[Format.BRANCH]
@@ -130,12 +137,13 @@ def _build_major_table() -> List[Optional[tuple]]:
     cut}, unknown-function message)``, ``None`` for an unassigned major.
     A cut is everything :func:`decode_row` needs for one opcode: the
     opcode, its control kind and dataflow rule (``Opcode.rule``), then
-    per register field its mask and what to add (the file offset, or
-    ``ZERO_REGISTER`` under a zero mask), then the literal flag and the
-    displacement mask and sign bit."""
+    per register field its shift, its mask and what to add (the file
+    offset, or ``ZERO_REGISTER`` under a zero mask), then the literal
+    flag, the literal's shift and mask, and the displacement's shift,
+    mask and sign bit."""
     table: List[Optional[tuple]] = [None] * 64
     for op in Opcode:
-        shift, mask, *fields, literal, disp_mask, disp_sign, unknown = (
+        (shift, mask), *fields, literal, displacement, flag, unknown = (
             _FORMAT_CUTS[op.format]
         )
         entry = table[op.info.major]
@@ -145,10 +153,14 @@ def _build_major_table() -> List[Optional[tuple]]:
         if entry[:2] != (shift, mask) or function in entry[2]:
             raise AssertionError(f"{op.mnemonic}: major/function collides")
         operands: List[int] = []
-        for field_mask, file in zip(fields, FIELD_FILES[op]):
-            operands += (field_mask, file if field_mask else ZERO_REGISTER)
+        for (field_shift, field_mask), file in zip(fields, FIELD_FILES[op]):
+            operands += (
+                field_shift, field_mask, file if field_mask else ZERO_REGISTER
+            )
+        disp_shift, disp_mask = displacement
         entry[2][function] = (
-            op, op.control, *op.rule, *operands, literal, disp_mask, disp_sign
+            op, op.control, *op.rule, *operands, flag, *literal,
+            disp_shift, disp_mask, (disp_mask + 1) >> 1,
         )
     return table
 
@@ -165,106 +177,120 @@ def _unsigned(value: int, bits: int, what: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Encoding
+# Encoding, decoding and editing words
 # ----------------------------------------------------------------------
 
-def encode_instruction(instruction: Instruction) -> int:
-    """Encode ``instruction`` into its 32-bit word."""
-    op = instruction.opcode
-    info = op.info
-    files = FIELD_FILES[op]
-    fmt = op.format
-    word = info.major << 26
+def encode(
+    opcode: Opcode,
+    *,
+    ra: int = ZERO_REGISTER,
+    rb: int = ZERO_REGISTER,
+    rc: int = ZERO_REGISTER,
+    literal: Optional[int] = None,
+    displacement: int = 0,
+) -> int:
+    """The 32-bit word of ``opcode`` with the given operands.
 
-    if fmt == Format.OPERATE:
-        ra = _to_field(instruction.ra, files[0], op)
-        rc = _to_field(instruction.rc, files[2], op)
-        if instruction.literal is not None:
-            word |= ra << 21
-            word |= (instruction.literal & 0xFF) << 13
-            word |= 1 << 12
-        else:
-            rb = _to_field(instruction.rb, files[1], op)
-            word |= ra << 21
-            word |= rb << 16
-        word |= (info.function & 0x7F) << 5
-        word |= rc
-        return word
+    Register operands are unified indices (``0..31`` integer, ``32..63``
+    float); a literal (``0..255``) replaces ``rb`` of an integer
+    operate; a displacement is a signed byte offset (memory) or a
+    signed instruction count from the next instruction (branch).  An
+    operand the format does not encode is ignored once it is a register
+    index.  Raises :class:`EncodingError` (a ``ValueError``) for a
+    register index outside ``0..63`` or in the wrong file for its
+    field, a literal outside ``0..255`` or on an opcode without a
+    literal form, and a displacement out of its field's range."""
+    name = opcode.mnemonic
+    for field, index in (("ra", ra), ("rb", rb), ("rc", rc)):
+        if not 0 <= index < NUM_REGISTERS:
+            raise EncodingError(
+                f"{name}: register field {field}={index} out of range "
+                f"[0, {NUM_REGISTERS})"
+            )
+    (shift, mask), *_fields, (literal_shift, _mask), _displacement, flag, _msg = (
+        _FORMAT_CUTS[opcode.format]
+    )
+    word = opcode.info.major << _MAJOR_SHIFT | (opcode.info.function & mask) << shift
+    if literal is not None:
+        if opcode.format not in (Format.OPERATE, Format.OPERATE_FP):
+            raise EncodingError(
+                f"{name}: literal operand only valid in operate format"
+            )
+        if not 0 <= literal < 256:
+            raise EncodingError(f"{name}: literal {literal} out of range [0, 256)")
+        if not flag:
+            raise EncodingError(f"{name}: no literal form")
+        word |= flag | literal << literal_shift
+    return _put_fields(word, opcode, ra, rb, rc, displacement)
 
-    if fmt == Format.OPERATE_FP:
-        if instruction.literal is not None:
-            raise EncodingError(f"{op.mnemonic}: no literal form")
-        ra = _to_field(instruction.ra, files[0], op)
-        rb = _to_field(instruction.rb, files[1], op)
-        rc = _to_field(instruction.rc, files[2], op)
-        word |= ra << 21
-        word |= rb << 16
-        word |= (info.function & 0x7FF) << 5
-        word |= rc
-        return word
 
-    if fmt in (Format.MEMORY, Format.MEMORY_FP):
-        ra = _to_field(instruction.ra, files[0], op)
-        rb = _to_field(instruction.rb, files[1], op)
-        word |= ra << 21
-        word |= rb << 16
-        word |= _unsigned(instruction.displacement, 16, "memory displacement")
-        return word
-
-    if fmt in (Format.BRANCH, Format.BRANCH_FP):
-        ra = _to_field(instruction.ra, files[0], op)
-        word |= ra << 21
-        word |= _unsigned(instruction.displacement, 21, "branch displacement")
-        return word
-
-    if fmt == Format.JUMP:
-        ra = _to_field(instruction.ra, files[0], op)
-        rb = _to_field(instruction.rb, files[1], op)
-        word |= ra << 21
-        word |= rb << 16
-        word |= (info.function & 0x3) << 14
-        return word
-
-    # PAL
-    word |= info.function & 0x03FF_FFFF
+def _put_fields(
+    word: int,
+    opcode: Opcode,
+    ra: Optional[int],
+    rb: Optional[int],
+    rc: Optional[int],
+    displacement: Optional[int],
+) -> int:
+    """``word`` (of ``opcode``) with each operand that is not ``None``
+    written into its field, under the register-file and range checks.
+    A field the format lacks — or ``rb`` of a literal operate — is
+    left alone."""
+    _function, field_a, field_b, field_c, _literal, field_d, flag, _msg = (
+        _FORMAT_CUTS[opcode.format]
+    )
+    if word & flag:
+        field_b = _NONE
+    for value, (shift, mask), file in zip(
+        (ra, rb, rc), (field_a, field_b, field_c), FIELD_FILES[opcode]
+    ):
+        if value is not None and mask:
+            word = word & ~(mask << shift) | _to_field(value, file, opcode) << shift
+    shift, mask = field_d
+    if displacement is not None and mask:
+        what = "memory" if mask == 0xFFFF else "branch"
+        word = word & ~(mask << shift) | _unsigned(
+            displacement, mask.bit_length(), f"{what} displacement"
+        ) << shift
     return word
 
 
 def decode_row(word: int) -> tuple:
     """Decode a 32-bit word into its row: the tuple of
     :data:`~repro.isa.instructions.ROW_FIELDS`, the masks being the
-    opcode's rule applied to the operands (as ``Instruction`` derives
-    them).  The one decoder: :func:`decode_rows` and
-    :func:`decode_instruction` both cut words here."""
+    opcode's rule applied to the operands.  The one decoder:
+    :func:`decode_rows` cuts every word here."""
     if not 0 <= word < 1 << 32:
         raise EncodingError(f"word {word:#x} is not a 32-bit value")
-    entry = _MAJORS[word >> 26]
+    major = word >> _MAJOR_SHIFT
+    entry = _MAJORS[major]
     if entry is None:
-        raise EncodingError(f"unknown major opcode {word >> 26:#x}")
+        raise EncodingError(f"unknown major opcode {major:#x}")
     shift, mask, cuts, unknown = entry
     cut = cuts.get(word >> shift & mask)
     if cut is None:
         raise EncodingError(
-            unknown.format(major=word >> 26, function=word >> shift & mask)
+            unknown.format(major=major, function=word >> shift & mask)
         )
     (
         opcode, control, use_a, use_b, use_c, def_a, def_c, fixed,
-        mask_a, add_a, mask_b, add_b, mask_c, add_c,
-        literal_flag, disp_mask, disp_sign,
+        shift_a, mask_a, add_a, shift_b, mask_b, add_b, shift_c, mask_c, add_c,
+        literal_flag, literal_shift, literal_mask,
+        disp_shift, disp_mask, disp_sign,
     ) = cut
-    ra = (word >> 21 & mask_a) + add_a
-    rc = (word & mask_c) + add_c
+    ra = (word >> shift_a & mask_a) + add_a
+    rc = (word >> shift_c & mask_c) + add_c
     if word & literal_flag:
-        literal: Optional[int] = word >> 13 & 0xFF
+        literal: Optional[int] = word >> literal_shift & literal_mask
         rb = ZERO_REGISTER
         bit_b = 0
     else:
         literal = None
-        rb = (word >> 16 & mask_b) + add_b
+        rb = (word >> shift_b & mask_b) + add_b
         bit_b = REGISTER_BIT[rb]
     bit_a = REGISTER_BIT[ra]
     bit_c = REGISTER_BIT[rc]
-    displacement = word & disp_mask
+    displacement = word >> disp_shift & disp_mask
     return (
         control,
         bit_a & use_a | bit_b & use_b | bit_c & use_c | fixed,
@@ -283,45 +309,18 @@ def replace_fields(
     displacement: Optional[int] = None,
 ) -> int:
     """``word`` with the given operand fields replaced — the word
-    ``encode_instruction(dataclasses.replace(decode_instruction(word),
-    ...))`` gives, under the same register-file and range checks, with
-    no object built.  The one way code words are edited (the rewriter's
-    relinking, the optimizer's renames, the benchmark's mutations).  A
-    field the word's format does not encode — or ``rb`` of a literal
-    operate — is ignored, as the encoder ignores it."""
-    opcode = decode_row(word)[4]
-    files = FIELD_FILES[opcode]
-    _shift, _mask, mask_a, mask_b, mask_c, literal, disp_mask, _sign, _msg = (
-        _FORMAT_CUTS[opcode.format]
-    )
-    for value, shift, mask, file in (
-        (ra, 21, mask_a, files[0]),
-        (rb, 16, 0 if word & literal else mask_b, files[1]),
-        (rc, 0, mask_c, files[2]),
-    ):
-        if value is not None and mask:
-            word = word & ~(mask << shift) | _to_field(value, file, opcode) << shift
-    if displacement is not None and disp_mask:
-        what = "memory" if disp_mask == 0xFFFF else "branch"
-        word = word & ~disp_mask | _unsigned(
-            displacement, disp_mask.bit_length(), f"{what} displacement"
-        )
-    return word
-
-
-def decode_instruction(word: int) -> Instruction:
-    """Decode a 32-bit word back into an :class:`Instruction`."""
-    return row_instruction(decode_row(word))
+    :func:`encode` gives for the word's operands with these replaced,
+    under the same register-file and range checks.  The one way code
+    words are edited (the rewriter's relinking, the optimizer's
+    renames, the benchmark's mutations).  A field the word's format
+    does not encode — or ``rb`` of a literal operate — is ignored, as
+    :func:`encode` ignores it."""
+    return _put_fields(word, decode_row(word)[4], ra, rb, rc, displacement)
 
 
 # ----------------------------------------------------------------------
 # Bulk helpers
 # ----------------------------------------------------------------------
-
-def encode_stream(instructions: Iterable[Instruction]) -> bytes:
-    """Encode a sequence of instructions into contiguous code bytes."""
-    return words_code(map(encode_instruction, instructions))
-
 
 class _RowTable(dict):
     """Word -> its row, decoded on the word's first lookup."""

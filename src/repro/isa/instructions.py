@@ -10,10 +10,9 @@ needs exactly three things from each instruction:
   unconditional branch, indirect jump, call, return, or halt).
 
 This module defines the opcode table shared with the binary encoder
-(:mod:`repro.isa.encoding`), the assembler and the disassembler; the
-*row* (:data:`ROW_FIELDS`), the one decoded form every reader of a
-program reads; and :class:`Instruction`, the value type the assembler
-builds and the encoder reads.
+(:mod:`repro.isa.encoding`), the assembler and the disassembler, and
+the *row* (:data:`ROW_FIELDS`), the one decoded form every reader of a
+program reads.  The one encoded form is the 32-bit word.
 
 The instruction formats mirror the Alpha AXP formats:
 
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.isa.registers import (
     FLOAT_ZERO_REGISTER,
@@ -210,125 +209,13 @@ REGISTER_BIT: Tuple[int, ...] = tuple(
     for index in range(NUM_REGISTERS)
 )
 
-#: Mask -> the register indices in it (:meth:`Instruction.uses` /
-#: :meth:`Instruction.defs`); the ISA bounds the distinct masks.
-_MASK_MEMBERS: Dict[int, FrozenSet[int]] = {}
-
-
-def _members(mask: int) -> FrozenSet[int]:
-    members = _MASK_MEMBERS.get(mask)
-    if members is None:
-        members = _MASK_MEMBERS[mask] = frozenset(
-            index for index in range(NUM_REGISTERS) if mask >> index & 1
-        )
-    return members
-
-
-_set = object.__setattr__
-
-
-@dataclass(frozen=True)
-class Instruction:
-    """One decoded machine instruction.
-
-    Register operands are stored as indices into the unified 64-register
-    file (``0..31`` integer, ``32..63`` float).  Which fields are
-    meaningful depends on the opcode's format:
-
-    * operate:  ``ra`` (source 1), ``rb`` or ``literal`` (source 2),
-      ``rc`` (destination);
-    * memory:   ``ra`` (data register), ``rb`` (base), ``displacement``;
-    * branch:   ``ra`` (condition / link register), ``displacement``
-      counted in *instructions* relative to the following instruction;
-    * jump:     ``ra`` (link register), ``rb`` (target address register);
-    * pal:      no register operands (OUTPUT implicitly reads ``a0``).
-
-    Derived once at construction and carried as plain attributes:
-    ``control`` (the opcode's :class:`ControlKind`) and ``use_mask`` /
-    ``def_mask`` (:meth:`uses` / :meth:`defs` as register bit masks).
-    """
-
-    opcode: Opcode
-    ra: int = ZERO_REGISTER
-    rb: int = ZERO_REGISTER
-    rc: int = ZERO_REGISTER
-    literal: Optional[int] = None
-    displacement: int = 0
-
-    def __post_init__(self) -> None:
-        for field_name in ("ra", "rb", "rc"):
-            index = getattr(self, field_name)
-            if not 0 <= index < NUM_REGISTERS:
-                raise ValueError(
-                    f"{self.opcode.mnemonic}: register field {field_name}={index} "
-                    f"out of range [0, {NUM_REGISTERS})"
-                )
-        if self.literal is not None:
-            if self.opcode.format not in (Format.OPERATE, Format.OPERATE_FP):
-                raise ValueError(
-                    f"{self.opcode.mnemonic}: literal operand only valid in "
-                    f"operate format"
-                )
-            if not 0 <= self.literal < 256:
-                raise ValueError(
-                    f"{self.opcode.mnemonic}: literal {self.literal} out of "
-                    f"range [0, 256)"
-                )
-        self._derive()
-
-    def _derive(self) -> None:
-        # What a row carries first — the control kind and the use and
-        # def masks — derived once here from the opcode's dataflow rule,
-        # as ``encoding.decode_row`` derives them.  None of these is a
-        # dataclass field, so equality and hash are unaffected.
-        opcode = self.opcode
-        use_a, use_b, use_c, def_a, def_c, fixed = opcode.rule
-        bit_a = REGISTER_BIT[self.ra]
-        bit_b = REGISTER_BIT[self.rb] if self.literal is None else 0
-        bit_c = REGISTER_BIT[self.rc]
-        _set(self, "control", opcode.control)
-        _set(
-            self,
-            "use_mask",
-            bit_a & use_a | bit_b & use_b | bit_c & use_c | fixed,
-        )
-        _set(self, "def_mask", bit_a & def_a | bit_c & def_c)
-
-    # ------------------------------------------------------------------
-    # Register dataflow
-    # ------------------------------------------------------------------
-
-    def uses(self) -> FrozenSet[int]:
-        """Indices of registers read by this instruction.
-
-        Reads of the hardwired zero registers are *not* reported: they
-        never constitute a dataflow dependence.
-        """
-        return _members(self.use_mask)  # type: ignore[attr-defined]
-
-    def defs(self) -> FrozenSet[int]:
-        """Indices of registers written by this instruction.
-
-        Writes to the hardwired zero registers are discarded by the
-        hardware and therefore not reported.
-        """
-        return _members(self.def_mask)  # type: ignore[attr-defined]
-
-    # ------------------------------------------------------------------
-    # Presentation
-    # ------------------------------------------------------------------
-
-    def render(self) -> str:
-        """Format the instruction in assembly syntax."""
-        return render_row(tuple(getattr(self, name) for name in ROW_FIELDS))
-
-    def __str__(self) -> str:
-        return self.render()
-
 
 #: The fields of an instruction *row*, in row order: a plain tuple of
-#: everything an :class:`Instruction` carries, the three the front
-#: end's hottest loops read first.  The disassembler decodes to rows
+#: the control kind, the use and def masks (the opcode's :attr:`Opcode.
+#: rule` applied to the operands; the three the front end's hottest
+#: loops read first), the displacement, the opcode and its operands —
+#: registers as unified indices, ``literal`` ``None`` unless an integer
+#: operate has one in place of ``rb``.  The disassembler decodes to rows
 #: (:func:`repro.isa.encoding.decode_row`), and rows are the one
 #: decoded form every reader of a program reads — the analysis, the
 #: optimizer, the simulator and the listings (:func:`render_row`).
@@ -336,31 +223,6 @@ ROW_FIELDS = (
     "control", "use_mask", "def_mask", "displacement",
     "opcode", "ra", "rb", "rc", "literal",
 )
-
-
-def row_instruction(row: tuple) -> Instruction:
-    """The :class:`Instruction` a decoded row describes, built without
-    the constructor's checks.
-
-    For :mod:`repro.isa.encoding` only: a row's operands are bit-field
-    cuts of a machine word (5 bits plus a register-file offset; an
-    8-bit literal, and only from an integer operate word) and its masks
-    the opcode's rule applied to them, so every check holds by
-    construction.  Attributes are set in the constructor's order, which
-    keeps CPython's shared-key instance layout.
-    """
-    control, use_mask, def_mask, displacement, opcode, ra, rb, rc, literal = row
-    instruction = object.__new__(Instruction)
-    _set(instruction, "opcode", opcode)
-    _set(instruction, "ra", ra)
-    _set(instruction, "rb", rb)
-    _set(instruction, "rc", rc)
-    _set(instruction, "literal", literal)
-    _set(instruction, "displacement", displacement)
-    _set(instruction, "control", control)
-    _set(instruction, "use_mask", use_mask)
-    _set(instruction, "def_mask", def_mask)
-    return instruction
 
 
 def render_row(row: tuple) -> str:

@@ -29,16 +29,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.isa.encoding import INSTRUCTION_SIZE, encode_stream
-from repro.isa.instructions import (
-    ControlKind,
-    Format,
-    Instruction,
-    MNEMONIC_TO_OPCODE,
-    Opcode,
+from repro.isa.encoding import (
+    INSTRUCTION_SIZE,
+    decode_row,
+    encode,
+    replace_fields,
+    words_code,
 )
+from repro.isa.instructions import ControlKind, Format, MNEMONIC_TO_OPCODE, Opcode
 from repro.isa.registers import Register, ZERO_REGISTER
 from repro.program.image import (
     DEFAULT_DATA_BASE,
@@ -66,18 +66,18 @@ def _reg(value: RegisterLike) -> int:
     return Register.parse(value).index
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot:
-    """One instruction position awaiting resolution."""
+    """One instruction position: its word and, for a word whose
+    displacement :meth:`Assembler.build` resolves, what it refers to."""
 
-    kind: str  # "insn" | "branch" | "bsr" | "li_high" | "li_low" | "jmp"
-    instruction: Optional[Instruction] = None
-    mnemonic: str = ""
-    ra: int = ZERO_REGISTER
-    rb: int = ZERO_REGISTER
+    word: int
+    #: "insn" (resolved) | "branch" (to ``label``) | "bsr" (to routine
+    #: ``symbol``) | "li_high" / "li_low" (the ldah / lda half of
+    #: ``symbol``'s address; ``label`` is "code" or "data").
+    kind: str = "insn"
     label: str = ""
     symbol: str = ""
-    table: str = ""
 
 
 @dataclass
@@ -100,6 +100,7 @@ class Assembler:
         self._data_base = data_base
         self._slots: List[_Slot] = []
         self._routines: List[_RoutineRecord] = []
+        self._routine_names: Set[str] = set()
         self._labels: Dict[str, int] = {}
         self._data = bytearray()
         self._data_labels: Dict[str, int] = {}
@@ -121,12 +122,16 @@ class Assembler:
 
     def routine(self, name: str, exported: bool = False) -> "Assembler":
         """Start a new routine."""
-        if any(record.name == name for record in self._routines):
-            raise AssemblyError(f"duplicate routine {name!r}")
         if self._routines:
             self._routines[-1].end_slot = len(self._slots)
-        self._routines.append(_RoutineRecord(name, exported, len(self._slots)))
+        self._add_routine(_RoutineRecord(name, exported, len(self._slots)))
         return self
+
+    def _add_routine(self, record: _RoutineRecord) -> None:
+        if record.name in self._routine_names:
+            raise AssemblyError(f"duplicate routine {record.name!r}")
+        self._routine_names.add(record.name)
+        self._routines.append(record)
 
     def label(self, name: str) -> "Assembler":
         """Define a routine-local label at the next instruction."""
@@ -147,10 +152,11 @@ class Assembler:
     # Instructions
     # ------------------------------------------------------------------
 
-    def emit(self, instruction: Instruction) -> "Assembler":
-        """Emit a fully resolved instruction."""
+    def emit(self, word: int) -> "Assembler":
+        """Emit a fully resolved instruction word (see
+        :func:`repro.isa.encoding.encode`)."""
         self._require_routine()
-        self._slots.append(_Slot("insn", instruction=instruction))
+        self._slots.append(_Slot(word))
         return self
 
     def op(
@@ -172,14 +178,12 @@ class Assembler:
         if opcode.format not in (Format.OPERATE, Format.OPERATE_FP):
             raise AssemblyError(f"{mnemonic} is not an operate instruction")
         if literal or (literal is None and isinstance(rb_or_literal, int)):
-            instruction = Instruction(
+            word = encode(
                 opcode, ra=_reg(ra), rc=_reg(rc), literal=int(rb_or_literal)
             )
         else:
-            instruction = Instruction(
-                opcode, ra=_reg(ra), rb=_reg(rb_or_literal), rc=_reg(rc)
-            )
-        return self.emit(instruction)
+            word = encode(opcode, ra=_reg(ra), rb=_reg(rb_or_literal), rc=_reg(rc))
+        return self.emit(word)
 
     def memory(
         self, mnemonic: str, ra: RegisterLike, displacement: int, rb: RegisterLike
@@ -189,7 +193,7 @@ class Assembler:
         if opcode.format not in (Format.MEMORY, Format.MEMORY_FP):
             raise AssemblyError(f"{mnemonic} is not a memory instruction")
         return self.emit(
-            Instruction(opcode, ra=_reg(ra), rb=_reg(rb), displacement=displacement)
+            encode(opcode, ra=_reg(ra), rb=_reg(rb), displacement=displacement)
         )
 
     def branch(self, mnemonic: str, ra: RegisterLike, label: str) -> "Assembler":
@@ -197,24 +201,23 @@ class Assembler:
         opcode = self._opcode(mnemonic)
         if opcode.control != ControlKind.COND_BRANCH:
             raise AssemblyError(f"{mnemonic} is not a conditional branch")
-        self._require_routine()
-        self._slots.append(
-            _Slot("branch", mnemonic=mnemonic, ra=_reg(ra), label=self._label_key(label))
-        )
-        return self
+        return self._branch(opcode, ra, label)
 
     def br(self, label: str, ra: RegisterLike = ZERO_REGISTER) -> "Assembler":
         """Emit an unconditional branch to a routine-local label."""
+        return self._branch(Opcode.BR, ra, label)
+
+    def _branch(self, opcode: Opcode, ra: RegisterLike, label: str) -> "Assembler":
         self._require_routine()
         self._slots.append(
-            _Slot("branch", mnemonic="br", ra=_reg(ra), label=self._label_key(label))
+            _Slot(encode(opcode, ra=_reg(ra)), "branch", label=self._label_key(label))
         )
         return self
 
     def bsr(self, target: str, ra: RegisterLike = "ra") -> "Assembler":
         """Emit a direct call to routine ``target``."""
         self._require_routine()
-        self._slots.append(_Slot("bsr", ra=_reg(ra), symbol=target))
+        self._slots.append(_Slot(encode(Opcode.BSR, ra=_reg(ra)), "bsr", symbol=target))
         return self
 
     def jsr(
@@ -234,11 +237,11 @@ class Assembler:
             if not hint_targets:
                 raise AssemblyError("hint_targets must not be empty")
             self._call_hints.append((len(self._slots), tuple(hint_targets)))
-        return self.emit(Instruction(Opcode.JSR, ra=_reg(ra), rb=_reg(rb)))
+        return self.emit(encode(Opcode.JSR, ra=_reg(ra), rb=_reg(rb)))
 
     def ret(self, rb: RegisterLike = "ra", ra: RegisterLike = ZERO_REGISTER) -> "Assembler":
         """Emit a return through register ``rb`` (normally ``ra``)."""
-        return self.emit(Instruction(Opcode.RET, ra=_reg(ra), rb=_reg(rb)))
+        return self.emit(encode(Opcode.RET, ra=_reg(ra), rb=_reg(rb)))
 
     def jmp(
         self,
@@ -253,12 +256,9 @@ class Assembler:
         target set; without it the jump has unknown targets.
         """
         self._require_routine()
-        if table is None:
-            return self.emit(Instruction(Opcode.JMP, ra=_reg(ra), rb=_reg(rb)))
-        slot_index = len(self._slots)
-        self._slots.append(_Slot("jmp", ra=_reg(ra), rb=_reg(rb), table=table))
-        self._jump_sites.append((slot_index, table))
-        return self
+        if table is not None:
+            self._jump_sites.append((len(self._slots), table))
+        return self.emit(encode(Opcode.JMP, ra=_reg(ra), rb=_reg(rb)))
 
     def jump_table(self, name: str, labels: Sequence[str]) -> "Assembler":
         """Declare jump table ``name`` targeting routine-local ``labels``.
@@ -287,37 +287,23 @@ class Assembler:
         rd_index = _reg(rd)
         if isinstance(value, int):
             if -0x8000 <= value <= 0x7FFF:
-                return self.emit(
-                    Instruction(
-                        Opcode.LDA, ra=rd_index, rb=ZERO_REGISTER, displacement=value
-                    )
-                )
+                return self.emit(encode(Opcode.LDA, ra=rd_index, displacement=value))
             high, low = _split_address(value)
-            self.emit(
-                Instruction(
-                    Opcode.LDAH, ra=rd_index, rb=ZERO_REGISTER, displacement=high
-                )
-            )
+            self.emit(encode(Opcode.LDAH, ra=rd_index, displacement=high))
             return self.emit(
-                Instruction(Opcode.LDA, ra=rd_index, rb=rd_index, displacement=low)
+                encode(Opcode.LDA, ra=rd_index, rb=rd_index, displacement=low)
             )
-        symbol = value.lstrip("&@")
         kind = "data" if value.startswith("@") else "code"
-        self._slots.append(
-            _Slot("li_high", ra=rd_index, symbol=symbol, label=kind)
-        )
-        self._slots.append(
-            _Slot("li_low", ra=rd_index, symbol=symbol, label=kind)
-        )
+        self._slots += _address_slots(rd_index, value.lstrip("&@"), kind)
         return self
 
     def halt(self) -> "Assembler":
         """Emit the HALT PAL call."""
-        return self.emit(Instruction(Opcode.HALT))
+        return self.emit(encode(Opcode.HALT))
 
     def output(self) -> "Assembler":
         """Emit the OUTPUT PAL call (writes ``a0`` to the output stream)."""
-        return self.emit(Instruction(Opcode.OUTPUT))
+        return self.emit(encode(Opcode.OUTPUT))
 
     # ------------------------------------------------------------------
     # Data
@@ -405,22 +391,9 @@ class Assembler:
             overflow_set = set(overflowing)
             for index, slot in enumerate(self._slots):
                 if index in overflow_set:
-                    new_slots.append(
-                        _Slot("li_high", ra=pv, symbol=slot.symbol,
-                              label="code")
-                    )
-                    new_slots.append(
-                        _Slot("li_low", ra=pv, symbol=slot.symbol,
-                              label="code")
-                    )
-                    new_slots.append(
-                        _Slot(
-                            "insn",
-                            instruction=Instruction(
-                                Opcode.JSR, ra=slot.ra, rb=pv
-                            ),
-                        )
-                    )
+                    new_slots += _address_slots(pv, slot.symbol, "code")
+                    link = decode_row(slot.word)[5]  # the bsr's ra
+                    new_slots.append(_Slot(encode(Opcode.JSR, ra=link, rb=pv)))
                 else:
                     new_slots.append(slot)
             self._slots = new_slots
@@ -487,50 +460,29 @@ class Assembler:
                 return table_address[symbol]
             raise AssemblyError(f"unknown symbol {symbol!r}")
 
-        instructions: List[Instruction] = []
+        words: List[int] = []
         for index, slot in enumerate(self._slots):
-            if slot.kind == "insn":
-                assert slot.instruction is not None
-                instructions.append(slot.instruction)
-            elif slot.kind == "branch":
+            kind = slot.kind
+            if kind == "insn":
+                words.append(slot.word)
+                continue
+            if kind == "branch":
                 if slot.label not in self._labels:
                     raise AssemblyError(f"unknown label {slot.label!r}")
                 displacement = self._labels[slot.label] - (index + 1)
-                instructions.append(
-                    Instruction(
-                        self._opcode(slot.mnemonic),
-                        ra=slot.ra,
-                        displacement=displacement,
-                    )
-                )
-            elif slot.kind == "bsr":
+            elif kind == "bsr":
                 if slot.symbol not in routine_address:
                     raise AssemblyError(f"call to unknown routine {slot.symbol!r}")
                 target_slot = (
                     routine_address[slot.symbol] - self._text_base
                 ) // INSTRUCTION_SIZE
                 displacement = target_slot - (index + 1)
-                instructions.append(
-                    Instruction(Opcode.BSR, ra=slot.ra, displacement=displacement)
+            else:
+                high, low = _split_address(
+                    code_symbol_address(slot.symbol, slot.label)
                 )
-            elif slot.kind == "li_high":
-                address = code_symbol_address(slot.symbol, slot.label)
-                high, _low = _split_address(address)
-                instructions.append(
-                    Instruction(
-                        Opcode.LDAH, ra=slot.ra, rb=ZERO_REGISTER, displacement=high
-                    )
-                )
-            elif slot.kind == "li_low":
-                address = code_symbol_address(slot.symbol, slot.label)
-                _high, low = _split_address(address)
-                instructions.append(
-                    Instruction(Opcode.LDA, ra=slot.ra, rb=slot.ra, displacement=low)
-                )
-            elif slot.kind == "jmp":
-                instructions.append(Instruction(Opcode.JMP, ra=slot.ra, rb=slot.rb))
-            else:  # pragma: no cover - exhaustive
-                raise AssertionError(f"unknown slot kind {slot.kind}")
+                displacement = high if kind == "li_high" else low
+            words.append(replace_fields(slot.word, displacement=displacement))
 
         symbols = [
             Symbol(
@@ -566,7 +518,7 @@ class Assembler:
         if entry_name not in routine_address:
             raise AssemblyError(f"entry routine {entry_name!r} not defined")
         image = ExecutableImage(
-            text=encode_stream(instructions),
+            text=words_code(words),
             data=bytes(data),
             text_base=self._text_base,
             data_base=self._data_base,
@@ -580,6 +532,15 @@ class Assembler:
         )
         image.validate()
         return image
+
+
+def _address_slots(rd: int, symbol: str, kind: str) -> List[_Slot]:
+    """The ``ldah rd, hi(zero)`` / ``lda rd, lo(rd)`` pair that loads
+    the address of ``symbol`` (a ``kind`` "code" or "data" name)."""
+    return [
+        _Slot(encode(Opcode.LDAH, ra=rd), "li_high", kind, symbol),
+        _Slot(encode(Opcode.LDA, ra=rd, rb=rd), "li_low", kind, symbol),
+    ]
 
 
 def _split_address(value: int) -> Tuple[int, int]:

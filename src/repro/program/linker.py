@@ -26,7 +26,8 @@ survive linking.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import dataclasses
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.program.asm import Assembler, AssemblyError
 from repro.program.image import DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE, ExecutableImage
@@ -121,20 +122,12 @@ def link_modules(
     slot_shift = 0
     for module in modules:
         prefix = f"{module.module_name}."
-        # Routine records (close the module's last routine first).
-        records = list(module._routines)
-        if records:
-            records[-1].end_slot = (
-                records[-1].end_slot
-                if records[-1].end_slot >= 0
-                else len(module._slots)
-            )
-        for record in records:
+        # Routine records (the module's last routine is still open).
+        for record in module._routines:
             end = record.end_slot if record.end_slot >= 0 else len(module._slots)
-            linked._routines.append(
-                type(record)(
-                    name=record.name,
-                    exported=record.exported,
+            linked._add_routine(
+                dataclasses.replace(
+                    record,
                     start_slot=record.start_slot + slot_shift,
                     end_slot=end + slot_shift,
                 )
@@ -142,19 +135,9 @@ def link_modules(
         for key, slot in module._labels.items():
             linked._labels[key] = slot + slot_shift
         for slot in module._slots:
-            adjusted = slot
             if slot.kind in ("li_high", "li_low") and slot.label == "data":
-                adjusted = type(slot)(
-                    kind=slot.kind,
-                    instruction=slot.instruction,
-                    mnemonic=slot.mnemonic,
-                    ra=slot.ra,
-                    rb=slot.rb,
-                    label=slot.label,
-                    symbol=prefix + slot.symbol,
-                    table=slot.table,
-                )
-            linked._slots.append(adjusted)
+                slot = dataclasses.replace(slot, symbol=prefix + slot.symbol)
+            linked._slots.append(slot)
         for table_name, label_keys in module._jump_tables.items():
             if table_name in linked._jump_tables:
                 raise LinkError(

@@ -22,8 +22,7 @@ anything edits (see :class:`~repro.program.model.Routine`):
   Each routine of the result is lifted from its new words and rows; one
   whose words did not change keeps its code bytes and rows (and, when
   it did not move either, is the same object).  Only replacement words
-  are decoded, and no :class:`~repro.isa.instructions.Instruction` is
-  built.
+  are decoded.
 
 * ``program_to_image(program)`` joins the routines' code into an
   executable image (the inverse of

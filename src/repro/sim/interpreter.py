@@ -76,7 +76,6 @@ class ExecutionResult:
 
     outputs: List[int]
     steps: int
-    halted: bool
     exit_value: int
     final_registers: Tuple[int, ...]
     opcode_counts: Dict[str, int] = field(default_factory=dict)
@@ -249,7 +248,6 @@ class Interpreter:
         return ExecutionResult(
             outputs=self.outputs,
             steps=steps,
-            halted=True,
             exit_value=registers.read(0),
             final_registers=registers.snapshot(),
             opcode_counts=counts,

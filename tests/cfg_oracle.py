@@ -10,7 +10,8 @@ and exits from a second pass over the blocks — and save/restore
 detection walking the entry and exit blocks' instruction slices.
 :func:`oracle_cfg` turns the carved blocks into the rows a
 :class:`ControlFlowGraph` holds (DEF/UBD per block slice), so the two
-compare with ``==``.  Constant tracking (``resolve_register_constant``)
+compare with ``==``; :func:`local_sets_of_rows` is the per-block DEF/UBD
+pass, also from ``src/``.  Constant tracking (``resolve_register_constant``)
 is shared with the production builder; call classification is the
 per-site :func:`classify_call` that production's one resolver
 (:func:`repro.cfg.build.resolve_call_sites`) replaced, kept here as its
@@ -19,7 +20,7 @@ reference.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cfg.build import resolve_register_constant
 from repro.cfg.cfg import (
@@ -30,12 +31,12 @@ from repro.cfg.cfg import (
     RecordedSite,
     TerminatorKind,
 )
-from repro.dataflow.local import local_sets_of_instructions
+from repro.dataflow.local import LocalSets
 from repro.isa.encoding import INSTRUCTION_SIZE
-from repro.isa.instructions import ControlKind, Instruction, Opcode
+from repro.isa.instructions import ControlKind, Opcode
 from repro.isa.registers import STACK_POINTER
 from repro.program.model import Program, Routine
-from tests.decoded import instructions_of
+from tests.decoded import Row, rows_of
 from tests.records import Block
 
 #: Every register of the unified 64-register file.
@@ -61,7 +62,7 @@ def oracle_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     carved = carve(program, routine)
     blocks = carved.blocks
     local_sets = [
-        local_sets_of_instructions(_instructions(routine, block)) for block in blocks
+        local_sets_of_rows(_instructions(routine, block)) for block in blocks
     ]
     return ControlFlowGraph(
         routine=routine,
@@ -77,9 +78,19 @@ def oracle_cfg(program: Program, routine: Routine) -> ControlFlowGraph:
     )
 
 
+def local_sets_of_rows(rows: Iterable[tuple]) -> LocalSets:
+    """Compute DEF/UBD over a sequence of rows."""
+    def_mask = 0
+    ubd_mask = 0
+    for _control, use_mask, row_def_mask, *_operands in rows:
+        ubd_mask |= use_mask & ~def_mask
+        def_mask |= row_def_mask
+    return LocalSets(def_mask=def_mask, ubd_mask=ubd_mask)
+
+
 def carve(program: Program, routine: Routine) -> Carved:
     """Carve one routine, block object by block object."""
-    instructions = instructions_of(routine.code)
+    instructions = rows_of(routine.code)
     count = len(instructions)
 
     term_kind: Dict[int, TerminatorKind] = {}
@@ -221,7 +232,7 @@ def check(carved: Carved) -> None:
             raise CfgError(f"exit list names non-exit block {block_index}")
 
 
-def _branch_target(routine: Routine, index: int, instruction: Instruction) -> int:
+def _branch_target(routine: Routine, index: int, instruction: Row) -> int:
     target = index + 1 + instruction.displacement
     if not 0 <= target < len(routine):
         raise CfgError(
@@ -241,13 +252,13 @@ def _target_index(routine: Routine, jump_index: int, address: int) -> int:
     return routine.index_of(address)
 
 
-def _instructions(routine: Routine, block: Block) -> List[Instruction]:
-    return instructions_of(routine.code)[block.start : block.stop]
+def _instructions(routine: Routine, block: Block) -> Tuple[Row, ...]:
+    return rows_of(routine.code)[block.start : block.stop]
 
 
 def _record_site(routine: Routine, block: Block) -> RecordedSite:
     instruction_index = block.stop - 1
-    instruction = instructions_of(routine.code)[instruction_index]
+    instruction = rows_of(routine.code)[instruction_index]
     if instruction.control == ControlKind.CALL_DIRECT:
         return RecordedSite(block.index, instruction_index, indirect=False)
     return RecordedSite(
@@ -319,7 +330,7 @@ def _epilogue_restore_index(
     carved: Carved, exit_block: int, register: int, slot: int
 ) -> Optional[int]:
     block = carved.blocks[exit_block]
-    last_def: Optional[Instruction] = None
+    last_def: Optional[Row] = None
     last_index = -1
     for offset_in_block, instruction in enumerate(
         _instructions(carved.routine, block)
@@ -346,7 +357,7 @@ def classify_call(program: Program, routine: Routine, site: RecordedSite) -> Cal
     hint naming a non-entry."""
     call_address = routine.address_of(site.instruction_index)
     if not site.indirect:
-        call = instructions_of(routine.code)[site.instruction_index]
+        call = rows_of(routine.code)[site.instruction_index]
         target = call_address + INSTRUCTION_SIZE * (1 + call.displacement)
         callee = program.routine_at(target)
         if callee is None:

@@ -1,19 +1,26 @@
-"""The pre-table decoder and the per-instance def/use derivation, kept
-as oracles.
+"""The pre-table decoder and encoder, the instruction constructor's
+checks and the per-instance def/use derivation, kept as oracles.
 
 Everything below the imports is the code ``src/`` ran before the
 table-driven decoder replaced it (``isa.encoding.decode_instruction``
-with its tables, ``Instruction._compute_uses`` / ``_compute_defs``) and
-before the three analysis-path callers switched from register sets to
-mask bits (``cfg.callgraph.escape_candidates``,
+with its tables, ``Instruction._compute_uses`` / ``_compute_defs``),
+before one field table replaced the hand-written encoder
+(``isa.encoding.encode_instruction`` and the ``Instruction``
+constructor's checks, now ``isa.encoding.encode``) and before the three
+analysis-path callers switched from register sets to mask bits
+(``cfg.callgraph.escape_candidates``,
 ``cfg.build.resolve_register_constant`` and the §3.4 restore matcher,
 now ``cfg.build._restore_index``), moved here verbatim.  The only
-edits: the two ``_compute_*`` methods are module functions (``self`` is
-the instruction), the three callers ask those functions, not
-``Instruction.uses()`` / ``defs()``, which are views of the masks under
-test now, and the restore matcher takes the index range its production
-counterpart takes instead of a CFG block.  ``tests/test_decode_oracle.py`` holds the
-new code to this file.
+edits: an instruction is a row with named fields
+(:class:`tests.decoded.Row`) — the decoder builds it with :func:`_row`,
+whose masks are this file's set derivation, and the encoder reads one —
+so the constructor's checks are a function (:func:`_check`) that
+:func:`encode` runs before the encoder; the two ``_compute_*`` methods
+are module functions (``self`` is the instruction), the three callers
+ask those functions, not the masks under test, and the restore matcher
+takes the index range its production counterpart takes instead of a
+CFG block.  ``tests/test_decode_oracle.py`` holds the new code to this
+file.
 """
 
 from __future__ import annotations
@@ -21,15 +28,16 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError
-from repro.isa.instructions import ControlKind, Format, Instruction, Opcode
+from repro.isa.instructions import ControlKind, Format, Opcode
 from repro.isa.registers import (
     FLOAT_ZERO_REGISTER,
     NUM_INTEGER_REGISTERS,
+    NUM_REGISTERS,
     STACK_POINTER,
     ZERO_REGISTER,
 )
 from repro.program.model import Routine
-from tests.decoded import instructions_of
+from tests.decoded import Row, rows_of
 
 #: Register index ``a0`` (``r16``); OUTPUT reads it.
 _A0 = 16
@@ -125,8 +133,26 @@ def _signed(value: int, bits: int) -> int:
     return value
 
 
-def decode_instruction(word: int) -> Instruction:
-    """Decode a 32-bit word back into an :class:`Instruction`."""
+def _row(
+    opcode: Opcode,
+    ra: int = ZERO_REGISTER,
+    rb: int = ZERO_REGISTER,
+    rc: int = ZERO_REGISTER,
+    literal: Optional[int] = None,
+    displacement: int = 0,
+) -> Row:
+    """The row of an instruction, its masks from the set derivation."""
+    row = Row(
+        opcode.control, 0, 0, displacement, opcode, ra, rb, rc, literal
+    )
+    return row._replace(
+        use_mask=sum(1 << register for register in _compute_uses(row)),
+        def_mask=sum(1 << register for register in _compute_defs(row)),
+    )
+
+
+def decode_row(word: int) -> Row:
+    """Decode a 32-bit word back into its row."""
     if not 0 <= word < 1 << 32:
         raise EncodingError(f"word {word:#x} is not a 32-bit value")
     major = (word >> 26) & 0x3F
@@ -136,7 +162,7 @@ def decode_instruction(word: int) -> Instruction:
         opcode = _PAL_FUNCS.get(function)
         if opcode is None:
             raise EncodingError(f"unknown PAL function {function:#x}")
-        return Instruction(opcode)
+        return _row(opcode)
 
     if major == _JUMP_MAJOR:
         jump_type = (word >> 14) & 0x3
@@ -144,7 +170,7 @@ def decode_instruction(word: int) -> Instruction:
         if opcode is None:
             raise EncodingError(f"unknown jump type {jump_type}")
         files = FIELD_FILES[opcode]
-        return Instruction(
+        return _row(
             opcode,
             ra=_from_field((word >> 21) & 0x1F, files[0]),
             rb=_from_field((word >> 16) & 0x1F, files[1]),
@@ -153,7 +179,7 @@ def decode_instruction(word: int) -> Instruction:
     if major in _MEMORY_MAJORS:
         opcode = _MEMORY_MAJORS[major]
         files = FIELD_FILES[opcode]
-        return Instruction(
+        return _row(
             opcode,
             ra=_from_field((word >> 21) & 0x1F, files[0]),
             rb=_from_field((word >> 16) & 0x1F, files[1]),
@@ -163,7 +189,7 @@ def decode_instruction(word: int) -> Instruction:
     if major in _BRANCH_MAJORS:
         opcode = _BRANCH_MAJORS[major]
         files = FIELD_FILES[opcode]
-        return Instruction(
+        return _row(
             opcode,
             ra=_from_field((word >> 21) & 0x1F, files[0]),
             displacement=_signed(word & 0x1F_FFFF, 21),
@@ -177,7 +203,7 @@ def decode_instruction(word: int) -> Instruction:
                 f"unknown FP operate major={major:#x} function={function:#x}"
             )
         files = FIELD_FILES[opcode]
-        return Instruction(
+        return _row(
             opcode,
             ra=_from_field((word >> 21) & 0x1F, files[0]),
             rb=_from_field((word >> 16) & 0x1F, files[1]),
@@ -196,11 +222,135 @@ def decode_instruction(word: int) -> Instruction:
         rc = _from_field(word & 0x1F, files[2])
         if (word >> 12) & 1:
             literal = (word >> 13) & 0xFF
-            return Instruction(opcode, ra=ra, rc=rc, literal=literal)
+            return _row(opcode, ra=ra, rc=rc, literal=literal)
         rb = _from_field((word >> 16) & 0x1F, files[1])
-        return Instruction(opcode, ra=ra, rb=rb, rc=rc)
+        return _row(opcode, ra=ra, rb=rb, rc=rc)
 
     raise EncodingError(f"unknown major opcode {major:#x}")
+
+
+# ----------------------------------------------------------------------
+# isa.instructions / isa.encoding: the constructor's checks and the
+# format-by-format encoder
+# ----------------------------------------------------------------------
+
+def _check(self) -> None:
+    for field_name in ("ra", "rb", "rc"):
+        index = getattr(self, field_name)
+        if not 0 <= index < NUM_REGISTERS:
+            raise ValueError(
+                f"{self.opcode.mnemonic}: register field {field_name}={index} "
+                f"out of range [0, {NUM_REGISTERS})"
+            )
+    if self.literal is not None:
+        if self.opcode.format not in (Format.OPERATE, Format.OPERATE_FP):
+            raise ValueError(
+                f"{self.opcode.mnemonic}: literal operand only valid in "
+                f"operate format"
+            )
+        if not 0 <= self.literal < 256:
+            raise ValueError(
+                f"{self.opcode.mnemonic}: literal {self.literal} out of "
+                f"range [0, 256)"
+            )
+
+
+def _to_field(index: int, file: str, opcode: Opcode) -> int:
+    """Unified register index -> 5-bit field value."""
+    offset = NUM_INTEGER_REGISTERS if file == _FP else 0
+    if not offset <= index <= offset + 0x1F:
+        kind = "a floating" if file == _FP else "an integer"
+        raise EncodingError(
+            f"{opcode.mnemonic}: expected {kind} register, got index {index}"
+        )
+    return index - offset
+
+
+def _unsigned(value: int, bits: int, what: str) -> int:
+    low = -(1 << (bits - 1))
+    high = (1 << (bits - 1)) - 1
+    if not low <= value <= high:
+        raise EncodingError(f"{what} {value} out of signed {bits}-bit range")
+    return value & ((1 << bits) - 1)
+
+
+def encode(
+    opcode: Opcode,
+    ra: int = ZERO_REGISTER,
+    rb: int = ZERO_REGISTER,
+    rc: int = ZERO_REGISTER,
+    literal: Optional[int] = None,
+    displacement: int = 0,
+) -> int:
+    """The word of ``opcode`` with these operands: the constructor's
+    checks, then the encoder (neither reads the masks)."""
+    instruction = Row(
+        opcode.control, 0, 0, displacement, opcode, ra, rb, rc, literal
+    )
+    _check(instruction)
+    return encode_instruction(instruction)
+
+
+def encode_instruction(instruction: Row) -> int:
+    """Encode ``instruction`` into its 32-bit word."""
+    op = instruction.opcode
+    info = op.info
+    files = FIELD_FILES[op]
+    fmt = op.format
+    word = info.major << 26
+
+    if fmt == Format.OPERATE:
+        ra = _to_field(instruction.ra, files[0], op)
+        rc = _to_field(instruction.rc, files[2], op)
+        if instruction.literal is not None:
+            word |= ra << 21
+            word |= (instruction.literal & 0xFF) << 13
+            word |= 1 << 12
+        else:
+            rb = _to_field(instruction.rb, files[1], op)
+            word |= ra << 21
+            word |= rb << 16
+        word |= (info.function & 0x7F) << 5
+        word |= rc
+        return word
+
+    if fmt == Format.OPERATE_FP:
+        if instruction.literal is not None:
+            raise EncodingError(f"{op.mnemonic}: no literal form")
+        ra = _to_field(instruction.ra, files[0], op)
+        rb = _to_field(instruction.rb, files[1], op)
+        rc = _to_field(instruction.rc, files[2], op)
+        word |= ra << 21
+        word |= rb << 16
+        word |= (info.function & 0x7FF) << 5
+        word |= rc
+        return word
+
+    if fmt in (Format.MEMORY, Format.MEMORY_FP):
+        ra = _to_field(instruction.ra, files[0], op)
+        rb = _to_field(instruction.rb, files[1], op)
+        word |= ra << 21
+        word |= rb << 16
+        word |= _unsigned(instruction.displacement, 16, "memory displacement")
+        return word
+
+    if fmt in (Format.BRANCH, Format.BRANCH_FP):
+        ra = _to_field(instruction.ra, files[0], op)
+        word |= ra << 21
+        word |= _unsigned(instruction.displacement, 21, "branch displacement")
+        return word
+
+    if fmt == Format.JUMP:
+        ra = _to_field(instruction.ra, files[0], op)
+        rb = _to_field(instruction.rb, files[1], op)
+        word |= ra << 21
+        word |= rb << 16
+        word |= (info.function & 0x3) << 14
+        return word
+
+    # PAL
+    word |= info.function & 0x03FF_FFFF
+    return word
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +435,7 @@ def escape_candidates(routine: Routine) -> Tuple[int, ...]:
     """
     escaped: Set[int] = set()
     constants: Dict[int, int] = {}
-    for instruction in instructions_of(routine.code):
+    for instruction in rows_of(routine.code):
         opcode = instruction.opcode
         if not constants and (
             (opcode is not Opcode.LDA and opcode is not Opcode.LDAH)
@@ -361,7 +511,7 @@ def _kill(constants: Dict[int, int], defs) -> None:
 
 
 def resolve_register_constant(
-    instructions: Sequence[Instruction], upto: int, register: int
+    instructions: Sequence[Row], upto: int, register: int
 ) -> Optional[int]:
     """Resolve the value of ``register`` just before ``instructions[upto]``.
 
@@ -405,7 +555,7 @@ def resolve_register_constant(
 
 
 def _restore_index(
-    instructions: Sequence[Instruction],
+    instructions: Sequence[Row],
     start: int,
     stop: int,
     register: int,
@@ -414,7 +564,7 @@ def _restore_index(
     """Routine index of the restoring load, when the last write to
     ``register`` in the exit block ``instructions[start:stop]`` reloads
     it from ``slot``."""
-    last_def: Optional[Instruction] = None
+    last_def: Optional[Row] = None
     last_index = -1
     for index in range(start, stop):
         instruction = instructions[index]

@@ -14,12 +14,12 @@ import struct
 
 from repro.cfg.cfg import CfgError
 from repro.interproc.errors import AnalysisError
-from repro.isa.encoding import encode_stream
-from repro.isa.instructions import ControlKind, Instruction, Opcode
+from repro.isa.encoding import code_words, encode, replace_fields, words_code
+from repro.isa.instructions import ControlKind, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.program.model import Program, Routine
-from tests.decoded import instructions_of
+from tests.decoded import rows_of
 
 BASE_SOURCE = """
 .routine main export
@@ -52,11 +52,10 @@ def base() -> Program:
     return disassemble_image(assemble(BASE_SOURCE))
 
 
-def _with_helper(program: Program, instructions) -> Program:
+def _with_helper(program: Program, words) -> Program:
     routines = [
         Routine(
-            routine.name, routine.address, encode_stream(instructions),
-            routine.exported,
+            routine.name, routine.address, words_code(words), routine.exported
         )
         if routine.name == "helper" else routine
         for routine in program.routines
@@ -68,26 +67,26 @@ def _site(program: Program, control: ControlKind) -> int:
     main_routine = program.routine("main")
     return next(
         main_routine.address_of(index)
-        for index, instruction in enumerate(instructions_of(main_routine.code))
-        if instruction.control == control
+        for index, row in enumerate(rows_of(main_routine.code))
+        if row.control == control
     )
 
 
 def _branch_outside(program):
-    return _with_helper(program, (Instruction(Opcode.BR, displacement=50),))
+    return _with_helper(program, (encode(Opcode.BR, displacement=50),))
 
 
 def _call_at_last(program):
     return _with_helper(
         program,
-        (Instruction(Opcode.ADDQ, ra=16, rc=0, literal=1),
-         Instruction(Opcode.BSR, ra=26, displacement=-3)),
+        (encode(Opcode.ADDQ, ra=16, rc=0, literal=1),
+         encode(Opcode.BSR, ra=26, displacement=-3)),
     )
 
 
 def _falls_off(program):
     return _with_helper(
-        program, (Instruction(Opcode.ADDQ, ra=16, rc=0, literal=1),)
+        program, (encode(Opcode.ADDQ, ra=16, rc=0, literal=1),)
     )
 
 
@@ -101,16 +100,13 @@ def _table_outside(program):
 
 def _bsr_to_non_entry(program):
     main_routine = program.routine("main")
-    instructions = tuple(
-        dataclasses.replace(instruction, displacement=instruction.displacement + 1)
-        if instruction.control == ControlKind.CALL_DIRECT else instruction
-        for instruction in instructions_of(main_routine.code)
-    )
+    words = [
+        replace_fields(word, displacement=row.displacement + 1)
+        if row.control == ControlKind.CALL_DIRECT else word
+        for word, row in zip(code_words(main_routine.code), rows_of(main_routine.code))
+    ]
     routines = [
-        Routine(
-            "main", main_routine.address, encode_stream(instructions),
-            main_routine.exported,
-        )
+        Routine("main", main_routine.address, words_code(words), main_routine.exported)
         if routine.name == "main" else routine
         for routine in program.routines
     ]
@@ -128,8 +124,8 @@ def _hint_to_non_entry(program):
 def _boundary_free_loop(program):
     return _with_helper(
         program,
-        (Instruction(Opcode.ADDQ, ra=1, rc=1, literal=1),
-         Instruction(Opcode.BR, displacement=-2)),
+        (encode(Opcode.ADDQ, ra=1, rc=1, literal=1),
+         encode(Opcode.BR, displacement=-2)),
     )
 
 

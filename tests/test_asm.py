@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Opcode
 from repro.program.asm import Assembler, AssemblyError, assemble
 from repro.program.disasm import disassemble_image
 from repro.program.image import DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE
-from tests.decoded import instructions_of
+from repro.program.linker import ObjectModule
+from tests.decoded import rows_of
 
 
 def decode(image):
-    return list(instructions_of(image.text))
+    return list(rows_of(image.text))
 
 
 class TestProgrammaticApi:
@@ -173,6 +174,20 @@ class TestProgrammaticErrors:
         asm.halt()
         with pytest.raises(AssemblyError):
             asm.routine("f")
+
+    def test_duplicate_of_an_earlier_routine(self):
+        asm = Assembler()
+        for name in ("f", "g", "h"):
+            asm.routine(name).halt()
+        with pytest.raises(AssemblyError, match="duplicate routine 'g'"):
+            asm.routine("g")
+        module = ObjectModule("m")
+        module.routine("f").halt()
+        module.routine("g").halt()
+        with pytest.raises(AssemblyError, match="duplicate routine 'f'"):
+            module.routine("f")
+        with pytest.raises(AssemblyError, match="line 3: duplicate routine 'f'"):
+            assemble(".routine f\n halt\n.routine f\n halt\n")
 
     def test_duplicate_label(self):
         asm = Assembler().routine("f").label("x")

@@ -6,17 +6,16 @@ import pytest
 
 from repro.cfg.build import build_all_cfgs, build_cfg, resolve_register_constant
 from repro.cfg.cfg import CfgError, ExitKind, TerminatorKind
-from repro.isa.encoding import encode_stream
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.encoding import code_words, encode, words_code
+from repro.isa.instructions import Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.program.model import Routine
-from tests.decoded import instructions_of
 
 
-def _rows(instructions):
+def _rows(words):
     """The instruction rows the resolver reads."""
-    return Routine("r", 0, encode_stream(instructions)).rows
+    return Routine("r", 0, words_code(words)).rows
 
 
 def cfg_of(source: str, routine: str = "main", entry=None):
@@ -139,9 +138,8 @@ class TestExits:
         bad = Routine(
             main.name,
             main.address,
-            encode_stream(
-                instructions_of(main.code)[:-1]
-                + (Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3),)
+            words_code(
+                [*code_words(main.code)[:-1], encode(Opcode.ADDQ, ra=1, rb=2, rc=3)]
             ),
         )
         with pytest.raises(CfgError, match="falls off"):
@@ -239,26 +237,26 @@ class TestCallSites:
         assert site.is_unknown
 
     def test_resolver_gives_up_on_arithmetic(self):
-        instructions = [
-            Instruction(Opcode.ADDQ, ra=1, rb=2, rc=27),
-            Instruction(Opcode.JSR, ra=26, rb=27),
+        words = [
+            encode(Opcode.ADDQ, ra=1, rb=2, rc=27),
+            encode(Opcode.JSR, ra=26, rb=27),
         ]
-        assert resolve_register_constant(_rows(instructions), 1, 27) is None
+        assert resolve_register_constant(_rows(words), 1, 27) is None
 
     def test_resolver_follows_lda_chain(self):
-        instructions = [
-            Instruction(Opcode.LDAH, ra=27, rb=31, displacement=1),
-            Instruction(Opcode.LDA, ra=27, rb=27, displacement=0x24),
-            Instruction(Opcode.JSR, ra=26, rb=27),
+        words = [
+            encode(Opcode.LDAH, ra=27, rb=31, displacement=1),
+            encode(Opcode.LDA, ra=27, rb=27, displacement=0x24),
+            encode(Opcode.JSR, ra=26, rb=27),
         ]
-        assert resolve_register_constant(_rows(instructions), 2, 27) == 0x10024
+        assert resolve_register_constant(_rows(words), 2, 27) == 0x10024
 
     def test_resolver_sees_through_clobber(self):
-        instructions = [
-            Instruction(Opcode.LDA, ra=27, rb=31, displacement=100),
-            Instruction(Opcode.LDA, ra=27, rb=31, displacement=200),
+        words = [
+            encode(Opcode.LDA, ra=27, rb=31, displacement=100),
+            encode(Opcode.LDA, ra=27, rb=31, displacement=200),
         ]
-        assert resolve_register_constant(_rows(instructions), 2, 27) == 200
+        assert resolve_register_constant(_rows(words), 2, 27) == 200
 
 
 class TestWholeProgram:

@@ -11,7 +11,7 @@ from repro.program.disasm import disassemble_image
 from repro.program.rewrite import apply_edits
 from repro.sim.cost_model import ALPHA_21164, CostModel, cycle_improvement
 from repro.sim.interpreter import run_program
-from tests.decoded import instructions_of
+from tests.decoded import rows_of
 
 
 def edits_of(source, routine="main"):
@@ -168,7 +168,7 @@ class TestDeadStores:
         )
         assert result.behaviour_preserved()
         code = result.optimized.routine("f").code
-        names = [i.opcode.mnemonic for i in instructions_of(code)]
+        names = [i.opcode.mnemonic for i in rows_of(code)]
         assert "stq" not in names
         assert "ldq" not in names
 

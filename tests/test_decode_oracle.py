@@ -1,31 +1,31 @@
-"""The table-driven decoder and the mask-arithmetic def/use rule, held
-to the code they replaced (``tests/decode_oracle.py``).
+"""The table-driven encoder, decoder and field editor and the
+mask-arithmetic def/use rule, held to the code they replaced
+(``tests/decode_oracle.py``).
 
 * every opcode, every register value of every field, both operate
-  forms and the extreme displacements: round trip, hash, masks, sets
-  and control equal the oracle's — for the decoded instance and for the
-  constructor-built one — and ``replace_fields`` of every field to every
-  value gives the word ``encode_instruction(dataclasses.replace(...))``
-  gives;
+  forms and the extreme displacements: ``encode`` gives the oracle
+  encoder's word, and its row — fields, masks and control — equals the
+  oracle decoder's and the oracle's row of the operands encoded;
+  ``replace_fields`` and ``encode`` of every field to every value give
+  the word the oracle encoder gives, or the same error;
 * every word class outside the tables: the oracle's exact
   ``EncodingError`` text, and ``decode_rows`` still names the first
   bad word;
-* random 32-bit words (Hypothesis): same text or equal instructions;
-* the trusted constructor's instances pickle, ``replace`` and validate
-  like any other;
+* random 32-bit words (Hypothesis): same text or equal rows;
+* rows pickle and are immutable, and re-encoding a row's operands
+  gives its word back, under the checks the instruction constructor
+  made (now ``encode``'s, with the constructor's exact texts);
 * the three analysis-path callers that went from register sets to mask
   bits give the parent's answers on all 16 Table-2 shapes;
-* a word's row (``decode_row``) carries exactly the fields of its
-  ``Instruction`` — over the sweep, random decodable words and every
-  distinct word of the 16 shapes — and a lifted routine's rows are the
-  rows of its instructions, one row object per distinct word of the
-  image;
+* a word's row (``decode_row``) equals the oracle's — over the sweep,
+  random decodable words and every distinct word of the 16 shapes — and
+  a lifted routine's rows are the oracle's rows of its words, one row
+  object per distinct word of the image;
 * an image with two bad words names the first of the stream, whatever
   order its distinct words are decoded in.
 """
 
 import dataclasses
-import operator
 import pickle
 import struct
 
@@ -40,21 +40,14 @@ from repro.isa.calling_convention import NT_ALPHA
 from repro.isa.encoding import (
     FIELD_FILES,
     EncodingError,
-    decode_instruction,
     decode_row,
     decode_rows,
-    encode_instruction,
-    encode_stream,
+    encode,
     replace_fields,
+    words_code,
 )
-from repro.isa.instructions import (
-    ControlKind,
-    Format,
-    Instruction,
-    Opcode,
-    ROW_FIELDS,
-    row_instruction,
-)
+from repro.isa.instructions import ControlKind, Format, Opcode
+from repro.isa.registers import ZERO_REGISTER
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image, load_program
 from repro.program.image import ImageFormatError
@@ -63,7 +56,7 @@ from repro.workloads.generator import GeneratorConfig, generate_image
 from repro.workloads.shapes import ALL_SHAPES
 
 from tests import decode_oracle as oracle
-from tests.decoded import instructions_of
+from tests.decoded import Row, operands, row_of, rows_of
 from tests.hostile_code import BASE_SOURCE, two_bad_words
 
 _FIELDS_OF = {
@@ -84,107 +77,111 @@ _DISPLACEMENTS = {
 }
 
 
-#: An instruction's fields in row order.
-_ROW_OF = operator.attrgetter(*ROW_FIELDS)
-
-
 def _mask(registers) -> int:
     return sum(1 << register for register in registers)
 
 
 def _sweep(opcode: Opcode):
-    """Constructor-built instructions covering every register value of
-    every field ``opcode`` encodes, the literal form and the extreme
+    """Operands covering every register value of every field
+    ``opcode`` encodes, the literal form and the extreme
     displacements."""
     offsets = dict(zip(("ra", "rb", "rc"), FIELD_FILES[opcode]))
     fields = _FIELDS_OF[opcode.format]
     base = {name: offsets[name] + 1 + position for position, name in enumerate(fields)}
-    yield Instruction(opcode, **base)
+    yield base
     for name in fields:
         for value in range(32):
-            yield Instruction(opcode, **{**base, name: offsets[name] + value})
+            yield {**base, name: offsets[name] + value}
     for displacement in _DISPLACEMENTS.get(opcode.format, ()):
-        yield Instruction(opcode, **base, displacement=displacement)
+        yield {**base, "displacement": displacement}
     if opcode.format == Format.OPERATE:
-        del base["rb"]
+        without_rb = {name: base[name] for name in ("ra", "rc")}
         for literal in (0, 1, 255):
             for value in range(32):
-                yield Instruction(
-                    opcode, **{**base, "ra": offsets["ra"] + value}, literal=literal
-                )
+                yield {**without_rb, "ra": offsets["ra"] + value, "literal": literal}
 
 
-def _assert_matches_oracle(instruction: Instruction) -> None:
-    uses = oracle._compute_uses(instruction)
-    defs = oracle._compute_defs(instruction)
-    assert instruction.uses() == uses
-    assert instruction.defs() == defs
-    assert instruction.use_mask == _mask(uses)
-    assert instruction.def_mask == _mask(defs)
-    assert instruction.control is instruction.opcode.control
+def _assert_matches_oracle(row: tuple) -> None:
+    named = Row._make(row)
+    assert named.use_mask == _mask(oracle._compute_uses(named))
+    assert named.def_mask == _mask(oracle._compute_defs(named))
+    assert named.control is named.opcode.control
 
 
 def _encoded(make):
-    """The word ``make()`` encodes to, or ``ValueError`` if it refused."""
+    """The word ``make()`` encodes to, or the text of the
+    ``ValueError`` it refused with."""
     try:
         return make()
-    except ValueError:
-        return ValueError
+    except ValueError as error:
+        return str(error)
 
 
-def _assert_replace_fields_is_the_encoder(built: Instruction, word: int) -> None:
-    """Every field of every value through :func:`replace_fields` gives
-    the word ``encode_instruction`` gives after ``dataclasses.replace``
-    — or both refuse it."""
-    fields = _FIELDS_OF[built.opcode.format]
+def _assert_replace_fields_is_the_encoder(
+    opcode: Opcode, fields: dict, word: int
+) -> None:
+    """Every field of every value through :func:`replace_fields` and
+    :func:`encode` gives the word the oracle encoder gives for the
+    operands with that field replaced — or all three refuse it."""
+    encoded = _FIELDS_OF[opcode.format]
     for name in ("ra", "rb", "rc"):
         # Every register of both files; a field the format does not
-        # encode is ignored by both.
-        values = range(64) if name in fields else (0, 63)
+        # encode is ignored by all three.
+        values = range(64) if name in encoded else (0, 63)
         for value in values:
-            expected = _encoded(lambda: encode_instruction(
-                dataclasses.replace(built, **{name: value})
-            ))
+            moved = {**fields, name: value}
+            expected = _encoded(lambda: oracle.encode(opcode, **moved))
             assert _encoded(lambda: replace_fields(word, **{name: value})) == (
                 expected
-            ), (built, name, value)
+            ), (opcode, fields, name, value)
+            assert _encoded(lambda: encode(opcode, **moved)) == expected
     for displacement in (
-        *_DISPLACEMENTS.get(built.opcode.format, (-(1 << 15), 7)), 1 << 21
+        *_DISPLACEMENTS.get(opcode.format, (-(1 << 15), 7)), 1 << 21
     ):
-        expected = _encoded(lambda: encode_instruction(
-            dataclasses.replace(built, displacement=displacement)
-        ))
+        moved = {**fields, "displacement": displacement}
+        expected = _encoded(lambda: oracle.encode(opcode, **moved))
         assert _encoded(
             lambda: replace_fields(word, displacement=displacement)
-        ) == expected, (built, displacement)
+        ) == expected, (opcode, fields, displacement)
+        assert _encoded(lambda: encode(opcode, **moved)) == expected
     assert replace_fields(word) == word
 
 
 @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.mnemonic)
 def test_every_operand_value_round_trips_and_matches_the_oracle(opcode):
-    for position, built in enumerate(_sweep(opcode)):
-        word = encode_instruction(built)
-        decoded = decode_instruction(word)
-        assert decoded == built == oracle.decode_instruction(word)
-        assert hash(decoded) == hash(built)
-        assert vars(decoded) == vars(built)
-        assert decode_row(word) == _ROW_OF(decoded)
-        assert set(vars(decoded)) == set(ROW_FIELDS)
-        _assert_matches_oracle(built)
-        _assert_matches_oracle(decoded)
+    for position, fields in enumerate(_sweep(opcode)):
+        word = encode(opcode, **fields)
+        assert word == oracle.encode(opcode, **fields)
+        row = decode_row(word)
+        assert row == oracle.decode_row(word) == oracle._row(opcode, **fields)
+        assert encode(opcode, **operands(row)) == word
+        _assert_matches_oracle(row)
         if position % 8 == 0:  # the base, and words from every sweep
-            _assert_replace_fields_is_the_encoder(built, word)
+            _assert_replace_fields_is_the_encoder(opcode, fields, word)
 
 
 def test_a_literal_hides_the_rb_operand_from_the_constructor_too():
-    built = Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3, literal=5)
-    _assert_matches_oracle(built)
-    assert built.uses() == {1}
+    word = encode(Opcode.ADDQ, ra=1, rb=2, rc=3, literal=5)
+    assert word == encode(Opcode.ADDQ, ra=1, rc=3, literal=5)
+    assert word == oracle.encode(Opcode.ADDQ, ra=1, rb=2, rc=3, literal=5)
+    row = row_of(word)
+    _assert_matches_oracle(row)
+    assert row.use_mask == 1 << 1 and row.rb == ZERO_REGISTER
 
 
 def test_default_operands_are_the_integer_zero_register_in_every_format():
+    """``encode(opcode)`` gives the word — or the error — the oracle
+    gives for the constructor's default operands."""
+    encoded = 0
     for opcode in Opcode:
-        _assert_matches_oracle(Instruction(opcode))
+        expected = _encoded(lambda: oracle.encode(opcode))
+        assert _encoded(lambda: encode(opcode)) == expected, opcode
+        if isinstance(expected, int):
+            encoded += 1
+            row = row_of(expected)
+            _assert_matches_oracle(row)
+            assert row == oracle._row(opcode)
+    assert encoded > len(Opcode) // 2
 
 
 def _outcome(decode, word):
@@ -215,28 +212,28 @@ def _unassigned_words():
 def test_every_word_class_decodes_or_fails_like_the_oracle():
     failures = 0
     for word in _unassigned_words():
-        expected = _outcome(oracle.decode_instruction, word)
-        assert _outcome(decode_instruction, word) == expected, hex(word)
+        expected = _outcome(oracle.decode_row, word)
+        assert _outcome(decode_row, word) == expected, hex(word)
         failures += isinstance(expected, str)
     assert failures > 1000
 
 
 @pytest.mark.parametrize("word", [-1, 1 << 32])
 def test_a_value_that_is_no_word_is_rejected_with_the_same_text(word):
-    expected = _outcome(oracle.decode_instruction, word)
+    expected = _outcome(oracle.decode_row, word)
     assert isinstance(expected, str)
-    assert _outcome(decode_instruction, word) == expected
+    assert _outcome(decode_row, word) == expected
 
 
 def test_decode_rows_names_the_first_bad_word():
-    good = encode_instruction(Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3))
+    good = encode(Opcode.ADDQ, ra=1, rb=2, rc=3)
     bad_function = 0x10 << 26 | 0x7F << 5
     bad_major = 0x3 << 26
     code = struct.pack("<6I", good, good, bad_function, good, bad_major, bad_function)
     with pytest.raises(EncodingError) as caught:
         decode_rows(code)
     assert caught.value.offset == 8
-    assert str(caught.value) == _outcome(oracle.decode_instruction, bad_function)
+    assert str(caught.value) == _outcome(oracle.decode_row, bad_function)
 
 
 def test_an_image_names_its_first_bad_word_whatever_the_set_order():
@@ -274,75 +271,85 @@ _OPERAND_BITS = {
 def test_a_decodable_word_is_the_row_of_its_instruction(opcode, bits):
     operand_bits = _OPERAND_BITS[opcode.format]
     word = (
-        encode_instruction(next(_sweep(opcode))) & ~operand_bits
+        encode(opcode, **next(_sweep(opcode))) & ~operand_bits
         | bits & operand_bits
     )
-    decoded = decode_instruction(word)
+    decoded = oracle.decode_row(word)
     assert decoded.opcode is opcode
-    assert decode_row(word) == _ROW_OF(decoded)
+    assert decode_row(word) == decoded
 
 
 @settings(max_examples=2000, deadline=None)
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
 def test_random_words_decode_or_fail_like_the_oracle(word):
-    expected = _outcome(oracle.decode_instruction, word)
-    actual = _outcome(decode_instruction, word)
+    expected = _outcome(oracle.decode_row, word)
+    actual = _outcome(decode_row, word)
     assert actual == expected
-    if isinstance(actual, Instruction):
-        assert hash(actual) == hash(expected)
-        assert vars(actual) == vars(expected)
+    if isinstance(actual, tuple):
         _assert_matches_oracle(actual)
 
 
 class TestDecodedInstancesAreOrdinaryInstructions:
+    """Rows are plain values, and a row's operands encode back to its
+    word through the checks the instruction constructor made."""
+
     WORDS = [
-        encode_instruction(instruction)
-        for instruction in (
-            Instruction(Opcode.CMOVEQ, ra=1, rb=2, rc=3),
-            Instruction(Opcode.SUBQ, ra=1, rc=3, literal=255),
-            Instruction(Opcode.STT, ra=40, rb=30, displacement=-8),
-            Instruction(Opcode.BSR, ra=26, displacement=-(1 << 20)),
-            Instruction(Opcode.JSR, ra=26, rb=27),
-            Instruction(Opcode.OUTPUT),
-        )
+        encode(Opcode.CMOVEQ, ra=1, rb=2, rc=3),
+        encode(Opcode.SUBQ, ra=1, rc=3, literal=255),
+        encode(Opcode.STT, ra=40, rb=30, displacement=-8),
+        encode(Opcode.BSR, ra=26, displacement=-(1 << 20)),
+        encode(Opcode.JSR, ra=26, rb=27),
+        encode(Opcode.OUTPUT),
     ]
 
     @pytest.mark.parametrize("word", WORDS)
     def test_pickle_round_trip(self, word):
-        decoded = decode_instruction(word)
-        copy = pickle.loads(pickle.dumps(decoded))
-        assert copy == decoded and hash(copy) == hash(decoded)
-        assert vars(copy) == vars(decoded)
+        for row in (decode_row(word), row_of(word)):
+            copy = pickle.loads(pickle.dumps(row))
+            assert copy == row and hash(copy) == hash(row)
+            assert type(copy) is type(row)
 
     @pytest.mark.parametrize("word", WORDS)
     def test_replace_rebuilds_through_the_checked_constructor(self, word):
-        decoded = decode_instruction(word)
-        assert dataclasses.replace(decoded) == decoded
-        moved = dataclasses.replace(decoded, ra=5)
-        assert moved.ra == 5
-        _assert_matches_oracle(moved)
+        row = row_of(word)
+        fields = operands(row)
+        assert encode(row.opcode, **fields) == word
+        assert replace_fields(word) == word
+        ra = FIELD_FILES[row.opcode][0] + 5
+        moved = encode(row.opcode, **{**fields, "ra": ra})
+        assert moved == replace_fields(word, ra=ra)
+        _assert_matches_oracle(decode_row(moved))
+        if "ra" in _FIELDS_OF[row.opcode.format]:
+            assert row_of(moved).ra == ra
         with pytest.raises(ValueError, match=r"register field ra=64 out of range"):
-            dataclasses.replace(decoded, ra=64)
+            encode(row.opcode, **{**fields, "ra": 64})
 
     def test_instances_are_still_frozen(self):
-        decoded = decode_instruction(self.WORDS[0])
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            decoded.ra = 2
+        with pytest.raises(TypeError):
+            decode_row(self.WORDS[0])[5] = 2
+        with pytest.raises(AttributeError):
+            row_of(self.WORDS[0]).ra = 2
 
 
 class TestConstructorChecksAreUnchanged:
+    """The checks the instruction constructor made, made by ``encode``
+    with the constructor's texts."""
+
     @pytest.mark.parametrize("field", ["ra", "rb", "rc"])
     @pytest.mark.parametrize("value", [-1, 64])
     def test_register_range(self, field, value):
         with pytest.raises(ValueError) as caught:
-            Instruction(Opcode.ADDQ, **{field: value})
+            encode(Opcode.ADDQ, **{field: value})
         assert str(caught.value) == (
             f"addq: register field {field}={value} out of range [0, 64)"
+        )
+        assert str(caught.value) == _encoded(
+            lambda: oracle.encode(Opcode.ADDQ, **{field: value})
         )
 
     def test_literal_needs_an_operate_format(self):
         with pytest.raises(ValueError) as caught:
-            Instruction(Opcode.LDQ, ra=1, rb=2, literal=1)
+            encode(Opcode.LDQ, ra=1, rb=2, literal=1)
         assert str(caught.value) == (
             "ldq: literal operand only valid in operate format"
         )
@@ -350,7 +357,7 @@ class TestConstructorChecksAreUnchanged:
     @pytest.mark.parametrize("literal", [-1, 256])
     def test_literal_range(self, literal):
         with pytest.raises(ValueError) as caught:
-            Instruction(Opcode.ADDQ, ra=1, rc=2, literal=literal)
+            encode(Opcode.ADDQ, ra=1, rc=2, literal=literal)
         assert str(caught.value) == (
             f"addq: literal {literal} out of range [0, 256)"
         )
@@ -365,7 +372,7 @@ def test_mask_based_callers_agree_with_their_set_based_parents(shape, monkeypatc
     resolved = 0
     for routine in program:
         assert escape_candidates(routine) == oracle.escape_candidates(routine)
-        instructions = instructions_of(routine.code)
+        instructions = rows_of(routine.code)
         for index, instruction in enumerate(instructions):
             if instruction.control in (
                 ControlKind.CALL_INDIRECT, ControlKind.INDIRECT_JUMP
@@ -387,7 +394,7 @@ def test_mask_based_callers_agree_with_their_set_based_parents(shape, monkeypatc
         cfg_build,
         "_restore_index",
         lambda rows, *rest: oracle._restore_index(
-            [row_instruction(row) for row in rows], *rest
+            [Row._make(row) for row in rows], *rest
         ),
     )
     for name, cfg in cfgs.items():
@@ -404,13 +411,13 @@ def test_rows_and_lazy_instructions_of_every_shape(shape):
     words = _words(image.text)
     assert decode_rows(image.text) == tuple(map(decode_row, words))
     for word in set(words):
-        assert decode_row(word) == _ROW_OF(decode_instruction(word))
+        assert decode_row(word) == oracle.decode_row(word)
     program = disassemble_image(image)
     objects = {}
     for routine in program:
         words = _words(routine.code)
         assert routine.rows == tuple(map(decode_row, words))
-        assert routine.rows == tuple(map(_ROW_OF, instructions_of(routine.code)))
+        assert routine.rows == tuple(map(oracle.decode_row, words))
         for word, row in zip(words, routine.rows):
             assert objects.setdefault(word, row) is row
 
@@ -423,10 +430,10 @@ class TestLiftedRoutines:
     def pair(self):
         image = assemble(BASE_SOURCE)
         first = disassemble_image(image).routine("main")
-        built = Routine(
-            first.name, first.address, encode_stream(instructions_of(first.code)),
-            first.exported,
+        code = words_code(
+            encode(row.opcode, **operands(row)) for row in rows_of(first.code)
         )
+        built = Routine(first.name, first.address, code, first.exported)
         return disassemble_image(image).routine("main"), built
 
     def test_lengths_and_addresses_read_no_instruction(self, pair):

@@ -46,7 +46,7 @@ from repro.workloads.mutate import (
     first_editable_routine,
     perturb_routine,
 )
-from tests.decoded import instructions_of
+from tests.decoded import rows_of
 
 
 def _canon(summary) -> bytes:
@@ -72,7 +72,7 @@ def _editable_routines(program: Program):
             and instruction.opcode.control == ControlKind.FALLTHROUGH
             and instruction.literal is None
             and instruction.ra != ZERO_REGISTER
-            for instruction in instructions_of(routine.code)
+            for instruction in rows_of(routine.code)
         )
     ]
 

@@ -11,7 +11,6 @@
 """
 
 import dataclasses
-import operator
 import struct
 
 import pytest
@@ -27,17 +26,20 @@ from repro.interproc.store import SummaryStore, component_inputs
 from repro.interproc.summaries import _triple_of
 from repro.isa.encoding import (
     EncodingError,
-    decode_instruction,
+    code_words,
+    decode_row,
     decode_rows,
-    encode_stream,
+    encode,
+    words_code,
 )
-from repro.isa.instructions import ROW_FIELDS, ControlKind, Instruction, Opcode
+from repro.isa.instructions import ControlKind, Opcode
 from repro.program.asm import Assembler
 from repro.program.disasm import disassemble_image
 from repro.program.model import Program, Routine
 from repro.program.rewrite import program_to_image
 from repro.workloads.mutate import first_editable_routine, perturb_routine
-from tests.decoded import instructions_of
+from tests import decode_oracle as oracle
+from tests.decoded import operands, row_of, rows_of
 from tests.facade import analyze_incremental, analyze_program
 
 #: A word no format claims (major opcode 0x01).
@@ -49,18 +51,15 @@ BAD_WORD = 0x0400_0000
 # ----------------------------------------------------------------------
 
 _VALID_WORDS = [
-    struct.unpack("<I", encode_stream([instruction]))[0]
-    for instruction in (
-        Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3),
-        Instruction(Opcode.ADDQ, ra=1, literal=9, rc=3),
-        Instruction(Opcode.LDQ, ra=4, rb=30, displacement=-8),
-        Instruction(Opcode.BNE, ra=5, displacement=-3),
-        Instruction(Opcode.BSR, ra=26, displacement=12),
-        Instruction(Opcode.JMP, ra=31, rb=7),
-        Instruction(Opcode.RET, ra=31, rb=26),
-        Instruction(Opcode.ADDT, ra=33, rb=34, rc=35),
-        Instruction(Opcode.HALT),
-    )
+    encode(Opcode.ADDQ, ra=1, rb=2, rc=3),
+    encode(Opcode.ADDQ, ra=1, literal=9, rc=3),
+    encode(Opcode.LDQ, ra=4, rb=30, displacement=-8),
+    encode(Opcode.BNE, ra=5, displacement=-3),
+    encode(Opcode.BSR, ra=26, displacement=12),
+    encode(Opcode.JMP, ra=31, rb=7),
+    encode(Opcode.RET, ra=31, rb=26),
+    encode(Opcode.ADDT, ra=33, rb=34, rc=35),
+    encode(Opcode.HALT),
 ]
 
 #: Few distinct values, so streams repeat words (the memo's hit path),
@@ -72,11 +71,7 @@ _words = st.lists(
 
 
 def _decode_each(words):
-    return [decode_instruction(word) for word in words]
-
-
-#: An instruction's fields in row order.
-_ROW_OF = operator.attrgetter(*ROW_FIELDS)
+    return [decode_row(word) for word in words]
 
 
 class TestDecodedWordTable:
@@ -96,7 +91,7 @@ class TestDecodedWordTable:
             )
             assert excinfo.value.offset == 4 * first_bad
         else:
-            assert decode_rows(code) == tuple(map(_ROW_OF, expected))
+            assert decode_rows(code) == tuple(expected)
 
     def test_repeated_words_share_one_object(self):
         word = _VALID_WORDS[0]
@@ -107,22 +102,20 @@ class TestDecodedWordTable:
         assert first is not other
 
     def test_instruction_carries_control_and_masks(self):
-        for instruction in _decode_each(_VALID_WORDS):
-            assert instruction.control is instruction.opcode.control
-            assert instruction.use_mask == sum(
-                1 << register for register in instruction.uses()
+        for row in map(row_of, _VALID_WORDS):
+            assert row.control is row.opcode.control
+            assert row.use_mask == sum(
+                1 << register for register in oracle._compute_uses(row)
             )
-            assert instruction.def_mask == sum(
-                1 << register for register in instruction.defs()
+            assert row.def_mask == sum(
+                1 << register for register in oracle._compute_defs(row)
             )
-        assert decode_instruction(_VALID_WORDS[4]).control is (
-            ControlKind.CALL_DIRECT
-        )
+        assert row_of(_VALID_WORDS[4]).control is ControlKind.CALL_DIRECT
 
 
 def _fails(word):
     try:
-        decode_instruction(word)
+        decode_row(word)
     except EncodingError:
         return True
     return False
@@ -181,10 +174,11 @@ def _with_routine(program: Program, replacement: Routine, old_name=None):
 
 def _code_word_edited(program):
     main = program.routine("main")
-    body = list(instructions_of(main.code))
-    body[0] = dataclasses.replace(body[0], literal=3)
+    words = code_words(main.code)
+    first = row_of(words[0])
+    words[0] = encode(first.opcode, **{**operands(first), "literal": 3})
     return _with_routine(
-        program, Routine("main", main.address, encode_stream(body), main.exported)
+        program, Routine("main", main.address, words_code(words), main.exported)
     )
 
 
@@ -269,11 +263,18 @@ class TestFingerprintSensitivity:
         assert edited.routine("main").code == program.routine("main").code
 
 
+def _reencoded(code: bytes) -> bytes:
+    """``code`` decoded to rows and each row's operands encoded again."""
+    return words_code(
+        encode(row.opcode, **operands(row)) for row in rows_of(code)
+    )
+
+
 class TestCarriedBytes:
     def test_lifted_routines_carry_their_text_slice(self):
         program = _dispatch_program()
         for routine in program:
-            assert routine.code == encode_stream(instructions_of(routine.code))
+            assert routine.code == _reencoded(routine.code)
 
     def test_bytes_and_encoding_hash_alike(self):
         program = _dispatch_program()
@@ -281,7 +282,7 @@ class TestCarriedBytes:
         for routine in program:
             rebuilt = Routine(
                 routine.name, routine.address,
-                encode_stream(instructions_of(routine.code)), routine.exported,
+                _reencoded(routine.code), routine.exported,
             )
             assert rebuilt.code == routine.code
             assert rebuilt == routine  # equality compares the code
@@ -295,7 +296,7 @@ class TestCarriedBytes:
         edited = perturb_routine(lifted, victim)
         code = edited.routine(victim).code
         assert code != lifted.routine(victim).code
-        assert code == encode_stream(instructions_of(edited.routine(victim).code))
+        assert code == _reencoded(edited.routine(victim).code)
         assert dataclasses.replace(lifted.routine(victim)) == lifted.routine(victim)
         for name in lifted.routine_names():
             if name != victim:

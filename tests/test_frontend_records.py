@@ -36,8 +36,14 @@ from repro.interproc.frontend import (
     shape_key,
 )
 from repro.interproc.persist import dump_cache, dump_summaries, load_cache
-from repro.isa.encoding import INSTRUCTION_SIZE, encode_stream
-from repro.isa.instructions import ControlKind, Instruction, Opcode
+from repro.isa.encoding import (
+    INSTRUCTION_SIZE,
+    code_words,
+    encode,
+    replace_fields,
+    words_code,
+)
+from repro.isa.instructions import ControlKind, Opcode
 from repro.obs.metrics import REGISTRY
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
@@ -50,7 +56,7 @@ from repro.workloads.mutate import (
     perturb_routine,
 )
 from repro.workloads.shapes import ALL_SHAPES, shape_by_name
-from tests.decoded import instructions_of
+from tests.decoded import rows_of
 
 STORE_OFF = AnalysisConfig(store="off")
 
@@ -144,7 +150,7 @@ def _indirect_sites(program: Program):
     return [
         routine.address_of(index)
         for routine in program
-        for index, instruction in enumerate(instructions_of(routine.code))
+        for index, instruction in enumerate(rows_of(routine.code))
         if instruction.control == ControlKind.CALL_INDIRECT
     ]
 
@@ -254,9 +260,9 @@ def edit_routine_inserted(program, rng):
     fresh = Routine(
         "zz_inserted",
         end + 4 * INSTRUCTION_SIZE,
-        encode_stream([
-            Instruction(Opcode.ADDQ, ra=16, rb=17, rc=0),
-            Instruction(Opcode.RET, ra=31, rb=26),
+        words_code([
+            encode(Opcode.ADDQ, ra=16, rb=17, rc=0),
+            encode(Opcode.RET, ra=31, rb=26),
         ]),
         exported=rng.random() < 0.5,
     )
@@ -286,7 +292,7 @@ def edit_routines_shifted(program, rng):
         return None
     victim = program.routine(rng.choice(names))
     index = next(
-        index for index, instruction in enumerate(instructions_of(victim.code))
+        index for index, instruction in enumerate(rows_of(victim.code))
         if instruction.opcode in (Opcode.ADDQ, Opcode.SUBQ, Opcode.AND, Opcode.XOR)
         and instruction.control == ControlKind.FALLTHROUGH
     )
@@ -304,25 +310,22 @@ def _moved_away(program: Program, name: str) -> Program:
     words = (new - old) // INSTRUCTION_SIZE
 
     def fix(routine):
-        body = []
-        for index, instruction in enumerate(instructions_of(routine.code)):
-            if instruction.control == ControlKind.CALL_DIRECT:
+        body = code_words(routine.code)
+        for index, row in enumerate(rows_of(routine.code)):
+            if row.control == ControlKind.CALL_DIRECT:
                 target = routine.address_of(index) + INSTRUCTION_SIZE * (
-                    1 + instruction.displacement
+                    1 + row.displacement
                 )
                 if routine is victim and target != old:
-                    instruction = dataclasses.replace(
-                        instruction,
-                        displacement=instruction.displacement - words,
+                    body[index] = replace_fields(
+                        body[index], displacement=row.displacement - words
                     )
                 elif routine is not victim and target == old:
-                    instruction = dataclasses.replace(
-                        instruction,
-                        displacement=instruction.displacement + words,
+                    body[index] = replace_fields(
+                        body[index], displacement=row.displacement + words
                     )
-            body.append(instruction)
         address = new if routine is victim else routine.address
-        return Routine(routine.name, address, encode_stream(body), routine.exported)
+        return Routine(routine.name, address, words_code(body), routine.exported)
 
     def rehome(address):
         return address + new - old if victim.contains(address) else address

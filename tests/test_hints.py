@@ -178,4 +178,4 @@ class TestGeneratorHints:
         psg = analyze_program(program)
         baseline = analyze_program_baseline(program)
         assert psg.result.equal_summaries(baseline.result)
-        assert run_program(program).halted
+        run_program(program)  # raises ExecutionError unless it halts

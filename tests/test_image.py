@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.isa.encoding import encode_stream
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.encoding import encode, words_code
+from repro.isa.instructions import Opcode
 from repro.program.image import (
     DEFAULT_DATA_BASE,
     DEFAULT_TEXT_BASE,
@@ -16,7 +16,7 @@ from repro.program.image import (
 
 
 def _code(count: int) -> bytes:
-    return encode_stream([Instruction(Opcode.HALT)] * count)
+    return words_code([encode(Opcode.HALT)] * count)
 
 
 def _image(**overrides) -> ExecutableImage:

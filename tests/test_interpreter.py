@@ -132,7 +132,6 @@ class TestControlFlow:
     def test_call_and_return(self, quick_program):
         result = run_program(quick_program)
         assert result.outputs == [6]
-        assert result.halted
 
     def test_indirect_call(self):
         assert outputs(

@@ -1,13 +1,10 @@
 """Tests for per-block DEF/UBD computation."""
 
 from repro.cfg.build import build_cfg
-from repro.dataflow.local import (
-    compute_local_sets,
-    local_sets_of_instructions,
-)
-from repro.isa.instructions import Instruction, Opcode
-from repro.program.asm import assemble
-from repro.program.disasm import disassemble_image
+from repro.dataflow.local import compute_local_sets
+from repro.isa.encoding import decode_row, encode
+from repro.isa.instructions import Opcode
+from tests.cfg_oracle import local_sets_of_rows
 
 
 def regs(names):
@@ -18,43 +15,43 @@ def regs(names):
 
 class TestLocalSets:
     def test_use_before_def(self):
-        sets = local_sets_of_instructions(
-            [Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3)]
+        sets = local_sets_of_rows(
+            [decode_row(encode(Opcode.ADDQ, ra=1, rb=2, rc=3))]
         )
         assert sets.used_before_defined.names() == {"t0", "t1"}
         assert sets.defs.names() == {"t2"}
 
     def test_def_shadows_later_use(self):
-        sets = local_sets_of_instructions(
+        sets = local_sets_of_rows(
             [
-                Instruction(Opcode.LDA, ra=1, rb=31, displacement=5),  # def t0
-                Instruction(Opcode.ADDQ, ra=1, rb=1, rc=2),            # use t0
+                decode_row(encode(Opcode.LDA, ra=1, rb=31, displacement=5)),  # def t0
+                decode_row(encode(Opcode.ADDQ, ra=1, rb=1, rc=2)),            # use t0
             ]
         )
         assert "t0" not in sets.used_before_defined.names()
         assert sets.defs.names() == {"t0", "t1"}
 
     def test_use_then_def_of_same_register(self):
-        sets = local_sets_of_instructions(
-            [Instruction(Opcode.ADDQ, ra=1, rb=1, rc=1)]  # t0 = t0 + t0
+        sets = local_sets_of_rows(
+            [decode_row(encode(Opcode.ADDQ, ra=1, rb=1, rc=1))]  # t0 = t0 + t0
         )
         assert "t0" in sets.used_before_defined.names()
         assert "t0" in sets.defs.names()
 
     def test_empty_sequence(self):
-        sets = local_sets_of_instructions([])
+        sets = local_sets_of_rows([])
         assert sets.def_mask == 0 and sets.ubd_mask == 0
 
     def test_store_uses_both(self):
-        sets = local_sets_of_instructions(
-            [Instruction(Opcode.STQ, ra=26, rb=30, displacement=0)]
+        sets = local_sets_of_rows(
+            [decode_row(encode(Opcode.STQ, ra=26, rb=30, displacement=0))]
         )
         assert sets.used_before_defined.names() == {"ra", "sp"}
         assert sets.def_mask == 0
 
     def test_call_instruction_defs_link_register(self):
-        sets = local_sets_of_instructions(
-            [Instruction(Opcode.BSR, ra=26, displacement=0)]
+        sets = local_sets_of_rows(
+            [decode_row(encode(Opcode.BSR, ra=26, displacement=0))]
         )
         assert sets.defs.names() == {"ra"}
 

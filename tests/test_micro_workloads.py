@@ -29,7 +29,6 @@ class TestAllMicroWorkloads:
 class TestFigure1Micro:
     def test_runs(self):
         result = run_program(figure1_program())
-        assert result.halted
         assert result.outputs == [1016]
 
     def test_all_four_opportunities_taken(self):
@@ -49,7 +48,7 @@ class TestFigure12Micro:
         from repro.psg.build import PsgConfig, build_psg
 
         program = figure12_program()
-        assert run_program(program).halted
+        run_program(program)  # raises ExecutionError unless it halts
         cfgs = build_all_cfgs(program)
         with_nodes = build_psg(program, cfgs, config=PsgConfig())
         without = build_psg(program, cfgs, config=PsgConfig(branch_nodes=False))

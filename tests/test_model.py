@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.isa.encoding import encode_stream
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.encoding import encode, words_code
+from repro.isa.instructions import Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.program.model import (
@@ -16,9 +16,9 @@ from repro.program.model import (
 
 
 def _routine(name: str, address: int, count: int = 2) -> Routine:
-    body = [Instruction(Opcode.ADDQ, ra=1, rb=2, rc=3)] * (count - 1)
-    body.append(Instruction(Opcode.RET, rb=26))
-    return Routine(name, address, encode_stream(body))
+    body = [encode(Opcode.ADDQ, ra=1, rb=2, rc=3)] * (count - 1)
+    body.append(encode(Opcode.RET, rb=26))
+    return Routine(name, address, words_code(body))
 
 
 class TestRoutine:
@@ -110,8 +110,8 @@ class TestCheckSingleEntry:
         routine = Routine(
             "f",
             0x1000,
-            encode_stream([Instruction(Opcode.BR, displacement=5),
-                           Instruction(Opcode.RET, rb=26)]),
+            words_code([encode(Opcode.BR, displacement=5),
+                           encode(Opcode.RET, rb=26)]),
         )
         program = Program(routines=[routine], entry="f")
         with pytest.raises(ProgramError, match="outside the routine"):
@@ -121,8 +121,8 @@ class TestCheckSingleEntry:
         caller = Routine(
             "caller",
             0x1000,
-            encode_stream([Instruction(Opcode.BSR, ra=26, displacement=2),
-                           Instruction(Opcode.RET, rb=26)]),
+            words_code([encode(Opcode.BSR, ra=26, displacement=2),
+                           encode(Opcode.RET, rb=26)]),
         )
         callee = _routine("callee", 0x1008, 3)
         program = Program(routines=[caller, callee], entry="caller")

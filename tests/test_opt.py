@@ -13,7 +13,7 @@ from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.program.rewrite import apply_edits
 from repro.sim.interpreter import run_program
-from tests.decoded import instructions_of
+from tests.decoded import rows_of
 
 
 def program_of(source, entry=None):
@@ -40,7 +40,7 @@ class TestDceFigure1a:
         analysis = analyze_program(program)
         cfg = analysis.cfgs["f"]
         edits = eliminate_dead_code(cfg, analysis.summary("f"))
-        dead = instructions_of(program.routine("f").code)[0]
+        dead = rows_of(program.routine("f").code)[0]
         assert dead.opcode is Opcode.LDA
         assert 0 in edits
 
@@ -227,8 +227,8 @@ class TestReallocFigure1d:
         from repro.isa.registers import Register
 
         s0 = Register.parse("s0").index
-        for instruction in instructions_of(optimized.routine("work").code):
-            assert s0 not in instruction.uses() | instruction.defs()
+        for instruction in rows_of(optimized.routine("work").code):
+            assert not (instruction.use_mask | instruction.def_mask) >> s0 & 1
 
     def test_unknown_call_blocks_realloc(self):
         source = self.SOURCE.replace(

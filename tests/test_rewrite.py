@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.isa.encoding import encode_instruction, encode_stream
-from repro.isa.instructions import ControlKind, Instruction, Opcode
+from repro.isa.encoding import encode, words_code
+from repro.isa.instructions import ControlKind, Opcode
 from repro.program.asm import assemble
 from repro.program.disasm import disassemble_image
 from repro.program.model import Program, Routine
@@ -13,7 +13,7 @@ from repro.program.rewrite import (
     program_to_image,
 )
 from repro.sim.interpreter import run_program
-from tests.decoded import instructions_of
+from tests.decoded import rows_of
 
 
 def program_of(source, entry=None):
@@ -45,7 +45,7 @@ class TestDeletion:
         program = program_of(self.SOURCE)
         edited = apply_edits(program, {"main": {0: None}})
         # The loop still branches back one instruction.
-        branch = instructions_of(edited.routine("main").code)[2]
+        branch = rows_of(edited.routine("main").code)[2]
         assert branch.opcode is Opcode.BGT
         assert branch.displacement == -2
 
@@ -75,10 +75,8 @@ class TestReplacement:
             program,
             {
                 "main": {
-                    0: encode_instruction(
-                        Instruction(Opcode.LDA, ra=8, rb=31, displacement=7)
-                    ),
-                    1: encode_instruction(Instruction(Opcode.BIS, ra=31, rb=8, rc=16)),
+                    0: encode(Opcode.LDA, ra=8, rb=31, displacement=7),
+                    1: encode(Opcode.BIS, ra=31, rb=8, rc=16),
                 }
             },
         )
@@ -89,7 +87,7 @@ class TestReplacement:
         with pytest.raises(RewriteError, match="control"):
             apply_edits(
                 program,
-                {"main": {0: encode_instruction(Instruction(Opcode.RET, rb=26))}},
+                {"main": {0: encode(Opcode.RET, rb=26)}},
             )
 
 
@@ -141,18 +139,18 @@ class TestCrossRoutineFixups:
         # below it.
         callee_address = -0x8000_8000
         main = [
-            Instruction(Opcode.LDA, ra=1, rb=31, displacement=1),  # deleted
-            Instruction(Opcode.LDAH, ra=27, rb=31, displacement=-0x8000),
-            Instruction(Opcode.LDA, ra=27, rb=27, displacement=-0x8000),
-            Instruction(Opcode.JSR, ra=26, rb=27),
-            Instruction(Opcode.HALT),
+            encode(Opcode.LDA, ra=1, rb=31, displacement=1),  # deleted
+            encode(Opcode.LDAH, ra=27, rb=31, displacement=-0x8000),
+            encode(Opcode.LDA, ra=27, rb=27, displacement=-0x8000),
+            encode(Opcode.JSR, ra=26, rb=27),
+            encode(Opcode.HALT),
         ]
         program = Program(
             routines=[
-                Routine("main", callee_address - 4 * len(main), encode_stream(main)),
+                Routine("main", callee_address - 4 * len(main), words_code(main)),
                 Routine(
                     "callee", callee_address,
-                    encode_stream([Instruction(Opcode.RET, rb=26)]),
+                    words_code([encode(Opcode.RET, rb=26)]),
                 ),
             ],
             entry="main",
@@ -255,7 +253,7 @@ class TestNoOpEdit:
 
 class TestWordsAndRows:
     """The rewriter edits words and hands each routine rows that are
-    its words' decode, building no ``Instruction``."""
+    its words' decode."""
 
     def test_relinked_rows_are_the_decode_of_the_new_code(self, small_benchmark):
         from repro.isa.encoding import decode_rows

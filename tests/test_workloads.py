@@ -123,14 +123,13 @@ class TestGenerator:
 
     def test_programs_terminate(self, small_benchmark):
         result = run_program(small_benchmark)
-        assert result.halted
         assert result.outputs  # main OUTPUTs its callees' results
 
     def test_every_spec_benchmark_generates_and_runs(self):
         for shape in SPEC95_SHAPES:
             program = generate_program(shape.scaled(0.03))
-            result = run_program(program, max_steps=2_000_000)
-            assert result.halted, shape.name
+            # Raises ExecutionError unless the run halts.
+            run_program(program, max_steps=2_000_000)
 
     def test_opaque_calls_are_exported(self):
         program, _ = generate_benchmark(
