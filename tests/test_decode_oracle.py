@@ -289,6 +289,34 @@ def test_random_words_decode_or_fail_like_the_oracle(word):
         _assert_matches_oracle(actual)
 
 
+_OPERAND = st.integers(min_value=-2, max_value=65)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.sampled_from(list(Opcode)),
+    _OPERAND, _OPERAND, _OPERAND,
+    st.none() | st.integers(min_value=-2, max_value=257),
+    st.integers(min_value=-(1 << 21), max_value=1 << 21),
+)
+def test_encode_accepts_and_refuses_what_the_old_encoder_did(
+    opcode, ra, rb, rc, literal, displacement
+):
+    """Any operands, valid or not: ``encode`` gives the old encoder's
+    word, or refuses them as it did (the text may differ only when
+    several operands are wrong, which the two check in another
+    order)."""
+    fields = {
+        "ra": ra, "rb": rb, "rc": rc,
+        "literal": literal, "displacement": displacement,
+    }
+    expected = _encoded(lambda: oracle.encode(opcode, **fields))
+    actual = _encoded(lambda: encode(opcode, **fields))
+    assert type(actual) is type(expected)
+    if isinstance(expected, int):
+        assert actual == expected
+
+
 class TestDecodedInstancesAreOrdinaryInstructions:
     """Rows are plain values, and a row's operands encode back to its
     word through the checks the instruction constructor made."""

@@ -110,6 +110,10 @@ class TestErrors:
         with pytest.raises(EncodingError):
             encode(Opcode.ADDT, ra=1, rb=34, rc=35)
 
+    def test_fp_operate_has_no_literal_form(self):
+        with pytest.raises(EncodingError, match="^addt: no literal form$"):
+            encode(Opcode.ADDT, ra=33, rc=35, literal=1)
+
     def test_unknown_major_rejected(self):
         with pytest.raises(EncodingError):
             decode_row(0x07 << 26)  # major 0x07 is unassigned
