@@ -62,7 +62,7 @@ from repro.interproc.incremental import (
 from repro.interproc.persist import SummaryCache, image_fingerprint
 from repro.interproc.results import SCHEMA_VERSION, validate_payload
 from repro.interproc.summaries import SummarySet, RoutineSummary
-from repro.program.disasm import disassemble_image
+from repro.program.disasm import disassemble_image, load_program
 from repro.program.image import ExecutableImage, ImageFormatError
 from repro.program.model import Program
 from repro.psg.build import PsgBuildError
@@ -187,8 +187,7 @@ class AnalysisSession:
         image — construction validates the input so the caller can
         distinguish bad input from a later analysis failure.
         """
-        image = ExecutableImage.from_bytes(data)
-        return cls(disassemble_image(image), config, image_bytes=data)
+        return cls(load_program(data), config, image_bytes=data)
 
     @classmethod
     def from_image(

@@ -260,14 +260,16 @@ def _branch_target(
 
 
 def _target_index(routine: Routine, jump_index: int, address: int) -> int:
-    """Instruction index of a jump-table target address."""
-    if not routine.contains(address):
+    """Instruction index of a jump-table target address (one off an
+    instruction boundary is outside every instruction of the routine)."""
+    offset = address - routine.address
+    if not routine.contains(address) or offset % INSTRUCTION_SIZE:
         raise CfgError(
             f"{routine.name!r}: jump table at "
             f"{routine.address_of(jump_index):#x} targets {address:#x}, "
             f"outside the routine"
         )
-    return routine.index_of(address)
+    return offset // INSTRUCTION_SIZE
 
 
 def _record_site(

@@ -132,16 +132,22 @@ _FORMAT_CUTS[Format.MEMORY_FP] = _FORMAT_CUTS[Format.MEMORY]
 _FORMAT_CUTS[Format.BRANCH_FP] = _FORMAT_CUTS[Format.BRANCH]
 
 
-def _build_major_table() -> List[Optional[tuple]]:
-    """Major opcode -> ``(function shift, function mask, {function:
-    cut}, unknown-function message)``, ``None`` for an unassigned major.
-    A cut is everything :func:`decode_row` needs for one opcode: the
+def _build_major_tables() -> Tuple[List[Optional[tuple]], List[tuple]]:
+    """Two tables by major opcode.
+
+    The first: ``(function shift, function mask, {function: cut},
+    unknown-function message)``, ``None`` for an unassigned major.  A
+    cut is everything :func:`decode_row` needs for one opcode: the
     opcode, its control kind and dataflow rule (``Opcode.rule``), then
     per register field its shift, its mask and what to add (the file
     offset, or ``ZERO_REGISTER`` under a zero mask), then the literal
     flag, the literal's shift and mask, and the displacement's shift,
-    mask and sign bit."""
+    mask and sign bit.  The second, the form table (:class:`_RowTable`):
+    ``(flag, keep, shift, sign bit, row slot)`` of the field whose value
+    changes nothing else in a row — a displacement, or a literal when
+    the word has ``flag`` — ``keep`` masking every other bit."""
     table: List[Optional[tuple]] = [None] * 64
+    forms: List[tuple] = [(0, 0xFFFF_FFFF, 0, 0, 0)] * 64
     for op in Opcode:
         (shift, mask), *fields, literal, displacement, flag, unknown = (
             _FORMAT_CUTS[op.format]
@@ -158,14 +164,20 @@ def _build_major_table() -> List[Optional[tuple]]:
                 field_shift, field_mask, file if field_mask else ZERO_REGISTER
             )
         disp_shift, disp_mask = displacement
+        sign = (disp_mask + 1) >> 1
         entry[2][function] = (
             op, op.control, *op.rule, *operands, flag, *literal,
-            disp_shift, disp_mask, (disp_mask + 1) >> 1,
+            disp_shift, disp_mask, sign,
         )
-    return table
+        vary_shift, vary_mask = literal if flag else displacement
+        forms[op.info.major] = (
+            flag, 0xFFFF_FFFF ^ vary_mask << vary_shift, vary_shift,
+            *((0, 8) if flag else (sign, 3)),
+        )
+    return table, forms
 
 
-_MAJORS = _build_major_table()
+_MAJORS, _FORMS = _build_major_tables()
 
 
 def _unsigned(value: int, bits: int, what: str) -> int:
@@ -323,22 +335,44 @@ def replace_fields(
 # ----------------------------------------------------------------------
 
 class _RowTable(dict):
-    """Word -> its row, decoded on the word's first lookup."""
+    """Word -> its row, built on the word's first lookup: rows of words
+    that differ only in their major's variable field (``_FORMS``)
+    differ only in its slot, so :func:`decode_row` cuts each *form* —
+    that field cleared — once (``forms``: form -> its row, and the
+    row's entries before and after the slot), and the form's other
+    words get its row with their own value in the slot."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.forms: Dict[int, Tuple[tuple, tuple, tuple]] = {}
 
     def __missing__(self, word: int) -> tuple:
-        row = self[word] = decode_row(word)
+        flag, keep, shift, sign, slot = _FORMS[word >> _MAJOR_SHIFT]
+        form = word & keep if word & flag == flag else word
+        parts = self.forms.get(form)
+        if parts is None:
+            row = decode_row(form)
+            parts = self.forms[form] = (row, row[:slot], row[slot + 1:])
+        value = (word ^ form) >> shift
+        row = self[word] = (
+            parts[1] + (value - ((value & sign) << 1),) + parts[2]
+            if value else parts[0]
+        )
         return row
 
 
 def decode_rows(code: bytes) -> Tuple[tuple, ...]:
     """Decode contiguous code bytes into one row per word.
 
-    Each *distinct* word is decoded once, where it first occurs, and its
-    row shared by every later occurrence — compiled code repeats itself,
-    so an image has an order of magnitude fewer distinct words than
-    words (counters ``program.decode.words`` / ``.distinct``).  Words
-    are decoded in stream order, so code with an undecodable word fails
-    on the first such word, whose byte offset the error carries.
+    Each *distinct* word gets its row once, where it first occurs, and
+    the row is shared by every later occurrence — compiled code repeats
+    itself, so an image has an order of magnitude fewer distinct words
+    than words, and fewer *forms* again, the only words decoded
+    (:class:`_RowTable`; counters ``program.decode.words`` /
+    ``.distinct`` / ``.forms``).  Words are looked up in stream order,
+    and a word is undecodable exactly when its form is, so code with
+    an undecodable word fails on the first such word, whose byte offset
+    the error carries.
     """
     words = code_words(code)
     table = _RowTable()
@@ -351,6 +385,7 @@ def decode_rows(code: bytes) -> Tuple[tuple, ...]:
         raise
     REGISTRY.inc("program.decode.words", len(words))
     REGISTRY.inc("program.decode.distinct", len(table))
+    REGISTRY.inc("program.decode.forms", len(table.forms))
     return rows
 
 

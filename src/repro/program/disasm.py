@@ -19,8 +19,8 @@ from repro.program.model import Program, Routine
 def disassemble_image(image: ExecutableImage) -> Program:
     """Decode ``image`` into a :class:`~repro.program.model.Program`.
 
-    The text is decoded to rows (:func:`decode_rows`), each distinct
-    word's row shared by its routines.
+    The image is validated here (:func:`load_program` parses without)
+    and its text decoded to rows (:func:`decode_rows`).
     """
     entries = image.validate()
     try:
@@ -31,19 +31,15 @@ def disassemble_image(image: ExecutableImage) -> Program:
             f"{image.text_base + error.offset:#x}: {error}"
         ) from error
     routines: List[Routine] = []
-    for symbol in sorted(image.symbols, key=lambda s: s.address):
+    # Validated: every symbol lies inside the text, in address order.
+    for symbol in entries.values():
         offset = symbol.address - image.text_base
         start = offset // INSTRUCTION_SIZE
-        count = symbol.size // INSTRUCTION_SIZE
-        body = rows[start : start + count]
-        if len(body) != count:
-            raise ImageFormatError(
-                f"symbol {symbol.name!r} extends past the text section"
-            )
         routines.append(Routine.lifted(
             symbol.name, symbol.address,
-            image.text[offset : offset + count * INSTRUCTION_SIZE],
-            body, symbol.exported,
+            image.text[offset : offset + symbol.size],
+            rows[start : start + symbol.size // INSTRUCTION_SIZE],
+            symbol.exported,
         ))
     entry_symbol = entries.get(image.entry_point)
     if entry_symbol is None:
@@ -74,7 +70,7 @@ def disassemble_image(image: ExecutableImage) -> Program:
 
 def load_program(blob: bytes) -> Program:
     """Parse serialized image bytes and lift them to a program."""
-    return disassemble_image(ExecutableImage.from_bytes(blob))
+    return disassemble_image(ExecutableImage.parse(blob))
 
 
 def render_listing(program: Program) -> str:

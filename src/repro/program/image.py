@@ -43,9 +43,9 @@ JUMP_TABLE_ENTRY_SIZE = 8
 
 _HEADER = struct.Struct("<4sIQQQIIIIII")
 _HINT_FIXED = struct.Struct("<QI")
-_SYMBOL_FIXED = struct.Struct("<QQB")
+#: A symbol's address, size, export flag and name length; the name follows.
+_SYMBOL_FIXED = struct.Struct("<QQBH")
 _JUMP_TABLE = struct.Struct("<QQI")
-_U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
 
 
@@ -146,8 +146,8 @@ class ExecutableImage:
     def validate(self) -> Dict[int, Symbol]:
         """Check internal consistency; raise :class:`ImageFormatError`.
 
-        Returns the symbols by entry address (what :meth:`symbol_at`
-        scans for), which the checks need anyway.
+        Returns the symbols by entry address, in address order (what
+        :meth:`symbol_at` scans for), which the checks need anyway.
         """
         if len(self.text) % 4:
             raise ImageFormatError("text section not word aligned")
@@ -236,10 +236,7 @@ class ExecutableImage:
             raise ImageFormatError(
                 f"jump table at {info.table_address:#x} outside data section"
             )
-        return tuple(
-            _U64.unpack_from(self.data, offset + i * JUMP_TABLE_ENTRY_SIZE)[0]
-            for i in range(info.count)
-        )
+        return _u64s(self.data, offset, info.count)
 
     @property
     def instruction_count(self) -> int:
@@ -258,9 +255,9 @@ class ExecutableImage:
         for symbol in self.symbols:
             encoded = symbol.name.encode("utf-8")
             symbol_blob += _SYMBOL_FIXED.pack(
-                symbol.address, symbol.size, 1 if symbol.exported else 0
+                symbol.address, symbol.size, 1 if symbol.exported else 0,
+                len(encoded),
             )
-            symbol_blob += _U16.pack(len(encoded))
             symbol_blob += encoded
         table_blob = bytearray()
         for table in self.jump_tables:
@@ -300,6 +297,15 @@ class ExecutableImage:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ExecutableImage":
         """Parse a serialized image; raises :class:`ImageFormatError`."""
+        image = cls.parse(blob)
+        image.validate()
+        return image
+
+    @classmethod
+    def parse(cls, blob: bytes) -> "ExecutableImage":
+        """The image ``blob`` serializes, checked only as far as reading
+        it needs (:class:`ImageFormatError`): :meth:`validate` it before
+        use, as :meth:`from_bytes` and ``disassemble_image`` do."""
         if len(blob) < _HEADER.size:
             raise ImageFormatError("image too short for header")
         (
@@ -328,12 +334,12 @@ class ExecutableImage:
         offset += data_size
         symbols: List[Symbol] = []
         for _ in range(symbol_count):
-            if offset + _SYMBOL_FIXED.size + _U16.size > len(blob):
+            if offset + _SYMBOL_FIXED.size > len(blob):
                 raise ImageFormatError("truncated symbol table")
-            address, size, exported = _SYMBOL_FIXED.unpack_from(blob, offset)
+            address, size, exported, name_length = _SYMBOL_FIXED.unpack_from(
+                blob, offset
+            )
             offset += _SYMBOL_FIXED.size
-            (name_length,) = _U16.unpack_from(blob, offset)
-            offset += _U16.size
             if offset + name_length > len(blob):
                 raise ImageFormatError("truncated symbol name")
             try:
@@ -351,13 +357,10 @@ class ExecutableImage:
             jump_address, table_address, count = _JUMP_TABLE.unpack_from(blob, offset)
             offset += _JUMP_TABLE.size
             jump_tables.append(JumpTableInfo(jump_address, table_address, count))
-        data_relocations: List[int] = []
-        for _ in range(relocation_count):
-            if offset + _U64.size > len(blob):
-                raise ImageFormatError("truncated data relocations")
-            (relocation,) = _U64.unpack_from(blob, offset)
-            offset += _U64.size
-            data_relocations.append(relocation)
+        if offset + 8 * relocation_count > len(blob):
+            raise ImageFormatError("truncated data relocations")
+        data_relocations = list(_u64s(blob, offset, relocation_count))
+        offset += 8 * relocation_count
         call_target_hints: List[CallTargetHint] = []
         for _ in range(hint_count):
             if offset + _HINT_FIXED.size > len(blob):
@@ -366,13 +369,10 @@ class ExecutableImage:
             offset += _HINT_FIXED.size
             if offset + 8 * target_count > len(blob):
                 raise ImageFormatError("truncated call-target hint targets")
-            targets = tuple(
-                _U64.unpack_from(blob, offset + 8 * i)[0]
-                for i in range(target_count)
-            )
+            targets = _u64s(blob, offset, target_count)
             offset += 8 * target_count
             call_target_hints.append(CallTargetHint(call_address, targets))
-        image = cls(
+        return cls(
             text=text,
             data=data,
             text_base=text_base,
@@ -383,8 +383,11 @@ class ExecutableImage:
             data_relocations=data_relocations,
             call_target_hints=call_target_hints,
         )
-        image.validate()
-        return image
+
+
+def _u64s(blob: bytes, offset: int, count: int) -> Tuple[int, ...]:
+    """``count`` little-endian 64-bit words of ``blob`` from ``offset``."""
+    return struct.unpack_from(f"<{count}Q", blob, offset)
 
 
 def pack_jump_table(targets: Sequence[int]) -> bytes:

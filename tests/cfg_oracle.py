@@ -243,7 +243,7 @@ def _branch_target(routine: Routine, index: int, instruction: Row) -> int:
 
 
 def _target_index(routine: Routine, jump_index: int, address: int) -> int:
-    if not routine.contains(address):
+    if not routine.contains(address) or (address - routine.address) % 4:
         raise CfgError(
             f"{routine.name!r}: jump table at "
             f"{routine.address_of(jump_index):#x} targets {address:#x}, "

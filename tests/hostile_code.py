@@ -98,6 +98,15 @@ def _table_outside(program):
     )
 
 
+def _table_unaligned(program):
+    # Inside the routine, two bytes into an instruction.
+    jump = _site(program, ControlKind.INDIRECT_JUMP)
+    first, *rest = program.jump_targets[jump]
+    return dataclasses.replace(
+        program, jump_targets={**program.jump_targets, jump: (first + 2, *rest)}
+    )
+
+
 def _bsr_to_non_entry(program):
     main_routine = program.routine("main")
     words = [
@@ -135,6 +144,7 @@ HOSTILE = {
     "call-at-last": (_call_at_last, CfgError, "has no return point"),
     "falls-off": (_falls_off, CfgError, "falls off the end"),
     "table-outside": (_table_outside, CfgError, "jump table at"),
+    "table-unaligned": (_table_unaligned, CfgError, "outside the routine"),
     "bsr-to-non-entry": (_bsr_to_non_entry, CfgError, "not a routine entry"),
     "hint-to-non-entry": (_hint_to_non_entry, CfgError, "call-target hint"),
     "boundary-free-loop": (_boundary_free_loop, AnalysisError, "infinite loop"),

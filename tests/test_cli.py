@@ -1,13 +1,21 @@
 """Tests for the spike-analyze command-line interface."""
 
 import dataclasses
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.api import AnalysisConfig, AnalysisSession
 from repro.cli import main
+from repro.interproc import persist
+from repro.interproc import store as store_module
+from repro.interproc.persist import dump_summaries
 from repro.program.asm import assemble
+from repro.workloads.generator import GeneratorConfig, generate_program
+from repro.workloads.shapes import shape_by_name
 from tests.hostile_code import two_bad_words
 from tests.label_oracle import labeling as oracle_labeling
 
@@ -813,3 +821,101 @@ class TestAtomicByproductWrites:
         assert code == 5
         with open(sidecar, "rb") as handle:
             assert handle.read() == good
+
+
+class _FullFile:
+    """A file open for writing on a full disk: it exists, but every
+    write fails with ``ENOSPC``."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, _blob):
+        _no_space()
+
+
+def _no_space(*_args, **_kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFullDisk:
+    """``ENOSPC`` injected into the one atomic writer
+    (``persist.atomic_write``) — in the temp file's write or in its
+    ``os.replace`` — since root writes past permission bits: the
+    previous output stays byte-identical, no temp file is left, the CLI
+    exits 5 with one stderr line, and a store that cannot publish
+    changes no summary."""
+
+    @pytest.fixture(params=["write", "replace"])
+    def full_disk(self, request, monkeypatch):
+        """Arms the fault; the test calls it once the good outputs are
+        on disk."""
+
+        def arm():
+            if request.param == "replace":
+                monkeypatch.setattr(persist.os, "replace", _no_space)
+                return
+
+            def open_full(path, mode="r", *args, **kwargs):
+                handle = open(path, mode, *args, **kwargs)
+                return _FullFile(handle) if "w" in mode else handle
+
+            monkeypatch.setattr(persist, "open", open_full, raising=False)
+
+        return arm
+
+    @pytest.mark.parametrize(
+        "flags,what",
+        [(["--incremental", "--cache"], "cache"),
+         (["--save-summaries"], "summaries")],
+        ids=["cache", "save-summaries"],
+    )
+    def test_previous_output_survives(
+        self, image_path, tmp_path, capsys, full_disk, flags, what
+    ):
+        output = tmp_path / "prog.out"
+        argv = ["analyze", image_path, *flags, str(output)]
+        assert main(argv) == 0
+        good = output.read_bytes()
+        capsys.readouterr()
+        full_disk()
+        assert main(argv) == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"could not write {what} to {output}: "
+            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        ]
+        assert output.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
+
+    def test_a_store_that_cannot_publish_changes_nothing(
+        self, tmp_path, monkeypatch, full_disk
+    ):
+        program = generate_program(
+            shape_by_name("compress").scaled(0.1), GeneratorConfig(seed=0)
+        )
+        alone = AnalysisSession.from_program(
+            program, AnalysisConfig(store="off")
+        ).analyze_incremental()
+        written = []
+
+        def spy(directory, blob):
+            written.append(real_write_pack(directory, blob))
+            return written[-1]
+
+        real_write_pack = store_module._write_pack
+        monkeypatch.setattr(store_module, "_write_pack", spy)
+        full_disk()
+        root = tmp_path / "store"
+        stored = AnalysisSession.from_program(
+            program, AnalysisConfig(store=store_module.SummaryStore(str(root)))
+        ).analyze_incremental()
+        assert written == [None]
+        assert dump_summaries(stored.result) == dump_summaries(alone.result)
+        assert [p.name for p in root.rglob("*") if p.is_file()] == []

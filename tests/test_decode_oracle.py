@@ -10,7 +10,7 @@ mask-arithmetic def/use rule, held to the code they replaced
   the word the oracle encoder gives, or the same error;
 * every word class outside the tables: the oracle's exact
   ``EncodingError`` text, and ``decode_rows`` still names the first
-  bad word;
+  bad word, also one that looks like a literal variant of a good one;
 * random 32-bit words (Hypothesis): same text or equal rows;
 * rows pickle and are immutable, and re-encoding a row's operands
   gives its word back, under the checks the instruction constructor
@@ -234,6 +234,30 @@ def test_decode_rows_names_the_first_bad_word():
         decode_rows(code)
     assert caught.value.offset == 8
     assert str(caught.value) == _outcome(oracle.decode_row, bad_function)
+
+
+def test_a_bad_word_is_named_where_it_looks_like_a_literal_variant():
+    """Words of one form share a row, so no bad word may pass for a
+    variant of a good one.  Bit 12 flags the literal form only in an
+    integer operate word; an FP operate word's function may set it
+    too, and a key that cleared bits 20:13 on bit 12 alone would file
+    ``fp | 1 << 13`` (function 0x1a0, which no opcode has) under the
+    form of the good ``addt`` before it."""
+    literal = encode(Opcode.ADDQ, ra=1, rc=3, literal=7)
+    fp = encode(Opcode.ADDT, ra=33, rb=34, rc=35)
+    assert literal & 1 << 12 and fp & 1 << 12
+    for good, variant, bad in (
+        (literal, literal ^ 0x5 << 13, literal | 0x7F << 5),
+        (fp, fp, fp | 1 << 13),
+    ):
+        code = struct.pack("<5I", good, variant, bad, good, bad)
+        with pytest.raises(EncodingError) as caught:
+            decode_rows(code)
+        assert caught.value.offset == 8
+        assert str(caught.value) == _outcome(oracle.decode_row, bad)
+        assert decode_rows(code[:8]) == (
+            oracle.decode_row(good), oracle.decode_row(variant)
+        )
 
 
 def test_an_image_names_its_first_bad_word_whatever_the_set_order():

@@ -707,8 +707,10 @@ class TestGccStructuralGate:
 
     def test_warm_clean_decodes_each_word_of_the_image_once(self, gcc_tenth):
         # Counts, not a stopwatch: nobody re-decodes through
-        # ``Routine.code``, and compiled code repeats itself enough for
-        # the per-call distinct-word dict to pay.
+        # ``Routine.code``, compiled code repeats itself enough for the
+        # per-call distinct-word dict to pay, and ``decode_row`` cuts
+        # only each form: the branch and memory words that differ in
+        # their displacements alone share one.
         program, sidecar, _prime = gcc_tenth
         image = program_to_image(program)
         before = REGISTRY.snapshot()
@@ -717,6 +719,8 @@ class TestGccStructuralGate:
         delta = REGISTRY.delta_since(before)
         assert delta["program.decode.words"] == image.instruction_count
         assert 0 < delta["program.decode.distinct"] <= 0.1 * image.instruction_count
+        assert delta["program.decode.forms"] == 95
+        assert delta["program.decode.forms"] < 0.1 * delta["program.decode.distinct"]
 
     def test_local_edit_builds_no_more_cfgs_than_it_solves(self, gcc_tenth):
         program, sidecar, _prime = gcc_tenth

@@ -1,12 +1,17 @@
 """Tests for the SAX executable image format."""
 
+import struct
+
 import pytest
 
+from repro.api import AnalysisSession
 from repro.isa.encoding import encode, words_code
 from repro.isa.instructions import Opcode
+from repro.program.disasm import load_program
 from repro.program.image import (
     DEFAULT_DATA_BASE,
     DEFAULT_TEXT_BASE,
+    CallTargetHint,
     ExecutableImage,
     ImageFormatError,
     JumpTableInfo,
@@ -135,17 +140,24 @@ class TestLookups:
 class TestSerialization:
     def test_roundtrip(self):
         image = _image(
-            data=pack_jump_table((DEFAULT_TEXT_BASE,)) + b"\xAB" * 24,
-            jump_tables=[JumpTableInfo(DEFAULT_TEXT_BASE, DEFAULT_DATA_BASE, 1)],
-            data_relocations=[DEFAULT_DATA_BASE + 8],
+            data=pack_jump_table((DEFAULT_TEXT_BASE, DEFAULT_TEXT_BASE + 4))
+            + b"\xAB" * 16,
+            jump_tables=[JumpTableInfo(DEFAULT_TEXT_BASE, DEFAULT_DATA_BASE, 2)],
+            data_relocations=[DEFAULT_DATA_BASE + 8, DEFAULT_DATA_BASE + 16],
+            call_target_hints=[
+                CallTargetHint(DEFAULT_TEXT_BASE + 4, (DEFAULT_TEXT_BASE + 8,)),
+                CallTargetHint(
+                    DEFAULT_TEXT_BASE + 12,
+                    (DEFAULT_TEXT_BASE, DEFAULT_TEXT_BASE + 8),
+                ),
+            ],
         )
         restored = ExecutableImage.from_bytes(image.to_bytes())
-        assert restored.text == image.text
-        assert restored.data == image.data
-        assert restored.symbols == image.symbols
-        assert restored.jump_tables == image.jump_tables
-        assert restored.data_relocations == image.data_relocations
-        assert restored.entry_point == image.entry_point
+        assert restored == image
+        assert restored.read_jump_table(restored.jump_tables[0]) == (
+            DEFAULT_TEXT_BASE, DEFAULT_TEXT_BASE + 4,
+        )
+        assert restored.to_bytes() == image.to_bytes()
 
     def test_bad_magic_rejected(self):
         blob = bytearray(_image().to_bytes())
@@ -159,6 +171,11 @@ class TestSerialization:
             ExecutableImage.from_bytes(blob[:10])
         with pytest.raises(ImageFormatError):
             ExecutableImage.from_bytes(blob[:-4])
+
+    def test_truncated_relocations_are_named(self):
+        blob = _image(data_relocations=[DEFAULT_DATA_BASE]).to_bytes()
+        with pytest.raises(ImageFormatError, match="truncated data relocations"):
+            ExecutableImage.from_bytes(blob[:-1])
 
     def test_exported_flag_survives(self):
         restored = ExecutableImage.from_bytes(_image().to_bytes())
@@ -204,3 +221,37 @@ class TestHostileSymbolTables:
         assert image.validate() == {
             symbol.address: symbol for symbol in image.symbols
         }
+
+
+class TestOneValidationPerOpen:
+    """Opening image bytes runs each :meth:`ExecutableImage.validate`
+    check once: ``parse`` reads, and whoever lifts or hands out the
+    image validates it."""
+
+    def test_from_image_bytes_validates_once(self, monkeypatch):
+        blob = _image().to_bytes()
+        calls = []
+        validate = ExecutableImage.validate
+        monkeypatch.setattr(
+            ExecutableImage, "validate",
+            lambda image: calls.append(image) or validate(image),
+        )
+        AnalysisSession.from_image_bytes(blob)
+        assert len(calls) == 1
+        ExecutableImage.from_bytes(blob)
+        assert len(calls) == 2
+
+    def test_an_inconsistent_image_parses_and_fails_validation(self):
+        # The entry point moved past every routine: a consistency
+        # check, not a reading one.
+        blob = bytearray(_image().to_bytes())
+        struct.pack_into("<Q", blob, 24, DEFAULT_TEXT_BASE + 64)
+        blob = bytes(blob)
+        assert ExecutableImage.parse(blob).entry_point == DEFAULT_TEXT_BASE + 64
+        message = f"entry point {DEFAULT_TEXT_BASE + 64:#x} not inside any routine"
+        for open_image in (
+            ExecutableImage.from_bytes, load_program,
+            AnalysisSession.from_image_bytes,
+        ):
+            with pytest.raises(ImageFormatError, match=message):
+                open_image(blob)

@@ -10,15 +10,18 @@
   callee-saved filtering on and off.
 * Hostile code raises the same exception, with the same message,
   through the cold, warm and query paths, and the CLI maps
-  it to exit 3 (exit 4 for a boundary-free loop).
+  it to exit 3 (exit 4 for a boundary-free loop), an image whose
+  jump-table entry points into an instruction too.
 * An analysis and its reports build each routine's rows once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import re
+import struct
 
 import pytest
 
@@ -28,13 +31,14 @@ from repro.cli import main
 from repro.dataflow.regset import mask_of
 from repro.isa.calling_convention import NT_ALPHA
 from repro.obs.metrics import REGISTRY
+from repro.program.asm import assemble
 from repro.program.model import Program
 from repro.program.rewrite import program_to_image
 from repro.psg.build import PsgConfig, build_psg
 from repro.workloads.generator import GeneratorConfig, generate_program
 from repro.workloads.shapes import ALL_SHAPES, shape_by_name
 from tests.cfg_oracle import carve, oracle_cfg, oracle_saved_mask
-from tests.hostile_code import HOSTILE, base
+from tests.hostile_code import BASE_SOURCE, HOSTILE, base
 from tests.label_oracle import labeling
 from tests.records import blocks_of
 
@@ -177,6 +181,27 @@ def test_cli_exit_code_on_hostile_code(case, code, argv, tmp_path, capsys):
     assert main(command) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and fragment in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["analyze", "--incremental"], ["query", "main"]],
+    ids=["cold", "incremental", "query"],
+)
+def test_cli_exit_code_on_an_unaligned_jump_table_entry(argv, tmp_path, capsys):
+    # Bytes, not ``program_to_image``: relinking would move the entry.
+    image = assemble(BASE_SOURCE)
+    (table,) = image.jump_tables
+    at = table.table_address - image.data_base
+    (first,) = struct.unpack_from("<Q", image.data, at)
+    data = bytearray(image.data)
+    struct.pack_into("<Q", data, at, first + 2)
+    path = tmp_path / "hostile.sax"
+    path.write_bytes(dataclasses.replace(image, data=bytes(data)).to_bytes())
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].endswith(f"targets {first + 2:#x}, outside the routine")
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,10 @@ target scan creeping back shows there as a count, on any host — its
 ``psg.label.region_blocks`` is present and below the block count (SCC
 work stays inside back-arc regions), and its ``frontend.rows`` counter
 equals the routine count: the front end walked every routine's
-instruction rows once.  The cold query must report
+instruction rows once.  The in-process open of the same image
+(``AnalysisSession.from_image_bytes``, the CLI's) must count
+``program.decode`` ``forms <= distinct <= words == instructions``: the
+text decoded once, ``decode_row`` cutting each form only.  The cold query must report
 ``psg.builds + psg.partial_builds <= 2`` (its needed components solve
 as one region per phase, not one graph per component), and the warm
 one ``phase2_solved == 0``: the cone-scoped solves and the sidecar they
@@ -142,6 +145,18 @@ def main(argv: List[str] | None = None) -> int:
         if counters.get("frontend.rows") != routines:
             fail(f"the cold run walked {counters.get('frontend.rows')} "
                  f"routines, not {routines}")
+        # The CLI's counters are its run's ledger, which opens after the
+        # image is decoded: the decode counts are the in-process open's.
+        decoded = [
+            oracle_counters.get(f"program.decode.{key}")
+            for key in ("forms", "distinct", "words")
+        ]
+        instructions = oracle.program.instruction_count
+        if None in decoded or not (
+            decoded[0] <= decoded[1] <= decoded[2] == instructions
+        ):
+            fail(f"program.decode forms, distinct, words {decoded}: not "
+                 f"forms <= distinct <= words == {instructions} instructions")
         blocks = oracle.basic_block_count
         visits = counters.get("psg.label.visits")
         if visits is None:
@@ -166,7 +181,8 @@ def main(argv: List[str] | None = None) -> int:
             fail(f"the repeated query re-solved: phase2_solved "
                  f"{warm['phase2_solved']}")
         print(
-            f"{routines} routines walked, "
+            f"{routines} routines walked, {decoded[0]} forms of "
+            f"{decoded[1]} distinct words decoded, "
             f"{blocks} blocks, {sweep['psg_edges']} PSG edges: summaries "
             f"byte-identical to the per-target oracle, iterations "
             f"{[counters[key] for key in EQUAL_KEYS]} equal, {visits} label "

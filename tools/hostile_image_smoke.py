@@ -2,7 +2,8 @@
 """End-to-end smoke test: hostile inputs end in a documented exit, not a traceback.
 
 Generates a Table-2 image, derives from its bytes the malformed
-variants of :func:`hostile_images`, and runs ``spike-analyze analyze``
+variants of :func:`hostile_images` (a jump-table target off an
+instruction boundary among them), and runs ``spike-analyze analyze``
 on each as a real subprocess; each must exit 3 (``EXIT_BAD_IMAGE``).
 So must ``summaries`` on the image itself and on a truncated summary
 sidecar.  ``run`` and ``optimize --verify`` on an image whose program
@@ -35,9 +36,9 @@ import tempfile
 from typing import Dict, List
 
 # The SAX container layout: header, then text, data and the symbol
-# table (fixed part, u16 name length, name).
+# table (fixed part ending in the name's length, then the name).
 from repro.program.asm import assemble
-from repro.program.image import _HEADER, _SYMBOL_FIXED, _U16, ExecutableImage
+from repro.program.image import _HEADER, _SYMBOL_FIXED, ExecutableImage
 
 #: A program whose load faults (unaligned address).
 FAULTING = """
@@ -55,13 +56,16 @@ def hostile_images(blob: bytes) -> Dict[str, bytes]:
     routine that is not the entry point: its name is made invalid
     UTF-8, its size zero, its address ``2 (mod 4)`` (shrunk by a word
     so that it still overlaps nothing).  ``to_bytes`` would refuse to
-    write any of them, hence the byte surgery.
+    write any of them, hence the byte surgery.  ``table-entry-unaligned``
+    (only when the image has a jump table) moves the first jump-table
+    entry two bytes into its target instruction: inside the routine,
+    off every instruction boundary.
     """
     image = ExecutableImage.from_bytes(blob)
     text_at = _HEADER.size
     offset = text_at + len(image.text) + len(image.data)
     for symbol in image.symbols:
-        name_at = offset + _SYMBOL_FIXED.size + _U16.size
+        name_at = offset + _SYMBOL_FIXED.size
         if symbol.address != image.entry_point and symbol.size >= 8:
             break
         offset = name_at + len(symbol.name.encode("utf-8"))
@@ -73,10 +77,12 @@ def hostile_images(blob: bytes) -> Dict[str, bytes]:
 
     def resized(address: int, size: int) -> bytes:
         return patched(
-            offset, _SYMBOL_FIXED.pack(address, size, symbol.exported)
+            offset, _SYMBOL_FIXED.pack(
+                address, size, symbol.exported, len(symbol.name.encode("utf-8"))
+            )
         )
 
-    return {
+    hostile = {
         "symbol-name-not-utf8": patched(name_at, b"\xff"),
         "symbol-zero-size": resized(symbol.address, 0),
         "symbol-unaligned": resized(symbol.address + 2, symbol.size - 4),
@@ -87,6 +93,13 @@ def hostile_images(blob: bytes) -> Dict[str, bytes]:
         "truncated-symbols": blob[: name_at],
         "truncated-tail": blob[:-4],
     }
+    for table in image.jump_tables[:1]:
+        at = text_at + len(image.text) + table.table_address - image.data_base
+        (target,) = struct.unpack_from("<Q", blob, at)
+        hostile["table-entry-unaligned"] = patched(
+            at, struct.pack("<Q", target + 2)
+        )
+    return hostile
 
 
 def fail(message: str) -> None:
@@ -138,7 +151,10 @@ def main(argv: List[str] | None = None) -> int:
         )
         with open(base, "rb") as handle:
             blob = handle.read()
-        for name, hostile in hostile_images(blob).items():
+        variants = hostile_images(blob)
+        if "table-entry-unaligned" not in variants:
+            fail(f"{args.benchmark} x{args.scale} has no jump table to corrupt")
+        for name, hostile in variants.items():
             path = os.path.join(tmp, f"{name}.sax")
             with open(path, "wb") as handle:
                 handle.write(hostile)
