@@ -15,14 +15,16 @@ boundaries; it supports the full set algebra via operators.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, List, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.isa.registers import (
     ALL_REGISTERS,
     FLOAT_ZERO_REGISTER,
     NUM_REGISTERS,
     Register,
+    RegisterLike,
     ZERO_REGISTER,
+    register_index,
 )
 
 #: Bitmask covering every architectural register.
@@ -32,24 +34,12 @@ FULL_MASK: int = (1 << NUM_REGISTERS) - 1
 #: hardwired zero registers, which carry no dataflow.
 TRACKED_MASK: int = FULL_MASK & ~(1 << ZERO_REGISTER) & ~(1 << FLOAT_ZERO_REGISTER)
 
-RegisterLike = Union[Register, int, str]
-
-
-def _index(value: RegisterLike) -> int:
-    if isinstance(value, Register):
-        return value.index
-    if isinstance(value, int):
-        if not 0 <= value < NUM_REGISTERS:
-            raise ValueError(f"register index {value} out of range")
-        return value
-    return Register.parse(value).index
-
 
 def mask_of(registers: Iterable[RegisterLike]) -> int:
     """Build a raw bitmask from register-like values."""
     mask = 0
     for register in registers:
-        mask |= 1 << _index(register)
+        mask |= 1 << register_index(register)
     return mask
 
 
@@ -153,16 +143,17 @@ class RegisterSet:
 
     def add(self, register: RegisterLike) -> "RegisterSet":
         """A new set with ``register`` included."""
-        return RegisterSet.from_mask(self._mask | (1 << _index(register)))
+        return RegisterSet.from_mask(self._mask | (1 << register_index(register)))
 
     def remove(self, register: RegisterLike) -> "RegisterSet":
         """A new set with ``register`` excluded."""
-        return RegisterSet.from_mask(self._mask & ~(1 << _index(register)) & FULL_MASK)
+        mask = self._mask & ~(1 << register_index(register))
+        return RegisterSet.from_mask(mask & FULL_MASK)
 
     # -- predicates -------------------------------------------------------
 
     def __contains__(self, register: RegisterLike) -> bool:
-        return bool(self._mask >> _index(register) & 1)
+        return bool(self._mask >> register_index(register) & 1)
 
     def issubset(self, other: "RegisterSet") -> bool:
         return self._mask & ~other._mask == 0

@@ -15,7 +15,7 @@ provided for readability in assembly listings and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 #: Total number of architectural registers tracked by the analysis.
 NUM_REGISTERS = 64
@@ -186,6 +186,21 @@ ALL_REGISTERS: Tuple[Register, ...] = INTEGER_REGISTERS + FLOAT_REGISTERS
 def all_registers() -> Iterator[Register]:
     """Iterate over every architectural register in index order."""
     return iter(ALL_REGISTERS)
+
+
+#: What names a register: a :class:`Register`, an index or a name.
+RegisterLike = Union[Register, int, str]
+
+
+def register_index(value: RegisterLike) -> int:
+    """The index of a register-like value (raises :class:`ValueError`)."""
+    if isinstance(value, Register):
+        return value.index
+    if isinstance(value, int):
+        if not 0 <= value < NUM_REGISTERS:
+            raise ValueError(f"register index {value} out of range")
+        return value
+    return Register.parse(value).index
 
 
 class RegisterFile:

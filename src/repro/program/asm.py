@@ -39,7 +39,12 @@ from repro.isa.encoding import (
     words_code,
 )
 from repro.isa.instructions import ControlKind, Format, MNEMONIC_TO_OPCODE, Opcode
-from repro.isa.registers import Register, ZERO_REGISTER
+from repro.isa.registers import (
+    Register,
+    RegisterLike,
+    ZERO_REGISTER,
+    register_index,
+)
 from repro.program.image import (
     DEFAULT_DATA_BASE,
     DEFAULT_TEXT_BASE,
@@ -50,20 +55,9 @@ from repro.program.image import (
     pack_jump_table,
 )
 
-RegisterLike = Union[Register, str, int]
-
 
 class AssemblyError(ValueError):
     """Raised for malformed assembly input."""
-
-
-def _reg(value: RegisterLike) -> int:
-    """Coerce a register-like value to a unified register index."""
-    if isinstance(value, Register):
-        return value.index
-    if isinstance(value, int):
-        return Register(value).index
-    return Register.parse(value).index
 
 
 @dataclass(slots=True)
@@ -179,10 +173,14 @@ class Assembler:
             raise AssemblyError(f"{mnemonic} is not an operate instruction")
         if literal or (literal is None and isinstance(rb_or_literal, int)):
             word = encode(
-                opcode, ra=_reg(ra), rc=_reg(rc), literal=int(rb_or_literal)
+                opcode, ra=register_index(ra), rc=register_index(rc),
+                literal=int(rb_or_literal),
             )
         else:
-            word = encode(opcode, ra=_reg(ra), rb=_reg(rb_or_literal), rc=_reg(rc))
+            word = encode(
+                opcode, ra=register_index(ra),
+                rb=register_index(rb_or_literal), rc=register_index(rc),
+            )
         return self.emit(word)
 
     def memory(
@@ -193,7 +191,10 @@ class Assembler:
         if opcode.format not in (Format.MEMORY, Format.MEMORY_FP):
             raise AssemblyError(f"{mnemonic} is not a memory instruction")
         return self.emit(
-            encode(opcode, ra=_reg(ra), rb=_reg(rb), displacement=displacement)
+            encode(
+                opcode, ra=register_index(ra), rb=register_index(rb),
+                displacement=displacement,
+            )
         )
 
     def branch(self, mnemonic: str, ra: RegisterLike, label: str) -> "Assembler":
@@ -210,14 +211,19 @@ class Assembler:
     def _branch(self, opcode: Opcode, ra: RegisterLike, label: str) -> "Assembler":
         self._require_routine()
         self._slots.append(
-            _Slot(encode(opcode, ra=_reg(ra)), "branch", label=self._label_key(label))
+            _Slot(
+                encode(opcode, ra=register_index(ra)), "branch",
+                label=self._label_key(label),
+            )
         )
         return self
 
     def bsr(self, target: str, ra: RegisterLike = "ra") -> "Assembler":
         """Emit a direct call to routine ``target``."""
         self._require_routine()
-        self._slots.append(_Slot(encode(Opcode.BSR, ra=_reg(ra)), "bsr", symbol=target))
+        self._slots.append(_Slot(
+            encode(Opcode.BSR, ra=register_index(ra)), "bsr", symbol=target
+        ))
         return self
 
     def jsr(
@@ -237,11 +243,15 @@ class Assembler:
             if not hint_targets:
                 raise AssemblyError("hint_targets must not be empty")
             self._call_hints.append((len(self._slots), tuple(hint_targets)))
-        return self.emit(encode(Opcode.JSR, ra=_reg(ra), rb=_reg(rb)))
+        return self.emit(
+            encode(Opcode.JSR, ra=register_index(ra), rb=register_index(rb))
+        )
 
     def ret(self, rb: RegisterLike = "ra", ra: RegisterLike = ZERO_REGISTER) -> "Assembler":
         """Emit a return through register ``rb`` (normally ``ra``)."""
-        return self.emit(encode(Opcode.RET, ra=_reg(ra), rb=_reg(rb)))
+        return self.emit(
+            encode(Opcode.RET, ra=register_index(ra), rb=register_index(rb))
+        )
 
     def jmp(
         self,
@@ -258,7 +268,9 @@ class Assembler:
         self._require_routine()
         if table is not None:
             self._jump_sites.append((len(self._slots), table))
-        return self.emit(encode(Opcode.JMP, ra=_reg(ra), rb=_reg(rb)))
+        return self.emit(
+            encode(Opcode.JMP, ra=register_index(ra), rb=register_index(rb))
+        )
 
     def jump_table(self, name: str, labels: Sequence[str]) -> "Assembler":
         """Declare jump table ``name`` targeting routine-local ``labels``.
@@ -284,7 +296,7 @@ class Assembler:
         expands to an ``ldah``/``lda`` pair.
         """
         self._require_routine()
-        rd_index = _reg(rd)
+        rd_index = register_index(rd)
         if isinstance(value, int):
             if -0x8000 <= value <= 0x7FFF:
                 return self.emit(encode(Opcode.LDA, ra=rd_index, displacement=value))
@@ -410,7 +422,8 @@ class Assembler:
             ]
 
     def build(self, entry: Optional[str] = None) -> ExecutableImage:
-        """Resolve all references and produce the executable image."""
+        """Resolve all references and produce the executable image,
+        which ``to_bytes`` and ``disassemble_image`` validate."""
         if not self._routines:
             raise AssemblyError("no routines to assemble")
         self._routines[-1].end_slot = len(self._slots)
@@ -517,7 +530,7 @@ class Assembler:
         entry_name = entry or self._routines[0].name
         if entry_name not in routine_address:
             raise AssemblyError(f"entry routine {entry_name!r} not defined")
-        image = ExecutableImage(
+        return ExecutableImage(
             text=words_code(words),
             data=bytes(data),
             text_base=self._text_base,
@@ -530,8 +543,6 @@ class Assembler:
             ],
             call_target_hints=call_target_hints,
         )
-        image.validate()
-        return image
 
 
 def _address_slots(rd: int, symbol: str, kind: str) -> List[_Slot]:

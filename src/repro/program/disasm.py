@@ -31,7 +31,8 @@ def disassemble_image(image: ExecutableImage) -> Program:
             f"{image.text_base + error.offset:#x}: {error}"
         ) from error
     routines: List[Routine] = []
-    # Validated: every symbol lies inside the text, in address order.
+    # Validated: every symbol lies inside the text, in address order,
+    # and the entry point is one of them.
     for symbol in entries.values():
         offset = symbol.address - image.text_base
         start = offset // INSTRUCTION_SIZE
@@ -41,11 +42,6 @@ def disassemble_image(image: ExecutableImage) -> Program:
             rows[start : start + symbol.size // INSTRUCTION_SIZE],
             symbol.exported,
         ))
-    entry_symbol = entries.get(image.entry_point)
-    if entry_symbol is None:
-        raise ImageFormatError(
-            f"entry point {image.entry_point:#x} is not a routine entry"
-        )
     jump_targets: Dict[int, Tuple[int, ...]] = {
         info.jump_address: image.read_jump_table(info)
         for info in image.jump_tables
@@ -53,9 +49,9 @@ def disassemble_image(image: ExecutableImage) -> Program:
     jump_table_locations = {
         info.jump_address: info.table_address for info in image.jump_tables
     }
-    return Program(
+    return Program.lifted(
         routines=routines,
-        entry=entry_symbol.name,
+        entry=entries[image.entry_point].name,
         jump_targets=jump_targets,
         data=image.data,
         data_base=image.data_base,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 MAGIC = b"SAX1"
 
@@ -53,8 +53,7 @@ class ImageFormatError(ValueError):
     """Raised for malformed or inconsistent executable images."""
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """A routine symbol: name, entry address and code size in bytes."""
 
     name: str
@@ -62,24 +61,13 @@ class Symbol:
     size: int
     exported: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ImageFormatError("symbol with empty name")
-        if self.address < 0 or self.size < 0:
-            raise ImageFormatError(f"symbol {self.name!r} has negative fields")
-        if self.size % 4:
-            raise ImageFormatError(
-                f"symbol {self.name!r} size {self.size} not word aligned"
-            )
-
     @property
     def end(self) -> int:
         """One past the last byte of the routine's code."""
         return self.address + self.size
 
 
-@dataclass(frozen=True)
-class CallTargetHint:
+class CallTargetHint(NamedTuple):
     """Linker-provided target set for one indirect call (§3.5).
 
     The paper notes that "dataflow accuracy can be improved if
@@ -94,15 +82,8 @@ class CallTargetHint:
     call_address: int
     targets: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.targets:
-            raise ImageFormatError(
-                f"call-target hint at {self.call_address:#x} has no targets"
-            )
 
-
-@dataclass(frozen=True)
-class JumpTableInfo:
+class JumpTableInfo(NamedTuple):
     """Linker metadata tying an indirect jump to its table.
 
     ``jump_address`` is the address of the ``jmp`` instruction;
@@ -113,12 +94,6 @@ class JumpTableInfo:
     jump_address: int
     table_address: int
     count: int
-
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ImageFormatError(
-                f"jump table at {self.table_address:#x} has count {self.count}"
-            )
 
 
 @dataclass
@@ -146,23 +121,33 @@ class ExecutableImage:
     def validate(self) -> Dict[int, Symbol]:
         """Check internal consistency; raise :class:`ImageFormatError`.
 
-        Returns the symbols by entry address, in address order (what
-        :meth:`symbol_at` scans for), which the checks need anyway.
+        The one place an image's facts are checked: the records are
+        plain rows, and every path that hands an image to the analysis
+        or to disk (``disassemble_image``, :meth:`to_bytes`,
+        :meth:`from_bytes`) runs this once.  Returns the symbols by
+        entry address, in address order (what :meth:`symbol_at` scans
+        for); the entry point is one of them.
         """
         if len(self.text) % 4:
             raise ImageFormatError("text section not word aligned")
         text_end = self.text_base + len(self.text)
-        seen: Dict[str, Symbol] = {}
+        seen: Set[str] = set()
         entries: Dict[int, Symbol] = {}
         previous_end = self.text_base
         for symbol in sorted(self.symbols, key=lambda s: s.address):
+            if not symbol.name:
+                raise ImageFormatError("symbol with empty name")
             if symbol.name in seen:
                 raise ImageFormatError(f"duplicate symbol {symbol.name!r}")
-            seen[symbol.name] = symbol
+            seen.add(symbol.name)
             entries[symbol.address] = symbol
-            if not symbol.size:
+            if symbol.size <= 0:
                 raise ImageFormatError(
                     f"symbol {symbol.name!r} has no instructions"
+                )
+            if symbol.size % 4:
+                raise ImageFormatError(
+                    f"symbol {symbol.name!r} size {symbol.size} not word aligned"
                 )
             if symbol.address % 4:
                 raise ImageFormatError(
@@ -179,14 +164,20 @@ class ExecutableImage:
                     f"symbol {symbol.name!r} overlaps the previous routine"
                 )
             previous_end = symbol.end
-        if self.symbols and not any(
-            s.address <= self.entry_point < s.end for s in self.symbols
-        ):
+        if self.entry_point not in entries:
+            if any(s.address < self.entry_point < s.end for s in self.symbols):
+                raise ImageFormatError(
+                    f"entry point {self.entry_point:#x} is not a routine entry"
+                )
             raise ImageFormatError(
                 f"entry point {self.entry_point:#x} not inside any routine"
             )
         data_end = self.data_base + len(self.data)
         for table in self.jump_tables:
+            if table.count <= 0:
+                raise ImageFormatError(
+                    f"jump table at {table.table_address:#x} has count {table.count}"
+                )
             table_end = table.table_address + table.count * JUMP_TABLE_ENTRY_SIZE
             if table.table_address < self.data_base or table_end > data_end:
                 raise ImageFormatError(
@@ -203,12 +194,16 @@ class ExecutableImage:
                     f"data relocation {relocation:#x} outside data section"
                 )
         for hint in self.call_target_hints:
+            if not hint.targets:
+                raise ImageFormatError(
+                    f"call-target hint at {hint.call_address:#x} has no targets"
+                )
             if not self.text_base <= hint.call_address < text_end:
                 raise ImageFormatError(
                     f"call-target hint owner {hint.call_address:#x} outside text"
                 )
             for target in hint.targets:
-                if self.symbols and target not in entries:
+                if target not in entries:
                     raise ImageFormatError(
                         f"call-target hint at {hint.call_address:#x} targets "
                         f"{target:#x}, not a routine entry"
@@ -230,13 +225,9 @@ class ExecutableImage:
         return None
 
     def read_jump_table(self, info: JumpTableInfo) -> Tuple[int, ...]:
-        """Extract the code addresses stored in a jump table."""
-        offset = info.table_address - self.data_base
-        if offset < 0 or offset + info.count * JUMP_TABLE_ENTRY_SIZE > len(self.data):
-            raise ImageFormatError(
-                f"jump table at {info.table_address:#x} outside data section"
-            )
-        return _u64s(self.data, offset, info.count)
+        """The code addresses stored in jump table ``info``, which
+        :meth:`validate` has placed inside the data section."""
+        return _u64s(self.data, info.table_address - self.data_base, info.count)
 
     @property
     def instruction_count(self) -> int:

@@ -22,15 +22,10 @@ instruction occupies 4 bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.isa.encoding import INSTRUCTION_SIZE, decode_rows
 from repro.isa.instructions import ControlKind
-
-#: Control kinds whose displacement is PC-relative.
-RELATIVE_CONTROL = (
-    ControlKind.COND_BRANCH, ControlKind.UNCOND_BRANCH, ControlKind.CALL_DIRECT
-)
 
 
 class ProgramError(ValueError):
@@ -169,23 +164,54 @@ class Program:
     call_target_hints: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._by_name: Dict[str, Routine] = {}
+        names: Set[str] = set()
         for routine in self.routines:
-            if routine.name in self._by_name:
+            if routine.name in names:
                 raise ProgramError(f"duplicate routine name {routine.name!r}")
-            self._by_name[routine.name] = routine
+            names.add(routine.name)
         ordered = sorted(self.routines, key=lambda r: r.address)
         for before, after in zip(ordered, ordered[1:]):
             if after.address < before.end:
                 raise ProgramError(
                     f"routines {before.name!r} and {after.name!r} overlap"
                 )
-        self._by_entry: Dict[int, Routine] = {
-            routine.address: routine for routine in self.routines
-        }
-        self._ordered: List[Routine] = ordered
-        if self.entry not in self._by_name:
+        if self.entry not in names:
             raise ProgramError(f"entry routine {self.entry!r} not present")
+        self._index(ordered)
+
+    @classmethod
+    def lifted(
+        cls,
+        routines: List[Routine],
+        entry: str,
+        jump_targets: Dict[int, Tuple[int, ...]],
+        data: bytes,
+        data_base: int,
+        jump_table_locations: Dict[int, int],
+        data_relocations: List[int],
+        call_target_hints: Dict[int, Tuple[int, ...]],
+    ) -> "Program":
+        """The program of ``routines``, unchecked: they are in address
+        order, disjoint and named apart, and ``entry`` names one of
+        them — the routines of an image that
+        :meth:`~repro.program.image.ExecutableImage.validate` passed."""
+        program = cls.__new__(cls)
+        program.routines = routines
+        program.entry = entry
+        program.jump_targets = jump_targets
+        program.data = data
+        program.data_base = data_base
+        program.jump_table_locations = jump_table_locations
+        program.data_relocations = data_relocations
+        program.call_target_hints = call_target_hints
+        program._index(routines)
+        return program
+
+    def _index(self, ordered: List[Routine]) -> None:
+        """Look-ups over ``ordered``, the routines in address order."""
+        self._ordered: List[Routine] = ordered
+        self._by_name: Dict[str, Routine] = {r.name: r for r in ordered}
+        self._by_entry: Dict[int, Routine] = {r.address: r for r in ordered}
 
     # ------------------------------------------------------------------
     # Lookup
@@ -243,44 +269,6 @@ class Program:
 
     def __iter__(self) -> Iterator[Routine]:
         return iter(self._ordered)
-
-
-def check_single_entry(program: Program) -> None:
-    """Validate the paper's routine model: no branch in one routine may
-    target the middle of another routine (routines have a single entry).
-
-    Raises :class:`ProgramError` on violation.  Call targets (BSR) must be
-    routine entry addresses.
-    """
-    entries = {routine.address for routine in program.routines}
-    for routine in program:
-        for index, row in enumerate(routine.rows):
-            control = row[0]
-            if control not in RELATIVE_CONTROL:
-                continue
-            address = routine.address_of(index)
-            target = address + INSTRUCTION_SIZE * (1 + row[3])
-            if control is ControlKind.CALL_DIRECT:
-                if target not in entries:
-                    raise ProgramError(
-                        f"{routine.name!r}: call at {address:#x} "
-                        f"targets {target:#x}, not a routine entry"
-                    )
-            elif not routine.contains(target):
-                raise ProgramError(
-                    f"{routine.name!r}: branch at {address:#x} "
-                    f"targets {target:#x} outside the routine"
-                )
-    for jump_address, targets in program.jump_targets.items():
-        owner = program.routine_containing(jump_address)
-        if owner is None:
-            raise ProgramError(f"jump table owner {jump_address:#x} not in code")
-        for target in targets:
-            if not owner.contains(target):
-                raise ProgramError(
-                    f"{owner.name!r}: jump table at {jump_address:#x} has target "
-                    f"{target:#x} outside the routine"
-                )
 
 
 def program_statistics(program: Program) -> Dict[str, float]:

@@ -54,11 +54,11 @@ from repro.program.image import (
     JumpTableInfo,
     Symbol,
 )
-from repro.program.model import (
-    RELATIVE_CONTROL,
-    Program,
-    ProgramError,
-    Routine,
+from repro.program.model import Program, ProgramError, Routine
+
+#: Control kinds whose displacement is PC-relative.
+RELATIVE_CONTROL = (
+    ControlKind.COND_BRANCH, ControlKind.UNCOND_BRANCH, ControlKind.CALL_DIRECT
 )
 
 #: One routine's edits: instruction index -> replacement word, or
@@ -282,7 +282,8 @@ def program_to_image(program: Program) -> ExecutableImage:
     """Re-serialize a program into an executable image.
 
     Routines must be contiguous (the assembler and the rewriter always
-    produce contiguous layouts).
+    produce contiguous layouts).  ``to_bytes`` and ``disassemble_image``
+    validate the image.
     """
     ordered = sorted(program.routines, key=lambda r: r.address)
     text_base = ordered[0].address
@@ -312,7 +313,7 @@ def program_to_image(program: Program) -> ExecutableImage:
                 count=len(targets),
             )
         )
-    image = ExecutableImage(
+    return ExecutableImage(
         text=b"".join(routine.code for routine in ordered),
         data=program.data,
         text_base=text_base,
@@ -328,5 +329,3 @@ def program_to_image(program: Program) -> ExecutableImage:
             )
         ],
     )
-    image.validate()
-    return image

@@ -68,8 +68,12 @@ class TestImageFormat:
         assert len(restored.call_target_hints[0].targets) == 2
 
     def test_empty_hint_rejected(self):
-        with pytest.raises(ImageFormatError):
-            CallTargetHint(0x10000, ())
+        image = program_to_image(_dispatch_program())
+        call_address = image.call_target_hints[0].call_address
+        image.call_target_hints.append(CallTargetHint(call_address, ()))
+        message = f"call-target hint at {call_address:#x} has no targets"
+        with pytest.raises(ImageFormatError, match=message):
+            image.validate()
 
     def test_hint_to_non_routine_rejected(self):
         program = _dispatch_program()

@@ -7,7 +7,8 @@ import pytest
 from repro.api import AnalysisSession
 from repro.isa.encoding import encode, words_code
 from repro.isa.instructions import Opcode
-from repro.program.disasm import load_program
+from repro.program.asm import assemble
+from repro.program.disasm import disassemble_image, load_program
 from repro.program.image import (
     DEFAULT_DATA_BASE,
     DEFAULT_TEXT_BASE,
@@ -18,6 +19,16 @@ from repro.program.image import (
     Symbol,
     pack_jump_table,
 )
+from repro.program.linker import ObjectModule, link_modules
+from repro.program.rewrite import program_to_image
+
+_SOURCE = """
+.routine main export
+    bsr     ra, f
+    halt
+.routine f
+    ret     (ra)
+"""
 
 
 def _code(count: int) -> bytes:
@@ -39,20 +50,35 @@ def _image(**overrides) -> ExecutableImage:
 
 
 class TestSymbol:
+    """A symbol is a plain row; :meth:`ExecutableImage.validate` checks
+    its fields, like every other image fact."""
+
     def test_end(self):
         assert Symbol("f", 100, 8).end == 108
 
     def test_empty_name_rejected(self):
-        with pytest.raises(ImageFormatError):
-            Symbol("", 0, 8)
+        with pytest.raises(ImageFormatError, match="symbol with empty name"):
+            _image(symbols=[Symbol("", DEFAULT_TEXT_BASE, 8)]).validate()
 
     def test_unaligned_size_rejected(self):
-        with pytest.raises(ImageFormatError):
-            Symbol("f", 0, 6)
+        with pytest.raises(
+            ImageFormatError, match="symbol 'f' size 6 not word aligned"
+        ):
+            _image(
+                symbols=[
+                    Symbol("main", DEFAULT_TEXT_BASE, 8),
+                    Symbol("f", DEFAULT_TEXT_BASE + 8, 6),
+                ]
+            ).validate()
 
     def test_negative_fields_rejected(self):
-        with pytest.raises(ImageFormatError):
-            Symbol("f", -4, 8)
+        main = Symbol("main", DEFAULT_TEXT_BASE, 8)
+        with pytest.raises(ImageFormatError, match="symbol 'f' .* outside text"):
+            _image(symbols=[main, Symbol("f", -4, 8)]).validate()
+        with pytest.raises(ImageFormatError, match="'f' has no instructions"):
+            _image(
+                symbols=[main, Symbol("f", DEFAULT_TEXT_BASE + 8, -8)]
+            ).validate()
 
 
 class TestValidation:
@@ -104,8 +130,11 @@ class TestValidation:
             ).validate()
 
     def test_empty_jump_table_rejected(self):
-        with pytest.raises(ImageFormatError):
-            JumpTableInfo(DEFAULT_TEXT_BASE, DEFAULT_DATA_BASE, 0)
+        message = f"jump table at {DEFAULT_DATA_BASE:#x} has count 0"
+        with pytest.raises(ImageFormatError, match=message):
+            _image(
+                jump_tables=[JumpTableInfo(DEFAULT_TEXT_BASE, DEFAULT_DATA_BASE, 0)]
+            ).validate()
 
     def test_data_relocation_outside_data_rejected(self):
         with pytest.raises(ImageFormatError, match="relocation"):
@@ -228,18 +257,66 @@ class TestOneValidationPerOpen:
     check once: ``parse`` reads, and whoever lifts or hands out the
     image validates it."""
 
-    def test_from_image_bytes_validates_once(self, monkeypatch):
-        blob = _image().to_bytes()
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """The images :meth:`ExecutableImage.validate` has checked."""
         calls = []
         validate = ExecutableImage.validate
         monkeypatch.setattr(
             ExecutableImage, "validate",
             lambda image: calls.append(image) or validate(image),
         )
+        return calls
+
+    def test_from_image_bytes_validates_once(self, validations):
+        blob = _image().to_bytes()
+        validations.clear()
         AnalysisSession.from_image_bytes(blob)
-        assert len(calls) == 1
+        assert len(validations) == 1
         ExecutableImage.from_bytes(blob)
-        assert len(calls) == 2
+        assert len(validations) == 2
+
+    def test_assembled_bytes_validate_once(self, validations):
+        assemble(_SOURCE).to_bytes()
+        assert len(validations) == 1
+
+    def test_linked_bytes_validate_once(self, validations):
+        app = ObjectModule("app").extern("f")
+        app.routine("main", exported=True)
+        app.bsr("f")
+        app.halt()
+        lib = ObjectModule("lib")
+        lib.routine("f")
+        lib.ret()
+        link_modules([app, lib], entry="main").to_bytes()
+        assert len(validations) == 1
+
+    def test_rewritten_bytes_validate_once(self, validations):
+        program = disassemble_image(assemble(_SOURCE))
+        validations.clear()
+        program_to_image(program).to_bytes()
+        assert len(validations) == 1
+
+    def test_disassembling_an_assembled_image_validates_once(
+        self, validations
+    ):
+        disassemble_image(assemble(_SOURCE))
+        assert len(validations) == 1
+
+    def test_an_entry_point_inside_a_routine_is_rejected(self):
+        # One word into "main": inside a routine, but not its entry.
+        address = DEFAULT_TEXT_BASE + 4
+        message = f"entry point {address:#x} is not a routine entry"
+        with pytest.raises(ImageFormatError, match=message):
+            _image(entry_point=address).validate()
+        blob = bytearray(_image().to_bytes())
+        struct.pack_into("<Q", blob, 24, address)
+        for open_image in (
+            ExecutableImage.from_bytes, load_program,
+            AnalysisSession.from_image_bytes,
+        ):
+            with pytest.raises(ImageFormatError, match=message):
+                open_image(bytes(blob))
 
     def test_an_inconsistent_image_parses_and_fails_validation(self):
         # The entry point moved past every routine: a consistency

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cfg.build import build_cfg
+from repro.cfg.cfg import CfgError
 from repro.isa.encoding import encode, words_code
 from repro.isa.instructions import Opcode
 from repro.program.asm import assemble
@@ -10,7 +12,6 @@ from repro.program.model import (
     Program,
     ProgramError,
     Routine,
-    check_single_entry,
     program_statistics,
 )
 
@@ -103,8 +104,14 @@ class TestProgram:
 
 
 class TestCheckSingleEntry:
+    """The paper's routine model — a routine has a single entry — is
+    what :func:`build_cfg` holds a routine to: a branch or jump-table
+    target outside the routine, or a call to no routine entry, is a
+    :class:`CfgError`."""
+
     def test_valid_program_passes(self, quick_program):
-        check_single_entry(quick_program)
+        for routine in quick_program:
+            build_cfg(quick_program, routine)
 
     def test_branch_out_of_routine_rejected(self):
         routine = Routine(
@@ -114,8 +121,20 @@ class TestCheckSingleEntry:
                            encode(Opcode.RET, rb=26)]),
         )
         program = Program(routines=[routine], entry="f")
-        with pytest.raises(ProgramError, match="outside the routine"):
-            check_single_entry(program)
+        with pytest.raises(CfgError, match="outside the routine"):
+            build_cfg(program, routine)
+
+    def test_jump_table_target_out_of_routine_rejected(self):
+        routine = Routine(
+            "f",
+            0x1000,
+            words_code([encode(Opcode.JMP, rb=1), encode(Opcode.RET, rb=26)]),
+        )
+        program = Program(
+            routines=[routine], entry="f", jump_targets={0x1000: (0x1008,)}
+        )
+        with pytest.raises(CfgError, match="outside the routine"):
+            build_cfg(program, routine)
 
     def test_call_into_middle_rejected(self):
         caller = Routine(
@@ -126,8 +145,8 @@ class TestCheckSingleEntry:
         )
         callee = _routine("callee", 0x1008, 3)
         program = Program(routines=[caller, callee], entry="caller")
-        with pytest.raises(ProgramError, match="not a routine entry"):
-            check_single_entry(program)
+        with pytest.raises(CfgError, match="not a routine entry"):
+            build_cfg(program, caller)
 
 
 class TestStatistics:

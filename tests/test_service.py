@@ -489,7 +489,12 @@ class TestLifecycle:
         results = {}
 
         def slow_request():
-            results["response"] = _client(daemon).analyze(image_a)
+            try:
+                response = _client(daemon).analyze(image_a)
+                results["status"] = response.status
+                results["payload"] = response.payload
+            except ServiceError as error:  # the drain won the race
+                results["status"] = error.status
 
         worker = threading.Thread(target=slow_request)
         try:
@@ -500,12 +505,11 @@ class TestLifecycle:
             daemon.drain()
             worker.join(timeout=60)
             assert not worker.is_alive()
-            response = results["response"]
             # Either it got in before the accept loop stopped (200)
             # or it was refused cleanly (503) — never truncated.
-            assert response.status in (200, 503)
-            if response.status == 200:
-                validate_payload(response.payload)
+            assert results["status"] in (200, 503)
+            if results["status"] == 200:
+                validate_payload(results["payload"])
         finally:
             daemon.drain()
             thread.join(timeout=30)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cfg.build import build_all_cfgs
-from repro.program.model import check_single_entry, program_statistics
+from repro.cfg.build import build_all_cfgs, build_cfg
+from repro.program.model import program_statistics
 from repro.sim.interpreter import run_program
 from repro.workloads.generator import (
     GeneratorConfig,
@@ -91,7 +91,10 @@ class TestGenerator:
         assert program.routine_count == shape.routines
 
     def test_single_entry_model_respected(self, small_benchmark):
-        check_single_entry(small_benchmark)
+        # A branch or jump-table target outside its routine, or a call
+        # to no routine entry, is a CfgError.
+        for routine in small_benchmark:
+            build_cfg(small_benchmark, routine)
 
     def test_cfgs_buildable(self, small_benchmark):
         for cfg in build_all_cfgs(small_benchmark).values():

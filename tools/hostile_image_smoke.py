@@ -38,7 +38,16 @@ from typing import Dict, List
 # The SAX container layout: header, then text, data and the symbol
 # table (fixed part ending in the name's length, then the name).
 from repro.program.asm import assemble
-from repro.program.image import _HEADER, _SYMBOL_FIXED, ExecutableImage
+from repro.program.image import (
+    _HEADER,
+    _HINT_FIXED,
+    _JUMP_TABLE,
+    _SYMBOL_FIXED,
+    ExecutableImage,
+)
+
+#: Byte offset of the entry point in the header.
+_ENTRY_POINT_AT = 24
 
 #: A program whose load faults (unaligned address).
 FAULTING = """
@@ -56,14 +65,23 @@ def hostile_images(blob: bytes) -> Dict[str, bytes]:
     routine that is not the entry point: its name is made invalid
     UTF-8, its size zero, its address ``2 (mod 4)`` (shrunk by a word
     so that it still overlaps nothing).  ``to_bytes`` would refuse to
-    write any of them, hence the byte surgery.  ``table-entry-unaligned``
-    (only when the image has a jump table) moves the first jump-table
-    entry two bytes into its target instruction: inside the routine,
-    off every instruction boundary.
+    write any of them, hence the byte surgery.  ``entry-inside-routine``
+    moves the entry point one word into its routine, and
+    ``hint-without-targets`` appends a call-target hint that lists no
+    routine.  Only when the image has a jump table,
+    ``table-entry-unaligned`` moves the first jump-table entry two bytes
+    into its target instruction (inside the routine, off every
+    instruction boundary) and ``table-count-zero`` gives the first
+    jump-table record no entries.
     """
     image = ExecutableImage.from_bytes(blob)
     text_at = _HEADER.size
-    offset = text_at + len(image.text) + len(image.data)
+    symbols_at = text_at + len(image.text) + len(image.data)
+    tables_at = symbols_at + sum(
+        _SYMBOL_FIXED.size + len(symbol.name.encode("utf-8"))
+        for symbol in image.symbols
+    )
+    offset = symbols_at
     for symbol in image.symbols:
         name_at = offset + _SYMBOL_FIXED.size
         if symbol.address != image.entry_point and symbol.size >= 8:
@@ -92,12 +110,22 @@ def hostile_images(blob: bytes) -> Dict[str, bytes]:
         "truncated-text": blob[: text_at + 8],
         "truncated-symbols": blob[: name_at],
         "truncated-tail": blob[:-4],
+        "entry-inside-routine": patched(
+            _ENTRY_POINT_AT, struct.pack("<Q", image.entry_point + 4)
+        ),
+        # One more hint record, at the end, with no targets.
+        "hint-without-targets": patched(
+            _HEADER.size - 4, struct.pack("<I", len(image.call_target_hints) + 1)
+        ) + _HINT_FIXED.pack(image.text_base, 0),
     }
     for table in image.jump_tables[:1]:
         at = text_at + len(image.text) + table.table_address - image.data_base
         (target,) = struct.unpack_from("<Q", blob, at)
         hostile["table-entry-unaligned"] = patched(
             at, struct.pack("<Q", target + 2)
+        )
+        hostile["table-count-zero"] = patched(
+            tables_at + _JUMP_TABLE.size - 4, struct.pack("<I", 0)
         )
     return hostile
 
