@@ -281,8 +281,8 @@ class AnalysisSession:
 
     def analyze(self, jobs: int = 1) -> InterproceduralAnalysis:
         """Run the full two-phase interprocedural analysis over the
-        whole-program PSG (exposed on the result).  ``jobs`` is compat
-        and must be 1."""
+        whole-program PSG (solved again when the result is asked for
+        it).  ``jobs`` is compat and must be 1."""
         _check_jobs(jobs)
         self._last = self._run("serial", "analyze", lambda: _analyze_program(
             self._program, self._config, self._frontend

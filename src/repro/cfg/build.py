@@ -218,7 +218,8 @@ class LazyCfgs(Mapping):
     """Every routine's CFG, by name, in program order, each built by
     :func:`build_cfg` on first access and kept: ``len``, iteration and
     ``in`` walk nothing.  ``built`` is the plain dict of what exists so
-    far.
+    far; a CFG taken out of it is walked again on its next access.
+    ``walks`` counts the walks.
 
     Not synchronized: fill it under whatever serializes the analysis
     that owns it (the daemon's per-entry lock).
@@ -228,11 +229,13 @@ class LazyCfgs(Mapping):
         self._program = program
         self._routines = {routine.name: routine for routine in program}
         self.built: Dict[str, ControlFlowGraph] = {}
+        self.walks = 0
 
     def __getitem__(self, name: str) -> ControlFlowGraph:
         cfg = self.built.get(name)
         if cfg is None:
             cfg = self.built[name] = build_cfg(self._program, self._routines[name])
+            self.walks += 1
         return cfg
 
     def __contains__(self, name: object) -> bool:
@@ -282,15 +285,9 @@ def _record_site(
     not)."""
     row = rows[stop - 1]  # row[0] is the control kind, row[6] rb
     if row[0] is _CALL_DIRECT:
-        return RecordedSite(block, stop - 1, indirect=False)
-    return RecordedSite(
-        block,
-        stop - 1,
-        indirect=True,
-        constant=resolve_register_constant(
-            rows[start:stop], stop - 1 - start, row[6]
-        ),
-    )
+        return _new_row(RecordedSite, (block, stop - 1, False, None))
+    constant = resolve_register_constant(rows[start:stop], stop - 1 - start, row[6])
+    return _new_row(RecordedSite, (block, stop - 1, True, constant))
 
 
 def stack_saves(

@@ -25,21 +25,27 @@ pipeline the paper times in §4:
 4. **Phase 1** — call-used / call-defined / call-killed (Figure 8);
 5. **Phase 2** — live-at-entry / live-at-exit (Figure 10).
 
-The result bundles the per-routine summaries with the structures and
-measurements every experiment in the paper reports: PSG/CFG sizes,
-per-stage times, and model-based memory usage.
+The result bundles the per-routine summaries with the measurements
+every experiment in the paper reports — PSG/CFG sizes, per-stage times
+and model-based memory usage — and solves its graphs again for whoever
+asks for one (:class:`InterproceduralAnalysis`).
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from functools import cached_property
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.isa.calling_convention import NT_ALPHA
 from repro.program.model import Program
+from repro.cfg.build import LazyCfgs
 from repro.cfg.callgraph import CallGraph
-from repro.cfg.cfg import ControlFlowGraph
+from repro.cfg.cfg import ControlFlowGraph, FrontendRecord
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import mask_of
 from repro.psg.build import PartialPsg, PsgConfig, build_partial_psg
@@ -110,23 +116,32 @@ def callee_saved_filter(config: AnalysisConfig) -> int:
 
 @dataclass
 class InterproceduralAnalysis:
-    """Everything produced by one analysis run.
+    """What one analysis run keeps: its answer, not its graphs.
 
-    ``result`` holds the per-routine summaries; the remaining fields
-    expose the intermediate structures (CFGs, call graph, PSG, raw
-    phase solutions) and the §4 measurements (the run's metrics with
-    its stage clock, memory).
+    ``result`` holds the per-routine summaries; the other fields are the
+    front end the run solved over, the §3.4 masks, and the §4
+    measurements (the run's metrics with its stage clock, the memory
+    model and the structure sizes, counted during the run).  The
+    whole-program PSG and the two phases' solutions (:attr:`psg`,
+    :attr:`phase1`, :attr:`phase2`) are solved again, by the same region
+    solve and outside the run's ledger, on first read, and kept from
+    then on; a CFG whose rows the run released is walked again when
+    :attr:`cfgs` is asked for it.
     """
 
     config: AnalysisConfig
     frontend: Frontend
     saved_restored: Dict[str, int]
-    psg: ProgramSummaryGraph
-    phase1: Phase1Result
-    phase2: Phase2Result
     result: SummarySet
     metrics: RunMetrics
     memory_bytes: int
+    basic_block_count: int
+    #: Intraprocedural arcs plus one call and one return arc per call
+    #: site (the Table-5 "CFG Arcs" definition).
+    cfg_arc_count: int
+    psg_node_count: int
+    #: Flow-summary plus call-return edges.
+    psg_edge_count: int
 
     # -- convenience -----------------------------------------------------
 
@@ -142,6 +157,28 @@ class InterproceduralAnalysis:
     def call_graph(self) -> CallGraph:
         return self.frontend.call_graph
 
+    @cached_property
+    def _graphs(self) -> Tuple[ProgramSummaryGraph, Phase1Result, Phase2Result]:
+        cfgs = self.frontend.cfgs
+        return _solve_program(
+            [cfgs[routine.name] for routine in self.program],
+            self.saved_restored, self.config, self.call_graph,
+        )
+
+    @property
+    def psg(self) -> ProgramSummaryGraph:
+        """The whole-program PSG, its call-return edges labeled by
+        phase 1."""
+        return self._graphs[0]
+
+    @property
+    def phase1(self) -> Phase1Result:
+        return self._graphs[1]
+
+    @property
+    def phase2(self) -> Phase2Result:
+        return self._graphs[2]
+
     #: Result-protocol kind tag (see :mod:`repro.interproc.results`).
     kind = "serial"
 
@@ -153,8 +190,8 @@ class InterproceduralAnalysis:
         return {
             "stage_seconds": self.metrics.stage_seconds(),
             "memory_bytes": self.memory_bytes,
-            "psg_nodes": self.psg.node_count,
-            "psg_edges": self.psg.edge_count,
+            "psg_nodes": self.psg_node_count,
+            "psg_edges": self.psg_edge_count,
         }
 
     def to_json(self, include_summaries: bool = False):
@@ -169,8 +206,8 @@ class InterproceduralAnalysis:
         lines = [
             f"basic blocks:  {self.basic_block_count}",
             f"cfg arcs:      {self.cfg_arc_count}",
-            f"psg nodes:     {self.psg.node_count}",
-            f"psg edges:     {self.psg.edge_count}",
+            f"psg nodes:     {self.psg_node_count}",
+            f"psg edges:     {self.psg_edge_count}",
             f"memory model:  {self.memory_bytes / 1e6:.2f} MB",
             f"total time:    {self.metrics.total_seconds:.3f} s",
         ]
@@ -181,18 +218,6 @@ class InterproceduralAnalysis:
             )
         return "\n".join(lines)
 
-    @property
-    def basic_block_count(self) -> int:
-        return sum(cfg.block_count for cfg in self.cfgs.values())
-
-    @property
-    def cfg_arc_count(self) -> int:
-        """Intraprocedural arcs plus one call and one return arc per
-        resolved call site (the Table-5 "CFG Arcs" definition)."""
-        intra = sum(cfg.arc_count for cfg in self.cfgs.values())
-        calls = sum(len(cfg.call_sites) for cfg in self.cfgs.values())
-        return intra + 2 * calls
-
 
 def _analyze_program(
     program: Program,
@@ -201,12 +226,20 @@ def _analyze_program(
 ) -> InterproceduralAnalysis:
     """Run the full pipeline on an already-decoded program (over
     ``frontend`` when the caller already has the program's): the region
-    solve over the region of every routine, in program order."""
+    solve over the region of every routine, in program order.
+
+    Each structure goes as soon as no later step reads it.  A front end
+    the run builds itself is the run's: each routine's CFG rows are
+    released once the PSG build has labeled it.  One the caller passes
+    in is the caller's, and keeps its rows.  The arena goes after
+    phase 2, the PSG and the phase solutions after assembly.
+    """
     config = config or AnalysisConfig()
     with Ledger() as ledger:
         metrics = RunMetrics(ledger, routines_total=program.routine_count)
         with metrics.stage("cfg_build"):
-            if frontend is None:
+            owned = frontend is None
+            if owned:
                 frontend = build_frontend(program)
             # The whole-program PSG needs every routine's CFG; a front end
             # that came from records walks the remainder here.
@@ -218,53 +251,94 @@ def _analyze_program(
             keep = callee_saved_filter(config)
             saved_restored = {cfg.name: cfg.saved & keep for cfg in cfgs}
 
-        with metrics.stage("psg_build"):
-            region = build_partial_psg(
-                cfgs, config.psg, whole=True, convention=config.convention
-            )
-        psg = region.psg
+        # What a later step reads of a CFG, taken while every one is held.
+        blocks = sum(cfg.block_count for cfg in cfgs)
+        arcs = sum(cfg.arc_count for cfg in cfgs)
+        arcs_with_calls = arcs + 2 * sum(len(cfg.call_sites) for cfg in cfgs)
+        view = open_view(config)
+        records = None if view is None else frontend.records
+        if owned:
+            cfgs = _released(frontend.cfgs, saved_restored)
 
-        callee_first = call_graph.reverse_topological_order()
-        with metrics.stage("phase1"):
-            phase1 = solve_phase1(region, saved_restored, config, callee_first, {})
-        with metrics.stage("phase2"):
-            phase2 = solve_phase2(
-                region, config, call_graph.externally_callable,
-                callee_first[::-1], {},
-            )
-
+        psg, phase1, phase2 = _solve_program(
+            cfgs, saved_restored, config, call_graph, metrics
+        )
+        memory = psg_analysis_memory(psg, blocks, arcs)
+        nodes, edges = psg.node_count, psg.edge_count
+        # Assembly reads the node rows, the call pairs, the call-return
+        # labels and the two answers: not the arena.
+        psg.arena = None  # type: ignore[assignment]
         result = _assemble_summaries(
             program, frontend.cfgs, saved_restored, psg, phase1, phase2
         )
-        view = open_view(config)
+        del psg, phase1, phase2
         if view is not None:
-            # The store is published to, never consulted: the result keeps
-            # the whole-program PSG and its phase solutions.
-            view.publish(_solved_table(frontend, config_digest(config), result, view))
-        memory = psg_analysis_memory(
-            psg,
-            sum(cfg.block_count for cfg in cfgs),
-            sum(cfg.arc_count for cfg in cfgs),
-        )
+            # The store is published to, never consulted: this path
+            # solves every routine.
+            view.publish(_solved_table(
+                frontend, records, config_digest(config), result, view
+            ))
         return InterproceduralAnalysis(
             config=config,
             frontend=frontend,
             saved_restored=saved_restored,
-            psg=psg,
-            phase1=phase1,
-            phase2=phase2,
             result=result,
             metrics=metrics,
             memory_bytes=memory,
+            basic_block_count=blocks,
+            cfg_arc_count=arcs_with_calls,
+            psg_node_count=nodes,
+            psg_edge_count=edges,
         )
 
 
+def _released(cfgs: LazyCfgs, names: Iterable[str]) -> Iterator[ControlFlowGraph]:
+    """The CFG of each of ``names``, taken out of ``cfgs`` as it is
+    handed on: the consumer holds the one reference left, and lets it go
+    when it asks for the next."""
+    built = cfgs.built
+    for name in names:
+        yield built.pop(name)
+
+
+def _solve_program(
+    cfgs: Iterable[ControlFlowGraph],
+    saved: Mapping[str, int],
+    config: AnalysisConfig,
+    call_graph: CallGraph,
+    metrics: Optional[RunMetrics] = None,
+) -> Tuple[ProgramSummaryGraph, Phase1Result, Phase2Result]:
+    """The region solve over the region of every routine (``cfgs``, in
+    program order): the whole-program PSG and its two phase solutions,
+    each step timed as a stage of ``metrics`` when one is given."""
+    def stage(name: str):
+        return nullcontext() if metrics is None else metrics.stage(name)
+
+    with stage("psg_build"):
+        region = build_partial_psg(
+            cfgs, config.psg, whole=True, convention=config.convention
+        )
+    callee_first = call_graph.reverse_topological_order()
+    with stage("phase1"):
+        phase1 = solve_phase1(region, saved, config, callee_first, {})
+    with stage("phase2"):
+        phase2 = solve_phase2(
+            region, config, call_graph.externally_callable,
+            callee_first[::-1], {},
+        )
+    return region.psg, phase1, phase2
+
+
 def _solved_table(
-    frontend: Frontend, context: int, result: SummarySet, view: StoreView
+    frontend: Frontend,
+    records: Mapping[str, FrontendRecord],
+    context: int,
+    result: SummarySet,
+    view: StoreView,
 ) -> SummaryCache:
     """A whole-program solve as the store files it: every routine's row
     but those of the components ``view`` holds already, and every
-    front-end record."""
+    front-end record (``records``, taken while the CFGs were held)."""
     summaries = result.summaries
     triples = {name: _triple_of(summary) for name, summary in summaries.items()}
     live_after = {
@@ -286,9 +360,7 @@ def _solved_table(
         image_fingerprint=0,
         result=result,
         rows=rows,
-        frontend_records={
-            record.shape_key: record for record in frontend.records.values()
-        },
+        frontend_records={record.shape_key: record for record in records.values()},
         config_digest=context,
     )
 

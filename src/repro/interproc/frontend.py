@@ -165,7 +165,9 @@ class Frontend:
     derived on first use: the SCC condensation, the routine
     fingerprints, and the front-end records that let the next run skip
     most walks.  Immutable once built (as the program is), except that
-    ``cfgs`` fills in as solves ask for it."""
+    ``cfgs`` fills in as solves ask for it, and a serial run that built
+    the front end itself empties it again as it labels each routine
+    (:func:`repro.interproc.analysis._analyze_program`)."""
 
     program: Program
     cfgs: LazyCfgs
@@ -239,8 +241,9 @@ class Frontend:
 
     @property
     def cfgs_built(self) -> int:
-        """How many of the program's routines have been walked so far."""
-        return len(self.cfgs.built)
+        """How many routine walks ``cfgs`` has made so far (a routine
+        whose rows were released and asked for again counts twice)."""
+        return self.cfgs.walks
 
 
 def build_frontend(

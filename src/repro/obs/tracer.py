@@ -48,6 +48,9 @@ class _NullSpan:
     def __exit__(self, *exc: object) -> bool:
         return False
 
+    def annotate(self, **args: Any) -> None:
+        pass
+
 
 NULL_SPAN = _NullSpan()
 
@@ -65,6 +68,10 @@ class _Span:
     def __enter__(self) -> "_Span":
         self._start = time.perf_counter()
         return self
+
+    def annotate(self, **args: Any) -> None:
+        """Add ``args`` to the span's (known only once its work ran)."""
+        self._args.update(args)
 
     def __exit__(self, *exc: object) -> bool:
         end = time.perf_counter()

@@ -33,6 +33,7 @@ from repro.interproc.analysis import (
     InterproceduralAnalysis,
     _analyze_program,
 )
+from repro.interproc.frontend import build_frontend
 from repro.opt.dce import eliminate_dead_code
 from repro.opt.deadstore import eliminate_dead_stores
 from repro.opt.realloc import reallocate_callee_saved
@@ -167,7 +168,9 @@ def _optimize_program(
     reports: List[OptimizationReport] = []
     with Ledger() as ledger:
         for name in passes:
-            analysis = _analyze_program(current, config)
+            # The passes read the CFGs the analysis walked: a front end
+            # passed in is the pipeline's, and keeps its rows.
+            analysis = _analyze_program(current, config, build_frontend(current))
             edits = _PASSES[name](analysis)
             routines, deleted, rewritten = _edit_counts(edits)
             reports.append(

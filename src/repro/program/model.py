@@ -56,7 +56,9 @@ class Routine:
             raise ProgramError(
                 f"routine {self.name!r} ends in a partial instruction"
             )
-        self._set_rows(count, None)
+        self._count = count
+        self._rows: Optional[Tuple[tuple, ...]] = None
+        self._check()
 
     @classmethod
     def lifted(
@@ -67,36 +69,40 @@ class Routine:
         rows: Tuple[tuple, ...],
         exported: bool,
     ) -> "Routine":
-        """The routine whose code bytes ``code`` decode to ``rows``."""
+        """The routine whose code bytes ``code`` decode to ``rows``,
+        unchecked: the image it was lifted from has been validated
+        (:meth:`repro.program.image.ExecutableImage.validate`)."""
         routine = cls.__new__(cls)
         routine.name = name
         routine.address = address
         routine.code = code
         routine.exported = exported
-        routine._set_rows(len(rows), rows)
+        routine._count = len(rows)
+        routine._rows = rows
         return routine
 
-    def _set_rows(self, count: int, rows: Optional[Tuple[tuple, ...]]) -> None:
-        if not count:
+    def _check(self) -> None:
+        if not self._count:
             raise ProgramError(f"routine {self.name!r} has no instructions")
         if self.address % INSTRUCTION_SIZE:
             raise ProgramError(
                 f"routine {self.name!r} at unaligned address {self.address:#x}"
             )
-        self._count = count
-        self._rows = rows
 
     def relinked(
         self, address: int, code: bytes, rows: Tuple[tuple, ...]
     ) -> "Routine":
         """This routine at ``address`` with code ``code``, whose rows
         are ``rows``.  Code equal to its own keeps its own code bytes and
-        rows, and the routine itself when the address is its own too."""
+        rows, and the routine itself when the address is its own too.
+        An edit may have deleted every word: the result is checked."""
         if code == self.code:
             if address == self.address:
                 return self
             code, rows = self.code, self.rows
-        return Routine.lifted(self.name, address, code, rows, self.exported)
+        routine = Routine.lifted(self.name, address, code, rows, self.exported)
+        routine._check()
+        return routine
 
     @property
     def rows(self) -> Tuple[tuple, ...]:

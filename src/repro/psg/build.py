@@ -384,7 +384,7 @@ class StoredRoutine(NamedTuple):
 
 
 def build_partial_psg(
-    routines: Sequence[Union[ControlFlowGraph, StoredRoutine]],
+    routines: Iterable[Union[ControlFlowGraph, StoredRoutine]],
     config: Optional[PsgConfig] = None,
     whole: bool = False,
     convention: CallingConvention = NT_ALPHA,
@@ -392,23 +392,25 @@ def build_partial_psg(
     """Build the PSG of a region: the given routines, in that order,
     with dummy pinned-entry nodes standing in for callees outside it.
     A routine given by its CFG is labeled here; one given as a
-    :class:`StoredRoutine` is appended from its fragment.  ``whole``
-    says the region is the whole program (counted ``psg.builds``,
-    spanned ``psg.build``; any other is ``psg.partial_builds`` and
-    ``psg.build_partial``).  Unknown-target calls are labeled from the
-    analysis's ``convention`` (§3.5)."""
+    :class:`StoredRoutine` is appended from its fragment.  ``routines``
+    is iterated once, and nothing here keeps a CFG after labeling it, so
+    a caller may hand over each as it goes.  ``whole`` says the region
+    is the whole program (counted ``psg.builds``, spanned ``psg.build``;
+    any other is ``psg.partial_builds`` and ``psg.build_partial``).
+    Unknown-target calls are labeled from the analysis's ``convention``
+    (§3.5)."""
     config = config or PsgConfig()
     assembly = PsgAssembly(convention)
-    members = [routine.name for routine in routines]
-    member_set = set(members)
-    with span(
-        "psg.build" if whole else "psg.build_partial", routines=len(members)
-    ):
+    members: List[str] = []
+    with span("psg.build" if whole else "psg.build_partial") as current:
         for routine in routines:
+            members.append(routine.name)
             if isinstance(routine, StoredRoutine):
                 append_fragment(*routine, config, assembly)
             else:
                 build_routine_psg(routine, config, assembly)
+        current.annotate(routines=len(members))
+        member_set = set(members)
         external_entries: Dict[str, int] = {}
         for callees in assembly.cr_targets:
             for callee in callees:

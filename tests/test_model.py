@@ -47,6 +47,14 @@ class TestRoutine:
         with pytest.raises(ProgramError):
             _routine("f", 0x1001)
 
+    def test_relink_to_empty_code_rejected(self):
+        # ``lifted`` trusts a validated image; an edit is checked.
+        routine = _routine("f", 0x1000, 2)
+        with pytest.raises(ProgramError, match="has no instructions"):
+            routine.relinked(0x1000, b"", ())
+        with pytest.raises(ProgramError, match="unaligned address"):
+            routine.relinked(0x1002, routine.code, routine.rows)
+
     def test_len_and_iter(self):
         routine = _routine("f", 0x1000, 3)
         assert len(routine) == 3

@@ -7,7 +7,9 @@ Drives the CLI as real subprocesses:
 2. ``analyze --json --save-summaries`` it: one walk per routine writes
    its CFG's block rows, one successors-first sweep per routine labels
    every target at once;
-3. ``query f0 --stats`` then ``query f0 --json`` on the same image: a
+3. ``analyze --dot`` it again: the run keeps no graph, so the PSG the
+   DOT export reads is solved again on request;
+4. ``query f0 --stats`` then ``query f0 --json`` on the same image: a
    cold demand query, then a warm one answered from the sidecar.
 
 In process, the same image is analyzed with the test suite's per-target
@@ -24,7 +26,10 @@ target scan creeping back shows there as a count, on any host — its
 ``psg.label.region_blocks`` is present and below the block count (SCC
 work stays inside back-arc regions), and its ``frontend.rows`` counter
 equals the routine count: the front end walked every routine's
-instruction rows once.  The in-process open of the same image
+instruction rows once, and rendering ``--json`` solved no graph again.
+The ``--dot`` file must equal :func:`~repro.reporting.dot.psg_to_dot`
+of an in-process analysis's PSG, solved again the same way.  The
+in-process open of the same image
 (``AnalysisSession.from_image_bytes``, the CLI's) must count
 ``program.decode`` ``forms <= distinct <= words == instructions``: the
 text decoded once, ``decode_row`` cutting each form only.  The cold query must report
@@ -55,6 +60,7 @@ from typing import Dict, List
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.interproc.persist import dump_summaries, image_fingerprint
 from repro.obs.metrics import REGISTRY
+from repro.reporting.dot import psg_to_dot
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from tests.label_oracle import labeling  # noqa: E402
@@ -132,8 +138,8 @@ def main(argv: List[str] | None = None) -> int:
         with open(saved, "rb") as handle:
             if handle.read() != dump_summaries(oracle.result, image_fingerprint(blob)):
                 fail("the CLI's summaries differ from the per-target oracle's")
-        if sweep["psg_edges"] != oracle.psg.edge_count:
-            fail(f"psg_edges {sweep['psg_edges']} != {oracle.psg.edge_count}")
+        if sweep["psg_edges"] != oracle.psg_edge_count:
+            fail(f"psg_edges {sweep['psg_edges']} != {oracle.psg_edge_count}")
         counters = sweep["counters"]
         for key in EQUAL_KEYS:
             one, other = counters.get(key), oracle_counters.get(key)
@@ -170,6 +176,15 @@ def main(argv: List[str] | None = None) -> int:
             fail(f"psg.label.region_blocks {region_blocks}: not present "
                  f"and below the image's {blocks} basic blocks")
 
+        dot = os.path.join(tmp, "psg.dot")
+        cli("analyze", image, "--dot", dot)
+        rederived = AnalysisSession.from_image_bytes(
+            blob, AnalysisConfig(store="off")
+        ).analyze().psg
+        with open(dot, encoding="utf-8") as handle:
+            if handle.read() != psg_to_dot(rederived):
+                fail("the CLI's --dot differs from the in-process PSG")
+
         cold = stats_counters(cli("query", image, "f0", "--stats"))
         graphs = cold.get("psg.builds", 0) + cold.get("psg.partial_builds", 0)
         if graphs > MAX_QUERY_GRAPHS:
@@ -187,7 +202,8 @@ def main(argv: List[str] | None = None) -> int:
             f"byte-identical to the per-target oracle, iterations "
             f"{[counters[key] for key in EQUAL_KEYS]} equal, {visits} label "
             f"visits ({visits / blocks:.2f} per block), {region_blocks} "
-            f"blocks in back-arc regions; cold query built {graphs} PSGs, "
+            f"blocks in back-arc regions; --dot equals the PSG solved "
+            f"again in process; cold query built {graphs} PSGs, "
             f"warm query solved nothing"
         )
     return 0
