@@ -172,6 +172,9 @@ class AnalysisSession:
         # analyze_incremental() and query() runs first builds it and
         # the rest reuse it.
         self._frontend: Optional[Frontend] = None
+        # What opening the image counted (its decode), until the first
+        # run's ledger takes it over.
+        self._opened: Optional[Ledger] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -187,16 +190,22 @@ class AnalysisSession:
         image — construction validates the input so the caller can
         distinguish bad input from a later analysis failure.
         """
-        return cls(load_program(data), config, image_bytes=data)
+        with Ledger() as opened:
+            program = load_program(data)
+        session = cls(program, config, image_bytes=data)
+        session._opened = opened
+        return session
 
     @classmethod
     def from_image(
         cls, image: ExecutableImage, config: Optional[AnalysisConfig] = None
     ) -> "AnalysisSession":
         """A session over an in-memory executable image."""
-        return cls(
-            disassemble_image(image), config, image_bytes=image.to_bytes()
-        )
+        with Ledger() as opened:
+            program = disassemble_image(image)
+        session = cls(program, config, image_bytes=image.to_bytes())
+        session._opened = opened
+        return session
 
     @classmethod
     def from_path(
@@ -266,6 +275,10 @@ class AnalysisSession:
         finally:
             with result.metrics.ledger if result is not None else nullcontext():
                 _count_regsets(before)
+        if self._opened is not None:
+            # The session's first run reports the open it rests on.
+            result.metrics.ledger.absorb(self._opened)
+            self._opened = None
         return result
 
     @contextmanager

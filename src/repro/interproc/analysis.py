@@ -38,17 +38,23 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
 from repro.isa.calling_convention import NT_ALPHA
 from repro.program.model import Program
-from repro.cfg.build import LazyCfgs
 from repro.cfg.callgraph import CallGraph
-from repro.cfg.cfg import ControlFlowGraph, FrontendRecord
+from repro.cfg.cfg import CallSite, ControlFlowGraph, FrontendRecord
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import mask_of
-from repro.psg.build import PartialPsg, PsgConfig, build_partial_psg
+from repro.psg.build import (
+    PartialPsg,
+    PsgConfig,
+    PsgFragment,
+    StoredRoutine,
+    build_partial_psg,
+)
 from repro.psg.graph import ProgramSummaryGraph
 from repro.interproc.flatcore import label_call_return_edges
 from repro.interproc.frontend import Frontend, build_frontend
@@ -231,8 +237,12 @@ def _analyze_program(
     Each structure goes as soon as no later step reads it.  A front end
     the run builds itself is the run's: each routine's CFG rows are
     released once the PSG build has labeled it.  One the caller passes
-    in is the caller's, and keeps its rows.  The arena goes after
-    phase 2, the PSG and the phase solutions after assembly.
+    in is the caller's, and keeps its rows; the routines an incremental
+    run of the session labeled already are appended from the fragments
+    it kept (:attr:`Frontend.fragments`), their counts read from the
+    records, the call graph and :attr:`Frontend.arcs`, so the result is
+    the same and nothing is walked twice.  The arena goes after phase 2,
+    the PSG and the phase solutions after assembly.
     """
     config = config or AnalysisConfig()
     with Ledger() as ledger:
@@ -241,11 +251,16 @@ def _analyze_program(
             owned = frontend is None
             if owned:
                 frontend = build_frontend(program)
-            # The whole-program PSG needs every routine's CFG; a front end
-            # that came from records walks the remainder here.
-            cfgs = [frontend.cfgs[routine.name] for routine in program]
+            # The whole-program PSG needs every routine's CFG but those
+            # an earlier run of the session labeled; a front end that
+            # came from records walks the remainder here.
+            held = frontend.labeled(config_digest(config))
+            cfgs = [
+                frontend.cfgs[routine.name] for routine in program
+                if routine.name not in held
+            ]
         call_graph = frontend.call_graph
-        REGISTRY.inc("frontend.routines", len(cfgs))
+        REGISTRY.inc("frontend.routines", program.routine_count)
 
         with metrics.stage("initialization"):
             keep = callee_saved_filter(config)
@@ -254,11 +269,24 @@ def _analyze_program(
         # What a later step reads of a CFG, taken while every one is held.
         blocks = sum(cfg.block_count for cfg in cfgs)
         arcs = sum(cfg.arc_count for cfg in cfgs)
-        arcs_with_calls = arcs + 2 * sum(len(cfg.call_sites) for cfg in cfgs)
+        sites = sum(len(cfg.call_sites) for cfg in cfgs)
         view = open_view(config)
         records = None if view is None else frontend.records
-        if owned:
-            cfgs = _released(frontend.cfgs, saved_restored)
+        if held:
+            known, site_rows = frontend.records, call_graph.sites
+            blocks += sum(known[name].block_count for name in held)
+            arcs += sum(frontend.arcs[name] for name in held)
+            sites += sum(len(site_rows[name]) for name in held)
+            saved_restored.update(
+                (name, fragment.saved) for name, fragment in held.items()
+            )
+            REGISTRY.inc("frontend.fragment.hit", len(held))
+        arcs_with_calls = arcs + 2 * sites
+        built = frontend.cfgs.built
+        cfgs = region_routines(
+            [routine.name for routine in program], held, call_graph.sites,
+            built.pop if owned else built.__getitem__,
+        )
 
         psg, phase1, phase2 = _solve_program(
             cfgs, saved_restored, config, call_graph, metrics
@@ -292,25 +320,36 @@ def _analyze_program(
         )
 
 
-def _released(cfgs: LazyCfgs, names: Iterable[str]) -> Iterator[ControlFlowGraph]:
-    """The CFG of each of ``names``, taken out of ``cfgs`` as it is
-    handed on: the consumer holds the one reference left, and lets it go
-    when it asks for the next."""
-    built = cfgs.built
+def region_routines(
+    names: Iterable[str],
+    fragments: Mapping[str, PsgFragment],
+    sites: Mapping[str, Sequence[CallSite]],
+    take: Callable[[str], ControlFlowGraph],
+) -> Iterator[Union[ControlFlowGraph, StoredRoutine]]:
+    """Each of ``names`` as a region's build appends it: from its
+    fragment in ``fragments`` where there is one, else its CFG,
+    ``take(name)``.  With ``take`` a ``LazyCfgs.built.pop`` each CFG is
+    taken out as it is handed on: the build holds the one reference
+    left, and lets it go when it asks for the next."""
     for name in names:
-        yield built.pop(name)
+        fragment = fragments.get(name)
+        if fragment is None:
+            yield take(name)
+        else:
+            yield StoredRoutine(name, fragment, sites[name])
 
 
 def _solve_program(
-    cfgs: Iterable[ControlFlowGraph],
+    cfgs: Iterable[Union[ControlFlowGraph, StoredRoutine]],
     saved: Mapping[str, int],
     config: AnalysisConfig,
     call_graph: CallGraph,
     metrics: Optional[RunMetrics] = None,
 ) -> Tuple[ProgramSummaryGraph, Phase1Result, Phase2Result]:
     """The region solve over the region of every routine (``cfgs``, in
-    program order): the whole-program PSG and its two phase solutions,
-    each step timed as a stage of ``metrics`` when one is given."""
+    program order, each a CFG or a stored fragment): the whole-program
+    PSG and its two phase solutions, each step timed as a stage of
+    ``metrics`` when one is given."""
     def stage(name: str):
         return nullcontext() if metrics is None else metrics.stage(name)
 
@@ -415,15 +454,16 @@ def solve_phase1(
     )
 
 
-def pinned_phase1(
+def pin_call_return_labels(
     psg: ProgramSummaryGraph, triples: Mapping[str, SummaryTriple]
-) -> Phase1Result:
-    """The phase-1 answer of a graph whose routines' triples are known
-    already: ``triples`` at the entry nodes, and written onto the
-    call-return edges as :func:`run_phase1` leaves them."""
-    count = psg.node_count
-    may_use, may_def, must_def = [0] * count, [0] * count, [0] * count
+) -> None:
+    """Label the call-return edges of a graph whose routines' triples
+    are known already (``triples``, the pinned callees' included) as
+    :func:`run_phase1` leaves them."""
     entry_of: Dict[str, int] = {}
+    may_use: Dict[int, int] = {}
+    may_def: Dict[int, int] = {}
+    must_def: Dict[int, int] = {}
     for name, routine_psg in psg.routines.items():
         entry = entry_of[name] = routine_psg.entry_node
         triple = triples[name]
@@ -431,7 +471,6 @@ def pinned_phase1(
         may_def[entry] = triple.may_def
         must_def[entry] = triple.must_def
     label_call_return_edges(psg, entry_of, may_use, may_def, must_def)
-    return Phase1Result(may_use, may_def, must_def)
 
 
 def solve_phase2(
@@ -461,11 +500,13 @@ def region_summaries(
     psg: ProgramSummaryGraph,
     names: Iterable[str],
     saved: Mapping[str, int],
-    phase1: Phase1Result,
+    triples: Mapping[str, SummaryTriple],
     live: Sequence[int],
 ) -> Dict[str, RoutineSummary]:
-    """The summary of each of ``names``, read off a graph, its phase-1
-    answer and its phase-2 liveness ``live`` — the one assembler."""
+    """The summary of each of ``names``, read off a graph whose
+    call-return edges phase 1 labeled, the routines' phase-1 entry
+    ``triples`` and the phase-2 liveness ``live`` — the one
+    assembler."""
     summaries: Dict[str, RoutineSummary] = {}
     label_of = dict(zip(psg.cr_call, psg.cr_label))
     block_of = psg.node_block
@@ -490,11 +531,12 @@ def region_summaries(
                 live[call_node], live[return_node],
             ))
 
+        triple = triples[name]
         summaries[name] = RoutineSummary(
             name=name,
-            call_used_mask=phase1.may_use[entry_node],
-            call_defined_mask=phase1.must_def[entry_node],
-            call_killed_mask=phase1.may_def[entry_node],
+            call_used_mask=triple.may_use,
+            call_defined_mask=triple.must_def,
+            call_killed_mask=triple.may_def,
             live_at_entry_mask=live[entry_node],
             exit_live_masks=exit_live,
             exit_kinds=exit_kinds,  # type: ignore[arg-type]
@@ -516,8 +558,10 @@ def _assemble_summaries(
     that each body is encoded once for every writer (SUM1,
     ``summaries_crc64``, the sidecar).  ``cfgs`` is not read: it keeps
     the call shape of the stage replay in ``perf/workloads.py``."""
+    names = [routine.name for routine in program]
+    entry_triple = phase1.entry_triple
     summaries = region_summaries(
-        psg, [routine.name for routine in program], saved_restored, phase1,
-        phase2.may_use,
+        psg, names, saved_restored,
+        {name: entry_triple(psg, name) for name in names}, phase2.may_use,
     )
     return SummarySet(summaries=PackedMap.of(summaries, SUMMARY_BODIES))

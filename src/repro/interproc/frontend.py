@@ -35,7 +35,7 @@ records do not cover.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional
 from typing import Sequence, Set, Tuple
@@ -53,6 +53,7 @@ from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.instructions import ControlKind
 from repro.obs.metrics import REGISTRY
 from repro.program.model import Program, Routine
+from repro.psg.build import PsgFragment
 
 if TYPE_CHECKING:  # store.py imports this module
     from repro.interproc.store import StoreView
@@ -165,9 +166,13 @@ class Frontend:
     derived on first use: the SCC condensation, the routine
     fingerprints, and the front-end records that let the next run skip
     most walks.  Immutable once built (as the program is), except that
-    ``cfgs`` fills in as solves ask for it, and a serial run that built
-    the front end itself empties it again as it labels each routine
-    (:func:`repro.interproc.analysis._analyze_program`)."""
+    ``cfgs`` fills in as solves ask for it and empties again as a run
+    labels each routine: the incremental engine, and a serial run that
+    built the front end itself
+    (:func:`repro.interproc.analysis._analyze_program`), release a CFG's
+    rows once its routine is labeled.  The engine keeps what the
+    session's later runs read instead (``fragments``, ``arcs``), so a
+    session walks each routine at most once whichever runs follow."""
 
     program: Program
     cfgs: LazyCfgs
@@ -178,6 +183,16 @@ class Frontend:
     #: applied, by routine (the routines whose call sites did not take
     #: a CFG to find).
     reused: Mapping[str, FrontendRecord]
+    #: The labeled PSG fragment of each routine whose rows the
+    #: incremental engine released, by the configuration it was labeled
+    #: under (:func:`repro.interproc.store.config_digest`) and name:
+    #: later runs under that configuration append it instead of walking
+    #: and labeling the routine again (:meth:`labeled`).
+    fragments: Dict[int, Dict[str, PsgFragment]] = field(default_factory=dict)
+    #: The same routines' intraprocedural arc counts: what a
+    #: whole-program run counts of a CFG besides its blocks (in
+    #: ``records``) and call sites (in ``call_graph``).
+    arcs: Dict[str, int] = field(default_factory=dict)
 
     @cached_property
     def condensation(self) -> Condensation:
@@ -238,6 +253,11 @@ class Frontend:
         return {
             name: record.block_count for name, record in self.records.items()
         }
+
+    def labeled(self, context: int) -> Dict[str, PsgFragment]:
+        """The fragments labeled under the configuration of digest
+        ``context``, by routine name (a run adds to it)."""
+        return self.fragments.setdefault(context, {})
 
     @property
     def cfgs_built(self) -> int:

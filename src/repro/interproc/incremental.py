@@ -33,10 +33,13 @@ The cache is a :class:`repro.interproc.persist.SummaryCache` (the
 (:mod:`repro.interproc.frontend`) and the labeled PSG fragment of every
 routine body solved, which a region appends instead of walking the
 routine.  So a warm run with zero dirty routines builds no CFG, decodes
-no body and solves nothing.  A cache written under
-another configuration, or one holding a body or fragment that fails to
-decode when read, is set aside and the run solves cold
-(:attr:`IncrementalAnalysis.refused` says why).
+no body and solves nothing.  A routine's CFG rows live only until its
+region's build labels it: the session's front end keeps the fragment
+instead (:attr:`repro.interproc.frontend.Frontend.fragments`), which
+the session's later runs append, so no routine is walked twice.  A
+cache written under another configuration, or one holding a body or
+fragment that fails to decode when read, is set aside and the run
+solves cold (:attr:`IncrementalAnalysis.refused` says why).
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ from repro.dataflow.equations import SummaryTriple
 from repro.interproc.analysis import (
     AnalysisConfig,
     callee_saved_filter,
-    pinned_phase1,
+    pin_call_return_labels,
+    region_routines,
     region_summaries,
     solve_phase1,
     solve_phase2,
@@ -70,7 +74,6 @@ from repro.interproc.persist import (
     SummaryFormatError,
     packed,
 )
-from repro.interproc.phase1 import Phase1Result
 from repro.interproc.store import (
     Inputs,
     add_exit_seeds,
@@ -88,7 +91,6 @@ from repro.obs.tracer import span
 from repro.psg.build import (
     PartialPsg,
     PsgFragment,
-    StoredRoutine,
     build_partial_psg,
     fragment_rows,
 )
@@ -312,15 +314,15 @@ class _Engine:
         self.phase1_scope: Optional[Set[int]] = None
         self.phase2_scope: Optional[Set[int]] = None
         # Per-member inputs, built for solved members only: §3.4 masks
-        # and fragments (the cache's, or labeled here from a CFG, which
-        # ``self.cfgs`` walks on access).
+        # and fragments (the cache's, the front end's, or labeled here
+        # from a CFG, which ``self.cfgs`` walks on access).
         self._saved: Dict[str, int] = {}
         self._fragments: Dict[str, PsgFragment] = {}
         #: Shape key -> the fragment of each routine this run labeled.
         self.labeled: Dict[int, PsgFragment] = {}
-        # Phase-1 regions' graphs and answers, by member set, until a
+        # Phase-1 regions' graphs, labeled, by member set, until a
         # phase-2 region of the same members reads them.
-        self._graphs: Dict[frozenset, Tuple[PartialPsg, Phase1Result]] = {}
+        self._graphs: Dict[frozenset, PartialPsg] = {}
         # The pending region: component indices, and their members.
         self._pending: List[int] = []
         self._pending_members: Set[str] = set()
@@ -349,12 +351,18 @@ class _Engine:
         holds and whose call sites it fits (counted
         ``cache.fragment.hit``; ``.stale`` when the cache has a row of
         the routine but no fragment of its body, or the fragment does
-        not fit, ``.miss`` otherwise)."""
+        not fit, ``.miss`` otherwise), else the one an earlier run of
+        the session labeled: the front end holds it (counted
+        ``frontend.fragment.hit``), and this run keeps it as if it had
+        labeled it."""
         held, known = self.cache.fragments, self.cache.rows
+        session = self.frontend.labeled(self.context)
+        labeled = self.labeled
         records, sites = self.frontend.records, self.call_graph.sites
-        hit = stale = miss = 0
+        hit = stale = miss = kept = 0
         for name in names:
-            fragment = held.get(records[name].shape_key)
+            key = records[name].shape_key
+            fragment = held.get(key)
             if fragment is None:
                 if name in known:
                     stale += 1
@@ -365,9 +373,15 @@ class _Engine:
             else:
                 hit += 1
                 self._fragments[name] = fragment
+                continue
+            fragment = session.get(name)
+            if fragment is not None:
+                kept += 1
+                self._fragments[name] = labeled[key] = fragment
         REGISTRY.inc("cache.fragment.hit", hit)
         REGISTRY.inc("cache.fragment.stale", stale)
         REGISTRY.inc("cache.fragment.miss", miss)
+        REGISTRY.inc("frontend.fragment.hit", kept)
 
     def refreshed(
         self,
@@ -397,33 +411,43 @@ class _Engine:
 
     def _region(self, members: List[str]) -> PartialPsg:
         """The graph of a region: each member appended from its
-        fragment, or labeled from its CFG (whose fragment it then
-        keeps)."""
-        records, fragments = self.frontend.records, self._fragments
+        fragment, or labeled from its CFG.  A labeled member's rows are
+        released as the build takes them; the front end keeps its
+        fragment and arc count instead, and the run keeps the fragment
+        for the cache it refreshes."""
+        frontend, fragments = self.frontend, self._fragments
         with self.metrics.stage("psg_build"):
+            # Reads the records first: none can be derived once the
+            # rows are gone.
             self._take_fragments(name for name in members if name not in fragments)
         walked = [name for name in members if name not in fragments]
         if walked:
+            cfgs = self.cfgs
             with self.metrics.stage("cfg_build"):
-                cfgs = {name: self.cfgs[name] for name in walked}
+                for name in walked:
+                    cfgs[name]  # walked now unless the front end holds it
             with self.metrics.stage("initialization"):
-                keep = callee_saved_filter(self.config)
-                for name, cfg in cfgs.items():
+                keep, built = callee_saved_filter(self.config), cfgs.built
+                for name in walked:
+                    cfg = built[name]
                     self._saved[name] = cfg.saved & keep
-        sites, routines = self.call_graph.sites, []
+                    frontend.arcs[name] = cfg.arc_count
         for name in members:
             if name in fragments:
                 self._saved[name] = fragments[name].saved
-                routines.append(StoredRoutine(name, fragments[name], sites[name]))
-            else:
-                routines.append(cfgs[name])
         with self.metrics.stage("psg_build"):
             region = build_partial_psg(
-                routines, self.config.psg, convention=self.config.convention
+                region_routines(
+                    members, fragments, self.call_graph.sites,
+                    self.cfgs.built.pop,
+                ),
+                self.config.psg, convention=self.config.convention,
             )
+        records, session = frontend.records, frontend.labeled(self.context)
         for name in walked:
             fragment = fragment_rows(region.psg, name, self._saved[name])
-            fragments[name] = self.labeled[records[name].shape_key] = fragment
+            fragments[name] = session[name] = fragment
+            self.labeled[records[name].shape_key] = fragment
         return region
 
     def _join(self, index: int, members: Sequence[str]) -> None:
@@ -532,7 +556,9 @@ class _Engine:
                 solution = solve_phase1(
                     region, self._saved, self.config, members, self.triples
                 )
-        self._graphs[frozenset(members)] = (region, solution)
+        # Phase 2 reads the graph, its call-return labels and the
+        # members' entry triples: not the rest of the answer.
+        self._graphs[frozenset(members)] = region
         REGISTRY.inc("engine.sccs_solved", len(indices), phase="phase1")
         REGISTRY.inc("engine.solved", len(members), phase="phase1")
         for name in members:
@@ -619,17 +645,15 @@ class _Engine:
         # Callers outside the region are final: their seeds exist
         # before any graph does.
         region_seeds = self._phase2_inputs(members)
-        found = self._graphs.pop(member_set, None)
-        if found is None:
+        region = self._graphs.pop(member_set, None)
+        if region is None:
             # No later region holds these members: drop their graphs.
             self._graphs = {
                 key: value for key, value in self._graphs.items()
                 if key.isdisjoint(member_set)
             }
             region = self._region(members)
-            phase1 = pinned_phase1(region.psg, self.triples)
-        else:
-            region, phase1 = found
+            pin_call_return_labels(region.psg, self.triples)
         with self.metrics.stage("phase2"):
             with span(
                 "phase2.region", components=len(indices), routines=len(members)
@@ -642,7 +666,8 @@ class _Engine:
         REGISTRY.inc("engine.solved", len(members), phase="phase2")
         with self.metrics.stage("assemble"):
             fresh = region_summaries(
-                region.psg, members, self._saved, phase1, solution.may_use
+                region.psg, members, self._saved, self.triples,
+                solution.may_use,
             )
         live_after = {
             name: live_after_masks(summary) for name, summary in fresh.items()

@@ -163,6 +163,15 @@ class Ledger:
     def clear(self) -> None:
         self.counters, self.maxima = {}, {}
 
+    def absorb(self, other: "Ledger") -> None:
+        """Count ``other``'s counters and maxima as this run's too (the
+        registry has them already)."""
+        for key, value in other.counters.items():
+            self.counters[key] = self.counters.get(key, 0) + value
+        for key, value in other.maxima.items():
+            if value > self.maxima.get(key, float("-inf")):
+                self.maxima[key] = value
+
     def as_dict(self) -> Dict[str, object]:
         """Rendered keys, sorted, with :data:`SEEDED_KEYS` always
         present and maxima at the run's own high-water mark."""

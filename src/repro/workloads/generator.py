@@ -36,7 +36,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.program.asm import Assembler
 from repro.program.disasm import disassemble_image
@@ -148,14 +148,14 @@ def generate_image(
     rng = random.Random(
         (config.seed << 20) ^ zlib.crc32(shape.name.encode("utf-8"))
     )
-    plans, opaque_pool = _plan_program(shape, config, rng)
+    plans, opaque = _plan_program(shape, config, rng)
 
     assembler = Assembler()
-    if opaque_pool:
-        assembler.data_code_pointers("fnptrs", opaque_pool)
+    if opaque:
+        assembler.data_code_pointers("fnptrs", list(opaque))
     _emit_main(assembler, plans, config, rng)
     for plan in plans:
-        _Emitter(assembler, plan, shape, config, rng, opaque_pool).emit()
+        _Emitter(assembler, plan, shape, config, rng, opaque).emit()
     return assembler.build(entry="main")
 
 
@@ -165,7 +165,7 @@ def generate_image(
 
 def _plan_program(
     shape: BenchmarkShape, config: GeneratorConfig, rng: random.Random
-) -> Tuple[List[_Plan], List[str]]:
+) -> Tuple[List[_Plan], Dict[str, int]]:
     count = max(2, shape.routines - 1)  # main is emitted separately
     levels = max(2, min(10, int(math.log2(count)) + 1))
     plans: List[_Plan] = []
@@ -180,17 +180,22 @@ def _plan_program(
         by_level[level].append(name)
         plans.append(_Plan(name=name, level=level))
 
-    # Pick which routines are reachable through pointer tables.
-    opaque_targets: List[str] = []
+    # Each level's callees: every deeper level's routines, shallowest
+    # level first.
+    deeper_of: Dict[int, List[str]] = {levels: []}
+    for level in range(levels - 1, 0, -1):
+        deeper_of[level] = by_level[level + 1] + deeper_of[level + 1]
+
+    # Pick which routines are reachable through the pointer table, by
+    # their slot in it.
+    opaque: Dict[str, int] = {}
 
     switch_probability = min(0.9, shape.paper_edge_reduction_pct / 85.0)
     mean_calls = shape.calls_per_routine
     mean_branches = shape.branches_per_routine
 
     for plan in plans:
-        deeper: List[str] = []
-        for level in range(plan.level + 1, levels + 1):
-            deeper.extend(by_level[level])
+        deeper = deeper_of[plan.level]
         is_leaf = not deeper or plan.level == levels
         if not is_leaf:
             n_calls = max(0, round(rng.gauss(mean_calls, mean_calls * 0.5)))
@@ -203,8 +208,7 @@ def _plan_program(
             hint: Tuple[str, ...] = ()
             if roll < config.opaque_call_fraction:
                 kind = "opaque"
-                if target not in opaque_targets:
-                    opaque_targets.append(target)
+                opaque.setdefault(target, len(opaque))
             elif roll < config.opaque_call_fraction + config.hinted_call_fraction:
                 kind = "hinted"
                 other = rng.choice(deeper)
@@ -271,9 +275,9 @@ def _plan_program(
             )
 
     for plan in plans:
-        if plan.name in opaque_targets:
+        if plan.name in opaque:
             plan.exported = True
-    return plans, opaque_targets
+    return plans, opaque
 
 
 def _estimate_instructions(plan: _Plan) -> float:
@@ -325,14 +329,15 @@ class _Emitter:
         shape: BenchmarkShape,
         config: GeneratorConfig,
         rng: random.Random,
-        opaque_pool: Sequence[str],
+        opaque_slots: Mapping[str, int],
     ) -> None:
         self.asm = assembler
         self.plan = plan
         self.shape = shape
         self.config = config
         self.rng = rng
-        self.opaque_pool = list(opaque_pool)
+        #: Each opaque target's slot in the ``fnptrs`` table (shared).
+        self.opaque_slots = opaque_slots
         self._labels = 0
         self._tables = 0
         self._call_queue: List[Tuple[str, str, Tuple[str, ...]]] = list(plan.calls)
@@ -524,7 +529,7 @@ class _Emitter:
             asm.li(_PTR_REG, f"&{target}")
             asm.jsr(_PTR_REG, hint_targets=[target])
         else:  # opaque: load the pointer from the data table
-            index = self.opaque_pool.index(target)
+            index = self.opaque_slots[target]
             offset = 8 * index
             asm.li(_SWITCH_REGS[0], "@fnptrs")
             if offset <= 0x7FFF:

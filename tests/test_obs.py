@@ -30,6 +30,7 @@ from repro.obs import (
 from repro.obs.metrics import SEEDED_KEYS, Ledger
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.program.asm import assemble
+from repro.program.rewrite import program_to_image
 
 SOURCE = """
 .routine main export
@@ -220,6 +221,26 @@ class TestRunLedger:
                 == payload["phase2_solved"] == result.metrics.phase2_solved
             )
             assert session.metrics()["counters"] == payload["counters"]
+
+    def test_the_first_run_counts_the_open(self, small_benchmark):
+        """A session opened from bytes hands what decoding its image
+        counted to its first run's ledger, and to no later run's."""
+        blob = program_to_image(small_benchmark).to_bytes()
+        session = AnalysisSession.from_image_bytes(blob, _OFF)
+        words = session.program.instruction_count
+        first = session.analyze_incremental().metrics.ledger
+        assert first.value("program.decode.words") == words
+        assert 0 < first.value("program.decode.forms") <= (
+            first.value("program.decode.distinct")
+        ) <= words
+        counters = session.metrics()["counters"]
+        assert counters["program.decode.words"] == words
+        session.query(small_benchmark.routine_names()[0])
+        assert "program.decode.words" not in session.metrics()["counters"]
+        assert session.analyze().metrics.ledger.value("program.decode.words") == 0
+        # A session over a decoded program opened nothing.
+        run = AnalysisSession.from_program(small_benchmark, _OFF).analyze()
+        assert run.metrics.ledger.value("program.decode.words") == 0
 
     def test_max_queue_depth_is_the_runs_own(self, small_benchmark, quick_program):
         big = AnalysisSession.from_program(small_benchmark, _OFF)

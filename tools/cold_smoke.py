@@ -28,11 +28,11 @@ work stays inside back-arc regions), and its ``frontend.rows`` counter
 equals the routine count: the front end walked every routine's
 instruction rows once, and rendering ``--json`` solved no graph again.
 The ``--dot`` file must equal :func:`~repro.reporting.dot.psg_to_dot`
-of an in-process analysis's PSG, solved again the same way.  The
-in-process open of the same image
-(``AnalysisSession.from_image_bytes``, the CLI's) must count
+of an in-process analysis's PSG, solved again the same way.  The CLI
+run's own counters, which take in its session's open, must count
 ``program.decode`` ``forms <= distinct <= words == instructions``: the
-text decoded once, ``decode_row`` cutting each form only.  The cold query must report
+text decoded once, ``decode_row`` cutting each form only.  The cold
+query must report
 ``psg.builds + psg.partial_builds <= 2`` (its needed components solve
 as one region per phase, not one graph per component), and the warm
 one ``phase2_solved == 0``: the cone-scoped solves and the sidecar they
@@ -151,10 +151,9 @@ def main(argv: List[str] | None = None) -> int:
         if counters.get("frontend.rows") != routines:
             fail(f"the cold run walked {counters.get('frontend.rows')} "
                  f"routines, not {routines}")
-        # The CLI's counters are its run's ledger, which opens after the
-        # image is decoded: the decode counts are the in-process open's.
+        # The session's first run counts the open it rests on.
         decoded = [
-            oracle_counters.get(f"program.decode.{key}")
+            counters.get(f"program.decode.{key}")
             for key in ("forms", "distinct", "words")
         ]
         instructions = oracle.program.instruction_count

@@ -14,7 +14,9 @@ Table-2 image twice, and checks the full service contract:
   shows ``cache.fragment.hit >= 1``: the second query appended PSG
   fragments the first one labeled, held in the session's memo; the
   second query's payload counts that query alone (``query.requests``
-  1, and ``query.solved`` equal to its ``phase2_solved``);
+  1, and ``query.solved`` equal to its ``phase2_solved``) and reports
+  ``cfgs_built`` 0: it walks no routine, appending what the first one
+  labeled;
 * the server's ``service.request.seconds`` histogram count equals the
   POSTs the smoke sent, exactly; ``/metricsz?format=prometheus`` passes
   ``tools/validate_prometheus``; ``/healthz`` reports nothing in flight;
@@ -84,7 +86,7 @@ def check_queries(client: ServiceClient, image_bytes: bytes) -> int:
     if not callees:
         fail(f"entry {entry!r} calls nothing: no overlapping cone to query")
     answers = {}
-    for routine in (entry, callees[0]):
+    for index, routine in enumerate((entry, callees[0])):
         response = client.query(image_bytes, routine, include_summaries=True)
         if response.status != 200:
             fail(f"query {routine!r} returned {response.status}: {response.payload}")
@@ -97,6 +99,9 @@ def check_queries(client: ServiceClient, image_bytes: bytes) -> int:
             fail(f"query {routine!r} payload: query.solved "
                  f"{counters['query.solved']} != phase2_solved "
                  f"{response.payload['phase2_solved']}")
+        if index and response.payload["cfgs_built"] != 0:
+            fail(f"query {routine!r} walked {response.payload['cfgs_built']} "
+                 f"routines the first query had labeled")
     whole = client.analyze(image_bytes, include_summaries=True)
     if whole.status != 200:
         fail(f"analyze with summaries returned {whole.status}: {whole.payload}")
