@@ -237,8 +237,9 @@ class AnalysisSession:
 
     @property
     def has_query_state(self) -> bool:
-        """True once a query has warmed this session's memoized demand
-        cache (the service daemon reports such requests as warm)."""
+        """True once a query or an incremental run has warmed this
+        session's memoized demand cache (the service daemon reports such
+        requests as warm)."""
         return self._query_cache is not None
 
     @property
@@ -327,6 +328,10 @@ class AnalysisSession:
             warm=cache is not None,
         )
         self._frontend = self._last.frontend
+        # The refreshed cache is written under the session's
+        # configuration and holds every routine's rows: the session's
+        # next query starts from it.
+        self._query_cache = self._last.cache
         return self._last
 
     def query(
@@ -342,11 +347,11 @@ class AnalysisSession:
 
         ``cache`` warm-starts the query from a ``SUM5``
         :class:`SummaryCache`; when omitted, the session threads its
-        own memoized cache and front end between calls, so repeated
-        or overlapping queries amortize toward a fingerprint comparison
-        (the call graph and fingerprints are built once per session,
-        a CFG once per routine, and a component's partial PSG once,
-        until phase 2 has used it).  The
+        own memoized cache — the last query's, or the refreshed cache
+        of its last :meth:`analyze_incremental` — and front end between
+        calls, so repeated or overlapping queries amortize toward a
+        fingerprint comparison (the call graph and fingerprints are
+        built once per session, and a routine labeled once).  The
         refreshed cache is returned on :attr:`QueryResult.cache` (and
         retained on the session) for persisting.
 

@@ -1,14 +1,15 @@
 """The region solve, and the top-level driver that runs it over the
 whole program.
 
-Every path solves the two phases the same way: one PSG over a
+Every path solves the two phases the same way: a PSG over a
 *region*, a list of member routines (:func:`repro.psg.build.
 build_partial_psg`); phase 1 with the external entries pinned at their
 callees' triples (:func:`solve_phase1`); phase 2 with the liveness
 outside callers seed at the members' exits (:func:`solve_phase2`); and
 one assembler (:func:`region_summaries`).  The incremental engine
 (:mod:`repro.interproc.incremental`) solves runs of the components it
-needs as regions; the cold driver below solves the region of every
+needs as regions of one graph, each solve carrying the phase's state
+over from the last; the cold driver below solves the region of every
 routine, whose graph is the whole-program PSG.  It runs the five-stage
 pipeline the paper times in §4:
 
@@ -34,6 +35,7 @@ asks for one (:class:`InterproceduralAnalysis`).
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,8 +66,8 @@ from repro.interproc.persist import (
     RoutineRow,
     SummaryCache,
 )
-from repro.interproc.phase1 import Phase1Result, run_phase1
-from repro.interproc.phase2 import Phase2Result, run_phase2
+from repro.interproc.phase1 import Phase1Result, Phase1State, run_phase1
+from repro.interproc.phase2 import Phase2Result, Phase2State, run_phase2
 from repro.interproc.store import (
     StoreView,
     add_exit_seeds,
@@ -362,7 +364,7 @@ def _solve_program(
         phase1 = solve_phase1(region, saved, config, callee_first, {})
     with stage("phase2"):
         phase2 = solve_phase2(
-            region, config, call_graph.externally_callable,
+            region.psg, config, call_graph.externally_callable,
             callee_first[::-1], {},
         )
     return region.psg, phase1, phase2
@@ -436,11 +438,13 @@ def solve_phase1(
     config: AnalysisConfig,
     routine_order: Sequence[str],
     pinned: Mapping[str, SummaryTriple],
+    state: Optional[Phase1State] = None,
 ) -> Phase1Result:
     """Phase 1 (Figure 8) over a region's graph, seeded in
     ``routine_order``, each external entry pinned at its callee's triple
-    in ``pinned``.  Leaves the converged labels on the call-return
-    edges."""
+    in ``pinned``.  Leaves the converged labels on the region's
+    call-return edges.  ``state`` carries the graph's earlier solves
+    (see :func:`~repro.interproc.phase1.run_phase1`)."""
     psg = region.psg
     fixed = {
         node: pinned[callee] for callee, node in region.external_entries.items()
@@ -450,41 +454,46 @@ def solve_phase1(
     )
     return run_phase1(
         psg, saved, preserved, node_seed_order(psg, routine_order),
-        fixed_entries=fixed,
+        fixed_entries=fixed, state=state,
+        routines=[psg.routines[name] for name in routine_order],
     )
 
 
 def pin_call_return_labels(
-    psg: ProgramSummaryGraph, triples: Mapping[str, SummaryTriple]
+    psg: ProgramSummaryGraph, triples: Mapping[str, SummaryTriple], first: int
 ) -> None:
-    """Label the call-return edges of a graph whose routines' triples
-    are known already (``triples``, the pinned callees' included) as
-    :func:`run_phase1` leaves them."""
-    entry_of: Dict[str, int] = {}
-    may_use: Dict[int, int] = {}
-    may_def: Dict[int, int] = {}
-    must_def: Dict[int, int] = {}
-    for name, routine_psg in psg.routines.items():
-        entry = entry_of[name] = routine_psg.entry_node
-        triple = triples[name]
-        may_use[entry] = triple.may_use
-        may_def[entry] = triple.may_def
-        must_def[entry] = triple.must_def
-    label_call_return_edges(psg, entry_of, may_use, may_def, must_def)
+    """Label the call-return edges from index ``first`` on, whose
+    callees' triples are known already (``triples``), as
+    :func:`run_phase1` would: how routines whose phase 1 was reused or
+    adopted join a graph."""
+    routines = psg.routines
+    entries = {
+        routines[name].entry_node: triples[name]
+        for callees in psg.cr_targets[first:] for name in callees
+    }
+    label_call_return_edges(
+        psg,
+        {node: triple.may_use for node, triple in entries.items()},
+        {node: triple.may_def for node, triple in entries.items()},
+        {node: triple.must_def for node, triple in entries.items()},
+        first,
+    )
 
 
 def solve_phase2(
-    region: PartialPsg,
+    psg: ProgramSummaryGraph,
     config: AnalysisConfig,
     externally_callable: Set[str],
     routine_order: Sequence[str],
     seeds: Mapping[str, int],
+    state: Optional[Phase2State] = None,
 ) -> Phase2Result:
-    """Phase 2 (Figure 10) over a region's graph, whose call-return
-    edges phase 1 has labeled, seeded in ``routine_order``; ``seeds``
-    adds each member's liveness flowing back from callers outside the
-    region at its RETURN exits."""
-    psg = region.psg
+    """Phase 2 (Figure 10) of the routines in ``routine_order``, in
+    that order, over a graph whose call-return edges phase 1 has
+    labeled; ``seeds`` adds each one's liveness flowing back from
+    callers outside the region at its RETURN exits.  ``state`` carries
+    the graph's earlier solves (see
+    :func:`~repro.interproc.phase2.run_phase2`)."""
     extra = {
         node: seed
         for name, seed in seeds.items() if seed
@@ -493,6 +502,7 @@ def solve_phase2(
     return run_phase2(
         psg, externally_callable, config.convention,
         node_seed_order(psg, routine_order), extra_exit_live=extra,
+        state=state, routines=[psg.routines[name] for name in routine_order],
     )
 
 
@@ -508,11 +518,14 @@ def region_summaries(
     ``triples`` and the phase-2 liveness ``live`` — the one
     assembler."""
     summaries: Dict[str, RoutineSummary] = {}
-    label_of = dict(zip(psg.cr_call, psg.cr_label))
+    cr_call, cr_label = psg.cr_call, psg.cr_label
     block_of = psg.node_block
     for name in names:
         routine_psg = psg.routines[name]
         entry_node = routine_psg.entry_node
+        call_pairs = routine_psg.call_pairs
+        # A routine's call-return edges are consecutive, in node order.
+        edge = bisect_left(cr_call, call_pairs[0][0]) if call_pairs else 0
 
         exit_live: Dict[int, int] = {}
         exit_kinds: Dict[int, object] = {}
@@ -522,8 +535,9 @@ def region_summaries(
             exit_kinds[block] = kind
 
         call_sites: List[CallSiteSummary] = []
-        for call_node, return_node, site in routine_psg.call_pairs:
-            label = label_of[call_node]
+        for label, (call_node, return_node, site) in zip(
+            cr_label[edge:edge + len(call_pairs)], call_pairs
+        ):
             # Positional (a keyword call costs ~0.3 µs, per call site):
             # site, used, defined, killed, live before, live after.
             call_sites.append(CallSiteSummary(

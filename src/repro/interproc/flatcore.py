@@ -53,27 +53,28 @@ def resolve_solver_core(core: Optional[str] = None) -> str:
 
 def label_call_return_edges(
     psg: ProgramSummaryGraph,
-    entry_of: Dict[str, int],
     may_use: Sequence[int],
     may_def: Sequence[int],
     must_def: Sequence[int],
+    first: int = 0,
 ) -> None:
     """Write the converged phase-1 labels into the ``cr_label`` column
-    at every resolved call-return edge, interning equal triples so the
-    many call sites of a popular routine share one label object (phase 2
-    and the summary assembly re-read these; "retained for the second
-    dataflow phase").
+    at every resolved call-return edge from index ``first`` on, reading
+    the callees' entry nodes off the arena and interning equal triples
+    so the many call sites of a popular routine share one label object
+    (phase 2 and the summary assembly re-read these; "retained for the
+    second dataflow phase").
     """
     interned: Dict[Tuple[int, int, int], SummaryTriple] = {}
-    labels = psg.cr_label
-    for edge, callees in enumerate(psg.cr_targets):
-        if not callees:
+    labels, cr_callees = psg.cr_label, psg.arena.cr_callees
+    for edge in range(first, len(labels)):
+        entries = cr_callees[psg.cr_call[edge]]
+        if not entries:
             continue
         label_mu = 0
         label_md = 0
         label_xd = -1
-        for callee in callees:
-            entry = entry_of[callee]
+        for entry in entries:
             label_mu |= may_use[entry]
             label_md |= may_def[entry]
             label_xd &= must_def[entry]
@@ -87,35 +88,62 @@ def label_call_return_edges(
         labels[edge] = label
 
 
-def seed_priority(
-    node_count: int, seed_order: Sequence[int], frozen: bytearray
-) -> Tuple[List[int], List[int], List[int], bytearray]:
-    """Rank table, rank->node table, seeded heap and in-queue bitmap.
+class SolveState:
+    """What a phase keeps between the solves of one growing graph.
 
-    Ranks follow ``seed_order`` (nodes it omits sort last), so the seed
-    heap — ranks in ascending order — is a valid min-heap as built.
-    Frozen boundary nodes are marked permanently in-queue: the enqueue
-    fast path then needs only the bitmap test to suppress them.
+    The incremental engine appends each region it solves to one graph
+    (:func:`repro.psg.build.build_partial_psg`) and solves it there, every
+    earlier node frozen at its final value.  So the per-node state is
+    kept, not rebuilt: a solve extends it to the nodes appended since
+    (:meth:`grow`), ranks and sweeps only its seeds (:meth:`schedule`)
+    and freezes them once done (:meth:`settle`), and its cost is the
+    region's, not the graph's.  Phases add their value rows.
+
+    * ``frozen[n]`` — a boundary node (an exit, a pinned entry): never
+      seeded;
+    * ``queued[n]`` — the in-queue bitmap.  Every node starts and ends
+      in-queue: only a solve's seeds leave it, when popped, so a node no
+      solve seeds — an earlier region's, a stub, a routine no phase has
+      opened — is never pushed and keeps its value;
+    * ``rank_of[n]`` — the node's position in the seed order of the
+      solve that seeded it;
+    * ``labeled`` — the call-return edges whose labels the phase has
+      read (phase 1 writes them, phase 2 unzips them).
     """
-    by_rank = list(seed_order)
-    rank_of = [0] * node_count
-    for rank, node in enumerate(by_rank):
-        rank_of[node] = rank
-    if len(by_rank) == node_count:
-        # The usual case — the seed order is a full permutation (the
-        # drivers seed every node) — so every node is initially queued
-        # and the rank table is already complete.
-        queued = bytearray(b"\x01") * node_count
-    else:
-        listed = bytearray(node_count)
-        for node in seed_order:
-            listed[node] = 1
-        for node in range(node_count):
-            if not listed[node]:
-                rank_of[node] = len(by_rank)
-                by_rank.append(node)
-        queued = bytearray(frozen)
-        for node in seed_order:
-            queued[node] = 1
-    heap = [rank_of[node] for node in seed_order if not frozen[node]]
-    return by_rank, rank_of, heap, queued
+
+    __slots__ = ("frozen", "queued", "rank_of", "labeled")
+
+    def __init__(self) -> None:
+        self.frozen = bytearray()
+        self.queued = bytearray()
+        self.rank_of: List[int] = []
+        self.labeled = 0
+
+    def grow(self, node_count: int) -> int:
+        """Cover ``node_count`` nodes; returns the first new one."""
+        first = len(self.queued)
+        added = node_count - first
+        self.frozen += bytes(added)
+        self.queued += b"\x01" * added
+        self.rank_of += [0] * added
+        return first
+
+    def schedule(self, seed_order: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """The rank->node table of a solve seeded in ``seed_order``, and
+        its sweep: the ranks of the seeds not frozen, ascending — so a
+        valid min-heap as built."""
+        by_rank = list(seed_order)
+        rank_of, frozen = self.rank_of, self.frozen
+        for rank, node in enumerate(by_rank):
+            rank_of[node] = rank
+        return by_rank, [rank for rank, node in enumerate(by_rank) if not frozen[node]]
+
+    def settle(self, seed_order: Sequence[int]) -> None:
+        """Put a finished solve's seeds back in-queue: frozen from now
+        on."""
+        queued = self.queued
+        if len(seed_order) == len(queued):
+            queued[:] = b"\x01" * len(queued)
+        else:
+            for node in seed_order:
+                queued[node] = 1

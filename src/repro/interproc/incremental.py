@@ -21,12 +21,20 @@ Phase 1 walks the components callee-first and phase 2 caller-first,
 one step each (:class:`_Engine`): gather the inputs, adopt the first
 routine table whose rows record them — the sidecar's, then the
 cross-image store's (:mod:`repro.interproc.store`) — else join the
-pending region, solved as one partial PSG
-(:func:`repro.psg.build.build_partial_psg`) with outside callees pinned
-at their triples and outside callers' liveness as exit seeds.  Dirt
-stops wherever an answer comes out unchanged, and a routine that lost
-a caller is re-solved only if its exit seed moved.  A cold run — this
-engine against an empty cache — is one region per phase.
+pending region.  A run keeps **one graph**: each region it solves is
+appended to it (:func:`repro.psg.build.build_partial_psg`) with callees
+outside the graph pinned at their triples, and solved with every
+earlier node frozen at its final value, the solver state carried from
+region to region (:class:`~repro.interproc.phase1.Phase1State`,
+:class:`~repro.interproc.phase2.Phase2State`).  Phase 2 solves its
+regions on the same graph, appending only the routines whose phase 1
+was reused or adopted, with outside callers' liveness as exit seeds.
+So an edit that climbs the call graph one caller level per region
+builds one graph, never larger than the cold run's but for the stubs
+of pinned callees.  Dirt stops wherever an answer comes out unchanged,
+and a routine that lost a caller is re-solved only if its exit seed
+moved.  A cold run — this engine against an empty cache — is one
+region per phase.
 
 The cache is a :class:`repro.interproc.persist.SummaryCache` (the
 ``SUM5`` sidecar): rows, summaries, front-end records
@@ -81,6 +89,8 @@ from repro.interproc.store import (
     config_digest,
     open_view,
 )
+from repro.interproc.phase1 import Phase1State
+from repro.interproc.phase2 import Phase2State
 from repro.interproc.summaries import (
     SummarySet,
     RoutineSummary,
@@ -90,6 +100,7 @@ from repro.obs.metrics import REGISTRY, Ledger
 from repro.obs.tracer import span
 from repro.psg.build import (
     PartialPsg,
+    PsgAssembly,
     PsgFragment,
     build_partial_psg,
     fragment_rows,
@@ -320,9 +331,12 @@ class _Engine:
         self._fragments: Dict[str, PsgFragment] = {}
         #: Shape key -> the fragment of each routine this run labeled.
         self.labeled: Dict[int, PsgFragment] = {}
-        # Phase-1 regions' graphs, labeled, by member set, until a
-        # phase-2 region of the same members reads them.
-        self._graphs: Dict[frozenset, PartialPsg] = {}
+        # The run's one graph, each region appended as it is solved, and
+        # both phases' solver state over it: a region is solved with
+        # every earlier node frozen at its final value.
+        self._graph = PsgAssembly(config.convention)
+        self._phase1 = Phase1State()
+        self._phase2 = Phase2State()
         # The pending region: component indices, and their members.
         self._pending: List[int] = []
         self._pending_members: Set[str] = set()
@@ -409,8 +423,8 @@ class _Engine:
             table=self.cache.table,
         )
 
-    def _region(self, members: List[str]) -> PartialPsg:
-        """The graph of a region: each member appended from its
+    def _append(self, members: List[str]) -> PartialPsg:
+        """Append a region to the run's graph: each member from its
         fragment, or labeled from its CFG.  A labeled member's rows are
         released as the build takes them; the front end keeps its
         fragment and arc count instead, and the run keeps the fragment
@@ -441,7 +455,7 @@ class _Engine:
                     members, fragments, self.call_graph.sites,
                     self.cfgs.built.pop,
                 ),
-                self.config.psg, convention=self.config.convention,
+                self.config.psg, assembly=self._graph,
             )
         records, session = frontend.records, frontend.labeled(self.context)
         for name in walked:
@@ -525,6 +539,8 @@ class _Engine:
                     missed += len(members)
             self._join(index, members)
         self._solve_phase1()
+        # Phase 2 labels what it appends from the triples.
+        self._phase1 = None  # type: ignore[assignment]
         # Once per walk: a labeled inc per component costs ~6 % of a
         # warm query.
         REGISTRY.inc("engine.reused", reused, phase="phase1")
@@ -544,21 +560,21 @@ class _Engine:
             self.rows[name] = RoutineRow(*inputs[name], None, triple, ())
 
     def _solve_phase1(self) -> None:
-        """Solve the pending region's phase 1."""
+        """Append the pending region to the run's graph and solve its
+        phase 1."""
         if not self._pending:
             return
         indices, members = self._take_pending()
-        region = self._region(members)
+        region = self._append(members)
         with self.metrics.stage("phase1"):
             with span(
                 "phase1.region", components=len(indices), routines=len(members)
             ):
                 solution = solve_phase1(
-                    region, self._saved, self.config, members, self.triples
+                    region, self._saved, self.config, members, self.triples,
+                    self._phase1,
                 )
-        # Phase 2 reads the graph, its call-return labels and the
-        # members' entry triples: not the rest of the answer.
-        self._graphs[frozenset(members)] = region
+        REGISTRY.inc("engine.regions", phase="phase1")
         REGISTRY.inc("engine.sccs_solved", len(indices), phase="phase1")
         REGISTRY.inc("engine.solved", len(members), phase="phase1")
         for name in members:
@@ -636,38 +652,40 @@ class _Engine:
         )
 
     def _solve_phase2(self) -> None:
-        """Solve the pending region's phase 2 and assemble its members'
-        summaries."""
+        """Solve the pending region's phase 2 on the run's graph and
+        assemble its members' summaries."""
         if not self._pending:
             return
         indices, members = self._take_pending()
-        member_set = frozenset(members)
         # Callers outside the region are final: their seeds exist
-        # before any graph does.
+        # before the region is solved.
         region_seeds = self._phase2_inputs(members)
-        region = self._graphs.pop(member_set, None)
-        if region is None:
-            # No later region holds these members: drop their graphs.
-            self._graphs = {
-                key: value for key, value in self._graphs.items()
-                if key.isdisjoint(member_set)
-            }
-            region = self._region(members)
-            pin_call_return_labels(region.psg, self.triples)
+        graph = self._graph
+        adopted = [
+            name for name in members
+            if name not in graph.routines or name in graph.stubs
+        ]
+        if adopted:
+            # Members whose phase 1 was reused or adopted join the graph,
+            # their call sites labeled from the triples phase 1 settled.
+            first = len(graph.cr_call)
+            pin_call_return_labels(self._append(adopted).psg, self.triples, first)
+        psg = graph.psg
         with self.metrics.stage("phase2"):
             with span(
                 "phase2.region", components=len(indices), routines=len(members)
             ):
                 solution = solve_phase2(
-                    region, self.config, self.call_graph.externally_callable,
+                    psg, self.config, self.call_graph.externally_callable,
                     members, {name: seed for name, (_, seed) in region_seeds.items()},
+                    self._phase2,
                 )
+        REGISTRY.inc("engine.regions", phase="phase2")
         REGISTRY.inc("engine.sccs_solved", len(indices), phase="phase2")
         REGISTRY.inc("engine.solved", len(members), phase="phase2")
         with self.metrics.stage("assemble"):
             fresh = region_summaries(
-                region.psg, members, self._saved, self.triples,
-                solution.may_use,
+                psg, members, self._saved, self.triples, solution.may_use,
             )
         live_after = {
             name: live_after_masks(summary) for name, summary in fresh.items()
@@ -699,6 +717,8 @@ class _Engine:
         """
         self._run_phase1()
         self._run_phase2()
+        # The graph goes once both phases are done with it.
+        self._graph = self._phase2 = None  # type: ignore[assignment]
         if self.store is not None:
             # A reused front-end record is not offered: it was read from
             # a pack, whose writer published it when it built the CFG.

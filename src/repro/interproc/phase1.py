@@ -45,18 +45,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import TRACKED_MASK
 from repro.cfg.cfg import ExitKind
 from repro.interproc.flatcore import (
+    SolveState,
     label_call_return_edges,
     resolve_solver_core,
-    seed_priority,
 )
 from repro.obs.metrics import REGISTRY
-from repro.psg.graph import ProgramSummaryGraph
+from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
 
 
 def record_solve(
@@ -116,6 +116,40 @@ class Phase1Result:
         )
 
 
+class Phase1State(SolveState):
+    """Phase 1's state over a growing graph (see
+    :class:`~repro.interproc.flatcore.SolveState`): the three value
+    rows, the §3.4 strip masks (nonzero at entry nodes only) and the
+    call sites' Pass-B kill labels."""
+
+    __slots__ = (
+        "may_use", "may_def", "must_def", "strip_use", "strip_def",
+        "cr_label_mu0", "cr_label_notxd",
+    )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.may_use: List[int] = []
+        self.may_def: List[int] = []
+        self.must_def: List[int] = []
+        self.strip_use: List[int] = []
+        self.strip_def: List[int] = []
+        self.cr_label_mu0: List[int] = []
+        self.cr_label_notxd: List[int] = []
+
+    def grow(self, node_count: int) -> int:
+        first = super().grow(node_count)
+        added = node_count - first
+        self.may_def += [0] * added
+        self.must_def += [TRACKED_MASK] * added
+        self.may_use += [0] * added
+        for row in (
+            self.strip_use, self.strip_def, self.cr_label_mu0, self.cr_label_notxd
+        ):
+            row += [0] * added
+        return first
+
+
 def run_phase1(
     psg: ProgramSummaryGraph,
     saved_restored: Dict[str, int],
@@ -125,6 +159,8 @@ def run_phase1(
     # Passed only by the frozen replay in perf/workloads.py;
     # re-pointing that replay deletes it.
     core: Optional[str] = None,
+    state: Optional[Phase1State] = None,
+    routines: Optional[Iterable[RoutinePSG]] = None,
 ) -> Phase1Result:
     """Run phase 1 over ``psg``.
 
@@ -140,10 +176,18 @@ def run_phase1(
     values are never recomputed — which is how the incremental engine
     stitches cached callee summaries into a partial PSG.
 
+    ``state`` is the solver state of earlier solves over a smaller
+    version of the same graph (a fresh one when ``None``): every node it
+    covers keeps its value, frozen, and this solve covers the nodes
+    appended since, ``routines`` the ones among them that it seeds
+    (every routine of ``psg`` when ``None``).  A node ``seed_order``
+    omits is not solved.  The result's rows are the state's.
+
     The loop runs over the arena's rows with sweep + pocket scheduling
     (:mod:`repro.interproc.flatcore`).
     """
     resolve_solver_core(core)
+    state = state or Phase1State()
     arena = psg.arena
     node_count = psg.node_count
     flow_view = arena.flow_view
@@ -155,20 +199,16 @@ def run_phase1(
     cr_unknown = arena.cr_unknown
     dep_view = arena.dep1_view
 
-    may_def = [0] * node_count
-    must_def = [TRACKED_MASK] * node_count
-    may_use = [0] * node_count
-    frozen = bytearray(node_count)
+    state.grow(node_count)
+    may_def, must_def, may_use = state.may_def, state.must_def, state.may_use
+    frozen, queued = state.frozen, state.queued
     # §3.4 stripping as dense arrays: zero everywhere but entry nodes,
     # and `mask &= ~0` is the identity, so "strip where nonzero" equals
     # "strip at entries".
-    strip_use = [0] * node_count
-    strip_def = [0] * node_count
-    entry_of: Dict[str, int] = {}
-    for name, routine_psg in psg.routines.items():
+    strip_use, strip_def = state.strip_use, state.strip_def
+    for routine_psg in psg.routines.values() if routines is None else routines:
         entry = routine_psg.entry_node
-        entry_of[name] = entry
-        strip = saved_restored.get(name, 0)
+        strip = saved_restored.get(routine_psg.routine, 0)
         strip_use[entry] = strip
         strip_def[entry] = strip | preserved_mask
         for node, kind in routine_psg.exit_nodes:
@@ -194,9 +234,8 @@ def run_phase1(
     # ------------------------------------------------------------------
     # Pass A: MAY-DEF and MUST-DEF
     # ------------------------------------------------------------------
-    by_rank, rank_of, sweep, queued = seed_priority(
-        node_count, seed_order, frozen
-    )
+    by_rank, sweep = state.schedule(seed_order)
+    rank_of = state.rank_of
     # Every push is popped exactly once (the queue drains), so the pop
     # count needs no per-visit increment: iterations == pushes.  The
     # queue is the sweep index over the pre-sorted seeds plus the
@@ -292,9 +331,8 @@ def run_phase1(
     # ------------------------------------------------------------------
     # Final MUST-DEF means the call-site kill labels are fixed: hoist
     # them out of the loop (the MAY-USE half stays dynamic).
-    cr_label_mu0 = [0] * node_count
-    cr_label_notxd = [0] * node_count
-    for node in arena.cr_nodes:
+    cr_label_mu0, cr_label_notxd = state.cr_label_mu0, state.cr_label_notxd
+    for node in arena.cr_nodes[state.labeled:]:
         callees = cr_callees[node]
         if callees:
             label_xd = -1
@@ -305,12 +343,7 @@ def run_phase1(
             cr_label_mu0[node], _, label_xd = cr_unknown[node]
             cr_label_notxd[node] = ~label_xd
 
-    sweep = [rank_of[node] for node in seed_order if not frozen[node]]
-    if len(seed_order) == node_count:  # full re-seed: all in-queue
-        queued = bytearray(b"\x01") * node_count
-    else:
-        for node in seed_order:
-            queued[node] = 1
+    state.settle(seed_order)
     n_sweep = len(sweep)
     si = 0
     pocket = []
@@ -375,12 +408,14 @@ def run_phase1(
     iterations += pushed
     revisits += pushed - n_sweep
     pushes = iterations
+    state.settle(seed_order)
 
     record_solve(
         psg, "phase1", iterations, max_depth, counts,
         pushes=pushes, skipped=skipped, revisits=revisits,
     )
-    label_call_return_edges(psg, entry_of, may_use, may_def, must_def)
+    label_call_return_edges(psg, may_use, may_def, must_def, state.labeled)
+    state.labeled = len(psg.cr_call)
     return Phase1Result(
         may_use=may_use,
         may_def=may_def,

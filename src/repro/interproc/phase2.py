@@ -31,15 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.isa.calling_convention import CallingConvention
 from repro.dataflow.regset import TRACKED_MASK, mask_of
 from repro.cfg.cfg import ExitKind
-from repro.interproc.flatcore import resolve_solver_core, seed_priority
+from repro.interproc.flatcore import SolveState, resolve_solver_core
 from repro.interproc.phase1 import record_solve
 from repro.obs.metrics import REGISTRY
-from repro.psg.graph import ProgramSummaryGraph
+from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
 
 
 @dataclass
@@ -64,6 +64,27 @@ def conservative_exit_live_mask(convention: CallingConvention) -> int:
     )
 
 
+class Phase2State(SolveState):
+    """Phase 2's state over a growing graph (see
+    :class:`~repro.interproc.flatcore.SolveState`): the liveness row
+    and the phase-1 labels unzipped per call node."""
+
+    __slots__ = ("may_use", "cr_label_mu", "cr_label_notxd")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.may_use: List[int] = []
+        self.cr_label_mu: List[int] = []
+        self.cr_label_notxd: List[int] = []
+
+    def grow(self, node_count: int) -> int:
+        first = super().grow(node_count)
+        added = node_count - first
+        for row in (self.may_use, self.cr_label_mu, self.cr_label_notxd):
+            row += [0] * added
+        return first
+
+
 def run_phase2(
     psg: ProgramSummaryGraph,
     externally_callable: Set[str],
@@ -73,6 +94,8 @@ def run_phase2(
     # Passed only by the frozen replay in perf/workloads.py;
     # re-pointing that replay deletes it.
     core: Optional[str] = None,
+    state: Optional[Phase2State] = None,
+    routines: Optional[Iterable[RoutinePSG]] = None,
 ) -> Phase2Result:
     """Run phase 2 over a PSG whose call-return edges are labeled.
 
@@ -83,10 +106,20 @@ def run_phase2(
     return-point liveness must still reach the exits of the routines
     being re-solved, even though the callers themselves are not.
 
+    ``state`` is the solver state of earlier solves over the same,
+    possibly smaller, graph (a fresh one when ``None``): only the nodes
+    ``seed_order`` names are solved, those of ``routines`` (every
+    routine of ``psg`` when ``None``), whose exits take their boundary
+    values here, and every other node keeps its value, frozen.  A
+    return node's copies may still land on the exits of a callee no
+    solve has seeded yet; seeding it resets them.  The result's row is
+    the state's.
+
     The loop runs over the arena's rows with sweep + pocket scheduling
     (:mod:`repro.interproc.flatcore`).
     """
     resolve_solver_core(core)
+    state = state or Phase2State()
     conservative = conservative_exit_live_mask(convention)
     arena = psg.arena
     node_count = psg.node_count
@@ -96,34 +129,38 @@ def run_phase2(
     dep_view = arena.dep2_view
     ret_view = arena.ret_view
 
-    may_use = [0] * node_count
-    frozen = bytearray(node_count)
-    for name, routine_psg in psg.routines.items():
-        returns_live = conservative if name in externally_callable else 0
+    state.grow(node_count)
+    may_use, frozen, queued = state.may_use, state.frozen, state.queued
+    for routine_psg in psg.routines.values() if routines is None else routines:
+        returns_live = (
+            conservative if routine_psg.routine in externally_callable else 0
+        )
         for node, kind in routine_psg.exit_nodes:
             frozen[node] = 1
             if kind is ExitKind.UNKNOWN_JUMP:
                 may_use[node] = TRACKED_MASK
             elif kind is ExitKind.RETURN:
                 may_use[node] = returns_live
-            # HALT and internal RETURN exits start at ∅.
+            else:
+                # HALT exits start at ∅.
+                may_use[node] = 0
     if extra_exit_live:
         for node_id, mask in extra_exit_live.items():
             may_use[node_id] |= mask
 
-    # The phase-1 labels, unzipped per call node for the hot loop (they
-    # are per-solve state: warm runs relabel the same PSG's edges), the
-    # kill mask pre-complemented.
-    cr_label_mu = [0] * node_count
-    cr_label_notxd = [0] * node_count
-    for call_node, label in zip(psg.cr_call, psg.cr_label):
+    # The phase-1 labels of the call-return edges added since the last
+    # solve, unzipped per call node for the hot loop, the kill mask
+    # pre-complemented.
+    cr_label_mu, cr_label_notxd = state.cr_label_mu, state.cr_label_notxd
+    cut = state.labeled
+    for call_node, label in zip(psg.cr_call[cut:], psg.cr_label[cut:]):
         cr_label_mu[call_node] = label.may_use
         cr_label_notxd[call_node] = ~label.must_def
+    state.labeled = len(psg.cr_call)
 
     counts = [0] * node_count if REGISTRY.per_routine else None
-    by_rank, rank_of, sweep, queued = seed_priority(
-        node_count, seed_order, frozen
-    )
+    by_rank, sweep = state.schedule(seed_order)
+    rank_of = state.rank_of
     # iterations == pushes: every push is popped exactly once.  Sweep +
     # pocket scheduling as in phase 1.
     n_sweep = len(sweep)
@@ -192,6 +229,7 @@ def run_phase2(
     iterations = pushes
     # distinct visited == seed count (see run_phase1).
     revisits = iterations - n_sweep
+    state.settle(seed_order)
 
     record_solve(
         psg, "phase2", iterations, max_depth, counts,

@@ -66,7 +66,7 @@ from repro.dataflow.regset import mask_of
 from repro.program.model import Program
 from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind, TerminatorKind
 from repro.psg.arena import PsgArena
-from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
+from repro.psg.graph import Extent, ProgramSummaryGraph, RoutinePSG, since_start
 from repro.psg.nodes import NodeKind
 
 
@@ -129,6 +129,12 @@ class PsgAssembly:
     go through :meth:`add_flow_edges`, and :meth:`finish` hands the lot
     to a :class:`ProgramSummaryGraph`.
 
+    An assembly stays open after :meth:`finish`: more routines may be
+    appended and finished again, which grows the same graph (the
+    incremental engine appends each region it solves).  Each finish
+    fills the solver rows of, checks and counts only what was appended
+    since the last one.
+
     Each flow edge is written once, into the arena's edge table and
     the per-node rows the solver iterates (:mod:`repro.psg.arena`).
     Labels are interned in a table the build owns: equal triples share
@@ -150,21 +156,34 @@ class PsgAssembly:
         self.cr_targets: List[Tuple[str, ...]] = []
         self.cr_label: List[SummaryTriple] = []
         self.routines: Dict[str, RoutinePSG] = {}
+        #: Callees outside every region appended so far, each a routine
+        #: of a lone pinned entry node (see :class:`PartialPsg`).
+        self.stubs: Set[str] = set()
         #: raw label -> (index in ``labels``, its three masks, ~MUST-DEF).
         self.interned: Dict[Triple, Tuple[int, int, int, int, int]] = {}
         self.labels: List[Triple] = []
         self.edge_src = array("i")
         self.edge_dst = array("i")
         self.edge_label = array("i")
-        # Per-node rows, lists until finish() freezes them.
-        self.flow_rows: List[List[Tuple[int, int, int]]] = []
+        # Per-node rows, lists until finish() freezes them into the
+        # arena (and lets them go: ``None`` from then on).
+        self.flow_rows: List[Optional[List[Tuple[int, int, int]]]] = []
         self.defs_static: List[int] = []
         self.uses_static: List[int] = []
-        self.dependents: List[List[int]] = []
+        self.dependents: List[Optional[List[int]]] = []
         #: ``psg.label.visits``: map entries the labeling sweeps wrote;
         #: ``psg.label.pairs``: (source, target) pairs read off the maps;
         #: ``psg.label.region_blocks``: blocks handed to region walks.
         self.label_visits = self.label_pairs = self.label_region_blocks = 0
+        #: The graph, once finished.
+        self.psg: Optional[ProgramSummaryGraph] = None
+        # What the last finish covered, the routines appended since and
+        # the stubs among them that became routines.
+        self._finished = Extent()
+        self._appended: List[str] = []
+        self._unstubbed: List[str] = []
+        # Stub name -> the call-return edges that can reach it.
+        self._calls_to: Dict[str, List[int]] = {}
 
     def _grow_rows(self) -> None:
         """Extend the per-node rows to cover every node appended so far."""
@@ -173,6 +192,27 @@ class PsgAssembly:
         self.dependents.extend([[] for _ in range(missing)])
         self.defs_static.extend([0] * missing)
         self.uses_static.extend([0] * missing)
+
+    def add_routine(self, routine_psg: RoutinePSG) -> None:
+        """Record an appended routine (a stub of the same name becomes
+        it: the calls into the stub are resolved again at finish)."""
+        name = routine_psg.routine
+        if name in self.stubs:
+            self.stubs.discard(name)
+            self._unstubbed.append(name)
+        self.routines[name] = routine_psg
+        self._appended.append(name)
+
+    def add_stub(self, name: str) -> int:
+        """Append a stub for routine ``name``; returns its node."""
+        node = len(self.node_kind)
+        self.node_kind.append(_ENTRY)
+        self.node_routine.append(name)
+        self.node_block.append(0)
+        self.node_detail.append(None)
+        self.add_routine(RoutinePSG(name, node, (), (), ()))
+        self.stubs.add(name)
+        return node
 
     def add_flow_edges(self, labeled: Iterable[Tuple[int, int, Triple]]) -> range:
         """Append ``(src, dst, raw label)`` edges in order; returns
@@ -203,19 +243,85 @@ class PsgAssembly:
             dependents[dst].append(src)
         return range(first, len(edge_src))
 
-    def finish(self, partial: bool) -> ProgramSummaryGraph:
-        """Freeze the rows, fill the arena's call-return side (every
-        entry node is known by now), check the graph and record its
-        sizes in the obs registry.
+    def _resolve(
+        self,
+        arena: PsgArena,
+        targets: "_CallTargets",
+        edges: Iterable[int],
+        new: bool,
+    ) -> None:
+        """Fill the arena's call-return rows of the call-return
+        ``edges``: the call's successor and callee entries, the return's
+        copy targets, or an unknown call's fixed label.  ``new`` edges
+        are also listed: each call among its return node's dependents
+        and its callees' (``targets``) call nodes."""
+        cr_dst, cr_single = arena.cr_dst, arena.cr_single
+        cr_callees, ret_view = arena.cr_callees, arena.ret_view
+        cr_call, cr_return, cr_targets = self.cr_call, self.cr_return, self.cr_targets
+        dependents = self.dependents
+        for edge in edges:
+            src, dst, callees = cr_call[edge], cr_return[edge], cr_targets[edge]
+            cr_dst[src] = dst
+            if new:
+                dependents[dst].append(src)
+            if len(callees) == 1:
+                target = targets[callees[0]]
+                if new:
+                    target[3].append(src)
+                cr_single[src], cr_callees[src], ret_view[dst], _ = target
+            elif callees:
+                site = [targets[callee] for callee in callees]
+                if new:
+                    for target in site:
+                        target[3].append(src)
+                cr_callees[src] = tuple(target[0] for target in site)
+                ret_view[dst] = tuple(
+                    node for target in site for node in target[2]
+                )
+            else:
+                label = self.cr_label[edge]
+                arena.cr_unknown[src] = (label.may_use, label.may_def, label.must_def)
 
-        Partial builds (incremental and query cones) add into the
+    def finish(self, partial: bool) -> ProgramSummaryGraph:
+        """Freeze the rows appended since the last finish, fill the
+        arena's call-return side for them (every entry node they reach
+        is known by now), check them and record their sizes in the obs
+        registry; the first finish makes the graph, and counts it.
+
+        Partial builds (incremental and query regions) add into the
         same size counters — the totals then read as "PSG construction
         work performed this run", which is the Table-5 quantity that
         matters.
         """
         self._grow_rows()
-        routines = self.routines
-        count = len(self.node_kind)
+        since, psg = self._finished, self.psg
+        if psg is None:
+            arena = PsgArena(
+                edge_src=self.edge_src,
+                edge_dst=self.edge_dst,
+                edge_label=self.edge_label,
+                labels=self.labels,
+                flow_view=[],
+                defs_static=self.defs_static,
+                uses_static=self.uses_static,
+                cr_dst=[],
+                cr_single=[],
+                cr_nodes=self.cr_call,
+                cr_callees=[],
+                cr_unknown={},
+                dep1_view=[],
+                dep2_view=[],
+                ret_view=[],
+            )
+            psg = self.psg = ProgramSummaryGraph(
+                self.node_kind, self.node_routine, self.node_block,
+                self.node_detail, self.cr_call, self.cr_return, self.cr_targets,
+                self.cr_label, self.routines, arena,
+            )
+            REGISTRY.inc("psg.partial_builds" if partial else "psg.builds")
+        arena = psg.arena
+        first = since.nodes
+        added = len(self.node_kind) - first
 
         # Call-return successor (at most one per node): a resolved call
         # carries its callees' entry node ids (``cr_callees[n]`` empty +
@@ -226,79 +332,80 @@ class PsgAssembly:
         # site needs of a callee is worked out once per routine, so the
         # many monomorphic sites of a popular routine share its tuples.
         empty: Tuple[int, ...] = ()
-        cr_dst = [-1] * count
+        arena.cr_dst += [-1] * added
         #: Fast path for the overwhelmingly common monomorphic call:
         #: the callee's entry node when a call resolves to exactly one
         #: routine, else -1 (polymorphic or unknown).
-        cr_single = [-1] * count
-        cr_callees: List[Tuple[int, ...]] = [empty] * count
-        cr_unknown: Dict[int, Triple] = {}
-        ret_view: List[Tuple[int, ...]] = [empty] * count
-        dependents = self.dependents
-        #: routine -> (entry, (entry,), RETURN exits, its call nodes)
-        targets = {
-            name: (
-                routine_psg.entry_node, (routine_psg.entry_node,),
-                tuple(routine_psg.return_exit_nodes()), [],
-            )
-            for name, routine_psg in routines.items()
-        }
-        for src, dst, callees, label in zip(
-            self.cr_call, self.cr_return, self.cr_targets, self.cr_label
-        ):
-            cr_dst[src] = dst
-            dependents[dst].append(src)
-            if len(callees) == 1:
-                target = targets[callees[0]]
-                target[3].append(src)
-                cr_single[src], cr_callees[src], ret_view[dst], _ = target
-            elif callees:
-                site = [targets[callee] for callee in callees]
-                for target in site:
-                    target[3].append(src)
-                cr_callees[src] = tuple(target[0] for target in site)
-                ret_view[dst] = tuple(
-                    node for target in site for node in target[2]
-                )
-            else:
-                cr_unknown[src] = (label.may_use, label.may_def, label.must_def)
-        dep2_view = list(map(tuple, dependents))
-        dep1_view = list(dep2_view)
+        arena.cr_single += [-1] * added
+        arena.cr_callees += [empty] * added
+        arena.ret_view += [empty] * added
+        # The first finish checks every routine (a hand-built graph
+        # records its own), a later one those appended since.
+        names = self._appended if first else None
+        routines = self.routines
+        appended = routines if names is None else names
+        targets = _CallTargets(routines)
+        targets.update((name, _call_target(routines[name])) for name in appended)
+        # The calls an earlier finish resolved to a stub reach its
+        # routine now.
+        cr_call, calls_to = self.cr_call, self._calls_to
+        for name in self._unstubbed:
+            edges = calls_to.pop(name, ())
+            self._resolve(arena, targets, edges, new=False)
+            targets[name][3].extend(cr_call[edge] for edge in edges)
+        edges = range(since.call_returns, len(cr_call))
+        self._resolve(arena, targets, edges, new=True)
+        stubs = self.stubs
+        if stubs:
+            for edge in edges:
+                for callee in self.cr_targets[edge]:
+                    if callee in stubs:
+                        calls_to.setdefault(callee, []).append(edge)
+        arena.flow_view += map(tuple, since_start(self.flow_rows, first))
+        dep2_view = list(map(tuple, since_start(self.dependents, first)))
+        arena.dep2_view += dep2_view
+        dep1_view = arena.dep1_view
+        dep1_view += dep2_view
         for entry, _entries, _exits, call_nodes in targets.values():
             if call_nodes:
                 dep1_view[entry] += tuple(call_nodes)
-        arena = PsgArena(
-            edge_src=self.edge_src,
-            edge_dst=self.edge_dst,
-            edge_label=self.edge_label,
-            labels=self.labels,
-            flow_view=list(map(tuple, self.flow_rows)),
-            defs_static=self.defs_static,
-            uses_static=self.uses_static,
-            cr_dst=cr_dst,
-            cr_single=cr_single,
-            cr_nodes=self.cr_call,
-            cr_callees=cr_callees,
-            cr_unknown=cr_unknown,
-            dep1_view=dep1_view,
-            dep2_view=dep2_view,
-            ret_view=ret_view,
+
+        psg.check(since, names)
+        REGISTRY.inc("psg.nodes", added)
+        REGISTRY.inc("psg.flow_edges", len(self.edge_src) - since.flow_edges)
+        REGISTRY.inc("psg.call_return_edges", len(cr_call) - since.call_returns)
+        REGISTRY.inc(
+            "psg.branch_nodes",
+            sum(len(routines[name].branch_nodes) for name in appended),
         )
-        psg = ProgramSummaryGraph(
-            self.node_kind, self.node_routine, self.node_block,
-            self.node_detail, self.cr_call, self.cr_return, self.cr_targets,
-            self.cr_label, routines, arena,
-        )
-        psg.check()
-        REGISTRY.inc("psg.partial_builds" if partial else "psg.builds")
-        REGISTRY.inc("psg.nodes", count)
-        REGISTRY.inc("psg.flow_edges", psg.flow_edge_count)
-        REGISTRY.inc("psg.call_return_edges", len(psg.cr_call))
-        REGISTRY.inc("psg.branch_nodes", psg.branch_node_count)
         REGISTRY.inc("psg.label.visits", self.label_visits)
         REGISTRY.inc("psg.label.pairs", self.label_pairs)
         REGISTRY.inc("psg.label.region_blocks", self.label_region_blocks)
+        self.label_visits = self.label_pairs = self.label_region_blocks = 0
+        self.flow_rows[first:] = self.dependents[first:] = [None] * added
+        self._finished = psg.extent()
+        self._appended, self._unstubbed = [], []
         return psg
+
+
+def _call_target(routine_psg: RoutinePSG):
+    """What a call site needs of its callee ``routine_psg``: its entry
+    node, ``(entry,)`` and its RETURN exits, and a list for the call
+    nodes a finish resolves to it."""
+    entry = routine_psg.entry_node
+    return entry, (entry,), tuple(routine_psg.return_exit_nodes()), []
+
+
+class _CallTargets(dict):
+    """Routine -> its :func:`_call_target`, worked out on first ask."""
+
+    def __init__(self, routines: Mapping[str, RoutinePSG]) -> None:
+        super().__init__()
+        self.routines = routines
+
+    def __missing__(self, name: str):
+        found = self[name] = _call_target(self.routines[name])
+        return found
 
 
 def build_psg(
@@ -321,17 +428,20 @@ def build_psg(
 
 @dataclass
 class PartialPsg:
-    """A PSG over a region: a list of the program's routines.
+    """A region of a PSG: a list of the program's routines, appended to
+    ``psg`` together.
 
-    ``external_entries`` maps each callee *outside* the region to a
-    dummy entry node: the region solve pins those nodes at the
-    callee's already-known phase-1 triple (via ``run_phase1``'s
-    ``fixed_entries``), so calls leaving the region read converged
-    summaries instead of re-solving the callee.  Dummy routines carry
-    no exit nodes, so phase 2's return-to-exit liveness copies stop at
-    the region boundary (the boundary flow is injected as
-    ``extra_exit_live`` seeds instead).  The region of every routine
-    has none: it is the whole-program PSG.
+    ``external_entries`` maps each callee outside the graph the region
+    was appended to — not a member, nor a routine or stub appended
+    before — to a *stub*, a lone entry node: the region solve pins those
+    nodes at the callee's already-known phase-1 triple (via
+    ``run_phase1``'s ``fixed_entries``), so calls leaving the region
+    read converged summaries instead of re-solving the callee.  Stubs
+    carry no exit nodes, so phase 2's return-to-exit liveness copies
+    stop at them (the boundary flow is injected as ``extra_exit_live``
+    seeds instead); a stub's routine appended later takes its calls
+    over.  The region of every routine has none: it is the
+    whole-program PSG.
     """
 
     psg: ProgramSummaryGraph
@@ -388,20 +498,28 @@ def build_partial_psg(
     config: Optional[PsgConfig] = None,
     whole: bool = False,
     convention: CallingConvention = NT_ALPHA,
+    assembly: Optional[PsgAssembly] = None,
 ) -> PartialPsg:
     """Build the PSG of a region: the given routines, in that order,
-    with dummy pinned-entry nodes standing in for callees outside it.
-    A routine given by its CFG is labeled here; one given as a
-    :class:`StoredRoutine` is appended from its fragment.  ``routines``
-    is iterated once, and nothing here keeps a CFG after labeling it, so
-    a caller may hand over each as it goes.  ``whole`` says the region
-    is the whole program (counted ``psg.builds``, spanned ``psg.build``;
-    any other is ``psg.partial_builds`` and ``psg.build_partial``).
-    Unknown-target calls are labeled from the analysis's ``convention``
-    (§3.5)."""
+    with a stub — a pinned entry node — for each callee the graph has no
+    routine or stub of.  A routine given by its CFG is labeled here; one
+    given as a :class:`StoredRoutine` is appended from its fragment.
+    ``routines`` is iterated once, and nothing here keeps a CFG after
+    labeling it, so a caller may hand over each as it goes.  ``whole``
+    says the region is the whole program (counted ``psg.builds``,
+    spanned ``psg.build``; any other is ``psg.partial_builds`` and
+    ``psg.build_partial``).  Unknown-target calls are labeled from the
+    analysis's ``convention`` (§3.5).
+
+    With ``assembly`` — an open one, which earlier regions were appended
+    to (and whose convention is used) — the region is appended to its
+    graph, and the result is the appended part: the whole, grown graph,
+    the region's members and its new stubs."""
+    if assembly is None:
+        assembly = PsgAssembly(convention)
     config = config or PsgConfig()
-    assembly = PsgAssembly(convention)
     members: List[str] = []
+    first_call = len(assembly.cr_call)
     with span("psg.build" if whole else "psg.build_partial") as current:
         for routine in routines:
             members.append(routine.name)
@@ -410,21 +528,16 @@ def build_partial_psg(
             else:
                 build_routine_psg(routine, config, assembly)
         current.annotate(routines=len(members))
-        member_set = set(members)
+        known = assembly.routines
         external_entries: Dict[str, int] = {}
-        for callees in assembly.cr_targets:
+        for callees in assembly.cr_targets[first_call:]:
             for callee in callees:
-                if callee in member_set or callee in external_entries:
-                    continue
-                node_id = external_entries[callee] = len(assembly.node_kind)
-                assembly.node_kind.append(_ENTRY)
-                assembly.node_routine.append(callee)
-                assembly.node_block.append(0)
-                assembly.node_detail.append(None)
-                assembly.routines[callee] = RoutinePSG(callee, node_id, (), (), ())
+                if callee not in known:
+                    external_entries[callee] = assembly.add_stub(callee)
+        REGISTRY.inc("psg.stubs", len(external_entries))
         psg = assembly.finish(partial=not whole)
     _log.debug(
-        "built PSG: %d routines, %d external entries, %d nodes, "
+        "appended to PSG: %d routines, %d external entries; now %d nodes, "
         "%d flow edges, %d call-return edges",
         len(members), len(external_entries), psg.node_count,
         psg.flow_edge_count, len(psg.cr_call),
@@ -477,9 +590,8 @@ def _append_nodes(
     blocks += branch_blocks
     details += repeat(None, len(branch_blocks))
     branch_nodes = list(range(first_branch, len(kinds)))
-    routine_psg = assembly.routines[name] = RoutinePSG(
-        name, entry_node, exit_nodes, call_pairs, branch_nodes
-    )
+    routine_psg = RoutinePSG(name, entry_node, exit_nodes, call_pairs, branch_nodes)
+    assembly.add_routine(routine_psg)
     return routine_psg
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cfg.cfg import CallSite, ExitKind
 from repro.dataflow.equations import SummaryTriple
@@ -17,9 +17,26 @@ _SOURCE_KINDS = (NodeKind.ENTRY, NodeKind.RETURN, NodeKind.BRANCH)
 _TARGET_KINDS = (NodeKind.EXIT, NodeKind.CALL, NodeKind.BRANCH)
 
 
+def since_start(rows: Sequence, start: int) -> Sequence:
+    """``rows`` from index ``start`` on: the rows themselves from 0 (a
+    whole graph is not copied to be read)."""
+    return rows[start:] if start else rows
+
+
 def _require_node_ids(what: str, ids: Sequence[int], count: int) -> None:
     if len(ids) and not 0 <= min(ids) <= max(ids) < count:
         raise ValueError(f"{what} names a node outside 0..{count - 1}")
+
+
+class Extent(NamedTuple):
+    """How much of a graph exists: its nodes, flow edges, call-return
+    edges and interned labels.  A graph only grows, so an extent taken
+    earlier marks where the part appended since begins."""
+
+    nodes: int = 0
+    flow_edges: int = 0
+    call_returns: int = 0
+    labels: int = 0
 
 
 @dataclass(slots=True)
@@ -119,8 +136,20 @@ class ProgramSummaryGraph:
             "psg_edges_per_routine": self.edge_count / count,
         }
 
-    def check(self) -> None:
-        """Structural invariants; raises :class:`ValueError` on failure."""
+    def extent(self) -> Extent:
+        return Extent(
+            len(self.node_kind), len(self.arena.edge_src), len(self.cr_call),
+            len(self.arena.labels),
+        )
+
+    def check(
+        self, since: Extent = Extent(), routines: Optional[Iterable[str]] = None
+    ) -> None:
+        """Structural invariants of the part of the graph appended after
+        ``since`` (all of it by default), whose routines are
+        ``routines`` (every routine when ``None``); raises
+        :class:`ValueError` on failure.  A graph checked after each
+        append has each node, edge and label checked once."""
         arena = self.arena
         kind_of, routine_of, detail_of = (
             self.node_kind, self.node_routine, self.node_detail
@@ -129,40 +158,51 @@ class ProgramSummaryGraph:
         lengths = {count, len(routine_of), len(self.node_block), len(detail_of)}
         if len(lengths) > 1:
             raise ValueError(f"node rows of unequal length {sorted(lengths)}")
+        first = since.nodes
         # Kinds are read through locals (a member lookup costs ~100 ns):
         # this runs on every build.
         exit_kind, call_kind, return_kind = (
             NodeKind.EXIT, NodeKind.CALL, NodeKind.RETURN
         )
         needs_detail = (exit_kind, call_kind, return_kind)
-        for index, (kind, detail) in enumerate(zip(kind_of, detail_of)):
+        kinds = since_start(kind_of, first)
+        details = since_start(detail_of, first)
+        for index, (kind, detail) in enumerate(zip(kinds, details), first):
             if detail is None and kind in needs_detail:
                 raise ValueError(
                     f"{kind.name} node {index} requires "
                     + ("an exit kind" if kind is exit_kind else "a call site")
                 )
-        exit_count = kind_of.count(exit_kind)
+        exit_count = kinds.count(exit_kind)
         # The rows are the edge table regrouped by source: as many
-        # entries, every one (and every dependent) naming a node.
-        dsts = list(map(itemgetter(0), chain.from_iterable(arena.flow_view)))
-        if len(dsts) != len(arena.edge_src):
+        # entries, every one (and every dependent) naming a node.  Flow
+        # edges stay inside a routine, so new rows hold the new edges.
+        dsts = list(map(
+            itemgetter(0), chain.from_iterable(since_start(arena.flow_view, first))
+        ))
+        edges = len(arena.edge_src) - since.flow_edges
+        if len(dsts) != edges:
             raise ValueError(
-                f"flow rows hold {len(dsts)} edges, the edge table "
-                f"{len(arena.edge_src)}"
+                f"flow rows hold {len(dsts)} edges, the edge table {edges}"
             )
         _require_node_ids("flow rows", dsts, count)
         for view in (arena.dep1_view, arena.dep2_view):
             _require_node_ids(
-                "dependent rows", list(chain.from_iterable(view)), count
+                "dependent rows",
+                list(chain.from_iterable(since_start(view, first))), count,
             )
         # Labels are interned per build, so an image has a few hundred
         # distinct ones behind its thousands of edges: test each index
         # once.
-        for index, (_may_use, may_def, must_def) in enumerate(arena.labels):
+        labels = since_start(arena.labels, since.labels)
+        for index, (_may_use, may_def, must_def) in enumerate(labels, since.labels):
             if must_def & ~may_def:
                 raise ValueError(f"label {index} has MUST-DEF ⊄ MAY-DEF")
         sources, targets = _SOURCE_KINDS, _TARGET_KINDS
-        for src_id, dst_id in zip(arena.edge_src, arena.edge_dst):
+        for src_id, dst_id in zip(
+            since_start(arena.edge_src, since.flow_edges),
+            since_start(arena.edge_dst, since.flow_edges),
+        ):
             if (
                 routine_of[src_id] != routine_of[dst_id]
                 or kind_of[src_id] not in sources
@@ -177,7 +217,10 @@ class ProgramSummaryGraph:
         if len({len(column) for column in columns}) > 1:
             raise ValueError("call-return columns of unequal length")
         calls = set()
-        for src_id, dst_id in zip(self.cr_call, self.cr_return):
+        cut = since.call_returns
+        for src_id, dst_id in zip(
+            since_start(self.cr_call, cut), since_start(self.cr_return, cut)
+        ):
             if (
                 kind_of[src_id] is not call_kind
                 or kind_of[dst_id] is not return_kind
@@ -188,7 +231,10 @@ class ProgramSummaryGraph:
             if src_id in calls:
                 raise ValueError(f"node {src_id} has two call-return edges")
             calls.add(src_id)
-        for name, routine_psg in self.routines.items():
+        if routines is None:
+            routines = self.routines
+        for name in routines:
+            routine_psg = self.routines[name]
             entry = routine_psg.entry_node
             if kind_of[entry] is not NodeKind.ENTRY or routine_of[entry] != name:
                 raise ValueError(f"routine {name!r} has a bad entry node")

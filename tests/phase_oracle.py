@@ -17,18 +17,21 @@ must match them byte for byte *and* counter for counter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.cfg.cfg import ExitKind
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import TRACKED_MASK
 from repro.dataflow.solver import SubgraphWorklist
-from repro.interproc.flatcore import label_call_return_edges
-from repro.interproc.phase1 import Phase1Result, record_solve
-from repro.interproc.phase2 import Phase2Result, conservative_exit_live_mask
+from repro.interproc.phase1 import Phase1Result, Phase1State, record_solve
+from repro.interproc.phase2 import (
+    Phase2Result,
+    Phase2State,
+    conservative_exit_live_mask,
+)
 from repro.isa.calling_convention import CallingConvention
 from repro.obs.metrics import REGISTRY
-from repro.psg.graph import ProgramSummaryGraph
+from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
 from repro.psg.nodes import NodeKind
 from tests.records import call_return_edges_of, flow_edges_of
 
@@ -60,6 +63,39 @@ def _dependents(psg: ProgramSummaryGraph) -> List[List[int]]:
     return result
 
 
+def _unseeded(node_count: int, seed_order: Sequence[int]) -> List[bool]:
+    """Frozen flags with every node ``seed_order`` omits frozen."""
+    frozen = [True] * node_count
+    for node in seed_order:
+        frozen[node] = False
+    return frozen
+
+
+def _label_call_return_edges(
+    psg: ProgramSummaryGraph,
+    entry_of: Dict[str, int],
+    may_use: Sequence[int],
+    may_def: Sequence[int],
+    must_def: Sequence[int],
+) -> None:
+    """Every resolved call-return edge's label: its callees' entry
+    values, found by name."""
+    for index, edge in enumerate(call_return_edges_of(psg)):
+        if edge.is_unknown:
+            continue
+        label_mu = 0
+        label_md = 0
+        label_xd = -1
+        for callee in edge.callees:
+            entry = entry_of[callee]
+            label_mu |= may_use[entry]
+            label_md |= may_def[entry]
+            label_xd &= must_def[entry]
+        psg.cr_label[index] = SummaryTriple(
+            may_use=label_mu, may_def=label_md, must_def=label_xd & TRACKED_MASK
+        )
+
+
 def _exit_fixed_values(kind: ExitKind) -> SummaryTriple:
     if kind == ExitKind.RETURN:
         return SummaryTriple(0, 0, 0)
@@ -74,6 +110,8 @@ def run_phase1(
     preserved_mask: int,
     seed_order: Sequence[int],
     fixed_entries: Optional[Dict[int, SummaryTriple]] = None,
+    state: Optional[Phase1State] = None,
+    routines: Optional[Iterable[RoutinePSG]] = None,
 ) -> Phase1Result:
     """Run phase 1 over ``psg``.
 
@@ -88,16 +126,26 @@ def run_phase1(
     in an earlier run.  Pinned nodes behave like exit nodes — their
     values are never recomputed — which is how the incremental engine
     stitches cached callee summaries into a partial PSG.
+
+    ``state`` holds the values of earlier solves over a smaller version
+    of the same graph: the nodes it covers keep them, and every node
+    ``seed_order`` omits is frozen.  Its rows are extended to the graph.
+    ``routines`` is not read: the seeded exits are found from the node
+    rows.
     """
     node_count = psg.node_count
-    may_def = [0] * node_count
+    state = state or Phase1State()
+    known = len(state.may_use)
+    added = node_count - known
+    may_def = state.may_def + [0] * added
     # MUST-DEF is a ∩-meet problem: interior nodes start at ⊤ and shrink
     # (greatest fixed point), the standard must-analysis initialization;
     # see the note in repro.dataflow.equations.
-    must_def = [TRACKED_MASK] * node_count
-    may_use = [0] * node_count
-    is_exit = [False] * node_count
-    for node, (kind, exit_kind) in enumerate(zip(psg.node_kind, psg.node_detail)):
+    must_def = state.must_def + [TRACKED_MASK] * added
+    may_use = state.may_use + [0] * added
+    is_exit = _unseeded(node_count, seed_order)
+    rows = zip(psg.node_kind[known:], psg.node_detail[known:])
+    for node, (kind, exit_kind) in enumerate(rows, known):
         if kind == NodeKind.EXIT:
             assert exit_kind is not None
             fixed = _exit_fixed_values(exit_kind)
@@ -216,10 +264,11 @@ def run_phase1(
 
     # Persist the final labels on the resolved call-return edges; phase 2
     # re-reads them ("retained for the second dataflow phase").
-    label_call_return_edges(
-        psg, entry_of, may_use, may_def, must_def
-    )
+    _label_call_return_edges(psg, entry_of, may_use, may_def, must_def)
 
+    state.may_use[:], state.may_def[:], state.must_def[:] = (
+        may_use, may_def, must_def
+    )
     return Phase1Result(
         may_use=may_use,
         may_def=may_def,
@@ -234,6 +283,8 @@ def run_phase2(
     convention: CallingConvention,
     seed_order: Sequence[int],
     extra_exit_live: Optional[Dict[int, int]] = None,
+    state: Optional[Phase2State] = None,
+    routines: Optional[Iterable[RoutinePSG]] = None,
 ) -> Phase2Result:
     """Run phase 2 over a PSG whose call-return edges are labeled.
 
@@ -243,20 +294,31 @@ def run_phase2(
     live-after masks of *callers outside the partial PSG*: their
     return-point liveness must still reach the exits of the routines
     being re-solved, even though the callers themselves are not.
+
+    ``state`` holds the liveness of earlier solves over the same, maybe
+    smaller, graph: every node ``seed_order`` omits keeps its value,
+    frozen, and the seeded exits take their boundary values.  Its row
+    is extended to the graph.  ``routines`` is not read: the seeded
+    exits are found from the node rows.
     """
     node_count = psg.node_count
-    may_use = [0] * node_count
-    is_exit = [False] * node_count
+    state = state or Phase2State()
+    may_use = state.may_use + [0] * (node_count - len(state.may_use))
+    is_exit = _unseeded(node_count, seed_order)
 
     conservative = conservative_exit_live_mask(convention)
-    rows = zip(psg.node_kind, psg.node_detail, psg.node_routine)
-    for node, (kind, exit_kind, routine) in enumerate(rows):
+    for node in seed_order:
+        kind, exit_kind = psg.node_kind[node], psg.node_detail[node]
         if kind != NodeKind.EXIT:
             continue
         is_exit[node] = True
+        may_use[node] = 0
         if exit_kind == ExitKind.UNKNOWN_JUMP:
             may_use[node] = TRACKED_MASK
-        elif exit_kind == ExitKind.RETURN and routine in externally_callable:
+        elif (
+            exit_kind == ExitKind.RETURN
+            and psg.node_routine[node] in externally_callable
+        ):
             may_use[node] = conservative
         # HALT and internal RETURN exits start at ∅.
     if extra_exit_live:
@@ -317,4 +379,5 @@ def run_phase2(
         pushes=worklist.pushes, skipped=worklist.skipped,
         revisits=worklist.revisits,
     )
+    state.may_use[:] = may_use
     return Phase2Result(may_use=may_use, iterations=iterations)

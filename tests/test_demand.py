@@ -14,8 +14,8 @@ The contract under test (see :mod:`repro.interproc.demand`):
   routine;
 * the cache round-trips through the SUM5 wire format, phase-1-only
   rows included;
-* a query solves the components it needs as at most one region graph
-  per phase, and a session labels each routine's PSG at most once: a
+* a query solves the components it needs as regions of at most one
+  graph, and a session labels each routine's PSG at most once: a
   later query appends the fragments its memoized cache carries, which
   are the configuration's own.
 """
@@ -330,6 +330,19 @@ class TestSessionQuery:
         assert name in session.summaries().summaries
         assert result.cache.result.summaries[name] is result.summary
 
+    def test_query_after_the_sessions_incremental_run_solves_nothing(self):
+        """The session's own incremental run warms its next query: the
+        refreshed cache holds every routine's rows."""
+        program = _generate("compress", scale=0.2, seed=7)
+        session = AnalysisSession.from_program(program, _OFF)
+        run = session.analyze_incremental()
+        assert session.has_query_state
+        last = list(program.routine_names())[-1]
+        result = session.query(last)
+        assert not result.metrics.cold
+        assert (result.metrics.phase1_solved, result.metrics.phase2_solved) == (0, 0)
+        assert _canon(result.summary) == _canon(run.result.summaries[last])
+
     def test_explicit_cache_warms_a_fresh_session(self, small_benchmark):
         name = sorted(small_benchmark.routine_names())[0]
         warmed = query_routine(small_benchmark, name).cache
@@ -382,7 +395,7 @@ def _drill_down(program):
 class TestSessionPartialPsgs:
     """A session's unit of reuse is one routine's labeled PSG fragment,
     held decoded in the memoized cache the session threads between
-    queries; each query builds at most one region graph per phase."""
+    queries; each query builds at most one graph."""
 
     @staticmethod
     def _recording(monkeypatch):
@@ -410,7 +423,7 @@ class TestSessionPartialPsgs:
             assert _canon(result.summary) == _canon(full[name]), name
         assert len(labeled) == len(set(labeled)) <= program.routine_count
         for delta in deltas:
-            assert delta.get("psg.partial_builds", 0) <= 2
+            assert delta.get("psg.partial_builds", 0) <= 1
             assert delta.get("psg.builds", 0) == 0
         # The later queries' regions append what the first one labeled.
         assert sum(d["cache.fragment.hit"] for d in deltas[1:]) > 0
@@ -425,9 +438,10 @@ class TestSessionPartialPsgs:
         session.query("main")
         first = REGISTRY.delta_since(before)
         # Phase 1 labeled all four routines as one region, phase 2
-        # solved main's component as another.
+        # solved main's component as another, on the same graph.
         assert sorted(labeled) == sorted(program.routine_names())
-        assert first["psg.partial_builds"] == 2
+        assert first["psg.partial_builds"] == 1
+        assert first["engine.regions{phase=phase2}"] == 1
         before = REGISTRY.snapshot()
         last = session.query("leaf")
         delta = REGISTRY.delta_since(before)

@@ -39,6 +39,7 @@ from tests import phase_oracle
 from tests.test_psg import call_mesh
 from tests.test_hints import _dispatch_program
 from tests.records import call_return_edges_of
+from tests.test_regions import _chain, stub_takeover_case
 
 #: ``solver.iterations{phase}``, ``solver.pushes``,
 #: ``solver.skipped_inqueue``, ``solver.revisits{phase}`` and
@@ -250,6 +251,33 @@ class TestWarmEquivalence:
 
         result = assert_same_work(warm, oracle_engines)
         assert dump_summaries(result) == reference
+
+
+    def test_regions_on_one_graph_agree_across_cores(self, oracle_engines):
+        """Many regions appended to one graph, each solved with the
+        earlier ones frozen — an edit that climbs a chain level by
+        level — and routines appended in phase 2 over the stubs phase 1
+        left: same bytes and the same work under the oracle."""
+        program = _chain(40)
+        cold = _analyze_incremental(program, config=NO_STORE)
+        edited = _chain(40, leaf_reads="t5")
+
+        def climbing():
+            run = _analyze_incremental(edited, cache=cold.cache, config=NO_STORE)
+            assert run.metrics.phase1_solved == program.routine_count
+            return run.result
+
+        result = assert_same_work(climbing, oracle_engines)
+        expected = _analyze_program(edited, NO_STORE).result
+        assert dump_summaries(result) == dump_summaries(expected)
+        stubbed, memo = stub_takeover_case()
+
+        def takeover():
+            return _analyze_incremental(stubbed, cache=memo, config=NO_STORE).result
+
+        result = assert_same_work(takeover, oracle_engines)
+        expected = _analyze_program(stubbed, NO_STORE).result
+        assert dump_summaries(result) == dump_summaries(expected)
 
 
 class TestFacadeEquivalence:

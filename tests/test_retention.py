@@ -95,7 +95,8 @@ def test_rederived_graphs_equal_a_region_solve(compress):
     order = analysis.call_graph.reverse_topological_order()
     expected1 = solve_phase1(region, saved, config, order, {})
     expected2 = solve_phase2(
-        region, config, analysis.call_graph.externally_callable, order[::-1], {}
+        region.psg, config, analysis.call_graph.externally_callable,
+        order[::-1], {},
     )
     expected = region.psg
 

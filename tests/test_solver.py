@@ -171,7 +171,7 @@ from typing import List, Optional, Sequence, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.dataflow.solver import SubgraphWorklist
-from repro.interproc.flatcore import seed_priority
+from repro.interproc.flatcore import SolveState
 
 
 def solve_masks_csr(
@@ -189,7 +189,7 @@ def solve_masks_csr(
         IN[n] = gen[n] | ((⋁ IN[s] for s in succ(n)) & ~kill[n])
 
     with ``boundary`` as the OUT of successor-less nodes.  CSR rows and
-    the phases' own ``seed_priority`` ranks, over an arbitrary digraph —
+    the phases' own ``SolveState`` ranks, over an arbitrary digraph —
     pinned below against :class:`tests.label_oracle.WorklistSolver`
     and a FIFO reference on random graphs.
     """
@@ -215,8 +215,10 @@ def solve_masks_csr(
     dep_off, dep = csr(dep_lists)
     states = [0] * node_count
     seed = list(order) if order is not None else list(range(node_count))
-    frozen = bytearray(node_count)
-    by_rank, rank_of, heap, queued = seed_priority(node_count, seed, frozen)
+    state = SolveState()
+    state.grow(node_count)
+    by_rank, heap = state.schedule(seed)
+    rank_of, queued = state.rank_of, state.queued
     while heap:
         node = by_rank[heappop(heap)]
         queued[node] = 0

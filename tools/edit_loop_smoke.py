@@ -26,7 +26,11 @@ has routines (``cache.body.decoded``), and saved summaries
 byte-identical to the cold run's; and unless the run on the query's
 memo is warm, reuses some routine, and saves summaries byte-identical
 to a cold run of its image; and unless the run on the optimized image
-is warm and saves summaries byte-identical to a cold run of it.
+is warm and saves summaries byte-identical to a cold run of it.  Each
+of those three warm runs must build at most one PSG — an incremental run
+appends every region it solves to one graph — with no more routine
+nodes (``psg.nodes`` less ``psg.stubs`` in its ``--json`` counters)
+than the first, cold run's ``psg.nodes``.
 
 Usage::
 
@@ -86,12 +90,27 @@ def triple(summary):
     )
 
 
+def one_graph(what: str, warm: dict, cold_nodes: int) -> None:
+    """Fail unless the run ``warm`` built at most one PSG, whose
+    routines' nodes — its nodes less its stubs, the pinned entries of
+    callees outside it — are at most ``cold_nodes``."""
+    counters = warm["counters"]
+    graphs = counters.get("psg.builds", 0) + counters.get("psg.partial_builds", 0)
+    nodes = counters.get("psg.nodes", 0) - counters.get("psg.stubs", 0)
+    if graphs > 1:
+        fail(f"{what} built {graphs} PSGs")
+    if nodes > cold_nodes:
+        fail(f"{what} built {nodes} routine PSG nodes, the cold run {cold_nodes}")
+
+
 def same_bytes(one: str, other: str) -> bool:
     with open(one, "rb") as first, open(other, "rb") as second:
         return first.read() == second.read()
 
 
-def query_then_edit(tmp: str, base: str, program: Program, memo: str) -> None:
+def query_then_edit(
+    tmp: str, base: str, program: Program, memo: str, cold_nodes: int
+) -> None:
     """Step 4: a full run on a query's memo, after an edit outside the
     query's cones that moves a triple."""
     condensation = build_frontend(program).condensation
@@ -138,13 +157,16 @@ def query_then_edit(tmp: str, base: str, program: Program, memo: str) -> None:
         fail(f"the edit of {victim} went unnoticed on the query's memo")
     if warm["phase2_solved"] >= warm["routines"]:
         fail("the run on the query's memo reused nothing")
+    one_graph("the run on the query's memo", warm, cold_nodes)
     cli("analyze", edited, "--save-summaries", cold_sum)
     if not same_bytes(warm_sum, cold_sum):
         fail("summaries on the query's memo differ from a cold run's")
     print("summaries on the query's memo are byte-identical to a cold run's")
 
 
-def optimize_then_reanalyze(tmp: str, base: str, sidecar: str) -> None:
+def optimize_then_reanalyze(
+    tmp: str, base: str, sidecar: str, cold_nodes: int
+) -> None:
     """Step 5: re-analyze the optimized base image against the base
     run's sidecar."""
     optimized = os.path.join(tmp, "optimized.sax")
@@ -163,6 +185,7 @@ def optimize_then_reanalyze(tmp: str, base: str, sidecar: str) -> None:
     )
     if not warm["cache"].startswith("warm"):
         fail(f"the run on the optimized image was not warm: {warm['cache']}")
+    one_graph("the run on the optimized image", warm, cold_nodes)
     cli("analyze", optimized, "--save-summaries", cold_sum)
     if not same_bytes(warm_sum, cold_sum):
         fail("summaries of the optimized image differ from a cold run's")
@@ -198,7 +221,11 @@ def main(argv: List[str] | None = None) -> int:
         if cold["cfgs_built"] != routines:
             fail(f"cold run built {cold['cfgs_built']} CFGs for "
                  f"{routines} routines")
-        print(f"cold: {routines} routines, {cold['cfgs_built']} CFGs built")
+        cold_nodes = cold["counters"]["psg.nodes"]
+        print(
+            f"cold: {routines} routines, {cold['cfgs_built']} CFGs built, "
+            f"{cold_nodes} PSG nodes"
+        )
         memo = os.path.join(tmp, "memo.sum2")
         shutil.copyfile(sidecar, memo)
         base_sidecar = os.path.join(tmp, "base.sum2")
@@ -223,6 +250,7 @@ def main(argv: List[str] | None = None) -> int:
         print(
             f"warm: edited {victim}; dirty {dirty}, "
             f"{solved} routines re-solved, {warm['cfgs_built']} CFGs built, "
+            f"{counters.get('psg.nodes', 0)} PSG nodes, "
             f"record hits {counters.get('frontend.record.hit')}, "
             f"fragment hits {counters.get('cache.fragment.hit')}, "
             f"{counters.get('cache.body.decoded')} bodies decoded"
@@ -239,13 +267,14 @@ def main(argv: List[str] | None = None) -> int:
         if not counters.get("cache.body.decoded", 0) < routines:
             fail(f"decoded {counters.get('cache.body.decoded')} summary "
                  f"bodies of {routines}")
+        one_graph("the warm run", warm, cold_nodes)
 
         cli("analyze", edited, "--save-summaries", cold_sum)
         if not same_bytes(warm_sum, cold_sum):
             fail("warm summaries differ from a cold run of the edited image")
         print("warm summaries are byte-identical to a cold run's")
-        query_then_edit(tmp, base, program, memo)
-        optimize_then_reanalyze(tmp, base, base_sidecar)
+        query_then_edit(tmp, base, program, memo, cold_nodes)
+        optimize_then_reanalyze(tmp, base, base_sidecar, cold_nodes)
     return 0
 
 
