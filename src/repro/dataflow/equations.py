@@ -42,8 +42,9 @@ edge — and the whole-routine SCC sweep are the test suite's oracles
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Container, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import (
+    Container, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple,
+)
 
 from repro.dataflow.regset import RegisterSet, TRACKED_MASK
 
@@ -53,9 +54,9 @@ Triple = Tuple[int, int, int]  # (may_use, may_def, must_def) masks
 _INTERIOR: Triple = (0, 0, TRACKED_MASK)
 
 
-@dataclass(frozen=True)
-class SummaryTriple:
-    """An immutable (MAY-USE, MAY-DEF, MUST-DEF) triple of masks."""
+class SummaryTriple(NamedTuple):
+    """An immutable (MAY-USE, MAY-DEF, MUST-DEF) triple of masks: a
+    :data:`Triple` row, so it equals the plain tuple of its masks."""
 
     may_use: int = 0
     may_def: int = 0

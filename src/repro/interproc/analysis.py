@@ -47,7 +47,7 @@ from typing import (
 from repro.isa.calling_convention import NT_ALPHA
 from repro.program.model import Program
 from repro.cfg.callgraph import CallGraph
-from repro.cfg.cfg import CallSite, ControlFlowGraph, FrontendRecord
+from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind, FrontendRecord
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import mask_of
 from repro.psg.build import (
@@ -528,7 +528,7 @@ def region_summaries(
         edge = bisect_left(cr_call, call_pairs[0][0]) if call_pairs else 0
 
         exit_live: Dict[int, int] = {}
-        exit_kinds: Dict[int, object] = {}
+        exit_kinds: Dict[int, ExitKind] = {}
         for node_id, kind in routine_psg.exit_nodes:
             block = block_of[node_id]
             exit_live[block] = live[node_id]
@@ -545,17 +545,12 @@ def region_summaries(
                 live[call_node], live[return_node],
             ))
 
-        triple = triples[name]
+        may_use, may_def, must_def = triples[name]
+        # Positional, as the sites: name, call-used, call-defined,
+        # call-killed, live at entry, exits, exit kinds, sites, saved.
         summaries[name] = RoutineSummary(
-            name=name,
-            call_used_mask=triple.may_use,
-            call_defined_mask=triple.must_def,
-            call_killed_mask=triple.may_def,
-            live_at_entry_mask=live[entry_node],
-            exit_live_masks=exit_live,
-            exit_kinds=exit_kinds,  # type: ignore[arg-type]
-            call_sites=call_sites,
-            saved_restored_mask=saved.get(name, 0),
+            name, may_use, must_def, may_def, live[entry_node], exit_live,
+            exit_kinds, call_sites, saved.get(name, 0),
         )
     return summaries
 

@@ -324,26 +324,12 @@ def analyze_program_baseline(
                     killed |= callee_md
                     defined &= callee_xd
                 defined &= TRACKED_MASK
-            call_sites.append(
-                CallSiteSummary(
-                    site=site,
-                    used_mask=used,
-                    defined_mask=defined,
-                    killed_mask=killed,
-                    live_before_mask=live_out(gid),
-                    live_after_mask=live[retpt],
-                )
-            )
+            call_sites.append(CallSiteSummary(
+                site, used, defined, killed, live_out(gid), live[retpt]
+            ))
         summaries[name] = RoutineSummary(
-            name=name,
-            call_used_mask=label_mu,
-            call_defined_mask=label_xd,
-            call_killed_mask=label_md,
-            live_at_entry_mask=live[flat.entry_of[name]],
-            exit_live_masks=exit_live_masks,
-            exit_kinds=exit_kinds,
-            call_sites=call_sites,
-            saved_restored_mask=saved_restored[name],
+            name, label_mu, label_xd, label_md, live[flat.entry_of[name]],
+            exit_live_masks, exit_kinds, call_sites, saved_restored[name],
         )
 
     elapsed = time.perf_counter() - start

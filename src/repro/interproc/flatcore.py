@@ -81,10 +81,7 @@ def label_call_return_edges(
         key = (label_mu, label_md, label_xd & TRACKED_MASK)
         label = interned.get(key)
         if label is None:
-            label = SummaryTriple(
-                may_use=key[0], may_def=key[1], must_def=key[2]
-            )
-            interned[key] = label
+            label = interned[key] = SummaryTriple(*key)
         labels[edge] = label
 
 

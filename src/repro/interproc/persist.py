@@ -421,15 +421,8 @@ def _read_summary_body(reader: _Reader, name: str) -> RoutineSummary:
         call_used, call_defined, call_killed, live_at_entry, saved_restored
     ) = summary_masks
     return RoutineSummary(
-        name=name,
-        call_used_mask=call_used,
-        call_defined_mask=call_defined,
-        call_killed_mask=call_killed,
-        live_at_entry_mask=live_at_entry,
-        exit_live_masks=exit_live,
-        exit_kinds=exit_kinds,
-        call_sites=sites,
-        saved_restored_mask=saved_restored,
+        name, call_used, call_defined, call_killed, live_at_entry,
+        exit_live, exit_kinds, sites, saved_restored,
     )
 
 

@@ -14,16 +14,21 @@ several out-edges the correct meet is the intersection over out-edges
 (the paper's own Figure 6 intersects MUST-DEF over successors), which
 is what this implementation computes.
 
-The fixed point is computed in two monotone passes:
+The fixed point is computed in one worklist: a visit recomputes a
+node's MAY-DEF, MUST-DEF and MAY-USE together, from (∅, ⊤, ∅) at every
+interior node.  That is the fixed point a defs-then-uses split would
+reach:
 
-1. **defs pass** — MAY-DEF and MUST-DEF, which depend only on each
-   other;
-2. **uses pass** — MAY-USE, with the (now final) MUST-DEF values as
-   kill sets.
-
-The combined result equals the simultaneous least fixed point of the
-Figure-8 system, but each pass is monotone from ⊥ so termination and
-precision are immediate.
+* MAY-DEF and MUST-DEF never read MAY-USE, so they reach their own
+  least / greatest fixed point whatever MAY-USE does;
+* MAY-USE reads MUST-DEF only through the call-return kill
+  ``MAY-USE[ret] − MUST-DEF[callee entry]``, and as MUST-DEF shrinks
+  from ⊤ that difference only grows — every intermediate MAY-USE is
+  below the one computed with final kills, so iteration cannot
+  overshoot it;
+* a call node reads its callees' entries, so it is in their
+  ``dep1_view`` rows: every change of a kill re-queues the call nodes
+  that read it, and the last visit of each node reads final kills.
 
 Exit-node boundary values encode §3.5's conservatism:
 
@@ -102,30 +107,24 @@ class Phase1Result:
     may_use: List[int]
     may_def: List[int]
     must_def: List[int]
-    #: Worklist iterations spent converging (both passes combined); the
-    #: incremental engine's work metric.
+    #: Worklist visits spent converging, one per node visit that updates
+    #: all three sets; the incremental engine's work metric.
     iterations: int = 0
 
     def entry_triple(self, psg: ProgramSummaryGraph, routine: str) -> SummaryTriple:
         """The (call-used, call-killed, call-defined) triple of a routine."""
         node = psg.routines[routine].entry_node
         return SummaryTriple(
-            may_use=self.may_use[node],
-            may_def=self.may_def[node],
-            must_def=self.must_def[node],
+            self.may_use[node], self.may_def[node], self.must_def[node]
         )
 
 
 class Phase1State(SolveState):
     """Phase 1's state over a growing graph (see
     :class:`~repro.interproc.flatcore.SolveState`): the three value
-    rows, the §3.4 strip masks (nonzero at entry nodes only) and the
-    call sites' Pass-B kill labels."""
+    rows and the §3.4 strip masks (nonzero at entry nodes only)."""
 
-    __slots__ = (
-        "may_use", "may_def", "must_def", "strip_use", "strip_def",
-        "cr_label_mu0", "cr_label_notxd",
-    )
+    __slots__ = ("may_use", "may_def", "must_def", "strip_use", "strip_def")
 
     def __init__(self) -> None:
         super().__init__()
@@ -134,8 +133,6 @@ class Phase1State(SolveState):
         self.must_def: List[int] = []
         self.strip_use: List[int] = []
         self.strip_def: List[int] = []
-        self.cr_label_mu0: List[int] = []
-        self.cr_label_notxd: List[int] = []
 
     def grow(self, node_count: int) -> int:
         first = super().grow(node_count)
@@ -143,10 +140,8 @@ class Phase1State(SolveState):
         self.may_def += [0] * added
         self.must_def += [TRACKED_MASK] * added
         self.may_use += [0] * added
-        for row in (
-            self.strip_use, self.strip_def, self.cr_label_mu0, self.cr_label_notxd
-        ):
-            row += [0] * added
+        self.strip_use += [0] * added
+        self.strip_def += [0] * added
         return first
 
 
@@ -229,11 +224,7 @@ def run_phase1(
 
     counts = [0] * node_count if REGISTRY.per_routine else None
     skipped = 0
-    revisits = 0
 
-    # ------------------------------------------------------------------
-    # Pass A: MAY-DEF and MUST-DEF
-    # ------------------------------------------------------------------
     by_rank, sweep = state.schedule(seed_order)
     rank_of = state.rank_of
     # Every push is popped exactly once (the queue drains), so the pop
@@ -264,136 +255,65 @@ def run_phase1(
         if counts is not None:
             counts[node] += 1
         # ⋁(label ∨ MAY-DEF[dst]) = (⋁ label) ∨ ⋁ MAY-DEF[dst]: the
-        # label half is the precomputed per-node static mask.  Rows of
-        # zero or one edge are the bulk of the graph (call/exit nodes
-        # have no flow out-edges; straight-line nodes have one), so
-        # both shapes skip the tuple-loop machinery.
+        # label half is the precomputed per-node static mask (likewise
+        # for MAY-USE's upward-exposed half).  Rows of zero or one edge
+        # are the bulk of the graph (call/exit nodes have no flow
+        # out-edges; straight-line nodes have one), so both shapes skip
+        # the tuple-loop machinery.
         row = flow_view[node]
         if not row:
             md_acc = defs_static[node]
             xd_acc = -1  # "top" sentinel: intersection identity
+            mu_acc = uses_static[node]
         elif len(row) == 1:
-            dst, label_xd, _ = row[0]
+            dst, label_xd, not_xd = row[0]
             md_acc = defs_static[node] | may_def[dst]
             xd_acc = must_def[dst] | label_xd
+            mu_acc = uses_static[node] | (may_use[dst] & not_xd)
         else:
             md_acc = defs_static[node]
             xd_acc = -1
-            for dst, label_xd, _ in row:
+            mu_acc = uses_static[node]
+            for dst, label_xd, not_xd in row:
                 md_acc |= may_def[dst]
                 xd_acc &= must_def[dst] | label_xd
-        cr = cr_dst[node]
-        if cr >= 0:
-            entry = cr_single[node]
-            if entry >= 0:  # monomorphic call: skip the tuple loop
-                md_acc |= may_def[cr] | may_def[entry]
-                xd_acc &= must_def[cr] | must_def[entry]
-            else:
-                callees = cr_callees[node]
-                if callees:
-                    label_md = 0
-                    label_xd = -1
-                    for entry in callees:
-                        label_md |= may_def[entry]
-                        label_xd &= must_def[entry]
-                else:  # unknown call: fixed §3.5 label
-                    _, label_md, label_xd = cr_unknown[node]
-                md_acc |= may_def[cr] | label_md
-                xd_acc &= must_def[cr] | label_xd
-        if xd_acc == -1:
-            xd_acc = 0
-        strip = strip_def[node]
-        if strip:
-            md_acc &= ~strip
-            xd_acc &= ~strip
-        if md_acc != may_def[node] or xd_acc != must_def[node]:
-            may_def[node] = md_acc
-            must_def[node] = xd_acc
-            for dependent in dep_view[node]:
-                if queued[dependent]:
-                    skipped += 1
-                else:
-                    queued[dependent] = 1
-                    pushed += 1
-                    heappush(pocket, rank_of[dependent])
-            depth = n_sweep - si + len(pocket)
-            if depth > max_depth:
-                max_depth = depth
-    iterations = pushed
-    # revisits = visits minus distinct nodes visited.  Every non-frozen
-    # node is seeded and every dynamic push re-targets a seed (dependent
-    # rows only name interior nodes), so the distinct count is exactly
-    # the seed count — no per-visit bookkeeping needed.
-    revisits += iterations - n_sweep
-
-    # ------------------------------------------------------------------
-    # Pass B: MAY-USE, with MUST-DEF now final
-    # ------------------------------------------------------------------
-    # Final MUST-DEF means the call-site kill labels are fixed: hoist
-    # them out of the loop (the MAY-USE half stays dynamic).
-    cr_label_mu0, cr_label_notxd = state.cr_label_mu0, state.cr_label_notxd
-    for node in arena.cr_nodes[state.labeled:]:
-        callees = cr_callees[node]
-        if callees:
-            label_xd = -1
-            for entry in callees:
-                label_xd &= must_def[entry]
-            cr_label_notxd[node] = ~label_xd
-        else:
-            cr_label_mu0[node], _, label_xd = cr_unknown[node]
-            cr_label_notxd[node] = ~label_xd
-
-    state.settle(seed_order)
-    n_sweep = len(sweep)
-    si = 0
-    pocket = []
-    pushed = n_sweep
-    if n_sweep > max_depth:
-        max_depth = n_sweep
-    while True:
-        if pocket:
-            if si < n_sweep and sweep[si] <= pocket[0]:
-                rank = sweep[si]
-                si += 1
-            else:
-                rank = heappop(pocket)
-        elif si < n_sweep:
-            rank = sweep[si]
-            si += 1
-        else:
-            break
-        node = by_rank[rank]
-        queued[node] = 0
-        if counts is not None:
-            counts[node] += 1
-        row = flow_view[node]
-        if not row:
-            mu_acc = uses_static[node]
-        elif len(row) == 1:
-            dst, _, not_xd = row[0]
-            mu_acc = uses_static[node] | (may_use[dst] & not_xd)
-        else:
-            mu_acc = uses_static[node]
-            for dst, _, not_xd in row:
                 mu_acc |= may_use[dst] & not_xd
         cr = cr_dst[node]
         if cr >= 0:
             entry = cr_single[node]
             if entry >= 0:  # monomorphic call: skip the tuple loop
                 label_mu = may_use[entry]
+                label_md = may_def[entry]
+                label_xd = must_def[entry]
             else:
                 callees = cr_callees[node]
                 if callees:
                     label_mu = 0
+                    label_md = 0
+                    label_xd = -1
                     for entry in callees:
                         label_mu |= may_use[entry]
-                else:
-                    label_mu = cr_label_mu0[node]
-            mu_acc |= label_mu | (may_use[cr] & cr_label_notxd[node])
-        strip = strip_use[node]
+                        label_md |= may_def[entry]
+                        label_xd &= must_def[entry]
+                else:  # unknown call: fixed §3.5 label
+                    label_mu, label_md, label_xd = cr_unknown[node]
+            md_acc |= may_def[cr] | label_md
+            xd_acc &= must_def[cr] | label_xd
+            mu_acc |= label_mu | (may_use[cr] & ~label_xd)
+        if xd_acc == -1:
+            xd_acc = 0
+        strip = strip_def[node]
         if strip:
-            mu_acc &= ~strip
-        if mu_acc != may_use[node]:
+            md_acc &= ~strip
+            xd_acc &= ~strip
+            mu_acc &= ~strip_use[node]
+        if (
+            md_acc != may_def[node]
+            or xd_acc != must_def[node]
+            or mu_acc != may_use[node]
+        ):
+            may_def[node] = md_acc
+            must_def[node] = xd_acc
             may_use[node] = mu_acc
             for dependent in dep_view[node]:
                 if queued[dependent]:
@@ -405,14 +325,15 @@ def run_phase1(
             depth = n_sweep - si + len(pocket)
             if depth > max_depth:
                 max_depth = depth
-    iterations += pushed
-    revisits += pushed - n_sweep
-    pushes = iterations
     state.settle(seed_order)
 
+    # revisits = visits minus distinct nodes visited.  Every non-frozen
+    # node is seeded and every dynamic push re-targets a seed (dependent
+    # rows only name interior nodes), so the distinct count is exactly
+    # the seed count — no per-visit bookkeeping needed.
     record_solve(
-        psg, "phase1", iterations, max_depth, counts,
-        pushes=pushes, skipped=skipped, revisits=revisits,
+        psg, "phase1", pushed, max_depth, counts,
+        pushes=pushed, skipped=skipped, revisits=pushed - n_sweep,
     )
     label_call_return_edges(psg, may_use, may_def, must_def, state.labeled)
     state.labeled = len(psg.cr_call)
@@ -420,5 +341,5 @@ def run_phase1(
         may_use=may_use,
         may_def=may_def,
         must_def=must_def,
-        iterations=iterations,
+        iterations=pushed,
     )

@@ -14,24 +14,22 @@ optimize one routine in isolation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import RegisterSet, sorted_names
 from repro.cfg.cfg import CallSite, ExitKind
 
 
-@dataclass(frozen=True)
-class SiteEffect:
+class SiteEffect(NamedTuple):
     """Gen/kill masks summarizing a call site for liveness."""
 
     gen: int
     kill: int
 
 
-@dataclass(frozen=True)
-class CallSiteSummary:
+class CallSiteSummary(NamedTuple):
     """Everything the optimizer knows about one call site."""
 
     site: CallSite
@@ -72,7 +70,7 @@ class CallSiteSummary:
         Only *definite* definitions kill liveness, so the kill set is
         call-defined, not call-killed.
         """
-        return SiteEffect(gen=self.used_mask, kill=self.defined_mask)
+        return SiteEffect(self.used_mask, self.defined_mask)
 
     def survives_call(self, register_index: int) -> bool:
         """True when the callee provably preserves ``register_index``
@@ -80,8 +78,7 @@ class CallSiteSummary:
         return not (self.killed_mask >> register_index) & 1
 
 
-@dataclass(frozen=True)
-class RoutineSummary:
+class RoutineSummary(NamedTuple):
     """The complete external-register-usage summary of one routine."""
 
     name: str
@@ -93,7 +90,7 @@ class RoutineSummary:
     exit_live_masks: Mapping[int, int]
     #: exit block index -> exit kind.
     exit_kinds: Mapping[int, ExitKind]
-    call_sites: List[CallSiteSummary] = field(default_factory=list)
+    call_sites: Sequence[CallSiteSummary] = ()
     #: Callee-saved registers this routine saves and restores (§3.4).
     saved_restored_mask: int = 0
 
@@ -173,9 +170,8 @@ class RoutineSummary:
 def _triple_of(summary: RoutineSummary) -> SummaryTriple:
     """A summary's phase-1 triple, in solver orientation."""
     return SummaryTriple(
-        may_use=summary.call_used_mask,
-        may_def=summary.call_killed_mask,
-        must_def=summary.call_defined_mask,
+        summary.call_used_mask, summary.call_killed_mask,
+        summary.call_defined_mask,
     )
 
 
@@ -207,37 +203,22 @@ class SummarySet:
         return self.summaries[name]
 
     def equal_summaries(self, other: "SummarySet") -> bool:
-        """True when both results carry identical dataflow facts.
+        """True when both results carry identical dataflow facts: every
+        field of every routine's summary, call sites included.
 
         Used to cross-validate the PSG analysis against the full-CFG
         baseline.
         """
         if set(self.summaries) != set(other.summaries):
             return False
-        for name, mine in self.summaries.items():
-            theirs = other.summaries[name]
-            if (
-                mine.call_used_mask != theirs.call_used_mask
-                or mine.call_defined_mask != theirs.call_defined_mask
-                or mine.call_killed_mask != theirs.call_killed_mask
-                or mine.live_at_entry_mask != theirs.live_at_entry_mask
-                or dict(mine.exit_live_masks) != dict(theirs.exit_live_masks)
-            ):
-                return False
-            site_pairs = zip(mine.call_sites, theirs.call_sites)
-            for site_a, site_b in site_pairs:
-                if (
-                    site_a.used_mask != site_b.used_mask
-                    or site_a.defined_mask != site_b.defined_mask
-                    or site_a.killed_mask != site_b.killed_mask
-                    or site_a.live_before_mask != site_b.live_before_mask
-                    or site_a.live_after_mask != site_b.live_after_mask
-                ):
-                    return False
-        return True
+        return all(
+            _fields(mine) == _fields(other.summaries[name])
+            for name, mine in self.summaries.items()
+        )
 
     def diff(self, other: "SummarySet") -> List[str]:
-        """Human-readable description of summary differences."""
+        """Human-readable description of summary differences: one line
+        per field :meth:`equal_summaries` finds unequal."""
         problems: List[str] = []
         for name in sorted(set(self.summaries) | set(other.summaries)):
             mine = self.summaries.get(name)
@@ -245,34 +226,57 @@ class SummarySet:
             if mine is None or theirs is None:
                 problems.append(f"{name}: missing on one side")
                 continue
-            for label, a, b in (
-                ("call_used", mine.call_used_mask, theirs.call_used_mask),
-                ("call_defined", mine.call_defined_mask, theirs.call_defined_mask),
-                ("call_killed", mine.call_killed_mask, theirs.call_killed_mask),
-                ("live_at_entry", mine.live_at_entry_mask, theirs.live_at_entry_mask),
-            ):
-                if a != b:
+            for label, a, b in zip(_FIELDS, _fields(mine), _fields(theirs)):
+                if a == b:
+                    continue
+                if isinstance(a, int):
                     problems.append(
                         f"{name}.{label}: "
                         f"{RegisterSet.from_mask(a)!r} != "
                         f"{RegisterSet.from_mask(b)!r}"
                     )
-            if dict(mine.exit_live_masks) != dict(theirs.exit_live_masks):
-                problems.append(f"{name}.live_at_exit differs")
+                elif label != "call_sites":
+                    problems.append(f"{name}.{label} differs")
+                elif len(a) != len(b):
+                    problems.append(
+                        f"{name}: {len(a)} call sites != {len(b)}"
+                    )
             for site_a, site_b in zip(mine.call_sites, theirs.call_sites):
-                for label in (
-                    "used_mask",
-                    "defined_mask",
-                    "killed_mask",
-                    "live_before_mask",
-                    "live_after_mask",
+                where = f"{name} call@block{site_a.site.block}"
+                if site_a.site != site_b.site:
+                    problems.append(
+                        f"{where}.site: {site_a.site!r} != {site_b.site!r}"
+                    )
+                for label, a, b in zip(
+                    CallSiteSummary._fields[1:], site_a[1:], site_b[1:]
                 ):
-                    a = getattr(site_a, label)
-                    b = getattr(site_b, label)
                     if a != b:
                         problems.append(
-                            f"{name} call@block{site_a.site.block}.{label}: "
+                            f"{where}.{label}: "
                             f"{RegisterSet.from_mask(a)!r} != "
                             f"{RegisterSet.from_mask(b)!r}"
                         )
         return problems
+
+
+#: What :meth:`SummarySet.equal_summaries` compares, in :func:`_fields`
+#: order.
+_FIELDS = (
+    "call_used", "call_defined", "call_killed", "live_at_entry",
+    "saved_restored", "live_at_exit", "exit_kinds", "call_sites",
+)
+
+
+def _fields(summary: RoutineSummary) -> Tuple[object, ...]:
+    """Every field of ``summary`` but its name, as plain values: masks,
+    dicts and a tuple of call-site rows."""
+    return (
+        summary.call_used_mask,
+        summary.call_defined_mask,
+        summary.call_killed_mask,
+        summary.live_at_entry_mask,
+        summary.saved_restored_mask,
+        dict(summary.exit_live_masks),
+        dict(summary.exit_kinds),
+        tuple(summary.call_sites),
+    )

@@ -6,6 +6,10 @@ the edge table as records and derive their own adjacency.  The two must agree
 on the summaries byte for byte *and* on the five scheduling counters
 (same visit sequence, so same row order) — cold and warm, through the
 drivers and through the session facade.
+
+Phase 1 solves Figure 8 in one worklist; :class:`TestTwoPassAnswers`
+holds every solve a driver runs to the defs-then-uses two-pass solve's
+three rows and call-return labels.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.interproc.errors import AnalysisError
 from repro.interproc.flatcore import resolve_solver_core
 from repro.interproc.incremental import _analyze_incremental
 from repro.interproc.persist import dump_summaries
-from repro.interproc.phase1 import run_phase1
+from repro.interproc.phase1 import Phase1State, run_phase1
 from repro.interproc.phase2 import run_phase2
 from repro.dataflow.regset import mask_of
 from repro.obs.metrics import REGISTRY
@@ -110,6 +114,47 @@ def assert_same_work(run, oracle_engines):
     assert counters["solver.iterations{phase=phase1}"] > 0
     assert counters["solver.iterations{phase=phase2}"] > 0
     return result
+
+
+@pytest.fixture
+def two_pass_checked(monkeypatch):
+    """Every phase-1 solve a driver runs is first run by the two-pass
+    oracle, on a copy of the solve's state, and must then give the
+    oracle's three rows and call-return labels.  The fixture lists the
+    solves checked: how many entries each pinned."""
+    checked = []
+    production = analysis_module.run_phase1
+
+    def run_phase1(
+        psg, saved_restored, preserved_mask, seed_order,
+        fixed_entries=None, state=None, routines=None,
+    ):
+        copy = None
+        if state is not None:
+            copy = Phase1State()
+            copy.may_use = list(state.may_use)
+            copy.may_def = list(state.may_def)
+            copy.must_def = list(state.must_def)
+        labels = list(psg.cr_label)
+        expected = phase_oracle.run_phase1_two_pass(
+            psg, saved_restored, preserved_mask, seed_order,
+            fixed_entries, copy,
+        )
+        expected_labels = list(psg.cr_label)
+        psg.cr_label[:] = labels
+        result = production(
+            psg, saved_restored, preserved_mask, seed_order,
+            fixed_entries=fixed_entries, state=state, routines=routines,
+        )
+        assert result.may_def == expected.may_def
+        assert result.must_def == expected.must_def
+        assert result.may_use == expected.may_use
+        assert psg.cr_label == expected_labels
+        checked.append(len(fixed_entries or ()))
+        return result
+
+    monkeypatch.setattr(analysis_module, "run_phase1", run_phase1)
+    return checked
 
 
 def assert_phases_match_oracle(program):
@@ -229,6 +274,56 @@ class TestColdEquivalence:
         assert any(edge.is_unknown for edge in call_return_edges_of(analysis.psg))
 
 
+class TestTwoPassAnswers:
+    """One worklist visit updates all three sets; the two-pass solve
+    settles MAY-DEF/MUST-DEF first and MAY-USE second.  Chaotic
+    iteration from (∅, ⊤, ∅) reaches the same fixed point, so every
+    row and label must agree — cold, pinned, region by region."""
+
+    @pytest.mark.parametrize("name", [shape.name for shape in ALL_SHAPES])
+    def test_every_shape(self, name, two_pass_checked):
+        _analyze_program(shape_program(name), NO_STORE)
+        assert two_pass_checked
+
+    def test_mutual_recursion_mesh(self, two_pass_checked):
+        _analyze_program(call_mesh(routines=48, calls=5, ring=12), NO_STORE)
+        assert two_pass_checked
+
+    def test_unknown_and_hinted_sites(self, two_pass_checked):
+        unknown = disassemble_image(
+            assemble(TestColdEquivalence.UNKNOWN_CALL_SOURCE)
+        )
+        for program in (unknown, _dispatch_program()):
+            _analyze_program(program, NO_STORE)
+        assert len(two_pass_checked) == 2
+
+    @pytest.mark.parametrize("name", ("compress", "li"))
+    def test_pinned_external_entries(self, name, two_pass_checked):
+        """A warm run solves the edited routine's cone with its callees
+        pinned at their cached triples."""
+        program = shape_program(name)
+        cold = _analyze_incremental(program, config=NO_STORE)
+        del two_pass_checked[:]
+        victim = first_editable_routine(program)
+        edited = perturb_routine(program, victim)
+        run = _analyze_incremental(edited, cache=cold.cache, config=NO_STORE)
+        assert run.metrics.dirty_routines == [victim]
+        assert any(two_pass_checked)
+
+    def test_regions_on_one_graph(self, two_pass_checked):
+        """A warm edit that climbs a chain region by region over one
+        graph, each solve reusing the run's ``Phase1State``; and a
+        region that pins stubs phase 2 later takes over."""
+        program = _chain(40)
+        cold = _analyze_incremental(program, config=NO_STORE)
+        del two_pass_checked[:]
+        edited = _chain(40, leaf_reads="t5")
+        _analyze_incremental(edited, cache=cold.cache, config=NO_STORE)
+        assert len(two_pass_checked) > 1
+        stubbed, memo = stub_takeover_case()
+        _analyze_incremental(stubbed, cache=memo, config=NO_STORE)
+
+
 class TestWarmEquivalence:
     @pytest.mark.parametrize("name", ("compress", "li"))
     def test_mutated_warm_runs_agree_across_cores(self, name, oracle_engines):
@@ -289,3 +384,35 @@ class TestFacadeEquivalence:
             return session.analyze().result
 
         assert_same_work(facade, oracle_engines)
+
+
+class TestVisitCounts:
+    """One phase-1 visit updates all three sets, so a solve visits each
+    node about once: a schedule that settled MAY-DEF/MUST-DEF and
+    MAY-USE in separate passes visited every interior node twice and
+    fails the gate.  Phase 2 is untouched, and its counts are pinned."""
+
+    #: ``solver.{iterations,revisits,max_queue_depth}{phase=phase2}``.
+    PHASE2 = {"gcc": (4128, 506, 3622), "mesh": (534, 6, 528)}
+
+    @staticmethod
+    def program(name):
+        if name == "mesh":
+            return call_mesh(routines=48, calls=5, ring=12)
+        program, _shape = generate_benchmark(
+            "gcc", scale=0.1, config=GeneratorConfig(seed=0)
+        )
+        return program
+
+    @pytest.mark.parametrize("name", sorted(PHASE2))
+    def test_phase1_visits_each_node_under_twice(self, name):
+        program = self.program(name)
+        REGISTRY.reset()
+        _analyze_program(program, NO_STORE)
+        counters = REGISTRY.delta_since({})
+        nodes = counters["psg.nodes"]
+        assert counters["solver.iterations{phase=phase1}"] < 2 * nodes
+        assert tuple(
+            counters[f"solver.{key}{{phase=phase2}}"]
+            for key in ("iterations", "revisits", "max_queue_depth")
+        ) == self.PHASE2[name]

@@ -5,16 +5,29 @@ import pytest
 from repro.cfg.cfg import CallSite, ExitKind
 from repro.dataflow.regset import mask_of
 from tests.facade import analyze_program
+from repro.dataflow.equations import SummaryTriple
 from repro.interproc.summaries import (
     SummarySet,
     CallSiteSummary,
     RoutineSummary,
+    SiteEffect,
 )
 
 
 def _site(block=1, callee="g"):
     return CallSite(
         block=block, instruction_index=3, targets=(callee,), indirect=False
+    )
+
+
+def _call_site(site):
+    return CallSiteSummary(
+        site=site,
+        used_mask=mask_of(["a0"]),
+        defined_mask=mask_of(["v0"]),
+        killed_mask=mask_of(["v0", "t1"]),
+        live_before_mask=mask_of(["a0"]),
+        live_after_mask=mask_of(["v0"]),
     )
 
 
@@ -27,16 +40,7 @@ def _summary(name="f", **overrides):
         live_at_entry_mask=mask_of(["a0", "ra"]),
         exit_live_masks={2: mask_of(["v0"])},
         exit_kinds={2: ExitKind.RETURN},
-        call_sites=[
-            CallSiteSummary(
-                site=_site(),
-                used_mask=mask_of(["a0"]),
-                defined_mask=mask_of(["v0"]),
-                killed_mask=mask_of(["v0", "t1"]),
-                live_before_mask=mask_of(["a0"]),
-                live_after_mask=mask_of(["v0"]),
-            )
-        ],
+        call_sites=[_call_site(_site())],
     )
     fields.update(overrides)
     return RoutineSummary(**fields)
@@ -164,6 +168,76 @@ class TestSummarySet:
             {"f": _summary(exit_live_masks={2: mask_of(["t2"])})}
         )
         assert not a.equal_summaries(b)
+
+    def test_equal_summaries_detects_dropped_site(self):
+        """A result that loses a call site is not equal to one that has
+        it, whichever side is missing it."""
+        a = SummarySet({"f": _summary()})
+        b = SummarySet({"f": _summary(call_sites=[])})
+        for left, right in ((a, b), (b, a)):
+            assert not left.equal_summaries(right)
+            assert any("call sites" in line for line in left.diff(right))
+
+    @pytest.mark.parametrize("row", [
+        {"block": 4},
+        {"instruction_index": 0},
+        {"targets": ("h",)},
+        {"targets": ("g", "h")},
+        {"indirect": True},
+    ])
+    def test_equal_summaries_detects_site_row_change(self, row):
+        """Same masks, different call site: block, index, targets or
+        the indirect flag."""
+        moved = _call_site(_site()._replace(**row))
+        a = SummarySet({"f": _summary()})
+        b = SummarySet({"f": _summary(call_sites=[moved])})
+        assert not a.equal_summaries(b)
+        assert any(line.endswith(repr(moved.site)) for line in a.diff(b))
+
+    def test_equal_summaries_detects_exit_kind_change(self):
+        a = SummarySet({"f": _summary()})
+        b = SummarySet({"f": _summary(exit_kinds={2: ExitKind.HALT})})
+        assert not a.equal_summaries(b)
+        assert any("exit_kinds" in line for line in a.diff(b))
+
+    def test_equal_summaries_detects_saved_restored_change(self):
+        a = SummarySet({"f": _summary()})
+        b = SummarySet({"f": _summary(saved_restored_mask=mask_of(["s0"]))})
+        assert not a.equal_summaries(b)
+        assert any("saved_restored" in line for line in a.diff(b))
+
+    def test_list_and_tuple_sites_compare_equal(self):
+        """Readers and assemblers may hold the sites in either."""
+        summary = _summary()
+        rows = summary._replace(call_sites=tuple(summary.call_sites))
+        a, b = SummarySet({"f": summary}), SummarySet({"f": rows})
+        assert a.equal_summaries(b)
+        assert a.diff(b) == []
+
+
+class TestRows:
+    """Summaries are plain rows: positional, with tuple equality."""
+
+    def test_triple_equals_its_tuple(self):
+        triple = SummaryTriple(1, 2, 3)
+        assert triple == (1, 2, 3)
+        assert triple == SummaryTriple(may_use=1, may_def=2, must_def=3)
+        may_use, may_def, must_def = triple
+        assert (may_use, may_def, must_def) == (1, 2, 3)
+        assert SummaryTriple() == (0, 0, 0)
+
+    def test_positional_and_keyword_summaries_agree(self):
+        summary = _summary()
+        site = summary.call_sites[0]
+        assert CallSiteSummary(*site) == site
+        assert RoutineSummary(*summary) == summary
+        assert site.site_effect() == SiteEffect(site.used_mask, site.defined_mask)
+
+    def test_call_sites_default_empty(self):
+        summary = RoutineSummary("f", 0, 0, 0, 0, {}, {})
+        assert summary.call_sites == ()
+        assert summary.saved_restored_mask == 0
+        assert summary.site_effects() == {}
 
 
 class TestSummariesFromAnalysis:

@@ -23,6 +23,9 @@ counters are equal (equal iteration counts mean the edges came out in
 the same *order*), the CLI run's ``psg.label.visits`` is present and at
 most 3.5x the image's basic blocks — a per-target solve or a source x
 target scan creeping back shows there as a count, on any host — its
+phase-1 ``solver.iterations`` is below twice its ``psg_nodes`` (one
+worklist visit updates all three Figure-8 sets, so a solve that visits
+each node once per set shows as a count too), its
 ``psg.label.region_blocks`` is present and below the block count (SCC
 work stays inside back-arc regions), and its ``frontend.rows`` counter
 equals the routine count: the front end walked every routine's
@@ -67,6 +70,9 @@ from tests.label_oracle import labeling  # noqa: E402
 
 #: Work bound: map entries the sweep may write per basic block.
 VISITS_PER_BLOCK = 3.5
+
+#: Work bound: phase-1 worklist visits per PSG node (exclusive).
+PHASE1_VISITS_PER_NODE = 2
 
 EQUAL_KEYS = (
     "solver.iterations{phase=phase1}",
@@ -170,6 +176,11 @@ def main(argv: List[str] | None = None) -> int:
         if visits > VISITS_PER_BLOCK * blocks:
             fail(f"psg.label.visits {visits} > {VISITS_PER_BLOCK} x "
                  f"{blocks} basic blocks")
+        phase1 = counters["solver.iterations{phase=phase1}"]
+        nodes = sweep["psg_nodes"]
+        if not phase1 < PHASE1_VISITS_PER_NODE * nodes:
+            fail(f"solver.iterations{{phase=phase1}} {phase1}: not below "
+                 f"{PHASE1_VISITS_PER_NODE} x {nodes} PSG nodes")
         region_blocks = counters.get("psg.label.region_blocks")
         if region_blocks is None or not region_blocks < blocks:
             fail(f"psg.label.region_blocks {region_blocks}: not present "
@@ -200,7 +211,8 @@ def main(argv: List[str] | None = None) -> int:
             f"{blocks} blocks, {sweep['psg_edges']} PSG edges: summaries "
             f"byte-identical to the per-target oracle, iterations "
             f"{[counters[key] for key in EQUAL_KEYS]} equal, {visits} label "
-            f"visits ({visits / blocks:.2f} per block), {region_blocks} "
+            f"visits ({visits / blocks:.2f} per block), {phase1} phase-1 "
+            f"visits ({phase1 / nodes:.2f} per node), {region_blocks} "
             f"blocks in back-arc regions; --dot equals the PSG solved "
             f"again in process; cold query built {graphs} PSGs, "
             f"warm query solved nothing"
