@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager, nullcontext
+from functools import cached_property
 from typing import (
     Callable, Dict, Iterator, Mapping, Optional, Protocol, Sequence, TypeVar,
     Union, runtime_checkable,
@@ -242,10 +243,11 @@ class AnalysisSession:
         requests as warm)."""
         return self._query_cache is not None
 
-    @property
+    @cached_property
     def image_fingerprint(self) -> int:
         """The image-content fingerprint (0 when the session was built
-        from a decoded program, which has no canonical byte form)."""
+        from a decoded program, which has no canonical byte form),
+        hashed once; whoever hashed the bytes already may assign it."""
         if self._image_bytes is None:
             return 0
         return image_fingerprint(self._image_bytes)

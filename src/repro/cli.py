@@ -76,7 +76,6 @@ from repro.interproc.persist import (
     atomic_write,
     dump_cache,
     dump_summaries,
-    image_fingerprint,
     load_cache,
     load_summaries,
 )
@@ -231,7 +230,7 @@ def _finish_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_incremental(
-    args: argparse.Namespace, session: AnalysisSession, image_bytes: bytes
+    args: argparse.Namespace, session: AnalysisSession
 ) -> int:
     if args.annotate or args.dot:
         print(
@@ -278,7 +277,7 @@ def _cmd_analyze_incremental(
         _print_routine_summaries(incremental.result, args.routines)
     if args.save_summaries and _write_file(
         args.save_summaries,
-        dump_summaries(incremental.result, image_fingerprint(image_bytes)),
+        dump_summaries(incremental.result, session.image_fingerprint),
         "summaries", args.json,
     ):
         return EXIT_CACHE_IO
@@ -302,11 +301,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.trace:
         enable_tracing()
     try:
-        with open(args.image, "rb") as handle:
-            image_bytes = handle.read()
-        session = AnalysisSession.from_image_bytes(
-            image_bytes,
-            _analysis_config(args.store_dir),
+        session = AnalysisSession.from_path(
+            args.image, _analysis_config(args.store_dir)
         )
     except (OSError, ImageFormatError) as error:
         print(f"cannot load image {args.image}: {error}", file=sys.stderr)
@@ -318,7 +314,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         if args.incremental:
-            return _cmd_analyze_incremental(args, session, image_bytes)
+            return _cmd_analyze_incremental(args, session)
         analysis = session.analyze()
     except AnalysisError as error:
         print(f"analysis failed: {error}", file=sys.stderr)
@@ -341,7 +337,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(render_annotated_listing(analysis, args.routines or None))
     if args.save_summaries and _write_file(
         args.save_summaries,
-        dump_summaries(analysis.result, image_fingerprint(image_bytes)),
+        dump_summaries(analysis.result, session.image_fingerprint),
         "summaries", args.json,
     ):
         return EXIT_CACHE_IO

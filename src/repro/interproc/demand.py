@@ -27,10 +27,9 @@ queried routine is byte-identical to an exhaustive solve.  CFGs are
 built for re-solved routines the cache holds no PSG fragment for (the
 cache's front-end records supply the call graph; see
 :mod:`repro.interproc.frontend`), so on a clean warm cache nothing
-re-solves, no CFG is built, and the query costs hashing the routines
-plus fingerprinting.  The memoized cache carries the fragments a query
-labeled, decoded, so a session's later queries append them instead of
-labeling again.
+re-solves, no CFG is built, and the query costs a walk of its cones.
+The memoized cache carries the fragments a query labeled, decoded, so
+a session's later queries append them instead of labeling again.
 
 **Memoization.**  The refreshed :class:`SummaryCache` a query returns
 is the old one overlaid with the rows the query validated: a full row
@@ -40,7 +39,8 @@ held, so a summary it had survives).  Every row carries the inputs it
 was solved from (:mod:`repro.interproc.incremental`), so an old row
 that a change elsewhere made stale simply no longer matches the next
 run's inputs: nothing is swept, and repeated and overlapping queries
-amortize toward zero without ever poisoning the sidecar.
+amortize toward zero without ever poisoning the sidecar.  The overlay
+is a copy: a cache a caller holds never changes.
 """
 
 from __future__ import annotations
@@ -54,7 +54,9 @@ from repro.interproc.analysis import AnalysisConfig
 from repro.interproc.errors import UnknownRoutineError
 from repro.interproc.frontend import Frontend
 from repro.interproc.incremental import _Engine, solve_or_cold
-from repro.interproc.persist import SUMMARY_BODIES, SummaryCache, packed
+from repro.interproc.persist import (
+    SUMMARY_BODIES, SummaryCache, overlaid, restricted,
+)
 from repro.interproc.summaries import SummarySet, RoutineSummary
 from repro.obs.metrics import REGISTRY, Ledger
 from repro.reporting.metrics import RunMetrics
@@ -71,9 +73,8 @@ class QueryResult:
     refresh to persist — feeding it to the next query (or incremental
     run) is what makes repeated queries amortize.  ``frontend`` is the
     program's reusable front end — CFGs, call graph, condensation and
-    routine fingerprints, which dominate warm-query latency (the cone
-    solve itself amortizes to nothing) — handed back so a session can
-    thread it into the next query.
+    routine fingerprints — handed back so a session can thread it into
+    the next query.
     """
 
     routine: str
@@ -216,11 +217,12 @@ def _memoized_cache(engine: _Engine, image_fingerprint: int) -> SummaryCache:
     """The refreshed cache a query persists: the old one's rows (of
     routines the program still has, their summaries unread) overlaid
     with the rows the query validated."""
-    old, routines = engine.cache, engine.frontend.fingerprints
-    rows = {name: row for name, row in old.rows.items() if name in routines}
+    old, routines = engine.cache, engine.frontend.fingerprints.keys()
+    rows = restricted(old.rows, routines)
     rows.update(engine.rows)
-    summarized = [name for name, row in rows.items() if row.phase2 is not None]
-    return engine.refreshed(
-        image_fingerprint, rows,
-        packed(summarized, engine.fresh, old.result.summaries, SUMMARY_BODIES),
-    )
+    # A summary goes with its row's phase-2 inputs (a routine of the
+    # phase-1 cone re-solved here has none now).
+    dropped = [name for name, row in engine.rows.items() if row.phase2 is None]
+    return engine.refreshed(image_fingerprint, rows, overlaid(
+        old.result.summaries, engine.fresh, SUMMARY_BODIES, routines, dropped
+    ))

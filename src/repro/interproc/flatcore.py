@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.regset import TRACKED_MASK
 from repro.interproc.errors import AnalysisError
+from repro.obs.metrics import REGISTRY, Counts
 from repro.psg.graph import ProgramSummaryGraph
 
 
@@ -105,16 +106,18 @@ class SolveState:
     * ``rank_of[n]`` — the node's position in the seed order of the
       solve that seeded it;
     * ``labeled`` — the call-return edges whose labels the phase has
-      read (phase 1 writes them, phase 2 unzips them).
+      read (phase 1 writes them, phase 2 unzips them);
+    * ``counts`` — where each solve records its convergence numbers.
     """
 
-    __slots__ = ("frozen", "queued", "rank_of", "labeled")
+    __slots__ = ("frozen", "queued", "rank_of", "labeled", "counts")
 
-    def __init__(self) -> None:
+    def __init__(self, counts: Counts = REGISTRY) -> None:
         self.frozen = bytearray()
         self.queued = bytearray()
         self.rank_of: List[int] = []
         self.labeled = 0
+        self.counts = counts
 
     def grow(self, node_count: int) -> int:
         """Cover ``node_count`` nodes; returns the first new one."""

@@ -247,6 +247,11 @@ class Frontend:
             records[name] = record
         return records
 
+    @cached_property
+    def records_by_key(self) -> Dict[int, FrontendRecord]:
+        """:attr:`records` by shape key, as a cache files them."""
+        return {record.shape_key: record for record in self.records.values()}
+
     @property
     def block_counts(self) -> Dict[str, int]:
         """Every routine's basic-block count (no walk needed)."""

@@ -80,6 +80,7 @@ from repro.interproc.persist import (
     RoutineRow,
     SummaryCache,
     SummaryFormatError,
+    overlaid,
     packed,
 )
 from repro.interproc.store import (
@@ -96,7 +97,7 @@ from repro.interproc.summaries import (
     RoutineSummary,
     live_after_masks,
 )
-from repro.obs.metrics import REGISTRY, Ledger
+from repro.obs.metrics import REGISTRY, Ledger, Tally
 from repro.obs.tracer import span
 from repro.psg.build import (
     PartialPsg,
@@ -147,8 +148,10 @@ def record_fingerprint_verdicts(
 ) -> List[str]:
     """The routines whose fingerprint moved since ``cache`` recorded
     their row, or that have none, sorted; counted cache.stale /
-    cache.miss (cache.hit the rest).  A report only: reuse compares all
-    of a component's recorded inputs."""
+    cache.miss (cache.hit the rest).  The engine's reuse test reads
+    them: a component with a member among them has no row in the cache
+    that can serve it, and any other is reused once its callees'
+    triples match the ones its rows recorded."""
     rows = cache.rows
     missing = [name for name in fingerprints if name not in rows]
     stale = [
@@ -274,15 +277,20 @@ def _solve(
 
 class _Engine:
     """One incremental solve: phase 1 callee-first, then phase 2
-    caller-first, over the call graph's components, the runs of needed
-    components solved as regions.
+    caller-first, over the call graph's components in the phases'
+    scopes, the runs of needed components solved as regions.
 
-    Each component takes one step per phase: gather its inputs (first
-    solving the pending region if they read a pending member), adopt
-    the first routine table whose rows record those inputs — the
-    cache's, then the store's — else join the pending region.  Only the
-    grouping of the solves — hence the phases' iteration counts —
-    depends on the walk.
+    Each component takes one step per phase: check its inputs against
+    the routine tables that can hold them — the cache's (rows under the
+    members' fingerprints, by :func:`record_fingerprint_verdicts` at
+    start), then the store's — first solving the pending region if
+    they read one of its components; adopt the first table whose rows
+    record them, else join the pending region.  Only the grouping of
+    the solves — hence the phases' iteration counts — depends on the
+    walk.  A walk visits its scope's components only, and the run
+    counts into :attr:`tally`, recorded once at the end, so a warm
+    query's work follows its cone and a warm run's its re-solved
+    regions, not the program.
     """
 
     def __init__(
@@ -310,6 +318,8 @@ class _Engine:
             metrics.dirty_routines = record_fingerprint_verdicts(
                 frontend.fingerprints, cache
             )
+        # A component the cache can serve has no member among these.
+        self._dirty = set(metrics.dirty_routines)
         self.config = config
         self.frontend = frontend
         self.cfgs = frontend.cfgs
@@ -331,15 +341,17 @@ class _Engine:
         self._fragments: Dict[str, PsgFragment] = {}
         #: Shape key -> the fragment of each routine this run labeled.
         self.labeled: Dict[int, PsgFragment] = {}
+        #: The per-region counts of the run's graph, solves and walks,
+        #: recorded once the run is done (:meth:`solve`).
+        self.tally = Tally()
         # The run's one graph, each region appended as it is solved, and
         # both phases' solver state over it: a region is solved with
         # every earlier node frozen at its final value.
-        self._graph = PsgAssembly(config.convention)
-        self._phase1 = Phase1State()
-        self._phase2 = Phase2State()
-        # The pending region: component indices, and their members.
-        self._pending: List[int] = []
-        self._pending_members: Set[str] = set()
+        self._graph = PsgAssembly(config.convention, self.tally)
+        self._phase1 = Phase1State(self.tally)
+        self._phase2 = Phase2State(self.tally)
+        # The pending region's component indices (a dict for its order).
+        self._pending: Dict[int, None] = {}
         #: Every walked routine's current triple.
         self.triples: Dict[str, SummaryTriple] = {}
         #: The row of every routine this run validated: the cache's,
@@ -392,10 +404,11 @@ class _Engine:
             if fragment is not None:
                 kept += 1
                 self._fragments[name] = labeled[key] = fragment
-        REGISTRY.inc("cache.fragment.hit", hit)
-        REGISTRY.inc("cache.fragment.stale", stale)
-        REGISTRY.inc("cache.fragment.miss", miss)
-        REGISTRY.inc("frontend.fragment.hit", kept)
+        tally = self.tally
+        tally.inc("cache.fragment.hit", hit)
+        tally.inc("cache.fragment.stale", stale)
+        tally.inc("cache.fragment.miss", miss)
+        tally.inc("frontend.fragment.hit", kept)
 
     def refreshed(
         self,
@@ -406,19 +419,15 @@ class _Engine:
         """The cache to persist: ``rows``, their ``summaries``, the
         front-end records, and per routine body the program still has
         the fragment this run labeled, else the cache's."""
-        labeled, old = PackedMap.of(self.labeled, FRAGMENTS), self.cache.fragments
-        records = {
-            record.shape_key: record for record in self.frontend.records.values()
-        }
+        records = self.frontend.records_by_key
         return SummaryCache(
             image_fingerprint=image_fingerprint,
             result=SummarySet(summaries=summaries),
             rows=rows,
             frontend_records=records,
             config_digest=self.context,
-            fragments=packed(
-                (key for key in records if key in labeled or key in old),
-                labeled, old, FRAGMENTS,
+            fragments=overlaid(
+                self.cache.fragments, self.labeled, FRAGMENTS, records.keys()
             ),
             table=self.cache.table,
         )
@@ -464,24 +473,16 @@ class _Engine:
             self.labeled[records[name].shape_key] = fragment
         return region
 
-    def _join(self, index: int, members: Sequence[str]) -> None:
-        self._pending.append(index)
-        self._pending_members.update(members)
-
     def _take_pending(self) -> Tuple[List[int], List[str]]:
-        indices, self._pending = self._pending, []
-        self._pending_members = set()
+        indices, self._pending = list(self._pending), {}
         members = self.condensation.members
         return indices, [name for index in indices for name in members(index)]
 
-    def _flush_if_read(self, members: Sequence[str], neighbours, solve) -> None:
-        """``solve`` the pending region first if ``members``' inputs read
-        one of its members (``neighbours`` of a member)."""
-        pending = self._pending_members
-        if pending and not pending.isdisjoint(
-            other for name in members for other in neighbours(name)
-        ):
-            solve()
+    def _walk(self, scope: Optional[Set[int]]) -> Sequence[int]:
+        """The component indices a phase walks, callee-first."""
+        if scope is None:
+            return range(len(self.condensation.components))
+        return sorted(scope)
 
     def _find(
         self, members: Sequence[str], inputs: Mapping[str, Inputs]
@@ -500,57 +501,64 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def _run_phase1(self) -> None:
-        old, store = self.cache.rows, self.store
+        old, store, dirty = self.cache.rows, self.store, self._dirty
+        rows, triples = self.rows, self.triples
         fingerprints = self.frontend.fingerprints
+        outside = self.frontend.outside_callees
+        components = self.condensation.components
+        callee_components = self.condensation.callee_components
         reused = adopted = missed = 0
-        for index, members in enumerate(self.condensation.components):
-            if self.phase1_scope is not None and index not in self.phase1_scope:
-                continue
+        for index in self._walk(self.phase1_scope):
+            members = components[index]
             # The cheap half of the inputs first: only a table with a
             # row of every member under its fingerprint can serve it.
-            recorded = all(
-                name in old and old[name].fingerprint == fingerprints[name]
-                for name in members
-            )
+            recorded = dirty.isdisjoint(members)
             stored = store is not None and store.holds(members, fingerprints)
             if recorded or stored:
-                self._flush_if_read(
-                    members, self.call_graph.callees_of, self._solve_phase1
-                )
-                inputs = component_inputs(self.frontend, members, self.triples)
-                if recorded and all(
-                    old[name].callees == inputs[name][1] for name in members
-                ):
+                # The rest are its callees' triples: a pending callee's
+                # region is solved first.
+                if not self._pending.keys().isdisjoint(callee_components[index]):
+                    self._solve_phase1()
+                if recorded:
                     for name in members:
-                        row = self.rows[name] = old[name]
-                        self.triples[name] = row.triple
-                    self._adopted1.add(index)
-                    reused += len(members)
-                    continue
-                table = stored and self._find(members, inputs)
-                if table:
-                    self._phase1_answers(
-                        inputs, {name: table.rows[name].triple for name in members}
-                    )
-                    self._adopted1.add(index)
-                    adopted += len(members)
-                    continue
+                        if old[name].callees != tuple(map(triples.get, outside[name])):
+                            break
+                    else:
+                        for name in members:
+                            row = rows[name] = old[name]
+                            triples[name] = row.triple
+                        self._adopted1.add(index)
+                        reused += len(members)
+                        continue
                 if stored:
+                    inputs = component_inputs(self.frontend, members, triples)
+                    table = self._find(members, inputs)
+                    if table:
+                        self._phase1_answers(
+                            inputs,
+                            {name: table.rows[name].triple for name in members},
+                        )
+                        self._adopted1.add(index)
+                        adopted += len(members)
+                        continue
                     missed += len(members)
-            self._join(index, members)
+            self._pending[index] = None
         self._solve_phase1()
         # Phase 2 labels what it appends from the triples.
         self._phase1 = None  # type: ignore[assignment]
-        # Once per walk: a labeled inc per component costs ~6 % of a
-        # warm query.
-        REGISTRY.inc("engine.reused", reused, phase="phase1")
+        self.tally.inc("engine.reused", reused, phase="phase1")
         self._count_adopted("phase1", adopted, missed)
 
     def _count_adopted(self, phase: str, adopted: int, missed: int) -> None:
-        REGISTRY.inc("engine.adopted", adopted, phase=phase)
+        self.tally.inc("engine.adopted", adopted, phase=phase)
         if self.store is not None:
-            REGISTRY.inc("store.hit", adopted)
-            REGISTRY.inc("store.miss", missed)
+            self.tally.inc("store.hit", adopted)
+            self.tally.inc("store.miss", missed)
+
+    def _count_region(self, phase: str, indices: List[int], members: List[str]) -> None:
+        self.tally.inc("engine.regions", phase=phase)
+        self.tally.inc("engine.sccs_solved", len(indices), phase=phase)
+        self.tally.inc("engine.solved", len(members), phase=phase)
 
     def _phase1_answers(
         self, inputs: Mapping[str, Inputs], triples: Mapping[str, SummaryTriple]
@@ -574,9 +582,7 @@ class _Engine:
                     region, self._saved, self.config, members, self.triples,
                     self._phase1,
                 )
-        REGISTRY.inc("engine.regions", phase="phase1")
-        REGISTRY.inc("engine.sccs_solved", len(indices), phase="phase1")
-        REGISTRY.inc("engine.solved", len(members), phase="phase1")
+        self._count_region("phase1", indices, members)
         for name in members:
             self.triples[name] = solution.entry_triple(region.psg, name)
         for index in indices:
@@ -592,53 +598,50 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def _run_phase2(self) -> None:
-        old, store = self.cache.rows, self.store
+        old, store, rows = self.cache.rows, self.store, self.rows
         fingerprints = self.frontend.fingerprints
+        external, seeds = self.call_graph.externally_callable, self.seeds
+        components = self.condensation.components
+        caller_components = self.condensation.caller_components
         reused = adopted = missed = 0
-        for index in range(len(self.condensation.components) - 1, -1, -1):
-            if self.phase2_scope is not None and index not in self.phase2_scope:
-                continue
-            members = self.condensation.members(index)
+        for index in reversed(self._walk(self.phase2_scope)):
+            members = components[index]
             if index in self._adopted1:
                 # Phase 1 took the cache's very rows, or none can match.
                 recorded = all(
-                    self.rows[name] is old.get(name)
-                    and old[name].phase2 is not None
+                    rows[name] is old.get(name) and old[name].phase2 is not None
                     for name in members
                 )
                 stored = store is not None and store.holds(members, fingerprints)
                 if recorded or stored:
                     # The exit seeds read the outside callers' final
-                    # liveness: they must be solved.
-                    self._flush_if_read(members, self._callers, self._solve_phase2)
-                    phase2 = self._phase2_inputs(members)
+                    # liveness: a pending caller's region is solved first.
+                    if not self._pending.keys().isdisjoint(caller_components[index]):
+                        self._solve_phase2()
                     if recorded and all(
-                        old[name].phase2 == phase2[name] for name in members
+                        old[name].phase2 == (name in external, seeds.get(name, 0))
+                        for name in members
                     ):
                         self._fold_seeds(members)
                         reused += len(members)
                         continue
-                    inputs = {
-                        name: (*self.rows[name][:2], phase2[name])
-                        for name in members
-                    }
-                    table = stored and self._find(members, inputs)
-                    if table:
-                        for name in members:
-                            self.rows[name] = table.rows[name]
-                            self.fresh.share(name, table.result.summaries)
-                        self._fold_seeds(members)
-                        adopted += len(members)
-                        continue
                     if stored:
+                        phase2 = self._phase2_inputs(members)
+                        table = self._find(members, {
+                            name: (*rows[name][:2], phase2[name]) for name in members
+                        })
+                        if table:
+                            for name in members:
+                                rows[name] = table.rows[name]
+                                self.fresh.share(name, table.result.summaries)
+                            self._fold_seeds(members)
+                            adopted += len(members)
+                            continue
                         missed += len(members)
-            self._join(index, members)
+            self._pending[index] = None
         self._solve_phase2()
-        REGISTRY.inc("engine.reused", reused, phase="phase2")
+        self.tally.inc("engine.reused", reused, phase="phase2")
         self._count_adopted("phase2", adopted, missed)
-
-    def _callers(self, name: str) -> Iterable[str]:
-        return (caller for caller, _site in self.call_graph.callers_of(name))
 
     def _phase2_inputs(self, members: Sequence[str]) -> Dict[str, Tuple[bool, int]]:
         """Each member's externally-callable bit and folded exit seed."""
@@ -680,9 +683,7 @@ class _Engine:
                     members, {name: seed for name, (_, seed) in region_seeds.items()},
                     self._phase2,
                 )
-        REGISTRY.inc("engine.regions", phase="phase2")
-        REGISTRY.inc("engine.sccs_solved", len(indices), phase="phase2")
-        REGISTRY.inc("engine.solved", len(members), phase="phase2")
+        self._count_region("phase2", indices, members)
         with self.metrics.stage("assemble"):
             fresh = region_summaries(
                 psg, members, self._saved, self.triples, solution.may_use,
@@ -715,8 +716,11 @@ class _Engine:
         every routine the scopes validated and ``self.fresh`` the
         summaries the run solved or adopted from the store.
         """
-        self._run_phase1()
-        self._run_phase2()
+        try:
+            self._run_phase1()
+            self._run_phase2()
+        finally:
+            self.tally.flush()
         # The graph goes once both phases are done with it.
         self._graph = self._phase2 = None  # type: ignore[assignment]
         if self.store is not None:

@@ -113,8 +113,8 @@ from functools import lru_cache, partial
 from itertools import chain, count, repeat
 from operator import and_, invert, sub
 from typing import (
-    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional,
-    Sequence, Tuple,
+    AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
+    Optional, Sequence, Tuple,
 )
 
 from repro.cfg.cfg import CallSite, ExitKind, FrontendRecord, RecordedSite
@@ -690,6 +690,31 @@ def packed(
     result = PackedMap({}, codec)
     for key in keys:
         result.share(key, fresh if key in fresh else base)
+    return result
+
+
+def restricted(values: Mapping, keys: AbstractSet) -> dict:
+    """A copy of the dict ``values`` without its keys outside ``keys``:
+    a plain copy when it has none."""
+    if values.keys() <= keys:
+        return dict(values)
+    return {key: value for key, value in values.items() if key in keys}
+
+
+def overlaid(
+    base: Mapping, fresh: Mapping, codec: _Codec, keys: AbstractSet,
+    dropped: Iterable = (),
+) -> PackedMap:
+    """``base`` restricted to ``keys`` but ``dropped``, with ``fresh``
+    over it (see :meth:`PackedMap.share`; neither map changes): what
+    :func:`packed` builds from the same maps, in a copy of ``base``'s
+    cells rather than one call per key."""
+    cells = base._cells if isinstance(base, PackedMap) else PackedMap.of(base, codec)._cells
+    result = PackedMap(restricted(cells, keys), codec)
+    for key in dropped:
+        result._cells.pop(key, None)
+    for key in fresh:
+        result.share(key, fresh)
     return result
 
 

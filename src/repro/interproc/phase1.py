@@ -60,7 +60,7 @@ from repro.interproc.flatcore import (
     label_call_return_edges,
     resolve_solver_core,
 )
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counts
 from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
 
 
@@ -73,8 +73,9 @@ def record_solve(
     pushes: int = 0,
     skipped: int = 0,
     revisits: int = 0,
+    into: Counts = REGISTRY,
 ) -> None:
-    """Push one solve's convergence numbers into the obs registry.
+    """Push one solve's convergence numbers ``into`` the obs registry.
 
     Shared by both phases.  ``counts``
     (per-node visit counts) is attributed to routines only when
@@ -83,11 +84,11 @@ def record_solve(
     / ``revisits`` gauge the worklist scheduling (see
     ``docs/observability.md``).
     """
-    REGISTRY.inc("solver.iterations", iterations, phase=phase)
-    REGISTRY.observe_max("solver.max_queue_depth", max_depth, phase=phase)
-    REGISTRY.inc("solver.pushes", pushes)
-    REGISTRY.inc("solver.skipped_inqueue", skipped)
-    REGISTRY.inc("solver.revisits", revisits, phase=phase)
+    into.inc("solver.iterations", iterations, phase=phase)
+    into.observe_max("solver.max_queue_depth", max_depth, phase=phase)
+    into.inc("solver.pushes", pushes)
+    into.inc("solver.skipped_inqueue", skipped)
+    into.inc("solver.revisits", revisits, phase=phase)
     if counts is None:
         return
     per_routine: Dict[str, int] = {}
@@ -95,7 +96,7 @@ def record_solve(
         if visits:
             per_routine[routine] = per_routine.get(routine, 0) + visits
     for routine, visits in per_routine.items():
-        REGISTRY.inc(
+        into.inc(
             "solver.routine_iterations", visits, phase=phase, routine=routine
         )
 
@@ -126,8 +127,8 @@ class Phase1State(SolveState):
 
     __slots__ = ("may_use", "may_def", "must_def", "strip_use", "strip_def")
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, counts: Counts = REGISTRY) -> None:
+        super().__init__(counts)
         self.may_use: List[int] = []
         self.may_def: List[int] = []
         self.must_def: List[int] = []
@@ -334,6 +335,7 @@ def run_phase1(
     record_solve(
         psg, "phase1", pushed, max_depth, counts,
         pushes=pushed, skipped=skipped, revisits=pushed - n_sweep,
+        into=state.counts,
     )
     label_call_return_edges(psg, may_use, may_def, must_def, state.labeled)
     state.labeled = len(psg.cr_call)

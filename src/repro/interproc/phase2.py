@@ -38,7 +38,7 @@ from repro.dataflow.regset import TRACKED_MASK, mask_of
 from repro.cfg.cfg import ExitKind
 from repro.interproc.flatcore import SolveState, resolve_solver_core
 from repro.interproc.phase1 import record_solve
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counts
 from repro.psg.graph import ProgramSummaryGraph, RoutinePSG
 
 
@@ -71,8 +71,8 @@ class Phase2State(SolveState):
 
     __slots__ = ("may_use", "cr_label_mu", "cr_label_notxd")
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, counts: Counts = REGISTRY) -> None:
+        super().__init__(counts)
         self.may_use: List[int] = []
         self.cr_label_mu: List[int] = []
         self.cr_label_notxd: List[int] = []
@@ -233,6 +233,6 @@ def run_phase2(
 
     record_solve(
         psg, "phase2", iterations, max_depth, counts,
-        pushes=pushes, skipped=skipped, revisits=revisits,
+        pushes=pushes, skipped=skipped, revisits=revisits, into=state.counts,
     )
     return Phase2Result(may_use=may_use, iterations=iterations)

@@ -79,6 +79,9 @@ SEEDED_KEYS: Tuple[MetricKey, ...] = (
 def _key(name: str, labels: Mapping[str, Any]) -> MetricKey:
     if not labels:
         return (name, ())
+    if len(labels) == 1:  # most series: no sort
+        ((label, value),) = labels.items()
+        return (name, ((label, str(value)),))
     return (
         name,
         tuple(sorted((key, str(value)) for key, value in labels.items())),
@@ -119,6 +122,14 @@ def _per_run(
         if hist.count:
             out[render_key(key)] = hist.to_json()
     return dict(sorted(out.items()))
+
+
+def _merge(counters: Dict, maxima: Dict, other: "Ledger") -> None:
+    for key, value in other.counters.items():
+        counters[key] = counters.get(key, 0) + value
+    for key, value in other.maxima.items():
+        if value > maxima.get(key, float("-inf")):
+            maxima[key] = value
 
 
 class _OpenLedgers(threading.local):
@@ -166,16 +177,34 @@ class Ledger:
     def absorb(self, other: "Ledger") -> None:
         """Count ``other``'s counters and maxima as this run's too (the
         registry has them already)."""
-        for key, value in other.counters.items():
-            self.counters[key] = self.counters.get(key, 0) + value
-        for key, value in other.maxima.items():
-            if value > self.maxima.get(key, float("-inf")):
-                self.maxima[key] = value
+        _merge(self.counters, self.maxima, other)
 
     def as_dict(self) -> Dict[str, object]:
         """Rendered keys, sorted, with :data:`SEEDED_KEYS` always
         present and maxima at the run's own high-water mark."""
         return _per_run(self.counters, self.maxima, {})
+
+
+class Tally(Ledger):
+    """A ledger a run counts into directly (the registry's ``inc`` and
+    ``observe_max`` calls), recorded at once by :meth:`flush` with the
+    keys and values the calls would have recorded one by one, zeros
+    included: a count costs a dict update, not a lock and every open
+    ledger."""
+
+    def inc(self, name: str, amount: float = 1, **labels: Any) -> None:
+        key = _key(name, labels)
+        self.counters[key] = self.counters.get(key, 0) + amount
+
+    def observe_max(self, name: str, value: float, **labels: Any) -> None:
+        key = _key(name, labels)
+        if value > self.maxima.get(key, float("-inf")):
+            self.maxima[key] = value
+
+    def flush(self) -> None:
+        """Record the counts into the registry and start again."""
+        REGISTRY.absorb(self)
+        self.clear()
 
 
 class MetricsRegistry:
@@ -215,6 +244,13 @@ class MetricsRegistry:
         for ledger in _OPEN.ledgers:
             if value > ledger.maxima.get(key, float("-inf")):
                 ledger.maxima[key] = value
+
+    def absorb(self, tally: Ledger) -> None:
+        """Record ``tally``'s counts as the calls it took would have."""
+        with self._lock:
+            _merge(self._counters, self._maxima, tally)
+        for ledger in _OPEN.ledgers:
+            ledger.absorb(tally)
 
     def observe_hist(
         self,
@@ -361,6 +397,9 @@ class MetricsRegistry:
 
 
 REGISTRY = MetricsRegistry()
+
+#: Where code that counts records: the registry, or a run's tally.
+Counts = Union[MetricsRegistry, Tally]
 
 
 def render_counters(counters: Mapping[str, float], indent: str = "  ") -> str:

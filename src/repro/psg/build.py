@@ -52,7 +52,7 @@ from typing import (
     Union,
 )
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counts
 from repro.obs.tracer import span
 
 from repro.isa.calling_convention import CallingConvention, NT_ALPHA
@@ -142,9 +142,12 @@ class PsgAssembly:
     repeat heavily).
     """
 
-    def __init__(self, convention: CallingConvention = NT_ALPHA) -> None:
+    def __init__(
+        self, convention: CallingConvention = NT_ALPHA, counts: Counts = REGISTRY
+    ) -> None:
         #: The label of an unknown-target call's call-return edge.
         self.unknown_label = unknown_call_label(convention)
+        self.counts = counts
         #: Node rows by node id (see :class:`ProgramSummaryGraph`).
         self.node_kind: List[NodeKind] = []
         self.node_routine: List[str] = []
@@ -285,8 +288,9 @@ class PsgAssembly:
     def finish(self, partial: bool) -> ProgramSummaryGraph:
         """Freeze the rows appended since the last finish, fill the
         arena's call-return side for them (every entry node they reach
-        is known by now), check them and record their sizes in the obs
-        registry; the first finish makes the graph, and counts it.
+        is known by now), check them and record their sizes in
+        ``counts`` (the registry, or a run's tally); the first finish
+        makes the graph, and counts it.
 
         Partial builds (incremental and query regions) add into the
         same size counters — the totals then read as "PSG construction
@@ -318,7 +322,7 @@ class PsgAssembly:
                 self.node_detail, self.cr_call, self.cr_return, self.cr_targets,
                 self.cr_label, self.routines, arena,
             )
-            REGISTRY.inc("psg.partial_builds" if partial else "psg.builds")
+            self.counts.inc("psg.partial_builds" if partial else "psg.builds")
         arena = psg.arena
         first = since.nodes
         added = len(self.node_kind) - first
@@ -371,16 +375,17 @@ class PsgAssembly:
                 dep1_view[entry] += tuple(call_nodes)
 
         psg.check(since, names)
-        REGISTRY.inc("psg.nodes", added)
-        REGISTRY.inc("psg.flow_edges", len(self.edge_src) - since.flow_edges)
-        REGISTRY.inc("psg.call_return_edges", len(cr_call) - since.call_returns)
-        REGISTRY.inc(
+        counts = self.counts
+        counts.inc("psg.nodes", added)
+        counts.inc("psg.flow_edges", len(self.edge_src) - since.flow_edges)
+        counts.inc("psg.call_return_edges", len(cr_call) - since.call_returns)
+        counts.inc(
             "psg.branch_nodes",
             sum(len(routines[name].branch_nodes) for name in appended),
         )
-        REGISTRY.inc("psg.label.visits", self.label_visits)
-        REGISTRY.inc("psg.label.pairs", self.label_pairs)
-        REGISTRY.inc("psg.label.region_blocks", self.label_region_blocks)
+        counts.inc("psg.label.visits", self.label_visits)
+        counts.inc("psg.label.pairs", self.label_pairs)
+        counts.inc("psg.label.region_blocks", self.label_region_blocks)
         self.label_visits = self.label_pairs = self.label_region_blocks = 0
         self.flow_rows[first:] = self.dependents[first:] = [None] * added
         self._finished = psg.extent()
@@ -534,7 +539,7 @@ def build_partial_psg(
             for callee in callees:
                 if callee not in known:
                     external_entries[callee] = assembly.add_stub(callee)
-        REGISTRY.inc("psg.stubs", len(external_entries))
+        assembly.counts.inc("psg.stubs", len(external_entries))
         psg = assembly.finish(partial=not whole)
     _log.debug(
         "appended to PSG: %d routines, %d external entries; now %d nodes, "

@@ -125,7 +125,8 @@ class SessionRegistry:
         :meth:`AnalysisSession.from_image_bytes` and nothing is
         registered.
         """
-        key = (tenant, image_fingerprint(image_bytes))
+        fingerprint = image_fingerprint(image_bytes)
+        key = (tenant, fingerprint)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -137,9 +138,10 @@ class SessionRegistry:
         # other images.  A racing duplicate miss is harmless — last
         # writer wins and the loser's session is garbage collected.
         session = AnalysisSession.from_image_bytes(image_bytes, self.config)
+        session.image_fingerprint = fingerprint  # the bytes are hashed once
         entry = SessionEntry(
             tenant=tenant,
-            fingerprint=session.image_fingerprint,
+            fingerprint=fingerprint,
             session=session,
             image_nbytes=len(image_bytes),
         )

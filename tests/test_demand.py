@@ -343,6 +343,34 @@ class TestSessionQuery:
         assert (result.metrics.phase1_solved, result.metrics.phase2_solved) == (0, 0)
         assert _canon(result.summary) == _canon(run.result.summaries[last])
 
+    def test_a_session_hashes_its_image_once(self, monkeypatch):
+        """Twelve queries hash the image bytes once between them, and no
+        query changes the cache an earlier one handed back."""
+        from repro import api
+        from repro.interproc import persist
+        from repro.program.rewrite import program_to_image
+
+        program = _generate("compress", scale=0.2, seed=7)
+        image = program_to_image(program).to_bytes()
+        hashed = []
+
+        def counting(data):
+            hashed.append(len(data))
+            return fingerprint(data)
+
+        fingerprint = persist.image_fingerprint
+        monkeypatch.setattr(persist, "image_fingerprint", counting)
+        monkeypatch.setattr(api, "image_fingerprint", counting)
+        session = AnalysisSession.from_image_bytes(image, _OFF)
+        names = sorted(program.routine_names())
+        first = session.query(names[0])
+        held = dump_cache(first.cache)
+        for index in range(1, 12):
+            session.query(names[index * 7 % len(names)])
+        assert hashed == [len(image)]
+        assert dump_cache(first.cache) == held
+        assert load_cache(held).image_fingerprint == fingerprint(image)
+
     def test_explicit_cache_warms_a_fresh_session(self, small_benchmark):
         name = sorted(small_benchmark.routine_names())[0]
         warmed = query_routine(small_benchmark, name).cache

@@ -258,8 +258,9 @@ _ROOT = Path(__file__).resolve().parents[1]
 
 
 def _recorded_names():
-    """Every literal name ``src/`` passes to ``REGISTRY.inc`` /
-    ``observe_max`` / ``observe_hist``, with one place it is recorded."""
+    """Every literal name ``src/`` passes to ``inc`` / ``observe_max`` /
+    ``observe_hist`` — of ``REGISTRY``, or of a run's ``Tally`` whatever
+    it is called where it counts — with one place it is recorded."""
     names = {}
     for path in sorted((_ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -267,8 +268,6 @@ def _recorded_names():
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("inc", "observe_max", "observe_hist")
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "REGISTRY"
                 and node.args
             ):
                 continue

@@ -130,6 +130,31 @@ class TestRegions:
         assert counts["psg.nodes"] <= cold_counts["psg.nodes"]
 
 
+def test_registry_calls_of_a_warm_run_do_not_grow_with_depth(monkeypatch):
+    """A warm run counts per region into its own tally and records it
+    once: after the leaf edit that re-solves every level, a 200-deep
+    and a 2 000-deep chain make the same number of ``REGISTRY.inc``
+    calls."""
+    calls = []
+    inc = REGISTRY.inc
+
+    def counting(name, amount=1, **labels):
+        calls.append(name)
+        inc(name, amount, **labels)
+
+    made = {}
+    for depth in (200, 2000):
+        cold = AnalysisSession.from_program(_chain(depth), _OFF).analyze_incremental()
+        warm = AnalysisSession.from_program(_chain(depth, leaf_reads="t5"), _OFF)
+        monkeypatch.setattr(REGISTRY, "inc", counting)
+        run = warm.analyze_incremental(cache=cold.cache)
+        monkeypatch.undo()
+        assert run.metrics.phase1_solved == depth
+        assert run.metrics.ledger.value("engine.regions", phase="phase1") == depth
+        made[depth], calls[:] = len(calls), []
+    assert made[200] == made[2000]
+
+
 def test_a_stubbed_callee_joining_the_graph_takes_its_calls_over(monkeypatch):
     program, memo = stub_takeover_case()
     unstubbed = []
