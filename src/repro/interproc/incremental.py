@@ -81,7 +81,6 @@ from repro.interproc.persist import (
     SummaryCache,
     SummaryFormatError,
     overlaid,
-    packed,
 )
 from repro.interproc.store import (
     Inputs,
@@ -97,7 +96,7 @@ from repro.interproc.summaries import (
     RoutineSummary,
     live_after_masks,
 )
-from repro.obs.metrics import REGISTRY, Ledger, Tally
+from repro.obs.metrics import REGISTRY, Ledger
 from repro.obs.tracer import span
 from repro.psg.build import (
     PartialPsg,
@@ -343,7 +342,7 @@ class _Engine:
         self.labeled: Dict[int, PsgFragment] = {}
         #: The per-region counts of the run's graph, solves and walks,
         #: recorded once the run is done (:meth:`solve`).
-        self.tally = Tally()
+        self.tally = Ledger()
         # The run's one graph, each region appended as it is solved, and
         # both phases' solver state over it: a region is solved with
         # every earlier node frozen at its final value.
@@ -535,8 +534,7 @@ class _Engine:
                     table = self._find(members, inputs)
                     if table:
                         self._phase1_answers(
-                            inputs,
-                            {name: table.rows[name].triple for name in members},
+                            inputs, {name: table.rows[name].triple for name in members}
                         )
                         self._adopted1.add(index)
                         adopted += len(members)
@@ -720,7 +718,7 @@ class _Engine:
             self._run_phase1()
             self._run_phase2()
         finally:
-            self.tally.flush()
+            REGISTRY.absorb(self.tally)
         # The graph goes once both phases are done with it.
         self._graph = self._phase2 = None  # type: ignore[assignment]
         if self.store is not None:
@@ -749,8 +747,7 @@ class _Engine:
         )
         # Fresh summaries over the cached ones, none of them decoded
         # here: the bodies nobody read go to the next sidecar as bytes.
-        return SummarySet(
-            summaries=packed(
-                self.cfgs, self.fresh, self.cache.result.summaries, SUMMARY_BODIES
-            )
-        )
+        return SummarySet(summaries=overlaid(
+            self.cache.result.summaries, self.fresh, SUMMARY_BODIES,
+            self.frontend.fingerprints.keys(),
+        ))

@@ -619,7 +619,7 @@ class PackedMap(Mapping):
     The maps :func:`load_cache` returns hold bytes only: reading a value
     decodes it, and writing the next sidecar copies the bytes as they
     are; a run's own values are encoded when first written, so a run
-    whose cache nobody writes never pays for that.  :func:`packed`
+    whose cache nobody writes never pays for that.  :func:`overlaid`
     builds a run's map from the values it produced over the map it
     read; the two share the values they have in common, so a value is
     encoded or decoded once, whichever map is asked first, and maps
@@ -682,17 +682,6 @@ class PackedMap(Mapping):
         )
 
 
-def packed(
-    keys: Iterable, fresh: Mapping, base: Mapping, codec: _Codec
-) -> PackedMap:
-    """``keys`` mapped to ``fresh``'s value where it has one, else to
-    ``base``'s (see :meth:`PackedMap.share`)."""
-    result = PackedMap({}, codec)
-    for key in keys:
-        result.share(key, fresh if key in fresh else base)
-    return result
-
-
 def restricted(values: Mapping, keys: AbstractSet) -> dict:
     """A copy of the dict ``values`` without its keys outside ``keys``:
     a plain copy when it has none."""
@@ -705,12 +694,12 @@ def overlaid(
     base: Mapping, fresh: Mapping, codec: _Codec, keys: AbstractSet,
     dropped: Iterable = (),
 ) -> PackedMap:
-    """``base`` restricted to ``keys`` but ``dropped``, with ``fresh``
-    over it (see :meth:`PackedMap.share`; neither map changes): what
-    :func:`packed` builds from the same maps, in a copy of ``base``'s
-    cells rather than one call per key."""
-    cells = base._cells if isinstance(base, PackedMap) else PackedMap.of(base, codec)._cells
-    result = PackedMap(restricted(cells, keys), codec)
+    """``base`` restricted to ``keys`` but ``dropped``, with ``fresh``'s
+    values over it (see :meth:`PackedMap.share`): a copy of ``base``'s
+    cells, so neither map changes, whose cost follows ``fresh``."""
+    if not isinstance(base, PackedMap):
+        base = PackedMap.of(base, codec)
+    result = PackedMap(restricted(base._cells, keys), codec)
     for key in dropped:
         result._cells.pop(key, None)
     for key in fresh:

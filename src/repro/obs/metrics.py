@@ -152,6 +152,11 @@ class Ledger:
     run's behalf afterwards (a payload decoding the run's summaries).
     Histograms are not recorded.  A ledger is never open on two threads
     at once: whoever re-enters one serializes on the result.
+
+    A run that counts per region counts into a ledger it does not open
+    instead — its :meth:`inc` and :meth:`observe_max` take the
+    registry's calls, a dict update each — and has the registry absorb
+    it once (:meth:`MetricsRegistry.absorb`).
     """
 
     def __init__(self) -> None:
@@ -171,6 +176,15 @@ class Ledger:
             return self.counters[key]
         return self.maxima.get(key, 0)
 
+    def inc(self, name: str, amount: float = 1, **labels: Any) -> None:
+        key = _key(name, labels)
+        self.counters[key] = self.counters.get(key, 0) + amount
+
+    def observe_max(self, name: str, value: float, **labels: Any) -> None:
+        key = _key(name, labels)
+        if value > self.maxima.get(key, float("-inf")):
+            self.maxima[key] = value
+
     def clear(self) -> None:
         self.counters, self.maxima = {}, {}
 
@@ -183,28 +197,6 @@ class Ledger:
         """Rendered keys, sorted, with :data:`SEEDED_KEYS` always
         present and maxima at the run's own high-water mark."""
         return _per_run(self.counters, self.maxima, {})
-
-
-class Tally(Ledger):
-    """A ledger a run counts into directly (the registry's ``inc`` and
-    ``observe_max`` calls), recorded at once by :meth:`flush` with the
-    keys and values the calls would have recorded one by one, zeros
-    included: a count costs a dict update, not a lock and every open
-    ledger."""
-
-    def inc(self, name: str, amount: float = 1, **labels: Any) -> None:
-        key = _key(name, labels)
-        self.counters[key] = self.counters.get(key, 0) + amount
-
-    def observe_max(self, name: str, value: float, **labels: Any) -> None:
-        key = _key(name, labels)
-        if value > self.maxima.get(key, float("-inf")):
-            self.maxima[key] = value
-
-    def flush(self) -> None:
-        """Record the counts into the registry and start again."""
-        REGISTRY.absorb(self)
-        self.clear()
 
 
 class MetricsRegistry:
@@ -246,7 +238,9 @@ class MetricsRegistry:
                 ledger.maxima[key] = value
 
     def absorb(self, tally: Ledger) -> None:
-        """Record ``tally``'s counts as the calls it took would have."""
+        """Record ``tally``'s counts — into the registry and each open
+        ledger — with the keys and values its calls would have recorded
+        here one by one, zeros included."""
         with self._lock:
             _merge(self._counters, self._maxima, tally)
         for ledger in _OPEN.ledgers:
@@ -399,7 +393,7 @@ class MetricsRegistry:
 REGISTRY = MetricsRegistry()
 
 #: Where code that counts records: the registry, or a run's tally.
-Counts = Union[MetricsRegistry, Tally]
+Counts = Union[MetricsRegistry, Ledger]
 
 
 def render_counters(counters: Mapping[str, float], indent: str = "  ") -> str:

@@ -259,8 +259,9 @@ _ROOT = Path(__file__).resolve().parents[1]
 
 def _recorded_names():
     """Every literal name ``src/`` passes to ``inc`` / ``observe_max`` /
-    ``observe_hist`` — of ``REGISTRY``, or of a run's ``Tally`` whatever
-    it is called where it counts — with one place it is recorded."""
+    ``observe_hist`` — of ``REGISTRY``, or of a ledger a run counts into,
+    whatever it is called where it counts — with one place it is
+    recorded."""
     names = {}
     for path in sorted((_ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
