@@ -153,10 +153,9 @@ class Ledger:
     Histograms are not recorded.  A ledger is never open on two threads
     at once: whoever re-enters one serializes on the result.
 
-    A run that counts per region counts into a ledger it does not open
-    instead — its :meth:`inc` and :meth:`observe_max` take the
-    registry's calls, a dict update each — and has the registry absorb
-    it once (:meth:`MetricsRegistry.absorb`).
+    A run that counts per region counts into one it does not open
+    instead (:meth:`inc`, :meth:`observe_max`: a dict update each) and
+    has the registry absorb it once (:meth:`MetricsRegistry.absorb`).
     """
 
     def __init__(self) -> None:
@@ -238,9 +237,8 @@ class MetricsRegistry:
                 ledger.maxima[key] = value
 
     def absorb(self, tally: Ledger) -> None:
-        """Record ``tally``'s counts — into the registry and each open
-        ledger — with the keys and values its calls would have recorded
-        here one by one, zeros included."""
+        """Record ``tally``'s counts here and in each open ledger, as
+        its calls made here one by one would have, zeros included."""
         with self._lock:
             _merge(self._counters, self._maxima, tally)
         for ledger in _OPEN.ledgers:
