@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager, nullcontext
-from functools import cached_property
 from typing import (
     Callable, Dict, Iterator, Mapping, Optional, Protocol, Sequence, TypeVar,
     Union, runtime_checkable,
@@ -158,6 +157,7 @@ class AnalysisSession:
         self._program = program
         self._config = config or AnalysisConfig()
         self._image_bytes = image_bytes
+        self._fingerprint = 0
         self._last: Union[
             InterproceduralAnalysis,
             IncrementalAnalysis,
@@ -243,14 +243,20 @@ class AnalysisSession:
         requests as warm)."""
         return self._query_cache is not None
 
-    @cached_property
+    @property
     def image_fingerprint(self) -> int:
         """The image-content fingerprint (0 when the session was built
         from a decoded program, which has no canonical byte form),
-        hashed once; whoever hashed the bytes already may assign it."""
-        if self._image_bytes is None:
-            return 0
-        return image_fingerprint(self._image_bytes)
+        hashed once; whoever hashed the bytes already may assign it.
+        Either way the session lets go of the bytes then."""
+        if self._image_bytes is not None:
+            self.image_fingerprint = image_fingerprint(self._image_bytes)
+        return self._fingerprint
+
+    @image_fingerprint.setter
+    def image_fingerprint(self, fingerprint: int) -> None:
+        self._fingerprint = fingerprint
+        self._image_bytes = None
 
     # ------------------------------------------------------------------
     # Analyses

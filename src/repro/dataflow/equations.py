@@ -33,25 +33,23 @@ MUST-DEF.
 :func:`sweep_targets` labels all T targets of a routine in one
 successors-first pass over its block rows instead of solving T
 overlapping subgraphs, with SCC work only inside back-arc regions; its
-docstring says why the labels cannot differ.  The equations as written
-— one worklist problem per subgraph, solved once per target or per
-edge — and the whole-routine SCC sweep are the test suite's oracles
-(``tests/label_oracle.py``).
+docstring says why the labels cannot differ.  Like the paper's C code
+it pays a machine word per set: one 64-bit lane per target reached.
+The equations as written — one worklist problem per subgraph, solved
+once per target or per edge — and the whole-routine SCC sweep are the
+test suite's oracles (``tests/label_oracle.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import (
-    Container, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple,
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
-from repro.dataflow.regset import RegisterSet, TRACKED_MASK
+from repro.dataflow.regset import FULL_MASK, RegisterSet, TRACKED_MASK
 
 Triple = Tuple[int, int, int]  # (may_use, may_def, must_def) masks
-
-#: Interior start value: MAY sets at ⊥ (∅), MUST-DEF at ⊤ (see module doc).
-_INTERIOR: Triple = (0, 0, TRACKED_MASK)
 
 
 class SummaryTriple(NamedTuple):
@@ -85,46 +83,38 @@ class SummaryTriple(NamedTuple):
         )
 
 
-#: One block's answer for every target it reaches: target block ->
-#: converged IN triple.  Maps are shared between blocks (a one-successor
-#: block with no defs *is* its successor's view), so never mutated.
-TargetMap = Dict[int, Triple]
+#: A block's answer for every target it reaches (``None``: none), shared
+#: so never mutated: lane ``base + k`` is bits ``64k .. 64k + 63`` of each
+#: int, ``reached`` sets bit ``64k`` per lane reached (bit 0 among them),
+#: and MUST-DEF is complemented: an unreached lane, all zero, is the
+#: identity of every meet.
+Lanes = Tuple[int, int, int, int, int]
 
-_NO_TARGETS: TargetMap = {}
+#: One lane of the interior start (see module doc): ⊥, ⊥, ⊤ complemented.
+_NOT_TOP = FULL_MASK & ~TRACKED_MASK
+_NO_LANES: Dict[int, int] = {}
 
 
-def meet_target_maps(maps: Sequence[TargetMap], blocks: Sequence[int]) -> TargetMap:
-    """Per-target ∪/∪/∩ of the maps at ``blocks``.
-
-    A target missing from one map is simply not reached from that
-    block, so it is skipped there — the "successors inside the region"
-    of the per-target formulation.  Used for a block's cut successors
-    and for the start blocks of an edge source alike.
-    """
-    if len(blocks) == 1:
-        return maps[blocks[0]]
-    out = _NO_TARGETS
-    owned = False
+def meet_lanes(
+    states: Sequence[Optional[Lanes]], blocks: Sequence[int]
+) -> Optional[Lanes]:
+    """Per-lane ∪/∪/∩ of the states at ``blocks``, on the lowest base: a
+    lane a block does not reach is zero in its state, so it is skipped
+    there.  Used for cut successors and an edge source's start blocks."""
+    out = None
     for block in blocks:
-        other = maps[block]
-        if not other or other is out:
+        other = states[block]
+        if other is None or other is out:
             continue
-        if not out:
+        if out is None:
             out = other
             continue
-        if not owned:
-            out = dict(out)
-            owned = True
-        for target, triple in other.items():
-            current = out.get(target)
-            if current is None:
-                out[target] = triple
-            elif current is not triple:
-                out[target] = (
-                    current[0] | triple[0],
-                    current[1] | triple[1],
-                    current[2] & triple[2],
-                )
+        if other[0] < out[0]:
+            out, other = other, out
+        base, reached, use, may, not_must = out
+        shift = (other[0] - base) << 6
+        out = (base, reached | other[1] << shift, use | other[2] << shift,
+               may | other[3] << shift, not_must | other[4] << shift)
     return out
 
 
@@ -133,32 +123,31 @@ def sweep_targets(
     ubd: Sequence[int],
     defs: Sequence[int],
     blocked: Iterable[int],
-    targets: Container[int],
-) -> Tuple[List[TargetMap], int, int]:
+    lanes: Mapping[int, int],
+) -> Tuple[List[Optional[Lanes]], int, int]:
     """Label every target of one routine in a single backward sweep.
 
     ``successors``, ``ubd`` and ``defs`` are the routine's block rows
-    (:class:`repro.cfg.cfg.ControlFlowGraph`); ``targets`` are the blocks
-    flow-summary edges end at (exit, call and branch-node blocks).
+    (:class:`repro.cfg.cfg.ControlFlowGraph`); ``lanes`` numbers the
+    blocks flow-summary edges end at (exit, call and branch-node blocks).
     Each is a *sink* of the boundary-cut graph — an exit has no
     successors, a ``blocked`` block's outgoing arcs are cut — so the
     Figure-6 boundary ∅ applies at the targets and nowhere else.
-    Returns, per block ``b``, a map from every target ``t`` that ``b``
-    reaches to the converged IN triple at ``b`` of the subgraph of
-    blocks that reach ``t`` (a block that reaches no target — a
-    boundary-free loop — gets the empty map); the number of map entries
-    written, the sweep's unit of work (``psg.label.visits``); and the
-    number of blocks handed to a region walk
-    (``psg.label.region_blocks``).
+    Returns, per block ``b``, a :data:`Lanes` state holding, for every
+    target ``t`` that ``b`` reaches, the converged IN triple of the
+    subgraph of blocks that reach ``t`` (``None`` if ``b`` reaches no
+    target — a boundary-free loop); the number of target lanes written,
+    the sweep's unit of work (``psg.label.visits``); and the number of
+    blocks handed to a region walk (``psg.label.region_blocks``).
 
     Blocks are swept in reverse index order.  The intervals ``[j, i]``
     of the cut graph's *back arcs* ``i → j`` (``j ≤ i``), merged where
     they overlap, are the *regions*.  A block in none has only final
-    successors above it: one transfer per target it reaches.  A region
-    is walked when the sweep passes below it, by a Tarjan over its
-    blocks (roots in index order) that solves each component as it is
-    emitted; one that carries a cycle iterates on a local worklist
-    seeded at ⊥/⊥/⊤ over the targets it reaches.  Every cycle lies in
+    successors above it: one transfer of every lane it reaches.  A
+    region is walked when the sweep passes below it, by a Tarjan over
+    its blocks (roots in index order) that solves each component as it
+    is emitted; one that carries a cycle iterates on a local worklist
+    seeded at ⊥/⊥/⊤ over the lanes it reaches.  Every cycle lies in
     one region: for each index level ``x`` it spans, the cycle climbs
     from ``≤ x`` to ``> x`` and comes back over a back arc whose
     interval holds ``x`` and ``x + 1``, so its back arcs' intervals
@@ -168,28 +157,29 @@ def sweep_targets(
 
     **Equivalence.** For a fixed target the Figure-6 system is three
     independent problems (two lfps from ∅ under ∪, one gfp from ⊤ under
-    ∩), each with a *unique* solution for a given boundary.  Entry
-    ``t`` of the maps obeys exactly the equations one worklist solve
-    over the blocks reaching ``t`` solves — a successor outside that
-    region is one whose map lacks ``t`` — and solving downstream
+    ∩), each with a *unique* solution for a given boundary.  Lane ``t``
+    of the states obeys exactly the equations one worklist solve over
+    the blocks reaching ``t`` solves — a successor outside that region
+    is one whose state lacks lane ``t`` — and solving downstream
     components before upstream ones reaches that solution, so the
     labels are bit-identical to the per-target and per-edge solves
     (docs/performance.md has the full argument; the test suite checks
-    it against ``tests/label_oracle.py``).  Visits count this sweep's
-    own work: a whole-routine Tarjan can start a cyclic component's
-    worklist in another order when an arc from below enters the region
-    above its lowest block.
+    it against ``tests/label_oracle.py``); masks are 64 bits wide, so
+    ``def * reached`` spreads DEF into the lanes with no carry.  Visits
+    count this sweep's own work: a whole-routine Tarjan can start a
+    cyclic component's worklist in another order when an arc from below
+    enters the region above its lowest block.
     """
     count = len(successors)
     cut_succ: List[Sequence[int]] = list(successors)
     for block in blocked:
         cut_succ[block] = ()
-    maps: List[TargetMap] = [_NO_TARGETS] * count
+    states: List[Optional[Lanes]] = [None] * count
     visits = region_blocks = 0
     lo, hi = count, -1  # the open region; none while hi < 0
     for block in range(count - 1, -1, -1):
         if block < lo <= hi:  # the sweep passed below the open region
-            visits += _walk_region(lo, hi, cut_succ, ubd, defs, targets, maps)
+            visits += _walk_region(lo, hi, cut_succ, ubd, defs, lanes, states)
             region_blocks += hi - lo + 1
             hi = -1
         succs = cut_succ[block]
@@ -201,11 +191,11 @@ def sweep_targets(
                 lo = min(lo, low)  # a closed region's lo is above block
                 continue
         if hi < 0:
-            visits += _solve_block(block, succs, ubd, defs, targets, maps)
+            visits += _solve_block(block, succs, ubd, defs, lanes, states)
     if hi >= 0:
-        visits += _walk_region(lo, hi, cut_succ, ubd, defs, targets, maps)
+        visits += _walk_region(lo, hi, cut_succ, ubd, defs, lanes, states)
         region_blocks += hi - lo + 1
-    return maps, visits, region_blocks
+    return states, visits, region_blocks
 
 
 def _walk_region(
@@ -214,12 +204,12 @@ def _walk_region(
     cut_succ: Sequence[Sequence[int]],
     ubd: Sequence[int],
     defs: Sequence[int],
-    targets: Container[int],
-    maps: List[TargetMap],
+    lanes: Mapping[int, int],
+    states: List[Optional[Lanes]],
 ) -> int:
     """Tarjan over blocks ``lo..hi`` (roots in index order, arcs above
     ``hi`` ignored: their heads are final), solving each component as
-    it is emitted; returns the map entries written."""
+    it is emitted; returns the target lanes written."""
     index_of: Dict[int, int] = {}
     lowlink: Dict[int, int] = {}
     on_stack: Set[int] = set()
@@ -255,9 +245,9 @@ def _walk_region(
                     on_stack.difference_update(members)
                     succs = cut_succ[node]
                     if len(members) > 1 or node in succs:
-                        visits += _solve_cyclic(members, cut_succ, ubd, defs, maps)
+                        visits += _solve_cyclic(members, cut_succ, ubd, defs, states)
                     else:
-                        visits += _solve_block(node, succs, ubd, defs, targets, maps)
+                        visits += _solve_block(node, succs, ubd, defs, lanes, states)
                 if work:
                     parent = work[-1][0]
                     if low < lowlink[parent]:
@@ -270,36 +260,43 @@ def _solve_block(
     succs: Sequence[int],
     ubd: Sequence[int],
     defs: Sequence[int],
-    targets: Container[int],
-    maps: List[TargetMap],
+    lanes: Mapping[int, int],
+    states: List[Optional[Lanes]],
 ) -> int:
-    """One block on no cycle, its successors final; returns the map
-    entries written.  A target's map is the ∅ boundary's transfer."""
-    if block in targets:
+    """One block's transfer from its successors' states (final ones, or
+    a cyclic component's current ones); returns the target lanes
+    written.  A target's state is the ∅ boundary's transfer."""
+    lane = lanes.get(block)
+    if lane is not None:
         assert not succs, "a flow-summary target must be a cut-graph sink"
         block_def = defs[block]
-        maps[block] = {block: (ubd[block], block_def, block_def)}
+        states[block] = (lane, 1, ubd[block], block_def, FULL_MASK ^ block_def)
         return 1
-    out = meet_target_maps(maps, succs)
-    if not out:
+    if len(succs) == 1:
+        out = states[succs[0]]
+    elif len(succs) == 2:
+        out, other = states[succs[0]], states[succs[1]]
+        if out is None:
+            out = other
+        elif other is not None and other is not out:
+            if other[0] < out[0]:
+                out, other = other, out
+            base, reached, use, may, not_must = out
+            shift = (other[0] - base) << 6
+            out = (base, reached | other[1] << shift, use | other[2] << shift,
+                   may | other[3] << shift, not_must | other[4] << shift)
+    else:
+        out = meet_lanes(states, succs)
+    if out is None:
         return 0
-    maps[block] = _transfer(out, ubd[block], defs[block])
-    return len(out)
-
-
-def _transfer(out: TargetMap, ubd: int, block_def: int) -> TargetMap:
-    """OUT map -> IN map of one block (the Figure-6 transfer)."""
-    if not ubd and not block_def:
-        return out
-    keep = ~block_def
-    return {
-        target: (
-            ubd | (triple[0] & keep),
-            triple[1] | block_def,
-            triple[2] | block_def,
-        )
-        for target, triple in out.items()
-    }
+    base, reached, use, may, not_must = out
+    block_ubd, block_def = ubd[block], defs[block]
+    if block_ubd or block_def:
+        spread = block_def * reached  # DEF in every reached lane
+        out = (base, reached, block_ubd * reached | (use & ~spread),
+               may | spread, not_must & ~spread)
+    states[block] = out
+    return reached.bit_count()
 
 
 def _solve_cyclic(
@@ -307,39 +304,40 @@ def _solve_cyclic(
     cut_succ: Sequence[Sequence[int]],
     ubd: Sequence[int],
     defs: Sequence[int],
-    maps: List[TargetMap],
+    states: List[Optional[Lanes]],
 ) -> int:
     """Iterate one cyclic component to its (unique) fixed point;
-    returns the map entries written.  Every member reaches every target
-    any member reaches, so all share one key set: the targets of the
+    returns the target lanes written.  Every member reaches every target
+    any member reaches, so all share one set of lanes: those of the
     component's out-of-component successors, which are final already.
     """
     in_comp = set(members)
-    reached: TargetMap = {}
+    outside: List[int] = []
     preds: Dict[int, List[int]] = {block: [] for block in members}
     for block in members:
         for successor in cut_succ[block]:
             if successor in in_comp:
                 preds[successor].append(block)
             else:
-                reached.update(maps[successor])
-    if not reached:
+                outside.append(successor)
+    exits = meet_lanes(states, outside)
+    if exits is None:
         return 0  # a boundary-free loop: the caller reports it
-    seed = dict.fromkeys(reached, _INTERIOR)
+    reached = exits[1]
+    seed = (exits[0], reached, 0, 0, _NOT_TOP * reached)
     for block in members:
-        maps[block] = seed
+        states[block] = seed
+    width = reached.bit_count()
     visits = 0
     queue = deque(members)
     queued = set(members)
     while queue:
         block = queue.popleft()
         queued.discard(block)
-        value = _transfer(
-            meet_target_maps(maps, cut_succ[block]), ubd[block], defs[block]
-        )
-        if value != maps[block]:
-            maps[block] = value
-            visits += len(value)
+        value = states[block]
+        _solve_block(block, cut_succ[block], ubd, defs, _NO_LANES, states)
+        if value != states[block]:
+            visits += width
             for predecessor in preds[block]:
                 if predecessor not in queued:
                     queued.add(predecessor)

@@ -167,15 +167,8 @@ class RegisterSet:
     def __bool__(self) -> bool:
         return self._mask != 0
 
-    if hasattr(int, "bit_count"):  # Python >= 3.10
-
-        def __len__(self) -> int:
-            return self._mask.bit_count()
-
-    else:  # pragma: no cover - exercised only on Python 3.9
-
-        def __len__(self) -> int:
-            return bin(self._mask).count("1")
+    def __len__(self) -> int:
+        return self._mask.bit_count()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RegisterSet):

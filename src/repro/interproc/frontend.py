@@ -303,6 +303,11 @@ def build_frontend(
                         adopted.add(name)
             if record is not None:
                 matched[name] = record
+        if store is not None:
+            if adopted:
+                REGISTRY.inc("store.frontend.hit", len(adopted))
+            if missing > len(adopted):
+                REGISTRY.inc("store.frontend.miss", missing - len(adopted))
     else:
         missing = program.routine_count  # nothing to ask: nothing to hash
     walked = LazyCfgs(program)

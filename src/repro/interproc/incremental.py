@@ -718,6 +718,8 @@ class _Engine:
             self._run_phase1()
             self._run_phase2()
         finally:
+            if self.store is not None and self.store.checked:
+                self.tally.inc("store.body.checked", self.store.checked)
             REGISTRY.absorb(self.tally)
         # The graph goes once both phases are done with it.
         self._graph = self._phase2 = None  # type: ignore[assignment]

@@ -204,6 +204,8 @@ class StoreView:
         #: Packs this run touched, and packs it found corrupt.
         self._touched: Set[str] = set()
         self._dead: Set[str] = set()
+        #: Summary bodies :meth:`use` checked (the run records the total).
+        self.checked = 0
         try:
             with os.scandir(directory) as entries:
                 paths = sorted(
@@ -257,7 +259,7 @@ class StoreView:
 
     def use(self, found: Found, summarized: Iterable[str] = ()) -> bool:
         """Take an answer from ``found``: check the summary bodies of
-        ``summarized`` (``store.body.checked``) and touch the pack.  A
+        ``summarized`` (counted in :attr:`checked`) and touch the pack.  A
         checked body stays bytes: it is spliced into the next SUM1 file
         or sidecar, and decoded only if a consumer reads it.  ``False``
         when a body would not decode; the pack then misses for
@@ -266,7 +268,7 @@ class StoreView:
         summaries = table.result.summaries
         try:
             for name in summarized:
-                REGISTRY.inc("store.body.checked")
+                self.checked += 1
                 summaries.check(name)
         except SummaryFormatError:
             REGISTRY.inc("store.corrupt")
@@ -278,12 +280,10 @@ class StoreView:
 
     def frontend_record(self, key: int) -> Optional[FrontendRecord]:
         """The front-end record of the routine body ``key``, if any pack
-        files one (counted ``store.frontend.hit`` / ``.miss``)."""
+        files one (the caller counts ``store.frontend.hit`` / ``.miss``)."""
         found = self._records.get(key)
         if found is None or found[0] in self._dead:
-            REGISTRY.inc("store.frontend.miss")
             return None
-        REGISTRY.inc("store.frontend.hit")
         self._touch(found[0])
         return found[1]
 

@@ -14,9 +14,9 @@ and call sites).  One successors-first sweep of the boundary-cut graph
 — in block order, SCC work only inside back-arc regions — labels
 *every* target of the routine at once
 (:func:`~repro.dataflow.equations.sweep_targets`): every target is a
-sink of that graph, so each block carries a map from the targets it
-reaches to its converged triple for each.  Edges are
-then read off the maps at each source's start blocks — work
+sink of that graph, so each block carries its converged triple for
+each target it reaches, one 64-bit lane per target and set.  Edges are
+then read off the lanes at each source's start blocks — work
 proportional to the edges produced, not to sources × targets — and
 emitted grouped by target, sources in order within a target (the order
 decides the solvers' visit counts).  The paper's literal procedure, one
@@ -43,13 +43,14 @@ from __future__ import annotations
 
 import functools
 import logging
+import struct
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import add
 from typing import (
-    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
-    Union,
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
 from repro.obs.metrics import REGISTRY, Counts
@@ -57,12 +58,13 @@ from repro.obs.tracer import span
 
 from repro.isa.calling_convention import CallingConvention, NT_ALPHA
 from repro.dataflow.equations import (
+    Lanes,
     SummaryTriple,
     Triple,
-    meet_target_maps,
+    meet_lanes,
     sweep_targets,
 )
-from repro.dataflow.regset import mask_of
+from repro.dataflow.regset import FULL_MASK, mask_of
 from repro.program.model import Program
 from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind, TerminatorKind
 from repro.psg.arena import PsgArena
@@ -695,22 +697,23 @@ def _label_edges(
     """One routine's ``(src, dst, raw label)`` flow-summary edges:
     grouped by target, sources in order within a target.
 
-    One sweep labels every target; the edges are then read off the
-    maps at each source's start blocks, one (source, target) pair
-    examined per edge produced.  Raises :class:`PsgBuildError` when a
-    block some source reaches reaches no target (its map is empty):
-    its register uses would have no edge to live on.  The test suite's
-    region labelers (``tests/label_oracle.py``) stand in for this
-    function.
+    One sweep labels every target (its lane: its position in
+    ``targets``); the edges are then read off the states at each
+    source's start blocks, one (source, target) pair examined per edge
+    produced.  Raises :class:`PsgBuildError` when a block some source
+    reaches reaches no target: its register uses would have no edge to
+    live on.  The test suite's region labelers
+    (``tests/label_oracle.py``) stand in for this function.
     """
     position = {block: index for index, (_node, block) in enumerate(targets)}
-    maps, visits, region_blocks = sweep_targets(
-        cfg.successors, cfg.ubd, cfg.defs, blocked, position
+    ubd, defs = cfg.ubd, cfg.defs
+    states, visits, region_blocks = sweep_targets(
+        cfg.successors, ubd, defs, blocked, position
     )
     assembly.label_visits += visits
     assembly.label_region_blocks += region_blocks
-    if not all(maps):
-        divergent = _unlabeled_reachable(cfg.successors, blocked, sources, maps)
+    if not all(states):
+        divergent = _unlabeled_reachable(cfg.successors, blocked, sources, states)
         if divergent:
             raise PsgBuildError(
                 f"routine {cfg.name!r}: blocks {divergent} cannot reach any "
@@ -719,10 +722,34 @@ def _label_edges(
             )
     by_target: List[List[Tuple[int, Triple]]] = [[] for _ in targets]
     for src_node, starts in sources:
-        reached = meet_target_maps(maps, starts)
-        assembly.label_pairs += len(reached)
-        for block, triple in reached.items():
-            by_target[position[block]].append((src_node, triple))
+        if len(starts) == 1 and starts[0] in position:  # a target: its own masks
+            start = starts[0]
+            block_def = defs[start]
+            by_target[position[start]].append((src_node, (ubd[start], block_def, block_def)))
+            continue
+        state = meet_lanes(states, starts)
+        if state is None:
+            continue
+        base, reached, use, may, not_must = state
+        if reached == 1:
+            by_target[base].append((src_node, (use, may, not_must ^ FULL_MASK)))
+            continue
+        width = (reached.bit_length() + 63) >> 6
+        unpack = _lane_unpacker(width)
+        size = width << 3
+        for lane, lane_use, lane_may, lane_not in compress(
+            zip(
+                count(base),
+                unpack(use.to_bytes(size, "little")),
+                unpack(may.to_bytes(size, "little")),
+                unpack(not_must.to_bytes(size, "little")),
+            ),
+            reached.to_bytes(size, "little")[::8],
+        ):
+            by_target[lane].append(
+                (src_node, (lane_use, lane_may, lane_not ^ FULL_MASK))
+            )
+    assembly.label_pairs += sum(map(len, by_target))
     return [
         (src_node, dst_node, triple)
         for (dst_node, _block), arrivals in zip(targets, by_target)
@@ -730,14 +757,20 @@ def _label_edges(
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def _lane_unpacker(width: int) -> Callable[[bytes], Tuple[int, ...]]:
+    """The ``width`` 64-bit lanes of an int's little-endian bytes."""
+    return struct.Struct(f"<{width}Q").unpack
+
+
 def _unlabeled_reachable(
     successors: Sequence[Sequence[int]],
     blocked: Set[int],
     sources: Sequence[Tuple[int, Sequence[int]]],
-    maps: Sequence[dict],
+    states: Sequence[Optional[Lanes]],
 ) -> List[int]:
     """The blocks, sorted, that some source reaches in the cut graph
-    (a blocked block may be reached, never left) whose map is empty."""
+    (a blocked block may be reached, never left) whose state is empty."""
     seen: Set[int] = set()
     stack = [start for _node, starts in sources for start in starts]
     while stack:
@@ -747,4 +780,4 @@ def _unlabeled_reachable(
         seen.add(block)
         if block not in blocked:
             stack.extend(successors[block])
-    return sorted(block for block in seen if not maps[block])
+    return sorted(block for block in seen if states[block] is None)

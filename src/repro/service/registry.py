@@ -75,6 +75,7 @@ class SessionEntry:
     tenant: str
     fingerprint: int
     session: AnalysisSession
+    #: The budget's size proxy (the session keeps the decoded program).
     image_nbytes: int
     #: Serializes solves on this entry: one request analyzes a given
     #: image at a time; requests for *different* images run unhindered.

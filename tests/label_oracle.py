@@ -2,9 +2,10 @@
 labeler is tested against.
 
 :func:`sweep_by_sccs` is the sweep as it was before it confined SCC
-work to back-arc regions — Tarjan over every routine's whole cut graph
-— the reference for its maps and, on the generated shapes, its visit
-counts.
+work to back-arc regions and kept one 64-bit lane per target — Tarjan
+over every routine's whole cut graph, one dict entry per (block,
+reached target) — the reference for its states (expanded to maps by
+:func:`sweep_maps`) and, on the generated shapes, its visit counts.
 
 The rest are the Figure-6 equations as written — one worklist problem
 over one CFG subgraph (:func:`solve_summary_subgraph`, on the generic
@@ -37,16 +38,11 @@ from typing import (
 )
 from unittest import mock
 
-from repro.dataflow.equations import (
-    _NO_TARGETS,
-    SummaryTriple,
-    TargetMap,
-    _solve_cyclic,
-    _transfer,
-    meet_target_maps,
-)
+from collections import deque
+
+from repro.dataflow.equations import Lanes, SummaryTriple, sweep_targets
 from repro.dataflow.local import LocalSets
-from repro.dataflow.regset import TRACKED_MASK
+from repro.dataflow.regset import FULL_MASK, TRACKED_MASK
 from repro.psg import build as psg_build
 from tests import records
 from tests.records import Block
@@ -60,6 +56,16 @@ _BOUNDARY: Triple = (0, 0, 0)
 
 #: The strategies :func:`labeling` can install (``batched`` = production).
 STRATEGIES = ("batched", "per-target", "per-edge")
+
+#: One block's answer for every target it reaches: target block ->
+#: converged IN triple (the lane states of
+#: :func:`repro.dataflow.equations.sweep_targets`, one entry per lane).
+TargetMap = Dict[int, Triple]
+
+_NO_TARGETS: TargetMap = {}
+
+#: Interior start value: MAY sets at ⊥ (∅), MUST-DEF at ⊤.
+_INTERIOR: Triple = (0, 0, TRACKED_MASK)
 
 
 def forward_reachable(
@@ -278,9 +284,11 @@ def sweep_by_sccs(
     blocked: Container[int],
     targets: Container[int],
 ) -> Tuple[List[TargetMap], int]:
-    """The one-sweep labeler as it was before the region sweep: Tarjan
-    over the whole cut graph, every component in emission order.  Same
-    maps as :func:`repro.dataflow.equations.sweep_targets`, which
+    """The one-sweep labeler as it was before the region sweep, one map
+    entry per (block, reached target): Tarjan over the whole cut graph,
+    every component in emission order.  Same maps as
+    :func:`sweep_maps` expands from
+    :func:`repro.dataflow.equations.sweep_targets`'s lanes, which
     confines the SCC work to back-arc regions, and the same visit count
     unless an arc from below enters a region above its lowest block."""
     cut_succ: List[Sequence[int]] = [
@@ -304,6 +312,107 @@ def sweep_by_sccs(
             maps[block] = _transfer(out, ubd[block], defs[block])
             visits += len(out)
     return maps, visits
+
+
+def meet_target_maps(maps: Sequence[TargetMap], blocks: Sequence[int]) -> TargetMap:
+    """Per-target ∪/∪/∩ of the maps at ``blocks``; a target missing
+    from one map is not reached from that block, so it is skipped."""
+    out: TargetMap = {}
+    for block in blocks:
+        for target, triple in maps[block].items():
+            current = out.get(target)
+            out[target] = triple if current is None else _combine(current, triple)
+    return out
+
+
+def _transfer(out: TargetMap, ubd: int, block_def: int) -> TargetMap:
+    """OUT map -> IN map of one block (the Figure-6 transfer)."""
+    keep = ~block_def
+    return {
+        target: (ubd | (triple[0] & keep), triple[1] | block_def, triple[2] | block_def)
+        for target, triple in out.items()
+    }
+
+
+def _solve_cyclic(
+    members: List[int],
+    cut_succ: Sequence[Sequence[int]],
+    ubd: Sequence[int],
+    defs: Sequence[int],
+    maps: List[TargetMap],
+) -> int:
+    """Iterate one cyclic component to its fixed point from ⊥/⊥/⊤ over
+    the targets its out-of-component successors reach; returns the map
+    entries written."""
+    in_comp = set(members)
+    reached: TargetMap = {}
+    preds: Dict[int, List[int]] = {block: [] for block in members}
+    for block in members:
+        for successor in cut_succ[block]:
+            if successor in in_comp:
+                preds[successor].append(block)
+            else:
+                reached.update(maps[successor])
+    if not reached:
+        return 0
+    seed = dict.fromkeys(reached, _INTERIOR)
+    for block in members:
+        maps[block] = seed
+    visits = 0
+    queue = deque(members)
+    queued = set(members)
+    while queue:
+        block = queue.popleft()
+        queued.discard(block)
+        value = _transfer(
+            meet_target_maps(maps, cut_succ[block]), ubd[block], defs[block]
+        )
+        if value != maps[block]:
+            maps[block] = value
+            visits += len(value)
+            for predecessor in preds[block]:
+                if predecessor not in queued:
+                    queued.add(predecessor)
+                    queue.append(predecessor)
+    return visits
+
+
+def expand_lanes(state: Optional[Lanes], target_of_lane: Sequence[int]) -> TargetMap:
+    """A lane state as a ``{target block: triple}`` map, one lane at a
+    time (quadratic in the lanes; the builder reads them in one pass)."""
+    if state is None:
+        return {}
+    base, reached, may_use, may_def, not_must = state
+    out: TargetMap = {}
+    for lane in range(reached.bit_length() // 64 + 1):
+        shift = lane * 64
+        if reached >> shift & 1:
+            out[target_of_lane[base + lane]] = (
+                may_use >> shift & FULL_MASK,
+                may_def >> shift & FULL_MASK,
+                ~(not_must >> shift) & FULL_MASK,
+            )
+    return out
+
+
+def sweep_maps(
+    successors: Sequence[Sequence[int]],
+    ubd: Sequence[int],
+    defs: Sequence[int],
+    blocked: Iterable[int],
+    targets: Iterable[int],
+) -> Tuple[List[TargetMap], int, int, List[Optional[Lanes]], List[int]]:
+    """:func:`repro.dataflow.equations.sweep_targets` with ``targets``
+    given lanes in ascending block order, its states expanded to maps:
+    the maps, visits and region blocks, then the raw states and the
+    target of each lane (for :func:`expand_lanes`)."""
+    target_of_lane = sorted(targets)
+    lanes = {target: lane for lane, target in enumerate(target_of_lane)}
+    states, visits, region_blocks = sweep_targets(
+        successors, ubd, defs, blocked, lanes
+    )
+    maps = [expand_lanes(state, target_of_lane) for state in states]
+    return maps, visits, region_blocks, states, target_of_lane
 
 
 def blocks_of(cfg) -> Tuple[List[Block], List[LocalSets]]:

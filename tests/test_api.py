@@ -53,6 +53,26 @@ class TestConstruction:
         assert session.program.routine_count == 2
         assert session.image_fingerprint != 0
 
+    def test_session_drops_the_bytes_once_fingerprinted(self, image_bytes):
+        """Hashed by the session or assigned by whoever hashed them (the
+        daemon's registry), the fingerprint is all the bytes were kept
+        for: the session no longer refers to them afterwards."""
+        from repro.interproc.persist import image_fingerprint
+        from repro.service.registry import SessionRegistry
+
+        def holds(session, blob):
+            return any(value is blob for value in vars(session).values())
+
+        blob = bytes(bytearray(image_bytes))  # an object only this test holds
+        session = AnalysisSession.from_image_bytes(blob)
+        assert holds(session, blob)
+        assert session.image_fingerprint == image_fingerprint(blob)
+        assert not holds(session, blob)
+        assert session.image_fingerprint == image_fingerprint(blob)
+        entry = SessionRegistry().acquire("tenant", blob)
+        assert not holds(entry.session, blob)
+        assert entry.session.image_fingerprint == image_fingerprint(blob)
+
     def test_from_image_bytes_rejects_garbage(self):
         with pytest.raises(ImageFormatError):
             AnalysisSession.from_image_bytes(b"not an image")

@@ -15,17 +15,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cfg.build import build_all_cfgs, build_cfg
 from repro.cfg.cfg import TerminatorKind
-from repro.dataflow.equations import SummaryTriple, meet_target_maps, sweep_targets
+from repro.dataflow.equations import SummaryTriple, meet_lanes
 from repro.dataflow.local import compute_local_sets
 from repro.psg.build import build_psg
 from repro.dataflow.regset import RegisterSet, TRACKED_MASK, mask_of
 from tests.records import blocks_of
 from tests.label_oracle import (
     backward_reachable,
+    expand_lanes,
     forward_reachable,
     label_from_starts,
     solve_summary_subgraph,
     sweep_by_sccs,
+    sweep_maps,
 )
 
 
@@ -203,8 +205,8 @@ def _raw(triple):
 
 
 def _sweep(blocks, local_sets, blocked, targets):
-    """:func:`sweep_targets` over block and local-set objects' rows."""
-    return sweep_targets(
+    """:func:`sweep_maps` over block and local-set objects' rows."""
+    return sweep_maps(
         [block.successors for block in blocks],
         [sets.ubd_mask for sets in local_sets],
         [sets.def_mask for sets in local_sets],
@@ -215,14 +217,16 @@ def _sweep(blocks, local_sets, blocked, targets):
 
 class TestBatchedEquivalence:
     """The one-sweep labeler must agree with the per-target solver on
-    arbitrary cut graphs: for every target and every block, the map
-    entry is the converged triple of the target's own region."""
+    arbitrary cut graphs: for every target and every block, the
+    target's lane is the converged triple of the target's own region."""
 
     @settings(max_examples=300, deadline=None)
     @given(cut_graphs())
     def test_batched_matches_per_target(self, data):
         blocks, local_sets, blocked, targets = data
-        maps, visits, _region_blocks = _sweep(blocks, local_sets, blocked, targets)
+        maps, visits, _region_blocks, _states, _lanes = _sweep(
+            blocks, local_sets, blocked, targets
+        )
         assert len(maps) == len(blocks)
         for target in targets:
             region = backward_reachable(blocks, target, blocked)
@@ -245,14 +249,16 @@ class TestBatchedEquivalence:
         """A source with several start blocks: the per-target meet of
         the starts' maps is ``label_from_starts`` of each region."""
         blocks, local_sets, blocked, targets = data
-        maps, _visits, _region_blocks = _sweep(blocks, local_sets, blocked, targets)
+        _maps, _visits, _region_blocks, states, target_of_lane = _sweep(
+            blocks, local_sets, blocked, targets
+        )
         starts = draw.draw(
             st.lists(
                 st.integers(min_value=0, max_value=len(blocks) - 1),
                 min_size=1, max_size=3,
             )
         )
-        labels = meet_target_maps(maps, starts)
+        labels = expand_lanes(meet_lanes(states, starts), target_of_lane)
         for target in targets:
             region = backward_reachable(blocks, target, blocked)
             valid = [start for start in starts if start in region]
@@ -271,7 +277,9 @@ class TestBatchedEquivalence:
         blocks = [_FakeBlock() for _ in range(3)]
         blocks[0].successors = [1, 2]
         local_sets = [_FakeLocal(0, 0) for _ in range(3)]
-        maps, visits, _region_blocks = _sweep(blocks, local_sets, set(), {2})
+        maps, visits, _region_blocks, _states, _lanes = _sweep(
+            blocks, local_sets, set(), {2}
+        )
         assert maps[1] == {}
         assert set(maps[0]) == set(maps[2]) == {2}
         assert visits == 2
@@ -350,15 +358,16 @@ def entered_mid_region(successors, blocked):
 
 
 class TestRegionSweep:
-    """The block-order sweep with SCC work confined to back-arc regions
-    must write the same maps as the whole-routine Tarjan sweep it
-    replaced (``sweep_by_sccs``), and the same number of entries
+    """The block-order lane sweep with SCC work confined to back-arc
+    regions must write the same maps (its lanes expanded) as the
+    whole-routine, dict-per-block Tarjan sweep it replaced
+    (``sweep_by_sccs``), and as many lanes as that writes entries
     wherever every region is entered from below only at its lowest
     block (the generated shapes' case)."""
 
     @staticmethod
     def _both(successors, ubd, defs, blocked, targets):
-        maps, visits, region_blocks = sweep_targets(
+        maps, visits, region_blocks, _states, _lanes = sweep_maps(
             successors, ubd, defs, blocked, targets
         )
         old_maps, old_visits = sweep_by_sccs(
@@ -442,7 +451,7 @@ class TestRegionSweep:
     )
     def test_target_must_be_a_cut_graph_sink(self, successors):
         masks = [0] * len(successors)
-        for sweep in (sweep_targets, sweep_by_sccs):
+        for sweep in (sweep_maps, sweep_by_sccs):
             with pytest.raises(AssertionError, match="sink"):
                 sweep(successors, masks, masks, set(), {2, 4})
 

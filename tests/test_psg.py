@@ -2,6 +2,8 @@
 one-sweep labeler against the per-target and per-edge oracles
 (``tests/label_oracle.py``)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -323,6 +325,64 @@ class TestLabelWork:
         _blocks, _edges, delta = _label_work(small_benchmark, "per-target")
         assert delta.get("psg.label.visits", 0) == 0
         assert delta.get("psg.label.pairs", 0) == 0
+
+
+def _calls_routine(calls, conditional):
+    """``main`` calling ``f``, a routine of ``calls`` calls to ``g``:
+    each skipped by a conditional branch (``conditional``: the blocks
+    above reach every later call, so their lane states are wide), or
+    made in sequence with a diamond between each pair (every block
+    reaches one call)."""
+    lines = [".routine main", "    bsr ra, f", "    halt", ".routine f",
+             "    lda sp, -16(sp)", "    stq ra, 0(sp)"]
+    for index in range(calls):
+        temp = f"t{index % 4}"
+        if conditional:
+            lines += [f"    beq a{index % 3}, s{index}", "    bsr ra, g",
+                      f"s{index}:", f"    addq {temp}, #1, {temp}"]
+        else:
+            lines += ["    bsr ra, g", f"    beq {temp}, l{index}",
+                      f"    addq t5, {temp}, t5", f"    br j{index}",
+                      f"l{index}:", f"    subq t6, #{index % 7}, {temp}",
+                      f"j{index}:"]
+    lines += ["    ldq ra, 0(sp)", "    lda sp, 16(sp)", "    ret (ra)",
+              ".routine g", "    lda v0, 1(zero)", "    ret (ra)"]
+    return disassemble_image(assemble("\n".join(lines)))
+
+
+class TestPathologicalRoutines:
+    """Routines at the lane kernel's extremes, each labeled as the
+    per-target oracle labels it."""
+
+    def test_dense_conditional_calls(self):
+        program = _calls_routine(150, conditional=True)
+        batched = build(program)
+        assert _flow_sequence(batched) == _flow_sequence(
+            build(program, strategy="per-target")
+        )
+        assert len(batched.routines["f"].flow_edge_indices) > 150 * 150 // 2
+
+    def test_sequential_calls_with_diamonds(self):
+        program = _calls_routine(2000, conditional=False)
+        assert _flow_sequence(build(program)) == _flow_sequence(
+            build(program, strategy="per-target")
+        )
+
+    def test_labeling_memory_follows_the_routine(self):
+        """A block's lanes span only the targets it reaches: labeling a
+        routine of twice the sequential calls peaks at about twice the
+        heap, not four times."""
+        peaks = []
+        for calls in (1000, 2000):
+            program = _calls_routine(calls, conditional=False)
+            cfgs = build_all_cfgs(program)
+            tracemalloc.start()
+            try:
+                build_psg(program, cfgs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.5 * peaks[0]
 
 
 class TestDivergenceDetection:

@@ -619,7 +619,8 @@ class TestRecordCodecs:
             blob, lambda v: v.frontend_record(record.shape_key ^ 1)
         ) is None
         delta = REGISTRY.delta_since(base)
-        assert delta.get("store.frontend.miss") == 1
+        # The caller counts its lookups, once per run (build_frontend).
+        assert not delta.get("store.frontend.miss")
         assert not delta.get("store.corrupt")
         assert os.path.exists(probe.path)
 
@@ -1045,8 +1046,9 @@ class TestStoreIO:
         assert view.frontend_record(record.shape_key ^ 1) is None
         delta = REGISTRY.delta_since(base)
         assert delta.get("store.frontend.write") == 1
-        assert delta.get("store.frontend.hit") == 1
-        assert delta.get("store.frontend.miss") == 1
+        # Lookups are counted by their caller, once per run.
+        assert not delta.get("store.frontend.hit")
+        assert not delta.get("store.frontend.miss")
         # The summary names did not move.
         for name in ("store.hit", "store.miss", "store.write", "store.bytes"):
             assert not delta.get(name)
@@ -1252,6 +1254,65 @@ class TestByteIdentity:
         assert second.metrics.cfgs_built == 1  # the app module's main
         assert _result_bytes(second) == _result_bytes(baseline2)
         assert len(_pack_paths(store.root)) == 2  # one per publishing run
+
+    def test_store_registry_calls_do_not_grow_with_the_library(
+        self, tmp_path, monkeypatch
+    ):
+        """An adopting run records its store counts once per call site:
+        a variant linked against a 20-routine and a 200-routine library
+        makes the same number of ``store.*`` ``REGISTRY.inc`` calls,
+        with totals that still count every routine and body."""
+
+        def library(size):
+            lib = ObjectModule("chainlib")
+            for index in range(size):
+                lib.routine(f"lib{index}")
+                if index + 1 < size:
+                    lib.memory("lda", "sp", -16, "sp")
+                    lib.memory("stq", "ra", 0, "sp")
+                    lib.bsr(f"lib{index + 1}")
+                    lib.memory("ldq", "ra", 0, "sp")
+                    lib.memory("lda", "sp", 16, "sp")
+                else:
+                    lib.op("addq", "a0", 7, "v0")
+                lib.ret()
+            return lib
+
+        def variant(size, version):
+            app = ObjectModule("app")
+            app.extern("lib0")
+            app.routine("main", exported=True)
+            app.li("a0", 4 + version)
+            app.bsr("lib0")
+            app.output()
+            app.halt()
+            return disassemble_image(
+                link_modules([app, library(size)], entry="main")
+            )
+
+        calls = []
+        inc = REGISTRY.inc
+
+        def counting(name, amount=1, **labels):
+            calls.append(name)
+            inc(name, amount, **labels)
+
+        made = {}
+        for size in (20, 200):
+            config = AnalysisConfig(store=SummaryStore(str(tmp_path / str(size))))
+            analyze_incremental(variant(size, 1), config=config)
+            base = REGISTRY.snapshot()
+            monkeypatch.setattr(REGISTRY, "inc", counting)
+            run = analyze_incremental(variant(size, 2), config=config)
+            monkeypatch.undo()
+            delta = REGISTRY.delta_since(base)
+            assert run.metrics.phase2_store_hits == size
+            assert delta["store.frontend.hit"] == size
+            assert delta["store.frontend.miss"] == 1  # the edited main
+            assert delta["store.body.checked"] == size
+            made[size] = sum(name.startswith("store.") for name in calls)
+            calls[:] = []
+        assert made[20] == made[200]
 
     def test_sidecar_dropped_into_packs_serves_another_image(
         self, tmp_path, variant1, variant2

@@ -6,7 +6,8 @@ Drives the CLI as real subprocesses:
 1. generate a Table-2 image;
 2. ``analyze --json --save-summaries`` it: one walk per routine writes
    its CFG's block rows, one successors-first sweep per routine labels
-   every target at once;
+   every target at once, each block holding one 64-bit lane per target
+   it reaches;
 3. ``analyze --dot`` it again: the run keeps no graph, so the PSG the
    DOT export reads is solved again on request;
 4. ``query f0 --stats`` then ``query f0 --json`` on the same image: a
@@ -46,6 +47,10 @@ Usage::
     PYTHONPATH=src python tools/cold_smoke.py [--benchmark gcc]
         [--scale 0.1]
 
+CI runs it twice: on the default gcc ×0.1 image, and on acad ×0.03,
+whose small routines are where the lanes only break even with the
+dict-per-block sweep they replaced.
+
 Exits non-zero with a one-line reason on any violation, so CI can run
 it as a single step.
 """
@@ -68,7 +73,7 @@ from repro.reporting.dot import psg_to_dot
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from tests.label_oracle import labeling  # noqa: E402
 
-#: Work bound: map entries the sweep may write per basic block.
+#: Work bound: target lanes the sweep may write per basic block.
 VISITS_PER_BLOCK = 3.5
 
 #: Work bound: phase-1 worklist visits per PSG node (exclusive).
